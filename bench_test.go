@@ -403,14 +403,6 @@ func BenchmarkStepHotEquiCache256(b *testing.B)  { benchmarkStepHot(b, 256, 0, h
 func BenchmarkStepHotEquiCache1024(b *testing.B) { benchmarkStepHot(b, 1024, 0, hotOpts()) }
 func BenchmarkStepHotBandCache256(b *testing.B)  { benchmarkStepHot(b, 256, 4, hotOpts()) }
 
-// The opt-in parallel scorer on the same workload; the speedup over
-// BenchmarkStepHotEquiCache256 is what the Parallel option buys.
-func BenchmarkStepHotEquiCache256Parallel(b *testing.B) {
-	o := hotOpts()
-	o.Parallel = true
-	benchmarkStepHot(b, 256, 0, o)
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

@@ -50,36 +50,24 @@ func BandJoinECB(partner process.Process, h *process.History, v, eps, horizon in
 }
 
 // BandJoinECBCached is BandJoinECB reading the partner forecasts from a
-// per-decision ForecastCache — the dominance prefilter tabulates one ECB per
-// candidate, so sharing the forecasts across candidates removes the
-// O(candidates × horizon) Forecast re-derivation.
+// ForecastCache — the dominance prefilter tabulates one ECB per candidate, so
+// sharing the forecasts across candidates removes the O(candidates × horizon)
+// Forecast re-derivation.
 func BandJoinECBCached(fc *ForecastCache, partner StreamID, v, eps, horizon int) ECB {
 	return bandJoinECBSum(func(dt int) dist.PMF { return fc.At(partner, dt) }, v, eps, horizon)
 }
 
-// bandJoinHSum is the summation kernel shared by BandJoinH and
-// BandJoinHCached (see joinHSum for the equivalence contract).
-func bandJoinHSum(forecast func(dt int) dist.PMF, v, eps int, l LFunc, fallbackHorizon int) float64 {
+// BandJoinH generalizes HEEB's joining score to band joins.
+func BandJoinH(partner process.Process, h *process.History, v, eps int, l LFunc, fallbackHorizon int) float64 {
 	horizon := HorizonFor(l, fallbackHorizon)
 	var sum float64
 	for dt := 1; dt <= horizon; dt++ {
-		p := BandProb(forecast(dt), v, eps)
+		p := BandProb(partner.Forecast(h, dt), v, eps)
 		if p != 0 {
 			sum += p * l.At(dt)
 		}
 	}
 	return sum
-}
-
-// BandJoinH generalizes HEEB's joining score to band joins.
-func BandJoinH(partner process.Process, h *process.History, v, eps int, l LFunc, fallbackHorizon int) float64 {
-	return bandJoinHSum(func(dt int) dist.PMF { return partner.Forecast(h, dt) }, v, eps, l, fallbackHorizon)
-}
-
-// BandJoinHCached is BandJoinH reading the partner forecasts from a
-// per-decision ForecastCache (see JoinHCached).
-func BandJoinHCached(fc *ForecastCache, partner StreamID, v, eps int, l LFunc, fallbackHorizon int) float64 {
-	return bandJoinHSum(func(dt int) dist.PMF { return fc.At(partner, dt) }, v, eps, l, fallbackHorizon)
 }
 
 // OptOfflineBandJoin computes the MAX-subset offline optimum for a band join

@@ -74,9 +74,9 @@ func FlowExpectStepWindow(cands []Candidate, procs [2]process.Process, hists [2]
 }
 
 // FlowExpectStepCached is FlowExpectStepWindow reading every arc's forecast
-// from a caller-owned per-decision ForecastCache, so the graph construction
-// shares forecasts with whatever else the decision computes (and reuses the
-// cache's capacity across decisions).
+// from a caller-owned ForecastCache, so the graph construction shares
+// forecasts with whatever else the decision computes and with the decisions
+// before it.
 func FlowExpectStepCached(cands []Candidate, fc *ForecastCache, cacheSize, l, window int) (FlowDecision, error) {
 	return FlowExpectStepBudget(cands, fc, cacheSize, l, window, mincostflow.Budget{})
 }

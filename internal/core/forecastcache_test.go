@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"stochstream/internal/dist"
@@ -48,23 +49,30 @@ func TestForecastCacheMemoizes(t *testing.T) {
 	}
 }
 
+// After the histories advance, Rebind must leave no forecast of the earlier
+// decision readable: the independent stream's window slides by the elapsed
+// step, the AR(1) stream's is emptied.
 func TestForecastCacheRebindInvalidates(t *testing.T) {
 	procs, hists := fcFixture(t)
 	fc := NewForecastCache(procs, hists)
-	before := fc.At(StreamR, 1).Prob(hists[0].Last() + 1)
-	// Advance the history; without Rebind the stale forecast would survive.
+	fc.At(StreamR, 12)
+	fc.At(StreamS, 12)
 	hists[0].Append(hists[0].Last() + 1)
 	hists[1].Append(hists[1].Last())
 	fc.Rebind(procs, hists)
-	if fc.Len(StreamR) != 0 || fc.Len(StreamS) != 0 {
-		t.Fatalf("Rebind kept %d/%d forecasts", fc.Len(StreamR), fc.Len(StreamS))
+	if fc.Len(StreamR) != 11 || fc.Len(StreamS) != 0 {
+		t.Fatalf("Rebind kept %d/%d forecasts, want 11/0", fc.Len(StreamR), fc.Len(StreamS))
 	}
-	after := fc.At(StreamR, 1)
-	want := procs[0].Forecast(hists[0], 1)
-	if after.Prob(0) != want.Prob(0) {
-		t.Fatalf("rebound forecast mismatch: %g != %g", after.Prob(0), want.Prob(0))
+	for _, s := range []StreamID{StreamR, StreamS} {
+		for dt := 1; dt <= 12; dt++ {
+			got, want := fc.At(s, dt), procs[s].Forecast(hists[s], dt)
+			for v := -30; v <= 60; v++ {
+				if got.Prob(v) != want.Prob(v) {
+					t.Fatalf("stream %v dt %d v %d: rebound %g != direct %g", s, dt, v, got.Prob(v), want.Prob(v))
+				}
+			}
+		}
 	}
-	_ = before
 }
 
 // The cached scoring forms must be bitwise-identical to the direct ones: the
@@ -77,18 +85,21 @@ func TestCachedScoringBitwiseEqualsDirect(t *testing.T) {
 	for v := -10; v <= 50; v += 3 {
 		for _, s := range []StreamID{StreamR, StreamS} {
 			direct := JoinH(procs[s], hists[s], v, l, 0)
-			cached := JoinHCached(fc, s, v, l, 0)
+			cached := BandJoinHCached(fc, s, v, 0, lt, math.MaxInt)
 			if direct != cached {
 				t.Fatalf("JoinH stream %v v %d: direct %v != cached %v", s, v, direct, cached)
 			}
-			tabbed := JoinHCached(fc, s, v, lt, 0)
-			if direct != tabbed {
-				t.Fatalf("JoinH stream %v v %d: direct %v != tabulated-L %v", s, v, direct, tabbed)
-			}
 			bd := BandJoinH(procs[s], hists[s], v, 3, l, 0)
-			bc := BandJoinHCached(fc, s, v, 3, l, 0)
+			bc := BandJoinHCached(fc, s, v, 3, lt, math.MaxInt)
 			if bd != bc {
 				t.Fatalf("BandJoinH stream %v v %d: direct %v != cached %v", s, v, bd, bc)
+			}
+			for _, rem := range []int{-1, 0, 1, 7, 1 << 20} {
+				wd := BandJoinH(procs[s], hists[s], v, 3, LWindow{Inner: l, Remaining: rem}, 0)
+				wc := BandJoinHCached(fc, s, v, 3, lt, rem)
+				if wd != wc {
+					t.Fatalf("windowed BandJoinH stream %v v %d remaining %d: direct %v != cached %v", s, v, rem, wd, wc)
+				}
 			}
 			ed := BandJoinECB(procs[s], hists[s], v, 2, 32)
 			ec := BandJoinECBCached(fc, s, v, 2, 32)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"stochstream/internal/dist"
 	"stochstream/internal/process"
 )
 
@@ -42,15 +41,18 @@ func HFromECB(b ECB, l LFunc) float64 {
 	return h
 }
 
-// joinHSum is the summation kernel shared by JoinH and JoinHCached: both
-// paths run the identical loop over the identical forecasts, so the cached
-// variant is bitwise-equal to the direct one — the property the differential
-// harness in internal/engine asserts.
-func joinHSum(forecast func(dt int) dist.PMF, v int, l LFunc, fallbackHorizon int) float64 {
+// JoinH computes HEEB's score for a candidate tuple with value v in the
+// joining problem, via the equivalent form
+// H_x = Σ_{Δt≥1} Pr{X^partner_{t0+Δt} = v | x̄_{t0}}·L(Δt)
+// (Section 4.3). fallbackHorizon bounds the sum when L does not decay.
+//
+// It derives every forecast from the model and is the reference the window
+// kernel behind BandJoinHCached is held bitwise equal to.
+func JoinH(partner process.Process, h *process.History, v int, l LFunc, fallbackHorizon int) float64 {
 	horizon := HorizonFor(l, fallbackHorizon)
 	var sum float64
 	for dt := 1; dt <= horizon; dt++ {
-		p := forecast(dt).Prob(v)
+		p := partner.Forecast(h, dt).Prob(v)
 		if p != 0 {
 			sum += p * l.At(dt)
 		}
@@ -58,19 +60,45 @@ func joinHSum(forecast func(dt int) dist.PMF, v int, l LFunc, fallbackHorizon in
 	return sum
 }
 
-// JoinH computes HEEB's score for a candidate tuple with value v in the
-// joining problem, via the equivalent form
-// H_x = Σ_{Δt≥1} Pr{X^partner_{t0+Δt} = v | x̄_{t0}}·L(Δt)
-// (Section 4.3). fallbackHorizon bounds the sum when L does not decay.
-func JoinH(partner process.Process, h *process.History, v int, l LFunc, fallbackHorizon int) float64 {
-	return joinHSum(func(dt int) dist.PMF { return partner.Forecast(h, dt) }, v, l, fallbackHorizon)
-}
-
-// JoinHCached is JoinH reading the partner forecasts from a per-decision
-// ForecastCache instead of re-deriving them: scoring k candidates of a
-// decision costs O(horizon) Forecast calls in total instead of O(k·horizon).
-func JoinHCached(fc *ForecastCache, partner StreamID, v int, l LFunc, fallbackHorizon int) float64 {
-	return joinHSum(func(dt int) dist.PMF { return fc.At(partner, dt) }, v, l, fallbackHorizon)
+// BandJoinHCached is BandJoinH (and, with eps = 0, JoinH) over the forecast
+// window of fc and a tabulated L, summed over Δt = 1..horizon or the length
+// of the table, whichever is shorter; a sliding-window clip is passed as the
+// horizon (the tuple's remaining steps in the window) instead of wrapping l in
+// an LWindow. It adds the same non-zero terms as the reference loop in the
+// same ascending-Δt order, so the two agree bitwise; the Δt whose support
+// cannot meet [v−eps, v+eps] contribute exact zeros and are skipped without
+// being visited (window.span).
+func BandJoinHCached(fc *ForecastCache, partner StreamID, v, eps int, l LTable, horizon int) float64 {
+	n := min(horizon, len(l.vals))
+	if n <= 0 {
+		return 0
+	}
+	w := fc.upTo(partner, n)
+	from, to := w.span(n, v-eps, v+eps)
+	f, lv := w.f[:n], l.vals[:n]
+	var sum float64
+	if eps == 0 {
+		for i := from; i < to; i++ {
+			d := &f[i]
+			if j := v - d.Off; uint(j) < uint(len(d.P)) {
+				if p := d.P[j]; p != 0 {
+					sum += p * lv[i]
+				}
+			}
+		}
+		return sum
+	}
+	for i := from; i < to; i++ {
+		d := &f[i]
+		var p float64
+		for j, end := max(v-eps-d.Off, 0), min(v+eps-d.Off+1, len(d.P)); j < end; j++ {
+			p += d.P[j]
+		}
+		if p != 0 {
+			sum += p * lv[i]
+		}
+	}
+	return sum
 }
 
 // CacheH computes HEEB's score for a candidate database tuple with value v

@@ -143,6 +143,13 @@ func BoundedNormal(sigma float64, bound int) *Table {
 	return NewTable(-bound, w)
 }
 
+// forecastTailEps is the tail cut every stream model forecasts with, and
+// forecastTailZ its invTail, computed once: the bisection is 80 erfc calls,
+// several times the cost of the table it sizes.
+const forecastTailEps = 1e-9
+
+var forecastTailZ = invTail(forecastTailEps)
+
 // Normal is an unbounded discretized normal with the given mean and standard
 // deviation, truncated at tails mass below tailEps on each side. AR(1) and
 // random-walk multi-step forecasts use it as the closed-form marginal.
@@ -151,17 +158,25 @@ func Normal(mean, sigma, tailEps float64) *Table {
 		panic("dist: Normal requires sigma > 0")
 	}
 	if tailEps <= 0 {
-		tailEps = 1e-9
+		tailEps = forecastTailEps
+	}
+	z := forecastTailZ
+	//lint:ignore floateq memo-key check: every model passes the constant verbatim
+	if tailEps != forecastTailEps {
+		z = invTail(tailEps)
 	}
 	// Half-width covering all but tailEps of each tail.
-	half := int(math.Ceil(sigma*invTail(tailEps))) + 1
+	half := int(math.Ceil(sigma*z)) + 1
 	center := int(math.Round(mean))
 	w := make([]float64, 2*half+1)
+	// Cell i is [v−½, v+½) for v = center−half+i; its upper edge is the next
+	// cell's lower edge, exactly, so each edge's erf is taken once.
+	edge := func(v int) float64 { return math.Erf((float64(v) - 0.5 - mean) / (sigma * math.Sqrt2)) }
+	lo := edge(center - half)
 	for i := range w {
-		v := center - half + i
-		a := (float64(v) - 0.5 - mean) / (sigma * math.Sqrt2)
-		b := (float64(v) + 0.5 - mean) / (sigma * math.Sqrt2)
-		w[i] = 0.5 * (math.Erf(b) - math.Erf(a))
+		hi := edge(center - half + i + 1)
+		w[i] = 0.5 * (hi - lo)
+		lo = hi
 	}
 	return NewTable(center-half, w)
 }

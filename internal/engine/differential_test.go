@@ -105,10 +105,10 @@ func TestDifferentialHEEB10k(t *testing.T) {
 }
 
 // The strongest end-to-end equivalence claim: the optimized operator running
-// memoized + parallel HEEB scoring against the oracle running the seed
-// scoring path (NoMemo, serial). Any float drift in the forecast cache, the
-// tabulated L, or the parallel merge would surface here.
-func TestDifferentialParallelMemoVsSeedScoring(t *testing.T) {
+// HEEB over the forecast window against the oracle running the seed scoring
+// path (NoMemo). Any float drift in the window or the tabulated L would
+// surface here.
+func TestDifferentialMemoVsSeedScoring(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-step differential traces are not short")
 	}
@@ -122,12 +122,9 @@ func TestDifferentialParallelMemoVsSeedScoring(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgOp, cfgRef := tc.cfg, tc.cfg
 			cfgOp.Procs, cfgRef.Procs = trendProcs(), trendProcs()
-			opOpts := heebOpts()
-			opOpts.Parallel = true
-			opOpts.ParallelThreshold = 1
 			refOpts := heebOpts()
 			refOpts.NoMemo = true
-			cfgOp.Policy = policy.NewHEEB(opOpts)
+			cfgOp.Policy = policy.NewHEEB(heebOpts())
 			cfgRef.Policy = policy.NewHEEB(refOpts)
 			cfgOp.Seed, cfgRef.Seed = 3, 3
 			runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 77)

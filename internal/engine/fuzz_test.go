@@ -16,7 +16,7 @@ import (
 //	bits 0..4   cache size − 1   (1..32)
 //	bits 5..9   window           (0..31; 0 disables)
 //	bits 10..11 band             (0..3)
-//	bits 12..13 policy           (0 HEEB, 1 PROB, 2 RAND, 3 HEEB+parallel)
+//	bits 12..13 policy           (0 HEEB, 1 PROB, 2 RAND, 3 HEEB vs its NoMemo path)
 //	bit  14     key source       (0 model trace, 1 raw small-domain keys)
 //
 // Raw small-domain keys maximize match density and occasionally inject
@@ -28,7 +28,7 @@ func FuzzStepEquivalence(f *testing.F) {
 	f.Add(uint64(4), uint64(7|12<<5|1<<10))             // cache 8, window 12, band 1
 	f.Add(uint64(5), uint64(31|1<<12))                  // cache 32, PROB
 	f.Add(uint64(6), uint64(9|2<<12|1<<14))             // cache 10, RAND, raw keys
-	f.Add(uint64(7), uint64(15|3<<12))                  // cache 16, HEEB parallel
+	f.Add(uint64(7), uint64(15|3<<12))                  // cache 16, HEEB window vs NoMemo
 	f.Add(uint64(8), uint64(3|20<<5|3<<10|1<<12|1<<14)) // kitchen sink
 	f.Fuzz(func(t *testing.T, seed, cfgBits uint64) {
 		cacheSize := int(cfgBits&31) + 1
@@ -58,16 +58,16 @@ func FuzzStepEquivalence(f *testing.F) {
 			s = procs[1].Generate(rng.Split(), n)
 		}
 
-		mk := func() join.Policy {
+		mk := func(ref bool) join.Policy {
 			switch polSel {
 			case 1:
 				return &policy.Prob{}
 			case 2:
 				return &policy.Rand{}
 			case 3:
+				// The forecast window against the seed scoring path.
 				return policy.NewHEEB(policy.HEEBOptions{
-					Mode: policy.HEEBDirect, LifetimeEstimate: 3,
-					Parallel: true, ParallelThreshold: 1,
+					Mode: policy.HEEBDirect, LifetimeEstimate: 3, NoMemo: ref,
 				})
 			default:
 				return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 3})
@@ -78,7 +78,7 @@ func FuzzStepEquivalence(f *testing.F) {
 			cfg.Procs = procs
 		}
 		cfgOp, cfgRef := cfg, cfg
-		cfgOp.Policy, cfgRef.Policy = mk(), mk()
+		cfgOp.Policy, cfgRef.Policy = mk(false), mk(true)
 		op, err := NewJoin(cfgOp)
 		if err != nil {
 			t.Fatal(err)

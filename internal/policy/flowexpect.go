@@ -28,9 +28,8 @@ type FlowExpect struct {
 	SolverBudget int64
 
 	cfg join.Config
-	// fc is the per-decision forecast memo shared between the flow-graph
-	// construction and ScoreCandidates; its capacity is reused across
-	// decisions.
+	// fc is the forecast window shared between the flow-graph construction
+	// and ScoreCandidates, advanced at the head of each decision.
 	fc *core.ForecastCache
 }
 
@@ -52,7 +51,7 @@ func (p *FlowExpect) Reset(cfg join.Config, _ *stats.RNG) {
 	p.fc = core.NewForecastCache(cfg.Procs, [2]*process.History{})
 }
 
-// bindDecision rebinds the forecast memo to the current decision.
+// bindDecision advances the forecast window to the current decision.
 func (p *FlowExpect) bindDecision(st *join.State) *core.ForecastCache {
 	if p.fc == nil {
 		//lint:ignore scorepure lazy construction of the blessed forecast memo: built from stream state alone, so the first decision replays identically

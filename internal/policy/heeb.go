@@ -3,8 +3,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"stochstream/internal/core"
 	"stochstream/internal/dist"
@@ -87,26 +85,12 @@ type HEEBOptions struct {
 	// PrefilterHorizon is the tabulation horizon for prefilter ECBs
 	// (default 64).
 	PrefilterHorizon int
-	// Parallel enables the opt-in worker-pool scoring path: when a decision
-	// has at least ParallelThreshold candidates (and the mode is HEEBDirect,
-	// whose scoring is side-effect free once the decision's forecasts are
-	// prewarmed), candidates are scored by up to ParallelWorkers goroutines.
-	// Each worker writes a disjoint range of the shared score slice, so the
-	// merged result — and therefore every eviction choice — is deterministic
-	// and identical to serial scoring.
-	Parallel bool
-	// ParallelThreshold is the candidate count below which scoring stays
-	// serial even with Parallel set (default 64): goroutine fan-out only pays
-	// for itself on large caches.
-	ParallelThreshold int
-	// ParallelWorkers caps the scoring goroutines (default GOMAXPROCS).
-	ParallelWorkers int
-	// NoMemo disables the per-decision forecast cache and the tabulated
-	// L-value table, restoring the seed implementation's re-derivation of
-	// both per candidate. Scores are bitwise-identical either way (the memo
-	// layers reuse the exact values the direct path computes); the switch
-	// exists so the differential harness and BENCH_hotpath.json can measure
-	// the memoization against the original hot path.
+	// NoMemo disables the forecast window and the tabulated L-value table,
+	// restoring the seed implementation's re-derivation of both per
+	// candidate. Scores are bitwise-identical either way (the window holds
+	// the exact values the direct path computes); the switch exists so the
+	// differential harness and BENCH_hotpath.json can measure the window
+	// kernel against the original hot path.
 	NoMemo bool
 }
 
@@ -127,9 +111,10 @@ type HEEB struct {
 	// (a tuple is scored against its partner's model).
 	h1 [2]*core.H1 //lint:ignore snapcomplete derived from the stream models, built lazily on first score; identical after restore because the models are config
 	h2 [2]*core.H2 //lint:ignore snapcomplete derived from the stream models, built lazily on first score; identical after restore because the models are config
-	// fc is the per-decision forecast memo shared by all candidates of one
-	// Evict/ScoreCandidates call; nil when Opts.NoMemo.
-	fc *core.ForecastCache //lint:ignore snapcomplete per-decision memo, rebuilt for every Evict/ScoreCandidates call
+	// fc is the forecast window every candidate of a decision is scored
+	// against, advanced at the head of each Evict/ScoreCandidates call; nil
+	// when Opts.NoMemo.
+	fc *core.ForecastCache //lint:ignore snapcomplete derived window, refilled after restore
 	// ltab caches Lexp's e^{−Δt/α} values for the current α; ltabAlpha
 	// tracks which α the table was built for (adaptive runs re-derive α).
 	ltab      core.LTable //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
@@ -199,16 +184,6 @@ func (p *HEEB) Reset(cfg join.Config, _ *stats.RNG) {
 
 func (p *HEEB) lexp() core.LFunc { return core.LExp{Alpha: p.alpha} }
 
-// l returns the survival estimate used for scoring: the tabulated Lexp
-// (value-for-value identical, without the per-Δt math.Exp) unless memoization
-// is disabled.
-func (p *HEEB) l() core.LFunc {
-	if p.Opts.NoMemo {
-		return p.lexp()
-	}
-	return p.ltab
-}
-
 // ensureLTab (re)tabulates the L table when α changed (Reset, or an adaptive
 // re-derivation at the head of Evict).
 func (p *HEEB) ensureLTab() {
@@ -220,7 +195,7 @@ func (p *HEEB) ensureLTab() {
 	p.ltabAlpha = p.alpha                                                      //lint:ignore scorepure memo key for the α-keyed tabulation above
 }
 
-// bindDecision points the per-decision memo layers at the current state.
+// bindDecision advances the memo layers to the current state.
 func (p *HEEB) bindDecision(st *join.State) {
 	p.ensureLTab()
 	if p.fc != nil {
@@ -228,14 +203,16 @@ func (p *HEEB) bindDecision(st *join.State) {
 	}
 }
 
-// tupleL wraps the survival estimate with the sliding window clip when
-// windows are active.
-func (p *HEEB) tupleL(now int, tp join.Tuple) core.LFunc {
-	l := p.l()
+// unclipped is the remaining value of a tuple no sliding window bounds.
+const unclipped = math.MaxInt
+
+// remaining returns the number of steps the tuple has left inside the
+// sliding window, which clips its score's summation horizon.
+func (p *HEEB) remaining(now int, tp join.Tuple) int {
 	if p.cfg.Window > 0 {
-		l = core.LWindow{Inner: l, Remaining: tp.Arrived + p.cfg.Window - now}
+		return tp.Arrived + p.cfg.Window - now
 	}
-	return l
+	return unclipped
 }
 
 func (p *HEEB) buildH1(cfg join.Config, stream int) *core.H1 {
@@ -381,70 +358,18 @@ func (p *HEEB) evictPrefiltered(st *join.State, cands []join.Tuple, n int, check
 	return evict, nil
 }
 
-// scoreAll scores every candidate into out (resized as needed), fanning out
-// to the worker pool when the parallel path is enabled and applicable.
+// scoreAll scores every candidate into out (resized as needed).
 func (p *HEEB) scoreAll(st *join.State, cands []join.Tuple, out []float64) []float64 {
 	if cap(out) < len(cands) {
 		out = make([]float64, len(cands))
 	} else {
 		out = out[:len(cands)]
 	}
-	if !p.parallelApplicable(len(cands)) {
-		for i, c := range cands {
-			out[i] = p.score(st, c)
-		}
-		return out
+	for i, c := range cands {
+		out[i] = p.score(st, c)
 	}
-	// Prewarm the decision's forecasts to the maximum scoring horizon so the
-	// workers only ever read the cache. Each worker owns a contiguous index
-	// range of out, so the merge is deterministic regardless of scheduling.
-	horizon := core.HorizonFor(p.l(), p.Opts.FallbackHorizon)
-	for s := 0; s < 2; s++ {
-		if st.Procs()[s] != nil {
-			p.fc.Warm(core.StreamID(s), horizon)
-		}
-	}
-	workers := p.Opts.ParallelWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(cands); lo += chunk {
-		hi := min(lo+chunk, len(cands))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = p.score(st, cands[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }
-
-// parallelApplicable gates the worker pool: opt-in, enough candidates to
-// amortize the fan-out, and a scoring mode that is read-only once the
-// decision's forecasts are prewarmed (direct scoring through the memo; the
-// incremental modes mutate per-tuple state and stay serial).
-func (p *HEEB) parallelApplicable(n int) bool {
-	if !p.Opts.Parallel || p.Opts.Mode != HEEBDirect || p.fc == nil {
-		return false
-	}
-	threshold := p.Opts.ParallelThreshold
-	if threshold <= 0 {
-		threshold = DefaultParallelThreshold
-	}
-	return n >= threshold
-}
-
-// DefaultParallelThreshold is the candidate count from which the opt-in
-// parallel scorer fans out (HEEBOptions.ParallelThreshold = 0).
-const DefaultParallelThreshold = 64
 
 // ScoreCandidates returns the H_x value of every candidate under the
 // configured scoring mode — the numbers Evict compares. The telemetry
@@ -466,7 +391,7 @@ func (p *HEEB) score(st *join.State, tp join.Tuple) float64 {
 		case HEEBIncremental:
 			return p.scoreIncremental(st, tp)
 		default:
-			return p.bandJoinH(st, partner, tp.Value, p.tupleL(st.Time, tp))
+			return p.joinH(st, partner, tp.Value, p.remaining(st.Time, tp))
 		}
 	}
 	switch p.Opts.Mode {
@@ -479,26 +404,27 @@ func (p *HEEB) score(st *join.State, tp join.Tuple) float64 {
 	case HEEBValueIncremental:
 		return p.scoreValueIncremental(st, tp)
 	default:
-		return p.joinH(st, partner, tp.Value, p.tupleL(st.Time, tp))
+		return p.joinH(st, partner, tp.Value, p.remaining(st.Time, tp))
 	}
 }
 
-// joinH routes the direct equijoin score through the per-decision forecast
-// memo when enabled; the two paths are bitwise-identical (shared kernel in
-// internal/core).
-func (p *HEEB) joinH(st *join.State, partner core.StreamID, v int, l core.LFunc) float64 {
+// joinH is the direct score of value v against the partner stream under the
+// configured band (0 for an equijoin), for a tuple with the given number of
+// steps left in the sliding window. It reads the forecast window when
+// enabled and otherwise re-derives every forecast through the reference
+// forms in internal/core; the two paths are bitwise-identical.
+func (p *HEEB) joinH(st *join.State, partner core.StreamID, v, remaining int) float64 {
 	if p.fc != nil {
-		return core.JoinHCached(p.fc, partner, v, l, p.Opts.FallbackHorizon)
+		return core.BandJoinHCached(p.fc, partner, v, p.cfg.Band, p.ltab, remaining)
+	}
+	l := p.lexp()
+	if remaining != unclipped {
+		l = core.LWindow{Inner: l, Remaining: remaining}
+	}
+	if p.cfg.Band > 0 {
+		return core.BandJoinH(st.Procs()[partner], st.Hists[partner], v, p.cfg.Band, l, p.Opts.FallbackHorizon)
 	}
 	return core.JoinH(st.Procs()[partner], st.Hists[partner], v, l, p.Opts.FallbackHorizon)
-}
-
-// bandJoinH is joinH's band-join counterpart.
-func (p *HEEB) bandJoinH(st *join.State, partner core.StreamID, v int, l core.LFunc) float64 {
-	if p.fc != nil {
-		return core.BandJoinHCached(p.fc, partner, v, p.cfg.Band, l, p.Opts.FallbackHorizon)
-	}
-	return core.BandJoinH(st.Procs()[partner], st.Hists[partner], v, p.cfg.Band, l, p.Opts.FallbackHorizon)
 }
 
 // scoreValueIncremental implements Corollary 5: for a linear-trend partner,
@@ -509,13 +435,13 @@ func (p *HEEB) scoreValueIncremental(st *join.State, tp join.Tuple) float64 {
 	proc := st.Procs()[partner]
 	lt, ok := proc.(*process.LinearTrend)
 	if !ok || p.cfg.Window > 0 {
-		return p.joinH(st, partner, tp.Value, p.tupleL(st.Time, tp))
+		return p.joinH(st, partner, tp.Value, p.remaining(st.Time, tp))
 	}
 	offset := tp.Value - lt.Slope*st.Time
 	if h, ok := p.offsetH[partner][offset]; ok {
 		return h
 	}
-	h := p.joinH(st, partner, tp.Value, p.l())
+	h := p.joinH(st, partner, tp.Value, unclipped)
 	//lint:ignore scorepure per-decision offset memo: h is a deterministic function of (stream state, seed) and the map is rebound each decision, so replay is bit-identical
 	p.offsetH[partner][offset] = h
 	return h
@@ -538,11 +464,11 @@ func (p *HEEB) scoreIncremental(st *join.State, tp join.Tuple) float64 {
 	proc := st.Procs()[partner]
 	if !proc.Independent() || p.cfg.Window > 0 {
 		// Fall back to direct scoring where Corollary 3 does not apply.
-		return p.bandJoinH(st, partner, tp.Value, p.tupleL(st.Time, tp))
+		return p.joinH(st, partner, tp.Value, p.remaining(st.Time, tp))
 	}
 	e, ok := p.inc[tp.ID]
 	if !ok {
-		h := p.bandJoinH(st, partner, tp.Value, p.l())
+		h := p.joinH(st, partner, tp.Value, unclipped)
 		//lint:ignore scorepure Corollary-3 incremental memo seed: the entry is a deterministic function of (stream state, seed), advanced in lockstep with stream time on every replay
 		p.inc[tp.ID] = &heebEntry{h: h, last: st.Time}
 		return h
@@ -562,9 +488,9 @@ func (p *HEEB) scoreIncremental(st *join.State, tp join.Tuple) float64 {
 
 // forecastAt returns the PMF of the partner's arrival at absolute time u,
 // evaluated from the current history (valid for independent streams, where
-// conditioning does not matter). Future forecasts go through the decision
-// memo when enabled; already-observed steps condition on a truncated history
-// and cannot be shared.
+// conditioning does not matter). Future forecasts go through the forecast
+// window when enabled; already-observed steps condition on a prefix view of
+// the history and cannot be shared.
 func (p *HEEB) forecastAt(proc process.Process, partner core.StreamID, h *process.History, u int) dist.PMF {
 	delta := u - h.T0()
 	if delta >= 1 {
@@ -574,7 +500,6 @@ func (p *HEEB) forecastAt(proc process.Process, partner core.StreamID, h *proces
 		return proc.Forecast(h, delta)
 	}
 	// u is already observed: the "probability" seen from u-1 of the value
-	// at u — recompute from a truncated history.
-	trunc := process.NewHistory(h.Values()[:u]...)
-	return proc.Forecast(trunc, 1)
+	// at u.
+	return proc.Forecast(h.Prefix(u), 1)
 }

@@ -147,60 +147,78 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 	}
 }
 
-// The parallel scorer must produce the same scores and the same eviction
-// choice as the serial scorer; this test also runs under -race in CI,
-// exercising the prewarmed read-only forecast cache contract.
-func TestHEEBParallelScoringMatchesSerial(t *testing.T) {
-	for _, band := range []int{0, 2} {
-		st, cands := heebDecision(t, 23, 0, band, 200)
-		mk := func(parallel bool) *HEEB {
-			p := NewHEEB(HEEBOptions{
-				Mode:              HEEBDirect,
-				LifetimeEstimate:  8,
-				Parallel:          parallel,
-				ParallelThreshold: 1, // force the parallel path
-				ParallelWorkers:   8,
-			})
-			p.Reset(st.Config, stats.NewRNG(3))
-			return p
-		}
-		par, ser := mk(true), mk(false)
-		ps := par.ScoreCandidates(st, cands)
-		ss := ser.ScoreCandidates(st, cands)
-		for i := range cands {
-			if ps[i] != ss[i] {
-				t.Fatalf("band %d cand %d: parallel %v != serial %v", band, i, ps[i], ss[i])
-			}
-		}
-		pe := par.Evict(st, cands, 6)
-		se := ser.Evict(st, cands, 6)
-		if len(pe) != len(se) {
-			t.Fatalf("band %d: evict lengths differ: %v vs %v", band, pe, se)
-		}
-		for i := range pe {
-			if pe[i] != se[i] {
-				t.Fatalf("band %d: parallel evict %v != serial %v", band, pe, se)
-			}
+// advancing returns a function that moves a decision state one step forward
+// the way an operator does between decisions: one observation per stream,
+// the clock, and the two oldest candidates replaced by the arrivals.
+func advancing(st *join.State, cands []join.Tuple, rng *stats.RNG) func() {
+	nextID := len(cands)
+	return func() {
+		st.Time++
+		copy(cands, cands[2:])
+		for s := 0; s < 2; s++ {
+			lt := st.Config.Procs[s].(*process.LinearTrend)
+			v := lt.TrendAt(st.Time) + dist.Sample(lt.Noise, rng.Float64())
+			st.Hists[s].Append(v)
+			cands[len(cands)-2+s] = join.Tuple{ID: nextID, Value: v, Stream: core.StreamID(s), Arrived: st.Time}
+			nextID++
 		}
 	}
 }
 
-// Small-candidate decisions must stay serial even with Parallel set: the
-// threshold gate keeps goroutine fan-out off the common path, and the
-// incremental modes must never fan out (they mutate per-tuple state).
-func TestHEEBParallelThresholdGate(t *testing.T) {
-	st, _ := heebDecision(t, 5, 0, 0, 10)
-	p := NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 4, Parallel: true})
-	p.Reset(st.Config, stats.NewRNG(1))
-	if p.parallelApplicable(DefaultParallelThreshold - 1) {
-		t.Fatalf("parallel path chosen below default threshold %d", DefaultParallelThreshold)
+// A steady-state decision on trend models slides both forecast windows by one
+// step and scores out of them: what it may allocate is the two views the
+// models' Forecast calls return for the new tail entries, and the victim
+// slice it hands back.
+func TestHEEBSteadyStateEvictAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		window, band int
+	}{{"equi", 0, 0}, {"band-window", 40, 2}} {
+		st, cands := heebDecision(t, 17, tc.window, tc.band, 66)
+		p := NewHEEB(HEEBOptions{LifetimeEstimate: 64})
+		p.Reset(st.Config, stats.NewRNG(3))
+		step := advancing(st, cands, stats.NewRNG(5))
+		for i := 0; i < 50; i++ { // fill the windows, the score buffer and the histories' slack
+			step()
+			p.Evict(st, cands, 2)
+		}
+		if got := testing.AllocsPerRun(200, func() {
+			step()
+			p.Evict(st, cands, 2)
+		}); got > 3 {
+			t.Errorf("%s: steady-state Evict allocates %v times, want <= 3", tc.name, got)
+		}
+		// Without a step in between nothing is forecast at all.
+		if got := testing.AllocsPerRun(200, func() { p.Evict(st, cands, 2) }); got > 1 {
+			t.Errorf("%s: repeated Evict allocates %v times, want <= 1", tc.name, got)
+		}
 	}
-	if !p.parallelApplicable(DefaultParallelThreshold) {
-		t.Fatal("parallel path not chosen at threshold")
+}
+
+// Time-incremental scoring folds one Corollary 3 step per elapsed time step
+// into every cached tuple's score; each such step may allocate the prefix
+// view it conditions on and the forecast it reads, not a copy of the history.
+func TestHEEBIncrementalCatchUpAllocs(t *testing.T) {
+	st, cands := heebDecision(t, 29, 0, 0, 34)
+	p := NewHEEB(HEEBOptions{Mode: HEEBIncremental, LifetimeEstimate: 16})
+	p.Reset(st.Config, stats.NewRNG(3))
+	step := advancing(st, cands, stats.NewRNG(5))
+	for i := 0; i < 50; i++ {
+		step()
+		p.Evict(st, cands, 2)
 	}
-	pi := NewHEEB(HEEBOptions{Mode: HEEBIncremental, LifetimeEstimate: 4, Parallel: true, ParallelThreshold: 1})
-	pi.Reset(st.Config, stats.NewRNG(1))
-	if pi.parallelApplicable(1000) {
-		t.Fatal("parallel path chosen for incremental mode")
+	const skipped = 8 // steps between decisions, so every kept tuple catches up 8 steps
+	got := testing.AllocsPerRun(50, func() {
+		for i := 0; i < skipped; i++ {
+			step()
+		}
+		p.Evict(st, cands, 2)
+	})
+	// Per decision: the candidates that survive the skipped arrivals catch up
+	// `skipped` steps each at <= 2 allocations a step; arrivals are scored
+	// directly out of the window.
+	kept := len(cands) - 2*skipped
+	if limit := float64(kept*skipped*2 + 4*skipped + 8); got > limit {
+		t.Errorf("incremental Evict after %d skipped steps allocates %v times, want <= %v", skipped, got, limit)
 	}
 }

@@ -6,7 +6,7 @@
 package policy
 
 import (
-	"sort"
+	"slices"
 
 	"stochstream/internal/join"
 	"stochstream/internal/stats"
@@ -62,7 +62,15 @@ func evictLowest(scores []float64, cands []join.Tuple, n int) []int {
 		}
 		sel = h
 	}
-	sort.Slice(sel, func(a, b int) bool { return worse(sel[b], sel[a]) })
+	slices.SortFunc(sel, func(a, b int) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
+		}
+		return 0
+	})
 	return sel[:min(n, len(sel))]
 }
 

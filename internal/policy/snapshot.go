@@ -11,7 +11,7 @@ import (
 // tracker, incrementally maintained per-tuple scores), the RNG-driven RAND
 // and RESERVOIR, and Ladder (which delegates to its rungs). PROB and LIFE
 // rebuild their value counts from the restored histories, and FlowExpect's
-// forecast memo is rebound every decision, so neither needs snapshot code.
+// forecast window is re-derived from them, so neither needs snapshot code.
 //
 // Wire format: gob of an exported wire struct per policy. The bytes travel
 // inside the engine checkpoint's versioned, checksummed envelope
@@ -53,11 +53,15 @@ func (p *HEEB) SnapshotState() ([]byte, error) {
 
 // RestoreState implements join.StateSnapshotter. The policy must have been
 // Reset with the same configuration that produced the snapshot; precomputed
-// forms (h1/h2, the L table) are rebuilt deterministically on demand.
+// forms (h1/h2, the L table, the forecast window) are rebuilt
+// deterministically on demand.
 func (p *HEEB) RestoreState(data []byte) error {
 	var w heebWire
 	if err := gobDecode(data, &w); err != nil {
 		return fmt.Errorf("policy: restoring HEEB state: %w", err)
+	}
+	if p.fc != nil {
+		p.fc.Invalidate()
 	}
 	if w.TrackerN > 0 || w.TrackerDecay != 0 {
 		if err := p.tracker.Restore(w.TrackerDecay, w.TrackerMean, w.TrackerN); err != nil {

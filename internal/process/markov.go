@@ -20,7 +20,7 @@ type MarkovChain struct {
 
 	// powers caches row distributions: powers[d-1][i] is the value
 	// distribution d steps after state i, filled lazily.
-	powers [][][]float64
+	powers deltaMemo[[][]float64]
 }
 
 // NewMarkovChain validates the transition matrix (square, stochastic rows)
@@ -68,21 +68,19 @@ func (m *MarkovChain) stateOf(v int) int {
 
 // rowPower returns the value distribution delta steps after state i.
 func (m *MarkovChain) rowPower(i, delta int) []float64 {
-	for len(m.powers) < delta {
-		d := len(m.powers)
+	return m.powers.get(delta, func(built [][][]float64) [][]float64 {
 		next := make([][]float64, len(m.P))
 		for s := range next {
 			var prev []float64
-			if d == 0 {
-				prev = oneHot(len(m.P), s)
+			if len(built) > 0 {
+				prev = built[len(built)-1][s]
 			} else {
-				prev = m.powers[d-1][s]
+				prev = oneHot(len(m.P), s)
 			}
 			next[s] = stepVector(prev, m.P)
 		}
-		m.powers = append(m.powers, next)
-	}
-	return m.powers[delta-1][i]
+		return next
+	})[i]
 }
 
 func oneHot(n, i int) []float64 {

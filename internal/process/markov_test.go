@@ -95,11 +95,11 @@ func TestMarkovRowPowerMemoization(t *testing.T) {
 	m := mustChain(t, 0, [][]float64{{0.5, 0.5}, {0.5, 0.5}}, 0)
 	h := NewHistory(0)
 	m.Forecast(h, 5)
-	if len(m.powers) != 5 {
-		t.Fatalf("memoized %d powers, want 5", len(m.powers))
+	if m.powers.len() != 5 {
+		t.Fatalf("memoized %d powers, want 5", m.powers.len())
 	}
 	m.Forecast(h, 3)
-	if len(m.powers) != 5 {
+	if m.powers.len() != 5 {
 		t.Fatal("re-forecast should reuse the cache")
 	}
 }

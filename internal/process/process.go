@@ -20,6 +20,12 @@ import (
 const NoValue = math.MinInt32
 
 // Process is a stochastic stream model.
+//
+// Forecast must not mutate the model: a sharded runtime hands one model value
+// to every shard goroutine, so Forecast runs concurrently on it. Tables a
+// model derives from its parameters on demand go through deltaMemo, which
+// synchronizes their growth; the parameters themselves must not change once
+// the model is in use.
 type Process interface {
 	// Forecast returns the conditional distribution of X_{t0+delta} given
 	// the history h observed through time t0 = h.T0(). delta must be >= 1.
@@ -27,9 +33,28 @@ type Process interface {
 	// Generate samples a path of n values starting at time 0.
 	Generate(rng *stats.RNG, n int) []int
 	// Independent reports whether the per-step random variables are
-	// mutually independent. Time- and value-incremental HEEB updates
-	// (Corollaries 3–5) require independence.
+	// mutually independent, in which case Forecast(h, delta) depends on h
+	// only through the absolute time h.T0()+delta. Time- and
+	// value-incremental HEEB updates (Corollaries 3–5) require independence,
+	// and core.ForecastCache keeps an independent model's forecasts across
+	// decisions on the strength of it.
 	Independent() bool
+}
+
+// Incremental is implemented by models whose Δ-step forecast is one
+// history-independent distribution of the increment X_{t0+Δ} − X_{t0}, moved
+// to the last observation (random walks):
+//
+//	Forecast(h, delta) ≡ dist.Shift(Increment(delta), Last(h))
+//
+// core.ForecastCache tabulates the increments of such a model once and moves
+// them between decisions instead of forecasting again.
+type Incremental interface {
+	// Increment returns the distribution of X_{t0+delta} − X_{t0}.
+	Increment(delta int) dist.PMF
+	// Last returns the value forecasts are conditioned on: the most recent
+	// observation, or the model's initial value for an empty history.
+	Last(h *History) int
 }
 
 // NormalForecaster is implemented by models whose Δ-step forecast is a
@@ -74,6 +99,10 @@ func (h *History) Last() int { return h.vals[len(h.vals)-1] }
 
 // Values returns the underlying observations; callers must not modify it.
 func (h *History) Values() []int { return h.vals }
+
+// Prefix returns the history as it stood after its first n observations, as
+// a view sharing h's storage. Appending to the view never writes into h.
+func (h *History) Prefix(n int) *History { return &History{vals: h.vals[:n:n]} }
 
 // Deterministic is the offline-stream model of Section 5.1: the whole
 // sequence is known in advance, so Pr{X_t = Seq[t]} = 1. Forecasts past the

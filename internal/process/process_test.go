@@ -2,6 +2,7 @@ package process
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -188,8 +189,8 @@ func TestRandomWalkPowerMemoization(t *testing.T) {
 	if sa.Base != sb.Base {
 		t.Fatal("convolution powers should be memoized")
 	}
-	if len(w.powers) != 5 {
-		t.Fatalf("expected 5 memoized powers, got %d", len(w.powers))
+	if w.powers.len() != 5 {
+		t.Fatalf("expected 5 memoized powers, got %d", w.powers.len())
 	}
 }
 
@@ -343,5 +344,90 @@ func TestQuickProcessInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Shifting the centred increment table must reproduce the direct
+// discretization N(last + Δ·Drift, Δ·Sigma²) cell for cell whenever Δ·Drift
+// is an integer (see GaussianWalk.Increment).
+func TestGaussianWalkForecastEqualsDirectDiscretization(t *testing.T) {
+	for _, drift := range []float64{0, 1, -2, 0.5} {
+		w := &GaussianWalk{Drift: drift, Sigma: 1.3, Init: 4}
+		for _, last := range []int{0, 7, -1234, 1 << 20} {
+			h := NewHistory(last)
+			for delta := 1; delta <= 40; delta++ {
+				if fd := float64(delta) * drift; fd != math.Trunc(fd) {
+					continue
+				}
+				mean, sd := w.ForecastNormal(last, delta)
+				want := dist.Normal(mean, sd, 1e-9)
+				got := w.Forecast(h, delta)
+				glo, ghi := got.Support()
+				wlo, whi := want.Support()
+				if glo != wlo || ghi != whi {
+					t.Fatalf("drift %v last %d Δ %d: support [%d,%d], want [%d,%d]", drift, last, delta, glo, ghi, wlo, whi)
+				}
+				for v := wlo; v <= whi; v++ {
+					if got.Prob(v) != want.Prob(v) {
+						t.Fatalf("drift %v last %d Δ %d v %d: %v != %v", drift, last, delta, v, got.Prob(v), want.Prob(v))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestHistoryPrefixIsAView(t *testing.T) {
+	h := NewHistory(1, 2, 3, 4)
+	p := h.Prefix(2)
+	if p.Len() != 2 || p.T0() != 1 || p.Last() != 2 {
+		t.Fatalf("prefix = %v", p.Values())
+	}
+	if &p.Values()[0] != &h.Values()[0] {
+		t.Fatal("Prefix must share storage, not copy")
+	}
+	p.Append(99)
+	if h.At(2) != 3 {
+		t.Fatalf("appending to a prefix wrote into its source: %v", h.Values())
+	}
+}
+
+// One model value is shared by every shard goroutine of a runtime, so
+// Forecast must be callable from many goroutines at once, including while
+// the horizon tables of the memoizing models are still growing. Run under
+// -race.
+func TestForecastConcurrentOnSharedModel(t *testing.T) {
+	mc, err := NewMarkovChain(0, [][]float64{{0.5, 0.5, 0}, {0.2, 0.6, 0.2}, {0, 0.5, 0.5}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]Process{
+		"random-walk":   &RandomWalk{Step: dist.NewUniform(-1, 1)},
+		"gaussian-walk": &GaussianWalk{Sigma: 1},
+		"markov":        mc,
+	} {
+		var wg sync.WaitGroup
+		sums := make([]float64, 8)
+		for g := range sums {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := NewHistory(1)
+				for delta := 1 + g%3; delta <= 60; delta += 1 + g%2 {
+					sums[g] += p.Forecast(h, delta).Prob(1)
+				}
+			}()
+		}
+		wg.Wait()
+		h := NewHistory(1)
+		for g, got := range sums {
+			var want float64
+			for delta := 1 + g%3; delta <= 60; delta += 1 + g%2 {
+				want += p.Forecast(h, delta).Prob(1)
+			}
+			if got != want {
+				t.Errorf("%s goroutine %d: concurrent sum %v != serial %v", name, g, got, want)
+			}
+		}
 	}
 }

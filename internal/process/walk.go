@@ -2,10 +2,49 @@ package process
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"stochstream/internal/dist"
 	"stochstream/internal/stats"
 )
+
+// deltaMemo is a grow-only table of values a model derives per horizon step,
+// entry Δ−1 for step Δ, that any number of goroutines may read and extend
+// at once: readers take the published slice with one atomic load, growth is
+// serialized and only ever writes past the published length before publishing
+// the longer slice. The zero value is empty and ready.
+type deltaMemo[T any] struct {
+	mu   sync.Mutex
+	tabs atomic.Pointer[[]T]
+}
+
+// get returns entry delta, first extending the table one entry at a time
+// with next, which is given the entries built so far.
+func (m *deltaMemo[T]) get(delta int, next func(built []T) T) T {
+	if p := m.tabs.Load(); p != nil && len(*p) >= delta {
+		return (*p)[delta-1]
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var t []T
+	if p := m.tabs.Load(); p != nil {
+		t = *p
+	}
+	for len(t) < delta {
+		t = append(t, next(t))
+	}
+	m.tabs.Store(&t)
+	return t[delta-1]
+}
+
+// len returns the number of entries built so far.
+func (m *deltaMemo[T]) len() int {
+	if p := m.tabs.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}
 
 // RandomWalk is the Section 5.5 model X_t = X_{t-1} + S_t with i.i.d. integer
 // steps S_t ~ Step. A constant drift φ0 is expressed as a nonzero step mean
@@ -13,38 +52,35 @@ import (
 // convolution of the step distribution shifted by the last observation;
 // convolution powers are memoized because every candidate tuple at a given
 // time shares them.
-//
-// RandomWalk is not safe for concurrent use; simulations are single-threaded
-// per run.
 type RandomWalk struct {
 	Step dist.PMF
 	Init int
 
-	powers []dist.PMF // powers[d] = Δ=d+1 fold convolution
+	powers deltaMemo[*dist.Table] // powers[d] = Δ=d+1 fold convolution
 }
 
 // Forecast implements Process.
 func (w *RandomWalk) Forecast(h *History, delta int) dist.PMF {
-	checkDelta(delta)
-	return dist.Shift(w.power(delta), w.last(h))
+	return dist.Shift(w.Increment(delta), w.Last(h))
 }
 
-func (w *RandomWalk) last(h *History) int {
+// Last implements Incremental.
+func (w *RandomWalk) Last(h *History) int {
 	if h == nil || h.Len() == 0 {
 		return w.Init
 	}
 	return h.Last()
 }
 
-func (w *RandomWalk) power(delta int) dist.PMF {
-	for len(w.powers) < delta {
-		if len(w.powers) == 0 {
-			w.powers = append(w.powers, dist.Materialize(w.Step))
-		} else {
-			w.powers = append(w.powers, dist.Convolve(w.powers[len(w.powers)-1], w.Step))
+// Increment implements Incremental: the delta-fold convolution of Step.
+func (w *RandomWalk) Increment(delta int) dist.PMF {
+	checkDelta(delta)
+	return w.powers.get(delta, func(built []*dist.Table) *dist.Table {
+		if len(built) == 0 {
+			return dist.Materialize(w.Step)
 		}
-	}
-	return w.powers[delta-1]
+		return dist.Convolve(built[len(built)-1], w.Step)
+	})
 }
 
 // Generate implements Process.
@@ -71,13 +107,27 @@ type GaussianWalk struct {
 	Drift float64
 	Sigma float64
 	Init  int
+
+	incs deltaMemo[*dist.Table] // incs[d] = Increment(d+1)
 }
 
 // Forecast implements Process.
 func (w *GaussianWalk) Forecast(h *History, delta int) dist.PMF {
+	return dist.Shift(w.Increment(delta), w.Last(h))
+}
+
+// Increment implements Incremental: N(Δ·Drift, Δ·Sigma²) discretized around
+// zero. Shifting it by the last observation x equals discretizing
+// N(x + Δ·Drift, Δ·Sigma²) directly cell for cell whenever Δ·Drift is an
+// integer (every cell boundary is then the same exactly representable
+// half-integer either way); for a fractional Δ·Drift, x + Δ·Drift rounds
+// once more than Δ·Drift alone and a cell may differ in its last ulp.
+func (w *GaussianWalk) Increment(delta int) dist.PMF {
 	checkDelta(delta)
-	mean, sd := w.ForecastNormal(w.lastOf(h), delta)
-	return dist.Normal(mean, sd, 1e-9)
+	return w.incs.get(delta, func(built []*dist.Table) *dist.Table {
+		mean, sd := w.ForecastNormal(0, len(built)+1)
+		return dist.Normal(mean, sd, 1e-9)
+	})
 }
 
 // ForecastNormal implements NormalForecaster.
@@ -85,7 +135,8 @@ func (w *GaussianWalk) ForecastNormal(last int, delta int) (mean, sd float64) {
 	return float64(last) + float64(delta)*w.Drift, w.Sigma * math.Sqrt(float64(delta))
 }
 
-func (w *GaussianWalk) lastOf(h *History) int {
+// Last implements Incremental.
+func (w *GaussianWalk) Last(h *History) int {
 	if h == nil || h.Len() == 0 {
 		return w.Init
 	}

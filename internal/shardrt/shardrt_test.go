@@ -364,3 +364,58 @@ func TestClosedRuntime(t *testing.T) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestSharedMemoizingModels: every shard goroutine forecasts from the one
+// model pair in Config.Procs, so the models that build their horizon tables on
+// demand (random walks, Markov chains) must let shards read and grow those
+// tables concurrently. Run under -race; the 4-shard output must also equal
+// two runs over, since a table grown in a different interleaving must hold the
+// same values.
+func TestSharedMemoizingModels(t *testing.T) {
+	ring := make([][]float64, 16)
+	for i := range ring {
+		ring[i] = make([]float64, len(ring))
+		ring[i][i], ring[i][(i+1)%len(ring)], ring[i][(i+len(ring)-1)%len(ring)] = 0.4, 0.3, 0.3
+	}
+	for name, mk := range map[string]func() process.Process{
+		"random-walk":   func() process.Process { return &process.RandomWalk{Step: dist.NewUniform(-2, 2), Init: 8} },
+		"gaussian-walk": func() process.Process { return &process.GaussianWalk{Sigma: 2, Init: 8} },
+		"markov": func() process.Process {
+			m, err := process.NewMarkovChain(0, ring, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := stats.NewRNG(11)
+			gen := mk()
+			r, s := gen.Generate(rng.Split(), 400), gen.Generate(rng.Split(), 400)
+			steps := make([]Step, len(r))
+			for i := range steps {
+				steps[i] = Step{R: engine.Tuple{Key: r[i]}, S: engine.Tuple{Key: s[i]}}
+			}
+			run := func() []Pair {
+				rt, err := New(Config{Shards: 4, TotalCache: 16, Procs: [2]process.Process{mk(), mk()}, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := append([]Pair(nil), ingestAll(t, rt, steps, 50)...)
+				if _, err := rt.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			a, b := run(), run()
+			if len(a) != len(b) {
+				t.Fatalf("replay diverged: %d vs %d pairs", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("replay diverged at pair %d: %+v vs %+v", i, a[i], b[i])
+				}
+			}
+		})
+	}
+}

@@ -31,7 +31,7 @@
 #                         bundle-on-fault chaos run as a named, grep-able gate
 #                         (docs/observability.md)
 #  12. shard runtime    — race-detected shardrt suite plus the recorded
-#                         sharded-speedup gate (BENCH_shard.json, ≥3x at 8
+#                         sharded-speedup gate (BENCH_shard.json, ≥1.5x at 8
 #                         shards; docs/performance.md)
 #  13. streamd service  — race-detected daemon/wire/client suites, the seeded
 #                         network-chaos campaign as a named gate, and the
@@ -40,7 +40,9 @@
 #                         conservation, heap and p99 bounds; docs/service.md)
 #  14. fuzz smoke       — 10s of FuzzStepEquivalence over the committed corpus
 #  15. gate self-test   — scripts/benchcmp_test.sh proves the perf gate fails
-#  16. bench smoke      — a build that breaks the benchmarks cannot land
+#  16. bench smoke      — a build that breaks the benchmarks cannot land,
+#                         go-test ones or the ledger (go run ./bench at its
+#                         tiny scale: every phase and the output oracle)
 #
 # Run from the repo root:
 #
@@ -208,7 +210,7 @@ echo "==> shard runtime (race suite + sharded-speedup gate)"
 # ≥ BENCH_shard.json's min_speedup_x over the single-engine baseline. The
 # StepBatch overhead budget in the same file is gated by scripts/benchcmp.sh.
 go test -race -count=1 ./internal/shardrt
-go test -run '^$' -bench 'BenchmarkSharded(Baseline|Step8)$' -benchtime 200x -count 3 . |
+go test -run '^$' -bench 'BenchmarkSharded(Baseline|Step8)$' -benchtime 5000x -count 3 . |
     go run ./scripts/benchcmp -scale BenchmarkShardedBaseline BenchmarkShardedStep8 BENCH_shard.json
 
 echo "==> streamd service (race suites + network chaos + stress smoke)"
@@ -231,5 +233,6 @@ echo "==> perf gate self-test"
 
 echo "==> bench smoke"
 go test -run '^$' -bench BenchmarkStep -benchtime 100x .
+go run ./bench -scale tiny -seconds 0.2
 
 echo "ci: all gates passed"
