@@ -139,20 +139,25 @@ func BenchmarkAblationHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncremental compares a full HEEB run across the direct,
-// time-incremental (Corollary 3) and value-incremental (Corollary 5) scoring
-// modes — the Section 4.4 implementation techniques.
-func BenchmarkAblationIncremental(b *testing.B) {
-	w := workload.Tower().Join()
-	r, s := w.Generate(stats.NewRNG(5), 1500)
-	cfg := join.Config{CacheSize: 10, Warmup: -1, Procs: w.Procs}
-	for _, mode := range []policy.HEEBMode{policy.HEEBDirect, policy.HEEBIncremental, policy.HEEBValueIncremental} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				join.Run(r, s, policy.NewHEEB(policy.HEEBOptions{Mode: mode, LifetimeEstimate: 3}), cfg, stats.NewRNG(1))
+// BenchmarkHEEBRun times a full HEEB run per workload shape — trend with
+// peaked noise, walk, trend with flat noise — on the window path and on the
+// NoMemo reference it is held bit-identical to.
+func BenchmarkHEEBRun(b *testing.B) {
+	for _, w := range []workload.JoinWorkload{workload.Tower().Join(), workload.Walk(), workload.Floor().Join()} {
+		r, s := w.Generate(stats.NewRNG(5), 1000)
+		cfg := join.Config{CacheSize: 10, Warmup: -1, Procs: w.Procs}
+		for _, noMemo := range []bool{false, true} {
+			name := w.Name + "/window"
+			if noMemo {
+				name = w.Name + "/nomemo"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					join.Run(r, s, policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: w.LifetimeEstimate, NoMemo: noMemo}), cfg, stats.NewRNG(1))
+				}
+			})
+		}
 	}
 }
 
@@ -247,46 +252,6 @@ func BenchmarkSolverComparison(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationPrecompute compares WALK runs with direct marginal
-// scoring against the precomputed h1 curve (Section 4.4.3's motivation).
-func BenchmarkAblationPrecompute(b *testing.B) {
-	w := workload.Walk()
-	r, s := w.Generate(stats.NewRNG(5), 1000)
-	cfg := join.Config{CacheSize: 10, Warmup: -1, Procs: w.Procs}
-	for _, mode := range []policy.HEEBMode{policy.HEEBDirect, policy.HEEBPrecomputedH1} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				join.Run(r, s, policy.NewHEEB(policy.HEEBOptions{Mode: mode}), cfg, stats.NewRNG(1))
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDominance measures the cost of the Corollary 2 dominance
-// prefilter on top of plain HEEB.
-func BenchmarkAblationDominance(b *testing.B) {
-	w := workload.Floor().Join()
-	r, s := w.Generate(stats.NewRNG(5), 1000)
-	cfg := join.Config{CacheSize: 10, Warmup: -1, Procs: w.Procs}
-	for _, pre := range []bool{false, true} {
-		name := "plain"
-		if pre {
-			name = "prefilter"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				join.Run(r, s, policy.NewHEEB(policy.HEEBOptions{
-					Mode:               policy.HEEBDirect,
-					LifetimeEstimate:   w.LifetimeEstimate,
-					DominancePrefilter: pre,
-				}), cfg, stats.NewRNG(1))
-			}
-		})
-	}
 }
 
 // BenchmarkAblationControlPoints varies the h2 control grid density
@@ -395,7 +360,7 @@ func benchmarkStepHot(b *testing.B, cacheSize, band int, opts policy.HEEBOptions
 // hotOpts is the HEEB configuration the hot-path trajectory is measured
 // under: direct scoring with a pinned lifetime estimate.
 func hotOpts() policy.HEEBOptions {
-	return policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 32}
+	return policy.HEEBOptions{LifetimeEstimate: 32}
 }
 
 func BenchmarkStepHotEquiCache64(b *testing.B)   { benchmarkStepHot(b, 64, 0, hotOpts()) }

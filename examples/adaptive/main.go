@@ -49,7 +49,7 @@ func main() {
 		Procs:     [2]stochstream.Process{repR.Rebase(observe), repS.Rebase(observe)},
 	}
 	heebLearned := stochstream.RunJoin(r, s, stochstream.NewHEEB(stochstream.HEEBOptions{
-		Mode: stochstream.HEEBDirect, LifetimeEstimate: 5, Adaptive: true,
+		LifetimeEstimate: 5, Adaptive: true,
 	}), learned, 1)
 
 	// 3. References: HEEB with the true models, and RAND.
@@ -59,7 +59,7 @@ func main() {
 		&stochstream.LinearTrend{Slope: 1, Intercept: observe, Noise: stochstream.BoundedNormal(3, 15)},
 	}
 	heebTruth := stochstream.RunJoin(r, s, stochstream.NewHEEB(stochstream.HEEBOptions{
-		Mode: stochstream.HEEBDirect, LifetimeEstimate: 5,
+		LifetimeEstimate: 5,
 	}), truth, 1)
 	randRes := stochstream.RunJoin(r, s, &stochstream.RandPolicy{}, learned, 1)
 	opt := stochstream.OptOfflineJoin(r, s, learned.CacheSize, 0)

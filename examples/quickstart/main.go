@@ -30,7 +30,6 @@ func main() {
 	// HEEB: scores every candidate tuple by its estimated expected benefit
 	// under the stream models and discards the lowest.
 	heeb := stochstream.NewHEEB(stochstream.HEEBOptions{
-		Mode:             stochstream.HEEBDirect,
 		LifetimeEstimate: 3, // trend advances ~2 noise stdevs in 3 steps
 	})
 	heebRes := stochstream.RunJoin(rVals, sVals, heeb, cfg, 1)

@@ -31,7 +31,6 @@ func run(name string, lagR int, sSigma float64) {
 		TrackOccupancy: true,
 	}
 	heeb := stochstream.NewHEEB(stochstream.HEEBOptions{
-		Mode:             stochstream.HEEBDirect,
 		LifetimeEstimate: 1 + sSigma,
 	})
 	res := stochstream.RunJoin(rVals, sVals, heeb, cfg, 1)

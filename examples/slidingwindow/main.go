@@ -73,7 +73,7 @@ func endToEnd() {
 
 	// LifetimeEstimate defaults to the cache size — with only 4 slots,
 	// tuples live a few steps, so α must weigh the near future heavily.
-	heeb := stochstream.NewHEEB(stochstream.HEEBOptions{Mode: stochstream.HEEBDirect})
+	heeb := stochstream.NewHEEB(stochstream.HEEBOptions{})
 	heebRes := stochstream.RunJoin(rVals, sVals, heeb, cfg, 3)
 	probRes := stochstream.RunJoin(rVals, sVals, &stochstream.ProbPolicy{Lifetime: lifetime}, cfg, 3)
 	lifeRes := stochstream.RunJoin(rVals, sVals, &stochstream.LifePolicy{Lifetime: lifetime}, cfg, 3)

@@ -28,33 +28,19 @@ func BandProb(p dist.PMF, v, eps int) float64 {
 	return s
 }
 
-// bandJoinECBSum is the tabulation kernel shared by BandJoinECB and its
-// cached variant; both run the identical loop over the identical forecasts.
-func bandJoinECBSum(forecast func(dt int) dist.PMF, v, eps, horizon int) ECB {
+// BandJoinECB generalizes Lemma 1 to band joins: B_x(Δt) =
+// Σ_{t=t0+1}^{t0+Δt} Pr{|X^partner_t − v| ≤ eps | x̄_{t0}}.
+func BandJoinECB(partner process.Process, h *process.History, v, eps, horizon int) ECB {
 	if horizon < 1 {
 		panic("core: BandJoinECB requires horizon >= 1")
 	}
 	b := make(ECB, horizon)
 	var cum float64
 	for dt := 1; dt <= horizon; dt++ {
-		cum += BandProb(forecast(dt), v, eps)
+		cum += BandProb(partner.Forecast(h, dt), v, eps)
 		b[dt-1] = cum
 	}
 	return b
-}
-
-// BandJoinECB generalizes Lemma 1 to band joins: B_x(Δt) =
-// Σ_{t=t0+1}^{t0+Δt} Pr{|X^partner_t − v| ≤ eps | x̄_{t0}}.
-func BandJoinECB(partner process.Process, h *process.History, v, eps, horizon int) ECB {
-	return bandJoinECBSum(func(dt int) dist.PMF { return partner.Forecast(h, dt) }, v, eps, horizon)
-}
-
-// BandJoinECBCached is BandJoinECB reading the partner forecasts from a
-// ForecastCache — the dominance prefilter tabulates one ECB per candidate, so
-// sharing the forecasts across candidates removes the O(candidates × horizon)
-// Forecast re-derivation.
-func BandJoinECBCached(fc *ForecastCache, partner StreamID, v, eps, horizon int) ECB {
-	return bandJoinECBSum(func(dt int) dist.PMF { return fc.At(partner, dt) }, v, eps, horizon)
 }
 
 // BandJoinH generalizes HEEB's joining score to band joins.

@@ -28,6 +28,9 @@ import (
 // A history that moved backwards, a different model, or Invalidate empties
 // the window. It is derived state: nothing of it is checkpointed.
 //
+// Beside each window sits a memo of the scores summed over it (see
+// window.coordinate), emptied whenever the window is.
+//
 // A ForecastCache is not safe for concurrent use.
 type ForecastCache struct {
 	procs [2]process.Process
@@ -44,11 +47,12 @@ const (
 
 // window is one stream's forecasts for Δt = 1..len(f).
 type window struct {
-	f    []dist.Dense
-	rule int
-	inc  process.Incremental // rule == reoffset
-	t0   int                 // rule == slide: f[i] is the forecast for time t0+1+i
-	last int                 // rule == reoffset: the observation f's offsets include
+	f     []dist.Dense
+	rule  int
+	inc   process.Incremental  // rule == reoffset
+	trend *process.LinearTrend // rule == slide, when the model is a linear trend
+	t0    int                  // rule == slide: f[i] is the forecast for time t0+1+i
+	last  int                  // rule == reoffset: the observation f's offsets include
 
 	// Support-bound monotonicity over f, which lets a score skip every Δt
 	// whose support cannot contain the candidate's value (see span). head
@@ -58,6 +62,15 @@ type window struct {
 	// entry's predecessor is no longer in the window (brk[b] <= head).
 	head int
 	brk  [4]int
+
+	// Scores already summed over the whole window, by coordinate (see
+	// coordinate), for the L table and band radius they were summed under.
+	// Only non-zero scores are kept: those lie inside the window's support,
+	// which bounds the memo by the support's width however long the run.
+	memo    map[int]float64
+	memoL   []float64
+	memoEps int
+	hits    int
 }
 
 // Indices into window.brk: which support bound, in which order.
@@ -116,11 +129,12 @@ func sameModel(a, b process.Process) bool {
 
 func (w *window) bind(p process.Process) {
 	w.clear()
-	w.rule, w.inc = refill, nil
+	w.rule, w.inc, w.trend = refill, nil, nil
 	if inc, ok := p.(process.Incremental); ok {
 		w.rule, w.inc = reoffset, inc
 	} else if p != nil && p.Independent() {
 		w.rule = slide
+		w.trend, _ = p.(*process.LinearTrend)
 	}
 }
 
@@ -128,7 +142,48 @@ func (w *window) clear() {
 	w.f = w.f[:0]
 	w.head = 0
 	w.brk = [4]int{}
+	clear(w.memo)
 }
+
+// coordinate returns the one number through which the sum over the whole
+// window depends on the candidate value v, when there is one. Every entry of
+// a re-offset window sits at a fixed distance from the last observation, and
+// every entry of a window sliding over a linear trend at a fixed distance
+// from Slope·t0, with the same probabilities at every decision; so the sum
+// reads the same cells, in the same order, for every (v, decision) at the
+// same distance from that origin. This is Theorem 5(2) for walks and
+// Corollary 5 for trends, kept exact: a score is summed once per coordinate
+// and is bit for bit what summing it again would give.
+func (w *window) coordinate(v int) (c int, ok bool) {
+	switch {
+	case w.rule == reoffset:
+		return v - w.last, true
+	case w.trend != nil:
+		return v - w.trend.Slope*w.t0, true
+	}
+	return 0, false
+}
+
+// recall returns the memoized sum against stream s at coordinate key under l
+// and eps. A memo holding sums under another table (a retabulated L has new
+// storage) or band is emptied first.
+func (c *ForecastCache) recall(s StreamID, key int, l LTable, eps int) (h float64, ok bool) {
+	w := &c.win[s]
+	if w.memo == nil {
+		w.memo = make(map[int]float64)
+	}
+	if len(w.memoL) != len(l.vals) || &w.memoL[0] != &l.vals[0] || w.memoEps != eps {
+		clear(w.memo)
+		w.memoL, w.memoEps = l.vals, eps
+	}
+	if h, ok = w.memo[key]; ok {
+		w.hits++
+	}
+	return h, ok
+}
+
+// remember memoizes h under the table and band of the recall that missed.
+func (c *ForecastCache) remember(s StreamID, key int, h float64) { c.win[s].memo[key] = h }
 
 // advance moves the window from the history it was last advanced to, to h.
 func (w *window) advance(h *process.History) {
@@ -213,6 +268,12 @@ func (c *ForecastCache) At(s StreamID, dt int) *dist.Dense {
 
 // Len returns how many horizon steps of stream s are currently materialized.
 func (c *ForecastCache) Len(s StreamID) int { return len(c.win[s].f) }
+
+// Memo returns how many scores against stream s are memoized and how many
+// scores have been answered from the memo since the cache was made.
+func (c *ForecastCache) Memo(s StreamID) (entries, hits int) {
+	return len(c.win[s].memo), c.win[s].hits
+}
 
 // span returns the index range [from, to) of f[:n] outside of which no
 // support meets [a, b]. A bound that is monotone in Δt puts the entries that

@@ -101,13 +101,6 @@ func TestCachedScoringBitwiseEqualsDirect(t *testing.T) {
 					t.Fatalf("windowed BandJoinH stream %v v %d remaining %d: direct %v != cached %v", s, v, rem, wd, wc)
 				}
 			}
-			ed := BandJoinECB(procs[s], hists[s], v, 2, 32)
-			ec := BandJoinECBCached(fc, s, v, 2, 32)
-			for i := range ed {
-				if ed[i] != ec[i] {
-					t.Fatalf("BandJoinECB stream %v v %d dt %d: %v != %v", s, v, i+1, ed[i], ec[i])
-				}
-			}
 		}
 	}
 }
@@ -163,5 +156,60 @@ func TestFlowExpectStepCachedEquivalent(t *testing.T) {
 				t.Fatalf("window %d: keep[%d] = %d, want %d", window, i, got.Keep[i], want.Keep[i])
 			}
 		}
+	}
+}
+
+// The score memo's contract, on a trend (slide rule) and a walk (re-offset
+// rule): an unclipped non-zero sum is stored once and answered from the memo
+// afterwards; a clipped sum and a zero sum never touch it; sums under another
+// band or another L table, and Invalidate, empty it. Every answer is the
+// reference's.
+func TestScoreMemoContract(t *testing.T) {
+	procs := [2]process.Process{
+		&process.LinearTrend{Slope: 2, Intercept: -2, Noise: dist.BoundedNormal(2, 9)},
+		&process.GaussianWalk{Sigma: 1.5, Init: 30},
+	}
+	hists := [2]*process.History{process.NewHistory(0, 1, 5, 4), process.NewHistory(30, 31, 29, 33)}
+	fc := NewForecastCache(procs, hists)
+	l := LExp{Alpha: 6}
+	lt := TabulateL(l, 0)
+	for _, s := range []StreamID{StreamR, StreamS} {
+		v := hists[s].Last() + 3
+		memo := func() (entries, hits int) { return fc.Memo(s) }
+		score := func(v, eps int, l LExp, lt LTable, remaining int) {
+			t.Helper()
+			var ref LFunc = l
+			if remaining != math.MaxInt {
+				ref = LWindow{Inner: l, Remaining: remaining}
+			}
+			if got, want := BandJoinHCached(fc, s, v, eps, lt, remaining), BandJoinH(procs[s], hists[s], v, eps, ref, 0); got != want || want == 0 {
+				t.Fatalf("stream %v v %d eps %d remaining %d: %v, reference %v", s, v, eps, remaining, got, want)
+			}
+		}
+		expect := func(what string, entries, hits int) {
+			t.Helper()
+			if e, h := memo(); e != entries || h != hits {
+				t.Fatalf("stream %v after %s: %d entries and %d hits, want %d and %d", s, what, e, h, entries, hits)
+			}
+		}
+		score(v, 0, l, lt, math.MaxInt)
+		expect("a first sum", 1, 0)
+		score(v, 0, l, lt, math.MaxInt)
+		expect("the same sum again", 1, 1)
+		score(v, 0, l, lt, 5)
+		expect("a clipped sum", 1, 1)
+		if got := BandJoinHCached(fc, s, v+10_000, 0, lt, math.MaxInt); got != 0 {
+			t.Fatalf("stream %v: score %v far outside the support", s, got)
+		}
+		expect("a zero sum", 1, 1)
+		score(v+1, 0, l, lt, math.MaxInt)
+		expect("a second coordinate", 2, 1)
+		score(v, 2, l, lt, math.MaxInt)
+		expect("a sum under another band", 1, 1)
+		l2 := LExp{Alpha: 9}
+		score(v, 2, l2, TabulateL(l2, 0), math.MaxInt)
+		expect("a sum under another L table", 1, 1)
+		fc.Invalidate()
+		expect("Invalidate", 0, 1)
 	}
 }

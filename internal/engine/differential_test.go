@@ -73,7 +73,7 @@ func runDifferential(t *testing.T, name string, cfgOp, cfgRef Config, n int, tra
 }
 
 func heebOpts() policy.HEEBOptions {
-	return policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 4}
+	return policy.HEEBOptions{LifetimeEstimate: 4}
 }
 
 // The gate for the whole hot-path overhaul: ≥10k-step random traces per

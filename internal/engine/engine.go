@@ -590,10 +590,10 @@ func defaultPolicy(cfg Config) join.Policy {
 	return &randPolicy{}
 }
 
-// newDefaultHEEB builds the default model-driven policy: direct HEEB with α
-// derived from the cache size (the paper's fallback choice).
+// newDefaultHEEB builds the default model-driven policy: HEEB with α derived
+// from the cache size (the paper's fallback choice).
 func newDefaultHEEB() join.Policy {
-	return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect})
+	return policy.NewHEEB(policy.HEEBOptions{})
 }
 
 type randPolicy struct{ rng *stats.RNG }

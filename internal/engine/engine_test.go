@@ -103,7 +103,7 @@ func TestOperatorAgreesWithSimulator(t *testing.T) {
 	s := procs[1].Generate(rng.Split(), n)
 
 	mk := func() join.Policy {
-		return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 3})
+		return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 	}
 	sim := join.Run(r, s, mk(), join.Config{CacheSize: 8, Warmup: 0, Procs: procs}, stats.NewRNG(1))
 
@@ -246,7 +246,7 @@ func TestQuickOperatorSimulatorEquivalence(t *testing.T) {
 		r := procs[0].Generate(stats.NewRNG(seed+1), n)
 		s := procs[1].Generate(stats.NewRNG(seed+2), n)
 		mk := func() join.Policy {
-			return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 3})
+			return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 		}
 		op, err := NewJoin(Config{CacheSize: k, Window: window, Band: band, Procs: procs, Policy: mk()})
 		if err != nil {

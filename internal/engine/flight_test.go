@@ -305,7 +305,7 @@ func TestFlightBundleRestoreRoundTrip(t *testing.T) {
 }
 
 func TestFlightSolverSpans(t *testing.T) {
-	lad := policy.NewDefaultLadder(3, 200, policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 4})
+	lad := policy.NewDefaultLadder(3, 200, policy.HEEBOptions{LifetimeEstimate: 4})
 	j, rec := flightJoin(t, Config{CacheSize: 4, Procs: trendProcs(), Policy: lad, Seed: 11},
 		flightrec.Options{})
 	un := flightrec.AttachSolver(rec)

@@ -67,10 +67,10 @@ func FuzzStepEquivalence(f *testing.F) {
 			case 3:
 				// The forecast window against the seed scoring path.
 				return policy.NewHEEB(policy.HEEBOptions{
-					Mode: policy.HEEBDirect, LifetimeEstimate: 3, NoMemo: ref,
+					LifetimeEstimate: 3, NoMemo: ref,
 				})
 			default:
-				return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 3})
+				return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 			}
 		}
 		cfg := Config{CacheSize: cacheSize, Window: window, Band: band, Seed: seed}

@@ -1,0 +1,119 @@
+package engine
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"stochstream/internal/core"
+	"stochstream/internal/policy"
+	"stochstream/internal/process"
+	"stochstream/internal/stats"
+	"stochstream/internal/workload"
+)
+
+// The score memo lives as long as the operator, so what bounds it must not be
+// the length of the run. Only non-zero scores are kept, and a score is zero
+// outside the window's support: over 2·10^5 steps the entries against a stream
+// never outnumber the values between its first forecast's support and its
+// last's (a walk's last forecast contains all the others; a trend's is the
+// first moved along the slope). A trend carries every value through the same
+// coordinates, so its memo is full long before the halfway mark and stays
+// exactly that size; two free walks drift apart and come back, and theirs
+// only ever fills in.
+func TestMemoBoundedBySupport(t *testing.T) {
+	const n = 200_000
+	for name, procs := range map[string][2]process.Process{
+		"walk":  workload.Walk().Procs,
+		"trend": workload.TrendSpec{Lag: 1, RBound: 40, SBound: 60, RSigma: 13.2, SSigma: 20}.Join().Procs,
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := stats.NewRNG(3)
+			r, s := procs[0].Generate(rng.Split(), n), procs[1].Generate(rng.Split(), n)
+			heeb := policy.NewHEEB(policy.HEEBOptions{})
+			j, err := NewJoin(Config{CacheSize: 16, Procs: procs, Policy: heeb, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var half, hits [2]int
+			for i := 0; i < n; i++ {
+				j.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+				fc := heeb.Forecasts()
+				for _, st := range []core.StreamID{core.StreamR, core.StreamS} {
+					if fc.Len(st) == 0 {
+						continue // nothing scored against this stream yet
+					}
+					lo, hi := fc.At(st, 1).Support()
+					lastLo, lastHi := fc.At(st, fc.Len(st)).Support()
+					width := max(hi, lastHi) - min(lo, lastLo) + 1
+					entries, h := fc.Memo(st)
+					if entries > width {
+						t.Fatalf("step %d: %d scores memoized against stream %v, whose window spans %d values", i, entries, st, width)
+					}
+					hits[st] = h
+					if i == n/2-1 {
+						half[st] = entries
+					}
+				}
+			}
+			for st, h := range hits {
+				entries, _ := heeb.Forecasts().Memo(core.StreamID(st))
+				if h == 0 || entries == 0 {
+					t.Fatalf("stream %d: memo unused (%d entries, %d hits)", st, entries, h)
+				}
+				if name == "trend" && entries != half[st] {
+					t.Fatalf("stream %d: %d entries at step %d, %d at step %d", st, half[st], n/2, entries, n)
+				}
+			}
+		})
+	}
+}
+
+// testdata/upgrade/heeb_pr12.ckpt is an engine checkpoint written by the
+// commit before HEEB's scoring modes were removed: TOWER, cache 8, seed 9,
+// taken after step 300 of stats.NewRNG(77)'s streams, by a policy that scored
+// the first 260 steps value-incrementally and the rest time-incrementally, so
+// that its state carries both dropped memos (8 Inc entries, 14+11 OffsetH
+// entries). It restores here, the memos fall away, and the run continues as
+// one that was never interrupted: same pairs, same final checkpoint.
+func TestRestoreParentCommitHEEBCheckpoint(t *testing.T) {
+	old, err := os.ReadFile("testdata/upgrade/heeb_pr12.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, at = 900, 300
+	w := workload.Tower().Join()
+	mk := func() *Join {
+		j, err := NewJoin(Config{CacheSize: 8, Procs: w.Procs, Policy: w.HEEBPolicy(), Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	r, s := w.Generate(stats.NewRNG(77), n)
+	whole, resumed := mk(), mk()
+	for i := 0; i < at; i++ {
+		whole.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+	}
+	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
+		t.Fatalf("restoring the parent commit's checkpoint: %v", err)
+	}
+	for i := at; i < n; i++ {
+		pw := whole.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+		pr := resumed.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+		if !pairsEqual(pw, pr) {
+			t.Fatalf("step %d pairs diverge:\n  uninterrupted %v\n  restored      %v", i, pw, pr)
+		}
+	}
+	var cw, cr bytes.Buffer
+	if err := whole.Checkpoint(&cw); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Checkpoint(&cr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cw.Bytes(), cr.Bytes()) {
+		t.Fatal("final checkpoints differ between the uninterrupted and the restored run")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"stochstream/internal/core"
 	"stochstream/internal/dist"
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
@@ -19,16 +20,29 @@ type scoreTap struct {
 	decisions int
 	scores    []float64
 	evict     []int
+	memoHits  int // how many of the recorded scores, over the run, came out of the window's memo
 }
 
 func (p *scoreTap) Unwrap() join.Policy { return p.HEEB }
 
 func (p *scoreTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	p.decisions++
+	before := p.hits()
 	p.scores = append(p.scores[:0], p.HEEB.ScoreCandidates(st, cands)...)
+	p.memoHits += p.hits() - before
 	ev := p.HEEB.Evict(st, cands, n)
 	p.evict = append(p.evict[:0], ev...)
 	return ev
+}
+
+func (p *scoreTap) hits() int {
+	fc := p.HEEB.Forecasts()
+	if fc == nil {
+		return 0
+	}
+	_, r := fc.Memo(core.StreamR)
+	_, s := fc.Memo(core.StreamS)
+	return r + s
 }
 
 // windowModels is one pair of stream models per Process kind (and per shape
@@ -102,6 +116,12 @@ func windowModels(n int) map[string]func() [2]process.Process {
 // kind runs ≥2k decisions under four join configurations with every event
 // that moves the histories other than by one step: a checkpoint round trip,
 // a shrink and a regrow of the budget, and a restore to an earlier step.
+//
+// Trends and walks are also scored out of the window's memo, and a stale memo
+// entry shows up the same way — provided memoized scores are among the ones
+// compared, which each such model must show wherever sums are unclipped; under
+// "adaptive" α moves at every decision, so those are scores memoized since the
+// last retabulation of L.
 func TestWindowMatchesNoMemoEveryModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-decision differential per model and configuration")
@@ -203,6 +223,11 @@ func TestWindowMatchesNoMemoEveryModel(t *testing.T) {
 				}
 				if winTap.decisions < 2000 {
 					t.Fatalf("only %d decisions", winTap.decisions)
+				}
+				_, walk := gen[0].(process.Incremental)
+				_, trend := gen[0].(*process.LinearTrend)
+				if memo := (walk || trend) && tc.cfg.Window == 0; memo != (winTap.memoHits > 0) {
+					t.Fatalf("%d compared scores came out of the memo; has a memo: %v", winTap.memoHits, memo)
 				}
 			})
 		}

@@ -105,18 +105,14 @@ func AblationAlpha(o Options) (*Figure, error) {
 	for _, m := range mults {
 		est := w.LifetimeEstimate * m
 		mean, _ := a.mean(func() join.Policy {
-			return policy.NewHEEB(policy.HEEBOptions{Mode: w.HEEBMode, LifetimeEstimate: est})
+			return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: est})
 		})
 		ys = append(ys, mean)
 		fig.X = append(fig.X, m)
 	}
 	fig.AddSeries("HEEB", ys)
 	adaptive, _ := a.mean(func() join.Policy {
-		return policy.NewHEEB(policy.HEEBOptions{
-			Mode:             w.HEEBMode,
-			LifetimeEstimate: w.LifetimeEstimate,
-			Adaptive:         true,
-		})
+		return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: w.LifetimeEstimate, Adaptive: true})
 	})
 	fig.Note("adaptive-α HEEB (future-work feature): %.1f", adaptive)
 	return fig, nil

@@ -23,7 +23,7 @@ func chaosProcs() [2]process.Process {
 func chaosLadder() *policy.Ladder {
 	// A small solver budget on top of injected failures, so both the
 	// budget-exhaustion and injected-failure downgrade paths fire.
-	return policy.NewDefaultLadder(3, 200, policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 4})
+	return policy.NewDefaultLadder(3, 200, policy.HEEBOptions{LifetimeEstimate: 4})
 }
 
 type chaosResult struct {

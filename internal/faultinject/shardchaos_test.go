@@ -66,7 +66,7 @@ type shardChaosResult struct {
 
 func runShardChaos(t *testing.T, seed uint64, flightDir string) shardChaosResult {
 	t.Helper()
-	heeb := policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 4}
+	heeb := policy.HEEBOptions{LifetimeEstimate: 4}
 	rt, err := shardrt.New(shardrt.Config{
 		Shards:     shardChaosShards,
 		TotalCache: 32,

@@ -54,22 +54,6 @@ func TestBandHEEBBeatsRandOnNoisyBand(t *testing.T) {
 	}
 }
 
-func TestBandIncrementalMatchesDirect(t *testing.T) {
-	procs := [2]process.Process{
-		&process.LinearTrend{Slope: 1, Intercept: -1, Noise: dist.BoundedNormal(1, 10)},
-		&process.LinearTrend{Slope: 1, Intercept: 0, Noise: dist.BoundedNormal(2, 15)},
-	}
-	rng := stats.NewRNG(77)
-	rv := procs[0].Generate(rng.Split(), 400)
-	sv := procs[1].Generate(rng.Split(), 400)
-	cfg := join.Config{CacheSize: 6, Warmup: -1, Procs: procs, Band: 2}
-	direct := join.Run(rv, sv, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3}), cfg, stats.NewRNG(1))
-	incr := join.Run(rv, sv, NewHEEB(HEEBOptions{Mode: HEEBIncremental, LifetimeEstimate: 3}), cfg, stats.NewRNG(1))
-	if direct.TotalJoins != incr.TotalJoins {
-		t.Fatalf("band direct %d != incremental %d", direct.TotalJoins, incr.TotalJoins)
-	}
-}
-
 func TestBandPROBSumsOverBand(t *testing.T) {
 	p := &Prob{}
 	st := &join.State{

@@ -95,56 +95,137 @@ func heebDecision(t *testing.T, seed uint64, window, band, n int) (*join.State, 
 	return st, cands
 }
 
-// The memoized scorer (forecast cache + L table) must score and evict
-// bitwise-identically to the seed path (NoMemo) across window/band configs
-// and scoring modes.
+// memoHits is the number of scores p has answered from the window's memo.
+func memoHits(p *HEEB) int {
+	_, r := p.fc.Memo(core.StreamR)
+	_, s := p.fc.Memo(core.StreamS)
+	return r + s
+}
+
+// The window scorer (forecast window, its score memo and the L table) must
+// score and evict bitwise-identically to the seed path (NoMemo) across
+// window/band configs, on a first decision and on a second one that asks for
+// the same sums again: at the same state, or — Corollary 5 — transfer steps
+// later with every candidate carried along the trend, which changes each
+// (value, time) and keeps each score.
 func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		window, band int
-		mode         HEEBMode
-		prefilter    bool
+		name                   string
+		window, band, transfer int
 	}{
-		{"direct-equi", 0, 0, HEEBDirect, false},
-		{"direct-band", 0, 3, HEEBDirect, false},
-		{"direct-window", 24, 0, HEEBDirect, false},
-		{"direct-window-band", 16, 2, HEEBDirect, false},
-		{"incremental", 0, 1, HEEBIncremental, false},
-		{"value-incremental", 0, 0, HEEBValueIncremental, false},
-		{"direct-prefilter", 0, 0, HEEBDirect, true},
+		{"direct-equi", 0, 0, 0},
+		{"direct-band", 0, 3, 0},
+		{"direct-window", 24, 0, 0},
+		{"direct-window-band", 16, 2, 0},
+		{"value-incremental", 0, 0, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, cands := heebDecision(t, 11, tc.window, tc.band, 34)
 			mk := func(noMemo bool) *HEEB {
-				p := NewHEEB(HEEBOptions{
-					Mode:               tc.mode,
-					LifetimeEstimate:   6,
-					DominancePrefilter: tc.prefilter,
-					NoMemo:             noMemo,
-				})
+				p := NewHEEB(HEEBOptions{LifetimeEstimate: 6, NoMemo: noMemo})
 				p.Reset(st.Config, stats.NewRNG(3))
 				return p
 			}
 			opt, ref := mk(false), mk(true)
-			optScores := opt.ScoreCandidates(st, cands)
-			refScores := ref.ScoreCandidates(st, cands)
-			for i := range cands {
-				if optScores[i] != refScores[i] {
-					t.Fatalf("cand %d: memo score %v != reference %v", i, optScores[i], refScores[i])
+			decide := func() (nonZero int) {
+				optScores := opt.ScoreCandidates(st, cands)
+				refScores := ref.ScoreCandidates(st, cands)
+				for i := range cands {
+					if optScores[i] != refScores[i] {
+						t.Fatalf("cand %d: memo score %v != reference %v", i, optScores[i], refScores[i])
+					}
+					if refScores[i] != 0 {
+						nonZero++
+					}
+				}
+				optEvict := opt.Evict(st, cands, 4)
+				refEvict := ref.Evict(st, cands, 4)
+				if len(optEvict) != len(refEvict) {
+					t.Fatalf("evict lengths differ: %v vs %v", optEvict, refEvict)
+				}
+				for i := range optEvict {
+					if optEvict[i] != refEvict[i] {
+						t.Fatalf("evict[%d]: memo %d != reference %d", i, optEvict[i], refEvict[i])
+					}
+				}
+				return nonZero
+			}
+			decide()
+			for s, pr := range st.Config.Procs {
+				lt := pr.(*process.LinearTrend)
+				for k := 1; k <= tc.transfer; k++ {
+					st.Hists[s].Append(lt.TrendAt(st.Time + k))
+				}
+				for i := range cands {
+					if cands[i].Stream.Partner() == core.StreamID(s) {
+						cands[i].Value = core.TransferValue(lt.Slope, cands[i].Value, st.Time, st.Time+tc.transfer)
+					}
 				}
 			}
-			optEvict := opt.Evict(st, cands, 4)
-			refEvict := ref.Evict(st, cands, 4)
-			if len(optEvict) != len(refEvict) {
-				t.Fatalf("evict lengths differ: %v vs %v", optEvict, refEvict)
+			st.Time += tc.transfer
+			before := memoHits(opt)
+			nonZero := decide()
+			// A clipped sum is never read from the memo; an unclipped one that
+			// is not zero was stored by the first decision, so both scorings of
+			// the second are answered from it.
+			want := 2 * nonZero
+			if tc.window > 0 {
+				want = 0
 			}
-			for i := range optEvict {
-				if optEvict[i] != refEvict[i] {
-					t.Fatalf("evict[%d]: memo %d != reference %d", i, optEvict[i], refEvict[i])
-				}
+			if got := memoHits(opt) - before; got != want || nonZero == 0 {
+				t.Fatalf("second decision: %d memo hits, want %d (%d non-zero scores)", got, want, nonZero)
 			}
 		})
 	}
+}
+
+// lockstep drives a window-path HEEB and its NoMemo oracle through the same
+// run and fails on the first score or victim that differs.
+type lockstep struct {
+	t        *testing.T
+	win, ref *HEEB
+
+	decisions    int
+	alphaChanges int // decisions that began under another α than the one before
+	hitsCompared int // memo hits among compared scores, after the first α change (all of them when α is fixed)
+}
+
+func newLockstep(t *testing.T, opts HEEBOptions) *lockstep {
+	ref := opts
+	ref.NoMemo = true
+	return &lockstep{t: t, win: NewHEEB(opts), ref: NewHEEB(ref)}
+}
+
+func (l *lockstep) Name() string { return "HEEB" }
+
+func (l *lockstep) Reset(cfg join.Config, rng *stats.RNG) {
+	l.win.Reset(cfg, rng)
+	l.ref.Reset(cfg, rng)
+}
+
+func (l *lockstep) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	l.decisions++
+	before := memoHits(l.win)
+	ws, rs := l.win.ScoreCandidates(st, cands), l.ref.ScoreCandidates(st, cands)
+	for i := range rs {
+		if ws[i] != rs[i] {
+			l.t.Fatalf("decision %d candidate %d: window score %v != nomemo %v", l.decisions, i, ws[i], rs[i])
+		}
+	}
+	if l.alphaChanges > 0 || !l.win.Opts.Adaptive {
+		l.hitsCompared += memoHits(l.win) - before
+	}
+	alpha := l.win.alpha
+	we, re := l.win.Evict(st, cands, n), l.ref.Evict(st, cands, n)
+	for i := range re {
+		if we[i] != re[i] {
+			l.t.Fatalf("decision %d: window evicts %v, nomemo %v", l.decisions, we, re)
+		}
+	}
+	if l.win.alpha != alpha {
+		l.alphaChanges++
+	}
+	return we
 }
 
 // advancing returns a function that moves a decision state one step forward
@@ -192,33 +273,5 @@ func TestHEEBSteadyStateEvictAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { p.Evict(st, cands, 2) }); got > 1 {
 			t.Errorf("%s: repeated Evict allocates %v times, want <= 1", tc.name, got)
 		}
-	}
-}
-
-// Time-incremental scoring folds one Corollary 3 step per elapsed time step
-// into every cached tuple's score; each such step may allocate the prefix
-// view it conditions on and the forecast it reads, not a copy of the history.
-func TestHEEBIncrementalCatchUpAllocs(t *testing.T) {
-	st, cands := heebDecision(t, 29, 0, 0, 34)
-	p := NewHEEB(HEEBOptions{Mode: HEEBIncremental, LifetimeEstimate: 16})
-	p.Reset(st.Config, stats.NewRNG(3))
-	step := advancing(st, cands, stats.NewRNG(5))
-	for i := 0; i < 50; i++ {
-		step()
-		p.Evict(st, cands, 2)
-	}
-	const skipped = 8 // steps between decisions, so every kept tuple catches up 8 steps
-	got := testing.AllocsPerRun(50, func() {
-		for i := 0; i < skipped; i++ {
-			step()
-		}
-		p.Evict(st, cands, 2)
-	})
-	// Per decision: the candidates that survive the skipped arrivals catch up
-	// `skipped` steps each at <= 2 allocations a step; arrivals are scored
-	// directly out of the window.
-	kept := len(cands) - 2*skipped
-	if limit := float64(kept*skipped*2 + 4*skipped + 8); got > limit {
-		t.Errorf("incremental Evict after %d skipped steps allocates %v times, want <= %v", skipped, got, limit)
 	}
 }

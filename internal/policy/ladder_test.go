@@ -166,7 +166,7 @@ func TestLfixedEvictsOldest(t *testing.T) {
 }
 
 func TestDefaultLadderName(t *testing.T) {
-	lad := NewDefaultLadder(5, 0, HEEBOptions{Mode: HEEBDirect})
+	lad := NewDefaultLadder(5, 0, HEEBOptions{})
 	if got := lad.Name(); got != "LADDER(FLOWEXPECT→HEEB→LFIXED)" {
 		t.Fatalf("Name() = %q", got)
 	}

@@ -151,7 +151,7 @@ func trendConfig(cache int) (join.Config, [2]process.Process) {
 
 func TestHEEBDirectPrefersUpstreamTuples(t *testing.T) {
 	cfg, procs := trendConfig(2)
-	p := NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3})
+	p := NewHEEB(HEEBOptions{LifetimeEstimate: 3})
 	p.Reset(cfg, stats.NewRNG(1))
 	t0 := 50
 	rh := make([]int, t0+1)
@@ -172,18 +172,6 @@ func TestHEEBDirectPrefersUpstreamTuples(t *testing.T) {
 	}
 }
 
-func TestHEEBIncrementalMatchesDirectDecisions(t *testing.T) {
-	cfg, _ := trendConfig(8)
-	rng := stats.NewRNG(42)
-	r := cfg.Procs[0].Generate(rng.Split(), 400)
-	s := cfg.Procs[1].Generate(rng.Split(), 400)
-	direct := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3}), cfg, stats.NewRNG(7))
-	incr := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBIncremental, LifetimeEstimate: 3}), cfg, stats.NewRNG(7))
-	if direct.TotalJoins != incr.TotalJoins {
-		t.Fatalf("direct %d joins != incremental %d joins", direct.TotalJoins, incr.TotalJoins)
-	}
-}
-
 func TestHEEBWalkH1RunsAndBeatsRand(t *testing.T) {
 	procs := [2]process.Process{
 		&process.GaussianWalk{Sigma: 1},
@@ -193,16 +181,75 @@ func TestHEEBWalkH1RunsAndBeatsRand(t *testing.T) {
 	rng := stats.NewRNG(3)
 	r := procs[0].Generate(rng.Split(), 2000)
 	s := procs[1].Generate(rng.Split(), 2000)
-	heeb := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBPrecomputedH1}), cfg, stats.NewRNG(1))
+	heeb := join.Run(r, s, NewHEEB(HEEBOptions{}), cfg, stats.NewRNG(1))
 	rand := join.Run(r, s, &Rand{}, cfg, stats.NewRNG(1))
 	if heeb.Joins <= rand.Joins {
-		t.Fatalf("HEEB(h1) = %d joins, RAND = %d; expected HEEB to win", heeb.Joins, rand.Joins)
+		t.Fatalf("HEEB = %d joins, RAND = %d; expected HEEB to win", heeb.Joins, rand.Joins)
+	}
+}
+
+// On TOWER every decision of the default policy — whose trend scores come out
+// of the coordinate memo (Corollary 5) — is the NoMemo oracle's, score for
+// score. The memo is used, and the noise supports bound it however long the
+// run: the trend carries every value out of them.
+func TestHEEBValueIncrementalMatchesDirectDecisions(t *testing.T) {
+	cfg, _ := trendConfig(8)
+	rng := stats.NewRNG(43)
+	r := cfg.Procs[0].Generate(rng.Split(), 500)
+	s := cfg.Procs[1].Generate(rng.Split(), 500)
+	l := newLockstep(t, HEEBOptions{LifetimeEstimate: 3})
+	join.Run(r, s, l, cfg, stats.NewRNG(7))
+	if l.hitsCompared == 0 {
+		t.Fatal("no compared score came from the memo")
+	}
+	er, _ := l.win.fc.Memo(core.StreamR)
+	es, _ := l.win.fc.Memo(core.StreamS)
+	if er == 0 || es == 0 || er > 21 || es > 31 {
+		t.Fatalf("memo holds %d and %d scores, want 1..21 and 1..31 (the noise supports)", er, es)
+	}
+}
+
+// A re-derived α retabulates L, and every memoized score was summed under the
+// old table: one that survived the change would be stale. Adaptive HEEB on
+// TOWER re-derives α at nearly every decision, so scores read from the memo
+// after a change are held against the oracle thousands of times.
+func TestHEEBAdaptiveMemoMatchesNoMemo(t *testing.T) {
+	cfg, _ := trendConfig(8)
+	rng := stats.NewRNG(44)
+	r := cfg.Procs[0].Generate(rng.Split(), 2100)
+	s := cfg.Procs[1].Generate(rng.Split(), 2100)
+	l := newLockstep(t, HEEBOptions{LifetimeEstimate: 3, Adaptive: true})
+	join.Run(r, s, l, cfg, stats.NewRNG(7))
+	if l.decisions < 2000 || l.alphaChanges < 100 || l.hitsCompared < 100 {
+		t.Fatalf("%d decisions, %d α changes, %d memo hits compared after one: too few to show anything",
+			l.decisions, l.alphaChanges, l.hitsCompared)
+	}
+}
+
+// A model that is neither a trend nor a walk has no coordinate to memoize
+// under: AR(1) scores are summed from the window at every decision, and equal
+// the oracle's.
+func TestHEEBValueIncrementalFallsBackForMarkovStreams(t *testing.T) {
+	procs := [2]process.Process{
+		&process.AR1{Phi0: 10, Phi1: 0.6, Sigma: 4, Init: 25},
+		&process.AR1{Phi0: 10, Phi1: 0.6, Sigma: 4, Init: 25},
+	}
+	cfg := join.Config{CacheSize: 5, Warmup: 0, Procs: procs}
+	rng := stats.NewRNG(3)
+	r := procs[0].Generate(rng.Split(), 300)
+	s := procs[1].Generate(rng.Split(), 300)
+	l := newLockstep(t, HEEBOptions{})
+	join.Run(r, s, l, cfg, stats.NewRNG(1))
+	er, hr := l.win.fc.Memo(core.StreamR)
+	es, hs := l.win.fc.Memo(core.StreamS)
+	if l.decisions == 0 || er+es+hr+hs != 0 {
+		t.Fatalf("%d decisions; memo holds %d+%d scores and answered %d+%d, want none", l.decisions, er, es, hr, hs)
 	}
 }
 
 func TestHEEBAdaptiveAlphaAdjusts(t *testing.T) {
 	cfg, _ := trendConfig(5)
-	p := NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3, Adaptive: true})
+	p := NewHEEB(HEEBOptions{LifetimeEstimate: 3, Adaptive: true})
 	rng := stats.NewRNG(11)
 	r := cfg.Procs[0].Generate(rng.Split(), 300)
 	s := cfg.Procs[1].Generate(rng.Split(), 300)
@@ -221,25 +268,10 @@ func TestHEEBAdaptiveAlphaAdjusts(t *testing.T) {
 	}
 }
 
-func TestHEEBDominancePrefilterKeepsDecisionsReasonable(t *testing.T) {
-	cfg, _ := trendConfig(6)
-	rng := stats.NewRNG(21)
-	r := cfg.Procs[0].Generate(rng.Split(), 500)
-	s := cfg.Procs[1].Generate(rng.Split(), 500)
-	plain := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3}), cfg, stats.NewRNG(1))
-	pre := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3, DominancePrefilter: true}), cfg, stats.NewRNG(1))
-	// The prefilter only replaces HEEB choices with provably-optimal ones;
-	// results should be close (identical in most runs, never catastrophic).
-	lo := plain.Joins - plain.Joins/5
-	if pre.Joins < lo {
-		t.Fatalf("prefilter degraded joins: %d vs %d", pre.Joins, plain.Joins)
-	}
-}
-
 func TestHEEBWindowClipsScores(t *testing.T) {
 	cfg, _ := trendConfig(2)
 	cfg.Window = 3
-	p := NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3})
+	p := NewHEEB(HEEBOptions{LifetimeEstimate: 3})
 	p.Reset(cfg, stats.NewRNG(1))
 	t0 := 30
 	rh := make([]int, t0+1)
@@ -292,65 +324,11 @@ func TestFlowExpectRequiresModels(t *testing.T) {
 	(&FlowExpect{}).Reset(join.Config{CacheSize: 1}, stats.NewRNG(1))
 }
 
-func TestHEEBModeString(t *testing.T) {
-	for m, want := range map[HEEBMode]string{
-		HEEBDirect: "direct", HEEBIncremental: "incremental",
-		HEEBPrecomputedH1: "h1", HEEBPrecomputedH2: "h2", HEEBMode(9): "HEEBMode(9)",
-	} {
-		if got := m.String(); got != want {
-			t.Fatalf("String(%d) = %q", int(m), got)
-		}
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	if (&Rand{}).Name() != "RAND" || (&Prob{}).Name() != "PROB" ||
 		(&Life{}).Name() != "LIFE" || (&FlowExpect{}).Name() != "FLOWEXPECT" ||
 		NewHEEB(HEEBOptions{}).Name() != "HEEB" {
 		t.Fatal("a policy name is wrong")
-	}
-}
-
-func TestHEEBValueIncrementalMatchesDirectDecisions(t *testing.T) {
-	cfg, _ := trendConfig(8)
-	rng := stats.NewRNG(43)
-	r := cfg.Procs[0].Generate(rng.Split(), 500)
-	s := cfg.Procs[1].Generate(rng.Split(), 500)
-	direct := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3}), cfg, stats.NewRNG(7))
-	vi := NewHEEB(HEEBOptions{Mode: HEEBValueIncremental, LifetimeEstimate: 3})
-	viRes := join.Run(r, s, vi, cfg, stats.NewRNG(7))
-	if direct.TotalJoins != viRes.TotalJoins {
-		t.Fatalf("direct %d joins != value-incremental %d joins", direct.TotalJoins, viRes.TotalJoins)
-	}
-	// The offset cache is populated and bounded by the noise supports: the
-	// trend keeps offsets inside the noise band, so the cache stays small
-	// even over long runs (the whole point of Corollary 5).
-	cached := len(vi.offsetH[0]) + len(vi.offsetH[1])
-	if cached == 0 {
-		t.Fatal("offset cache unused")
-	}
-	if cached > 200 {
-		t.Fatalf("offset cache grew unboundedly: %d entries", cached)
-	}
-}
-
-func TestHEEBValueIncrementalFallsBackForMarkovStreams(t *testing.T) {
-	procs := [2]process.Process{
-		&process.GaussianWalk{Sigma: 1},
-		&process.GaussianWalk{Sigma: 1},
-	}
-	cfg := join.Config{CacheSize: 5, Warmup: 0, Procs: procs}
-	rng := stats.NewRNG(3)
-	r := procs[0].Generate(rng.Split(), 300)
-	s := procs[1].Generate(rng.Split(), 300)
-	vi := NewHEEB(HEEBOptions{Mode: HEEBValueIncremental})
-	res := join.Run(r, s, vi, cfg, stats.NewRNG(1))
-	if len(vi.offsetH[0])+len(vi.offsetH[1]) != 0 {
-		t.Fatal("offset cache must stay empty for non-trend streams")
-	}
-	direct := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBDirect}), cfg, stats.NewRNG(1))
-	if res.TotalJoins != direct.TotalJoins {
-		t.Fatalf("fallback diverged: %d vs %d", res.TotalJoins, direct.TotalJoins)
 	}
 }
 
@@ -404,55 +382,6 @@ func TestClairvoyantRequiresStreams(t *testing.T) {
 	(&Clairvoyant{}).Reset(join.Config{CacheSize: 1}, stats.NewRNG(1))
 }
 
-func TestHEEBJoiningH2ModeOnAR1Streams(t *testing.T) {
-	procs := [2]process.Process{
-		&process.AR1{Phi0: 10, Phi1: 0.6, Sigma: 4, Init: 25},
-		&process.AR1{Phi0: 10, Phi1: 0.6, Sigma: 4, Init: 25},
-	}
-	cfg := join.Config{CacheSize: 6, Warmup: -1, Procs: procs}
-	rng := stats.NewRNG(13)
-	r := procs[0].Generate(rng.Split(), 1500)
-	s := procs[1].Generate(rng.Split(), 1500)
-	h2 := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBPrecomputedH2}), cfg, stats.NewRNG(1))
-	rnd := join.Run(r, s, &Rand{}, cfg, stats.NewRNG(1))
-	if h2.Joins <= rnd.Joins {
-		t.Fatalf("HEEB(h2) %d <= RAND %d on AR(1) streams", h2.Joins, rnd.Joins)
-	}
-	// h2 mode clips expired tuples to zero under a window.
-	winCfg := cfg
-	winCfg.Window = 5
-	win := join.Run(r, s, NewHEEB(HEEBOptions{Mode: HEEBPrecomputedH2}), winCfg, stats.NewRNG(1))
-	if win.Joins > h2.Joins {
-		t.Fatalf("windowed h2 produced more joins: %d > %d", win.Joins, h2.Joins)
-	}
-}
-
-func TestHEEBH2ModeRejectsNonAR1(t *testing.T) {
-	procs := [2]process.Process{
-		&process.GaussianWalk{Sigma: 1},
-		&process.GaussianWalk{Sigma: 1},
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("h2 mode on walks did not panic")
-		}
-	}()
-	NewHEEB(HEEBOptions{Mode: HEEBPrecomputedH2}).Reset(join.Config{CacheSize: 2, Procs: procs}, stats.NewRNG(1))
-}
-
-func TestHEEBH1ModeRejectsNonForecaster(t *testing.T) {
-	procs := [2]process.Process{
-		&process.Stationary{P: dist.NewUniform(0, 3)},
-		&process.Stationary{P: dist.NewUniform(0, 3)},
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("h1 mode on stationary streams did not panic")
-		}
-	}()
-	NewHEEB(HEEBOptions{Mode: HEEBPrecomputedH1}).Reset(join.Config{CacheSize: 2, Procs: procs}, stats.NewRNG(1))
-}
-
 func TestClairvoyantMetadata(t *testing.T) {
 	cv := &Clairvoyant{R: []int{1, 2}, S: []int{2, 1}}
 	if cv.Name() != "OPT-OFFLINE" {
@@ -460,18 +389,6 @@ func TestClairvoyantMetadata(t *testing.T) {
 	}
 	cv.EagerEvict() // marker method; must exist for the simulator contract
 	var _ join.EagerEvictor = cv
-}
-
-func TestWalkParamsDefaults(t *testing.T) {
-	// Unknown process types fall back to (1, 0) so the h1 range stays sane.
-	sigma, drift := walkParams(&process.Stationary{P: dist.NewUniform(0, 1)})
-	if sigma != 1 || drift != 0 {
-		t.Fatalf("defaults = %v, %v", sigma, drift)
-	}
-	sigma, drift = walkParams(&process.AR1{Phi0: 2, Phi1: 1, Sigma: 3})
-	if sigma != 3 || drift != 2 {
-		t.Fatalf("AR1 params = %v, %v", sigma, drift)
-	}
 }
 
 func TestReservoirMaintainsUniformSample(t *testing.T) {

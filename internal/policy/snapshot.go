@@ -7,54 +7,37 @@ import (
 )
 
 // This file implements join.StateSnapshotter for the policies that carry
-// decision state a checkpoint must capture: HEEB (adaptive α, the lifetime
-// tracker, incrementally maintained per-tuple scores), the RNG-driven RAND
-// and RESERVOIR, and Ladder (which delegates to its rungs). PROB and LIFE
-// rebuild their value counts from the restored histories, and FlowExpect's
-// forecast window is re-derived from them, so neither needs snapshot code.
+// decision state a checkpoint must capture: HEEB (adaptive α and the lifetime
+// tracker), the RNG-driven RAND and RESERVOIR, and Ladder (which delegates to
+// its rungs). PROB and LIFE rebuild their value counts from the restored
+// histories, and FlowExpect's forecast window is re-derived from them, so
+// neither needs snapshot code.
 //
 // Wire format: gob of an exported wire struct per policy. The bytes travel
 // inside the engine checkpoint's versioned, checksummed envelope
 // (internal/checkpoint), so no versioning is repeated here.
 
+// heebWire carries only what is not re-derived: snapshots written before the
+// per-tuple and per-offset score memos (fields Inc and OffsetH) were dropped
+// still decode, gob skipping the fields it finds no home for.
 type heebWire struct {
 	Alpha                     float64
 	TrackerDecay, TrackerMean float64
 	TrackerN                  int
-	Inc                       map[int]heebWireEntry
-	OffsetH                   [2]map[int]float64
-}
-
-type heebWireEntry struct {
-	H    float64
-	Last int
 }
 
 // SnapshotState implements join.StateSnapshotter.
 func (p *HEEB) SnapshotState() ([]byte, error) {
-	w := heebWire{
-		Alpha:   p.alpha,
-		Inc:     make(map[int]heebWireEntry, len(p.inc)),
-		OffsetH: [2]map[int]float64{{}, {}},
-	}
+	w := heebWire{Alpha: p.alpha}
 	if p.tracker != nil {
 		w.TrackerDecay, w.TrackerMean, w.TrackerN = p.tracker.State()
-	}
-	for id, e := range p.inc {
-		w.Inc[id] = heebWireEntry{H: e.h, Last: e.last}
-	}
-	for s := 0; s < 2; s++ {
-		for off, h := range p.offsetH[s] {
-			w.OffsetH[s][off] = h
-		}
 	}
 	return gobEncode(w)
 }
 
 // RestoreState implements join.StateSnapshotter. The policy must have been
-// Reset with the same configuration that produced the snapshot; precomputed
-// forms (h1/h2, the L table, the forecast window) are rebuilt
-// deterministically on demand.
+// Reset with the same configuration that produced the snapshot; the L table
+// and the forecast window are rebuilt deterministically on demand.
 func (p *HEEB) RestoreState(data []byte) error {
 	var w heebWire
 	if err := gobDecode(data, &w); err != nil {
@@ -69,16 +52,6 @@ func (p *HEEB) RestoreState(data []byte) error {
 		}
 	}
 	p.alpha = w.Alpha
-	p.inc = make(map[int]*heebEntry, len(w.Inc))
-	for id, e := range w.Inc {
-		p.inc[id] = &heebEntry{h: e.H, last: e.Last}
-	}
-	p.offsetH = [2]map[int]float64{{}, {}}
-	for s := 0; s < 2; s++ {
-		for off, h := range w.OffsetH[s] {
-			p.offsetH[s][off] = h
-		}
-	}
 	return nil
 }
 

@@ -100,10 +100,6 @@ func (h *History) Last() int { return h.vals[len(h.vals)-1] }
 // Values returns the underlying observations; callers must not modify it.
 func (h *History) Values() []int { return h.vals }
 
-// Prefix returns the history as it stood after its first n observations, as
-// a view sharing h's storage. Appending to the view never writes into h.
-func (h *History) Prefix(n int) *History { return &History{vals: h.vals[:n:n]} }
-
 // Deterministic is the offline-stream model of Section 5.1: the whole
 // sequence is known in advance, so Pr{X_t = Seq[t]} = 1. Forecasts past the
 // end of the sequence are point masses at NoValue.

@@ -377,21 +377,6 @@ func TestGaussianWalkForecastEqualsDirectDiscretization(t *testing.T) {
 	}
 }
 
-func TestHistoryPrefixIsAView(t *testing.T) {
-	h := NewHistory(1, 2, 3, 4)
-	p := h.Prefix(2)
-	if p.Len() != 2 || p.T0() != 1 || p.Last() != 2 {
-		t.Fatalf("prefix = %v", p.Values())
-	}
-	if &p.Values()[0] != &h.Values()[0] {
-		t.Fatal("Prefix must share storage, not copy")
-	}
-	p.Append(99)
-	if h.At(2) != 3 {
-		t.Fatalf("appending to a prefix wrote into its source: %v", h.Values())
-	}
-}
-
 // One model value is shared by every shard goroutine of a runtime, so
 // Forecast must be callable from many goroutines at once, including while
 // the horizon tables of the memoizing models are still growing. Run under

@@ -23,7 +23,7 @@ func testStreams(n int, seed uint64) ([]int, []int) {
 }
 
 func newHEEB() join.Policy {
-	return policy.NewHEEB(policy.HEEBOptions{Mode: policy.HEEBDirect, LifetimeEstimate: 3})
+	return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 }
 
 func TestInstrumentPolicyIdempotent(t *testing.T) {

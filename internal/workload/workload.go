@@ -90,14 +90,15 @@ func (ts TrendSpec) Join() JoinWorkload {
 		Procs:            procs,
 		Lifetime:         lifetime,
 		LifetimeEstimate: est,
-		HEEBMode:         policy.HEEBDirect,
 	}
 }
 
 // Walk returns the WALK configuration: two independent Gaussian random walks
 // with unit-variance zero-mean steps. There is no pseudo-window, so LIFE is
-// not applicable (Section 6.2); HEEB uses the precomputed h1 curve with α
-// set to the cache size.
+// not applicable (Section 6.2); HEEB sets α to the cache size and scores
+// exactly: a walk's forecasts move with its last observation, so the forecast
+// window sums each distance from it once (Theorem 5(2) without the
+// interpolated h1 curve).
 func Walk() JoinWorkload {
 	return JoinWorkload{
 		Name: "WALK",
@@ -105,7 +106,6 @@ func Walk() JoinWorkload {
 			&process.GaussianWalk{Drift: 0, Sigma: 1, Init: 0},
 			&process.GaussianWalk{Drift: 0, Sigma: 1, Init: 0},
 		},
-		HEEBMode: policy.HEEBPrecomputedH1,
 	}
 }
 
@@ -118,8 +118,6 @@ type JoinWorkload struct {
 	Lifetime policy.Lifetime
 	// LifetimeEstimate seeds HEEB's α (0 means "use the cache size").
 	LifetimeEstimate float64
-	// HEEBMode is the scoring implementation suited to the workload.
-	HEEBMode policy.HEEBMode
 }
 
 // Generate samples both streams for one run.
@@ -129,10 +127,7 @@ func (w JoinWorkload) Generate(rng *stats.RNG, n int) (r, s []int) {
 
 // HEEBPolicy builds the workload's HEEB policy instance.
 func (w JoinWorkload) HEEBPolicy() *policy.HEEB {
-	return policy.NewHEEB(policy.HEEBOptions{
-		Mode:             w.HEEBMode,
-		LifetimeEstimate: w.LifetimeEstimate,
-	})
+	return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: w.LifetimeEstimate})
 }
 
 // RealSpec parameterizes the REAL caching workload.

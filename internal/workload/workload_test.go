@@ -85,9 +85,6 @@ func TestWalkWorkload(t *testing.T) {
 	if w.Lifetime != nil {
 		t.Fatal("WALK must not define a pseudo-window (no LIFE)")
 	}
-	if w.HEEBMode != policy.HEEBPrecomputedH1 {
-		t.Fatalf("WALK HEEB mode = %v", w.HEEBMode)
-	}
 	r, s := w.Generate(stats.NewRNG(2), 1000)
 	// Independent walks: they should drift apart in mean square.
 	var last float64
@@ -104,9 +101,6 @@ func TestWalkWorkload(t *testing.T) {
 
 func TestHEEBPolicyConstruction(t *testing.T) {
 	p := Tower().Join().HEEBPolicy()
-	if p.Opts.Mode != policy.HEEBDirect {
-		t.Fatalf("mode = %v", p.Opts.Mode)
-	}
 	if p.Opts.LifetimeEstimate != 3 {
 		t.Fatalf("estimate = %v", p.Opts.LifetimeEstimate)
 	}

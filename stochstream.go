@@ -178,8 +178,6 @@ type (
 	Tuple = join.Tuple
 	// HEEBOptions configures the HEEB policy.
 	HEEBOptions = policy.HEEBOptions
-	// HEEBMode selects HEEB's scoring implementation.
-	HEEBMode = policy.HEEBMode
 	// Lifetime estimates a tuple's remaining joinable steps.
 	Lifetime = policy.Lifetime
 	// RandPolicy discards random tuples (expired first).
@@ -194,15 +192,6 @@ type (
 	ClairvoyantPolicy = policy.Clairvoyant
 	// FlowExpectPolicy is the Section 3 min-cost-flow algorithm.
 	FlowExpectPolicy = policy.FlowExpect
-)
-
-// HEEB scoring modes.
-const (
-	HEEBDirect           = policy.HEEBDirect
-	HEEBIncremental      = policy.HEEBIncremental
-	HEEBPrecomputedH1    = policy.HEEBPrecomputedH1
-	HEEBPrecomputedH2    = policy.HEEBPrecomputedH2
-	HEEBValueIncremental = policy.HEEBValueIncremental
 )
 
 // NewHEEB builds the paper's HEEB replacement policy.

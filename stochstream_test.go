@@ -17,7 +17,7 @@ func TestPublicJoinPipeline(t *testing.T) {
 	sv := s.Generate(rng, 1500)
 	cfg := JoinConfig{CacheSize: 10, Warmup: -1, Procs: [2]Process{r, s}}
 
-	heeb := RunJoin(rv, sv, NewHEEB(HEEBOptions{Mode: HEEBDirect, LifetimeEstimate: 3}), cfg, 2)
+	heeb := RunJoin(rv, sv, NewHEEB(HEEBOptions{LifetimeEstimate: 3}), cfg, 2)
 	rnd := RunJoin(rv, sv, &RandPolicy{}, cfg, 2)
 	opt := OptOfflineJoin(rv, sv, cfg.CacheSize, 0)
 	optJoins := opt.CountAfter(cfg.EffectiveWarmup() - 1)
