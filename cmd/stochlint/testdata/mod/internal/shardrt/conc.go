@@ -52,3 +52,71 @@ func Merge(ch chan Rec) []Rec {
 	}
 	return out
 }
+
+func recLess(a, b Rec) bool {
+	if a.RSeq != b.RSeq {
+		return a.RSeq < b.RSeq
+	}
+	return a.SSeq < b.SSeq
+}
+
+// mergeRuns appends whichever head the sequence numbers put first: the
+// result is in seq order however the runs were gathered.
+func mergeRuns(out []Rec, runs [][]Rec) []Rec {
+	for len(runs) > 0 {
+		lo := 0
+		for i := 1; i < len(runs); i++ {
+			if recLess(runs[i][0], runs[lo][0]) {
+				lo = i
+			}
+		}
+		out = append(out, runs[lo][0])
+		if runs[lo] = runs[lo][1:]; len(runs[lo]) == 0 {
+			runs = append(runs[:lo], runs[lo+1:]...)
+		}
+	}
+	return out
+}
+
+// MergeRuns gathers in receive order and merges by seq: clean.
+func MergeRuns(ch chan []Rec) []Rec {
+	var runs [][]Rec
+	for r := range ch {
+		runs = append(runs, r)
+	}
+	return mergeRuns(nil, runs)
+}
+
+// Run is one shard's sorted output plus the order it was received in.
+type Run struct {
+	Recs    []Rec
+	Arrived int
+}
+
+// mergeRunsTied compares triggers only and lets the receive stamp break
+// ties.
+func mergeRunsTied(out []Rec, runs []Run) []Rec {
+	for len(runs) > 0 {
+		lo := 0
+		for i := 1; i < len(runs); i++ {
+			a, b := runs[i], runs[lo]
+			if a.Recs[0].RSeq < b.Recs[0].RSeq || (a.Recs[0].RSeq == b.Recs[0].RSeq && a.Arrived < b.Arrived) {
+				lo = i
+			}
+		}
+		out = append(out, runs[lo].Recs[0])
+		if runs[lo].Recs = runs[lo].Recs[1:]; len(runs[lo].Recs) == 0 {
+			runs = append(runs[:lo], runs[lo+1:]...)
+		}
+	}
+	return out
+}
+
+// MergeRunsTied emits scheduling order wherever two triggers tie.
+func MergeRunsTied(ch chan Run) []Rec {
+	var runs []Run
+	for r := range ch {
+		runs = append(runs, r)
+	}
+	return mergeRunsTied(nil, runs)
+}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"stochstream/internal/lintrules/analysis"
 	"stochstream/internal/lintrules/dataflow"
@@ -20,13 +21,16 @@ import (
 // The analyzer runs a small taint pass per function: channel receives and
 // calls to functions summarized as returning arrival-ordered data are
 // sources; returns and persistent stores are sinks; a sort by sequence
-// numbers — sort.Slice/SliceStable with a comparator that reads only
-// seq-named fields (mergeKey style), or a call to a helper like sortPairs
-// that does so to its parameter — sanitizes, provided the sort is on a
-// CFG path before the sink. Summaries propagate both directions across
-// packages: a helper that returns arrival order taints its callers'
-// results, and a helper that seq-sorts its slice parameter sanitizes at
-// the call site.
+// numbers — sort.Slice/SliceStable or slices.SortFunc/SortStableFunc with a
+// comparator that reads only seq-named fields (mergeKey style), or a call
+// to a helper that does so to its parameter — sanitizes, provided the sort
+// is on a CFG path before the sink. Summaries propagate both directions
+// across packages: a helper that returns arrival order taints its callers'
+// results, a helper that seq-sorts its slice parameter sanitizes at the
+// call site, and a helper that builds its result out of a slice parameter
+// hands the argument's taint to its result — unless it is a merge, choosing
+// every element it appends by a seq-only comparison (the runtime's
+// mergeRuns), whose result is in seq order whatever order the runs came in.
 const mergedetName = "mergedet"
 
 var Mergedet = &analysis.Analyzer{
@@ -46,6 +50,11 @@ type mergeFact struct {
 	// returnsArrival: some return value derives from channel-receive order
 	// with no seq sort before it.
 	returnsArrival bool
+	// relaysOrder[i] (ParamVars index space): some return value is built
+	// out of the i-th slice parameter with neither a seq sort before it nor
+	// a seq-only comparison choosing its elements, so an arrival-ordered
+	// argument comes back arrival-ordered.
+	relaysOrder []bool
 }
 
 func mergeEq(a, b interface{}) bool {
@@ -54,21 +63,15 @@ func mergeEq(a, b interface{}) bool {
 	if x == nil || y == nil {
 		return x == y
 	}
-	if x.seqOnly != y.seqOnly || x.returnsArrival != y.returnsArrival || len(x.sortsBySeq) != len(y.sortsBySeq) {
-		return false
-	}
-	for i := range x.sortsBySeq {
-		if x.sortsBySeq[i] != y.sortsBySeq[i] {
-			return false
-		}
-	}
-	return true
+	return x.seqOnly == y.seqOnly && x.returnsArrival == y.returnsArrival &&
+		slices.Equal(x.sortsBySeq, y.sortsBySeq) && slices.Equal(x.relaysOrder, y.relaysOrder)
 }
 
 // bodySeqOnly reports whether node reads only sequence-numbered state: every
 // struct field it selects has "seq" in its name, it performs no channel
-// receives, and every call target is a builtin, a type conversion, or a
-// module function already summarized seqOnly.
+// receives, and every call target is a builtin, a type conversion, one of
+// package cmp's pure comparisons, or a module function already summarized
+// seqOnly.
 func bodySeqOnly(info *types.Info, store *dataflow.FactStore, node ast.Node) bool {
 	ok := true
 	ast.Inspect(node, func(n ast.Node) bool {
@@ -101,6 +104,9 @@ func bodySeqOnly(info *types.Info, store *dataflow.FactStore, node ast.Node) boo
 				ok = false
 				return false
 			}
+			if callee.Pkg() != nil && callee.Pkg().Path() == "cmp" {
+				return true
+			}
 			cf, _ := store.Get(callee).(*mergeFact)
 			if cf == nil || !cf.seqOnly {
 				ok = false
@@ -129,6 +135,13 @@ func hasSeqName(name string) bool {
 	return false
 }
 
+// comparatorSorts are the standard-library sorts that order a slice (first
+// argument) by a comparator (second argument).
+var comparatorSorts = map[string]bool{
+	"sort.Slice": true, "sort.SliceStable": true,
+	"slices.SortFunc": true, "slices.SortStableFunc": true,
+}
+
 // mergeViolation is one arrival-order escape in a function body.
 type mergeViolation struct {
 	pos      token.Pos
@@ -136,56 +149,76 @@ type mergeViolation struct {
 	what     string // "returned" or the stored lvalue description
 }
 
-// mergeAnalyze runs the per-function taint pass and returns the function's
-// summary inputs: its violations, its sanitize map (root object → seq-sort
-// sites), and whether it is seqOnly. It reads callee summaries only through
-// store, so it is safe inside the fixed-point transfer.
-func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mergeViolation, sortsParam []bool) {
-	info := f.Pkg.Info
-	body := f.Decl.Body
+// orderFlow tracks which local variables carry the order of some origin —
+// channel-receive order, or one slice parameter's element order — through
+// assignments, append chains, slicing, indexing, field selection and range
+// loops.
+type orderFlow struct {
+	info  *types.Info
+	store *dataflow.FactStore
+	// arrival makes channel receives, and calls summarized as returning
+	// arrival order, origins of the flow.
+	arrival bool
+	vars    map[types.Object]bool
+}
 
-	// --- taint: which variables hold arrival-ordered data ---
-	tainted := map[types.Object]bool{}
-	var taintedExpr func(e ast.Expr) bool
-	taintedExpr = func(e ast.Expr) bool {
-		switch e := unparenExpr(e).(type) {
-		case *ast.Ident:
-			var obj types.Object = info.Defs[e]
-			if obj == nil {
-				obj = info.Uses[e]
+// carries reports whether e's value holds the tracked order.
+func (fl *orderFlow) carries(e ast.Expr) bool {
+	switch e := unparenExpr(e).(type) {
+	case *ast.Ident:
+		obj := identObj(fl.info, e)
+		return obj != nil && fl.vars[obj]
+	case *ast.UnaryExpr:
+		if e.Op == token.ARROW {
+			return fl.arrival // receive: the arrival-order source
+		}
+		return e.Op == token.AND && fl.carries(e.X)
+	case *ast.SliceExpr:
+		return fl.carries(e.X)
+	case *ast.IndexExpr:
+		return fl.carries(e.X)
+	case *ast.SelectorExpr:
+		return fl.carries(e.X) // field of an order-carrying value
+	case *ast.CallExpr:
+		if id, ok := unparenExpr(e.Fun).(*ast.Ident); ok {
+			if b, ok := fl.info.Uses[id].(*types.Builtin); ok {
+				return b.Name() == "append" && slices.ContainsFunc(e.Args, fl.carries)
 			}
-			return obj != nil && tainted[obj]
-		case *ast.UnaryExpr:
-			return e.Op == token.ARROW // receive: the arrival-order source
-		case *ast.SliceExpr:
-			return taintedExpr(e.X)
-		case *ast.SelectorExpr:
-			return taintedExpr(e.X) // field of an arrival-ordered value
-		case *ast.CallExpr:
-			if id, ok := unparenExpr(e.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					if b.Name() == "append" {
-						for _, a := range e.Args {
-							if taintedExpr(a) {
-								return true
-							}
-						}
-					}
-					return false
-				}
-			}
-			if callee := dataflow.CalleeObj(info, e); callee != nil {
-				if cf, _ := store.Get(callee).(*mergeFact); cf != nil && cf.returnsArrival {
-					return true
-				}
-			}
+		}
+		callee := dataflow.CalleeObj(fl.info, e)
+		if callee == nil {
 			return false
 		}
+		cf, _ := fl.store.Get(callee).(*mergeFact)
+		if cf == nil {
+			return false
+		}
+		if fl.arrival && cf.returnsArrival {
+			return true
+		}
+		for k, arg := range e.Args {
+			if j := dataflow.ArgParamIndex(callee, k); j < len(cf.relaysOrder) && cf.relaysOrder[j] && fl.carries(arg) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mark adds the variable at the root of lhs to the flow.
+func (fl *orderFlow) mark(lhs ast.Expr) bool {
+	r := dataflow.RootOf(fl.info, lhs)
+	if r.Obj == nil || fl.vars[r.Obj] {
 		return false
 	}
+	fl.vars[r.Obj] = true
+	return true
+}
 
-	// Fixed point over assignments and range statements: receives taint
-	// their targets, taint flows through append chains.
+// run closes vars over body: a carrying right-hand side marks its target,
+// and ranging over a channel (under arrival) or over a carrying collection
+// marks the loop variables.
+func (fl *orderFlow) run(body *ast.BlockStmt) {
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -197,32 +230,95 @@ func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mer
 					if !multi && i < len(n.Rhs) {
 						rhs = n.Rhs[i]
 					}
-					if !taintedExpr(rhs) {
-						continue
-					}
-					if r := dataflow.RootOf(info, lhs); r.Obj != nil && !tainted[r.Obj] {
-						tainted[r.Obj] = true
+					if fl.carries(rhs) && fl.mark(lhs) {
 						changed = true
 					}
 				}
 			case *ast.RangeStmt:
-				tv, ok := info.Types[n.X]
+				tv, ok := fl.info.Types[n.X]
 				if !ok {
 					return true
 				}
-				if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-					return true
-				}
-				if n.Key != nil {
-					if r := dataflow.RootOf(info, n.Key); r.Obj != nil && !tainted[r.Obj] {
-						tainted[r.Obj] = true
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					if fl.arrival && n.Key != nil && fl.mark(n.Key) {
 						changed = true
 					}
+				} else if n.Value != nil && fl.carries(n.X) && fl.mark(n.Value) {
+					changed = true
 				}
 			}
 			return true
 		})
 	}
+}
+
+// chosenBySeq reports whether every branch condition of body that looks at
+// the flow's values is a seq-only comparison, and at least one is: the shape
+// of a merge, which appends whichever run's head the sequence numbers put
+// first. A comparator that consults anything else — an arrival stamp to
+// break ties, say — leaves the result in the order the runs came in.
+func (fl *orderFlow) chosenBySeq(body *ast.BlockStmt) bool {
+	chosen, seqOnly := false, true
+	check := func(cond ast.Expr) {
+		if cond == nil || !seqOnly {
+			return
+		}
+		looks, compares := false, false
+		ast.Inspect(cond, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := identObj(fl.info, n); obj != nil && fl.vars[obj] {
+					looks = true
+				}
+			case *ast.SelectorExpr:
+				if s := fl.info.Selections[n]; s != nil && s.Kind() == types.FieldVal {
+					compares = true
+				}
+			case *ast.CallExpr:
+				if dataflow.CalleeObj(fl.info, n) != nil {
+					compares = true
+				}
+			}
+			return true
+		})
+		if !looks || !compares {
+			return // a length or index test chooses nothing
+		}
+		if bodySeqOnly(fl.info, fl.store, cond) {
+			chosen = true
+		} else {
+			seqOnly = false
+		}
+	}
+	skipFuncLits(body, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			check(n.Cond)
+		case *ast.ForStmt:
+			check(n.Cond)
+		case *ast.SwitchStmt:
+			check(n.Tag)
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				check(e)
+			}
+		}
+	})
+	return chosen && seqOnly
+}
+
+// mergeAnalyze runs the per-function taint pass and returns the function's
+// summary inputs: its violations, which slice parameters it seq-sorts, and
+// which it relays to a result unsorted. It reads callee summaries only
+// through store, so it is safe inside the fixed-point transfer.
+func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mergeViolation, sortsParam, relaysParam []bool) {
+	info := f.Pkg.Info
+	body := f.Decl.Body
+
+	// --- taint: which variables hold arrival-ordered data ---
+	taint := &orderFlow{info: info, store: store, arrival: true, vars: map[types.Object]bool{}}
+	taint.run(body)
+	taintedExpr := taint.carries
 
 	// --- sanitize sites: root object → nodes where it is seq-sorted ---
 	sortSites := map[types.Object][]ast.Node{}
@@ -231,11 +327,11 @@ func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mer
 		if !ok {
 			return true
 		}
-		// sort.Slice / sort.SliceStable with a seq-only comparator.
+		// sort.Slice / sort.SliceStable / slices.SortFunc / slices.SortStableFunc
+		// with a seq-only comparator.
 		if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok && len(call.Args) == 2 {
 			if id, ok := sel.X.(*ast.Ident); ok {
-				if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "sort" &&
-					(sel.Sel.Name == "Slice" || sel.Sel.Name == "SliceStable") {
+				if pn, ok := info.Uses[id].(*types.PkgName); ok && comparatorSorts[pn.Imported().Path()+"."+sel.Sel.Name] {
 					if lit, ok := unparenExpr(call.Args[1]).(*ast.FuncLit); ok && bodySeqOnly(info, store, lit.Body) {
 						if r := dataflow.RootOf(info, call.Args[0]); r.Obj != nil {
 							sortSites[r.Obj] = append(sortSites[r.Obj], call)
@@ -319,9 +415,10 @@ func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mer
 		}
 	})
 
-	// --- sortsBySeq over the parameter index space ---
+	// --- sortsBySeq and relaysOrder over the parameter index space ---
 	params := dataflow.ParamVars(f.Obj)
 	sortsParam = make([]bool, len(params))
+	relaysParam = make([]bool, len(params))
 	for i, v := range params {
 		if _, isSlice := v.Type().Underlying().(*types.Slice); !isSlice {
 			continue
@@ -329,18 +426,32 @@ func mergeAnalyze(f *dataflow.Func, store *dataflow.FactStore) (violations []mer
 		if len(sortSites[v]) > 0 {
 			sortsParam[i] = true
 		}
+		from := &orderFlow{info: info, store: store, vars: map[types.Object]bool{v: true}}
+		from.run(body)
+		returned := false
+		skipFuncLits(body, func(n ast.Node) {
+			if ret, ok := n.(*ast.ReturnStmt); ok {
+				for _, res := range ret.Results {
+					if ordered(res) && from.carries(res) && !sanitized(res, ret) {
+						returned = true
+					}
+				}
+			}
+		})
+		relaysParam[i] = returned && !from.chosenBySeq(body)
 	}
-	return violations, sortsParam
+	return violations, sortsParam, relaysParam
 }
 
 // mergedetFacts computes (or returns the memoized) per-function merge-order
 // summaries for the whole program.
 func mergedetFacts(prog *dataflow.Program) *dataflow.FactStore {
 	transfer := func(f *dataflow.Func, store *dataflow.FactStore) interface{} {
-		violations, sortsParam := mergeAnalyze(f, store)
+		violations, sortsParam, relaysParam := mergeAnalyze(f, store)
 		fact := &mergeFact{
-			seqOnly:    bodySeqOnly(f.Pkg.Info, store, f.Decl.Body),
-			sortsBySeq: sortsParam,
+			seqOnly:     bodySeqOnly(f.Pkg.Info, store, f.Decl.Body),
+			sortsBySeq:  sortsParam,
+			relaysOrder: relaysParam,
 		}
 		for _, v := range violations {
 			if v.isReturn && !prog.Sup.Suppresses(mergedetName, prog.Fset.Position(v.pos)) {
@@ -360,7 +471,7 @@ func runMergedet(pass *analysis.Pass) (interface{}, error) {
 	}
 	store := mergedetFacts(prog)
 	for _, f := range prog.FuncsOf(pass.Pkg.Path()) {
-		violations, _ := mergeAnalyze(f, store)
+		violations, _, _ := mergeAnalyze(f, store)
 		for _, v := range violations {
 			pass.Reportf(v.pos, "merged result %s in arrival order: it derives from channel-receive order (scheduling-dependent), not ingress seq IDs; sort by the sequence numbers (mergeKey/sortPairs style) before emitting — this is the static twin of TestMergeOrder", v.what)
 		}

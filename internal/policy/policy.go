@@ -1,8 +1,9 @@
 // Package policy implements the cache-replacement policies compared in the
 // paper's joining experiments: the oblivious RAND, the hardwired heuristics
 // PROB and LIFE of Das et al. (window-aware variants, as in Section 6.2),
-// the paper's HEEB in its direct, time-incremental and precomputed (h1/h2)
-// forms, and the FlowExpect algorithm of Section 3.
+// the paper's HEEB (one scorer over the persistent forecast window, with the
+// exact coordinate memo that Corollary 5 and Theorem 5(2) allow), and the
+// FlowExpect algorithm of Section 3.
 package policy
 
 import (

@@ -25,9 +25,10 @@
 package shardrt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stochstream/internal/engine"
 	"stochstream/internal/flightrec"
@@ -195,7 +196,13 @@ type Runtime struct {
 	batches  int
 	merged   int
 	//lint:ignore snapcomplete merge buffer handed to the caller each batch; Checkpoint runs between IngestBatch calls, when it is dead
-	out    []Pair
+	out []Pair
+	// runs is room for one sorted run per shard (length 0, capacity
+	// Shards): a dispatch gathers the shards' outputs into it and mergeRuns
+	// clears them, so no shard's batch output outlives its dispatch and a
+	// Checkpoint (taken between IngestBatch calls) finds it empty. The field
+	// itself is only ever set by New.
+	runs   [][]Pair
 	closed bool
 
 	reg        *telemetry.Registry // coordinator registry (nil without telemetry)
@@ -219,6 +226,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:   cfg,
 		lanes: make([][2][]engine.Tuple, cfg.Shards),
+		runs:  make([][]Pair, 0, cfg.Shards),
 	}
 	if cfg.Telemetry {
 		rt.reg = telemetry.NewRegistry()
@@ -284,8 +292,8 @@ func shardSeed(seed uint64, i int) uint64 {
 }
 
 // run is the shard worker: it steps every batch it receives and answers with
-// the converted pairs. A policy panic is captured and surfaced as the
-// batch's error instead of deadlocking the coordinator.
+// the converted pairs in merge order. A policy panic is captured and
+// surfaced as the batch's error instead of deadlocking the coordinator.
 func (sh *shard) run() {
 	for batch := range sh.in {
 		sh.res <- sh.step(batch)
@@ -299,12 +307,48 @@ func (sh *shard) step(batch []engine.TuplePair) (out shardResult) {
 			out = shardResult{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
 		}
 	}()
-	pairs := sh.eng.StepBatch(batch)
-	conv := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		conv[i] = convertPair(p, sh.id)
+	return shardResult{pairs: sortedRun(sh.eng.StepBatch(batch), sh.id)}
+}
+
+// runKey is one engine pair's merge key and its index in the engine's
+// output. It holds no pointers: ordering a batch moves 24-byte records the
+// collector never looks at, and each 80-byte Pair is written exactly once.
+type runKey struct {
+	trigSeq, partSeq uint64
+	idx              int
+}
+
+// sortedRun copies one StepBatch output out of the engine-owned slice as
+// Pairs in merge order, on the worker goroutine: the engine emits in
+// shard-local step order, which differs from merge order whenever one lane
+// lags the other (the cached partner then carries the higher sequence
+// number and is the trigger). The coordinator only merges the shards' runs.
+func sortedRun(pairs []engine.Pair, shard int) []Pair {
+	// Most batches of the low-fanout workloads emit a handful of pairs;
+	// their keys stay on the stack.
+	var small [32]runKey
+	keys := small[:0]
+	if len(pairs) > len(small) {
+		keys = make([]runKey, 0, len(pairs))
 	}
-	return shardResult{pairs: conv}
+	for i := range pairs {
+		trig, part := pairs[i].R.Payload.(Tagged).Seq, pairs[i].S.Payload.(Tagged).Seq
+		if trig < part {
+			trig, part = part, trig
+		}
+		keys = append(keys, runKey{trigSeq: trig, partSeq: part, idx: i})
+	}
+	slices.SortFunc(keys, func(a, b runKey) int {
+		if a.trigSeq != b.trigSeq {
+			return cmp.Compare(a.trigSeq, b.trigSeq)
+		}
+		return cmp.Compare(a.partSeq, b.partSeq)
+	})
+	run := make([]Pair, len(keys))
+	for i, k := range keys {
+		run[i] = convertPair(pairs[k.idx], shard)
+	}
+	return run
 }
 
 // IngestBatch feeds a batch of global steps and returns every pair produced
@@ -405,7 +449,7 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		sh.in <- batch
 		sh.pending = true
 	}
-	out := rt.out[:0]
+	runs := rt.runs[:0]
 	var firstErr error
 	for _, sh := range rt.shards {
 		if !sh.pending {
@@ -416,12 +460,13 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
-		out = append(out, res.pairs...)
+		runs = append(runs, res.pairs)
 	}
+	// Merged before the error check so the runs are released either way.
+	out := mergeRuns(rt.out[:0], runs)
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	sortPairs(out)
 	rt.out = out
 	rt.merged += len(out)
 	rt.batches++
@@ -553,19 +598,65 @@ func (rt *Runtime) Recorder(i int) *flightrec.Recorder { return rt.shards[i].rec
 // with one.
 func (rt *Runtime) Shard(i int) *engine.Join { return rt.shards[i].eng }
 
-// sortPairs orders merged results by (trigger, partner) sequence: the later
-// (triggering) arrival first, ties broken by the cached partner's sequence.
+// mergeRuns appends the N-way merge of the shards' sorted runs to out and
+// leaves runs cleared. Results are ordered by (trigger, partner) sequence:
+// the later (triggering) arrival first, then the cached partner's sequence.
 // The key is unique — two tuples pair at most once — so the order is total
-// and deterministic regardless of shard interleaving.
-func sortPairs(out []Pair) {
-	sort.Slice(out, func(a, b int) bool {
-		ta, pa := mergeKey(out[a])
-		tb, pb := mergeKey(out[b])
-		if ta != tb {
-			return ta < tb
+// and deterministic regardless of which shard answered first. An arrival's
+// pairs all come from its key's shard, so the merged order is made of
+// same-shard stretches: each round finds the run with the lowest head and
+// copies its whole prefix below the runner-up's head at once.
+func mergeRuns(out []Pair, runs [][]Pair) []Pair {
+	total := 0
+	live := runs[:0]
+	for _, run := range runs {
+		if len(run) > 0 {
+			live = append(live, run)
+			total += len(run)
 		}
-		return pa < pb
-	})
+	}
+	out = slices.Grow(out, total)
+	for len(live) > 1 {
+		lo, next := 0, 1
+		if pairLess(&live[1][0], &live[0][0]) {
+			lo, next = 1, 0
+		}
+		for i := 2; i < len(live); i++ {
+			switch head := &live[i][0]; {
+			case pairLess(head, &live[lo][0]):
+				lo, next = i, lo
+			case pairLess(head, &live[next][0]):
+				next = i
+			}
+		}
+		run, bound := live[lo], &live[next][0]
+		n := 1
+		for n < len(run) && pairLess(&run[n], bound) {
+			n++
+		}
+		out = append(out, run[:n]...)
+		if n < len(run) {
+			live[lo] = run[n:]
+		} else {
+			live[lo] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	if len(live) == 1 {
+		out = append(out, live[0]...)
+	}
+	clear(runs)
+	return out
+}
+
+// pairLess is the merge order on two pairs.
+func pairLess(a, b *Pair) bool {
+	ta, pa := mergeKey(*a)
+	tb, pb := mergeKey(*b)
+	if ta != tb {
+		return ta < tb
+	}
+	return pa < pb
 }
 
 func mergeKey(p Pair) (trigger, partner uint64) {

@@ -358,11 +358,10 @@ func (s *Server) engineIngest(req *ingestReq) {
 	credits := req.sess.ack(req.base, len(req.steps), s.cfg.Credits, s.nowNanos())
 	// A join-heavy batch's reply can exceed the frame payload cap; the
 	// chunked encoding keeps every frame legal and replays as a unit.
-	frame := wire.EncodeResultsFrames(wire.Results{
+	frame := wire.EncodeResultsFramesFrom(wire.Results{
 		AckSeq:  req.base,
 		Credits: uint32(credits),
-		Pairs:   pairsToWire(pairs),
-	})
+	}, mergedPairs(pairs))
 	req.sess.setReplay(req.base, frame)
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
@@ -383,12 +382,11 @@ func (s *Server) engineFlush(req *ingestReq) {
 	// Flush results are not buffered for replay: a flush drains carried
 	// lane tails, so re-running one after reconnect yields nothing — the
 	// client treats a lost flush response as an empty flush.
-	s.deliver(req.sess, wire.EncodeResultsFrames(wire.Results{
+	s.deliver(req.sess, wire.EncodeResultsFramesFrom(wire.Results{
 		AckSeq:  ack,
 		Credits: uint32(credits),
 		Flush:   true,
-		Pairs:   pairsToWire(pairs),
-	}), true)
+	}, mergedPairs(pairs)), true)
 }
 
 // deliver sends a frame to the session's current attachment (which may be
@@ -946,18 +944,21 @@ func payloadToWire(v interface{}) []byte {
 	return nil
 }
 
-func pairsToWire(pairs []shardrt.Pair) []wire.Pair {
-	out := make([]wire.Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = wire.Pair{
-			RSeq: p.RSeq, SSeq: p.SSeq,
-			RKey: int64(p.R.Key), SKey: int64(p.S.Key),
-			Shard: uint16(p.Shard), SameStep: p.SameStep,
-			RPayload: payloadToWire(p.R.Payload),
-			SPayload: payloadToWire(p.S.Payload),
-		}
-	}
-	return out
+// mergedPairs is the wire encoder's view of the runtime's merged output:
+// Results frames are written straight from the slice IngestBatch/Flush
+// returned, which the runtime reuses on its next call — the encode must
+// finish (it does: the engine loop is the runtime's only driver) before then.
+type mergedPairs []shardrt.Pair
+
+func (ps mergedPairs) Len() int { return len(ps) }
+
+func (ps mergedPairs) Fields(i int) (rseq, sseq uint64, rkey, skey int64, shard uint16, sameStep bool) {
+	p := &ps[i]
+	return p.RSeq, p.SSeq, int64(p.R.Key), int64(p.S.Key), uint16(p.Shard), p.SameStep
+}
+
+func (ps mergedPairs) Payloads(i int) (r, s []byte) {
+	return payloadToWire(ps[i].R.Payload), payloadToWire(ps[i].S.Payload)
 }
 
 // --- checkpoint -----------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -255,8 +256,11 @@ func EncodeWelcome(f Welcome) []byte {
 // MaxFramePayload, mirroring the encoder below exactly.
 const IngestHeaderSize = 8 + 4
 
+// minStepSize is the encoded length of a step with two absent payloads.
+const minStepSize = 8 + 8 + 4 + 4
+
 func StepSize(st *Step) int {
-	return 8 + 8 + 4 + 4 + len(st.RPayload) + len(st.SPayload)
+	return minStepSize + len(st.RPayload) + len(st.SPayload)
 }
 
 func EncodeIngest(f Ingest) []byte {
@@ -278,119 +282,134 @@ const (
 	resultsFlagMore  = 1 << 1
 )
 
-func appendResults(w *wireBuf, f Results) {
-	w.u64(f.AckSeq)
-	w.u32(f.Credits)
-	var flags uint8
-	if f.Flush {
-		flags |= resultsFlagFlush
-	}
-	if f.More {
-		flags |= resultsFlagMore
-	}
-	w.u8(flags)
-	w.u32(uint32(len(f.Pairs)))
-	for i := range f.Pairs {
-		p := &f.Pairs[i]
-		w.u64(p.RSeq)
-		w.u64(p.SSeq)
-		w.i64(p.RKey)
-		w.i64(p.SKey)
-		w.u16(p.Shard)
-		if p.SameStep {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.blob(p.RPayload)
-		w.blob(p.SPayload)
-	}
-}
-
-func EncodeResults(f Results) []byte {
-	var w wireBuf
-	appendResults(&w, f)
-	return w.b
-}
-
 // resultsHeaderSize is the fixed payload prefix of a Results frame
 // (AckSeq + Credits + flags + pair count).
 const resultsHeaderSize = 8 + 4 + 1 + 4
 
-// pairSize is the exact encoded length of one pair.
-func pairSize(p *Pair) int {
-	return 8 + 8 + 8 + 8 + 2 + 1 + 4 + 4 + len(p.RPayload) + len(p.SPayload)
+// minPairSize is the encoded length of a pair with two absent payloads
+// (four 8-byte fields, shard, same-step byte, two blob length prefixes).
+const minPairSize = 8 + 8 + 8 + 8 + 2 + 1 + 4 + 4
+
+// PairSource is a reply's pair listing in emission order, read by the
+// Results encoder one pair at a time: the daemon implements it over the
+// runtime's merged pairs, so a reply goes from the merge to frame bytes
+// without an intermediate []Pair. A pair is read in two parts that each fit
+// the return registers — an 88-byte Pair returned through an interface is
+// copied twice per call. Payloads is called twice per index (sizing, then
+// writing); the blobs are copied into the frame, never retained.
+type PairSource interface {
+	Len() int
+	// Fields returns pair i's fixed-width fields.
+	Fields(i int) (rseq, sseq uint64, rkey, skey int64, shard uint16, sameStep bool)
+	// Payloads returns pair i's payload blobs; nil is an absent payload.
+	Payloads(i int) (r, s []byte)
 }
 
-// resultsSize is the exact encoded payload length of f, so the hot reply
-// path can allocate once.
-func resultsSize(f Results) int {
-	n := resultsHeaderSize
-	for i := range f.Pairs {
-		n += pairSize(&f.Pairs[i])
+type pairSlice []Pair
+
+func (ps pairSlice) Len() int { return len(ps) }
+
+func (ps pairSlice) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
+	p := &ps[i]
+	return p.RSeq, p.SSeq, p.RKey, p.SKey, p.Shard, p.SameStep
+}
+
+func (ps pairSlice) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
+
+// encodeResults is the one Results encoder. It writes the reply described by
+// f's header fields over the pairs of src (f.Pairs is not read) in a single
+// exact-size allocation: with framed set, as complete frames whose payloads
+// stay within limit, otherwise as one bare payload. A chunk closes when the
+// next pair would overflow it and always takes at least one pair; every
+// chunk repeats AckSeq, Credits and Flush, and all but the last set More.
+func encodeResults(f Results, src PairSource, framed bool, limit int) []byte {
+	type span struct{ end, size int }
+	var one [1]span // a reply is one frame unless it outgrows the limit
+	spans := one[:0]
+	n := src.Len()
+	start, size, total := 0, resultsHeaderSize, 0
+	for i := 0; i < n; i++ {
+		r, s := src.Payloads(i)
+		sz := minPairSize + len(r) + len(s)
+		if i > start && size+sz > limit {
+			spans = append(spans, span{i, size})
+			total += size
+			start, size = i, resultsHeaderSize
+		}
+		size += sz
 	}
-	return n
+	spans = append(spans, span{n, size})
+	total += size
+	if framed {
+		total += 5 * len(spans)
+	}
+
+	w := wireBuf{b: make([]byte, 0, total)}
+	i := 0
+	for k, sp := range spans {
+		if framed {
+			w.u8(TypeResults)
+			w.u32(uint32(sp.size))
+		}
+		w.u64(f.AckSeq)
+		w.u32(f.Credits)
+		var flags uint8
+		if f.Flush {
+			flags |= resultsFlagFlush
+		}
+		if f.More || k < len(spans)-1 {
+			flags |= resultsFlagMore
+		}
+		w.u8(flags)
+		w.u32(uint32(sp.end - i))
+		for ; i < sp.end; i++ {
+			rseq, sseq, rkey, skey, shard, sameStep := src.Fields(i)
+			w.u64(rseq)
+			w.u64(sseq)
+			w.i64(rkey)
+			w.i64(skey)
+			w.u16(shard)
+			if sameStep {
+				w.u8(1)
+			} else {
+				w.u8(0)
+			}
+			r, s := src.Payloads(i)
+			w.blob(r)
+			w.blob(s)
+		}
+	}
+	return w.b
 }
 
-// EncodeResultsFrame builds the complete Results frame (header included) in
-// one exact-size allocation. A large batch's reply runs to megabytes of
-// pairs; encoding it through append-doubling plus Frame's payload copy costs
-// several redundant passes over the buffer, which is the dominant daemon
-// overhead versus calling the runtime directly. Callers that may exceed
-// MaxFramePayload use EncodeResultsFrames instead.
+// EncodeResults encodes f as one bare Results payload (no frame header, no
+// size cap) — the reference form of the codec tests.
+func EncodeResults(f Results) []byte {
+	return encodeResults(f, pairSlice(f.Pairs), false, math.MaxInt)
+}
+
+// EncodeResultsFrame builds the complete Results frame (header included).
+// Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
 func EncodeResultsFrame(f Results) []byte {
-	size := resultsSize(f)
-	var w wireBuf
-	w.b = make([]byte, 0, 5+size)
-	w.u8(TypeResults)
-	w.u32(uint32(size))
-	appendResults(&w, f)
-	return w.b
+	return encodeResults(f, pairSlice(f.Pairs), true, math.MaxInt)
 }
 
 // EncodeResultsFrames encodes f as one or more complete Results frames
 // concatenated into a single byte slice, splitting the pair listing so that
 // no frame payload exceeds MaxFramePayload (a join-heavy batch can produce
-// a reply far larger than the ingest that caused it). Every chunk repeats
-// AckSeq, Credits and Flush; all but the last set More. Because ingest
+// a reply far larger than the ingest that caused it). Because ingest
 // payloads are capped at MaxPayloadBytes, a single pair always fits a
 // frame, so the split cannot fail. The concatenation is the daemon's unit
 // of delivery and replay — one writer-queue entry, one replay buffer — and
 // decodes on the client as an ordinary frame sequence.
 func EncodeResultsFrames(f Results) []byte {
-	if resultsSize(f) <= MaxFramePayload {
-		return EncodeResultsFrame(f)
-	}
-	// Greedy size-based cuts: close a chunk when the next pair would
-	// overflow it (a chunk always takes at least one pair).
-	type span struct{ start, end, size int }
-	var spans []span
-	start, size := 0, resultsHeaderSize
-	for i := range f.Pairs {
-		sz := pairSize(&f.Pairs[i])
-		if i > start && size+sz > MaxFramePayload {
-			spans = append(spans, span{start, i, size})
-			start, size = i, resultsHeaderSize
-		}
-		size += sz
-	}
-	spans = append(spans, span{start, len(f.Pairs), size})
+	return encodeResults(f, pairSlice(f.Pairs), true, MaxFramePayload)
+}
 
-	total := 0
-	for _, sp := range spans {
-		total += 5 + sp.size
-	}
-	var w wireBuf
-	w.b = make([]byte, 0, total)
-	for k, sp := range spans {
-		chunk := f
-		chunk.Pairs = f.Pairs[sp.start:sp.end]
-		chunk.More = k < len(spans)-1
-		w.u8(TypeResults)
-		w.u32(uint32(sp.size))
-		appendResults(&w, chunk)
-	}
-	return w.b
+// EncodeResultsFramesFrom is EncodeResultsFrames with the pair listing read
+// from src instead of f.Pairs.
+func EncodeResultsFramesFrom(f Results, src PairSource) []byte {
+	return encodeResults(f, src, true, MaxFramePayload)
 }
 
 func EncodeError(f ErrorFrame) []byte {
@@ -479,6 +498,30 @@ func (c *wireCursor) blob() []byte {
 	return out
 }
 
+// flag reads a boolean byte; anything but 0 or 1 is a frame violation, so
+// decoding is the exact inverse of encoding.
+func (c *wireCursor) flag() bool {
+	b := c.u8()
+	if b > 1 && c.err == nil {
+		c.err = fmt.Errorf("%w: boolean byte 0x%02x (want 0 or 1)", ErrBadFrame, b)
+	}
+	return b == 1
+}
+
+// count reads an element count and rejects one the rest of the payload
+// cannot hold at minSize bytes an element, so the slice a decoder
+// preallocates from it is bounded by the bytes actually received.
+func (c *wireCursor) count(minSize int, what string) int {
+	n := c.u32()
+	if c.err == nil && uint64(n) > uint64(len(c.b)/minSize) {
+		c.err = fmt.Errorf("%w: %d %s claimed, %d payload bytes left hold at most %d", ErrBadFrame, n, what, len(c.b), len(c.b)/minSize)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // done rejects trailing garbage after a complete decode.
 func (c *wireCursor) done() error {
 	if c.err != nil {
@@ -532,14 +575,12 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 func DecodeIngest(b []byte) (Ingest, error) {
 	c := wireCursor{b: b}
 	f := Ingest{Base: c.u64()}
-	n := c.u32()
-	if c.err == nil && n > MaxBatchSteps {
+	n := c.count(minStepSize, "steps")
+	if n > MaxBatchSteps {
 		return Ingest{}, fmt.Errorf("%w: batch of %d steps exceeds cap %d", ErrBadFrame, n, MaxBatchSteps)
 	}
-	if c.err == nil {
-		f.Steps = make([]Step, 0, n)
-	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
+	f.Steps = make([]Step, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
 		f.Steps = append(f.Steps, Step{
 			RKey: c.i64(), SKey: c.i64(),
 			RPayload: c.blob(), SPayload: c.blob(),
@@ -560,18 +601,13 @@ func DecodeResults(b []byte) (Results, error) {
 	}
 	f.Flush = flags&resultsFlagFlush != 0
 	f.More = flags&resultsFlagMore != 0
-	n := c.u32()
-	if c.err == nil && n > MaxFramePayload/16 {
-		return Results{}, fmt.Errorf("%w: pair count %d implausible for payload size", ErrBadFrame, n)
-	}
-	if c.err == nil {
-		f.Pairs = make([]Pair, 0, n)
-	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
+	n := c.count(minPairSize, "pairs")
+	f.Pairs = make([]Pair, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
 		f.Pairs = append(f.Pairs, Pair{
 			RSeq: c.u64(), SSeq: c.u64(),
 			RKey: c.i64(), SKey: c.i64(),
-			Shard: c.u16(), SameStep: c.u8() == 1,
+			Shard: c.u16(), SameStep: c.flag(),
 			RPayload: c.blob(), SPayload: c.blob(),
 		})
 	}

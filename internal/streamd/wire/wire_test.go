@@ -2,9 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -133,6 +137,26 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		t.Fatal("reassembled pairs diverge from input")
 	}
 
+	// Encoding from a pair source is the same bytes, and each chunk is the
+	// frame the reference form builds from that chunk alone: same cuts,
+	// same More flags, same header repeats.
+	hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
+	if !bytes.Equal(EncodeResultsFramesFrom(hdr, builtPairs(f.Pairs)), buf) {
+		t.Fatal("chunked reply from a pair source diverges from EncodeResultsFrames")
+	}
+	var want []byte
+	for at, k := 0, 0; k < len(mores); k++ {
+		rd := bytes.NewReader(buf[len(want):])
+		_, payload, _ := ReadFrame(rd)
+		chunk, _ := DecodeResults(payload)
+		chunk.Pairs = f.Pairs[at : at+len(chunk.Pairs)]
+		at += len(chunk.Pairs)
+		want = append(want, Frame(TypeResults, EncodeResults(chunk))...)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("chunked reply diverges from its chunks framed one by one")
+	}
+
 	// The small path stays a single frame, byte-identical to the direct
 	// encoder.
 	small := Results{AckSeq: 3, Credits: 10, Pairs: []Pair{{RSeq: 1, SSeq: 2, RPayload: []byte("x")}}}
@@ -140,6 +164,19 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		t.Fatal("single-frame reply diverges from EncodeResultsFrame")
 	}
 }
+
+// builtPairs is a PairSource outside the package's own, standing in for the
+// daemon's view of the runtime's merged output.
+type builtPairs []Pair
+
+func (ps builtPairs) Len() int { return len(ps) }
+
+func (ps builtPairs) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
+	p := ps[i]
+	return p.RSeq, p.SSeq, p.RKey, p.SKey, p.Shard, p.SameStep
+}
+
+func (ps builtPairs) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
 
 func TestErrorRoundTrip(t *testing.T) {
 	in := ErrorFrame{Code: CodeOverloaded, RetryAfterMillis: 50, Msg: "queue full"}
@@ -207,9 +244,10 @@ func TestDecodeIngestRejectsOversizeBatch(t *testing.T) {
 	}
 }
 
-// TestEncodeResultsFrameEquivalence pins the fast path to the reference
-// encoder: the single-allocation frame must be byte-identical to
-// Frame(TypeResults, EncodeResults(f)).
+// TestEncodeResultsFrameEquivalence pins every single-frame entry of the
+// Results encoder — from f.Pairs and from a pair source — to the reference
+// form Frame(TypeResults, EncodeResults(f)), and the format itself to bytes
+// recorded from the encoder this one replaced.
 func TestEncodeResultsFrameEquivalence(t *testing.T) {
 	cases := []Results{
 		{},
@@ -221,10 +259,102 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 	}
 	for i, f := range cases {
 		want := Frame(TypeResults, EncodeResults(f))
-		got := EncodeResultsFrame(f)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: fast frame diverges from reference (%d vs %d bytes)", i, len(got), len(want))
+		hdr := f
+		hdr.Pairs = nil
+		for name, got := range map[string][]byte{
+			"EncodeResultsFrame":      EncodeResultsFrame(f),
+			"EncodeResultsFrames":     EncodeResultsFrames(f),
+			"EncodeResultsFramesFrom": EncodeResultsFramesFrom(hdr, builtPairs(f.Pairs)),
+		} {
+			if !bytes.Equal(got, want) {
+				t.Errorf("case %d: %s diverges from reference (%d vs %d bytes)", i, name, len(got), len(want))
+			}
 		}
+	}
+	const recorded = "040000006c0000000000000003000000640100000002" +
+		"0000000000000008000000000000000900000000000000040000000000000004000201000000027270ffffffff" +
+		"0000000000000002000000000000000bffffffffffffffffffffffffffffffff0000000000000000000003010203"
+	two := cases[2]
+	two.Flush = true
+	if got := hex.EncodeToString(EncodeResultsFrames(two)); got != recorded {
+		t.Errorf("frame bytes changed:\n got %s\nwant %s", got, recorded)
+	}
+}
+
+// TestDecodeRejectsHostileCounts: a claimed element count the payload cannot
+// hold is a frame violation, caught before the decoder sizes a slice from it
+// — a 17-byte Results payload used to preallocate 23 MB, a 12-byte Ingest
+// payload 512 KiB.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	results := EncodeResults(Results{AckSeq: 1})
+	ingest := EncodeIngest(Ingest{Base: 1})
+	onePair := EncodeResults(Results{AckSeq: 1, Pairs: []Pair{{RSeq: 1, SSeq: 2}}})
+	oneStep := EncodeIngest(Ingest{Base: 1, Steps: []Step{{RKey: 1, SKey: 2}}})
+	setCount := func(b []byte, at int, n uint32) []byte {
+		out := append([]byte(nil), b...)
+		binary.BigEndian.PutUint32(out[at:], n)
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"results/empty claims the old cap", setCount(results, 13, MaxFramePayload/16),
+			func(b []byte) error { _, err := DecodeResults(b); return err }},
+		{"results/empty claims max", setCount(results, 13, 0xFFFFFFFF),
+			func(b []byte) error { _, err := DecodeResults(b); return err }},
+		{"results/one pair claims two", setCount(onePair, 13, 2),
+			func(b []byte) error { _, err := DecodeResults(b); return err }},
+		{"ingest/empty claims the cap", setCount(ingest, 8, MaxBatchSteps),
+			func(b []byte) error { _, err := DecodeIngest(b); return err }},
+		{"ingest/one step claims two", setCount(oneStep, 8, 2),
+			func(b []byte) error { _, err := DecodeIngest(b); return err }},
+	} {
+		// TotalAlloc is process-wide; the least of a few readings is the
+		// decoder's own.
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 5; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := tc.decode(tc.payload)
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: err = %v, want ErrBadFrame", tc.name, err)
+			}
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if least >= 1024 {
+			t.Errorf("%s: decoder allocated %d bytes before rejecting, want < 1 KiB", tc.name, least)
+		}
+	}
+	// A count the payload does hold still decodes: absent payloads make the
+	// smallest legal pair and step.
+	if f, err := DecodeResults(onePair); err != nil || len(f.Pairs) != 1 {
+		t.Errorf("minimal pair: %d pairs, err %v", len(f.Pairs), err)
+	}
+	if f, err := DecodeIngest(oneStep); err != nil || len(f.Steps) != 1 {
+		t.Errorf("minimal step: %d steps, err %v", len(f.Steps), err)
+	}
+}
+
+// TestDecodeResultsRejectsBadSameStepByte: only 0 and 1 are booleans, so
+// decode(encode(x)) == x has no second preimage.
+func TestDecodeResultsRejectsBadSameStepByte(t *testing.T) {
+	payload := EncodeResults(Results{AckSeq: 1, Pairs: []Pair{{RSeq: 1, SSeq: 2, SameStep: true}}})
+	const at = resultsHeaderSize + 8 + 8 + 8 + 8 + 2
+	if payload[at] != 1 {
+		t.Fatalf("same-step byte not at offset %d", at)
+	}
+	for _, v := range []byte{2, 0x80, 0xFF} {
+		payload[at] = v
+		if _, err := DecodeResults(payload); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("same-step byte 0x%02x: err = %v, want ErrBadFrame", v, err)
+		}
+	}
+	payload[at] = 0
+	if f, err := DecodeResults(payload); err != nil || f.Pairs[0].SameStep {
+		t.Errorf("same-step byte 0: pair %+v, err %v", f.Pairs, err)
 	}
 }
 

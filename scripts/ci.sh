@@ -233,6 +233,7 @@ echo "==> perf gate self-test"
 
 echo "==> bench smoke"
 go test -run '^$' -bench BenchmarkStep -benchtime 100x .
+go test -run '^$' -bench BenchmarkDispatchMerge -benchtime 100x ./internal/shardrt
 go run ./bench -scale tiny -seconds 0.2
 
 echo "ci: all gates passed"
