@@ -72,41 +72,9 @@ func (j *Join) Resize(newSize int) error {
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseEvict)
 	}
-	j.tuples = j.tuples[:0]
-	for i := range j.cache {
-		j.tuples = append(j.tuples, j.cache[i].t)
-	}
-	evict := j.policy.Evict(j.state, j.tuples, need)
-	if len(evict) != need {
-		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
-	}
-	total := len(j.tuples)
-	if cap(j.drop) < total {
-		j.drop = make([]bool, total)
-	}
-	drop := j.drop[:total]
-	for _, i := range evict {
-		if i < 0 || i >= total || drop[i] {
-			panic(fmt.Sprintf("engine: policy %s returned invalid eviction %d", j.policy.Name(), i))
-		}
-		drop[i] = true
-	}
-	j.m.Evictions += need
-	kept := j.cache[:0]
-	for i := 0; i < total; i++ {
-		if drop[i] {
-			j.indexRemove(&j.cache[i])
-			if j.rec != nil {
-				j.lifeTuple(flightrec.LifeEvict, j.time, j.cache[i].t, 0)
-			}
-		} else {
-			kept = append(kept, j.cache[i])
-		}
-	}
-	j.cache = kept
-	for _, i := range evict {
-		drop[i] = false
-	}
+	n := len(j.cache)
+	evict := j.policy.Evict(j.state, j.cache[:n:n], need)
+	j.cut(j.time, j.sortedVictims(evict, n, need), n)
 	if j.evictCount != nil {
 		j.evictCount.Add(int64(need))
 	}

@@ -111,8 +111,8 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 			append([]int(nil), j.hists[1].Values()...),
 		},
 	}
-	for i, e := range j.cache {
-		wire.Cache[i] = cacheEntryWire{Tuple: e.t, Payload: e.payload}
+	for i, tp := range j.cache {
+		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.payloads[i]}
 	}
 	rngBytes, err := j.state.RNG.MarshalBinary()
 	if err != nil {
@@ -195,6 +195,8 @@ func (j *Join) Restore(r io.Reader) error {
 	j.state.Time = wire.Time - 1
 	j.state.RNG = rng
 	j.cache = j.cache[:0]
+	clear(j.payloads)
+	j.payloads = j.payloads[:0]
 	if j.cfg.Band == 0 {
 		j.equi = [2]map[int][]int{{}, {}}
 		j.ord = [2][]valID{}
@@ -203,7 +205,7 @@ func (j *Join) Restore(r io.Reader) error {
 		j.ord = [2][]valID{nil, nil}
 	}
 	for _, e := range wire.Cache {
-		j.admit(entry{t: e.Tuple, payload: e.Payload})
+		j.admit(e.Tuple, e.Payload)
 	}
 	return nil
 }

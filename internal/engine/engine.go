@@ -8,15 +8,19 @@
 // The hot path is indexed: equijoins probe a per-stream hash index on the
 // join key, band joins probe a per-stream ordered (value, ID) index, and
 // window expiry is a binary-search prefix cut instead of a scan. All
-// per-step scratch (candidate tuples, eviction marks, match buffers, the
-// output slice) is reused across steps. ReferenceJoin in this package is the
-// obvious linear-scan implementation with identical semantics; the
-// differential tests hold the two byte-identical.
+// per-step scratch (sorted victim positions, match buffers, the output
+// slice) is reused across steps, and a replacement decision copies nothing it
+// does not evict past: the candidate slice a policy sees is the cache itself
+// (see Join.cache), and its victims leave in one order-preserving cut.
+// ReferenceJoin in this package is the obvious linear-scan implementation
+// with identical semantics; the differential tests hold the two
+// byte-identical.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"stochstream/internal/core"
@@ -114,15 +118,23 @@ type Join struct {
 	policy join.Policy
 	hists  [2]*process.History
 	state  *join.State
-	// cache holds the admitted entries in ascending ID order, which is also
+	// cache holds the admitted tuples in ascending ID order, which is also
 	// arrival order — Step appends fresh IDs and evictions preserve order.
 	// Two invariants follow: Arrived is nondecreasing along the slice (so
 	// window expiry is a prefix), and iterating the cache front to back is
 	// the seed implementation's emission order.
-	cache  []entry
-	nextID int
-	time   int
-	m      Metrics
+	//
+	// The slice is pointer-free and doubles as the policy's candidate slice:
+	// a replacement decision writes the step's two arrivals into its spare
+	// capacity and hands policy.Evict cache[:n+2:n+2] — no per-step copy, and
+	// the clamped capacity keeps a policy's append out of engine memory.
+	// payloads[i] is cache[i]'s opaque payload, kept apart so that candidate
+	// slice stays []join.Tuple.
+	cache    []join.Tuple
+	payloads []interface{}
+	nextID   int
+	time     int
+	m        Metrics
 
 	// equi indexes the cache for Band == 0: per stream, join key → IDs of
 	// cached entries with that key, ascending. Empty buckets are deleted so
@@ -138,12 +150,11 @@ type Join struct {
 	// batchOut StepBatch results; they are distinct so an interleaved
 	// Step/StepBatch sequence cannot alias a still-visible result slice
 	// sooner than the documented "valid until the next call" contract.
-	out      []Pair       //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	batchOut []Pair       //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	tuples   []join.Tuple //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	drop     []bool       //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	probeR   []int        //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	probeS   []int        //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	out      []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	batchOut []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	victims  []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	probeR   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	probeS   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
 
 	// Telemetry handles, resolved once in NewJoin so Step pays only clock
 	// reads and atomic writes; all nil when Config.Telemetry is nil.
@@ -161,11 +172,6 @@ type Join struct {
 	now func() int64
 	//lint:ignore snapcomplete mid-step fault note consumed by closeStep; checkpoints run between steps, where it is always empty
 	pendingBundle string
-}
-
-type entry struct {
-	t       join.Tuple
-	payload interface{}
 }
 
 // valID is one ordered-index posting.
@@ -267,10 +273,11 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 
 	// Admission + replacement, mirroring the simulator's candidate order:
 	// cached entries in cache order, then the two arrivals.
-	need := len(j.cache) + 2 - j.cfg.CacheSize
+	nCached := len(j.cache)
+	need := nCached + 2 - j.cfg.CacheSize
 	if need <= 0 {
-		j.admit(entry{t: rT, payload: r.Payload})
-		j.admit(entry{t: sT, payload: s.Payload})
+		j.admit(rT, r.Payload)
+		j.admit(sT, s.Payload)
 		if j.rec != nil {
 			j.lifeTuple(flightrec.LifeAdmit, t, rT, 0)
 			j.lifeTuple(flightrec.LifeAdmit, t, sT, 0)
@@ -278,54 +285,31 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 		j.closeStep(stepSpan, pairs, 0)
 		return out, pairs, 0
 	}
-	j.tuples = j.tuples[:0]
-	for i := range j.cache {
-		j.tuples = append(j.tuples, j.cache[i].t)
-	}
-	j.tuples = append(j.tuples, rT, sT)
+	// The arrivals go into the cache's spare capacity; the cache's length
+	// moves only once the policy's answer has been validated, so a policy
+	// that panics or answers nonsense leaves the operator as it was.
+	cands := append(j.cache, rT, sT)
+	j.cache = cands[:nCached]
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseScore)
 	}
-	evict := j.policy.Evict(j.state, j.tuples, need)
+	evict := j.policy.Evict(j.state, cands[:len(cands):len(cands)], need)
 	if j.rec != nil {
-		j.rec.End(sp, len(j.tuples), int64(need))
-	}
-	if len(evict) != need {
-		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
-	}
-	if j.rec != nil {
+		j.rec.End(sp, len(cands), int64(need))
 		sp = j.rec.Begin(flightrec.PhaseEvict)
 	}
-	total := len(j.tuples)
-	if cap(j.drop) < total {
-		j.drop = make([]bool, total)
+	victims := j.sortedVictims(evict, len(cands), need)
+	j.cache = cands
+	j.payloads = append(j.payloads, r.Payload, s.Payload)
+	j.cut(t, victims, nCached)
+	// need is 1 or 2 here (the cache never exceeds its budget), so these
+	// scans are a compare or two.
+	dropR, dropS := slices.Contains(victims, nCached), slices.Contains(victims, nCached+1)
+	if !dropR {
+		j.indexAdd(rT)
 	}
-	drop := j.drop[:total]
-	for _, i := range evict {
-		if i < 0 || i >= total || drop[i] {
-			panic(fmt.Sprintf("engine: policy %s returned invalid eviction %d", j.policy.Name(), i))
-		}
-		drop[i] = true
-	}
-	j.m.Evictions += need
-	nCached := total - 2
-	kept := j.cache[:0] // forward compaction: write index never passes read index
-	for i := 0; i < nCached; i++ {
-		if drop[i] {
-			j.indexRemove(&j.cache[i])
-			if j.rec != nil {
-				j.lifeTuple(flightrec.LifeEvict, t, j.cache[i].t, 0)
-			}
-		} else {
-			kept = append(kept, j.cache[i])
-		}
-	}
-	j.cache = kept
-	if !drop[nCached] {
-		j.admit(entry{t: rT, payload: r.Payload})
-	}
-	if !drop[nCached+1] {
-		j.admit(entry{t: sT, payload: s.Payload})
+	if !dropS {
+		j.indexAdd(sT)
 	}
 	if j.rec != nil {
 		arrivalKind := func(dropped bool) flightrec.LifeKind {
@@ -334,17 +318,64 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 			}
 			return flightrec.LifeAdmit
 		}
-		j.lifeTuple(arrivalKind(drop[nCached]), t, rT, 0)
-		j.lifeTuple(arrivalKind(drop[nCached+1]), t, sT, 0)
-	}
-	for _, i := range evict {
-		drop[i] = false
-	}
-	if j.rec != nil {
+		j.lifeTuple(arrivalKind(dropR), t, rT, 0)
+		j.lifeTuple(arrivalKind(dropS), t, sT, 0)
 		j.rec.End(sp, need, int64(len(j.cache)))
 	}
 	j.closeStep(stepSpan, pairs, need)
 	return out, pairs, need
+}
+
+// sortedVictims validates a policy's answer against the decision it was
+// asked for — exactly need distinct positions inside [0, total) — and returns
+// the positions in ascending order. The result is step-scoped scratch: the
+// policy's own slice is left untouched and nothing is mutated before the
+// answer has passed.
+func (j *Join) sortedVictims(evict []int, total, need int) []int {
+	if len(evict) != need {
+		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
+	}
+	victims := append(j.victims[:0], evict...)
+	j.victims = victims
+	slices.Sort(victims)
+	for k, v := range victims {
+		if v < 0 || v >= total || (k > 0 && v == victims[k-1]) {
+			panic(fmt.Sprintf("engine: policy %s returned invalid eviction %d", j.policy.Name(), v))
+		}
+	}
+	return victims
+}
+
+// cut removes the entries at the given ascending, distinct positions from the
+// cache in one order-preserving pass: positions below nIndexed are unindexed
+// first (the step's arrivals beyond it never were indexed), then the
+// survivors between consecutive victims slide down with one copy each. The
+// work is the tail behind the first victim, not the whole cache, and ID order
+// — what window expiry, indexOfID and the policies' tie-breaks rest on —
+// is kept. Shared by stepCore and Resize.
+func (j *Join) cut(t int, victims []int, nIndexed int) {
+	for _, v := range victims {
+		if v >= nIndexed {
+			break
+		}
+		j.indexRemove(j.cache[v])
+		if j.rec != nil {
+			j.lifeTuple(flightrec.LifeEvict, t, j.cache[v], 0)
+		}
+	}
+	total := len(j.cache)
+	w := victims[0]
+	for k, v := range victims {
+		next := total
+		if k+1 < len(victims) {
+			next = victims[k+1]
+		}
+		copy(j.payloads[w:], j.payloads[v+1:next])
+		w += copy(j.cache[w:], j.cache[v+1:next])
+	}
+	clear(j.payloads[w:]) // release the evicted payloads
+	j.cache, j.payloads = j.cache[:w], j.payloads[:w]
+	j.m.Evictions += len(victims)
 }
 
 // pruneExpired evicts every window-expired entry before candidate assembly
@@ -356,21 +387,24 @@ func (j *Join) pruneExpired(t int) int {
 	if w <= 0 || len(j.cache) == 0 {
 		return 0
 	}
-	cut := sort.Search(len(j.cache), func(i int) bool { return t-j.cache[i].t.Arrived <= w })
+	cut := sort.Search(len(j.cache), func(i int) bool { return t-j.cache[i].Arrived <= w })
 	if cut == 0 {
 		return 0
 	}
 	for i := 0; i < cut; i++ {
-		j.indexRemove(&j.cache[i])
+		j.indexRemove(j.cache[i])
 		if j.rec != nil {
-			j.lifeTuple(flightrec.LifeExpire, t, j.cache[i].t, 0)
+			j.lifeTuple(flightrec.LifeExpire, t, j.cache[i], 0)
 		}
 	}
 	j.m.Expired += cut
 	if j.expiredCount != nil {
 		j.expiredCount.Add(int64(cut))
 	}
-	j.cache = append(j.cache[:0], j.cache[cut:]...)
+	n := copy(j.cache, j.cache[cut:])
+	copy(j.payloads, j.payloads[cut:])
+	clear(j.payloads[n:]) // release the expired payloads
+	j.cache, j.payloads = j.cache[:n], j.payloads[:n]
 	return cut
 }
 
@@ -395,18 +429,18 @@ func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
 	i, k := 0, 0
 	for i < len(rm) || k < len(sm) {
 		if k >= len(sm) || (i < len(rm) && rm[i] < sm[k]) {
-			e := j.entryByID(rm[i])
+			c := j.indexOfID(rm[i])
 			i++
-			out = append(out, Pair{Time: t, R: Tuple{Key: e.t.Value, Payload: e.payload}, S: s})
+			out = append(out, Pair{Time: t, R: Tuple{Key: j.cache[c].Value, Payload: j.payloads[c]}, S: s})
 			if j.rec != nil {
-				j.lifeMatch(t, e.t, s.Key, core.StreamS)
+				j.lifeMatch(t, j.cache[c], s.Key, core.StreamS)
 			}
 		} else {
-			e := j.entryByID(sm[k])
+			c := j.indexOfID(sm[k])
 			k++
-			out = append(out, Pair{Time: t, R: r, S: Tuple{Key: e.t.Value, Payload: e.payload}})
+			out = append(out, Pair{Time: t, R: r, S: Tuple{Key: j.cache[c].Value, Payload: j.payloads[c]}})
 			if j.rec != nil {
-				j.lifeMatch(t, e.t, r.Key, core.StreamR)
+				j.lifeMatch(t, j.cache[c], r.Key, core.StreamR)
 			}
 		}
 	}
@@ -460,60 +494,61 @@ func (j *Join) probeMatches(side core.StreamID, k int, ids []int) []int {
 	return ids
 }
 
-// entryByID locates a cached entry by its (index-supplied, hence present)
-// ID via binary search over the ID-ordered cache.
-func (j *Join) entryByID(id int) *entry {
-	i := sort.Search(len(j.cache), func(k int) bool { return j.cache[k].t.ID >= id })
-	return &j.cache[i]
+// indexOfID locates a cached entry's position by its (index-supplied, hence
+// present) ID via binary search over the ID-ordered cache.
+func (j *Join) indexOfID(id int) int {
+	return sort.Search(len(j.cache), func(k int) bool { return j.cache[k].ID >= id })
 }
 
-// admit appends an entry to the cache and indexes it. Admissions always
-// carry the largest IDs seen so far, preserving the cache's ID order.
-func (j *Join) admit(e entry) {
-	j.cache = append(j.cache, e)
-	j.indexAdd(&j.cache[len(j.cache)-1])
+// admit appends a tuple and its payload to the cache and indexes it.
+// Admissions always carry the largest IDs seen so far, preserving the
+// cache's ID order.
+func (j *Join) admit(tp join.Tuple, payload interface{}) {
+	j.cache = append(j.cache, tp)
+	j.payloads = append(j.payloads, payload)
+	j.indexAdd(tp)
 }
 
-func (j *Join) indexAdd(e *entry) {
-	if e.t.Value == process.NoValue {
+func (j *Join) indexAdd(tp join.Tuple) {
+	if tp.Value == process.NoValue {
 		return // can never join; not worth a posting
 	}
 	if j.cfg.Band == 0 {
-		j.equi[e.t.Stream][e.t.Value] = append(j.equi[e.t.Stream][e.t.Value], e.t.ID)
+		j.equi[tp.Stream][tp.Value] = append(j.equi[tp.Stream][tp.Value], tp.ID)
 		return
 	}
-	ord := j.ord[e.t.Stream]
-	x := valID{v: e.t.Value, id: e.t.ID}
+	ord := j.ord[tp.Stream]
+	x := valID{v: tp.Value, id: tp.ID}
 	i := sort.Search(len(ord), func(k int) bool {
 		return ord[k].v > x.v || (ord[k].v == x.v && ord[k].id >= x.id)
 	})
 	ord = append(ord, valID{})
 	copy(ord[i+1:], ord[i:])
 	ord[i] = x
-	j.ord[e.t.Stream] = ord
+	j.ord[tp.Stream] = ord
 }
 
-func (j *Join) indexRemove(e *entry) {
-	if e.t.Value == process.NoValue {
+func (j *Join) indexRemove(tp join.Tuple) {
+	if tp.Value == process.NoValue {
 		return
 	}
 	if j.cfg.Band == 0 {
-		b := j.equi[e.t.Stream]
-		ids := b[e.t.Value]
-		i := sort.SearchInts(ids, e.t.ID)
+		b := j.equi[tp.Stream]
+		ids := b[tp.Value]
+		i := sort.SearchInts(ids, tp.ID)
 		ids = append(ids[:i], ids[i+1:]...)
 		if len(ids) == 0 {
-			delete(b, e.t.Value)
+			delete(b, tp.Value)
 		} else {
-			b[e.t.Value] = ids
+			b[tp.Value] = ids
 		}
 		return
 	}
-	ord := j.ord[e.t.Stream]
+	ord := j.ord[tp.Stream]
 	i := sort.Search(len(ord), func(k int) bool {
-		return ord[k].v > e.t.Value || (ord[k].v == e.t.Value && ord[k].id >= e.t.ID)
+		return ord[k].v > tp.Value || (ord[k].v == tp.Value && ord[k].id >= tp.ID)
 	})
-	j.ord[e.t.Stream] = append(ord[:i], ord[i+1:]...)
+	j.ord[tp.Stream] = append(ord[:i], ord[i+1:]...)
 }
 
 // keysMatch reports whether two join keys match under the band predicate;
@@ -542,11 +577,7 @@ func (j *Join) Metrics() Metrics {
 // Snapshot returns the cached tuples (keys and streams) in cache order, for
 // observability and tests.
 func (j *Join) Snapshot() []join.Tuple {
-	out := make([]join.Tuple, len(j.cache))
-	for i, c := range j.cache {
-		out[i] = c.t
-	}
-	return out
+	return append(make([]join.Tuple, 0, len(j.cache)), j.cache...)
 }
 
 // Input is one synchronized step of arrivals for Run.
@@ -596,12 +627,22 @@ func newDefaultHEEB() join.Policy {
 	return policy.NewHEEB(policy.HEEBOptions{})
 }
 
-type randPolicy struct{ rng *stats.RNG }
+// randPolicy is the paper's RAND baseline and the default without stream
+// models: n victims uniform over the n-subsets of the candidates, in n draws.
+type randPolicy struct {
+	rng *stats.RNG
+	// picks backs the returned victims. The engine consumes them before its
+	// next Evict call (sortedVictims copies them first thing), so reusing the
+	// buffer across decisions is safe; it is rewritten whole every call.
+	//lint:ignore snapcomplete step-scoped scratch, dead between calls
+	picks []int
+}
 
 func (p *randPolicy) Name() string                        { return "RAND" }
 func (p *randPolicy) Reset(_ join.Config, rng *stats.RNG) { p.rng = rng }
 func (p *randPolicy) Evict(_ *join.State, cands []join.Tuple, n int) []int {
-	return p.rng.Perm(len(cands))[:n]
+	p.picks = p.rng.Sample(len(cands), n, p.picks)
+	return p.picks
 }
 
 // SnapshotState implements join.StateSnapshotter: the private RNG is the

@@ -242,7 +242,7 @@ func TestFlightInvariantBundle(t *testing.T) {
 	j, _ := flightJoin(t, Config{CacheSize: 4}, flightrec.Options{BundleDir: dir})
 	j.Step(Tuple{Key: 1}, Tuple{Key: 2})
 	// Corrupt the cache: an ID from the future violates the invariant walk.
-	j.cache[0].t.ID = 99
+	j.cache[0].ID = 99
 	if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) {
 		t.Fatalf("err = %v, want ErrInvariant", err)
 	}

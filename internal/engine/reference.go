@@ -30,6 +30,13 @@ type ReferenceJoin struct {
 	m      Metrics
 }
 
+// entry is the oracle's cache slot: tuple and payload side by side, the
+// obvious layout (Join keeps them in parallel slices).
+type entry struct {
+	t       join.Tuple
+	payload interface{}
+}
+
 // NewReferenceJoin validates the configuration and builds the oracle.
 func NewReferenceJoin(cfg Config) (*ReferenceJoin, error) {
 	if cfg.CacheSize < 1 {

@@ -81,28 +81,30 @@ func (j *Join) checkInvariants() error {
 	if len(j.cache) > j.cfg.CacheSize {
 		return fail("cache holds %d entries, budget %d", len(j.cache), j.cfg.CacheSize)
 	}
+	if len(j.payloads) != len(j.cache) {
+		return fail("cache holds %d tuples and %d payloads", len(j.cache), len(j.payloads))
+	}
 	indexable := 0
-	for i := range j.cache {
-		e := &j.cache[i]
-		if e.t.ID < 0 || e.t.ID >= j.nextID {
-			return fail("entry %d has ID %d outside [0, %d)", i, e.t.ID, j.nextID)
+	for i, e := range j.cache {
+		if e.ID < 0 || e.ID >= j.nextID {
+			return fail("entry %d has ID %d outside [0, %d)", i, e.ID, j.nextID)
 		}
 		if i > 0 {
-			prev := &j.cache[i-1]
-			if e.t.ID <= prev.t.ID {
-				return fail("cache IDs not strictly ascending at %d: %d after %d", i, e.t.ID, prev.t.ID)
+			prev := j.cache[i-1]
+			if e.ID <= prev.ID {
+				return fail("cache IDs not strictly ascending at %d: %d after %d", i, e.ID, prev.ID)
 			}
-			if e.t.Arrived < prev.t.Arrived {
-				return fail("arrival times not nondecreasing at %d: %d after %d", i, e.t.Arrived, prev.t.Arrived)
+			if e.Arrived < prev.Arrived {
+				return fail("arrival times not nondecreasing at %d: %d after %d", i, e.Arrived, prev.Arrived)
 			}
 		}
-		if e.t.Arrived < 0 || e.t.Arrived >= j.time {
-			return fail("entry %d arrived at %d, operator time is %d", i, e.t.Arrived, j.time)
+		if e.Arrived < 0 || e.Arrived >= j.time {
+			return fail("entry %d arrived at %d, operator time is %d", i, e.Arrived, j.time)
 		}
-		if w := j.cfg.Window; w > 0 && (j.time-1)-e.t.Arrived > w {
-			return fail("entry %d (arrived %d) expired at time %d under window %d", i, e.t.Arrived, j.time-1, w)
+		if w := j.cfg.Window; w > 0 && (j.time-1)-e.Arrived > w {
+			return fail("entry %d (arrived %d) expired at time %d under window %d", i, e.Arrived, j.time-1, w)
 		}
-		if e.t.Value != process.NoValue {
+		if e.Value != process.NoValue {
 			indexable++
 		}
 	}
@@ -163,25 +165,17 @@ func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error
 
 // checkPosting verifies one index posting against the cache.
 func (j *Join) checkPosting(side, v, id int, fail func(string, ...interface{}) error) error {
-	e := j.lookupByID(id)
-	if e == nil {
+	// indexOfID without its present-ID precondition: the posting may point
+	// at nothing.
+	i := j.indexOfID(id)
+	if i == len(j.cache) || j.cache[i].ID != id {
 		return fail("index posting (side %d, value %d) points at missing ID %d", side, v, id)
 	}
-	if int(e.t.Stream) != side || e.t.Value != v {
+	if e := j.cache[i]; int(e.Stream) != side || e.Value != v {
 		return fail("index posting (side %d, value %d, ID %d) disagrees with cached (stream %d, value %d)",
-			side, v, id, e.t.Stream, e.t.Value)
+			side, v, id, e.Stream, e.Value)
 	}
 	return nil
-}
-
-// lookupByID is entryByID without the present-ID precondition: it returns
-// nil when the ID is not cached.
-func (j *Join) lookupByID(id int) *entry {
-	i := sort.Search(len(j.cache), func(k int) bool { return j.cache[k].t.ID >= id })
-	if i == len(j.cache) || j.cache[i].t.ID != id {
-		return nil
-	}
-	return &j.cache[i]
 }
 
 // FallbackCounts reports the degradation ladder's per-rung fallback

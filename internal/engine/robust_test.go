@@ -116,14 +116,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	t.Run("equi-index-drift", func(t *testing.T) {
 		j := mk(Config{CacheSize: 6}, 40)
 		// Tamper: change a cached value without re-indexing.
-		j.cache[0].t.Value += 1000000
+		j.cache[0].Value += 1000000
 		if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) {
 			t.Fatalf("got %v, want ErrInvariant", err)
 		}
 	})
 	t.Run("ord-index-drift", func(t *testing.T) {
 		j := mk(Config{CacheSize: 6, Band: 2}, 40)
-		side := j.cache[0].t.Stream
+		side := j.cache[0].Stream
 		j.ord[side] = j.ord[side][:len(j.ord[side])-1]
 		if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) {
 			t.Fatalf("got %v, want ErrInvariant", err)

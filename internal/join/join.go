@@ -84,6 +84,15 @@ type Policy interface {
 	// exactly n of them, unless the policy also implements EagerEvictor, in
 	// which case it may return more (never fewer). candidates holds the
 	// current cache contents followed by the new arrivals.
+	//
+	// candidates may be the operator's live cache itself (internal/engine
+	// hands it over without a copy), so it is read-only, valid for this call
+	// only, and never retained: a policy that needs a tuple later copies the
+	// value; one that writes an element corrupts the operator (the engine's
+	// CheckInvariants reports it). Its capacity equals its length, so append
+	// copies. The returned indices stay the policy's: the caller reads them
+	// before its next Evict call and never writes them, so a policy may
+	// reuse one buffer across calls.
 	Evict(st *State, candidates []Tuple, n int) []int
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // RNG is a deterministic random source. Every experiment in this module
@@ -39,6 +40,30 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+
+// Sample draws k distinct integers from [0, n), every k-subset equally
+// likely, into dst[:k] (grown only when cap(dst) < k) and returns it; the
+// order within the result is unspecified. It is Floyd's algorithm: exactly k
+// IntN draws — with bounds n−k+1, …, n, in that order — against Perm's n−1,
+// and no allocation once dst has the capacity. Membership is a scan of the
+// indices drawn so far, so the cost is O(k²) compares: meant for k ≪ n, the
+// few victims of one replacement decision. It panics unless 0 <= k <= n.
+func (g *RNG) Sample(n, k int, dst []int) []int {
+	if k < 0 || k > n {
+		panic("stats: Sample needs 0 <= k <= n")
+	}
+	dst = dst[:0]
+	for top := n - k; top < n; top++ {
+		// top is not among the earlier picks (all < top), so it can stand in
+		// for a repeated draw; Floyd's argument makes the subset uniform.
+		if pick := g.r.IntN(top + 1); slices.Contains(dst, pick) {
+			dst = append(dst, top)
+		} else {
+			dst = append(dst, pick)
+		}
+	}
+	return dst
+}
 
 // Split derives an independent child generator. Multi-run experiments give
 // each run a split so adding a policy never perturbs another policy's data.

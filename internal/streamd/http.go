@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"stochstream/internal/shardrt"
 	"stochstream/internal/streamd/wire"
 )
 
@@ -133,9 +134,18 @@ func (s *Server) httpIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.httpTotal.Inc()
-	out := httpIngestResponse{Pairs: make([]httpPair, len(rep.pairs)), Count: len(rep.pairs)}
-	for i, p := range rep.pairs {
-		out.Pairs[i] = httpPair{
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(httpIngestResponse{Pairs: rep.pairs, Count: len(rep.pairs)})
+}
+
+// httpPairs converts the runtime's merged output into the HTTP reply's
+// pairs. It runs on the engine loop, the one goroutine allowed to read that
+// runtime-owned slice; the result is a fresh slice the handler goroutine can
+// own (payload bytes are immutable once ingested, so sharing them is safe).
+func httpPairs(pairs []shardrt.Pair) []httpPair {
+	out := make([]httpPair, len(pairs))
+	for i, p := range pairs {
+		out[i] = httpPair{
 			RSeq: p.RSeq, SSeq: p.SSeq,
 			RKey: int64(p.R.Key), SKey: int64(p.S.Key),
 			Shard: p.Shard, SameStep: p.SameStep,
@@ -143,8 +153,7 @@ func (s *Server) httpIngest(w http.ResponseWriter, req *http.Request) {
 			SPayload: payloadToWire(p.S.Payload),
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	return out
 }
 
 func httpJSONError(w http.ResponseWriter, status int, msg string) {

@@ -117,9 +117,11 @@ const (
 	kindHTTP
 )
 
-// engineReply answers a kindHTTP request.
+// engineReply answers a kindHTTP request. pairs is built on the engine loop
+// and owned by the receiver: the runtime's merged output is reused by the
+// next request, so nothing runtime-owned may cross the channel.
 type engineReply struct {
-	pairs []shardrt.Pair
+	pairs []httpPair
 	err   error
 }
 
@@ -333,7 +335,7 @@ func (s *Server) engineLoop() {
 				s.stepsTotal.Add(int64(len(req.steps)))
 				s.pairsTotal.Add(int64(len(pairs)))
 			}
-			req.reply <- engineReply{pairs: pairs, err: err}
+			req.reply <- engineReply{pairs: httpPairs(pairs), err: err}
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"stochstream/internal/shardrt"
@@ -433,4 +435,147 @@ func TestBadStepRejected(t *testing.T) {
 	if len(pairs) != 1 || cl.Acked() != 1 {
 		t.Fatalf("pairs = %d acked = %d, want 1 and 1", len(pairs), cl.Acked())
 	}
+}
+
+// TestHTTPAndWireIngestConcurrent is the regression for the HTTP-ingest data
+// race: the HTTP route used to hand the runtime-owned merged-output slice to
+// its handler goroutine while the engine loop went on to reuse it for the
+// next request. Concurrent HTTP posts and framed sessions drive one daemon
+// (run it under -race, as ci.sh's service phase does); every reply must be
+// internally consistent and the conservation counters exact across both
+// routes.
+func TestHTTPAndWireIngestConcurrent(t *testing.T) {
+	srv, err := streamd.Start(streamd.Config{
+		Runtime:    testRuntimeConfig(4),
+		Listen:     "127.0.0.1:0",
+		HTTPListen: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	const (
+		workers  = 2 // per route
+		batches  = 40
+		batchLen = 32
+		domain   = 8 // few keys: replies carry many pairs, so a reused slice would show
+	)
+	var (
+		wg                    sync.WaitGroup
+		steps, pairs, http200 atomic.Int64
+	)
+	fail := make(chan error, 2*workers)
+
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) { // framed session
+			defer wg.Done()
+			cl, err := client.Dial(client.Options{Addr: srv.Addr(), Session: fmt.Sprintf("wire-%d", w), Seed: uint64(w)})
+			if err != nil {
+				fail <- fmt.Errorf("Dial: %w", err)
+				return
+			}
+			defer func() { _ = cl.Close() }()
+			rng := stats.NewRNG(uint64(100 + w))
+			for b := 0; b < batches; b++ {
+				got, err := cl.Ingest(genSteps(rng, batchLen, domain))
+				if err != nil {
+					fail <- fmt.Errorf("wire worker %d batch %d: %w", w, b, err)
+					return
+				}
+				for _, p := range got {
+					if p.RKey != p.SKey {
+						fail <- fmt.Errorf("wire worker %d: equijoin pair with keys %d/%d", w, p.RKey, p.SKey)
+						return
+					}
+				}
+				steps.Add(batchLen)
+				pairs.Add(int64(len(got)))
+			}
+		}(w)
+		go func(w int) { // HTTP route
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(200 + w))
+			for b := 0; b < batches; b++ {
+				body, err := json.Marshal(map[string]interface{}{"steps": httpSteps(genSteps(rng, batchLen, domain))})
+				if err != nil {
+					fail <- err
+					return
+				}
+				var out struct {
+					Pairs []struct {
+						RSeq, SSeq uint64
+						RKey, SKey int64
+					} `json:"pairs"`
+					Count int `json:"count"`
+				}
+				for {
+					resp, err := http.Post("http://"+srv.HTTPAddr()+"/ingest", "application/json", bytes.NewReader(body))
+					if err != nil {
+						fail <- fmt.Errorf("http worker %d batch %d: %w", w, b, err)
+						return
+					}
+					status := resp.StatusCode
+					if status == http.StatusOK {
+						err = json.NewDecoder(resp.Body).Decode(&out)
+					}
+					_ = resp.Body.Close()
+					if status == http.StatusServiceUnavailable {
+						continue // shed: consumed nothing, send it again
+					}
+					if status != http.StatusOK || err != nil {
+						fail <- fmt.Errorf("http worker %d batch %d: status %d, decode %v", w, b, status, err)
+						return
+					}
+					break
+				}
+				if out.Count != len(out.Pairs) {
+					fail <- fmt.Errorf("http worker %d: count %d for %d pairs", w, out.Count, len(out.Pairs))
+					return
+				}
+				seen := make(map[string]bool, len(out.Pairs))
+				for _, p := range out.Pairs {
+					if p.RKey != p.SKey || seen[pairKey(p.RSeq, p.SSeq)] {
+						fail <- fmt.Errorf("http worker %d: reply pair (%d,%d) keys %d/%d wrong or repeated", w, p.RSeq, p.SSeq, p.RKey, p.SKey)
+						return
+					}
+					seen[pairKey(p.RSeq, p.SSeq)] = true
+				}
+				steps.Add(batchLen)
+				pairs.Add(int64(len(out.Pairs)))
+				http200.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// Conservation across both routes: every step sent was counted once, and
+	// every pair the daemon counted reached exactly one client.
+	counters := srv.Registry().Snapshot().Counters
+	if got, want := counters["streamd_steps_total"], steps.Load(); got != want || want != 2*workers*batches*batchLen {
+		t.Errorf("streamd_steps_total = %d, clients sent %d (want %d)", got, want, 2*workers*batches*batchLen)
+	}
+	if got, want := counters["streamd_pairs_total"], pairs.Load(); got != want || want == 0 {
+		t.Errorf("streamd_pairs_total = %d, clients received %d", got, want)
+	}
+	if got, want := counters["streamd_http_ingest_total"], http200.Load(); got != want {
+		t.Errorf("streamd_http_ingest_total = %d, want %d", got, want)
+	}
+}
+
+// httpSteps renders wire steps as the HTTP route's JSON step objects.
+func httpSteps(in []wire.Step) []map[string]interface{} {
+	out := make([]map[string]interface{}, len(in))
+	for i, st := range in {
+		out[i] = map[string]interface{}{"rkey": st.RKey, "skey": st.SKey, "rpayload": st.RPayload, "spayload": st.SPayload}
+	}
+	return out
 }

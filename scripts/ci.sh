@@ -41,7 +41,9 @@
 #  14. fuzz smoke       — 10s of FuzzStepEquivalence over the committed corpus
 #  15. gate self-test   — scripts/benchcmp_test.sh proves the perf gate fails
 #  16. bench smoke      — a build that breaks the benchmarks cannot land,
-#                         go-test ones or the ledger (go run ./bench at its
+#                         go-test ones (the root package's BenchmarkStep*, the
+#                         engine's BenchmarkStepRAND across cache sizes, the
+#                         shard merge) or the ledger (go run ./bench at its
 #                         tiny scale: every phase and the output oracle)
 #
 # Run from the repo root:
@@ -216,7 +218,10 @@ go test -run '^$' -bench 'BenchmarkSharded(Baseline|Step8)$' -benchtime 5000x -c
 echo "==> streamd service (race suites + network chaos + stress smoke)"
 # Freestanding rerun of the network front-end contract under the race
 # detector: protocol edges, overload shedding, drain/restart byte-identity,
-# the wire format and the resuming client. Then the seeded network-fault
+# the wire format and the resuming client — including
+# TestHTTPAndWireIngestConcurrent, which is a test only under the detector
+# (nothing runtime-owned may cross from the engine loop to an HTTP handler
+# goroutine). Then the seeded network-fault
 # campaign as a named, grep-able gate, and the race-enabled stress smoke —
 # concurrent sessions against a live daemon with exact tuple conservation,
 # bounded heap and bounded p99 (docs/service.md). The daemon-overhead budget
@@ -233,6 +238,7 @@ echo "==> perf gate self-test"
 
 echo "==> bench smoke"
 go test -run '^$' -bench BenchmarkStep -benchtime 100x .
+go test -run '^$' -bench BenchmarkStepRAND -benchtime 100x ./internal/engine
 go test -run '^$' -bench BenchmarkDispatchMerge -benchtime 100x ./internal/shardrt
 go run ./bench -scale tiny -seconds 0.2
 
