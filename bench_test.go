@@ -8,7 +8,6 @@ import (
 	"stochstream/internal/dist"
 	"stochstream/internal/engine"
 	"stochstream/internal/experiment"
-	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
 	"stochstream/internal/mincostflow"
 	"stochstream/internal/modelsel"
@@ -16,7 +15,6 @@ import (
 	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
-	"stochstream/internal/telemetry"
 	"stochstream/internal/workload"
 )
 
@@ -271,61 +269,11 @@ func BenchmarkAblationControlPoints(b *testing.B) {
 	}
 }
 
-// benchStepEngine drives one fixed 2000-step HEEB run through the engine
-// operator per iteration; reg == nil and mkRec == nil is the bare
-// configuration. mkRec builds a fresh flight recorder per operator so span
-// rings never carry over between iterations.
-func benchStepEngine(b *testing.B, reg *telemetry.Registry, mkRec func() *flightrec.Recorder) {
-	b.Helper()
-	procs := [2]process.Process{
-		&process.LinearTrend{Slope: 1, Intercept: -1, Noise: dist.BoundedNormal(2, 12)},
-		&process.LinearTrend{Slope: 1, Intercept: 0, Noise: dist.BoundedNormal(3, 15)},
-	}
-	const n = 2000
-	rng := stats.NewRNG(21)
-	r := procs[0].Generate(rng.Split(), n)
-	s := procs[1].Generate(rng.Split(), n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := engine.Config{CacheSize: 10, Procs: procs, Seed: 1, Telemetry: reg}
-		if mkRec != nil {
-			cfg.Flight = mkRec()
-		}
-		j, err := engine.NewJoin(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for t := 0; t < n; t++ {
-			j.Step(engine.Tuple{Key: r[t]}, engine.Tuple{Key: s[t]})
-		}
-	}
-}
-
-// BenchmarkStepBare / BenchmarkStepInstrumented bound the telemetry layer's
-// hot-path cost: the instrumented run adds per-step clock reads and atomic
-// writes plus a sampled decision-trace re-score; the target recorded in
-// BENCH_telemetry.json is < 10% overhead.
-func BenchmarkStepBare(b *testing.B) { benchStepEngine(b, nil, nil) }
-func BenchmarkStepInstrumented(b *testing.B) {
-	benchStepEngine(b, telemetry.NewRegistry(), nil)
-}
-
-// BenchmarkStepFlightRec bounds the flight recorder's always-on cost in its
-// production shape: wall-clock spans (the engine's EnsureClock seam), default
-// lifecycle sampling, no bundle directory. The target recorded in
-// BENCH_flightrec.json is < 10% overhead versus BenchmarkStepBare.
-func BenchmarkStepFlightRec(b *testing.B) {
-	benchStepEngine(b, nil, func() *flightrec.Recorder {
-		return flightrec.New(flightrec.Options{SampleSeed: 1})
-	})
-}
-
 // benchmarkStepHot measures one operator Step at steady state (cache full,
 // every step probes, scores all candidates and evicts) — the hot path the
-// BENCH_hotpath.json trajectory tracks. LifetimeEstimate is pinned so α (and
-// with it the HEEB summation horizon) does not scale with the cache size and
-// the cache-size axis isolates candidate-count effects.
+// ledger's trend workload serves end to end. LifetimeEstimate is pinned so α
+// (and with it the HEEB summation horizon) does not scale with the cache size
+// and the cache-size axis isolates candidate-count effects.
 func benchmarkStepHot(b *testing.B, cacheSize, band int, opts policy.HEEBOptions) {
 	b.Helper()
 	procs := [2]process.Process{
@@ -357,8 +305,8 @@ func benchmarkStepHot(b *testing.B, cacheSize, band int, opts policy.HEEBOptions
 	}
 }
 
-// hotOpts is the HEEB configuration the hot-path trajectory is measured
-// under: direct scoring with a pinned lifetime estimate.
+// hotOpts is the HEEB configuration the hot-path benchmarks run under: a
+// pinned lifetime estimate.
 func hotOpts() policy.HEEBOptions {
 	return policy.HEEBOptions{LifetimeEstimate: 32}
 }

@@ -6,7 +6,6 @@
 //	go run ./cmd/stochlint ./...            # the CI invocation
 //	go run ./cmd/stochlint -json ./...      # machine-readable findings
 //	go run ./cmd/stochlint -C subdir ./...  # run as if started in subdir
-//	go run ./cmd/stochlint -parallel 1 ./...
 //	go run ./cmd/stochlint -rules list      # print the suite's analyzer names
 //	go run ./cmd/stochlint -rules snapcomplete,wirexhaustive ./...
 //
@@ -18,9 +17,8 @@
 // the "staleignore" pseudo-analyzer. docs/static-analysis.md describes
 // every rule.
 //
-// Packages are analyzed in parallel (one worker per CPU by default; -parallel
-// caps it) with findings merged in deterministic package order, so output is
-// byte-identical across runs regardless of scheduling.
+// Packages load and are analyzed serially in sorted package order, so output
+// is byte-identical across runs by construction.
 package main
 
 import (
@@ -30,11 +28,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"stochstream/internal/lintrules"
 	"stochstream/internal/lintrules/analysis"
@@ -50,14 +45,6 @@ type options struct {
 	// make -C): module-root discovery, pattern resolution and path
 	// relativization all anchor there.
 	Dir string
-	// Parallel caps the number of packages analyzed concurrently; 1 forces
-	// the serial order. Loading is always serial (the loader memoizes
-	// through plain maps); only the analysis phase fans out.
-	Parallel int
-	// Timing reports load/analysis wall times plus per-analyzer aggregates
-	// on stderr — the numbers recorded in BENCH_stochlint.json. Combined
-	// with JSON it wraps the finding array in a {findings, timing} envelope.
-	Timing bool
 	// Rules selects an analyzer subset by comma-separated name; empty runs
 	// the full suite. The special value "list" prints the suite's analyzer
 	// names and exits. Subset runs skip the staleignore audit — a partial
@@ -71,8 +58,6 @@ func main() {
 	opts := options{}
 	fs.BoolVar(&opts.JSON, "json", false, "emit findings as a JSON array (file/line/col/analyzer/message/suppressed)")
 	fs.StringVar(&opts.Dir, "C", "", "run as if stochlint were started in `dir`")
-	fs.IntVar(&opts.Parallel, "parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently (1 = serial)")
-	fs.BoolVar(&opts.Timing, "timing", false, "report load/analysis wall times and per-analyzer aggregates (with -json: wrap findings in a {findings, timing} envelope)")
 	fs.StringVar(&opts.Rules, "rules", "", "comma-separated `names` of analyzers to run (\"list\" prints the suite and exits; default: all)")
 	_ = fs.Parse(os.Args[1:])
 	code, err := run(opts, fs.Args(), os.Stdout, os.Stderr)
@@ -94,32 +79,6 @@ type jsonFinding struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-// jsonAnalyzerTiming is one analyzer's aggregate cost across all packages
-// it ran on. With -parallel > 1 the per-analyzer times are summed CPU-side
-// wall times of concurrent workers, so they can exceed analyze_ms.
-type jsonAnalyzerTiming struct {
-	Analyzer string `json:"analyzer"`
-	Ms       int64  `json:"ms"`
-	Packages int    `json:"packages"`
-}
-
-// jsonTiming is the -json -timing envelope's timing block.
-type jsonTiming struct {
-	LoadMs    int64                `json:"load_ms"`
-	AnalyzeMs int64                `json:"analyze_ms"`
-	Parallel  int                  `json:"parallel"`
-	Packages  int                  `json:"packages"`
-	Analyzers []jsonAnalyzerTiming `json:"analyzers"`
-}
-
-// jsonReport is the -json output when -timing is also set: the same finding
-// records, wrapped alongside the timing block. Plain -json stays a bare
-// array so the golden file and existing consumers are unaffected.
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Timing   jsonTiming    `json:"timing"`
-}
-
 // run executes one driver invocation and returns its exit code: 0 clean,
 // 1 when any unsuppressed finding (including staleignore audit findings)
 // remains. Infrastructure failures return a non-nil error (exit 2 in main).
@@ -136,9 +95,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if opts.Parallel < 1 {
-		opts.Parallel = 1
 	}
 	workdir := opts.Dir
 	if workdir == "" {
@@ -168,9 +124,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 		return 0, fmt.Errorf("no packages match %v", patterns)
 	}
 
-	// Load phase: strictly serial — the loader memoizes packages and
-	// positions through shared maps and a shared FileSet.
-	loadStart := time.Now()
 	pkgs := make([]*load.Package, 0, len(paths))
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
@@ -182,72 +135,26 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 
 	// Whole-program context: one suppression table and one call graph over
 	// every source package the load phase touched (targets plus transitive
-	// module imports), shared by all workers.
+	// module imports).
 	table := analysis.NewSuppressionTable()
 	srcPkgs := loader.SourcePackages()
 	for _, p := range srcPkgs {
 		table.AddFiles(loader.Fset, p.Files)
 	}
 	prog := dataflow.NewProgram(loader.Fset, srcPkgs, table)
-	loadDur := time.Since(loadStart)
 
-	// Analysis phase: packages fan out across workers; perFindings keeps
-	// results slotted by package index so the merge order (and therefore
-	// the output) is deterministic regardless of scheduling. The shared
-	// structures are safe here: the suppression table and the fact solver
-	// lock internally, CFGs build under sync.Once, and everything else is
-	// read-only after load.
-	analyzeStart := time.Now()
-	perFindings := make([][]analysis.Finding, len(pkgs))
-	perErr := make([]error, len(pkgs))
-	type analyzerCost struct {
-		dur  time.Duration
-		pkgs int
-	}
-	costs := map[string]*analyzerCost{}
-	var costsMu sync.Mutex
-	sem := make(chan struct{}, opts.Parallel)
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pkg *load.Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, r := range rules {
-				if !r.Applies(pkg.Path) {
-					continue
-				}
-				start := time.Now()
-				fs, err := analysis.RunAnalyzerWith(r.Analyzer, table, prog, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-				if opts.Timing {
-					d := time.Since(start)
-					costsMu.Lock()
-					c := costs[r.Analyzer.Name]
-					if c == nil {
-						c = &analyzerCost{}
-						costs[r.Analyzer.Name] = c
-					}
-					c.dur += d
-					c.pkgs++
-					costsMu.Unlock()
-				}
-				if err != nil {
-					perErr[i] = err
-					return
-				}
-				perFindings[i] = append(perFindings[i], fs...)
-			}
-		}(i, pkg)
-	}
-	wg.Wait()
-	analyzeDur := time.Since(analyzeStart)
 	var findings []analysis.Finding
-	for i := range pkgs {
-		if perErr[i] != nil {
-			return 0, perErr[i]
+	for _, pkg := range pkgs {
+		for _, r := range rules {
+			if !r.Applies(pkg.Path) {
+				continue
+			}
+			fs, err := analysis.RunAnalyzerWith(r.Analyzer, table, prog, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+			if err != nil {
+				return 0, err
+			}
+			findings = append(findings, fs...)
 		}
-		findings = append(findings, perFindings[i]...)
 	}
 
 	// Suppression audit, scoped to the files actually analyzed: a directive
@@ -274,28 +181,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 	}
 	analysis.SortFindings(findings)
 
-	var timing *jsonTiming
-	if opts.Timing {
-		fmt.Fprintf(stderr, "stochlint: loaded %d packages (%d source incl. deps) in %dms, analyzed in %dms (parallel=%d)\n",
-			len(pkgs), len(srcPkgs), loadDur.Milliseconds(), analyzeDur.Milliseconds(), opts.Parallel)
-		names := make([]string, 0, len(costs))
-		for name := range costs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		timing = &jsonTiming{
-			LoadMs:    loadDur.Milliseconds(),
-			AnalyzeMs: analyzeDur.Milliseconds(),
-			Parallel:  opts.Parallel,
-			Packages:  len(pkgs),
-		}
-		for _, name := range names {
-			c := costs[name]
-			timing.Analyzers = append(timing.Analyzers, jsonAnalyzerTiming{Analyzer: name, Ms: c.dur.Milliseconds(), Packages: c.pkgs})
-			fmt.Fprintf(stderr, "stochlint:   %-14s %4dms over %d package(s)\n", name, c.dur.Milliseconds(), c.pkgs)
-		}
-	}
-
 	unsuppressed := 0
 	for _, f := range findings {
 		if !f.Suppressed {
@@ -317,13 +202,7 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		// With -timing the array is wrapped in an envelope carrying the
-		// timing block; without it the bare array stays the stable schema.
-		var payload interface{} = out
-		if timing != nil {
-			payload = jsonReport{Findings: out, Timing: *timing}
-		}
-		if err := enc.Encode(payload); err != nil {
+		if err := enc.Encode(out); err != nil {
 			return 0, err
 		}
 	} else {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // audit findings. Regenerate with STOCHLINT_UPDATE_GOLDEN=1 go test ./cmd/stochlint.
 func TestGoldenJSON(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{JSON: true, Dir: "testdata/mod", Parallel: 4}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{JSON: true, Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,25 +43,10 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestSerialParallelIdentical pins the determinism contract: scheduling must
-// not reorder or change findings.
-func TestSerialParallelIdentical(t *testing.T) {
-	var serial, par bytes.Buffer
-	if _, err := run(options{JSON: true, Dir: "testdata/mod", Parallel: 1}, []string{"./..."}, &serial, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run(options{JSON: true, Dir: "testdata/mod", Parallel: 8}, []string{"./..."}, &par, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), par.Bytes()) {
-		t.Errorf("serial and parallel output differ\n--- serial ---\n%s\n--- parallel ---\n%s", serial.Bytes(), par.Bytes())
-	}
-}
-
 // TestCleanCorpus pins the zero-finding contract: exit 0 and an empty array.
 func TestCleanCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{JSON: true, Dir: "testdata/clean", Parallel: 2}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{JSON: true, Dir: "testdata/clean"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,61 +58,54 @@ func TestCleanCorpus(t *testing.T) {
 	}
 }
 
-// TestTimingJSONSchema pins the -json -timing envelope: the same finding
-// records under "findings", and a timing block with load/analyze wall
-// times, the worker cap, the package count, and one aggregate entry per
-// analyzer that ran, sorted by name.
-func TestTimingJSONSchema(t *testing.T) {
+// TestStatecheckCorpusClean pins the statecheck mutation corpus as clean
+// under the full suite; TestStatecheckMutants would be meaningless otherwise.
+func TestStatecheckCorpusClean(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(options{JSON: true, Timing: true, Dir: "testdata/mod", Parallel: 2}, []string{"./..."}, &buf, io.Discard); err != nil {
+	code, err := run(options{Dir: "testdata/statecheck"}, []string{"./..."}, &buf, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var report jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("-json -timing output is not a {findings, timing} envelope: %v\n%s", err, buf.Bytes())
+	if code != 0 {
+		t.Errorf("exit code = %d, want 0:\n%s", code, buf.Bytes())
 	}
-	if len(report.Findings) == 0 {
-		t.Error("envelope carries no findings (the mod corpus seeds several)")
-	}
-	tm := report.Timing
-	if tm.Parallel != 2 {
-		t.Errorf("timing.parallel = %d, want 2", tm.Parallel)
-	}
-	if tm.Packages == 0 {
-		t.Error("timing.packages = 0")
-	}
-	if tm.LoadMs < 0 || tm.AnalyzeMs < 0 {
-		t.Errorf("negative wall times: load=%d analyze=%d", tm.LoadMs, tm.AnalyzeMs)
-	}
-	ran := map[string]jsonAnalyzerTiming{}
-	for i, at := range tm.Analyzers {
-		if i > 0 && !(tm.Analyzers[i-1].Analyzer < at.Analyzer) {
-			t.Errorf("timing.analyzers not sorted by name: %q before %q", tm.Analyzers[i-1].Analyzer, at.Analyzer)
-		}
-		if at.Packages == 0 {
-			t.Errorf("analyzer %s ran on 0 packages", at.Analyzer)
-		}
-		ran[at.Analyzer] = at
-	}
-	// Every suite rule that applies to some corpus package must appear; the
-	// concurrency suite covers internal/shardrt, so all four are present.
-	for _, name := range []string{"goleak", "chandiscipline", "atomicfield", "mergedet", "dettaint", "floateq"} {
-		if _, ok := ran[name]; !ok {
-			t.Errorf("timing.analyzers missing %s", name)
-		}
-	}
-	if len(ran) > len(lintrules.Analyzers()) {
-		t.Errorf("timing lists %d analyzers, more than the suite's %d", len(ran), len(lintrules.Analyzers()))
-	}
+}
 
-	// Without -timing the output stays a bare array (the golden schema).
-	var plain bytes.Buffer
-	if _, err := run(options{JSON: true, Dir: "testdata/mod", Parallel: 2}, []string{"./..."}, &plain, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var arr []jsonFinding
-	if err := json.Unmarshal(plain.Bytes(), &arr); err != nil {
-		t.Fatalf("plain -json output is not a bare finding array: %v", err)
+// TestStatecheckMutants is the mutation self-test: in a throwaway copy of
+// the statecheck corpus, dropping the marked snapshot field-capture, resp.
+// the marked wire frame case, must fail the driver with a finding that names
+// exactly what was dropped. An analyzer that stays silent here has gone
+// blind to the one regression it exists to catch.
+func TestStatecheckMutants(t *testing.T) {
+	for _, m := range []struct{ marker, file, rule, want string }{
+		{"ci:mutate-snapshot", "internal/engine/engine.go", "snapcomplete", "persistent field Total"},
+		{"ci:mutate-wire", "internal/streamd/streamd.go", "wirexhaustive", "TypeData"},
+	} {
+		t.Run(m.rule, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS("testdata/statecheck")); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, m.file)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := slices.DeleteFunc(strings.Split(string(src), "\n"), func(line string) bool {
+				return strings.Contains(line, m.marker)
+			})
+			if err := os.WriteFile(path, []byte(strings.Join(kept, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			code, err := run(options{Dir: dir, Rules: m.rule}, []string{"./..."}, &buf, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 1 || !strings.Contains(buf.String(), m.want) {
+				t.Errorf("exit code = %d, want 1 with a finding naming %q:\n%s", code, m.want, buf.Bytes())
+			}
+		})
 	}
 }
 
@@ -165,7 +144,7 @@ func TestRulesList(t *testing.T) {
 // col, analyzer, message, suppressed.
 func TestRulesSubset(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{JSON: true, Rules: "dettaint", Dir: "testdata/mod", Parallel: 2}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{JSON: true, Rules: "dettaint", Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +197,7 @@ func TestRulesUnknown(t *testing.T) {
 // stay out of the human-facing report (they are visible via -json).
 func TestTextHidesSuppressed(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{Dir: "testdata/mod", Parallel: 2}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

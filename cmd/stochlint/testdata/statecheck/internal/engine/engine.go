@@ -1,7 +1,7 @@
 // Package engine is the statecheck mutation corpus: a complete, clean
 // checkpointable operator. The committed tree must pass the full suite;
-// ci.sh deletes the line marked ci:mutate-snapshot and then expects
-// snapcomplete to fail the driver naming the dropped field.
+// TestStatecheckMutants deletes the line marked ci:mutate-snapshot and then
+// expects snapcomplete to fail the driver naming the dropped field.
 package engine
 
 // Config is the operator's construction-time identity.

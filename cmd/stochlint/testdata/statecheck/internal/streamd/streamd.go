@@ -1,7 +1,7 @@
 // Package streamd is the statecheck mutation corpus's protocol endpoint:
-// its dispatch handles every frame type the wire package defines. ci.sh
-// deletes the case marked ci:mutate-wire and then expects wirexhaustive to
-// fail the driver naming the unreachable constant.
+// its dispatch handles every frame type the wire package defines.
+// TestStatecheckMutants deletes the case marked ci:mutate-wire and then
+// expects wirexhaustive to fail the driver naming the unreachable constant.
 package streamd
 
 import "stochstream/internal/streamd/wire"

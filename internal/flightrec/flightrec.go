@@ -38,7 +38,7 @@ type Phase uint8
 
 // The recorded phases. PhaseStep is the per-step root span; the engine
 // phases (expire … checkpoint) and the policy/solver phases (rung, solve)
-// are its children. PhaseSimRun/PhaseSimStep come from the batch simulator.
+// are its children.
 const (
 	PhaseStep Phase = iota
 	PhaseExpire
@@ -49,14 +49,12 @@ const (
 	PhaseCheckpoint
 	PhaseRung
 	PhaseSolve
-	PhaseSimRun
-	PhaseSimStep
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
 	"step", "expire", "probe", "emit", "score", "evict",
-	"checkpoint", "rung", "solve", "sim-run", "sim-step",
+	"checkpoint", "rung", "solve",
 }
 
 // String returns the phase's stable wire name.
@@ -123,10 +121,6 @@ type Active struct {
 	label  string
 	begin  int64
 }
-
-// SpanID returns the span's identity, usable as an explicit parent for
-// BeginChild.
-func (a Active) SpanID() uint64 { return a.id }
 
 // Options configures a Recorder. The zero value is usable: a 1024-span
 // ring, 1-in-64 key sampling with seed 0, 128 tracked keys with 32 events
@@ -272,16 +266,6 @@ func (r *Recorder) BeginLabel(phase Phase, label string) Active {
 	r.mu.Lock()
 	r.nextID++
 	a := Active{id: r.nextID, parent: r.curParent, step: r.curStep, phase: phase, label: label, begin: r.clock()}
-	r.mu.Unlock()
-	return a
-}
-
-// BeginChild opens a span under an explicit parent instead of the current
-// step — used by the simulator, whose run span outlives many step spans.
-func (r *Recorder) BeginChild(phase Phase, label string, parent uint64) Active {
-	r.mu.Lock()
-	r.nextID++
-	a := Active{id: r.nextID, parent: parent, step: r.curStep, phase: phase, label: label, begin: r.clock()}
 	r.mu.Unlock()
 	return a
 }

@@ -256,7 +256,7 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 func TestPhaseAndLifeKindJSONRoundTrip(t *testing.T) {
-	for p := flightrec.PhaseStep; p <= flightrec.PhaseSimStep; p++ {
+	for p := flightrec.PhaseStep; p <= flightrec.PhaseSolve; p++ {
 		b, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)

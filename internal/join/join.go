@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"stochstream/internal/core"
-	"stochstream/internal/flightrec"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
@@ -148,17 +147,6 @@ func SetObserver(o Observer) {
 	observer.Store(&o)
 }
 
-// spanRec is the process-wide flight recorder for Run, mirroring the
-// observer: nil costs one atomic load per run.
-var spanRec atomic.Pointer[flightrec.Recorder]
-
-// SetSpanRecorder installs (or, with nil, removes) the flight recorder that
-// Run records simulation spans into: one PhaseSimRun span per run, labeled
-// with the policy name, with a PhaseSimStep child per simulated step.
-func SetSpanRecorder(r *flightrec.Recorder) {
-	spanRec.Store(r)
-}
-
 // Result summarizes one run.
 type Result struct {
 	// Joins is the number of result tuples produced after the warm-up
@@ -188,11 +176,6 @@ func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
 		obs = *ptr
 		p = obs.WrapPolicy(p)
 	}
-	rec := spanRec.Load()
-	var runSpan flightrec.Active
-	if rec != nil {
-		runSpan = rec.BeginLabel(flightrec.PhaseSimRun, p.Name())
-	}
 	p.Reset(cfg, rng)
 
 	warmup := cfg.EffectiveWarmup()
@@ -214,10 +197,6 @@ func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
 		var stepStart time.Time
 		if obs != nil {
 			stepStart = time.Now()
-		}
-		var stepSpan flightrec.Active
-		if rec != nil {
-			stepSpan = rec.BeginChild(flightrec.PhaseSimStep, "", runSpan.SpanID())
 		}
 		stepEvictions := 0
 		newR := newTuple(r[t], core.StreamR, t)
@@ -303,12 +282,6 @@ func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
 		if obs != nil {
 			obs.ObserveStep(time.Since(stepStart).Nanoseconds(), joins, stepEvictions)
 		}
-		if rec != nil {
-			rec.End(stepSpan, joins, int64(stepEvictions))
-		}
-	}
-	if rec != nil {
-		rec.End(runSpan, res.TotalJoins, int64(res.Evictions))
 	}
 	return res
 }

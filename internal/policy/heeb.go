@@ -23,7 +23,7 @@ type HEEBOptions struct {
 	// L-value table, restoring the seed implementation's re-derivation of
 	// every forecast per candidate. Scores are bitwise-identical either way
 	// (the window holds the exact values the direct path computes); the
-	// switch exists so the differential harness and BENCH_hotpath.json can
+	// switch exists so the differential harness and BenchmarkHEEBRun can
 	// hold the window kernel against the original hot path.
 	NoMemo bool
 }

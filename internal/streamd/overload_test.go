@@ -2,6 +2,7 @@ package streamd_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -67,23 +68,32 @@ func TestOverloadMemShedTyped(t *testing.T) {
 	}
 }
 
-// TestOverloadPressureCorrectness drives sustained load well past the
-// admission capacity of a single-slot ingest queue — many sessions, each
-// repeatedly offering batches the moment the previous one is acknowledged —
-// and asserts the overload contract: the daemon stays up, sheds surface
-// only as typed overloads the clients retry through, every accepted batch
-// is ingested exactly once, and every returned pair is a correct join
-// result (matching keys, R/S sequence parity, correct shard, exact
-// conservation of the daemon's pair count).
+// TestOverloadPressureCorrectness drives sustained concurrent load — many
+// sessions, each offering its next batch the moment the previous one is
+// acknowledged — and asserts the service contract: the daemon stays up,
+// sheds surface only as typed overloads the clients retry through, every
+// accepted batch is ingested exactly once and acknowledged, and every
+// returned pair is a correct join result (matching keys, R/S sequence
+// parity, correct shard, exact conservation of the daemon's pair count).
+// The first case puts 8 sessions well past the admission capacity of a
+// single-slot ingest queue, so it must shed; the second keeps 64 sessions
+// live at once on the default queue.
 func TestOverloadPressureCorrectness(t *testing.T) {
+	t.Run("8 sessions, queue 1", func(t *testing.T) { overloadPressure(t, 8, 25, 256, 1) })
+	t.Run("64 sessions", func(t *testing.T) { overloadPressure(t, 64, 8, 128, 0) })
+}
+
+func overloadPressure(t *testing.T, clients, batchesPer, batchLen, queueDepth int) {
 	const shards = 4
 	srv := protoServer(t, func(c *streamd.Config) {
 		c.Runtime = shardrt.Config{Shards: shards, TotalCache: 64, Seed: 42}
-		c.QueueDepth = 1
+		c.QueueDepth = queueDepth
 		c.RetryAfter = 200 * time.Microsecond
 	})
+	// Each session has one batch in flight, so the queue can only fill —
+	// and the daemon only shed — with more sessions than slots.
+	mustShed := queueDepth > 0 && queueDepth < clients
 
-	const clients, batchesPer, batchLen = 8, 25, 256
 	type clientResult struct {
 		pairs int
 		errs  []error
@@ -97,7 +107,7 @@ func TestOverloadPressureCorrectness(t *testing.T) {
 				defer wg.Done()
 				cl, err := client.Dial(client.Options{
 					Addr:        srv.Addr(),
-					Session:     "load-" + string(rune('a'+id)) + "-" + string(rune('0'+round)),
+					Session:     fmt.Sprintf("load-%d-%d", id, round),
 					Seed:        uint64(id),
 					MaxAttempts: 500,
 					BaseBackoff: 100 * time.Microsecond,
@@ -134,6 +144,9 @@ func TestOverloadPressureCorrectness(t *testing.T) {
 					}
 					results[id].pairs += len(pairs)
 				}
+				if got := cl.Acked(); got != uint64(batchesPer) {
+					t.Errorf("client %d: acked %d of %d batches", id, got, batchesPer)
+				}
 			}(i)
 		}
 		wg.Wait()
@@ -148,7 +161,7 @@ func TestOverloadPressureCorrectness(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if srv.Registry().Snapshot().Counters["streamd_shed_queue_total"] > 0 {
+		if !mustShed || srv.Registry().Snapshot().Counters["streamd_shed_queue_total"] > 0 {
 			rounds++
 			break
 		}
@@ -167,7 +180,7 @@ func TestOverloadPressureCorrectness(t *testing.T) {
 
 	snap := srv.Registry().Snapshot()
 	shed := snap.Counters["streamd_shed_queue_total"]
-	if shed == 0 {
+	if mustShed && shed == 0 {
 		t.Fatalf("no queue sheds after %d rounds of %dx load", rounds, clients)
 	}
 	if got, want := snap.Counters["streamd_steps_total"], int64(rounds*clients*batchesPer*batchLen); got != want {

@@ -357,14 +357,7 @@ func (s *Server) engineIngest(req *ingestReq) {
 	s.stepsTotal.Add(int64(len(req.steps)))
 	s.pairsTotal.Add(int64(len(pairs)))
 	s.batchesTotal.Inc()
-	credits := req.sess.ack(req.base, len(req.steps), s.cfg.Credits, s.nowNanos())
-	// A join-heavy batch's reply can exceed the frame payload cap; the
-	// chunked encoding keeps every frame legal and replays as a unit.
-	frame := wire.EncodeResultsFramesFrom(wire.Results{
-		AckSeq:  req.base,
-		Credits: uint32(credits),
-	}, mergedPairs(pairs))
-	req.sess.setReplay(req.base, frame)
+	frame := req.sess.complete(req.base, len(req.steps), s.cfg.Credits, s.nowNanos(), mergedPairs(pairs))
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
 }
@@ -415,24 +408,21 @@ func (ss *session) attachedConn() *conn {
 	return ss.attached
 }
 
-// ack records batch base as processed and regrants its credits, capped at
-// the full window. Returns the absolute remaining credits for the frame.
-func (ss *session) ack(base uint64, nsteps, window int, now int64) int {
+// complete finishes batch base in one transition: its credits are regranted
+// (capped at the full window) and acked, lastBase and lastFrame move
+// together, so no reader or reattach can see the batch acknowledged while
+// the replay buffer still holds its predecessor. The results frame is
+// encoded under mu because it carries the regranted credits; a join-heavy
+// reply can exceed the frame payload cap, and the chunked encoding keeps
+// every frame legal and replays as a unit.
+func (ss *session) complete(base uint64, nsteps, window int, now int64, pairs mergedPairs) []byte {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.acked = base
 	ss.lastSeen = now
-	ss.credits += nsteps
-	if ss.credits > window {
-		ss.credits = window
-	}
-	return ss.credits
-}
-
-func (ss *session) setReplay(base uint64, frame []byte) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.lastBase, ss.lastFrame = base, frame
+	ss.credits = min(ss.credits+nsteps, window)
+	frame := wire.EncodeResultsFramesFrom(wire.Results{AckSeq: base, Credits: uint32(ss.credits)}, pairs)
+	ss.acked, ss.lastBase, ss.lastFrame = base, base, frame
+	return frame
 }
 
 // failSubmitted rolls a reservation back after the runtime rejected the

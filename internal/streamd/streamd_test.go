@@ -441,7 +441,7 @@ func TestBadStepRejected(t *testing.T) {
 // race: the HTTP route used to hand the runtime-owned merged-output slice to
 // its handler goroutine while the engine loop went on to reuse it for the
 // next request. Concurrent HTTP posts and framed sessions drive one daemon
-// (run it under -race, as ci.sh's service phase does); every reply must be
+// (run it under -race, as ci.sh's test phase does); every reply must be
 // internally consistent and the conservation counters exact across both
 // routes.
 func TestHTTPAndWireIngestConcurrent(t *testing.T) {

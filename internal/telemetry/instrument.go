@@ -18,9 +18,9 @@ type CandidateScorer interface {
 // DefaultTraceEvery is the default decision-trace sampling interval: one in
 // every 64 eviction decisions is scored and recorded. Tracing re-runs the
 // policy's scorer over the candidate set — roughly the cost of one extra
-// Evict — so the interval is what keeps instrumented runs within the <10%
-// overhead budget (BENCH_telemetry.json) while the 512-record ring still
-// fills within a few thousand decisions.
+// Evict — so the interval is what bounds the re-scoring share of an
+// instrumented run (the ledger's obs.overhead_share prices the whole layer)
+// while the 512-record ring still fills within a few thousand decisions.
 const DefaultTraceEvery = 64
 
 // InstrumentedPolicy wraps any join.Policy with telemetry: an eviction-
