@@ -50,8 +50,8 @@ func TestStepBatchEquivalence(t *testing.T) {
 					batch := make([]TuplePair, 0, hi-lo)
 					var want []Pair
 					for i := lo; i < hi; i++ {
-						rt := Tuple{Key: r[i], Payload: i}
-						st := Tuple{Key: s[i], Payload: ^i}
+						rt := Tuple{Key: r[i], Payload: i, Seq: uint64(2 * i)}
+						st := Tuple{Key: s[i], Payload: ^i, Seq: uint64(2*i + 1)}
 						batch = append(batch, TuplePair{R: rt, S: st})
 						want = append(want, copyPairs(stepped.Step(rt, st))...)
 					}

@@ -18,8 +18,9 @@ import (
 // operator needs to replay exactly as an uninterrupted run is captured:
 // the configuration fingerprint (so a restore into a differently configured
 // operator is rejected), the clock and ID counter, the metrics, the cache
-// with payloads, both observed histories, the state RNG, and the policy's
-// private decision state when the policy implements join.StateSnapshotter.
+// with payloads and caller tags, both observed histories, the state RNG, and
+// the policy's private decision state when the policy implements
+// join.StateSnapshotter.
 // Indexes are not serialized — they are a pure function of the cache and are
 // rebuilt on restore.
 //
@@ -46,6 +47,18 @@ type checkpointWire struct {
 type cacheEntryWire struct {
 	Tuple   join.Tuple
 	Payload interface{}
+	// Seq is the entry's caller tag (Tuple.Seq). Checkpoints written before
+	// the tag existed decode it as 0; see seqCarrier.
+	Seq uint64
+}
+
+// seqCarrier is a payload that holds its tuple's caller tag itself, which is
+// how the sharded runtime tagged arrivals before Tuple.Seq existed
+// (shardrt.Tagged). Restore moves such a tag into the entry and keeps the
+// inner payload, so a checkpoint written before the change continues exactly
+// as one written after it; nothing wraps a payload any more.
+type seqCarrier interface {
+	Untag() (seq uint64, payload interface{})
 }
 
 func init() {
@@ -112,7 +125,7 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 		},
 	}
 	for i, tp := range j.cache {
-		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.payloads[i]}
+		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.payloads[i], Seq: j.seqs[i]}
 	}
 	rngBytes, err := j.state.RNG.MarshalBinary()
 	if err != nil {
@@ -196,16 +209,20 @@ func (j *Join) Restore(r io.Reader) error {
 	j.state.RNG = rng
 	j.cache = j.cache[:0]
 	clear(j.payloads)
-	j.payloads = j.payloads[:0]
+	j.payloads, j.seqs = j.payloads[:0], j.seqs[:0]
 	if j.cfg.Band == 0 {
-		j.equi = [2]map[int][]int{{}, {}}
+		j.equi = [2]map[int]bucket{{}, {}}
 		j.ord = [2][]valID{}
 	} else {
-		j.equi = [2]map[int][]int{}
+		j.equi = [2]map[int]bucket{}
 		j.ord = [2][]valID{nil, nil}
 	}
 	for _, e := range wire.Cache {
-		j.admit(e.Tuple, e.Payload)
+		from := Tuple{Payload: e.Payload, Seq: e.Seq}
+		if old, ok := e.Payload.(seqCarrier); ok {
+			from.Seq, from.Payload = old.Untag()
+		}
+		j.admit(e.Tuple, from)
 	}
 	return nil
 }

@@ -41,7 +41,8 @@ func ckptConfigs() []struct {
 	}
 }
 
-// ckptTrace generates a deterministic stream trace with payloads attached.
+// ckptTrace generates a deterministic stream trace with payloads and caller
+// tags attached.
 func ckptTrace(n int) (r, s []Tuple) {
 	procs := trendProcs()
 	rng := stats.NewRNG(909)
@@ -50,8 +51,8 @@ func ckptTrace(n int) (r, s []Tuple) {
 	r = make([]Tuple, n)
 	s = make([]Tuple, n)
 	for i := 0; i < n; i++ {
-		r[i] = Tuple{Key: rv[i], Payload: i}
-		s[i] = Tuple{Key: sv[i], Payload: -i - 1}
+		r[i] = Tuple{Key: rv[i], Payload: i, Seq: uint64(3 * i)}
+		s[i] = Tuple{Key: sv[i], Payload: -i - 1, Seq: uint64(3*i + 1)}
 	}
 	return r, s
 }

@@ -54,8 +54,11 @@ func runDifferential(t *testing.T, name string, cfgOp, cfgRef Config, n int, tra
 		t.Fatalf("%s: NewReferenceJoin: %v", name, err)
 	}
 	for i := 0; i < n; i++ {
-		po := op.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		pr := ref.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+		// Distinct tags, so pairsEqual also holds every echoed Seq to the
+		// oracle's (which keeps the caller's tuple whole).
+		rt, st := Tuple{Key: r[i], Seq: uint64(2 * i)}, Tuple{Key: s[i], Seq: uint64(2*i + 1)}
+		po := op.Step(rt, st)
+		pr := ref.Step(rt, st)
 		if !pairsEqual(po, pr) {
 			t.Fatalf("%s: step %d pairs diverge:\n  op  %v\n  ref %v", name, i, po, pr)
 		}

@@ -39,6 +39,11 @@ type Tuple struct {
 	Key int
 	// Payload is opaque to the operator.
 	Payload interface{}
+	// Seq is a caller tag — the sharded runtime's ingress sequence number.
+	// The operator never reads it: it is cached beside the payload,
+	// checkpointed with it and echoed on both sides of every Pair, without a
+	// box around the payload to carry it.
+	Seq uint64
 }
 
 // Pair is one join result: the new arrival matched a cached tuple from the
@@ -128,10 +133,12 @@ type Join struct {
 	// a replacement decision writes the step's two arrivals into its spare
 	// capacity and hands policy.Evict cache[:n+2:n+2] — no per-step copy, and
 	// the clamped capacity keeps a policy's append out of engine memory.
-	// payloads[i] is cache[i]'s opaque payload, kept apart so that candidate
-	// slice stays []join.Tuple.
+	// payloads[i] and seqs[i] are cache[i]'s opaque payload and caller tag,
+	// kept apart so that candidate slice stays []join.Tuple; every move of the
+	// cache (admit, cut, pruneExpired, restore) moves all three alike.
 	cache    []join.Tuple
 	payloads []interface{}
+	seqs     []uint64
 	nextID   int
 	time     int
 	m        Metrics
@@ -140,7 +147,7 @@ type Join struct {
 	// cached entries with that key, ascending. Empty buckets are deleted so
 	// a drifting key domain (the trend models) cannot leak memory.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
-	equi [2]map[int][]int
+	equi [2]map[int]bucket
 	// ord indexes the cache for Band > 0: per stream, (value, ID) ascending,
 	// probed by binary search over the band interval.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
@@ -174,6 +181,14 @@ type Join struct {
 	pendingBundle string
 }
 
+// bucket is one equi-index posting list, ascending: the first ID inline, the
+// second onward in rest. Most keys of a wide domain are cached once, and a
+// bucket of one posting then costs no allocation.
+type bucket struct {
+	first int
+	rest  []int
+}
+
 // valID is one ordered-index posting.
 type valID struct{ v, id int }
 
@@ -197,7 +212,7 @@ func NewJoin(cfg Config) (*Join, error) {
 	}
 	j.initFlight(lad)
 	if cfg.Band == 0 {
-		j.equi = [2]map[int][]int{{}, {}}
+		j.equi = [2]map[int]bucket{{}, {}}
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		j.stepLatency = reg.Histogram("engine_step_latency_ns")
@@ -276,8 +291,8 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 	nCached := len(j.cache)
 	need := nCached + 2 - j.cfg.CacheSize
 	if need <= 0 {
-		j.admit(rT, r.Payload)
-		j.admit(sT, s.Payload)
+		j.admit(rT, r)
+		j.admit(sT, s)
 		if j.rec != nil {
 			j.lifeTuple(flightrec.LifeAdmit, t, rT, 0)
 			j.lifeTuple(flightrec.LifeAdmit, t, sT, 0)
@@ -301,6 +316,7 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 	victims := j.sortedVictims(evict, len(cands), need)
 	j.cache = cands
 	j.payloads = append(j.payloads, r.Payload, s.Payload)
+	j.seqs = append(j.seqs, r.Seq, s.Seq)
 	j.cut(t, victims, nCached)
 	// need is 1 or 2 here (the cache never exceeds its budget), so these
 	// scans are a compare or two.
@@ -371,10 +387,11 @@ func (j *Join) cut(t int, victims []int, nIndexed int) {
 			next = victims[k+1]
 		}
 		copy(j.payloads[w:], j.payloads[v+1:next])
+		copy(j.seqs[w:], j.seqs[v+1:next])
 		w += copy(j.cache[w:], j.cache[v+1:next])
 	}
 	clear(j.payloads[w:]) // release the evicted payloads
-	j.cache, j.payloads = j.cache[:w], j.payloads[:w]
+	j.cache, j.payloads, j.seqs = j.cache[:w], j.payloads[:w], j.seqs[:w]
 	j.m.Evictions += len(victims)
 }
 
@@ -403,8 +420,9 @@ func (j *Join) pruneExpired(t int) int {
 	}
 	n := copy(j.cache, j.cache[cut:])
 	copy(j.payloads, j.payloads[cut:])
+	copy(j.seqs, j.seqs[cut:])
 	clear(j.payloads[n:]) // release the expired payloads
-	j.cache, j.payloads = j.cache[:n], j.payloads[:n]
+	j.cache, j.payloads, j.seqs = j.cache[:n], j.payloads[:n], j.seqs[:n]
 	return cut
 }
 
@@ -431,14 +449,14 @@ func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
 		if k >= len(sm) || (i < len(rm) && rm[i] < sm[k]) {
 			c := j.indexOfID(rm[i])
 			i++
-			out = append(out, Pair{Time: t, R: Tuple{Key: j.cache[c].Value, Payload: j.payloads[c]}, S: s})
+			out = append(out, Pair{Time: t, R: j.cached(c), S: s})
 			if j.rec != nil {
 				j.lifeMatch(t, j.cache[c], s.Key, core.StreamS)
 			}
 		} else {
 			c := j.indexOfID(sm[k])
 			k++
-			out = append(out, Pair{Time: t, R: r, S: Tuple{Key: j.cache[c].Value, Payload: j.payloads[c]}})
+			out = append(out, Pair{Time: t, R: r, S: j.cached(c)})
 			if j.rec != nil {
 				j.lifeMatch(t, j.cache[c], r.Key, core.StreamR)
 			}
@@ -480,7 +498,10 @@ func (j *Join) probeMatches(side core.StreamID, k int, ids []int) []int {
 		return ids
 	}
 	if j.cfg.Band == 0 {
-		return append(ids, j.equi[side][k]...)
+		if b, ok := j.equi[side][k]; ok {
+			ids = append(append(ids, b.first), b.rest...)
+		}
+		return ids
 	}
 	ord := j.ord[side]
 	lo, hi := k-j.cfg.Band, k+j.cfg.Band
@@ -500,12 +521,18 @@ func (j *Join) indexOfID(id int) int {
 	return sort.Search(len(j.cache), func(k int) bool { return j.cache[k].ID >= id })
 }
 
-// admit appends a tuple and its payload to the cache and indexes it.
-// Admissions always carry the largest IDs seen so far, preserving the
-// cache's ID order.
-func (j *Join) admit(tp join.Tuple, payload interface{}) {
+// cached rebuilds the caller's tuple held at cache position c.
+func (j *Join) cached(c int) Tuple {
+	return Tuple{Key: j.cache[c].Value, Payload: j.payloads[c], Seq: j.seqs[c]}
+}
+
+// admit appends a tuple with its caller's payload and tag to the cache and
+// indexes it. Admissions always carry the largest IDs seen so far, preserving
+// the cache's ID order (and with it every index bucket's).
+func (j *Join) admit(tp join.Tuple, from Tuple) {
 	j.cache = append(j.cache, tp)
-	j.payloads = append(j.payloads, payload)
+	j.payloads = append(j.payloads, from.Payload)
+	j.seqs = append(j.seqs, from.Seq)
 	j.indexAdd(tp)
 }
 
@@ -514,7 +541,13 @@ func (j *Join) indexAdd(tp join.Tuple) {
 		return // can never join; not worth a posting
 	}
 	if j.cfg.Band == 0 {
-		j.equi[tp.Stream][tp.Value] = append(j.equi[tp.Stream][tp.Value], tp.ID)
+		m := j.equi[tp.Stream]
+		if b, ok := m[tp.Value]; ok {
+			b.rest = append(b.rest, tp.ID)
+			m[tp.Value] = b
+		} else {
+			m[tp.Value] = bucket{first: tp.ID}
+		}
 		return
 	}
 	ord := j.ord[tp.Stream]
@@ -533,15 +566,20 @@ func (j *Join) indexRemove(tp join.Tuple) {
 		return
 	}
 	if j.cfg.Band == 0 {
-		b := j.equi[tp.Stream]
-		ids := b[tp.Value]
-		i := sort.SearchInts(ids, tp.ID)
-		ids = append(ids[:i], ids[i+1:]...)
-		if len(ids) == 0 {
-			delete(b, tp.Value)
-		} else {
-			b[tp.Value] = ids
+		m := j.equi[tp.Stream]
+		b := m[tp.Value]
+		switch {
+		case b.first != tp.ID:
+			i := sort.SearchInts(b.rest, tp.ID)
+			b.rest = append(b.rest[:i], b.rest[i+1:]...)
+		case len(b.rest) == 0:
+			delete(m, tp.Value)
+			return
+		default:
+			b.first = b.rest[0]
+			b.rest = append(b.rest[:0], b.rest[1:]...)
 		}
+		m[tp.Value] = b
 		return
 	}
 	ord := j.ord[tp.Stream]

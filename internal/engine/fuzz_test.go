@@ -88,8 +88,9 @@ func FuzzStepEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			po := op.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-			pr := ref.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+			rt, st := Tuple{Key: r[i], Seq: uint64(2 * i)}, Tuple{Key: s[i], Seq: uint64(2*i + 1)}
+			po := op.Step(rt, st)
+			pr := ref.Step(rt, st)
 			if !pairsEqual(po, pr) {
 				t.Fatalf("step %d pairs diverge (cache %d window %d band %d pol %d raw %v):\n  op  %v\n  ref %v",
 					i, cacheSize, window, band, polSel, rawKeys, po, pr)

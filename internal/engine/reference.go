@@ -30,11 +30,12 @@ type ReferenceJoin struct {
 	m      Metrics
 }
 
-// entry is the oracle's cache slot: tuple and payload side by side, the
-// obvious layout (Join keeps them in parallel slices).
+// entry is the oracle's cache slot: the policy's tuple beside the caller's
+// (payload and tag ride along in it), the obvious layout (Join keeps them in
+// parallel slices).
 type entry struct {
-	t       join.Tuple
-	payload interface{}
+	t    join.Tuple
+	from Tuple
 }
 
 // NewReferenceJoin validates the configuration and builds the oracle.
@@ -84,7 +85,7 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 
 	var out []Pair
 	for _, c := range j.cache {
-		ct := Tuple{Key: c.t.Value, Payload: c.payload}
+		ct := c.from
 		switch c.t.Stream {
 		case core.StreamR:
 			if keysMatch(c.t.Value, s.Key, j.cfg.Band) {
@@ -103,8 +104,8 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 	j.m.Pairs += len(out)
 
 	newEntries := []entry{
-		{t: join.Tuple{ID: j.nextID, Value: r.Key, Stream: core.StreamR, Arrived: t}, payload: r.Payload},
-		{t: join.Tuple{ID: j.nextID + 1, Value: s.Key, Stream: core.StreamS, Arrived: t}, payload: s.Payload},
+		{t: join.Tuple{ID: j.nextID, Value: r.Key, Stream: core.StreamR, Arrived: t}, from: r},
+		{t: join.Tuple{ID: j.nextID + 1, Value: s.Key, Stream: core.StreamS, Arrived: t}, from: s},
 	}
 	j.nextID += 2
 	cands := append(append(make([]entry, 0, len(j.cache)+2), j.cache...), newEntries...)

@@ -81,8 +81,8 @@ func (j *Join) checkInvariants() error {
 	if len(j.cache) > j.cfg.CacheSize {
 		return fail("cache holds %d entries, budget %d", len(j.cache), j.cfg.CacheSize)
 	}
-	if len(j.payloads) != len(j.cache) {
-		return fail("cache holds %d tuples and %d payloads", len(j.cache), len(j.payloads))
+	if len(j.payloads) != len(j.cache) || len(j.seqs) != len(j.cache) {
+		return fail("cache holds %d tuples, %d payloads and %d tags", len(j.cache), len(j.payloads), len(j.seqs))
 	}
 	indexable := 0
 	for i, e := range j.cache {
@@ -126,10 +126,7 @@ func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error
 			}
 			sort.Ints(vals)
 			for _, v := range vals {
-				ids := b[v]
-				if len(ids) == 0 {
-					return fail("equi index side %d retains empty bucket for value %d", side, v)
-				}
+				ids := append([]int{b[v].first}, b[v].rest...)
 				for k, id := range ids {
 					if k > 0 && ids[k-1] >= id {
 						return fail("equi bucket (side %d, value %d) not ID-ascending", side, v)

@@ -18,9 +18,9 @@ import (
 // uninterrupted sharded run (pinned by TestShardedCheckpointReplay).
 
 func init() {
-	// Cached and in-flight payloads are Tagged wrappers; the engine's gob
-	// cache encoding and the manifest's lane encoding both need the type
-	// registered.
+	// Checkpoints written before engine.Tuple carried the sequence number
+	// hold Tagged payloads, in the shard envelopes' caches and the manifest's
+	// lanes; decoding them needs the type registered.
 	gob.Register(Tagged{})
 }
 
@@ -155,6 +155,10 @@ func (rt *Runtime) Restore(r io.Reader) error {
 	rt.batches = wire.Batches
 	rt.merged = wire.Merged
 	rt.lanes = wire.Lanes
+	for i := range rt.lanes {
+		untagLane(rt.lanes[i][0])
+		untagLane(rt.lanes[i][1])
+	}
 	copy(rt.reb.lastPairs, wire.LastPairs)
 	rt.reb.moves = wire.Moves
 	return nil

@@ -18,8 +18,7 @@ import (
 // refRouter re-derives, from first principles, the shard-local synchronized
 // steps the runtime's batcher produces: sequence tagging before NoValue
 // filtering, hash routing, positional min-length lane pairing with carry, and
-// NoValue padding on drain. It shares only ShardOf and the Tagged type with
-// the runtime.
+// NoValue padding on drain. It shares only ShardOf with the runtime.
 type refRouter struct {
 	shards int
 	lanes  [][2][]engine.Tuple
@@ -38,11 +37,11 @@ func (rr *refRouter) route(steps []Step, drain bool) [][]engine.TuplePair {
 		rr.seq += 2
 		if st.R.Key != process.NoValue {
 			i := ShardOf(st.R.Key, rr.shards)
-			rr.lanes[i][0] = append(rr.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: Tagged{Seq: rseq, Payload: st.R.Payload}})
+			rr.lanes[i][0] = append(rr.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: st.R.Payload, Seq: rseq})
 		}
 		if st.S.Key != process.NoValue {
 			i := ShardOf(st.S.Key, rr.shards)
-			rr.lanes[i][1] = append(rr.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: Tagged{Seq: sseq, Payload: st.S.Payload}})
+			rr.lanes[i][1] = append(rr.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: st.S.Payload, Seq: sseq})
 		}
 	}
 	out := make([][]engine.TuplePair, rr.shards)
@@ -59,7 +58,7 @@ func (rr *refRouter) route(steps []Step, drain bool) [][]engine.TuplePair {
 			}
 		}
 		for x := 0; x < k; x++ {
-			pad := engine.Tuple{Key: process.NoValue, Payload: Tagged{}}
+			pad := engine.Tuple{Key: process.NoValue}
 			r, s := pad, pad
 			if x < len(lr) {
 				r = lr[x]

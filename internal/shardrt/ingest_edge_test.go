@@ -2,9 +2,13 @@ package shardrt
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stochstream/internal/engine"
+	"stochstream/internal/process"
 )
 
 // TestFlushEmptyRuntime: Flush on a runtime that never ingested anything is a
@@ -104,5 +108,86 @@ func TestCloseEmptyRuntime(t *testing.T) {
 	}
 	if _, err := rt.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
+	}
+}
+
+// tracked is a payload whose collection the test can observe.
+type tracked struct{ _ [64]byte }
+
+// burstSteps builds n R-only arrivals on keys no later traffic uses, each
+// carrying a finalizer-tracked payload. It lives in its own frame so that the
+// caller holds no reference once the batch has been ingested.
+//
+//go:noinline
+func burstSteps(n int, freed *atomic.Int64) []Step {
+	steps := make([]Step, n)
+	for i := range steps {
+		p := new(tracked)
+		runtime.SetFinalizer(p, func(*tracked) { freed.Add(1) })
+		steps[i] = Step{R: engine.Tuple{Key: 1000 + i, Payload: p}, S: engine.Tuple{Key: process.NoValue}}
+	}
+	return steps
+}
+
+// TestConsumedPayloadsAreReleased: what a lane or a shard's batch buffer has
+// handed on, it must stop referencing. A skewed burst parks 256 payloads in
+// the R lanes; S-only traffic then pairs them away (through the batch buffers
+// into the caches) and balanced traffic evicts them, in batches far shorter
+// than the burst — so the positions the burst reached in the lanes and batch
+// buffers are never written again. Every payload must be collectable, and the
+// backing arrays zero beyond what is live. At the parent commit the lanes kept
+// all 256 reachable for the life of the runtime.
+func TestConsumedPayloadsAreReleased(t *testing.T) {
+	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const burst = 256
+	var freed atomic.Int64
+	ingest := func(steps []Step) {
+		t.Helper()
+		if _, err := rt.IngestBatch(steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(burstSteps(burst, &freed))
+	if m := rt.Metrics(); m.Shards[0].Engine.Steps+m.Shards[1].Engine.Steps != 0 {
+		t.Fatalf("the burst was not parked in the lanes: %+v", m)
+	}
+	drain := make([]Step, burst)
+	for i := range drain {
+		drain[i] = Step{R: engine.Tuple{Key: process.NoValue}, S: engine.Tuple{Key: 5000 + i}}
+	}
+	ingest(drain)
+	for b := 0; b < 200; b++ {
+		ingest([]Step{
+			{R: engine.Tuple{Key: b % 7}, S: engine.Tuple{Key: b % 5}},
+			{R: engine.Tuple{Key: b % 3}, S: engine.Tuple{Key: b % 11}},
+		})
+	}
+
+	for i := range rt.lanes {
+		for side, lane := range rt.lanes[i] {
+			for x, tu := range lane[len(lane):cap(lane)] {
+				if tu != (engine.Tuple{}) {
+					t.Fatalf("shard %d lane %d keeps %+v at position %d beyond its length %d", i, side, tu, len(lane)+x, len(lane))
+				}
+			}
+		}
+	}
+	for _, sh := range rt.shards {
+		for x, tp := range sh.batchBuf[:cap(sh.batchBuf)] {
+			if tp != (engine.TuplePair{}) {
+				t.Fatalf("shard %d batch buffer keeps %+v at position %d after its worker answered", sh.id, tp, x)
+			}
+		}
+	}
+	for cycle := 0; cycle < 10 && freed.Load() < burst; cycle++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if got := freed.Load(); got != burst {
+		t.Fatalf("%d of %d burst payloads were collected; the rest are still reachable from the runtime", got, burst)
 	}
 }

@@ -79,7 +79,7 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 					clock++
 					for _, tu := range []engine.Tuple{tp.R, tp.S} {
 						if tu.Key != process.NoValue { // drain padding carries no sequence number
-							stepOf[tu.Payload.(Tagged).Seq] = clock
+							stepOf[tu.Seq] = clock
 						}
 					}
 				}

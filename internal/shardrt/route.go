@@ -4,14 +4,30 @@ import (
 	"stochstream/internal/engine"
 )
 
-// Tagged is the runtime's internal payload wrapper: every arrival is tagged
-// with its global ingress sequence number before routing, so emitted pairs
-// can be merged into one deterministic global order and hand the caller's
-// original payload back. It is exported only because per-shard checkpoints
-// gob-encode cached payloads; treat it as opaque.
+// Tagged is how the runtime carried an arrival's ingress sequence number
+// until engine.Tuple gained its Seq field: wrapped around the payload, one
+// box per tuple. Nothing builds one any more. The type stays exported and
+// gob-registered only so that a checkpoint written before the change still
+// decodes — its cached payloads inside the shard envelopes and its lane
+// tuples in the manifest are Tagged values — and Restore unwraps each exactly
+// once (Untag; see docs/fault-tolerance.md, "Sequence tags").
 type Tagged struct {
 	Seq     uint64
 	Payload interface{}
+}
+
+// Untag returns the sequence number and the caller's payload; the engine's
+// Restore calls it on cached payloads, untagLane on carried lane tuples.
+func (t Tagged) Untag() (seq uint64, payload interface{}) { return t.Seq, t.Payload }
+
+// untagLane moves the sequence numbers of a restored lane out of Tagged
+// payloads, in place. A lane written since the change has none.
+func untagLane(lane []engine.Tuple) {
+	for i := range lane {
+		if old, ok := lane[i].Payload.(Tagged); ok {
+			lane[i].Seq, lane[i].Payload = old.Untag()
+		}
+	}
 }
 
 // ShardOf maps a join key to its shard with a Fibonacci-style multiplicative
@@ -27,17 +43,14 @@ func ShardOf(key, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// convertPair unwraps one engine pair into the runtime's result type: the
-// Tagged payloads become the global sequence numbers plus the caller's
-// payloads.
+// convertPair turns one engine pair into the runtime's result type: the
+// tags the engine echoed become the global sequence numbers.
 func convertPair(p engine.Pair, shard int) Pair {
-	rt := p.R.Payload.(Tagged)
-	st := p.S.Payload.(Tagged)
 	return Pair{
-		RSeq:     rt.Seq,
-		SSeq:     st.Seq,
-		R:        engine.Tuple{Key: p.R.Key, Payload: rt.Payload},
-		S:        engine.Tuple{Key: p.S.Key, Payload: st.Payload},
+		RSeq:     p.R.Seq,
+		SSeq:     p.S.Seq,
+		R:        Side{Key: p.R.Key, Payload: p.R.Payload},
+		S:        Side{Key: p.S.Key, Payload: p.S.Payload},
 		SameStep: p.SameTime,
 		Shard:    shard,
 	}

@@ -38,14 +38,23 @@ import (
 )
 
 // Step is one synchronized step of global arrivals: one tuple from each
-// stream, exactly like the two engine.Step arguments.
+// stream, exactly like the two engine.Step arguments. The tuples' Seq is
+// ignored: the runtime tags every arrival with its own ingress sequence.
 type Step struct {
 	R, S engine.Tuple
 }
 
+// Side is one side of a Pair: the join key and the caller's payload, an
+// engine.Tuple without the tag (Pair carries it as RSeq/SSeq, once).
+type Side struct {
+	Key     int
+	Payload interface{}
+}
+
 // Pair is one join result with its global provenance: the ingress sequence
 // numbers of both sides (RSeq/SSeq), the shard that produced it, and the
-// caller's original payloads (the runtime's internal tagging is unwrapped).
+// caller's original keys and payloads. It is 80 bytes; a reply of the fanout
+// shape holds ~4 000 of them in each of the run and merge buffers.
 type Pair struct {
 	// RSeq and SSeq are the global ingress sequence numbers of the two
 	// sides: every arrival is numbered 2·step (R) and 2·step+1 (S) at
@@ -55,7 +64,7 @@ type Pair struct {
 	// is unique per pair and pinned by TestMergeOrder.
 	RSeq, SSeq uint64
 	// R and S carry the join keys and the caller's payloads.
-	R, S engine.Tuple
+	R, S Side
 	// SameStep marks a pair whose two sides were paired into the same
 	// shard-local step (engine.Pair.SameTime under the shard's clock).
 	// Because the batcher pairs each shard's R and S lanes positionally,
@@ -332,7 +341,7 @@ func sortedRun(pairs []engine.Pair, shard int) []Pair {
 		keys = make([]runKey, 0, len(pairs))
 	}
 	for i := range pairs {
-		trig, part := pairs[i].R.Payload.(Tagged).Seq, pairs[i].S.Payload.(Tagged).Seq
+		trig, part := pairs[i].R.Seq, pairs[i].S.Seq
 		if trig < part {
 			trig, part = part, trig
 		}
@@ -378,11 +387,11 @@ func (rt *Runtime) IngestBatch(steps []Step) ([]Pair, error) {
 		rt.seq += 2
 		if st.R.Key != process.NoValue {
 			i := ShardOf(st.R.Key, rt.cfg.Shards)
-			rt.lanes[i][0] = append(rt.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: Tagged{Seq: rseq, Payload: st.R.Payload}})
+			rt.lanes[i][0] = append(rt.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: st.R.Payload, Seq: rseq})
 		}
 		if st.S.Key != process.NoValue {
 			i := ShardOf(st.S.Key, rt.cfg.Shards)
-			rt.lanes[i][1] = append(rt.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: Tagged{Seq: sseq, Payload: st.S.Payload}})
+			rt.lanes[i][1] = append(rt.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: st.S.Payload, Seq: sseq})
 		}
 	}
 	rt.ingested += len(steps)
@@ -432,8 +441,8 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 			continue
 		}
 		batch := sh.batchBuf[:0]
+		pad := engine.Tuple{Key: process.NoValue}
 		for x := 0; x < k; x++ {
-			pad := engine.Tuple{Key: process.NoValue, Payload: Tagged{}}
 			r, s := pad, pad
 			if x < len(lr) {
 				r = lr[x]
@@ -457,6 +466,7 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		}
 		res := <-sh.res
 		sh.pending = false
+		clear(sh.batchBuf) // the worker is done with it; an idle shard must not pin its last batch's payloads
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
@@ -475,12 +485,15 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 }
 
 // consumeLane drops the first k routed tuples, keeping the tail at the front
-// of the same backing array.
+// of the same backing array and zeroing the stretch it vacates: a lane only
+// ever overwrites as far as its next tail reaches, so what a burst once
+// parked further out would otherwise keep its payloads reachable for good.
 func consumeLane(lane []engine.Tuple, k int) []engine.Tuple {
-	if k >= len(lane) {
-		return lane[:0]
+	n := 0
+	if k < len(lane) {
+		n = copy(lane, lane[k:])
 	}
-	n := copy(lane, lane[k:])
+	clear(lane[n:])
 	return lane[:n]
 }
 

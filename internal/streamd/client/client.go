@@ -87,6 +87,11 @@ type Client struct {
 	acked   uint64 // highest batch base the server acknowledged
 	credits int    // absolute remaining window, from the last frame
 	closed  bool
+	// frame is the ingest frame of the batch in flight, encoded once and
+	// resent as is on every retry. With one batch in flight and no goroutine
+	// of its own, the client is the buffer's only user, so the next batch
+	// simply overwrites it; nothing handed to the caller points into it.
+	frame []byte
 }
 
 // Dial validates options and connects, performing the session handshake
@@ -213,6 +218,12 @@ func (c *Client) withRetries(what string, op func() error) error {
 // returns the join pairs in the daemon's deterministic merge order. Each
 // batch survives disconnects, sheds and daemon restarts: the client
 // reconnects, resumes, and resends until acknowledged.
+//
+// The returned pairs belong to the caller: they are decoded straight into
+// the returned slice, alias neither steps nor any buffer the client reuses,
+// and stay intact across later calls and Close. The two payloads of one pair
+// may share storage; payloads of different pairs never do, so retaining one
+// pair retains nothing of the rest of the reply. steps is not retained.
 func (c *Client) Ingest(steps []wire.Step) ([]wire.Pair, error) {
 	if c.closed {
 		return nil, wire.ErrClosed
@@ -228,11 +239,11 @@ func (c *Client) Ingest(steps []wire.Step) ([]wire.Pair, error) {
 	var out []wire.Pair
 	for len(steps) > 0 {
 		n := c.nextBatchLen(steps)
-		pairs, err := c.ingestBatch(steps[:n])
+		pairs, err := c.ingestBatch(out, steps[:n])
 		if err != nil {
 			return out, err
 		}
-		out = append(out, pairs...)
+		out = pairs
 		steps = steps[n:]
 	}
 	return out, nil
@@ -265,12 +276,13 @@ func (c *Client) nextBatchLen(steps []wire.Step) int {
 	return n
 }
 
-// ingestBatch drives one batch (base = acked+1) to acknowledgment.
-func (c *Client) ingestBatch(steps []wire.Step) ([]wire.Pair, error) {
+// ingestBatch drives one batch (base = acked+1) to acknowledgment and returns
+// out extended by its pairs. On error out is returned as it came: an attempt
+// that failed midway through a chunked reply leaves nothing behind.
+func (c *Client) ingestBatch(out []wire.Pair, steps []wire.Step) ([]wire.Pair, error) {
 	base := c.acked + 1
-	payload := wire.EncodeIngest(wire.Ingest{Base: base, Steps: steps})
-	frame := wire.Frame(wire.TypeIngest, payload)
-	var pairs []wire.Pair
+	c.frame = wire.AppendIngestFrame(c.frame[:0], wire.Ingest{Base: base, Steps: steps})
+	pairs := out
 	err := c.withRetries("ingest", func() error {
 		if c.nc == nil {
 			if err := c.connect(); err != nil {
@@ -282,11 +294,11 @@ func (c *Client) ingestBatch(steps []wire.Step) ([]wire.Pair, error) {
 			// results frame consumed below before we got to resend).
 			return nil
 		}
-		if _, err := c.nc.Write(frame); err != nil {
+		if _, err := c.nc.Write(c.frame); err != nil {
 			c.dropConn()
 			return &transientError{err: fmt.Errorf("client: ingest write: %w", err)}
 		}
-		p, err := c.awaitResults(base)
+		p, err := c.await(out, base, false)
 		if err != nil {
 			return err
 		}
@@ -296,37 +308,45 @@ func (c *Client) ingestBatch(steps []wire.Step) ([]wire.Pair, error) {
 	return pairs, err
 }
 
-// awaitResults reads frames until the acknowledgment for base arrives,
-// accumulating chunked replies (More flag) into one pair listing. Replayed
-// results for already-acknowledged batches are recognized by their
-// sequence and skipped — the dedup half of retry safety.
-func (c *Client) awaitResults(base uint64) ([]wire.Pair, error) {
-	var acc []wire.Pair
+// await reads frames until the reply it is waiting for is complete — the
+// acknowledgment of batch base, or with flush set the response to a Flush —
+// decoding chunked replies (More flag) onto the end of acc, and returns the
+// extended listing. Anything else on the stream is a leftover of an earlier
+// attempt and is skipped: a stale flush response, or results replayed for an
+// already-acknowledged batch, recognized by their sequence — the dedup half
+// of retry safety.
+func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, error) {
+	what := "ingest"
+	if flush {
+		what = "flush"
+	}
 	for {
 		typ, payload, err := wire.ReadFrame(c.rd)
 		if err != nil {
 			c.dropConn()
-			return nil, &transientError{err: fmt.Errorf("client: results read: %w", err)}
+			return nil, &transientError{err: fmt.Errorf("client: %s read: %w", what, err)}
 		}
 		switch typ {
 		case wire.TypeResults:
-			f, err := wire.DecodeResults(payload)
+			f, err := wire.AppendResults(acc, payload)
 			if err != nil {
 				c.dropConn()
-				return nil, fmt.Errorf("client: results: %w", err)
+				return nil, fmt.Errorf("client: %s results: %w", what, err)
 			}
-			if f.Flush || f.AckSeq < base {
-				continue // stale flush response or replayed duplicate (chunks included)
+			if f.Flush != flush || (!flush && f.AckSeq < base) {
+				continue // chunks included; acc keeps its length
 			}
-			if f.AckSeq > base {
+			if !flush && f.AckSeq > base {
 				c.dropConn()
 				return nil, fmt.Errorf("%w: server acked %d, expected %d", wire.ErrSeqGap, f.AckSeq, base)
 			}
-			acc = append(acc, f.Pairs...)
+			acc = f.Pairs
 			if f.More {
-				continue // the acknowledgment completes when More clears
+				continue // the reply completes when More clears
 			}
-			c.acked = base
+			if !flush {
+				c.acked = base
+			}
 			c.credits = int(f.Credits)
 			return acc, nil
 		case wire.TypeError:
@@ -336,14 +356,12 @@ func (c *Client) awaitResults(base uint64) ([]wire.Pair, error) {
 				return nil, fmt.Errorf("client: error frame: %w", err)
 			}
 			cause := wire.CodeToErr(f.Code)
-			switch f.Code {
-			case wire.CodeOverloaded, wire.CodeDraining:
-				// Shed before any state was consumed: same base retries.
+			if f.Code == wire.CodeOverloaded || f.Code == wire.CodeDraining {
+				// Shed before any state was consumed: the same request retries.
 				return nil, &transientError{err: cause, hint: f.RetryAfter()}
-			default:
-				// BadStep and protocol violations are the caller's bug.
-				return nil, fmt.Errorf("client: ingest rejected: %w", cause)
 			}
+			// BadStep and protocol violations are the caller's bug.
+			return nil, fmt.Errorf("client: %s rejected: %w", what, cause)
 		default:
 			c.dropConn()
 			return nil, fmt.Errorf("%w: unexpected frame type 0x%02x", wire.ErrBadFrame, typ)
@@ -372,7 +390,7 @@ func (c *Client) Flush() ([]wire.Pair, error) {
 			c.dropConn()
 			return &transientError{err: fmt.Errorf("client: flush write: %w", err)}
 		}
-		p, err := c.awaitFlush()
+		p, err := c.await(nil, 0, true)
 		if err != nil {
 			return err
 		}
@@ -380,48 +398,6 @@ func (c *Client) Flush() ([]wire.Pair, error) {
 		return nil
 	})
 	return pairs, err
-}
-
-func (c *Client) awaitFlush() ([]wire.Pair, error) {
-	var acc []wire.Pair
-	for {
-		typ, payload, err := wire.ReadFrame(c.rd)
-		if err != nil {
-			c.dropConn()
-			return nil, &transientError{err: fmt.Errorf("client: flush read: %w", err)}
-		}
-		switch typ {
-		case wire.TypeResults:
-			f, err := wire.DecodeResults(payload)
-			if err != nil {
-				c.dropConn()
-				return nil, fmt.Errorf("client: flush results: %w", err)
-			}
-			if !f.Flush {
-				continue // replayed ingest acknowledgment (chunks included)
-			}
-			acc = append(acc, f.Pairs...)
-			if f.More {
-				continue
-			}
-			c.credits = int(f.Credits)
-			return acc, nil
-		case wire.TypeError:
-			f, err := wire.DecodeError(payload)
-			if err != nil {
-				c.dropConn()
-				return nil, fmt.Errorf("client: error frame: %w", err)
-			}
-			cause := wire.CodeToErr(f.Code)
-			if f.Code == wire.CodeOverloaded || f.Code == wire.CodeDraining {
-				return nil, &transientError{err: cause, hint: f.RetryAfter()}
-			}
-			return nil, fmt.Errorf("client: flush rejected: %w", cause)
-		default:
-			c.dropConn()
-			return nil, fmt.Errorf("%w: unexpected frame type 0x%02x", wire.ErrBadFrame, typ)
-		}
-	}
 }
 
 // Close detaches cleanly (best-effort goodbye) and releases the

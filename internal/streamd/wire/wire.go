@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -263,11 +264,27 @@ func StepSize(st *Step) int {
 	return minStepSize + len(st.RPayload) + len(st.SPayload)
 }
 
-func EncodeIngest(f Ingest) []byte {
-	var w wireBuf
+// appendIngest is the one Ingest encoder: it sizes the batch exactly from
+// StepSize, grows dst once if it has to, and appends f — as a complete frame
+// with framed set, otherwise as the bare payload.
+func appendIngest(dst []byte, f Ingest, framed bool) []byte {
+	size := IngestHeaderSize
+	for i := range f.Steps {
+		size += StepSize(&f.Steps[i])
+	}
+	total := size
+	if framed {
+		total += 5
+	}
+	w := wireBuf{b: slices.Grow(dst, total)}
+	if framed {
+		w.u8(TypeIngest)
+		w.u32(uint32(size))
+	}
 	w.u64(f.Base)
 	w.u32(uint32(len(f.Steps)))
-	for _, st := range f.Steps {
+	for i := range f.Steps {
+		st := &f.Steps[i]
 		w.i64(st.RKey)
 		w.i64(st.SKey)
 		w.blob(st.RPayload)
@@ -275,6 +292,15 @@ func EncodeIngest(f Ingest) []byte {
 	}
 	return w.b
 }
+
+// EncodeIngest encodes f as one bare Ingest payload (no frame header).
+func EncodeIngest(f Ingest) []byte { return appendIngest(nil, f, false) }
+
+// AppendIngestFrame appends the complete Ingest frame for f (header
+// included) to dst and returns the extended slice. Nothing of f is retained,
+// and a dst with room for the frame is not reallocated: a client that sends
+// one batch at a time passes its previous frame's buffer, truncated.
+func AppendIngestFrame(dst []byte, f Ingest) []byte { return appendIngest(dst, f, true) }
 
 // Results flags byte: bit 0 = Flush, bit 1 = More.
 const (
@@ -482,20 +508,50 @@ func (c *wireCursor) str() string {
 	return string(c.take(n))
 }
 
-// blob reads a length-prefixed byte slice, copying out of the frame buffer
-// so the caller may retain it after the buffer is reused.
-func (c *wireCursor) blob() []byte {
+// view reads a length-prefixed byte slice as a view into the frame buffer;
+// present is false for the absent marker (and after an error).
+func (c *wireCursor) view() (b []byte, present bool) {
 	n := c.u32()
 	if n == 0xFFFFFFFF {
-		return nil
+		return nil, false
 	}
-	b := c.take(int(n))
-	if b == nil {
+	b = c.take(int(n))
+	return b, c.err == nil
+}
+
+// blob reads a length-prefixed byte slice, copying out of the frame buffer
+// so the caller may retain it after the buffer is gone.
+func (c *wireCursor) blob() []byte {
+	b, present := c.view()
+	if !present {
 		return nil
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// blobs reads the two payload blobs of one pair into one allocation: a
+// consumer keeps or drops a pair whole, so the pair is the granularity worth
+// paying an object for. r is clipped to its own length, so appending to it
+// cannot reach s. Absent stays nil and empty stays non-nil empty (make of
+// zero bytes is non-nil and allocates nothing).
+func (c *wireCursor) blobs() (r, s []byte) {
+	rv, rok := c.view()
+	sv, sok := c.view()
+	if c.err != nil {
+		return nil, nil
+	}
+	buf := make([]byte, len(rv)+len(sv))
+	n := copy(buf, rv)
+	copy(buf[n:], sv)
+	if rok {
+		r = buf[:n:n]
+	}
+	if sok {
+		s = buf[n:]
+	}
+	return r, s
 }
 
 // flag reads a boolean byte; anything but 0 or 1 is a frame violation, so
@@ -592,7 +648,18 @@ func DecodeIngest(b []byte) (Ingest, error) {
 	return f, nil
 }
 
-func DecodeResults(b []byte) (Results, error) {
+// DecodeResults decodes one Results payload. The pairs are the caller's:
+// nothing in them aliases b. The two payloads of one pair may share storage
+// (one allocation a pair); payloads of different pairs never do.
+func DecodeResults(b []byte) (Results, error) { return AppendResults(nil, b) }
+
+// AppendResults is the one Results decoder: DecodeResults, with the frame's
+// pairs appended to dst and the extended slice returned as Pairs, so a reply
+// that arrives in several frames (More) or batches is written once into the
+// slice its consumer ends up holding. On error dst's elements are untouched
+// and the returned Results is empty; what was appended beyond len(dst) is
+// garbage the caller never sees.
+func AppendResults(dst []Pair, b []byte) (Results, error) {
 	c := wireCursor{b: b}
 	f := Results{AckSeq: c.u64(), Credits: c.u32()}
 	flags := c.u8()
@@ -602,14 +669,15 @@ func DecodeResults(b []byte) (Results, error) {
 	f.Flush = flags&resultsFlagFlush != 0
 	f.More = flags&resultsFlagMore != 0
 	n := c.count(minPairSize, "pairs")
-	f.Pairs = make([]Pair, 0, n)
+	f.Pairs = slices.Grow(dst, n)
 	for i := 0; i < n && c.err == nil; i++ {
-		f.Pairs = append(f.Pairs, Pair{
+		p := Pair{
 			RSeq: c.u64(), SSeq: c.u64(),
 			RKey: c.i64(), SKey: c.i64(),
 			Shard: c.u16(), SameStep: c.flag(),
-			RPayload: c.blob(), SPayload: c.blob(),
-		})
+		}
+		p.RPayload, p.SPayload = c.blobs()
+		f.Pairs = append(f.Pairs, p)
 	}
 	if err := c.done(); err != nil {
 		return Results{}, err

@@ -20,9 +20,12 @@
 #   7. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
-#   8. fuzz smoke  — 10s of FuzzStepEquivalence over the committed corpus
+#   8. fuzz smoke  — 10s each of FuzzStepEquivalence and the two wire decoder
+#                    fuzzers (FuzzDecodeResults, FuzzDecodeIngest) over their
+#                    committed corpora
 #   9. bench smoke — a build that breaks a benchmark cannot land: every
-#                    go-test benchmark in the tree once, then the ledger
+#                    go-test benchmark in the tree once (-benchmem, so
+#                    allocs/op land in the log), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
@@ -85,9 +88,11 @@ go test -run '^TestNetworkChaosConcurrent$' -count=200 ./internal/faultinject
 
 echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
+go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
+go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
 
 echo "==> bench smoke"
-go test -run '^$' -bench . -benchtime 1x ./...
+go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 go run ./bench -scale tiny -seconds 0.2
 
 echo "ci: all gates passed"
