@@ -28,8 +28,8 @@ import (
 // A history that moved backwards, a different model, or Invalidate empties
 // the window. It is derived state: nothing of it is checkpointed.
 //
-// Beside each window sits a memo of the scores summed over it (see
-// window.coordinate), emptied whenever the window is.
+// Beside each window sits a table of the scores summed over it (see
+// window.origin), emptied whenever the window is.
 //
 // A ForecastCache is not safe for concurrent use.
 type ForecastCache struct {
@@ -47,12 +47,18 @@ const (
 
 // window is one stream's forecasts for Δt = 1..len(f).
 type window struct {
-	f     []dist.Dense
-	rule  int
-	inc   process.Incremental  // rule == reoffset
-	trend *process.LinearTrend // rule == slide, when the model is a linear trend
-	t0    int                  // rule == slide: f[i] is the forecast for time t0+1+i
-	last  int                  // rule == reoffset: the observation f's offsets include
+	// f is the live stretch of buf. Entries dropped from its head leave room
+	// at the front of buf, which push moves f back into when the tail runs out.
+	f, buf []dist.Dense
+	rule   int
+	inc    process.Incremental  // rule == reoffset
+	trend  *process.LinearTrend // rule == slide, when the model is a linear trend
+	noise  dist.Dense           // trend != nil: the view of trend.Noise every entry is a translate of
+	t0     int                  // rule == slide: f[i] is the forecast for time t0+1+i
+	// org is the value f's offsets are counted from: the last observation
+	// under reoffset (the entries are the bare increments, and a new
+	// observation moves org instead of every entry), zero otherwise.
+	org int
 
 	// Support-bound monotonicity over f, which lets a score skip every Δt
 	// whose support cannot contain the candidate's value (see span). head
@@ -63,13 +69,17 @@ type window struct {
 	head int
 	brk  [4]int
 
-	// Scores already summed over the whole window, by coordinate (see
-	// coordinate), for the L table and band radius they were summed under.
-	// Only non-zero scores are kept: those lie inside the window's support,
-	// which bounds the memo by the support's width however long the run.
-	memo    map[int]float64
-	memoL   []float64
-	memoEps int
+	// Scores already summed over the whole window under L table tabL and band
+	// radius tabEps: tab[k−tabLo] is the sum at coordinate k (see origin), and
+	// 0 where none is kept. Only non-zero scores are kept, which makes 0 free
+	// to mean so; those lie inside the window's support seen from the origin,
+	// which no decision moves, and that bounds the table by the support's
+	// width however long the run.
+	tab     []float64
+	tabLo   int
+	tabL    []float64
+	tabEps  int
+	entries int
 	hits    int
 }
 
@@ -129,61 +139,120 @@ func sameModel(a, b process.Process) bool {
 
 func (w *window) bind(p process.Process) {
 	w.clear()
-	w.rule, w.inc, w.trend = refill, nil, nil
+	w.rule, w.inc, w.trend, w.org = refill, nil, nil, 0
 	if inc, ok := p.(process.Incremental); ok {
 		w.rule, w.inc = reoffset, inc
 	} else if p != nil && p.Independent() {
 		w.rule = slide
-		w.trend, _ = p.(*process.LinearTrend)
+		if w.trend, _ = p.(*process.LinearTrend); w.trend != nil {
+			w.noise = dist.DenseOf(w.trend.Noise)
+		}
 	}
 }
 
 func (w *window) clear() {
-	w.f = w.f[:0]
+	w.f = w.buf[:0]
 	w.head = 0
 	w.brk = [4]int{}
-	clear(w.memo)
+	w.emptyTab()
 }
 
-// coordinate returns the one number through which the sum over the whole
-// window depends on the candidate value v, when there is one. Every entry of
-// a re-offset window sits at a fixed distance from the last observation, and
-// every entry of a window sliding over a linear trend at a fixed distance
-// from Slope·t0, with the same probabilities at every decision; so the sum
-// reads the same cells, in the same order, for every (v, decision) at the
-// same distance from that origin. This is Theorem 5(2) for walks and
-// Corollary 5 for trends, kept exact: a score is summed once per coordinate
-// and is bit for bit what summing it again would give.
-func (w *window) coordinate(v int) (c int, ok bool) {
+func (w *window) emptyTab() {
+	clear(w.tab)
+	w.entries = 0
+}
+
+// origin returns the value that candidate values are counted from to get the
+// one number — the coordinate v − origin — through which the sum over the
+// whole window depends on v, when there is one. Every entry of a re-offset
+// window sits at a fixed distance from the last observation, and every entry
+// of a window sliding over a linear trend at a fixed distance from Slope·t0,
+// with the same probabilities at every decision; so the sum reads the same
+// cells, in the same order, for every (v, decision) at the same distance from
+// that origin. This is Theorem 5(2) for walks and Corollary 5 for trends,
+// kept exact: a score is summed once per coordinate and is bit for bit what
+// summing it again would give.
+func (w *window) origin() (o int, ok bool) {
 	switch {
 	case w.rule == reoffset:
-		return v - w.last, true
+		return w.org, true
 	case w.trend != nil:
-		return v - w.trend.Slope*w.t0, true
+		return w.trend.Slope * w.t0, true
 	}
 	return 0, false
 }
 
-// recall returns the memoized sum against stream s at coordinate key under l
-// and eps. A memo holding sums under another table (a retabulated L has new
-// storage) or band is emptied first.
-func (c *ForecastCache) recall(s StreamID, key int, l LTable, eps int) (h float64, ok bool) {
-	w := &c.win[s]
-	if w.memo == nil {
-		w.memo = make(map[int]float64)
-	}
-	if len(w.memoL) != len(l.vals) || &w.memoL[0] != &l.vals[0] || w.memoEps != eps {
-		clear(w.memo)
-		w.memoL, w.memoEps = l.vals, eps
-	}
-	if h, ok = w.memo[key]; ok {
-		w.hits++
-	}
-	return h, ok
+// Bound is one stream's window made ready for the scores of one decision by
+// Bind; Score reads it. It is valid until the cache is next rebound or
+// invalidated, or bound for the same stream.
+type Bound struct {
+	w    *window
+	l    LTable
+	eps  int
+	tab  []float64 // w.tab, when the window has a coordinate
+	base int       // tab[v−base] is the sum kept for candidate value v
 }
 
-// remember memoizes h under the table and band of the recall that missed.
-func (c *ForecastCache) remember(s StreamID, key int, h float64) { c.win[s].memo[key] = h }
+// Bind does, once, what every score against stream s over the whole of l
+// under band radius eps needs: the window forecast through len(l), the
+// coordinate origin folded into the table's base, and a table holding sums
+// under another L table (a retabulated L has new storage) or band emptied.
+func (c *ForecastCache) Bind(s StreamID, eps int, l LTable) Bound {
+	w := c.upTo(s, len(l.vals))
+	b := Bound{w: w, l: l, eps: eps}
+	if o, ok := w.origin(); ok {
+		if w.tabEps != eps || len(w.tabL) != len(l.vals) || len(l.vals) > 0 && &w.tabL[0] != &l.vals[0] {
+			w.emptyTab()
+			w.tabL, w.tabEps = l.vals, eps
+		}
+		b.tab, b.base = w.tab, w.tabLo+o
+	}
+	return b
+}
+
+// Score is BandJoinHCached for candidate value v over all of b's L table: one
+// table read when the sum at v's coordinate is kept, else the sum itself,
+// kept from then on if the window has a coordinate and the sum is not zero.
+// It is the cache's method, not b's, because it writes the cache's tables.
+func (c *ForecastCache) Score(b *Bound, v int) float64 {
+	if i := v - b.base; uint(i) < uint(len(b.tab)) {
+		if h := b.tab[i]; h != 0 {
+			b.w.hits++
+			return h
+		}
+	}
+	return b.miss(v)
+}
+
+func (b *Bound) miss(v int) float64 {
+	w := b.w
+	h := w.sum(len(b.l.vals), v, b.eps, b.l)
+	if o, ok := w.origin(); ok && h != 0 {
+		w.keep(v-o, h)
+		b.tab, b.base = w.tab, w.tabLo+o
+	}
+	return h
+}
+
+// keep stores the sum h at coordinate k, growing the table to the
+// coordinates asked for and a margin: it has grown for the last time once
+// the candidates have been everywhere in the window's support.
+func (w *window) keep(k int, h float64) {
+	const margin = 32
+	if uint(k-w.tabLo) >= uint(len(w.tab)) {
+		if len(w.tab) == 0 {
+			w.tabLo = k
+		}
+		lo, hi := min(k-margin, w.tabLo), max(k+1+margin, w.tabLo+len(w.tab))
+		g := make([]float64, hi-lo)
+		copy(g[w.tabLo-lo:], w.tab)
+		w.tab, w.tabLo = g, lo
+	}
+	if w.tab[k-w.tabLo] == 0 {
+		w.entries++
+	}
+	w.tab[k-w.tabLo] = h
+}
 
 // advance moves the window from the history it was last advanced to, to h.
 func (w *window) advance(h *process.History) {
@@ -198,13 +267,7 @@ func (w *window) advance(h *process.History) {
 		}
 		w.t0 = t0
 	case reoffset:
-		last := w.inc.Last(h)
-		if d := last - w.last; d != 0 {
-			for i := range w.f {
-				w.f[i].Off += d
-			}
-		}
-		w.last = last
+		w.org = w.inc.Last(h)
 	default:
 		w.clear()
 	}
@@ -230,12 +293,14 @@ func (w *window) push(d dist.Dense) {
 	}
 	if len(w.f) == cap(w.f) {
 		// A sliding window uses up its slack once per slack's length of steps
-		// and is then copied to a new array, so the slack is memory held for
-		// good rather than room to grow into: an eighth, where append would
-		// take a quarter and round a horizon of a thousand up to 64 KB.
-		g := make([]dist.Dense, len(w.f), len(w.f)+len(w.f)/8+8)
-		copy(g, w.f)
-		w.f = g
+		// and is then moved back to the front of its array; the array grows
+		// only when the window does. The slack is memory held for good rather
+		// than room to grow into: an eighth, where append would take a quarter
+		// and round a horizon of a thousand up to 64 KB.
+		if cap(w.f) == cap(w.buf) {
+			w.buf = make([]dist.Dense, len(w.f)+len(w.f)/8+8)
+		}
+		w.f = w.buf[:copy(w.buf, w.f)]
 	}
 	w.f = append(w.f, d)
 }
@@ -249,36 +314,44 @@ func (c *ForecastCache) upTo(s StreamID, n int) *window {
 	w := &c.win[s]
 	for len(w.f) < n {
 		dt := len(w.f) + 1
-		if w.rule == reoffset {
-			d := dist.DenseOf(w.inc.Increment(dt))
-			d.Off += w.last
+		switch {
+		case w.rule == reoffset:
+			w.push(dist.DenseOf(w.inc.Increment(dt)))
+		case w.trend != nil:
+			d := w.noise
+			d.Off += w.trend.TrendAt(w.t0 + dt)
 			w.push(d)
-		} else {
+		default:
 			w.push(dist.DenseOf(c.procs[s].Forecast(c.hists[s], dt)))
 		}
 	}
 	return w
 }
 
-// At returns the Δt-step forecast of stream s (dt >= 1). The result points
-// into the window and is valid until the next Rebind.
-func (c *ForecastCache) At(s StreamID, dt int) *dist.Dense {
-	return &c.upTo(s, dt).f[dt-1]
+// At returns the Δt-step forecast of stream s (dt >= 1). The result shares
+// the window's probabilities and is valid until the next Rebind.
+func (c *ForecastCache) At(s StreamID, dt int) dist.Dense {
+	w := c.upTo(s, dt)
+	d := w.f[dt-1]
+	d.Off += w.org
+	return d
 }
 
 // Len returns how many horizon steps of stream s are currently materialized.
 func (c *ForecastCache) Len(s StreamID) int { return len(c.win[s].f) }
 
-// Memo returns how many scores against stream s are memoized and how many
-// scores have been answered from the memo since the cache was made.
-func (c *ForecastCache) Memo(s StreamID) (entries, hits int) {
-	return len(c.win[s].memo), c.win[s].hits
+// Memo returns how many scores against stream s are kept, in a table of how
+// many slots, and how many scores have been answered from the table since the
+// cache was made.
+func (c *ForecastCache) Memo(s StreamID) (entries, slots, hits int) {
+	w := &c.win[s]
+	return w.entries, len(w.tab), w.hits
 }
 
 // span returns the index range [from, to) of f[:n] outside of which no
-// support meets [a, b]. A bound that is monotone in Δt puts the entries that
-// satisfy it in a prefix or a suffix, found by binary search; a bound that is
-// not monotone restricts nothing.
+// support meets [a, b], both counted from org. A bound that is monotone in Δt
+// puts the entries that satisfy it in a prefix or a suffix, found by binary
+// search; a bound that is not monotone restricts nothing.
 func (w *window) span(n, a, b int) (from, to int) {
 	f := w.f[:n]
 	from, to = 0, n

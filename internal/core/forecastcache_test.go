@@ -175,7 +175,10 @@ func TestScoreMemoContract(t *testing.T) {
 	lt := TabulateL(l, 0)
 	for _, s := range []StreamID{StreamR, StreamS} {
 		v := hists[s].Last() + 3
-		memo := func() (entries, hits int) { return fc.Memo(s) }
+		memo := func() (entries, hits int) {
+			entries, _, hits = fc.Memo(s)
+			return
+		}
 		score := func(v, eps int, l LExp, lt LTable, remaining int) {
 			t.Helper()
 			var ref LFunc = l
@@ -211,5 +214,73 @@ func TestScoreMemoContract(t *testing.T) {
 		expect("a sum under another L table", 1, 1)
 		fc.Invalidate()
 		expect("Invalidate", 0, 1)
+	}
+	// What empties a window empties its table: a history that moved backwards
+	// (only a sliding window notices; a walk's increments are the same at any
+	// time), and another model in the stream's place.
+	for _, s := range []StreamID{StreamR, StreamS} {
+		if got := BandJoinHCached(fc, s, hists[s].Last()+3, 0, lt, math.MaxInt); got == 0 {
+			t.Fatalf("stream %v: zero score", s)
+		}
+	}
+	hists = [2]*process.History{process.NewHistory(0, 1), process.NewHistory(30, 33)}
+	fc.Rebind(procs, hists)
+	if r, _, _ := fc.Memo(StreamR); r != 0 {
+		t.Fatalf("%d sums kept against the trend after its history moved backwards", r)
+	}
+	if s, _, _ := fc.Memo(StreamS); s != 1 {
+		t.Fatalf("%d sums kept against the walk after its history moved backwards, want 1", s)
+	}
+	procs[1] = &process.GaussianWalk{Sigma: 2, Init: 30}
+	fc.Rebind(procs, hists)
+	if s, _, _ := fc.Memo(StreamS); s != 0 {
+		t.Fatalf("%d sums kept against a stream whose model was replaced", s)
+	}
+}
+
+// The table is dense over the coordinates it was asked to keep and a margin,
+// and candidates do not arrive in order: coordinates far apart, first above
+// and then below what it covers, grow it in both directions, and growth keeps
+// every sum kept before. Each first ask is summed (and is the reference's),
+// each later one read; the slots never exceed the stretch asked for plus the
+// two margins.
+func TestScoreTableGrowsBothWays(t *testing.T) {
+	procs := [2]process.Process{
+		&process.LinearTrend{Slope: 2, Intercept: -2, Noise: dist.BoundedNormal(2, 9)},
+		&process.GaussianWalk{Sigma: 1.5, Init: 30},
+	}
+	hists := [2]*process.History{process.NewHistory(0, 1, 5, 4), process.NewHistory(30, 31, 29, 33)}
+	fc := NewForecastCache(procs, hists)
+	l := LExp{Alpha: 6}
+	lt := TabulateL(l, 0)
+	for s, asks := range [2][]int{
+		{150, 7, 240, 90, 6, 239}, // a trend's support runs ahead of it along the slope
+		{33 + 70, 33 - 80, 33, 33 + 85, 33 - 81},
+	} {
+		s := StreamID(s)
+		var seen []int
+		lo, hi := asks[0], asks[0]
+		for _, v := range asks {
+			want := BandJoinH(procs[s], hists[s], v, 0, l, 0)
+			_, _, before := fc.Memo(s)
+			if got := BandJoinHCached(fc, s, v, 0, lt, math.MaxInt); got != want || want == 0 {
+				t.Fatalf("stream %v v %d: %v, reference %v", s, v, got, want)
+			}
+			seen = append(seen, v)
+			lo, hi = min(lo, v), max(hi, v)
+			entries, slots, hits := fc.Memo(s)
+			if entries != len(seen) || hits != before || slots < hi-lo+1 || slots > hi-lo+1+64 {
+				t.Fatalf("stream %v after a first sum at %d: %d entries in %d slots, %d hits; want %d entries in %d..%d slots, %d hits",
+					s, v, entries, slots, hits, len(seen), hi-lo+1, hi-lo+1+64, before)
+			}
+			for _, u := range seen {
+				if got, want := BandJoinHCached(fc, s, u, 0, lt, math.MaxInt), BandJoinH(procs[s], hists[s], u, 0, l, 0); got != want {
+					t.Fatalf("stream %v: sum at %d reads %v after the table grew for %d, reference %v", s, u, got, v, want)
+				}
+			}
+			if _, _, after := fc.Memo(s); after != hits+len(seen) {
+				t.Fatalf("stream %v after growing for %d: %d of %d kept sums were read from the table", s, v, after-hits, len(seen))
+			}
+		}
 	}
 }

@@ -67,31 +67,25 @@ func JoinH(partner process.Process, h *process.History, v int, l LFunc, fallback
 // an LWindow. It adds the same non-zero terms as the reference loop in the
 // same ascending-Δt order, so the two agree bitwise; the Δt whose support
 // cannot meet [v−eps, v+eps] contribute exact zeros and are skipped without
-// being visited (window.span). A sum over the whole table is remembered under
-// the candidate's coordinate when the window has one (window.coordinate) and
-// is returned from there the next time.
+// being visited (window.span). A sum over the whole table is one Score of a
+// Bound made for it, so it is kept under the candidate's coordinate when the
+// window has one (window.origin) and read from there the next time; a clipped
+// sum is another number and goes straight to the kernel.
 func BandJoinHCached(fc *ForecastCache, partner StreamID, v, eps int, l LTable, horizon int) float64 {
 	n := min(horizon, len(l.vals))
 	if n <= 0 {
 		return 0
 	}
-	w := fc.upTo(partner, n)
-	key, keyed := w.coordinate(v)
-	keyed = keyed && n == len(l.vals) // a clipped sum is another number
-	if keyed {
-		if h, ok := fc.recall(partner, key, l, eps); ok {
-			return h
-		}
+	if n == len(l.vals) {
+		b := fc.Bind(partner, eps, l)
+		return fc.Score(&b, v)
 	}
-	h := w.sum(n, v, eps, l)
-	if keyed && h != 0 {
-		fc.remember(partner, key, h)
-	}
-	return h
+	return fc.upTo(partner, n).sum(n, v, eps, l)
 }
 
-// sum is the kernel of BandJoinHCached over f[:n].
+// sum is the kernel of BandJoinHCached and Score over f[:n].
 func (w *window) sum(n, v, eps int, l LTable) float64 {
+	v -= w.org
 	from, to := w.span(n, v-eps, v+eps)
 	f, lv := w.f[:n], l.vals[:n]
 	var sum float64

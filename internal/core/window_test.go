@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"stochstream/internal/dist"
@@ -130,5 +131,49 @@ func TestWindowRegainsOrderPastABreak(t *testing.T) {
 	}
 	if !w.ordered(hiNonDecreasing) || w.ordered(loNonIncreasing) {
 		t.Fatal("after the break slid out the bounds are non-decreasing and not non-increasing")
+	}
+}
+
+// A sliding window that has used up the room behind its tail is moved back to
+// the front of its array, in place. Whatever the move does to the storage, it
+// may not show: at every step, across several moves, every entry equals what
+// a cache built at that step forecasts — for a trend, whose entries are the
+// noise table pushed along the slope without asking the model, and for a
+// scripted model, whose entries are the model's own forecasts.
+func TestWindowCompactionEqualsRefill(t *testing.T) {
+	const n, steps = 40, 80
+	rng := stats.NewRNG(17)
+	for name, p := range map[string]process.Process{
+		"trend":    &process.LinearTrend{Slope: -3, Intercept: 4, Noise: dist.BoundedNormal(2, 7)},
+		"uniform":  &process.LinearTrend{Slope: 1, Noise: dist.NewUniform(-4, 6)},
+		"scripted": newScripted(randomScript(rng, steps+n+1)...),
+	} {
+		procs := [2]process.Process{p, nil}
+		hists := [2]*process.History{process.NewHistory(0), nil}
+		fc := NewForecastCache(procs, hists)
+		w := &fc.win[StreamR]
+		moves := 0
+		for step := 0; step < steps; step++ {
+			before := cap(w.buf) - cap(w.f) // how far the window has slid from the front of its array
+			fc.At(StreamR, n)
+			if len(w.buf) > 0 && before > 0 && cap(w.buf) == cap(w.f) {
+				moves++
+			}
+			fresh := NewForecastCache(procs, hists)
+			for dt := 1; dt <= n; dt++ {
+				got, want := fc.At(StreamR, dt), fresh.At(StreamR, dt)
+				if got.Off != want.Off || !slices.Equal(got.P, want.P) {
+					t.Fatalf("%s step %d Δt %d: window holds %+v, a fresh cache %+v", name, step, dt, got, want)
+				}
+			}
+			hists[0].Append(0)
+			fc.Rebind(procs, hists)
+		}
+		if moves < 3 {
+			t.Fatalf("%s: the window was moved %d times in %d steps, want >= 3", name, moves, steps)
+		}
+		if cap(w.buf) > n+n/8+8 {
+			t.Fatalf("%s: a window of %d entries sits in an array of %d", name, n, cap(w.buf))
+		}
 	}
 }

@@ -46,7 +46,7 @@ func (j *Join) StepBatch(batch []TuplePair) []Pair {
 		pairs += p
 		evictions += e
 	}
-	j.batchOut = out
+	j.batchOut = releaseTail(out, len(j.batchOut))
 	j.observeStep(startNs, pairs, evictions, len(batch))
 	return out
 }

@@ -246,8 +246,19 @@ func (j *Join) Step(r, s Tuple) []Pair {
 		startNs = j.now()
 	}
 	out, pairs, evictions := j.stepCore(r, s, j.out[:0])
-	j.out = out
+	j.out = releaseTail(out, len(j.out))
 	j.observeStep(startNs, pairs, evictions, 1)
+	return out
+}
+
+// releaseTail zeroes what the previous output, prev pairs long in the buffer
+// out reuses, holds beyond out's length, so that a long output's payloads are
+// not kept reachable by the shorter ones after it. It costs what the output
+// shrank by: nothing when out grew or moved to a larger array.
+func releaseTail(out []Pair, prev int) []Pair {
+	if len(out) < prev {
+		clear(out[len(out):prev])
+	}
 	return out
 }
 

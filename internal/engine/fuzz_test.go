@@ -18,9 +18,13 @@ import (
 //	bits 10..11 band             (0..3)
 //	bits 12..13 policy           (0 HEEB, 1 PROB, 2 RAND, 3 HEEB vs its NoMemo path)
 //	bit  14     key source       (0 model trace, 1 raw small-domain keys)
+//	bit  15     jumps            (1: every eighth key or so moved by ±100..400)
 //
 // Raw small-domain keys maximize match density and occasionally inject
-// NoValue arrivals, exercising the index's refusal to post them.
+// NoValue arrivals, exercising the index's refusal to post them. Jumps carry
+// keys further than the forecast windows span (74 and 84 values under the
+// policies' L), in both directions, so HEEB's score tables see coordinates
+// far apart and far outside every support.
 func FuzzStepEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint64(0))
 	f.Add(uint64(2), uint64(1<<14|3|7<<5))              // cache 4, window 7, raw keys
@@ -30,12 +34,15 @@ func FuzzStepEquivalence(f *testing.F) {
 	f.Add(uint64(6), uint64(9|2<<12|1<<14))             // cache 10, RAND, raw keys
 	f.Add(uint64(7), uint64(15|3<<12))                  // cache 16, HEEB window vs NoMemo
 	f.Add(uint64(8), uint64(3|20<<5|3<<10|1<<12|1<<14)) // kitchen sink
+	f.Add(uint64(9), uint64(15|3<<12|1<<15))            // cache 16, HEEB window vs NoMemo, jumping keys
+	f.Add(uint64(10), uint64(7|2<<10|1<<15))            // cache 8, band 2, HEEB, jumping keys
 	f.Fuzz(func(t *testing.T, seed, cfgBits uint64) {
 		cacheSize := int(cfgBits&31) + 1
 		window := int(cfgBits >> 5 & 31)
 		band := int(cfgBits >> 10 & 3)
 		polSel := int(cfgBits >> 12 & 3)
 		rawKeys := cfgBits>>14&1 == 1
+		jumps := cfgBits>>15&1 == 1
 		const n = 250
 
 		procs := trendProcs()
@@ -56,6 +63,16 @@ func FuzzStepEquivalence(f *testing.F) {
 			rng := stats.NewRNG(seed)
 			r = procs[0].Generate(rng.Split(), n)
 			s = procs[1].Generate(rng.Split(), n)
+		}
+		if jumps {
+			rng := stats.NewRNG(seed ^ 0x6a)
+			for _, keys := range [][]int{r, s} {
+				for i := range keys {
+					if keys[i] != process.NoValue && rng.IntN(8) == 0 {
+						keys[i] += (rng.IntN(2)*2 - 1) * (100 + rng.IntN(301))
+					}
+				}
+			}
 		}
 
 		mk := func(ref bool) join.Policy {

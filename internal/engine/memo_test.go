@@ -12,15 +12,17 @@ import (
 	"stochstream/internal/workload"
 )
 
-// The score memo lives as long as the operator, so what bounds it must not be
-// the length of the run. Only non-zero scores are kept, and a score is zero
-// outside the window's support: over 2·10^5 steps the entries against a stream
-// never outnumber the values between its first forecast's support and its
-// last's (a walk's last forecast contains all the others; a trend's is the
-// first moved along the slope). A trend carries every value through the same
-// coordinates, so its memo is full long before the halfway mark and stays
-// exactly that size; two free walks drift apart and come back, and theirs
-// only ever fills in.
+// The score table lives as long as the operator, so what bounds it must not
+// be the length of the run. Only non-zero scores are kept, and a score is zero
+// outside the window's support; the table is dense over the coordinates it has
+// been asked to keep plus a margin, so over 2·10^5 steps its slots against a
+// stream never outnumber twice the values between the first forecast's
+// support and the last's, plus the margins (a walk's last forecast contains
+// all the others; a trend's is the first moved along the slope). A trend
+// carries every value through the same coordinates, so its table has grown
+// for the last time long before the halfway mark and stays exactly that
+// length; two free walks drift apart and come back, and theirs only ever
+// fills in.
 func TestMemoBoundedBySupport(t *testing.T) {
 	const n = 200_000
 	for name, procs := range map[string][2]process.Process{
@@ -46,24 +48,24 @@ func TestMemoBoundedBySupport(t *testing.T) {
 					}
 					lo, hi := fc.At(st, 1).Support()
 					lastLo, lastHi := fc.At(st, fc.Len(st)).Support()
-					width := max(hi, lastHi) - min(lo, lastLo) + 1
-					entries, h := fc.Memo(st)
-					if entries > width {
-						t.Fatalf("step %d: %d scores memoized against stream %v, whose window spans %d values", i, entries, st, width)
+					span := max(hi, lastHi) - min(lo, lastLo) + 1
+					entries, slots, h := fc.Memo(st)
+					if entries > span || slots > 2*span+64 {
+						t.Fatalf("step %d: %d scores kept in %d slots against stream %v, whose window spans %d values", i, entries, slots, st, span)
 					}
 					hits[st] = h
 					if i == n/2-1 {
-						half[st] = entries
+						half[st] = slots
 					}
 				}
 			}
 			for st, h := range hits {
-				entries, _ := heeb.Forecasts().Memo(core.StreamID(st))
+				entries, slots, _ := heeb.Forecasts().Memo(core.StreamID(st))
 				if h == 0 || entries == 0 {
-					t.Fatalf("stream %d: memo unused (%d entries, %d hits)", st, entries, h)
+					t.Fatalf("stream %d: table unused (%d entries, %d hits)", st, entries, h)
 				}
-				if name == "trend" && entries != half[st] {
-					t.Fatalf("stream %d: %d entries at step %d, %d at step %d", st, half[st], n/2, entries, n)
+				if name == "trend" && slots != half[st] {
+					t.Fatalf("stream %d: %d slots at step %d, %d at step %d", st, half[st], n/2, slots, n)
 				}
 			}
 		})

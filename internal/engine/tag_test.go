@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stochstream/internal/stats"
+	"stochstream/internal/workload"
 )
 
 // The caller tag (Tuple.Seq) and the allocation-free step. The differential,
@@ -47,6 +48,45 @@ func TestStepBatchAllocsPerStep(t *testing.T) {
 	t.Logf("StepBatch: %.3f objects a step", perStep)
 	if perStep > 0.5 {
 		t.Fatalf("StepBatch allocates %.2f objects a step on a warmed payload-free RAND cache, want <= 0.5", perStep)
+	}
+	if err := j.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHEEBStepBatchAllocsPerStep pins the same count at the `trend` shape:
+// the ledger's trend models, 64 slots, the default policy, 8-step batches.
+// The decision allocates nothing (policy.TestHEEBDecisionAllocs), so what is
+// left is the index buckets of keys cached twice (0.65 of the 0.66 objects a
+// step a 10^5-step run settles at) and the two histories' growth. The parent
+// commit reads 3.6: a boxed forecast per stream, a victim slice, and the
+// sliding windows copied out of their slack.
+func TestHEEBStepBatchAllocsPerStep(t *testing.T) {
+	const cache, batchLen, warm, runs = 64, 8, 512, 256
+	procs := workload.TrendSpec{Lag: 1, RBound: 40, SBound: 60, RSigma: 13.2, SSigma: 20}.Join().Procs
+	j, err := NewJoin(Config{CacheSize: cache, Procs: procs, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(9)
+	n := (warm + runs + 2) * batchLen
+	r, s := procs[0].Generate(rng.Split(), n), procs[1].Generate(rng.Split(), n)
+	at := 0
+	batch := make([]TuplePair, batchLen)
+	step := func() {
+		for i := range batch {
+			batch[i] = TuplePair{R: Tuple{Key: r[at], Seq: uint64(2 * at)}, S: Tuple{Key: s[at], Seq: uint64(2*at + 1)}}
+			at++
+		}
+		j.StepBatch(batch)
+	}
+	for i := 0; i < warm; i++ { // fills the cache, the forecast windows and the score tables
+		step()
+	}
+	perStep := testing.AllocsPerRun(runs, step) / batchLen
+	t.Logf("StepBatch: %.3f objects a step", perStep)
+	if perStep > 0.75 {
+		t.Fatalf("StepBatch allocates %.2f objects a step under HEEB on the trend models, want <= 0.75", perStep)
 	}
 	if err := j.CheckInvariants(); err != nil {
 		t.Fatal(err)

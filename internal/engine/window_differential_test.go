@@ -40,8 +40,8 @@ func (p *scoreTap) hits() int {
 	if fc == nil {
 		return 0
 	}
-	_, r := fc.Memo(core.StreamR)
-	_, s := fc.Memo(core.StreamS)
+	_, _, r := fc.Memo(core.StreamR)
+	_, _, s := fc.Memo(core.StreamS)
 	return r + s
 }
 

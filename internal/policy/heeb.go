@@ -60,8 +60,11 @@ type HEEB struct {
 	// tracks which α the table was built for (adaptive runs re-derive α).
 	ltab      core.LTable //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
 	ltabAlpha float64     //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
-	// scoreBuf is the reused per-decision score slice.
+	// scoreBuf and victims are the reused per-decision score and answer
+	// slices (join.Policy.Evict: the caller is done with an answer before it
+	// asks again).
 	scoreBuf []float64 //lint:ignore snapcomplete per-decision score scratch, overwritten by every evict
+	victims  []int
 }
 
 // NewHEEB returns a HEEB policy with the given options.
@@ -140,7 +143,8 @@ func (p *HEEB) evict(st *join.State, cands []join.Tuple, n int, checked bool) ([
 			return nil, fmt.Errorf("%w: candidate %d (value %d) scored %g", ErrModelDiverged, i, cands[i].Value, p.scoreBuf[i])
 		}
 	}
-	evict := evictLowest(p.scoreBuf, cands, n)
+	evict := evictLowest(p.scoreBuf, cands, n, p.victims)
+	p.victims = evict
 
 	// Track observed lifetimes for adaptive α.
 	for _, i := range evict {
@@ -149,15 +153,30 @@ func (p *HEEB) evict(st *join.State, cands []join.Tuple, n int, checked bool) ([
 	return evict, nil
 }
 
-// scoreAll scores every candidate into out (resized as needed).
+// scoreAll scores every candidate into out (resized as needed). Without a
+// sliding window every sum runs over the whole L table, so each partner
+// stream's window is bound once, at the first candidate scored against it,
+// and a score is then a read of the bound table.
 func (p *HEEB) scoreAll(st *join.State, cands []join.Tuple, out []float64) []float64 {
 	if cap(out) < len(cands) {
 		out = make([]float64, len(cands))
 	} else {
 		out = out[:len(cands)]
 	}
+	if p.fc == nil || p.cfg.Window > 0 {
+		for i, c := range cands {
+			out[i] = p.score(st, c)
+		}
+		return out
+	}
+	var bound [2]core.Bound
+	var isBound [2]bool
 	for i, c := range cands {
-		out[i] = p.score(st, c)
+		s := c.Stream.Partner()
+		if !isBound[s] {
+			bound[s], isBound[s] = p.fc.Bind(s, p.cfg.Band, p.ltab), true
+		}
+		out[i] = p.fc.Score(&bound[s], c.Value)
 	}
 	return out
 }

@@ -35,7 +35,7 @@ func (p *Lfixed) Evict(_ *join.State, cands []join.Tuple, n int) []int {
 	for i, c := range cands {
 		scores[i] = float64(c.ID)
 	}
-	return evictLowest(scores, cands, n)
+	return evictLowest(scores, cands, n, nil)
 }
 
 // Downgrade describes one ladder fallback: the decision step, the rung that

@@ -2,8 +2,8 @@
 // paper's joining experiments: the oblivious RAND, the hardwired heuristics
 // PROB and LIFE of Das et al. (window-aware variants, as in Section 6.2),
 // the paper's HEEB (one scorer over the persistent forecast window, with the
-// exact coordinate memo that Corollary 5 and Theorem 5(2) allow), and the
-// FlowExpect algorithm of Section 3.
+// exact table of h by coordinate that Corollary 5 and Theorem 5(2) allow), and
+// the FlowExpect algorithm of Section 3.
 package policy
 
 import (
@@ -21,13 +21,15 @@ type Lifetime func(now int, tp join.Tuple) int
 
 // evictLowest returns the indices of the n lowest-scoring candidates in
 // ascending (score, ID) order, breaking ties by preferring older tuples
-// (smaller ID) for determinism. A steady-state decision selects n = 2 victims
-// out of cacheSize+2 candidates, so instead of fully sorting all candidates
-// (O(N log N)) it keeps a bounded max-heap of the n best victims seen so far
-// (O(N log n)) and only sorts those n at the end. The output is identical to
-// the full stable sort's first n entries: (score, ID) is a total order over
-// distinct candidates, so stability never matters.
-func evictLowest(scores []float64, cands []join.Tuple, n int) []int {
+// (smaller ID) for determinism, appended to dst[:0] (a policy that calls it
+// once per decision hands in the buffer it reuses, see join.Policy.Evict).
+// A steady-state decision selects n = 2 victims out of cacheSize+2
+// candidates: up to two are found in one scan that carries the lowest and the
+// second lowest so far; more keep a bounded max-heap of the n best victims
+// seen so far (O(N log n)) and only sort those n at the end. The output is
+// identical to the full stable sort's first n entries: (score, ID) is a total
+// order over distinct candidates, so stability never matters.
+func evictLowest(scores []float64, cands []join.Tuple, n int, dst []int) []int {
 	if n <= 0 {
 		return []int{}
 	}
@@ -40,28 +42,32 @@ func evictLowest(scores []float64, cands []join.Tuple, n int) []int {
 		}
 		return cands[a].ID > cands[b].ID
 	}
-	var sel []int
-	if n >= len(cands) {
-		sel = make([]int, len(cands))
-		for i := range sel {
-			sel[i] = i
-		}
-	} else {
-		// Max-heap of the current n victims, rooted at the worst of them.
-		h := make([]int, n)
-		for i := range h {
-			h[i] = i
-		}
-		for i := n/2 - 1; i >= 0; i-- {
-			heapSiftDown(h, i, worse)
-		}
-		for i := n; i < len(cands); i++ {
-			if worse(h[0], i) {
-				h[0] = i
-				heapSiftDown(h, 0, worse)
+	sel := dst[:0]
+	if n <= 2 && n < len(cands) {
+		lo, next := 0, -1
+		for i := 1; i < len(cands); i++ {
+			if worse(lo, i) {
+				lo, next = i, lo
+			} else if next < 0 || worse(next, i) {
+				next = i
 			}
 		}
-		sel = h
+		return append(sel, lo, next)[:n]
+	}
+	for i := 0; i < min(n, len(cands)); i++ {
+		sel = append(sel, i)
+	}
+	if n < len(cands) {
+		// Max-heap of the current n victims, rooted at the worst of them.
+		for i := n/2 - 1; i >= 0; i-- {
+			heapSiftDown(sel, i, worse)
+		}
+		for i := n; i < len(cands); i++ {
+			if worse(sel[0], i) {
+				sel[0] = i
+				heapSiftDown(sel, 0, worse)
+			}
+		}
 	}
 	slices.SortFunc(sel, func(a, b int) int {
 		switch {
@@ -72,7 +78,7 @@ func evictLowest(scores []float64, cands []join.Tuple, n int) []int {
 		}
 		return 0
 	})
-	return sel[:min(n, len(sel))]
+	return sel
 }
 
 // heapSiftDown restores the max-heap property (parent worse than children,
@@ -119,7 +125,7 @@ func (p *Rand) Evict(st *join.State, cands []join.Tuple, n int) []int {
 			scores[i] = -1 - float64(perm[i])
 		}
 	}
-	return evictLowest(scores, cands, n)
+	return evictLowest(scores, cands, n, nil)
 }
 
 // valueCounts tracks empirical frequencies of each stream's values, which
@@ -184,7 +190,7 @@ func (p *Prob) Evict(st *join.State, cands []join.Tuple, n int) []int {
 			scores[i] = -1
 		}
 	}
-	return evictLowest(scores, cands, n)
+	return evictLowest(scores, cands, n, nil)
 }
 
 // Reservoir is the sampling comparator from the related-work discussion:
@@ -271,5 +277,5 @@ func (p *Life) Evict(st *join.State, cands []join.Tuple, n int) []int {
 		}
 		scores[i] = p.vc.partnerFreq(st, c) * float64(life)
 	}
-	return evictLowest(scores, cands, n)
+	return evictLowest(scores, cands, n, nil)
 }

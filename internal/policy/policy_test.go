@@ -24,12 +24,12 @@ func tup(id, v int, s core.StreamID, arrived int) join.Tuple {
 
 func TestEvictLowest(t *testing.T) {
 	cands := []join.Tuple{tup(0, 1, 0, 0), tup(1, 2, 0, 0), tup(2, 3, 0, 0)}
-	got := evictLowest([]float64{0.5, 0.1, 0.9}, cands, 2)
+	got := evictLowest([]float64{0.5, 0.1, 0.9}, cands, 2, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
 		t.Fatalf("evictLowest = %v, want [1 0]", got)
 	}
 	// Ties break by tuple ID (older first).
-	got = evictLowest([]float64{0.5, 0.5, 0.5}, cands, 1)
+	got = evictLowest([]float64{0.5, 0.5, 0.5}, cands, 1, nil)
 	if got[0] != 0 {
 		t.Fatalf("tie-break = %v, want oldest (0)", got)
 	}
@@ -202,10 +202,15 @@ func TestHEEBValueIncrementalMatchesDirectDecisions(t *testing.T) {
 	if l.hitsCompared == 0 {
 		t.Fatal("no compared score came from the memo")
 	}
-	er, _ := l.win.fc.Memo(core.StreamR)
-	es, _ := l.win.fc.Memo(core.StreamS)
+	er, _, _ := l.win.fc.Memo(core.StreamR)
+	es, _, _ := l.win.fc.Memo(core.StreamS)
 	if er == 0 || es == 0 || er > 21 || es > 31 {
 		t.Fatalf("memo holds %d and %d scores, want 1..21 and 1..31 (the noise supports)", er, es)
+	}
+	// Reset starts the next run from an empty table.
+	l.win.Reset(cfg, stats.NewRNG(7))
+	if er, slots, hits := l.win.fc.Memo(core.StreamR); er+slots+hits != 0 {
+		t.Fatalf("after Reset the table holds %d scores in %d slots and counts %d hits", er, slots, hits)
 	}
 }
 
@@ -240,8 +245,8 @@ func TestHEEBValueIncrementalFallsBackForMarkovStreams(t *testing.T) {
 	s := procs[1].Generate(rng.Split(), 300)
 	l := newLockstep(t, HEEBOptions{})
 	join.Run(r, s, l, cfg, stats.NewRNG(1))
-	er, hr := l.win.fc.Memo(core.StreamR)
-	es, hs := l.win.fc.Memo(core.StreamS)
+	er, _, hr := l.win.fc.Memo(core.StreamR)
+	es, _, hs := l.win.fc.Memo(core.StreamS)
 	if l.decisions == 0 || er+es+hr+hs != 0 {
 		t.Fatalf("%d decisions; memo holds %d+%d scores and answered %d+%d, want none", l.decisions, er, es, hr, hs)
 	}

@@ -191,3 +191,63 @@ func TestConsumedPayloadsAreReleased(t *testing.T) {
 		t.Fatalf("%d of %d burst payloads were collected; the rest are still reachable from the runtime", got, burst)
 	}
 }
+
+// matchedSteps builds n steps whose R and S arrivals share a key, so both
+// route to one shard and join there at once, each carrying a tracked payload;
+// in its own frame for the reason burstSteps is.
+//
+//go:noinline
+func matchedSteps(n int, freed *atomic.Int64) []Step {
+	mk := func() *tracked {
+		p := new(tracked)
+		runtime.SetFinalizer(p, func(*tracked) { freed.Add(1) })
+		return p
+	}
+	steps := make([]Step, n)
+	for i := range steps {
+		steps[i] = Step{R: engine.Tuple{Key: 1000 + i, Payload: mk()}, S: engine.Tuple{Key: 1000 + i, Payload: mk()}}
+	}
+	return steps
+}
+
+// TestShortReplyReleasesLongRepliesPayloads: the merged reply is written into
+// one buffer the runtime reuses, as each shard engine's batch output is. A
+// 64-pair reply carries 128 payloads; the two-pair replies after it evict
+// those tuples from the caches and never write the buffers' later positions
+// again. Every payload must be collectable and the merge buffer zero beyond
+// its length. At the parent commit both buffers were truncated, not cleared.
+func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
+	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const long = 64
+	var freed atomic.Int64
+	out, err := rt.IngestBatch(matchedSteps(long, &freed))
+	if err != nil || len(out) != long {
+		t.Fatalf("long batch: %d pairs, %v; want %d", len(out), err, long)
+	}
+	out = nil
+	for b := 0; b < 100; b++ {
+		short, err := rt.IngestBatch([]Step{
+			{R: engine.Tuple{Key: 2 * b}, S: engine.Tuple{Key: 2 * b}},
+			{R: engine.Tuple{Key: 2*b + 1}, S: engine.Tuple{Key: 2*b + 1}},
+		})
+		if err != nil || len(short) != 2 {
+			t.Fatalf("short batch %d: %d pairs, %v; want 2", b, len(short), err)
+		}
+	}
+	for x, p := range rt.out[len(rt.out):cap(rt.out)] {
+		if p != (Pair{}) {
+			t.Fatalf("merge buffer keeps %+v at position %d beyond its length %d", p, len(rt.out)+x, len(rt.out))
+		}
+	}
+	for cycle := 0; cycle < 10 && freed.Load() < 2*long; cycle++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if got := freed.Load(); got != 2*long {
+		t.Fatalf("%d of %d payloads of the long reply were collected; the rest are still reachable from the runtime", got, 2*long)
+	}
+}

@@ -472,12 +472,17 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		}
 		runs = append(runs, res.pairs)
 	}
-	// Merged before the error check so the runs are released either way.
-	out := mergeRuns(rt.out[:0], runs)
+	// Merged before the error check so the runs are released either way, and
+	// what the previous reply held beyond this one's length with them.
+	prev := len(rt.out)
+	rt.out = mergeRuns(rt.out[:0], runs)
+	out := rt.out
+	if len(out) < prev {
+		clear(out[len(out):prev])
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	rt.out = out
 	rt.merged += len(out)
 	rt.batches++
 	rt.maybeRebalance()

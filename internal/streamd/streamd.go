@@ -19,6 +19,7 @@
 package streamd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -541,7 +542,10 @@ func (s *Server) serveConn(nc net.Conn) {
 	go s.writeLoop(c)
 	defer c.kill()
 
-	rd := &deadlineReader{s: s, nc: nc}
+	// Buffered, so that a frame that arrives whole costs one read of the
+	// socket and not one for its header and one for its payload; a payload
+	// larger than the buffer is still read straight into its own slice.
+	rd := bufio.NewReader(&deadlineReader{s: s, nc: nc})
 	typ, payload, err := wire.ReadFrame(rd)
 	if err != nil || typ != wire.TypeHello {
 		s.refuse(c, fmt.Errorf("%w: expected hello", ErrBadFrame))
@@ -678,7 +682,7 @@ func (s *Server) writeOne(c *conn, f []byte) bool {
 	return true
 }
 
-// deadlineReader arms the per-frame read deadline before every read, so a
+// deadlineReader arms the read deadline before every read of the socket, so a
 // connection idle past ReadTimeout fails out of wire.ReadFrame and is reaped.
 type deadlineReader struct {
 	s  *Server

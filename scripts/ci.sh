@@ -25,7 +25,10 @@
 #                    committed corpora
 #   9. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
-#                    allocs/op land in the log), then the ledger
+#                    allocs/op land in the log; `./...` picks up
+#                    BenchmarkHEEBDecision/{trend64,walk8,band256} in
+#                    internal/policy, whose 0 allocs/op phase 6 pins as
+#                    TestHEEBDecisionAllocs), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
