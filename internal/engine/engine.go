@@ -148,6 +148,12 @@ type Join struct {
 	// a drifting key domain (the trend models) cannot leak memory.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
 	equi [2]map[int]bucket
+	// spare holds the rest slices of equi buckets that emptied, every one at
+	// length 0: the next bucket to take a second posting reuses one instead of
+	// allocating. There are never more of them than buckets that were live at
+	// once, so the largest budget the operator has had bounds the list.
+	//lint:ignore snapcomplete capacity only: every slice in it is empty, and Restore rebuilds the index it serves
+	spare [][]int
 	// ord indexes the cache for Band > 0: per stream, (value, ID) ascending,
 	// probed by binary search over the band interval.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
@@ -554,6 +560,9 @@ func (j *Join) indexAdd(tp join.Tuple) {
 	if j.cfg.Band == 0 {
 		m := j.equi[tp.Stream]
 		if b, ok := m[tp.Value]; ok {
+			if n := len(j.spare); n > 0 && cap(b.rest) == 0 {
+				b.rest, j.spare = j.spare[n-1], j.spare[:n-1]
+			}
 			b.rest = append(b.rest, tp.ID)
 			m[tp.Value] = b
 		} else {
@@ -584,6 +593,9 @@ func (j *Join) indexRemove(tp join.Tuple) {
 			i := sort.SearchInts(b.rest, tp.ID)
 			b.rest = append(b.rest[:i], b.rest[i+1:]...)
 		case len(b.rest) == 0:
+			if cap(b.rest) > 0 {
+				j.spare = append(j.spare, b.rest)
+			}
 			delete(m, tp.Value)
 			return
 		default:

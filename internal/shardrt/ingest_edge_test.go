@@ -2,6 +2,7 @@ package shardrt
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -211,18 +212,22 @@ func matchedSteps(n int, freed *atomic.Int64) []Step {
 }
 
 // TestShortReplyReleasesLongRepliesPayloads: the merged reply is written into
-// one buffer the runtime reuses, as each shard engine's batch output is. A
-// 64-pair reply carries 128 payloads; the two-pair replies after it evict
-// those tuples from the caches and never write the buffers' later positions
-// again. Every payload must be collectable and the merge buffer zero beyond
-// its length. At the parent commit both buffers were truncated, not cleared.
+// one buffer the runtime reuses, as each shard engine's batch output is, and
+// is merged straight out of those outputs through per-shard sort keys. A
+// 160-pair reply carries 320 payloads, 80 pairs a shard — past the 32 keys a
+// shard keeps room for; the two-pair replies after it evict those tuples from
+// the caches and never write the buffers' later positions again. Every
+// payload must be collectable, the merge buffer zero beyond its length and the
+// gathered runs cleared; the key buffers cannot pin anything, being
+// pointer-free. At the PR 19 parent both output buffers were truncated, not
+// cleared.
 func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	const long = 64
+	const long = 160
 	var freed atomic.Int64
 	out, err := rt.IngestBatch(matchedSteps(long, &freed))
 	if err != nil || len(out) != long {
@@ -241,6 +246,16 @@ func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
 	for x, p := range rt.out[len(rt.out):cap(rt.out)] {
 		if p != (Pair{}) {
 			t.Fatalf("merge buffer keeps %+v at position %d beyond its length %d", p, len(rt.out)+x, len(rt.out))
+		}
+	}
+	for i, r := range rt.runs[:cap(rt.runs)] {
+		if r.keys != nil || r.pairs != nil {
+			t.Fatalf("run %d still references its shard's output after the dispatch", i)
+		}
+	}
+	for kt, i := reflect.TypeOf(runKey{}), 0; i < kt.NumField(); i++ {
+		if k := kt.Field(i).Type.Kind(); k != reflect.Uint64 && k != reflect.Int {
+			t.Fatalf("runKey.%s is a %v: the shards' key buffers must stay pointer-free", kt.Field(i).Name, k)
 		}
 	}
 	for cycle := 0; cycle < 10 && freed.Load() < 2*long; cycle++ {

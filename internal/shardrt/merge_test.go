@@ -9,9 +9,18 @@ import (
 	"stochstream/internal/stats"
 )
 
+// mergeKey is the order the merged output is in: the later (triggering)
+// arrival's sequence number first, then the cached partner's.
+func mergeKey(p Pair) (trigger, partner uint64) {
+	if p.RSeq >= p.SSeq {
+		return p.RSeq, p.SSeq
+	}
+	return p.SSeq, p.RSeq
+}
+
 // sortPairs is the merge-order oracle: the comparison sort of a pair listing
-// by (trigger, partner), which the runtime's per-shard ordering plus N-way
-// merge must reproduce exactly.
+// by (trigger, partner), which the workers' key sort plus the coordinator's
+// N-way keyed merge must reproduce exactly.
 func sortPairs(out []Pair) {
 	sort.Slice(out, func(a, b int) bool {
 		ta, pa := mergeKey(out[a])
@@ -55,22 +64,27 @@ func (se *shardEngines) step(steps []Step, drain bool) ([][]engine.TuplePair, []
 	return batches, outs
 }
 
-// TestMergeRunsEqualsSort is the reply path's ordering property: ordering
-// each shard's engine output on its own and N-way merging the runs gives
-// exactly the comparison sort of the concatenation. The streams are skewed
-// (R draws from half of S's key range and a fifth of S's arrivals are
-// NoValue) so every shard's lanes drift apart: a lagging arrival then meets
-// cached partners with HIGHER sequence numbers, the trigger is the partner,
-// and the engine's step order is not merge order. Twelve keys over eight
-// shards leave shards idle, and the closing drain pads the longer lanes.
+// TestMergeRunsEqualsSort is the reply path's ordering property: keying and
+// sorting each shard's engine output on its own and N-way merging the keyed
+// runs — each engine pair converted once, straight from the engine's slice —
+// gives exactly the comparison sort of the converted concatenation. The
+// streams are skewed (R draws from half of S's key range and a fifth of S's
+// arrivals are NoValue) so every shard's lanes drift apart: a lagging arrival
+// then meets cached partners with HIGHER sequence numbers, the trigger is the
+// partner, and the engine's step order is not merge order. An arrival that
+// meets several partners ties them on the trigger; twelve keys over eight
+// shards leave shards idle (empty runs); batches of up to 90 steps put runs
+// on both sides of the 32 keys a shard has room for; and the closing drain
+// pads the longer lanes.
 func TestMergeRunsEqualsSort(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		const n = 600
 		rng := stats.NewRNG(uint64(40 + shards))
 		se := newShardEngines(t, shards, shards*3*n) // never evicts
+		rooms := make([][32]runKey, shards)          // the shards' key fields
 		stepOf := map[uint64]int{}                   // seq → shard-local step that cached it
 		clock := 0
-		var lagged, reordered, idle, total int
+		var lagged, reordered, idle, inRoom, beyondRoom, tied, total int
 
 		check := func(label string, steps []Step, drain bool) {
 			batches, outs := se.step(steps, drain)
@@ -85,20 +99,33 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 				}
 			}
 			var want []Pair
-			var runs [][]Pair
+			var runs []run
 			for i, out := range outs {
-				if len(out) == 0 {
-					idle++
-				}
-				before := len(want)
 				for _, p := range out {
 					want = append(want, convertPair(p, i))
 				}
-				run := sortedRun(out, i)
-				if !diffPairsEqual(run, want[before:]) {
-					reordered++
+				keys := sortKeys(rooms[i][:0], out)
+				switch {
+				case len(keys) == 0:
+					idle++
+				case &keys[0] == &rooms[i][0]:
+					inRoom++
+				default:
+					beyondRoom++
 				}
-				runs = append(runs, run)
+				for k := range keys {
+					if keys[k].idx != k {
+						reordered++
+						break
+					}
+				}
+				for k := 1; k < len(keys); k++ {
+					if keys[k].trigSeq == keys[k-1].trigSeq {
+						tied++
+						break
+					}
+				}
+				runs = append(runs, run{keys: keys, pairs: out, shard: i})
 			}
 			for _, p := range want {
 				if trig, part := mergeKey(p); stepOf[trig] < stepOf[part] {
@@ -110,8 +137,8 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 			if !diffPairsEqual(got, want) {
 				t.Fatalf("shards=%d %s: merge diverges from the sort:\n  merged %v\n  sorted %v", shards, label, got, want)
 			}
-			for i, run := range runs {
-				if run != nil {
+			for i, r := range runs {
+				if r.keys != nil || r.pairs != nil {
 					t.Fatalf("shards=%d %s: run %d still referenced after the merge", shards, label, i)
 				}
 			}
@@ -136,11 +163,14 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 		if total == 0 || lagged == 0 {
 			t.Fatalf("shards=%d: %d pairs, %d with a cached trigger: the lane-lag case was not exercised", shards, total, lagged)
 		}
-		if reordered == 0 {
-			t.Fatalf("shards=%d: every engine output was already in merge order", shards)
+		if reordered == 0 || tied == 0 {
+			t.Fatalf("shards=%d: %d engine outputs out of merge order, %d with a tie on the trigger; want both", shards, reordered, tied)
 		}
-		if shards == 8 && idle == 0 {
-			t.Fatal("shards=8: no idle shard was merged")
+		if beyondRoom == 0 {
+			t.Fatalf("shards=%d: no run outgrew the shard's 32 keys", shards)
+		}
+		if shards == 8 && (idle == 0 || inRoom == 0) {
+			t.Fatalf("shards=8: %d idle shards merged, %d runs keyed in the shard's own room; want both", idle, inRoom)
 		}
 	}
 }
@@ -148,8 +178,8 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 // BenchmarkDispatchMerge times the coordinator-visible reply path of one
 // dispatch at the ledger's fanout shape — 4 shards, 64 keys, 64-byte
 // payloads, 1024 slots under RAND, 256-step batches, ~4000 pairs a dispatch:
-// every shard's copy-out in merge order plus the N-way merge into a reused
-// buffer, over one captured set of engine outputs.
+// every shard's key sort plus the N-way keyed merge into a reused buffer,
+// over one captured set of engine outputs.
 func BenchmarkDispatchMerge(b *testing.B) {
 	const shards, batch, warm = 4, 256, 16
 	rng := stats.NewRNG(7)
@@ -168,13 +198,14 @@ func BenchmarkDispatchMerge(b *testing.B) {
 		pairs += len(out)
 	}
 	var out []Pair
-	runs := make([][]Pair, 0, shards)
+	runs := make([]run, 0, shards)
+	rooms := make([][32]runKey, shards)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		runs = runs[:0]
 		for i := range outs {
-			runs = append(runs, sortedRun(outs[i], i))
+			runs = append(runs, run{keys: sortKeys(rooms[i][:0], outs[i]), pairs: outs[i], shard: i})
 		}
 		out = mergeRuns(out[:0], runs)
 	}

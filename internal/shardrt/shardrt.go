@@ -28,6 +28,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"stochstream/internal/engine"
@@ -54,7 +55,7 @@ type Side struct {
 // Pair is one join result with its global provenance: the ingress sequence
 // numbers of both sides (RSeq/SSeq), the shard that produced it, and the
 // caller's original keys and payloads. It is 80 bytes; a reply of the fanout
-// shape holds ~4 000 of them in each of the run and merge buffers.
+// shape holds ~4 000 of them in the merge buffer.
 type Pair struct {
 	// RSeq and SSeq are the global ingress sequence numbers of the two
 	// sides: every arrival is numbered 2·step (R) and 2·step+1 (S) at
@@ -175,13 +176,23 @@ type shard struct {
 	budgetGauge *telemetry.Gauge
 
 	in       chan []engine.TuplePair
-	res      chan shardResult
+	res      chan run
 	batchBuf []engine.TuplePair
 	pending  bool
+	// keys is the worker's room for the sort keys of a batch of up to
+	// len(keys) pairs — most batches of the low-fanout workloads; a larger
+	// batch's keys are that batch's garbage. Pointer-free, so it pins nothing.
+	keys [32]runKey
 }
 
-type shardResult struct {
-	pairs []Pair
+// run is one shard's answer to a batch, on its way into the merge: the
+// engine's own StepBatch slice (valid until that shard steps again — the
+// merge of the same dispatch is done with it by then) and the keys that put
+// it in merge order.
+type run struct {
+	keys  []runKey
+	pairs []engine.Pair
+	shard int
 	err   error
 }
 
@@ -206,12 +217,12 @@ type Runtime struct {
 	merged   int
 	//lint:ignore snapcomplete merge buffer handed to the caller each batch; Checkpoint runs between IngestBatch calls, when it is dead
 	out []Pair
-	// runs is room for one sorted run per shard (length 0, capacity
-	// Shards): a dispatch gathers the shards' outputs into it and mergeRuns
-	// clears them, so no shard's batch output outlives its dispatch and a
-	// Checkpoint (taken between IngestBatch calls) finds it empty. The field
-	// itself is only ever set by New.
-	runs   [][]Pair
+	// runs is room for one run per shard (length 0, capacity Shards): a
+	// dispatch gathers the shards' outputs into it and mergeRuns clears them,
+	// so no shard's batch output outlives its dispatch and a Checkpoint (taken
+	// between IngestBatch calls) finds it empty. The field itself is only ever
+	// set by New.
+	runs   []run
 	closed bool
 
 	reg        *telemetry.Registry // coordinator registry (nil without telemetry)
@@ -235,7 +246,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:   cfg,
 		lanes: make([][2][]engine.Tuple, cfg.Shards),
-		runs:  make([][]Pair, 0, cfg.Shards),
+		runs:  make([]run, 0, cfg.Shards),
 	}
 	if cfg.Telemetry {
 		rt.reg = telemetry.NewRegistry()
@@ -253,7 +264,7 @@ func New(cfg Config) (*Runtime, error) {
 			id:     i,
 			budget: budget,
 			in:     make(chan []engine.TuplePair, qd),
-			res:    make(chan shardResult, qd),
+			res:    make(chan run, qd),
 		}
 		ecfg := engine.Config{
 			CacheSize: budget,
@@ -288,7 +299,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		sh.eng = eng
 		rt.shards = append(rt.shards, sh)
-		go sh.run()
+		go sh.work()
 	}
 	rt.reb.init(cfg.Shards)
 	return rt, nil
@@ -300,44 +311,54 @@ func shardSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i+1)*0x9E3779B97F4A7C15
 }
 
-// run is the shard worker: it steps every batch it receives and answers with
-// the converted pairs in merge order. A policy panic is captured and
-// surfaced as the batch's error instead of deadlocking the coordinator.
-func (sh *shard) run() {
+// work is the shard worker: it steps every batch it receives and answers with
+// the engine's pairs and the keys that order them. A policy panic is captured
+// and surfaced as the batch's error instead of deadlocking the coordinator.
+func (sh *shard) work() {
 	for batch := range sh.in {
 		sh.res <- sh.step(batch)
 	}
 	close(sh.res)
 }
 
-func (sh *shard) step(batch []engine.TuplePair) (out shardResult) {
+func (sh *shard) step(batch []engine.TuplePair) (out run) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = shardResult{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
+			out = run{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
 		}
 	}()
-	return shardResult{pairs: sortedRun(sh.eng.StepBatch(batch), sh.id)}
+	pairs := sh.eng.StepBatch(batch)
+	//lint:ignore stepretain the run crosses to the coordinator, whose merge is done with it inside the dispatch that sent this batch: the shard cannot step again before that
+	return run{keys: sortKeys(sh.keys[:0], pairs), pairs: pairs, shard: sh.id}
 }
 
 // runKey is one engine pair's merge key and its index in the engine's
 // output. It holds no pointers: ordering a batch moves 24-byte records the
-// collector never looks at, and each 80-byte Pair is written exactly once.
+// collector never looks at, and each 80-byte Pair is written exactly once,
+// by the merge.
 type runKey struct {
 	trigSeq, partSeq uint64
 	idx              int
 }
 
-// sortedRun copies one StepBatch output out of the engine-owned slice as
-// Pairs in merge order, on the worker goroutine: the engine emits in
-// shard-local step order, which differs from merge order whenever one lane
-// lags the other (the cached partner then carries the higher sequence
-// number and is the trigger). The coordinator only merges the shards' runs.
-func sortedRun(pairs []engine.Pair, shard int) []Pair {
-	// Most batches of the low-fanout workloads emit a handful of pairs;
-	// their keys stay on the stack.
-	var small [32]runKey
-	keys := small[:0]
-	if len(pairs) > len(small) {
+// compareKeys is the merge order: the later (triggering) arrival first, then
+// the cached partner's sequence. The key is unique — two tuples pair at most
+// once — so the order is total.
+func compareKeys(a, b runKey) int {
+	if a.trigSeq != b.trigSeq {
+		return cmp.Compare(a.trigSeq, b.trigSeq)
+	}
+	return cmp.Compare(a.partSeq, b.partSeq)
+}
+
+// sortKeys orders one StepBatch output for the merge, on the worker
+// goroutine, without moving a pair: the engine emits in shard-local step
+// order, which differs from merge order whenever one lane lags the other (the
+// cached partner then carries the higher sequence number and is the trigger).
+// The keys go into room when they fit its capacity.
+func sortKeys(room []runKey, pairs []engine.Pair) []runKey {
+	keys := room[:0]
+	if len(pairs) > cap(room) {
 		keys = make([]runKey, 0, len(pairs))
 	}
 	for i := range pairs {
@@ -347,17 +368,8 @@ func sortedRun(pairs []engine.Pair, shard int) []Pair {
 		}
 		keys = append(keys, runKey{trigSeq: trig, partSeq: part, idx: i})
 	}
-	slices.SortFunc(keys, func(a, b runKey) int {
-		if a.trigSeq != b.trigSeq {
-			return cmp.Compare(a.trigSeq, b.trigSeq)
-		}
-		return cmp.Compare(a.partSeq, b.partSeq)
-	})
-	run := make([]Pair, len(keys))
-	for i, k := range keys {
-		run[i] = convertPair(pairs[k.idx], shard)
-	}
-	return run
+	slices.SortFunc(keys, compareKeys)
+	return keys
 }
 
 // IngestBatch feeds a batch of global steps and returns every pair produced
@@ -470,7 +482,7 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
-		runs = append(runs, res.pairs)
+		runs = append(runs, res)
 	}
 	// Merged before the error check so the runs are released either way, and
 	// what the previous reply held beyond this one's length with them.
@@ -616,70 +628,46 @@ func (rt *Runtime) Recorder(i int) *flightrec.Recorder { return rt.shards[i].rec
 // with one.
 func (rt *Runtime) Shard(i int) *engine.Join { return rt.shards[i].eng }
 
-// mergeRuns appends the N-way merge of the shards' sorted runs to out and
-// leaves runs cleared. Results are ordered by (trigger, partner) sequence:
-// the later (triggering) arrival first, then the cached partner's sequence.
-// The key is unique — two tuples pair at most once — so the order is total
-// and deterministic regardless of which shard answered first. An arrival's
-// pairs all come from its key's shard, so the merged order is made of
-// same-shard stretches: each round finds the run with the lowest head and
-// copies its whole prefix below the runner-up's head at once.
-func mergeRuns(out []Pair, runs [][]Pair) []Pair {
+// mergeRuns appends the N-way merge of the shards' keyed runs to out,
+// converting each engine pair exactly once, and leaves runs cleared. The
+// order is compareKeys', deterministic regardless of which shard answered
+// first. An arrival's pairs all come from its key's shard, so the merged
+// order is made of same-shard stretches: each round finds the run with the
+// lowest head and converts its whole prefix below the runner-up's head (past
+// every key, for the last run standing) at once.
+func mergeRuns(out []Pair, runs []run) []Pair {
 	total := 0
 	live := runs[:0]
-	for _, run := range runs {
-		if len(run) > 0 {
-			live = append(live, run)
-			total += len(run)
+	for _, r := range runs {
+		if len(r.keys) > 0 {
+			live = append(live, r)
+			total += len(r.keys)
 		}
 	}
 	out = slices.Grow(out, total)
-	for len(live) > 1 {
-		lo, next := 0, 1
-		if pairLess(&live[1][0], &live[0][0]) {
-			lo, next = 1, 0
-		}
-		for i := 2; i < len(live); i++ {
-			switch head := &live[i][0]; {
-			case pairLess(head, &live[lo][0]):
-				lo, next = i, lo
-			case pairLess(head, &live[next][0]):
-				next = i
+	for len(live) > 0 {
+		lo, bound := 0, runKey{trigSeq: math.MaxUint64, partSeq: math.MaxUint64}
+		for i := 1; i < len(live); i++ {
+			switch head := live[i].keys[0]; {
+			case compareKeys(head, live[lo].keys[0]) < 0:
+				lo, bound = i, live[lo].keys[0]
+			case compareKeys(head, bound) < 0:
+				bound = head
 			}
 		}
-		run, bound := live[lo], &live[next][0]
+		r := &live[lo]
 		n := 1
-		for n < len(run) && pairLess(&run[n], bound) {
+		for n < len(r.keys) && compareKeys(r.keys[n], bound) < 0 {
 			n++
 		}
-		out = append(out, run[:n]...)
-		if n < len(run) {
-			live[lo] = run[n:]
-		} else {
+		for _, k := range r.keys[:n] {
+			out = append(out, convertPair(r.pairs[k.idx], r.shard))
+		}
+		if r.keys = r.keys[n:]; len(r.keys) == 0 {
 			live[lo] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
 	}
-	if len(live) == 1 {
-		out = append(out, live[0]...)
-	}
 	clear(runs)
 	return out
-}
-
-// pairLess is the merge order on two pairs.
-func pairLess(a, b *Pair) bool {
-	ta, pa := mergeKey(*a)
-	tb, pb := mergeKey(*b)
-	if ta != tb {
-		return ta < tb
-	}
-	return pa < pb
-}
-
-func mergeKey(p Pair) (trigger, partner uint64) {
-	if p.RSeq >= p.SSeq {
-		return p.RSeq, p.SSeq
-	}
-	return p.SSeq, p.RSeq
 }

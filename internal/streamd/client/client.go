@@ -82,8 +82,10 @@ type Client struct {
 	opt Options
 	rng *stats.RNG
 
-	nc      net.Conn
-	rd      *bufio.Reader
+	nc net.Conn
+	// rd frames nc; a payload it returns is a view that dies at the next
+	// read, and every decoder below copies out what the caller gets.
+	rd      *wire.FrameReader
 	acked   uint64 // highest batch base the server acknowledged
 	credits int    // absolute remaining window, from the last frame
 	closed  bool
@@ -123,8 +125,8 @@ func (c *Client) connect() error {
 		_ = nc.Close()
 		return &transientError{err: fmt.Errorf("client: hello: %w", err)}
 	}
-	rd := bufio.NewReader(nc)
-	typ, payload, err := wire.ReadFrame(rd)
+	rd := wire.NewFrameReader(bufio.NewReader(nc))
+	typ, payload, err := rd.Next()
 	if err != nil {
 		_ = nc.Close()
 		return &transientError{err: fmt.Errorf("client: handshake read: %w", err)}
@@ -321,7 +323,7 @@ func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, e
 		what = "flush"
 	}
 	for {
-		typ, payload, err := wire.ReadFrame(c.rd)
+		typ, payload, err := c.rd.Next()
 		if err != nil {
 			c.dropConn()
 			return nil, &transientError{err: fmt.Errorf("client: %s read: %w", what, err)}

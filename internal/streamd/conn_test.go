@@ -1,6 +1,7 @@
 package streamd
 
 import (
+	"bufio"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,7 @@ func TestOneReadPerFrame(t *testing.T) {
 	s.connWG.Add(2)
 	go s.serveConn(cc)
 
+	replies := wire.NewFrameReader(bufio.NewReader(client))
 	// exchange writes one frame in the given segments and returns the reply's
 	// type and how many reads the server took for it.
 	exchange := func(segments ...[]byte) (uint8, int64) {
@@ -51,7 +53,7 @@ func TestOneReadPerFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		typ, _, err := wire.ReadFrame(client)
+		typ, _, err := replies.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

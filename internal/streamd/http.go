@@ -109,16 +109,14 @@ func (s *Server) httpIngest(w http.ResponseWriter, req *http.Request) {
 		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d steps exceeds cap %d", len(in.Steps), wire.MaxBatchSteps))
 		return
 	}
-	wsteps := make([]wire.Step, len(in.Steps))
+	r := &ingestReq{kind: kindHTTP, reply: make(chan engineReply, 1)}
+	r.Grow(len(in.Steps))
 	for i, st := range in.Steps {
-		wsteps[i] = wire.Step{RKey: st.RKey, SKey: st.SKey, RPayload: st.RPayload, SPayload: st.SPayload}
+		if err := r.Step(i, st.RKey, st.SKey, st.RPayload, st.SPayload); err != nil {
+			httpJSONError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
-	steps, err := stepsFromWire(wsteps)
-	if err != nil {
-		httpJSONError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	r := &ingestReq{kind: kindHTTP, steps: steps, reply: make(chan engineReply, 1)}
 	if err := s.submit(r); err != nil {
 		status := http.StatusServiceUnavailable
 		var ov *OverloadError

@@ -16,7 +16,7 @@ import (
 
 type rawConn struct {
 	nc net.Conn
-	rd *bufio.Reader
+	rd *wire.FrameReader
 }
 
 func rawDial(t *testing.T, addr string) *rawConn {
@@ -27,7 +27,7 @@ func rawDial(t *testing.T, addr string) *rawConn {
 	}
 	t.Cleanup(func() { _ = nc.Close() })
 	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
-	return &rawConn{nc: nc, rd: bufio.NewReader(nc)}
+	return &rawConn{nc: nc, rd: wire.NewFrameReader(bufio.NewReader(nc))}
 }
 
 func (r *rawConn) send(t *testing.T, typ uint8, payload []byte) {
@@ -39,7 +39,7 @@ func (r *rawConn) send(t *testing.T, typ uint8, payload []byte) {
 
 func (r *rawConn) read(t *testing.T) (uint8, []byte) {
 	t.Helper()
-	typ, payload, err := wire.ReadFrame(r.rd)
+	typ, payload, err := r.rd.Next()
 	if err != nil {
 		t.Fatalf("read frame: %v", err)
 	}
@@ -66,7 +66,7 @@ func (r *rawConn) expectError(t *testing.T, code uint16) wire.ErrorFrame {
 // expectClosed requires the server side to close the connection.
 func (r *rawConn) expectClosed(t *testing.T) {
 	t.Helper()
-	if _, _, err := wire.ReadFrame(r.rd); err == nil {
+	if _, _, err := r.rd.Next(); err == nil {
 		t.Fatal("connection still open, expected close")
 	}
 }

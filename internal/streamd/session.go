@@ -35,6 +35,10 @@ type session struct {
 	// acknowledged ingest batch and its complete encoded results frame.
 	lastBase  uint64
 	lastFrame []byte
+	// req is the session's request buffer, nil while a batch is out with it
+	// (takeReq to putReq): a client keeps one batch in flight, so each ingest
+	// frame is decoded into the steps, cleared, the previous one left behind.
+	req *ingestReq
 }
 
 // batchDisposition classifies an arriving ingest base against the session's

@@ -1,10 +1,12 @@
 package streamd
 
 import (
+	"bufio"
 	"bytes"
 	"runtime"
 	"testing"
 
+	"stochstream/internal/engine"
 	"stochstream/internal/shardrt"
 	"stochstream/internal/streamd/wire"
 )
@@ -37,32 +39,33 @@ func TestBatchCompletionIsOneTransition(t *testing.T) {
 			t.Fatalf("resume at %d: %v", lastSeq, err)
 		}
 		s.detach(sess, c)
-		_, payload, _ := wire.ReadFrame(bytes.NewReader(<-c.out))
+		_, payload, _ := framesOf(<-c.out).Next()
 		if w, _ := wire.DecodeWelcome(payload); w.AckSeq == lastSeq {
 			return sess // in sync; a frame behind this Welcome is a live delivery
 		}
-		_, payload, _ = wire.ReadFrame(bytes.NewReader(<-c.out))
+		_, payload, _ = framesOf(<-c.out).Next()
 		if r, err := wire.DecodeResults(payload); err != nil || r.AckSeq != lastSeq+1 {
 			t.Fatalf("resume at %d replayed the results of batch %d (%v)", lastSeq, r.AckSeq, err)
 		}
 		return sess
 	}
 	sess := resume(0)
-	steps := make([]shardrt.Step, 256)
-	for i := range steps {
-		steps[i].R.Key, steps[i].S.Key = i%4, (i+1)%4
-	}
-	resubmitted := func() error {
+	const nsteps = 256
+	resubmitted := func(*ingestReq) error {
 		t.Error("a duplicate base reached the ingest queue")
 		return nil
 	}
 	for base := uint64(1); base <= 40; base++ {
-		req := &ingestReq{kind: kindIngest, sess: sess, base: base, steps: steps}
-		if out, _, err := sess.offer(base, len(steps), 0, func() error { return s.submit(req) }); out != outcomeAdmitted {
+		req := sess.takeReq() // handed back, steps cleared, when the batch completes
+		req.base = base
+		for i := 0; i < nsteps; i++ {
+			req.steps = append(req.steps, shardrt.Step{R: engine.Tuple{Key: i % 4}, S: engine.Tuple{Key: (i + 1) % 4}})
+		}
+		if out, _, err := sess.offer(req, 0, s.submit); out != outcomeAdmitted {
 			t.Fatalf("batch %d not admitted: outcome %d, %v", base, out, err)
 		}
 		for {
-			out, _, err := sess.offer(base, len(steps), 0, resubmitted)
+			out, _, err := sess.offer(&ingestReq{kind: kindIngest, sess: sess, base: base}, 0, resubmitted)
 			if err != nil {
 				t.Fatalf("batch %d resent while it completes: %v", base, err)
 			}
@@ -73,4 +76,9 @@ func TestBatchCompletionIsOneTransition(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// framesOf is the frame reader over one queued frame.
+func framesOf(frame []byte) *wire.FrameReader {
+	return wire.NewFrameReader(bufio.NewReader(bytes.NewReader(frame)))
 }

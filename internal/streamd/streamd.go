@@ -28,6 +28,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,13 +129,32 @@ type engineReply struct {
 
 // ingestReq is one unit of engine-loop work. The engine loop is the only
 // goroutine that touches the runtime; everything else funnels through the
-// bounded ingest queue, which is also the admission controller's gauge.
+// bounded ingest queue, which is also the admission controller's gauge. A
+// kindIngest request is its session's buffer (session.req).
 type ingestReq struct {
 	kind  int
 	sess  *session // kindIngest/kindFlush delivery target
 	base  uint64   // kindIngest batch base
 	steps []shardrt.Step
 	reply chan engineReply // kindHTTP only, buffered cap 1
+}
+
+// Grow and Step make a request the sink both ingest routes decode into
+// (wire.StepSink), so the key domain and the payload cap are enforced in one
+// place, before any sequence number or credit is consumed.
+func (r *ingestReq) Grow(n int) { r.steps = slices.Grow(r.steps, n) }
+
+func (r *ingestReq) Step(i int, rkey, skey int64, rpayload, spayload []byte) error {
+	rt, err := tupleFromWire(i, 'R', rkey, rpayload)
+	if err != nil {
+		return err
+	}
+	st, err := tupleFromWire(i, 'S', skey, spayload)
+	if err != nil {
+		return err
+	}
+	r.steps = append(r.steps, shardrt.Step{R: rt, S: st})
+	return nil
 }
 
 // Server is the daemon. Start builds and runs it; Drain (or Close) stops
@@ -349,7 +369,7 @@ func (s *Server) engineIngest(req *ingestReq) {
 		// failure; the runtime rejected before touching state, so roll the
 		// reservation back and let the client retry the same base.
 		s.internalErrs.Inc()
-		req.sess.failSubmitted(req.base)
+		req.sess.failSubmitted(req, s.cfg.Credits)
 		s.deliver(req.sess, wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
 			Code: wire.CodeInternal, Msg: err.Error(),
 		})), false)
@@ -358,7 +378,7 @@ func (s *Server) engineIngest(req *ingestReq) {
 	s.stepsTotal.Add(int64(len(req.steps)))
 	s.pairsTotal.Add(int64(len(pairs)))
 	s.batchesTotal.Inc()
-	frame := req.sess.complete(req.base, len(req.steps), s.cfg.Credits, s.nowNanos(), mergedPairs(pairs))
+	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), pairs)
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
 }
@@ -409,31 +429,54 @@ func (ss *session) attachedConn() *conn {
 	return ss.attached
 }
 
-// complete finishes batch base in one transition: its credits are regranted
+// takeReq hands out the session's request buffer, or a fresh request while
+// an earlier batch still has it (a resent base racing the batch in flight).
+func (ss *session) takeReq() *ingestReq {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	req := ss.req
+	ss.req = nil
+	if req == nil {
+		req = &ingestReq{kind: kindIngest, sess: ss}
+	}
+	return req
+}
+
+// putReq takes a request back, its steps cleared so that an idle session
+// pins no payload of its last batch. Caller holds mu.
+func (ss *session) putReq(req *ingestReq) {
+	clear(req.steps)
+	req.steps, ss.req = req.steps[:0], req
+}
+
+// complete finishes req's batch in one transition: its credits are regranted
 // (capped at the full window) and acked, lastBase and lastFrame move
 // together, so no reader or reattach can see the batch acknowledged while
 // the replay buffer still holds its predecessor. The results frame is
 // encoded under mu because it carries the regranted credits; a join-heavy
 // reply can exceed the frame payload cap, and the chunked encoding keeps
 // every frame legal and replays as a unit.
-func (ss *session) complete(base uint64, nsteps, window int, now int64, pairs mergedPairs) []byte {
+func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs) []byte {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
-	ss.credits = min(ss.credits+nsteps, window)
-	frame := wire.EncodeResultsFramesFrom(wire.Results{AckSeq: base, Credits: uint32(ss.credits)}, pairs)
-	ss.acked, ss.lastBase, ss.lastFrame = base, base, frame
+	ss.credits = min(ss.credits+len(req.steps), window)
+	frame := wire.EncodeResultsFramesFrom(wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs)
+	ss.acked, ss.lastBase, ss.lastFrame = req.base, req.base, frame
+	ss.putReq(req)
 	return frame
 }
 
-// failSubmitted rolls a reservation back after the runtime rejected the
-// batch without ingesting it.
-func (ss *session) failSubmitted(base uint64) {
+// failSubmitted undoes req's reservation — sequence number and credits, as
+// offer took them — after the runtime rejected the batch without ingesting it.
+func (ss *session) failSubmitted(req *ingestReq, window int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.submitted == base {
-		ss.submitted = base - 1
+	if ss.submitted == req.base {
+		ss.submitted = req.base - 1
+		ss.credits = min(ss.credits+len(req.steps), window)
 	}
+	ss.putReq(req)
 }
 
 func (ss *session) state() (acked uint64, credits int) {
@@ -452,18 +495,22 @@ const (
 	outcomeRejected               // err holds ErrSeqGap/ErrFlowControl/shed
 )
 
-// offer classifies the batch and, when admissible, reserves the sequence
-// number and credits atomically with the queue submit (the callback runs
-// under the session lock; it must not block — the admission send is
-// non-blocking by construction).
-func (ss *session) offer(base uint64, nsteps int, now int64, submit func() error) (ingestOutcome, []byte, error) {
+// offer classifies req's batch and, when admissible, reserves the sequence
+// number and credits atomically with the queue submit (submit runs under the
+// session lock; it must not block — the admission send is non-blocking by
+// construction). A request that is not admitted goes back to the session,
+// unless the rejection is fatal to the connection anyway.
+func (ss *session) offer(req *ingestReq, now int64, submit func(*ingestReq) error) (ingestOutcome, []byte, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
+	base, nsteps := req.base, len(req.steps)
 	switch ss.classify(base) {
 	case batchReplay:
+		ss.putReq(req)
 		return outcomeReplay, ss.lastFrame, nil
 	case batchInFlight:
+		ss.putReq(req)
 		return outcomeDropDup, nil, nil
 	case batchGap:
 		return outcomeRejected, nil, fmt.Errorf("%w: batch base %d against submitted %d, acked %d",
@@ -473,7 +520,8 @@ func (ss *session) offer(base uint64, nsteps int, now int64, submit func() error
 		return outcomeRejected, nil, fmt.Errorf("%w: batch of %d steps exceeds remaining window %d",
 			ErrFlowControl, nsteps, ss.credits)
 	}
-	if err := submit(); err != nil {
+	if err := submit(req); err != nil {
+		ss.putReq(req) // shed or draining: the client retries on this connection
 		return outcomeRejected, nil, err
 	}
 	ss.submitted = base
@@ -545,8 +593,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	// Buffered, so that a frame that arrives whole costs one read of the
 	// socket and not one for its header and one for its payload; a payload
 	// larger than the buffer is still read straight into its own slice.
-	rd := bufio.NewReader(&deadlineReader{s: s, nc: nc})
-	typ, payload, err := wire.ReadFrame(rd)
+	rd := wire.NewFrameReader(bufio.NewReader(&deadlineReader{s: s, nc: nc}))
+	typ, payload, err := rd.Next()
 	if err != nil || typ != wire.TypeHello {
 		s.refuse(c, fmt.Errorf("%w: expected hello", ErrBadFrame))
 		return
@@ -568,18 +616,13 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer s.detach(sess, c)
 
 	for {
-		typ, payload, err := wire.ReadFrame(rd)
+		typ, payload, err := rd.Next()
 		if err != nil {
 			return // disconnect, idle timeout, or an unframeable stream
 		}
 		switch typ {
 		case wire.TypeIngest:
-			f, err := wire.DecodeIngest(payload)
-			if err != nil {
-				s.refuse(c, err)
-				return
-			}
-			if fatal := s.handleIngestFrame(sess, c, f); fatal {
+			if fatal := s.handleIngestFrame(sess, c, payload); fatal {
 				return
 			}
 		case wire.TypeFlush:
@@ -595,20 +638,18 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// handleIngestFrame validates, dedups and admits one ingest batch.
-// Returns true when the connection must close (protocol violation).
-func (s *Server) handleIngestFrame(sess *session, c *conn, f wire.Ingest) bool {
-	steps, err := stepsFromWire(f.Steps)
-	if err != nil {
-		// Out-of-domain keys consume nothing; the client may fix and
-		// continue on the same connection.
+// handleIngestFrame decodes one ingest frame into the session's request and
+// dedups and admits it. Returns true when the connection must close.
+func (s *Server) handleIngestFrame(sess *session, c *conn, payload []byte) bool {
+	req := sess.takeReq()
+	var err error
+	if req.base, err = wire.DecodeIngestTo(req, payload); err != nil {
+		// A bad step consumed nothing and the client may continue; a frame
+		// that does not decode is fatal. The half-filled request is dropped.
 		s.sendErr(c, err)
-		return false
+		return !errors.Is(err, ErrBadStep)
 	}
-	req := &ingestReq{kind: kindIngest, sess: sess, base: f.Base, steps: steps}
-	outcome, replay, err := sess.offer(f.Base, len(steps), s.nowNanos(), func() error {
-		return s.submit(req)
-	})
+	outcome, replay, err := sess.offer(req, s.nowNanos(), s.submit)
 	switch outcome {
 	case outcomeReplay:
 		s.dupBatches.Inc()
@@ -683,7 +724,7 @@ func (s *Server) writeOne(c *conn, f []byte) bool {
 }
 
 // deadlineReader arms the read deadline before every read of the socket, so a
-// connection idle past ReadTimeout fails out of wire.ReadFrame and is reaped.
+// connection idle past ReadTimeout fails out of the frame reader and is reaped.
 type deadlineReader struct {
 	s  *Server
 	nc net.Conn
@@ -888,49 +929,22 @@ func (s *Server) killConns(notice []byte) {
 
 // --- wire <-> engine conversion -------------------------------------------
 
-// checkWireKey enforces the engine's key domain at admission, before any
-// sequence number or credit is consumed.
-func checkWireKey(k int64) error {
-	if k == int64(process.NoValue) {
-		return nil
+// tupleFromWire checks one side of step i against the engine's key domain and
+// the payload cap (the HTTP body limit alone allows blobs big enough that one
+// echoed pair could overflow a results frame) and builds the runtime's tuple;
+// an absent payload is a nil interface.
+func tupleFromWire(i int, stream byte, key int64, payload []byte) (engine.Tuple, error) {
+	if key != int64(process.NoValue) && (key < int64(engine.MinKey) || key > int64(engine.MaxKey)) {
+		return engine.Tuple{}, fmt.Errorf("%w: step %d stream %c: key %d outside [%d, %d]", ErrBadStep, i, stream, key, engine.MinKey, engine.MaxKey)
 	}
-	if k < int64(engine.MinKey) || k > int64(engine.MaxKey) {
-		return fmt.Errorf("key %d outside [%d, %d]", k, engine.MinKey, engine.MaxKey)
+	if n := len(payload); n > wire.MaxPayloadBytes {
+		return engine.Tuple{}, fmt.Errorf("%w: step %d stream %c payload %d bytes exceeds cap %d", ErrBadStep, i, stream, n, wire.MaxPayloadBytes)
 	}
-	return nil
-}
-
-func stepsFromWire(in []wire.Step) ([]shardrt.Step, error) {
-	steps := make([]shardrt.Step, len(in))
-	for i, ws := range in {
-		if err := checkWireKey(ws.RKey); err != nil {
-			return nil, fmt.Errorf("%w: step %d stream R: %v", ErrBadStep, i, err)
-		}
-		if err := checkWireKey(ws.SKey); err != nil {
-			return nil, fmt.Errorf("%w: step %d stream S: %v", ErrBadStep, i, err)
-		}
-		// The payload cap holds on every ingest route (the HTTP body limit
-		// alone allows blobs big enough that one echoed pair could overflow
-		// a results frame).
-		if n := len(ws.RPayload); n > wire.MaxPayloadBytes {
-			return nil, fmt.Errorf("%w: step %d stream R payload %d bytes exceeds cap %d", ErrBadStep, i, n, wire.MaxPayloadBytes)
-		}
-		if n := len(ws.SPayload); n > wire.MaxPayloadBytes {
-			return nil, fmt.Errorf("%w: step %d stream S payload %d bytes exceeds cap %d", ErrBadStep, i, n, wire.MaxPayloadBytes)
-		}
-		steps[i] = shardrt.Step{
-			R: engine.Tuple{Key: int(ws.RKey), Payload: payloadFromWire(ws.RPayload)},
-			S: engine.Tuple{Key: int(ws.SKey), Payload: payloadFromWire(ws.SPayload)},
-		}
+	tu := engine.Tuple{Key: int(key)}
+	if payload != nil {
+		tu.Payload = payload
 	}
-	return steps, nil
-}
-
-func payloadFromWire(b []byte) interface{} {
-	if b == nil {
-		return nil
-	}
-	return b
+	return tu, nil
 }
 
 func payloadToWire(v interface{}) []byte {

@@ -52,9 +52,9 @@ func TestIngestFrameIsTheParentCommitsBytes(t *testing.T) {
 	if !bytes.Equal(frame, Frame(TypeIngest, EncodeIngest(in))) {
 		t.Fatal("AppendIngestFrame and Frame(TypeIngest, EncodeIngest) disagree")
 	}
-	typ, payload, err := ReadFrame(bytes.NewReader(frame))
+	typ, payload, err := framesOf(frame).Next()
 	if err != nil || typ != TypeIngest {
-		t.Fatalf("ReadFrame = type 0x%02x, err %v", typ, err)
+		t.Fatalf("FrameReader.Next = type 0x%02x, err %v", typ, err)
 	}
 	out, err := DecodeIngest(payload)
 	if err != nil || !reflect.DeepEqual(out, in) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -345,10 +346,12 @@ func (ps pairSlice) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i]
 // encodeResults is the one Results encoder. It writes the reply described by
 // f's header fields over the pairs of src (f.Pairs is not read) in a single
 // exact-size allocation: with framed set, as complete frames whose payloads
-// stay within limit, otherwise as one bare payload. A chunk closes when the
+// stay within limit, otherwise as one bare payload. The source's type is a
+// parameter so that a slice-backed source is passed as the slice it is, not
+// boxed into an interface value per reply. A chunk closes when the
 // next pair would overflow it and always takes at least one pair; every
 // chunk repeats AckSeq, Credits and Flush, and all but the last set More.
-func encodeResults(f Results, src PairSource, framed bool, limit int) []byte {
+func encodeResults[S PairSource](f Results, src S, framed bool, limit int) []byte {
 	type span struct{ end, size int }
 	var one [1]span // a reply is one frame unless it outgrows the limit
 	spans := one[:0]
@@ -434,7 +437,7 @@ func EncodeResultsFrames(f Results) []byte {
 
 // EncodeResultsFramesFrom is EncodeResultsFrames with the pair listing read
 // from src instead of f.Pairs.
-func EncodeResultsFramesFrom(f Results, src PairSource) []byte {
+func EncodeResultsFramesFrom[S PairSource](f Results, src S) []byte {
 	return encodeResults(f, src, true, MaxFramePayload)
 }
 
@@ -589,22 +592,46 @@ func (c *wireCursor) done() error {
 	return nil
 }
 
-// ReadFrame reads one complete frame from rd, enforcing the payload cap
-// before allocating.
-func ReadFrame(rd io.Reader) (typ uint8, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+// FrameReader is the one frame reader, over the buffered reader each end of
+// a connection already has. A frame that fits that buffer is returned as a
+// view of it (no header object, no payload copy) that dies at the next call:
+// every decoder copies out what it keeps. A larger frame gets its own slice.
+type FrameReader struct {
+	rd   *bufio.Reader
+	held int // length of the frame the last Next returned as a view: still buffered
+}
+
+func NewFrameReader(rd *bufio.Reader) *FrameReader { return &FrameReader{rd: rd} }
+
+// Next reads one complete frame, enforcing the payload cap before any
+// allocation. A stream that ends inside a header is io.ErrUnexpectedEOF
+// (io.EOF between frames), inside a body ErrBadFrame.
+func (fr *FrameReader) Next() (typ uint8, payload []byte, err error) {
+	_, _ = fr.rd.Discard(fr.held) // buffered since the last call: cannot fail
+	fr.held = 0
+	hdr, err := fr.rd.Peek(5)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], int(binary.BigEndian.Uint32(hdr[1:]))
 	if n > MaxFramePayload {
 		return 0, nil, fmt.Errorf("%w: frame payload %d exceeds cap %d", ErrBadFrame, n, MaxFramePayload)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(rd, payload); err != nil {
+	var frame []byte
+	if 5+n <= fr.rd.Size() {
+		frame, err = fr.rd.Peek(5 + n)
+		fr.held = len(frame)
+	} else {
+		frame = make([]byte, 5+n)
+		_, err = io.ReadFull(fr.rd, frame)
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated frame body: %v", ErrBadFrame, err)
 	}
-	return hdr[0], payload, nil
+	return typ, frame[5:], nil
 }
 
 func DecodeHello(b []byte) (Hello, error) {
@@ -628,24 +655,52 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 	return f, nil
 }
 
-func DecodeIngest(b []byte) (Ingest, error) {
+// StepSink receives an ingest frame's steps as they are decoded — the mirror
+// of PairSource: the daemon decodes into its runtime's steps, not a []Step.
+type StepSink interface {
+	// Grow announces n more steps; n is bounded by the bytes received.
+	Grow(n int)
+	// Step takes step i. The payloads are copies the sink may keep (nil is an
+	// absent payload). An error ends the decode and is returned as it is.
+	Step(i int, rkey, skey int64, rpayload, spayload []byte) error
+}
+
+func (f *Ingest) Grow(n int) { f.Steps = slices.Grow(f.Steps, n) }
+
+func (f *Ingest) Step(_ int, rkey, skey int64, rpayload, spayload []byte) error {
+	f.Steps = append(f.Steps, Step{RKey: rkey, SKey: skey, RPayload: rpayload, SPayload: spayload})
+	return nil
+}
+
+// DecodeIngestTo is the one Ingest decoder: it hands the frame's steps to
+// sink and returns the batch base. On error the sink has seen some of them.
+func DecodeIngestTo(sink StepSink, b []byte) (base uint64, err error) {
 	c := wireCursor{b: b}
-	f := Ingest{Base: c.u64()}
+	base = c.u64()
 	n := c.count(minStepSize, "steps")
 	if n > MaxBatchSteps {
-		return Ingest{}, fmt.Errorf("%w: batch of %d steps exceeds cap %d", ErrBadFrame, n, MaxBatchSteps)
+		return 0, fmt.Errorf("%w: batch of %d steps exceeds cap %d", ErrBadFrame, n, MaxBatchSteps)
 	}
-	f.Steps = make([]Step, 0, n)
+	sink.Grow(n)
 	for i := 0; i < n && c.err == nil; i++ {
-		f.Steps = append(f.Steps, Step{
-			RKey: c.i64(), SKey: c.i64(),
-			RPayload: c.blob(), SPayload: c.blob(),
-		})
+		rkey, skey, rpayload, spayload := c.i64(), c.i64(), c.blob(), c.blob()
+		if c.err == nil {
+			if err := sink.Step(i, rkey, skey, rpayload, spayload); err != nil {
+				return 0, err
+			}
+		}
 	}
-	if err := c.done(); err != nil {
+	return base, c.done()
+}
+
+// DecodeIngest decodes one Ingest payload into an Ingest of its own.
+func DecodeIngest(b []byte) (Ingest, error) {
+	f := &Ingest{Steps: []Step{}}
+	var err error
+	if f.Base, err = DecodeIngestTo(f, b); err != nil {
 		return Ingest{}, err
 	}
-	return f, nil
+	return *f, nil
 }
 
 // DecodeResults decodes one Results payload. The pairs are the caller's:

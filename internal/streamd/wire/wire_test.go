@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -101,13 +102,16 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		}
 	}
 	buf := EncodeResultsFrames(f) // ~12 MiB of pairs: must split
-	rd := bytes.NewReader(buf)
+	rd := framesOf(buf)
 	var got []Pair
 	var mores []bool
-	for rd.Len() > 0 {
-		typ, payload, err := ReadFrame(rd) // enforces MaxFramePayload per frame
+	for {
+		typ, payload, err := rd.Next() // enforces MaxFramePayload per frame
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			t.Fatalf("ReadFrame chunk %d: %v", len(mores), err)
+			t.Fatalf("frame of chunk %d: %v", len(mores), err)
 		}
 		if typ != TypeResults {
 			t.Fatalf("chunk %d type = 0x%02x, want results", len(mores), typ)
@@ -146,8 +150,7 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 	}
 	var want []byte
 	for at, k := 0, 0; k < len(mores); k++ {
-		rd := bytes.NewReader(buf[len(want):])
-		_, payload, _ := ReadFrame(rd)
+		_, payload, _ := framesOf(buf[len(want):]).Next()
 		chunk, _ := DecodeResults(payload)
 		chunk.Pairs = f.Pairs[at : at+len(chunk.Pairs)]
 		at += len(chunk.Pairs)
@@ -358,15 +361,18 @@ func TestDecodeResultsRejectsBadSameStepByte(t *testing.T) {
 	}
 }
 
+// framesOf is the frame reader over a byte slice.
+func framesOf(b []byte) *FrameReader { return NewFrameReader(bufio.NewReader(bytes.NewReader(b))) }
+
 func TestFrameReadFrameRoundTrip(t *testing.T) {
 	payload := []byte("hello payload")
 	frame := Frame(TypeIngest, payload)
-	typ, got, err := ReadFrame(bytes.NewReader(frame))
+	typ, got, err := framesOf(frame).Next()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("FrameReader.Next: %v", err)
 	}
 	if typ != TypeIngest || !bytes.Equal(got, payload) {
-		t.Fatalf("ReadFrame = (0x%02x, %q)", typ, got)
+		t.Fatalf("FrameReader.Next = (0x%02x, %q)", typ, got)
 	}
 	// WriteFrame produces identical bytes.
 	var buf bytes.Buffer
@@ -382,7 +388,7 @@ func TestReadFrameRejectsOversizePayload(t *testing.T) {
 	// A corrupted length field beyond the cap must fail before allocation.
 	frame := Frame(TypeIngest, nil)
 	frame[1], frame[2], frame[3], frame[4] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := framesOf(frame).Next(); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversize frame: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -390,11 +396,11 @@ func TestReadFrameRejectsOversizePayload(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	frame := Frame(TypeResults, []byte("full payload"))
 	// Body cut short: the declared length never arrives.
-	if _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-3])); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := framesOf(frame[:len(frame)-3]).Next(); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated body: err = %v, want ErrBadFrame", err)
 	}
 	// Header cut short: plain io error so idle disconnects stay untyped.
-	if _, _, err := ReadFrame(bytes.NewReader(frame[:3])); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := framesOf(frame[:3]).Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated header: err = %v, want ErrUnexpectedEOF", err)
 	}
 }

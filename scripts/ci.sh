@@ -20,9 +20,9 @@
 #   7. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
-#   8. fuzz smoke  — 10s each of FuzzStepEquivalence and the two wire decoder
-#                    fuzzers (FuzzDecodeResults, FuzzDecodeIngest) over their
-#                    committed corpora
+#   8. fuzz smoke  — 10s each of FuzzStepEquivalence and the three wire
+#                    fuzzers (FuzzDecodeResults, FuzzDecodeIngest and the frame
+#                    parser's FuzzFrameReader) over their committed corpora
 #   9. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
@@ -93,6 +93,7 @@ echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
+go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/streamd/wire
 
 echo "==> bench smoke"
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
