@@ -9,7 +9,6 @@ import (
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
-	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
 
@@ -18,9 +17,10 @@ import (
 // operator needs to replay exactly as an uninterrupted run is captured:
 // the configuration fingerprint (so a restore into a differently configured
 // operator is rejected), the clock and ID counter, the metrics, the cache
-// with payloads and caller tags, both observed histories, the state RNG, and
-// the policy's private decision state when the policy implements
-// join.StateSnapshotter.
+// with payloads and caller tags, both histories (a count and the last value
+// each), the state RNG, and the policy's private decision state when the
+// policy implements join.StateSnapshotter: nothing that grows with the steps
+// taken, and the same bytes for the same state.
 // Indexes are not serialized — they are a pure function of the cache and are
 // rebuilt on restore.
 //
@@ -37,7 +37,12 @@ type checkpointWire struct {
 	NextID  int
 	Metrics Metrics
 	Cache   []cacheEntryWire
-	Hists   [2][]int
+	// HistLen and HistLast are each stream's process.History. Files written
+	// before History was bounded carry Hists, every observation, in their
+	// place; it is never written (gob omits a nil pointer).
+	HistLen, HistLast [2]int
+	//lint:ignore snapcomplete read-only on purpose: the field of the previous format, kept so that its files still restore (testdata/upgrade/)
+	Hists *[2][]int
 
 	StateRNG       []byte
 	HasPolicyState bool
@@ -88,10 +93,9 @@ func (j *Join) fingerprint() (int, int, int, uint64, string, string) {
 // with the same Config resumes as if the run had never stopped.
 //
 // Policies that hold private decision state (RNG streams, adaptive
-// trackers — see join.StateSnapshotter) are captured too; policies whose
-// state re-derives from the histories need nothing. A policy with
-// unsnapshottable private state will replay differently after restore —
-// implement StateSnapshotter for it.
+// trackers, value counts — see join.StateSnapshotter) are captured too. A
+// policy with unsnapshottable private state will replay differently after
+// restore — implement StateSnapshotter for it.
 func (j *Join) Checkpoint(w io.Writer) error {
 	if j.rec == nil {
 		return j.writeCheckpoint(w)
@@ -119,10 +123,9 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 		NextID:     j.nextID,
 		Metrics:    j.m,
 		Cache:      make([]cacheEntryWire, len(j.cache)),
-		Hists: [2][]int{
-			append([]int(nil), j.hists[0].Values()...),
-			append([]int(nil), j.hists[1].Values()...),
-		},
+	}
+	for s, h := range j.hists {
+		wire.HistLen[s], wire.HistLast[s] = h.Len(), h.LastOr(0)
 	}
 	for i, tp := range j.cache {
 		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.payloads[i], Seq: j.seqs[i]}
@@ -178,6 +181,13 @@ func (j *Join) Restore(r io.Reader) error {
 	if wire.ProcSig != procSig {
 		return fmt.Errorf("%w: checkpoint processes %q, operator processes %q", ErrConfigMismatch, wire.ProcSig, procSig)
 	}
+	if wire.Hists != nil {
+		for s, log := range wire.Hists {
+			if n := len(log); n > 0 {
+				wire.HistLen[s], wire.HistLast[s] = n, log[n-1]
+			}
+		}
+	}
 	if err := validateWire(&wire); err != nil {
 		return err
 	}
@@ -187,6 +197,15 @@ func (j *Join) Restore(r io.Reader) error {
 	}
 	// Everything fallible that can run without mutating is done; restore the
 	// policy first (the one mutation that can still fail), then commit.
+	if wire.Hists != nil && j.arrivals != nil {
+		// An old file has no counts for a policy that keeps its own (it read
+		// them off the log then): the policy starts over, as NewJoin left it,
+		// and is shown the log once.
+		j.policy.Reset(j.state.Config, stats.NewRNG(j.cfg.Seed+1))
+		for i, r := range wire.Hists[0] {
+			j.arrivals.ObserveArrivals(r, wire.Hists[1][i])
+		}
+	}
 	if wire.HasPolicyState {
 		s, ok := unwrapPolicy(j.policy).(join.StateSnapshotter)
 		if !ok {
@@ -200,11 +219,9 @@ func (j *Join) Restore(r io.Reader) error {
 	j.time = wire.Time
 	j.nextID = wire.NextID
 	j.m = wire.Metrics
-	j.hists = [2]*process.History{
-		process.NewHistory(wire.Hists[0]...),
-		process.NewHistory(wire.Hists[1]...),
+	for s, h := range j.hists {
+		h.Restore(wire.HistLen[s], wire.HistLast[s])
 	}
-	j.state.Hists = j.hists
 	j.state.Time = wire.Time - 1
 	j.state.RNG = rng
 	j.cache = j.cache[:0]
@@ -238,9 +255,9 @@ func validateWire(wire *checkpointWire) error {
 	if wire.Time < 0 || wire.NextID < 0 {
 		return bad("time %d, next ID %d", wire.Time, wire.NextID)
 	}
-	if len(wire.Hists[0]) != wire.Time || len(wire.Hists[1]) != wire.Time {
+	if wire.HistLen[0] != wire.Time || wire.HistLen[1] != wire.Time {
 		return bad("histories of %d and %d observations for %d steps",
-			len(wire.Hists[0]), len(wire.Hists[1]), wire.Time)
+			wire.HistLen[0], wire.HistLen[1], wire.Time)
 	}
 	if len(wire.Cache) > wire.CacheSize {
 		return bad("%d cached entries for budget %d", len(wire.Cache), wire.CacheSize)

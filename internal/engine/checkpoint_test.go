@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"stochstream/internal/checkpoint"
@@ -14,9 +16,12 @@ import (
 )
 
 // ckptConfigs is the configuration grid the checkpoint differential tests
-// run: the default model-free policy (RAND, private RNG state), a history-
-// derived policy (PROB), HEEB on a band join (adaptive tracker + incremental
-// score state), and the full degradation ladder on a sliding window.
+// run: the default model-free policy (RAND, private RNG state), the two
+// policies whose state is the value counts no history keeps (PROB, and LIFE
+// deciding behind a ladder rung that always fails, so the counts reach it
+// through the ladder's arrival hook and leave through the ladder's snapshot),
+// HEEB on a band join (adaptive tracker + incremental score state), and the
+// full degradation ladder on a sliding window.
 func ckptConfigs() []struct {
 	name string
 	mk   func() Config
@@ -30,6 +35,10 @@ func ckptConfigs() []struct {
 		}},
 		{"equi-prob", func() Config {
 			return Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}}
+		}},
+		{"ladder-life", func() Config {
+			life := &policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }}
+			return Config{CacheSize: 8, Seed: 11, Policy: &policy.Ladder{Rungs: []join.Policy{failingRung{}, life}}}
 		}},
 		{"band-heeb", func() Config {
 			return Config{CacheSize: 8, Band: 2, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
@@ -306,6 +315,60 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	}
 	if got := len(fresh.Snapshot()); got != 0 {
 		t.Fatalf("failed restore left %d entries in a fresh operator", got)
+	}
+}
+
+// Each stream's history count must be the checkpoint's clock — in the
+// (count, last) form this commit writes and in the full logs a file from
+// before it carries (the prob_pr22 fixture with one observation cut off).
+func TestRestoreRejectsHistoryCountMismatch(t *testing.T) {
+	j, err := NewJoin(Config{CacheSize: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Step(Tuple{Key: 1}, Tuple{Key: 2})
+	j.hists[1].Append(3) // stream S one observation ahead of the clock
+	var forged bytes.Buffer
+	if err := j.Checkpoint(&forged); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewJoin(Config{CacheSize: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(&forged); err == nil {
+		t.Fatal("restore accepted a history of 2 observations at time 1")
+	}
+
+	old, err := os.ReadFile("testdata/upgrade/prob_pr22.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire checkpointWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Hists == nil || len(wire.Hists[0]) != wire.Time || wire.HistLen != [2]int{} {
+		t.Fatalf("the fixture is not a pre-count checkpoint: logs %v, counts %v, time %d", wire.Hists != nil, wire.HistLen, wire.Time)
+	}
+	wire.Hists[0] = wire.Hists[0][:wire.Time-1]
+	var short, file bytes.Buffer
+	if err := gob.NewEncoder(&short).Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Write(&file, short.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	prob, err := NewJoin(Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prob.Restore(&file); err == nil {
+		t.Fatal("restore accepted a legacy checkpoint whose logs disagree in length")
 	}
 }
 

@@ -121,8 +121,11 @@ type Metrics struct {
 type Join struct {
 	cfg    Config
 	policy join.Policy
-	hists  [2]*process.History
-	state  *join.State
+	// arrivals is the policy, unwrapped, when it counts arrivals (PROB, LIFE).
+	//lint:ignore snapcomplete the policy field under another type: construction wiring, and what the observer accumulates leaves through the policy's own SnapshotState
+	arrivals join.ArrivalObserver
+	hists    [2]*process.History
+	state    *join.State
 	// cache holds the admitted tuples in ascending ID order, which is also
 	// arrival order — Step appends fresh IDs and evictions preserve order.
 	// Two invariants follow: Arrived is nondecreasing along the slice (so
@@ -216,6 +219,7 @@ func NewJoin(cfg Config) (*Join, error) {
 		policy: pol,
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
 	}
+	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
 	j.initFlight(lad)
 	if cfg.Band == 0 {
 		j.equi = [2]map[int]bucket{{}, {}}
@@ -283,6 +287,9 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 	j.m.Steps++
 	j.hists[core.StreamR].Append(r.Key)
 	j.hists[core.StreamS].Append(s.Key)
+	if j.arrivals != nil {
+		j.arrivals.ObserveArrivals(r.Key, s.Key)
+	}
 	j.state.Time = t
 
 	// Admission happens below, but the tuple IDs are fixed now, so ingest

@@ -68,6 +68,9 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 	j.m.Steps++
 	j.hists[core.StreamR].Append(r.Key)
 	j.hists[core.StreamS].Append(s.Key)
+	if o, ok := j.policy.(join.ArrivalObserver); ok {
+		o.ObserveArrivals(r.Key, s.Key)
+	}
 	j.state.Time = t
 
 	// Eager pruning of window-expired entries, as a plain filter.

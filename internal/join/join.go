@@ -95,13 +95,24 @@ type Policy interface {
 	Evict(st *State, candidates []Tuple, n int) []int
 }
 
+// ArrivalObserver is implemented by policies that keep more of the streams'
+// past than State.Hists does (a count and the last value each): PROB and
+// LIFE's value frequencies. The operator calls ObserveArrivals once a step,
+// after the histories have taken the step's two arrivals and before any Evict
+// of that step. What an observer accumulates is decision state: it implements
+// StateSnapshotter too.
+type ArrivalObserver interface {
+	ObserveArrivals(r, s int)
+}
+
 // StateSnapshotter is implemented by policies whose decision state cannot be
-// re-derived from the observed histories alone — private RNG streams,
-// adaptive parameter trackers, incrementally maintained scores. The engine's
-// checkpoint captures this state so a restored operator replays the exact
-// decision sequence of an uninterrupted run. Policies whose state is a pure
-// function of the histories (PROB/LIFE frequency counts, FlowExpect's
-// per-decision memo) need not implement it.
+// re-derived from State.Hists — private RNG streams, adaptive parameter
+// trackers, PROB/LIFE frequency counts. The engine's checkpoint captures this
+// state so a restored operator replays the exact decision sequence of an
+// uninterrupted run, and two snapshots of one state are the same bytes (state
+// held in a map is written in key order). What a policy rebuilds on demand from
+// State.Hists and the models (FlowExpect's memo, HEEB's forecast window) needs
+// no snapshot.
 type StateSnapshotter interface {
 	// SnapshotState serializes the policy's decision state.
 	SnapshotState() ([]byte, error)
@@ -171,6 +182,7 @@ func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
 	if cfg.CacheSize < 1 {
 		panic("join: cache size must be >= 1")
 	}
+	arrivals, _ := p.(ArrivalObserver)
 	var obs Observer
 	if ptr := observer.Load(); ptr != nil {
 		obs = *ptr
@@ -203,6 +215,9 @@ func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
 		newS := newTuple(s[t], core.StreamS, t)
 		hists[core.StreamR].Append(newR.Value)
 		hists[core.StreamS].Append(newS.Value)
+		if arrivals != nil {
+			arrivals.ObserveArrivals(newR.Value, newS.Value)
+		}
 		st.Time = t
 
 		// Join the arrivals against the cached tuples of the other stream.

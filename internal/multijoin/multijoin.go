@@ -7,6 +7,8 @@
 package multijoin
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
 	"stochstream/internal/core"
@@ -91,6 +93,13 @@ type Policy interface {
 	Evict(st *State, candidates []Tuple, n int) []int
 }
 
+// ArrivalObserver is implemented by policies that keep more of the streams'
+// past than State.Hists does (PROB's value frequencies): Run shows them every
+// step's arrivals, one a stream, before any Evict of that step.
+type ArrivalObserver interface {
+	ObserveArrivals(arrivals []Tuple)
+}
+
 // Result summarizes a run.
 type Result struct {
 	// Joins counts result tuples after warm-up, across all edges.
@@ -133,6 +142,7 @@ func Run(streams [][]int, p Policy, cfg Config, rng *stats.RNG) (Result, error) 
 	}
 
 	p.Reset(cfg, rng)
+	observer, _ := p.(ArrivalObserver)
 	warmup := cfg.EffectiveWarmup()
 	hists := make([]*process.History, n)
 	for s := range hists {
@@ -161,6 +171,9 @@ func Run(streams [][]int, p Policy, cfg Config, rng *stats.RNG) (Result, error) 
 			arrivals[s] = Tuple{ID: nextID, Value: streams[s][t], Stream: s, Arrived: t}
 			nextID++
 			hists[s].Append(streams[s][t])
+		}
+		if observer != nil {
+			observer.ObserveArrivals(arrivals)
 		}
 		st.Time = t
 
@@ -285,10 +298,10 @@ func (p *Rand) Evict(st *State, cands []Tuple, n int) []int {
 }
 
 // Prob evicts the tuple whose value is least frequent across its partners'
-// histories — the PROB heuristic summed over the join graph.
+// histories — the PROB heuristic summed over the join graph. The counts are
+// its state: pushed in at arrival, snapshotted in value order.
 type Prob struct {
-	counts   []map[int]int
-	consumed []int
+	counts []map[int]int
 }
 
 // Name implements Policy.
@@ -297,20 +310,20 @@ func (p *Prob) Name() string { return "PROB" }
 // Reset implements Policy.
 func (p *Prob) Reset(cfg Config, _ *stats.RNG) {
 	p.counts = make([]map[int]int, len(cfg.Procs))
-	p.consumed = make([]int, len(cfg.Procs))
 	for i := range p.counts {
 		p.counts[i] = map[int]int{}
 	}
 }
 
+// ObserveArrivals implements ArrivalObserver.
+func (p *Prob) ObserveArrivals(arrivals []Tuple) {
+	for _, a := range arrivals {
+		p.counts[a.Stream][a.Value]++
+	}
+}
+
 // Evict implements Policy.
 func (p *Prob) Evict(st *State, cands []Tuple, n int) []int {
-	for s := range p.counts {
-		h := st.Hists[s]
-		for ; p.consumed[s] < h.Len(); p.consumed[s]++ {
-			p.counts[s][h.At(p.consumed[s])]++
-		}
-	}
 	scores := make([]float64, len(cands))
 	for i, c := range cands {
 		var f float64
@@ -328,6 +341,44 @@ func (p *Prob) Evict(st *State, cands []Tuple, n int) []int {
 		scores[i] = f
 	}
 	return lowestN(scores, cands, n)
+}
+
+// probWire is Prob's counts with each stream's map laid out by ascending
+// value: gob writes a map in iteration order, and two snapshots of one state
+// must be the same bytes.
+type probWire struct {
+	Values, Counts [][]int
+}
+
+// SnapshotState serializes the counts (the join.StateSnapshotter contract).
+func (p *Prob) SnapshotState() ([]byte, error) {
+	w := probWire{Values: make([][]int, len(p.counts)), Counts: make([][]int, len(p.counts))}
+	for s, m := range p.counts {
+		w.Values[s], w.Counts[s] = stats.SortedCounts(m)
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(w)
+	return buf.Bytes(), err
+}
+
+// RestoreState replaces the counts with a snapshot's; the policy must have
+// been Reset with the configuration that produced it.
+func (p *Prob) RestoreState(data []byte) error {
+	var w probWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return fmt.Errorf("multijoin: restoring PROB counts: %w", err)
+	}
+	if len(w.Values) != len(p.counts) || len(w.Counts) != len(p.counts) {
+		return fmt.Errorf("multijoin: PROB snapshot of %d streams, policy has %d", len(w.Values), len(p.counts))
+	}
+	for s := range p.counts {
+		m, err := stats.CountsFrom(w.Values[s], w.Counts[s])
+		if err != nil {
+			return fmt.Errorf("multijoin: restoring PROB counts of stream %d: %w", s, err)
+		}
+		p.counts[s] = m
+	}
+	return nil
 }
 
 func lowestN(scores []float64, cands []Tuple, n int) []int {

@@ -65,6 +65,7 @@ func TestBandPROBSumsOverBand(t *testing.T) {
 		Config: join.Config{CacheSize: 2, Band: 1},
 	}
 	p.Reset(st.Config, stats.NewRNG(1))
+	observe(p, []int{10, 11, 12, 20, 21}, []int{0, 0, 0, 0, 0})
 	// S tuple with value 11: band {10,11,12} covers 3/5 of R history.
 	// S tuple with value 20: band {19,20,21} covers 2/5.
 	cands := []join.Tuple{

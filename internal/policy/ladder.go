@@ -119,6 +119,16 @@ func (p *Ladder) Reset(cfg join.Config, rng *stats.RNG) {
 	p.lfixed.Reset(cfg, nil)
 }
 
+// ObserveArrivals implements join.ArrivalObserver for the rungs that do: a
+// PROB or LIFE rung counts every arrival, whichever rung decides.
+func (p *Ladder) ObserveArrivals(r, s int) {
+	for _, rung := range p.Rungs {
+		if o, ok := rung.(join.ArrivalObserver); ok {
+			o.ObserveArrivals(r, s)
+		}
+	}
+}
+
 // Evict implements join.Policy. It always returns a valid eviction set.
 func (p *Ladder) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	for i, rung := range p.Rungs {

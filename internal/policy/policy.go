@@ -128,25 +128,21 @@ func (p *Rand) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	return evictLowest(scores, cands, n, nil)
 }
 
-// valueCounts tracks empirical frequencies of each stream's values, which
-// PROB and LIFE use to estimate join probabilities from the past.
+// valueCounts holds the empirical frequencies of each stream's values, which
+// PROB and LIFE use to estimate join probabilities from the past: pushed in
+// at arrival (join.ArrivalObserver), snapshotted in snapshot.go.
 type valueCounts struct {
-	counts   [2]map[int]int
-	consumed [2]int
+	counts [2]map[int]int
 }
 
 func newValueCounts() *valueCounts {
 	return &valueCounts{counts: [2]map[int]int{{}, {}}}
 }
 
-// catchUp folds unread history into the counts.
-func (vc *valueCounts) catchUp(st *join.State) {
-	for s := 0; s < 2; s++ {
-		h := st.Hists[s]
-		for ; vc.consumed[s] < h.Len(); vc.consumed[s]++ {
-			vc.counts[s][h.At(vc.consumed[s])]++
-		}
-	}
+// ObserveArrivals implements join.ArrivalObserver.
+func (vc *valueCounts) ObserveArrivals(r, s int) {
+	vc.counts[0][r]++
+	vc.counts[1][s]++
 }
 
 // partnerFreq estimates the probability that a partner arrival matches tp,
@@ -171,21 +167,20 @@ func (vc *valueCounts) partnerFreq(st *join.State, tp join.Tuple) float64 {
 // tuples are discarded first when a Lifetime is configured.
 type Prob struct {
 	Lifetime Lifetime
-	vc       *valueCounts
+	*valueCounts
 }
 
 // Name implements join.Policy.
 func (p *Prob) Name() string { return "PROB" }
 
 // Reset implements join.Policy.
-func (p *Prob) Reset(join.Config, *stats.RNG) { p.vc = newValueCounts() }
+func (p *Prob) Reset(join.Config, *stats.RNG) { p.valueCounts = newValueCounts() }
 
 // Evict implements join.Policy.
 func (p *Prob) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	p.vc.catchUp(st)
 	scores := make([]float64, len(cands))
 	for i, c := range cands {
-		scores[i] = p.vc.partnerFreq(st, c)
+		scores[i] = p.partnerFreq(st, c)
 		if p.Lifetime != nil && p.Lifetime(st.Time, c) <= 0 {
 			scores[i] = -1
 		}
@@ -251,7 +246,7 @@ func (p *Reservoir) Evict(st *join.State, cands []join.Tuple, n int) []int {
 // window).
 type Life struct {
 	Lifetime Lifetime
-	vc       *valueCounts
+	*valueCounts
 }
 
 // Name implements join.Policy.
@@ -262,12 +257,11 @@ func (p *Life) Reset(join.Config, *stats.RNG) {
 	if p.Lifetime == nil {
 		panic("policy: LIFE requires a Lifetime estimator")
 	}
-	p.vc = newValueCounts()
+	p.valueCounts = newValueCounts()
 }
 
 // Evict implements join.Policy.
 func (p *Life) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	p.vc.catchUp(st)
 	scores := make([]float64, len(cands))
 	for i, c := range cands {
 		life := p.Lifetime(st.Time, c)
@@ -275,7 +269,7 @@ func (p *Life) Evict(st *join.State, cands []join.Tuple, n int) []int {
 			scores[i] = -1
 			continue
 		}
-		scores[i] = p.vc.partnerFreq(st, c) * float64(life)
+		scores[i] = p.partnerFreq(st, c) * float64(life)
 	}
 	return evictLowest(scores, cands, n, nil)
 }

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"stochstream/internal/core"
@@ -15,6 +17,14 @@ func mkState(t0 int, rHist, sHist []int, procs [2]process.Process, cfg join.Conf
 		Time:   t0,
 		Hists:  [2]*process.History{process.NewHistory(rHist...), process.NewHistory(sHist...)},
 		Config: cfg,
+	}
+}
+
+// observe shows a policy that counts arrivals the histories a test's state was
+// built from, step by step, as the operator would have (after Reset).
+func observe(p join.ArrivalObserver, rHist, sHist []int) {
+	for i := range rHist {
+		p.ObserveArrivals(rHist[i], sHist[i])
 	}
 }
 
@@ -77,6 +87,7 @@ func TestProbEvictsLeastFrequentInPartnerHistory(t *testing.T) {
 		[]int{20, 21, 21, 21, 22}, // S history: 21 frequent
 		[2]process.Process{}, join.Config{CacheSize: 2})
 	p.Reset(st.Config, stats.NewRNG(1))
+	observe(p, []int{10, 10, 10, 11, 12}, []int{20, 21, 21, 21, 22})
 	// Candidates from S side are scored against R's history; from R side
 	// against S's history.
 	cands := []join.Tuple{
@@ -106,6 +117,7 @@ func TestProbDiscardsFreshArrivalsUnderTrend(t *testing.T) {
 	}
 	st := mkState(49, rh, sh, [2]process.Process{}, join.Config{CacheSize: 2})
 	p.Reset(st.Config, stats.NewRNG(1))
+	observe(p, rh, sh)
 	cands := []join.Tuple{
 		tup(0, 40, core.StreamS, 40), // seen in partner history
 		tup(1, 55, core.StreamS, 49), // ahead of the trend: never seen
@@ -122,6 +134,7 @@ func TestLifeWeighsLifetime(t *testing.T) {
 	p := &Life{Lifetime: life}
 	st := mkState(3, []int{5, 30, 5, 30}, []int{0, 0, 0, 0}, [2]process.Process{}, join.Config{CacheSize: 1})
 	p.Reset(st.Config, stats.NewRNG(1))
+	observe(p, []int{5, 30, 5, 30}, []int{0, 0, 0, 0})
 	cands := []join.Tuple{
 		tup(0, 5, core.StreamS, 0),  // freq 1/2, lifetime 5
 		tup(1, 30, core.StreamS, 1), // freq 1/2, lifetime 30
@@ -480,4 +493,44 @@ func TestReservoirTinyCache(t *testing.T) {
 	r := procs[0].Generate(rng.Split(), 500)
 	s := procs[1].Generate(rng.Split(), 500)
 	join.Run(r, s, &Reservoir{}, cfg, stats.NewRNG(1)) // must not panic
+}
+
+// TestProbSnapshotDeterministic: a snapshot is a function of the state. The
+// counts live in Go maps, which gob would write in iteration order; 100
+// snapshots of one PROB (and one LIFE behind a ladder) must be the same
+// bytes, and restore into the same counts.
+func TestProbSnapshotDeterministic(t *testing.T) {
+	prob := &Prob{}
+	lad := &Ladder{Rungs: []join.Policy{&Life{Lifetime: func(int, join.Tuple) int { return 1 }}, &Lfixed{}}}
+	rng := stats.NewRNG(4)
+	for _, p := range []join.Policy{prob, lad} {
+		p.Reset(join.Config{CacheSize: 4}, stats.NewRNG(1))
+		for i := 0; i < 2000; i++ {
+			p.(join.ArrivalObserver).ObserveArrivals(rng.IntN(300)-150, rng.IntN(300))
+		}
+		snap := p.(join.StateSnapshotter)
+		first, err := snap.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 100; i++ {
+			again, err := snap.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, first) {
+				t.Fatalf("%s: snapshot %d of one state differs from the first", p.Name(), i)
+			}
+		}
+	}
+	restored := &Prob{}
+	restored.Reset(join.Config{CacheSize: 4}, stats.NewRNG(1))
+	restored.ObserveArrivals(7, 7) // replaced, not added to
+	snap, _ := prob.SnapshotState()
+	if err := restored.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.counts, prob.counts) {
+		t.Fatal("the restored counts differ from the snapshotted ones")
+	}
 }

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+
+	"stochstream/internal/stats"
 )
 
 // This file implements join.StateSnapshotter for the policies that carry
 // decision state a checkpoint must capture: HEEB (adaptive α and the lifetime
-// tracker), the RNG-driven RAND and RESERVOIR, and Ladder (which delegates to
-// its rungs). PROB and LIFE rebuild their value counts from the restored
-// histories, and FlowExpect's forecast window is re-derived from them, so
-// neither needs snapshot code.
+// tracker), the RNG-driven RAND and RESERVOIR, PROB and LIFE (the value counts
+// no history keeps for them) and Ladder (which delegates to its rungs).
+// FlowExpect's forecast window is re-derived from the restored histories, so
+// it needs no snapshot code.
 //
-// Wire format: gob of an exported wire struct per policy. The bytes travel
-// inside the engine checkpoint's versioned, checksummed envelope
-// (internal/checkpoint), so no versioning is repeated here.
+// Wire format: gob of an exported wire struct per policy, and no Go map in
+// any of them: gob writes a map in iteration order, which would make two
+// snapshots of one state differ. The bytes travel inside the engine
+// checkpoint's versioned, checksummed envelope (internal/checkpoint), so no
+// versioning is repeated here.
 
 // heebWire carries only what is not re-derived: snapshots written before the
 // per-tuple and per-offset score memos (fields Inc and OffsetH) were dropped
@@ -99,6 +103,36 @@ func (p *Reservoir) RestoreState(data []byte) error {
 		return err
 	}
 	p.seen = w.Seen
+	return nil
+}
+
+// countsWire is valueCounts with each stream's map laid out by ascending value.
+type countsWire struct {
+	Values, Counts [2][]int
+}
+
+// SnapshotState implements join.StateSnapshotter for PROB and LIFE.
+func (vc *valueCounts) SnapshotState() ([]byte, error) {
+	var w countsWire
+	for s, m := range vc.counts {
+		w.Values[s], w.Counts[s] = stats.SortedCounts(m)
+	}
+	return gobEncode(w)
+}
+
+// RestoreState implements join.StateSnapshotter for PROB and LIFE.
+func (vc *valueCounts) RestoreState(data []byte) error {
+	var w countsWire
+	if err := gobDecode(data, &w); err != nil {
+		return fmt.Errorf("policy: restoring value counts: %w", err)
+	}
+	for s := range vc.counts {
+		m, err := stats.CountsFrom(w.Values[s], w.Counts[s])
+		if err != nil {
+			return fmt.Errorf("policy: restoring value counts of stream %d: %w", s, err)
+		}
+		vc.counts[s] = m
+	}
 	return nil
 }
 

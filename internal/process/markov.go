@@ -109,11 +109,7 @@ func stepVector(q []float64, p [][]float64) []float64 {
 // Forecast implements Process.
 func (m *MarkovChain) Forecast(h *History, delta int) dist.PMF {
 	checkDelta(delta)
-	last := m.Init
-	if h != nil && h.Len() > 0 {
-		last = h.Last()
-	}
-	row := m.rowPower(m.stateOf(last), delta)
+	row := m.rowPower(m.stateOf(h.LastOr(m.Init)), delta)
 	return dist.NewTable(m.Lo, row)
 }
 

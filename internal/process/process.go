@@ -67,38 +67,52 @@ type NormalForecaster interface {
 	ForecastNormal(last int, delta int) (mean, sd float64)
 }
 
-// History is the observed prefix of one stream: Values[t] is the join
-// attribute produced at time t, and T0 is the current (last observed) time.
-// The zero value is an empty history.
-type History struct {
-	vals []int
-}
+// History is what a stream's past conditions a forecast on: how many values
+// were observed and the last of them. Every model of Sections 2 and 5 gives
+// Pr{X_{t0+Δ} | x̄_{t0}} as a function of t0 and x_{t0} alone, so the pair is
+// the whole state, the same size however long the stream has run; a consumer
+// of more of the past (PROB's value frequencies) keeps it itself, fed at
+// arrival (join.ArrivalObserver). The zero value is an empty history.
+type History struct{ n, last int }
 
-// NewHistory returns a history pre-populated with the given observations.
+// NewHistory returns the history of a stream that has produced vals.
 func NewHistory(vals ...int) *History {
 	h := &History{}
-	h.vals = append(h.vals, vals...)
+	for _, v := range vals {
+		h.Append(v)
+	}
 	return h
 }
 
 // Append records the next observation.
-func (h *History) Append(v int) { h.vals = append(h.vals, v) }
+func (h *History) Append(v int) { h.n, h.last = h.n+1, v }
+
+// Restore makes h what a checkpoint recorded: n observations ending in last.
+func (h *History) Restore(n, last int) { h.n, h.last = n, last }
 
 // Len returns the number of observations.
-func (h *History) Len() int { return len(h.vals) }
+func (h *History) Len() int { return h.n }
 
 // T0 returns the current time (index of the last observation), or -1 when
 // nothing has been observed.
-func (h *History) T0() int { return len(h.vals) - 1 }
-
-// At returns the observation at time t.
-func (h *History) At(t int) int { return h.vals[t] }
+func (h *History) T0() int { return h.n - 1 }
 
 // Last returns the most recent observation; it panics on an empty history.
-func (h *History) Last() int { return h.vals[len(h.vals)-1] }
+func (h *History) Last() int {
+	if h.n == 0 {
+		panic("process: Last of an empty history")
+	}
+	return h.last
+}
 
-// Values returns the underlying observations; callers must not modify it.
-func (h *History) Values() []int { return h.vals }
+// LastOr returns the most recent observation, or init when there is none (a
+// nil history included): what a first-order model conditions on.
+func (h *History) LastOr(init int) int {
+	if h == nil || h.n == 0 {
+		return init
+	}
+	return h.last
+}
 
 // Deterministic is the offline-stream model of Section 5.1: the whole
 // sequence is known in advance, so Pr{X_t = Seq[t]} = 1. Forecasts past the

@@ -50,12 +50,26 @@ func TestHistory(t *testing.T) {
 	}
 	h.Append(5)
 	h.Append(7)
-	if h.T0() != 1 || h.Last() != 7 || h.At(0) != 5 || h.Len() != 2 {
+	if h.T0() != 1 || h.Last() != 7 || h.Len() != 2 {
 		t.Fatalf("history state wrong: %+v", h)
 	}
-	if got := h.Values(); len(got) != 2 || got[1] != 7 {
-		t.Fatalf("Values = %v", got)
+	// The count and the last value are the whole state: a history built from
+	// the values, one appended to, and one restored from the pair are equal.
+	built, restored := NewHistory(5, 7), NewHistory(1, 2, 3)
+	restored.Restore(2, 7)
+	if *built != *h || *restored != *h {
+		t.Fatalf("histories of (5, 7) differ: appended %+v, built %+v, restored %+v", h, built, restored)
 	}
+	restored.Restore(0, 99)
+	if restored.T0() != -1 || restored.Len() != 0 {
+		t.Fatalf("history restored to no observations: %+v", restored)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Last of an empty history did not panic")
+		}
+	}()
+	restored.Last()
 }
 
 func TestStationaryForecastIsTimeInvariant(t *testing.T) {

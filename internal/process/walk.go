@@ -65,12 +65,7 @@ func (w *RandomWalk) Forecast(h *History, delta int) dist.PMF {
 }
 
 // Last implements Incremental.
-func (w *RandomWalk) Last(h *History) int {
-	if h == nil || h.Len() == 0 {
-		return w.Init
-	}
-	return h.Last()
-}
+func (w *RandomWalk) Last(h *History) int { return h.LastOr(w.Init) }
 
 // Increment implements Incremental: the delta-fold convolution of Step.
 func (w *RandomWalk) Increment(delta int) dist.PMF {
@@ -136,12 +131,7 @@ func (w *GaussianWalk) ForecastNormal(last int, delta int) (mean, sd float64) {
 }
 
 // Last implements Incremental.
-func (w *GaussianWalk) Last(h *History) int {
-	if h == nil || h.Len() == 0 {
-		return w.Init
-	}
-	return h.Last()
-}
+func (w *GaussianWalk) Last(h *History) int { return h.LastOr(w.Init) }
 
 // Generate implements Process. The walk accumulates in floating point and is
 // rounded per step, so rounding error does not compound.
@@ -191,7 +181,7 @@ func FromFit(f stats.AR1Fit) *AR1 {
 // Forecast implements Process.
 func (a *AR1) Forecast(h *History, delta int) dist.PMF {
 	checkDelta(delta)
-	mean, sd := a.ForecastNormal(a.lastOf(h), delta)
+	mean, sd := a.ForecastNormal(h.LastOr(a.Init), delta)
 	return dist.Normal(mean, sd, 1e-9)
 }
 
@@ -205,13 +195,6 @@ func (a *AR1) ForecastNormal(last int, delta int) (mean, sd float64) {
 	mean = pd*float64(last) + a.Phi0*(1-pd)/(1-a.Phi1)
 	v := a.Sigma * a.Sigma * (1 - pd*pd) / (1 - a.Phi1*a.Phi1)
 	return mean, math.Sqrt(v)
-}
-
-func (a *AR1) lastOf(h *History) int {
-	if h == nil || h.Len() == 0 {
-		return a.Init
-	}
-	return h.Last()
 }
 
 // Generate implements Process. As with GaussianWalk, the latent state stays

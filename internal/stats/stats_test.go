@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +260,20 @@ func TestLifetimeTrackerPanics(t *testing.T) {
 			}()
 			NewLifetimeTracker(d)
 		}()
+	}
+}
+
+func TestSortedCountsRoundTrip(t *testing.T) {
+	m := map[int]int{7: 2, -3: 1, 40: 9, 0: 4}
+	vals, counts := SortedCounts(m)
+	if !slices.Equal(vals, []int{-3, 0, 7, 40}) || !slices.Equal(counts, []int{1, 4, 2, 9}) {
+		t.Fatalf("SortedCounts = %v, %v", vals, counts)
+	}
+	back, err := CountsFrom(vals, counts)
+	if err != nil || !maps.Equal(back, m) {
+		t.Fatalf("CountsFrom = %v, %v; want %v", back, err, m)
+	}
+	if _, err := CountsFrom(vals, counts[:3]); err == nil {
+		t.Fatal("CountsFrom accepted 4 values with 3 counts")
 	}
 }

@@ -116,14 +116,16 @@ func BenchmarkServedBatch(b *testing.B) {
 }
 
 // TestServedBatchAllocs pins what a served batch allocates, whole process, at
-// the two payload-free shapes: what it hands away — the results frame that is
-// the replay buffer, the pair slice the client's caller owns — and, for
-// uptime's 256 steps, the one ingest frame that outgrows the connection's
-// read buffer and the sort keys of a shard that emitted more than 32 pairs.
-// Nothing per step and nothing per pair: walk reads 2 objects a batch and
-// uptime 3, where the parent commit reads 12 and 67.
+// the three payload-free shapes: the pair slice the client's caller owns, and
+// nothing else. The reply is encoded over the session's replay buffer, a frame
+// that outgrows a connection's read buffer lands in the one large buffer its
+// frame reader keeps, and History.Append is two stores. Nothing per step and
+// nothing per pair: walk, trend and uptime read 1 object a batch, where the
+// parent commit reads 2, 2 and 3 (and History grew by 16 bytes a step beside).
+// The bound is 2 because ci.sh runs this under the race detector, whose build
+// does not elide the temporary inside slices.Grow: the pair slice costs two.
 func TestServedBatchAllocs(t *testing.T) {
-	limits := map[string]float64{"walk": 4, "uptime": 6}
+	limits := map[string]float64{"walk": 2, "trend": 2, "uptime": 2}
 	for _, sh := range servedShapes {
 		limit, pinned := limits[sh.name]
 		if !pinned {

@@ -210,3 +210,65 @@ func TestDrainRestartByteIdentical(t *testing.T) {
 	}
 	t.Logf("drained after ~%d/%d batches; steps %d before restart, %d after", ackedAtDrain, batches, pre, post)
 }
+
+// TestDrainFileSizeIndependentOfSteps: the drain file holds the caches, the
+// lane tails and each session's last reply — nothing that counts steps. A
+// daemon drained after 2×10^3 steps, restarted from that file and drained
+// again after 2×10^5 writes two files of the same size, but for one more
+// session entry and the width of the integers in them (sequence numbers, IDs
+// and arrival times 100 times larger, in as many bytes as gob needs). Both
+// arrivals of a step carry the same key, so they route to the same shard and
+// no lane tail forms (tails still grow with uptime, ~√steps: ROADMAP
+// direction 5), and each phase ends on a one-step batch, so the reply the
+// session keeps is a few bytes. At the parent commit the second file is
+// larger by the two histories: 8×10^5 observations, about 1.5 MB.
+func TestDrainFileSizeIndependentOfSteps(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "drain.ckpt")
+	const cache, batch = 64, 500
+	rng := stats.NewRNG(31)
+	serve := func(session string, steps int) int64 {
+		t.Helper()
+		srv, err := streamd.Start(streamd.Config{
+			Runtime:        shardrt.Config{Shards: 4, TotalCache: cache, Seed: 42},
+			Listen:         "127.0.0.1:0",
+			CheckpointPath: ckpt,
+		})
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		cl, err := client.Dial(client.Options{Addr: srv.Addr(), Session: session, Seed: 11, MaxBatch: batch})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		buf := make([]wire.Step, batch)
+		for left := steps - 1; left > 0; left -= len(buf) { // all but the closing step
+			buf = buf[:min(batch, left)]
+			for i := range buf {
+				k := int64(rng.IntN(4096))
+				buf[i] = wire.Step{RKey: k, SKey: k}
+			}
+			if _, err := cl.Ingest(buf); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+		}
+		if _, err := cl.Ingest([]wire.Step{{RKey: 5000, SKey: 5001}}); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		_ = cl.Close()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		st, err := os.Stat(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	early := serve("early", 2e3)
+	late := serve("late", 2e5-2e3)
+	const ints = 4*cache + 64 // per cached entry: ID, arrival time, sequence tag, and room; then the counters
+	if slack := int64(4*ints + 128); late > early+slack || late < early {
+		t.Errorf("drain file after 2×10^3 steps is %d bytes, after 2×10^5 steps %d: want the second within %d bytes above the first", early, late, slack)
+	}
+	t.Logf("%d bytes after 2×10^3 steps, %d after 2×10^5", early, late)
+}

@@ -1,6 +1,10 @@
 package streamd
 
 import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -32,8 +36,10 @@ func attachFake(t *testing.T, s *Server, name string) (*session, *conn) {
 func nextFrame(t *testing.T, c *conn) (uint8, []byte) {
 	t.Helper()
 	select {
-	case frame := <-c.out:
-		typ, payload, err := framesOf(frame).Next()
+	case f := <-c.out:
+		b := bytes.Clone(f.b)
+		f.queued.Add(-1) // what the writer does once the bytes are on the socket
+		typ, payload, err := framesOf(b).Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +60,7 @@ func submitBatch(t *testing.T, s *Server, sess *session, base uint64, steps []sh
 	}
 	req.base = base
 	req.steps = append(req.steps, steps...)
-	if out, _, err := sess.offer(req, 0, s.submit); out != outcomeAdmitted {
+	if out, err := sess.offer(req, nil, 0, s.submit); out != outcomeAdmitted {
 		t.Fatalf("batch %d not admitted: outcome %d, %v", base, out, err)
 	}
 }
@@ -168,5 +174,170 @@ func TestIdleSessionPinsNoPayload(t *testing.T) {
 	}
 	if got := freed.Load(); got != 2*long {
 		t.Fatalf("%d of %d payloads of the long batch were collected; the rest are still reachable from the daemon", got, 2*long)
+	}
+}
+
+// The replay buffer: one reply's bytes a session, written over by the next
+// reply unless a writer still has them.
+
+// freshBatch builds n steps whose two arrivals share a key nothing before
+// used: each step joins itself and nothing cached, so every batch of n gets a
+// reply of the same length.
+func freshBatch(base uint64, n int) []shardrt.Step {
+	steps := make([]shardrt.Step, n)
+	for i := range steps {
+		k := int(base)*n + i
+		steps[i] = shardrt.Step{R: engine.Tuple{Key: k}, S: engine.Tuple{Key: k}}
+	}
+	return steps
+}
+
+// written takes the next queued frame off c the way the writer does — the
+// bytes are on the socket, the queue entry is gone — and returns the frame.
+// It waits without a timer: the caller may be counting allocations.
+func written(c *conn) *frame {
+	f := <-c.out
+	f.queued.Add(-1)
+	return f
+}
+
+// TestReplyEncodedOverReplayBuffer: in the steady state — one connection, its
+// writer keeping up — every reply of a session is the same frame and, once
+// one reply has sized it, the same bytes: the daemon allocates nothing a
+// batch, let alone a reply.
+func TestReplyEncodedOverReplayBuffer(t *testing.T) {
+	s, err := Start(Config{Runtime: shardrt.Config{Shards: 2, TotalCache: 16, Seed: 1}, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess, c := attachFake(t, s, "steady")
+	const n = 32
+	base := uint64(0)
+	batches := make([][]shardrt.Step, 64)
+	for i := range batches {
+		batches[i] = freshBatch(uint64(i+1), n)
+	}
+	next := func() *frame {
+		base++
+		submitBatch(t, s, sess, base, batches[base-1])
+		return written(c)
+	}
+	first := next()
+	size, at := len(first.b), &first.b[0]
+	if res, err := wire.DecodeResults(first.b[5:]); err != nil || len(res.Pairs) != n {
+		t.Fatalf("reply 1: %d pairs (%v), want the batch's %d same-step pairs", len(res.Pairs), err, n)
+	}
+	for base < 8 {
+		f := next()
+		if f != first || &f.b[0] != at || len(f.b) != size {
+			t.Fatalf("reply %d is frame %p, %d bytes at %p; reply 1 was %p, %d bytes at %p", base, f, len(f.b), &f.b[0], first, size, at)
+		}
+		if res, err := wire.DecodeResults(f.b[5:]); err != nil || res.AckSeq != base {
+			t.Fatalf("reply %d acknowledges %d (%v)", base, res.AckSeq, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(40, func() { next() }); allocs != 0 {
+		t.Errorf("a batch whose reply fits the replay buffer allocates %.2f objects in the daemon, want 0", allocs)
+	}
+}
+
+// TestReplayBufferNotReusedWhileQueued: a reply some writer has not finished
+// with is never written over. First a stalled connection: replies parked in
+// its queue keep their bytes while later batches complete into buffers of
+// their own. Then a killed one, its writer blocked in the middle of reply N
+// on a socket nobody reads, while the client resumes on a new connection —
+// the replay there and the reply to batch N+1 must leave the bytes the old
+// writer is still sending alone (under -race a reuse is a reported race; the
+// bytes are also compared). Once every writer is done with a buffer it is the
+// replay buffer again.
+func TestReplayBufferNotReusedWhileQueued(t *testing.T) {
+	s, err := Start(Config{Runtime: shardrt.Config{Shards: 2, TotalCache: 16, Seed: 1}, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 32
+	ackOf := func(f *frame) uint64 {
+		t.Helper()
+		res, err := wire.DecodeResults(f.b[5:])
+		if err != nil || len(res.Pairs) != n {
+			t.Fatalf("a queued reply no longer decodes to its %d pairs: %d, %v", n, len(res.Pairs), err)
+		}
+		return res.AckSeq
+	}
+
+	// Stalled: three replies wait in the queue, nobody writes them.
+	sess, stalled := attachFake(t, s, "stalled")
+	for base := uint64(1); base <= 3; base++ {
+		submitBatch(t, s, sess, base, freshBatch(base, n))
+	}
+	for s.batchesTotal.Value() < 3 {
+		runtime.Gosched()
+	}
+	var parked [3]*frame
+	for i := range parked {
+		parked[i] = <-stalled.out // still counted as queued: the writer never got to it
+		if got := ackOf(parked[i]); got != uint64(i+1) {
+			t.Fatalf("queue entry %d acknowledges batch %d", i+1, got)
+		}
+		for _, earlier := range parked[:i] {
+			if earlier == parked[i] || &earlier.b[0] == &parked[i].b[0] {
+				t.Fatalf("reply %d was encoded over a reply still in the writer's queue", i+1)
+			}
+		}
+	}
+
+	// Killed mid-write: a real writer on a pipe whose far end reads the
+	// Welcome and then only the first bytes of reply 1.
+	near, far := net.Pipe()
+	defer far.Close()
+	dead := newConn(near, 8)
+	s.connWG.Add(1)
+	go s.writeLoop(dead)
+	sess, err = s.attach(wire.Hello{Session: "killed"}, dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewFrameReader(bufio.NewReaderSize(far, 16))
+	if typ, _, err := rd.Next(); err != nil || typ != wire.TypeWelcome {
+		t.Fatalf("handshake on the pipe: frame 0x%02x, %v", typ, err)
+	}
+	submitBatch(t, s, sess, 1, freshBatch(1, n))
+	var head [5]byte
+	if _, err := io.ReadFull(far, head[:]); err != nil { // the writer is now inside Write(reply 1)
+		t.Fatal(err)
+	}
+	dead.kill()
+	s.detach(sess, dead)
+
+	resumed := newConn(nil, 8)
+	if _, err := s.attach(wire.Hello{Session: "killed", LastSeq: 0}, resumed); err != nil {
+		t.Fatal(err)
+	}
+	written(resumed) // Welcome
+	replayed := written(resumed)
+	if got := ackOf(replayed); got != 1 {
+		t.Fatalf("the resume replayed batch %d", got)
+	}
+	want := bytes.Clone(replayed.b)
+	submitBatch(t, s, sess, 2, freshBatch(2, n))
+	second := written(resumed)
+	if second == replayed || &second.b[0] == &replayed.b[0] {
+		t.Fatal("reply 2 was encoded over reply 1 while the killed connection's writer was still sending it")
+	}
+	rest := make([]byte, len(want)-len(head))
+	if _, err := io.ReadFull(far, rest); err != nil {
+		t.Fatal(err)
+	}
+	if got := append(head[:], rest...); !bytes.Equal(got, want) {
+		t.Fatal("the killed connection's writer sent bytes of a later reply")
+	}
+	if got := ackOf(second); got != 2 {
+		t.Fatalf("reply 2 acknowledges batch %d", got)
+	}
+	submitBatch(t, s, sess, 3, freshBatch(3, n))
+	if third := written(resumed); third != second {
+		t.Fatal("reply 3 has a frame of its own although every writer was done with reply 2's")
 	}
 }

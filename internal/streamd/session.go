@@ -3,6 +3,7 @@ package streamd
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // session is the daemon-side state of one named client stream. Sessions
@@ -32,9 +33,11 @@ type session struct {
 	// lastSeen is the reap clock: nanos of the last frame or detach.
 	lastSeen int64
 	// lastBase/lastFrame are the replay buffer: the base of the last
-	// acknowledged ingest batch and its complete encoded results frame.
+	// acknowledged ingest batch and its complete encoded results frame. The
+	// next reply is encoded over lastFrame's bytes (complete): the client's
+	// next base acknowledges that it has read them.
 	lastBase  uint64
-	lastFrame []byte
+	lastFrame *frame
 	// req is the session's request buffer, nil while a batch is out with it
 	// (takeReq to putReq): a client keeps one batch in flight, so each ingest
 	// frame is decoded into the steps, cleared, the previous one left behind.
@@ -73,6 +76,20 @@ func (ss *session) classify(base uint64) batchDisposition {
 	}
 }
 
+// frame is one unit of delivery — complete encoded wire frames in one byte
+// slice — and the count of writer-queue entries that hold it. The count is
+// what lets a session reuse its replay buffer: a frame a writer has not
+// written yet (a stalled connection, a killed one whose writer is still
+// flushing) is not overwritten, the reply after it gets a buffer of its own.
+type frame struct {
+	b []byte
+	// queued is raised by trySend before the frame enters a queue and lowered
+	// by the writer that took it out, written or not. Entries left in the
+	// queue of a writer that has exited are never read again, and their count
+	// never falls: that buffer is not reused, it is collected with the queue.
+	queued atomic.Int32
+}
+
 // conn is one TCP connection's plumbing: the reader goroutine owns nc
 // reads, the writer goroutine drains out, and kill tears both down
 // idempotently from either side (or from Drain).
@@ -82,7 +99,7 @@ type conn struct {
 	// block: delivery uses a non-blocking send and treats a full buffer as
 	// a slow consumer (the connection is killed rather than letting one
 	// stalled reader wedge the engine loop).
-	out chan []byte
+	out chan *frame
 	// stop is closed by kill; the writer drains queued frames, then closes
 	// the socket — which is what finally unblocks the reader.
 	stop     chan struct{}
@@ -90,7 +107,7 @@ type conn struct {
 }
 
 func newConn(nc net.Conn, outDepth int) *conn {
-	return &conn{nc: nc, out: make(chan []byte, outDepth), stop: make(chan struct{})}
+	return &conn{nc: nc, out: make(chan *frame, outDepth), stop: make(chan struct{})}
 }
 
 // kill signals teardown from any goroutine, idempotently. Only stop is
@@ -102,12 +119,19 @@ func (c *conn) kill() {
 }
 
 // trySend enqueues a complete frame for the writer without blocking and
-// reports whether it fit. Callers kill the connection on false.
-func (c *conn) trySend(frame []byte) bool {
+// reports whether it fit. Callers kill the connection on false. A session's
+// replay buffer is sent under the session lock (attach, offer) or by the
+// engine loop before its next complete, so complete never misses a send.
+func (c *conn) trySend(f *frame) bool {
+	f.queued.Add(1)
 	select {
-	case c.out <- frame:
+	case c.out <- f:
 		return true
 	default:
+		f.queued.Add(-1)
 		return false
 	}
 }
+
+// sendBytes is trySend for a frame nothing else refers to.
+func (c *conn) sendBytes(b []byte) bool { return c.trySend(&frame{b: b}) }

@@ -39,11 +39,11 @@ func TestBatchCompletionIsOneTransition(t *testing.T) {
 			t.Fatalf("resume at %d: %v", lastSeq, err)
 		}
 		s.detach(sess, c)
-		_, payload, _ := framesOf(<-c.out).Next()
+		_, payload, _ := framesOf((<-c.out).b).Next()
 		if w, _ := wire.DecodeWelcome(payload); w.AckSeq == lastSeq {
 			return sess // in sync; a frame behind this Welcome is a live delivery
 		}
-		_, payload, _ = framesOf(<-c.out).Next()
+		_, payload, _ = framesOf((<-c.out).b).Next()
 		if r, err := wire.DecodeResults(payload); err != nil || r.AckSeq != lastSeq+1 {
 			t.Fatalf("resume at %d replayed the results of batch %d (%v)", lastSeq, r.AckSeq, err)
 		}
@@ -61,11 +61,11 @@ func TestBatchCompletionIsOneTransition(t *testing.T) {
 		for i := 0; i < nsteps; i++ {
 			req.steps = append(req.steps, shardrt.Step{R: engine.Tuple{Key: i % 4}, S: engine.Tuple{Key: (i + 1) % 4}})
 		}
-		if out, _, err := sess.offer(req, 0, s.submit); out != outcomeAdmitted {
+		if out, err := sess.offer(req, nil, 0, s.submit); out != outcomeAdmitted {
 			t.Fatalf("batch %d not admitted: outcome %d, %v", base, out, err)
 		}
 		for {
-			out, _, err := sess.offer(&ingestReq{kind: kindIngest, sess: sess, base: base}, 0, resubmitted)
+			out, err := sess.offer(&ingestReq{kind: kindIngest, sess: sess, base: base}, newConn(nil, 1), 0, resubmitted)
 			if err != nil {
 				t.Fatalf("batch %d resent while it completes: %v", base, err)
 			}

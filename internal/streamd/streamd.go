@@ -370,9 +370,9 @@ func (s *Server) engineIngest(req *ingestReq) {
 		// reservation back and let the client retry the same base.
 		s.internalErrs.Inc()
 		req.sess.failSubmitted(req, s.cfg.Credits)
-		s.deliver(req.sess, wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
+		s.deliver(req.sess, &frame{b: wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
 			Code: wire.CodeInternal, Msg: err.Error(),
-		})), false)
+		}))}, false)
 		return
 	}
 	s.stepsTotal.Add(int64(len(req.steps)))
@@ -387,9 +387,9 @@ func (s *Server) engineFlush(req *ingestReq) {
 	pairs, err := s.rt.Flush()
 	if err != nil {
 		s.internalErrs.Inc()
-		s.deliver(req.sess, wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
+		s.deliver(req.sess, &frame{b: wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
 			Code: wire.CodeInternal, Msg: err.Error(),
-		})), false)
+		}))}, false)
 		return
 	}
 	s.flushesTotal.Inc()
@@ -398,11 +398,11 @@ func (s *Server) engineFlush(req *ingestReq) {
 	// Flush results are not buffered for replay: a flush drains carried
 	// lane tails, so re-running one after reconnect yields nothing — the
 	// client treats a lost flush response as an empty flush.
-	s.deliver(req.sess, wire.EncodeResultsFramesFrom(wire.Results{
+	s.deliver(req.sess, &frame{b: wire.AppendResultsFramesFrom(nil, wire.Results{
 		AckSeq:  ack,
 		Credits: uint32(credits),
 		Flush:   true,
-	}, mergedPairs(pairs)), true)
+	}, mergedPairs(pairs))}, true)
 }
 
 // deliver sends a frame to the session's current attachment (which may be
@@ -410,12 +410,12 @@ func (s *Server) engineFlush(req *ingestReq) {
 // writer buffer marks the consumer slow and kills the connection; the
 // replay buffer already holds the frame, so a synchronous client recovers
 // it on reattach.
-func (s *Server) deliver(ss *session, frame []byte, killSlow bool) {
+func (s *Server) deliver(ss *session, f *frame, killSlow bool) {
 	target := ss.attachedConn()
 	if target == nil {
 		return
 	}
-	if !target.trySend(frame) && killSlow {
+	if !target.trySend(f) && killSlow {
 		s.shedSlow.Inc()
 		target.kill()
 	}
@@ -456,15 +456,27 @@ func (ss *session) putReq(req *ingestReq) {
 // encoded under mu because it carries the regranted credits; a join-heavy
 // reply can exceed the frame payload cap, and the chunked encoding keeps
 // every frame legal and replays as a unit.
-func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs) []byte {
+//
+// The frame is written over the replay buffer it replaces: the client sent
+// this base, so it has read the reply before it, and the session keeps one
+// reply's bytes, not one a batch. Only a queue entry no writer has finished
+// with can still need the old bytes — a stalled or killed connection — and
+// then this reply starts a buffer of its own and the old one goes with the
+// queue. Every send of the replay buffer happens under mu or on this
+// goroutine (conn.trySend), so the count read here misses none.
+func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs) *frame {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
 	ss.credits = min(ss.credits+len(req.steps), window)
-	frame := wire.EncodeResultsFramesFrom(wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs)
-	ss.acked, ss.lastBase, ss.lastFrame = req.base, req.base, frame
+	f := ss.lastFrame
+	if f == nil || f.queued.Load() != 0 {
+		f = &frame{}
+	}
+	f.b = wire.AppendResultsFramesFrom(f.b[:0], wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs)
+	ss.acked, ss.lastBase, ss.lastFrame = req.base, req.base, f
 	ss.putReq(req)
-	return frame
+	return f
 }
 
 // failSubmitted undoes req's reservation — sequence number and credits, as
@@ -490,7 +502,8 @@ type ingestOutcome int
 
 const (
 	outcomeAdmitted ingestOutcome = iota + 1
-	outcomeReplay                 // duplicate of the acked batch: resend frame
+	outcomeReplay                 // duplicate of the acked batch: its frame is queued again
+	outcomeSlow                   // the same, but the writer queue is full: kill
 	outcomeDropDup                // duplicate already in flight: no response
 	outcomeRejected               // err holds ErrSeqGap/ErrFlowControl/shed
 )
@@ -499,8 +512,10 @@ const (
 // number and credits atomically with the queue submit (submit runs under the
 // session lock; it must not block — the admission send is non-blocking by
 // construction). A request that is not admitted goes back to the session,
-// unless the rejection is fatal to the connection anyway.
-func (ss *session) offer(req *ingestReq, now int64, submit func(*ingestReq) error) (ingestOutcome, []byte, error) {
+// unless the rejection is fatal to the connection anyway. A duplicate of the
+// acknowledged batch is answered here, the replay buffer queued on c under
+// the lock: were it queued after, complete could reuse the buffer in between.
+func (ss *session) offer(req *ingestReq, c *conn, now int64, submit func(*ingestReq) error) (ingestOutcome, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
@@ -508,25 +523,28 @@ func (ss *session) offer(req *ingestReq, now int64, submit func(*ingestReq) erro
 	switch ss.classify(base) {
 	case batchReplay:
 		ss.putReq(req)
-		return outcomeReplay, ss.lastFrame, nil
+		if !c.trySend(ss.lastFrame) {
+			return outcomeSlow, nil
+		}
+		return outcomeReplay, nil
 	case batchInFlight:
 		ss.putReq(req)
-		return outcomeDropDup, nil, nil
+		return outcomeDropDup, nil
 	case batchGap:
-		return outcomeRejected, nil, fmt.Errorf("%w: batch base %d against submitted %d, acked %d",
+		return outcomeRejected, fmt.Errorf("%w: batch base %d against submitted %d, acked %d",
 			ErrSeqGap, base, ss.submitted, ss.acked)
 	}
 	if nsteps > ss.credits {
-		return outcomeRejected, nil, fmt.Errorf("%w: batch of %d steps exceeds remaining window %d",
+		return outcomeRejected, fmt.Errorf("%w: batch of %d steps exceeds remaining window %d",
 			ErrFlowControl, nsteps, ss.credits)
 	}
 	if err := submit(req); err != nil {
 		ss.putReq(req) // shed or draining: the client retries on this connection
-		return outcomeRejected, nil, err
+		return outcomeRejected, err
 	}
 	ss.submitted = base
 	ss.credits -= nsteps
-	return outcomeAdmitted, nil, nil
+	return outcomeAdmitted, nil
 }
 
 // --- accept / serve -------------------------------------------------------
@@ -591,8 +609,9 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer c.kill()
 
 	// Buffered, so that a frame that arrives whole costs one read of the
-	// socket and not one for its header and one for its payload; a payload
-	// larger than the buffer is still read straight into its own slice.
+	// socket and not one for its header and one for its payload; a frame
+	// larger than the buffer is read straight into the one slice the frame
+	// reader keeps for them, which goes when this connection does.
 	rd := wire.NewFrameReader(bufio.NewReader(&deadlineReader{s: s, nc: nc}))
 	typ, payload, err := rd.Next()
 	if err != nil || typ != wire.TypeHello {
@@ -649,16 +668,16 @@ func (s *Server) handleIngestFrame(sess *session, c *conn, payload []byte) bool 
 		s.sendErr(c, err)
 		return !errors.Is(err, ErrBadStep)
 	}
-	outcome, replay, err := sess.offer(req, s.nowNanos(), s.submit)
+	outcome, err := sess.offer(req, c, s.nowNanos(), s.submit)
 	switch outcome {
 	case outcomeReplay:
 		s.dupBatches.Inc()
-		if !c.trySend(replay) {
-			s.shedSlow.Inc()
-			c.kill()
-			return true
-		}
 		return false
+	case outcomeSlow:
+		s.dupBatches.Inc()
+		s.shedSlow.Inc()
+		c.kill()
+		return true
 	case outcomeDropDup:
 		s.dupBatches.Inc()
 		return false
@@ -684,7 +703,7 @@ func (s *Server) sendErr(c *conn, err error) {
 	if errors.As(err, &ov) {
 		f.RetryAfterMillis = uint32(ov.RetryAfter / time.Millisecond)
 	}
-	c.trySend(wire.Frame(wire.TypeError, wire.EncodeError(f)))
+	c.sendBytes(wire.Frame(wire.TypeError, wire.EncodeError(f)))
 }
 
 // writeLoop drains the connection's frame buffer; on kill it flushes what
@@ -714,9 +733,11 @@ func (s *Server) writeLoop(c *conn) {
 	}
 }
 
-func (s *Server) writeOne(c *conn, f []byte) bool {
+func (s *Server) writeOne(c *conn, f *frame) bool {
 	_ = c.nc.SetWriteDeadline(time.Unix(0, s.nowNanos()).Add(s.cfg.WriteTimeout))
-	if _, err := c.nc.Write(f); err != nil {
+	_, err := c.nc.Write(f.b)
+	f.queued.Add(-1) // written or not, this writer is done with the bytes
+	if err != nil {
 		c.kill()
 		return false
 	}
@@ -763,7 +784,7 @@ func (s *Server) attach(h wire.Hello, c *conn) (*session, error) {
 	if ss.attached != nil {
 		return nil, fmt.Errorf("%w: %q", ErrSessionBusy, h.Session)
 	}
-	var replay []byte
+	var replay *frame
 	switch {
 	case h.LastSeq == ss.acked:
 		// In sync (or resuming with an in-flight batch the engine will
@@ -777,7 +798,7 @@ func (s *Server) attach(h wire.Hello, c *conn) (*session, error) {
 	ss.attached = c
 	ss.credits = s.cfg.Credits
 	ss.lastSeen = s.nowNanos()
-	c.trySend(wire.Frame(wire.TypeWelcome, wire.EncodeWelcome(wire.Welcome{
+	c.sendBytes(wire.Frame(wire.TypeWelcome, wire.EncodeWelcome(wire.Welcome{
 		Credits: uint32(ss.credits), AckSeq: ss.acked,
 	})))
 	if replay != nil {
@@ -922,7 +943,7 @@ func (s *Server) killConns(notice []byte) {
 	}
 	s.mu.Unlock()
 	for _, c := range list {
-		c.trySend(notice)
+		c.sendBytes(notice)
 		c.kill()
 	}
 }
@@ -1008,9 +1029,11 @@ func (s *Server) writeCheckpoint() error {
 	for _, name := range names {
 		ss := s.sessions[name]
 		ss.mu.Lock()
-		wire.Sessions = append(wire.Sessions, sessionWire{
-			Name: ss.name, Acked: ss.acked, LastBase: ss.lastBase, LastFrame: ss.lastFrame,
-		})
+		sw := sessionWire{Name: ss.name, Acked: ss.acked, LastBase: ss.lastBase}
+		if ss.lastFrame != nil {
+			sw.LastFrame = ss.lastFrame.b
+		}
+		wire.Sessions = append(wire.Sessions, sw)
 		ss.mu.Unlock()
 	}
 	s.mu.Unlock()
@@ -1069,13 +1092,11 @@ func (s *Server) restore() error {
 		return fmt.Errorf("streamd: restore: runtime: %w", err)
 	}
 	for _, sw := range wire.Sessions {
-		s.sessions[sw.Name] = &session{
-			name:      sw.Name,
-			submitted: sw.Acked,
-			acked:     sw.Acked,
-			lastBase:  sw.LastBase,
-			lastFrame: sw.LastFrame,
+		ss := &session{name: sw.Name, submitted: sw.Acked, acked: sw.Acked, lastBase: sw.LastBase}
+		if sw.LastFrame != nil {
+			ss.lastFrame = &frame{b: sw.LastFrame}
 		}
+		s.sessions[sw.Name] = ss
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -62,9 +63,9 @@ func TestFrameViewDiesAtTheNextRead(t *testing.T) {
 		Hello{Version: Version, Session: "view", LastSeq: 7},
 		ingestOf(3, 16),
 		resultsOf(2, 24),
-		ingestOf(40, 0), // 977 bytes: its own slice
+		ingestOf(40, 0), // 977 bytes: the reader's large buffer
 		ErrorFrame{Code: CodeOverloaded, RetryAfterMillis: 50, Msg: "shed"},
-		resultsOf(30, 8), // 1787 bytes: its own slice
+		resultsOf(30, 8), // 1787 bytes: the large buffer again, grown
 		Welcome{Credits: 4096, AckSeq: 9},
 		ingestOf(1, 64),
 	}
@@ -137,15 +138,70 @@ func TestFrameViewDiesAtTheNextRead(t *testing.T) {
 	}
 }
 
+// TestFrameReaderOwnsOneLargeBuffer: frames too long for the buffered reader
+// all land in the one slice the FrameReader owns. The first large frame pays
+// for it, a smaller large frame is read into the same bytes (so the view of
+// the first is dead, like any view, at that Next) without shrinking it, and a
+// connection that has seen its largest frame reads every later one, large or
+// small, without allocating.
+func TestFrameReaderOwnsOneLargeBuffer(t *testing.T) {
+	big := Frame(TypeResults, bytes.Repeat([]byte{0xB1}, 3000))
+	mid := Frame(TypeIngest, bytes.Repeat([]byte{0x3D}, 1000))
+	small := Frame(TypeFlush, []byte("view"))
+	stream := slices.Concat(big, small, mid, big)
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(rd, 256)
+	fr := NewFrameReader(br)
+	next := func(typ uint8, n int) []byte {
+		t.Helper()
+		gotTyp, payload, err := fr.Next()
+		if err != nil || gotTyp != typ || len(payload) != n {
+			t.Fatalf("frame 0x%02x of %d bytes (%v), want 0x%02x of %d", gotTyp, len(payload), err, typ, n)
+		}
+		return payload
+	}
+	first := next(TypeResults, 3000)
+	kept := bytes.Clone(first)
+	next(TypeFlush, 4)
+	if !bytes.Equal(first, kept) {
+		t.Fatal("a frame that fits the reader's buffer was read over the large buffer")
+	}
+	second := next(TypeIngest, 1000)
+	if &second[0] != &first[0] {
+		t.Fatal("the second large frame has a slice of its own, want the one the reader owns")
+	}
+	if first[0] != 0x3D {
+		t.Fatal("the first large frame's view survived the Next that read the second")
+	}
+	if got := cap(fr.large); got != len(big) {
+		t.Fatalf("after a %d-byte frame the large buffer holds %d bytes, want the %d of the largest frame seen", len(mid), got, len(big))
+	}
+	if third := next(TypeResults, 3000); &third[0] != &first[0] || !bytes.Equal(third, kept) {
+		t.Fatal("the third large frame is not the first one's bytes in the first one's storage")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(stream)
+		br.Reset(rd)
+		for {
+			if _, _, err := fr.Next(); err != nil {
+				break
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("reading large frames the connection has seen the size of allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // FuzzFrameReader: arbitrary bytes, delivered in arbitrary read sizes through
 // a 64-byte buffered reader, are framed exactly as by refReadFrame — same
 // types and payloads, then the same end: io.EOF between frames,
 // io.ErrUnexpectedEOF inside a header, ErrBadFrame for a length over the cap
 // or a body cut short; never a panic. What the reader allocates is bounded by
 // the input: at most allocPerByte a byte plus a constant — plus, when the
-// stream ends inside a frame too large for the buffer, the one slice that
-// frame was promised (the cap bounds it; a length over the cap allocates
-// nothing).
+// stream ends inside a frame too large for the buffer, the large buffer
+// grown to what that frame was promised (the cap bounds it; a length over the
+// cap allocates nothing). The committed corpus has a large-small-large
+// sequence: the frames share that buffer and the reference must not notice.
 func FuzzFrameReader(f *testing.F) {
 	f.Add(Frame(TypeFlush, nil), []byte{0})
 	f.Fuzz(func(t *testing.T, data, sizes []byte) {

@@ -343,15 +343,15 @@ func (ps pairSlice) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
 
 func (ps pairSlice) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
 
-// encodeResults is the one Results encoder. It writes the reply described by
-// f's header fields over the pairs of src (f.Pairs is not read) in a single
-// exact-size allocation: with framed set, as complete frames whose payloads
-// stay within limit, otherwise as one bare payload. The source's type is a
-// parameter so that a slice-backed source is passed as the slice it is, not
-// boxed into an interface value per reply. A chunk closes when the
-// next pair would overflow it and always takes at least one pair; every
-// chunk repeats AckSeq, Credits and Flush, and all but the last set More.
-func encodeResults[S PairSource](f Results, src S, framed bool, limit int) []byte {
+// encodeResults is the one Results encoder. It appends the reply described by
+// f's header fields over the pairs of src (f.Pairs is not read) to dst, sized
+// exactly first so that dst grows at most once: with framed set, as complete
+// frames whose payloads stay within limit, otherwise as one bare payload. The
+// source's type is a parameter so that a slice-backed source is passed as the
+// slice it is, not boxed into an interface value per reply. A chunk closes
+// when the next pair would overflow it and always takes at least one pair;
+// every chunk repeats AckSeq, Credits and Flush, and all but the last set More.
+func encodeResults[S PairSource](dst []byte, f Results, src S, framed bool, limit int) []byte {
 	type span struct{ end, size int }
 	var one [1]span // a reply is one frame unless it outgrows the limit
 	spans := one[:0]
@@ -373,7 +373,7 @@ func encodeResults[S PairSource](f Results, src S, framed bool, limit int) []byt
 		total += 5 * len(spans)
 	}
 
-	w := wireBuf{b: make([]byte, 0, total)}
+	w := wireBuf{b: slices.Grow(dst, total)}
 	i := 0
 	for k, sp := range spans {
 		if framed {
@@ -414,13 +414,13 @@ func encodeResults[S PairSource](f Results, src S, framed bool, limit int) []byt
 // EncodeResults encodes f as one bare Results payload (no frame header, no
 // size cap) — the reference form of the codec tests.
 func EncodeResults(f Results) []byte {
-	return encodeResults(f, pairSlice(f.Pairs), false, math.MaxInt)
+	return encodeResults(nil, f, pairSlice(f.Pairs), false, math.MaxInt)
 }
 
 // EncodeResultsFrame builds the complete Results frame (header included).
 // Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
 func EncodeResultsFrame(f Results) []byte {
-	return encodeResults(f, pairSlice(f.Pairs), true, math.MaxInt)
+	return encodeResults(nil, f, pairSlice(f.Pairs), true, math.MaxInt)
 }
 
 // EncodeResultsFrames encodes f as one or more complete Results frames
@@ -432,13 +432,15 @@ func EncodeResultsFrame(f Results) []byte {
 // of delivery and replay — one writer-queue entry, one replay buffer — and
 // decodes on the client as an ordinary frame sequence.
 func EncodeResultsFrames(f Results) []byte {
-	return encodeResults(f, pairSlice(f.Pairs), true, MaxFramePayload)
+	return encodeResults(nil, f, pairSlice(f.Pairs), true, MaxFramePayload)
 }
 
-// EncodeResultsFramesFrom is EncodeResultsFrames with the pair listing read
-// from src instead of f.Pairs.
-func EncodeResultsFramesFrom[S PairSource](f Results, src S) []byte {
-	return encodeResults(f, src, true, MaxFramePayload)
+// AppendResultsFramesFrom is EncodeResultsFrames with the pair listing read
+// from src instead of f.Pairs and the frames appended to dst. A dst with room
+// for the reply is not reallocated: the daemon passes the session's previous
+// reply, truncated, once nothing else reads it.
+func AppendResultsFramesFrom[S PairSource](dst []byte, f Results, src S) []byte {
+	return encodeResults(dst, f, src, true, MaxFramePayload)
 }
 
 func EncodeError(f ErrorFrame) []byte {
@@ -593,12 +595,16 @@ func (c *wireCursor) done() error {
 }
 
 // FrameReader is the one frame reader, over the buffered reader each end of
-// a connection already has. A frame that fits that buffer is returned as a
-// view of it (no header object, no payload copy) that dies at the next call:
-// every decoder copies out what it keeps. A larger frame gets its own slice.
+// a connection already has. A frame is returned as a view that dies at the
+// next call — every decoder copies out what it keeps — of that reader's
+// buffer when it fits (no header object, no payload copy), otherwise of the
+// one slice the FrameReader owns for large frames. That slice is as long as
+// the largest frame the connection has carried (MaxFramePayload bounds it) and
+// goes when the FrameReader does, with the connection.
 type FrameReader struct {
-	rd   *bufio.Reader
-	held int // length of the frame the last Next returned as a view: still buffered
+	rd    *bufio.Reader
+	held  int    // length of the frame the last Next returned as a view of rd: still buffered
+	large []byte // backs every frame too long for rd's buffer; grows, never shrinks
 }
 
 func NewFrameReader(rd *bufio.Reader) *FrameReader { return &FrameReader{rd: rd} }
@@ -625,7 +631,10 @@ func (fr *FrameReader) Next() (typ uint8, payload []byte, err error) {
 		frame, err = fr.rd.Peek(5 + n)
 		fr.held = len(frame)
 	} else {
-		frame = make([]byte, 5+n)
+		if cap(fr.large) < 5+n {
+			fr.large = make([]byte, 5+n)
+		}
+		frame = fr.large[:5+n]
 		_, err = io.ReadFull(fr.rd, frame)
 	}
 	if err != nil {

@@ -145,7 +145,7 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 	// frame the reference form builds from that chunk alone: same cuts,
 	// same More flags, same header repeats.
 	hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
-	if !bytes.Equal(EncodeResultsFramesFrom(hdr, builtPairs(f.Pairs)), buf) {
+	if !bytes.Equal(AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs)), buf) {
 		t.Fatal("chunked reply from a pair source diverges from EncodeResultsFrames")
 	}
 	var want []byte
@@ -267,7 +267,7 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 		for name, got := range map[string][]byte{
 			"EncodeResultsFrame":      EncodeResultsFrame(f),
 			"EncodeResultsFrames":     EncodeResultsFrames(f),
-			"EncodeResultsFramesFrom": EncodeResultsFramesFrom(hdr, builtPairs(f.Pairs)),
+			"AppendResultsFramesFrom": AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs)),
 		} {
 			if !bytes.Equal(got, want) {
 				t.Errorf("case %d: %s diverges from reference (%d vs %d bytes)", i, name, len(got), len(want))
