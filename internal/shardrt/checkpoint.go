@@ -78,8 +78,8 @@ func (rt *Runtime) fingerprint() (shards, totalCache, window int, seed uint64, m
 // calls (the workers are quiescent then); the lanes are captured too, so a
 // checkpoint does not require a Flush first.
 func (rt *Runtime) Checkpoint(w io.Writer) error {
-	if rt.closed {
-		return ErrClosed
+	if err := rt.refused(); err != nil {
+		return err
 	}
 	shards, totalCache, window, seed, minBudget, rebEvery, rebStep := rt.fingerprint()
 	wire := manifestWire{
@@ -124,8 +124,8 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 // restore, so a post-rebalance checkpoint restores into the even-split
 // engines a fresh runtime starts with.
 func (rt *Runtime) Restore(r io.Reader) error {
-	if rt.closed {
-		return ErrClosed
+	if err := rt.refused(); err != nil {
+		return err
 	}
 	payload, err := checkpoint.Read(r)
 	if err != nil {

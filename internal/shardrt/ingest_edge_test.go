@@ -253,10 +253,14 @@ func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
 			t.Fatalf("run %d still references its shard's output after the dispatch", i)
 		}
 	}
-	for kt, i := reflect.TypeOf(runKey{}), 0; i < kt.NumField(); i++ {
+	kt := reflect.TypeOf(runKey{})
+	for i := 0; i < kt.NumField(); i++ {
 		if k := kt.Field(i).Type.Kind(); k != reflect.Uint64 && k != reflect.Int {
 			t.Fatalf("runKey.%s is a %v: the shards' key buffers must stay pointer-free", kt.Field(i).Name, k)
 		}
+	}
+	if kt.Size() != 16 {
+		t.Fatalf("runKey is %d bytes, want 16: the trigger and the pair's index, nothing a pass does not read", kt.Size())
 	}
 	for cycle := 0; cycle < 10 && freed.Load() < 2*long; cycle++ {
 		runtime.GC()

@@ -1,6 +1,10 @@
 package shardrt
 
 import (
+	"bytes"
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,8 +23,8 @@ func mergeKey(p Pair) (trigger, partner uint64) {
 }
 
 // sortPairs is the merge-order oracle: the comparison sort of a pair listing
-// by (trigger, partner), which the workers' key sort plus the coordinator's
-// N-way keyed merge must reproduce exactly.
+// by (trigger, partner), which the workers' stable pass on the trigger alone
+// plus the coordinator's N-way keyed merge must reproduce exactly.
 func sortPairs(out []Pair) {
 	sort.Slice(out, func(a, b int) bool {
 		ta, pa := mergeKey(out[a])
@@ -64,10 +68,11 @@ func (se *shardEngines) step(steps []Step, drain bool) ([][]engine.TuplePair, []
 	return batches, outs
 }
 
-// TestMergeRunsEqualsSort is the reply path's ordering property: keying and
-// sorting each shard's engine output on its own and N-way merging the keyed
-// runs — each engine pair converted once, straight from the engine's slice —
-// gives exactly the comparison sort of the converted concatenation. The
+// TestMergeRunsEqualsSort is the reply path's ordering property: keying each
+// shard's engine output on its own, ordering the keys stably by trigger and
+// N-way merging the keyed runs — each engine pair converted once, straight
+// from the engine's slice — gives exactly the (trigger, partner) comparison
+// sort of the converted concatenation, though no partner is ever compared. The
 // streams are skewed (R draws from half of S's key range and a fifth of S's
 // arrivals are NoValue) so every shard's lanes drift apart: a lagging arrival
 // then meets cached partners with HIGHER sequence numbers, the trigger is the
@@ -175,43 +180,293 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 	}
 }
 
+// TestSortKeysStableByTrigger is the pass on its own, against the library's
+// stable sort on the trigger: every length around the 32-key room, every
+// starting order, and trigger ranges that take the radix from no pass at all
+// (all equal) through one byte, a byte boundary inside a narrow range (2^8,
+// 2^16, 2^32: two, three and five bytes vary before the minimum is taken off,
+// one after) to the full 64 bits and all eight passes. Narrow ranges over
+// 1 000 keys repeat every trigger, so stability is exercised, not assumed.
+// Keys that fit the room stay in it and allocate nothing; a longer run is
+// exactly one allocation, scratch included.
+func TestSortKeysStableByTrigger(t *testing.T) {
+	rng := stats.NewRNG(26)
+	ranges := []struct {
+		name     string
+		lo, span uint64
+	}{
+		{"one-byte", 0, 200},
+		{"across-2^8", 200, 100},
+		{"across-2^16", 1<<16 - 50, 100},
+		{"across-2^32", 1<<32 - 50, 100},
+		{"64-bit", 0, 0}, // span 0: every uint64
+	}
+	orders := []string{"equal", "ordered", "reversed", "random"}
+	for _, n := range []int{0, 1, 32, 33, 1000} {
+		for _, r := range ranges {
+			for _, order := range orders {
+				trigs := make([]uint64, n)
+				for i := range trigs {
+					switch {
+					case order == "equal":
+						trigs[i] = r.lo + 7
+					case r.span == 0:
+						trigs[i] = uint64(rng.IntN(1<<32))<<32 | uint64(rng.IntN(1<<32))
+					default:
+						trigs[i] = r.lo + uint64(rng.IntN(int(r.span)))
+					}
+				}
+				if r.span == 0 && order != "equal" && n >= 2 {
+					trigs[0], trigs[n-1] = 0, math.MaxUint64
+				}
+				switch order {
+				case "ordered":
+					slices.Sort(trigs)
+				case "reversed":
+					slices.Sort(trigs)
+					slices.Reverse(trigs)
+				}
+				pairs := make([]engine.Pair, n)
+				want := make([]runKey, n)
+				for i, trig := range trigs {
+					// The trigger is whichever side is later; alternate it.
+					pairs[i].R.Seq, pairs[i].S.Seq = trig, trig/2
+					if i%2 == 1 {
+						pairs[i].R.Seq, pairs[i].S.Seq = trig/3, trig
+					}
+					want[i] = runKey{trigSeq: trig, idx: i}
+				}
+				slices.SortStableFunc(want, func(a, b runKey) int { return cmp.Compare(a.trigSeq, b.trigSeq) })
+
+				var room [32]runKey
+				got := sortKeys(room[:0], pairs)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d %s %s: keys diverge from the stable sort on the trigger:\n  got  %v\n  want %v", n, r.name, order, got, want)
+				}
+				inRoom := n > 0 && &got[0] == &room[0]
+				allocs := testing.AllocsPerRun(5, func() { sortKeys(room[:0], pairs) })
+				if fits := n <= len(room); (n > 0 && inRoom != fits) || (fits && allocs != 0) || (!fits && allocs != 1) {
+					t.Fatalf("n=%d %s %s: keys in the caller's room: %v, %.0f allocations; want the room and none up to %d keys, one allocation beyond",
+						n, r.name, order, inRoom, allocs, len(room))
+				}
+			}
+		}
+	}
+}
+
+// TestTriggerRunsLeaveTheEngineInPartnerOrder pins the invariant the one-key
+// merge rests on, at the engines: a shard's lanes are FIFO and an engine
+// emits a step's matches in cache (arrival) order, so the pairs of one trigger
+// leave the engine partner-ascending — within a step, across the steps of a
+// batch (a cached tuple is the trigger of every later arrival from the lagging
+// lane) and across batches. Everything that touches a cache or a lane between
+// two of a trigger's pairs is switched on: evicting engines (RAND on six slots
+// a shard, HEEB on Markov models), skewed lanes, the rebalancer's Resize, a
+// Checkpoint/Restore into a fresh runtime with tails carried in the manifest,
+// and the closing Flush's pads. The engines watched are mirrors — the shards'
+// configuration, stepped with the batches the differential harness's router
+// derives, resized as the runtime's budgets move — and every batch their
+// output, comparison-sorted, must be the runtime's reply, so what they emit is
+// what the runtime's engines emit, before the restore and after it.
+func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
+	const n, batch, cut = 1500, 53, 11
+	skewed := func(seed uint64) []Step {
+		rng := stats.NewRNG(seed)
+		steps := make([]Step, n)
+		for i := range steps {
+			steps[i].R = engine.Tuple{Key: rng.IntN(6), Payload: i}
+			steps[i].S = engine.Tuple{Key: rng.IntN(12), Payload: ^i}
+			if rng.IntN(5) == 0 {
+				steps[i].S.Key = process.NoValue
+			}
+		}
+		return steps
+	}
+	// HEEB's models: unlike a trend's, a ring walk's tuples keep meeting
+	// partners while they are cached.
+	var walks [2]process.Process
+	walked := skewed(0)
+	for side := range walks {
+		m := ringWalk(t)
+		walks[side] = m
+		for i, k := range m.Generate(stats.NewRNG(uint64(31+side)), n) {
+			if side == 0 {
+				walked[i].R.Key = k
+			} else if walked[i].S.Key != process.NoValue {
+				walked[i].S.Key = k
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		steps []Step
+	}{
+		{"rand", Config{Shards: 4, TotalCache: 24, Seed: 3, RebalanceEvery: 2, RebalanceStep: 2, MinBudget: 3}, skewed(9)},
+		{"heeb", Config{Shards: 4, TotalCache: 32, Procs: walks, Seed: 5, RebalanceEvery: 2, RebalanceStep: 2, MinBudget: 3}, walked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { rt.Shutdown() }()
+			budgets := rt.Budgets()
+			mirrors := make([]*engine.Join, tc.cfg.Shards)
+			for i := range mirrors {
+				mirrors[i], err = engine.NewJoin(engine.Config{CacheSize: budgets[i], Procs: tc.cfg.Procs, Seed: shardSeed(tc.cfg.Seed, i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			rr := newRefRouter(tc.cfg.Shards)
+			type emitted struct {
+				partner uint64
+				time    int
+			}
+			last := map[uint64]emitted{} // trigger → its latest pair; a trigger lives in one shard
+			var repeated, acrossSteps, afterRestore int
+			restored := false
+
+			check := func(label string, got []Pair, batches [][]engine.TuplePair) {
+				var want []Pair
+				for i, b := range batches {
+					for _, p := range mirrors[i].StepBatch(b) {
+						trig, part := max(p.R.Seq, p.S.Seq), min(p.R.Seq, p.S.Seq)
+						if prev, seen := last[trig]; seen {
+							if part <= prev.partner {
+								t.Fatalf("%s: shard %d emitted trigger %d's partner %d (step %d) after its partner %d (step %d)",
+									label, i, trig, part, p.Time, prev.partner, prev.time)
+							}
+							repeated++
+							if p.Time != prev.time {
+								acrossSteps++
+								if restored {
+									afterRestore++
+								}
+							}
+						}
+						last[trig] = emitted{part, p.Time}
+						want = append(want, convertPair(p, i))
+					}
+				}
+				sortPairs(want)
+				if !diffPairsEqual(got, want) {
+					t.Fatalf("%s: the mirrors' output is not the runtime's reply:\n  runtime %v\n  mirrors %v", label, got, want)
+				}
+				for i, b := range rt.Budgets() {
+					if b != budgets[i] {
+						if err := mirrors[i].Resize(b); err != nil {
+							t.Fatal(err)
+						}
+						budgets[i] = b
+					}
+				}
+			}
+
+			for b, lo := 0, 0; lo < n; b, lo = b+1, lo+batch {
+				steps := tc.steps[lo:min(n, lo+batch)]
+				got, err := rt.IngestBatch(steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("batch", got, rr.route(steps, false))
+				if b != cut {
+					continue
+				}
+				carried := 0
+				for _, lanes := range rt.lanes {
+					carried += len(lanes[0]) + len(lanes[1])
+				}
+				if carried == 0 {
+					t.Fatal("no lane tail to carry at the checkpoint")
+				}
+				var ckpt bytes.Buffer
+				if err := rt.Checkpoint(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				rt.Shutdown()
+				if rt, err = New(tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Restore(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				restored = true
+			}
+			pads := 0
+			for _, lanes := range rr.lanes {
+				pads += max(len(lanes[0]), len(lanes[1])) - min(len(lanes[0]), len(lanes[1]))
+			}
+			got, err := rt.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("flush", got, rr.route(nil, true))
+
+			m := rt.Metrics()
+			evictions := 0
+			for _, sm := range m.Shards {
+				evictions += sm.Engine.Evictions
+			}
+			t.Logf("%d pairs followed another of their trigger, %d from a later step (%d after the restore); %d evictions, %d budget moves, %d flush pads",
+				repeated, acrossSteps, afterRestore, evictions, m.Rebalances, pads)
+			if repeated == 0 || acrossSteps == 0 || afterRestore == 0 {
+				t.Fatalf("%d pairs followed another of their trigger, %d of them from a later step, %d of those after the restore; want all three", repeated, acrossSteps, afterRestore)
+			}
+			if evictions == 0 || m.Rebalances == 0 || pads == 0 {
+				t.Fatalf("%d evictions, %d budget moves, %d flush pads; want all three", evictions, m.Rebalances, pads)
+			}
+		})
+	}
+}
+
 // BenchmarkDispatchMerge times the coordinator-visible reply path of one
 // dispatch at the ledger's fanout shape — 4 shards, 64 keys, 64-byte
 // payloads, 1024 slots under RAND, 256-step batches, ~4000 pairs a dispatch:
-// every shard's key sort plus the N-way keyed merge into a reused buffer,
-// over one captured set of engine outputs.
+// every shard's key pass plus the N-way keyed merge into a reused buffer,
+// over one captured set of engine outputs. "fresh" captures the 17th batch;
+// "lagged" the 321st, by when each shard's lanes have drifted ~√steps apart —
+// the disorder the ledger's steady phase orders, batch after batch.
 func BenchmarkDispatchMerge(b *testing.B) {
-	const shards, batch, warm = 4, 256, 16
-	rng := stats.NewRNG(7)
-	se := newShardEngines(b, shards, 1024)
-	var outs [][]engine.Pair
-	for r := 0; r <= warm; r++ {
-		steps := make([]Step, batch)
-		for i := range steps {
-			steps[i].R = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
-			steps[i].S = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
-		}
-		_, outs = se.step(steps, false)
+	const shards, batch = 4, 256
+	for _, c := range []struct {
+		name string
+		warm int
+	}{{"fresh", 16}, {"lagged", 320}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := stats.NewRNG(7)
+			se := newShardEngines(b, shards, 1024)
+			var outs [][]engine.Pair
+			steps := make([]Step, batch)
+			for r := 0; r <= c.warm; r++ {
+				for i := range steps {
+					steps[i].R = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
+					steps[i].S = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
+				}
+				_, outs = se.step(steps, false)
+			}
+			pairs := 0
+			for _, out := range outs {
+				pairs += len(out)
+			}
+			var out []Pair
+			runs := make([]run, 0, shards)
+			rooms := make([][32]runKey, shards)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				runs = runs[:0]
+				for i := range outs {
+					runs = append(runs, run{keys: sortKeys(rooms[i][:0], outs[i]), pairs: outs[i], shard: i})
+				}
+				out = mergeRuns(out[:0], runs)
+			}
+			if len(out) != pairs {
+				b.Fatalf("merged %d pairs of %d", len(out), pairs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+			b.ReportMetric(float64(pairs), "pairs/op")
+		})
 	}
-	pairs := 0
-	for _, out := range outs {
-		pairs += len(out)
-	}
-	var out []Pair
-	runs := make([]run, 0, shards)
-	rooms := make([][32]runKey, shards)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		runs = runs[:0]
-		for i := range outs {
-			runs = append(runs, run{keys: sortKeys(rooms[i][:0], outs[i]), pairs: outs[i], shard: i})
-		}
-		out = mergeRuns(out[:0], runs)
-	}
-	if len(out) != pairs {
-		b.Fatalf("merged %d pairs of %d", len(out), pairs)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
-	b.ReportMetric(float64(pairs), "pairs/op")
 }

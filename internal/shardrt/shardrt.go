@@ -25,7 +25,6 @@
 package shardrt
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -62,7 +61,8 @@ type Pair struct {
 	// ingress, before routing, so pairs from different shards are globally
 	// comparable. The merge orders results by (max, min) of the two — the
 	// triggering arrival first, ties broken by the cached partner — which
-	// is unique per pair and pinned by TestMergeOrder.
+	// is unique per pair and pinned by TestMergeOrder. Only the trigger is
+	// ever compared: a shard emits one trigger's pairs partner-ascending.
 	RSeq, SSeq uint64
 	// R and S carry the join keys and the caller's payloads.
 	R, S Side
@@ -179,7 +179,7 @@ type shard struct {
 	res      chan run
 	batchBuf []engine.TuplePair
 	pending  bool
-	// keys is the worker's room for the sort keys of a batch of up to
+	// keys is the worker's room for the merge keys of a batch of up to
 	// len(keys) pairs — most batches of the low-fanout workloads; a larger
 	// batch's keys are that batch's garbage. Pointer-free, so it pins nothing.
 	keys [32]runKey
@@ -224,6 +224,10 @@ type Runtime struct {
 	// set by New.
 	runs   []run
 	closed bool
+	// fault is the first shard step fault. The other shards stepped that
+	// batch and the lanes are consumed, so nothing can be retried or resumed:
+	// every later IngestBatch, Flush, Checkpoint and Restore returns it.
+	fault error
 
 	reg        *telemetry.Registry // coordinator registry (nil without telemetry)
 	rebalances *telemetry.Counter
@@ -332,49 +336,81 @@ func (sh *shard) step(batch []engine.TuplePair) (out run) {
 	return run{keys: sortKeys(sh.keys[:0], pairs), pairs: pairs, shard: sh.id}
 }
 
-// runKey is one engine pair's merge key and its index in the engine's
-// output. It holds no pointers: ordering a batch moves 24-byte records the
-// collector never looks at, and each 80-byte Pair is written exactly once,
-// by the merge.
+// runKey is one engine pair's trigger — the later of its two arrivals — and
+// its index in the engine's output. It holds no pointers: ordering a batch
+// moves 16-byte records the collector never looks at, and each 80-byte Pair
+// is written exactly once, by the merge.
 type runKey struct {
-	trigSeq, partSeq uint64
-	idx              int
-}
-
-// compareKeys is the merge order: the later (triggering) arrival first, then
-// the cached partner's sequence. The key is unique — two tuples pair at most
-// once — so the order is total.
-func compareKeys(a, b runKey) int {
-	if a.trigSeq != b.trigSeq {
-		return cmp.Compare(a.trigSeq, b.trigSeq)
-	}
-	return cmp.Compare(a.partSeq, b.partSeq)
+	trigSeq uint64
+	idx     int
 }
 
 // sortKeys orders one StepBatch output for the merge, on the worker
-// goroutine, without moving a pair: the engine emits in shard-local step
-// order, which differs from merge order whenever one lane lags the other (the
-// cached partner then carries the higher sequence number and is the trigger).
-// The keys go into room when they fit its capacity.
+// goroutine, without moving a pair. Merge order is (trigger, partner), and it
+// is a stable order on the trigger alone: a shard's lanes are FIFO and the
+// engine emits a step's matches in cache (arrival) order, so one trigger's
+// pairs already leave the engine partner-ascending — also across steps, when a
+// lagging lane makes a cached tuple the trigger of later arrivals
+// (TestTriggerRunsLeaveTheEngineInPartnerOrder). What is not in order is the
+// triggers themselves, whenever one lane lags the other. Keys that fit room
+// are ordered there by insertion; a longer run is one allocation, keys in its
+// first half and the radix's scratch in the second.
 func sortKeys(room []runKey, pairs []engine.Pair) []runKey {
+	n := len(pairs)
 	keys := room[:0]
-	if len(pairs) > cap(room) {
-		keys = make([]runKey, 0, len(pairs))
+	if n > cap(room) {
+		keys = make([]runKey, 0, 2*n)
 	}
+	lo, hi, ordered := uint64(math.MaxUint64), uint64(0), true
 	for i := range pairs {
-		trig, part := pairs[i].R.Seq, pairs[i].S.Seq
-		if trig < part {
-			trig, part = part, trig
-		}
-		keys = append(keys, runKey{trigSeq: trig, partSeq: part, idx: i})
+		trig := max(pairs[i].R.Seq, pairs[i].S.Seq)
+		ordered = ordered && trig >= hi
+		lo, hi = min(lo, trig), max(hi, trig)
+		keys = append(keys, runKey{trigSeq: trig, idx: i})
 	}
-	slices.SortFunc(keys, compareKeys)
-	return keys
+	if ordered {
+		return keys
+	}
+	if n <= cap(room) {
+		for i := 1; i < n; i++ {
+			k, j := keys[i], i
+			for ; j > 0 && keys[j-1].trigSeq > k.trigSeq; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return keys
+	}
+	// Stable LSD byte radix over trigSeq-lo: one pass per byte of the range
+	// (two at the ledger's fanout shape; a lane may lag arbitrarily far, so up
+	// to eight), none for a byte every key shares.
+	src, dst := keys, keys[n:2*n]
+	for shift := 0; (hi-lo)>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, k := range src {
+			next[byte((k.trigSeq-lo)>>shift)]++
+		}
+		if next[byte((src[0].trigSeq-lo)>>shift)] == n {
+			continue
+		}
+		at := 0
+		for b, c := range next {
+			next[b], at = at, at+c
+		}
+		for _, k := range src {
+			b := byte((k.trigSeq - lo) >> shift)
+			dst[next[b]] = k
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // IngestBatch feeds a batch of global steps and returns every pair produced
 // by the shard work it could dispatch. All keys are validated up front —
-// a bad step rejects the whole batch before any state changes. Arrivals
+// a bad step rejects the whole batch before any state changes (ErrBadStep:
+// the caller may retry; any other error is a shard fault and final). Arrivals
 // whose key is process.NoValue are dropped at ingress (they can never join);
 // the rest are routed to their shard's lanes, and each shard steps
 // min(|R lane|, |S lane|) synchronized steps. Unpaired lane tails carry over
@@ -383,8 +419,8 @@ func sortKeys(room []runKey, pairs []engine.Pair) []runKey {
 // The returned slice is owned by the runtime and valid until the next
 // IngestBatch/Flush/Close call; callers that retain pairs must copy them.
 func (rt *Runtime) IngestBatch(steps []Step) ([]Pair, error) {
-	if rt.closed {
-		return nil, ErrClosed
+	if err := rt.refused(); err != nil {
+		return nil, err
 	}
 	for i, st := range steps {
 		if err := checkKey(st.R.Key); err != nil {
@@ -416,10 +452,19 @@ func (rt *Runtime) IngestBatch(steps []Step) ([]Pair, error) {
 // the single operator would). Call it at end of stream, before a checkpoint
 // that must capture all routed work, or before reading final metrics.
 func (rt *Runtime) Flush() ([]Pair, error) {
-	if rt.closed {
-		return nil, ErrClosed
+	if err := rt.refused(); err != nil {
+		return nil, err
 	}
 	return rt.dispatch(true)
+}
+
+// refused is why the runtime takes no more work: it is closed, or a shard
+// faulted.
+func (rt *Runtime) refused() error {
+	if rt.closed {
+		return ErrClosed
+	}
+	return rt.fault
 }
 
 // checkKey mirrors engine.StepChecked's domain check at the ingress
@@ -493,6 +538,7 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		clear(out[len(out):prev])
 	}
 	if firstErr != nil {
+		rt.fault = firstErr
 		return nil, firstErr
 	}
 	rt.merged += len(out)
@@ -516,12 +562,13 @@ func consumeLane(lane []engine.Tuple, k int) []engine.Tuple {
 
 // Close drains the lanes (so no routed arrival is silently dropped), stops
 // the workers and marks the runtime closed. The returned pairs are the
-// drain's output. Close is idempotent; later calls return ErrClosed.
+// drain's output; a faulted runtime stops without draining and returns the
+// fault. Close is idempotent; later calls return ErrClosed.
 func (rt *Runtime) Close() ([]Pair, error) {
 	if rt.closed {
 		return nil, ErrClosed
 	}
-	out, err := rt.dispatch(true)
+	out, err := rt.Flush()
 	rt.closed = true
 	rt.stopWorkers()
 	return out, err
@@ -630,11 +677,12 @@ func (rt *Runtime) Shard(i int) *engine.Join { return rt.shards[i].eng }
 
 // mergeRuns appends the N-way merge of the shards' keyed runs to out,
 // converting each engine pair exactly once, and leaves runs cleared. The
-// order is compareKeys', deterministic regardless of which shard answered
-// first. An arrival's pairs all come from its key's shard, so the merged
-// order is made of same-shard stretches: each round finds the run with the
-// lowest head and converts its whole prefix below the runner-up's head (past
-// every key, for the last run standing) at once.
+// order is trigger order, deterministic regardless of which shard answered
+// first: an arrival's pairs all come from its key's shard, so run heads never
+// tie across runs and the merged order is made of same-shard stretches. Each
+// round finds the run with the lowest head and converts its whole prefix below
+// the runner-up's head (past every key, for the last run standing) at once —
+// one comparison a pair, plus one scan of the heads a stretch.
 func mergeRuns(out []Pair, runs []run) []Pair {
 	total := 0
 	live := runs[:0]
@@ -646,18 +694,18 @@ func mergeRuns(out []Pair, runs []run) []Pair {
 	}
 	out = slices.Grow(out, total)
 	for len(live) > 0 {
-		lo, bound := 0, runKey{trigSeq: math.MaxUint64, partSeq: math.MaxUint64}
+		lo, bound := 0, uint64(math.MaxUint64)
 		for i := 1; i < len(live); i++ {
-			switch head := live[i].keys[0]; {
-			case compareKeys(head, live[lo].keys[0]) < 0:
-				lo, bound = i, live[lo].keys[0]
-			case compareKeys(head, bound) < 0:
+			switch head := live[i].keys[0].trigSeq; {
+			case head < live[lo].keys[0].trigSeq:
+				lo, bound = i, live[lo].keys[0].trigSeq
+			case head < bound:
 				bound = head
 			}
 		}
 		r := &live[lo]
 		n := 1
-		for n < len(r.keys) && compareKeys(r.keys[n], bound) < 0 {
+		for n < len(r.keys) && r.keys[n].trigSeq < bound {
 			n++
 		}
 		for _, k := range r.keys[:n] {

@@ -1,12 +1,15 @@
 package shardrt
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"testing"
 
 	"stochstream/internal/dist"
 	"stochstream/internal/engine"
+	"stochstream/internal/join"
+	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
@@ -16,6 +19,22 @@ func trendProcs() [2]process.Process {
 		&process.LinearTrend{Slope: 1, Intercept: -1, Noise: dist.BoundedNormal(2, 12)},
 		&process.LinearTrend{Slope: 1, Intercept: 0, Noise: dist.BoundedNormal(3, 15)},
 	}
+}
+
+// ringWalk is a lazy walk on a ring of 16 keys, started at 8: a Markov model
+// whose forecasts are real and whose tuples keep meeting partners while cached.
+func ringWalk(t *testing.T) *process.MarkovChain {
+	t.Helper()
+	ring := make([][]float64, 16)
+	for i := range ring {
+		ring[i] = make([]float64, len(ring))
+		ring[i][i], ring[i][(i+1)%len(ring)], ring[i][(i+len(ring)-1)%len(ring)] = 0.4, 0.3, 0.3
+	}
+	m, err := process.NewMarkovChain(0, ring, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // genSteps generates n global steps from the trend models with payloads that
@@ -365,6 +384,78 @@ func TestClosedRuntime(t *testing.T) {
 	}
 }
 
+// panicOn is RAND until its nth decision, which panics: a policy fault on one
+// shard while the others step normally.
+type panicOn struct {
+	policy.Rand
+	n int
+}
+
+func (p *panicOn) Evict(st *join.State, candidates []join.Tuple, n int) []int {
+	if p.n--; p.n == 0 {
+		panic("injected policy fault")
+	}
+	return p.Rand.Evict(st, candidates, n)
+}
+
+// TestShardFaultIsSticky: when one shard's step faults, the other shards have
+// stepped the same batch and the lanes are consumed, so the batch can be
+// neither retried nor resumed. The first fault is kept: the retry of the batch,
+// a Flush, a Checkpoint and a Restore all return it and no engine steps again;
+// Close still stops the workers. At the parent commit the retry was ingested a
+// second time — the healthy shard stepped the batch's arrivals twice.
+func TestShardFaultIsSticky(t *testing.T) {
+	rt, err := New(Config{Shards: 2, TotalCache: 4, Seed: 1, NewPolicy: func(shard int) join.Policy {
+		if shard == 0 {
+			return &panicOn{n: 3}
+		}
+		return &policy.Rand{}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]Step, 64)
+	for i := range steps {
+		steps[i] = Step{R: engine.Tuple{Key: i % 16}, S: engine.Tuple{Key: (i + 5) % 16}}
+	}
+	_, fault := rt.IngestBatch(steps)
+	if fault == nil || errors.Is(fault, ErrBadStep) {
+		t.Fatalf("IngestBatch over a panicking policy: %v, want a shard fault", fault)
+	}
+	stepped := func() (n [2]int) {
+		for i, sm := range rt.Metrics().Shards {
+			n[i] = sm.Engine.Steps
+		}
+		return n
+	}
+	before := stepped()
+	if before[1] == 0 {
+		t.Fatal("the healthy shard did not step the faulted batch: the fault is not the mid-batch kind")
+	}
+	if _, err := rt.IngestBatch(steps); err != fault {
+		t.Fatalf("retry after the fault: %v, want the fault itself (%v)", err, fault)
+	}
+	if _, err := rt.Flush(); err != fault {
+		t.Fatalf("Flush after the fault: %v, want %v", err, fault)
+	}
+	var ckpt bytes.Buffer
+	if err := rt.Checkpoint(&ckpt); err != fault || ckpt.Len() != 0 {
+		t.Fatalf("Checkpoint after the fault: %v and %d bytes, want %v and nothing written", err, ckpt.Len(), fault)
+	}
+	if err := rt.Restore(&ckpt); err != fault {
+		t.Fatalf("Restore into the faulted runtime: %v, want %v", err, fault)
+	}
+	if after := stepped(); after != before {
+		t.Fatalf("engines stepped after the fault: %v, before %v", after, before)
+	}
+	if _, err := rt.Close(); err != fault {
+		t.Fatalf("Close after the fault: %v, want %v", err, fault)
+	}
+	if _, err := rt.IngestBatch(steps); !errors.Is(err, ErrClosed) {
+		t.Fatalf("IngestBatch after Close: %v, want ErrClosed", err)
+	}
+}
+
 // TestSharedMemoizingModels: every shard goroutine forecasts from the one
 // model pair in Config.Procs, so the models that build their horizon tables on
 // demand (random walks, Markov chains) must let shards read and grow those
@@ -372,21 +463,10 @@ func TestClosedRuntime(t *testing.T) {
 // two runs over, since a table grown in a different interleaving must hold the
 // same values.
 func TestSharedMemoizingModels(t *testing.T) {
-	ring := make([][]float64, 16)
-	for i := range ring {
-		ring[i] = make([]float64, len(ring))
-		ring[i][i], ring[i][(i+1)%len(ring)], ring[i][(i+len(ring)-1)%len(ring)] = 0.4, 0.3, 0.3
-	}
 	for name, mk := range map[string]func() process.Process{
 		"random-walk":   func() process.Process { return &process.RandomWalk{Step: dist.NewUniform(-2, 2), Init: 8} },
 		"gaussian-walk": func() process.Process { return &process.GaussianWalk{Sigma: 2, Init: 8} },
-		"markov": func() process.Process {
-			m, err := process.NewMarkovChain(0, ring, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
+		"markov":        func() process.Process { return ringWalk(t) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := stats.NewRNG(11)

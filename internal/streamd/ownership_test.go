@@ -3,14 +3,19 @@ package streamd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"stochstream/internal/engine"
+	"stochstream/internal/join"
+	"stochstream/internal/policy"
 	"stochstream/internal/shardrt"
 	"stochstream/internal/streamd/wire"
 )
@@ -108,6 +113,91 @@ func TestFailedSubmitReturnsCredits(t *testing.T) {
 	typ, payload = nextFrame(t, c)
 	if res, err := wire.DecodeResults(payload); typ != wire.TypeResults || err != nil || res.AckSeq != 1 || res.Credits != window {
 		t.Fatalf("the retry answered with frame 0x%02x %+v (%v), want results acking 1 with the whole window", typ, res, err)
+	}
+}
+
+// panicOn is RAND until its nth decision, which panics.
+type panicOn struct {
+	policy.Rand
+	n int
+}
+
+func (p *panicOn) Evict(st *join.State, candidates []join.Tuple, n int) []int {
+	if p.n--; p.n == 0 {
+		panic("injected policy fault")
+	}
+	return p.Rand.Evict(st, candidates, n)
+}
+
+// TestShardFaultRefusesTheRetry: a shard fault, unlike a rejected batch, has
+// moved state — the other shard stepped, the lanes are consumed — so the
+// session is rolled back only for the client to see the same internal error
+// again: the runtime refuses the retry instead of ingesting the batch twice,
+// no step is counted, no engine steps, and a drain returns the fault and
+// leaves the previous checkpoint file as it was. At the parent commit the
+// retry was answered with results and the healthy shard stepped twice over.
+func TestShardFaultRefusesTheRetry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "daemon.ckpt")
+	cfg := func(faultAt int) Config {
+		return Config{Listen: "127.0.0.1:0", CheckpointPath: path, Runtime: shardrt.Config{
+			Shards: 2, TotalCache: 4, Seed: 1, NewPolicy: func(shard int) join.Policy {
+				if shard == 0 {
+					return &panicOn{n: faultAt}
+				}
+				return &policy.Rand{}
+			}}}
+	}
+	batch := make([]shardrt.Step, 64)
+	for i := range batch {
+		batch[i] = shardrt.Step{R: engine.Tuple{Key: i % 16}, S: engine.Tuple{Key: (i + 5) % 16}}
+	}
+
+	healthy, err := Start(cfg(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, c := attachFake(t, healthy, "before")
+	submitBatch(t, healthy, sess, 1, batch)
+	if typ, _ := nextFrame(t, c); typ != wire.TypeResults {
+		t.Fatalf("healthy batch answered with frame 0x%02x, want results", typ)
+	}
+	if err := healthy.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Start(cfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, c = attachFake(t, s, "after")
+	steps0 := s.stepsTotal.Value()
+	var stepped [2]int
+	for attempt := 0; attempt < 2; attempt++ {
+		submitBatch(t, s, sess, 1, batch)
+		typ, payload := nextFrame(t, c)
+		if f, err := wire.DecodeError(payload); typ != wire.TypeError || err != nil || f.Code != wire.CodeInternal {
+			t.Fatalf("attempt %d answered with frame 0x%02x %+v (%v), want an internal error", attempt, typ, f, err)
+		}
+		// The engine loop has answered and is idle: the runtime is quiescent.
+		for i, sm := range s.rt.Metrics().Shards {
+			if attempt == 1 && sm.Engine.Steps != stepped[i] {
+				t.Fatalf("the retry stepped shard %d: %d steps, %d after the fault", i, sm.Engine.Steps, stepped[i])
+			}
+			stepped[i] = sm.Engine.Steps
+		}
+	}
+	if got := s.stepsTotal.Value(); got != steps0 {
+		t.Fatalf("streamd_steps_total moved from %d to %d over a faulted batch and its retry", steps0, got)
+	}
+	if err := s.Drain(context.Background()); err == nil {
+		t.Fatal("drain of a faulted runtime reported success")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, ckpt) {
+		t.Fatalf("the drain rewrote the checkpoint file (%v): diverged state must not replace the last good one", err)
 	}
 }
 

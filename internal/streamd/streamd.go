@@ -366,8 +366,12 @@ func (s *Server) engineIngest(req *ingestReq) {
 	pairs, err := s.rt.IngestBatch(req.steps)
 	if err != nil {
 		// Steps were validated at the reader, so this is an internal
-		// failure; the runtime rejected before touching state, so roll the
-		// reservation back and let the client retry the same base.
+		// failure. The session is rolled back either way — nothing was
+		// delivered — and the client may retry the same base: a batch the
+		// runtime rejected before touching state is then ingested once, and
+		// a shard fault, which did move state, is sticky in the runtime, so
+		// the retry (and the drain's checkpoint) gets the same error again
+		// rather than a second ingest.
 		s.internalErrs.Inc()
 		req.sess.failSubmitted(req, s.cfg.Credits)
 		s.deliver(req.sess, &frame{b: wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{

@@ -28,7 +28,10 @@
 #                    allocs/op land in the log; `./...` picks up
 #                    BenchmarkHEEBDecision/{trend64,walk8,band256} in
 #                    internal/policy, whose 0 allocs/op phase 6 pins as
-#                    TestHEEBDecisionAllocs), then the ledger
+#                    TestHEEBDecisionAllocs, and
+#                    BenchmarkDispatchMerge/{fresh,lagged} in
+#                    internal/shardrt, the shard-output ordering and merge
+#                    before and after the lanes have drifted), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
