@@ -54,7 +54,8 @@ func (j *Join) StepBatch(batch []TuplePair) []Pair {
 // Resize changes the cache budget in place, without a reconstruction. A
 // larger budget takes effect on the next step; a smaller one evicts down
 // immediately with the configured policy (candidates are the cached entries
-// in cache order, with no arrivals appended), so the budget invariant
+// in slot order, with no arrivals appended; the victims' slots are released
+// from the highest down), so the budget invariant
 // len(cache) <= CacheSize — and with it CheckInvariants and the checkpoint
 // fingerprint — holds as soon as Resize returns. The sharded runtime's
 // budget rebalancer is the caller this exists for.
@@ -74,7 +75,14 @@ func (j *Join) Resize(newSize int) error {
 	}
 	n := len(j.cache)
 	evict := j.policy.Evict(j.state, j.cache[:n:n], need)
-	j.cut(j.time, j.sortedVictims(evict, n, need), n)
+	victims := j.sortedVictims(evict, n, need)
+	for k := need - 1; k >= 0; k-- { // downwards: a release moves only the last slot
+		if j.rec != nil {
+			j.lifeTuple(flightrec.LifeEvict, j.time, j.cache[victims[k]], 0)
+		}
+		j.release(victims[k])
+	}
+	j.m.Evictions += need
 	if j.evictCount != nil {
 		j.evictCount.Add(int64(need))
 	}
@@ -112,12 +120,10 @@ func (j *ReferenceJoin) Resize(newSize int) error {
 		drop[i] = true
 	}
 	j.m.Evictions += need
-	kept := j.cache[:0]
-	for i, c := range j.cache {
-		if !drop[i] {
-			kept = append(kept, c)
+	for i := len(j.cache) - 1; i >= 0; i-- {
+		if drop[i] {
+			j.release(i)
 		}
 	}
-	j.cache = kept
 	return nil
 }

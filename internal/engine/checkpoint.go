@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/flightrec"
@@ -16,13 +17,16 @@ import (
 // internal/checkpoint envelope (magic + version + CRC32). Everything the
 // operator needs to replay exactly as an uninterrupted run is captured:
 // the configuration fingerprint (so a restore into a differently configured
-// operator is rejected), the clock and ID counter, the metrics, the cache
-// with payloads and caller tags, both histories (a count and the last value
+// operator is rejected), the clock and ID counter, the metrics, the cache in
+// slot order (the layout is state: a positional policy's next draw depends on
+// it) with payloads and caller tags, both histories (a count and the last value
 // each), the state RNG, and the policy's private decision state when the
 // policy implements join.StateSnapshotter: nothing that grows with the steps
 // taken, and the same bytes for the same state.
-// Indexes are not serialized — they are a pure function of the cache and are
-// rebuilt on restore.
+// The indexes and the arrival list are not serialized — they are a pure
+// function of the cache and are rebuilt on restore. A file written while the
+// cache was kept in ID order carries one legal layout among others and
+// restores as it is.
 //
 // Payloads are stored as interface values, so gob requires their concrete
 // types to be registered; the common scalar types are registered here and
@@ -188,7 +192,8 @@ func (j *Join) Restore(r io.Reader) error {
 			}
 		}
 	}
-	if err := validateWire(&wire); err != nil {
+	byID, err := validateWire(&wire)
+	if err != nil {
 		return err
 	}
 	rng := stats.NewRNG(0)
@@ -227,19 +232,24 @@ func (j *Join) Restore(r io.Reader) error {
 	j.cache = j.cache[:0]
 	clear(j.payloads)
 	j.payloads, j.seqs = j.payloads[:0], j.seqs[:0]
+	j.next, j.prev, j.head, j.tail = j.next[:0], j.prev[:0], -1, -1
 	if j.cfg.Band == 0 {
 		j.equi = [2]map[int]bucket{{}, {}}
-		j.ord = [2][]valID{}
+		j.ord = [2][]valSlot{}
 	} else {
 		j.equi = [2]map[int]bucket{}
-		j.ord = [2][]valID{nil, nil}
+		j.ord = [2][]valSlot{nil, nil}
 	}
+	// Every entry goes back to its slot; the entries then enter the arrival
+	// list and the index oldest first, as they did when they arrived.
 	for _, e := range wire.Cache {
-		from := Tuple{Payload: e.Payload, Seq: e.Seq}
 		if old, ok := e.Payload.(seqCarrier); ok {
-			from.Seq, from.Payload = old.Untag()
+			e.Seq, e.Payload = old.Untag()
 		}
-		j.admit(e.Tuple, from)
+		j.grow(e.Tuple, e.Payload, e.Seq)
+	}
+	for _, slot := range byID {
+		j.enter(slot)
 	}
 	return nil
 }
@@ -247,10 +257,11 @@ func (j *Join) Restore(r io.Reader) error {
 // validateWire sanity-checks decoded checkpoint state before it is
 // committed, so a payload that passed the checksum but carries impossible
 // state (a hand-edited file with a recomputed CRC) still cannot corrupt the
-// operator.
-func validateWire(wire *checkpointWire) error {
-	bad := func(format string, args ...interface{}) error {
-		return fmt.Errorf("engine: invalid checkpoint state: "+format, args...)
+// operator. It returns the cache's slots in ascending ID order — arrival
+// order, in which no two entries share an ID and arrival times never fall.
+func validateWire(wire *checkpointWire) ([]int, error) {
+	bad := func(format string, args ...interface{}) ([]int, error) {
+		return nil, fmt.Errorf("engine: invalid checkpoint state: "+format, args...)
 	}
 	if wire.Time < 0 || wire.NextID < 0 {
 		return bad("time %d, next ID %d", wire.Time, wire.NextID)
@@ -262,22 +273,29 @@ func validateWire(wire *checkpointWire) error {
 	if len(wire.Cache) > wire.CacheSize {
 		return bad("%d cached entries for budget %d", len(wire.Cache), wire.CacheSize)
 	}
+	byID := make([]int, len(wire.Cache))
 	for i, e := range wire.Cache {
+		byID[i] = i
 		if e.Tuple.ID < 0 || e.Tuple.ID >= wire.NextID {
 			return bad("entry %d has ID %d outside [0, %d)", i, e.Tuple.ID, wire.NextID)
 		}
 		if e.Tuple.Arrived < 0 || e.Tuple.Arrived >= wire.Time {
 			return bad("entry %d arrived at %d, checkpoint time is %d", i, e.Tuple.Arrived, wire.Time)
 		}
-		if i > 0 && e.Tuple.ID <= wire.Cache[i-1].Tuple.ID {
-			return bad("cache IDs not strictly ascending at %d", i)
-		}
-		if i > 0 && e.Tuple.Arrived < wire.Cache[i-1].Tuple.Arrived {
-			return bad("arrival times not nondecreasing at %d", i)
-		}
 		if int(e.Tuple.Stream) != 0 && int(e.Tuple.Stream) != 1 {
 			return bad("entry %d has stream %d", i, e.Tuple.Stream)
 		}
 	}
-	return nil
+	slices.SortFunc(byID, func(a, b int) int { return wire.Cache[a].Tuple.ID - wire.Cache[b].Tuple.ID })
+	for k := 1; k < len(byID); k++ {
+		older, e := wire.Cache[byID[k-1]].Tuple, wire.Cache[byID[k]].Tuple
+		if e.ID == older.ID {
+			return bad("entries %d and %d share ID %d", byID[k-1], byID[k], e.ID)
+		}
+		if e.Arrived < older.Arrived {
+			return bad("entry %d (ID %d) arrived at %d, before entry %d (ID %d) at %d",
+				byID[k], e.ID, e.Arrived, byID[k-1], older.ID, older.Arrived)
+		}
+	}
+	return byID, nil
 }

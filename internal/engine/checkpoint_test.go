@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -344,30 +343,16 @@ func TestRestoreRejectsHistoryCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := checkpoint.Read(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire checkpointWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
+	wire := decodeWire(t, old)
 	if wire.Hists == nil || len(wire.Hists[0]) != wire.Time || wire.HistLen != [2]int{} {
 		t.Fatalf("the fixture is not a pre-count checkpoint: logs %v, counts %v, time %d", wire.Hists != nil, wire.HistLen, wire.Time)
 	}
 	wire.Hists[0] = wire.Hists[0][:wire.Time-1]
-	var short, file bytes.Buffer
-	if err := gob.NewEncoder(&short).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkpoint.Write(&file, short.Bytes()); err != nil {
-		t.Fatal(err)
-	}
 	prob, err := NewJoin(Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prob.Restore(&file); err == nil {
+	if err := prob.Restore(bytes.NewReader(encodeWire(t, wire))); err == nil {
 		t.Fatal("restore accepted a legacy checkpoint whose logs disagree in length")
 	}
 }

@@ -7,11 +7,12 @@
 //
 // The hot path is indexed: equijoins probe a per-stream hash index on the
 // join key, band joins probe a per-stream ordered (value, ID) index, and
-// window expiry is a binary-search prefix cut instead of a scan. All
-// per-step scratch (sorted victim positions, match buffers, the output
-// slice) is reused across steps, and a replacement decision copies nothing it
-// does not evict past: the candidate slice a policy sees is the cache itself
-// (see Join.cache), and its victims leave in one order-preserving cut.
+// window expiry pops the head of an arrival-order list threaded through the
+// cache. All per-step scratch (sorted victim positions, match buffers, the
+// output slice) is reused across steps, and a replacement decision moves
+// nothing: the cache is a table of slots, the candidate slice a policy sees
+// is that table itself (see Join.cache), a surviving arrival is written into
+// the slot its victim held, and an index posting is a slot number.
 // ReferenceJoin in this package is the obvious linear-scan implementation
 // with identical semantics; the differential tests hold the two
 // byte-identical.
@@ -126,19 +127,21 @@ type Join struct {
 	arrivals join.ArrivalObserver
 	hists    [2]*process.History
 	state    *join.State
-	// cache holds the admitted tuples in ascending ID order, which is also
-	// arrival order — Step appends fresh IDs and evictions preserve order.
-	// Two invariants follow: Arrived is nondecreasing along the slice (so
-	// window expiry is a prefix), and iterating the cache front to back is
-	// the seed implementation's emission order.
+	// cache is a dense table of slots, in no order: an entry stays in the slot
+	// it was admitted to until it leaves. A surviving arrival takes the slot
+	// of a victim of its own decision (lowest slot first, R before S) and is
+	// appended only when none is left; a slot freed with no arrival to fill it
+	// (Resize, window expiry) is closed by the last slot's entry. The layout
+	// is state — a positional policy's next draw depends on it — so
+	// checkpoints carry the cache in slot order.
 	//
 	// The slice is pointer-free and doubles as the policy's candidate slice:
 	// a replacement decision writes the step's two arrivals into its spare
 	// capacity and hands policy.Evict cache[:n+2:n+2] — no per-step copy, and
 	// the clamped capacity keeps a policy's append out of engine memory.
 	// payloads[i] and seqs[i] are cache[i]'s opaque payload and caller tag,
-	// kept apart so that candidate slice stays []join.Tuple; every move of the
-	// cache (admit, cut, pruneExpired, restore) moves all three alike.
+	// kept apart so that candidate slice stays []join.Tuple; every write to a
+	// slot (admit, fill, release, restore) writes all three alike.
 	cache    []join.Tuple
 	payloads []interface{}
 	seqs     []uint64
@@ -146,10 +149,19 @@ type Join struct {
 	time     int
 	m        Metrics
 
-	// equi indexes the cache for Band == 0: per stream, join key → IDs of
-	// cached entries with that key, ascending. Empty buckets are deleted so
-	// a drifting key domain (the trend models) cannot leak memory.
-	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
+	// next and prev thread the slots into one list in arrival order, which is
+	// ID order: head is the oldest entry (the one window expiry pops), tail
+	// the newest, -1 stands for none.
+	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
+	next, prev []int32
+	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
+	head, tail int32
+
+	// equi indexes the cache for Band == 0: per stream, join key → slots of
+	// cached entries with that key, in ascending ID order (postings are
+	// appended as entries arrive). Empty buckets are deleted so a drifting key
+	// domain (the trend models) cannot leak memory.
+	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
 	equi [2]map[int]bucket
 	// spare holds the rest slices of equi buckets that emptied, every one at
 	// length 0: the next bucket to take a second posting reuses one instead of
@@ -157,10 +169,10 @@ type Join struct {
 	// once, so the largest budget the operator has had bounds the list.
 	//lint:ignore snapcomplete capacity only: every slice in it is empty, and Restore rebuilds the index it serves
 	spare [][]int
-	// ord indexes the cache for Band > 0: per stream, (value, ID) ascending,
-	// probed by binary search over the band interval.
-	//lint:ignore snapcomplete pure function of the cache; Restore re-admits every entry through admit, which rebuilds the index
-	ord [2][]valID
+	// ord indexes the cache for Band > 0: per stream, slots in ascending
+	// (value, ID) order, probed by binary search over the band interval.
+	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
+	ord [2][]valSlot
 
 	// Step-scoped scratch, reused across steps. out backs Step results,
 	// batchOut StepBatch results; they are distinct so an interleaved
@@ -190,16 +202,16 @@ type Join struct {
 	pendingBundle string
 }
 
-// bucket is one equi-index posting list, ascending: the first ID inline, the
-// second onward in rest. Most keys of a wide domain are cached once, and a
-// bucket of one posting then costs no allocation.
+// bucket is one equi-index posting list, slots in ascending ID order: the
+// first inline, the second onward in rest. Most keys of a wide domain are
+// cached once, and a bucket of one posting then costs no allocation.
 type bucket struct {
 	first int
 	rest  []int
 }
 
-// valID is one ordered-index posting.
-type valID struct{ v, id int }
+// valSlot is one ordered-index posting.
+type valSlot struct{ v, slot int }
 
 // NewJoin validates the configuration and builds the operator.
 func NewJoin(cfg Config) (*Join, error) {
@@ -218,6 +230,8 @@ func NewJoin(cfg Config) (*Join, error) {
 		cfg:    cfg,
 		policy: pol,
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
+		head:   -1,
+		tail:   -1,
 	}
 	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
 	j.initFlight(lad)
@@ -302,7 +316,7 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 		j.lifeTuple(flightrec.LifeIngest, t, sT, 0)
 		sp = j.rec.Begin(flightrec.PhaseExpire)
 	}
-	expired := j.pruneExpired(t)
+	expired := j.expire(t)
 	if j.rec != nil {
 		j.rec.End(sp, expired, 0)
 	}
@@ -310,8 +324,8 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 	out = j.emitMatches(t, r, s, out)
 	pairs := len(out) - n0
 
-	// Admission + replacement, mirroring the simulator's candidate order:
-	// cached entries in cache order, then the two arrivals.
+	// Admission + replacement. The candidates are the cached entries in slot
+	// order, then the two arrivals.
 	nCached := len(j.cache)
 	need := nCached + 2 - j.cfg.CacheSize
 	if need <= 0 {
@@ -338,19 +352,21 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 		sp = j.rec.Begin(flightrec.PhaseEvict)
 	}
 	victims := j.sortedVictims(evict, len(cands), need)
-	j.cache = cands
-	j.payloads = append(j.payloads, r.Payload, s.Payload)
-	j.seqs = append(j.seqs, r.Seq, s.Seq)
-	j.cut(t, victims, nCached)
 	// need is 1 or 2 here (the cache never exceeds its budget), so these
-	// scans are a compare or two.
+	// scans are a compare or two — and the cached victims, which sort ahead of
+	// the arrivals, never outnumber the arrivals that survive.
 	dropR, dropS := slices.Contains(victims, nCached), slices.Contains(victims, nCached+1)
+	freed := victims
+	for len(freed) > 0 && freed[len(freed)-1] >= nCached {
+		freed = freed[:len(freed)-1]
+	}
 	if !dropR {
-		j.indexAdd(rT)
+		freed = j.place(t, rT, r, freed)
 	}
 	if !dropS {
-		j.indexAdd(sT)
+		j.place(t, sT, s, freed)
 	}
+	j.m.Evictions += need
 	if j.rec != nil {
 		arrivalKind := func(dropped bool) flightrec.LifeKind {
 			if dropped {
@@ -386,73 +402,107 @@ func (j *Join) sortedVictims(evict []int, total, need int) []int {
 	return victims
 }
 
-// cut removes the entries at the given ascending, distinct positions from the
-// cache in one order-preserving pass: positions below nIndexed are unindexed
-// first (the step's arrivals beyond it never were indexed), then the
-// survivors between consecutive victims slide down with one copy each. The
-// work is the tail behind the first victim, not the whole cache, and ID order
-// — what window expiry, indexOfID and the policies' tie-breaks rest on —
-// is kept. Shared by stepCore and Resize.
-func (j *Join) cut(t int, victims []int, nIndexed int) {
-	for _, v := range victims {
-		if v >= nIndexed {
-			break
-		}
-		j.indexRemove(j.cache[v])
-		if j.rec != nil {
-			j.lifeTuple(flightrec.LifeEvict, t, j.cache[v], 0)
-		}
+// place admits an arrival that survived its decision: into the lowest slot a
+// cached victim of that decision still holds, evicting the victim, or behind
+// the last slot when none is left. It returns the slots still to be filled.
+func (j *Join) place(t int, tp join.Tuple, from Tuple, freed []int) []int {
+	if len(freed) == 0 {
+		j.admit(tp, from)
+		return freed
 	}
-	total := len(j.cache)
-	w := victims[0]
-	for k, v := range victims {
-		next := total
-		if k+1 < len(victims) {
-			next = victims[k+1]
-		}
-		copy(j.payloads[w:], j.payloads[v+1:next])
-		copy(j.seqs[w:], j.seqs[v+1:next])
-		w += copy(j.cache[w:], j.cache[v+1:next])
+	slot := freed[0]
+	if j.rec != nil {
+		j.lifeTuple(flightrec.LifeEvict, t, j.cache[slot], 0)
 	}
-	clear(j.payloads[w:]) // release the evicted payloads
-	j.cache, j.payloads, j.seqs = j.cache[:w], j.payloads[:w], j.seqs[:w]
-	j.m.Evictions += len(victims)
+	j.indexRemove(slot)
+	j.unlink(slot)
+	j.cache[slot], j.payloads[slot], j.seqs[slot] = tp, from.Payload, from.Seq
+	j.enter(slot)
+	return freed[1:]
 }
 
-// pruneExpired evicts every window-expired entry before candidate assembly
-// and returns how many it pruned. Arrival times are nondecreasing along the
-// ID-ordered cache, so the expired entries form a prefix found by binary
-// search.
-func (j *Join) pruneExpired(t int) int {
+// release frees slot h when no arrival is there to take it (Resize, window
+// expiry): the last slot's entry closes the hole, which repoints that one
+// entry's posting and list links, and the table shrinks by one.
+func (j *Join) release(h int) {
+	j.indexRemove(h)
+	j.unlink(h)
+	last := len(j.cache) - 1
+	if h != last {
+		j.indexRepoint(last, h)
+		j.cache[h], j.payloads[h], j.seqs[h] = j.cache[last], j.payloads[last], j.seqs[last]
+		p, n := j.prev[last], j.next[last]
+		j.prev[h], j.next[h] = p, n
+		j.setNext(p, int32(h))
+		j.setPrev(n, int32(h))
+	}
+	j.payloads[last] = nil // release the payload
+	j.cache, j.payloads, j.seqs = j.cache[:last], j.payloads[:last], j.seqs[:last]
+	j.next, j.prev = j.next[:last], j.prev[:last]
+}
+
+// setNext makes v the successor of slot p in the arrival list — the head,
+// when p is none; setPrev is its mirror image.
+func (j *Join) setNext(p, v int32) {
+	if p < 0 {
+		j.head = v
+	} else {
+		j.next[p] = v
+	}
+}
+
+func (j *Join) setPrev(n, v int32) {
+	if n < 0 {
+		j.tail = v
+	} else {
+		j.prev[n] = v
+	}
+}
+
+// unlink takes slot s out of the arrival list.
+func (j *Join) unlink(s int) {
+	p, n := j.prev[s], j.next[s]
+	j.setNext(p, n)
+	j.setPrev(n, p)
+}
+
+// enter makes the entry just written to slot s the newest of the arrival
+// list and indexes it. Entries enter in ascending ID order — a step's
+// arrivals carry the largest IDs so far, Restore goes by ID — which is what
+// keeps the list and every index bucket in ID order.
+func (j *Join) enter(s int) {
+	j.prev[s], j.next[s] = j.tail, -1
+	j.setNext(j.tail, int32(s))
+	j.tail = int32(s)
+	j.indexAdd(s)
+}
+
+// expire evicts every window-expired entry before candidate assembly and
+// returns how many there were. Arrival times are nondecreasing along the
+// arrival list, so the expired entries are popped off its head.
+func (j *Join) expire(t int) int {
 	w := j.cfg.Window
-	if w <= 0 || len(j.cache) == 0 {
+	if w <= 0 {
 		return 0
 	}
-	cut := sort.Search(len(j.cache), func(i int) bool { return t-j.cache[i].Arrived <= w })
-	if cut == 0 {
-		return 0
-	}
-	for i := 0; i < cut; i++ {
-		j.indexRemove(j.cache[i])
+	n := 0
+	for ; j.head >= 0 && t-j.cache[j.head].Arrived > w; n++ {
 		if j.rec != nil {
-			j.lifeTuple(flightrec.LifeExpire, t, j.cache[i], 0)
+			j.lifeTuple(flightrec.LifeExpire, t, j.cache[j.head], 0)
 		}
+		j.release(int(j.head))
 	}
-	j.m.Expired += cut
-	if j.expiredCount != nil {
-		j.expiredCount.Add(int64(cut))
+	j.m.Expired += n
+	if j.expiredCount != nil && n > 0 {
+		j.expiredCount.Add(int64(n))
 	}
-	n := copy(j.cache, j.cache[cut:])
-	copy(j.payloads, j.payloads[cut:])
-	copy(j.seqs, j.seqs[cut:])
-	clear(j.payloads[n:]) // release the expired payloads
-	j.cache, j.payloads, j.seqs = j.cache[:n], j.payloads[:n], j.seqs[:n]
-	return cut
+	return n
 }
 
 // emitMatches probes the index with both arrivals and appends the resulting
-// pairs to out in cache (ID) order — exactly the order a front-to-back linear
-// scan produces — followed by the same-time pair if the arrivals match.
+// pairs to out in the cached partners' ID (arrival) order — the order the
+// sharded runtime's merge rests on — followed by the same-time pair if the
+// arrivals match.
 func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
 	n0 := len(out)
 	var sp flightrec.Active
@@ -466,19 +516,19 @@ func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
 		j.rec.End(sp, len(rm)+len(sm), 0)
 		sp = j.rec.Begin(flightrec.PhaseEmit)
 	}
-	// Merge the two ID-ascending match lists; an entry appears in at most
+	// Merge the two ID-ascending lists of slots; an entry appears in at most
 	// one of them (they are disjoint streams).
 	i, k := 0, 0
 	for i < len(rm) || k < len(sm) {
-		if k >= len(sm) || (i < len(rm) && rm[i] < sm[k]) {
-			c := j.indexOfID(rm[i])
+		if k >= len(sm) || (i < len(rm) && j.cache[rm[i]].ID < j.cache[sm[k]].ID) {
+			c := rm[i]
 			i++
 			out = append(out, Pair{Time: t, R: j.cached(c), S: s})
 			if j.rec != nil {
 				j.lifeMatch(t, j.cache[c], s.Key, core.StreamS)
 			}
 		} else {
-			c := j.indexOfID(sm[k])
+			c := sm[k]
 			k++
 			out = append(out, Pair{Time: t, R: r, S: j.cached(c)})
 			if j.rec != nil {
@@ -515,52 +565,54 @@ func (j *Join) lifeMatch(t int, cached join.Tuple, arrivalKey int, arrivalStream
 	}
 }
 
-// probeMatches appends the IDs of cached entries on the given stream whose
+// probeMatches appends the slots of cached entries on the given stream whose
 // value joins an arrival with key k, in ascending ID order.
-func (j *Join) probeMatches(side core.StreamID, k int, ids []int) []int {
+func (j *Join) probeMatches(side core.StreamID, k int, slots []int) []int {
 	if k == process.NoValue {
-		return ids
+		return slots
 	}
 	if j.cfg.Band == 0 {
 		if b, ok := j.equi[side][k]; ok {
-			ids = append(append(ids, b.first), b.rest...)
+			slots = append(append(slots, b.first), b.rest...)
 		}
-		return ids
+		return slots
 	}
 	ord := j.ord[side]
 	lo, hi := k-j.cfg.Band, k+j.cfg.Band
-	n0 := len(ids)
+	n0 := len(slots)
 	i := sort.Search(len(ord), func(x int) bool { return ord[x].v >= lo })
 	for ; i < len(ord) && ord[i].v <= hi; i++ {
-		ids = append(ids, ord[i].id)
+		slots = append(slots, ord[i].slot)
 	}
 	// The interval is value-ordered; restore ID order for emission.
-	sort.Ints(ids[n0:])
-	return ids
+	slices.SortFunc(slots[n0:], func(a, b int) int { return j.cache[a].ID - j.cache[b].ID })
+	return slots
 }
 
-// indexOfID locates a cached entry's position by its (index-supplied, hence
-// present) ID via binary search over the ID-ordered cache.
-func (j *Join) indexOfID(id int) int {
-	return sort.Search(len(j.cache), func(k int) bool { return j.cache[k].ID >= id })
-}
-
-// cached rebuilds the caller's tuple held at cache position c.
+// cached rebuilds the caller's tuple held in slot c.
 func (j *Join) cached(c int) Tuple {
 	return Tuple{Key: j.cache[c].Value, Payload: j.payloads[c], Seq: j.seqs[c]}
 }
 
-// admit appends a tuple with its caller's payload and tag to the cache and
-// indexes it. Admissions always carry the largest IDs seen so far, preserving
-// the cache's ID order (and with it every index bucket's).
+// admit appends a tuple with its caller's payload and tag to the cache, as
+// its newest entry.
 func (j *Join) admit(tp join.Tuple, from Tuple) {
-	j.cache = append(j.cache, tp)
-	j.payloads = append(j.payloads, from.Payload)
-	j.seqs = append(j.seqs, from.Seq)
-	j.indexAdd(tp)
+	j.grow(tp, from.Payload, from.Seq)
+	j.enter(len(j.cache) - 1)
 }
 
-func (j *Join) indexAdd(tp join.Tuple) {
+// grow adds a slot holding the given entry, which has yet to enter the
+// arrival list and the index.
+func (j *Join) grow(tp join.Tuple, payload interface{}, seq uint64) {
+	j.cache = append(j.cache, tp)
+	j.payloads = append(j.payloads, payload)
+	j.seqs = append(j.seqs, seq)
+	j.next, j.prev = append(j.next, -1), append(j.prev, -1)
+}
+
+// indexAdd posts the entry in slot s, the newest of its bucket (see enter).
+func (j *Join) indexAdd(s int) {
+	tp := j.cache[s]
 	if tp.Value == process.NoValue {
 		return // can never join; not worth a posting
 	}
@@ -570,25 +622,33 @@ func (j *Join) indexAdd(tp join.Tuple) {
 			if n := len(j.spare); n > 0 && cap(b.rest) == 0 {
 				b.rest, j.spare = j.spare[n-1], j.spare[:n-1]
 			}
-			b.rest = append(b.rest, tp.ID)
+			b.rest = append(b.rest, s)
 			m[tp.Value] = b
 		} else {
-			m[tp.Value] = bucket{first: tp.ID}
+			m[tp.Value] = bucket{first: s}
 		}
 		return
 	}
 	ord := j.ord[tp.Stream]
-	x := valID{v: tp.Value, id: tp.ID}
-	i := sort.Search(len(ord), func(k int) bool {
-		return ord[k].v > x.v || (ord[k].v == x.v && ord[k].id >= x.id)
-	})
-	ord = append(ord, valID{})
+	i := sort.Search(len(ord), func(k int) bool { return ord[k].v > tp.Value })
+	ord = append(ord, valSlot{})
 	copy(ord[i+1:], ord[i:])
-	ord[i] = x
+	ord[i] = valSlot{v: tp.Value, slot: s}
 	j.ord[tp.Stream] = ord
 }
 
-func (j *Join) indexRemove(tp join.Tuple) {
+// ordFind locates the ordered-index posting of the entry in slot s, which
+// still holds it.
+func (j *Join) ordFind(s int) int {
+	tp, ord := j.cache[s], j.ord[j.cache[s].Stream]
+	return sort.Search(len(ord), func(k int) bool {
+		return ord[k].v > tp.Value || (ord[k].v == tp.Value && j.cache[ord[k].slot].ID >= tp.ID)
+	})
+}
+
+// indexRemove drops the posting of the entry in slot s, which still holds it.
+func (j *Join) indexRemove(s int) {
+	tp := j.cache[s]
 	if tp.Value == process.NoValue {
 		return
 	}
@@ -596,8 +656,8 @@ func (j *Join) indexRemove(tp join.Tuple) {
 		m := j.equi[tp.Stream]
 		b := m[tp.Value]
 		switch {
-		case b.first != tp.ID:
-			i := sort.SearchInts(b.rest, tp.ID)
+		case b.first != s:
+			i := slices.Index(b.rest, s)
 			b.rest = append(b.rest[:i], b.rest[i+1:]...)
 		case len(b.rest) == 0:
 			if cap(b.rest) > 0 {
@@ -612,11 +672,28 @@ func (j *Join) indexRemove(tp join.Tuple) {
 		m[tp.Value] = b
 		return
 	}
-	ord := j.ord[tp.Stream]
-	i := sort.Search(len(ord), func(k int) bool {
-		return ord[k].v > tp.Value || (ord[k].v == tp.Value && ord[k].id >= tp.ID)
-	})
-	j.ord[tp.Stream] = append(ord[:i], ord[i+1:]...)
+	i := j.ordFind(s)
+	j.ord[tp.Stream] = slices.Delete(j.ord[tp.Stream], i, i+1)
+}
+
+// indexRepoint rewrites the posting of the entry in slot from, about to move
+// to slot to; its place in the bucket, which goes by ID, is unchanged.
+func (j *Join) indexRepoint(from, to int) {
+	tp := j.cache[from]
+	if tp.Value == process.NoValue {
+		return
+	}
+	if j.cfg.Band > 0 {
+		j.ord[tp.Stream][j.ordFind(from)].slot = to
+		return
+	}
+	m := j.equi[tp.Stream]
+	if b := m[tp.Value]; b.first == from {
+		b.first = to
+		m[tp.Value] = b
+	} else {
+		b.rest[slices.Index(b.rest, from)] = to
+	}
 }
 
 // keysMatch reports whether two join keys match under the band predicate;
@@ -642,7 +719,8 @@ func (j *Join) Metrics() Metrics {
 	return m
 }
 
-// Snapshot returns the cached tuples (keys and streams) in cache order, for
+// Snapshot returns the cached tuples (keys and streams) in slot order — the
+// candidate order a policy sees; sort by ID for arrival order — for
 // observability and tests.
 func (j *Join) Snapshot() []join.Tuple {
 	return append(make([]join.Tuple, 0, len(j.cache)), j.cache...)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"stochstream/internal/core"
 	"stochstream/internal/join"
@@ -16,7 +17,13 @@ import (
 // differential and fuzz tests — and for the before/after benchmarks — so the
 // indexed Join can be held byte-identical to something trivially auditable.
 // Its semantics are the operator's semantics, including the eager pruning of
-// window-expired entries before candidate assembly.
+// window-expired entries before candidate assembly, and its cache is the
+// operator's table of slots, kept by the same three rules with plain slices:
+// matches are emitted in ID order; an arrival that survives its decision
+// takes the lowest slot a cached victim of that decision holds (R before S)
+// and is appended when none is left; a slot freed with no arrival to fill it
+// — window expiry, oldest entry first, and Resize, highest slot first — is
+// closed by the last slot's entry.
 //
 // It ignores Config.Telemetry; instrument the real operator instead.
 type ReferenceJoin struct {
@@ -73,21 +80,26 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 	}
 	j.state.Time = t
 
-	// Eager pruning of window-expired entries, as a plain filter.
-	if j.cfg.Window > 0 {
-		kept := j.cache[:0]
-		for _, c := range j.cache {
-			if t-c.t.Arrived > j.cfg.Window {
-				j.m.Expired++
-				continue
+	// Eager pruning of window-expired entries: the oldest entry, while it has
+	// expired.
+	for j.cfg.Window > 0 && len(j.cache) > 0 {
+		oldest := 0
+		for i, c := range j.cache {
+			if c.t.ID < j.cache[oldest].t.ID {
+				oldest = i
 			}
-			kept = append(kept, c)
 		}
-		j.cache = kept
+		if t-j.cache[oldest].t.Arrived <= j.cfg.Window {
+			break
+		}
+		j.m.Expired++
+		j.release(oldest)
 	}
 
+	byID := slices.Clone(j.cache)
+	slices.SortFunc(byID, func(a, b entry) int { return a.t.ID - b.t.ID })
 	var out []Pair
-	for _, c := range j.cache {
+	for _, c := range byID {
 		ct := c.from
 		switch c.t.Stream {
 		case core.StreamR:
@@ -133,14 +145,27 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 		drop[i] = true
 	}
 	j.m.Evictions += need
-	kept := j.cache[:0]
-	for i, c := range cands {
-		if !drop[i] {
-			kept = append(kept, c)
+	var survivors []entry
+	for i, e := range newEntries {
+		if !drop[len(j.cache)+i] {
+			survivors = append(survivors, e)
 		}
 	}
-	j.cache = kept
+	for i := range j.cache {
+		if drop[i] {
+			j.cache[i], survivors = survivors[0], survivors[1:]
+		}
+	}
+	j.cache = append(j.cache, survivors...)
 	return out
+}
+
+// release frees slot i with no arrival to fill it: the last slot's entry
+// closes the hole.
+func (j *ReferenceJoin) release(i int) {
+	last := len(j.cache) - 1
+	j.cache[i] = j.cache[last]
+	j.cache = j.cache[:last]
 }
 
 // Metrics returns the oracle's counters.
@@ -150,7 +175,7 @@ func (j *ReferenceJoin) Metrics() Metrics {
 	return m
 }
 
-// Snapshot returns the cached tuples in cache order.
+// Snapshot returns the cached tuples in slot order.
 func (j *ReferenceJoin) Snapshot() []join.Tuple {
 	out := make([]join.Tuple, len(j.cache))
 	for i, c := range j.cache {

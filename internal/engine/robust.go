@@ -56,10 +56,12 @@ func checkKey(k int) error {
 }
 
 // CheckInvariants verifies the operator's structural invariants: the cache
-// is within budget and in strictly ascending ID order with nondecreasing
-// arrival times and no window-expired entries, and the probe index (hash or
-// ordered, whichever the configuration uses) agrees exactly with the cache
-// contents. It returns nil or an error wrapping ErrInvariant.
+// is within budget and holds no window-expired entry, the arrival list
+// visits every slot once, in strictly ascending ID order with nondecreasing
+// arrival times, and the probe index (hash or ordered, whichever the
+// configuration uses) agrees exactly with the cache contents, every posting
+// naming the slot that holds its entry. It returns nil or an error wrapping
+// ErrInvariant.
 //
 // The walk is linear in the cache and index size, so it is meant for tests
 // and chaos harnesses, not the hot path.
@@ -84,19 +86,32 @@ func (j *Join) checkInvariants() error {
 	if len(j.payloads) != len(j.cache) || len(j.seqs) != len(j.cache) {
 		return fail("cache holds %d tuples, %d payloads and %d tags", len(j.cache), len(j.payloads), len(j.seqs))
 	}
+	if len(j.next) != len(j.cache) || len(j.prev) != len(j.cache) {
+		return fail("arrival list of %d and %d links for %d slots", len(j.next), len(j.prev), len(j.cache))
+	}
+	// A walk of len(cache) slots in strictly ascending ID order, every prev
+	// pointing back, that ends at tail has visited every slot once.
+	walked, back := 0, int32(-1)
+	for s := j.head; s >= 0; walked, back, s = walked+1, s, j.next[s] {
+		if walked == len(j.cache) || int(s) >= len(j.cache) || j.prev[s] != back {
+			return fail("arrival list broken at slot %d, %d slots in, after slot %d", s, walked, back)
+		}
+		if back < 0 {
+			continue
+		}
+		if older, e := j.cache[back], j.cache[s]; e.ID <= older.ID {
+			return fail("arrival list IDs not strictly ascending: %d (slot %d) after %d (slot %d)", e.ID, s, older.ID, back)
+		} else if e.Arrived < older.Arrived {
+			return fail("arrival list times not nondecreasing: %d (slot %d) after %d (slot %d)", e.Arrived, s, older.Arrived, back)
+		}
+	}
+	if walked != len(j.cache) || back != j.tail {
+		return fail("arrival list links %d of %d slots and ends at slot %d, tail is %d", walked, len(j.cache), back, j.tail)
+	}
 	indexable := 0
 	for i, e := range j.cache {
 		if e.ID < 0 || e.ID >= j.nextID {
 			return fail("entry %d has ID %d outside [0, %d)", i, e.ID, j.nextID)
-		}
-		if i > 0 {
-			prev := j.cache[i-1]
-			if e.ID <= prev.ID {
-				return fail("cache IDs not strictly ascending at %d: %d after %d", i, e.ID, prev.ID)
-			}
-			if e.Arrived < prev.Arrived {
-				return fail("arrival times not nondecreasing at %d: %d after %d", i, e.Arrived, prev.Arrived)
-			}
 		}
 		if e.Arrived < 0 || e.Arrived >= j.time {
 			return fail("entry %d arrived at %d, operator time is %d", i, e.Arrived, j.time)
@@ -112,8 +127,8 @@ func (j *Join) checkInvariants() error {
 }
 
 // checkIndex verifies index↔cache agreement: every indexable cache entry has
-// exactly one posting under its (stream, value), postings are ordered, and
-// no posting points at a missing entry.
+// exactly one posting under its (stream, value), postings are in ID order,
+// and every posting names a slot that holds its (stream, value).
 func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error) error {
 	posted := 0
 	if j.cfg.Band == 0 {
@@ -126,29 +141,29 @@ func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error
 			}
 			sort.Ints(vals)
 			for _, v := range vals {
-				ids := append([]int{b[v].first}, b[v].rest...)
-				for k, id := range ids {
-					if k > 0 && ids[k-1] >= id {
-						return fail("equi bucket (side %d, value %d) not ID-ascending", side, v)
-					}
-					if err := j.checkPosting(side, v, id, fail); err != nil {
+				slots := append([]int{b[v].first}, b[v].rest...)
+				for k, s := range slots {
+					if err := j.checkPosting(side, v, s, fail); err != nil {
 						return err
 					}
+					if k > 0 && j.cache[slots[k-1]].ID >= j.cache[s].ID {
+						return fail("equi bucket (side %d, value %d) not ID-ascending", side, v)
+					}
 				}
-				posted += len(ids)
+				posted += len(slots)
 			}
 		}
 	} else {
 		for side, ord := range j.ord {
 			for k, p := range ord {
+				if err := j.checkPosting(side, p.v, p.slot, fail); err != nil {
+					return err
+				}
 				if k > 0 {
 					prev := ord[k-1]
-					if prev.v > p.v || (prev.v == p.v && prev.id >= p.id) {
+					if prev.v > p.v || (prev.v == p.v && j.cache[prev.slot].ID >= j.cache[p.slot].ID) {
 						return fail("ordered index side %d not (value, ID)-ascending at %d", side, k)
 					}
-				}
-				if err := j.checkPosting(side, p.v, p.id, fail); err != nil {
-					return err
 				}
 			}
 			posted += len(ord)
@@ -160,17 +175,14 @@ func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error
 	return nil
 }
 
-// checkPosting verifies one index posting against the cache.
-func (j *Join) checkPosting(side, v, id int, fail func(string, ...interface{}) error) error {
-	// indexOfID without its present-ID precondition: the posting may point
-	// at nothing.
-	i := j.indexOfID(id)
-	if i == len(j.cache) || j.cache[i].ID != id {
-		return fail("index posting (side %d, value %d) points at missing ID %d", side, v, id)
+// checkPosting verifies one index posting against the slot it names.
+func (j *Join) checkPosting(side, v, slot int, fail func(string, ...interface{}) error) error {
+	if slot < 0 || slot >= len(j.cache) {
+		return fail("index posting (side %d, value %d) names slot %d of %d", side, v, slot, len(j.cache))
 	}
-	if e := j.cache[i]; int(e.Stream) != side || e.Value != v {
-		return fail("index posting (side %d, value %d, ID %d) disagrees with cached (stream %d, value %d)",
-			side, v, id, e.Stream, e.Value)
+	if e := j.cache[slot]; int(e.Stream) != side || e.Value != v {
+		return fail("index posting (side %d, value %d, slot %d) disagrees with cached (stream %d, value %d, ID %d)",
+			side, v, slot, e.Stream, e.Value, e.ID)
 	}
 	return nil
 }

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"stochstream/internal/join"
@@ -113,6 +116,52 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrInvariant", err)
 		}
 	})
+	// The arrival list: a link that skips an entry, a back link that disagrees,
+	// a head or tail that is not the end, a list shorter than the table.
+	for name, tamper := range map[string]func(j *Join){
+		"list-skips-an-entry": func(j *Join) { j.next[j.head] = j.next[j.next[j.head]] },
+		"list-back-link":      func(j *Join) { j.prev[j.tail] = j.head },
+		"list-head":           func(j *Join) { j.head = j.next[j.head] },
+		"list-tail":           func(j *Join) { j.tail = j.prev[j.tail] },
+		"list-cycle":          func(j *Join) { j.next[j.tail] = j.head },
+		"list-short":          func(j *Join) { j.next = j.next[:len(j.next)-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			j := mk(Config{CacheSize: 6}, 40)
+			tamper(j)
+			if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "arrival list") {
+				t.Fatalf("got %v, want ErrInvariant naming the arrival list", err)
+			}
+		})
+	}
+	// A posting that names another slot: one that holds a different (stream,
+	// value), and one past the table.
+	for _, band := range []int{0, 2} {
+		t.Run(fmt.Sprintf("posting-slot/band=%d", band), func(t *testing.T) {
+			for _, wrong := range []func(j *Join, s int) int{
+				func(j *Join, s int) int {
+					return slices.IndexFunc(j.cache, func(o join.Tuple) bool {
+						return o.Stream != j.cache[s].Stream || o.Value != j.cache[s].Value
+					})
+				},
+				func(j *Join, _ int) int { return len(j.cache) },
+			} {
+				j := mk(Config{CacheSize: 6, Band: band}, 40)
+				tp := j.cache[0]
+				if band == 0 {
+					b := j.equi[tp.Stream][tp.Value]
+					b.first = wrong(j, b.first)
+					j.equi[tp.Stream][tp.Value] = b
+				} else {
+					p := &j.ord[tp.Stream][0]
+					p.slot = wrong(j, p.slot)
+				}
+				if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "index posting") {
+					t.Fatalf("got %v, want ErrInvariant naming the posting", err)
+				}
+			}
+		})
+	}
 	t.Run("equi-index-drift", func(t *testing.T) {
 		j := mk(Config{CacheSize: 6}, 40)
 		// Tamper: change a cached value without re-indexing.

@@ -82,7 +82,11 @@ type Policy interface {
 	// Evict returns the indices (into candidates) of tuples to discard —
 	// exactly n of them, unless the policy also implements EagerEvictor, in
 	// which case it may return more (never fewer). candidates holds the
-	// current cache contents followed by the new arrivals.
+	// current cache contents followed by the new arrivals. The cached part
+	// is a set: a position carries no meaning (internal/engine lists its
+	// cache by slot, not by age), so a policy that orders candidates breaks
+	// ties on Tuple.ID, as evictLowest in internal/policy does, and its
+	// choice is then the same set of tuples under any listing.
 	//
 	// candidates may be the operator's live cache itself (internal/engine
 	// hands it over without a copy), so it is read-only, valid for this call

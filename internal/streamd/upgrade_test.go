@@ -26,9 +26,22 @@ const (
 	upgradeCut     = 40
 )
 
-// upgradeAfterSHA256 is the SHA-256 of session "after"'s pair listing at
-// commit 0387968, where the fixture was written.
-const upgradeAfterSHA256 = "cf840fe90e1486aac1fe6677ab2912e30194645488e51e0c253e42e4e9f44c14"
+// upgradeAfterSHA256 is the SHA-256 of session "after"'s pair listing on a
+// daemon that served both sessions itself. It was first computed at commit
+// 0387968, where the fixture was written, and is re-based at PR 27, which made
+// the engine's cache a table of slots: RAND draws the same positions as
+// before, over slots that no longer list the cache in ID order, so they name
+// other tuples — a valid run, not byte-comparable across that commit
+// (docs/fault-tolerance.md, "RAND checkpoints across PR 27"); cf840fe9… was
+// the hash from 0387968 until then.
+const upgradeAfterSHA256 = "55bc270eb0b2ed54a42e1889afb95748a359707c22e6a3253c80c083e1e39452"
+
+// upgradeResumedSHA256 is the same hash on a daemon started from the fixture:
+// the old file lists each shard's cache in ID order, which restores as that
+// layout — one a daemon of this commit does not have after session "before"
+// — so what session "after" gets is neither the old binary's listing nor the
+// uninterrupted daemon's, and has its own pin.
+const upgradeResumedSHA256 = "ef5d085399d08b40edc73b1b02d4deece83a8bafdb7571e3be9daf9222668b96"
 
 func upgradeWork() [][]wire.Step {
 	rng := stats.NewRNG(1917)
@@ -103,9 +116,13 @@ func upgradeDrain(t *testing.T, srv *streamd.Server, ckpt string) []byte {
 // testdata/upgrade/daemon_pr17.ckpt is the drain file commit 0387968 wrote
 // after session "before" had streamed its 40 batches: the sharded manifest
 // with Tagged payloads in caches and lanes, plus the session's resume state.
-// A daemon of this commit starts from it, serves session "after", and is
-// indistinguishable from one that served both sessions itself: the same pairs
-// (which are also the parent commit's, by hash) and the same next drain file.
+// A daemon of this commit starts from it and serves session "after" a valid
+// run — every pair joins equal keys, none is delivered twice — whose listing
+// is pinned, and drains again. That it is indistinguishable from a daemon that
+// served both sessions itself — the same pairs, the same next drain file —
+// holds of a drain file this commit writes at the same cut, and no longer of
+// the fixture: RAND reads positions, and an old file cannot know the layout
+// (see upgradeAfterSHA256).
 func TestRestoreParentCommitDrainFile(t *testing.T) {
 	old, err := os.ReadFile("testdata/upgrade/daemon_pr17.ckpt")
 	if err != nil {
@@ -120,20 +137,51 @@ func TestRestoreParentCommitDrainFile(t *testing.T) {
 	wantPairs := upgradeSession(t, whole, "after", work[upgradeCut:])
 	wantFile := upgradeDrain(t, whole, wholePath)
 	if got := fmt.Sprintf("%x", sha256.Sum256(wantPairs)); got != upgradeAfterSHA256 {
-		t.Fatalf("pair listing of the uninterrupted daemon hashes to %s, the parent commit's to %s", got, upgradeAfterSHA256)
+		t.Fatalf("pair listing of the uninterrupted daemon hashes to %s, pinned at %s", got, upgradeAfterSHA256)
 	}
 
+	// Through this commit's own drain file at the cut: one daemon serves
+	// "before" and drains, the next starts from its file.
+	ownPath := filepath.Join(dir, "own.ckpt")
+	first := upgradeDaemon(t, ownPath)
+	upgradeSession(t, first, "before", work[:upgradeCut])
+	upgradeDrain(t, first, ownPath)
+	second := upgradeDaemon(t, ownPath)
+	gotPairs := upgradeSession(t, second, "after", work[upgradeCut:])
+	gotFile := upgradeDrain(t, second, ownPath)
+	if !bytes.Equal(gotPairs, wantPairs) {
+		t.Fatal("pairs diverge after starting from this commit's drain file")
+	}
+	if !bytes.Equal(gotFile, wantFile) {
+		t.Fatalf("next drain files differ: %d bytes from the restarted daemon, %d from the uninterrupted one", len(gotFile), len(wantFile))
+	}
+
+	// From the parent commit's file.
 	resumedPath := filepath.Join(dir, "resumed.ckpt")
 	if err := os.WriteFile(resumedPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	resumed := upgradeDaemon(t, resumedPath)
-	gotPairs := upgradeSession(t, resumed, "after", work[upgradeCut:])
-	gotFile := upgradeDrain(t, resumed, resumedPath)
-	if !bytes.Equal(gotPairs, wantPairs) {
-		t.Fatal("pairs diverge after starting from the parent commit's drain file")
+	oldPairs := upgradeSession(t, resumed, "after", work[upgradeCut:])
+	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
+		t.Errorf("pair listing served from the parent commit's drain file hashes to %s, pinned at %s", got, upgradeResumedSHA256)
 	}
-	if !bytes.Equal(gotFile, wantFile) {
-		t.Fatalf("next drain files differ: %d bytes from the restored daemon, %d from the uninterrupted one", len(gotFile), len(wantFile))
+	seen := map[[2]uint64]bool{}
+	for _, line := range bytes.Split(bytes.TrimSuffix(oldPairs, []byte("\n")), []byte("\n")) {
+		var seq [2]uint64
+		var rKey, sKey int64
+		if _, err := fmt.Sscan(string(line), &seq[0], &seq[1], &rKey, &sKey); err != nil {
+			t.Fatalf("pair line %q: %v", line, err)
+		}
+		if rKey != sKey || seen[seq] {
+			t.Fatalf("pair %q: keys differ, or the pair was delivered before", line)
+		}
+		seen[seq] = true
+	}
+	if len(seen) == 0 {
+		t.Fatal("the daemon started from the parent commit's drain file delivered no pair")
+	}
+	if next := upgradeDrain(t, resumed, resumedPath); len(next) == 0 || bytes.Equal(next, old) {
+		t.Fatalf("the next drain file is %d bytes, the fixture %d: it was not rewritten", len(next), len(old))
 	}
 }

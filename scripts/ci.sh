@@ -28,10 +28,14 @@
 #                    allocs/op land in the log; `./...` picks up
 #                    BenchmarkHEEBDecision/{trend64,walk8,band256} in
 #                    internal/policy, whose 0 allocs/op phase 6 pins as
-#                    TestHEEBDecisionAllocs, and
+#                    TestHEEBDecisionAllocs,
 #                    BenchmarkDispatchMerge/{fresh,lagged} in
 #                    internal/shardrt, the shard-output ordering and merge
-#                    before and after the lanes have drifted), then the ledger
+#                    before and after the lanes have drifted, and
+#                    BenchmarkStepRAND/{cache=256,cache=1024,cache=4096,
+#                    window,hot,band} in internal/engine, the slot table's
+#                    replacement, expiry, long-bucket and ordered-index
+#                    steps), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
