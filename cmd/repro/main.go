@@ -343,8 +343,8 @@ func runShardedDemo(stdout io.Writer, ckptPath, restPath, bundleDir string, seed
 		return err
 	}
 	m := rt.Metrics()
-	fmt.Fprintf(stdout, "sharded demo join (shards %d, total cache %d, window %d, seed %d, batch %d): steps %d  batches %d  pairs %d  rebalances %d\n",
-		shards, cache, demoWindow, seed, batch, m.Ingested, m.Batches, m.Pairs, m.Rebalances)
+	fmt.Fprintf(stdout, "sharded demo join (shards %d, total cache %d, window %d, seed %d, batch %d): steps %d  batches %d  pairs %d\n",
+		shards, cache, demoWindow, seed, batch, m.Ingested, m.Batches, m.Pairs)
 	for _, sm := range m.Shards {
 		fmt.Fprintf(stdout, "  shard %d: budget %d  steps %d  pairs %d  evictions %d  expired %d  cached %d\n",
 			sm.Shard, sm.Budget, sm.Engine.Steps, sm.Engine.Pairs, sm.Engine.Evictions, sm.Engine.Expired, sm.Engine.CacheLen)

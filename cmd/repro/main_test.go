@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,74 @@ import (
 
 	"stochstream/internal/flightrec"
 )
+
+var slowFigures = flag.Bool("slow-figures", false, "TestFiguresMatchRecordedRun also regenerates figures 8 and 19 (about 30 s each)")
+
+// figureSection returns figure id's section of a repro listing: its lines from
+// the "fig<id>:" title up to, not including, the "[figure <id> regenerated
+// in ...]" line, whose timing is all that differs from run to run.
+func figureSection(listing, id string) string {
+	var section []string
+	for _, line := range strings.Split(listing, "\n") {
+		switch {
+		case strings.HasPrefix(line, "fig"+id+":"):
+			section = []string{line}
+		case section == nil:
+		case strings.HasPrefix(line, "  [figure "+id+" regenerated in "):
+			return strings.Join(section, "\n")
+		default:
+			section = append(section, line)
+		}
+	}
+	return ""
+}
+
+// TestFiguresMatchRecordedRun regenerates figures at paper scale and requires
+// each section to read exactly as in experiments_run.txt, the reference run
+// EXPERIMENTS.md quotes. Figures 6, 7 and 13–18 take a few seconds together;
+// 8 and 19 take about 30 s each and run with
+//
+//	go test ./cmd/repro -run TestFiguresMatchRecordedRun -args -slow-figures
+//
+// (scripts/ci.sh does). Figures 9–12 take minutes each and are left out.
+func TestFiguresMatchRecordedRun(t *testing.T) {
+	recorded, err := os.ReadFile("../../experiments_run.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"6", "7", "8", "13", "14", "15", "16", "17", "18", "19"} {
+		t.Run("fig"+id, func(t *testing.T) {
+			if (id == "8" || id == "19") && !*slowFigures {
+				t.Skip("about 30 s at paper scale; run with -args -slow-figures")
+			}
+			want := figureSection(string(recorded), id)
+			if want == "" {
+				t.Fatalf("experiments_run.txt has no figure %s section", id)
+			}
+			var out bytes.Buffer
+			if err := run([]string{"-figure", id, "-paper"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := figureSection(out.String(), id)
+			if got == want {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := range max(len(gl), len(wl)) {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Fatalf("figure %s line %d differs from experiments_run.txt:\n  regenerated %q\n  recorded    %q", id, i+1, g, w)
+				}
+			}
+		})
+	}
+}
 
 func TestRunList(t *testing.T) {
 	var buf bytes.Buffer

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	stochstreamd -listen :7070 -http :7071 -shards 8 -cache 4096 \
+//	stochstreamd -listen :7070 -http :7071 -cache 4096 \
 //	    -checkpoint /var/lib/stochstream/streamd.ckpt
 //
 // On SIGTERM the daemon stops admitting work, flushes every in-flight
@@ -40,7 +40,7 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) int {
 	var (
 		listen     = fs.String("listen", "127.0.0.1:7070", "framed-protocol TCP listen address")
 		httpAddr   = fs.String("http", "", "HTTP surface listen address (empty disables)")
-		shards     = fs.Int("shards", 4, "runtime shard count")
+		shards     = fs.Int("shards", 1, "runtime shard count; raise it only for stationary keys: a shard steps when both its lanes hold an arrival, so on trending keys one stream reaches the cache late and 4 shards keep 0.11-0.15 of 1 shard's RAND yield by 32k steps")
 		cache      = fs.Int("cache", 1024, "total cache budget across shards")
 		window     = fs.Int("window", 0, "sliding-window size in shard steps (0 = unbounded)")
 		seed       = fs.Uint64("seed", 1, "runtime policy seed")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,19 +34,20 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// waitForAddr polls the daemon's startup line for the bound address.
-func waitForAddr(t *testing.T, out *syncBuffer) string {
+// waitForAddr polls the daemon's startup lines for the address bound by the
+// listener whose line starts with prefix.
+func waitForAddr(t *testing.T, out *syncBuffer, prefix string) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		for _, line := range strings.Split(out.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "stochstreamd: listening on "); ok {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
 				return strings.TrimSpace(rest)
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("daemon never reported its address; output:\n%s", out.String())
+	t.Fatalf("daemon never printed %q; output:\n%s", prefix, out.String())
 	return ""
 }
 
@@ -62,7 +65,7 @@ func TestRunDrainOnSignal(t *testing.T) {
 			"-checkpoint", ckpt,
 		}, out, sig)
 	}()
-	addr := waitForAddr(t, out)
+	addr := waitForAddr(t, out, "stochstreamd: listening on ")
 
 	cl, err := client.Dial(client.Options{Addr: addr, Session: "cmdtest", Seed: 3})
 	if err != nil {
@@ -89,6 +92,35 @@ func TestRunDrainOnSignal(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Errorf("checkpoint not written: %v", err)
+	}
+}
+
+// TestRunDefaultsToOneShard: without -shards the daemon runs one shard, and
+// its /metrics says so.
+func TestRunDefaultsToOneShard(t *testing.T) {
+	out := &syncBuffer{}
+	sig := make(chan os.Signal, 1)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, out, sig)
+	}()
+	defer func() {
+		sig <- syscall.SIGTERM
+		if code := <-done; code != 0 {
+			t.Errorf("run exited %d; output:\n%s", code, out.String())
+		}
+	}()
+	resp, err := http.Get("http://" + waitForAddr(t, out, "stochstreamd: http on ") + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nshardrt_shards 1\n") {
+		t.Fatalf("/metrics does not report one shard:\n%s", body)
 	}
 }
 

@@ -153,114 +153,3 @@ func TestStepBatchTelemetry(t *testing.T) {
 		t.Fatalf("latency histogram saw %d observations, want 1 per batch", latObs)
 	}
 }
-
-// TestResize pins the in-place budget change: shrinking evicts down with the
-// policy immediately (so the budget invariant holds for CheckInvariants and
-// checkpoints), growing defers to the next step, and the post-resize run is
-// byte-identical to an oracle resized at the same step.
-func TestResize(t *testing.T) {
-	cfg := Config{CacheSize: 20, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts()), Seed: 5}
-	refCfg := cfg
-	refCfg.Policy = policy.NewHEEB(heebOpts())
-	j, err := NewJoin(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewReferenceJoin(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 400
-	rng := stats.NewRNG(3)
-	r := cfg.Procs[0].Generate(rng.Split(), steps)
-	s := cfg.Procs[1].Generate(rng.Split(), steps)
-	resizeAt := map[int]int{100: 9, 200: 14, 300: 5}
-	for i := 0; i < steps; i++ {
-		if n, ok := resizeAt[i]; ok {
-			if err := j.Resize(n); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Resize(n); err != nil {
-				t.Fatal(err)
-			}
-			if got := len(j.Snapshot()); got > n {
-				t.Fatalf("step %d: cache %d exceeds resized budget %d", i, got, n)
-			}
-			if err := j.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: invariants after Resize(%d): %v", i, n, err)
-			}
-		}
-		got := j.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		want := ref.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		if !pairSlicesEqual(got, want) {
-			t.Fatalf("step %d: pairs diverged from resized oracle", i)
-		}
-	}
-	if jm, rm := j.Metrics(), ref.Metrics(); jm != rm {
-		t.Fatalf("metrics diverged: engine %+v oracle %+v", jm, rm)
-	}
-}
-
-// TestResizeCheckpointFingerprint: a checkpoint taken after Resize restores
-// into an operator built at the new size (the sharded manifest path), and
-// not into one built at the old size.
-func TestResizeCheckpointFingerprint(t *testing.T) {
-	cfg := Config{CacheSize: 12, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts()), Seed: 5}
-	j, err := NewJoin(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(4)
-	r := cfg.Procs[0].Generate(rng.Split(), 50)
-	s := cfg.Procs[1].Generate(rng.Split(), 50)
-	for i := 0; i < 50; i++ {
-		j.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-	}
-	if err := j.Resize(7); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := j.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	mk := func(size int) *Join {
-		c := cfg
-		c.Policy = policy.NewHEEB(heebOpts())
-		c.CacheSize = size
-		jj, err := NewJoin(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jj
-	}
-	if err := mk(12).Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("restore into the pre-resize budget should fail the fingerprint")
-	}
-	fresh := mk(12)
-	if err := fresh.Resize(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("restore into resized operator: %v", err)
-	}
-}
-
-// TestResizeRejectsBadSize: budgets below one are refused without mutating
-// the operator.
-func TestResizeRejectsBadSize(t *testing.T) {
-	j, err := NewJoin(Config{CacheSize: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Step(Tuple{Key: 1}, Tuple{Key: 2})
-	if err := j.Resize(0); err == nil {
-		t.Fatal("Resize(0) should fail")
-	}
-	if err := j.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Metrics().CacheLen; got != 2 {
-		t.Fatalf("failed resize mutated the cache: len %d", got)
-	}
-}

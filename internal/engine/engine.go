@@ -131,7 +131,7 @@ type Join struct {
 	// it was admitted to until it leaves. A surviving arrival takes the slot
 	// of a victim of its own decision (lowest slot first, R before S) and is
 	// appended only when none is left; a slot freed with no arrival to fill it
-	// (Resize, window expiry) is closed by the last slot's entry. The layout
+	// (window expiry) is closed by the last slot's entry. The layout
 	// is state — a positional policy's next draw depends on it — so
 	// checkpoints carry the cache in slot order.
 	//
@@ -166,7 +166,7 @@ type Join struct {
 	// spare holds the rest slices of equi buckets that emptied, every one at
 	// length 0: the next bucket to take a second posting reuses one instead of
 	// allocating. There are never more of them than buckets that were live at
-	// once, so the largest budget the operator has had bounds the list.
+	// once, so the cache budget bounds the list.
 	//lint:ignore snapcomplete capacity only: every slice in it is empty, and Restore rebuilds the index it serves
 	spare [][]int
 	// ord indexes the cache for Band > 0: per stream, slots in ascending
@@ -421,9 +421,9 @@ func (j *Join) place(t int, tp join.Tuple, from Tuple, freed []int) []int {
 	return freed[1:]
 }
 
-// release frees slot h when no arrival is there to take it (Resize, window
-// expiry): the last slot's entry closes the hole, which repoints that one
-// entry's posting and list links, and the table shrinks by one.
+// release frees slot h when no arrival is there to take it (window expiry):
+// the last slot's entry closes the hole, which repoints that one entry's
+// posting and list links, and the table shrinks by one.
 func (j *Join) release(h int) {
 	j.indexRemove(h)
 	j.unlink(h)

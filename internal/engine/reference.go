@@ -22,8 +22,7 @@ import (
 // matches are emitted in ID order; an arrival that survives its decision
 // takes the lowest slot a cached victim of that decision holds (R before S)
 // and is appended when none is left; a slot freed with no arrival to fill it
-// — window expiry, oldest entry first, and Resize, highest slot first — is
-// closed by the last slot's entry.
+// — by window expiry, oldest entry first — is closed by the last slot's entry.
 //
 // It ignores Config.Telemetry; instrument the real operator instead.
 type ReferenceJoin struct {

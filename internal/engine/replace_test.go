@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -49,9 +48,9 @@ func uniformTuple(rng *stats.RNG, keys, i int) Tuple {
 }
 
 // TestHostileVictimsRefusedBeforeAnyMutation: wrong count, duplicate and
-// out-of-range victims panic with the engine's long-standing messages, from
-// Step and from Resize alike, and — because validation precedes the cut —
-// leave cache and index exactly as they were.
+// out-of-range victims panic with the engine's long-standing messages, which
+// StepChecked returns as ErrStepFailed, and — because validation precedes any
+// write — leave cache and index exactly as they were.
 func TestHostileVictimsRefusedBeforeAnyMutation(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -85,28 +84,6 @@ func TestHostileVictimsRefusedBeforeAnyMutation(t *testing.T) {
 			}
 			if err := j.CheckInvariants(); err != nil {
 				t.Errorf("refused answer left the operator inconsistent: %v", err)
-			}
-		})
-		t.Run("resize/"+tc.name, func(t *testing.T) {
-			j, err := NewJoin(Config{CacheSize: 10, Policy: &hostilePolicy{after: 0, answer: tc.answer}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := stats.NewRNG(3)
-			for i := 0; i < 5; i++ { // fills the cache; no decision yet
-				j.Step(uniformTuple(rng, 6, i), uniformTuple(rng, 6, i))
-			}
-			before := j.Snapshot()
-			func() {
-				defer func() {
-					if got := fmt.Sprint(recover()); got != tc.want {
-						t.Errorf("Resize panicked with %q, want %q", got, tc.want)
-					}
-				}()
-				_ = j.Resize(8)
-			}()
-			if !snapshotsEqual(j.Snapshot(), before) {
-				t.Error("refused answer moved the cache")
 			}
 		})
 	}
@@ -143,7 +120,7 @@ func TestPolicyOverwritingCandidateIsCaught(t *testing.T) {
 // TestPolicyAppendCannotReachEngine: the slice handed to Evict has no spare
 // capacity, so a policy's append lands in its own copy. An operator driven by
 // such a policy is indistinguishable from one driven by the honest policy
-// making the same choices — through steps, window expiry and a Resize. (Both
+// making the same choices — through steps and window expiry. (Both
 // evict the newest candidates, so the cache fills, sits until the window
 // expires it, and fills again: expiry and eviction both happen.)
 func TestPolicyAppendCannotReachEngine(t *testing.T) {
@@ -176,11 +153,6 @@ func TestPolicyAppendCannotReachEngine(t *testing.T) {
 	hostile, honest := mk(&hostilePolicy{answer: grabby}), mk(&hostilePolicy{answer: newest})
 	rng := stats.NewRNG(5)
 	for i := 0; i < 400; i++ {
-		if i == 150 {
-			if err := errors.Join(hostile.Resize(9), honest.Resize(9)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		r, s := uniformTuple(rng, 12, i), uniformTuple(rng, 12, -i)
 		if got, want := hostile.Step(r, s), honest.Step(r, s); !pairsEqual(got, want) {
 			t.Fatalf("step %d: pairs diverge:\n  appending policy %v\n  honest policy    %v", i, got, want)

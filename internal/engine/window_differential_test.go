@@ -114,8 +114,8 @@ func windowModels(n int) map[string]func() [2]process.Process {
 // longer describes — shows up as a score that differs from the NoMemo path,
 // which derives every forecast from the model at every decision. Each model
 // kind runs ≥2k decisions under four join configurations with every event
-// that moves the histories other than by one step: a checkpoint round trip,
-// a shrink and a regrow of the budget, and a restore to an earlier step.
+// that moves the histories other than by one step: a checkpoint round trip
+// and a restore to an earlier step.
 //
 // Trends and walks are also scored out of the window's memo, and a stale memo
 // entry shows up the same way — provided memoized scores are among the ones
@@ -127,7 +127,7 @@ func TestWindowMatchesNoMemoEveryModel(t *testing.T) {
 		t.Skip("2k-decision differential per model and configuration")
 	}
 	const n = 1500
-	const ckptAt, roundTripAt, shrinkAt, growAt, rewindAt = 500, 800, 1000, 1100, 1300
+	const ckptAt, roundTripAt, rewindAt = 500, 800, 1300
 	for name, models := range windowModels(n) {
 		for _, tc := range []struct {
 			name     string
@@ -185,10 +185,6 @@ func TestWindowMatchesNoMemoEveryModel(t *testing.T) {
 							}
 							return j.Restore(&buf)
 						})
-					case i == shrinkAt:
-						both("shrink", func(j *Join) error { return j.Resize(3) })
-					case i == growAt:
-						both("regrow", func(j *Join) error { return j.Resize(tc.cfg.CacheSize) })
 					case i == rewindAt && !rewound:
 						if err := win.Restore(&early[0]); err != nil {
 							t.Fatal(err)

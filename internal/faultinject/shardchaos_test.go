@@ -79,10 +79,8 @@ func runShardChaos(t *testing.T, seed uint64, flightDir string) shardChaosResult
 			}
 			return policy.NewDefaultLadder(3, budget, heeb)
 		},
-		Telemetry:      true,
-		FlightDir:      flightDir,
-		RebalanceEvery: 5,
-		MinBudget:      2,
+		Telemetry: true,
+		FlightDir: flightDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +219,7 @@ func TestShardedChaosCampaign(t *testing.T) {
 	}
 }
 
-// TestShardedChaosReplay: the whole faulted, degraded, rebalancing campaign
+// TestShardedChaosReplay: the whole faulted, degraded campaign
 // is deterministic — two runs from the same seed are byte-identical in
 // pairs, metrics, fault counts and per-shard downgrade counts.
 func TestShardedChaosReplay(t *testing.T) {
@@ -239,7 +237,7 @@ func TestShardedChaosReplay(t *testing.T) {
 		t.Fatalf("replay fault profile diverged: %+v/%d vs %+v/%d", a.counts, a.rejected, b.counts, b.rejected)
 	}
 	if a.metrics.Ingested != b.metrics.Ingested || a.metrics.Pairs != b.metrics.Pairs ||
-		a.metrics.Rebalances != b.metrics.Rebalances {
+		a.metrics.Batches != b.metrics.Batches {
 		t.Fatalf("replay metrics diverged: %+v vs %+v", a.metrics, b.metrics)
 	}
 	for i := range a.metrics.Shards {

@@ -59,10 +59,10 @@ var decisionPkgs = []string{
 	// Recorder.Clock), never time.Now directly, or two replays of the same
 	// seed stop being byte-identical.
 	"stochstream/internal/flightrec",
-	// The sharded runtime's routing, batching, merge order and budget
-	// rebalancing all decide which tuples reach which cache and when; any
-	// clock or ambient-rand read there breaks checkpoint replay of the
-	// whole runtime, not just one shard.
+	// The sharded runtime's routing, batching and merge order all decide
+	// which tuples reach which cache and when; any clock or ambient-rand
+	// read there breaks checkpoint replay of the whole runtime, not just
+	// one shard.
 	"stochstream/internal/shardrt",
 	// The network daemon (and its wire/client subpackages, caught by the
 	// prefix match) admits, orders and replays batches: any ambient clock

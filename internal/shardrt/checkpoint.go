@@ -11,11 +11,11 @@ import (
 )
 
 // Sharded checkpoint/restore: one SSCP manifest envelope carrying the
-// coordinator's state (ingress sequence, lanes, budgets, rebalancer state)
-// plus every shard engine's own SSCP envelope, nested as opaque bytes. The
-// shard envelopes are the engine's full fault-tolerance format — policy
-// state, RNGs, cache payloads — so restore→replay is byte-identical to an
-// uninterrupted sharded run (pinned by TestShardedCheckpointReplay).
+// coordinator's state (ingress sequence, counters, lanes) plus every shard
+// engine's own SSCP envelope, nested as opaque bytes. The shard envelopes are
+// the engine's full fault-tolerance format — policy state, RNGs, cache
+// payloads — so restore→replay is byte-identical to an uninterrupted sharded
+// run (pinned by TestShardedCheckpointReplay).
 
 func init() {
 	// Checkpoints written before engine.Tuple carried the sequence number
@@ -25,53 +25,43 @@ func init() {
 }
 
 // manifestVersion guards the gob schema inside the manifest envelope.
-// Version 2 added the rebalancer knobs (MinBudget, RebalanceEvery,
-// RebalanceStep) to the fingerprint; version-1 manifests predate them and
-// are rejected rather than restored with unchecked rebalancer state.
-const manifestVersion = 2
+// Version 3 dropped the budget rebalancer: a shard keeps the budget New gave
+// it, so the manifest carries no budgets and no rebalancer knobs or state.
+// A version-2 manifest restores when its rebalancer never ran (manifestV2);
+// version 1 predates the rebalancer's fingerprint and is refused.
+const manifestVersion = 3
 
 type manifestWire struct {
 	Version int
 	// Fingerprint: a manifest only restores into a runtime built with the
-	// same partitioning configuration. The rebalancer knobs are part of it
-	// because they decide how budgets move after restore: replaying under a
-	// different cadence or step diverges from the uninterrupted run.
-	Shards         int
-	TotalCache     int
-	Window         int
-	Seed           uint64
-	MinBudget      int
-	RebalanceEvery int
-	RebalanceStep  int
+	// same partitioning configuration.
+	Shards     int
+	TotalCache int
+	Window     int
+	Seed       uint64
 	// Coordinator state.
 	Seq      uint64
 	Ingested int
 	Batches  int
 	Merged   int
 	Lanes    [][2][]engine.Tuple
-	// Budgets is each shard's current budget (post-rebalancing); LastPairs
-	// and Moves are the rebalancer's state.
-	Budgets   []int
-	LastPairs []int
-	Moves     int
 	// Envelopes holds each shard engine's own SSCP checkpoint.
 	Envelopes [][]byte
 }
 
+// manifestV2 is what a version-2 manifest carried beyond manifestWire: the
+// rebalancer's knobs (floor and step normalized, 0 written as 1), the budgets
+// it had moved to and its own state. Restore decodes the same payload into it
+// a second time.
+type manifestV2 struct {
+	MinBudget, RebalanceEvery, RebalanceStep int
+	Budgets                                  []int
+	Moves                                    int
+}
+
 // fingerprint returns the partitioning identity a manifest is bound to.
-// MinBudget and RebalanceStep are normalized (0 means 1, matching the
-// rebalancer) so a zero-valued and an explicit-1 config fingerprint
-// identically.
-func (rt *Runtime) fingerprint() (shards, totalCache, window int, seed uint64, minBudget, rebalanceEvery, rebalanceStep int) {
-	minBudget = rt.cfg.MinBudget
-	if minBudget == 0 {
-		minBudget = 1
-	}
-	rebalanceStep = rt.cfg.RebalanceStep
-	if rebalanceStep == 0 {
-		rebalanceStep = 1
-	}
-	return rt.cfg.Shards, rt.cfg.TotalCache, rt.cfg.Window, rt.cfg.Seed, minBudget, rt.cfg.RebalanceEvery, rebalanceStep
+func (rt *Runtime) fingerprint() (shards, totalCache, window int, seed uint64) {
+	return rt.cfg.Shards, rt.cfg.TotalCache, rt.cfg.Window, rt.cfg.Seed
 }
 
 // Checkpoint writes the full sharded state. Call it between IngestBatch
@@ -81,28 +71,21 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if err := rt.refused(); err != nil {
 		return err
 	}
-	shards, totalCache, window, seed, minBudget, rebEvery, rebStep := rt.fingerprint()
+	shards, totalCache, window, seed := rt.fingerprint()
 	wire := manifestWire{
-		Version:        manifestVersion,
-		Shards:         shards,
-		TotalCache:     totalCache,
-		Window:         window,
-		Seed:           seed,
-		MinBudget:      minBudget,
-		RebalanceEvery: rebEvery,
-		RebalanceStep:  rebStep,
-		Seq:            rt.seq,
-		Ingested:       rt.ingested,
-		Batches:        rt.batches,
-		Merged:         rt.merged,
-		Lanes:          rt.lanes,
-		Budgets:        make([]int, len(rt.shards)),
-		LastPairs:      append([]int(nil), rt.reb.lastPairs...),
-		Moves:          rt.reb.moves,
-		Envelopes:      make([][]byte, len(rt.shards)),
+		Version:    manifestVersion,
+		Shards:     shards,
+		TotalCache: totalCache,
+		Window:     window,
+		Seed:       seed,
+		Seq:        rt.seq,
+		Ingested:   rt.ingested,
+		Batches:    rt.batches,
+		Merged:     rt.merged,
+		Lanes:      rt.lanes,
+		Envelopes:  make([][]byte, len(rt.shards)),
 	}
 	for i, sh := range rt.shards {
-		wire.Budgets[i] = sh.budget
 		var buf bytes.Buffer
 		if err := sh.eng.Checkpoint(&buf); err != nil {
 			return fmt.Errorf("shardrt: checkpoint shard %d: %w", i, err)
@@ -120,9 +103,7 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 // configuration (shards, total cache, window, seed, policy construction).
 // The manifest is validated before any shard is touched; a failure while
 // restoring the shard engines leaves the runtime partially restored, so
-// discard it on error. Budgets are re-applied via Resize before each shard
-// restore, so a post-rebalance checkpoint restores into the even-split
-// engines a fresh runtime starts with.
+// discard it on error.
 func (rt *Runtime) Restore(r io.Reader) error {
 	if err := rt.refused(); err != nil {
 		return err
@@ -135,19 +116,16 @@ func (rt *Runtime) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return fmt.Errorf("shardrt: decode manifest: %w", err)
 	}
-	if err := rt.validateManifest(&wire); err != nil {
+	for i := range wire.Lanes {
+		untagLane(wire.Lanes[i][0])
+		untagLane(wire.Lanes[i][1])
+	}
+	if err := rt.validateManifest(&wire, payload); err != nil {
 		return err
 	}
 	for i, sh := range rt.shards {
-		if err := sh.eng.Resize(wire.Budgets[i]); err != nil {
-			return fmt.Errorf("shardrt: restore shard %d: %w", i, err)
-		}
 		if err := sh.eng.Restore(bytes.NewReader(wire.Envelopes[i])); err != nil {
 			return fmt.Errorf("shardrt: restore shard %d: %w", i, err)
-		}
-		sh.budget = wire.Budgets[i]
-		if sh.budgetGauge != nil {
-			sh.budgetGauge.Set(float64(sh.budget))
 		}
 	}
 	rt.seq = wire.Seq
@@ -155,48 +133,73 @@ func (rt *Runtime) Restore(r io.Reader) error {
 	rt.batches = wire.Batches
 	rt.merged = wire.Merged
 	rt.lanes = wire.Lanes
-	for i := range rt.lanes {
-		untagLane(rt.lanes[i][0])
-		untagLane(rt.lanes[i][1])
-	}
-	copy(rt.reb.lastPairs, wire.LastPairs)
-	rt.reb.moves = wire.Moves
 	return nil
 }
 
-func (rt *Runtime) validateManifest(wire *manifestWire) error {
-	if wire.Version != manifestVersion {
-		return fmt.Errorf("shardrt: manifest version %d, want %d", wire.Version, manifestVersion)
+func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
+	if wire.Version != manifestVersion && wire.Version != 2 {
+		return fmt.Errorf("shardrt: manifest version %d, want %d (or 2)", wire.Version, manifestVersion)
 	}
-	shards, totalCache, window, seed, minBudget, rebEvery, rebStep := rt.fingerprint()
+	shards, totalCache, window, seed := rt.fingerprint()
 	if wire.Shards != shards || wire.TotalCache != totalCache ||
 		wire.Window != window || wire.Seed != seed {
 		return fmt.Errorf("shardrt: manifest fingerprint (shards %d, cache %d, window %d, seed %d) does not match runtime (shards %d, cache %d, window %d, seed %d): %w",
 			wire.Shards, wire.TotalCache, wire.Window, wire.Seed,
 			shards, totalCache, window, seed, engine.ErrConfigMismatch)
 	}
-	if wire.MinBudget != minBudget || wire.RebalanceEvery != rebEvery || wire.RebalanceStep != rebStep {
-		return fmt.Errorf("shardrt: manifest rebalancer config (floor %d, every %d, step %d) does not match runtime (floor %d, every %d, step %d): %w",
-			wire.MinBudget, wire.RebalanceEvery, wire.RebalanceStep,
-			minBudget, rebEvery, rebStep, engine.ErrConfigMismatch)
-	}
-	if len(wire.Budgets) != rt.cfg.Shards || len(wire.Envelopes) != rt.cfg.Shards ||
-		len(wire.Lanes) != rt.cfg.Shards || len(wire.LastPairs) != rt.cfg.Shards {
-		return fmt.Errorf("shardrt: manifest shard-state lengths (%d budgets, %d envelopes, %d lanes, %d rebalance entries) do not match %d shards",
-			len(wire.Budgets), len(wire.Envelopes), len(wire.Lanes), len(wire.LastPairs), rt.cfg.Shards)
-	}
-	total := 0
-	for i, b := range wire.Budgets {
-		if b < minBudget {
-			return fmt.Errorf("shardrt: manifest budget %d for shard %d below floor %d", b, i, minBudget)
+	if wire.Version == 2 {
+		if err := rt.checkV2(payload); err != nil {
+			return err
 		}
-		total += b
 	}
-	if total != rt.cfg.TotalCache {
-		return fmt.Errorf("shardrt: manifest budgets sum to %d, want %d", total, rt.cfg.TotalCache)
+	if len(wire.Envelopes) != shards || len(wire.Lanes) != shards {
+		return fmt.Errorf("shardrt: manifest shard-state lengths (%d envelopes, %d lanes) do not match %d shards",
+			len(wire.Envelopes), len(wire.Lanes), shards)
 	}
 	if wire.Seq != uint64(2*wire.Ingested) {
 		return fmt.Errorf("shardrt: manifest sequence %d inconsistent with %d ingested steps", wire.Seq, wire.Ingested)
+	}
+	// A carried tuple is an arrival routed but not yet stepped: a key in the
+	// domain that routes to this shard, the tag its side was numbered with
+	// (2·step for R, 2·step+1 for S), below every future arrival's, and in
+	// ingress order along the lane.
+	for i, lanes := range wire.Lanes {
+		for side, lane := range lanes {
+			for k, tu := range lane {
+				switch {
+				case tu.Key < engine.MinKey || tu.Key > engine.MaxKey:
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: key %d outside [%d, %d]", i, side, k, tu.Key, engine.MinKey, engine.MaxKey)
+				case ShardOf(tu.Key, shards) != i:
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: key %d routes to shard %d", i, side, k, tu.Key, ShardOf(tu.Key, shards))
+				case tu.Seq%2 != uint64(side):
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d is not the other side's", i, side, k, tu.Seq)
+				case tu.Seq >= wire.Seq:
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d not below the next arrival's %d", i, side, k, tu.Seq, wire.Seq)
+				case k > 0 && tu.Seq <= lane[k-1].Seq:
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d does not follow %d", i, side, k, tu.Seq, lane[k-1].Seq)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkV2 admits a version-2 manifest only if its rebalancer never ran: the
+// default knobs, no move, and every shard at the even split New gives it.
+// Any other file describes budgets this runtime cannot have.
+func (rt *Runtime) checkV2(payload []byte) error {
+	var v2 manifestV2
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v2); err != nil {
+		return fmt.Errorf("shardrt: decode version-2 manifest: %w", err)
+	}
+	even := v2.MinBudget == 1 && v2.RebalanceEvery == 0 && v2.RebalanceStep == 1 &&
+		v2.Moves == 0 && len(v2.Budgets) == len(rt.shards)
+	for i := 0; even && i < len(rt.shards); i++ {
+		even = v2.Budgets[i] == rt.shards[i].budget
+	}
+	if !even {
+		return fmt.Errorf("shardrt: version-2 manifest whose rebalancer could have run (floor %d, every %d, step %d, %d moves, budgets %v): %w",
+			v2.MinBudget, v2.RebalanceEvery, v2.RebalanceStep, v2.Moves, v2.Budgets, engine.ErrConfigMismatch)
 	}
 	return nil
 }

@@ -10,10 +10,7 @@ import (
 // Per-shard differential harness: an independent reimplementation of the
 // routing/batching layer (refRouter) feeds each shard-local stream to an
 // engine.ReferenceJoin configured exactly like that shard's engine, and every
-// batch must produce a byte-identical merged pair stream. Rebalancer Resize
-// calls are mirrored onto the references at the same batch boundaries by
-// observing the runtime's budgets, so the differential also covers mid-run
-// budget moves.
+// batch must produce a byte-identical merged pair stream.
 
 // refRouter re-derives, from first principles, the shard-local synchronized
 // steps the runtime's batcher produces: sequence tagging before NoValue
@@ -98,10 +95,9 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 	defer rt.Close()
 
 	refs := make([]*engine.ReferenceJoin, cfg.Shards)
-	budgets := rt.Budgets()
-	for i := range refs {
+	for i, sm := range rt.Metrics().Shards {
 		ecfg := engine.Config{
-			CacheSize: budgets[i],
+			CacheSize: sm.Budget,
 			Window:    cfg.Window,
 			Procs:     cfg.Procs,
 			Seed:      shardSeed(cfg.Seed, i),
@@ -128,17 +124,6 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 		sortPairs(want)
 		if !diffPairsEqual(got, want) {
 			t.Fatalf("%s: pairs diverge:\n  runtime   %v\n  reference %v", label, got, want)
-		}
-		// Mirror any rebalance the runtime just performed onto the
-		// references, at the same batch boundary, in budget order observed
-		// from the runtime itself.
-		for i, b := range rt.Budgets() {
-			if b != budgets[i] {
-				if err := refs[i].Resize(b); err != nil {
-					t.Fatalf("%s: reference shard %d resize to %d: %v", label, i, b, err)
-				}
-				budgets[i] = b
-			}
 		}
 		// Snapshot equality implies identical admission and eviction choices.
 		for i := range refs {
@@ -180,8 +165,7 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 
 // TestShardedDifferential is the tentpole correctness gate: each shard engine
 // held byte-identical to a ReferenceJoin fed the independently re-derived
-// shard-local stream, across shard counts, window semantics, and with the
-// rebalancer moving budgets mid-run.
+// shard-local stream, across shard counts and window semantics.
 func TestShardedDifferential(t *testing.T) {
 	steps := genSteps(11, 2000)
 	for _, tc := range []struct {
@@ -191,8 +175,6 @@ func TestShardedDifferential(t *testing.T) {
 		{"equi-2", Config{Shards: 2, TotalCache: 24, Procs: trendProcs(), Seed: 3}},
 		{"equi-4", Config{Shards: 4, TotalCache: 32, Procs: trendProcs(), Seed: 3}},
 		{"window-4", Config{Shards: 4, TotalCache: 32, Window: 40, Procs: trendProcs(), Seed: 7}},
-		{"rebalance-4", Config{Shards: 4, TotalCache: 48, Procs: trendProcs(), Seed: 5,
-			RebalanceEvery: 2, RebalanceStep: 2, MinBudget: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runShardedDifferential(t, tc.cfg, steps, 53)

@@ -44,7 +44,6 @@ func TestHandlerMetrics(t *testing.T) {
 		`engine_steps_total{shard="1"}`,
 		`shardrt_cache_budget{shard="0"}`,
 		"shardrt_shards 2",
-		"shardrt_rebalance_moves_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)

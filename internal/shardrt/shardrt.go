@@ -82,8 +82,8 @@ type Config struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
 	// TotalCache is the cache budget summed over all shards; it is split
-	// evenly (remainder to the lowest shard IDs) and thereafter moved
-	// between shards by the rebalancer.
+	// evenly (remainder to the lowest shard IDs), and a shard keeps its
+	// share for the runtime's life.
 	TotalCache int
 	// Window > 0 enables sliding-window semantics per shard. A shard's
 	// clock advances only when the shard steps, so the window counts
@@ -118,18 +118,6 @@ type Config struct {
 	// the recorder default).
 	//lint:ignore fingerprintcover observability sampling rate; which steps get lifecycle records cannot affect replay
 	FlightSampleEvery int
-	// QueueDepth bounds the per-shard ingress channel (batches in flight
-	// per shard); 0 means 1.
-	//lint:ignore fingerprintcover channel capacity only: it shifts backpressure timing, never the per-batch semantics a checkpoint replays
-	QueueDepth int
-	// RebalanceEvery, in ingested batches, is the budget-rebalance cadence;
-	// 0 disables rebalancing.
-	RebalanceEvery int
-	// RebalanceStep is how many budget slots move per cycle (0 means 1).
-	RebalanceStep int
-	// MinBudget is the per-shard budget floor the rebalancer will not cross
-	// (0 means 1), so no shard starves.
-	MinBudget int
 }
 
 // ErrClosed is returned by operations on a runtime after Close.
@@ -143,21 +131,11 @@ func (cfg *Config) validate() error {
 	if cfg.Shards < 1 {
 		return fmt.Errorf("shardrt: Shards must be >= 1, got %d", cfg.Shards)
 	}
-	min := cfg.MinBudget
-	if min == 0 {
-		min = 1
-	}
-	if min < 1 {
-		return fmt.Errorf("shardrt: MinBudget must be >= 1, got %d", min)
-	}
-	if cfg.TotalCache < cfg.Shards*min {
-		return fmt.Errorf("shardrt: TotalCache %d cannot give %d shards the %d-slot floor", cfg.TotalCache, cfg.Shards, min)
+	if cfg.TotalCache < cfg.Shards {
+		return fmt.Errorf("shardrt: TotalCache %d cannot give %d shards a slot each", cfg.TotalCache, cfg.Shards)
 	}
 	if cfg.Window < 0 {
 		return fmt.Errorf("shardrt: Window must be >= 0, got %d", cfg.Window)
-	}
-	if cfg.RebalanceEvery < 0 || cfg.RebalanceStep < 0 || cfg.QueueDepth < 0 {
-		return fmt.Errorf("shardrt: RebalanceEvery, RebalanceStep and QueueDepth must be >= 0")
 	}
 	return nil
 }
@@ -171,10 +149,9 @@ type shard struct {
 	reg    *telemetry.Registry
 	rec    *flightrec.Recorder
 	budget int
-	// budgetGauge mirrors budget into the shard registry (nil without
-	// telemetry).
-	budgetGauge *telemetry.Gauge
 
+	// in and res carry one batch and its answer: dispatch sends a shard at
+	// most one batch and gathers every answer before it returns.
 	in       chan []engine.TuplePair
 	res      chan run
 	batchBuf []engine.TuplePair
@@ -211,7 +188,7 @@ type Runtime struct {
 	lanes [][2][]engine.Tuple
 	seq   uint64
 	// ingested counts global steps accepted; batches counts IngestBatch
-	// dispatches (the rebalance clock).
+	// dispatches.
 	ingested int
 	batches  int
 	merged   int
@@ -229,9 +206,7 @@ type Runtime struct {
 	// every later IngestBatch, Flush, Checkpoint and Restore returns it.
 	fault error
 
-	reg        *telemetry.Registry // coordinator registry (nil without telemetry)
-	rebalances *telemetry.Counter
-	reb        rebalancer
+	reg *telemetry.Registry // coordinator registry (nil without telemetry)
 }
 
 // New validates the configuration and builds the runtime: engines, per-shard
@@ -243,10 +218,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.FlightDir != "" {
 		cfg.Flight = true
 	}
-	qd := cfg.QueueDepth
-	if qd == 0 {
-		qd = 1
-	}
 	rt := &Runtime{
 		cfg:   cfg,
 		lanes: make([][2][]engine.Tuple, cfg.Shards),
@@ -254,7 +225,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Telemetry {
 		rt.reg = telemetry.NewRegistry()
-		rt.rebalances = rt.reg.Counter("shardrt_rebalance_moves_total")
 		rt.reg.GaugeFunc("shardrt_shards", func() float64 { return float64(cfg.Shards) })
 	}
 	base := cfg.TotalCache / cfg.Shards
@@ -267,8 +237,8 @@ func New(cfg Config) (*Runtime, error) {
 		sh := &shard{
 			id:     i,
 			budget: budget,
-			in:     make(chan []engine.TuplePair, qd),
-			res:    make(chan run, qd),
+			in:     make(chan []engine.TuplePair, 1),
+			res:    make(chan run, 1),
 		}
 		ecfg := engine.Config{
 			CacheSize: budget,
@@ -281,8 +251,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		if cfg.Telemetry {
 			sh.reg = telemetry.NewRegistry()
-			sh.budgetGauge = sh.reg.Gauge("shardrt_cache_budget")
-			sh.budgetGauge.Set(float64(budget))
+			sh.reg.Gauge("shardrt_cache_budget").Set(float64(budget))
 			ecfg.Telemetry = sh.reg
 		}
 		if cfg.Flight {
@@ -305,7 +274,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.shards = append(rt.shards, sh)
 		go sh.work()
 	}
-	rt.reb.init(cfg.Shards)
 	return rt, nil
 }
 
@@ -543,7 +511,6 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 	}
 	rt.merged += len(out)
 	rt.batches++
-	rt.maybeRebalance()
 	return out, nil
 }
 
@@ -598,31 +565,19 @@ func (rt *Runtime) stopWorkers() {
 // ShardCount returns the number of shards.
 func (rt *Runtime) ShardCount() int { return len(rt.shards) }
 
-// Budgets returns the current per-shard cache budgets (summing to
-// Config.TotalCache).
-func (rt *Runtime) Budgets() []int {
-	out := make([]int, len(rt.shards))
-	for i, sh := range rt.shards {
-		out[i] = sh.budget
-	}
-	return out
-}
-
 // Metrics is a snapshot of the runtime's counters plus every shard engine's
 // metrics.
 type Metrics struct {
 	// Ingested counts accepted global steps; Batches the dispatches;
-	// Pairs the merged result pairs returned to the caller; Rebalances the
-	// budget moves performed.
-	Ingested   int
-	Batches    int
-	Pairs      int
-	Rebalances int
-	Shards     []ShardMetrics
+	// Pairs the merged result pairs returned to the caller.
+	Ingested int
+	Batches  int
+	Pairs    int
+	Shards   []ShardMetrics
 }
 
-// ShardMetrics is one shard's view: its current budget and its engine
-// counters (engine.Metrics semantics, shard-local step clock).
+// ShardMetrics is one shard's view: its budget and its engine counters
+// (engine.Metrics semantics, shard-local step clock).
 type ShardMetrics struct {
 	Shard  int
 	Budget int
@@ -633,10 +588,9 @@ type ShardMetrics struct {
 // are quiescent then).
 func (rt *Runtime) Metrics() Metrics {
 	m := Metrics{
-		Ingested:   rt.ingested,
-		Batches:    rt.batches,
-		Pairs:      rt.merged,
-		Rebalances: rt.reb.moves,
+		Ingested: rt.ingested,
+		Batches:  rt.batches,
+		Pairs:    rt.merged,
 	}
 	for _, sh := range rt.shards {
 		m.Shards = append(m.Shards, ShardMetrics{Shard: sh.id, Budget: sh.budget, Engine: sh.eng.Metrics()})
@@ -644,18 +598,13 @@ func (rt *Runtime) Metrics() Metrics {
 	return m
 }
 
-// CheckInvariants runs engine.CheckInvariants on every shard plus the
-// runtime-level budget conservation check. Safe between IngestBatch calls.
+// CheckInvariants runs engine.CheckInvariants on every shard. Safe between
+// IngestBatch calls.
 func (rt *Runtime) CheckInvariants() error {
-	total := 0
 	for _, sh := range rt.shards {
 		if err := sh.eng.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", sh.id, err)
 		}
-		total += sh.budget
-	}
-	if total != rt.cfg.TotalCache {
-		return fmt.Errorf("shardrt: budgets sum to %d, want TotalCache %d", total, rt.cfg.TotalCache)
 	}
 	return nil
 }

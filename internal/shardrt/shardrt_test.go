@@ -80,10 +80,8 @@ func ingestAll(t *testing.T, rt *Runtime, steps []Step, batchSize int) []Pair {
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Shards: 0, TotalCache: 8},
-		{Shards: 4, TotalCache: 3},               // below the 1-slot floor
-		{Shards: 2, TotalCache: 8, MinBudget: 5}, // floor unsatisfiable
-		{Shards: 2, TotalCache: 8, Window: -1},   // bad window
-		{Shards: 2, TotalCache: 8, QueueDepth: -1},
+		{Shards: 4, TotalCache: 3},             // below a slot a shard
+		{Shards: 2, TotalCache: 8, Window: -1}, // bad window
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -99,10 +97,13 @@ func TestBudgetSplit(t *testing.T) {
 	}
 	defer rt.Close()
 	want := []int{4, 4, 3} // 11 = 4+4+3, remainder to low shard IDs
-	got := rt.Budgets()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("budgets %v, want %v", got, want)
+	shards := rt.Metrics().Shards
+	if len(shards) != len(want) {
+		t.Fatalf("%d shards, want %d", len(shards), len(want))
+	}
+	for i, sm := range shards {
+		if sm.Budget != want[i] || sm.Engine.CacheLen != 0 {
+			t.Fatalf("shard %d: %+v, want an empty cache of budget %d", i, sm, want[i])
 		}
 	}
 	if err := rt.CheckInvariants(); err != nil {
@@ -245,12 +246,9 @@ func TestMergeOrder(t *testing.T) {
 }
 
 // TestDeterministicReplay: two identical runs are byte-identical in outputs
-// and metrics, across batch sizes and with rebalancing enabled.
+// and metrics.
 func TestDeterministicReplay(t *testing.T) {
-	cfg := Config{
-		Shards: 4, TotalCache: 64, Procs: trendProcs(), Seed: 9,
-		RebalanceEvery: 3, MinBudget: 4,
-	}
+	cfg := Config{Shards: 4, TotalCache: 64, Procs: trendProcs(), Seed: 9}
 	steps := genSteps(31, 1500)
 	run := func(batchSize int) ([]Pair, Metrics) {
 		rt, err := New(cfg)
@@ -274,7 +272,7 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("replay diverged at pair %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	if am.Ingested != bm.Ingested || am.Pairs != bm.Pairs || am.Rebalances != bm.Rebalances {
+	if am.Ingested != bm.Ingested || am.Pairs != bm.Pairs || am.Batches != bm.Batches {
 		t.Fatalf("replay metrics diverged: %+v vs %+v", am, bm)
 	}
 	for i := range am.Shards {

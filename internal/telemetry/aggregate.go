@@ -19,8 +19,8 @@ import (
 
 // ShardSet groups the registries of a sharded runtime for aggregated export.
 type ShardSet struct {
-	// Coordinator, when non-nil, contributes runtime-level metrics
-	// (rebalance counters and the like), exported without a shard label.
+	// Coordinator, when non-nil, contributes runtime-level metrics (the
+	// shard count and the like), exported without a shard label.
 	Coordinator *Registry
 	// Shards are the per-shard registries, indexed by shard ID; nil entries
 	// are skipped.

@@ -17,13 +17,19 @@
 #   6. go test -race ./... — the full suite under the race detector: every
 #                    differential, chaos, drain/restart, overload-pressure and
 #                    lint self-test; go test names whichever fails
-#   7. chaos x200  — the concurrent network-fault campaign, whose failure
+#   7. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
+#                    each) and compared with experiments_run.txt section by
+#                    section, by cmd/repro's TestFiguresMatchRecordedRun under
+#                    its -slow-figures flag; phase 6 already compared 6, 7 and
+#                    13–18. Figures 9–11 (~20 s each) and 12 (~7 min) are left
+#                    out: their recorded sections are checked by hand
+#   8. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
-#   8. fuzz smoke  — 10s each of FuzzStepEquivalence and the three wire
+#   9. fuzz smoke  — 10s each of FuzzStepEquivalence and the three wire
 #                    fuzzers (FuzzDecodeResults, FuzzDecodeIngest and the frame
 #                    parser's FuzzFrameReader) over their committed corpora
-#   9. bench smoke — a build that breaks a benchmark cannot land: every
+#  10. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
 #                    BenchmarkHEEBDecision/{trend64,walk8,band256} in
@@ -92,6 +98,9 @@ go build ./...
 
 echo "==> test (-race)"
 go test -race "$@" ./...
+
+echo "==> figures 8 and 19 against experiments_run.txt"
+go test -run '^TestFiguresMatchRecordedRun$' -count=1 ./cmd/repro -args -slow-figures
 
 echo "==> chaos x200 (concurrent network faults)"
 go test -run '^TestNetworkChaosConcurrent$' -count=200 ./internal/faultinject
