@@ -232,13 +232,13 @@ func (j *Join) Restore(r io.Reader) error {
 	j.cache = j.cache[:0]
 	clear(j.payloads)
 	j.payloads, j.seqs = j.payloads[:0], j.seqs[:0]
-	j.next, j.prev, j.head, j.tail = j.next[:0], j.prev[:0], -1, -1
+	j.next, j.prev, j.ends = j.next[:0], j.prev[:0], ends{head: -1, tail: -1}
+	j.nextSame, j.prevSame = j.nextSame[:0], j.prevSame[:0]
 	if j.cfg.Band == 0 {
-		j.equi = [2]map[int]bucket{{}, {}}
-		j.ord = [2][]valSlot{}
+		j.equi[0].clear()
+		j.equi[1].clear()
 	} else {
-		j.equi = [2]map[int]bucket{}
-		j.ord = [2][]valSlot{nil, nil}
+		j.ord = [2][]valSlot{}
 	}
 	// Every entry goes back to its slot; the entries then enter the arrival
 	// list and the index oldest first, as they did when they arrived.
@@ -284,6 +284,10 @@ func validateWire(wire *checkpointWire) ([]int, error) {
 		}
 		if int(e.Tuple.Stream) != 0 && int(e.Tuple.Stream) != 1 {
 			return bad("entry %d has stream %d", i, e.Tuple.Stream)
+		}
+		// A key outside the domain would alias another in the int32 table.
+		if err := checkKey(e.Tuple.Value); err != nil {
+			return bad("entry %d: %v", i, err)
 		}
 	}
 	slices.SortFunc(byID, func(a, b int) int { return wire.Cache[a].Tuple.ID - wire.Cache[b].Tuple.ID })

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
+	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
 
@@ -315,6 +317,45 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	if got := len(fresh.Snapshot()); got != 0 {
 		t.Fatalf("failed restore left %d entries in a fresh operator", got)
 	}
+}
+
+// The equi index keys its table by int32, so a cached key outside [MinKey,
+// MaxKey] in a hand-edited file would alias another key (2^32 + k hashes as
+// k) or pass for an empty cell (2^31 is NoValue modulo 2^32). Restore rejects
+// such a file before anything is committed; a cached NoValue, which never
+// joins and is never posted, still restores.
+func TestRestoreRejectsKeysOutsideDomain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(k int) int
+	}{
+		{"aliases-a-key", func(k int) int { return k + 1<<32 }},
+		{"passes-for-empty", func(int) int { return 1 << 31 }},
+		{"below-the-domain", func(int) int { return MinKey - 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, ckpt := steppedOperator(t, 100)
+			wire := decodeWire(t, ckpt)
+			e := &wire.Cache[3].Tuple
+			e.Value = tc.edit(e.Value)
+			err := j.Restore(bytes.NewReader(encodeWire(t, wire)))
+			if err == nil || !strings.Contains(err.Error(), "invalid checkpoint state") || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("got %v, want an invalid-state error naming the key domain", err)
+			}
+			requireUntouched(t, j, ckpt)
+		})
+	}
+	t.Run("no-value", func(t *testing.T) {
+		j, ckpt := steppedOperator(t, 100)
+		wire := decodeWire(t, ckpt)
+		wire.Cache[3].Tuple.Value = process.NoValue
+		if err := j.Restore(bytes.NewReader(encodeWire(t, wire))); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Each stream's history count must be the checkpoint's clock — in the

@@ -5,14 +5,15 @@
 // running metrics. The batch simulator in internal/join is the measurement
 // harness; this is the adoption surface.
 //
-// The hot path is indexed: equijoins probe a per-stream hash index on the
-// join key, band joins probe a per-stream ordered (value, ID) index, and
-// window expiry pops the head of an arrival-order list threaded through the
-// cache. All per-step scratch (sorted victim positions, match buffers, the
-// output slice) is reused across steps, and a replacement decision moves
-// nothing: the cache is a table of slots, the candidate slice a policy sees
-// is that table itself (see Join.cache), a surviving arrival is written into
-// the slot its victim held, and an index posting is a slot number.
+// The hot path is indexed: equijoins probe a per-stream fixed open-addressed
+// table from join key to a chain of same-key slots, band joins probe a
+// per-stream ordered (value, ID) index, and window expiry pops the head of an
+// arrival-order list threaded through the cache. All per-step scratch (sorted
+// victim positions, match buffers, the output slice) is reused across steps,
+// and a replacement decision moves nothing: the cache is a table of slots,
+// the candidate slice a policy sees is that table itself (see Join.cache), a
+// surviving arrival is written into the slot its victim held, and an index
+// posting is a slot number.
 // ReferenceJoin in this package is the obvious linear-scan implementation
 // with identical semantics; the differential tests hold the two
 // byte-identical.
@@ -155,20 +156,18 @@ type Join struct {
 	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
 	next, prev []int32
 	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
-	head, tail int32
+	ends
 
-	// equi indexes the cache for Band == 0: per stream, join key → slots of
-	// cached entries with that key, in ascending ID order (postings are
-	// appended as entries arrive). Empty buckets are deleted so a drifting key
-	// domain (the trend models) cannot leak memory.
+	// equi indexes the cache for Band == 0: per stream, a table of 2 × budget
+	// cells (rounded up to a power of two) from join key to the first and last
+	// slot of the key's chain; nextSame and prevSame link each slot to the
+	// neighbouring entries of its (stream, key), in ascending ID order (entries
+	// are appended as they arrive). A key's cell is emptied with its last
+	// entry, so a drifting key domain (the trend models) reuses the same cells.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
-	equi [2]map[int]bucket
-	// spare holds the rest slices of equi buckets that emptied, every one at
-	// length 0: the next bucket to take a second posting reuses one instead of
-	// allocating. There are never more of them than buckets that were live at
-	// once, so the cache budget bounds the list.
-	//lint:ignore snapcomplete capacity only: every slice in it is empty, and Restore rebuilds the index it serves
-	spare [][]int
+	equi [2]keyIndex
+	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
+	nextSame, prevSame []int32
 	// ord indexes the cache for Band > 0: per stream, slots in ascending
 	// (value, ID) order, probed by binary search over the band interval.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
@@ -202,14 +201,6 @@ type Join struct {
 	pendingBundle string
 }
 
-// bucket is one equi-index posting list, slots in ascending ID order: the
-// first inline, the second onward in rest. Most keys of a wide domain are
-// cached once, and a bucket of one posting then costs no allocation.
-type bucket struct {
-	first int
-	rest  []int
-}
-
 // valSlot is one ordered-index posting.
 type valSlot struct{ v, slot int }
 
@@ -230,13 +221,12 @@ func NewJoin(cfg Config) (*Join, error) {
 		cfg:    cfg,
 		policy: pol,
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
-		head:   -1,
-		tail:   -1,
+		ends:   ends{head: -1, tail: -1},
 	}
 	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
 	j.initFlight(lad)
 	if cfg.Band == 0 {
-		j.equi = [2]map[int]bucket{{}, {}}
+		j.equi = [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)}
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		j.stepLatency = reg.Histogram("engine_step_latency_ns")
@@ -415,7 +405,7 @@ func (j *Join) place(t int, tp join.Tuple, from Tuple, freed []int) []int {
 		j.lifeTuple(flightrec.LifeEvict, t, j.cache[slot], 0)
 	}
 	j.indexRemove(slot)
-	j.unlink(slot)
+	unlink(j.next, j.prev, &j.ends, int32(slot))
 	j.cache[slot], j.payloads[slot], j.seqs[slot] = tp, from.Payload, from.Seq
 	j.enter(slot)
 	return freed[1:]
@@ -423,57 +413,65 @@ func (j *Join) place(t int, tp join.Tuple, from Tuple, freed []int) []int {
 
 // release frees slot h when no arrival is there to take it (window expiry):
 // the last slot's entry closes the hole, which repoints that one entry's
-// posting and list links, and the table shrinks by one.
+// posting and links, and the table shrinks by one.
 func (j *Join) release(h int) {
 	j.indexRemove(h)
-	j.unlink(h)
+	unlink(j.next, j.prev, &j.ends, int32(h))
 	last := len(j.cache) - 1
 	if h != last {
 		j.indexRepoint(last, h)
 		j.cache[h], j.payloads[h], j.seqs[h] = j.cache[last], j.payloads[last], j.seqs[last]
-		p, n := j.prev[last], j.next[last]
-		j.prev[h], j.next[h] = p, n
-		j.setNext(p, int32(h))
-		j.setPrev(n, int32(h))
+		relink(j.next, j.prev, &j.ends, int32(last), int32(h))
 	}
 	j.payloads[last] = nil // release the payload
 	j.cache, j.payloads, j.seqs = j.cache[:last], j.payloads[:last], j.seqs[:last]
 	j.next, j.prev = j.next[:last], j.prev[:last]
+	j.nextSame, j.prevSame = j.nextSame[:last], j.prevSame[:last]
 }
 
-// setNext makes v the successor of slot p in the arrival list — the head,
-// when p is none; setPrev is its mirror image.
-func (j *Join) setNext(p, v int32) {
+// ends are the first and last slots of a list threaded through the slots —
+// the arrival list, or one key's chain — by per-slot links next and prev; -1
+// stands for none.
+type ends struct{ head, tail int32 }
+
+// setLink points the link out of slot p at v — or, when p is none, the end
+// that stands in for it.
+func setLink(links []int32, end *int32, p, v int32) {
 	if p < 0 {
-		j.head = v
+		*end = v
 	} else {
-		j.next[p] = v
+		links[p] = v
 	}
 }
 
-func (j *Join) setPrev(n, v int32) {
-	if n < 0 {
-		j.tail = v
-	} else {
-		j.prev[n] = v
-	}
+// pushBack makes slot s the last of the list.
+func pushBack(next, prev []int32, e *ends, s int32) {
+	prev[s], next[s] = e.tail, -1
+	setLink(next, &e.head, e.tail, s)
+	e.tail = s
 }
 
-// unlink takes slot s out of the arrival list.
-func (j *Join) unlink(s int) {
-	p, n := j.prev[s], j.next[s]
-	j.setNext(p, n)
-	j.setPrev(n, p)
+// unlink takes slot s out of the list.
+func unlink(next, prev []int32, e *ends, s int32) {
+	p, n := prev[s], next[s]
+	setLink(next, &e.head, p, n)
+	setLink(prev, &e.tail, n, p)
+}
+
+// relink puts slot to in the list where slot from is.
+func relink(next, prev []int32, e *ends, from, to int32) {
+	p, n := prev[from], next[from]
+	prev[to], next[to] = p, n
+	setLink(next, &e.head, p, to)
+	setLink(prev, &e.tail, n, to)
 }
 
 // enter makes the entry just written to slot s the newest of the arrival
 // list and indexes it. Entries enter in ascending ID order — a step's
 // arrivals carry the largest IDs so far, Restore goes by ID — which is what
-// keeps the list and every index bucket in ID order.
+// keeps the list and every key's postings in ID order.
 func (j *Join) enter(s int) {
-	j.prev[s], j.next[s] = j.tail, -1
-	j.setNext(j.tail, int32(s))
-	j.tail = int32(s)
+	pushBack(j.next, j.prev, &j.ends, int32(s))
 	j.indexAdd(s)
 }
 
@@ -572,8 +570,11 @@ func (j *Join) probeMatches(side core.StreamID, k int, slots []int) []int {
 		return slots
 	}
 	if j.cfg.Band == 0 {
-		if b, ok := j.equi[side][k]; ok {
-			slots = append(append(slots, b.first), b.rest...)
+		x := &j.equi[side]
+		if i := x.find(int32(k)); i >= 0 {
+			for s := x.cells[i].head; s >= 0; s = j.nextSame[s] {
+				slots = append(slots, int(s))
+			}
 		}
 		return slots
 	}
@@ -608,25 +609,18 @@ func (j *Join) grow(tp join.Tuple, payload interface{}, seq uint64) {
 	j.payloads = append(j.payloads, payload)
 	j.seqs = append(j.seqs, seq)
 	j.next, j.prev = append(j.next, -1), append(j.prev, -1)
+	j.nextSame, j.prevSame = append(j.nextSame, -1), append(j.prevSame, -1)
 }
 
-// indexAdd posts the entry in slot s, the newest of its bucket (see enter).
+// indexAdd posts the entry in slot s, the newest of its key (see enter).
 func (j *Join) indexAdd(s int) {
 	tp := j.cache[s]
 	if tp.Value == process.NoValue {
 		return // can never join; not worth a posting
 	}
 	if j.cfg.Band == 0 {
-		m := j.equi[tp.Stream]
-		if b, ok := m[tp.Value]; ok {
-			if n := len(j.spare); n > 0 && cap(b.rest) == 0 {
-				b.rest, j.spare = j.spare[n-1], j.spare[:n-1]
-			}
-			b.rest = append(b.rest, s)
-			m[tp.Value] = b
-		} else {
-			m[tp.Value] = bucket{first: s}
-		}
+		c := j.equi[tp.Stream].insert(int32(tp.Value))
+		pushBack(j.nextSame, j.prevSame, &c.ends, int32(s))
 		return
 	}
 	ord := j.ord[tp.Stream]
@@ -653,23 +647,12 @@ func (j *Join) indexRemove(s int) {
 		return
 	}
 	if j.cfg.Band == 0 {
-		m := j.equi[tp.Stream]
-		b := m[tp.Value]
-		switch {
-		case b.first != s:
-			i := slices.Index(b.rest, s)
-			b.rest = append(b.rest[:i], b.rest[i+1:]...)
-		case len(b.rest) == 0:
-			if cap(b.rest) > 0 {
-				j.spare = append(j.spare, b.rest)
-			}
-			delete(m, tp.Value)
-			return
-		default:
-			b.first = b.rest[0]
-			b.rest = append(b.rest[:0], b.rest[1:]...)
+		x := &j.equi[tp.Stream]
+		i := x.find(int32(tp.Value))
+		unlink(j.nextSame, j.prevSame, &x.cells[i].ends, int32(s))
+		if x.cells[i].head < 0 {
+			x.remove(i)
 		}
-		m[tp.Value] = b
 		return
 	}
 	i := j.ordFind(s)
@@ -677,7 +660,8 @@ func (j *Join) indexRemove(s int) {
 }
 
 // indexRepoint rewrites the posting of the entry in slot from, about to move
-// to slot to; its place in the bucket, which goes by ID, is unchanged.
+// to slot to; its place among its key's postings, which goes by ID, is
+// unchanged.
 func (j *Join) indexRepoint(from, to int) {
 	tp := j.cache[from]
 	if tp.Value == process.NoValue {
@@ -687,13 +671,8 @@ func (j *Join) indexRepoint(from, to int) {
 		j.ord[tp.Stream][j.ordFind(from)].slot = to
 		return
 	}
-	m := j.equi[tp.Stream]
-	if b := m[tp.Value]; b.first == from {
-		b.first = to
-		m[tp.Value] = b
-	} else {
-		b.rest[slices.Index(b.rest, from)] = to
-	}
+	x := &j.equi[tp.Stream]
+	relink(j.nextSame, j.prevSame, &x.cells[x.find(int32(tp.Value))].ends, int32(from), int32(to))
 }
 
 // keysMatch reports whether two join keys match under the band predicate;

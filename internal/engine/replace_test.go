@@ -287,8 +287,9 @@ func TestRANDCheckpointReplayIdentical(t *testing.T) {
 // 1.44×; docs/performance.md, "Slot replacement (PR 27)"). Three more shapes
 // the ledger has no workload for: /window is window-bound (1024 slots, window
 // 300: two expiries and two appends a step, no decision), /hot probes long
-// buckets (64 keys on 1024 slots, ~16 matches a step), /band runs the ordered
-// index (band 2 on 1024 slots).
+// chains (64 keys on 1024 slots, ~16 matches a step), /band runs the ordered
+// index (band 2 on 1024 slots). The equi shapes are the key table's and
+// chains' micro-benchmark (docs/performance.md, "Key chains").
 func BenchmarkStepRAND(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -316,7 +317,7 @@ func BenchmarkStepRAND(b *testing.B) {
 			step := func(i int) {
 				j.Step(Tuple{Key: keys[(2*i)&(len(keys)-1)]}, Tuple{Key: keys[(2*i+1)&(len(keys)-1)]})
 			}
-			warm := 4 * sh.cfg.CacheSize // full after size/2 steps; the rest settles the index maps
+			warm := 4 * sh.cfg.CacheSize // full after size/2 steps; the rest settles the scratch buffers
 			for i := 0; i < warm; i++ {
 				step(i)
 			}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
@@ -89,6 +88,9 @@ func (j *Join) checkInvariants() error {
 	if len(j.next) != len(j.cache) || len(j.prev) != len(j.cache) {
 		return fail("arrival list of %d and %d links for %d slots", len(j.next), len(j.prev), len(j.cache))
 	}
+	if len(j.nextSame) != len(j.cache) || len(j.prevSame) != len(j.cache) {
+		return fail("equi index chains of %d and %d links for %d slots", len(j.nextSame), len(j.prevSame), len(j.cache))
+	}
 	// A walk of len(cache) slots in strictly ascending ID order, every prev
 	// pointing back, that ends at tail has visited every slot once.
 	walked, back := 0, int32(-1)
@@ -128,29 +130,38 @@ func (j *Join) checkInvariants() error {
 
 // checkIndex verifies index↔cache agreement: every indexable cache entry has
 // exactly one posting under its (stream, value), postings are in ID order,
-// and every posting names a slot that holds its (stream, value).
+// and every posting names a slot that holds its (stream, value). In the equi
+// index every key is where its probe finds it, and its chain is linked both
+// ways from the cell's head to its tail.
 func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error) error {
 	posted := 0
 	if j.cfg.Band == 0 {
-		for side, b := range j.equi {
-			// Sorted keys so a violation is always reported for the same
-			// bucket regardless of map iteration order.
-			vals := make([]int, 0, len(b))
-			for v := range b {
-				vals = append(vals, v)
-			}
-			sort.Ints(vals)
-			for _, v := range vals {
-				slots := append([]int{b[v].first}, b[v].rest...)
-				for k, s := range slots {
-					if err := j.checkPosting(side, v, s, fail); err != nil {
+		for side := range j.equi {
+			x := &j.equi[side]
+			for i, c := range x.cells {
+				if c.key == process.NoValue {
+					continue
+				}
+				if x.find(c.key) != i {
+					return fail("equi index side %d: key %d in cell %d, out of reach of its probe from cell %d", side, c.key, i, x.home(c.key))
+				}
+				// IDs strictly ascending along the walk bound it by the cache.
+				n, back := 0, int32(-1)
+				for s := c.head; s >= 0; n, back, s = n+1, s, j.nextSame[s] {
+					if err := j.checkPosting(side, int(c.key), int(s), fail); err != nil {
 						return err
 					}
-					if k > 0 && j.cache[slots[k-1]].ID >= j.cache[s].ID {
-						return fail("equi bucket (side %d, value %d) not ID-ascending", side, v)
+					if j.prevSame[s] != back {
+						return fail("equi index (side %d, key %d) chain broken at slot %d: back link %d, want %d", side, c.key, s, j.prevSame[s], back)
+					}
+					if back >= 0 && j.cache[back].ID >= j.cache[s].ID {
+						return fail("equi index (side %d, key %d) chain not ID-ascending at slot %d", side, c.key, s)
 					}
 				}
-				posted += len(slots)
+				if n == 0 || back != c.tail {
+					return fail("equi index (side %d, key %d) chain of %d slots ends at slot %d, tail is %d", side, c.key, n, back, c.tail)
+				}
+				posted += n
 			}
 		}
 	} else {

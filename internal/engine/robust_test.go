@@ -149,9 +149,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				j := mk(Config{CacheSize: 6, Band: band}, 40)
 				tp := j.cache[0]
 				if band == 0 {
-					b := j.equi[tp.Stream][tp.Value]
-					b.first = wrong(j, b.first)
-					j.equi[tp.Stream][tp.Value] = b
+					x := &j.equi[tp.Stream]
+					c := &x.cells[x.find(int32(tp.Value))]
+					c.head = int32(wrong(j, int(c.head)))
 				} else {
 					p := &j.ord[tp.Stream][0]
 					p.slot = wrong(j, p.slot)
@@ -159,6 +159,45 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "index posting") {
 					t.Fatalf("got %v, want ErrInvariant naming the posting", err)
 				}
+			}
+		})
+	}
+	// A key's chain and its cell: a back link that disagrees, a tail that is
+	// not the chain's last slot, a chain that cycles, and a key moved to a
+	// cell its probe stops short of.
+	for name, tamper := range map[string]func(j *Join, x *keyIndex, i int){
+		"chain-back-link": func(j *Join, x *keyIndex, i int) { j.prevSame[j.nextSame[x.cells[i].head]] = -1 },
+		"chain-tail":      func(j *Join, x *keyIndex, i int) { x.cells[i].tail = x.cells[i].head },
+		"chain-cycle":     func(j *Join, x *keyIndex, i int) { j.nextSame[x.cells[i].tail] = x.cells[i].head },
+		"key-out-of-reach": func(j *Join, x *keyIndex, i int) {
+			e := i
+			for x.cells[e].key != process.NoValue {
+				e = (e + 1) % len(x.cells)
+			}
+			x.cells[e], x.cells[i].key = x.cells[i], process.NoValue
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Six keys on an eight-slot cache: chains of two and more.
+			j, err := NewJoin(Config{CacheSize: 8, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := stats.NewRNG(7)
+			for i := 0; i < 40; i++ {
+				j.Step(Tuple{Key: rng.IntN(6)}, Tuple{Key: rng.IntN(6)})
+			}
+			if err := j.CheckInvariants(); err != nil {
+				t.Fatalf("healthy operator: %v", err)
+			}
+			x := &j.equi[0]
+			i := slices.IndexFunc(x.cells, func(c keyCell) bool { return c.key != process.NoValue && c.head != c.tail })
+			if i < 0 {
+				t.Fatal("no chain of two slots to tamper with")
+			}
+			tamper(j, x, i)
+			if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "equi index") {
+				t.Fatalf("got %v, want ErrInvariant naming the equi index", err)
 			}
 		})
 	}

@@ -17,10 +17,8 @@ import (
 
 // TestStepBatchAllocsPerStep pins the step's allocation count at the uptime
 // shape: payload-free RAND, a full 256-slot cache over 1024 keys, 256-step
-// batches. A warmed step allocates nothing: a bucket's second posting goes
-// into a slice an emptied bucket left behind (the parent commit allocated one
-// for ~0.12 of arrivals, 0.21 objects a step); boxing, one-ID buckets and
-// candidate copies went before that.
+// batches. A warmed step allocates nothing: a posting is a link in a per-slot
+// column and a key a cell of a table sized at construction.
 func TestStepBatchAllocsPerStep(t *testing.T) {
 	const cache, keys, batchLen = 256, 1024, 256
 	j, err := NewJoin(Config{CacheSize: cache, Seed: 1})
@@ -36,7 +34,7 @@ func TestStepBatchAllocsPerStep(t *testing.T) {
 			seq += 2
 		}
 	}
-	for warm := 0; warm < 16; warm++ { // fills the cache, settles maps and output buffers
+	for warm := 0; warm < 16; warm++ { // fills the cache, settles the output buffers
 		fill()
 		j.StepBatch(batch)
 	}
@@ -56,10 +54,8 @@ func TestStepBatchAllocsPerStep(t *testing.T) {
 
 // TestHEEBStepBatchAllocsPerStep pins the same count at the `trend` shape:
 // the ledger's trend models, 64 slots, the default policy, 8-step batches.
-// The decision allocates nothing (policy.TestHEEBDecisionAllocs) and the
-// index buckets of keys cached twice recycle their slices (0.65 of the parent
-// commit's 0.66 objects a step), so what is left is the two histories'
-// growth, ~0.01.
+// The decision allocates nothing (policy.TestHEEBDecisionAllocs) and neither
+// does the index, so what is left is the two histories' growth, ~0.01.
 func TestHEEBStepBatchAllocsPerStep(t *testing.T) {
 	const cache, batchLen, warm, runs = 64, 8, 512, 256
 	procs := workload.TrendSpec{Lag: 1, RBound: 40, SBound: 60, RSigma: 13.2, SSigma: 20}.Join().Procs

@@ -9,10 +9,10 @@ import (
 )
 
 // Key domain accepted by StepChecked. The simulator's value domains all fit
-// in int32 (process.NoValue = MinInt32 marks a never-joining tuple), and the
-// band probe computes key±Band without overflow checks, so keys near the int
-// extremes would corrupt the ordered-index interval search. MinKey starts
-// one above NoValue so the sentinel stays unambiguous.
+// in int32 (process.NoValue = MinInt32 marks a never-joining tuple); a key
+// outside it would alias another in the equi index's int32 table, or corrupt
+// the band probe, which computes key±Band without overflow checks. MinKey
+// starts one above NoValue so the sentinel stays unambiguous.
 const (
 	MinKey = math.MinInt32 + 1
 	MaxKey = math.MaxInt32

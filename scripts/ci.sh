@@ -26,9 +26,11 @@
 #   8. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
-#   9. fuzz smoke  — 10s each of FuzzStepEquivalence and the three wire
-#                    fuzzers (FuzzDecodeResults, FuzzDecodeIngest and the frame
-#                    parser's FuzzFrameReader) over their committed corpora
+#   9. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
+#                    equi index's table against a map model: backward-shift
+#                    deletion) and the three wire fuzzers (FuzzDecodeResults,
+#                    FuzzDecodeIngest and the frame parser's FuzzFrameReader)
+#                    over their committed corpora
 #  10. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
@@ -40,8 +42,10 @@
 #                    before and after the lanes have drifted, and
 #                    BenchmarkStepRAND/{cache=256,cache=1024,cache=4096,
 #                    window,hot,band} in internal/engine, the slot table's
-#                    replacement, expiry, long-bucket and ordered-index
-#                    steps), then the ledger
+#                    replacement, expiry, long-chain and ordered-index
+#                    steps, and BenchmarkServedBatch/uptime in
+#                    internal/streamd — the micro-benchmarks of the equi
+#                    index's key table and chains), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
@@ -107,6 +111,7 @@ go test -run '^TestNetworkChaosConcurrent$' -count=200 ./internal/faultinject
 
 echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
+go test -run '^$' -fuzz '^FuzzKeyIndex$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/streamd/wire
