@@ -223,9 +223,11 @@ func (c *Client) withRetries(what string, op func() error) error {
 //
 // The returned pairs belong to the caller: they are decoded straight into
 // the returned slice, alias neither steps nor any buffer the client reuses,
-// and stay intact across later calls and Close. The two payloads of one pair
-// may share storage; payloads of different pairs never do, so retaining one
-// pair retains nothing of the rest of the reply. steps is not retained.
+// and stay intact across later calls and Close. Pairs that name one tuple
+// share its payload bytes — writing to one pair's payload writes them all —
+// and a pair's payloads sit in at most two allocations, so retaining one pair
+// retains at most two pairs' payloads of the rest of the reply. steps is not
+// retained.
 func (c *Client) Ingest(steps []wire.Step) ([]wire.Pair, error) {
 	if c.closed {
 		return nil, wire.ErrClosed

@@ -218,31 +218,45 @@ func TestRetryResendsIdenticalFrame(t *testing.T) {
 func TestChunkedAndSplitRepliesAreOneListing(t *testing.T) {
 	srv := startDaemon(t)
 
-	// 12 steps on one key with 32 KiB payloads: 144 pairs of 64 KiB, ~9 MiB,
-	// against a 4 MiB frame cap.
-	big := make([]wire.Step, 12)
-	for i := range big {
-		big[i] = wire.Step{RKey: 3, SKey: 3,
-			RPayload: bytes.Repeat([]byte{'R', byte(i)}, 16<<10), SPayload: bytes.Repeat([]byte{'S', byte(i)}, 16<<10)}
+	// Two batches of 12 steps on one key with 128 KiB payloads: the second
+	// batch's reply names its own 24 tuples and the first batch's 24, still
+	// cached — 6 MiB of distinct tuples, which a reply carries at least once
+	// each, against a 4 MiB frame cap.
+	batch := func(tag byte) []wire.Step {
+		steps := make([]wire.Step, 12)
+		for i := range steps {
+			steps[i] = wire.Step{RKey: 3, SKey: 3,
+				RPayload: bytes.Repeat([]byte{'R', tag, byte(i)}, 128<<10/3), SPayload: bytes.Repeat([]byte{'S', tag, byte(i)}, 128<<10/3)}
+		}
+		return steps
 	}
+	first, big := batch(0), batch(1)
 	rng := stats.NewRNG(21)
 	long := genSteps(rng, 9, 23, 6, 9)
-	want := direct(t, big, long[:5], long[5:10], long[10:15], long[15:20], long[20:])
+	want := direct(t, first, big, long[:5], long[5:10], long[10:15], long[15:20], long[20:])
 
 	cl := dial(t, client.Options{Addr: srv.Addr(), Session: "chunked"})
+	if _, err := cl.Ingest(first); err != nil {
+		t.Fatal(err)
+	}
 	got, err := cl.Ingest(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := 0
+	tuples := map[[2]uint64]int{}
 	for _, p := range got {
-		size += len(p.RPayload) + len(p.SPayload)
+		tuples[[2]uint64{0, p.RSeq}] = len(p.RPayload)
+		tuples[[2]uint64{1, p.SSeq}] = len(p.SPayload)
 	}
-	if size <= 2*wire.MaxFramePayload {
-		t.Fatalf("reply carries %d payload bytes: not a multi-frame reply", size)
+	size := 0
+	for _, n := range tuples {
+		size += n
 	}
-	if !reflect.DeepEqual(got, want[0]) {
-		t.Fatalf("chunked reply: %d pairs, direct runtime %d, or contents differ", len(got), len(want[0]))
+	if size <= wire.MaxFramePayload {
+		t.Fatalf("reply names %d bytes of distinct tuples: not a multi-frame reply", size)
+	}
+	if !reflect.DeepEqual(got, want[1]) {
+		t.Fatalf("chunked reply: %d pairs, direct runtime %d, or contents differ", len(got), len(want[1]))
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
@@ -254,7 +268,7 @@ func TestChunkedAndSplitRepliesAreOneListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var concat []wire.Pair
-	for _, part := range want[1:] {
+	for _, part := range want[2:] {
 		concat = append(concat, part...)
 	}
 	if len(concat) == 0 || !reflect.DeepEqual(got, concat) {

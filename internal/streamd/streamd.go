@@ -59,9 +59,6 @@ type Config struct {
 	// QueueDepth bounds the engine ingest queue in batches (default 64);
 	// a full queue sheds with ErrOverloaded.
 	QueueDepth int
-	// ConnOutDepth bounds each connection's outgoing frame buffer (default
-	// 64); a full buffer marks the consumer slow and kills the connection.
-	ConnOutDepth int
 	// MemSoftLimit, in bytes, sheds new batches while heap usage is above
 	// it (0 disables memory shedding).
 	MemSoftLimit uint64
@@ -74,9 +71,8 @@ type Config struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// SessionTTL is how long a detached session's resume state is retained
-	// (default 15m); ReapEvery is the reaper cadence (default 15s).
+	// (default 15m); the reaper looks every reapEvery.
 	SessionTTL time.Duration
-	ReapEvery  time.Duration
 	// CheckpointPath, when non-empty, is restored at startup if present
 	// and written atomically during graceful drain.
 	CheckpointPath string
@@ -92,9 +88,6 @@ func (cfg *Config) applyDefaults() {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.ConnOutDepth == 0 {
-		cfg.ConnOutDepth = 64
-	}
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = 50 * time.Millisecond
 	}
@@ -107,10 +100,16 @@ func (cfg *Config) applyDefaults() {
 	if cfg.SessionTTL == 0 {
 		cfg.SessionTTL = 15 * time.Minute
 	}
-	if cfg.ReapEvery == 0 {
-		cfg.ReapEvery = 15 * time.Second
-	}
 }
+
+const (
+	// connOutDepth bounds each connection's outgoing frame buffer; a full
+	// buffer marks the consumer slow and kills the connection.
+	connOutDepth = 64
+	// reapEvery is the reaper's cadence: it refreshes the heap watermark
+	// MemSoftLimit is checked against and drops sessions idle past SessionTTL.
+	reapEvery = 15 * time.Second
+)
 
 // request kinds for the engine loop.
 const (
@@ -177,6 +176,10 @@ type Server struct {
 	submitMu sync.RWMutex
 	draining atomic.Bool
 	ingest   chan *ingestReq
+
+	// tuples is the Results encoder's table. The engine loop encodes every
+	// reply and is its only user.
+	tuples wire.TupleTable
 
 	engineDone chan struct{}
 	acceptDone chan struct{}
@@ -382,7 +385,7 @@ func (s *Server) engineIngest(req *ingestReq) {
 	s.stepsTotal.Add(int64(len(req.steps)))
 	s.pairsTotal.Add(int64(len(pairs)))
 	s.batchesTotal.Inc()
-	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), pairs)
+	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), pairs, &s.tuples)
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
 }
@@ -406,7 +409,7 @@ func (s *Server) engineFlush(req *ingestReq) {
 		AckSeq:  ack,
 		Credits: uint32(credits),
 		Flush:   true,
-	}, mergedPairs(pairs))}, true)
+	}, mergedPairs(pairs), &s.tuples)}, true)
 }
 
 // deliver sends a frame to the session's current attachment (which may be
@@ -467,8 +470,9 @@ func (ss *session) putReq(req *ingestReq) {
 // with can still need the old bytes — a stalled or killed connection — and
 // then this reply starts a buffer of its own and the old one goes with the
 // queue. Every send of the replay buffer happens under mu or on this
-// goroutine (conn.trySend), so the count read here misses none.
-func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs) *frame {
+// goroutine (conn.trySend), so the count read here misses none. tuples is the
+// engine loop's encoder table.
+func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs, tuples *wire.TupleTable) *frame {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
@@ -477,7 +481,7 @@ func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedP
 	if f == nil || f.queued.Load() != 0 {
 		f = &frame{}
 	}
-	f.b = wire.AppendResultsFramesFrom(f.b[:0], wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs)
+	f.b = wire.AppendResultsFramesFrom(f.b[:0], wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs, tuples)
 	ss.acked, ss.lastBase, ss.lastFrame = req.base, req.base, f
 	ss.putReq(req)
 	return f
@@ -606,7 +610,7 @@ func (s *Server) removeConn(c *conn) {
 // it) signals the writer to flush queued frames and tear down.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.connWG.Done()
-	c := newConn(nc, s.cfg.ConnOutDepth)
+	c := newConn(nc, connOutDepth)
 	s.addConn(c)
 	defer s.removeConn(c)
 	go s.writeLoop(c)
@@ -826,7 +830,7 @@ func (s *Server) detach(ss *session, c *conn) {
 // controller reads and drops detached sessions idle past SessionTTL.
 func (s *Server) reapLoop() {
 	defer close(s.reaperDone)
-	t := time.NewTicker(s.cfg.ReapEvery)
+	t := time.NewTicker(reapEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -1014,7 +1018,9 @@ type sessionWire struct {
 	LastFrame []byte
 }
 
-const checkpointVersion = 1
+// checkpointVersion 2 holds its replies in wire Version 2; restore reads the
+// previous version too and transcodes its replies.
+const checkpointVersion = 2
 
 // writeCheckpoint persists atomically (temp file + rename). The engine
 // loop has exited and admissions are closed, so session state is stable.
@@ -1085,20 +1091,27 @@ func (s *Server) restore() error {
 	if err != nil {
 		return fmt.Errorf("streamd: restore: %w", err)
 	}
-	var wire checkpointWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+	var ck checkpointWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return fmt.Errorf("streamd: restore: decode: %w", err)
 	}
-	if wire.Version != checkpointVersion {
-		return fmt.Errorf("streamd: restore: checkpoint version %d, want %d", wire.Version, checkpointVersion)
+	if ck.Version != checkpointVersion && ck.Version != 1 {
+		return fmt.Errorf("streamd: restore: checkpoint version %d, want %d (or 1)", ck.Version, checkpointVersion)
 	}
-	if err := s.rt.Restore(bytes.NewReader(wire.Runtime)); err != nil {
+	if err := s.rt.Restore(bytes.NewReader(ck.Runtime)); err != nil {
 		return fmt.Errorf("streamd: restore: runtime: %w", err)
 	}
-	for _, sw := range wire.Sessions {
+	for _, sw := range ck.Sessions {
 		ss := &session{name: sw.Name, submitted: sw.Acked, acked: sw.Acked, lastBase: sw.LastBase}
 		if sw.LastFrame != nil {
-			ss.lastFrame = &frame{b: sw.LastFrame}
+			b := sw.LastFrame
+			if ck.Version == 1 {
+				// A version 1 file holds its replies in wire Version 1.
+				if b, err = wire.UpgradeResultsV1(b); err != nil {
+					return fmt.Errorf("streamd: restore: session %q: last reply: %w", sw.Name, err)
+				}
+			}
+			ss.lastFrame = &frame{b: b}
 		}
 		s.sessions[sw.Name] = ss
 	}

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"stochstream/internal/checkpoint"
 	"stochstream/internal/process"
 	"stochstream/internal/shardrt"
 	"stochstream/internal/stats"
@@ -183,5 +187,101 @@ func TestRestoreParentCommitDrainFile(t *testing.T) {
 	}
 	if next := upgradeDrain(t, resumed, resumedPath); len(next) == 0 || bytes.Equal(next, old) {
 		t.Fatalf("the next drain file is %d bytes, the fixture %d: it was not rewritten", len(next), len(old))
+	}
+}
+
+// v1Reply lists a reply held in wire Version 1, read by hand: frames of type,
+// length and payload; a payload of AckSeq, Credits, flags, a pair count and
+// the pairs; a pair of RSeq, SSeq, RKey, SKey, shard, the same-step byte and
+// both payloads, length-prefixed (0xFFFFFFFF: absent).
+func v1Reply(t *testing.T, b []byte) (ack uint64, pairs []wire.Pair) {
+	t.Helper()
+	be := binary.BigEndian
+	for len(b) > 0 {
+		if b[0] != wire.TypeResults {
+			t.Fatalf("the fixture's reply holds a frame of type 0x%02x", b[0])
+		}
+		p := b[5 : 5+be.Uint32(b[1:])]
+		b = b[5+len(p):]
+		ack = be.Uint64(p)
+		n := int(be.Uint32(p[13:]))
+		p = p[17:]
+		blob := func() []byte {
+			size := be.Uint32(p)
+			p = p[4:]
+			if size == 0xFFFFFFFF {
+				return nil
+			}
+			v := p[:size:size]
+			p = p[size:]
+			return v
+		}
+		for i := 0; i < n; i++ {
+			pr := wire.Pair{RSeq: be.Uint64(p), SSeq: be.Uint64(p[8:]), RKey: int64(be.Uint64(p[16:])), SKey: int64(be.Uint64(p[24:])),
+				Shard: be.Uint16(p[32:]), SameStep: p[34] == 1}
+			p = p[35:]
+			pr.RPayload = blob()
+			pr.SPayload = blob()
+			pairs = append(pairs, pr)
+		}
+	}
+	return ack, pairs
+}
+
+// TestRestoredV1ReplyReplaysInV2: the fixture is a version 1 drain file, and
+// session "before"'s last reply in it is in wire Version 1. A client one batch
+// behind resumes on a daemon started from it: the reply replayed to it must
+// decode, in this version's layout, to exactly the pairs the fixture lists.
+func TestRestoredV1ReplyReplaysInV2(t *testing.T) {
+	old, err := os.ReadFile("testdata/upgrade/daemon_pr17.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Version  int
+		Sessions []struct {
+			Name      string
+			Acked     uint64
+			LastFrame []byte
+		}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&file); err != nil {
+		t.Fatal(err)
+	}
+	if file.Version != 1 || len(file.Sessions) != 1 || file.Sessions[0].Name != "before" {
+		t.Fatalf("the fixture is drain file version %d with sessions %+v, want version 1 with session \"before\"", file.Version, file.Sessions)
+	}
+	sess := file.Sessions[0]
+	ack, want := v1Reply(t, sess.LastFrame)
+	if ack != sess.Acked || len(want) == 0 {
+		t.Fatalf("the fixture's reply acknowledges %d with %d pairs; the session acked %d", ack, len(want), sess.Acked)
+	}
+
+	path := filepath.Join(t.TempDir(), "resumed.ckpt")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := upgradeDaemon(t, path)
+	defer srv.Close()
+	rc := rawDial(t, srv.Addr())
+	rc.handshake(t, "before", sess.Acked-1)
+	var got []wire.Pair
+	for more := true; more; {
+		typ, payload := rc.read(t)
+		if typ != wire.TypeResults {
+			t.Fatalf("replay frame of type 0x%02x", typ)
+		}
+		f, err := wire.AppendResults(got, payload)
+		if err != nil || f.AckSeq != sess.Acked {
+			t.Fatalf("replayed frame acknowledges %d (%v), want %d", f.AckSeq, err, sess.Acked)
+		}
+		got, more = f.Pairs, f.More
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the replayed reply decodes to %d pairs that differ from the fixture's %d", len(got), len(want))
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// One ingest encoder, one results decoder: what they allocate, what they
-// share, and that the bytes are the parent commit's.
+// One ingest encoder, one results encoder and decoder: what they allocate,
+// what they share, and that the ingest bytes are the parent commit's.
 
 func ingestOf(n, payload int) Ingest {
 	f := Ingest{Base: 3, Steps: make([]Step, n)}
@@ -78,15 +78,35 @@ func TestIngestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeResultsAllocs: a reply of n payload-carrying pairs costs one
-// object a pair plus the pair slice; a payload-free reply costs the slice
-// alone, and nothing at all when decoded into a slice with room.
+// gridOf is a reply in which each of nr R tuples joins each of ns S tuples,
+// R outermost: nr × ns pairs over nr + ns distinct payload tuples.
+func gridOf(nr, ns, payload int) Results {
+	f := Results{AckSeq: 3, Credits: 4096}
+	for r := 0; r < nr; r++ {
+		for s := 0; s < ns; s++ {
+			f.Pairs = append(f.Pairs, Pair{
+				RSeq: uint64(2 * r), SSeq: uint64(2*s + 1), RKey: 7, SKey: 7,
+				RPayload: bytes.Repeat([]byte{byte(r)}, payload), SPayload: bytes.Repeat([]byte{^byte(s)}, payload),
+			})
+		}
+	}
+	return f
+}
+
+// TestDecodeResultsAllocs: a reply costs at most one object a pair — the
+// payloads it carries inline — and at most one a distinct tuple, plus the
+// pair slice; a payload-free reply costs the slice alone, and nothing at all
+// when decoded into a slice with room.
 func TestDecodeResultsAllocs(t *testing.T) {
 	const n = 500
 	carrying := EncodeResults(resultsOf(n, 64))
+	grid := EncodeResults(gridOf(25, 20, 64)) // 500 pairs over k = 45 tuples
 	free := EncodeResults(resultsOf(n, 0))
 	if got := testing.AllocsPerRun(50, func() { _, _ = DecodeResults(carrying) }); got > n+2 {
 		t.Errorf("decoding %d payload-carrying pairs allocates %.0f objects, want <= n + 2", n, got)
+	}
+	if got := testing.AllocsPerRun(50, func() { _, _ = DecodeResults(grid) }); got > 45+2 {
+		t.Errorf("decoding %d pairs over 45 payload tuples allocates %.0f objects, want <= k + 2", n, got)
 	}
 	if got := testing.AllocsPerRun(50, func() { _, _ = DecodeResults(free) }); got > 2 {
 		t.Errorf("decoding %d payload-free pairs allocates %.0f objects, want <= 2", n, got)
@@ -97,11 +117,26 @@ func TestDecodeResultsAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendResultsSharesPerPairOnly: the two payloads of a pair sit in one
-// allocation, nil and empty survive it in every combination, r cannot grow
-// into s, no pair shares with another or with the frame, and the pairs land
-// behind what dst already held.
-func TestAppendResultsSharesPerPairOnly(t *testing.T) {
+// TestResultsEncodeAllocs: into a buffer that has held the reply, with a
+// table that has encoded it, the encoder allocates nothing — the daemon's
+// steady state: its replay buffer and its engine loop's table.
+func TestResultsEncodeAllocs(t *testing.T) {
+	for _, f := range []Results{resultsOf(256, 64), gridOf(16, 16, 64)} {
+		var tab TupleTable
+		hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
+		buf := AppendResultsFramesFrom(nil, hdr, pairSlice(f.Pairs), &tab)
+		if got := testing.AllocsPerRun(100, func() { buf = AppendResultsFramesFrom(buf[:0], hdr, pairSlice(f.Pairs), &tab) }); got != 0 {
+			t.Errorf("%d pairs: encoding with a warmed buffer and table allocates %.0f objects, want 0", len(f.Pairs), got)
+		}
+	}
+}
+
+// TestAppendResultsSharesPerTuple: pairs that name one tuple share its
+// payload bytes; the payloads a pair carries inline sit in one allocation
+// with r clipped, so that appending to it cannot reach s; a pair keeps at most
+// two payload allocations; nil and empty survive in every combination;
+// nothing aliases the frame; and the pairs land behind what dst already held.
+func TestAppendResultsSharesPerTuple(t *testing.T) {
 	in := Results{AckSeq: 2, Credits: 9, Pairs: []Pair{
 		{RSeq: 0, SSeq: 1, RPayload: []byte("left"), SPayload: []byte("right")},
 		{RSeq: 2, SSeq: 3, RPayload: nil, SPayload: []byte("s")},
@@ -110,6 +145,8 @@ func TestAppendResultsSharesPerPairOnly(t *testing.T) {
 		{RSeq: 8, SSeq: 9, RPayload: []byte{}, SPayload: []byte{}},
 		{RSeq: 10, SSeq: 11},
 		{RSeq: 12, SSeq: 13, RPayload: []byte("r"), SPayload: []byte{}},
+		{RSeq: 0, SSeq: 3, RPayload: []byte("left"), SPayload: []byte("s")}, // pair 0's R, pair 1's S
+		{RSeq: 4, SSeq: 7, RPayload: []byte{}, SPayload: []byte{}},          // pair 2's R, pair 3's S
 	}}
 	frame := EncodeResults(in)
 	kept := Pair{RSeq: 99, RPayload: []byte("kept")}
@@ -129,15 +166,21 @@ func TestAppendResultsSharesPerPairOnly(t *testing.T) {
 	if !reflect.DeepEqual(out.Pairs[1:], in.Pairs) {
 		t.Fatal("decoded pairs alias the frame they were decoded from")
 	}
-	first := out.Pairs[1]
+	first, again := out.Pairs[1], out.Pairs[8]
 	if grown := append(first.RPayload, '!'); &grown[0] == &first.RPayload[0] || string(first.SPayload) != "right" {
 		t.Fatalf("appending to RPayload reached SPayload: %q", first.SPayload)
+	}
+	if &again.RPayload[0] != &first.RPayload[0] || &again.SPayload[0] != &out.Pairs[2].SPayload[0] {
+		t.Fatal("a pair that names two earlier tuples does not hold their payloads: it keeps other allocations than theirs")
 	}
 	for i := range first.RPayload {
 		first.RPayload[i] = 'x'
 	}
-	if !reflect.DeepEqual(out.Pairs[2:], in.Pairs[1:]) {
-		t.Fatal("writing one pair's payload changed another pair")
+	if string(again.RPayload) != "xxxx" {
+		t.Fatalf("writing a tuple's payload through one pair left another pair naming it at %q", again.RPayload)
+	}
+	if !reflect.DeepEqual(out.Pairs[2:8], in.Pairs[1:7]) || !reflect.DeepEqual(out.Pairs[9], in.Pairs[8]) {
+		t.Fatal("writing one tuple's payload changed a pair that does not name it")
 	}
 	// On a bad frame the destination's elements are untouched.
 	if res, err := AppendResults([]Pair{kept}, EncodeResults(in)[:40]); err == nil || res.Pairs != nil {

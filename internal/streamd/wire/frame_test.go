@@ -65,7 +65,7 @@ func TestFrameViewDiesAtTheNextRead(t *testing.T) {
 		resultsOf(2, 24),
 		ingestOf(40, 0), // 977 bytes: the reader's large buffer
 		ErrorFrame{Code: CodeOverloaded, RetryAfterMillis: 50, Msg: "shed"},
-		resultsOf(30, 8), // 1787 bytes: the large buffer again, grown
+		resultsOf(30, 8), // 2027 bytes: the large buffer again, grown
 		Welcome{Credits: 4096, AckSeq: 9},
 		ingestOf(1, 64),
 	}

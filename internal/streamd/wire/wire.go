@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -42,7 +44,8 @@ const (
 
 // Version is bumped on incompatible frame layout changes; Hello carries
 // the client's version and the server rejects mismatches with ErrBadFrame.
-const Version = 1
+// Version 2 names each tuple of a Results frame once (tuple references).
+const Version = 2
 
 // MaxFramePayload bounds a single frame's payload. 4 MiB comfortably holds
 // the largest legal ingest (MaxBatchSteps full-payload steps) while keeping
@@ -130,7 +133,9 @@ type Step struct {
 }
 
 // Pair is one join result in a results frame, tagged with the global
-// ingress sequence numbers of both participating tuples.
+// ingress sequence numbers of both participating tuples. A tuple is its
+// side, sequence number, key and payload: the same tuple in several pairs of
+// one frame travels once.
 type Pair struct {
 	RSeq, SSeq         uint64
 	RKey, SKey         int64
@@ -309,21 +314,37 @@ const (
 	resultsFlagMore  = 1 << 1
 )
 
+// A Results payload is its header — AckSeq u64, Credits u32, flags u8, pair
+// count u32 — and the pairs. A pair is a tuple reference for R, one for S,
+// the shard (u16) and the same-step byte (0 or 1). A reference is a u32:
+//
+//	0      the tuple follows inline: seq u64, key i64, payload blob
+//	k ≥ 1  the same tuple as this side of pair k−1 of this frame
+//
+// A tuple is written inline at the first pair of the frame that names it and
+// referred to after that, so a reply carries each tuple's bytes once however
+// many pairs it joins in. No reference crosses a frame: every chunk of a
+// chunked reply decodes alone.
+
 // resultsHeaderSize is the fixed payload prefix of a Results frame
 // (AckSeq + Credits + flags + pair count).
 const resultsHeaderSize = 8 + 4 + 1 + 4
 
-// minPairSize is the encoded length of a pair with two absent payloads
-// (four 8-byte fields, shard, same-step byte, two blob length prefixes).
-const minPairSize = 8 + 8 + 8 + 8 + 2 + 1 + 4 + 4
+// minPairSize is the encoded length of a pair whose two sides are references
+// (two references, shard, same-step byte); inlineSize is what a side written
+// inline adds to its reference, payload bytes aside (seq, key, blob length).
+const (
+	minPairSize = 4 + 4 + 2 + 1
+	inlineSize  = 8 + 8 + 4
+)
 
 // PairSource is a reply's pair listing in emission order, read by the
 // Results encoder one pair at a time: the daemon implements it over the
 // runtime's merged pairs, so a reply goes from the merge to frame bytes
 // without an intermediate []Pair. A pair is read in two parts that each fit
 // the return registers — an 88-byte Pair returned through an interface is
-// copied twice per call. Payloads is called twice per index (sizing, then
-// writing); the blobs are copied into the frame, never retained.
+// copied twice per call. Each is called once per index, in order; the blobs
+// are copied into the frame and not retained past the encode.
 type PairSource interface {
 	Len() int
 	// Fields returns pair i's fixed-width fields.
@@ -343,84 +364,211 @@ func (ps pairSlice) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
 
 func (ps pairSlice) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
 
-// encodeResults is the one Results encoder. It appends the reply described by
-// f's header fields over the pairs of src (f.Pairs is not read) to dst, sized
-// exactly first so that dst grows at most once: with framed set, as complete
-// frames whose payloads stay within limit, otherwise as one bare payload. The
-// source's type is a parameter so that a slice-backed source is passed as the
-// slice it is, not boxed into an interface value per reply. A chunk closes
-// when the next pair would overflow it and always takes at least one pair;
-// every chunk repeats AckSeq, Credits and Flush, and all but the last set More.
-func encodeResults[S PairSource](dst []byte, f Results, src S, framed bool, limit int) []byte {
-	type span struct{ end, size int }
-	var one [1]span // a reply is one frame unless it outgrows the limit
-	spans := one[:0]
-	n := src.Len()
-	start, size, total := 0, resultsHeaderSize, 0
-	for i := 0; i < n; i++ {
-		r, s := src.Payloads(i)
-		sz := minPairSize + len(r) + len(s)
-		if i > start && size+sz > limit {
-			spans = append(spans, span{i, size})
-			total += size
-			start, size = i, resultsHeaderSize
-		}
-		size += sz
-	}
-	spans = append(spans, span{n, size})
-	total += size
-	if framed {
-		total += 5 * len(spans)
-	}
+// TupleTable is the Results encoder's record of the tuples the frame being
+// written carries: an open-addressed table from (side, seq) to the tuple and
+// the pair of the reply that carries it inline, probed linearly from a
+// multiplicative hash. A repeat is the same side, seq, key and payload bytes —
+// on the daemon the same payload slice — so the encoding is exact for any
+// pair listing. A frame moves the cells' stamp on instead of clearing them: a
+// cell of an earlier frame reads as empty. The carried tuples are cleared
+// with their frame, so the table pins no payload between replies; it grows to
+// at least twice the most tuples one frame has carried. The zero value is
+// ready. A table serves one encoder at a time; one kept across replies (the
+// daemon's engine loop keeps one) encodes without allocating once it has seen
+// the largest reply.
+type TupleTable struct {
+	cells   []tupleCell
+	shift   uint8          // 64 − log2(len(cells)): a hash's top bits index the table
+	stamp   uint32         // the current frame's, even; a cell holds stamp | side
+	carried []carriedTuple // the current frame's tuples, as it writes them
+}
 
-	w := wireBuf{b: slices.Grow(dst, total)}
-	i := 0
-	for k, sp := range spans {
-		if framed {
-			w.u8(TypeResults)
-			w.u32(uint32(sp.size))
+type tupleCell struct {
+	seq   uint64
+	stamp uint32 // the writing frame's stamp, | 1 on the S side
+	tuple uint32 // its index in carried
+}
+
+// carriedTuple is a tuple the current frame carries inline.
+type carriedTuple struct {
+	key     int64
+	payload []byte
+	pair    uint32 // the pair of the reply that carries it
+}
+
+// newFrame starts a frame, dropping the last one's tuples. Stamps wrap after
+// 2^31 frames, and only then are the cells cleared.
+func (t *TupleTable) newFrame() {
+	clear(t.carried)
+	t.carried = t.carried[:0]
+	t.stamp += 2
+	if t.stamp == 0 {
+		clear(t.cells)
+		t.stamp = 2
+	}
+}
+
+func (t *TupleTable) home(seq uint64, side uint32) int {
+	return int((seq<<1 | uint64(side)) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// grow doubles the table (16 cells at first), and the room for carried tuples
+// with it, and re-enters the current frame's tuples.
+func (t *TupleTable) grow() {
+	old := t.cells
+	t.cells = make([]tupleCell, max(2*len(old), 16))
+	t.shift = uint8(64 - bits.Len(uint(len(t.cells)-1)))
+	t.carried = slices.Grow(t.carried, len(t.cells)/2-len(t.carried))
+	mask := len(t.cells) - 1
+	for _, c := range old {
+		if c.stamp&^1 != t.stamp {
+			continue
 		}
-		w.u64(f.AckSeq)
-		w.u32(f.Credits)
-		var flags uint8
-		if f.Flush {
-			flags |= resultsFlagFlush
+		h := t.home(c.seq, c.stamp&1)
+		for t.cells[h].stamp&^1 == t.stamp {
+			h = (h + 1) & mask
 		}
-		if f.More || k < len(spans)-1 {
-			flags |= resultsFlagMore
+		t.cells[h] = c
+	}
+}
+
+// refer returns the reference for one side of pair i, in the frame that
+// starts at pair start: k ≥ 1 when pair start+k−1 carries the same tuple,
+// otherwise 0 — and pair i carries the tuple, recorded as its carrier unless
+// a tuple of that side and seq with another key or payload already is.
+func (t *TupleTable) refer(i, start int, side uint32, seq uint64, key int64, payload []byte) uint32 {
+	if 2*(len(t.carried)+1) > len(t.cells) {
+		t.grow()
+	}
+	mask := len(t.cells) - 1
+	for h := t.home(seq, side); ; h = (h + 1) & mask {
+		c := &t.cells[h]
+		if c.stamp&^1 != t.stamp {
+			*c = tupleCell{seq: seq, stamp: t.stamp | side, tuple: uint32(len(t.carried))}
+			t.carried = append(t.carried, carriedTuple{key: key, payload: payload, pair: uint32(i)})
+			return 0
 		}
-		w.u8(flags)
-		w.u32(uint32(sp.end - i))
-		for ; i < sp.end; i++ {
-			rseq, sseq, rkey, skey, shard, sameStep := src.Fields(i)
-			w.u64(rseq)
-			w.u64(sseq)
-			w.i64(rkey)
-			w.i64(skey)
-			w.u16(shard)
-			if sameStep {
-				w.u8(1)
-			} else {
-				w.u8(0)
+		if c.seq == seq && c.stamp&1 == side {
+			if e := &t.carried[c.tuple]; e.key == key && samePayload(e.payload, payload) {
+				return uint32(int(e.pair) - start + 1)
 			}
-			r, s := src.Payloads(i)
-			w.blob(r)
-			w.blob(s)
+			return 0
 		}
 	}
+}
+
+// samePayload: both absent, or both present with equal bytes. On the daemon
+// a repeated tuple's payload is the slice its carrier has, and bytes.Equal
+// returns at its pointer check.
+func samePayload(a, b []byte) bool {
+	return (a == nil) == (b == nil) && bytes.Equal(a, b)
+}
+
+// encodeResults is the one Results encoder. It appends the reply described by
+// f's header fields over the pairs of src (f.Pairs is not read) to dst in one
+// pass: with framed set, as complete frames whose payloads stay within limit,
+// otherwise as one bare payload. The source's type is a parameter so that a
+// slice-backed source is passed as the slice it is, not boxed into an
+// interface value per reply. A chunk closes when the next pair would overflow
+// it and always takes at least one pair; every chunk repeats AckSeq, Credits
+// and Flush, and all but the last set More. A chunk's length, flags and pair
+// count are written when it closes; t finds the repeats, a chunk at a time.
+func encodeResults[S PairSource](dst []byte, f Results, src S, t *TupleTable, framed bool, limit int) []byte {
+	w := wireBuf{b: dst}
+	hdr := 0
+	if framed {
+		hdr = 5
+	}
+	at, start := w.openResults(f, framed), 0
+	t.newFrame()
+	n := src.Len()
+	for i := 0; i < n; i++ {
+		rseq, sseq, rkey, skey, shard, sameStep := src.Fields(i)
+		r, s := src.Payloads(i)
+		rref := t.refer(i, start, 0, rseq, rkey, r)
+		sref := t.refer(i, start, 1, sseq, skey, s)
+		size := minPairSize
+		if rref == 0 {
+			size += inlineSize + len(r)
+		}
+		if sref == 0 {
+			size += inlineSize + len(s)
+		}
+		if i > start && len(w.b)-at-hdr+size > limit {
+			w.closeResults(at, f, framed, true, i-start)
+			at, start = w.openResults(f, framed), i
+			t.newFrame()
+			rref = t.refer(i, start, 0, rseq, rkey, r)
+			sref = t.refer(i, start, 1, sseq, skey, s)
+		}
+		w.tuple(rref, rseq, rkey, r)
+		w.tuple(sref, sseq, skey, s)
+		w.u16(shard)
+		if sameStep {
+			w.u8(1)
+		} else {
+			w.u8(0)
+		}
+	}
+	w.closeResults(at, f, framed, f.More, n-start)
+	t.newFrame() // holds no payload until the next reply
 	return w.b
+}
+
+// openResults appends the headers of a Results chunk and returns where it
+// starts; its length, flags and pair count are closeResults' to write.
+func (w *wireBuf) openResults(f Results, framed bool) int {
+	at := len(w.b)
+	if framed {
+		w.u8(TypeResults)
+		w.u32(0)
+	}
+	w.u64(f.AckSeq)
+	w.u32(f.Credits)
+	w.u8(0)
+	w.u32(0)
+	return at
+}
+
+// closeResults completes the chunk that starts at at: it holds the pairs
+// since, count of them, and more says whether another chunk follows.
+func (w *wireBuf) closeResults(at int, f Results, framed, more bool, count int) {
+	b := w.b[at:]
+	if framed {
+		binary.BigEndian.PutUint32(b[1:], uint32(len(b)-5))
+		b = b[5:]
+	}
+	var flags uint8
+	if f.Flush {
+		flags |= resultsFlagFlush
+	}
+	if more {
+		flags |= resultsFlagMore
+	}
+	b[12] = flags
+	binary.BigEndian.PutUint32(b[13:], uint32(count))
+}
+
+// tuple writes one side of a pair: its reference, and after a 0 the tuple.
+func (w *wireBuf) tuple(ref uint32, seq uint64, key int64, payload []byte) {
+	w.u32(ref)
+	if ref == 0 {
+		w.u64(seq)
+		w.i64(key)
+		w.blob(payload)
+	}
 }
 
 // EncodeResults encodes f as one bare Results payload (no frame header, no
 // size cap) — the reference form of the codec tests.
 func EncodeResults(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), false, math.MaxInt)
+	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), false, math.MaxInt)
 }
 
 // EncodeResultsFrame builds the complete Results frame (header included).
 // Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
 func EncodeResultsFrame(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), true, math.MaxInt)
+	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), true, math.MaxInt)
 }
 
 // EncodeResultsFrames encodes f as one or more complete Results frames
@@ -432,15 +580,16 @@ func EncodeResultsFrame(f Results) []byte {
 // of delivery and replay — one writer-queue entry, one replay buffer — and
 // decodes on the client as an ordinary frame sequence.
 func EncodeResultsFrames(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), true, MaxFramePayload)
+	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), true, MaxFramePayload)
 }
 
 // AppendResultsFramesFrom is EncodeResultsFrames with the pair listing read
-// from src instead of f.Pairs and the frames appended to dst. A dst with room
-// for the reply is not reallocated: the daemon passes the session's previous
-// reply, truncated, once nothing else reads it.
-func AppendResultsFramesFrom[S PairSource](dst []byte, f Results, src S) []byte {
-	return encodeResults(dst, f, src, true, MaxFramePayload)
+// from src instead of f.Pairs, the repeats found with t, and the frames
+// appended to dst. A dst with room for the reply is not reallocated: the
+// daemon passes the session's previous reply, truncated, once nothing else
+// reads it, and the table its engine loop keeps.
+func AppendResultsFramesFrom[S PairSource](dst []byte, f Results, src S, t *TupleTable) []byte {
+	return encodeResults(dst, f, src, t, true, MaxFramePayload)
 }
 
 func EncodeError(f ErrorFrame) []byte {
@@ -536,17 +685,28 @@ func (c *wireCursor) blob() []byte {
 	return out
 }
 
-// blobs reads the two payload blobs of one pair into one allocation: a
-// consumer keeps or drops a pair whole, so the pair is the granularity worth
-// paying an object for. r is clipped to its own length, so appending to it
-// cannot reach s. Absent stays nil and empty stays non-nil empty (make of
-// zero bytes is non-nil and allocates nothing).
-func (c *wireCursor) blobs() (r, s []byte) {
-	rv, rok := c.view()
-	sv, sok := c.view()
-	if c.err != nil {
-		return nil, nil
+// side reads one side of pair i of a Results frame: a reference k ≥ 1 to an
+// earlier pair of the frame, or 0 and the tuple inline, its payload a view
+// (present is false for the absent marker). A reference to pair i or later
+// is a frame violation.
+func (c *wireCursor) side(i int) (ref int, seq uint64, key int64, payload []byte, present bool) {
+	k := c.u32()
+	if k != 0 {
+		if c.err == nil && uint64(k) > uint64(i) {
+			c.err = fmt.Errorf("%w: pair %d refers to pair %d, not one before it", ErrBadFrame, i, uint64(k)-1)
+		}
+		return int(k), 0, 0, nil, false
 	}
+	seq, key = c.u64(), c.i64()
+	payload, present = c.view()
+	return 0, seq, key, payload, present
+}
+
+// copyPayloads copies the payloads one pair carries inline into one
+// allocation: r is clipped to its own length, so appending to it cannot reach
+// s. Absent stays nil and empty stays non-nil empty (make of zero bytes is
+// non-nil and allocates nothing).
+func copyPayloads(rv []byte, rok bool, sv []byte, sok bool) (r, s []byte) {
 	buf := make([]byte, len(rv)+len(sv))
 	n := copy(buf, rv)
 	copy(buf[n:], sv)
@@ -713,40 +873,102 @@ func DecodeIngest(b []byte) (Ingest, error) {
 }
 
 // DecodeResults decodes one Results payload. The pairs are the caller's:
-// nothing in them aliases b. The two payloads of one pair may share storage
-// (one allocation a pair); payloads of different pairs never do.
+// nothing in them aliases b. Pairs that name one tuple share its payload
+// bytes, and the payloads a pair carries inline share one allocation, so a
+// pair keeps at most two allocations alive.
 func DecodeResults(b []byte) (Results, error) { return AppendResults(nil, b) }
+
+// resultsHeader reads the fixed prefix of a Results payload.
+func (c *wireCursor) resultsHeader() Results {
+	f := Results{AckSeq: c.u64(), Credits: c.u32()}
+	flags := c.u8()
+	if c.err == nil && flags&^(resultsFlagFlush|resultsFlagMore) != 0 {
+		c.err = fmt.Errorf("%w: unknown results flags 0x%02x", ErrBadFrame, flags)
+	}
+	f.Flush = flags&resultsFlagFlush != 0
+	f.More = flags&resultsFlagMore != 0
+	return f
+}
 
 // AppendResults is the one Results decoder: DecodeResults, with the frame's
 // pairs appended to dst and the extended slice returned as Pairs, so a reply
 // that arrives in several frames (More) or batches is written once into the
-// slice its consumer ends up holding. On error dst's elements are untouched
-// and the returned Results is empty; what was appended beyond len(dst) is
-// garbage the caller never sees.
+// slice its consumer ends up holding. A referenced side is the earlier pair's
+// tuple, payload slice included. On error dst's elements are untouched and
+// the returned Results is empty; what was appended beyond len(dst) is garbage
+// the caller never sees.
 func AppendResults(dst []Pair, b []byte) (Results, error) {
 	c := wireCursor{b: b}
-	f := Results{AckSeq: c.u64(), Credits: c.u32()}
-	flags := c.u8()
-	if c.err == nil && flags&^(resultsFlagFlush|resultsFlagMore) != 0 {
-		return Results{}, fmt.Errorf("%w: unknown results flags 0x%02x", ErrBadFrame, flags)
-	}
-	f.Flush = flags&resultsFlagFlush != 0
-	f.More = flags&resultsFlagMore != 0
+	f := c.resultsHeader()
 	n := c.count(minPairSize, "pairs")
 	f.Pairs = slices.Grow(dst, n)
+	base := len(f.Pairs)
 	for i := 0; i < n && c.err == nil; i++ {
-		p := Pair{
-			RSeq: c.u64(), SSeq: c.u64(),
-			RKey: c.i64(), SKey: c.i64(),
-			Shard: c.u16(), SameStep: c.flag(),
+		rref, rseq, rkey, rv, rok := c.side(i)
+		sref, sseq, skey, sv, sok := c.side(i)
+		p := Pair{RSeq: rseq, SSeq: sseq, RKey: rkey, SKey: skey, Shard: c.u16(), SameStep: c.flag()}
+		if c.err != nil {
+			break
 		}
-		p.RPayload, p.SPayload = c.blobs()
+		p.RPayload, p.SPayload = copyPayloads(rv, rok, sv, sok)
+		if rref != 0 {
+			q := &f.Pairs[base+rref-1]
+			p.RSeq, p.RKey, p.RPayload = q.RSeq, q.RKey, q.RPayload
+		}
+		if sref != 0 {
+			q := &f.Pairs[base+sref-1]
+			p.SSeq, p.SKey, p.SPayload = q.SSeq, q.SKey, q.SPayload
+		}
 		f.Pairs = append(f.Pairs, p)
 	}
 	if err := c.done(); err != nil {
 		return Results{}, err
 	}
 	return f, nil
+}
+
+// UpgradeResultsV1 rewrites a reply of Version 1 Results frames — the layout
+// before tuple references, in which every pair carries both tuples inline —
+// in this version's layout: the same headers and pairs, frame by frame (a
+// frame the new layout would take past the cap is split as the encoder splits
+// any reply). It is the one reader of the old layout, for the replies a drain
+// file of the previous format holds.
+func UpgradeResultsV1(frames []byte) ([]byte, error) {
+	var out []byte
+	var t TupleTable
+	for len(frames) > 0 {
+		if len(frames) < 5 {
+			return nil, fmt.Errorf("%w: %d bytes after the last Version 1 results frame", ErrBadFrame, len(frames))
+		}
+		typ, n := frames[0], binary.BigEndian.Uint32(frames[1:5])
+		if typ != TypeResults || uint64(n) > uint64(len(frames)-5) {
+			return nil, fmt.Errorf("%w: frame of type 0x%02x and %d bytes where a Version 1 results frame of %d was due", ErrBadFrame, typ, n, len(frames)-5)
+		}
+		f, err := decodeResultsV1(frames[5 : 5+n])
+		if err != nil {
+			return nil, err
+		}
+		out = encodeResults(out, f, pairSlice(f.Pairs), &t, true, MaxFramePayload)
+		frames = frames[5+n:]
+	}
+	return out, nil
+}
+
+// decodeResultsV1 reads one Version 1 Results payload: the header, then per
+// pair RSeq, SSeq, RKey, SKey, shard, the same-step byte and the two payload
+// blobs. The payloads are views of b.
+func decodeResultsV1(b []byte) (Results, error) {
+	c := wireCursor{b: b}
+	f := c.resultsHeader()
+	n := c.count(8+8+8+8+2+1+4+4, "pairs")
+	f.Pairs = make([]Pair, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		p := Pair{RSeq: c.u64(), SSeq: c.u64(), RKey: c.i64(), SKey: c.i64(), Shard: c.u16(), SameStep: c.flag()}
+		p.RPayload, _ = c.view()
+		p.SPayload, _ = c.view()
+		f.Pairs = append(f.Pairs, p)
+	}
+	return f, c.done()
 }
 
 func DecodeError(b []byte) (ErrorFrame, error) {

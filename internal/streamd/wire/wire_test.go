@@ -10,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,35 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultsRepeatIsTheWholeTuple: a side refers to an earlier pair only for
+// the same side, seq, key and payload bytes. Pairs that share the seq but
+// differ in key, payload bytes, or absent against empty, and the seqs on the
+// other side, travel inline and round-trip as themselves; the same tuple in
+// slices of its own is a repeat.
+func TestResultsRepeatIsTheWholeTuple(t *testing.T) {
+	in := Results{AckSeq: 6, Pairs: []Pair{
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: []byte("r"), SPayload: []byte("s")},
+		{RSeq: 1, SSeq: 2, RKey: 9, SKey: 4, RPayload: []byte("r"), SPayload: []byte("s")},
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: []byte("x"), SPayload: []byte("s")},
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: nil, SPayload: []byte("s")},
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: []byte{}, SPayload: []byte("s")},
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: nil, SPayload: []byte{}},
+		{RSeq: 2, SSeq: 1, RKey: 4, SKey: 3, RPayload: []byte("s"), SPayload: []byte("r")},
+		{RSeq: 7, SSeq: 8, RKey: 1, SKey: 1, RPayload: nil, SPayload: []byte{}},
+		{RSeq: 7, SSeq: 8, RKey: 1, SKey: 1, RPayload: []byte{}, SPayload: nil},
+		{RSeq: 1, SSeq: 2, RKey: 3, SKey: 4, RPayload: []byte("r"), SPayload: []byte("s")},
+	}}
+	b := EncodeResults(in)
+	out, err := DecodeResults(b)
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip:\n got %+v (%v)\nwant %+v", out, err, in)
+	}
+	last := b[len(b)-minPairSize:]
+	if r, s := binary.BigEndian.Uint32(last), binary.BigEndian.Uint32(last[4:]); r != 1 || s != 1 {
+		t.Fatalf("the last pair repeats pair 0 on both sides but refers to %d and %d", r, s)
+	}
+}
+
 func TestResultsMoreFlagRoundTrip(t *testing.T) {
 	in := Results{AckSeq: 5, Credits: 64, More: true, Pairs: []Pair{{RSeq: 1, SSeq: 2}}}
 	out, err := DecodeResults(EncodeResults(in))
@@ -91,17 +121,20 @@ func TestResultsMoreFlagRoundTrip(t *testing.T) {
 
 // TestEncodeResultsFramesChunksOversizedReply pins the results chunker: a
 // reply bigger than MaxFramePayload must arrive as several legal frames
-// that reassemble exactly, with More set on every chunk but the last.
+// that reassemble exactly, with More set on every chunk but the last. Every
+// pair names the same R tuple, so the cuts fall between its repeats: no
+// reference crosses a frame — each chunk decodes alone, carries the tuple
+// inline at its first pair and refers to it after that.
 func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 	big := bytes.Repeat([]byte{0xC7}, MaxPayloadBytes)
 	f := Results{AckSeq: 9, Credits: 4096, Pairs: make([]Pair, 6)}
 	for i := range f.Pairs {
 		f.Pairs[i] = Pair{
-			RSeq: uint64(2 * i), SSeq: uint64(2*i + 1), RKey: 7, SKey: 7,
+			RSeq: 0, SSeq: uint64(2*i + 1), RKey: 7, SKey: 7,
 			Shard: 1, SameStep: i%2 == 0, RPayload: big, SPayload: big,
 		}
 	}
-	buf := EncodeResultsFrames(f) // ~12 MiB of pairs: must split
+	buf := EncodeResultsFrames(f) // 7 MiB of distinct tuples: must split
 	rd := framesOf(buf)
 	var got []Pair
 	var mores []bool
@@ -126,6 +159,13 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		if len(chunk.Pairs) == 0 {
 			t.Fatalf("chunk %d carries no pairs", len(mores))
 		}
+		if ref := binary.BigEndian.Uint32(payload[resultsHeaderSize:]); ref != 0 {
+			t.Fatalf("chunk %d opens with a reference to pair %d", len(mores), ref-1)
+		}
+		k := len(chunk.Pairs)
+		if want := resultsHeaderSize + k*minPairSize + (k+1)*(inlineSize+MaxPayloadBytes); len(payload) != want {
+			t.Fatalf("chunk %d of %d pairs is %d bytes, want %d: the shared tuple inline once, each S tuple once", len(mores), k, len(payload), want)
+		}
 		mores = append(mores, chunk.More)
 		got = append(got, chunk.Pairs...)
 	}
@@ -145,7 +185,7 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 	// frame the reference form builds from that chunk alone: same cuts,
 	// same More flags, same header repeats.
 	hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
-	if !bytes.Equal(AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs)), buf) {
+	if !bytes.Equal(AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs), new(TupleTable)), buf) {
 		t.Fatal("chunked reply from a pair source diverges from EncodeResultsFrames")
 	}
 	var want []byte
@@ -211,6 +251,11 @@ func TestTruncationSweep(t *testing.T) {
 			func(b []byte) error { _, err := DecodeIngest(b); return err }},
 		{"results", EncodeResults(Results{AckSeq: 1, Pairs: []Pair{{RSeq: 0, SSeq: 1, SPayload: []byte("q")}}}),
 			func(b []byte) error { _, err := DecodeResults(b); return err }},
+		{"results with references", EncodeResults(Results{AckSeq: 1, Pairs: []Pair{
+			{RSeq: 0, SSeq: 1, RKey: 5, SKey: 5, RPayload: []byte("r"), SPayload: []byte("s")},
+			{RSeq: 0, SSeq: 3, RKey: 5, SKey: 5, RPayload: []byte("r")},
+			{RSeq: 2, SSeq: 1, RKey: 5, SKey: 5, SPayload: []byte("s")},
+		}}), func(b []byte) error { _, err := DecodeResults(b); return err }},
 		{"error", EncodeError(ErrorFrame{Code: 3, Msg: "m"}),
 			func(b []byte) error { _, err := DecodeError(b); return err }},
 	}
@@ -249,8 +294,10 @@ func TestDecodeIngestRejectsOversizeBatch(t *testing.T) {
 
 // TestEncodeResultsFrameEquivalence pins every single-frame entry of the
 // Results encoder — from f.Pairs and from a pair source — to the reference
-// form Frame(TypeResults, EncodeResults(f)), and the format itself to bytes
-// recorded from the encoder this one replaced.
+// form Frame(TypeResults, EncodeResults(f)), and the format itself to bytes.
+// The bytes were recorded again when Version 2 made a repeated tuple a
+// reference: the third pair names the first pair's R tuple and the second
+// pair's S tuple (in slices of their own, equal in bytes) and is eleven bytes.
 func TestEncodeResultsFrameEquivalence(t *testing.T) {
 	cases := []Results{
 		{},
@@ -258,6 +305,7 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 		{AckSeq: 3, Credits: 100, Pairs: []Pair{
 			{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("rp"), SPayload: nil},
 			{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1, RPayload: []byte{}, SPayload: []byte{1, 2, 3}},
+			{RSeq: 8, SSeq: 11, RKey: 4, SKey: -1, Shard: 1, RPayload: []byte("rp"), SPayload: []byte{1, 2, 3}},
 		}},
 	}
 	for i, f := range cases {
@@ -267,16 +315,22 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 		for name, got := range map[string][]byte{
 			"EncodeResultsFrame":      EncodeResultsFrame(f),
 			"EncodeResultsFrames":     EncodeResultsFrames(f),
-			"AppendResultsFramesFrom": AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs)),
+			"AppendResultsFramesFrom": AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs), new(TupleTable)),
 		} {
 			if !bytes.Equal(got, want) {
 				t.Errorf("case %d: %s diverges from reference (%d vs %d bytes)", i, name, len(got), len(want))
 			}
 		}
 	}
-	const recorded = "040000006c0000000000000003000000640100000002" +
-		"0000000000000008000000000000000900000000000000040000000000000004000201000000027270ffffffff" +
-		"0000000000000002000000000000000bffffffffffffffffffffffffffffffff0000000000000000000003010203"
+	const recorded = "04" + "00000087" + "0000000000000003" + "00000064" + "01" + "00000003" +
+		// pair 0: R inline (seq 8, key 4, "rp"), S inline (seq 9, key 4, absent), shard 2, same step
+		"00000000" + "0000000000000008" + "0000000000000004" + "00000002" + "7270" +
+		"00000000" + "0000000000000009" + "0000000000000004" + "ffffffff" + "0002" + "01" +
+		// pair 1: R inline (seq 2, key −1, empty), S inline (seq 11, key −1, 01 02 03), shard 0
+		"00000000" + "0000000000000002" + "ffffffffffffffff" + "00000000" +
+		"00000000" + "000000000000000b" + "ffffffffffffffff" + "00000003" + "010203" + "0000" + "00" +
+		// pair 2: R is pair 0's, S is pair 1's, shard 1
+		"00000001" + "00000002" + "0001" + "00"
 	two := cases[2]
 	two.Flush = true
 	if got := hex.EncodeToString(EncodeResultsFrames(two)); got != recorded {
@@ -332,7 +386,7 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		}
 	}
 	// A count the payload does hold still decodes: absent payloads make the
-	// smallest legal pair and step.
+	// smallest legal step and the smallest first pair.
 	if f, err := DecodeResults(onePair); err != nil || len(f.Pairs) != 1 {
 		t.Errorf("minimal pair: %d pairs, err %v", len(f.Pairs), err)
 	}
@@ -345,7 +399,7 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 // decode(encode(x)) == x has no second preimage.
 func TestDecodeResultsRejectsBadSameStepByte(t *testing.T) {
 	payload := EncodeResults(Results{AckSeq: 1, Pairs: []Pair{{RSeq: 1, SSeq: 2, SameStep: true}}})
-	const at = resultsHeaderSize + 8 + 8 + 8 + 8 + 2
+	const at = resultsHeaderSize + 2*(4+inlineSize) + 2 // two inline sides, no payload bytes, the shard
 	if payload[at] != 1 {
 		t.Fatalf("same-step byte not at offset %d", at)
 	}
@@ -358,6 +412,105 @@ func TestDecodeResultsRejectsBadSameStepByte(t *testing.T) {
 	payload[at] = 0
 	if f, err := DecodeResults(payload); err != nil || f.Pairs[0].SameStep {
 		t.Errorf("same-step byte 0: pair %+v, err %v", f.Pairs, err)
+	}
+}
+
+// TestDecodeResultsRejectsBadRefs: a reference names an earlier pair of its
+// own frame, or the frame is refused — a reference on the first pair, to its
+// own pair, forward, past the count, and one behind an inline tuple whose
+// payload runs past the frame — and a refused frame leaves the destination's
+// elements as they were.
+func TestDecodeResultsRejectsBadRefs(t *testing.T) {
+	in := Results{AckSeq: 4, Pairs: []Pair{
+		{RSeq: 0, SSeq: 1, RKey: 2, SKey: 2, RPayload: []byte("r0"), SPayload: []byte("s1")},
+		{RSeq: 0, SSeq: 3, RKey: 2, SKey: 2, RPayload: []byte("r0"), SPayload: []byte("s3")},
+		{RSeq: 4, SSeq: 3, RKey: 2, SKey: 2, RPayload: []byte("r4"), SPayload: []byte("s3")},
+	}}
+	good := EncodeResults(in)
+	side := 4 + inlineSize + 2 // one inline side with a 2-byte payload
+	p0R := resultsHeaderSize
+	p1R := p0R + 2*side + 3 // pair 1's R refers to pair 0
+	p2S := p1R + 4 + side + 3 + side
+	ref := func(at int) uint32 { return binary.BigEndian.Uint32(good[at:]) }
+	if ref(p0R) != 0 || ref(p1R) != 1 || ref(p2S) != 2 || len(good) != p2S+4+3 {
+		t.Fatalf("the frame's layout is not the one this test edits: %x", good)
+	}
+	if out, err := DecodeResults(good); err != nil || !reflect.DeepEqual(out.Pairs, in.Pairs) {
+		t.Fatalf("the unedited frame decodes to %+v (%v)", out.Pairs, err)
+	}
+	set := func(at int, v uint32) []byte {
+		b := bytes.Clone(good)
+		binary.BigEndian.PutUint32(b[at:], v)
+		return b
+	}
+	kept := Pair{RSeq: 99, RPayload: []byte("kept")}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"first pair refers", set(p0R, 1)},
+		{"pair refers to itself", set(p1R, 2)},
+		{"forward reference", set(p1R, 3)},
+		{"reference past the count", set(p2S, 100)},
+		{"reference behind an overlong tuple", set(p0R+4+8+8, uint32(len(good)))},
+	} {
+		dst := append(make([]Pair, 0, 8), kept)
+		res, err := AppendResults(dst, tc.payload)
+		if !errors.Is(err, ErrBadFrame) || res.Pairs != nil {
+			t.Errorf("%s: %d pairs, err %v; want ErrBadFrame", tc.name, len(res.Pairs), err)
+		}
+		if !reflect.DeepEqual(dst[0], kept) {
+			t.Errorf("%s: the destination's pair became %+v", tc.name, dst[0])
+		}
+	}
+}
+
+// TestUpgradeResultsV1: a Version 1 frame, recorded while that layout was
+// current (every pair carries both tuples inline), becomes the frame this
+// version's encoder writes for the same pairs; a reply of several keeps its
+// frames and their flags; a reply that is not Version 1 Results frames is
+// ErrBadFrame.
+func TestUpgradeResultsV1(t *testing.T) {
+	v1, err := hex.DecodeString("040000006c0000000000000003000000640100000002" +
+		"0000000000000008000000000000000900000000000000040000000000000004000201000000027270ffffffff" +
+		"0000000000000002000000000000000bffffffffffffffffffffffffffffffff0000000000000000000003010203")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Results{AckSeq: 3, Credits: 100, Flush: true, Pairs: []Pair{
+		{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("rp"), SPayload: nil},
+		{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1, RPayload: []byte{}, SPayload: []byte{1, 2, 3}},
+	}}
+	got, err := UpgradeResultsV1(v1)
+	if err != nil || !bytes.Equal(got, EncodeResultsFrame(want)) {
+		t.Fatalf("upgraded frame %x (%v), want %x", got, err, EncodeResultsFrame(want))
+	}
+	res, err := DecodeResults(got[5:])
+	if err != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("upgraded frame decodes to %+v (%v), want %+v", res, err, want)
+	}
+
+	chunked := slices.Concat(v1, v1)
+	chunked[5+12] |= resultsFlagMore // the first of two chunks
+	more := want
+	more.More = true
+	got, err = UpgradeResultsV1(chunked)
+	if err != nil || !bytes.Equal(got, slices.Concat(EncodeResultsFrame(more), EncodeResultsFrame(want))) {
+		t.Fatalf("two upgraded chunks %x (%v)", got, err)
+	}
+
+	notResults := bytes.Clone(v1)
+	notResults[0] = TypeIngest
+	for name, b := range map[string][]byte{
+		"truncated frame":   v1[:len(v1)-1],
+		"short header":      slices.Concat(v1, v1[:3]),
+		"not a results":     notResults,
+		"bad same-step":     slices.Concat(v1[:5+17+8+8+8+8+2], []byte{7}, v1[5+17+8+8+8+8+3:]),
+		"payload too short": slices.Concat([]byte{TypeResults, 0, 0, 0, 16}, v1[5:5+16]),
+	} {
+		if _, err := UpgradeResultsV1(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+		}
 	}
 }
 

@@ -28,9 +28,13 @@
 #                    (docs/service.md, "Sessions")
 #   9. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
 #                    equi index's table against a map model: backward-shift
-#                    deletion) and the three wire fuzzers (FuzzDecodeResults,
-#                    FuzzDecodeIngest and the frame parser's FuzzFrameReader)
-#                    over their committed corpora
+#                    deletion) and the three wire fuzzers over their
+#                    committed corpora: FuzzDecodeResults (an accepted frame
+#                    decodes to pairs P with decode(encode(P)) = P and
+#                    encode(P) a fixed point — a tuple inline twice decodes
+#                    but re-encodes as a reference), FuzzDecodeIngest
+#                    (re-encodes byte for byte) and the frame parser's
+#                    FuzzFrameReader
 #  10. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
@@ -45,7 +49,9 @@
 #                    replacement, expiry, long-chain and ordered-index
 #                    steps, and BenchmarkServedBatch/uptime in
 #                    internal/streamd — the micro-benchmarks of the equi
-#                    index's key table and chains), then the ledger
+#                    index's key table and chains — and
+#                    BenchmarkServedBatch/fanout, the micro-benchmark of the
+#                    Results layout's tuple references), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
