@@ -11,16 +11,21 @@ import (
 	"stochstream/internal/flightrec"
 )
 
-var slowFigures = flag.Bool("slow-figures", false, "TestFiguresMatchRecordedRun also regenerates figures 8 and 19 (about 30 s each)")
+var slowFigures = flag.Bool("slow-figures", false, "TestFiguresMatchRecordedRun also regenerates figures 8 and 19 and ablation a1 (about 30 s each)")
 
 // figureSection returns figure id's section of a repro listing: its lines from
-// the "fig<id>:" title up to, not including, the "[figure <id> regenerated
-// in ...]" line, whose timing is all that differs from run to run.
+// the "fig<id>:" title (an ablation's is "a<n>:") up to, not including, the
+// "[figure <id> regenerated in ...]" line, whose timing is all that differs
+// from run to run.
 func figureSection(listing, id string) string {
+	title := "fig" + id + ":"
+	if strings.HasPrefix(id, "a") {
+		title = id + ":"
+	}
 	var section []string
 	for _, line := range strings.Split(listing, "\n") {
 		switch {
-		case strings.HasPrefix(line, "fig"+id+":"):
+		case strings.HasPrefix(line, title):
 			section = []string{line}
 		case section == nil:
 		case strings.HasPrefix(line, "  [figure "+id+" regenerated in "):
@@ -32,50 +37,64 @@ func figureSection(listing, id string) string {
 	return ""
 }
 
-// TestFiguresMatchRecordedRun regenerates figures at paper scale and requires
-// each section to read exactly as in experiments_run.txt, the reference run
-// EXPERIMENTS.md quotes. Figures 6, 7 and 13–18 take a few seconds together;
-// 8 and 19 take about 30 s each and run with
+// TestFiguresMatchRecordedRun regenerates figures and ablations at paper scale
+// and requires each section to read exactly as in the reference runs
+// EXPERIMENTS.md quotes: experiments_run.txt for the figures,
+// ablation_run.txt for the ablations. Figures 6, 7 and 13–18 and ablation a2
+// take a few seconds together; figures 8 and 19 and ablation a1 take about
+// 30 s or more each and run with
 //
 //	go test ./cmd/repro -run TestFiguresMatchRecordedRun -args -slow-figures
 //
 // (scripts/ci.sh does). Figures 9–12 take minutes each and are left out.
 func TestFiguresMatchRecordedRun(t *testing.T) {
-	recorded, err := os.ReadFile("../../experiments_run.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"6", "7", "8", "13", "14", "15", "16", "17", "18", "19"} {
-		t.Run("fig"+id, func(t *testing.T) {
-			if (id == "8" || id == "19") && !*slowFigures {
-				t.Skip("about 30 s at paper scale; run with -args -slow-figures")
+	for _, rec := range []struct {
+		file string
+		ids  []string
+	}{
+		{"experiments_run.txt", []string{"6", "7", "8", "13", "14", "15", "16", "17", "18", "19"}},
+		{"ablation_run.txt", []string{"a1", "a2"}},
+	} {
+		recorded, err := os.ReadFile("../../" + rec.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range rec.ids {
+			name := "fig" + id
+			if strings.HasPrefix(id, "a") {
+				name = id
 			}
-			want := figureSection(string(recorded), id)
-			if want == "" {
-				t.Fatalf("experiments_run.txt has no figure %s section", id)
-			}
-			var out bytes.Buffer
-			if err := run([]string{"-figure", id, "-paper"}, &out); err != nil {
-				t.Fatal(err)
-			}
-			got := figureSection(out.String(), id)
-			if got == want {
-				return
-			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-			for i := range max(len(gl), len(wl)) {
-				var g, w string
-				if i < len(gl) {
-					g = gl[i]
+			t.Run(name, func(t *testing.T) {
+				if (id == "8" || id == "19" || id == "a1") && !*slowFigures {
+					t.Skip("about 30 s or more at paper scale; run with -args -slow-figures")
 				}
-				if i < len(wl) {
-					w = wl[i]
+				want := figureSection(string(recorded), id)
+				if want == "" {
+					t.Fatalf("%s has no figure %s section", rec.file, id)
 				}
-				if g != w {
-					t.Fatalf("figure %s line %d differs from experiments_run.txt:\n  regenerated %q\n  recorded    %q", id, i+1, g, w)
+				var out bytes.Buffer
+				if err := run([]string{"-figure", id, "-paper"}, &out); err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				got := figureSection(out.String(), id)
+				if got == want {
+					return
+				}
+				gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+				for i := range max(len(gl), len(wl)) {
+					var g, w string
+					if i < len(gl) {
+						g = gl[i]
+					}
+					if i < len(wl) {
+						w = wl[i]
+					}
+					if g != w {
+						t.Fatalf("figure %s line %d differs from %s:\n  regenerated %q\n  recorded    %q", id, i+1, rec.file, g, w)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // the runtime ingests) and the merge-determinism scope (it forwards the
 // runtime's merged order to clients), so a wall-clock read in the session
 // reaper and a results frame assembled in channel-arrival order must both
-// report — the real daemon routes time through its Config.Clock seam and
-// forwards the engine loop's already-merged order untouched.
+// report — the real daemon reads the wall clock at one audited site, for
+// deadlines and reaping, and forwards the engine loop's merged order as is.
 package streamd
 
 import "time"
@@ -14,7 +14,7 @@ type Session struct {
 	LastSeenNs int64
 }
 
-// Expired decides reaping off the wall clock instead of the clock seam.
+// Expired decides reaping off a raw wall-clock read in the session logic.
 func Expired(s *Session, ttlNs int64) bool {
 	return time.Now().UnixNano()-s.LastSeenNs > ttlNs
 }

@@ -19,7 +19,8 @@ type TuplePair struct {
 // to calling Step once per element; only the telemetry accounting differs:
 // the step-latency histogram records one observation covering the whole
 // batch, and the steps/pairs/evictions counters are flushed once at batch
-// end (see docs/observability.md, "Batched steps").
+// end (see docs/observability.md, "Batched steps"). A step with a key outside
+// the domain panics as Step does, after the steps before it.
 //
 // The returned slice is owned by the operator and valid only until the next
 // Step or StepBatch call; callers that retain pairs must copy them.

@@ -21,6 +21,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -252,6 +253,11 @@ func NewJoin(cfg Config) (*Join, error) {
 // arrivals are joined and emitted too — a real operator must deliver them
 // even though replacement policies cannot influence them.
 //
+// Each key must be in [MinKey, MaxKey] or be process.NoValue. Step panics on
+// any other key before it changes any state, as it does on a policy's invalid
+// answer: a key outside the domain would alias another in the equi index.
+// StepChecked returns ErrBadTuple for it instead.
+//
 // The returned slice is owned by the operator and valid only until the next
 // Step or StepBatch call; callers that retain pairs must copy them.
 func (j *Join) Step(r, s Tuple) []Pair {
@@ -282,6 +288,9 @@ func releaseTail(out []Pair, prev int) []Pair {
 // call, StepBatch once per batch — so both share one state machine and stay
 // byte-identical per step.
 func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
+	if !inDomain(r.Key) || !inDomain(s.Key) {
+		panic(fmt.Sprintf("engine: step refused: %v", errors.Join(checkKey(r.Key), checkKey(s.Key))))
+	}
 	var stepSpan, sp flightrec.Active
 	if j.rec != nil {
 		stepSpan = j.rec.BeginStep(j.time)

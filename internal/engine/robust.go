@@ -42,13 +42,15 @@ func (j *Join) StepChecked(r, s Tuple) (out []Pair, err error) {
 	return j.Step(r, s), nil
 }
 
-// checkKey rejects keys outside [MinKey, MaxKey]; the NoValue sentinel (a
-// tuple that can never join) is explicitly allowed.
+// inDomain reports whether k is in [MinKey, MaxKey] or is the NoValue
+// sentinel (a tuple that can never join), which sits just below MinKey: two
+// compares.
+func inDomain(k int) bool { return k >= process.NoValue && k <= MaxKey }
+
+// checkKey rejects keys outside [MinKey, MaxKey]; the NoValue sentinel is
+// explicitly allowed.
 func checkKey(k int) error {
-	if k == process.NoValue {
-		return nil
-	}
-	if k < MinKey || k > MaxKey {
+	if !inDomain(k) {
 		return fmt.Errorf("key %d outside [%d, %d]", k, MinKey, MaxKey)
 	}
 	return nil

@@ -242,3 +242,49 @@ func TestFallbackCounts(t *testing.T) {
 		t.Fatal("non-ladder policy reported fallback counts")
 	}
 }
+
+// TestStepRefusesKeysOutsideTheDomain: Step and StepBatch panic on a key
+// outside [MinKey, MaxKey] that is not NoValue, naming it, before touching
+// any state. Such a key used to be cached: 7 + 2^32 aliased 7 in the equi
+// index, joined with a cached R 7, and left a posting CheckInvariants refused.
+func TestStepRefusesKeysOutsideTheDomain(t *testing.T) {
+	j, err := NewJoin(Config{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Step(Tuple{Key: 7}, Tuple{Key: 100})
+	before, snap := j.Metrics(), j.Snapshot()
+	for _, tc := range []struct {
+		name string
+		step func()
+		key  int
+	}{
+		{"Step", func() { j.Step(Tuple{Key: 200}, Tuple{Key: 7 + 1<<32}) }, 7 + 1<<32},
+		{"Step R", func() { j.Step(Tuple{Key: MinKey - 2}, Tuple{Key: 1}) }, MinKey - 2},
+		{"StepBatch", func() { j.StepBatch([]TuplePair{{R: Tuple{Key: MaxKey + 1}, S: Tuple{Key: 7}}}) }, MaxKey + 1},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			tc.step()
+			return ""
+		}()
+		if !strings.Contains(msg, fmt.Sprintf("key %d outside [%d, %d]", tc.key, MinKey, MaxKey)) {
+			t.Fatalf("%s with key %d: panic %q, want one naming the key and the domain", tc.name, tc.key, msg)
+		}
+	}
+	if after := j.Metrics(); after != before {
+		t.Fatalf("a refused step mutated metrics:\n  before %+v\n  after  %+v", before, after)
+	}
+	if !snapshotsEqual(j.Snapshot(), snap) {
+		t.Fatal("a refused step mutated the cache")
+	}
+	if err := j.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.StepChecked(Tuple{Key: 200}, Tuple{Key: 7 + 1<<32}); !errors.Is(err, ErrBadTuple) {
+		t.Fatalf("StepChecked: %v, want ErrBadTuple", err)
+	}
+	if out := j.Step(Tuple{Key: process.NoValue}, Tuple{Key: 7}); len(out) != 1 || out[0].R.Key != 7 {
+		t.Fatalf("NoValue with S 7 joined %+v, want the cached R 7 alone", out)
+	}
+}

@@ -68,8 +68,9 @@ var decisionPkgs = []string{
 	// prefix match) admits, orders and replays batches: any ambient clock
 	// or randomness in sequencing, dedup or replay decisions would break
 	// the drain/restart byte-identity guarantee. Wall-clock needs —
-	// connection deadlines, reaping, backoff jitter — go through the
-	// Config.Clock seam or seeded stats.RNG.
+	// connection deadlines, reaping, latency metrics — go through the
+	// daemon's one audited wall-clock read (Server.nowNanos); backoff jitter
+	// through seeded stats.RNG.
 	"stochstream/internal/streamd",
 }
 

@@ -76,9 +76,6 @@ type Config struct {
 	// CheckpointPath, when non-empty, is restored at startup if present
 	// and written atomically during graceful drain.
 	CheckpointPath string
-	// Clock overrides the wall clock (nanos) for deadlines, reaping and
-	// latency metrics; nil uses the real clock. Deterministic tests pin it.
-	Clock func() int64
 }
 
 func (cfg *Config) applyDefaults() {
@@ -206,13 +203,10 @@ type Server struct {
 	batchLatency *telemetry.Histogram
 }
 
-// nowNanos is the daemon's only wall-clock access; Config.Clock overrides
-// it for deterministic tests. The value feeds connection deadlines, the
-// session reaper and latency metrics — never a replacement decision.
+// nowNanos is the daemon's only wall-clock access. The value feeds
+// connection deadlines, the session reaper and latency metrics — never a
+// replacement decision.
 func (s *Server) nowNanos() int64 {
-	if s.cfg.Clock != nil {
-		return s.cfg.Clock()
-	}
 	//lint:ignore dettaint connection deadlines, idle reaping and latency metrics only; the value never feeds a replacement decision
 	return time.Now().UnixNano()
 }

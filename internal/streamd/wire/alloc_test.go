@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// One ingest encoder, one results encoder and decoder: what they allocate,
+// One ingest and one results encoder and decoder each: what they allocate,
 // what they share, and that the ingest bytes are the parent commit's.
 
 func ingestOf(n, payload int) Ingest {
@@ -114,6 +114,46 @@ func TestDecodeResultsAllocs(t *testing.T) {
 	dst := make([]Pair, 0, n)
 	if got := testing.AllocsPerRun(50, func() { _, _ = AppendResults(dst, free) }); got != 0 {
 		t.Errorf("decoding %d payload-free pairs into a slice with room allocates %.0f objects, want 0", n, got)
+	}
+	// Pairs that only refer copy nothing: a frame whose pairs after the first
+	// all repeat it costs the pair slice — nothing, into a slice with room —
+	// and the first pair's payloads if it carries any. (With room, because the
+	// race detector's build, which ci.sh runs, costs slices.Grow a temporary.)
+	for _, tc := range []struct {
+		payload int
+		want    float64
+	}{{0, 0}, {64, 1}} {
+		f := resultsOf(1, tc.payload)
+		for len(f.Pairs) < n {
+			f.Pairs = append(f.Pairs, f.Pairs[0])
+		}
+		repeats := EncodeResults(f)
+		if len(repeats) != resultsHeaderSize+2*(4+inlineSize+tc.payload)+3+(n-1)*minPairSize {
+			t.Fatalf("payload %d: a reply of one pair repeated is %d bytes, not references after the first pair", tc.payload, len(repeats))
+		}
+		if got := testing.AllocsPerRun(50, func() { _, _ = AppendResults(dst, repeats) }); got != tc.want {
+			t.Errorf("payload %d: decoding a pair and %d references to it allocates %.0f objects, want %.0f", tc.payload, n-1, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeIngestAllocs: a batch costs one object a present payload — a
+// copy the daemon may keep — and nothing else beyond what the sink's Grow
+// takes; into a sink with room, a payload-free batch allocates nothing.
+func TestDecodeIngestAllocs(t *testing.T) {
+	const n = 256
+	sink := &Ingest{Steps: make([]Step, 0, n)}
+	for _, tc := range []struct {
+		payload int
+		want    float64
+	}{{0, 0}, {64, 2 * n}} {
+		frame := EncodeIngest(ingestOf(n, tc.payload))
+		if got := testing.AllocsPerRun(50, func() {
+			sink.Steps = sink.Steps[:0]
+			_, _ = DecodeIngestTo(sink, frame)
+		}); got != tc.want {
+			t.Errorf("payload %d: decoding %d steps into a sink with room allocates %.0f objects, want %.0f", tc.payload, n, got, tc.want)
+		}
 	}
 }
 

@@ -604,23 +604,33 @@ func EncodeError(f ErrorFrame) []byte {
 
 // wireCursor is a truncation-safe decoder over a frame payload: every read
 // checks remaining length and poisons the cursor on underflow, so decode
-// functions can read unconditionally and check err once at the end.
+// functions can read unconditionally and check err once at the end. It reads
+// at an offset into b and never reslices b: a read stores an integer, not a
+// pointer, so it takes no GC write barrier.
 type wireCursor struct {
 	b   []byte
+	off int
 	err error
 }
 
+// take reads the next n bytes as a view into the frame buffer: the decoders
+// read a record's fixed part with one take, its fields at constant offsets.
 func (c *wireCursor) take(n int) []byte {
-	if c.err != nil {
+	if c.err != nil || n < 0 || n > len(c.b)-c.off {
+		c.truncate(n)
 		return nil
 	}
-	if n < 0 || n > len(c.b) {
-		c.err = fmt.Errorf("%w: truncated payload (want %d bytes, have %d)", ErrBadFrame, n, len(c.b))
-		return nil
-	}
-	out := c.b[:n]
-	c.b = c.b[n:]
+	out := c.b[c.off : c.off+n]
+	c.off += n
 	return out
+}
+
+// truncate poisons the cursor, unless it already is, for a read of n bytes
+// past the end.
+func (c *wireCursor) truncate(n int) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: truncated payload (want %d bytes, have %d)", ErrBadFrame, n, len(c.b)-c.off)
+	}
 }
 
 func (c *wireCursor) u8() uint8 {
@@ -662,10 +672,10 @@ func (c *wireCursor) str() string {
 	return string(c.take(n))
 }
 
-// view reads a length-prefixed byte slice as a view into the frame buffer;
-// present is false for the absent marker (and after an error).
-func (c *wireCursor) view() (b []byte, present bool) {
-	n := c.u32()
+// blob reads the payload whose length field, n, was just read, as a view into
+// the frame buffer; present is false for the absent marker (and after an
+// error).
+func (c *wireCursor) blob(n uint32) (b []byte, present bool) {
 	if n == 0xFFFFFFFF {
 		return nil, false
 	}
@@ -673,33 +683,33 @@ func (c *wireCursor) view() (b []byte, present bool) {
 	return b, c.err == nil
 }
 
-// blob reads a length-prefixed byte slice, copying out of the frame buffer
-// so the caller may retain it after the buffer is gone.
-func (c *wireCursor) blob() []byte {
-	b, present := c.view()
-	if !present {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+// view reads a length-prefixed byte slice as a view into the frame buffer.
+func (c *wireCursor) view() (b []byte, present bool) { return c.blob(c.u32()) }
 
 // side reads one side of pair i of a Results frame: a reference k ≥ 1 to an
-// earlier pair of the frame, or 0 and the tuple inline, its payload a view
-// (present is false for the absent marker). A reference to pair i or later
-// is a frame violation.
-func (c *wireCursor) side(i int) (ref int, seq uint64, key int64, payload []byte, present bool) {
-	k := c.u32()
-	if k != 0 {
-		if c.err == nil && uint64(k) > uint64(i) {
-			c.err = fmt.Errorf("%w: pair %d refers to pair %d, not one before it", ErrBadFrame, i, uint64(k)-1)
-		}
-		return int(k), 0, 0, nil, false
+// earlier pair of the frame, or 0 and the tuple inline — its seq, key and
+// payload length under one length check, its payload a view (present is false
+// for the absent marker). A reference to pair i or later is a frame violation.
+func (c *wireCursor) side(i int) (ref uint32, seq uint64, key int64, payload []byte, present bool) {
+	b, off := c.b, c.off
+	if c.err != nil || len(b)-off < 4 {
+		c.truncate(4)
+		return 0, 0, 0, nil, false
 	}
-	seq, key = c.u64(), c.i64()
-	payload, present = c.view()
-	return 0, seq, key, payload, present
+	if ref = binary.BigEndian.Uint32(b[off:]); ref != 0 {
+		if c.off = off + 4; uint64(ref) > uint64(i) {
+			c.err = fmt.Errorf("%w: pair %d refers to pair %d, not one before it", ErrBadFrame, i, uint64(ref)-1)
+		}
+		return ref, 0, 0, nil, false
+	}
+	if c.off = off + 4; len(b)-c.off < inlineSize {
+		c.truncate(inlineSize)
+		return 0, 0, 0, nil, false
+	}
+	t := b[c.off : c.off+inlineSize]
+	c.off += inlineSize
+	payload, present = c.blob(binary.BigEndian.Uint32(t[16:]))
+	return 0, binary.BigEndian.Uint64(t), int64(binary.BigEndian.Uint64(t[8:])), payload, present
 }
 
 // copyPayloads copies the payloads one pair carries inline into one
@@ -719,12 +729,17 @@ func copyPayloads(rv []byte, rok bool, sv []byte, sok bool) (r, s []byte) {
 	return r, s
 }
 
-// flag reads a boolean byte; anything but 0 or 1 is a frame violation, so
-// decoding is the exact inverse of encoding.
+// badFlag is the error for a boolean byte other than 0 or 1: decoding is the
+// exact inverse of encoding.
+func badFlag(b byte) error {
+	return fmt.Errorf("%w: boolean byte 0x%02x (want 0 or 1)", ErrBadFrame, b)
+}
+
+// flag reads a boolean byte.
 func (c *wireCursor) flag() bool {
 	b := c.u8()
 	if b > 1 && c.err == nil {
-		c.err = fmt.Errorf("%w: boolean byte 0x%02x (want 0 or 1)", ErrBadFrame, b)
+		c.err = badFlag(b)
 	}
 	return b == 1
 }
@@ -734,8 +749,8 @@ func (c *wireCursor) flag() bool {
 // preallocates from it is bounded by the bytes actually received.
 func (c *wireCursor) count(minSize int, what string) int {
 	n := c.u32()
-	if c.err == nil && uint64(n) > uint64(len(c.b)/minSize) {
-		c.err = fmt.Errorf("%w: %d %s claimed, %d payload bytes left hold at most %d", ErrBadFrame, n, what, len(c.b), len(c.b)/minSize)
+	if left := len(c.b) - c.off; c.err == nil && uint64(n) > uint64(left/minSize) {
+		c.err = fmt.Errorf("%w: %d %s claimed, %d payload bytes left hold at most %d", ErrBadFrame, n, what, left, left/minSize)
 	}
 	if c.err != nil {
 		return 0
@@ -748,8 +763,8 @@ func (c *wireCursor) done() error {
 	if c.err != nil {
 		return c.err
 	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after frame payload", ErrBadFrame, len(c.b))
+	if c.off != len(c.b) {
+		return fmt.Errorf("%w: %d trailing bytes after frame payload", ErrBadFrame, len(c.b)-c.off)
 	}
 	return nil
 }
@@ -842,7 +857,10 @@ func (f *Ingest) Step(_ int, rkey, skey int64, rpayload, spayload []byte) error 
 }
 
 // DecodeIngestTo is the one Ingest decoder: it hands the frame's steps to
-// sink and returns the batch base. On error the sink has seen some of them.
+// sink and returns the batch base. A step is read in one pass: its length is
+// checked once for its keys and R length, once for its S length, and each
+// present payload is copied out. On error the sink has seen some of the
+// steps, each of them whole.
 func DecodeIngestTo(sink StepSink, b []byte) (base uint64, err error) {
 	c := wireCursor{b: b}
 	base = c.u64()
@@ -851,15 +869,33 @@ func DecodeIngestTo(sink StepSink, b []byte) (base uint64, err error) {
 		return 0, fmt.Errorf("%w: batch of %d steps exceeds cap %d", ErrBadFrame, n, MaxBatchSteps)
 	}
 	sink.Grow(n)
-	for i := 0; i < n && c.err == nil; i++ {
-		rkey, skey, rpayload, spayload := c.i64(), c.i64(), c.blob(), c.blob()
-		if c.err == nil {
-			if err := sink.Step(i, rkey, skey, rpayload, spayload); err != nil {
-				return 0, err
-			}
+	for i := range n {
+		st := c.take(8 + 8 + 4)
+		if st == nil {
+			break
+		}
+		rv, rok := c.blob(binary.BigEndian.Uint32(st[16:]))
+		sv, sok := c.view()
+		if c.err != nil {
+			break
+		}
+		err = sink.Step(i, int64(binary.BigEndian.Uint64(st)), int64(binary.BigEndian.Uint64(st[8:])), clonePayload(rv, rok), clonePayload(sv, sok))
+		if err != nil {
+			return 0, err
 		}
 	}
 	return base, c.done()
+}
+
+// clonePayload copies a payload view out of the frame buffer, so the caller
+// may retain it after the buffer is gone; absent stays nil.
+func clonePayload(v []byte, present bool) []byte {
+	if !present {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
 }
 
 // DecodeIngest decodes one Ingest payload into an Ingest of its own.
@@ -895,31 +931,40 @@ func (c *wireCursor) resultsHeader() Results {
 // that arrives in several frames (More) or batches is written once into the
 // slice its consumer ends up holding. A referenced side is the earlier pair's
 // tuple, payload slice included. On error dst's elements are untouched and
-// the returned Results is empty; what was appended beyond len(dst) is garbage
-// the caller never sees.
+// the returned Results is empty; what was written beyond len(dst) is garbage
+// the caller never sees. A pair is read in one pass, its shard and same-step
+// byte checked at once, and written in place in the destination.
 func AppendResults(dst []Pair, b []byte) (Results, error) {
 	c := wireCursor{b: b}
 	f := c.resultsHeader()
 	n := c.count(minPairSize, "pairs")
-	f.Pairs = slices.Grow(dst, n)
-	base := len(f.Pairs)
-	for i := 0; i < n && c.err == nil; i++ {
+	f.Pairs = slices.Grow(dst, n)[:len(dst)+n]
+	pairs := f.Pairs[len(dst):]
+	for i := range pairs {
 		rref, rseq, rkey, rv, rok := c.side(i)
 		sref, sseq, skey, sv, sok := c.side(i)
-		p := Pair{RSeq: rseq, SSeq: sseq, RKey: rkey, SKey: skey, Shard: c.u16(), SameStep: c.flag()}
-		if c.err != nil {
+		t := c.take(2 + 1)
+		if t == nil {
 			break
 		}
-		p.RPayload, p.SPayload = copyPayloads(rv, rok, sv, sok)
+		if t[2] > 1 {
+			return Results{}, badFlag(t[2])
+		}
+		var r, s []byte
+		if rok || sok {
+			r, s = copyPayloads(rv, rok, sv, sok)
+		}
 		if rref != 0 {
-			q := &f.Pairs[base+rref-1]
-			p.RSeq, p.RKey, p.RPayload = q.RSeq, q.RKey, q.RPayload
+			q := &pairs[rref-1]
+			rseq, rkey, r = q.RSeq, q.RKey, q.RPayload
 		}
 		if sref != 0 {
-			q := &f.Pairs[base+sref-1]
-			p.SSeq, p.SKey, p.SPayload = q.SSeq, q.SKey, q.SPayload
+			q := &pairs[sref-1]
+			sseq, skey, s = q.SSeq, q.SKey, q.SPayload
 		}
-		f.Pairs = append(f.Pairs, p)
+		p := &pairs[i]
+		p.RSeq, p.SSeq, p.RKey, p.SKey, p.RPayload, p.SPayload = rseq, sseq, rkey, skey, r, s
+		p.Shard, p.SameStep = binary.BigEndian.Uint16(t), t[2] == 1
 	}
 	if err := c.done(); err != nil {
 		return Results{}, err

@@ -235,8 +235,29 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// mixedIngest is a batch whose steps carry present, absent and empty payloads
+// on both sides.
+var mixedIngest = Ingest{Base: 4, Steps: []Step{
+	{RKey: 1, SKey: -2, RPayload: []byte("rp"), SPayload: nil},
+	{RKey: 3, SKey: 3, RPayload: nil, SPayload: []byte{}},
+	{RKey: 6, SKey: 7},
+	{RKey: -4, SKey: 5, RPayload: []byte{}, SPayload: []byte("spay")},
+}}
+
+// mixedResults is a reply whose sides are inline and referenced, with absent,
+// empty and present payloads.
+var mixedResults = Results{AckSeq: 5, Credits: 7, Pairs: []Pair{
+	{RSeq: 0, SSeq: 1, RKey: 2, SKey: 2, RPayload: []byte("r0"), SPayload: nil, Shard: 1, SameStep: true},
+	{RSeq: 2, SSeq: 1, RKey: 2, SKey: 2, RPayload: []byte{}, SPayload: nil},
+	{RSeq: 0, SSeq: 3, RKey: 2, SKey: 2, RPayload: []byte("r0"), SPayload: []byte("s3")},
+	{RSeq: 2, SSeq: 3, RKey: 2, SKey: 2, RPayload: []byte{}, SPayload: []byte("s3"), Shard: 2},
+	{RSeq: 4, SSeq: 5, RKey: 2, SKey: 2, RPayload: nil, SPayload: []byte{}},
+}}
+
 // TestTruncationSweep feeds every strict prefix of every payload kind to its
-// decoder: each must fail with ErrBadFrame, never panic, never succeed.
+// decoder: each must fail with ErrBadFrame, never panic, never succeed. A
+// prefix's capacity ends where it does, so a read past the cut panics instead
+// of finding the rest of the frame.
 func TestTruncationSweep(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -256,12 +277,16 @@ func TestTruncationSweep(t *testing.T) {
 			{RSeq: 0, SSeq: 3, RKey: 5, SKey: 5, RPayload: []byte("r")},
 			{RSeq: 2, SSeq: 1, RKey: 5, SKey: 5, SPayload: []byte("s")},
 		}}), func(b []byte) error { _, err := DecodeResults(b); return err }},
+		{"ingest with present, absent and empty payloads", EncodeIngest(mixedIngest),
+			func(b []byte) error { _, err := DecodeIngest(b); return err }},
+		{"results with inline, referenced, absent and empty sides", EncodeResults(mixedResults),
+			func(b []byte) error { _, err := DecodeResults(b); return err }},
 		{"error", EncodeError(ErrorFrame{Code: 3, Msg: "m"}),
 			func(b []byte) error { _, err := DecodeError(b); return err }},
 	}
 	for _, tc := range cases {
 		for i := 0; i < len(tc.payload); i++ {
-			if err := tc.decode(tc.payload[:i]); !errors.Is(err, ErrBadFrame) {
+			if err := tc.decode(tc.payload[:i:i]); !errors.Is(err, ErrBadFrame) {
 				t.Errorf("%s[:%d]: err = %v, want ErrBadFrame", tc.name, i, err)
 			}
 		}
@@ -269,6 +294,95 @@ func TestTruncationSweep(t *testing.T) {
 		if err := tc.decode(append(append([]byte{}, tc.payload...), 0xAA)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s+garbage: err = %v, want ErrBadFrame", tc.name, err)
 		}
+	}
+	// The whole frames decode to what they were made from.
+	if got, err := DecodeIngest(EncodeIngest(mixedIngest)); err != nil || !reflect.DeepEqual(got, mixedIngest) {
+		t.Errorf("mixed ingest decodes to %+v (%v)", got, err)
+	}
+	if got, err := DecodeResults(EncodeResults(mixedResults)); err != nil || !reflect.DeepEqual(got, mixedResults) {
+		t.Errorf("mixed results decode to %+v (%v)", got, err)
+	}
+}
+
+// TestTruncationNamesWantAndHave: a frame cut inside a field names the bytes
+// the field wanted and the bytes left — for each fixed part the decoders
+// check at once, and for a payload.
+func TestTruncationNamesWantAndHave(t *testing.T) {
+	long := bytes.Repeat([]byte{'x'}, 40)
+	// 17 B header; pair 0: R inline at 17 (its payload at 41), S inline and
+	// absent at 81, shard at 105; pair 1 refers to pair 0 at 108.
+	results := EncodeResults(Results{AckSeq: 1, Pairs: []Pair{{RSeq: 1, SSeq: 2, RPayload: long}, {RSeq: 1, SSeq: 2, RPayload: long}}})
+	// 12 B header; step 0 at 12 (R payload only); step 1 at 76, its R payload
+	// at 96, its S length at 136 and its S payload at 140.
+	ingest := EncodeIngest(Ingest{Base: 1, Steps: []Step{{RKey: 1, SKey: 2, RPayload: long}, {RKey: 3, SKey: 4, RPayload: long, SPayload: []byte("sp")}}})
+	if len(results) != 119 || len(ingest) != 142 {
+		t.Fatalf("frames of %d and %d bytes: not the layouts this test cuts", len(results), len(ingest))
+	}
+	decodeResults := func(b []byte) error { _, err := DecodeResults(b); return err }
+	decodeIngest := func(b []byte) error { _, err := DecodeIngest(b); return err }
+	for _, tc := range []struct {
+		name   string
+		cut    []byte
+		decode func([]byte) error
+		want   string
+	}{
+		{"results: a reference", results[:108+3], decodeResults, "want 4 bytes, have 3"},
+		{"results: seq, key and length", results[:81+4+10], decodeResults, "want 20 bytes, have 10"},
+		{"results: a payload", results[:41+2], decodeResults, "want 40 bytes, have 2"},
+		{"results: shard and same-step byte", results[:105+2], decodeResults, "want 3 bytes, have 2"},
+		{"ingest: keys and R length", ingest[:76+13], decodeIngest, "want 20 bytes, have 13"},
+		{"ingest: R payload", ingest[:96+3], decodeIngest, "want 40 bytes, have 3"},
+		{"ingest: S length", ingest[:136+3], decodeIngest, "want 4 bytes, have 3"},
+		{"ingest: S payload", ingest[:140+1], decodeIngest, "want 2 bytes, have 1"},
+	} {
+		if err := tc.decode(tc.cut[:len(tc.cut):len(tc.cut)]); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrBadFrame naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// stepRecorder is a StepSink that keeps what it is handed and refuses step
+// refuseAt.
+type stepRecorder struct {
+	steps    []Step
+	refuseAt int
+}
+
+var errRefused = errors.New("refused by the sink")
+
+func (r *stepRecorder) Grow(int) {}
+
+func (r *stepRecorder) Step(i int, rkey, skey int64, rp, sp []byte) error {
+	if i != len(r.steps) {
+		return errors.New("steps out of order")
+	}
+	if i == r.refuseAt {
+		return errRefused
+	}
+	r.steps = append(r.steps, Step{RKey: rkey, SKey: skey, RPayload: rp, SPayload: sp})
+	return nil
+}
+
+// TestRefusedIngestHandsOnlyWholeSteps: whatever prefix of a batch arrives,
+// the sink is handed only steps as they were sent, in order — never one cut
+// short, with a payload missing or clipped — and a sink's own error comes
+// back as it is.
+func TestRefusedIngestHandsOnlyWholeSteps(t *testing.T) {
+	frame := EncodeIngest(mixedIngest)
+	for i := 0; i < len(frame); i++ {
+		r := &stepRecorder{refuseAt: -1}
+		if _, err := DecodeIngestTo(r, frame[:i:i]); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("prefix %d: err = %v, want ErrBadFrame", i, err)
+		}
+		for k, st := range r.steps {
+			if !reflect.DeepEqual(st, mixedIngest.Steps[k]) {
+				t.Fatalf("prefix %d: the sink was handed %+v as step %d", i, st, k)
+			}
+		}
+	}
+	r := &stepRecorder{refuseAt: 2}
+	if _, err := DecodeIngestTo(r, frame); err != errRefused || len(r.steps) != 2 {
+		t.Fatalf("a sink that refuses step 2: err %v after %d steps", err, len(r.steps))
 	}
 }
 

@@ -19,22 +19,26 @@
 #                    lint self-test; go test names whichever fails
 #   7. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
 #                    each) and compared with experiments_run.txt section by
-#                    section, by cmd/repro's TestFiguresMatchRecordedRun under
-#                    its -slow-figures flag; phase 6 already compared 6, 7 and
-#                    13–18. Figures 9–11 (~20 s each) and 12 (~7 min) are left
-#                    out: their recorded sections are checked by hand
+#                    section, and ablation a1 (about 75 s) with
+#                    ablation_run.txt, by cmd/repro's
+#                    TestFiguresMatchRecordedRun under its -slow-figures flag;
+#                    phase 6 already compared 6, 7, 13–18 and ablation a2.
+#                    Figures 9–11 (~20 s each) and 12 (~7 min) are left out:
+#                    their recorded sections are checked by hand
 #   8. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
 #   9. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
 #                    equi index's table against a map model: backward-shift
 #                    deletion) and the three wire fuzzers over their
-#                    committed corpora: FuzzDecodeResults (an accepted frame
-#                    decodes to pairs P with decode(encode(P)) = P and
-#                    encode(P) a fixed point — a tuple inline twice decodes
-#                    but re-encodes as a reference), FuzzDecodeIngest
-#                    (re-encodes byte for byte) and the frame parser's
-#                    FuzzFrameReader
+#                    committed corpora. The two decoders a peer's bytes reach
+#                    every batch read a record in one pass at an offset into
+#                    the frame, one length check per fixed part:
+#                    FuzzDecodeResults (an accepted frame decodes to pairs P
+#                    with decode(encode(P)) = P and encode(P) a fixed point —
+#                    a tuple inline twice decodes but re-encodes as a
+#                    reference) and FuzzDecodeIngest (re-encodes byte for
+#                    byte); then the frame parser's FuzzFrameReader
 #  10. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
@@ -109,7 +113,7 @@ go build ./...
 echo "==> test (-race)"
 go test -race "$@" ./...
 
-echo "==> figures 8 and 19 against experiments_run.txt"
+echo "==> figures 8 and 19 against experiments_run.txt, ablation a1 against ablation_run.txt"
 go test -run '^TestFiguresMatchRecordedRun$' -count=1 ./cmd/repro -args -slow-figures
 
 echo "==> chaos x200 (concurrent network faults)"
