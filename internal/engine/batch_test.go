@@ -15,8 +15,9 @@ import (
 // TestStepBatchEquivalence pins StepBatch to a loop of Step calls: identical
 // pairs, snapshots and metrics for every batch size, across the same config
 // matrix the differential harness uses. This is the contract that lets the
-// sharded runtime drive shards through StepBatch while the per-shard
-// ReferenceJoin differential still speaks plain Step.
+// sharded runtime drive shards in batches while the per-shard ReferenceJoin
+// differential still speaks plain Step. StepRun is held to the same loop
+// through its numbering (checkNumbered), batch by batch.
 func TestStepBatchEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -35,6 +36,10 @@ func TestStepBatchEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				batched, err := NewJoin(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				numbered, err := NewJoin(tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,9 +64,10 @@ func TestStepBatchEquivalence(t *testing.T) {
 					if !pairSlicesEqual(got, want) {
 						t.Fatalf("batch [%d,%d): pairs diverged\n got %v\nwant %v", lo, hi, got, want)
 					}
+					checkNumbered(t, fmt.Sprintf("batch [%d,%d)", lo, hi), numbered.StepRun(batch), want)
 				}
-				if sm, bm := stepped.Metrics(), batched.Metrics(); sm != bm {
-					t.Fatalf("metrics diverged: stepped %+v batched %+v", sm, bm)
+				if sm, bm, nm := stepped.Metrics(), batched.Metrics(), numbered.Metrics(); sm != bm || sm != nm {
+					t.Fatalf("metrics diverged: stepped %+v batched %+v numbered %+v", sm, bm, nm)
 				}
 				ss, bs := stepped.Snapshot(), batched.Snapshot()
 				if len(ss) != len(bs) {

@@ -132,7 +132,7 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 		wire.HistLen[s], wire.HistLast[s] = h.Len(), h.LastOr(0)
 	}
 	for i, tp := range j.cache {
-		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.payloads[i], Seq: j.seqs[i]}
+		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.slots[i].payload, Seq: j.slots[i].seq}
 	}
 	rngBytes, err := j.state.RNG.MarshalBinary()
 	if err != nil {
@@ -230,8 +230,8 @@ func (j *Join) Restore(r io.Reader) error {
 	j.state.Time = wire.Time - 1
 	j.state.RNG = rng
 	j.cache = j.cache[:0]
-	clear(j.payloads)
-	j.payloads, j.seqs = j.payloads[:0], j.seqs[:0]
+	clear(j.slots)
+	j.slots = j.slots[:0]
 	j.next, j.prev, j.ends = j.next[:0], j.prev[:0], ends{head: -1, tail: -1}
 	j.nextSame, j.prevSame = j.nextSame[:0], j.prevSame[:0]
 	if j.cfg.Band == 0 {
@@ -240,13 +240,13 @@ func (j *Join) Restore(r io.Reader) error {
 	} else {
 		j.ord = [2][]valSlot{}
 	}
-	// Every entry goes back to its slot; the entries then enter the arrival
-	// list and the index oldest first, as they did when they arrived.
+	// Every entry goes back to its slot, unstamped; the entries then enter the
+	// arrival list and the index oldest first, as they did when they arrived.
 	for _, e := range wire.Cache {
 		if old, ok := e.Payload.(seqCarrier); ok {
 			e.Seq, e.Payload = old.Untag()
 		}
-		j.grow(e.Tuple, e.Payload, e.Seq)
+		j.grow(e.Tuple, slot{payload: e.Payload, seq: e.Seq})
 	}
 	for _, slot := range byID {
 		j.enter(slot)

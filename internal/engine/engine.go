@@ -63,6 +63,23 @@ type Pair struct {
 	SameTime bool
 }
 
+// Batch is a batch's output in numbered form: Tuples lists each tuple of the
+// pairs once, at its first pair, and Pairs (Step's order) name them by index.
+// Time is the step at which the batch began.
+type Batch struct {
+	Tuples []Tuple
+	Pairs  []PairRef
+	Time   int
+}
+
+// PairRef is one pair of a Batch: a Pair with its tuples as numbers and its
+// step as an offset from Batch.Time, 16 bytes and no pointer.
+type PairRef struct {
+	R, S     uint32
+	Step     uint32
+	SameTime bool
+}
+
 // Config configures the operator; it reuses the simulator's configuration
 // semantics (cache size, window, band, models).
 type Config struct {
@@ -141,15 +158,14 @@ type Join struct {
 	// a replacement decision writes the step's two arrivals into its spare
 	// capacity and hands policy.Evict cache[:n+2:n+2] — no per-step copy, and
 	// the clamped capacity keeps a policy's append out of engine memory.
-	// payloads[i] and seqs[i] are cache[i]'s opaque payload and caller tag,
-	// kept apart so that candidate slice stays []join.Tuple; every write to a
-	// slot (admit, fill, release, restore) writes all three alike.
-	cache    []join.Tuple
-	payloads []interface{}
-	seqs     []uint64
-	nextID   int
-	time     int
-	m        Metrics
+	// slots[i] is the rest of cache[i]'s entry, kept apart so that candidate
+	// slice stays []join.Tuple; every write to a slot (admit, fill, release,
+	// restore) writes both alike.
+	cache  []join.Tuple
+	slots  []slot
+	nextID int
+	time   int
+	m      Metrics
 
 	// next and prev thread the slots into one list in arrival order, which is
 	// ID order: head is the oldest entry (the one window expiry pops), tail
@@ -174,10 +190,12 @@ type Join struct {
 	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
 	ord [2][]valSlot
 
-	// Step-scoped scratch, reused across steps. out backs Step results,
-	// batchOut StepBatch results; they are distinct so an interleaved
-	// Step/StepBatch sequence cannot alias a still-visible result slice
-	// sooner than the documented "valid until the next call" contract.
+	// Step-scoped scratch, reused across steps. run is the epoch-th batch's
+	// output; out writes it out for Step, batchOut for StepBatch, distinct so
+	// an interleaved Step/StepBatch sequence cannot alias a still-visible
+	// result slice sooner than the "valid until the next call" contract.
+	run      Batch  //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	epoch    uint32 //lint:ignore snapcomplete step-scoped scratch: stamps of an earlier batch name no tuple, and Restore drops them
 	out      []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
 	batchOut []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
 	victims  []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
@@ -204,6 +222,15 @@ type Join struct {
 
 // valSlot is one ordered-index posting.
 type valSlot struct{ v, slot int }
+
+// slot is a cache entry besides its join.Tuple, in one record: the caller's
+// payload and tag, and the stamp epoch<<32 | n that makes it tuple n of that
+// epoch's batch (see number) — scratch, not state, which Restore drops.
+type slot struct {
+	payload interface{}
+	seq     uint64
+	stamp   uint64
+}
 
 // NewJoin validates the configuration and builds the operator.
 func NewJoin(cfg Config) (*Join, error) {
@@ -259,23 +286,26 @@ func NewJoin(cfg Config) (*Join, error) {
 // StepChecked returns ErrBadTuple for it instead.
 //
 // The returned slice is owned by the operator and valid only until the next
-// Step or StepBatch call; callers that retain pairs must copy them.
+// Step, StepBatch or StepRun call; callers that retain pairs must copy them.
 func (j *Join) Step(r, s Tuple) []Pair {
-	var startNs int64
-	if j.stepLatency != nil || j.rec != nil {
-		startNs = j.now()
+	b := j.StepRun([]TuplePair{{R: r, S: s}})
+	j.out = releaseTail(appendPairs(j.out[:0], b), len(j.out))
+	return j.out
+}
+
+// appendPairs appends b's pairs to out, each with its tuples.
+func appendPairs(out []Pair, b Batch) []Pair {
+	for _, p := range b.Pairs {
+		out = append(out, Pair{Time: b.Time + int(p.Step), R: b.Tuples[p.R], S: b.Tuples[p.S], SameTime: p.SameTime})
 	}
-	out, pairs, evictions := j.stepCore(r, s, j.out[:0])
-	j.out = releaseTail(out, len(j.out))
-	j.observeStep(startNs, pairs, evictions, 1)
 	return out
 }
 
-// releaseTail zeroes what the previous output, prev pairs long in the buffer
-// out reuses, holds beyond out's length, so that a long output's payloads are
-// not kept reachable by the shorter ones after it. It costs what the output
-// shrank by: nothing when out grew or moved to a larger array.
-func releaseTail(out []Pair, prev int) []Pair {
+// releaseTail zeroes what the previous output, prev elements long in the
+// buffer out reuses, holds beyond out's length, so that a long output's
+// payloads are not kept reachable by the shorter ones after it. It costs what
+// the output shrank by: nothing when out grew or moved to a larger array.
+func releaseTail[T any](out []T, prev int) []T {
 	if len(out) < prev {
 		clear(out[len(out):prev])
 	}
@@ -283,11 +313,11 @@ func releaseTail(out []Pair, prev int) []Pair {
 }
 
 // stepCore is one synchronized step minus the per-call telemetry: it appends
-// this step's pairs to out and returns the grown slice plus the pair and
-// eviction counts. Step and StepBatch wrap it — Step observes latency per
-// call, StepBatch once per batch — so both share one state machine and stay
-// byte-identical per step.
-func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
+// this step's pairs to the current batch and returns the pair and eviction
+// counts. Step, StepBatch and StepRun wrap it — Step observes latency per
+// call, the batched ones once per batch — so all share one state machine and
+// stay byte-identical per step.
+func (j *Join) stepCore(r, s Tuple) (int, int) {
 	if !inDomain(r.Key) || !inDomain(s.Key) {
 		panic(fmt.Sprintf("engine: step refused: %v", errors.Join(checkKey(r.Key), checkKey(s.Key))))
 	}
@@ -319,23 +349,25 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 	if j.rec != nil {
 		j.rec.End(sp, expired, 0)
 	}
-	n0 := len(out)
-	out = j.emitMatches(t, r, s, out)
-	pairs := len(out) - n0
+	// An arrival enters the cache with its number in this batch, if it joined.
+	rSlot, sSlot := slot{payload: r.Payload, seq: r.Seq}, slot{payload: s.Payload, seq: s.Seq}
+	n0 := len(j.run.Pairs)
+	j.emitMatches(t, r.Key, s.Key, &rSlot, &sSlot)
+	pairs := len(j.run.Pairs) - n0
 
 	// Admission + replacement. The candidates are the cached entries in slot
 	// order, then the two arrivals.
 	nCached := len(j.cache)
 	need := nCached + 2 - j.cfg.CacheSize
 	if need <= 0 {
-		j.admit(rT, r)
-		j.admit(sT, s)
+		j.admit(rT, rSlot)
+		j.admit(sT, sSlot)
 		if j.rec != nil {
 			j.lifeTuple(flightrec.LifeAdmit, t, rT, 0)
 			j.lifeTuple(flightrec.LifeAdmit, t, sT, 0)
 		}
 		j.closeStep(stepSpan, pairs, 0)
-		return out, pairs, 0
+		return pairs, 0
 	}
 	// The arrivals go into the cache's spare capacity; the cache's length
 	// moves only once the policy's answer has been validated, so a policy
@@ -360,10 +392,10 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 		freed = freed[:len(freed)-1]
 	}
 	if !dropR {
-		freed = j.place(t, rT, r, freed)
+		freed = j.place(t, rT, rSlot, freed)
 	}
 	if !dropS {
-		j.place(t, sT, s, freed)
+		j.place(t, sT, sSlot, freed)
 	}
 	j.m.Evictions += need
 	if j.rec != nil {
@@ -378,21 +410,24 @@ func (j *Join) stepCore(r, s Tuple, out []Pair) ([]Pair, int, int) {
 		j.rec.End(sp, need, int64(len(j.cache)))
 	}
 	j.closeStep(stepSpan, pairs, need)
-	return out, pairs, need
+	return pairs, need
 }
 
 // sortedVictims validates a policy's answer against the decision it was
 // asked for — exactly need distinct positions inside [0, total) — and returns
 // the positions in ascending order. The result is step-scoped scratch: the
 // policy's own slice is left untouched and nothing is mutated before the
-// answer has passed.
+// answer has passed. need is 1 or 2 (the cache never exceeds its budget), so
+// one compare orders the answer.
 func (j *Join) sortedVictims(evict []int, total, need int) []int {
 	if len(evict) != need {
 		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
 	}
 	victims := append(j.victims[:0], evict...)
 	j.victims = victims
-	slices.Sort(victims)
+	if len(victims) == 2 && victims[1] < victims[0] {
+		victims[0], victims[1] = victims[1], victims[0]
+	}
 	for k, v := range victims {
 		if v < 0 || v >= total || (k > 0 && v == victims[k-1]) {
 			panic(fmt.Sprintf("engine: policy %s returned invalid eviction %d", j.policy.Name(), v))
@@ -404,36 +439,36 @@ func (j *Join) sortedVictims(evict []int, total, need int) []int {
 // place admits an arrival that survived its decision: into the lowest slot a
 // cached victim of that decision still holds, evicting the victim, or behind
 // the last slot when none is left. It returns the slots still to be filled.
-func (j *Join) place(t int, tp join.Tuple, from Tuple, freed []int) []int {
+func (j *Join) place(t int, tp join.Tuple, sl slot, freed []int) []int {
 	if len(freed) == 0 {
-		j.admit(tp, from)
+		j.admit(tp, sl)
 		return freed
 	}
-	slot := freed[0]
+	s := freed[0]
 	if j.rec != nil {
-		j.lifeTuple(flightrec.LifeEvict, t, j.cache[slot], 0)
+		j.lifeTuple(flightrec.LifeEvict, t, j.cache[s], 0)
 	}
-	j.indexRemove(slot)
-	unlink(j.next, j.prev, &j.ends, int32(slot))
-	j.cache[slot], j.payloads[slot], j.seqs[slot] = tp, from.Payload, from.Seq
-	j.enter(slot)
+	j.indexRemove(s)
+	unlink(j.next, j.prev, &j.ends, int32(s))
+	j.cache[s], j.slots[s] = tp, sl
+	j.enter(s)
 	return freed[1:]
 }
 
 // release frees slot h when no arrival is there to take it (window expiry):
-// the last slot's entry closes the hole, which repoints that one entry's
-// posting and links, and the table shrinks by one.
+// the last slot's entry — stamp included — closes the hole, which repoints
+// that one entry's posting and links, and the table shrinks by one.
 func (j *Join) release(h int) {
 	j.indexRemove(h)
 	unlink(j.next, j.prev, &j.ends, int32(h))
 	last := len(j.cache) - 1
 	if h != last {
 		j.indexRepoint(last, h)
-		j.cache[h], j.payloads[h], j.seqs[h] = j.cache[last], j.payloads[last], j.seqs[last]
+		j.cache[h], j.slots[h] = j.cache[last], j.slots[last]
 		relink(j.next, j.prev, &j.ends, int32(last), int32(h))
 	}
-	j.payloads[last] = nil // release the payload
-	j.cache, j.payloads, j.seqs = j.cache[:last], j.payloads[:last], j.seqs[:last]
+	j.slots[last] = slot{} // release the payload
+	j.cache, j.slots = j.cache[:last], j.slots[:last]
 	j.next, j.prev = j.next[:last], j.prev[:last]
 	j.nextSame, j.prevSame = j.nextSame[:last], j.prevSame[:last]
 }
@@ -506,18 +541,20 @@ func (j *Join) expire(t int) int {
 	return n
 }
 
-// emitMatches probes the index with both arrivals and appends the resulting
-// pairs to out in the cached partners' ID (arrival) order — the order the
-// sharded runtime's merge rests on — followed by the same-time pair if the
-// arrivals match.
-func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
+// emitMatches probes the index with the arrivals' keys rk and sk and appends
+// the pairs to the batch in the cached partners' ID (arrival) order — the
+// order the sharded runtime's merge rests on — then the same-time pair if the
+// arrivals match, numbering each tuple (rs and ss are the arrivals').
+func (j *Join) emitMatches(t, rk, sk int, rs, ss *slot) {
+	out := j.run.Pairs
 	n0 := len(out)
+	step := uint32(t - j.run.Time)
 	var sp flightrec.Active
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseProbe)
 	}
-	rm := j.probeMatches(core.StreamR, s.Key, j.probeR[:0])
-	sm := j.probeMatches(core.StreamS, r.Key, j.probeS[:0])
+	rm := j.probeMatches(core.StreamR, sk, j.probeR[:0])
+	sm := j.probeMatches(core.StreamS, rk, j.probeS[:0])
 	j.probeR, j.probeS = rm, sm
 	if j.rec != nil {
 		j.rec.End(sp, len(rm)+len(sm), 0)
@@ -530,36 +567,50 @@ func (j *Join) emitMatches(t int, r, s Tuple, out []Pair) []Pair {
 		if k >= len(sm) || (i < len(rm) && j.cache[rm[i]].ID < j.cache[sm[k]].ID) {
 			c := rm[i]
 			i++
-			out = append(out, Pair{Time: t, R: j.cached(c), S: s})
+			out = append(out, PairRef{R: j.number(&j.slots[c], j.cache[c].Value), S: j.number(ss, sk), Step: step})
 			if j.rec != nil {
-				j.lifeMatch(t, j.cache[c], s.Key, core.StreamS)
+				j.lifeMatch(t, j.cache[c], sk, core.StreamS)
 			}
 		} else {
 			c := sm[k]
 			k++
-			out = append(out, Pair{Time: t, R: r, S: j.cached(c)})
+			out = append(out, PairRef{R: j.number(rs, rk), S: j.number(&j.slots[c], j.cache[c].Value), Step: step})
 			if j.rec != nil {
-				j.lifeMatch(t, j.cache[c], r.Key, core.StreamR)
+				j.lifeMatch(t, j.cache[c], rk, core.StreamR)
 			}
 		}
 	}
 	sameTime := 0
-	if keysMatch(r.Key, s.Key, j.cfg.Band) {
-		out = append(out, Pair{Time: t, R: r, S: s, SameTime: true})
+	if keysMatch(rk, sk, j.cfg.Band) {
+		out = append(out, PairRef{R: j.number(rs, rk), S: j.number(ss, sk), Step: step, SameTime: true})
 		j.m.SameTimePairs++
 		sameTime = 1
 		if j.rec != nil {
-			j.lifeKey(flightrec.LifeMatch, t, r.Key, core.StreamR, s.Key)
-			if s.Key != r.Key {
-				j.lifeKey(flightrec.LifeMatch, t, s.Key, core.StreamS, r.Key)
+			j.lifeKey(flightrec.LifeMatch, t, rk, core.StreamR, sk)
+			if sk != rk {
+				j.lifeKey(flightrec.LifeMatch, t, sk, core.StreamS, rk)
 			}
 		}
 	}
 	j.m.Pairs += len(out) - n0
+	j.run.Pairs = out
 	if j.rec != nil {
 		j.rec.End(sp, len(out)-n0, int64(sameTime))
 	}
-	return out
+}
+
+// number returns the number in the current batch of the entry sl, key k,
+// listing its tuple at its first pair: a cached tuple keeps one number
+// however many arrivals it joins, and an arrival that survives is cached with
+// its number.
+func (j *Join) number(sl *slot, k int) uint32 {
+	if uint32(sl.stamp>>32) == j.epoch {
+		return uint32(sl.stamp)
+	}
+	j.run.Tuples = append(j.run.Tuples, Tuple{Key: k, Payload: sl.payload, Seq: sl.seq})
+	n := uint32(len(j.run.Tuples) - 1)
+	sl.stamp = uint64(j.epoch)<<32 | uint64(n)
+	return n
 }
 
 // lifeMatch records a match for both sides of one emitted pair: the cached
@@ -599,24 +650,17 @@ func (j *Join) probeMatches(side core.StreamID, k int, slots []int) []int {
 	return slots
 }
 
-// cached rebuilds the caller's tuple held in slot c.
-func (j *Join) cached(c int) Tuple {
-	return Tuple{Key: j.cache[c].Value, Payload: j.payloads[c], Seq: j.seqs[c]}
-}
-
-// admit appends a tuple with its caller's payload and tag to the cache, as
-// its newest entry.
-func (j *Join) admit(tp join.Tuple, from Tuple) {
-	j.grow(tp, from.Payload, from.Seq)
+// admit appends an entry to the cache, as its newest.
+func (j *Join) admit(tp join.Tuple, sl slot) {
+	j.grow(tp, sl)
 	j.enter(len(j.cache) - 1)
 }
 
 // grow adds a slot holding the given entry, which has yet to enter the
 // arrival list and the index.
-func (j *Join) grow(tp join.Tuple, payload interface{}, seq uint64) {
+func (j *Join) grow(tp join.Tuple, sl slot) {
 	j.cache = append(j.cache, tp)
-	j.payloads = append(j.payloads, payload)
-	j.seqs = append(j.seqs, seq)
+	j.slots = append(j.slots, sl)
 	j.next, j.prev = append(j.next, -1), append(j.prev, -1)
 	j.nextSame, j.prevSame = append(j.nextSame, -1), append(j.prevSame, -1)
 }

@@ -84,8 +84,8 @@ func (j *Join) checkInvariants() error {
 	if len(j.cache) > j.cfg.CacheSize {
 		return fail("cache holds %d entries, budget %d", len(j.cache), j.cfg.CacheSize)
 	}
-	if len(j.payloads) != len(j.cache) || len(j.seqs) != len(j.cache) {
-		return fail("cache holds %d tuples, %d payloads and %d tags", len(j.cache), len(j.payloads), len(j.seqs))
+	if len(j.slots) != len(j.cache) {
+		return fail("cache holds %d tuples and %d slot records", len(j.cache), len(j.slots))
 	}
 	if len(j.next) != len(j.cache) || len(j.prev) != len(j.cache) {
 		return fail("arrival list of %d and %d links for %d slots", len(j.next), len(j.prev), len(j.cache))

@@ -135,7 +135,7 @@ func TestRestoreKeepsTheLayout(t *testing.T) {
 			t.Fatalf("%s: %v", layout.name, err)
 		}
 		for s, e := range wire.Cache {
-			if fresh.cache[s] != e.Tuple || fresh.payloads[s] != e.Payload || fresh.seqs[s] != e.Seq {
+			if fresh.cache[s] != e.Tuple || fresh.slots[s] != (slot{payload: e.Payload, seq: e.Seq}) {
 				t.Fatalf("%s: slot %d holds %+v, the file says %+v", layout.name, s, fresh.cache[s], e)
 			}
 		}

@@ -12,14 +12,15 @@ import (
 const enginePath = "stochstream/internal/engine"
 
 // Stepretain enforces the engine's buffer-reuse contract: the slices
-// returned by (*engine.Join).Step and (*engine.Join).StepBatch are owned by
-// the operator and valid only until the next Step/StepBatch call, so callers
-// must not retain them (or any sub-slice of one) beyond the step. The type
-// system cannot express this; the analyzer flags the stores that outlive the
-// step:
+// returned by (*engine.Join).Step and (*engine.Join).StepBatch, and the Batch
+// (*engine.Join).StepRun returns with its slices, are owned by the operator
+// and valid only until the next Step/StepBatch/StepRun call, so callers must
+// not retain them (or any sub-slice or field of one) beyond the step. The
+// type system cannot express this; the analyzer flags the stores that outlive
+// the step:
 //
-//   - assignment of a Step result (or a sub-slice of one) into a struct
-//     field, a package-level variable, or an element of either,
+//   - assignment of a Step result (or a sub-slice or field of one) into a
+//     struct field, a package-level variable, or an element of either,
 //   - a Step result placed in a composite literal field,
 //   - the same stores through a local variable the result was first
 //     assigned to (one level of intra-function flow).
@@ -102,14 +103,18 @@ func report(pass *analysis.Pass, at ast.Expr) {
 	pass.Reportf(at.Pos(), "engine.Step result retained beyond the step: the returned slice is reused by the next Step/StepBatch call; copy the pairs (append(dst, res...)) before storing them")
 }
 
-// isStepResult reports whether e is a call to (*engine.Join).Step, a
-// sub-slice of one, or a local variable holding one.
+// isStepResult reports whether e is a call to (*engine.Join).Step (or
+// StepBatch, StepRun), a sub-slice or field of one, or a local variable
+// holding one.
 func isStepResult(info *types.Info, e ast.Expr, tainted map[types.Object]bool) bool {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
 		return isStepResult(info, e.X, tainted)
 	case *ast.SliceExpr:
 		return isStepResult(info, e.X, tainted)
+	case *ast.SelectorExpr:
+		s := info.Selections[e]
+		return s != nil && s.Kind() == types.FieldVal && isStepResult(info, e.X, tainted)
 	case *ast.CallExpr:
 		return isStepCall(info, e)
 	case *ast.Ident:
@@ -129,7 +134,7 @@ func isStepCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := s.Obj().(*types.Func)
-	if !ok || (fn.Name() != "Step" && fn.Name() != "StepBatch") {
+	if !ok || (fn.Name() != "Step" && fn.Name() != "StepBatch" && fn.Name() != "StepRun") {
 		return false
 	}
 	recv := s.Recv()

@@ -41,3 +41,23 @@ func (j *Join) StepBatch(batch []TuplePair) []Pair {
 	}
 	return j.out
 }
+
+// Batch mirrors the real engine's numbered batch output.
+type Batch struct {
+	Tuples []Tuple
+	Pairs  []PairRef
+}
+
+// PairRef mirrors the real engine's numbered pair.
+type PairRef struct{ R, S uint32 }
+
+// StepRun mirrors the real StepRun: the Batch and its slices are valid only
+// until the next Step, StepBatch or StepRun call.
+func (j *Join) StepRun(batch []TuplePair) Batch {
+	var b Batch
+	for i, tp := range batch {
+		b.Tuples = append(b.Tuples, tp.R, tp.S)
+		b.Pairs = append(b.Pairs, PairRef{R: uint32(2 * i), S: uint32(2*i + 1)})
+	}
+	return b
+}

@@ -71,6 +71,19 @@ func (rr *refRouter) route(steps []Step, drain bool) [][]engine.TuplePair {
 	return out
 }
 
+// convertPair turns one engine pair into the runtime's result type: the tags
+// the engine echoed become the global sequence numbers.
+func convertPair(p engine.Pair, shard int) Pair {
+	return Pair{
+		RSeq:     p.R.Seq,
+		SSeq:     p.S.Seq,
+		R:        Side{Key: p.R.Key, Payload: p.R.Payload},
+		S:        Side{Key: p.S.Key, Payload: p.S.Payload},
+		SameStep: p.SameTime,
+		Shard:    shard,
+	}
+}
+
 func diffPairsEqual(a, b []Pair) bool {
 	if len(a) != len(b) {
 		return false

@@ -212,15 +212,16 @@ func matchedSteps(n int, freed *atomic.Int64) []Step {
 }
 
 // TestShortReplyReleasesLongRepliesPayloads: the merged reply is written into
-// one buffer the runtime reuses, as each shard engine's batch output is, and
-// is merged straight out of those outputs through per-shard sort keys. A
-// 160-pair reply carries 320 payloads, 80 pairs a shard — past the 32 keys a
-// shard keeps room for; the two-pair replies after it evict those tuples from
-// the caches and never write the buffers' later positions again. Every
-// payload must be collectable, the merge buffer zero beyond its length and the
-// gathered runs cleared; the key buffers cannot pin anything, being
-// pointer-free. At the PR 19 parent both output buffers were truncated, not
-// cleared.
+// buffers the runtime reuses — its tuple list, and the Pairs IngestBatch
+// writes it out as — as each shard engine's numbered batch is, and is merged
+// straight out of those batches through per-shard sort keys. A 160-pair reply
+// carries 320 payloads, 80 pairs a shard — past the 32 keys a shard keeps room
+// for; the two-pair replies after it evict those tuples from the caches and
+// never write the buffers' later positions again. Every payload must be
+// collectable, the reply's tuple list and the Pair buffer zero beyond their
+// lengths and the gathered runs cleared; the key buffers and the merged
+// pairs cannot pin anything, being pointer-free. At the PR 19 parent the
+// output buffers were truncated, not cleared.
 func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
@@ -245,22 +246,39 @@ func TestShortReplyReleasesLongRepliesPayloads(t *testing.T) {
 	}
 	for x, p := range rt.out[len(rt.out):cap(rt.out)] {
 		if p != (Pair{}) {
-			t.Fatalf("merge buffer keeps %+v at position %d beyond its length %d", p, len(rt.out)+x, len(rt.out))
+			t.Fatalf("pair buffer keeps %+v at position %d beyond its length %d", p, len(rt.out)+x, len(rt.out))
+		}
+	}
+	tuples := rt.reply.tuples
+	for x, tu := range tuples[len(tuples):cap(tuples)] {
+		if tu != (engine.Tuple{}) {
+			t.Fatalf("the reply's tuple list keeps %+v at position %d beyond its length %d", tu, len(tuples)+x, len(tuples))
 		}
 	}
 	for i, r := range rt.runs[:cap(rt.runs)] {
-		if r.keys != nil || r.pairs != nil {
+		if r.keys != nil || r.batch.Tuples != nil || r.batch.Pairs != nil {
 			t.Fatalf("run %d still references its shard's output after the dispatch", i)
 		}
 	}
-	kt := reflect.TypeOf(runKey{})
-	for i := 0; i < kt.NumField(); i++ {
-		if k := kt.Field(i).Type.Kind(); k != reflect.Uint64 && k != reflect.Int {
-			t.Fatalf("runKey.%s is a %v: the shards' key buffers must stay pointer-free", kt.Field(i).Name, k)
+	for _, pointerFree := range []struct {
+		v    any
+		size uintptr
+		why  string
+	}{
+		{runKey{}, 16, "the trigger and the pair's index, nothing a pass does not read"},
+		{ref{}, 12, "two tuple numbers, the shard and the same-step flag"},
+	} {
+		typ := reflect.TypeOf(pointerFree.v)
+		for i := 0; i < typ.NumField(); i++ {
+			switch k := typ.Field(i).Type.Kind(); k {
+			case reflect.Uint64, reflect.Int, reflect.Uint32, reflect.Uint16, reflect.Bool:
+			default:
+				t.Fatalf("%s.%s is a %v: the merge's records must stay pointer-free", typ.Name(), typ.Field(i).Name, k)
+			}
 		}
-	}
-	if kt.Size() != 16 {
-		t.Fatalf("runKey is %d bytes, want 16: the trigger and the pair's index, nothing a pass does not read", kt.Size())
+		if typ.Size() != pointerFree.size {
+			t.Fatalf("%s is %d bytes, want %d: %s", typ.Name(), typ.Size(), pointerFree.size, pointerFree.why)
+		}
 	}
 	for cycle := 0; cycle < 10 && freed.Load() < 2*long; cycle++ {
 		runtime.GC()

@@ -58,22 +58,33 @@ func newShardEngines(tb testing.TB, shards, totalCache int) *shardEngines {
 	return se
 }
 
-// step routes one batch and returns every shard's batch beside its
-// StepBatch output (engine-owned until that shard steps again).
-func (se *shardEngines) step(steps []Step, drain bool) ([][]engine.TuplePair, [][]engine.Pair) {
+// step routes one batch and returns every shard's batch beside its StepRun
+// output (engine-owned until that shard steps again).
+func (se *shardEngines) step(steps []Step, drain bool) ([][]engine.TuplePair, []engine.Batch) {
 	batches := se.rr.route(steps, drain)
-	outs := make([][]engine.Pair, len(batches))
+	outs := make([]engine.Batch, len(batches))
 	for i, batch := range batches {
-		outs[i] = se.engs[i].StepBatch(batch)
+		outs[i] = se.engs[i].StepRun(batch)
 	}
 	return batches, outs
 }
 
+// batchPairs is one shard's numbered batch written out as the runtime's
+// pairs, in the engine's order.
+func batchPairs(b engine.Batch, shard int) []Pair {
+	var out []Pair
+	for _, p := range b.Pairs {
+		out = append(out, convertPair(engine.Pair{Time: b.Time + int(p.Step), R: b.Tuples[p.R], S: b.Tuples[p.S], SameTime: p.SameTime}, shard))
+	}
+	return out
+}
+
 // TestMergeRunsEqualsSort is the reply path's ordering property: keying each
 // shard's engine output on its own, ordering the keys stably by trigger and
-// N-way merging the keyed runs — each engine pair converted once, straight
-// from the engine's slice — gives exactly the (trigger, partner) comparison
-// sort of the converted concatenation, though no partner is ever compared. The
+// N-way merging the keyed runs — each engine pair taken once, as numbers,
+// straight from the engine's batch — gives exactly the (trigger, partner)
+// comparison sort of the converted concatenation, though no partner is ever
+// compared; and the merged reply names each tuple once. The
 // streams are skewed (R draws from half of S's key range and a fifth of S's
 // arrivals are NoValue) so every shard's lanes drift apart: a lagging arrival
 // then meets cached partners with HIGHER sequence numbers, the trigger is the
@@ -107,9 +118,7 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 			var want []Pair
 			var runs []run
 			for i, out := range outs {
-				for _, p := range out {
-					want = append(want, convertPair(p, i))
-				}
+				want = append(want, batchPairs(out, i)...)
 				keys := sortKeys(rooms[i][:0], out)
 				switch {
 				case len(keys) == 0:
@@ -131,7 +140,7 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 						break
 					}
 				}
-				runs = append(runs, run{keys: keys, pairs: out, shard: i})
+				runs = append(runs, run{keys: keys, batch: out, shard: i})
 			}
 			for _, p := range want {
 				if trig, part := mergeKey(p); stepOf[trig] < stepOf[part] {
@@ -139,12 +148,20 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 				}
 			}
 			sortPairs(want)
-			got := mergeRuns(nil, runs)
+			reply := mergeRuns(Reply{}, runs)
+			got, _ := new(Runtime).pairs(&reply, nil)
 			if !diffPairsEqual(got, want) {
 				t.Fatalf("shards=%d %s: merge diverges from the sort:\n  merged %v\n  sorted %v", shards, label, got, want)
 			}
+			named := map[uint64]bool{} // the seq of each listed tuple: one arrival each
+			for _, tu := range reply.tuples {
+				if named[tu.Seq] {
+					t.Fatalf("shards=%d %s: the reply lists tuple %d twice", shards, label, tu.Seq)
+				}
+				named[tu.Seq] = true
+			}
 			for i, r := range runs {
-				if r.keys != nil || r.pairs != nil {
+				if r.keys != nil || r.batch.Tuples != nil || r.batch.Pairs != nil {
 					t.Fatalf("shards=%d %s: run %d still referenced after the merge", shards, label, i)
 				}
 			}
@@ -236,13 +253,15 @@ func TestSortKeysStableByTrigger(t *testing.T) {
 					slices.Sort(trigs)
 					slices.Reverse(trigs)
 				}
-				pairs := make([]engine.Pair, n)
+				pairs := engine.Batch{Tuples: make([]engine.Tuple, 2*n), Pairs: make([]engine.PairRef, n)}
 				want := make([]runKey, n)
 				for i, trig := range trigs {
 					// The trigger is whichever side is later; alternate it.
-					pairs[i].R.Seq, pairs[i].S.Seq = trig, trig/2
+					// Pair i names tuples 2i and 2i+1.
+					pairs.Pairs[i] = engine.PairRef{R: uint32(2 * i), S: uint32(2*i + 1)}
+					pairs.Tuples[2*i].Seq, pairs.Tuples[2*i+1].Seq = trig, trig/2
 					if i%2 == 1 {
-						pairs[i].R.Seq, pairs[i].S.Seq = trig/3, trig
+						pairs.Tuples[2*i].Seq, pairs.Tuples[2*i+1].Seq = trig/3, trig
 					}
 					want[i] = runKey{trigSeq: trig, idx: i}
 				}
@@ -438,7 +457,7 @@ func BenchmarkDispatchMerge(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			rng := stats.NewRNG(7)
 			se := newShardEngines(b, shards, 1024)
-			var outs [][]engine.Pair
+			var outs []engine.Batch
 			steps := make([]Step, batch)
 			for r := 0; r <= c.warm; r++ {
 				for i := range steps {
@@ -449,9 +468,9 @@ func BenchmarkDispatchMerge(b *testing.B) {
 			}
 			pairs := 0
 			for _, out := range outs {
-				pairs += len(out)
+				pairs += len(out.Pairs)
 			}
-			var out []Pair
+			var out Reply
 			runs := make([]run, 0, shards)
 			rooms := make([][32]runKey, shards)
 			b.ReportAllocs()
@@ -459,12 +478,12 @@ func BenchmarkDispatchMerge(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				runs = runs[:0]
 				for i := range outs {
-					runs = append(runs, run{keys: sortKeys(rooms[i][:0], outs[i]), pairs: outs[i], shard: i})
+					runs = append(runs, run{keys: sortKeys(rooms[i][:0], outs[i]), batch: outs[i], shard: i})
 				}
-				out = mergeRuns(out[:0], runs)
+				out = mergeRuns(Reply{refs: out.refs[:0], tuples: out.tuples[:0]}, runs)
 			}
-			if len(out) != pairs {
-				b.Fatalf("merged %d pairs of %d", len(out), pairs)
+			if out.Len() != pairs {
+				b.Fatalf("merged %d pairs of %d", out.Len(), pairs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 			b.ReportMetric(float64(pairs), "pairs/op")

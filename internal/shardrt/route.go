@@ -42,16 +42,3 @@ func ShardOf(key, shards int) int {
 	h ^= h >> 32
 	return int(h % uint64(shards))
 }
-
-// convertPair turns one engine pair into the runtime's result type: the
-// tags the engine echoed become the global sequence numbers.
-func convertPair(p engine.Pair, shard int) Pair {
-	return Pair{
-		RSeq:     p.R.Seq,
-		SSeq:     p.S.Seq,
-		R:        Side{Key: p.R.Key, Payload: p.R.Payload},
-		S:        Side{Key: p.S.Key, Payload: p.S.Payload},
-		SameStep: p.SameTime,
-		Shard:    shard,
-	}
-}

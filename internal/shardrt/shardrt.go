@@ -53,8 +53,8 @@ type Side struct {
 
 // Pair is one join result with its global provenance: the ingress sequence
 // numbers of both sides (RSeq/SSeq), the shard that produced it, and the
-// caller's original keys and payloads. It is 80 bytes; a reply of the fanout
-// shape holds ~4 000 of them in the merge buffer.
+// caller's original keys and payloads. It is 80 bytes; IngestBatch and Flush
+// write a reply out as Pairs, the daemon reads it as a Reply.
 type Pair struct {
 	// RSeq and SSeq are the global ingress sequence numbers of the two
 	// sides: every arrival is numbered 2·step (R) and 2·step+1 (S) at
@@ -76,6 +76,35 @@ type Pair struct {
 	// Shard is the shard that produced the pair.
 	Shard int
 }
+
+// Reply is a dispatch's answer in numbered form — each tuple once, the pairs
+// as 12-byte records of tuple numbers — valid until the runtime's next
+// dispatch. Pair i is pair i of the []Pair IngestBatch would return.
+type Reply struct {
+	refs   []ref
+	tuples []engine.Tuple
+}
+
+type ref struct {
+	r, s     uint32
+	shard    uint16
+	sameStep bool
+}
+
+// Len is the number of pairs.
+func (r *Reply) Len() int { return len(r.refs) }
+
+// Pair returns pair i: its tuples' numbers, shard and Pair.SameStep.
+func (r *Reply) Pair(i int) (rn, sn uint32, shard uint16, sameStep bool) {
+	p := r.refs[i]
+	return p.r, p.s, p.shard, p.sameStep
+}
+
+// Tuples is the number of tuples the pairs name.
+func (r *Reply) Tuples() int { return len(r.tuples) }
+
+// Tuple returns tuple k; its Seq is its global ingress sequence number.
+func (r *Reply) Tuple(k uint32) engine.Tuple { return r.tuples[k] }
 
 // Config configures the sharded runtime.
 type Config struct {
@@ -128,8 +157,8 @@ var ErrClosed = errors.New("shardrt: runtime is closed")
 var ErrBadStep = errors.New("shardrt: bad step")
 
 func (cfg *Config) validate() error {
-	if cfg.Shards < 1 {
-		return fmt.Errorf("shardrt: Shards must be >= 1, got %d", cfg.Shards)
+	if cfg.Shards < 1 || cfg.Shards > math.MaxUint16+1 {
+		return fmt.Errorf("shardrt: Shards must be in [1, %d], got %d", math.MaxUint16+1, cfg.Shards)
 	}
 	if cfg.TotalCache < cfg.Shards {
 		return fmt.Errorf("shardrt: TotalCache %d cannot give %d shards a slot each", cfg.TotalCache, cfg.Shards)
@@ -163,12 +192,13 @@ type shard struct {
 }
 
 // run is one shard's answer to a batch, on its way into the merge: the
-// engine's own StepBatch slice (valid until that shard steps again — the
-// merge of the same dispatch is done with it by then) and the keys that put
-// it in merge order.
+// engine's own numbered batch (valid until that shard steps again — the merge
+// of the same dispatch is done with it by then), the keys that put its pairs
+// in merge order, and where the merge lists its tuples in the reply.
 type run struct {
 	keys  []runKey
-	pairs []engine.Pair
+	batch engine.Batch
+	base  uint32
 	shard int
 	err   error
 }
@@ -192,6 +222,10 @@ type Runtime struct {
 	ingested int
 	batches  int
 	merged   int
+	// reply is the last dispatch's answer; out is the same written out as
+	// Pairs, by IngestBatch and Flush only.
+	//lint:ignore snapcomplete merge buffers handed to the caller each batch; Checkpoint runs between IngestBatch calls, when they are dead
+	reply Reply
 	//lint:ignore snapcomplete merge buffer handed to the caller each batch; Checkpoint runs between IngestBatch calls, when it is dead
 	out []Pair
 	// runs is room for one run per shard (length 0, capacity Shards): a
@@ -284,7 +318,7 @@ func shardSeed(seed uint64, i int) uint64 {
 }
 
 // work is the shard worker: it steps every batch it receives and answers with
-// the engine's pairs and the keys that order them. A policy panic is captured
+// the engine's output and the keys that order it. A policy panic is captured
 // and surfaced as the batch's error instead of deadlocking the coordinator.
 func (sh *shard) work() {
 	for batch := range sh.in {
@@ -299,22 +333,22 @@ func (sh *shard) step(batch []engine.TuplePair) (out run) {
 			out = run{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
 		}
 	}()
-	pairs := sh.eng.StepBatch(batch)
+	b := sh.eng.StepRun(batch)
 	//lint:ignore stepretain the run crosses to the coordinator, whose merge is done with it inside the dispatch that sent this batch: the shard cannot step again before that
-	return run{keys: sortKeys(sh.keys[:0], pairs), pairs: pairs, shard: sh.id}
+	return run{keys: sortKeys(sh.keys[:0], b), batch: b, shard: sh.id}
 }
 
 // runKey is one engine pair's trigger — the later of its two arrivals — and
 // its index in the engine's output. It holds no pointers: ordering a batch
-// moves 16-byte records the collector never looks at, and each 80-byte Pair
-// is written exactly once, by the merge.
+// moves 16-byte records the collector never looks at.
 type runKey struct {
 	trigSeq uint64
 	idx     int
 }
 
-// sortKeys orders one StepBatch output for the merge, on the worker
-// goroutine, without moving a pair. Merge order is (trigger, partner), and it
+// sortKeys orders one StepRun output for the merge, on the worker goroutine,
+// without moving a pair; a pair's trigger is read through its tuples'
+// numbers. Merge order is (trigger, partner), and it
 // is a stable order on the trigger alone: a shard's lanes are FIFO and the
 // engine emits a step's matches in cache (arrival) order, so one trigger's
 // pairs already leave the engine partner-ascending — also across steps, when a
@@ -323,15 +357,15 @@ type runKey struct {
 // triggers themselves, whenever one lane lags the other. Keys that fit room
 // are ordered there by insertion; a longer run is one allocation, keys in its
 // first half and the radix's scratch in the second.
-func sortKeys(room []runKey, pairs []engine.Pair) []runKey {
-	n := len(pairs)
+func sortKeys(room []runKey, b engine.Batch) []runKey {
+	n := len(b.Pairs)
 	keys := room[:0]
 	if n > cap(room) {
 		keys = make([]runKey, 0, 2*n)
 	}
 	lo, hi, ordered := uint64(math.MaxUint64), uint64(0), true
-	for i := range pairs {
-		trig := max(pairs[i].R.Seq, pairs[i].S.Seq)
+	for i, p := range b.Pairs {
+		trig := max(b.Tuples[p.R].Seq, b.Tuples[p.S].Seq)
 		ordered = ordered && trig >= hi
 		lo, hi = min(lo, trig), max(hi, trig)
 		keys = append(keys, runKey{trigSeq: trig, idx: i})
@@ -387,6 +421,12 @@ func sortKeys(room []runKey, pairs []engine.Pair) []runKey {
 // The returned slice is owned by the runtime and valid until the next
 // IngestBatch/Flush/Close call; callers that retain pairs must copy them.
 func (rt *Runtime) IngestBatch(steps []Step) ([]Pair, error) {
+	return rt.pairs(rt.IngestReply(steps))
+}
+
+// IngestReply is IngestBatch with the reply as a Reply, which names each
+// tuple once, instead of written out as Pairs.
+func (rt *Runtime) IngestReply(steps []Step) (*Reply, error) {
 	if err := rt.refused(); err != nil {
 		return nil, err
 	}
@@ -420,10 +460,33 @@ func (rt *Runtime) IngestBatch(steps []Step) ([]Pair, error) {
 // the single operator would). Call it at end of stream, before a checkpoint
 // that must capture all routed work, or before reading final metrics.
 func (rt *Runtime) Flush() ([]Pair, error) {
+	return rt.pairs(rt.FlushReply())
+}
+
+// FlushReply is Flush with the reply as a Reply.
+func (rt *Runtime) FlushReply() (*Reply, error) {
 	if err := rt.refused(); err != nil {
 		return nil, err
 	}
 	return rt.dispatch(true)
+}
+
+// pairs writes a reply out as Pairs, over the buffer the previous one was
+// written to, and zeroes what that one held beyond the new length.
+func (rt *Runtime) pairs(rep *Reply, err error) ([]Pair, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := rt.out[:0]
+	for _, p := range rep.refs {
+		r, s := &rep.tuples[p.r], &rep.tuples[p.s]
+		out = append(out, Pair{RSeq: r.Seq, SSeq: s.Seq, R: Side{r.Key, r.Payload}, S: Side{s.Key, s.Payload}, SameStep: p.sameStep, Shard: int(p.shard)})
+	}
+	if len(out) < len(rt.out) {
+		clear(out[len(out):len(rt.out)])
+	}
+	rt.out = out
+	return out, nil
 }
 
 // refused is why the runtime takes no more work: it is closed, or a shard
@@ -444,11 +507,10 @@ func checkKey(k int) error {
 	return nil
 }
 
-// dispatch pairs each shard's lanes into a StepBatch, hands the batches to
-// the workers, gathers every result, and merges them into the global
-// emission order. With drain set the longer lane is padded instead of
-// carried.
-func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
+// dispatch pairs each shard's lanes into a batch, hands the batches to the
+// workers, gathers every result, and merges them into the global emission
+// order. With drain set the longer lane is padded instead of carried.
+func (rt *Runtime) dispatch(drain bool) (*Reply, error) {
 	for i, sh := range rt.shards {
 		lr, ls := rt.lanes[i][0], rt.lanes[i][1]
 		k := len(lr)
@@ -498,20 +560,19 @@ func (rt *Runtime) dispatch(drain bool) ([]Pair, error) {
 		runs = append(runs, res)
 	}
 	// Merged before the error check so the runs are released either way, and
-	// what the previous reply held beyond this one's length with them.
-	prev := len(rt.out)
-	rt.out = mergeRuns(rt.out[:0], runs)
-	out := rt.out
-	if len(out) < prev {
-		clear(out[len(out):prev])
+	// the tuples the previous reply listed beyond this one's with them.
+	prev := rt.reply.tuples
+	rt.reply = mergeRuns(Reply{refs: rt.reply.refs[:0], tuples: prev[:0]}, runs)
+	if n := len(rt.reply.tuples); n < len(prev) {
+		clear(prev[n:])
 	}
 	if firstErr != nil {
 		rt.fault = firstErr
 		return nil, firstErr
 	}
-	rt.merged += len(out)
+	rt.merged += rt.reply.Len()
 	rt.batches++
-	return out, nil
+	return &rt.reply, nil
 }
 
 // consumeLane drops the first k routed tuples, keeping the tail at the front
@@ -624,24 +685,31 @@ func (rt *Runtime) Recorder(i int) *flightrec.Recorder { return rt.shards[i].rec
 // with one.
 func (rt *Runtime) Shard(i int) *engine.Join { return rt.shards[i].eng }
 
-// mergeRuns appends the N-way merge of the shards' keyed runs to out,
-// converting each engine pair exactly once, and leaves runs cleared. The
-// order is trigger order, deterministic regardless of which shard answered
-// first: an arrival's pairs all come from its key's shard, so run heads never
-// tie across runs and the merged order is made of same-shard stretches. Each
-// round finds the run with the lowest head and converts its whole prefix below
-// the runner-up's head (past every key, for the last run standing) at once —
-// one comparison a pair, plus one scan of the heads a stretch.
-func mergeRuns(out []Pair, runs []run) []Pair {
+// mergeRuns appends the N-way merge of the shards' keyed runs to out and
+// leaves runs cleared; a run's tuples are listed after out's, its numbers
+// moved by where they start. The order is trigger order, deterministic
+// regardless of which shard answered first: an arrival's pairs all come from
+// its key's shard, so run heads never tie across runs and the merged order is
+// made of same-shard stretches. Each round finds the run with the lowest head
+// and takes its whole prefix below the runner-up's head (past every key, for
+// the last run standing) at once — one comparison a pair, plus one scan of the
+// heads a stretch.
+func mergeRuns(out Reply, runs []run) Reply {
 	total := 0
 	live := runs[:0]
 	for _, r := range runs {
 		if len(r.keys) > 0 {
+			r.base = uint32(len(out.tuples))
+			// A tuple at a time: a bulk copy of pointerful records takes the
+			// collector's bulk barrier while marking is on.
+			for _, tu := range r.batch.Tuples {
+				out.tuples = append(out.tuples, tu)
+			}
 			live = append(live, r)
 			total += len(r.keys)
 		}
 	}
-	out = slices.Grow(out, total)
+	refs := slices.Grow(out.refs, total)
 	for len(live) > 0 {
 		lo, bound := 0, uint64(math.MaxUint64)
 		for i := 1; i < len(live); i++ {
@@ -658,7 +726,8 @@ func mergeRuns(out []Pair, runs []run) []Pair {
 			n++
 		}
 		for _, k := range r.keys[:n] {
-			out = append(out, convertPair(r.pairs[k.idx], r.shard))
+			p := r.batch.Pairs[k.idx]
+			refs = append(refs, ref{r: r.base + p.R, s: r.base + p.S, shard: uint16(r.shard), sameStep: p.SameTime})
 		}
 		if r.keys = r.keys[n:]; len(r.keys) == 0 {
 			live[lo] = live[len(live)-1]
@@ -666,5 +735,6 @@ func mergeRuns(out []Pair, runs []run) []Pair {
 		}
 	}
 	clear(runs)
+	out.refs = refs
 	return out
 }

@@ -136,19 +136,21 @@ func (s *Server) httpIngest(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(httpIngestResponse{Pairs: rep.pairs, Count: len(rep.pairs)})
 }
 
-// httpPairs converts the runtime's merged output into the HTTP reply's
-// pairs. It runs on the engine loop, the one goroutine allowed to read that
-// runtime-owned slice; the result is a fresh slice the handler goroutine can
-// own (payload bytes are immutable once ingested, so sharing them is safe).
-func httpPairs(pairs []shardrt.Pair) []httpPair {
-	out := make([]httpPair, len(pairs))
-	for i, p := range pairs {
+// httpPairs converts the runtime's reply into the HTTP reply's pairs. It runs
+// on the engine loop, the one goroutine allowed to read that runtime-owned
+// view; the result is a fresh slice the handler goroutine can own (payload
+// bytes are immutable once ingested, so sharing them is safe).
+func httpPairs(rep *shardrt.Reply) []httpPair {
+	out := make([]httpPair, rep.Len())
+	for i := range out {
+		rn, sn, shard, sameStep := rep.Pair(i)
+		r, s := rep.Tuple(rn), rep.Tuple(sn)
 		out[i] = httpPair{
-			RSeq: p.RSeq, SSeq: p.SSeq,
-			RKey: int64(p.R.Key), SKey: int64(p.S.Key),
-			Shard: p.Shard, SameStep: p.SameStep,
-			RPayload: payloadToWire(p.R.Payload),
-			SPayload: payloadToWire(p.S.Payload),
+			RSeq: r.Seq, SSeq: s.Seq,
+			RKey: int64(r.Key), SKey: int64(s.Key),
+			Shard: int(shard), SameStep: sameStep,
+			RPayload: payloadToWire(r.Payload),
+			SPayload: payloadToWire(s.Payload),
 		}
 	}
 	return out

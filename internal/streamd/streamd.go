@@ -174,9 +174,9 @@ type Server struct {
 	draining atomic.Bool
 	ingest   chan *ingestReq
 
-	// tuples is the Results encoder's table. The engine loop encodes every
-	// reply and is its only user.
-	tuples wire.TupleTable
+	// carriers is the Results encoder's record of the tuples a frame carries.
+	// The engine loop encodes every reply and is its only user.
+	carriers wire.Carriers
 
 	engineDone chan struct{}
 	acceptDone chan struct{}
@@ -345,22 +345,26 @@ func (s *Server) engineLoop() {
 		case kindFlush:
 			s.engineFlush(req)
 		case kindHTTP:
-			pairs, err := s.rt.IngestBatch(req.steps)
-			if err == nil {
-				// The conservation counters cover every ingest route: the
-				// stress and chaos gates assert steps_total equals exactly
-				// what clients sent, HTTP included.
+			rep, err := s.rt.IngestReply(req.steps)
+			// The conservation counters cover every ingest route: the
+			// stress and chaos gates assert steps_total equals exactly
+			// what clients sent, HTTP included, and count every fault.
+			var pairs []httpPair
+			if err != nil {
+				s.internalErrs.Inc()
+			} else {
 				s.stepsTotal.Add(int64(len(req.steps)))
-				s.pairsTotal.Add(int64(len(pairs)))
+				s.pairsTotal.Add(int64(rep.Len()))
+				pairs = httpPairs(rep)
 			}
-			req.reply <- engineReply{pairs: httpPairs(pairs), err: err}
+			req.reply <- engineReply{pairs: pairs, err: err}
 		}
 	}
 }
 
 func (s *Server) engineIngest(req *ingestReq) {
 	t0 := s.nowNanos()
-	pairs, err := s.rt.IngestBatch(req.steps)
+	rep, err := s.rt.IngestReply(req.steps)
 	if err != nil {
 		// Steps were validated at the reader, so this is an internal
 		// failure. The session is rolled back either way — nothing was
@@ -377,15 +381,15 @@ func (s *Server) engineIngest(req *ingestReq) {
 		return
 	}
 	s.stepsTotal.Add(int64(len(req.steps)))
-	s.pairsTotal.Add(int64(len(pairs)))
+	s.pairsTotal.Add(int64(rep.Len()))
 	s.batchesTotal.Inc()
-	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), pairs, &s.tuples)
+	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), listing{rep}, &s.carriers)
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
 }
 
 func (s *Server) engineFlush(req *ingestReq) {
-	pairs, err := s.rt.Flush()
+	rep, err := s.rt.FlushReply()
 	if err != nil {
 		s.internalErrs.Inc()
 		s.deliver(req.sess, &frame{b: wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
@@ -394,7 +398,7 @@ func (s *Server) engineFlush(req *ingestReq) {
 		return
 	}
 	s.flushesTotal.Inc()
-	s.pairsTotal.Add(int64(len(pairs)))
+	s.pairsTotal.Add(int64(rep.Len()))
 	ack, credits := req.sess.state()
 	// Flush results are not buffered for replay: a flush drains carried
 	// lane tails, so re-running one after reconnect yields nothing — the
@@ -403,7 +407,7 @@ func (s *Server) engineFlush(req *ingestReq) {
 		AckSeq:  ack,
 		Credits: uint32(credits),
 		Flush:   true,
-	}, mergedPairs(pairs), &s.tuples)}, true)
+	}, listing{rep}, &s.carriers)}, true)
 }
 
 // deliver sends a frame to the session's current attachment (which may be
@@ -464,9 +468,9 @@ func (ss *session) putReq(req *ingestReq) {
 // with can still need the old bytes — a stalled or killed connection — and
 // then this reply starts a buffer of its own and the old one goes with the
 // queue. Every send of the replay buffer happens under mu or on this
-// goroutine (conn.trySend), so the count read here misses none. tuples is the
-// engine loop's encoder table.
-func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedPairs, tuples *wire.TupleTable) *frame {
+// goroutine (conn.trySend), so the count read here misses none. carriers are
+// the engine loop's.
+func (ss *session) complete(req *ingestReq, window int, now int64, rep listing, carriers *wire.Carriers) *frame {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastSeen = now
@@ -475,7 +479,7 @@ func (ss *session) complete(req *ingestReq, window int, now int64, pairs mergedP
 	if f == nil || f.queued.Load() != 0 {
 		f = &frame{}
 	}
-	f.b = wire.AppendResultsFramesFrom(f.b[:0], wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, pairs, tuples)
+	f.b = wire.AppendResultsFramesFrom(f.b[:0], wire.Results{AckSeq: req.base, Credits: uint32(ss.credits)}, rep, carriers)
 	ss.acked, ss.lastBase, ss.lastFrame = req.base, req.base, f
 	ss.putReq(req)
 	return f
@@ -977,21 +981,14 @@ func payloadToWire(v interface{}) []byte {
 	return nil
 }
 
-// mergedPairs is the wire encoder's view of the runtime's merged output:
-// Results frames are written straight from the slice IngestBatch/Flush
-// returned, which the runtime reuses on its next call — the encode must
-// finish (it does: the engine loop is the runtime's only driver) before then.
-type mergedPairs []shardrt.Pair
+// listing is the wire encoder's view of the runtime's reply, one pointer the
+// encoder passes in a register. The runtime reuses the reply on its next
+// call; the engine loop, its only driver, has encoded it by then.
+type listing struct{ *shardrt.Reply }
 
-func (ps mergedPairs) Len() int { return len(ps) }
-
-func (ps mergedPairs) Fields(i int) (rseq, sseq uint64, rkey, skey int64, shard uint16, sameStep bool) {
-	p := &ps[i]
-	return p.RSeq, p.SSeq, int64(p.R.Key), int64(p.S.Key), uint16(p.Shard), p.SameStep
-}
-
-func (ps mergedPairs) Payloads(i int) (r, s []byte) {
-	return payloadToWire(ps[i].R.Payload), payloadToWire(ps[i].S.Payload)
+func (l listing) Tuple(k uint32) (seq uint64, key int64, payload []byte) {
+	t := l.Reply.Tuple(k)
+	return t.Seq, int64(t.Key), payloadToWire(t.Payload)
 }
 
 // --- checkpoint -----------------------------------------------------------

@@ -157,16 +157,24 @@ func TestDecodeIngestAllocs(t *testing.T) {
 	}
 }
 
-// TestResultsEncodeAllocs: into a buffer that has held the reply, with a
-// table that has encoded it, the encoder allocates nothing — the daemon's
-// steady state: its replay buffer and its engine loop's table.
+// TestResultsEncodeAllocs: into a buffer that has held the reply, with
+// carriers that have encoded it, the encoder allocates nothing — the daemon's
+// steady state: its replay buffer and its engine loop's carriers. A table
+// that has numbered a []Pair listing numbers and encodes it again without
+// allocating too.
 func TestResultsEncodeAllocs(t *testing.T) {
 	for _, f := range []Results{resultsOf(256, 64), gridOf(16, 16, 64)} {
-		var tab TupleTable
+		var c Carriers
 		hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
-		buf := AppendResultsFramesFrom(nil, hdr, pairSlice(f.Pairs), &tab)
-		if got := testing.AllocsPerRun(100, func() { buf = AppendResultsFramesFrom(buf[:0], hdr, pairSlice(f.Pairs), &tab) }); got != 0 {
-			t.Errorf("%d pairs: encoding with a warmed buffer and table allocates %.0f objects, want 0", len(f.Pairs), got)
+		src := listingOf(f.Pairs)
+		buf := AppendResultsFramesFrom(nil, hdr, src, &c)
+		if got := testing.AllocsPerRun(100, func() { buf = AppendResultsFramesFrom(buf[:0], hdr, src, &c) }); got != 0 {
+			t.Errorf("%d pairs: encoding with a warmed buffer and carriers allocates %.0f objects, want 0", len(f.Pairs), got)
+		}
+		var tab TupleTable
+		buf = tab.encode(buf[:0], f, true, MaxFramePayload)
+		if got := testing.AllocsPerRun(100, func() { buf = tab.encode(buf[:0], f, true, MaxFramePayload) }); got != 0 {
+			t.Errorf("%d pairs: numbering and encoding with a warmed buffer and table allocates %.0f objects, want 0", len(f.Pairs), got)
 		}
 	}
 }

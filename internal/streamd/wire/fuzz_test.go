@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -91,6 +92,98 @@ func FuzzDecodeResults(f *testing.F) {
 		}
 		if re := EncodeResults(again); !bytes.Equal(re, enc) {
 			t.Fatalf("the encoding is not a fixed point:\n in    %x\n once  %x\n twice %x", in, enc, re)
+		}
+	})
+}
+
+// fuzzPool is what the pairs of FuzzNumberedResults are made of: repeated
+// tuples, equal seqs with another key or payload, and absent against empty.
+var fuzzPool = []struct {
+	seq     uint64
+	key     int64
+	payload []byte
+}{
+	{1, 3, nil}, {1, 3, []byte{}}, {1, 3, []byte("x")}, {1, 4, []byte("x")},
+	{2, 3, []byte("x")}, {2, 3, nil}, {1, 3, []byte("yy")}, {2, 4, []byte{}},
+}
+
+// FuzzNumberedResults: the numbered encoding of a listing — its tuples
+// numbered by a scan, in an order the input picks — is the encoding the []Pair
+// entry points give the same pairs, at any frame cap (the input picks one
+// small enough to cut chunks), bare or framed; it is the same again with
+// carriers that have encoded before; and it decodes to the pairs. Input byte
+// 0 is the cap, byte 1 the numbering order, and every two bytes after them a
+// pair: the R tuple, shard and same-step flag from the first, the S tuple
+// from the second, each tuple with payload bytes of its own.
+func FuzzNumberedResults(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1})
+	f.Add([]byte{255, 1, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{10, 2, 0, 4, 3, 4, 2, 5, 0, 4, 6, 1, 39, 7, 0, 4})
+	f.Add([]byte{40, 3, 0, 1, 1, 0, 5, 2, 2, 5, 0, 1, 7, 7})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		limit, order := 20+4*int(b[0]), b[1]
+		var ps []Pair
+		for rest := b[2:]; len(rest) >= 2; rest = rest[2:] {
+			r, s := fuzzPool[rest[0]&7], fuzzPool[rest[1]&7]
+			ps = append(ps, Pair{
+				RSeq: r.seq, SSeq: s.seq, RKey: r.key, SKey: s.key,
+				RPayload: bytes.Clone(r.payload), SPayload: bytes.Clone(s.payload),
+				Shard: uint16(rest[0] >> 3 & 3), SameStep: rest[0]&32 != 0,
+			})
+		}
+		src := listingOf(ps)
+		perm := make([]uint32, len(src.tuples))
+		for k := range perm {
+			perm[k] = uint32(k)
+			if order&1 == 1 {
+				perm[k] = uint32(len(perm) - 1 - k)
+			} else if len(perm) > 0 {
+				perm[k] = uint32((k + int(order)) % len(perm))
+			}
+		}
+		src = listingNumbered(ps, perm)
+		res := Results{AckSeq: 7, Credits: 9, Flush: order&2 != 0, Pairs: ps}
+		hdr := res
+		hdr.Pairs = nil
+		var c Carriers
+		for _, framed := range []bool{false, true} {
+			lim := limit
+			if !framed {
+				lim = math.MaxInt
+			}
+			want := new(TupleTable).encode(nil, res, framed, lim)
+			if !framed && !bytes.Equal(want, EncodeResults(res)) {
+				t.Fatal("a table's encoding diverges from EncodeResults")
+			}
+			for again := 0; again < 2; again++ {
+				if got := encodeResults(nil, hdr, src, &c, framed, lim); !bytes.Equal(got, want) {
+					t.Fatalf("framed %v, cap %d, run %d: the numbered encoding diverges:\n got %x\nwant %x", framed, lim, again, got, want)
+				}
+			}
+			if framed {
+				var back []Pair
+				rd := framesOf(want)
+				for {
+					_, payload, err := rd.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					dec, err := AppendResults(back, payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					back = dec.Pairs
+				}
+				if len(ps) > 0 && !reflect.DeepEqual(back, ps) {
+					t.Fatalf("the frames decode to other pairs:\n got %+v\nwant %+v", back, ps)
+				}
+			}
 		}
 	})
 }

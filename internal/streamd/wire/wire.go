@@ -338,171 +338,100 @@ const (
 	inlineSize  = 8 + 8 + 4
 )
 
-// PairSource is a reply's pair listing in emission order, read by the
-// Results encoder one pair at a time: the daemon implements it over the
-// runtime's merged pairs, so a reply goes from the merge to frame bytes
-// without an intermediate []Pair. A pair is read in two parts that each fit
-// the return registers — an 88-byte Pair returned through an interface is
-// copied twice per call. Each is called once per index, in order; the blobs
-// are copied into the frame and not retained past the encode.
-type PairSource interface {
+// Listing is a reply's pairs in emission order over numbered tuples, as the
+// daemon's runtime emits them. A number names one tuple of one side. Pair is
+// called once per index, in order, and Tuple only for a tuple written inline;
+// its payload (nil when absent) is copied, not kept.
+type Listing interface {
 	Len() int
-	// Fields returns pair i's fixed-width fields.
-	Fields(i int) (rseq, sseq uint64, rkey, skey int64, shard uint16, sameStep bool)
-	// Payloads returns pair i's payload blobs; nil is an absent payload.
-	Payloads(i int) (r, s []byte)
+	Pair(i int) (r, s uint32, shard uint16, sameStep bool)
+	Tuples() int // every number is below it
+	Tuple(k uint32) (seq uint64, key int64, payload []byte)
 }
 
-type pairSlice []Pair
-
-func (ps pairSlice) Len() int { return len(ps) }
-
-func (ps pairSlice) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
-	p := &ps[i]
-	return p.RSeq, p.SSeq, p.RKey, p.SKey, p.Shard, p.SameStep
+// Carriers is the Results encoder's record, per tuple number, of the pair of
+// the current frame that carries the tuple inline, stamped per frame. It
+// holds no pointer; the zero value is ready, and one kept across replies stops
+// allocating once it has seen the most tuples.
+type Carriers struct {
+	cells []carrier
+	stamp uint32 // the current frame's
 }
 
-func (ps pairSlice) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
+type carrier struct{ stamp, pair uint32 }
 
-// TupleTable is the Results encoder's record of the tuples the frame being
-// written carries: an open-addressed table from (side, seq) to the tuple and
-// the pair of the reply that carries it inline, probed linearly from a
-// multiplicative hash. A repeat is the same side, seq, key and payload bytes —
-// on the daemon the same payload slice — so the encoding is exact for any
-// pair listing. A frame moves the cells' stamp on instead of clearing them: a
-// cell of an earlier frame reads as empty. The carried tuples are cleared
-// with their frame, so the table pins no payload between replies; it grows to
-// at least twice the most tuples one frame has carried. The zero value is
-// ready. A table serves one encoder at a time; one kept across replies (the
-// daemon's engine loop keeps one) encodes without allocating once it has seen
-// the largest reply.
-type TupleTable struct {
-	cells   []tupleCell
-	shift   uint8          // 64 − log2(len(cells)): a hash's top bits index the table
-	stamp   uint32         // the current frame's, even; a cell holds stamp | side
-	carried []carriedTuple // the current frame's tuples, as it writes them
-}
-
-type tupleCell struct {
-	seq   uint64
-	stamp uint32 // the writing frame's stamp, | 1 on the S side
-	tuple uint32 // its index in carried
-}
-
-// carriedTuple is a tuple the current frame carries inline.
-type carriedTuple struct {
-	key     int64
-	payload []byte
-	pair    uint32 // the pair of the reply that carries it
-}
-
-// newFrame starts a frame, dropping the last one's tuples. Stamps wrap after
-// 2^31 frames, and only then are the cells cleared.
-func (t *TupleTable) newFrame() {
-	clear(t.carried)
-	t.carried = t.carried[:0]
-	t.stamp += 2
-	if t.stamp == 0 {
-		clear(t.cells)
-		t.stamp = 2
+// newFrame starts a frame over n tuple numbers. Stamps wrap after 2^32
+// frames, and only then are the cells cleared.
+func (c *Carriers) newFrame(n int) {
+	if len(c.cells) < n {
+		c.cells = make([]carrier, max(n, 2*len(c.cells)))
+	}
+	if c.stamp++; c.stamp == 0 {
+		clear(c.cells)
+		c.stamp = 1
 	}
 }
 
-func (t *TupleTable) home(seq uint64, side uint32) int {
-	return int((seq<<1 | uint64(side)) * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-// grow doubles the table (16 cells at first), and the room for carried tuples
-// with it, and re-enters the current frame's tuples.
-func (t *TupleTable) grow() {
-	old := t.cells
-	t.cells = make([]tupleCell, max(2*len(old), 16))
-	t.shift = uint8(64 - bits.Len(uint(len(t.cells)-1)))
-	t.carried = slices.Grow(t.carried, len(t.cells)/2-len(t.carried))
-	mask := len(t.cells) - 1
-	for _, c := range old {
-		if c.stamp&^1 != t.stamp {
-			continue
-		}
-		h := t.home(c.seq, c.stamp&1)
-		for t.cells[h].stamp&^1 == t.stamp {
-			h = (h + 1) & mask
-		}
-		t.cells[h] = c
+// refer returns the reference for tuple k in pair i, in the frame that starts
+// at pair start: j − start + 1 when pair j carries it, otherwise 0 — and pair
+// i carries it.
+func (c *Carriers) refer(i, start int, k uint32) uint32 {
+	e := &c.cells[k]
+	if e.stamp == c.stamp {
+		return e.pair - uint32(start) + 1
 	}
-}
-
-// refer returns the reference for one side of pair i, in the frame that
-// starts at pair start: k ≥ 1 when pair start+k−1 carries the same tuple,
-// otherwise 0 — and pair i carries the tuple, recorded as its carrier unless
-// a tuple of that side and seq with another key or payload already is.
-func (t *TupleTable) refer(i, start int, side uint32, seq uint64, key int64, payload []byte) uint32 {
-	if 2*(len(t.carried)+1) > len(t.cells) {
-		t.grow()
-	}
-	mask := len(t.cells) - 1
-	for h := t.home(seq, side); ; h = (h + 1) & mask {
-		c := &t.cells[h]
-		if c.stamp&^1 != t.stamp {
-			*c = tupleCell{seq: seq, stamp: t.stamp | side, tuple: uint32(len(t.carried))}
-			t.carried = append(t.carried, carriedTuple{key: key, payload: payload, pair: uint32(i)})
-			return 0
-		}
-		if c.seq == seq && c.stamp&1 == side {
-			if e := &t.carried[c.tuple]; e.key == key && samePayload(e.payload, payload) {
-				return uint32(int(e.pair) - start + 1)
-			}
-			return 0
-		}
-	}
-}
-
-// samePayload: both absent, or both present with equal bytes. On the daemon
-// a repeated tuple's payload is the slice its carrier has, and bytes.Equal
-// returns at its pointer check.
-func samePayload(a, b []byte) bool {
-	return (a == nil) == (b == nil) && bytes.Equal(a, b)
+	*e = carrier{stamp: c.stamp, pair: uint32(i)}
+	return 0
 }
 
 // encodeResults is the one Results encoder. It appends the reply described by
 // f's header fields over the pairs of src (f.Pairs is not read) to dst in one
 // pass: with framed set, as complete frames whose payloads stay within limit,
-// otherwise as one bare payload. The source's type is a parameter so that a
-// slice-backed source is passed as the slice it is, not boxed into an
-// interface value per reply. A chunk closes when the next pair would overflow
-// it and always takes at least one pair; every chunk repeats AckSeq, Credits
-// and Flush, and all but the last set More. A chunk's length, flags and pair
-// count are written when it closes; t finds the repeats, a chunk at a time.
-func encodeResults[S PairSource](dst []byte, f Results, src S, t *TupleTable, framed bool, limit int) []byte {
+// otherwise as one bare payload. The source's type is a parameter so that it
+// is not boxed into an interface value per reply. A chunk closes when the next
+// pair would overflow it and always takes at least one pair; every chunk
+// repeats AckSeq, Credits and Flush, and all but the last set More. A chunk's
+// length, flags and pair count are written when it closes; c finds the
+// repeats, a chunk at a time, and a tuple is read only to be written inline.
+func encodeResults[L Listing](dst []byte, f Results, src L, c *Carriers, framed bool, limit int) []byte {
 	w := wireBuf{b: dst}
 	hdr := 0
 	if framed {
 		hdr = 5
 	}
+	tuples := src.Tuples()
 	at, start := w.openResults(f, framed), 0
-	t.newFrame()
+	c.newFrame(tuples)
 	n := src.Len()
 	for i := 0; i < n; i++ {
-		rseq, sseq, rkey, skey, shard, sameStep := src.Fields(i)
-		r, s := src.Payloads(i)
-		rref := t.refer(i, start, 0, rseq, rkey, r)
-		sref := t.refer(i, start, 1, sseq, skey, s)
+		r, s, shard, sameStep := src.Pair(i)
+		rref, sref := c.refer(i, start, r), c.refer(i, start, s)
+		var rseq, sseq uint64
+		var rkey, skey int64
+		var rp, sp []byte
 		size := minPairSize
 		if rref == 0 {
-			size += inlineSize + len(r)
+			rseq, rkey, rp = src.Tuple(r)
+			size += inlineSize + len(rp)
 		}
 		if sref == 0 {
-			size += inlineSize + len(s)
+			sseq, skey, sp = src.Tuple(s)
+			size += inlineSize + len(sp)
 		}
 		if i > start && len(w.b)-at-hdr+size > limit {
 			w.closeResults(at, f, framed, true, i-start)
 			at, start = w.openResults(f, framed), i
-			t.newFrame()
-			rref = t.refer(i, start, 0, rseq, rkey, r)
-			sref = t.refer(i, start, 1, sseq, skey, s)
+			c.newFrame(tuples)
+			if rref != 0 {
+				rseq, rkey, rp = src.Tuple(r)
+			}
+			if sref != 0 {
+				sseq, skey, sp = src.Tuple(s)
+			}
+			rref, sref = c.refer(i, start, r), c.refer(i, start, s)
 		}
-		w.tuple(rref, rseq, rkey, r)
-		w.tuple(sref, sseq, skey, s)
+		w.tuple(rref, rseq, rkey, rp)
+		w.tuple(sref, sseq, skey, sp)
 		w.u16(shard)
 		if sameStep {
 			w.u8(1)
@@ -511,8 +440,110 @@ func encodeResults[S PairSource](dst []byte, f Results, src S, t *TupleTable, fr
 		}
 	}
 	w.closeResults(at, f, framed, f.More, n-start)
-	t.newFrame() // holds no payload until the next reply
 	return w.b
+}
+
+// TupleTable numbers the tuples of a []Pair for the Results encoder (the
+// []Pair entry points go through one): an open-addressed table from (side,
+// seq), probed linearly. Two sides are one tuple when side, seq, key and
+// payload bytes are equal (absent is not empty), numbered 2i+side after the
+// first pair i that names it. The zero value is ready; a table holds no pointer
+// between encodes and, kept, stops allocating at the largest listing.
+type TupleTable struct {
+	cells    []tupleCell
+	shift    uint8  // 64 − log2(len(cells)): a hash's top bits index the table
+	tuples   int    // numbered in the current listing
+	ps       []Pair // the listing, while it is encoded
+	nums     []uint32
+	carriers Carriers
+}
+
+// tupleCell is a tuple's seq and its number + 1; 0 is an empty cell.
+type tupleCell struct {
+	seq  uint64
+	num1 uint32
+}
+
+// numbered is the listing t has numbered: side s of pair i is nums[2i+s].
+type numbered struct{ t *TupleTable }
+
+func (l numbered) Len() int { return len(l.t.ps) }
+
+func (l numbered) Pair(i int) (r, s uint32, shard uint16, sameStep bool) {
+	return l.t.nums[2*i], l.t.nums[2*i+1], l.t.ps[i].Shard, l.t.ps[i].SameStep
+}
+
+func (l numbered) Tuples() int { return len(l.t.nums) }
+
+func (l numbered) Tuple(k uint32) (uint64, int64, []byte) {
+	p := &l.t.ps[k>>1]
+	if k&1 == 1 {
+		return p.SSeq, p.SKey, p.SPayload
+	}
+	return p.RSeq, p.RKey, p.RPayload
+}
+
+func (t *TupleTable) home(seq uint64, side uint32) int {
+	return int((seq<<1 | uint64(side)) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// grow doubles the table (16 cells at first) and re-enters its cells.
+func (t *TupleTable) grow() {
+	old := t.cells
+	t.cells = make([]tupleCell, max(2*len(old), 16))
+	t.shift = uint8(64 - bits.Len(uint(len(t.cells)-1)))
+	mask := len(t.cells) - 1
+	for _, c := range old {
+		if c.num1 == 0 {
+			continue
+		}
+		h := t.home(c.seq, (c.num1-1)&1)
+		for t.cells[h].num1 != 0 {
+			h = (h + 1) & mask
+		}
+		t.cells[h] = c
+	}
+}
+
+// encode is encodeResults over f.Pairs, numbered by t, which keeps no pair
+// past it.
+func (t *TupleTable) encode(dst []byte, f Results, framed bool, limit int) []byte {
+	clear(t.cells)
+	t.ps, t.tuples, t.nums = f.Pairs, 0, slices.Grow(t.nums[:0], 2*len(f.Pairs))
+	for k := range 2 * len(f.Pairs) {
+		t.nums = append(t.nums, t.number(uint32(k)))
+	}
+	dst = encodeResults(dst, f, numbered{t}, &t.carriers, framed, limit)
+	t.ps = nil
+	return dst
+}
+
+// number returns the number of side k&1 of pair k>>1: k, unless an earlier
+// pair names the same tuple.
+func (t *TupleTable) number(k uint32) uint32 {
+	if 2*(t.tuples+1) > len(t.cells) {
+		t.grow()
+	}
+	l, mask := numbered{t}, len(t.cells)-1
+	seq, key, payload := l.Tuple(k)
+	for h := t.home(seq, k&1); ; h = (h + 1) & mask {
+		c := &t.cells[h]
+		if c.num1 == 0 {
+			*c = tupleCell{seq: seq, num1: k + 1}
+			t.tuples++
+			return k
+		}
+		if n := c.num1 - 1; c.seq == seq && n&1 == k&1 {
+			if _, ck, cp := l.Tuple(n); ck == key && samePayload(cp, payload) {
+				return n
+			}
+		}
+	}
+}
+
+// samePayload: both absent, or both present with equal bytes.
+func samePayload(a, b []byte) bool {
+	return (a == nil) == (b == nil) && bytes.Equal(a, b)
 }
 
 // openResults appends the headers of a Results chunk and returns where it
@@ -562,13 +593,13 @@ func (w *wireBuf) tuple(ref uint32, seq uint64, key int64, payload []byte) {
 // EncodeResults encodes f as one bare Results payload (no frame header, no
 // size cap) — the reference form of the codec tests.
 func EncodeResults(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), false, math.MaxInt)
+	return new(TupleTable).encode(nil, f, false, math.MaxInt)
 }
 
 // EncodeResultsFrame builds the complete Results frame (header included).
 // Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
 func EncodeResultsFrame(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), true, math.MaxInt)
+	return new(TupleTable).encode(nil, f, true, math.MaxInt)
 }
 
 // EncodeResultsFrames encodes f as one or more complete Results frames
@@ -580,16 +611,16 @@ func EncodeResultsFrame(f Results) []byte {
 // of delivery and replay — one writer-queue entry, one replay buffer — and
 // decodes on the client as an ordinary frame sequence.
 func EncodeResultsFrames(f Results) []byte {
-	return encodeResults(nil, f, pairSlice(f.Pairs), new(TupleTable), true, MaxFramePayload)
+	return new(TupleTable).encode(nil, f, true, MaxFramePayload)
 }
 
 // AppendResultsFramesFrom is EncodeResultsFrames with the pair listing read
-// from src instead of f.Pairs, the repeats found with t, and the frames
+// from src instead of f.Pairs, the repeats found with c, and the frames
 // appended to dst. A dst with room for the reply is not reallocated: the
 // daemon passes the session's previous reply, truncated, once nothing else
-// reads it, and the table its engine loop keeps.
-func AppendResultsFramesFrom[S PairSource](dst []byte, f Results, src S, t *TupleTable) []byte {
-	return encodeResults(dst, f, src, t, true, MaxFramePayload)
+// reads it, and the carriers its engine loop keeps.
+func AppendResultsFramesFrom[L Listing](dst []byte, f Results, src L, c *Carriers) []byte {
+	return encodeResults(dst, f, src, c, true, MaxFramePayload)
 }
 
 func EncodeError(f ErrorFrame) []byte {
@@ -993,7 +1024,7 @@ func UpgradeResultsV1(frames []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = encodeResults(out, f, pairSlice(f.Pairs), &t, true, MaxFramePayload)
+		out = t.encode(out, f, true, MaxFramePayload)
 		frames = frames[5+n:]
 	}
 	return out, nil

@@ -181,12 +181,12 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		t.Fatal("reassembled pairs diverge from input")
 	}
 
-	// Encoding from a pair source is the same bytes, and each chunk is the
+	// Encoding from a numbered listing is the same bytes, and each chunk is the
 	// frame the reference form builds from that chunk alone: same cuts,
 	// same More flags, same header repeats.
 	hdr := Results{AckSeq: f.AckSeq, Credits: f.Credits}
-	if !bytes.Equal(AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs), new(TupleTable)), buf) {
-		t.Fatal("chunked reply from a pair source diverges from EncodeResultsFrames")
+	if !bytes.Equal(AppendResultsFramesFrom(nil, hdr, listingOf(f.Pairs), new(Carriers)), buf) {
+		t.Fatal("chunked reply from a numbered listing diverges from EncodeResultsFrames")
 	}
 	var want []byte
 	for at, k := 0, 0; k < len(mores); k++ {
@@ -208,18 +208,76 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 	}
 }
 
-// builtPairs is a PairSource outside the package's own, standing in for the
-// daemon's view of the runtime's merged output.
-type builtPairs []Pair
-
-func (ps builtPairs) Len() int { return len(ps) }
-
-func (ps builtPairs) Fields(i int) (uint64, uint64, int64, int64, uint16, bool) {
-	p := ps[i]
-	return p.RSeq, p.SSeq, p.RKey, p.SKey, p.Shard, p.SameStep
+// listing is a Listing outside the package's own, standing in for the
+// daemon's view of the runtime's reply: its tuples are numbered by a scan,
+// one number for each distinct (side, seq, key, payload), in the order
+// numbers says — ascending by first pair when it is nil — and each pair names
+// its two.
+type listing struct {
+	pairs  [][2]uint32
+	shards []uint16
+	same   []bool
+	tuples []listed
 }
 
-func (ps builtPairs) Payloads(i int) (r, s []byte) { return ps[i].RPayload, ps[i].SPayload }
+type listed struct {
+	side    uint32
+	seq     uint64
+	key     int64
+	payload []byte
+}
+
+func (l *listing) Len() int { return len(l.pairs) }
+
+func (l *listing) Pair(i int) (uint32, uint32, uint16, bool) {
+	return l.pairs[i][0], l.pairs[i][1], l.shards[i], l.same[i]
+}
+
+func (l *listing) Tuples() int { return len(l.tuples) }
+
+func (l *listing) Tuple(k uint32) (uint64, int64, []byte) {
+	return l.tuples[k].seq, l.tuples[k].key, l.tuples[k].payload
+}
+
+// listingOf numbers the tuples of ps by first pair.
+func listingOf(ps []Pair) *listing { return listingNumbered(ps, nil) }
+
+// listingNumbered numbers the tuples of ps: the k-th distinct tuple, in
+// order of first pair, gets number order[k] (k itself when order is nil).
+func listingNumbered(ps []Pair, order []uint32) *listing {
+	l := &listing{}
+	var byFirst []listed
+	num := func(tu listed) uint32 {
+		for k, seen := range byFirst {
+			if seen.side == tu.side && seen.seq == tu.seq && seen.key == tu.key &&
+				(seen.payload == nil) == (tu.payload == nil) && bytes.Equal(seen.payload, tu.payload) {
+				return uint32(k)
+			}
+		}
+		byFirst = append(byFirst, tu)
+		return uint32(len(byFirst) - 1)
+	}
+	for _, p := range ps {
+		r := num(listed{0, p.RSeq, p.RKey, p.RPayload})
+		s := num(listed{1, p.SSeq, p.SKey, p.SPayload})
+		l.pairs = append(l.pairs, [2]uint32{r, s})
+		l.shards = append(l.shards, p.Shard)
+		l.same = append(l.same, p.SameStep)
+	}
+	l.tuples = make([]listed, len(byFirst))
+	for k, tu := range byFirst {
+		if order != nil {
+			k = int(order[k])
+		}
+		l.tuples[k] = tu
+	}
+	if order != nil {
+		for i := range l.pairs {
+			l.pairs[i] = [2]uint32{order[l.pairs[i][0]], order[l.pairs[i][1]]}
+		}
+	}
+	return l
+}
 
 func TestErrorRoundTrip(t *testing.T) {
 	in := ErrorFrame{Code: CodeOverloaded, RetryAfterMillis: 50, Msg: "queue full"}
@@ -407,7 +465,7 @@ func TestDecodeIngestRejectsOversizeBatch(t *testing.T) {
 }
 
 // TestEncodeResultsFrameEquivalence pins every single-frame entry of the
-// Results encoder — from f.Pairs and from a pair source — to the reference
+// Results encoder — from f.Pairs and from a numbered listing — to the reference
 // form Frame(TypeResults, EncodeResults(f)), and the format itself to bytes.
 // The bytes were recorded again when Version 2 made a repeated tuple a
 // reference: the third pair names the first pair's R tuple and the second
@@ -429,7 +487,7 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 		for name, got := range map[string][]byte{
 			"EncodeResultsFrame":      EncodeResultsFrame(f),
 			"EncodeResultsFrames":     EncodeResultsFrames(f),
-			"AppendResultsFramesFrom": AppendResultsFramesFrom(nil, hdr, builtPairs(f.Pairs), new(TupleTable)),
+			"AppendResultsFramesFrom": AppendResultsFramesFrom(nil, hdr, listingOf(f.Pairs), new(Carriers)),
 		} {
 			if !bytes.Equal(got, want) {
 				t.Errorf("case %d: %s diverges from reference (%d vs %d bytes)", i, name, len(got), len(want))

@@ -37,7 +37,10 @@
 #                    FuzzDecodeResults (an accepted frame decodes to pairs P
 #                    with decode(encode(P)) = P and encode(P) a fixed point —
 #                    a tuple inline twice decodes but re-encodes as a
-#                    reference) and FuzzDecodeIngest (re-encodes byte for
+#                    reference), FuzzNumberedResults (the encoding of a
+#                    listing whose tuples carry numbers, as the daemon's
+#                    replies do, is EncodeResults of the same pairs, at any
+#                    chunk cut) and FuzzDecodeIngest (re-encodes byte for
 #                    byte); then the frame parser's FuzzFrameReader
 #  10. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
@@ -123,6 +126,7 @@ echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzKeyIndex$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
+go test -run '^$' -fuzz '^FuzzNumberedResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/streamd/wire
 
