@@ -6,11 +6,9 @@
 // goroutine signals a done channel, and Shutdown/Close do not return until
 // that goroutine has exited.
 //
-// The done-channel handshake is also what lets stochlint's goleak analyzer
-// accept the serve goroutine without a suppression: the server value the
-// goroutine blocks in Serve on is the same field a visible Shutdown/Close
-// path stops, which is exactly the termination evidence the analyzer looks
-// for (see internal/lintrules/goleak.go, "managed serve").
+// The done-channel handshake is also what TestNoGoroutineOutlivesStop (in
+// internal/streamd) relies on: once Close or Shutdown returns, no goroutine
+// runs the serve loop.
 package httpd
 
 import (

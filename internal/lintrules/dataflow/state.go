@@ -254,7 +254,7 @@ func collectFieldAccesses(f *Func) *FieldSummary {
 			}
 		case *ast.CallExpr:
 			// copy(dst, src) mutates dst's element state.
-			if id, ok := unparen(x.Fun).(*ast.Ident); ok && len(x.Args) == 2 {
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && len(x.Args) == 2 {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
 					markChain(x.Args[0])
 				}
@@ -263,7 +263,7 @@ func collectFieldAccesses(f *Func) *FieldSummary {
 			// it (the callee's effects on its own receiver are otherwise
 			// invisible to this type's summary — the receiver's fields belong
 			// to another struct).
-			if fun, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
+			if fun, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 				if s := info.Selections[fun]; s != nil && s.Kind() == types.MethodVal {
 					if recvMayMutate(s) {
 						markChain(fun.X)

@@ -1,7 +1,7 @@
 // Package dfa is the dataflow package's own test corpus: a tiny program
-// exercising call-graph construction, SCC ordering, the fixed-point solver,
-// and CFG def-use queries. It is loaded through lintrules/load with this
-// directory tree as the overlay root.
+// exercising call-graph construction, SCC ordering and the fixed-point
+// solver. It is loaded through lintrules/load with this directory tree as
+// the overlay root.
 package dfa
 
 func source() int { return 1 }
@@ -30,34 +30,4 @@ func odd(n int) bool {
 		return false
 	}
 	return even(n - 1)
-}
-
-func sink(int) {}
-
-// backEdge's second write to x is read only on the next loop iteration:
-// the read (sink(x)) precedes the write in the block, so only the loop's
-// back edge makes it a use.
-func backEdge(n int) {
-	x := 0
-	for i := 0; i < n; i++ {
-		sink(x)
-		x = i
-	}
-}
-
-// writeNoRead's second write to v is dead: nothing reads v afterwards.
-func writeNoRead(n int) int {
-	v := n
-	out := v
-	v = out + 1
-	return out
-}
-
-// branchWrite's write inside the if is read at the return via the join.
-func branchWrite(n int) int {
-	v := 0
-	if n > 0 {
-		v = n
-	}
-	return v
 }

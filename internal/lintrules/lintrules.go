@@ -1,22 +1,22 @@
-// Package lintrules is stochlint's analyzer suite: fifteen custom static
-// checks that mechanically enforce the determinism and correctness
-// contracts the paper's guarantees rest on (Theorem 3 dominance optimality
-// and the Corollary 3–5 incremental updates require every replacement
-// decision to be a pure, deterministic function of stream state).
+// Package lintrules is stochlint's analyzer suite: nine custom static checks
+// that mechanically enforce the determinism and correctness contracts the
+// paper's guarantees rest on (Theorem 3 dominance optimality and the
+// Corollary 3–5 incremental updates require every replacement decision to be
+// a pure, deterministic function of stream state).
 //
-// Eleven of the analyzers are interprocedural, running on per-function
+// Five of the analyzers are interprocedural, running on per-function
 // summaries computed over the whole module by internal/lintrules/dataflow
-// (call graph, fixed-point solver, CFG def-use chains, field-access
-// summaries), so a contract violation hidden behind any chain of helper
-// calls still surfaces. Four of those — dettaint, stepescape, scorepure,
-// errdiscipline — track value and purity contracts; four — goleak,
-// chandiscipline, atomicfield, mergedet — are the concurrency-safety suite
-// over the sharded runtime (goroutine termination, channel discipline,
-// atomic-vs-plain field access, and merge-order determinism); and three —
+// (call graph, fixed-point solver, field-access summaries), so a contract
+// violation hidden behind any chain of helper calls still surfaces. Two of
+// those — dettaint and scorepure — track determinism and purity; three —
 // snapcomplete, fingerprintcover, wirexhaustive — are the state-contract
 // suite (serialization completeness, config-fingerprint coverage, and wire
-// protocol exhaustiveness). The rest are syntactic or type-based
-// per-package checks.
+// protocol exhaustiveness). The other four — maprange, floateq, stepretain,
+// locksafe — are syntactic or type-based per-package checks.
+//
+// Contracts that a test, go vet or the compiler already enforces are left to
+// them: scripts/mutants.sh seeds one mutant per such contract and shows
+// which check kills it (docs/static-analysis.md, "Kill matrix").
 //
 // The analyzers are built on internal/lintrules/analysis, an offline mirror
 // of the golang.org/x/tools/go/analysis API. cmd/stochlint is the
@@ -79,9 +79,6 @@ var decisionPkgs = []string{
 var emissionPkgs = append([]string{
 	"stochstream/internal/join",
 	"stochstream/internal/telemetry",
-	// The managed HTTP server lifecycle: its serve goroutine is the
-	// pattern goleak's managed-serve evidence exists for.
-	"stochstream/internal/httpd",
 }, decisionPkgs...)
 
 func inAny(pkgPath string, roots []string) bool {
@@ -94,16 +91,6 @@ func inAny(pkgPath string, roots []string) bool {
 }
 
 func everywhere(string) bool { return true }
-
-// mergedetPkgs scope the merge-order determinism check to the sharded
-// runtime, the one place that merges concurrent shard outputs into an
-// emission order.
-var mergedetPkgs = []string{
-	"stochstream/internal/shardrt",
-	// The daemon forwards the runtime's merged order to clients; anything
-	// it persists or returns must preserve that order.
-	"stochstream/internal/streamd",
-}
 
 // statePkgs scope serialization completeness to the packages that own
 // snapshot/restore pairs: the engine and sharded runtime checkpoints, the
@@ -138,25 +125,18 @@ func Rules() []Rule {
 		{Maprange, func(p string) bool { return inAny(p, emissionPkgs) }},
 		{Floateq, everywhere},
 		{Stepretain, everywhere},
-		{Stepescape, everywhere},
 		{Locksafe, everywhere},
 		{Scorepure, func(p string) bool { return inAny(p, scorepurePkgs) }},
-		{Errdiscipline, func(p string) bool { return inAny(p, decisionPkgs) }},
-		{Goleak, func(p string) bool { return inAny(p, emissionPkgs) }},
-		{Chandiscipline, func(p string) bool { return inAny(p, decisionPkgs) }},
-		{Atomicfield, func(p string) bool { return inAny(p, emissionPkgs) }},
-		{Mergedet, func(p string) bool { return inAny(p, mergedetPkgs) }},
 		{Snapcomplete, func(p string) bool { return inAny(p, statePkgs) }},
 		{Fingerprintcover, func(p string) bool { return inAny(p, fingerprintPkgs) }},
 		{Wirexhaustive, func(p string) bool { return inAny(p, wirePkgs) }},
 	}
 }
 
-// Analyzers returns the fifteen analyzers without scoping, for tests and docs.
+// Analyzers returns the nine analyzers without scoping, for tests and docs.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Dettaint, Maprange, Floateq, Stepretain, Stepescape, Locksafe, Scorepure, Errdiscipline,
-		Goleak, Chandiscipline, Atomicfield, Mergedet,
+		Dettaint, Maprange, Floateq, Stepretain, Locksafe, Scorepure,
 		Snapcomplete, Fingerprintcover, Wirexhaustive,
 	}
 }

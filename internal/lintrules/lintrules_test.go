@@ -33,36 +33,12 @@ func TestStepretain(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Stepretain, "stepretain")
 }
 
-func TestStepescape(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Stepescape, "stepescape")
-}
-
 func TestLocksafe(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Locksafe, "locksafe")
 }
 
 func TestScorepure(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Scorepure, "scorepure")
-}
-
-func TestErrdiscipline(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Errdiscipline, "errdiscipline")
-}
-
-func TestGoleak(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Goleak, "goleak")
-}
-
-func TestChandiscipline(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Chandiscipline, "chandiscipline")
-}
-
-func TestAtomicfield(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Atomicfield, "atomicfield")
-}
-
-func TestMergedet(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Mergedet, "mergedet")
 }
 
 // TestStaleignore runs the whole suite plus the suppression audit over the
@@ -72,18 +48,18 @@ func TestStaleignore(t *testing.T) {
 	analysistest.RunSuite(t, testdata(t), lintrules.Analyzers(), "staleignore", true)
 }
 
-// TestScoping pins the suite's package scoping: dettaint and errdiscipline
-// cover exactly the decision packages, maprange additionally the
-// emission/export packages, scorepure only the policy package, the state
-// contracts (snapcomplete, fingerprintcover, wirexhaustive) their own
-// serialization/protocol packages, and the remaining analyzers everything.
+// TestScoping pins the suite's package scoping: dettaint covers exactly the
+// decision packages, maprange additionally the emission/export packages,
+// scorepure only the policy package, the state contracts (snapcomplete,
+// fingerprintcover, wirexhaustive) their own serialization/protocol
+// packages, and the remaining analyzers everything.
 func TestScoping(t *testing.T) {
 	byName := map[string]lintrules.Rule{}
 	for _, r := range lintrules.Rules() {
 		byName[r.Analyzer.Name] = r
 	}
-	if len(byName) != 15 {
-		t.Fatalf("expected 15 rules, got %d", len(byName))
+	if len(byName) != 9 {
+		t.Fatalf("expected 9 rules, got %d", len(byName))
 	}
 	cases := []struct {
 		analyzer string
@@ -96,18 +72,13 @@ func TestScoping(t *testing.T) {
 		{"dettaint", "stochstream/internal/faultinject", true},
 		{"dettaint", "stochstream/internal/flightrec", true},
 		{"dettaint", "stochstream/internal/shardrt", true},
-		{"errdiscipline", "stochstream/internal/shardrt", true},
 		{"maprange", "stochstream/internal/shardrt", true},
 		{"stepretain", "stochstream/internal/shardrt", true},
 		{"locksafe", "stochstream/internal/shardrt", true},
 		{"scorepure", "stochstream/internal/shardrt", false},
-		{"errdiscipline", "stochstream/internal/flightrec", true},
 		{"maprange", "stochstream/internal/flightrec", true},
 		{"dettaint", "stochstream/internal/stats", false}, // stats owns the RNGs
 		{"dettaint", "stochstream/internal/telemetry", false},
-		{"errdiscipline", "stochstream/internal/engine", true},
-		{"errdiscipline", "stochstream/internal/mincostflow", true},
-		{"errdiscipline", "stochstream/internal/telemetry", false},
 		{"scorepure", "stochstream/internal/policy", true},
 		{"scorepure", "stochstream/internal/engine", false},
 		{"maprange", "stochstream/internal/telemetry", true},
@@ -115,20 +86,7 @@ func TestScoping(t *testing.T) {
 		{"maprange", "stochstream/internal/workload", false},
 		{"floateq", "stochstream/internal/workload", true},
 		{"stepretain", "stochstream", true},
-		{"stepescape", "stochstream/internal/cachepolicy", true},
 		{"locksafe", "stochstream/cmd/repro", true},
-		{"goleak", "stochstream/internal/shardrt", true},
-		{"goleak", "stochstream/internal/telemetry", true},
-		{"goleak", "stochstream/internal/join", true},
-		{"goleak", "stochstream/internal/workload", false},
-		{"chandiscipline", "stochstream/internal/shardrt", true},
-		{"chandiscipline", "stochstream/internal/engine", true},
-		{"chandiscipline", "stochstream/internal/telemetry", false},
-		{"atomicfield", "stochstream/internal/telemetry", true},
-		{"atomicfield", "stochstream/internal/shardrt", true},
-		{"atomicfield", "stochstream/internal/stats", false},
-		{"mergedet", "stochstream/internal/shardrt", true},
-		{"mergedet", "stochstream/internal/engine", false},
 		{"snapcomplete", "stochstream/internal/engine", true},
 		{"snapcomplete", "stochstream/internal/shardrt", true},
 		{"snapcomplete", "stochstream/internal/stats", true},

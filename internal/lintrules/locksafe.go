@@ -13,8 +13,7 @@ const telemetryPath = "stochstream/internal/telemetry"
 // telemetryHandleTypes are the types that must be obtained through their
 // constructors (NewRegistry, Registry.Counter/Gauge/Histogram,
 // NewHistogram, NewDecisionTrace): literal or zero-value construction
-// bypasses registration, so the metric silently never exports, and a copied
-// handle splits the counter state.
+// bypasses registration, so the metric silently never exports.
 var telemetryHandleTypes = map[string]bool{
 	"Counter":       true,
 	"Gauge":         true,
@@ -23,58 +22,29 @@ var telemetryHandleTypes = map[string]bool{
 	"DecisionTrace": true,
 }
 
-// Locksafe flags copies of lock-bearing values and out-of-band construction
-// of telemetry handle types.
-//
-// A type "bears a lock" when it is, or transitively contains (struct field
-// or array element), one of sync.{Mutex,RWMutex,WaitGroup,Once,Cond} or a
-// sync/atomic value type. Copying such a value forks its state: the copy's
-// lock guards nothing, and a copied atomic counter silently splits its
-// count — exactly the failure mode that would corrupt the telemetry layer's
-// registry and the engine's instrumented counters. Flagged copy sites:
-// assignments from an existing value, by-value parameters, receivers and
-// results in function signatures, by-value call arguments, range value
-// variables, and return statements.
+// Locksafe flags out-of-band construction of telemetry handle types: a
+// composite literal or a zero-value declaration outside the telemetry
+// package. Copies of lock- or atomic-bearing values (a copied handle, a
+// forked mutex) are go vet's copylocks check, which flags every copy shape:
+// assignments, by-value parameters and receivers, call arguments, range
+// values and returns, for sync types and typed atomics alike.
 var Locksafe = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc:  "flag copies of mutex/atomic-bearing values and literal construction of telemetry handles",
+	Doc:  "flag literal or zero-value construction of telemetry handles",
 	Run:  runLocksafe,
 }
 
 func runLocksafe(pass *analysis.Pass) (interface{}, error) {
-	lc := &lockChecker{pass: pass, memo: map[types.Type]bool{}}
+	if pass.Pkg.Path() == telemetryPath {
+		return nil, nil
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				lc.checkSignature(n.Recv)
-				lc.checkSignature(n.Type.Params)
-				lc.checkSignature(n.Type.Results)
-			case *ast.FuncLit:
-				lc.checkSignature(n.Type.Params)
-				lc.checkSignature(n.Type.Results)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					lc.checkCopy(rhs, "assignment copies")
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					lc.checkCopy(arg, "call copies")
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := lc.exprType(n.Value); t != nil && lc.containsLock(t) {
-						pass.Reportf(n.Value.Pos(), "range value copies %s: lock/atomic-bearing values must not be copied; range over indices or pointers", typeName(t))
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					lc.checkCopy(res, "return copies")
-				}
 			case *ast.CompositeLit:
-				lc.checkTelemetryLiteral(n)
+				checkTelemetryLiteral(pass, n)
 			case *ast.ValueSpec:
-				lc.checkTelemetryZeroValue(n)
+				checkTelemetryZeroValue(pass, n)
 			}
 			return true
 		})
@@ -82,149 +52,21 @@ func runLocksafe(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-type lockChecker struct {
-	pass *analysis.Pass
-	memo map[types.Type]bool
-}
-
-// exprType resolves an expression's type, falling back to the defined
-// object for idents that only appear in Defs (e.g. range variables).
-func (lc *lockChecker) exprType(e ast.Expr) types.Type {
-	if t := lc.pass.TypesInfo.Types[e].Type; t != nil {
-		return t
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := lc.pass.TypesInfo.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := lc.pass.TypesInfo.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// checkCopy flags e when it denotes an existing lock-bearing value being
-// copied. Fresh values — composite literals, conversions, call results —
-// are construction, not copying, and taking an address is not a copy.
-func (lc *lockChecker) checkCopy(e ast.Expr, what string) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	t := lc.pass.TypesInfo.Types[e].Type
-	if t == nil || !lc.containsLock(t) {
-		return
-	}
-	lc.pass.Reportf(e.Pos(), "%s %s by value: the copy's lock/atomic state is forked from the original; pass a pointer", what, typeName(t))
-}
-
-// checkSignature flags by-value lock-bearing parameters, receivers and
-// results in function signatures.
-func (lc *lockChecker) checkSignature(fl *ast.FieldList) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := lc.pass.TypesInfo.Types[field.Type].Type
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if lc.containsLock(t) {
-			lc.pass.Reportf(field.Type.Pos(), "signature passes %s by value: the callee operates on a forked lock/atomic copy; use *%s", typeName(t), typeName(t))
-		}
-	}
-}
-
-// containsLock reports whether t is or transitively contains a
-// lock-bearing type.
-func (lc *lockChecker) containsLock(t types.Type) bool {
-	if v, ok := lc.memo[t]; ok {
-		return v
-	}
-	lc.memo[t] = false // breaks recursive types
-	v := lc.containsLockUncached(t)
-	lc.memo[t] = v
-	return v
-}
-
-func (lc *lockChecker) containsLockUncached(t types.Type) bool {
-	switch t := types.Unalias(t).(type) {
-	case *types.Named:
-		if isLockType(t) {
-			return true
-		}
-		return lc.containsLock(t.Underlying())
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if lc.containsLock(t.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lc.containsLock(t.Elem())
-	}
-	return false
-}
-
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true,
-}
-
-var atomicValueTypes = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true, "Uint64": true,
-	"Uintptr": true, "Pointer": true, "Value": true,
-}
-
-func isLockType(n *types.Named) bool {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	switch obj.Pkg().Path() {
-	case "sync":
-		return syncLockTypes[obj.Name()]
-	case "sync/atomic":
-		return atomicValueTypes[obj.Name()]
-	}
-	return false
-}
-
-func typeName(t types.Type) string {
-	if n, ok := types.Unalias(t).(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil {
-			return pkg.Name() + "." + n.Obj().Name()
-		}
-		return n.Obj().Name()
-	}
-	return t.String()
-}
-
-// checkTelemetryLiteral flags composite literals of telemetry handle types
-// outside the telemetry package itself.
-func (lc *lockChecker) checkTelemetryLiteral(cl *ast.CompositeLit) {
-	if lc.pass.Pkg.Path() == telemetryPath {
-		return
-	}
-	t := lc.pass.TypesInfo.Types[cl].Type
-	if name, ok := telemetryHandle(t); ok {
-		lc.pass.Reportf(cl.Pos(), "telemetry.%s constructed by literal: handles must come from the registry constructors (Registry.%s / New%s) or the metric never registers for export", name, name, name)
+// checkTelemetryLiteral flags composite literals of telemetry handle types.
+func checkTelemetryLiteral(pass *analysis.Pass, cl *ast.CompositeLit) {
+	if name, ok := telemetryHandle(pass.TypesInfo.Types[cl].Type); ok {
+		pass.Reportf(cl.Pos(), "telemetry.%s constructed by literal: handles must come from the registry constructors (Registry.%s / New%s) or the metric never registers for export", name, name, name)
 	}
 }
 
 // checkTelemetryZeroValue flags `var x telemetry.Counter`-style zero-value
-// declarations outside the telemetry package.
-func (lc *lockChecker) checkTelemetryZeroValue(vs *ast.ValueSpec) {
-	if lc.pass.Pkg.Path() == telemetryPath || vs.Type == nil {
+// declarations.
+func checkTelemetryZeroValue(pass *analysis.Pass, vs *ast.ValueSpec) {
+	if vs.Type == nil {
 		return
 	}
-	t := lc.pass.TypesInfo.Types[vs.Type].Type
-	if name, ok := telemetryHandle(t); ok {
-		lc.pass.Reportf(vs.Type.Pos(), "zero-value telemetry.%s declared: handles must come from the registry constructors (Registry.%s / New%s) or the metric never registers for export", name, name, name)
+	if name, ok := telemetryHandle(pass.TypesInfo.Types[vs.Type].Type); ok {
+		pass.Reportf(vs.Type.Pos(), "zero-value telemetry.%s declared: handles must come from the registry constructors (Registry.%s / New%s) or the metric never registers for export", name, name, name)
 	}
 }
 

@@ -196,7 +196,7 @@ func directEffects(info *types.Info, f *dataflow.Func) []sideEffect {
 		case recvAliases[obj]:
 			// Rebinding a local alias (e := p.inc[k]) is not a mutation;
 			// only writes through it (e.h = v, e[i] = v, *e = v) are.
-			if _, bare := unparenExpr(lhs).(*ast.Ident); bare {
+			if _, bare := ast.Unparen(lhs).(*ast.Ident); bare {
 				return
 			}
 			out = append(out, sideEffect{at, "mutates receiver state (" + types.ExprString(lhs) + ")"})
@@ -219,7 +219,7 @@ func directEffects(info *types.Info, f *dataflow.Func) []sideEffect {
 				}
 			}
 		case *ast.CallExpr:
-			switch fun := unparenExpr(n.Fun).(type) {
+			switch fun := ast.Unparen(n.Fun).(type) {
 			case *ast.Ident:
 				if fun.Name == "delete" && info.Uses[fun] == nil && info.Defs[fun] == nil && len(n.Args) > 0 && rooted(n.Args[0]) {
 					out = append(out, sideEffect{n.Pos(), "deletes from receiver map " + types.ExprString(n.Args[0])})

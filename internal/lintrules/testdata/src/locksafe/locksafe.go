@@ -1,71 +1,20 @@
 // Package locksafe is the seeded-violation corpus for the locksafe
-// analyzer: lock/atomic-bearing values copied, and telemetry handles
-// constructed outside their constructors.
+// analyzer: telemetry handles constructed outside their constructors.
 package locksafe
 
-import (
-	"sync"
-
-	"stochstream/internal/telemetry"
-)
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-type wrapper struct{ g guarded }
-
-func copyOnAssign(a guarded) { // want "signature passes locksafe.guarded by value"
-	b := a // want "assignment copies locksafe.guarded by value"
-	_ = &b
-}
-
-func copyNested(w wrapper) { // want "signature passes locksafe.wrapper by value"
-	_ = &w
-}
-
-func byValueReceiver() {
-	var mu sync.Mutex
-	use(mu) // want "call copies sync.Mutex by value"
-	_ = &mu
-}
-
-func use(interface{}) {}
-
-func rangeCopies(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range value copies locksafe.guarded"
-		total += g.n
-	}
-	return total
-}
-
-func returnCopies(w *wrapper) guarded { // want "signature passes locksafe.guarded by value"
-	return w.g // want "return copies locksafe.guarded by value"
-}
-
-func pointersAreFine(g *guarded, w *wrapper) *guarded {
-	usePtr(g)
-	return &w.g
-}
-
-func usePtr(*guarded) {}
-
-func freshValuesAreFine() *guarded {
-	// Composite literals and zero-value declarations construct, not copy.
-	var g guarded
-	g = guarded{}
-	return &g
-}
+import "stochstream/internal/telemetry"
 
 func literalCounter() *telemetry.Counter {
 	return &telemetry.Counter{} // want "telemetry.Counter constructed by literal"
 }
 
-func literalRegistry() telemetry.Registry { // want "signature passes telemetry.Registry by value"
+func literalRegistry() *telemetry.Registry {
 	r := telemetry.Registry{} // want "telemetry.Registry constructed by literal"
-	return r                  // want "return copies telemetry.Registry by value"
+	return &r
+}
+
+func literalHistogram() *telemetry.Histogram {
+	return &telemetry.Histogram{} // want "telemetry.Histogram constructed by literal"
 }
 
 func zeroValueHandle() {
@@ -73,42 +22,25 @@ func zeroValueHandle() {
 	c.Inc()
 }
 
+func zeroValueGauge() *telemetry.Gauge {
+	var g telemetry.Gauge // want "zero-value telemetry.Gauge declared"
+	return &g
+}
+
 func constructorsAreFine() *telemetry.Counter {
 	r := telemetry.NewRegistry()
 	return r.Counter("steps_total")
 }
 
+// Pointers are how handles circulate: declaring one constructs nothing.
+func pointerDeclIsFine(r *telemetry.Registry) *telemetry.Counter {
+	var c *telemetry.Counter
+	c = r.Counter("pairs_total")
+	return c
+}
+
 func suppressed() {
-	var mu sync.Mutex
-	//lint:ignore locksafe deliberately copying a never-locked zero mutex in a test fixture
-	use(mu)
-}
-
-// A checkpoint-shaped struct holding a telemetry handle by value: the
-// snapshot forks the registry's atomic state, and a restore would resurrect
-// stale counters disconnected from the exporter.
-type ckptWithHandle struct {
-	step int
-	reg  telemetry.Registry
-}
-
-func snapshotTelemetry(reg *telemetry.Registry, c *ckptWithHandle) {
-	c.step++
-	c.reg = *reg // want "assignment copies telemetry.Registry by value"
-}
-
-func restoreTelemetry(c *ckptWithHandle) *telemetry.Registry {
-	r := c.reg // want "assignment copies telemetry.Registry by value"
-	return &r
-}
-
-// A checkpoint that records a pointer to the handle (or better, none at
-// all) stays connected to the live registry: not flagged.
-type ckptWithPointer struct {
-	step int
-	reg  *telemetry.Registry
-}
-
-func snapshotPointer(reg *telemetry.Registry, c *ckptWithPointer) {
-	c.reg = reg
+	//lint:ignore locksafe a detached counter in a test fixture never exports, by design
+	var c telemetry.Counter
+	c.Inc()
 }

@@ -1,7 +1,7 @@
 // Package flightrec is a stub of stochstream/internal/flightrec for the
-// lintrules corpora: the mutex-bearing Recorder handle (locksafe), the
-// value-type span handles, and the clock seam span timestamps must come
-// through (dettaint).
+// lintrules corpora: the Recorder handle, the value-type span handles
+// (stepretain), and the clock seam span timestamps must come through
+// (dettaint).
 package flightrec
 
 import "sync"
@@ -22,7 +22,7 @@ type Active struct {
 }
 
 // Recorder mirrors the real recorder: a mutex-guarded span ring behind a
-// pinned clock seam. Copying one forks the ring and the mutex.
+// pinned clock seam.
 type Recorder struct {
 	mu    sync.Mutex
 	clock func() int64

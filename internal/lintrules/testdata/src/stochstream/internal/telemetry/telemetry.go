@@ -1,6 +1,6 @@
 // Package telemetry is a stub of stochstream/internal/telemetry for the
-// locksafe corpus: handle types with the real names and atomic/mutex
-// internals, plus their constructors.
+// locksafe corpus: handle types with the real names, plus their
+// constructors.
 package telemetry
 
 import (

@@ -420,12 +420,12 @@ func checkRawWireLiterals(pass *analysis.Pass, prog *dataflow.Program, index map
 				var g *wireGroup
 				for _, stmt := range x.Body.List {
 					for _, e := range stmt.(*ast.CaseClause).List {
-						if id, ok := unparenExpr(e).(*ast.Ident); ok {
+						if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 							if c, ok := info.Uses[id].(*types.Const); ok && index[c] != nil {
 								g = index[c]
 							}
 						}
-						if sel, ok := unparenExpr(e).(*ast.SelectorExpr); ok {
+						if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 							if c, ok := info.Uses[sel.Sel].(*types.Const); ok && index[c] != nil {
 								g = index[c]
 							}
@@ -437,7 +437,7 @@ func checkRawWireLiterals(pass *analysis.Pass, prog *dataflow.Program, index map
 				}
 				for _, stmt := range x.Body.List {
 					for _, e := range stmt.(*ast.CaseClause).List {
-						if lit := intLit(unparenExpr(e)); lit != nil {
+						if lit := intLit(ast.Unparen(e)); lit != nil {
 							report(lit, g.kind)
 						}
 					}
@@ -457,7 +457,7 @@ func checkRawWireLiterals(pass *analysis.Pass, prog *dataflow.Program, index map
 					if name != "typ" && name != "code" {
 						continue
 					}
-					if lit := intLit(unparenExpr(arg)); lit != nil {
+					if lit := intLit(ast.Unparen(arg)); lit != nil {
 						if name == "typ" {
 							report(lit, "frame type")
 						} else {
@@ -480,7 +480,7 @@ func checkRawWireLiterals(pass *analysis.Pass, prog *dataflow.Program, index map
 					if !ok || fld.Pkg() == nil || !wirePkgs[fld.Pkg()] {
 						continue
 					}
-					if lit := intLit(unparenExpr(kv.Value)); lit != nil {
+					if lit := intLit(ast.Unparen(kv.Value)); lit != nil {
 						report(lit, strings.ToLower(id.Name)+" field")
 					}
 				}
@@ -491,12 +491,12 @@ func checkRawWireLiterals(pass *analysis.Pass, prog *dataflow.Program, index map
 				}
 				sides := []struct{ sel, lit ast.Expr }{{x.X, x.Y}, {x.Y, x.X}}
 				for _, s := range sides {
-					sel, ok := unparenExpr(s.sel).(*ast.SelectorExpr)
+					sel, ok := ast.Unparen(s.sel).(*ast.SelectorExpr)
 					if !ok {
 						continue
 					}
 					if name, ok := isWireField(info, sel); ok {
-						if lit := intLit(unparenExpr(s.lit)); lit != nil {
+						if lit := intLit(ast.Unparen(s.lit)); lit != nil {
 							report(lit, strings.ToLower(name)+" field comparison")
 						}
 					}

@@ -5,7 +5,11 @@
 #                    deliberately unidiomatic)
 #   2. go vet      — default pass plus every registered vet analyzer, run
 #                    before stochlint so toolchain-level breakage is named
-#                    before custom-analyzer findings
+#                    before custom-analyzer findings. Its copylocks check is
+#                    the repo's lock-copy guard: a by-value copy of anything
+#                    holding a sync type or a typed atomic, in every shape
+#                    (assignment, parameter, receiver, call argument, range
+#                    value, return)
 #   3. stochlint   — the custom determinism/correctness analyzer suite over
 #                    the tree, 0 findings (internal/lintrules,
 #                    docs/static-analysis.md). That the suite still fires —
@@ -17,7 +21,13 @@
 #   6. go test -race ./... — the full suite under the race detector: every
 #                    differential, chaos, drain/restart, overload-pressure and
 #                    lint self-test; go test names whichever fails
-#   7. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
+#   7. mutants     — scripts/mutants.sh: each scripts/mutants/*.patch breaks
+#                    one contract of the real tree (a historical analyzer
+#                    catch, a contract whose analyzer was deleted in favour of
+#                    a test, vet or the build, a fixed bug), and the checks
+#                    its header names must each kill it; prints the kill
+#                    matrix (docs/static-analysis.md, "Kill matrix")
+#   8. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
 #                    each) and compared with experiments_run.txt section by
 #                    section, and ablation a1 (about 75 s) with
 #                    ablation_run.txt, by cmd/repro's
@@ -25,10 +35,10 @@
 #                    phase 6 already compared 6, 7, 13–18 and ablation a2.
 #                    Figures 9–11 (~20 s each) and 12 (~7 min) are left out:
 #                    their recorded sections are checked by hand
-#   8. chaos x200  — the concurrent network-fault campaign, whose failure
+#   9. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions")
-#   9. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
+#  10. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
 #                    equi index's table against a map model: backward-shift
 #                    deletion) and the three wire fuzzers over their
 #                    committed corpora. The two decoders a peer's bytes reach
@@ -42,7 +52,7 @@
 #                    replies do, is EncodeResults of the same pairs, at any
 #                    chunk cut) and FuzzDecodeIngest (re-encodes byte for
 #                    byte); then the frame parser's FuzzFrameReader
-#  10. bench smoke — a build that breaks a benchmark cannot land: every
+#  11. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
 #                    BenchmarkHEEBDecision/{trend64,walk8,band256} in
@@ -115,6 +125,9 @@ go build ./...
 
 echo "==> test (-race)"
 go test -race "$@" ./...
+
+echo "==> mutants (kill matrix)"
+./scripts/mutants.sh
 
 echo "==> figures 8 and 19 against experiments_run.txt, ablation a1 against ablation_run.txt"
 go test -run '^TestFiguresMatchRecordedRun$' -count=1 ./cmd/repro -args -slow-figures
