@@ -40,9 +40,9 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) int {
 	var (
 		listen     = fs.String("listen", "127.0.0.1:7070", "framed-protocol TCP listen address")
 		httpAddr   = fs.String("http", "", "HTTP surface listen address (empty disables)")
-		shards     = fs.Int("shards", 1, "runtime shard count; raise it only for stationary keys: a shard steps when both its lanes hold an arrival, so on trending keys one stream reaches the cache late and 4 shards keep 0.11-0.15 of 1 shard's RAND yield by 32k steps")
+		shards     = fs.Int("shards", 1, "runtime shard count: each shard steps its keys' arrivals on the stream's clock with an even share of -cache; on the ledger's trend 4 shards keep 0.96-0.98 of 1 shard's yield at any uptime")
 		cache      = fs.Int("cache", 1024, "total cache budget across shards")
-		window     = fs.Int("window", 0, "sliding-window size in shard steps (0 = unbounded)")
+		window     = fs.Int("window", 0, "sliding-window size in global steps (0 = unbounded)")
 		seed       = fs.Uint64("seed", 1, "runtime policy seed")
 		queue      = fs.Int("queue", 64, "engine ingest queue depth (batches); full queue sheds")
 		credits    = fs.Int("credits", 4096, "per-session flow-control window in steps")

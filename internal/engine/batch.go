@@ -8,19 +8,45 @@ package engine
 // observation, counter flushes, output-slice bookkeeping) once per batch
 // instead of once per tuple.
 
-// TuplePair is one synchronized step of arrivals for StepBatch: one tuple
-// from each stream, exactly like the two Step arguments.
+// TuplePair is one step of arrivals: one tuple from each stream, exactly like
+// the two Step arguments — or, when Arrivals says so, one tuple from one
+// stream. The zero Arrivals and Skip are the synchronized step Step takes.
 type TuplePair struct {
 	R, S Tuple
+	// Arrivals is the sides that arrive at this operator. A one-sided step
+	// (OnlyR, OnlyS) probes, pairs and admits the one arrival: its decision is
+	// among the cached tuples plus that one, and no slot goes to the other
+	// side. The other side's Key is still read, as the value its stream
+	// produced at this step — its history records it — and nothing else of it.
+	Arrivals Arrivals
+	// Skip is how many steps of the streams' clock passed since the
+	// operator's previous step without an arrival for it: a partitioned
+	// operator (a shard) steps only when one of its keys arrives, on the
+	// clock of the whole stream, so its window and its models' t0 are the
+	// stream's own. It must not be negative.
+	Skip int
 }
 
-// StepBatch feeds a batch of synchronized steps and returns every pair the
-// batch produced, in step order (Pair.Time orders them). It is byte-identical
-// to calling Step once per element; only the telemetry accounting differs:
+// Arrivals names the sides of a TuplePair that arrive.
+type Arrivals uint8
+
+const (
+	// Both is the synchronized step: an arrival on each stream.
+	Both Arrivals = iota
+	// OnlyR is a step with an arrival on stream R alone.
+	OnlyR
+	// OnlyS is a step with an arrival on stream S alone.
+	OnlyS
+)
+
+// StepBatch feeds a batch of steps and returns every pair the batch produced,
+// in step order (Pair.Time orders them). It is byte-identical to calling
+// Step once per synchronized element; only the telemetry accounting differs:
 // the step-latency histogram records one observation covering the whole
 // batch, and the steps/pairs/evictions counters are flushed once at batch
 // end (see docs/observability.md, "Batched steps"). A step with a key outside
-// the domain panics as Step does, after the steps before it.
+// the domain, or a negative Skip, panics as Step does, after the steps before
+// it.
 //
 // The returned slice is owned by the operator and valid only until the next
 // Step, StepBatch or StepRun call; callers that retain pairs must copy them.
@@ -52,10 +78,10 @@ func (j *Join) StepRun(batch []TuplePair) Batch {
 		}
 		j.epoch = 1
 	}
-	j.run = Batch{Tuples: j.run.Tuples[:0], Pairs: j.run.Pairs[:0], Time: j.time}
+	j.run = Batch{Tuples: j.run.Tuples[:0], Pairs: j.run.Pairs[:0], Time: j.time + max(batch[0].Skip, 0)}
 	pairs, evictions := 0, 0
 	for i := range batch {
-		p, e := j.stepCore(batch[i].R, batch[i].S)
+		p, e := j.stepCore(&batch[i])
 		pairs += p
 		evictions += e
 	}

@@ -266,6 +266,10 @@ func validateWire(wire *checkpointWire) ([]int, error) {
 	if wire.Time < 0 || wire.NextID < 0 {
 		return bad("time %d, next ID %d", wire.Time, wire.NextID)
 	}
+	// Time is the streams' clock, which a step with a Skip (a shard's) moves
+	// by more than one, and each history holds the stream's value at every
+	// step of that clock: both lengths are the time, however many steps the
+	// operator took (Metrics.Steps).
 	if wire.HistLen[0] != wire.Time || wire.HistLen[1] != wire.Time {
 		return bad("histories of %d and %d observations for %d steps",
 			wire.HistLen[0], wire.HistLen[1], wire.Time)

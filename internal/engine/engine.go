@@ -65,7 +65,7 @@ type Pair struct {
 
 // Batch is a batch's output in numbered form: Tuples lists each tuple of the
 // pairs once, at its first pair, and Pairs (Step's order) name them by index.
-// Time is the step at which the batch began.
+// Time is the time of the batch's first step.
 type Batch struct {
 	Tuples []Tuple
 	Pairs  []PairRef
@@ -122,6 +122,8 @@ type Config struct {
 // step-latency histogram); cache occupancy is read via Metrics().
 // See docs/observability.md, "Snapshot semantics".
 type Metrics struct {
+	// Steps counts the steps taken; a partitioned operator's clock (Time)
+	// also moves past the steps it skips.
 	Steps int
 	// Pairs counts all emitted results; SameTimePairs the subset produced
 	// by a step's own two arrivals (Pairs − SameTimePairs is the
@@ -312,37 +314,58 @@ func releaseTail[T any](out []T, prev int) []T {
 	return out
 }
 
-// stepCore is one synchronized step minus the per-call telemetry: it appends
-// this step's pairs to the current batch and returns the pair and eviction
-// counts. Step, StepBatch and StepRun wrap it — Step observes latency per
-// call, the batched ones once per batch — so all share one state machine and
-// stay byte-identical per step.
-func (j *Join) stepCore(r, s Tuple) (int, int) {
-	if !inDomain(r.Key) || !inDomain(s.Key) {
-		panic(fmt.Sprintf("engine: step refused: %v", errors.Join(checkKey(r.Key), checkKey(s.Key))))
+// stepCore is one step minus the per-call telemetry: it appends this step's
+// pairs to the current batch and returns the pair and eviction counts. Step,
+// StepBatch and StepRun wrap it — Step observes latency per call, the batched
+// ones once per batch — so all share one state machine and stay
+// byte-identical per step. A synchronized step (Both, Skip 0) is the paper's
+// step; a one-sided step leaves the other side out of everything but its
+// history (see TuplePair).
+func (j *Join) stepCore(tp *TuplePair) (int, int) {
+	if !inDomain(tp.R.Key) || !inDomain(tp.S.Key) || tp.Skip < 0 || tp.Arrivals > OnlyS {
+		panic(fmt.Sprintf("engine: step refused: %v", errors.Join(checkKey(tp.R.Key), checkKey(tp.S.Key), checkStep(tp))))
 	}
+	t := j.time + tp.Skip
 	var stepSpan, sp flightrec.Active
 	if j.rec != nil {
-		stepSpan = j.rec.BeginStep(j.time)
+		stepSpan = j.rec.BeginStep(t)
 	}
-	t := j.time
-	j.time++
+	j.time = t + 1
 	j.m.Steps++
-	j.hists[core.StreamR].Append(r.Key)
-	j.hists[core.StreamS].Append(s.Key)
+	j.hists[core.StreamR].AppendAt(t, tp.R.Key)
+	j.hists[core.StreamS].AppendAt(t, tp.S.Key)
+	// The arrivals' keys: NoValue stands for a side with none, which probes
+	// nothing and pairs with nothing.
+	rk, sk := tp.R.Key, tp.S.Key
+	switch tp.Arrivals {
+	case OnlyR:
+		sk = process.NoValue
+	case OnlyS:
+		rk = process.NoValue
+	}
 	if j.arrivals != nil {
-		j.arrivals.ObserveArrivals(r.Key, s.Key)
+		j.arrivals.ObserveArrivals(rk, sk)
 	}
 	j.state.Time = t
 
 	// Admission happens below, but the tuple IDs are fixed now, so ingest
-	// lifecycle events can carry them.
-	rT := join.Tuple{ID: j.nextID, Value: r.Key, Stream: core.StreamR, Arrived: t}
-	sT := join.Tuple{ID: j.nextID + 1, Value: s.Key, Stream: core.StreamS, Arrived: t}
-	j.nextID += 2
+	// lifecycle events can carry them. arr lists the arrivals, R first.
+	var arr [2]join.Tuple
+	var sls [2]slot
+	n := 0
+	if tp.Arrivals != OnlyS {
+		arr[n], sls[n] = join.Tuple{ID: j.nextID + n, Value: rk, Stream: core.StreamR, Arrived: t}, slot{payload: tp.R.Payload, seq: tp.R.Seq}
+		n++
+	}
+	if tp.Arrivals != OnlyR {
+		arr[n], sls[n] = join.Tuple{ID: j.nextID + n, Value: sk, Stream: core.StreamS, Arrived: t}, slot{payload: tp.S.Payload, seq: tp.S.Seq}
+		n++
+	}
+	j.nextID += n
 	if j.rec != nil {
-		j.lifeTuple(flightrec.LifeIngest, t, rT, 0)
-		j.lifeTuple(flightrec.LifeIngest, t, sT, 0)
+		for _, a := range arr[:n] {
+			j.lifeTuple(flightrec.LifeIngest, t, a, 0)
+		}
 		sp = j.rec.Begin(flightrec.PhaseExpire)
 	}
 	expired := j.expire(t)
@@ -350,21 +373,24 @@ func (j *Join) stepCore(r, s Tuple) (int, int) {
 		j.rec.End(sp, expired, 0)
 	}
 	// An arrival enters the cache with its number in this batch, if it joined.
-	rSlot, sSlot := slot{payload: r.Payload, seq: r.Seq}, slot{payload: s.Payload, seq: s.Seq}
+	// A one-sided step hands its one slot in for both sides: the other side's
+	// key is NoValue, so that side is never numbered.
 	n0 := len(j.run.Pairs)
-	j.emitMatches(t, r.Key, s.Key, &rSlot, &sSlot)
+	j.emitMatches(t, rk, sk, &sls[0], &sls[n-1])
 	pairs := len(j.run.Pairs) - n0
 
 	// Admission + replacement. The candidates are the cached entries in slot
-	// order, then the two arrivals.
+	// order, then the arrivals.
 	nCached := len(j.cache)
-	need := nCached + 2 - j.cfg.CacheSize
+	need := nCached + n - j.cfg.CacheSize
 	if need <= 0 {
-		j.admit(rT, rSlot)
-		j.admit(sT, sSlot)
+		for i := range arr[:n] {
+			j.admit(arr[i], sls[i])
+		}
 		if j.rec != nil {
-			j.lifeTuple(flightrec.LifeAdmit, t, rT, 0)
-			j.lifeTuple(flightrec.LifeAdmit, t, sT, 0)
+			for _, a := range arr[:n] {
+				j.lifeTuple(flightrec.LifeAdmit, t, a, 0)
+			}
 		}
 		j.closeStep(stepSpan, pairs, 0)
 		return pairs, 0
@@ -372,8 +398,13 @@ func (j *Join) stepCore(r, s Tuple) (int, int) {
 	// The arrivals go into the cache's spare capacity; the cache's length
 	// moves only once the policy's answer has been validated, so a policy
 	// that panics or answers nonsense leaves the operator as it was.
-	cands := append(j.cache, rT, sT)
-	j.cache = cands[:nCached]
+	cands := append(j.cache, arr[0])
+	if n == 2 {
+		cands = append(cands, arr[1])
+	}
+	if cap(cands) > cap(j.cache) { // see emitMatches
+		j.cache = cands[:nCached]
+	}
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseScore)
 	}
@@ -386,27 +417,24 @@ func (j *Join) stepCore(r, s Tuple) (int, int) {
 	// need is 1 or 2 here (the cache never exceeds its budget), so these
 	// scans are a compare or two — and the cached victims, which sort ahead of
 	// the arrivals, never outnumber the arrivals that survive.
-	dropR, dropS := slices.Contains(victims, nCached), slices.Contains(victims, nCached+1)
 	freed := victims
 	for len(freed) > 0 && freed[len(freed)-1] >= nCached {
 		freed = freed[:len(freed)-1]
 	}
-	if !dropR {
-		freed = j.place(t, rT, rSlot, freed)
-	}
-	if !dropS {
-		j.place(t, sT, sSlot, freed)
+	for i := range arr[:n] {
+		if !slices.Contains(victims, nCached+i) {
+			freed = j.place(t, arr[i], sls[i], freed)
+		}
 	}
 	j.m.Evictions += need
 	if j.rec != nil {
-		arrivalKind := func(dropped bool) flightrec.LifeKind {
-			if dropped {
-				return flightrec.LifeEvict
+		for i, a := range arr[:n] {
+			kind := flightrec.LifeAdmit
+			if slices.Contains(victims, nCached+i) {
+				kind = flightrec.LifeEvict
 			}
-			return flightrec.LifeAdmit
+			j.lifeTuple(kind, t, a, 0)
 		}
-		j.lifeTuple(arrivalKind(dropR), t, rT, 0)
-		j.lifeTuple(arrivalKind(dropS), t, sT, 0)
 		j.rec.End(sp, need, int64(len(j.cache)))
 	}
 	j.closeStep(stepSpan, pairs, need)
@@ -424,7 +452,9 @@ func (j *Join) sortedVictims(evict []int, total, need int) []int {
 		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
 	}
 	victims := append(j.victims[:0], evict...)
-	j.victims = victims
+	if cap(victims) > cap(j.victims) { // see emitMatches
+		j.victims = victims
+	}
 	if len(victims) == 2 && victims[1] < victims[0] {
 		victims[0], victims[1] = victims[1], victims[0]
 	}
@@ -553,9 +583,17 @@ func (j *Join) emitMatches(t, rk, sk int, rs, ss *slot) {
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseProbe)
 	}
+	// A scratch buffer is stored back only when it grew: storing a slice is a
+	// write barrier while the collector marks, and a shard takes a step an
+	// arrival.
 	rm := j.probeMatches(core.StreamR, sk, j.probeR[:0])
 	sm := j.probeMatches(core.StreamS, rk, j.probeS[:0])
-	j.probeR, j.probeS = rm, sm
+	if cap(rm) > cap(j.probeR) {
+		j.probeR = rm
+	}
+	if cap(sm) > cap(j.probeS) {
+		j.probeS = sm
+	}
 	if j.rec != nil {
 		j.rec.End(sp, len(rm)+len(sm), 0)
 		sp = j.rec.Begin(flightrec.PhaseEmit)
@@ -750,6 +788,10 @@ func (j *Join) Metrics() Metrics {
 	m.CacheLen = len(j.cache)
 	return m
 }
+
+// Time is the operator's clock: the number of the streams' steps it has
+// stepped through, the skipped ones included (see TuplePair.Skip).
+func (j *Join) Time() int { return j.time }
 
 // Snapshot returns the cached tuples (keys and streams) in slot order — the
 // candidate order a policy sees; sort by ID for arrival order — for

@@ -69,11 +69,36 @@ func NewReferenceJoin(cfg Config) (*ReferenceJoin, error) {
 // Step is Join.Step written the straightforward way. Unlike Join.Step, the
 // returned slice is freshly allocated every call.
 func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
-	t := j.time
-	j.time++
+	return j.StepTuplePair(TuplePair{R: r, S: s})
+}
+
+// StepTuplePair is one element of Join.StepBatch written the straightforward
+// way: the clock moves past tp.Skip steps first, and only the sides
+// tp.Arrivals names arrive.
+func (j *ReferenceJoin) StepTuplePair(tp TuplePair) []Pair {
+	t := j.time + tp.Skip
+	j.time = t + 1
 	j.m.Steps++
-	j.hists[core.StreamR].Append(r.Key)
-	j.hists[core.StreamS].Append(s.Key)
+	j.hists[core.StreamR].AppendAt(t, tp.R.Key)
+	j.hists[core.StreamS].AppendAt(t, tp.S.Key)
+	// The arrivals enter as new entries, R first; a side with none is a
+	// NoValue tuple to the probe, which then joins nothing.
+	r, s := tp.R, tp.S
+	var newEntries []entry
+	arrive := func(tu Tuple, stream core.StreamID) {
+		newEntries = append(newEntries, entry{t: join.Tuple{ID: j.nextID + len(newEntries), Value: tu.Key, Stream: stream, Arrived: t}, from: tu})
+	}
+	if tp.Arrivals == OnlyS {
+		r = Tuple{Key: process.NoValue}
+	} else {
+		arrive(r, core.StreamR)
+	}
+	if tp.Arrivals == OnlyR {
+		s = Tuple{Key: process.NoValue}
+	} else {
+		arrive(s, core.StreamS)
+	}
+	j.nextID += len(newEntries)
 	if o, ok := j.policy.(join.ArrivalObserver); ok {
 		o.ObserveArrivals(r.Key, s.Key)
 	}
@@ -117,11 +142,6 @@ func (j *ReferenceJoin) Step(r, s Tuple) []Pair {
 	}
 	j.m.Pairs += len(out)
 
-	newEntries := []entry{
-		{t: join.Tuple{ID: j.nextID, Value: r.Key, Stream: core.StreamR, Arrived: t}, from: r},
-		{t: join.Tuple{ID: j.nextID + 1, Value: s.Key, Stream: core.StreamS, Arrived: t}, from: s},
-	}
-	j.nextID += 2
 	cands := append(append(make([]entry, 0, len(j.cache)+2), j.cache...), newEntries...)
 	need := len(cands) - j.cfg.CacheSize
 	if need <= 0 {

@@ -247,3 +247,13 @@ func wireDowngrades(lad *policy.Ladder, reg *telemetry.Registry) {
 		reg.Downgrades().Record(telemetry.DowngradeRecord{Step: d.Step, From: d.From, To: d.To, Reason: reason})
 	}
 }
+
+// checkStep rejects what a TuplePair may not carry besides its keys: a
+// negative Skip, which would run the clock backwards, and an unknown
+// Arrivals.
+func checkStep(tp *TuplePair) error {
+	if tp.Skip < 0 || tp.Arrivals > OnlyS {
+		return fmt.Errorf("skip %d, arrivals %d", tp.Skip, tp.Arrivals)
+	}
+	return nil
+}

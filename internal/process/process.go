@@ -87,6 +87,10 @@ func NewHistory(vals ...int) *History {
 // Append records the next observation.
 func (h *History) Append(v int) { h.n, h.last = h.n+1, v }
 
+// AppendAt records v as the observation at time t ≥ T0()+1. The observations
+// in between are not needed: no model conditions on more than t0 and x_t0.
+func (h *History) AppendAt(t, v int) { h.n, h.last = t+1, v }
+
 // Restore makes h what a checkpoint recorded: n observations ending in last.
 func (h *History) Restore(n, last int) { h.n, h.last = n, last }
 

@@ -11,7 +11,7 @@ import (
 // TestIngestBatchAllocs pins what a batch allocates at the ledger's uptime
 // shape — 4 shards, 1024 slots, 4096 keys, no payloads, RAND, warmed: a
 // twentieth of an object a step (the engines recycle their posting slices;
-// no box per tuple, none per padded shard step) plus a per-batch constant
+// no box per tuple, none per one-sided step) plus a per-batch constant
 // (a shard's sort keys past 32 pairs — the runs themselves are merged
 // straight from the engines) that is the same for a batch of 256 and of 512.
 // It reads 2 and 6 objects; the parent commit 57 and 112.
@@ -32,7 +32,7 @@ func TestIngestBatchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for warm := 0; warm < 8*1024/batchLen; warm++ { // fills the caches, settles lanes, maps and buffers
+		for warm := 0; warm < 8*1024/batchLen; warm++ { // fills the caches, settles maps and buffers
 			ingest()
 		}
 		got := testing.AllocsPerRun(40, ingest)

@@ -2,20 +2,23 @@ package shardrt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/engine"
+	"stochstream/internal/process"
 )
 
 // Sharded checkpoint/restore: one SSCP manifest envelope carrying the
-// coordinator's state (ingress sequence, counters, lanes) plus every shard
-// engine's own SSCP envelope, nested as opaque bytes. The shard envelopes are
-// the engine's full fault-tolerance format — policy state, RNGs, cache
-// payloads — so restore→replay is byte-identical to an uninterrupted sharded
-// run (pinned by TestShardedCheckpointReplay).
+// coordinator's counters plus every shard engine's own SSCP envelope, nested
+// as opaque bytes. The shard envelopes are the engine's full fault-tolerance
+// format — policy state, RNGs, cache payloads, the clock — so restore→replay
+// is byte-identical to an uninterrupted sharded run (pinned by
+// TestShardedCheckpointReplay).
 
 func init() {
 	// Checkpoints written before engine.Tuple carried the sequence number
@@ -25,11 +28,14 @@ func init() {
 }
 
 // manifestVersion guards the gob schema inside the manifest envelope.
-// Version 3 dropped the budget rebalancer: a shard keeps the budget New gave
-// it, so the manifest carries no budgets and no rebalancer knobs or state.
-// A version-2 manifest restores when its rebalancer never ran (manifestV2);
-// version 1 predates the rebalancer's fingerprint and is refused.
-const manifestVersion = 3
+// Version 4 dropped the lanes: a dispatch steps every arrival it routes, so
+// nothing waits between dispatches. Version 3 dropped the budget rebalancer:
+// a shard keeps the budget New gave it, so the manifest carries no budgets and
+// no rebalancer knobs or state. Versions 2 and 3 restore, their carried tails
+// stepped once, one-sidedly (restoreTails); version 2 only when its
+// rebalancer never ran (manifestV2). Version 1 predates the rebalancer's
+// fingerprint and is refused.
+const manifestVersion = 4
 
 type manifestWire struct {
 	Version int
@@ -39,12 +45,16 @@ type manifestWire struct {
 	TotalCache int
 	Window     int
 	Seed       uint64
-	// Coordinator state.
-	Seq      uint64
+	// Coordinator state. The next arrival's sequence number is 2·Ingested;
+	// versions 2 and 3 also wrote it as Seq, which Restore does not read.
 	Ingested int
 	Batches  int
 	Merged   int
-	Lanes    [][2][]engine.Tuple
+	// Lanes is what versions 2 and 3 carried: per shard, the R and S arrivals
+	// routed there and not yet stepped. Version 4 writes none (gob omits a
+	// nil slice).
+	//lint:ignore snapcomplete read-only on purpose: the field of the previous format, kept so that its files still restore (testdata/upgrade/)
+	Lanes [][2][]engine.Tuple
 	// Envelopes holds each shard engine's own SSCP checkpoint.
 	Envelopes [][]byte
 }
@@ -65,11 +75,17 @@ func (rt *Runtime) fingerprint() (shards, totalCache, window int, seed uint64) {
 }
 
 // Checkpoint writes the full sharded state. Call it between IngestBatch
-// calls (the workers are quiescent then); the lanes are captured too, so a
-// checkpoint does not require a Flush first.
+// calls (every shard is quiescent then). It refuses while a restored
+// version-2 or -3 manifest's carried tails wait for the next dispatch: a
+// version-4 manifest has no place for them.
 func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if err := rt.refused(); err != nil {
 		return err
+	}
+	for _, sh := range rt.shards {
+		if len(sh.batch) > 0 {
+			return fmt.Errorf("shardrt: checkpoint: shard %d holds %d carried steps of a restored manifest; ingest or flush first", sh.id, len(sh.batch))
+		}
 	}
 	shards, totalCache, window, seed := rt.fingerprint()
 	wire := manifestWire{
@@ -78,11 +94,9 @@ func (rt *Runtime) Checkpoint(w io.Writer) error {
 		TotalCache: totalCache,
 		Window:     window,
 		Seed:       seed,
-		Seq:        rt.seq,
 		Ingested:   rt.ingested,
 		Batches:    rt.batches,
 		Merged:     rt.merged,
-		Lanes:      rt.lanes,
 		Envelopes:  make([][]byte, len(rt.shards)),
 	}
 	for i, sh := range rt.shards {
@@ -127,18 +141,46 @@ func (rt *Runtime) Restore(r io.Reader) error {
 		if err := sh.eng.Restore(bytes.NewReader(wire.Envelopes[i])); err != nil {
 			return fmt.Errorf("shardrt: restore shard %d: %w", i, err)
 		}
+		sh.clock = sh.eng.Time()
+		sh.batch = slices.Delete(sh.batch, 0, len(sh.batch))
+		if sh.clock > wire.Ingested {
+			return fmt.Errorf("shardrt: restore shard %d: its clock %d is past the %d steps ingested", i, sh.clock, wire.Ingested)
+		}
 	}
-	rt.seq = wire.Seq
 	rt.ingested = wire.Ingested
 	rt.batches = wire.Batches
 	rt.merged = wire.Merged
-	rt.lanes = wire.Lanes
+	return rt.restoreTails(wire.Lanes)
+}
+
+// restoreTails routes a version-2 or -3 manifest's carried tails: every tuple
+// becomes a one-sided step of its shard at its own global step (Seq/2), in
+// sequence order, for the next dispatch to step. The other stream's key at
+// that step was never recorded; the step gives it as NoValue.
+func (rt *Runtime) restoreTails(lanes [][2][]engine.Tuple) error {
+	for i, tails := range lanes {
+		sh := rt.shards[i]
+		carried := slices.Concat(tails[0], tails[1])
+		slices.SortFunc(carried, func(a, b engine.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
+		for _, tu := range carried {
+			if g := int(tu.Seq / 2); g < sh.clock {
+				return fmt.Errorf("shardrt: restore shard %d: carried arrival of step %d precedes the shard's clock %d", i, g, sh.clock)
+			}
+			tp := sh.at(int(tu.Seq / 2))
+			tp.R.Key, tp.S.Key = process.NoValue, process.NoValue
+			if tu.Seq%2 == 0 {
+				tp.R, tp.Arrivals = tu, engine.OnlyR
+			} else {
+				tp.S, tp.Arrivals = tu, engine.OnlyS
+			}
+		}
+	}
 	return nil
 }
 
 func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
-	if wire.Version != manifestVersion && wire.Version != 2 {
-		return fmt.Errorf("shardrt: manifest version %d, want %d (or 2)", wire.Version, manifestVersion)
+	if wire.Version < 2 || wire.Version > manifestVersion {
+		return fmt.Errorf("shardrt: manifest version %d, want %d (or 2, 3)", wire.Version, manifestVersion)
 	}
 	shards, totalCache, window, seed := rt.fingerprint()
 	if wire.Shards != shards || wire.TotalCache != totalCache ||
@@ -152,13 +194,18 @@ func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
 			return err
 		}
 	}
-	if len(wire.Envelopes) != shards || len(wire.Lanes) != shards {
-		return fmt.Errorf("shardrt: manifest shard-state lengths (%d envelopes, %d lanes) do not match %d shards",
-			len(wire.Envelopes), len(wire.Lanes), shards)
+	lanes := shards
+	if wire.Version == manifestVersion {
+		lanes = 0
 	}
-	if wire.Seq != uint64(2*wire.Ingested) {
-		return fmt.Errorf("shardrt: manifest sequence %d inconsistent with %d ingested steps", wire.Seq, wire.Ingested)
+	if len(wire.Envelopes) != shards || len(wire.Lanes) != lanes {
+		return fmt.Errorf("shardrt: manifest version %d shard-state lengths (%d envelopes, %d lanes) do not match %d shards",
+			wire.Version, len(wire.Envelopes), len(wire.Lanes), shards)
 	}
+	if wire.Ingested < 0 {
+		return fmt.Errorf("shardrt: manifest counts %d ingested steps", wire.Ingested)
+	}
+	next := 2 * uint64(wire.Ingested)
 	// A carried tuple is an arrival routed but not yet stepped: a key in the
 	// domain that routes to this shard, the tag its side was numbered with
 	// (2·step for R, 2·step+1 for S), below every future arrival's, and in
@@ -173,8 +220,8 @@ func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
 					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: key %d routes to shard %d", i, side, k, tu.Key, ShardOf(tu.Key, shards))
 				case tu.Seq%2 != uint64(side):
 					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d is not the other side's", i, side, k, tu.Seq)
-				case tu.Seq >= wire.Seq:
-					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d not below the next arrival's %d", i, side, k, tu.Seq, wire.Seq)
+				case tu.Seq >= next:
+					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d not below the next arrival's %d", i, side, k, tu.Seq, next)
 				case k > 0 && tu.Seq <= lane[k-1].Seq:
 					return fmt.Errorf("shardrt: manifest shard %d lane %d tuple %d: sequence %d does not follow %d", i, side, k, tu.Seq, lane[k-1].Seq)
 				}

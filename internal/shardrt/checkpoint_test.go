@@ -18,12 +18,12 @@ import (
 // runtime: run a multi-shard stream to completion, then rerun it with a
 // checkpoint/restore in the middle (into a freshly built runtime), and
 // require the interrupted run's full output and final state to be
-// byte-identical to the uninterrupted one. The cut point deliberately leaves
-// carried lane tails in the manifest.
+// byte-identical to the uninterrupted one. The cut point leaves every shard's
+// clock behind the global step, so the restored clocks are at stake.
 func TestShardedCheckpointReplay(t *testing.T) {
 	cfg := Config{Shards: 4, TotalCache: 48, Procs: trendProcs(), Seed: 21}
 	steps := genSteps(77, 1200)
-	const batchSize = 53 // does not divide the stream: lanes carry at the cut
+	const batchSize = 53 // does not divide the stream
 	const cut = 7        // checkpoint after this many batches
 
 	// Uninterrupted run.
@@ -229,8 +229,7 @@ func encodeManifest(t *testing.T, m manifestFileV2) []byte {
 	return file.Bytes()
 }
 
-// busyRuntime is the fixture's runtime a thousand steps in: caches full,
-// lanes carrying tails.
+// busyRuntime is the fixture's runtime a thousand steps in: caches full.
 func busyRuntime(t *testing.T) *Runtime {
 	t.Helper()
 	rt, err := New(upgradeConfig())
@@ -270,8 +269,9 @@ func refusedUnchanged(t *testing.T, rt *Runtime, file []byte) error {
 // stays pinned by TestRestoreParentCommitShardedCheckpoint here and
 // TestRestoreParentCommitDrainFile in internal/streamd. The same file
 // re-encoded with a cadence, a move or an uneven split is refused with
-// ErrConfigMismatch, and versions 1 and 4 are refused, each before the
-// runtime is touched.
+// ErrConfigMismatch; versions 1 and 5, and a version-4 manifest that carries
+// lanes (version 4 has none), are refused, each before the runtime is
+// touched.
 func TestRestoreV2Manifest(t *testing.T) {
 	fx := readFixtureV2(t)
 	if fx.Version != 2 || fx.MinBudget != 1 || fx.RebalanceEvery != 0 || fx.RebalanceStep != 1 ||
@@ -303,7 +303,8 @@ func TestRestoreV2Manifest(t *testing.T) {
 		{"moves-1", func(m *manifestFileV2) { m.Moves = 1 }, true},
 		{"uneven-split", func(m *manifestFileV2) { m.Budgets = []int{17, 15, 16, 16} }, true},
 		{"version-1", func(m *manifestFileV2) { m.Version = 1 }, false},
-		{"version-4", func(m *manifestFileV2) { m.Version = 4 }, false},
+		{"version-4-with-lanes", func(m *manifestFileV2) { m.Version = 4 }, false},
+		{"version-5", func(m *manifestFileV2) { m.Version = 5 }, false},
 	} {
 		m := readFixtureV2(t)
 		tc.edit(&m)

@@ -4,69 +4,62 @@ import (
 	"testing"
 
 	"stochstream/internal/engine"
+	"stochstream/internal/join"
+	"stochstream/internal/policy"
 	"stochstream/internal/process"
 )
 
 // Per-shard differential harness: an independent reimplementation of the
-// routing/batching layer (refRouter) feeds each shard-local stream to an
+// routing layer (refRouter) feeds each shard's stamped arrivals to an
 // engine.ReferenceJoin configured exactly like that shard's engine, and every
 // batch must produce a byte-identical merged pair stream.
 
-// refRouter re-derives, from first principles, the shard-local synchronized
-// steps the runtime's batcher produces: sequence tagging before NoValue
-// filtering, hash routing, positional min-length lane pairing with carry, and
-// NoValue padding on drain. It shares only ShardOf with the runtime.
+// refRouter re-derives, from first principles, the shard-local steps the
+// runtime routes: sequence tagging before NoValue filtering, hash routing, the
+// two arrivals of a global step in one step when their keys share a shard and
+// in a one-sided step each otherwise, every step stamped with the global steps
+// its shard skipped. It shares only ShardOf with the runtime.
 type refRouter struct {
 	shards int
-	lanes  [][2][]engine.Tuple
-	seq    uint64
+	clocks []int // per shard, the global step after its last step
+	next   int   // the next global step
 }
 
 func newRefRouter(shards int) *refRouter {
-	return &refRouter{shards: shards, lanes: make([][2][]engine.Tuple, shards)}
+	return &refRouter{shards: shards, clocks: make([]int, shards)}
 }
 
 // route ingests a batch of global steps and returns each shard's batch of
-// synchronized steps (empty slices for idle shards).
-func (rr *refRouter) route(steps []Step, drain bool) [][]engine.TuplePair {
-	for _, st := range steps {
-		rseq, sseq := rr.seq, rr.seq+1
-		rr.seq += 2
-		if st.R.Key != process.NoValue {
-			i := ShardOf(st.R.Key, rr.shards)
-			rr.lanes[i][0] = append(rr.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: st.R.Payload, Seq: rseq})
-		}
-		if st.S.Key != process.NoValue {
-			i := ShardOf(st.S.Key, rr.shards)
-			rr.lanes[i][1] = append(rr.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: st.S.Payload, Seq: sseq})
-		}
-	}
+// steps (empty slices for idle shards).
+func (rr *refRouter) route(steps []Step) [][]engine.TuplePair {
 	out := make([][]engine.TuplePair, rr.shards)
-	for i := range rr.lanes {
-		lr, ls := rr.lanes[i][0], rr.lanes[i][1]
-		k := len(lr)
-		if len(ls) < k {
-			k = len(ls)
+	for _, st := range steps {
+		g := rr.next
+		rr.next++
+		r := engine.Tuple{Key: st.R.Key, Payload: st.R.Payload, Seq: uint64(2 * g)}
+		s := engine.Tuple{Key: st.S.Key, Payload: st.S.Payload, Seq: uint64(2*g + 1)}
+		at := func(shard int, tp engine.TuplePair) {
+			tp.Skip = g - rr.clocks[shard]
+			rr.clocks[shard] = g + 1
+			out[shard] = append(out[shard], tp)
 		}
-		if drain {
-			k = len(lr)
-			if len(ls) > k {
-				k = len(ls)
-			}
+		rs, ss := -1, -2
+		if r.Key != process.NoValue {
+			rs = ShardOf(r.Key, rr.shards)
 		}
-		for x := 0; x < k; x++ {
-			pad := engine.Tuple{Key: process.NoValue}
-			r, s := pad, pad
-			if x < len(lr) {
-				r = lr[x]
-			}
-			if x < len(ls) {
-				s = ls[x]
-			}
-			out[i] = append(out[i], engine.TuplePair{R: r, S: s})
+		if s.Key != process.NoValue {
+			ss = ShardOf(s.Key, rr.shards)
 		}
-		rr.lanes[i][0] = lr[min(k, len(lr)):]
-		rr.lanes[i][1] = ls[min(k, len(ls)):]
+		if rs == ss {
+			at(rs, engine.TuplePair{R: r, S: s})
+			continue
+		}
+		if rs >= 0 {
+			at(rs, engine.TuplePair{R: r, S: engine.Tuple{Key: s.Key}, Arrivals: engine.OnlyR})
+		}
+		if ss >= 0 {
+			at(ss, engine.TuplePair{R: engine.Tuple{Key: r.Key}, S: s, Arrivals: engine.OnlyS})
+		}
 	}
 	return out
 }
@@ -129,7 +122,7 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 		var want []Pair
 		for i, batch := range batches {
 			for _, tp := range batch {
-				for _, p := range refs[i].Step(tp.R, tp.S) {
+				for _, p := range refs[i].StepTuplePair(tp) {
 					want = append(want, convertPair(p, i))
 				}
 			}
@@ -161,13 +154,12 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 		if err != nil {
 			t.Fatalf("IngestBatch[%d:%d): %v", lo, hi, err)
 		}
-		compareBatch("batch", got, rr.route(steps[lo:hi], false))
+		compareBatch("batch", got, rr.route(steps[lo:hi]))
 	}
-	got, err := rt.Flush()
-	if err != nil {
-		t.Fatal(err)
+	// Nothing waits for a later dispatch.
+	if got, err := rt.Flush(); err != nil || len(got) != 0 {
+		t.Fatalf("Flush: %d pairs, %v; want none", len(got), err)
 	}
-	compareBatch("flush", got, rr.route(nil, true))
 
 	for i, sm := range rt.Metrics().Shards {
 		if rm := refs[i].Metrics(); sm.Engine != rm {
@@ -178,19 +170,26 @@ func runShardedDifferential(t *testing.T, cfg Config, steps []Step, batchSize in
 
 // TestShardedDifferential is the tentpole correctness gate: each shard engine
 // held byte-identical to a ReferenceJoin fed the independently re-derived
-// shard-local stream, across shard counts and window semantics.
+// stamped arrivals, across shard counts, window semantics and policies. The
+// trend models put the two arrivals of a step on different shards almost
+// always (one-sided steps); the small key domains with NoValue arrivals of
+// "dense" put them on one shard often (two-sided steps) and skip steps.
 func TestShardedDifferential(t *testing.T) {
 	steps := genSteps(11, 2000)
+	dense := skewedSteps(4, 2000)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		steps []Step
 	}{
-		{"equi-2", Config{Shards: 2, TotalCache: 24, Procs: trendProcs(), Seed: 3}},
-		{"equi-4", Config{Shards: 4, TotalCache: 32, Procs: trendProcs(), Seed: 3}},
-		{"window-4", Config{Shards: 4, TotalCache: 32, Window: 40, Procs: trendProcs(), Seed: 7}},
+		{"equi-2", Config{Shards: 2, TotalCache: 24, Procs: trendProcs(), Seed: 3}, steps},
+		{"equi-4", Config{Shards: 4, TotalCache: 32, Procs: trendProcs(), Seed: 3}, steps},
+		{"window-4", Config{Shards: 4, TotalCache: 32, Window: 40, Procs: trendProcs(), Seed: 7}, steps},
+		{"dense-rand-4", Config{Shards: 4, TotalCache: 24, Seed: 5}, dense},
+		{"dense-prob-window-3", Config{Shards: 3, TotalCache: 18, Window: 9, Seed: 6, NewPolicy: func(int) join.Policy { return &policy.Prob{} }}, dense},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			runShardedDifferential(t, tc.cfg, steps, 53)
+			runShardedDifferential(t, tc.cfg, tc.steps, 53)
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -65,10 +64,7 @@ func (rt *Runtime) Handler() http.Handler {
 		set.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(set.Snapshot())
+		writeJSON(w, set.Snapshot())
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		n := 128
@@ -91,10 +87,7 @@ func (rt *Runtime) Handler() http.Handler {
 			httpError(w, http.StatusNotFound, "runtime built without flight recorders")
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		writeJSON(w, out)
 	})
 	mux.HandleFunc("/shards", func(w http.ResponseWriter, _ *http.Request) {
 		type row struct {
@@ -115,17 +108,21 @@ func (rt *Runtime) Handler() http.Handler {
 				Evictions: snap.Counters["engine_evictions_total"],
 			})
 		}
-		sort.Slice(rows, func(a, b int) bool { return rows[a].Shard < rows[b].Shard })
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rows)
+		writeJSON(w, rows)
 	})
 	for _, sh := range rt.shards {
 		prefix := fmt.Sprintf("/shard/%d/", sh.id)
 		mux.Handle(prefix, http.StripPrefix(strings.TrimSuffix(prefix, "/"), sh.reg.Handler()))
 	}
 	return mux
+}
+
+// writeJSON answers v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // httpError mirrors the telemetry package's JSON error convention.

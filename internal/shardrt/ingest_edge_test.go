@@ -60,29 +60,37 @@ func TestIngestEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestFlushRepeatable: a Flush that drains a carried lane tail leaves nothing
-// behind, so an immediate second Flush is an empty no-op.
+// TestFlushRepeatable: every arrival is stepped by the dispatch that
+// ingested it, so a Flush after an ingest has nothing to step — not an
+// arrival whose partner stream went to another shard — and a second Flush is
+// the same empty no-op.
 func TestFlushRepeatable(t *testing.T) {
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	// One unpaired R on key 3 sits in the lane tail until Flush pads its S
-	// side with NoValue.
-	steps := []Step{{R: engine.Tuple{Key: 3}, S: engine.Tuple{Key: 4}}}
-	if _, err := rt.IngestBatch(steps); err != nil {
-		t.Fatal(err)
+	steps := []Step{{R: engine.Tuple{Key: 3}, S: engine.Tuple{Key: 4}}, {R: engine.Tuple{Key: 4}, S: engine.Tuple{Key: 3}}}
+	out, err := rt.IngestBatch(steps)
+	if err != nil || len(out) != 2 {
+		t.Fatalf("ingest: %d pairs, %v; want the two cross-step pairs", len(out), err)
 	}
-	if _, err := rt.Flush(); err != nil {
-		t.Fatalf("first flush: %v", err)
+	steps0 := 0
+	for _, sm := range rt.Metrics().Shards {
+		steps0 += sm.Engine.Steps
 	}
-	out, err := rt.Flush()
-	if err != nil {
-		t.Fatalf("second flush: %v", err)
+	for i := 0; i < 2; i++ {
+		out, err := rt.Flush()
+		if err != nil || len(out) != 0 {
+			t.Fatalf("flush %d: %d pairs, %v; want none", i, len(out), err)
+		}
 	}
-	if len(out) != 0 {
-		t.Fatalf("second flush re-emitted %d pairs", len(out))
+	steps1 := 0
+	for _, sm := range rt.Metrics().Shards {
+		steps1 += sm.Engine.Steps
+	}
+	if steps1 != steps0 {
+		t.Fatalf("the flushes stepped the shards %d times", steps1-steps0)
 	}
 }
 
@@ -130,14 +138,11 @@ func burstSteps(n int, freed *atomic.Int64) []Step {
 	return steps
 }
 
-// TestConsumedPayloadsAreReleased: what a lane or a shard's batch buffer has
-// handed on, it must stop referencing. A skewed burst parks 256 payloads in
-// the R lanes; S-only traffic then pairs them away (through the batch buffers
-// into the caches) and balanced traffic evicts them, in batches far shorter
-// than the burst — so the positions the burst reached in the lanes and batch
-// buffers are never written again. Every payload must be collectable, and the
-// backing arrays zero beyond what is live. At the parent commit the lanes kept
-// all 256 reachable for the life of the runtime.
+// TestConsumedPayloadsAreReleased: what a shard's batch buffer has handed to
+// its engine, it must stop referencing. A burst of 256 R-only arrivals fills
+// the batch buffers far past what the later batches, of two steps each, ever
+// write again; those batches evict the burst from the caches. Every payload
+// must be collectable, and the batch buffers zero beyond what is live.
 func TestConsumedPayloadsAreReleased(t *testing.T) {
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
@@ -153,14 +158,9 @@ func TestConsumedPayloadsAreReleased(t *testing.T) {
 		}
 	}
 	ingest(burstSteps(burst, &freed))
-	if m := rt.Metrics(); m.Shards[0].Engine.Steps+m.Shards[1].Engine.Steps != 0 {
-		t.Fatalf("the burst was not parked in the lanes: %+v", m)
+	if m := rt.Metrics(); m.Shards[0].Engine.Steps+m.Shards[1].Engine.Steps != burst {
+		t.Fatalf("the burst was not stepped one arrival a step: %+v", m)
 	}
-	drain := make([]Step, burst)
-	for i := range drain {
-		drain[i] = Step{R: engine.Tuple{Key: process.NoValue}, S: engine.Tuple{Key: 5000 + i}}
-	}
-	ingest(drain)
 	for b := 0; b < 200; b++ {
 		ingest([]Step{
 			{R: engine.Tuple{Key: b % 7}, S: engine.Tuple{Key: b % 5}},
@@ -168,19 +168,10 @@ func TestConsumedPayloadsAreReleased(t *testing.T) {
 		})
 	}
 
-	for i := range rt.lanes {
-		for side, lane := range rt.lanes[i] {
-			for x, tu := range lane[len(lane):cap(lane)] {
-				if tu != (engine.Tuple{}) {
-					t.Fatalf("shard %d lane %d keeps %+v at position %d beyond its length %d", i, side, tu, len(lane)+x, len(lane))
-				}
-			}
-		}
-	}
 	for _, sh := range rt.shards {
-		for x, tp := range sh.batchBuf[:cap(sh.batchBuf)] {
+		for x, tp := range sh.batch[:cap(sh.batch)] {
 			if tp != (engine.TuplePair{}) {
-				t.Fatalf("shard %d batch buffer keeps %+v at position %d after its worker answered", sh.id, tp, x)
+				t.Fatalf("shard %d batch buffer keeps %+v at position %d after its dispatch", sh.id, tp, x)
 			}
 		}
 	}

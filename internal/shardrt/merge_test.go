@@ -60,8 +60,8 @@ func newShardEngines(tb testing.TB, shards, totalCache int) *shardEngines {
 
 // step routes one batch and returns every shard's batch beside its StepRun
 // output (engine-owned until that shard steps again).
-func (se *shardEngines) step(steps []Step, drain bool) ([][]engine.TuplePair, []engine.Batch) {
-	batches := se.rr.route(steps, drain)
+func (se *shardEngines) step(steps []Step) ([][]engine.TuplePair, []engine.Batch) {
+	batches := se.rr.route(steps)
 	outs := make([]engine.Batch, len(batches))
 	for i, batch := range batches {
 		outs[i] = se.engs[i].StepRun(batch)
@@ -84,37 +84,25 @@ func batchPairs(b engine.Batch, shard int) []Pair {
 // N-way merging the keyed runs — each engine pair taken once, as numbers,
 // straight from the engine's batch — gives exactly the (trigger, partner)
 // comparison sort of the converted concatenation, though no partner is ever
-// compared; and the merged reply names each tuple once. The
-// streams are skewed (R draws from half of S's key range and a fifth of S's
-// arrivals are NoValue) so every shard's lanes drift apart: a lagging arrival
-// then meets cached partners with HIGHER sequence numbers, the trigger is the
-// partner, and the engine's step order is not merge order. An arrival that
-// meets several partners ties them on the trigger; twelve keys over eight
-// shards leave shards idle (empty runs); batches of up to 90 steps put runs
-// on both sides of the 32 keys a shard has room for; and the closing drain
-// pads the longer lanes.
+// compared; and the merged reply names each tuple once. The streams are
+// skewed (skewedSteps), so a step's two arrivals often share a shard and both
+// meet cached partners: the engine interleaves their pairs by partner, and its
+// step order is not merge order. An arrival that meets several partners ties
+// them on the trigger; twelve keys over eight shards leave shards idle (empty
+// runs); batches of up to 90 steps put runs on both sides of the 32 keys a
+// shard has room for. Every trigger is an arrival of the batch whose reply
+// carries the pair: nothing is delivered late.
 func TestMergeRunsEqualsSort(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		const n = 600
 		rng := stats.NewRNG(uint64(40 + shards))
-		se := newShardEngines(t, shards, shards*3*n) // never evicts
+		all := skewedSteps(uint64(40+shards), n)
+		se := newShardEngines(t, shards, shards*2*n) // never evicts
 		rooms := make([][32]runKey, shards)          // the shards' key fields
-		stepOf := map[uint64]int{}                   // seq → shard-local step that cached it
-		clock := 0
-		var lagged, reordered, idle, inRoom, beyondRoom, tied, total int
+		var reordered, idle, inRoom, beyondRoom, tied, total int
 
-		check := func(label string, steps []Step, drain bool) {
-			batches, outs := se.step(steps, drain)
-			for _, batch := range batches {
-				for _, tp := range batch {
-					clock++
-					for _, tu := range []engine.Tuple{tp.R, tp.S} {
-						if tu.Key != process.NoValue { // drain padding carries no sequence number
-							stepOf[tu.Seq] = clock
-						}
-					}
-				}
-			}
+		check := func(lo int, steps []Step) {
+			_, outs := se.step(steps)
 			var want []Pair
 			var runs []run
 			for i, out := range outs {
@@ -143,26 +131,26 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 				runs = append(runs, run{keys: keys, batch: out, shard: i})
 			}
 			for _, p := range want {
-				if trig, part := mergeKey(p); stepOf[trig] < stepOf[part] {
-					lagged++
+				if trig, _ := mergeKey(p); trig < uint64(2*lo) {
+					t.Fatalf("shards=%d batch at %d: pair %+v's trigger arrived in an earlier batch", shards, lo, p)
 				}
 			}
 			sortPairs(want)
 			reply := mergeRuns(Reply{}, runs)
 			got, _ := new(Runtime).pairs(&reply, nil)
 			if !diffPairsEqual(got, want) {
-				t.Fatalf("shards=%d %s: merge diverges from the sort:\n  merged %v\n  sorted %v", shards, label, got, want)
+				t.Fatalf("shards=%d batch at %d: merge diverges from the sort:\n  merged %v\n  sorted %v", shards, lo, got, want)
 			}
 			named := map[uint64]bool{} // the seq of each listed tuple: one arrival each
 			for _, tu := range reply.tuples {
 				if named[tu.Seq] {
-					t.Fatalf("shards=%d %s: the reply lists tuple %d twice", shards, label, tu.Seq)
+					t.Fatalf("shards=%d batch at %d: the reply lists tuple %d twice", shards, lo, tu.Seq)
 				}
 				named[tu.Seq] = true
 			}
 			for i, r := range runs {
 				if r.keys != nil || r.batch.Tuples != nil || r.batch.Pairs != nil {
-					t.Fatalf("shards=%d %s: run %d still referenced after the merge", shards, label, i)
+					t.Fatalf("shards=%d batch at %d: run %d still referenced after the merge", shards, lo, i)
 				}
 			}
 			total += len(got)
@@ -170,24 +158,12 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 
 		for lo := 0; lo < n; {
 			hi := min(n, lo+1+rng.IntN(90))
-			steps := make([]Step, hi-lo)
-			for i := range steps {
-				steps[i].R = engine.Tuple{Key: rng.IntN(6), Payload: lo + i}
-				steps[i].S = engine.Tuple{Key: rng.IntN(12), Payload: ^(lo + i)}
-				if rng.IntN(5) == 0 {
-					steps[i].S.Key = process.NoValue
-				}
-			}
-			check("batch", steps, false)
+			check(lo, all[lo:hi])
 			lo = hi
 		}
-		check("flush", nil, true)
 
-		if total == 0 || lagged == 0 {
-			t.Fatalf("shards=%d: %d pairs, %d with a cached trigger: the lane-lag case was not exercised", shards, total, lagged)
-		}
-		if reordered == 0 || tied == 0 {
-			t.Fatalf("shards=%d: %d engine outputs out of merge order, %d with a tie on the trigger; want both", shards, reordered, tied)
+		if total == 0 || reordered == 0 || tied == 0 {
+			t.Fatalf("shards=%d: %d pairs, %d engine outputs out of merge order, %d with a tie on the trigger; want all three", shards, total, reordered, tied)
 		}
 		if beyondRoom == 0 {
 			t.Fatalf("shards=%d: no run outgrew the shard's 32 keys", shards)
@@ -200,13 +176,10 @@ func TestMergeRunsEqualsSort(t *testing.T) {
 
 // TestSortKeysStableByTrigger is the pass on its own, against the library's
 // stable sort on the trigger: every length around the 32-key room, every
-// starting order, and trigger ranges that take the radix from no pass at all
-// (all equal) through one byte, a byte boundary inside a narrow range (2^8,
-// 2^16, 2^32: two, three and five bytes vary before the minimum is taken off,
-// one after) to the full 64 bits and all eight passes. Narrow ranges over
-// 1 000 keys repeat every trigger, so stability is exercised, not assumed.
-// Keys that fit the room stay in it and allocate nothing; a longer run is
-// exactly one allocation, scratch included.
+// starting order, over a narrow trigger range (1 000 keys repeat every
+// trigger, so stability is exercised, not assumed) and over all 64 bits. Keys
+// that fit the room stay in it and allocate nothing; a longer run is exactly
+// one allocation.
 //
 // testing.AllocsPerRun counts every malloc in the process, and the runtime's
 // first collection mallocs a few objects of its own as it starts its mark
@@ -222,10 +195,7 @@ func TestSortKeysStableByTrigger(t *testing.T) {
 		name     string
 		lo, span uint64
 	}{
-		{"one-byte", 0, 200},
-		{"across-2^8", 200, 100},
-		{"across-2^16", 1<<16 - 50, 100},
-		{"across-2^32", 1<<32 - 50, 100},
+		{"narrow", 1<<16 - 50, 100},
 		{"64-bit", 0, 0}, // span 0: every uint64
 	}
 	orders := []string{"equal", "ordered", "reversed", "random"}
@@ -284,44 +254,30 @@ func TestSortKeysStableByTrigger(t *testing.T) {
 }
 
 // TestTriggerRunsLeaveTheEngineInPartnerOrder pins the invariant the one-key
-// merge rests on, at the engines: a shard's lanes are FIFO and an engine
-// emits a step's matches in cache (arrival) order, so the pairs of one trigger
-// leave the engine partner-ascending — within a step, across the steps of a
-// batch (a cached tuple is the trigger of every later arrival from the lagging
-// lane) and across batches. Everything that touches a cache or a lane between
-// two of a trigger's pairs is switched on: evicting engines (RAND on six slots
-// a shard, HEEB on Markov models), skewed lanes, a Checkpoint/Restore into a
-// fresh runtime with tails carried in the manifest, and the closing Flush's
-// pads. The engines watched are mirrors — the shards' configuration, stepped
-// with the batches the differential harness's router derives — and every
-// batch their output, comparison-sorted, must be the runtime's reply, so what
-// they emit is what the runtime's engines emit, before the restore and after
-// it.
+// merge rests on, at the engines: an engine emits a step's matches in cache
+// (arrival) order, so the pairs of one trigger leave it partner-ascending; and
+// a shard steps each arrival at its own global step, so all of a trigger's
+// pairs come from that one step, in the batch that ingested it. Everything
+// that touches a cache between two of a trigger's pairs is switched on:
+// evicting engines (RAND on six slots a shard, HEEB on Markov models), two-
+// and one-sided steps, and a Checkpoint/Restore into a fresh runtime. The
+// engines watched are mirrors — the shards' configuration, stepped with the
+// batches the differential harness's router derives — and every batch their
+// output, comparison-sorted, must be the runtime's reply, so what they emit is
+// what the runtime's engines emit, before the restore and after it.
 func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 	const n, batch, cut = 1500, 53, 11
-	skewed := func(seed uint64) []Step {
-		rng := stats.NewRNG(seed)
-		steps := make([]Step, n)
-		for i := range steps {
-			steps[i].R = engine.Tuple{Key: rng.IntN(6), Payload: i}
-			steps[i].S = engine.Tuple{Key: rng.IntN(12), Payload: ^i}
-			if rng.IntN(5) == 0 {
-				steps[i].S.Key = process.NoValue
-			}
-		}
-		return steps
-	}
 	// HEEB's models: unlike a trend's, a ring walk's tuples keep meeting
 	// partners while they are cached.
 	var walks [2]process.Process
-	walked := skewed(0)
+	walked := skewedSteps(0, n)
 	for side := range walks {
 		m := ringWalk(t)
 		walks[side] = m
 		for i, k := range m.Generate(stats.NewRNG(uint64(31+side)), n) {
-			if side == 0 {
+			if side == 0 && walked[i].R.Key != process.NoValue {
 				walked[i].R.Key = k
-			} else if walked[i].S.Key != process.NoValue {
+			} else if side == 1 && walked[i].S.Key != process.NoValue {
 				walked[i].S.Key = k
 			}
 		}
@@ -331,7 +287,7 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 		cfg   Config
 		steps []Step
 	}{
-		{"rand", Config{Shards: 4, TotalCache: 24, Seed: 3}, skewed(9)},
+		{"rand", Config{Shards: 4, TotalCache: 24, Seed: 3}, skewedSteps(9, n)},
 		{"heeb", Config{Shards: 4, TotalCache: 32, Procs: walks, Seed: 5}, walked},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -353,7 +309,7 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 				time    int
 			}
 			last := map[uint64]emitted{} // trigger → its latest pair; a trigger lives in one shard
-			var repeated, acrossSteps, afterRestore int
+			var repeated, afterRestore, evicted int
 			restored := false
 
 			check := func(label string, got []Pair, batches [][]engine.TuplePair) {
@@ -362,17 +318,17 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 					for _, p := range mirrors[i].StepBatch(b) {
 						trig, part := max(p.R.Seq, p.S.Seq), min(p.R.Seq, p.S.Seq)
 						if prev, seen := last[trig]; seen {
-							if part <= prev.partner {
+							if part <= prev.partner || p.Time != prev.time {
 								t.Fatalf("%s: shard %d emitted trigger %d's partner %d (step %d) after its partner %d (step %d)",
 									label, i, trig, part, p.Time, prev.partner, prev.time)
 							}
 							repeated++
-							if p.Time != prev.time {
-								acrossSteps++
-								if restored {
-									afterRestore++
-								}
+							if restored {
+								afterRestore++
 							}
+						}
+						if p.Time != int(trig/2) {
+							t.Fatalf("%s: shard %d emitted trigger %d at step %d, not its own", label, i, trig, p.Time)
 						}
 						last[trig] = emitted{part, p.Time}
 						want = append(want, convertPair(p, i))
@@ -390,16 +346,9 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("batch", got, rr.route(steps, false))
+				check("batch", got, rr.route(steps))
 				if b != cut {
 					continue
-				}
-				carried := 0
-				for _, lanes := range rt.lanes {
-					carried += len(lanes[0]) + len(lanes[1])
-				}
-				if carried == 0 {
-					t.Fatal("no lane tail to carry at the checkpoint")
 				}
 				var ckpt bytes.Buffer
 				if err := rt.Checkpoint(&ckpt); err != nil {
@@ -414,28 +363,12 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 				}
 				restored = true
 			}
-			pads := 0
-			for _, lanes := range rr.lanes {
-				pads += max(len(lanes[0]), len(lanes[1])) - min(len(lanes[0]), len(lanes[1]))
+			for _, sm := range rt.Metrics().Shards {
+				evicted += sm.Engine.Evictions
 			}
-			got, err := rt.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("flush", got, rr.route(nil, true))
-
-			m := rt.Metrics()
-			evictions := 0
-			for _, sm := range m.Shards {
-				evictions += sm.Engine.Evictions
-			}
-			t.Logf("%d pairs followed another of their trigger, %d from a later step (%d after the restore); %d evictions, %d flush pads",
-				repeated, acrossSteps, afterRestore, evictions, pads)
-			if repeated == 0 || acrossSteps == 0 || afterRestore == 0 {
-				t.Fatalf("%d pairs followed another of their trigger, %d of them from a later step, %d of those after the restore; want all three", repeated, acrossSteps, afterRestore)
-			}
-			if evictions == 0 || pads == 0 {
-				t.Fatalf("%d evictions, %d flush pads; want both", evictions, pads)
+			t.Logf("%d pairs followed another of their trigger (%d after the restore); %d evictions", repeated, afterRestore, evicted)
+			if repeated == 0 || afterRestore == 0 || evicted == 0 {
+				t.Fatalf("%d pairs followed another of their trigger, %d of them after the restore, %d evictions; want all three", repeated, afterRestore, evicted)
 			}
 		})
 	}
@@ -445,15 +378,14 @@ func TestTriggerRunsLeaveTheEngineInPartnerOrder(t *testing.T) {
 // dispatch at the ledger's fanout shape — 4 shards, 64 keys, 64-byte
 // payloads, 1024 slots under RAND, 256-step batches, ~4000 pairs a dispatch:
 // every shard's key pass plus the N-way keyed merge into a reused buffer,
-// over one captured set of engine outputs. "fresh" captures the 17th batch;
-// "lagged" the 321st, by when each shard's lanes have drifted ~√steps apart —
-// the disorder the ledger's steady phase orders, batch after batch.
+// over one captured set of engine outputs. "fresh" captures the 17th batch,
+// "steady" the 321st, with the caches long full.
 func BenchmarkDispatchMerge(b *testing.B) {
 	const shards, batch = 4, 256
 	for _, c := range []struct {
 		name string
 		warm int
-	}{{"fresh", 16}, {"lagged", 320}} {
+	}{{"fresh", 16}, {"steady", 320}} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := stats.NewRNG(7)
 			se := newShardEngines(b, shards, 1024)
@@ -464,7 +396,7 @@ func BenchmarkDispatchMerge(b *testing.B) {
 					steps[i].R = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
 					steps[i].S = engine.Tuple{Key: rng.IntN(64), Payload: make([]byte, 64)}
 				}
-				_, outs = se.step(steps, false)
+				_, outs = se.step(steps)
 			}
 			pairs := 0
 			for _, out := range outs {

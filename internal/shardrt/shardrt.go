@@ -1,34 +1,44 @@
 // Package shardrt is the sharded operator runtime: it hash-partitions the
 // join-key domain across N independent engine.Join instances, each with its
 // own cache budget, telemetry registry, flight recorder and policy (so each
-// shard can carry its own degradation ladder), and drives them with batched
-// ingress over per-shard channels.
+// shard can carry its own degradation ladder), and steps them batch by batch.
+//
+// A shard runs on the stream's clock. Each global step's arrivals go straight
+// to their keys' shards at that step: both as one step when their keys share
+// a shard, otherwise each as a one-sided step of its own shard
+// (engine.TuplePair.Arrivals), which probes, pairs and admits that arrival
+// alone and takes no slot for the other side. A step carries its gap since
+// the shard's previous one and both streams' keys at the global step, so a
+// shard's window counts global steps and its models condition on the
+// streams' own (t0, x_t0). Every arrival is stepped by the dispatch that
+// ingested it; nothing waits for a partner.
 //
 // Partitioning an equijoin by key is lossless: two tuples can only pair when
-// their keys match, and matching keys hash to the same shard, so the union
-// of the shards' outputs is exactly the single-operator output over the same
-// per-shard arrival interleavings. What sharding does change is the arrival
-// interleaving each cache sees (a shard steps only when the batcher has an
-// arrival pair for it) and the cache budget (TotalCache is split across the
-// shards), so a sharded run is its own deterministic system — the per-shard
-// differential harness holds each shard byte-identical to a ReferenceJoin
-// fed the same shard-local stream, and the merge-order pin holds the global
-// emission order fixed.
+// their keys match, and matching keys hash to the same shard. What sharding
+// changes is the cache budget — TotalCache is split across the shards, and a
+// shard decides among its own tuples — so a sharded run is its own
+// deterministic system: the per-shard differential harness holds each shard
+// byte-identical to a ReferenceJoin fed the same stamped arrivals, and the
+// merge-order pin holds the global emission order fixed. With one shard every
+// step is two-sided and the run is the unsharded operator's.
 //
 // Throughput: the replacement policies score every cached candidate on each
 // eviction, so decision cost is linear in the cache budget. Splitting one
-// budget-C cache into N budget-C/N shards means a global step (two arrivals,
-// landing on at most two shards) scores ~2·C/N candidates instead of ~C, an
-// algorithmic win that needs no parallelism — and the per-shard channels
-// additionally let the shards run on separate cores where the host has them.
-// See docs/performance.md, "Sharded runtime".
+// budget-C cache into N budget-C/N shards means an arrival's decision scores
+// ~C/N candidates instead of ~C, an algorithmic win that needs no
+// parallelism. Where the host has the cores, the goroutine that dispatches
+// steps shards beside min(GOMAXPROCS, Shards) − 1 helpers New starts. See
+// docs/performance.md, "Sharded runtime".
 package shardrt
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"stochstream/internal/engine"
 	"stochstream/internal/flightrec"
@@ -66,12 +76,8 @@ type Pair struct {
 	RSeq, SSeq uint64
 	// R and S carry the join keys and the caller's payloads.
 	R, S Side
-	// SameStep marks a pair whose two sides were paired into the same
-	// shard-local step (engine.Pair.SameTime under the shard's clock).
-	// Because the batcher pairs each shard's R and S lanes positionally,
-	// this is a property of the shard-local interleaving, not of the global
-	// step numbers — two arrivals from different global steps can share a
-	// shard step.
+	// SameStep marks the pair of one global step's two arrivals
+	// (engine.Pair.SameTime): RSeq/2 == SSeq/2.
 	SameStep bool
 	// Shard is the shard that produced the pair.
 	Shard int
@@ -114,9 +120,8 @@ type Config struct {
 	// evenly (remainder to the lowest shard IDs), and a shard keeps its
 	// share for the runtime's life.
 	TotalCache int
-	// Window > 0 enables sliding-window semantics per shard. A shard's
-	// clock advances only when the shard steps, so the window counts
-	// shard-local steps, not global ones; see docs/performance.md.
+	// Window > 0 enables sliding-window semantics per shard. A shard's clock
+	// is the stream's, so the window counts global steps.
 	Window int
 	// Procs carries the stream models for model-driven policies.
 	//lint:ignore fingerprintcover each shard engine's nested checkpoint fingerprints the process pair (ProcSig); the manifest does not repeat it
@@ -169,9 +174,9 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// shard is one partition: its engine, observability handles and worker
-// plumbing. The coordinator owns batchBuf between a result gather and the
-// next dispatch; the channel handoff transfers ownership to the worker.
+// shard is one partition: its engine, observability handles, and the steps
+// routed to it. The coordinator owns batch and out between dispatches; within
+// one, the goroutine that claimed the shard does.
 type shard struct {
 	id     int
 	eng    *engine.Join
@@ -179,15 +184,15 @@ type shard struct {
 	rec    *flightrec.Recorder
 	budget int
 
-	// in and res carry one batch and its answer: dispatch sends a shard at
-	// most one batch and gathers every answer before it returns.
-	in       chan []engine.TuplePair
-	res      chan run
-	batchBuf []engine.TuplePair
-	pending  bool
-	// keys is the worker's room for the merge keys of a batch of up to
-	// len(keys) pairs — most batches of the low-fanout workloads; a larger
-	// batch's keys are that batch's garbage. Pointer-free, so it pins nothing.
+	// clock is the global step the engine is at: the next step routed here
+	// skips the steps from clock to its own.
+	clock int
+	// batch is the steps routed here for the next dispatch; out is its run.
+	batch []engine.TuplePair
+	out   run
+	// keys is the room for the merge keys of a batch of up to len(keys) pairs
+	// — most batches of the low-fanout workloads; a larger batch's keys are
+	// that batch's garbage. Pointer-free, so it pins nothing.
 	keys [32]runKey
 }
 
@@ -204,20 +209,14 @@ type run struct {
 }
 
 // Runtime is the sharded operator. It is driven from one goroutine
-// (IngestBatch/Flush/Close and every accessor); internally each shard steps
-// on its own worker goroutine. Accessors that touch shard engines are safe
-// between calls because the result gather at the end of every dispatch
-// leaves all workers quiescent.
+// (IngestBatch/Flush/Close and every accessor), which steps shards itself
+// during a dispatch, beside the helpers New started. Accessors that touch
+// shard engines are safe between calls: every dispatch waits for its helpers.
 type Runtime struct {
 	cfg    Config
 	shards []*shard
-	// lanes[i][side] holds routed arrivals shard i has not stepped yet: the
-	// engine's synchronized-step model needs one tuple per stream per step,
-	// so the batcher pairs each shard's R and S lanes and carries the
-	// unmatched tail to the next batch (Flush pads it out with NoValue).
-	lanes [][2][]engine.Tuple
-	seq   uint64
-	// ingested counts global steps accepted; batches counts IngestBatch
+	// ingested counts global steps accepted; the next arrival's sequence
+	// numbers are 2·ingested (R) and 2·ingested+1 (S). batches counts
 	// dispatches.
 	ingested int
 	batches  int
@@ -231,20 +230,29 @@ type Runtime struct {
 	// runs is room for one run per shard (length 0, capacity Shards): a
 	// dispatch gathers the shards' outputs into it and mergeRuns clears them,
 	// so no shard's batch output outlives its dispatch and a Checkpoint (taken
-	// between IngestBatch calls) finds it empty. The field itself is only ever
-	// set by New.
-	runs   []run
+	// between IngestBatch calls) finds it empty.
+	runs []run
+
+	// next counts the shards a dispatch has claimed: the coordinator and
+	// every helper it woke take the next one with a batch until none is
+	// left. wake, whose capacity is the number of helpers, carries one token
+	// per helper a dispatch wants; helping counts the woken helpers that are
+	// not done.
+	next    atomic.Int64 //lint:ignore snapcomplete dispatch scratch, dead between calls
+	wake    chan struct{}
+	helping sync.WaitGroup //lint:ignore snapcomplete dispatch scratch: zero between calls, every woken helper done
+
 	closed bool
 	// fault is the first shard step fault. The other shards stepped that
-	// batch and the lanes are consumed, so nothing can be retried or resumed:
-	// every later IngestBatch, Flush, Checkpoint and Restore returns it.
+	// batch, so nothing can be retried or resumed: every later IngestBatch,
+	// Flush, Checkpoint and Restore returns it.
 	fault error
 
 	reg *telemetry.Registry // coordinator registry (nil without telemetry)
 }
 
 // New validates the configuration and builds the runtime: engines, per-shard
-// observability, and one worker goroutine per shard.
+// observability, and min(GOMAXPROCS, Shards) − 1 helper goroutines.
 func New(cfg Config) (*Runtime, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -252,11 +260,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.FlightDir != "" {
 		cfg.Flight = true
 	}
-	rt := &Runtime{
-		cfg:   cfg,
-		lanes: make([][2][]engine.Tuple, cfg.Shards),
-		runs:  make([]run, 0, cfg.Shards),
-	}
+	rt := &Runtime{cfg: cfg, runs: make([]run, 0, cfg.Shards)}
 	if cfg.Telemetry {
 		rt.reg = telemetry.NewRegistry()
 		rt.reg.GaugeFunc("shardrt_shards", func() float64 { return float64(cfg.Shards) })
@@ -268,12 +272,7 @@ func New(cfg Config) (*Runtime, error) {
 		if i < rem {
 			budget++
 		}
-		sh := &shard{
-			id:     i,
-			budget: budget,
-			in:     make(chan []engine.TuplePair, 1),
-			res:    make(chan run, 1),
-		}
+		sh := &shard{id: i, budget: budget}
 		ecfg := engine.Config{
 			CacheSize: budget,
 			Window:    cfg.Window,
@@ -301,12 +300,14 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		eng, err := engine.NewJoin(ecfg)
 		if err != nil {
-			rt.stopWorkers()
 			return nil, fmt.Errorf("shardrt: shard %d: %w", i, err)
 		}
 		sh.eng = eng
 		rt.shards = append(rt.shards, sh)
-		go sh.work()
+	}
+	rt.wake = make(chan struct{}, min(runtime.GOMAXPROCS(0), cfg.Shards)-1)
+	for range cap(rt.wake) {
+		go rt.help()
 	}
 	return rt, nil
 }
@@ -317,25 +318,37 @@ func shardSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i+1)*0x9E3779B97F4A7C15
 }
 
-// work is the shard worker: it steps every batch it receives and answers with
-// the engine's output and the keys that order it. A policy panic is captured
-// and surfaced as the batch's error instead of deadlocking the coordinator.
-func (sh *shard) work() {
-	for batch := range sh.in {
-		sh.res <- sh.step(batch)
+// help is a helper goroutine: woken by a dispatch, it claims shards beside the
+// coordinator until none is left, then waits for the next dispatch.
+func (rt *Runtime) help() {
+	for range rt.wake {
+		rt.claim()
+		rt.helping.Done()
 	}
-	close(sh.res)
 }
 
-func (sh *shard) step(batch []engine.TuplePair) (out run) {
+// claim steps the dispatch's unclaimed shards one at a time until none is
+// left: the one path the coordinator and the helpers step shards on.
+func (rt *Runtime) claim() {
+	for i := rt.next.Add(1) - 1; i < int64(len(rt.shards)); i = rt.next.Add(1) - 1 {
+		if sh := rt.shards[i]; len(sh.batch) > 0 {
+			sh.step()
+		}
+	}
+}
+
+// step runs the shard's batch and leaves the engine's output, with the keys
+// that order it, in out. A policy panic is captured and surfaced as the
+// batch's error instead of unwinding the goroutine that claimed the shard.
+func (sh *shard) step() {
 	defer func() {
 		if r := recover(); r != nil {
-			out = run{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
+			sh.out = run{err: fmt.Errorf("shardrt: shard %d: step panic: %v", sh.id, r)}
 		}
 	}()
-	b := sh.eng.StepRun(batch)
-	//lint:ignore stepretain the run crosses to the coordinator, whose merge is done with it inside the dispatch that sent this batch: the shard cannot step again before that
-	return run{keys: sortKeys(sh.keys[:0], b), batch: b, shard: sh.id}
+	b := sh.eng.StepRun(sh.batch)
+	//lint:ignore stepretain the run goes to the coordinator, whose merge is done with it inside the dispatch that stepped this batch: the shard cannot step again before that
+	sh.out = run{keys: sortKeys(sh.keys[:0], b), batch: b, shard: sh.id}
 }
 
 // runKey is one engine pair's trigger — the later of its two arrivals — and
@@ -346,77 +359,40 @@ type runKey struct {
 	idx     int
 }
 
-// sortKeys orders one StepRun output for the merge, on the worker goroutine,
-// without moving a pair; a pair's trigger is read through its tuples'
-// numbers. Merge order is (trigger, partner), and it
-// is a stable order on the trigger alone: a shard's lanes are FIFO and the
-// engine emits a step's matches in cache (arrival) order, so one trigger's
-// pairs already leave the engine partner-ascending — also across steps, when a
-// lagging lane makes a cached tuple the trigger of later arrivals
-// (TestTriggerRunsLeaveTheEngineInPartnerOrder). What is not in order is the
-// triggers themselves, whenever one lane lags the other. Keys that fit room
-// are ordered there by insertion; a longer run is one allocation, keys in its
-// first half and the radix's scratch in the second.
+// sortKeys orders one StepRun output for the merge, on the goroutine that
+// stepped the shard, without moving a pair; a pair's trigger is read through
+// its tuples' numbers. Merge order is (trigger, partner), and it is a stable
+// order on the trigger alone: the engine emits a step's matches in cache
+// (arrival) order, so one trigger's pairs leave it partner-ascending
+// (TestTriggerRunsLeaveTheEngineInPartnerOrder). A shard steps its arrivals
+// in global order, so the triggers out of order are the two arrivals of one
+// two-sided step, whose matches the engine interleaves by partner: inserting
+// each key moves it past keys of its own step only. Keys that fit room are
+// ordered there; a longer run is one allocation.
 func sortKeys(room []runKey, b engine.Batch) []runKey {
-	n := len(b.Pairs)
 	keys := room[:0]
-	if n > cap(room) {
-		keys = make([]runKey, 0, 2*n)
+	if n := len(b.Pairs); n > cap(room) {
+		keys = make([]runKey, 0, n)
 	}
-	lo, hi, ordered := uint64(math.MaxUint64), uint64(0), true
 	for i, p := range b.Pairs {
-		trig := max(b.Tuples[p.R].Seq, b.Tuples[p.S].Seq)
-		ordered = ordered && trig >= hi
-		lo, hi = min(lo, trig), max(hi, trig)
-		keys = append(keys, runKey{trigSeq: trig, idx: i})
+		k := runKey{trigSeq: max(b.Tuples[p.R].Seq, b.Tuples[p.S].Seq), idx: i}
+		j := len(keys)
+		keys = append(keys, k)
+		for ; j > 0 && keys[j-1].trigSeq > k.trigSeq; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
 	}
-	if ordered {
-		return keys
-	}
-	if n <= cap(room) {
-		for i := 1; i < n; i++ {
-			k, j := keys[i], i
-			for ; j > 0 && keys[j-1].trigSeq > k.trigSeq; j-- {
-				keys[j] = keys[j-1]
-			}
-			keys[j] = k
-		}
-		return keys
-	}
-	// Stable LSD byte radix over trigSeq-lo: one pass per byte of the range
-	// (two at the ledger's fanout shape; a lane may lag arbitrarily far, so up
-	// to eight), none for a byte every key shares.
-	src, dst := keys, keys[n:2*n]
-	for shift := 0; (hi-lo)>>shift != 0; shift += 8 {
-		var next [256]int
-		for _, k := range src {
-			next[byte((k.trigSeq-lo)>>shift)]++
-		}
-		if next[byte((src[0].trigSeq-lo)>>shift)] == n {
-			continue
-		}
-		at := 0
-		for b, c := range next {
-			next[b], at = at, at+c
-		}
-		for _, k := range src {
-			b := byte((k.trigSeq - lo) >> shift)
-			dst[next[b]] = k
-			next[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
+	return keys
 }
 
-// IngestBatch feeds a batch of global steps and returns every pair produced
-// by the shard work it could dispatch. All keys are validated up front —
-// a bad step rejects the whole batch before any state changes (ErrBadStep:
-// the caller may retry; any other error is a shard fault and final). Arrivals
-// whose key is process.NoValue are dropped at ingress (they can never join);
-// the rest are routed to their shard's lanes, and each shard steps
-// min(|R lane|, |S lane|) synchronized steps. Unpaired lane tails carry over
-// to the next batch; Flush drains them.
+// IngestBatch feeds a batch of global steps and returns every pair they
+// produced. All keys are validated up front — a bad step rejects the whole
+// batch before any state changes (ErrBadStep: the caller may retry; any other
+// error is a shard fault and final). Arrivals whose key is process.NoValue are
+// dropped at ingress (they can never join); the rest go to their shards at
+// their global step (see the package comment), and each shard steps all of
+// its arrivals before IngestBatch returns.
 //
 // The returned slice is owned by the runtime and valid until the next
 // IngestBatch/Flush/Close call; callers that retain pairs must copy them.
@@ -438,27 +414,57 @@ func (rt *Runtime) IngestReply(steps []Step) (*Reply, error) {
 			return nil, fmt.Errorf("%w: step %d stream S: %v", ErrBadStep, i, err)
 		}
 	}
-	for _, st := range steps {
-		rseq, sseq := rt.seq, rt.seq+1
-		rt.seq += 2
-		if st.R.Key != process.NoValue {
-			i := ShardOf(st.R.Key, rt.cfg.Shards)
-			rt.lanes[i][0] = append(rt.lanes[i][0], engine.Tuple{Key: st.R.Key, Payload: st.R.Payload, Seq: rseq})
-		}
-		if st.S.Key != process.NoValue {
-			i := ShardOf(st.S.Key, rt.cfg.Shards)
-			rt.lanes[i][1] = append(rt.lanes[i][1], engine.Tuple{Key: st.S.Key, Payload: st.S.Payload, Seq: sseq})
-		}
+	for i := range steps {
+		rt.route(&steps[i], rt.ingested+i)
 	}
 	rt.ingested += len(steps)
-	return rt.dispatch(false)
+	return rt.dispatch()
 }
 
-// Flush drains the lane tails: every shard steps its remaining arrivals,
-// with the shorter lane padded by NoValue tuples (which can never join but
-// do occupy a cache slot until evicted, exactly as a NoValue arrival fed to
-// the single operator would). Call it at end of stream, before a checkpoint
-// that must capture all routed work, or before reading final metrics.
+// route hands global step g's arrivals, numbered 2g (R) and 2g+1 (S), to
+// their shards: one two-sided step when both keys route to one shard, a
+// one-sided step for each otherwise, none for a NoValue arrival.
+func (rt *Runtime) route(st *Step, g int) {
+	rk, sk := st.R.Key, st.S.Key
+	a, b := -1, -1
+	if rk != process.NoValue {
+		a = ShardOf(rk, len(rt.shards))
+	}
+	if sk != process.NoValue {
+		b = ShardOf(sk, len(rt.shards))
+	}
+	r := engine.Tuple{Key: rk, Payload: st.R.Payload, Seq: 2 * uint64(g)}
+	s := engine.Tuple{Key: sk, Payload: st.S.Payload, Seq: 2*uint64(g) + 1}
+	if a >= 0 && a == b {
+		tp := rt.shards[a].at(g)
+		tp.R, tp.S = r, s
+		return
+	}
+	if a >= 0 {
+		tp := rt.shards[a].at(g)
+		tp.R, tp.S.Key, tp.Arrivals = r, sk, engine.OnlyR
+	}
+	if b >= 0 {
+		tp := rt.shards[b].at(g)
+		tp.R.Key, tp.S, tp.Arrivals = rk, s, engine.OnlyS
+	}
+}
+
+// at appends the shard's step at global step g, stamped with the steps it
+// skips, and returns it to be filled in. The batch buffer is zero beyond its
+// length (dispatch clears what it stepped), so the step starts out zero.
+func (sh *shard) at(g int) *engine.TuplePair {
+	sh.batch = slices.Grow(sh.batch, 1)[:len(sh.batch)+1]
+	tp := &sh.batch[len(sh.batch)-1]
+	tp.Skip = g - sh.clock
+	sh.clock = g + 1
+	return tp
+}
+
+// Flush steps what is routed and not stepped, and returns its pairs. Every
+// dispatch steps all it routes, so that is nothing — the reply is empty —
+// except after a Restore from a version-2 or -3 manifest, whose carried
+// tails the next dispatch steps. Nothing is padded.
 func (rt *Runtime) Flush() ([]Pair, error) {
 	return rt.pairs(rt.FlushReply())
 }
@@ -468,7 +474,7 @@ func (rt *Runtime) FlushReply() (*Reply, error) {
 	if err := rt.refused(); err != nil {
 		return nil, err
 	}
-	return rt.dispatch(true)
+	return rt.dispatch()
 }
 
 // pairs writes a reply out as Pairs, over the buffer the previous one was
@@ -507,57 +513,36 @@ func checkKey(k int) error {
 	return nil
 }
 
-// dispatch pairs each shard's lanes into a batch, hands the batches to the
-// workers, gathers every result, and merges them into the global emission
-// order. With drain set the longer lane is padded instead of carried.
-func (rt *Runtime) dispatch(drain bool) (*Reply, error) {
-	for i, sh := range rt.shards {
-		lr, ls := rt.lanes[i][0], rt.lanes[i][1]
-		k := len(lr)
-		if len(ls) < k {
-			k = len(ls)
+// dispatch steps every shard with a batch — the coordinator claiming shards
+// beside as many helpers as there are other such shards — gathers their runs
+// and merges them into the global emission order.
+func (rt *Runtime) dispatch() (*Reply, error) {
+	busy := 0
+	for _, sh := range rt.shards {
+		if len(sh.batch) > 0 {
+			busy++
 		}
-		if drain {
-			k = len(lr)
-			if len(ls) > k {
-				k = len(ls)
-			}
-		}
-		if k == 0 {
-			sh.pending = false
-			continue
-		}
-		batch := sh.batchBuf[:0]
-		pad := engine.Tuple{Key: process.NoValue}
-		for x := 0; x < k; x++ {
-			r, s := pad, pad
-			if x < len(lr) {
-				r = lr[x]
-			}
-			if x < len(ls) {
-				s = ls[x]
-			}
-			batch = append(batch, engine.TuplePair{R: r, S: s})
-		}
-		rt.lanes[i][0] = consumeLane(lr, k)
-		rt.lanes[i][1] = consumeLane(ls, k)
-		sh.batchBuf = batch
-		sh.in <- batch
-		sh.pending = true
 	}
+	rt.next.Store(0)
+	h := max(0, min(cap(rt.wake), busy-1))
+	rt.helping.Add(h)
+	for range h {
+		rt.wake <- struct{}{}
+	}
+	rt.claim()
+	rt.helping.Wait()
 	runs := rt.runs[:0]
 	var firstErr error
 	for _, sh := range rt.shards {
-		if !sh.pending {
+		if len(sh.batch) == 0 {
 			continue
 		}
-		res := <-sh.res
-		sh.pending = false
-		clear(sh.batchBuf) // the worker is done with it; an idle shard must not pin its last batch's payloads
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err
+		sh.batch = slices.Delete(sh.batch, 0, len(sh.batch)) // zeroed: an idle shard must not pin its last batch's payloads
+		if sh.out.err != nil && firstErr == nil {
+			firstErr = sh.out.err
 		}
-		runs = append(runs, res)
+		runs = append(runs, sh.out)
+		sh.out = run{}
 	}
 	// Merged before the error check so the runs are released either way, and
 	// the tuples the previous reply listed beyond this one's with them.
@@ -575,56 +560,30 @@ func (rt *Runtime) dispatch(drain bool) (*Reply, error) {
 	return &rt.reply, nil
 }
 
-// consumeLane drops the first k routed tuples, keeping the tail at the front
-// of the same backing array and zeroing the stretch it vacates: a lane only
-// ever overwrites as far as its next tail reaches, so what a burst once
-// parked further out would otherwise keep its payloads reachable for good.
-func consumeLane(lane []engine.Tuple, k int) []engine.Tuple {
-	n := 0
-	if k < len(lane) {
-		n = copy(lane, lane[k:])
-	}
-	clear(lane[n:])
-	return lane[:n]
-}
-
-// Close drains the lanes (so no routed arrival is silently dropped), stops
-// the workers and marks the runtime closed. The returned pairs are the
-// drain's output; a faulted runtime stops without draining and returns the
-// fault. Close is idempotent; later calls return ErrClosed.
+// Close steps what Flush would, stops the helpers and marks the runtime
+// closed. The returned pairs are Flush's; a faulted runtime stops without
+// stepping and returns the fault. Close is idempotent; later calls return
+// ErrClosed.
 func (rt *Runtime) Close() ([]Pair, error) {
 	if rt.closed {
 		return nil, ErrClosed
 	}
 	out, err := rt.Flush()
 	rt.closed = true
-	rt.stopWorkers()
+	close(rt.wake)
 	return out, err
 }
 
-// Shutdown stops the shard workers and marks the runtime closed WITHOUT the
-// drain dispatch Close performs: the lanes and shard engines keep their
-// exact state. It is the checkpoint-then-exit path — a Checkpoint taken
-// just before Shutdown restores byte-identically, carried lane tails
-// included, whereas Close's drain would pad and step them first. Idempotent.
+// Shutdown stops the helpers and marks the runtime closed WITHOUT the
+// dispatch Close performs: the shard engines keep their exact state. It is
+// the checkpoint-then-exit path. Idempotent.
 func (rt *Runtime) Shutdown() {
 	if rt.closed {
 		return
 	}
 	rt.closed = true
-	rt.stopWorkers()
+	close(rt.wake)
 }
-
-func (rt *Runtime) stopWorkers() {
-	for _, sh := range rt.shards {
-		if sh.eng != nil {
-			close(sh.in)
-		}
-	}
-}
-
-// ShardCount returns the number of shards.
-func (rt *Runtime) ShardCount() int { return len(rt.shards) }
 
 // Metrics is a snapshot of the runtime's counters plus every shard engine's
 // metrics.
@@ -638,7 +597,7 @@ type Metrics struct {
 }
 
 // ShardMetrics is one shard's view: its budget and its engine counters
-// (engine.Metrics semantics, shard-local step clock).
+// (engine.Metrics semantics: Steps counts the steps the shard took).
 type ShardMetrics struct {
 	Shard  int
 	Budget int
@@ -672,10 +631,6 @@ func (rt *Runtime) CheckInvariants() error {
 
 // Registry returns shard i's telemetry registry (nil without telemetry).
 func (rt *Runtime) Registry(i int) *telemetry.Registry { return rt.shards[i].reg }
-
-// CoordinatorRegistry returns the runtime's own registry (nil without
-// telemetry).
-func (rt *Runtime) CoordinatorRegistry() *telemetry.Registry { return rt.reg }
 
 // Recorder returns shard i's flight recorder (nil without Flight).
 func (rt *Runtime) Recorder(i int) *flightrec.Recorder { return rt.shards[i].rec }

@@ -3,6 +3,8 @@ package shardrt
 import (
 	"bytes"
 	"errors"
+	"os"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -49,6 +51,26 @@ func genSteps(seed uint64, n int) []Step {
 		steps[i] = Step{
 			R: engine.Tuple{Key: r[i], Payload: i * 2},
 			S: engine.Tuple{Key: s[i], Payload: i*2 + 1},
+		}
+	}
+	return steps
+}
+
+// skewedSteps generates n global steps over small key domains: R draws from
+// half of S's keys, a fifth of S's arrivals and a tenth of R's are NoValue.
+// Both arrivals of a step often share a shard (two-sided steps), and some
+// steps carry no arrival at all, so every shard skips steps.
+func skewedSteps(seed uint64, n int) []Step {
+	rng := stats.NewRNG(seed)
+	steps := make([]Step, n)
+	for i := range steps {
+		steps[i].R = engine.Tuple{Key: rng.IntN(6), Payload: i}
+		steps[i].S = engine.Tuple{Key: rng.IntN(12), Payload: ^i}
+		if rng.IntN(5) == 0 {
+			steps[i].S.Key = process.NoValue
+		}
+		if rng.IntN(10) == 0 {
+			steps[i].R.Key = process.NoValue
 		}
 	}
 	return steps
@@ -180,10 +202,10 @@ func TestMergeOrder(t *testing.T) {
 	})
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		// Every shard gets budget for the entire stream (arrivals plus any
-		// drain padding), so nothing is ever evicted and the oracle's
-		// no-eviction pair set is exact regardless of key skew.
-		rt, err := New(Config{Shards: shards, TotalCache: shards * 3 * n, Seed: 5})
+		// Every shard gets budget for the entire stream, so nothing is ever
+		// evicted and the oracle's no-eviction pair set is exact regardless
+		// of key skew.
+		rt, err := New(Config{Shards: shards, TotalCache: shards * 2 * n, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,8 +305,12 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // TestNoValueFiltered: NoValue arrivals are dropped at ingress — they can
-// never join — so they occupy no lane slot and no cache budget, and the two
-// real arrivals get paired into one shard step immediately.
+// never join — so they take no step and no cache slot. The key-1 S arrival of
+// step 0 and the key-1 R arrival of step 1 each step their shard one-sidedly,
+// at their own step, and join there (trigger 2, partner 1) in the ingest
+// itself — not flagged SameStep, being two steps' arrivals. The step after
+// them brings two key-1 arrivals at once: one two-sided step, whose own pair
+// is SameStep.
 func TestNoValueFiltered(t *testing.T) {
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
@@ -293,32 +319,45 @@ func TestNoValueFiltered(t *testing.T) {
 	steps := []Step{
 		{R: engine.Tuple{Key: process.NoValue}, S: engine.Tuple{Key: 1}},
 		{R: engine.Tuple{Key: 1}, S: engine.Tuple{Key: process.NoValue}},
+		{R: engine.Tuple{Key: process.NoValue}, S: engine.Tuple{Key: process.NoValue}},
 	}
-	// Both key-1 arrivals route to one shard; its lanes pair them into a
-	// single shard step, so the pair (trigger 2, partner 1) is emitted by
-	// the ingest itself, flagged SameStep under the shard-local clock.
 	out, err := rt.IngestBatch(steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0].RSeq != 2 || out[0].SSeq != 1 || !out[0].SameStep {
-		t.Fatalf("pairs %+v, want exactly the same-step (2,1) pair", out)
+	if len(out) != 1 || out[0].RSeq != 2 || out[0].SSeq != 1 || out[0].SameStep {
+		t.Fatalf("pairs %+v, want exactly the (2,1) pair, not same-step", out)
+	}
+	if out, err = rt.IngestBatch([]Step{{R: engine.Tuple{Key: 1}, S: engine.Tuple{Key: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []Pair{
+		{RSeq: 6, SSeq: 1, R: Side{Key: 1}, S: Side{Key: 1}, Shard: ShardOf(1, 2)},
+		{RSeq: 2, SSeq: 7, R: Side{Key: 1}, S: Side{Key: 1}, Shard: ShardOf(1, 2)},
+		{RSeq: 6, SSeq: 7, R: Side{Key: 1}, S: Side{Key: 1}, SameStep: true, Shard: ShardOf(1, 2)},
+	}
+	if !diffPairsEqual(out, want) {
+		t.Fatalf("pairs %+v, want %+v", out, want)
 	}
 	if tail, err := rt.Flush(); err != nil || len(tail) != 0 {
 		t.Fatalf("flush: %v, %d pairs (want none)", err, len(tail))
 	}
 	m := rt.Metrics()
-	if m.Ingested != 2 {
-		t.Fatalf("ingested %d, want 2", m.Ingested)
+	if m.Ingested != 4 {
+		t.Fatalf("ingested %d, want 4", m.Ingested)
 	}
-	// Only one shard ever stepped, and only once: NoValue ingress costs no
-	// engine work at all.
-	stepsTotal := 0
+	// Only one shard ever stepped: once an arrival, twice for the two-sided
+	// step's pair of them. NoValue ingress costs no engine work at all.
+	stepsTotal, cached := 0, 0
 	for _, sm := range m.Shards {
 		stepsTotal += sm.Engine.Steps
+		cached += sm.Engine.CacheLen
 	}
-	if stepsTotal != 1 {
-		t.Fatalf("shards stepped %d times total, want 1", stepsTotal)
+	if stepsTotal != 3 || cached != 4 {
+		t.Fatalf("shards stepped %d times and cache %d tuples, want 3 and 4", stepsTotal, cached)
+	}
+	if got := rt.Shard(ShardOf(1, 2)).Time(); got != 4 {
+		t.Fatalf("the stepping shard's clock reads %d after 4 global steps", got)
 	}
 	rt.Close()
 }
@@ -343,15 +382,18 @@ func TestBadStepRejected(t *testing.T) {
 }
 
 // TestClosedRuntime: every operation after Close answers ErrClosed, and
-// Close drains carried lane tails so no routed arrival is lost.
+// Close steps what a Flush would, so no routed arrival is lost: after an
+// ingest, nothing (its pairs came with the ingest); after restoring a
+// version-2 manifest, the carried tails, whose pairs Close returns. The
+// runtime runs with helpers (GOMAXPROCS ≥ 2), which Close stops only after
+// that dispatch.
 func TestClosedRuntime(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One S then two Rs on key 3: the shard pairs the first R with the S,
-	// and the second R (seq 4) sits in the R-lane tail until Close pads the
-	// S side and drains it — joining the cached S (seq 1) on the way out.
+	// One S, then two Rs on key 3: each R joins the cached S as it arrives.
 	steps := []Step{
 		{R: engine.Tuple{Key: process.NoValue}, S: engine.Tuple{Key: 3}},
 		{R: engine.Tuple{Key: 3}, S: engine.Tuple{Key: process.NoValue}},
@@ -361,15 +403,12 @@ func TestClosedRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ingested) != 1 {
-		t.Fatalf("ingest emitted %d pairs, want 1", len(ingested))
+	if len(ingested) != 2 || ingested[0].RSeq != 2 || ingested[1].RSeq != 4 {
+		t.Fatalf("ingest emitted %+v, want the (2,1) and (4,1) pairs", ingested)
 	}
 	out, err := rt.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].RSeq != 4 || out[0].SSeq != 1 {
-		t.Fatalf("drain pairs %+v, want exactly the (4,1) pair", out)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("Close: %d pairs, %v; want none", len(out), err)
 	}
 	if _, err := rt.IngestBatch(steps); !errors.Is(err, ErrClosed) {
 		t.Fatalf("IngestBatch after Close: %v, want ErrClosed", err)
@@ -379,6 +418,31 @@ func TestClosedRuntime(t *testing.T) {
 	}
 	if _, err := rt.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
+	}
+
+	old, err := os.ReadFile("testdata/upgrade/sharded_pr17.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = New(upgradeConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Restore(bytes.NewReader(old)); err != nil {
+		t.Fatal(err)
+	}
+	carrying := 0
+	for _, sh := range rt.shards {
+		if len(sh.batch) > 0 {
+			carrying++
+		}
+	}
+	if out, err = rt.Close(); err != nil || len(out) == 0 || carrying < 2 {
+		t.Fatalf("Close after restoring carried tails on %d shards: %d pairs, %v; want their pairs", carrying, len(out), err)
+	}
+	for _, p := range out {
+		if trig, _ := mergeKey(p); trig >= upgradeCut*2 {
+			t.Fatalf("Close returned %+v, whose trigger was not carried", p)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 
 // The upgrade fixture's run: 4 shards under RAND (no models), 64 slots,
 // 4 000 steps in batches of 50, []byte payloads naming their arrival. R draws
-// from half of S's key range and a fifth of S's arrivals are NoValue, so the
-// R lanes run ahead and every checkpoint carries lane tails.
+// from half of S's key range and a fifth of S's arrivals are NoValue, so at
+// the parent commit the R lanes ran ahead and the fixture carries lane tails.
 const (
 	upgradeSteps = 4000
 	upgradeBatch = 50
@@ -26,21 +26,31 @@ const (
 // upgradePairsSHA256 is the SHA-256 of renderPairs over the whole run's
 // merged output (the closing Flush included). The ledger only compares daemon
 // and replay of one commit; this pins the pair listing across commits. It was
-// first computed at commit 0387968 — the parent of the PR that moved the
-// sequence tag out of the payload — and is re-based at PR 27, which made the
-// engine's cache a table of slots: RAND draws the same positions as before,
-// over slots that no longer list the cache in ID order, so they name other
-// tuples. The run is valid and not byte-comparable across that commit
-// (docs/fault-tolerance.md, "RAND checkpoints across PR 27"); ab60579f… was
-// the listing's hash from 0387968 until then.
-const upgradePairsSHA256 = "38dc1784218e13951701130d180d0b0a3de08131d516a19480ce8b51930bbb87"
+// first computed at commit 0387968 — the parent of the change that moved the
+// sequence tag out of the payload — and re-based twice. At d26fcf0 the
+// engine's cache became a table of slots: RAND draws the same positions as
+// before, over slots that no longer list the cache in ID order, so they name
+// other tuples (docs/fault-tolerance.md, on RAND checkpoints across it);
+// ab60579f… was the hash until then. Then a shard came to step on the
+// stream's clock: each arrival is stepped at its own global step, one-sided
+// when the other stream's key went to another shard, where the lanes had
+// paired a shard's R and S arrivals by position — other steps, other
+// decisions, other pairs, and SameStep only for one global step's two
+// arrivals (docs/fault-tolerance.md, "Manifest version 4"); 38dc1784… was
+// the hash from d26fcf0 until then. The run is valid on every side of both
+// changes and byte-comparable across neither.
+const upgradePairsSHA256 = "a9876f29f76a44ecfad4b03c00a577cea72a63cdbd947066df4844785496c77d"
 
 // upgradeResumedSHA256 is the same hash over what the run emits after step
 // 2000 when it is resumed from the fixture: the old file lists each shard's
 // cache in ID order, which restores as that layout — one the uninterrupted
-// run of this commit does not have at step 2000 — so the continuation is
-// neither the old binary's nor the uninterrupted run's, and has its own pin.
-const upgradeResumedSHA256 = "023eb8708888765b143b5db12965b504e0777efe12e5c371dfac98c0763cd868"
+// run of this commit does not have at step 2000 — and carries lane tails,
+// which the first dispatch after the restore steps one-sidedly at their own
+// global steps; so the continuation is neither the old binary's nor the
+// uninterrupted run's, and has its own pin. Re-based with upgradePairsSHA256
+// when a shard came to step on the stream's clock; 023eb870… was the hash
+// until then.
+const upgradeResumedSHA256 = "e82747f42990ed091e36e1b654de3fb9224aed649b691f7a6580c6e4b49d35a7"
 
 func upgradeConfig() Config { return Config{Shards: 4, TotalCache: 64, Seed: 1917} }
 
@@ -163,22 +173,28 @@ func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	tails := 0
-	for i := range resumed.lanes {
-		for side, lane := range resumed.lanes[i] {
-			if len(lane) > 0 {
-				tails++
+	for _, sh := range resumed.shards {
+		if len(sh.batch) > 0 {
+			tails++
+		}
+		for _, tp := range sh.batch {
+			// Arrival n of stream R/S has sequence 2n / 2n+1 and payload rn / sn.
+			side, tu := 0, tp.R
+			if tp.Arrivals == engine.OnlyS {
+				side, tu = 1, tp.S
 			}
-			for _, tu := range lane {
-				// Arrival n of stream R/S has sequence 2n / 2n+1 and payload rn / sn.
-				want := fmt.Sprintf("%c%04d", "rs"[side], tu.Seq/2)
-				if b, _ := tu.Payload.([]byte); string(b) != want || int(tu.Seq%2) != side {
-					t.Fatalf("shard %d lane %d holds %+v after restore, want payload %q under its own tag", i, side, tu, want)
-				}
+			want := fmt.Sprintf("%c%04d", "rs"[side], tu.Seq/2)
+			if b, _ := tu.Payload.([]byte); string(b) != want || int(tu.Seq%2) != side || tp.Arrivals == engine.Both {
+				t.Fatalf("shard %d carries %+v after restore, want a one-sided step of payload %q under its own tag", sh.id, tp, want)
 			}
 		}
 	}
 	if tails < 2 {
 		t.Fatalf("fixture carries %d lane tails, want >= 2", tails)
+	}
+	var early bytes.Buffer
+	if err := resumed.Checkpoint(&early); err == nil {
+		t.Fatal("a checkpoint with the carried tails not yet stepped was written")
 	}
 	oldPairs, oldMetrics, _ := upgradeRun(t, resumed, steps, upgradeCut)
 	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
@@ -200,8 +216,9 @@ func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
 		t.Fatalf("resumed run emitted %d pairs over %d steps, the uninterrupted run counts %d steps", len(seen), oldMetrics.Ingested, wantMetrics.Ingested)
 	}
 	for i, sh := range oldMetrics.Shards {
-		if want := wantMetrics.Shards[i].Engine; sh.Engine.Steps != want.Steps || sh.Engine.CacheLen != want.CacheLen {
-			t.Fatalf("shard %d: %+v resumed, %+v uninterrupted: steps or occupancy differ", i, sh.Engine, want)
+		if want := wantMetrics.Shards[i].Engine; sh.Engine.CacheLen != want.CacheLen || resumed.Shard(i).Time() != whole.Shard(i).Time() {
+			t.Fatalf("shard %d: %+v at step %d resumed, %+v at step %d uninterrupted: clocks or occupancy differ",
+				i, sh.Engine, resumed.Shard(i).Time(), want, whole.Shard(i).Time())
 		}
 	}
 	if err := resumed.CheckInvariants(); err != nil {

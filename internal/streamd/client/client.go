@@ -373,11 +373,13 @@ func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, e
 	}
 }
 
-// Flush drains the daemon's carried lane tails and returns the resulting
-// pairs. A flush response lost to a disconnect is not replayed: the retry
-// re-flushes, and lanes already drained yield nothing — callers treat
-// Flush as at-least-once with possible loss of the pair listing, or flush
-// only at stream end over a live connection.
+// Flush asks the daemon to step what it routed and has not stepped, and
+// returns the resulting pairs. Every batch is stepped before its reply, so
+// that is nothing, except right after the daemon restored an old-format
+// checkpoint that carried lane tails. A flush response lost to a disconnect
+// is not replayed: the retry re-flushes, and what is stepped yields nothing
+// again — callers treat Flush as at-least-once with possible loss of the
+// pair listing, or flush only at stream end over a live connection.
 func (c *Client) Flush() ([]wire.Pair, error) {
 	if c.closed {
 		return nil, wire.ErrClosed

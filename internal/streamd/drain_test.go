@@ -211,16 +211,15 @@ func TestDrainRestartByteIdentical(t *testing.T) {
 	t.Logf("drained after ~%d/%d batches; steps %d before restart, %d after", ackedAtDrain, batches, pre, post)
 }
 
-// TestDrainFileSizeIndependentOfSteps: the drain file holds the caches, the
-// lane tails and each session's last reply — nothing that counts steps. A
+// TestDrainFileSizeIndependentOfSteps: the drain file holds the caches and
+// each session's last reply — nothing that counts steps. A
 // daemon drained after 2×10^3 steps, restarted from that file and drained
 // again after 2×10^5 writes two files of the same size, but for one more
 // session entry and the width of the integers in them (sequence numbers, IDs
 // and arrival times 100 times larger, in as many bytes as gob needs). Both
-// arrivals of a step carry the same key, so they route to the same shard and
-// no lane tail forms (tails still grow with uptime, ~√steps: ROADMAP
-// direction 5), and each phase ends on a one-step batch, so the reply the
-// session keeps is a few bytes. At the parent commit the second file is
+// arrivals of a step carry the same key, so they route to the same shard,
+// and each phase ends on a one-step batch, so the reply the session keeps is
+// a few bytes. At the parent commit the second file is
 // larger by the two histories: 8×10^5 observations, about 1.5 MB.
 func TestDrainFileSizeIndependentOfSteps(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "drain.ckpt")

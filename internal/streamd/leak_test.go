@@ -17,12 +17,12 @@ import (
 	"stochstream/internal/streamd/client"
 )
 
-// spawnSites are the product's goroutine bodies: the shard worker, the
+// spawnSites are the product's goroutine bodies: the runtime's shard helper, the
 // daemon's engine, accept and reaper loops, its per-connection reader and
 // writer, and the managed HTTP server's serve goroutine. A goroutine running
 // one of them after its owner stopped is a leak.
 var spawnSites = []string{
-	"stochstream/internal/shardrt.(*shard).work(",
+	"stochstream/internal/shardrt.(*Runtime).help(",
 	"stochstream/internal/streamd.(*Server).engineLoop(",
 	"stochstream/internal/streamd.(*Server).acceptLoop(",
 	"stochstream/internal/streamd.(*Server).reapLoop(",
@@ -110,7 +110,10 @@ func runtimeSteps(n int) []shardrt.Step {
 // is gone. It covers the sharded runtime's Close and Shutdown, the managed
 // HTTP server's Close with a keep-alive connection open, and the daemon's
 // Close and Drain with framed clients and the HTTP surface still connected.
+// The runtime starts its helpers only where there is a second P to run them,
+// so the test runs at GOMAXPROCS ≥ 2.
 func TestNoGoroutineOutlivesStop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	t.Run("runtime-close", func(t *testing.T) {
 		before := goroutines()
 		rt, err := shardrt.New(testRuntimeConfig(4))

@@ -134,9 +134,10 @@ func overloadPressure(t *testing.T, clients, batchesPer, batchLen, queueDepth in
 							t.Errorf("client %d: pair seq parity broken (%d,%d)", id, p.RSeq, p.SSeq)
 							return
 						}
-						// SameStep is shard-local interleaving, deliberately not
-						// derivable from global seqs — covered by the
-						// single-session differential tests instead.
+						if p.SameStep != (p.RSeq/2 == p.SSeq/2) {
+							t.Errorf("client %d: pair (%d,%d) flagged same-step %v", id, p.RSeq, p.SSeq, p.SameStep)
+							return
+						}
 						if int(p.Shard) != shardrt.ShardOf(int(p.RKey), shards) {
 							t.Errorf("client %d: key %d on shard %d, want %d", id, p.RKey, p.Shard, shardrt.ShardOf(int(p.RKey), shards))
 							return

@@ -130,7 +130,7 @@ func (p *panicOn) Evict(st *join.State, candidates []join.Tuple, n int) []int {
 }
 
 // TestShardFaultRefusesTheRetry: a shard fault, unlike a rejected batch, has
-// moved state — the other shard stepped, the lanes are consumed — so the
+// moved state — the other shard stepped — so the
 // session is rolled back only for the client to see the same internal error
 // again: the runtime refuses the retry instead of ingesting the batch twice,
 // no step is counted, no engine steps, and a drain returns the fault and

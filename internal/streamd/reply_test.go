@@ -34,10 +34,11 @@ func wirePairs(ps []shardrt.Pair) []wire.Pair {
 // the runtime's numbered Reply, and every reply it writes is byte for byte
 // wire.EncodeResultsFrames over the same reply written out as pairs, by a
 // runtime of the same configuration driven directly and never restarted.
-// Four shards under skewed streams let the lanes lag; one batch of large
-// payloads on one key takes a reply past MaxFramePayload, so it is cut into
-// chunks; Flush pads the lanes; and halfway the daemon drains to a checkpoint
-// and a new one continues from it, lane tails included.
+// Four shards under skewed streams step two- and one-sided steps; one batch of
+// large payloads on one key takes a reply past MaxFramePayload, so it is cut
+// into chunks; a Flush, with nothing left to step, is an empty reply with the
+// flush flag; and halfway the daemon drains to a checkpoint and a new one
+// continues from it.
 func TestReplyBytesAreThePairEncoders(t *testing.T) {
 	const window = 1 << 16
 	rcfg := shardrt.Config{Shards: 4, TotalCache: 24, Seed: 3}
@@ -112,8 +113,8 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want) == 0 {
-			t.Fatalf("%s: the flush joined nothing", label)
+		if len(want) != 0 {
+			t.Fatalf("%s: the flush joined %d pairs; every arrival was stepped by its own batch", label, len(want))
 		}
 		return compare(label, got, want, true)
 	}
@@ -122,7 +123,7 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 		ingest("before", skewed(1+rng.IntN(40)))
 	}
 	flush("flush before")
-	// With the lanes empty, every step of the large batch joins itself.
+	// Every step of the large batch joins itself, and the steps before it.
 	if frames := ingest("large", large); frames < 2 {
 		t.Fatalf("the large reply travelled in %d frame: not cut into chunks", frames)
 	}

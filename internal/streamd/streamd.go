@@ -400,9 +400,10 @@ func (s *Server) engineFlush(req *ingestReq) {
 	s.flushesTotal.Inc()
 	s.pairsTotal.Add(int64(rep.Len()))
 	ack, credits := req.sess.state()
-	// Flush results are not buffered for replay: a flush drains carried
-	// lane tails, so re-running one after reconnect yields nothing — the
-	// client treats a lost flush response as an empty flush.
+	// Flush results are not buffered for replay: a flush steps only what a
+	// restored old manifest carried (nothing otherwise), so re-running one
+	// after reconnect yields nothing — the client treats a lost flush
+	// response as an empty flush.
 	s.deliver(req.sess, &frame{b: wire.AppendResultsFramesFrom(nil, wire.Results{
 		AckSeq:  ack,
 		Credits: uint32(credits),

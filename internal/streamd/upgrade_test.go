@@ -32,20 +32,29 @@ const (
 
 // upgradeAfterSHA256 is the SHA-256 of session "after"'s pair listing on a
 // daemon that served both sessions itself. It was first computed at commit
-// 0387968, where the fixture was written, and is re-based at PR 27, which made
-// the engine's cache a table of slots: RAND draws the same positions as
+// 0387968, where the fixture was written, and re-based twice. At d26fcf0 the
+// engine's cache became a table of slots: RAND draws the same positions as
 // before, over slots that no longer list the cache in ID order, so they name
-// other tuples — a valid run, not byte-comparable across that commit
-// (docs/fault-tolerance.md, "RAND checkpoints across PR 27"); cf840fe9… was
-// the hash from 0387968 until then.
-const upgradeAfterSHA256 = "55bc270eb0b2ed54a42e1889afb95748a359707c22e6a3253c80c083e1e39452"
+// other tuples (docs/fault-tolerance.md, on RAND checkpoints across it);
+// cf840fe9… was the hash until then. Then a shard came to step on the
+// stream's clock: each arrival is stepped at its own global step, one-sided
+// when the other stream's key went to another shard, where the lanes had
+// paired a shard's R and S arrivals by position — other steps, other
+// decisions, other pairs (docs/fault-tolerance.md, "Manifest version 4");
+// 55bc270e… was the hash from d26fcf0 until then. Each listing is a valid
+// run, and no two are byte-comparable.
+const upgradeAfterSHA256 = "f0f9d20bc33670ab74d9d92a43bd2f585a86a815ceba1830511cdc1e57f9e4bd"
 
 // upgradeResumedSHA256 is the same hash on a daemon started from the fixture:
 // the old file lists each shard's cache in ID order, which restores as that
 // layout — one a daemon of this commit does not have after session "before"
-// — so what session "after" gets is neither the old binary's listing nor the
-// uninterrupted daemon's, and has its own pin.
-const upgradeResumedSHA256 = "ef5d085399d08b40edc73b1b02d4deece83a8bafdb7571e3be9daf9222668b96"
+// — and carries lane tails, which the first batch of session "after" steps
+// one-sidedly at their own global steps, ahead of its own; so what session
+// "after" gets is neither the old binary's listing nor the uninterrupted
+// daemon's, and has its own pin. Re-based with upgradeAfterSHA256 when a
+// shard came to step on the stream's clock; ef5d0853… was the hash until
+// then.
+const upgradeResumedSHA256 = "e82747f42990ed091e36e1b654de3fb9224aed649b691f7a6580c6e4b49d35a7"
 
 func upgradeWork() [][]wire.Step {
 	rng := stats.NewRNG(1917)

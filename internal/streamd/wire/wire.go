@@ -37,7 +37,7 @@ const (
 	TypeWelcome = 0x02 // server → client: attach accepted, credit grant
 	TypeIngest  = 0x03 // client → server: batch of steps
 	TypeResults = 0x04 // server → client: pairs + ack + credit regrant
-	TypeFlush   = 0x05 // client → server: drain carried lanes
+	TypeFlush   = 0x05 // client → server: step what is routed and not stepped
 	TypeGoodbye = 0x06 // client → server: clean detach
 	TypeError   = 0x07 // server → client: typed rejection
 )

@@ -20,7 +20,11 @@
 #   5. build
 #   6. go test -race ./... — the full suite under the race detector: every
 #                    differential, chaos, drain/restart, overload-pressure and
-#                    lint self-test; go test names whichever fails
+#                    lint self-test; go test names whichever fails. Then the
+#                    sharded runtime and the daemon again at -cpu 1,4: at one
+#                    P the dispatching goroutine steps every shard itself, at
+#                    four it shares them with helper goroutines, and both
+#                    paths run under the race detector
 #   7. mutants     — scripts/mutants.sh: each scripts/mutants/*.patch breaks
 #                    one contract of the real tree (a historical analyzer
 #                    catch, a contract whose analyzer was deleted in favour of
@@ -125,6 +129,7 @@ go build ./...
 
 echo "==> test (-race)"
 go test -race "$@" ./...
+go test -race -cpu 1,4 "$@" ./internal/shardrt ./internal/streamd
 
 echo "==> mutants (kill matrix)"
 ./scripts/mutants.sh
