@@ -1,6 +1,9 @@
 package dist
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // PointMass is the degenerate distribution concentrated at V. Deterministic
 // (offline) streams forecast with point masses.
@@ -57,10 +60,17 @@ func (u Uniform) Sample(x float64) int {
 // Table is an explicit finite PMF: Probs[i] is the probability of value
 // Offset+i. Convolutions, empirical histograms and discretized continuous
 // distributions all normalize into a Table.
+//
+// A Table holds Probs and nothing else until it is first sampled: Sample
+// builds the running sums of Probs then and keeps them, so a Table that is
+// only read through Prob, Support or DenseOf — every forecast a policy
+// scores with — costs one array, not two. Tables are shared across
+// goroutines; the sums are published atomically, and Probs must not change
+// after the first Sample. A Table literal samples like one from NewTable.
 type Table struct {
 	Offset int
 	Probs  []float64
-	cum    []float64 // cumulative sums for O(log n) sampling
+	cum    atomic.Pointer[[]float64] // running sums of Probs, built by the first Sample
 }
 
 // NewTable builds a Table from probabilities starting at offset. The weights
@@ -86,14 +96,10 @@ func NewTable(offset int, weights []float64) *Table {
 		panic("dist: NewTable given all-zero weights")
 	}
 	probs := make([]float64, hi-lo+1)
-	cum := make([]float64, hi-lo+1)
-	var c float64
 	for i := range probs {
 		probs[i] = weights[lo+i] / sum
-		c += probs[i]
-		cum[i] = c
 	}
-	return &Table{Offset: offset + lo, Probs: probs, cum: cum}
+	return &Table{Offset: offset + lo, Probs: probs}
 }
 
 // Prob implements PMF.
@@ -108,18 +114,38 @@ func (t *Table) Prob(v int) float64 {
 // Support implements PMF.
 func (t *Table) Support() (int, int) { return t.Offset, t.Offset + len(t.Probs) - 1 }
 
-// Sample implements Sampler by binary search over the cumulative table.
+// Sample implements Sampler by binary search over the running sums of Probs.
 func (t *Table) Sample(u float64) int {
-	lo, hi := 0, len(t.cum)-1
+	p := t.cum.Load()
+	if p == nil {
+		p = t.buildCDF()
+	}
+	cum := *p
+	lo, hi := 0, len(cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.cum[mid] > u {
+		if cum[mid] > u {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return t.Offset + lo
+}
+
+// buildCDF builds the running sums of Probs and publishes them. First
+// samplers that race each build the same sums; one of them is kept.
+func (t *Table) buildCDF() *[]float64 {
+	cum := make([]float64, len(t.Probs))
+	var c float64
+	for i, p := range t.Probs {
+		c += p
+		cum[i] = c
+	}
+	if !t.cum.CompareAndSwap(nil, &cum) {
+		return t.cum.Load()
+	}
+	return &cum
 }
 
 // BoundedNormal is a zero-mean normal distribution with standard deviation

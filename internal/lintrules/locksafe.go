@@ -12,14 +12,14 @@ const telemetryPath = "stochstream/internal/telemetry"
 
 // telemetryHandleTypes are the types that must be obtained through their
 // constructors (NewRegistry, Registry.Counter/Gauge/Histogram,
-// NewHistogram, NewDecisionTrace): literal or zero-value construction
+// NewHistogram, NewRing): literal or zero-value construction
 // bypasses registration, so the metric silently never exports.
 var telemetryHandleTypes = map[string]bool{
-	"Counter":       true,
-	"Gauge":         true,
-	"Histogram":     true,
-	"Registry":      true,
-	"DecisionTrace": true,
+	"Counter":   true,
+	"Gauge":     true,
+	"Histogram": true,
+	"Registry":  true,
+	"Ring":      true,
 }
 
 // Locksafe flags out-of-band construction of telemetry handle types: a

@@ -17,6 +17,10 @@ func literalHistogram() *telemetry.Histogram {
 	return &telemetry.Histogram{} // want "telemetry.Histogram constructed by literal"
 }
 
+func literalRing() *telemetry.Ring[int] {
+	return &telemetry.Ring[int]{} // want "telemetry.Ring constructed by literal"
+}
+
 func zeroValueHandle() {
 	var c telemetry.Counter // want "zero-value telemetry.Counter declared"
 	c.Inc()

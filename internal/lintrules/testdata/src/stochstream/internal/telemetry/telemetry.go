@@ -23,14 +23,14 @@ type Histogram struct {
 	counts []int64
 }
 
-// DecisionTrace mirrors the real ring-buffer trace.
-type DecisionTrace struct {
-	mu  sync.Mutex
-	cap int
+// Ring mirrors the real ring-buffer trace.
+type Ring[T any] struct {
+	mu   sync.Mutex
+	size int
 }
 
-// NewDecisionTrace mirrors the real constructor.
-func NewDecisionTrace(capacity int) *DecisionTrace { return &DecisionTrace{cap: capacity} }
+// NewRing mirrors the real constructor.
+func NewRing[T any](capacity int) *Ring[T] { return &Ring[T]{size: capacity} }
 
 // Registry mirrors the real registry.
 type Registry struct {

@@ -11,7 +11,6 @@
 package mincostflow
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -340,10 +339,10 @@ func (g *Graph) dijkstra(source, sink int, pot, distTo []float64, parentArc []in
 		parentArc[i] = -1
 	}
 	distTo[source] = 0
-	pq := &nodeHeap{items: []heapItem{{node: int32(source), dist: 0}}}
+	pq := nodeHeap{{node: int32(source), dist: 0}}
 	done := make([]bool, g.n)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		v := it.node
 		if done[v] {
 			continue
@@ -369,7 +368,7 @@ func (g *Graph) dijkstra(source, sink int, pot, distTo []float64, parentArc []in
 			if nd := distTo[v] + rc; nd < distTo[to] {
 				distTo[to] = nd
 				parentArc[to] = a
-				heap.Push(pq, heapItem{node: to, dist: nd})
+				pq.push(heapItem{node: to, dist: nd})
 			}
 		}
 	}
@@ -381,18 +380,44 @@ type heapItem struct {
 	dist float64
 }
 
-type nodeHeap struct{ items []heapItem }
+// nodeHeap is a binary min-heap on dist. push and pop take container/heap's
+// sift steps verbatim, so items of equal dist pop in the same order as
+// through heap.Push and heap.Pop, but no item is boxed in an interface.
+type nodeHeap []heapItem
 
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (h *nodeHeap) push(it heapItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *nodeHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Paths decomposes the current integral flow into arc-disjoint source→sink

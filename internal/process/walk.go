@@ -165,6 +165,8 @@ type AR1 struct {
 	Phi1  float64
 	Sigma float64
 	Init  int
+
+	pows deltaMemo[float64] // pows[d] = Phi1^(d+1)
 }
 
 // FromFit builds an AR1 process from a fitted model, starting at the
@@ -191,7 +193,8 @@ func (a *AR1) ForecastNormal(last int, delta int) (mean, sd float64) {
 	if a.Phi1 == 1 {
 		return float64(last) + float64(delta)*a.Phi0, a.Sigma * math.Sqrt(float64(delta))
 	}
-	pd := math.Pow(a.Phi1, float64(delta))
+	checkDelta(delta)
+	pd := a.pows.get(delta, func(built []float64) float64 { return math.Pow(a.Phi1, float64(len(built)+1)) })
 	mean = pd*float64(last) + a.Phi0*(1-pd)/(1-a.Phi1)
 	v := a.Sigma * a.Sigma * (1 - pd*pd) / (1 - a.Phi1*a.Phi1)
 	return mean, math.Sqrt(v)

@@ -89,3 +89,58 @@ func TestShardedYieldFlatOverUptime(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedWalkYield records what is left of sharding's yield cost under a
+// model-driven policy (ROADMAP direction 1(b)): on the ledger's walk — WALK's
+// shared model, 32 slots, batches of 4, both streams restarted every 128
+// steps as the benchmark does — the pairs HEEB earns (those not of one step)
+// over 2 048 steps after a 128-step warm-up, 4 shards over 1, must have a
+// median over seeds 1–3 of at least 0.78. Each shard decides alone on an
+// equal share of the budget; the ratio is that cost, logged so a change to
+// the split or to local eviction shows in it.
+func TestShardedWalkYield(t *testing.T) {
+	const warm, counted, episode, batch = 128, 2048, 128, 4
+	const n = warm + counted
+	procs := workload.Walk().Procs
+	earned := func(shards int, seed uint64, steps []Step) int {
+		rt, err := New(Config{Shards: shards, TotalCache: 32, Procs: procs, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Shutdown()
+		count := 0
+		for lo := 0; lo < n; lo += batch {
+			pairs, err := rt.IngestBatch(steps[lo : lo+batch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				if trig, _ := mergeKey(p); !p.SameStep && trig >= 2*warm {
+					count++
+				}
+			}
+		}
+		return count
+	}
+	var ratios []float64
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := stats.NewRNG(seed)
+		var r, s []int
+		for len(r) < n {
+			r = append(r, procs[0].Generate(rng.Split(), episode)...)
+			s = append(s, procs[1].Generate(rng.Split(), episode)...)
+		}
+		steps := make([]Step, n)
+		for i := range steps {
+			steps[i].R.Key, steps[i].S.Key = r[i], s[i]
+		}
+		one, four := earned(1, seed, steps), earned(4, seed, steps)
+		t.Logf("seed %d: 1 shard %d pairs, 4 shards %d, ratio %.3f", seed, one, four, float64(four)/float64(one))
+		ratios = append(ratios, float64(four)/float64(one))
+	}
+	slices.Sort(ratios)
+	t.Logf("median 4-shard ÷ 1-shard walk yield %.3f", ratios[1])
+	if ratios[1] < 0.78 {
+		t.Errorf("median 4-shard ÷ 1-shard walk yield %.3f (seeds %v), want >= 0.78", ratios[1], ratios)
+	}
+}

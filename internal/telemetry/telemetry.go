@@ -79,8 +79,8 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	gaugeFuncs map[string]func() float64
-	trace      *DecisionTrace
-	downgrades *DowngradeTrace
+	trace      *Ring[DecisionRecord]
+	downgrades *Ring[DowngradeRecord]
 
 	// clock, when set, replaces the wall clock for the registry's internal
 	// latency timings (InstrumentedPolicy). The engine installs the flight
@@ -95,15 +95,16 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with a decision trace of the default
-// capacity (512 records) and a downgrade trace of the same capacity.
+// capacity (512 records) and a downgrade trace of the same capacity. Neither
+// trace allocates its records until something is recorded.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		hists:      map[string]*Histogram{},
 		gaugeFuncs: map[string]func() float64{},
-		trace:      NewDecisionTrace(512),
-		downgrades: NewDowngradeTrace(512),
+		trace:      NewRing[DecisionRecord](512),
+		downgrades: NewRing[DowngradeRecord](512),
 	}
 }
 
@@ -217,10 +218,10 @@ func (r *Registry) SetBundleFunc(fn func() (string, error)) {
 }
 
 // Trace returns the registry's decision trace.
-func (r *Registry) Trace() *DecisionTrace { return r.trace }
+func (r *Registry) Trace() *Ring[DecisionRecord] { return r.trace }
 
 // Downgrades returns the registry's degradation-ladder downgrade trace.
-func (r *Registry) Downgrades() *DowngradeTrace { return r.downgrades }
+func (r *Registry) Downgrades() *Ring[DowngradeRecord] { return r.downgrades }
 
 // sortedKeys returns the keys of a map in stable order for deterministic
 // export output.

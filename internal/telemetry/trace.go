@@ -24,28 +24,43 @@ type DecisionRecord struct {
 	Candidates []TraceCandidate `json:"candidates"`
 }
 
-// DecisionTrace is a fixed-capacity ring buffer of decision records. Record
-// is O(1) and overwrites the oldest entry when full; Records returns a
-// chronological copy. A mutex (not atomics) is fine here: decisions are rare
-// next to per-step metric writes, and a record is a composite value.
-type DecisionTrace struct {
+// DowngradeRecord is one degradation-ladder fallback: at Step, the rung From
+// failed with Reason and the decision moved to rung To. Together with the
+// ladder_fallback_total counters it makes every downgrade visible — the
+// counters say how often each rung fails, the ring says when and why.
+type DowngradeRecord struct {
+	Step   int    `json:"step"`
+	From   string `json:"from"`
+	To     string `json:"to"`
+	Reason string `json:"reason"`
+}
+
+// Ring is a fixed-capacity ring buffer of trace records: a registry keeps
+// one of DecisionRecords and one of DowngradeRecords. Record is O(1) and
+// overwrites the oldest entry when full; Records returns a chronological
+// copy. The buffer is allocated by the first Record, so a ring nothing
+// writes to — every ring while telemetry is off — holds no records' worth
+// of memory. A mutex (not atomics) is fine here: records are rare next to
+// per-step metric writes, and a record is a composite value.
+type Ring[T any] struct {
 	mu    sync.Mutex
-	buf   []DecisionRecord
+	size  int
+	buf   []T
 	next  int
 	total uint64
 }
 
-// NewDecisionTrace returns a trace holding the last capacity records.
-func NewDecisionTrace(capacity int) *DecisionTrace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DecisionTrace{buf: make([]DecisionRecord, 0, capacity)}
+// NewRing returns a ring holding the last capacity records.
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{size: max(capacity, 1)}
 }
 
-// Record appends one decision, evicting the oldest when the ring is full.
-func (t *DecisionTrace) Record(rec DecisionRecord) {
+// Record appends one record, evicting the oldest when the ring is full.
+func (t *Ring[T]) Record(rec T) {
 	t.mu.Lock()
+	if t.buf == nil {
+		t.buf = make([]T, 0, t.size)
+	}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, rec)
 	} else {
@@ -57,10 +72,10 @@ func (t *DecisionTrace) Record(rec DecisionRecord) {
 }
 
 // Records returns the retained records, oldest first.
-func (t *DecisionTrace) Records() []DecisionRecord {
+func (t *Ring[T]) Records() []T {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]DecisionRecord, 0, len(t.buf))
+	out := make([]T, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
 	return out
@@ -68,7 +83,7 @@ func (t *DecisionTrace) Records() []DecisionRecord {
 
 // Last returns the newest n records, oldest first (all of them when n exceeds
 // the retained count).
-func (t *DecisionTrace) Last(n int) []DecisionRecord {
+func (t *Ring[T]) Last(n int) []T {
 	recs := t.Records()
 	if n < len(recs) {
 		recs = recs[len(recs)-n:]
@@ -78,7 +93,7 @@ func (t *DecisionTrace) Last(n int) []DecisionRecord {
 
 // Total returns the number of records ever written (including overwritten
 // ones).
-func (t *DecisionTrace) Total() uint64 {
+func (t *Ring[T]) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total

@@ -98,15 +98,12 @@ func (ts TrendSpec) Join() JoinWorkload {
 // not applicable (Section 6.2); HEEB sets α to the cache size and scores
 // exactly: a walk's forecasts move with its last observation, so the forecast
 // window sums each distance from it once (Theorem 5(2) without the
-// interpolated h1 curve).
+// interpolated h1 curve). The two streams share one model value: their
+// laws are equal, and a model is safe to share (Process), so the increment
+// tables it memoizes per horizon step are built and held once, not twice.
 func Walk() JoinWorkload {
-	return JoinWorkload{
-		Name: "WALK",
-		Procs: [2]process.Process{
-			&process.GaussianWalk{Drift: 0, Sigma: 1, Init: 0},
-			&process.GaussianWalk{Drift: 0, Sigma: 1, Init: 0},
-		},
-	}
+	w := &process.GaussianWalk{Drift: 0, Sigma: 1, Init: 0}
+	return JoinWorkload{Name: "WALK", Procs: [2]process.Process{w, w}}
 }
 
 // JoinWorkload bundles everything a joining experiment needs.

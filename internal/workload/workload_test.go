@@ -85,6 +85,10 @@ func TestWalkWorkload(t *testing.T) {
 	if w.Lifetime != nil {
 		t.Fatal("WALK must not define a pseudo-window (no LIFE)")
 	}
+	// One model for both streams, so its increment tables are held once.
+	if w.Procs[0] != w.Procs[1] {
+		t.Fatal("WALK's two streams must share one model value")
+	}
 	r, s := w.Generate(stats.NewRNG(2), 1000)
 	// Independent walks: they should drift apart in mean square.
 	var last float64
