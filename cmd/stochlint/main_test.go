@@ -144,19 +144,19 @@ func TestRulesList(t *testing.T) {
 // col, analyzer, message, suppressed.
 func TestRulesSubset(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{JSON: true, Rules: "dettaint", Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{JSON: true, Rules: "wirexhaustive", Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 1 {
-		t.Errorf("exit code = %d, want 1 (the corpus seeds dettaint findings)", code)
+		t.Errorf("exit code = %d, want 1 (the corpus seeds wirexhaustive findings)", code)
 	}
 	var raw []map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatalf("subset -json output is not a bare finding array: %v", err)
 	}
 	if len(raw) == 0 {
-		t.Fatal("subset run found nothing (the corpus seeds dettaint findings)")
+		t.Fatal("subset run found nothing (the corpus seeds wirexhaustive findings)")
 	}
 	wantKeys := []string{"analyzer", "col", "file", "line", "message", "suppressed"}
 	for _, rec := range raw {
@@ -174,7 +174,7 @@ func TestRulesSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
-		if f.Analyzer != "dettaint" {
+		if f.Analyzer != "wirexhaustive" {
 			t.Errorf("subset run leaked %s finding at %s:%d (staleignore must be skipped too)", f.Analyzer, f.File, f.Line)
 		}
 	}
@@ -204,10 +204,10 @@ func TestTextHidesSuppressed(t *testing.T) {
 	if code != 1 {
 		t.Errorf("exit code = %d, want 1", code)
 	}
-	if bytes.Contains(buf.Bytes(), []byte("policy.go:28")) {
+	if bytes.Contains(buf.Bytes(), []byte("policy.go:10")) {
 		t.Errorf("text output leaks the suppressed finding:\n%s", buf.Bytes())
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("[dettaint]")) || !bytes.Contains(buf.Bytes(), []byte("[staleignore]")) {
+	if !bytes.Contains(buf.Bytes(), []byte("[wirexhaustive]")) || !bytes.Contains(buf.Bytes(), []byte("[staleignore]")) {
 		t.Errorf("text output missing expected findings:\n%s", buf.Bytes())
 	}
 }

@@ -1,25 +1,7 @@
 // Package policy is the stochlint driver's golden-file corpus: it seeds one
-// finding of each interesting shape (direct, interprocedural, suppressed,
-// stale directive, unknown analyzer) so the -json output exercises every
-// field.
+// finding of each suppression shape (suppressed, unsuppressed, stale
+// directive, unknown analyzer) so the -json output exercises every field.
 package policy
-
-import (
-	"time"
-
-	"stochstream/internal/clockutil"
-)
-
-// Threshold reads the wall clock directly in a decision package.
-func Threshold() int64 {
-	return time.Now().Unix()
-}
-
-// Jitter reaches the wall clock only through a helper one package away:
-// the finding exists only because of the interprocedural taint summaries.
-func Jitter() int64 {
-	return clockutil.Stamp()
-}
 
 // Close compares floats exactly under a reasoned suppression: the finding
 // appears in -json with suppressed=true and does not gate the exit code.

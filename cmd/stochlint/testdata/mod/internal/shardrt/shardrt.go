@@ -1,20 +1,8 @@
-// Package shardrt seeds the golden corpus's sharded-runtime findings: the
-// package is in the decision scope (routing and rebalancing decide cache
-// contents), so clock reads here must be flagged, and retaining a StepBatch
-// result must be flagged everywhere.
+// Package shardrt seeds the golden corpus's sharded-runtime finding:
+// retaining a StepBatch result must be flagged everywhere.
 package shardrt
 
-import (
-	"time"
-
-	"stochstream/internal/engine"
-)
-
-// RebalanceTick drives the rebalance cadence off the wall clock — the exact
-// nondeterminism the runtime's batch-counter cadence exists to avoid.
-func RebalanceTick() bool {
-	return time.Now().Unix()%5 == 0
-}
+import "stochstream/internal/engine"
 
 // Collector retains a batched result beyond the step.
 type Collector struct {

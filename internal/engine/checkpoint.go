@@ -45,8 +45,7 @@ type checkpointWire struct {
 	// before History was bounded carry Hists, every observation, in their
 	// place; it is never written (gob omits a nil pointer).
 	HistLen, HistLast [2]int
-	//lint:ignore snapcomplete read-only on purpose: the field of the previous format, kept so that its files still restore (testdata/upgrade/)
-	Hists *[2][]int
+	Hists             *[2][]int
 
 	StateRNG       []byte
 	HasPolicyState bool

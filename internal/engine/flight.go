@@ -23,7 +23,6 @@ import (
 // j.now), so a test that pins flightrec.LogicalClock makes the whole
 // operator — spans, latencies, exports — byte-deterministic.
 func nowNanos() int64 {
-	//lint:ignore dettaint observability timestamps only; the clock value never feeds a decision
 	return time.Now().UnixNano()
 }
 

@@ -24,8 +24,8 @@
 // Determinism contract: the recorder never reads the wall clock itself. All
 // timestamps come from the injected Clock; the engine installs its single
 // wall-clock seam via EnsureClock, and deterministic runs (replay tests,
-// export-determinism tests) inject LogicalClock instead. stochlint's
-// dettaint analyzer enforces this package-wide.
+// export-determinism tests) inject LogicalClock instead, and compare two runs
+// byte for byte.
 package flightrec
 
 import (

@@ -1,22 +1,23 @@
-// Package lintrules is stochlint's analyzer suite: nine custom static checks
+// Package lintrules is stochlint's analyzer suite: eight custom static checks
 // that mechanically enforce the determinism and correctness contracts the
 // paper's guarantees rest on (Theorem 3 dominance optimality and the
 // Corollary 3–5 incremental updates require every replacement decision to be
 // a pure, deterministic function of stream state).
 //
-// Five of the analyzers are interprocedural, running on per-function
+// Four of the analyzers are interprocedural, running on per-function
 // summaries computed over the whole module by internal/lintrules/dataflow
 // (call graph, fixed-point solver, field-access summaries), so a contract
-// violation hidden behind any chain of helper calls still surfaces. Two of
-// those — dettaint and scorepure — track determinism and purity; three —
-// snapcomplete, fingerprintcover, wirexhaustive — are the state-contract
-// suite (serialization completeness, config-fingerprint coverage, and wire
+// violation hidden behind any chain of helper calls still surfaces. One —
+// scorepure — tracks purity of the scoring path; three — snapcomplete,
+// fingerprintcover, wirexhaustive — are the state-contract suite
+// (serialization completeness, config-fingerprint coverage, and wire
 // protocol exhaustiveness). The other four — maprange, floateq, stepretain,
 // locksafe — are syntactic or type-based per-package checks.
 //
-// Contracts that a test, go vet or the compiler already enforces are left to
-// them: scripts/mutants.sh seeds one mutant per such contract and shows
-// which check kills it (docs/static-analysis.md, "Kill matrix").
+// Each analyzer is kept by a mutant of the real tree that it alone kills;
+// contracts that a test, go vet or the compiler already enforces are left to
+// them. scripts/mutants.sh runs the corpus and docs/static-analysis.md ("Kill
+// matrix") records which check kills each mutant.
 //
 // The analyzers are built on internal/lintrules/analysis, an offline mirror
 // of the golang.org/x/tools/go/analysis API. cmd/stochlint is the
@@ -40,37 +41,22 @@ type Rule struct {
 	Applies func(pkgPath string) bool
 }
 
-// decisionPkgs are the packages whose code decides replacements: the
-// paper's guarantees require their behavior to be a pure, deterministic
-// function of stream state and seed.
+// decisionPkgs are the packages whose code decides replacements, or
+// checkpoints, replays, routes and serves those decisions: the paper's
+// guarantees require their behavior to be a deterministic function of stream
+// state and seed, so Go's randomized map order must not reach what they
+// decide or emit. The daemon's subpackages (wire, client) are caught by the
+// prefix match.
 var decisionPkgs = []string{
 	"stochstream/internal/core",
 	"stochstream/internal/policy",
 	"stochstream/internal/cachepolicy",
 	"stochstream/internal/engine",
 	"stochstream/internal/mincostflow",
-	// The fault-tolerance layer inherits the contract: a checkpoint must
-	// restore identically and a fault plan must replay identically, so
-	// neither may read clocks or ambient randomness.
 	"stochstream/internal/checkpoint",
 	"stochstream/internal/faultinject",
-	// The flight recorder runs inside Step: span timestamps must come
-	// through the engine's clock seam (flightrec.Options.Clock /
-	// Recorder.Clock), never time.Now directly, or two replays of the same
-	// seed stop being byte-identical.
 	"stochstream/internal/flightrec",
-	// The sharded runtime's routing, batching and merge order all decide
-	// which tuples reach which cache and when; any clock or ambient-rand
-	// read there breaks checkpoint replay of the whole runtime, not just
-	// one shard.
 	"stochstream/internal/shardrt",
-	// The network daemon (and its wire/client subpackages, caught by the
-	// prefix match) admits, orders and replays batches: any ambient clock
-	// or randomness in sequencing, dedup or replay decisions would break
-	// the drain/restart byte-identity guarantee. Wall-clock needs —
-	// connection deadlines, reaping, latency metrics — go through the
-	// daemon's one audited wall-clock read (Server.nowNanos); backoff jitter
-	// through seeded stats.RNG.
 	"stochstream/internal/streamd",
 }
 
@@ -121,7 +107,6 @@ var wirePkgs = []string{
 // Rules returns the stochlint suite with its package scoping.
 func Rules() []Rule {
 	return []Rule{
-		{Dettaint, func(p string) bool { return inAny(p, decisionPkgs) }},
 		{Maprange, func(p string) bool { return inAny(p, emissionPkgs) }},
 		{Floateq, everywhere},
 		{Stepretain, everywhere},
@@ -133,10 +118,10 @@ func Rules() []Rule {
 	}
 }
 
-// Analyzers returns the nine analyzers without scoping, for tests and docs.
+// Analyzers returns the eight analyzers without scoping, for tests and docs.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Dettaint, Maprange, Floateq, Stepretain, Locksafe, Scorepure,
+		Maprange, Floateq, Stepretain, Locksafe, Scorepure,
 		Snapcomplete, Fingerprintcover, Wirexhaustive,
 	}
 }

@@ -23,7 +23,7 @@ import (
 // the cache deterministically from stream state, so they are allowlisted
 // and never contribute impurity. A reasoned //lint:ignore scorepure on an
 // effect (or on a call forwarding one) kills the impurity for every
-// transitive caller, exactly like dettaint.
+// transitive caller.
 var Scorepure = &analysis.Analyzer{
 	Name: scorepureName,
 	Doc:  "scoring paths (ScoreCandidates and everything it reaches) must not mutate operator state or perform I/O",

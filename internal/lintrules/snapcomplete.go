@@ -1,9 +1,7 @@
 package lintrules
 
 import (
-	"go/ast"
 	"go/types"
-	"strings"
 
 	"stochstream/internal/lintrules/analysis"
 	"stochstream/internal/lintrules/dataflow"
@@ -36,13 +34,6 @@ import (
 // fields (memo tables, scratch buffers, rebuilt indexes) are the expected
 // //lint:ignore snapcomplete story — the directive on the field line must
 // say how the field is rebuilt.
-//
-// Two further contracts ride along. For ordered (encoding/binary-style)
-// codecs — never for gob/json, whose wire format is self-describing — the
-// decoder must touch the common fields in the encoder's order. And any
-// struct whose name marks it as a wire/snapshot schema (…Wire…) must have
-// every field both populated somewhere and read back somewhere: a write-only
-// or read-only wire field is a set-level encode/decode asymmetry.
 const snapcompleteName = "snapcomplete"
 
 var Snapcomplete = &analysis.Analyzer{
@@ -169,94 +160,12 @@ func codecHelpersOf(prog *dataflow.Program, enc, dec *dataflow.Func) map[*datafl
 	return helper
 }
 
-// snapCodecFact marks which serialization families a function transitively
-// uses; it decides whether the field-order contract applies.
-type snapCodecFact struct{ selfDescribing, ordered bool }
-
-func snapCodecEq(a, b interface{}) bool {
-	x, _ := a.(*snapCodecFact)
-	y, _ := b.(*snapCodecFact)
-	if x == nil || y == nil {
-		return x == y
-	}
-	return *x == *y
-}
-
-func snapCodecFacts(prog *dataflow.Program) *dataflow.FactStore {
-	transfer := func(f *dataflow.Func, store *dataflow.FactStore) interface{} {
-		fact := &snapCodecFact{}
-		for _, c := range f.Calls {
-			if c.StaticObj == nil || c.StaticObj.Pkg() == nil {
-				continue
-			}
-			switch c.StaticObj.Pkg().Path() {
-			case "encoding/gob", "encoding/json":
-				fact.selfDescribing = true
-			case "encoding/binary":
-				fact.ordered = true
-			}
-			if sub, _ := store.Get(c.StaticObj).(*snapCodecFact); sub != nil {
-				fact.selfDescribing = fact.selfDescribing || sub.selfDescribing
-				fact.ordered = fact.ordered || sub.ordered
-			}
-		}
-		return fact
-	}
-	return prog.Facts("snapcodec", transfer, snapCodecEq)
-}
-
-// fieldSeq returns the first-occurrence source order in which f's own body
-// accesses the given fields — assignment targets when writes is set, plain
-// selector reads otherwise.
-func fieldSeq(f *dataflow.Func, fields map[*types.Var]bool, writes bool) []*types.Var {
-	info := f.Pkg.Info
-	var seq []*types.Var
-	seen := map[*types.Var]bool{}
-	add := func(fld *types.Var) {
-		if fld != nil && fields[fld] && !seen[fld] {
-			seen[fld] = true
-			seq = append(seq, fld)
-		}
-	}
-	fieldOfSel := func(e ast.Expr) *types.Var {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return nil
-		}
-		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			v, _ := s.Obj().(*types.Var)
-			return v
-		}
-		return nil
-	}
-	writeTargets := map[ast.Expr]bool{}
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if a, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range a.Lhs {
-				writeTargets[lhs] = true
-				if writes {
-					add(fieldOfSel(lhs))
-				}
-			}
-			return true
-		}
-		if !writes {
-			if sel, ok := n.(*ast.SelectorExpr); ok && !writeTargets[sel] {
-				add(fieldOfSel(sel))
-			}
-		}
-		return true
-	})
-	return seq
-}
-
 func runSnapcomplete(pass *analysis.Pass) (interface{}, error) {
 	prog, _ := pass.Facts.(*dataflow.Program)
 	if prog == nil {
 		return nil, nil // interprocedural-only: nothing without whole-program context
 	}
 	store := dataflow.FieldFacts(prog)
-	codecs := snapCodecFacts(prog)
 
 	// Index this package's methods by receiver type, preserving source order
 	// of first appearance for deterministic reporting.
@@ -291,21 +200,15 @@ func runSnapcomplete(pass *analysis.Pass) (interface{}, error) {
 		if enc == nil || dec == nil {
 			continue
 		}
-		checkSnapshotPair(pass, prog, store, codecs, named, enc, dec)
+		checkSnapshotPair(pass, prog, store, named, enc, dec)
 	}
-
-	checkWireStructs(pass, prog)
 	return nil, nil
 }
 
-func checkSnapshotPair(pass *analysis.Pass, prog *dataflow.Program, store, codecs *dataflow.FactStore, named *types.Named, enc, dec *dataflow.Func) {
+func checkSnapshotPair(pass *analysis.Pass, prog *dataflow.Program, store *dataflow.FactStore, named *types.Named, enc, dec *dataflow.Func) {
 	fields := structFieldsOf(named)
 	if len(fields) == 0 {
 		return
-	}
-	fieldSet := map[*types.Var]bool{}
-	for _, fld := range fields {
-		fieldSet[fld] = true
 	}
 	encSum := dataflow.FieldSummaryOf(store, enc.Obj)
 	decSum := dataflow.FieldSummaryOf(store, dec.Obj)
@@ -349,109 +252,6 @@ func checkSnapshotPair(pass *analysis.Pass, prog *dataflow.Program, store, codec
 			pass.Reportf(fld.Pos(),
 				"field %s of %s is restored by %s but never captured by %s: the decode fills it from data the snapshot never wrote",
 				fld.Name(), tName, dec.Name(), enc.Name())
-		}
-	}
-
-	// Field-order agreement for ordered codecs. Gob/json codecs are
-	// self-describing (field order on the wire is keyed), so only a codec
-	// pair that uses encoding/binary and never gob/json is held to it.
-	encCodec, _ := codecs.Get(enc.Obj).(*snapCodecFact)
-	decCodec, _ := codecs.Get(dec.Obj).(*snapCodecFact)
-	if encCodec == nil || decCodec == nil ||
-		!encCodec.ordered || encCodec.selfDescribing || decCodec.selfDescribing {
-		return
-	}
-	encSeq := fieldSeq(enc, fieldSet, false)
-	decSeq := fieldSeq(dec, fieldSet, true)
-	common := map[*types.Var]bool{}
-	for _, fld := range encSeq {
-		common[fld] = true
-	}
-	var want []*types.Var
-	for _, fld := range encSeq {
-		for _, d := range decSeq {
-			if d == fld {
-				want = append(want, fld)
-				break
-			}
-		}
-	}
-	got := make([]*types.Var, 0, len(want))
-	for _, fld := range decSeq {
-		if common[fld] {
-			got = append(got, fld)
-		}
-	}
-	for i := range want {
-		if i < len(got) && got[i] != want[i] {
-			pass.Reportf(dec.Decl.Pos(),
-				"field %s of %s is decoded out of order relative to %s (encoder order %s): an ordered codec must read fields back in the order they were written",
-				got[i].Name(), tName, enc.Name(), fieldNameList(want))
-			return
-		}
-	}
-}
-
-func fieldNameList(fields []*types.Var) string {
-	names := make([]string, len(fields))
-	for i, fld := range fields {
-		names[i] = fld.Name()
-	}
-	return strings.Join(names, ", ")
-}
-
-// checkWireStructs enforces set-level encode/decode agreement on wire-schema
-// structs (name contains "wire"): every field must be populated somewhere
-// and read back somewhere in the program, or one side of the codec is
-// silently dropping data.
-func checkWireStructs(pass *analysis.Pass, prog *dataflow.Program) {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		if !strings.Contains(strings.ToLower(name), "wire") {
-			continue
-		}
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := types.Unalias(tn.Type()).(*types.Named)
-		if !ok {
-			continue
-		}
-		fields := structFieldsOf(named)
-		if len(fields) == 0 {
-			continue
-		}
-		written := map[*types.Var]bool{}
-		read := map[*types.Var]bool{}
-		anyUse := false
-		for _, f := range prog.Funcs() {
-			d := f.DirectFieldAccesses()
-			for _, fld := range fields {
-				if d.Writes[fld] || d.Mutates[fld] {
-					written[fld] = true
-					anyUse = true
-				}
-				if d.Reads[fld] {
-					read[fld] = true
-					anyUse = true
-				}
-			}
-		}
-		if !anyUse {
-			continue // declared but unused schema: not this analyzer's business
-		}
-		for _, fld := range fields {
-			switch {
-			case written[fld] && !read[fld]:
-				pass.Reportf(fld.Pos(),
-					"field %s of wire struct %s is populated on encode but never read back: the decoder silently drops it",
-					fld.Name(), name)
-			case read[fld] && !written[fld]:
-				pass.Reportf(fld.Pos(),
-					"field %s of wire struct %s is read on decode but never populated on encode: it only ever carries the zero value",
-					fld.Name(), name)
-			}
 		}
 	}
 }

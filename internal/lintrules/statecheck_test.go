@@ -22,7 +22,3 @@ func TestFingerprintcoverMissingFingerprint(t *testing.T) {
 func TestWirexhaustiveEndpoints(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Wirexhaustive, "wirexhaustive")
 }
-
-func TestWirexhaustiveBijectivity(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Wirexhaustive, "wirexhaustive/wire")
-}

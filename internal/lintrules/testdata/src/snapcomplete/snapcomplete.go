@@ -1,15 +1,8 @@
 // Package snapcomplete is the serialization-completeness corpus: a
 // snapshotter whose persistent/encoded/restored sets disagree in every way
 // the analyzer distinguishes, with both the operational writes and the
-// codec reads hidden behind helper chains (interprocedural-only), plus an
-// ordered-codec pair, a gob pair, and a wire-schema struct.
+// codec reads hidden behind helper chains (interprocedural-only).
 package snapcomplete
-
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-)
 
 type Counter struct {
 	Count int // want "persistent field Count of Counter is written by snapcomplete.bump but never captured"
@@ -40,56 +33,3 @@ func decodeBody(c *Counter, b []byte) {
 	c.Total = int(b[0])
 	c.Ghost = int(b[1])
 }
-
-// pairCodec is an ordered (encoding/binary) codec whose decoder reads the
-// fields back in the wrong order.
-type pairCodec struct {
-	a uint32
-	b uint32
-}
-
-func (p *pairCodec) MarshalBinary() ([]byte, error) {
-	var out []byte
-	out = binary.BigEndian.AppendUint32(out, p.a)
-	out = binary.BigEndian.AppendUint32(out, p.b)
-	return out, nil
-}
-
-func (p *pairCodec) UnmarshalBinary(data []byte) error { // want "field b of pairCodec is decoded out of order"
-	p.b = binary.BigEndian.Uint32(data[4:8])
-	p.a = binary.BigEndian.Uint32(data[0:4])
-	return nil
-}
-
-// gobCodec encodes fields in a different order than it decodes them, which
-// is fine: gob streams are self-describing, so the order contract must not
-// apply.
-type gobCodec struct {
-	x, y int
-}
-
-func (g *gobCodec) SnapshotState() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	_ = enc.Encode(g.y)
-	_ = enc.Encode(g.x)
-	return buf.Bytes(), nil
-}
-
-func (g *gobCodec) RestoreState(b []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(b))
-	_ = dec.Decode(&g.x)
-	_ = dec.Decode(&g.y)
-	return nil
-}
-
-// blobWire is a wire-schema struct with one field each side of the codec
-// silently drops.
-type blobWire struct {
-	Keep  int
-	Lost  int // want "populated on encode but never read back"
-	Stale int // want "read on decode but never populated"
-}
-
-func packBlob(k, l int) blobWire       { return blobWire{Keep: k, Lost: l} }
-func unpackBlob(w blobWire) (int, int) { return w.Keep, w.Stale }

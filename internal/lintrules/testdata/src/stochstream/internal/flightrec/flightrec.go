@@ -1,7 +1,6 @@
 // Package flightrec is a stub of stochstream/internal/flightrec for the
-// lintrules corpora: the Recorder handle, the value-type span handles
-// (stepretain), and the clock seam span timestamps must come through
-// (dettaint).
+// lintrules corpora: the Recorder handle and the value-type span handles
+// (stepretain).
 package flightrec
 
 import "sync"
@@ -36,10 +35,6 @@ func New() *Recorder {
 	r.clock = func() int64 { r.tick++; return r.tick }
 	return r
 }
-
-// Clock returns the recorder's clock seam; every span timestamp must come
-// from it.
-func (r *Recorder) Clock() func() int64 { return r.clock }
 
 // Begin opens a span stamped through the seam.
 func (r *Recorder) Begin(step int) Active {

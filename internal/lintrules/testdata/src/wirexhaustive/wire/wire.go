@@ -1,6 +1,6 @@
 // Package wire is the protocol side of the wirexhaustive corpus: two
-// constant groups, sentinels, and a code↔error translator pair with three
-// deliberate bijectivity defects.
+// constant groups, sentinels, and a code↔error translator pair whose decoder
+// has no case for CodeGone.
 package wire
 
 import "errors"
@@ -12,28 +12,23 @@ const (
 )
 
 const (
-	CodeFull = 1 // want "error codes CodeDup and CodeFull both decode to sentinel ErrFull"
+	CodeFull = 1
 	CodeBad  = 2
-	CodeGone = 3 // want "error code CodeGone has no explicit case in the code→error decoder"
-	CodeDup  = 4 // want "code CodeDup decodes to sentinel ErrFull but the error→code encoder maps ErrFull back to CodeFull"
+	CodeGone = 3
 )
 
 var (
 	ErrFull = errors.New("full")
 	ErrBad  = errors.New("bad")
-	ErrGone = errors.New("gone")
 )
 
-// CodeToErr is the client-side decoder: CodeGone is missing and CodeDup
-// aliases ErrFull.
+// CodeToErr is the client-side decoder: CodeGone is missing.
 func CodeToErr(code uint16) error {
 	switch code {
 	case CodeFull:
 		return ErrFull
 	case CodeBad:
 		return ErrBad
-	case CodeDup:
-		return ErrFull
 	default:
 		return errors.New("unknown code")
 	}

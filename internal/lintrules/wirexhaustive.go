@@ -16,7 +16,7 @@ import (
 // daemon emits but the client's dispatch never cases, an error code the
 // server can send that the client decodes to a generic error, or a raw
 // 0x03 literal in endpoint code that silently diverges when the constant
-// table is renumbered. Three checks:
+// table is renumbered. Two checks:
 //
 //   - endpoint coverage: for every package that engages a wire constant
 //     group at all (directly or through any call chain — reaching the wire
@@ -24,12 +24,6 @@ import (
 //     group must be reachable from the package's code. A client that can
 //     never produce a given sentinel, or a daemon switch that can never see
 //     a frame type, surfaces here.
-//   - code↔sentinel bijectivity, inside the wire package: the code→error
-//     decoder switch must carry an explicit case for every code constant,
-//     no two codes may map to the same sentinel, and the error→code
-//     encoder must agree with the decoder in reverse (the encoder's
-//     default-returned code counts as the implicit mapping for the
-//     decoder's sentinel of that code).
 //   - no raw protocol literals outside the wire package: an integer
 //     literal used as a case label beside wire constants, passed as a
 //     wire function's typ/code parameter, assigned to a Code/Type field of
@@ -160,8 +154,7 @@ func runWirexhaustive(pass *analysis.Pass) (interface{}, error) {
 		return nil, nil
 	}
 	if pass.Pkg.Name() == "wire" {
-		checkWireBijectivity(pass, prog, groups)
-		return nil, nil
+		return nil, nil // the table itself: TestCodeErrMapping pins its code↔sentinel translators
 	}
 	checkEndpointCoverage(pass, prog, groups, index)
 	checkRawWireLiterals(pass, prog, index)
@@ -213,166 +206,6 @@ func checkEndpointCoverage(pass *analysis.Pass, prog *dataflow.Program, groups [
 				pass.Reportf(anchor,
 					"package %s handles %ss but can never reach %s (%s): a peer sending it falls into the generic path; every protocol constant must be handled at both endpoints",
 					pass.Pkg.Name(), g.kind, c.Name(), g.pkg.Path())
-			}
-		}
-	}
-}
-
-// wireSwitchMaps extracts the code→sentinel map of a decoder switch
-// (`switch code { case CodeX: return ErrY }`) and the sentinel→code map
-// plus default code of an encoder switch
-// (`switch { case errors.Is(err, ErrY): return CodeX; default: return CodeD }`).
-type wireCodecMaps struct {
-	decoder     map[*types.Const]*types.Var // explicit case → returned sentinel (nil if opaque)
-	hasDecoder  bool
-	encoder     map[*types.Var]*types.Const
-	defaultCode *types.Const
-}
-
-func collectWireCodecs(prog *dataflow.Program, pkg *types.Package, g *wireGroup) *wireCodecMaps {
-	m := &wireCodecMaps{
-		decoder: map[*types.Const]*types.Var{},
-		encoder: map[*types.Var]*types.Const{},
-	}
-	constOf := func(info *types.Info, e ast.Expr) *types.Const {
-		switch x := e.(type) {
-		case *ast.Ident:
-			c, _ := info.Uses[x].(*types.Const)
-			return c
-		case *ast.SelectorExpr:
-			c, _ := info.Uses[x.Sel].(*types.Const)
-			return c
-		}
-		return nil
-	}
-	sentinelOf := func(info *types.Info, e ast.Expr) *types.Var {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if v, ok := info.Uses[x].(*types.Var); ok && v.Parent() != nil && !v.IsField() {
-				return v
-			}
-		case *ast.SelectorExpr:
-			if v, ok := info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
-				return v
-			}
-		}
-		return nil
-	}
-	returnedExpr := func(body []ast.Stmt) ast.Expr {
-		if len(body) != 1 {
-			return nil
-		}
-		ret, ok := body[0].(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			return nil
-		}
-		return ret.Results[0]
-	}
-	for _, f := range prog.FuncsOf(pkg.Path()) {
-		info := f.Pkg.Info
-		ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok {
-				return true
-			}
-			if sw.Tag != nil {
-				// Candidate decoder: group constants as case labels.
-				hits := 0
-				for _, stmt := range sw.Body.List {
-					cc := stmt.(*ast.CaseClause)
-					for _, e := range cc.List {
-						if c := constOf(info, e); c != nil && g.set[c] {
-							hits++
-						}
-					}
-				}
-				if hits < 2 {
-					return true
-				}
-				m.hasDecoder = true
-				for _, stmt := range sw.Body.List {
-					cc := stmt.(*ast.CaseClause)
-					for _, e := range cc.List {
-						c := constOf(info, e)
-						if c == nil || !g.set[c] {
-							continue
-						}
-						m.decoder[c] = sentinelOf(info, returnedExpr(cc.Body))
-					}
-				}
-				return true
-			}
-			// Candidate encoder: tagless switch of errors.Is(err, ErrX)
-			// cases returning group constants.
-			for _, stmt := range sw.Body.List {
-				cc := stmt.(*ast.CaseClause)
-				code := constOf(info, returnedExpr(cc.Body))
-				if code == nil || !g.set[code] {
-					continue
-				}
-				if cc.List == nil {
-					m.defaultCode = code
-					continue
-				}
-				for _, e := range cc.List {
-					call, ok := e.(*ast.CallExpr)
-					if !ok || len(call.Args) != 2 {
-						continue
-					}
-					if fn := dataflow.CalleeObj(info, call); fn == nil || fn.Name() != "Is" {
-						continue
-					}
-					if s := sentinelOf(info, call.Args[1]); s != nil {
-						m.encoder[s] = code
-					}
-				}
-			}
-			return true
-		})
-	}
-	return m
-}
-
-// checkWireBijectivity verifies, inside the wire package itself, that the
-// code↔sentinel translators form a bijection over the code constants.
-func checkWireBijectivity(pass *analysis.Pass, prog *dataflow.Program, groups []*wireGroup) {
-	for _, g := range groups {
-		if g.pkg != pass.Pkg || g.kind != "error code" {
-			continue
-		}
-		m := collectWireCodecs(prog, pass.Pkg, g)
-		if !m.hasDecoder {
-			continue
-		}
-		bySentinel := map[*types.Var]*types.Const{}
-		for _, c := range g.consts {
-			sent, explicit := m.decoder[c]
-			if !explicit {
-				pass.Reportf(c.Pos(),
-					"error code %s has no explicit case in the code→error decoder: the peer rebuilds it as an anonymous error and errors.Is can never match a sentinel; map it explicitly",
-					c.Name())
-				continue
-			}
-			if sent == nil {
-				continue // explicitly handled, but not via a sentinel — out of the bijection
-			}
-			if prev := bySentinel[sent]; prev != nil {
-				pass.Reportf(c.Pos(),
-					"error codes %s and %s both decode to sentinel %s: the code↔sentinel mapping must be injective",
-					prev.Name(), c.Name(), sent.Name())
-				continue
-			}
-			bySentinel[sent] = c
-			if back, ok := m.encoder[sent]; ok {
-				if back != c {
-					pass.Reportf(c.Pos(),
-						"code %s decodes to sentinel %s but the error→code encoder maps %s back to %s: encode and decode must agree",
-						c.Name(), sent.Name(), sent.Name(), back.Name())
-				}
-			} else if m.defaultCode != c {
-				pass.Reportf(c.Pos(),
-					"code %s decodes to sentinel %s but the error→code encoder never maps %s to any code: encode and decode must agree",
-					c.Name(), sent.Name(), sent.Name())
 			}
 		}
 	}

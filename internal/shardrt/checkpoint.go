@@ -53,7 +53,6 @@ type manifestWire struct {
 	// Lanes is what versions 2 and 3 carried: per shard, the R and S arrivals
 	// routed there and not yet stepped. Version 4 writes none (gob omits a
 	// nil slice).
-	//lint:ignore snapcomplete read-only on purpose: the field of the previous format, kept so that its files still restore (testdata/upgrade/)
 	Lanes [][2][]engine.Tuple
 	// Envelopes holds each shard engine's own SSCP checkpoint.
 	Envelopes [][]byte

@@ -207,7 +207,6 @@ type Server struct {
 // connection deadlines, the session reaper and latency metrics — never a
 // replacement decision.
 func (s *Server) nowNanos() int64 {
-	//lint:ignore dettaint connection deadlines, idle reaping and latency metrics only; the value never feeds a replacement decision
 	return time.Now().UnixNano()
 }
 

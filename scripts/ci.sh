@@ -26,11 +26,15 @@
 #                    four it shares them with helper goroutines, and both
 #                    paths run under the race detector
 #   7. mutants     — scripts/mutants.sh: each scripts/mutants/*.patch breaks
-#                    one contract of the real tree (a historical analyzer
-#                    catch, a contract whose analyzer was deleted in favour of
-#                    a test, vet or the build, a fixed bug), and the checks
-#                    its header names must each kill it; prints the kill
-#                    matrix (docs/static-analysis.md, "Kill matrix")
+#                    one contract of the real tree (one that only a
+#                    stochlint analyzer kills, a contract whose analyzer was
+#                    deleted in favour of a test, vet or the build, a fixed
+#                    bug), and the checks its header names must each kill
+#                    it; prints the kill matrix (docs/static-analysis.md,
+#                    "Kill matrix"). That every analyzer is the only killer
+#                    of some patch, and every stochlint killer names one, is
+#                    internal/lintrules' TestMutantCorpusCoversSuite, run in
+#                    phase 6
 #   8. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
 #                    each) and compared with experiments_run.txt section by
 #                    section, and ablation a1 (about 75 s) with
