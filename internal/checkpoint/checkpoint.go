@@ -27,8 +27,10 @@ import (
 const Magic = "SSCP"
 
 // Version is the current envelope format version. Readers reject anything
-// newer; older versions are accepted as long as they remain decodable (there
-// is only version 1 so far).
+// newer. A binary restores its own format and the previous one, and refuses
+// anything older (there is only version 1 so far); the same rule holds for
+// every state file inside the envelope (docs/fault-tolerance.md, "Formats:
+// one format back").
 const Version uint32 = 1
 
 // MaxPayload bounds the declared payload length so a corrupted header cannot

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -101,6 +103,36 @@ func TestEngineHeapFlatOverUptime(t *testing.T) {
 	runtime.KeepAlive(j)
 }
 
+// The engine checkpoint fixtures are in the format before this commit's,
+// which carries both streams' full observation logs (Hists) where this one
+// carries a count and the last value. Both were written by e7de806, the
+// commit before History was bounded, and their bytes are pinned, so that a
+// fixture regenerated at a later commit fails the tests that read it instead
+// of testing the current format twice.
+const (
+	probFixtureSHA256 = "008010d2f9702a874804f963036fea4c507c68a8a93d587338762d1a5c8eb4a5"
+	heebFixtureSHA256 = "10c2c23e19309a0a639a30c0e183099078039382f7b89155021461624a88e9e9"
+)
+
+// readHistsFixture reads the fixture at path, requires its pinned SHA-256 and
+// the previous format — full logs as long as the clock, no counts — and
+// returns the file.
+func readHistsFixture(t *testing.T, path, sum string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != sum {
+		t.Fatalf("%s hashes to %s, pinned at %s", path, got, sum)
+	}
+	wire := decodeWire(t, raw)
+	if wire.Hists == nil || len(wire.Hists[0]) != wire.Time || len(wire.Hists[1]) != wire.Time || wire.HistLen != [2]int{} {
+		t.Fatalf("%s is not a checkpoint with full logs: logs %v, counts %v, time %d", path, wire.Hists != nil, wire.HistLen, wire.Time)
+	}
+	return raw
+}
+
 // testdata/upgrade/prob_pr22.ckpt is an engine checkpoint written by the
 // commit before History was bounded: PROB, cache 8, seed 11, after step 200
 // of ckptTrace's streams — both full observation logs, no history counts and
@@ -112,10 +144,7 @@ func TestEngineHeapFlatOverUptime(t *testing.T) {
 // restores as the ID-ordered layout it lists, the uninterrupted run has the
 // layout its own evictions left, and a scored policy does not read positions.
 func TestRestoreParentCommitPROBCheckpoint(t *testing.T) {
-	old, err := os.ReadFile("testdata/upgrade/prob_pr22.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := readHistsFixture(t, "testdata/upgrade/prob_pr22.ckpt", probFixtureSHA256)
 	const n, at = 600, 200
 	r, s := ckptTrace(n)
 	mk := func() *Join {

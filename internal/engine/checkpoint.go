@@ -55,18 +55,8 @@ type checkpointWire struct {
 type cacheEntryWire struct {
 	Tuple   join.Tuple
 	Payload interface{}
-	// Seq is the entry's caller tag (Tuple.Seq). Checkpoints written before
-	// the tag existed decode it as 0; see seqCarrier.
+	// Seq is the entry's caller tag (Tuple.Seq).
 	Seq uint64
-}
-
-// seqCarrier is a payload that holds its tuple's caller tag itself, which is
-// how the sharded runtime tagged arrivals before Tuple.Seq existed
-// (shardrt.Tagged). Restore moves such a tag into the entry and keeps the
-// inner payload, so a checkpoint written before the change continues exactly
-// as one written after it; nothing wraps a payload any more.
-type seqCarrier interface {
-	Untag() (seq uint64, payload interface{})
 }
 
 func init() {
@@ -242,9 +232,6 @@ func (j *Join) Restore(r io.Reader) error {
 	// Every entry goes back to its slot, unstamped; the entries then enter the
 	// arrival list and the index oldest first, as they did when they arrived.
 	for _, e := range wire.Cache {
-		if old, ok := e.Payload.(seqCarrier); ok {
-			e.Seq, e.Payload = old.Untag()
-		}
 		j.grow(e.Tuple, slot{payload: e.Payload, seq: e.Seq})
 	}
 	for _, slot := range byID {

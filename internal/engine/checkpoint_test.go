@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -380,14 +379,7 @@ func TestRestoreRejectsHistoryCountMismatch(t *testing.T) {
 		t.Fatal("restore accepted a history of 2 observations at time 1")
 	}
 
-	old, err := os.ReadFile("testdata/upgrade/prob_pr22.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := decodeWire(t, old)
-	if wire.Hists == nil || len(wire.Hists[0]) != wire.Time || wire.HistLen != [2]int{} {
-		t.Fatalf("the fixture is not a pre-count checkpoint: logs %v, counts %v, time %d", wire.Hists != nil, wire.HistLen, wire.Time)
-	}
+	wire := decodeWire(t, readHistsFixture(t, "testdata/upgrade/prob_pr22.ckpt", probFixtureSHA256))
 	wire.Hists[0] = wire.Hists[0][:wire.Time-1]
 	prob, err := NewJoin(Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}})
 	if err != nil {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"stochstream/internal/core"
@@ -72,22 +71,18 @@ func TestMemoBoundedBySupport(t *testing.T) {
 	}
 }
 
-// testdata/upgrade/heeb_pr12.ckpt is an engine checkpoint written by the
-// commit before HEEB's scoring modes were removed: TOWER, cache 8, seed 9,
-// taken after step 300 of stats.NewRNG(77)'s streams, by a policy that scored
-// the first 260 steps value-incrementally and the rest time-incrementally, so
-// that its state carries both dropped memos (8 Inc entries, 14+11 OffsetH
-// entries). It restores here, the memos fall away, and the run continues as
-// one that was never interrupted: same pairs, step for step, and the same
-// final checkpoint once both caches are read in ID order — the file predates
-// the slot table (PR 27) and restores as the ID-ordered layout it lists, the
-// uninterrupted run has the layout its own evictions left, and a scored
-// policy does not read positions.
+// testdata/upgrade/heeb_pr22.ckpt is an engine checkpoint written by
+// e7de806, the commit before History was bounded: TOWER, cache 8, seed 9,
+// taken after step 300 of stats.NewRNG(77)'s streams, with both full
+// observation logs and HEEB's α and lifetime tracker. It restores here, the
+// logs folded into counts, and the run continues as one that was never
+// interrupted: same pairs, step for step, and the same final checkpoint once
+// both caches are read in ID order — the file predates the slot table (PR 27)
+// and restores as the ID-ordered layout it lists, the uninterrupted run has
+// the layout its own evictions left, and a scored policy does not read
+// positions.
 func TestRestoreParentCommitHEEBCheckpoint(t *testing.T) {
-	old, err := os.ReadFile("testdata/upgrade/heeb_pr12.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := readHistsFixture(t, "testdata/upgrade/heeb_pr22.ckpt", heebFixtureSHA256)
 	const n, at = 900, 300
 	w := workload.Tower().Join()
 	mk := func() *Join {

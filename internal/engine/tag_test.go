@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"stochstream/internal/stats"
@@ -12,8 +10,7 @@ import (
 // The caller tag (Tuple.Seq) and the allocation-free step. The differential,
 // batch and checkpoint harnesses tag every arrival, so the echo is held to the
 // oracle everywhere; what is pinned here is what those cannot see — that a
-// step allocates nothing it does not have to, and that a checkpoint whose
-// payloads still wrap their tag restores into the new layout.
+// step allocates nothing it does not have to.
 
 // TestStepBatchAllocsPerStep pins the step's allocation count at the uptime
 // shape: payload-free RAND, a full 256-slot cache over 1024 keys, 256-step
@@ -85,69 +82,5 @@ func TestHEEBStepBatchAllocsPerStep(t *testing.T) {
 	}
 	if err := j.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// boxedTag is a payload that carries its tuple's tag itself, the way the
-// sharded runtime's Tagged wrapper did before Tuple.Seq existed.
-type boxedTag struct {
-	Seq     uint64
-	Payload interface{}
-}
-
-func (b boxedTag) Untag() (uint64, interface{}) { return b.Seq, b.Payload }
-
-// TestRestoreUnwrapsTagCarryingPayloads: a checkpoint taken while tags
-// travelled inside the payloads restores with every tag in the tuple and the
-// inner payload in its place — pairs, and the next checkpoint, equal those of
-// an operator that was handed plain tagged tuples all along.
-func TestRestoreUnwrapsTagCarryingPayloads(t *testing.T) {
-	gob.Register(boxedTag{})
-	const n, cut = 400, 150
-	rng := stats.NewRNG(31)
-	plain := make([]TuplePair, n)
-	for i := range plain {
-		plain[i] = TuplePair{
-			R: Tuple{Key: rng.IntN(12), Payload: i, Seq: uint64(2 * i)},
-			S: Tuple{Key: rng.IntN(12), Payload: -i - 1, Seq: uint64(2*i + 1)},
-		}
-	}
-	box := func(tu Tuple) Tuple {
-		return Tuple{Key: tu.Key, Payload: boxedTag{Seq: tu.Seq, Payload: tu.Payload}}
-	}
-	mk := func() *Join {
-		j, err := NewJoin(Config{CacheSize: 10, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	whole, old, resumed := mk(), mk(), mk()
-	for _, st := range plain[:cut] {
-		whole.Step(st.R, st.S)
-		old.Step(box(st.R), box(st.S))
-	}
-	var ckpt bytes.Buffer
-	if err := old.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range plain[cut:] {
-		pw, pr := whole.Step(st.R, st.S), resumed.Step(st.R, st.S)
-		if !pairsEqual(pw, pr) {
-			t.Fatalf("step %d pairs diverge:\n  plain    %v\n  restored %v", cut+i, pw, pr)
-		}
-	}
-	var cw, cr bytes.Buffer
-	if err := whole.Checkpoint(&cw); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Checkpoint(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cw.Bytes(), cr.Bytes()) {
-		t.Fatal("final checkpoints differ: a restored entry still carries its wrapper")
 	}
 }

@@ -21,9 +21,7 @@ import (
 // checkpoint's versioned, checksummed envelope (internal/checkpoint), so no
 // versioning is repeated here.
 
-// heebWire carries only what is not re-derived: snapshots written before the
-// per-tuple and per-offset score memos (fields Inc and OffsetH) were dropped
-// still decode, gob skipping the fields it finds no home for.
+// heebWire carries only what is not re-derived.
 type heebWire struct {
 	Alpha                     float64
 	TrackerDecay, TrackerMean float64

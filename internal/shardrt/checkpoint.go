@@ -20,21 +20,13 @@ import (
 // is byte-identical to an uninterrupted sharded run (pinned by
 // TestShardedCheckpointReplay).
 
-func init() {
-	// Checkpoints written before engine.Tuple carried the sequence number
-	// hold Tagged payloads, in the shard envelopes' caches and the manifest's
-	// lanes; decoding them needs the type registered.
-	gob.Register(Tagged{})
-}
-
 // manifestVersion guards the gob schema inside the manifest envelope.
 // Version 4 dropped the lanes: a dispatch steps every arrival it routes, so
 // nothing waits between dispatches. Version 3 dropped the budget rebalancer:
 // a shard keeps the budget New gave it, so the manifest carries no budgets and
-// no rebalancer knobs or state. Versions 2 and 3 restore, their carried tails
-// stepped once, one-sidedly (restoreTails); version 2 only when its
-// rebalancer never ran (manifestV2). Version 1 predates the rebalancer's
-// fingerprint and is refused.
+// no rebalancer knobs or state. A binary restores its own version and the
+// previous one: version 3 restores, its carried tails stepped once,
+// one-sidedly (restoreTails); every other version is refused.
 const manifestVersion = 4
 
 type manifestWire struct {
@@ -46,26 +38,16 @@ type manifestWire struct {
 	Window     int
 	Seed       uint64
 	// Coordinator state. The next arrival's sequence number is 2·Ingested;
-	// versions 2 and 3 also wrote it as Seq, which Restore does not read.
+	// version 3 also wrote it as Seq, which Restore does not read.
 	Ingested int
 	Batches  int
 	Merged   int
-	// Lanes is what versions 2 and 3 carried: per shard, the R and S arrivals
-	// routed there and not yet stepped. Version 4 writes none (gob omits a
-	// nil slice).
+	// Lanes is what version 3 carried: per shard, the R and S arrivals routed
+	// there and not yet stepped. Version 4 writes none (gob omits a nil
+	// slice).
 	Lanes [][2][]engine.Tuple
 	// Envelopes holds each shard engine's own SSCP checkpoint.
 	Envelopes [][]byte
-}
-
-// manifestV2 is what a version-2 manifest carried beyond manifestWire: the
-// rebalancer's knobs (floor and step normalized, 0 written as 1), the budgets
-// it had moved to and its own state. Restore decodes the same payload into it
-// a second time.
-type manifestV2 struct {
-	MinBudget, RebalanceEvery, RebalanceStep int
-	Budgets                                  []int
-	Moves                                    int
 }
 
 // fingerprint returns the partitioning identity a manifest is bound to.
@@ -75,8 +57,8 @@ func (rt *Runtime) fingerprint() (shards, totalCache, window int, seed uint64) {
 
 // Checkpoint writes the full sharded state. Call it between IngestBatch
 // calls (every shard is quiescent then). It refuses while a restored
-// version-2 or -3 manifest's carried tails wait for the next dispatch: a
-// version-4 manifest has no place for them.
+// version-3 manifest's carried tails wait for the next dispatch: a version-4
+// manifest has no place for them.
 func (rt *Runtime) Checkpoint(w io.Writer) error {
 	if err := rt.refused(); err != nil {
 		return err
@@ -129,11 +111,7 @@ func (rt *Runtime) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return fmt.Errorf("shardrt: decode manifest: %w", err)
 	}
-	for i := range wire.Lanes {
-		untagLane(wire.Lanes[i][0])
-		untagLane(wire.Lanes[i][1])
-	}
-	if err := rt.validateManifest(&wire, payload); err != nil {
+	if err := rt.validateManifest(&wire); err != nil {
 		return err
 	}
 	for i, sh := range rt.shards {
@@ -152,7 +130,7 @@ func (rt *Runtime) Restore(r io.Reader) error {
 	return rt.restoreTails(wire.Lanes)
 }
 
-// restoreTails routes a version-2 or -3 manifest's carried tails: every tuple
+// restoreTails routes a version-3 manifest's carried tails: every tuple
 // becomes a one-sided step of its shard at its own global step (Seq/2), in
 // sequence order, for the next dispatch to step. The other stream's key at
 // that step was never recorded; the step gives it as NoValue.
@@ -177,9 +155,9 @@ func (rt *Runtime) restoreTails(lanes [][2][]engine.Tuple) error {
 	return nil
 }
 
-func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
-	if wire.Version < 2 || wire.Version > manifestVersion {
-		return fmt.Errorf("shardrt: manifest version %d, want %d (or 2, 3)", wire.Version, manifestVersion)
+func (rt *Runtime) validateManifest(wire *manifestWire) error {
+	if wire.Version != manifestVersion && wire.Version != manifestVersion-1 {
+		return fmt.Errorf("shardrt: manifest version %d, want %d (or %d)", wire.Version, manifestVersion, manifestVersion-1)
 	}
 	shards, totalCache, window, seed := rt.fingerprint()
 	if wire.Shards != shards || wire.TotalCache != totalCache ||
@@ -187,11 +165,6 @@ func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
 		return fmt.Errorf("shardrt: manifest fingerprint (shards %d, cache %d, window %d, seed %d) does not match runtime (shards %d, cache %d, window %d, seed %d): %w",
 			wire.Shards, wire.TotalCache, wire.Window, wire.Seed,
 			shards, totalCache, window, seed, engine.ErrConfigMismatch)
-	}
-	if wire.Version == 2 {
-		if err := rt.checkV2(payload); err != nil {
-			return err
-		}
 	}
 	lanes := shards
 	if wire.Version == manifestVersion {
@@ -226,26 +199,6 @@ func (rt *Runtime) validateManifest(wire *manifestWire, payload []byte) error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// checkV2 admits a version-2 manifest only if its rebalancer never ran: the
-// default knobs, no move, and every shard at the even split New gives it.
-// Any other file describes budgets this runtime cannot have.
-func (rt *Runtime) checkV2(payload []byte) error {
-	var v2 manifestV2
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v2); err != nil {
-		return fmt.Errorf("shardrt: decode version-2 manifest: %w", err)
-	}
-	even := v2.MinBudget == 1 && v2.RebalanceEvery == 0 && v2.RebalanceStep == 1 &&
-		v2.Moves == 0 && len(v2.Budgets) == len(rt.shards)
-	for i := 0; even && i < len(rt.shards); i++ {
-		even = v2.Budgets[i] == rt.shards[i].budget
-	}
-	if !even {
-		return fmt.Errorf("shardrt: version-2 manifest whose rebalancer could have run (floor %d, every %d, step %d, %d moves, budgets %v): %w",
-			v2.MinBudget, v2.RebalanceEvery, v2.RebalanceStep, v2.Moves, v2.Budgets, engine.ErrConfigMismatch)
 	}
 	return nil
 }

@@ -2,10 +2,11 @@ package shardrt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 
@@ -178,46 +179,50 @@ func TestShardedCheckpointFingerprint(t *testing.T) {
 	}
 }
 
-// manifestFileV2 is the whole version-2 manifest schema, so tests can
-// re-encode the committed version-2 fixture with one field edited.
-type manifestFileV2 struct {
-	Version                                  int
-	Shards, TotalCache, Window               int
-	Seed                                     uint64
-	MinBudget, RebalanceEvery, RebalanceStep int
-	Seq                                      uint64
-	Ingested, Batches, Merged                int
-	Lanes                                    [][2][]engine.Tuple
-	Budgets, LastPairs                       []int
-	Moves                                    int
-	Envelopes                                [][]byte
+// manifestFileV3 is the whole version-3 manifest schema, so tests can
+// re-encode the committed version-3 fixture with one field edited.
+type manifestFileV3 struct {
+	Version                    int
+	Shards, TotalCache, Window int
+	Seed                       uint64
+	Seq                        uint64
+	Ingested, Batches, Merged  int
+	Lanes                      [][2][]engine.Tuple
+	Envelopes                  [][]byte
 }
 
-// readFixtureV2 decodes testdata/upgrade/sharded_pr17.ckpt with its lanes
-// untagged, as Restore reads them.
-func readFixtureV2(t *testing.T) manifestFileV2 {
+// readFixtureV3 reads shardedFixture, requires its pinned bytes and the
+// version-3 format — a manifest whose lanes carry tails — and returns the file
+// and its decoded manifest.
+func readFixtureV3(t *testing.T) ([]byte, manifestFileV3) {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/upgrade/sharded_pr17.ckpt")
+	raw, err := os.ReadFile(shardedFixture)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != shardedFixtureSHA256 {
+		t.Fatalf("%s hashes to %s, pinned at %s", shardedFixture, got, shardedFixtureSHA256)
 	}
 	payload, err := checkpoint.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m manifestFileV2
+	var m manifestFileV3
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Lanes {
-		untagLane(m.Lanes[i][0])
-		untagLane(m.Lanes[i][1])
+	carried := 0
+	for _, lanes := range m.Lanes {
+		carried += len(lanes[0]) + len(lanes[1])
 	}
-	return m
+	if m.Version != 3 || len(m.Lanes) != m.Shards || carried == 0 {
+		t.Fatalf("%s is manifest version %d with %d lanes carrying %d tuples, want version 3 with carried tails", shardedFixture, m.Version, len(m.Lanes), carried)
+	}
+	return raw, m
 }
 
 // encodeManifest wraps a manifest in the checkpoint envelope.
-func encodeManifest(t *testing.T, m manifestFileV2) []byte {
+func encodeManifest(t *testing.T, m manifestFileV3) []byte {
 	t.Helper()
 	var payload, file bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&m); err != nil {
@@ -262,55 +267,41 @@ func refusedUnchanged(t *testing.T, rt *Runtime, file []byte) error {
 	return err
 }
 
-// TestRestoreV2Manifest: version 3 dropped the budget rebalancer, and a
-// version-2 manifest restores only if its rebalancer never ran — the default
-// knobs, no move, the even split. Both committed version-2 fixtures are such
-// files (this one decodes as budgets [16 16 16 16]); what they continue with
-// stays pinned by TestRestoreParentCommitShardedCheckpoint here and
-// TestRestoreParentCommitDrainFile in internal/streamd. The same file
-// re-encoded with a cadence, a move or an uneven split is refused with
-// ErrConfigMismatch; versions 1 and 5, and a version-4 manifest that carries
-// lanes (version 4 has none), are refused, each before the runtime is
-// touched.
-func TestRestoreV2Manifest(t *testing.T) {
-	fx := readFixtureV2(t)
-	if fx.Version != 2 || fx.MinBudget != 1 || fx.RebalanceEvery != 0 || fx.RebalanceStep != 1 ||
-		fx.Moves != 0 || !slices.Equal(fx.Budgets, []int{16, 16, 16, 16}) {
-		t.Fatalf("the fixture is not a version-2 manifest whose rebalancer never ran: %+v", fx)
-	}
-	raw, err := os.ReadFile("testdata/upgrade/sharded_pr17.ckpt")
-	if err != nil {
+// TestRestoreManifestVersions: a binary restores its own manifest version and
+// the previous one. Version 3 (the committed fixture) and version 4 (this
+// commit's own checkpoint) restore; what the fixture continues with stays
+// pinned by TestRestoreParentCommitShardedCheckpoint here and
+// TestRestoreParentCommitDrainFile in internal/streamd. Versions 1 and 2 —
+// two formats back and more — and 5, and a version-4 manifest that carries
+// lanes (version 4 has none), are each refused with an error that names the
+// version, before the runtime is touched. The version-2 file is the fixture
+// re-encoded with its version edited: a version-2 file differs from a
+// version-3 one only in fields this binary's decode skips, so nothing but the
+// version can refuse it.
+func TestRestoreManifestVersions(t *testing.T) {
+	raw, _ := readFixtureV3(t)
+	rt := busyRuntime(t)
+	var own bytes.Buffer
+	if err := rt.Checkpoint(&own); err != nil {
 		t.Fatal(err)
 	}
-	for name, file := range map[string][]byte{"as committed": raw, "re-encoded": encodeManifest(t, fx)} {
-		rt, err := New(upgradeConfig())
+	for name, file := range map[string][]byte{"version-3": raw, "version-4": own.Bytes()} {
+		fresh, err := New(upgradeConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := errors.Join(rt.Restore(bytes.NewReader(file)), rt.CheckInvariants()); err != nil {
-			t.Fatalf("fixture %s: %v", name, err)
+		if err := errors.Join(fresh.Restore(bytes.NewReader(file)), fresh.CheckInvariants()); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		rt.Shutdown()
+		fresh.Shutdown()
 	}
 
-	rt := busyRuntime(t)
-	for _, tc := range []struct {
-		name     string
-		edit     func(*manifestFileV2)
-		mismatch bool
-	}{
-		{"every-3", func(m *manifestFileV2) { m.RebalanceEvery = 3 }, true},
-		{"moves-1", func(m *manifestFileV2) { m.Moves = 1 }, true},
-		{"uneven-split", func(m *manifestFileV2) { m.Budgets = []int{17, 15, 16, 16} }, true},
-		{"version-1", func(m *manifestFileV2) { m.Version = 1 }, false},
-		{"version-4-with-lanes", func(m *manifestFileV2) { m.Version = 4 }, false},
-		{"version-5", func(m *manifestFileV2) { m.Version = 5 }, false},
-	} {
-		m := readFixtureV2(t)
-		tc.edit(&m)
+	for _, version := range []int{1, 2, 4, 5} {
+		_, m := readFixtureV3(t)
+		m.Version = version
 		err := refusedUnchanged(t, rt, encodeManifest(t, m))
-		if tc.mismatch != errors.Is(err, engine.ErrConfigMismatch) {
-			t.Errorf("%s: refused with %v; ErrConfigMismatch wanted: %v", tc.name, err, tc.mismatch)
+		if want := fmt.Sprintf("manifest version %d", version); !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d with lanes: refused with %v, want an error naming %q", version, err, want)
 		}
 	}
 }
@@ -326,7 +317,8 @@ func TestRestoreV2Manifest(t *testing.T) {
 func TestRestoreRejectsHostileLanes(t *testing.T) {
 	// The first R lane carrying two tuples or more; R runs ahead in this run.
 	shard := -1
-	for i, lanes := range readFixtureV2(t).Lanes {
+	_, fx := readFixtureV3(t)
+	for i, lanes := range fx.Lanes {
 		if len(lanes[0]) >= 2 {
 			shard = i
 			break
@@ -342,15 +334,15 @@ func TestRestoreRejectsHostileLanes(t *testing.T) {
 	rt := busyRuntime(t)
 	for _, tc := range []struct {
 		name, want string
-		edit       func(m *manifestFileV2, lane []engine.Tuple)
+		edit       func(m *manifestFileV3, lane []engine.Tuple)
 	}{
-		{"key-outside-domain", "outside", func(_ *manifestFileV2, lane []engine.Tuple) { lane[0].Key = process.NoValue }},
-		{"wrong-shard", "routes to shard", func(_ *manifestFileV2, lane []engine.Tuple) { lane[0].Key = elsewhere }},
-		{"odd-r-sequence", "not the other side's", func(_ *manifestFileV2, lane []engine.Tuple) { lane[0].Seq++ }},
-		{"sequence-of-next-arrival", "not below the next arrival's", func(m *manifestFileV2, lane []engine.Tuple) { lane[len(lane)-1].Seq = m.Seq }},
-		{"sequence-descends", "does not follow", func(_ *manifestFileV2, lane []engine.Tuple) { lane[0], lane[1] = lane[1], lane[0] }},
+		{"key-outside-domain", "outside", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Key = process.NoValue }},
+		{"wrong-shard", "routes to shard", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Key = elsewhere }},
+		{"odd-r-sequence", "not the other side's", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Seq++ }},
+		{"sequence-of-next-arrival", "not below the next arrival's", func(m *manifestFileV3, lane []engine.Tuple) { lane[len(lane)-1].Seq = m.Seq }},
+		{"sequence-descends", "does not follow", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0], lane[1] = lane[1], lane[0] }},
 	} {
-		m := readFixtureV2(t)
+		_, m := readFixtureV3(t)
 		tc.edit(&m, m.Lanes[shard][0])
 		if err := refusedUnchanged(t, rt, encodeManifest(t, m)); !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: refused with %v, want the rule %q", tc.name, err, tc.want)

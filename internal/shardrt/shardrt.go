@@ -463,8 +463,8 @@ func (sh *shard) at(g int) *engine.TuplePair {
 
 // Flush steps what is routed and not stepped, and returns its pairs. Every
 // dispatch steps all it routes, so that is nothing — the reply is empty —
-// except after a Restore from a version-2 or -3 manifest, whose carried
-// tails the next dispatch steps. Nothing is padded.
+// except after a Restore from a version-3 manifest, whose carried tails the
+// next dispatch steps. Nothing is padded.
 func (rt *Runtime) Flush() ([]Pair, error) {
 	return rt.pairs(rt.FlushReply())
 }

@@ -3,7 +3,6 @@ package shardrt
 import (
 	"bytes"
 	"errors"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -420,10 +419,7 @@ func TestClosedRuntime(t *testing.T) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
 	}
 
-	old, err := os.ReadFile("testdata/upgrade/sharded_pr17.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old, _ := readFixtureV3(t)
 	if rt, err = New(upgradeConfig()); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -15,8 +14,9 @@ import (
 
 // The upgrade fixture's run: 4 shards under RAND (no models), 64 slots,
 // 4 000 steps in batches of 50, []byte payloads naming their arrival. R draws
-// from half of S's key range and a fifth of S's arrivals are NoValue, so at
-// the parent commit the R lanes ran ahead and the fixture carries lane tails.
+// from half of S's key range and a fifth of S's arrivals are NoValue, so while
+// the manifest had lanes the R lanes ran ahead and the fixture carries lane
+// tails.
 const (
 	upgradeSteps = 4000
 	upgradeBatch = 50
@@ -42,15 +42,24 @@ const (
 const upgradePairsSHA256 = "a9876f29f76a44ecfad4b03c00a577cea72a63cdbd947066df4844785496c77d"
 
 // upgradeResumedSHA256 is the same hash over what the run emits after step
-// 2000 when it is resumed from the fixture: the old file lists each shard's
-// cache in ID order, which restores as that layout — one the uninterrupted
-// run of this commit does not have at step 2000 — and carries lane tails,
-// which the first dispatch after the restore steps one-sidedly at their own
-// global steps; so the continuation is neither the old binary's nor the
-// uninterrupted run's, and has its own pin. Re-based with upgradePairsSHA256
-// when a shard came to step on the stream's clock; 023eb870… was the hash
-// until then.
-const upgradeResumedSHA256 = "e82747f42990ed091e36e1b654de3fb9224aed649b691f7a6580c6e4b49d35a7"
+// 2000 when it is resumed from the fixture: the version-3 file's shards
+// stepped a lane's R and S arrivals paired by position, so their caches and
+// clocks are not the ones the uninterrupted run of this commit has at step
+// 2000, and it carries lane tails, which the first dispatch after the restore
+// steps one-sidedly at their own global steps; so the continuation is neither
+// the old binary's nor the uninterrupted run's, and has its own pin. It was
+// re-based when the fixture was re-cut at a6d1bd8; e82747f4… was the hash of
+// the continuation from the previous fixture, a version-2 manifest.
+const upgradeResumedSHA256 = "e53a3167f8ddd5b0e9d4457dbff3de0f6ee7ef1e3fbc4082491f2f506b507263"
+
+// shardedFixture is a version-3 manifest — the format before this commit's —
+// written by commit a6d1bd8 after step upgradeCut of the run above, its
+// bytes pinned so that a fixture regenerated at a later commit fails the
+// tests that read it instead of testing the current format twice.
+const (
+	shardedFixture       = "testdata/upgrade/sharded_pr36.ckpt"
+	shardedFixtureSHA256 = "6d3bbd9a0c8097d8a7d263fdc57a5f4abb60c237a6b824980bc9e83ccb899bfd"
+)
 
 func upgradeConfig() Config { return Config{Shards: 4, TotalCache: 64, Seed: 1917} }
 
@@ -110,23 +119,16 @@ func upgradeRun(t *testing.T, rt *Runtime, steps []Step, from int) (pairs []byte
 	return pairs, rt.Metrics(), buf.Bytes()
 }
 
-// testdata/upgrade/sharded_pr17.ckpt is a sharded checkpoint written by
-// commit 0387968 after step 2000 of the run above, when every arrival's
-// sequence number still travelled as a Tagged wrapper around its payload:
-// 64 cached Tagged payloads in the shard envelopes and four carried R-lane
-// tails of Tagged tuples in the manifest. It restores here — each Tagged
-// unwrapped once into the tuple's tag, each cache as the ID-ordered layout the
-// file lists — and the run continues from it: a valid run (every pair joins
-// equal keys, none is emitted twice, as many steps are counted) whose listing
-// is pinned. That it is the run that was never interrupted — same pairs, same
-// final metrics, same final checkpoint — holds of a checkpoint this commit
-// writes at the same cut, and no longer of the fixture: RAND reads positions,
-// and an old file cannot know the layout (see upgradePairsSHA256).
+// shardedFixture holds four carried R-lane tails. It restores here — each
+// tail a run of one-sided steps at their own global steps — and the run
+// continues from it: a valid run (every pair joins equal keys, none is
+// emitted twice, as many steps are counted) whose listing is pinned. That it
+// is the run that was never interrupted — same pairs, same final metrics,
+// same final checkpoint — holds of a checkpoint this commit writes at the
+// same cut, and not of the fixture: its shards stepped on another clock (see
+// upgradePairsSHA256).
 func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
-	old, err := os.ReadFile("testdata/upgrade/sharded_pr17.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old, _ := readFixtureV3(t)
 	steps := upgradeInput()
 	start := func() *Runtime {
 		rt, err := New(upgradeConfig())
@@ -164,10 +166,10 @@ func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
 		t.Fatal("final checkpoints differ between the uninterrupted and the restored run")
 	}
 
-	// From the parent commit's file.
+	// From the version-3 fixture.
 	resumed := start()
 	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
-		t.Fatalf("restoring the parent commit's checkpoint: %v", err)
+		t.Fatalf("restoring the version-3 fixture: %v", err)
 	}
 	if err := resumed.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -198,7 +200,7 @@ func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
 	}
 	oldPairs, oldMetrics, _ := upgradeRun(t, resumed, steps, upgradeCut)
 	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
-		t.Errorf("pair listing resumed from the parent commit's checkpoint hashes to %s, pinned at %s", got, upgradeResumedSHA256)
+		t.Errorf("pair listing resumed from the version-3 fixture hashes to %s, pinned at %s", got, upgradeResumedSHA256)
 	}
 	seen := map[[2]uint64]bool{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(oldPairs, []byte("\n")), []byte("\n")) {

@@ -32,7 +32,7 @@ const (
 
 // upgradeAfterSHA256 is the SHA-256 of session "after"'s pair listing on a
 // daemon that served both sessions itself. It was first computed at commit
-// 0387968, where the fixture was written, and re-based twice. At d26fcf0 the
+// 0387968, where the first fixture was written, and re-based twice. At d26fcf0 the
 // engine's cache became a table of slots: RAND draws the same positions as
 // before, over slots that no longer list the cache in ID order, so they name
 // other tuples (docs/fault-tolerance.md, on RAND checkpoints across it);
@@ -46,15 +46,68 @@ const (
 const upgradeAfterSHA256 = "f0f9d20bc33670ab74d9d92a43bd2f585a86a815ceba1830511cdc1e57f9e4bd"
 
 // upgradeResumedSHA256 is the same hash on a daemon started from the fixture:
-// the old file lists each shard's cache in ID order, which restores as that
-// layout — one a daemon of this commit does not have after session "before"
-// — and carries lane tails, which the first batch of session "after" steps
-// one-sidedly at their own global steps, ahead of its own; so what session
-// "after" gets is neither the old binary's listing nor the uninterrupted
-// daemon's, and has its own pin. Re-based with upgradeAfterSHA256 when a
-// shard came to step on the stream's clock; ef5d0853… was the hash until
-// then.
-const upgradeResumedSHA256 = "e82747f42990ed091e36e1b654de3fb9224aed649b691f7a6580c6e4b49d35a7"
+// the version-3 manifest inside it comes from shards that stepped a lane's R
+// and S arrivals paired by position, so their caches and clocks are not the
+// ones a daemon of this commit has after session "before", and it carries
+// lane tails, which the first batch of session "after" steps one-sidedly at
+// their own global steps, ahead of its own; so what session "after" gets is
+// neither the old binary's listing nor the uninterrupted daemon's, and has its
+// own pin. It was re-based when the fixture was re-cut at f728388; e82747f4…
+// was the hash from the previous fixture, whose manifest was version 2.
+const upgradeResumedSHA256 = "e53a3167f8ddd5b0e9d4457dbff3de0f6ee7ef1e3fbc4082491f2f506b507263"
+
+// drainFixture is a version-1 drain file — the format before this commit's —
+// around a version-3 manifest, the format before the runtime's: written by
+// commit f728388 after session "before" had streamed its 40 batches. Its
+// bytes are pinned, so that a fixture regenerated at a later commit fails the
+// tests that read it instead of testing the current format twice.
+const (
+	drainFixture       = "testdata/upgrade/daemon_pr32.ckpt"
+	drainFixtureSHA256 = "a25e3555cb1e8ebdb438a5fe60a5c1fc8c8c599f3d3927bebacc2c3b76719bf8"
+)
+
+// readDrainFixture reads drainFixture, requires its pinned bytes, a version-1
+// drain file and, inside it, a version-3 manifest whose lanes carry tails,
+// and returns the file.
+func readDrainFixture(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(drainFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != drainFixtureSHA256 {
+		t.Fatalf("%s hashes to %s, pinned at %s", drainFixture, got, drainFixtureSHA256)
+	}
+	var file struct {
+		Version int
+		Runtime []byte
+	}
+	var manifest struct {
+		Version int
+		Lanes   [][2][]struct{ Key int }
+	}
+	decode := func(b []byte, v any) {
+		t.Helper()
+		payload, err := checkpoint.Read(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(raw, &file)
+	decode(file.Runtime, &manifest)
+	carried := 0
+	for _, lanes := range manifest.Lanes {
+		carried += len(lanes[0]) + len(lanes[1])
+	}
+	if file.Version != 1 || manifest.Version != 3 || carried == 0 {
+		t.Fatalf("%s is drain file version %d around manifest version %d carrying %d tuples, want version 1 around version 3 with carried tails",
+			drainFixture, file.Version, manifest.Version, carried)
+	}
+	return raw
+}
 
 func upgradeWork() [][]wire.Step {
 	rng := stats.NewRNG(1917)
@@ -126,21 +179,16 @@ func upgradeDrain(t *testing.T, srv *streamd.Server, ckpt string) []byte {
 	return b
 }
 
-// testdata/upgrade/daemon_pr17.ckpt is the drain file commit 0387968 wrote
-// after session "before" had streamed its 40 batches: the sharded manifest
-// with Tagged payloads in caches and lanes, plus the session's resume state.
-// A daemon of this commit starts from it and serves session "after" a valid
-// run — every pair joins equal keys, none is delivered twice — whose listing
-// is pinned, and drains again. That it is indistinguishable from a daemon that
-// served both sessions itself — the same pairs, the same next drain file —
-// holds of a drain file this commit writes at the same cut, and no longer of
-// the fixture: RAND reads positions, and an old file cannot know the layout
-// (see upgradeAfterSHA256).
+// drainFixture holds the sharded manifest with its lane tails, plus session
+// "before"'s resume state. A daemon of this commit starts from it and serves
+// session "after" a valid run — every pair joins equal keys, none is
+// delivered twice — whose listing is pinned, and drains again. That it is
+// indistinguishable from a daemon that served both sessions itself — the same
+// pairs, the same next drain file — holds of a drain file this commit writes
+// at the same cut, and not of the fixture: its shards stepped on another
+// clock (see upgradeAfterSHA256).
 func TestRestoreParentCommitDrainFile(t *testing.T) {
-	old, err := os.ReadFile("testdata/upgrade/daemon_pr17.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := readDrainFixture(t)
 	work := upgradeWork()
 	dir := t.TempDir()
 
@@ -169,7 +217,7 @@ func TestRestoreParentCommitDrainFile(t *testing.T) {
 		t.Fatalf("next drain files differ: %d bytes from the restarted daemon, %d from the uninterrupted one", len(gotFile), len(wantFile))
 	}
 
-	// From the parent commit's file.
+	// From the version-1 fixture.
 	resumedPath := filepath.Join(dir, "resumed.ckpt")
 	if err := os.WriteFile(resumedPath, old, 0o644); err != nil {
 		t.Fatal(err)
@@ -177,7 +225,7 @@ func TestRestoreParentCommitDrainFile(t *testing.T) {
 	resumed := upgradeDaemon(t, resumedPath)
 	oldPairs := upgradeSession(t, resumed, "after", work[upgradeCut:])
 	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
-		t.Errorf("pair listing served from the parent commit's drain file hashes to %s, pinned at %s", got, upgradeResumedSHA256)
+		t.Errorf("pair listing served from the version-1 fixture hashes to %s, pinned at %s", got, upgradeResumedSHA256)
 	}
 	seen := map[[2]uint64]bool{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(oldPairs, []byte("\n")), []byte("\n")) {
@@ -192,7 +240,7 @@ func TestRestoreParentCommitDrainFile(t *testing.T) {
 		seen[seq] = true
 	}
 	if len(seen) == 0 {
-		t.Fatal("the daemon started from the parent commit's drain file delivered no pair")
+		t.Fatal("the daemon started from the version-1 fixture delivered no pair")
 	}
 	if next := upgradeDrain(t, resumed, resumedPath); len(next) == 0 || bytes.Equal(next, old) {
 		t.Fatalf("the next drain file is %d bytes, the fixture %d: it was not rewritten", len(next), len(old))
@@ -242,10 +290,7 @@ func v1Reply(t *testing.T, b []byte) (ack uint64, pairs []wire.Pair) {
 // behind resumes on a daemon started from it: the reply replayed to it must
 // decode, in this version's layout, to exactly the pairs the fixture lists.
 func TestRestoredV1ReplyReplaysInV2(t *testing.T) {
-	old, err := os.ReadFile("testdata/upgrade/daemon_pr17.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := readDrainFixture(t)
 	payload, err := checkpoint.Read(bytes.NewReader(old))
 	if err != nil {
 		t.Fatal(err)
