@@ -28,8 +28,8 @@ func nowNanos() int64 {
 
 // initFlight wires Config.Flight into the operator: the clock seam, the
 // ladder's rung spans, bundle-on-downgrade, and — when telemetry is also
-// configured — the registry's clock and its /spans and /bundle endpoints.
-// Called once from NewJoin; lad is nil for non-ladder policies.
+// configured — the registry's clock. Called once from NewJoin; lad is nil for
+// non-ladder policies.
 func (j *Join) initFlight(lad *policy.Ladder) {
 	rec := j.cfg.Flight
 	if rec == nil {
@@ -57,17 +57,6 @@ func (j *Join) initFlight(lad *policy.Ladder) {
 	}
 	if reg := j.cfg.Telemetry; reg != nil {
 		reg.SetClock(j.now)
-		reg.SetSpansFunc(func(n int) any { return rec.LastSpans(n) })
-		// The HTTP bundle trigger may fire concurrently with Step, so it
-		// skips the checkpoint source (Join is not concurrency-safe); the
-		// recorder and registry snapshots are. Engine-thread callers use
-		// DumpBundle for a bundle with state.
-		reg.SetBundleFunc(func() (string, error) {
-			return rec.WriteBundle(
-				flightrec.BundleInfo{Reason: "signal", Step: rec.CurrentStep()},
-				j.telemetrySources(),
-			)
-		})
 	}
 }
 
@@ -101,15 +90,7 @@ func (j *Join) autoDumpBundle(reason string) {
 // checkpoint, plus telemetry and downgrade-trace snapshots when a registry
 // is configured.
 func (j *Join) bundleSources() flightrec.BundleSources {
-	src := j.telemetrySources()
-	src.Checkpoint = j.Checkpoint
-	return src
-}
-
-// telemetrySources is bundleSources without the checkpoint — safe off the
-// stepping goroutine.
-func (j *Join) telemetrySources() flightrec.BundleSources {
-	var src flightrec.BundleSources
+	src := flightrec.BundleSources{Checkpoint: j.Checkpoint}
 	if reg := j.cfg.Telemetry; reg != nil {
 		src.Telemetry = reg.WriteJSON
 		src.Downgrades = func(w io.Writer) error {

@@ -312,13 +312,6 @@ func (r *Recorder) writeLocked(a Active, keys int, detail int64, errClass string
 	r.total++
 }
 
-// CurrentStep returns the step of the most recent BeginStep.
-func (r *Recorder) CurrentStep() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.curStep
-}
-
 // TotalSpans returns the number of spans ever recorded, including those the
 // ring has overwritten.
 func (r *Recorder) TotalSpans() uint64 {
@@ -352,7 +345,7 @@ func (r *Recorder) spansLocked() []Span {
 
 // LastSpans returns the newest n retained spans, oldest first; n <= 0
 // returns an empty (non-nil) slice and n beyond the retained count returns
-// everything. It backs the telemetry /spans endpoint.
+// everything. It backs the daemon's /spans route.
 func (r *Recorder) LastSpans(n int) []Span {
 	spans := r.Spans()
 	if n < 0 {

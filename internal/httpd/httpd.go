@@ -1,10 +1,9 @@
-// Package httpd is the repo's one managed http.Server lifecycle: every HTTP
-// surface in the tree (telemetry registries, the sharded runtime's
-// aggregated handler, the stochstreamd daemon) serves through it, so every
-// server carries header/idle timeouts against slowloris-style clients and a
-// context-driven Shutdown whose completion is observable — the serve
-// goroutine signals a done channel, and Shutdown/Close do not return until
-// that goroutine has exited.
+// Package httpd is the repo's one managed http.Server lifecycle: the
+// stochstreamd daemon's HTTP surface serves through it, so the server carries
+// header/idle timeouts against slowloris-style clients and a context-driven
+// Shutdown whose completion is observable — the serve goroutine signals a
+// done channel, and Shutdown/Close do not return until that goroutine has
+// exited.
 //
 // The done-channel handshake is also what TestNoGoroutineOutlivesStop (in
 // internal/streamd) relies on: once Close or Shutdown returns, no goroutine
@@ -18,10 +17,10 @@ import (
 	"time"
 )
 
-// Default timeouts applied to every managed server. They bound how long a
-// client may dawdle over request headers and how long an idle keep-alive
-// connection is kept, not how long a handler may run — the pprof and
-// long-poll style handlers on the telemetry surface stay usable.
+// Timeouts applied to every managed server. They bound how long a client may
+// dawdle over request headers and how long an idle keep-alive connection is
+// kept, not how long a handler may run — the pprof handlers on the daemon's
+// surface stay usable.
 const (
 	// DefaultReadHeaderTimeout caps the time from connection accept to a
 	// complete request header.
@@ -39,40 +38,19 @@ type Server struct {
 	done chan struct{}
 }
 
-// Options tune a managed server; the zero value uses the defaults above.
-type Options struct {
-	// ReadHeaderTimeout overrides DefaultReadHeaderTimeout when > 0.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout overrides DefaultIdleTimeout when > 0.
-	IdleTimeout time.Duration
-}
-
 // Start listens on addr (use ":0" or "127.0.0.1:0" for an ephemeral port)
 // and serves handler on a managed goroutine. The returned server must be
 // stopped with Shutdown (graceful) or Close (abrupt).
 func Start(addr string, handler http.Handler) (*Server, error) {
-	return StartOptions(addr, handler, Options{})
-}
-
-// StartOptions is Start with explicit timeout overrides.
-func StartOptions(addr string, handler http.Handler, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	rht := opts.ReadHeaderTimeout
-	if rht <= 0 {
-		rht = DefaultReadHeaderTimeout
-	}
-	idle := opts.IdleTimeout
-	if idle <= 0 {
-		idle = DefaultIdleTimeout
-	}
 	s := &Server{
 		srv: &http.Server{
 			Handler:           handler,
-			ReadHeaderTimeout: rht,
-			IdleTimeout:       idle,
+			ReadHeaderTimeout: DefaultReadHeaderTimeout,
+			IdleTimeout:       DefaultIdleTimeout,
 		},
 		addr: ln.Addr().String(),
 		done: make(chan struct{}),

@@ -35,23 +35,6 @@ func TestStartServeShutdown(t *testing.T) {
 	}
 }
 
-func TestTimeoutsApplied(t *testing.T) {
-	srv, err := StartOptions("127.0.0.1:0", http.NotFoundHandler(), Options{
-		ReadHeaderTimeout: 1 * time.Second,
-		IdleTimeout:       2 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("StartOptions: %v", err)
-	}
-	defer func() { _ = srv.Close() }()
-	if got := srv.srv.ReadHeaderTimeout; got != 1*time.Second {
-		t.Errorf("ReadHeaderTimeout = %v, want 1s", got)
-	}
-	if got := srv.srv.IdleTimeout; got != 2*time.Second {
-		t.Errorf("IdleTimeout = %v, want 2s", got)
-	}
-}
-
 func TestDefaultTimeouts(t *testing.T) {
 	srv, err := Start("127.0.0.1:0", http.NotFoundHandler())
 	if err != nil {

@@ -247,8 +247,6 @@ type Runtime struct {
 	// batch, so nothing can be retried or resumed: every later IngestBatch,
 	// Flush, Checkpoint and Restore returns it.
 	fault error
-
-	reg *telemetry.Registry // coordinator registry (nil without telemetry)
 }
 
 // New validates the configuration and builds the runtime: engines, per-shard
@@ -261,10 +259,6 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Flight = true
 	}
 	rt := &Runtime{cfg: cfg, runs: make([]run, 0, cfg.Shards)}
-	if cfg.Telemetry {
-		rt.reg = telemetry.NewRegistry()
-		rt.reg.GaugeFunc("shardrt_shards", func() float64 { return float64(cfg.Shards) })
-	}
 	base := cfg.TotalCache / cfg.Shards
 	rem := cfg.TotalCache % cfg.Shards
 	for i := 0; i < cfg.Shards; i++ {
@@ -634,6 +628,18 @@ func (rt *Runtime) Registry(i int) *telemetry.Registry { return rt.shards[i].reg
 
 // Recorder returns shard i's flight recorder (nil without Flight).
 func (rt *Runtime) Recorder(i int) *flightrec.Recorder { return rt.shards[i].rec }
+
+// ShardSet returns the runtime's registries grouped for aggregated export
+// (nil registries when the runtime was built without telemetry). Like
+// Registry and Recorder, it reads only what New set, so a scraper may call it
+// while the runtime is ingesting.
+func (rt *Runtime) ShardSet() telemetry.ShardSet {
+	var set telemetry.ShardSet
+	for _, sh := range rt.shards {
+		set.Shards = append(set.Shards, sh.reg)
+	}
+	return set
+}
 
 // Shard returns shard i's engine for tests and tooling. The engine is only
 // quiescent between IngestBatch/Flush calls; do not touch it concurrently

@@ -2,57 +2,38 @@ package streamd
 
 import (
 	"encoding/json"
-	"errors"
+	"expvar"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 
-	"stochstream/internal/shardrt"
-	"stochstream/internal/streamd/wire"
+	"stochstream/internal/flightrec"
+	"stochstream/internal/telemetry"
 )
 
-// HTTP surface of the daemon. /ingest is a sessionless convenience route —
-// synchronous, sequence-tagged like the framed protocol, but without the
-// resume/replay machinery (a client that needs retry safety uses the framed
-// protocol). The health and observability routes make the daemon deployable
-// behind ordinary load-balancer and scrape infrastructure:
+// httpHandler is the process's one HTTP surface; every route is served once.
+// The health routes make the daemon deployable behind ordinary load-balancer
+// and scrape infrastructure, and the rest let an operator read the runtime
+// without a debugger:
 //
-//	POST /ingest    JSON batch in, JSON pairs out; 503 + Retry-After on shed
-//	GET  /healthz   200 while the process serves
-//	GET  /readyz    200 until drain begins, then 503
-//	GET  /metrics   daemon + per-shard Prometheus exposition
-//	GET  /metrics.json  combined JSON snapshot
-//	/spans, /shards, /shard/<i>/...  delegated to the runtime's handler
-type httpIngestRequest struct {
-	Steps []httpStep `json:"steps"`
-}
-
-type httpStep struct {
-	RKey     int64  `json:"rkey"`
-	SKey     int64  `json:"skey"`
-	RPayload []byte `json:"rpayload,omitempty"`
-	SPayload []byte `json:"spayload,omitempty"`
-}
-
-type httpPair struct {
-	RSeq     uint64 `json:"rseq"`
-	SSeq     uint64 `json:"sseq"`
-	RKey     int64  `json:"rkey"`
-	SKey     int64  `json:"skey"`
-	Shard    int    `json:"shard"`
-	SameStep bool   `json:"same_step"`
-	RPayload []byte `json:"rpayload,omitempty"`
-	SPayload []byte `json:"spayload,omitempty"`
-}
-
-type httpIngestResponse struct {
-	Pairs []httpPair `json:"pairs"`
-	Count int        `json:"count"`
-}
-
+//	GET /healthz        200 while the process serves
+//	GET /readyz         200 until drain begins, then 503
+//	GET /metrics        daemon + per-shard Prometheus exposition
+//	GET /metrics.json   combined JSON snapshot
+//	GET /shards         per-shard budget, steps, pairs and evictions
+//	GET /spans?n=K      each shard's newest K flight-recorder spans (default 128)
+//	GET /trace?n=K      each shard's newest K decision records (default 32)
+//	/debug/vars, /debug/pprof/*  expvar and runtime profiling
+//
+// Every route reads only what is safe while the engine loop ingests: atomic
+// registry snapshots and the mutex-guarded recorders and trace rings. The
+// engine-level Metrics stay off this surface — they read operator state that
+// only the engine loop may touch. A malformed or negative n answers 400; a
+// runtime built without telemetry (/shards, /trace) or flight recorders
+// (/spans) answers 404 on the routes that need them.
 func (s *Server) httpHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", s.httpIngest)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))
@@ -71,89 +52,104 @@ func (s *Server) httpHandler() http.Handler {
 		s.rt.ShardSet().WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]interface{}{
+		writeJSON(w, map[string]any{
 			"daemon":  s.reg.Snapshot(),
 			"runtime": s.rt.ShardSet().Snapshot(),
 		})
 	})
-	// The runtime's own aggregated surface (spans, per-shard registries).
-	rth := s.rt.Handler()
-	mux.Handle("/spans", rth)
-	mux.Handle("/shards", rth)
-	mux.Handle("/shard/", rth)
+	mux.HandleFunc("/shards", func(w http.ResponseWriter, _ *http.Request) {
+		if s.rt.Registry(0) == nil {
+			httpJSONError(w, http.StatusNotFound, "runtime built without telemetry")
+			return
+		}
+		type row struct {
+			Shard     int     `json:"shard"`
+			Budget    float64 `json:"budget"`
+			Steps     int64   `json:"steps"`
+			Pairs     int64   `json:"pairs"`
+			Evictions int64   `json:"evictions"`
+		}
+		rows := make([]row, s.cfg.Runtime.Shards)
+		for i := range rows {
+			snap := s.rt.Registry(i).Snapshot()
+			rows[i] = row{
+				Shard:     i,
+				Budget:    snap.Gauges["shardrt_cache_budget"],
+				Steps:     snap.Counters["engine_steps_total"],
+				Pairs:     snap.Counters["engine_pairs_total"],
+				Evictions: snap.Counters["engine_evictions_total"],
+			}
+		}
+		writeJSON(w, rows)
+	})
+	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
+		if s.rt.Recorder(0) == nil {
+			httpJSONError(w, http.StatusNotFound, "runtime built without flight recorders")
+			return
+		}
+		n, ok := queryN(w, req, 128)
+		if !ok {
+			return
+		}
+		type group struct {
+			Shard int              `json:"shard"`
+			Spans []flightrec.Span `json:"spans"`
+		}
+		out := make([]group, s.cfg.Runtime.Shards)
+		for i := range out {
+			out[i] = group{Shard: i, Spans: s.rt.Recorder(i).LastSpans(n)}
+		}
+		writeJSON(w, out)
+	})
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
+		if s.rt.Registry(0) == nil {
+			httpJSONError(w, http.StatusNotFound, "runtime built without telemetry")
+			return
+		}
+		n, ok := queryN(w, req, 32)
+		if !ok {
+			return
+		}
+		type group struct {
+			Shard int                        `json:"shard"`
+			Trace []telemetry.DecisionRecord `json:"trace"`
+		}
+		out := make([]group, s.cfg.Runtime.Shards)
+		for i := range out {
+			out[i] = group{Shard: i, Trace: s.rt.Registry(i).Trace().Last(n)}
+		}
+		writeJSON(w, out)
+	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
-// httpIngest runs one batch through the engine loop synchronously. It
-// shares the framed protocol's admission control: a shed request answers
-// 503 with a Retry-After header and consumes nothing.
-func (s *Server) httpIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpJSONError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+// queryN resolves the n=K parameter of /spans and /trace: absent is def, and
+// anything but a non-negative integer answers 400 (n=0 is an empty window).
+func queryN(w http.ResponseWriter, req *http.Request, def int) (int, bool) {
+	q := req.URL.Query().Get("n")
+	if q == "" {
+		return def, true
 	}
-	var in httpIngestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, wire.MaxFramePayload))
-	if err := dec.Decode(&in); err != nil {
-		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
-		return
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("parameter n=%q must be a non-negative integer", q))
+		return 0, false
 	}
-	if len(in.Steps) == 0 {
-		httpJSONError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(in.Steps) > wire.MaxBatchSteps {
-		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d steps exceeds cap %d", len(in.Steps), wire.MaxBatchSteps))
-		return
-	}
-	r := &ingestReq{kind: kindHTTP, reply: make(chan engineReply, 1)}
-	r.Grow(len(in.Steps))
-	for i, st := range in.Steps {
-		if err := r.Step(i, st.RKey, st.SKey, st.RPayload, st.SPayload); err != nil {
-			httpJSONError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	if err := s.submit(r); err != nil {
-		status := http.StatusServiceUnavailable
-		var ov *OverloadError
-		if errors.As(err, &ov) {
-			w.Header().Set("Retry-After", strconv.FormatFloat(ov.RetryAfter.Seconds(), 'f', 3, 64))
-		}
-		httpJSONError(w, status, err.Error())
-		return
-	}
-	rep := <-r.reply
-	if rep.err != nil {
-		httpJSONError(w, http.StatusInternalServerError, rep.err.Error())
-		return
-	}
-	s.httpTotal.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(httpIngestResponse{Pairs: rep.pairs, Count: len(rep.pairs)})
+	return n, true
 }
 
-// httpPairs converts the runtime's reply into the HTTP reply's pairs. It runs
-// on the engine loop, the one goroutine allowed to read that runtime-owned
-// view; the result is a fresh slice the handler goroutine can own (payload
-// bytes are immutable once ingested, so sharing them is safe).
-func httpPairs(rep *shardrt.Reply) []httpPair {
-	out := make([]httpPair, rep.Len())
-	for i := range out {
-		rn, sn, shard, sameStep := rep.Pair(i)
-		r, s := rep.Tuple(rn), rep.Tuple(sn)
-		out[i] = httpPair{
-			RSeq: r.Seq, SSeq: s.Seq,
-			RKey: int64(r.Key), SKey: int64(s.Key),
-			Shard: int(shard), SameStep: sameStep,
-			RPayload: payloadToWire(r.Payload),
-			SPayload: payloadToWire(s.Payload),
-		}
-	}
-	return out
+// writeJSON answers v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func httpJSONError(w http.ResponseWriter, status int, msg string) {

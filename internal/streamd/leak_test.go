@@ -1,7 +1,6 @@
 package streamd_test
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -198,15 +197,15 @@ func TestNoGoroutineOutlivesStop(t *testing.T) {
 			}
 			tr := &http.Transport{}
 			defer tr.CloseIdleConnections()
-			resp, err := (&http.Client{Transport: tr}).Post("http://"+srv.HTTPAddr()+"/ingest", "application/json",
-				bytes.NewReader([]byte(`{"steps":[{"rkey":1,"skey":1}]}`)))
+			// A scrape leaves a keep-alive connection idle in the pool.
+			resp, err := (&http.Client{Transport: tr}).Get("http://" + srv.HTTPAddr() + "/metrics")
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("HTTP ingest answered %d", resp.StatusCode)
+				t.Fatalf("GET /metrics answered %d", resp.StatusCode)
 			}
 			expectRunning(t, before, spawnSites)
 			if err := stop.stop(srv); err != nil {

@@ -136,6 +136,9 @@ func (p *panicOn) Evict(st *join.State, candidates []join.Tuple, n int) []int {
 // no step is counted, no engine steps, and a drain returns the fault and
 // leaves the previous checkpoint file as it was. At the parent commit the
 // retry was answered with results and the healthy shard stepped twice over.
+// The fault is sticky, so a flush after it fails too; the batch, its retry
+// and the flush each count once in streamd_internal_errors_total, which the
+// conservation gates read.
 func TestShardFaultRefusesTheRetry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "daemon.ckpt")
 	cfg := func(faultAt int) Config {
@@ -174,7 +177,7 @@ func TestShardFaultRefusesTheRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, c = attachFake(t, s, "after")
-	steps0 := s.stepsTotal.Value()
+	steps0, errs0 := s.stepsTotal.Value(), s.internalErrs.Value()
 	var stepped [2]int
 	for attempt := 0; attempt < 2; attempt++ {
 		submitBatch(t, s, sess, 1, batch)
@@ -192,6 +195,19 @@ func TestShardFaultRefusesTheRetry(t *testing.T) {
 	}
 	if got := s.stepsTotal.Value(); got != steps0 {
 		t.Fatalf("streamd_steps_total moved from %d to %d over a faulted batch and its retry", steps0, got)
+	}
+	if got := s.internalErrs.Value() - errs0; got != 2 {
+		t.Fatalf("streamd_internal_errors_total counted %d of a faulted batch and its retry, want 2", got)
+	}
+	if err := s.submit(&ingestReq{kind: kindFlush, sess: sess}); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload := nextFrame(t, c)
+	if f, err := wire.DecodeError(payload); typ != wire.TypeError || err != nil || f.Code != wire.CodeInternal {
+		t.Fatalf("the flush after the fault answered with frame 0x%02x %+v (%v), want an internal error", typ, f, err)
+	}
+	if got := s.internalErrs.Value() - errs0; got != 3 {
+		t.Fatalf("streamd_internal_errors_total counted %d after the flush, want 3", got)
 	}
 	if err := s.Drain(context.Background()); err == nil {
 		t.Fatal("drain of a faulted runtime reported success")

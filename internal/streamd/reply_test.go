@@ -3,14 +3,10 @@ package streamd
 import (
 	"bytes"
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"stochstream/internal/engine"
-	"stochstream/internal/join"
 	"stochstream/internal/process"
 	"stochstream/internal/shardrt"
 	"stochstream/internal/stats"
@@ -142,32 +138,4 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 		ingest("after the restart", skewed(1+rng.IntN(40)))
 	}
 	flush("flush after")
-}
-
-// TestHTTPIngestFaultIsCounted: a shard fault on the HTTP route answers 500
-// and counts in streamd_internal_errors_total, as it does on the framed and
-// flush routes — the conservation gates read that counter. At the parent
-// commit the HTTP route answered the fault and counted nothing.
-func TestHTTPIngestFaultIsCounted(t *testing.T) {
-	s, err := Start(Config{Listen: "127.0.0.1:0", Runtime: shardrt.Config{
-		Shards: 1, TotalCache: 2, Seed: 1,
-		NewPolicy: func(int) join.Policy { return &panicOn{n: 1} },
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// The second step is the first that must evict.
-	body := `{"steps":[{"rkey":1,"skey":2},{"rkey":3,"skey":4}]}`
-	rec := httptest.NewRecorder()
-	s.httpHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("a faulted batch answered %d %s, want 500", rec.Code, rec.Body)
-	}
-	if got := s.internalErrs.Value(); got != 1 {
-		t.Fatalf("streamd_internal_errors_total = %d after one HTTP fault, want 1", got)
-	}
-	if got := s.stepsTotal.Value(); got != 0 {
-		t.Fatalf("streamd_steps_total = %d after a faulted batch, want 0", got)
-	}
 }

@@ -1,7 +1,7 @@
 // Package streamd is the network front-end of the sharded runtime: a
 // long-running daemon that mounts one shardrt.Runtime behind concurrent
-// client sessions speaking a length-prefixed framed protocol, plus an
-// HTTP/JSON convenience route and the runtime's observability surfaces.
+// client sessions speaking a length-prefixed framed protocol, plus one HTTP
+// surface for health checks and observability.
 //
 // The daemon multiplexes every session into one global ingest order — the
 // runtime assigns global ingress sequence numbers at admission, so results
@@ -50,8 +50,8 @@ type Config struct {
 	// Listen is the TCP address of the framed protocol (use "127.0.0.1:0"
 	// for an ephemeral port in tests).
 	Listen string
-	// HTTPListen, when non-empty, serves the HTTP surface (/ingest,
-	// /healthz, /readyz, /metrics, /spans, ...) on this address.
+	// HTTPListen, when non-empty, serves the HTTP surface (/healthz,
+	// /readyz, /metrics, /spans, /trace, ...) on this address.
 	HTTPListen string
 	// Credits is the per-session flow-control window in steps (default
 	// 4096). Result frames carry the absolute remainder.
@@ -112,16 +112,7 @@ const (
 const (
 	kindIngest = iota + 1
 	kindFlush
-	kindHTTP
 )
-
-// engineReply answers a kindHTTP request. pairs is built on the engine loop
-// and owned by the receiver: the runtime's merged output is reused by the
-// next request, so nothing runtime-owned may cross the channel.
-type engineReply struct {
-	pairs []httpPair
-	err   error
-}
 
 // ingestReq is one unit of engine-loop work. The engine loop is the only
 // goroutine that touches the runtime; everything else funnels through the
@@ -129,15 +120,14 @@ type engineReply struct {
 // kindIngest request is its session's buffer (session.req).
 type ingestReq struct {
 	kind  int
-	sess  *session // kindIngest/kindFlush delivery target
+	sess  *session // delivery target
 	base  uint64   // kindIngest batch base
 	steps []shardrt.Step
-	reply chan engineReply // kindHTTP only, buffered cap 1
 }
 
-// Grow and Step make a request the sink both ingest routes decode into
-// (wire.StepSink), so the key domain and the payload cap are enforced in one
-// place, before any sequence number or credit is consumed.
+// Grow and Step make a request the sink the framed route decodes into
+// (wire.StepSink), so the key domain and the payload cap are enforced as the
+// steps arrive, before any sequence number or credit is consumed.
 func (r *ingestReq) Grow(n int) { r.steps = slices.Grow(r.steps, n) }
 
 func (r *ingestReq) Step(i int, rkey, skey int64, rpayload, spayload []byte) error {
@@ -192,7 +182,6 @@ type Server struct {
 	pairsTotal   *telemetry.Counter
 	batchesTotal *telemetry.Counter
 	flushesTotal *telemetry.Counter
-	httpTotal    *telemetry.Counter
 	dupBatches   *telemetry.Counter
 	shedQueue    *telemetry.Counter
 	shedMem      *telemetry.Counter
@@ -263,7 +252,6 @@ func (s *Server) initMetrics() {
 	s.pairsTotal = s.reg.Counter("streamd_pairs_total")
 	s.batchesTotal = s.reg.Counter("streamd_batches_total")
 	s.flushesTotal = s.reg.Counter("streamd_flushes_total")
-	s.httpTotal = s.reg.Counter("streamd_http_ingest_total")
 	s.dupBatches = s.reg.Counter("streamd_dup_batches_total")
 	s.shedQueue = s.reg.Counter("streamd_shed_queue_total")
 	s.shedMem = s.reg.Counter("streamd_shed_mem_total")
@@ -272,6 +260,9 @@ func (s *Server) initMetrics() {
 	s.acceptErrs = s.reg.Counter("streamd_accept_errors_total")
 	s.internalErrs = s.reg.Counter("streamd_internal_errors_total")
 	s.batchLatency = s.reg.Histogram("streamd_batch_latency_ns")
+	if s.cfg.Runtime.Telemetry {
+		s.reg.Gauge("shardrt_shards").Set(float64(s.cfg.Runtime.Shards))
+	}
 	s.reg.GaugeFunc("streamd_queue_depth", func() float64 { return float64(len(s.ingest)) })
 	s.reg.GaugeFunc("streamd_heap_bytes", func() float64 { return float64(s.heapBytes.Load()) })
 	s.reg.GaugeFunc("streamd_sessions", func() float64 {
@@ -343,20 +334,6 @@ func (s *Server) engineLoop() {
 			s.engineIngest(req)
 		case kindFlush:
 			s.engineFlush(req)
-		case kindHTTP:
-			rep, err := s.rt.IngestReply(req.steps)
-			// The conservation counters cover every ingest route: the
-			// stress and chaos gates assert steps_total equals exactly
-			// what clients sent, HTTP included, and count every fault.
-			var pairs []httpPair
-			if err != nil {
-				s.internalErrs.Inc()
-			} else {
-				s.stepsTotal.Add(int64(len(req.steps)))
-				s.pairsTotal.Add(int64(rep.Len()))
-				pairs = httpPairs(rep)
-			}
-			req.reply <- engineReply{pairs: pairs, err: err}
 		}
 	}
 }
@@ -957,7 +934,7 @@ func (s *Server) killConns(notice []byte) {
 // --- wire <-> engine conversion -------------------------------------------
 
 // tupleFromWire checks one side of step i against the engine's key domain and
-// the payload cap (the HTTP body limit alone allows blobs big enough that one
+// the payload cap (the frame size limit alone allows blobs big enough that one
 // echoed pair could overflow a results frame) and builds the runtime's tuple;
 // an absent payload is a nil interface.
 func tupleFromWire(i int, stream byte, key int64, payload []byte) (engine.Tuple, error) {

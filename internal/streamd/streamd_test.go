@@ -2,13 +2,7 @@ package streamd_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"stochstream/internal/shardrt"
@@ -60,8 +54,6 @@ func toRuntimeSteps(in []wire.Step) []shardrt.Step {
 	}
 	return out
 }
-
-func pairKey(rseq, sseq uint64) string { return fmt.Sprintf("%d/%d", rseq, sseq) }
 
 // wirePairsEqualRuntime checks the daemon's result stream against the
 // direct runtime's, order included.
@@ -167,95 +159,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 	if pairs[0].SPayload != nil {
 		t.Errorf("SPayload = %v, want nil", pairs[0].SPayload)
-	}
-}
-
-// TestHTTPIngest drives the HTTP/JSON route end to end: pairs match the
-// direct runtime, bad requests answer typed 4xx JSON, and the conservation
-// counters cover HTTP-ingested steps exactly like framed ones.
-func TestHTTPIngest(t *testing.T) {
-	srv, err := streamd.Start(streamd.Config{
-		Runtime:    testRuntimeConfig(4),
-		Listen:     "127.0.0.1:0",
-		HTTPListen: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	rt, err := shardrt.New(testRuntimeConfig(4))
-	if err != nil {
-		t.Fatalf("shardrt.New: %v", err)
-	}
-	defer func() { _, _ = rt.Close() }()
-
-	base := "http://" + srv.HTTPAddr()
-	body := `{"steps":[{"rkey":5,"skey":5},{"rkey":5,"skey":7},{"rkey":7,"skey":5}]}`
-	resp, err := http.Post(base+"/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /ingest: %v", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var out struct {
-		Pairs []struct {
-			RSeq, SSeq uint64
-			RKey, SKey int64
-			Shard      int
-			SameStep   bool `json:"same_step"`
-		} `json:"pairs"`
-		Count int `json:"count"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	want, err := rt.IngestBatch(toRuntimeSteps([]wire.Step{
-		{RKey: 5, SKey: 5},
-		{RKey: 5, SKey: 7},
-		{RKey: 7, SKey: 5},
-	}))
-	if err != nil {
-		t.Fatalf("direct IngestBatch: %v", err)
-	}
-	if out.Count != len(want) || len(out.Pairs) != len(want) {
-		t.Fatalf("count = %d (pairs %d), want %d", out.Count, len(out.Pairs), len(want))
-	}
-	for i, p := range out.Pairs {
-		w := want[i]
-		if p.RSeq != w.RSeq || p.SSeq != w.SSeq || int(p.RKey) != w.R.Key || int(p.SKey) != w.S.Key ||
-			p.Shard != w.Shard || p.SameStep != w.SameStep {
-			t.Fatalf("pair %d = %+v, want %+v", i, p, w)
-		}
-	}
-
-	// The conservation counters cover the HTTP route.
-	counters := srv.Registry().Snapshot().Counters
-	if got := counters["streamd_steps_total"]; got != 3 {
-		t.Errorf("streamd_steps_total = %d, want 3", got)
-	}
-	if got := counters["streamd_pairs_total"]; got != int64(len(want)) {
-		t.Errorf("streamd_pairs_total = %d, want %d", got, len(want))
-	}
-	if got := counters["streamd_http_ingest_total"]; got != 1 {
-		t.Errorf("streamd_http_ingest_total = %d, want 1", got)
-	}
-
-	// Malformed and empty batches answer typed 4xx JSON, consume nothing.
-	for _, bad := range []string{`{"steps":[]}`, `not json`} {
-		r2, err := http.Post(base+"/ingest", "application/json", strings.NewReader(bad))
-		if err != nil {
-			t.Fatalf("POST bad body: %v", err)
-		}
-		_ = r2.Body.Close()
-		if r2.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad body %q: status = %d, want 400", bad, r2.StatusCode)
-		}
-	}
-	if got := srv.Registry().Snapshot().Counters["streamd_steps_total"]; got != 3 {
-		t.Errorf("steps_total after rejected bodies = %d, want 3", got)
 	}
 }
 
@@ -435,147 +338,4 @@ func TestBadStepRejected(t *testing.T) {
 	if len(pairs) != 1 || cl.Acked() != 1 {
 		t.Fatalf("pairs = %d acked = %d, want 1 and 1", len(pairs), cl.Acked())
 	}
-}
-
-// TestHTTPAndWireIngestConcurrent is the regression for the HTTP-ingest data
-// race: the HTTP route used to hand the runtime-owned merged-output slice to
-// its handler goroutine while the engine loop went on to reuse it for the
-// next request. Concurrent HTTP posts and framed sessions drive one daemon
-// (run it under -race, as ci.sh's test phase does); every reply must be
-// internally consistent and the conservation counters exact across both
-// routes.
-func TestHTTPAndWireIngestConcurrent(t *testing.T) {
-	srv, err := streamd.Start(streamd.Config{
-		Runtime:    testRuntimeConfig(4),
-		Listen:     "127.0.0.1:0",
-		HTTPListen: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	const (
-		workers  = 2 // per route
-		batches  = 40
-		batchLen = 32
-		domain   = 8 // few keys: replies carry many pairs, so a reused slice would show
-	)
-	var (
-		wg                    sync.WaitGroup
-		steps, pairs, http200 atomic.Int64
-	)
-	fail := make(chan error, 2*workers)
-
-	for w := 0; w < workers; w++ {
-		wg.Add(2)
-		go func(w int) { // framed session
-			defer wg.Done()
-			cl, err := client.Dial(client.Options{Addr: srv.Addr(), Session: fmt.Sprintf("wire-%d", w), Seed: uint64(w)})
-			if err != nil {
-				fail <- fmt.Errorf("Dial: %w", err)
-				return
-			}
-			defer func() { _ = cl.Close() }()
-			rng := stats.NewRNG(uint64(100 + w))
-			for b := 0; b < batches; b++ {
-				got, err := cl.Ingest(genSteps(rng, batchLen, domain))
-				if err != nil {
-					fail <- fmt.Errorf("wire worker %d batch %d: %w", w, b, err)
-					return
-				}
-				for _, p := range got {
-					if p.RKey != p.SKey {
-						fail <- fmt.Errorf("wire worker %d: equijoin pair with keys %d/%d", w, p.RKey, p.SKey)
-						return
-					}
-				}
-				steps.Add(batchLen)
-				pairs.Add(int64(len(got)))
-			}
-		}(w)
-		go func(w int) { // HTTP route
-			defer wg.Done()
-			rng := stats.NewRNG(uint64(200 + w))
-			for b := 0; b < batches; b++ {
-				body, err := json.Marshal(map[string]interface{}{"steps": httpSteps(genSteps(rng, batchLen, domain))})
-				if err != nil {
-					fail <- err
-					return
-				}
-				var out struct {
-					Pairs []struct {
-						RSeq, SSeq uint64
-						RKey, SKey int64
-					} `json:"pairs"`
-					Count int `json:"count"`
-				}
-				for {
-					resp, err := http.Post("http://"+srv.HTTPAddr()+"/ingest", "application/json", bytes.NewReader(body))
-					if err != nil {
-						fail <- fmt.Errorf("http worker %d batch %d: %w", w, b, err)
-						return
-					}
-					status := resp.StatusCode
-					if status == http.StatusOK {
-						err = json.NewDecoder(resp.Body).Decode(&out)
-					}
-					_ = resp.Body.Close()
-					if status == http.StatusServiceUnavailable {
-						continue // shed: consumed nothing, send it again
-					}
-					if status != http.StatusOK || err != nil {
-						fail <- fmt.Errorf("http worker %d batch %d: status %d, decode %v", w, b, status, err)
-						return
-					}
-					break
-				}
-				if out.Count != len(out.Pairs) {
-					fail <- fmt.Errorf("http worker %d: count %d for %d pairs", w, out.Count, len(out.Pairs))
-					return
-				}
-				seen := make(map[string]bool, len(out.Pairs))
-				for _, p := range out.Pairs {
-					if p.RKey != p.SKey || seen[pairKey(p.RSeq, p.SSeq)] {
-						fail <- fmt.Errorf("http worker %d: reply pair (%d,%d) keys %d/%d wrong or repeated", w, p.RSeq, p.SSeq, p.RKey, p.SKey)
-						return
-					}
-					seen[pairKey(p.RSeq, p.SSeq)] = true
-				}
-				steps.Add(batchLen)
-				pairs.Add(int64(len(out.Pairs)))
-				http200.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(fail)
-	for err := range fail {
-		t.Error(err)
-	}
-	if t.Failed() {
-		return
-	}
-
-	// Conservation across both routes: every step sent was counted once, and
-	// every pair the daemon counted reached exactly one client.
-	counters := srv.Registry().Snapshot().Counters
-	if got, want := counters["streamd_steps_total"], steps.Load(); got != want || want != 2*workers*batches*batchLen {
-		t.Errorf("streamd_steps_total = %d, clients sent %d (want %d)", got, want, 2*workers*batches*batchLen)
-	}
-	if got, want := counters["streamd_pairs_total"], pairs.Load(); got != want || want == 0 {
-		t.Errorf("streamd_pairs_total = %d, clients received %d", got, want)
-	}
-	if got, want := counters["streamd_http_ingest_total"], http200.Load(); got != want {
-		t.Errorf("streamd_http_ingest_total = %d, want %d", got, want)
-	}
-}
-
-// httpSteps renders wire steps as the HTTP route's JSON step objects.
-func httpSteps(in []wire.Step) []map[string]interface{} {
-	out := make([]map[string]interface{}, len(in))
-	for i, st := range in {
-		out[i] = map[string]interface{}{"rkey": st.RKey, "skey": st.SKey, "rpayload": st.RPayload, "spayload": st.SPayload}
-	}
-	return out
 }

@@ -9,8 +9,7 @@ import (
 // shard its own Registry so the engine hot path keeps its lock-free handle
 // writes, and aggregates at export time instead. A ShardSet renders all of
 // them as one exposition, with each shard's metrics relabeled by a leading
-// shard="<i>" label — so one scrape shows per-shard series side by side —
-// while the coordinator's own metrics pass through unlabeled.
+// shard="<i>" label, so one scrape shows per-shard series side by side.
 //
 // Snapshot semantics are per shard: each registry is snapshotted atomically
 // in shard order, but the set as a whole is not a consistent cut — shard 1
@@ -19,9 +18,6 @@ import (
 
 // ShardSet groups the registries of a sharded runtime for aggregated export.
 type ShardSet struct {
-	// Coordinator, when non-nil, contributes runtime-level metrics (the
-	// shard count and the like), exported without a shard label.
-	Coordinator *Registry
 	// Shards are the per-shard registries, indexed by shard ID; nil entries
 	// are skipped.
 	Shards []*Registry
@@ -44,18 +40,6 @@ func (s ShardSet) Merged() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-	}
-	if s.Coordinator != nil {
-		snap := s.Coordinator.Snapshot()
-		for k, v := range snap.Counters {
-			out.Counters[k] = v
-		}
-		for k, v := range snap.Gauges {
-			out.Gauges[k] = v
-		}
-		for k, v := range snap.Histograms {
-			out.Histograms[k] = v
-		}
 	}
 	for i, reg := range s.Shards {
 		if reg == nil {
@@ -85,18 +69,13 @@ func (s ShardSet) WritePrometheus(w io.Writer) {
 // per-shard structure instead of flattening into labels, so consumers can
 // index shards directly. Nil shard registries appear as empty snapshots.
 type ShardedSnapshot struct {
-	Coordinator *Snapshot  `json:"coordinator,omitempty"`
-	Shards      []Snapshot `json:"shards"`
+	Shards []Snapshot `json:"shards"`
 }
 
 // Snapshot captures every registry in the set, shard order, each one
 // atomically (see the package comment for cross-shard consistency).
 func (s ShardSet) Snapshot() ShardedSnapshot {
 	out := ShardedSnapshot{Shards: make([]Snapshot, len(s.Shards))}
-	if s.Coordinator != nil {
-		snap := s.Coordinator.Snapshot()
-		out.Coordinator = &snap
-	}
 	for i, reg := range s.Shards {
 		if reg == nil {
 			continue

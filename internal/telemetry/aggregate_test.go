@@ -18,22 +18,17 @@ func TestShardLabel(t *testing.T) {
 }
 
 func buildShardSet() ShardSet {
-	coord := NewRegistry()
-	coord.Counter("rt_moves_total").Add(3)
 	s0 := NewRegistry()
 	s0.Counter("steps_total").Add(10)
 	s0.Gauge("budget").Set(4)
 	s1 := NewRegistry()
 	s1.Counter("steps_total").Add(20)
 	s1.HistogramWith("lat_ns", []float64{1, 10}).Observe(5)
-	return ShardSet{Coordinator: coord, Shards: []*Registry{s0, s1, nil}}
+	return ShardSet{Shards: []*Registry{s0, s1, nil}}
 }
 
 func TestShardSetMerged(t *testing.T) {
 	m := buildShardSet().Merged()
-	if m.Counters["rt_moves_total"] != 3 {
-		t.Fatalf("coordinator counter lost: %v", m.Counters)
-	}
 	if m.Counters[`steps_total{shard="0"}`] != 10 || m.Counters[`steps_total{shard="1"}`] != 20 {
 		t.Fatalf("shard counters mislabeled: %v", m.Counters)
 	}
@@ -56,7 +51,6 @@ func TestShardSetWritePrometheus(t *testing.T) {
 	buildShardSet().WritePrometheus(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		"rt_moves_total 3",
 		`steps_total{shard="0"} 10`,
 		`steps_total{shard="1"} 20`,
 		`budget{shard="0"} 4`,
@@ -70,9 +64,6 @@ func TestShardSetWritePrometheus(t *testing.T) {
 
 func TestShardSetSnapshot(t *testing.T) {
 	snap := buildShardSet().Snapshot()
-	if snap.Coordinator == nil || snap.Coordinator.Counters["rt_moves_total"] != 3 {
-		t.Fatalf("coordinator snapshot: %+v", snap.Coordinator)
-	}
 	if len(snap.Shards) != 3 {
 		t.Fatalf("want 3 shard slots, got %d", len(snap.Shards))
 	}

@@ -2,8 +2,8 @@
 // dependency-free metrics registry (atomic counters, gauges and fixed-bucket
 // latency histograms with snapshot-on-read quantiles), a ring-buffer decision
 // trace that records why each eviction happened (per-candidate policy scores,
-// the chosen victims), and export surfaces — Prometheus text exposition, JSON,
-// and an optional net/http endpoint with expvar and pprof mounted.
+// the chosen victims), and export formats — Prometheus text exposition and
+// JSON — that a server (the daemon's HTTP surface) or a CLI writes out.
 //
 // The paper's argument is statistical: HEEB's benefit estimates and
 // FlowExpect's expected-flow decisions are only as good as what the operator
@@ -87,11 +87,6 @@ type Registry struct {
 	// recorder's clock here so a run under a logical clock is byte-
 	// deterministic end to end.
 	clock atomic.Pointer[func() int64]
-	// spansFn and bundleFn back the /spans and /bundle HTTP endpoints; the
-	// engine wires them to the flight recorder so this package need not
-	// import it.
-	spansFn  atomic.Pointer[func(n int) any]
-	bundleFn atomic.Pointer[func() (string, error)]
 }
 
 // NewRegistry returns an empty registry with a decision trace of the default
@@ -193,28 +188,6 @@ func (r *Registry) nowNs() int64 {
 		return (*fn)()
 	}
 	return wallNowNs()
-}
-
-// SetSpansFunc installs the provider behind the /spans HTTP endpoint; the
-// returned value is JSON-encoded verbatim. The engine wires the flight
-// recorder's LastSpans here.
-func (r *Registry) SetSpansFunc(fn func(n int) any) {
-	if fn == nil {
-		r.spansFn.Store(nil)
-		return
-	}
-	r.spansFn.Store(&fn)
-}
-
-// SetBundleFunc installs the trigger behind the /bundle HTTP endpoint; it
-// returns the written bundle's directory. The engine wires the flight
-// recorder's WriteBundle here.
-func (r *Registry) SetBundleFunc(fn func() (string, error)) {
-	if fn == nil {
-		r.bundleFn.Store(nil)
-		return
-	}
-	r.bundleFn.Store(&fn)
 }
 
 // Trace returns the registry's decision trace.
