@@ -111,11 +111,16 @@ func SampleInverse(p PMF, u float64) int {
 }
 
 // Sample draws from p using u in [0, 1), preferring the PMF's own Sampler.
-func Sample(p PMF, u float64) int {
+func Sample(p PMF, u float64) int { return SamplerOf(p)(u) }
+
+// SamplerOf returns the draw Sample makes from p, resolved once: p's own
+// Sample, or SampleInverse over p. A loop drawing many variates from one PMF
+// takes it before the loop.
+func SamplerOf(p PMF) func(u float64) int {
 	if s, ok := p.(Sampler); ok {
-		return s.Sample(u)
+		return s.Sample
 	}
-	return SampleInverse(p, u)
+	return func(u float64) int { return SampleInverse(p, u) }
 }
 
 // DotProduct returns Σ_v a.Prob(v)·b.Prob(v), the probability that two

@@ -62,15 +62,47 @@ func (u Uniform) Sample(x float64) int {
 // distributions all normalize into a Table.
 //
 // A Table holds Probs and nothing else until it is first sampled: Sample
-// builds the running sums of Probs then and keeps them, so a Table that is
-// only read through Prob, Support or DenseOf — every forecast a policy
-// scores with — costs one array, not two. Tables are shared across
-// goroutines; the sums are published atomically, and Probs must not change
-// after the first Sample. A Table literal samples like one from NewTable.
+// builds its sampling index then and keeps it — the running sums of Probs
+// and a guide table over [0, 1) — so a Table that is only read through
+// Prob, Support or DenseOf, every forecast a policy scores with, costs one
+// array, not three. Tables are shared across goroutines; the index is
+// published atomically, and Probs must not change after the first Sample. A
+// non-empty Table literal samples like one from NewTable.
 type Table struct {
 	Offset int
 	Probs  []float64
-	cum    atomic.Pointer[[]float64] // running sums of Probs, built by the first Sample
+	cdf    atomic.Pointer[cdf] // sampling index, built by the first Sample
+}
+
+// cdf is a Table's sampling index: the running sums of Probs and a guide
+// table (Chen and Asau's indexed search) that sends a draw u to the smallest
+// i with sums[i] > u — the last index when there is none — in one load for
+// most u and a short scan for the rest.
+//
+// The guide has one bucket per quarter of a table entry over [0, 1), bucket
+// j holding the u with ⌊u·m⌋ = j, and one more for u ≥ 1 and NaN. A
+// bucket's entry is the first index whose running sum lies in the bucket or
+// above it, which no draw in the bucket goes below. When that sum lies above
+// the bucket, or the index is the last, every draw in the bucket answers it
+// and the entry is stored as is; otherwise it is stored complemented (^i)
+// and a draw scans on from it.
+type cdf struct {
+	sums  []float64
+	guide []int32
+	m     float64 // buckets over [0, 1): len(guide)-1
+}
+
+// bucket returns the guide bucket of u: ⌊u·m⌋ for u in [0, 1), 0 below it
+// and m for u ≥ 1 or NaN. It is monotone in u, which both the guide's build
+// and its reads rely on.
+func (c *cdf) bucket(u float64) int {
+	if !(u < 1) {
+		return len(c.guide) - 1
+	}
+	if u <= 0 {
+		return 0
+	}
+	return min(int(u*c.m), len(c.guide)-2)
 }
 
 // NewTable builds a Table from probabilities starting at offset. The weights
@@ -114,38 +146,48 @@ func (t *Table) Prob(v int) float64 {
 // Support implements PMF.
 func (t *Table) Support() (int, int) { return t.Offset, t.Offset + len(t.Probs) - 1 }
 
-// Sample implements Sampler by binary search over the running sums of Probs.
+// Sample implements Sampler: it returns Offset+i for the smallest i whose
+// running sum of Probs exceeds u, or the last i when none does (u ≥ 1 past
+// the sums, or NaN).
 func (t *Table) Sample(u float64) int {
-	p := t.cum.Load()
-	if p == nil {
-		p = t.buildCDF()
+	c := t.cdf.Load()
+	if c == nil {
+		c = t.buildCDF()
 	}
-	cum := *p
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
+	i := c.guide[c.bucket(u)]
+	if i < 0 {
+		last := int32(len(c.sums) - 1)
+		for i = ^i; i < last && !(c.sums[i] > u); i++ {
 		}
 	}
-	return t.Offset + lo
+	return t.Offset + int(i)
 }
 
-// buildCDF builds the running sums of Probs and publishes them. First
-// samplers that race each build the same sums; one of them is kept.
-func (t *Table) buildCDF() *[]float64 {
-	cum := make([]float64, len(t.Probs))
-	var c float64
+// buildCDF builds the running sums of Probs and their guide, and publishes
+// them. First samplers that race each build the same index; one is kept.
+func (t *Table) buildCDF() *cdf {
+	n := len(t.Probs)
+	c := &cdf{sums: make([]float64, n), guide: make([]int32, 4*n+1), m: float64(4 * n)}
+	var s float64
 	for i, p := range t.Probs {
-		c += p
-		cum[i] = c
+		s += p
+		c.sums[i] = s
 	}
-	if !t.cum.CompareAndSwap(nil, &cum) {
-		return t.cum.Load()
+	i, last := 0, n-1
+	for j := range c.guide {
+		for i < last && c.bucket(c.sums[i]) < j {
+			i++
+		}
+		if i == last || c.bucket(c.sums[i]) > j {
+			c.guide[j] = int32(i)
+		} else {
+			c.guide[j] = ^int32(i)
+		}
 	}
-	return &cum
+	if !t.cdf.CompareAndSwap(nil, c) {
+		return t.cdf.Load()
+	}
+	return c
 }
 
 // BoundedNormal is a zero-mean normal distribution with standard deviation

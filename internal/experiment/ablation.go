@@ -23,7 +23,9 @@ func AblationControlPoints(o Options) (*Figure, error) {
 		return nil, err
 	}
 	capacity := 100
-	l := core.LExp{Alpha: float64(capacity)}
+	// One table of L serves every control grid, the accuracy checks and the
+	// exact reference: it reads the bits LExp computes, once per Δ.
+	l := core.TabulateL(core.LExp{Alpha: float64(capacity)}, 0)
 	grid := []int{2, 3, 5, 9, 17}
 	fig := &Figure{
 		ID:     "a1",
@@ -52,7 +54,7 @@ func AblationControlPoints(o Options) (*Figure, error) {
 	fig.AddSeries("mean abs err (1e-6)", meanErrs)
 	fig.AddSeries("REAL misses", misses)
 	// Exact-H reference: direct marginal scoring with no approximation.
-	exact := cachesim.Run(rw.Refs, &exactMarginalHEEB{model: rw.Model, alpha: float64(capacity)},
+	exact := cachesim.Run(rw.Refs, &exactMarginalHEEB{model: rw.Model, l: l},
 		cachesim.Config{Capacity: capacity}, stats.NewRNG(o.Seed+3))
 	fig.Note("exact (unapproximated) HEEB misses: %d", exact.Misses)
 	return fig, nil
@@ -63,8 +65,8 @@ type exactMarginalHEEB struct {
 	model interface {
 		ForecastNormal(last, delta int) (float64, float64)
 	}
-	alpha float64
-	hist  []int
+	l    core.LTable
+	hist []int
 }
 
 func (p *exactMarginalHEEB) Name() string { return "HEEB-exact" }
@@ -74,8 +76,7 @@ func (p *exactMarginalHEEB) Reset(int, []int, *stats.RNG) {
 func (p *exactMarginalHEEB) Touch(_, v int, _ bool) { p.hist = append(p.hist, v) }
 func (p *exactMarginalHEEB) Victim(_ int, v int, cached []int) (int, bool) {
 	last := p.hist[len(p.hist)-1]
-	l := core.LExp{Alpha: p.alpha}
-	score := func(u int) float64 { return core.MarginalH(p.model, last, u, l, 0) }
+	score := func(u int) float64 { return core.MarginalH(p.model, last, u, p.l, 0) }
 	bestIdx, bestH := -1, score(v)
 	for i, cv := range cached {
 		if h := score(cv); h < bestH {

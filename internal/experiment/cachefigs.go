@@ -23,7 +23,7 @@ func Figure6(o Options) (*Figure, error) {
 		YLabel: "H (Lexp, alpha = cache size)",
 	}
 	alpha := float64(o.Cache)
-	l := core.LExp{Alpha: alpha}
+	l := core.TabulateL(core.LExp{Alpha: alpha}, 0)
 	for d := -20; d <= 20; d++ {
 		fig.X = append(fig.X, float64(d))
 	}
@@ -152,7 +152,7 @@ func h2FigureGrid(id, title string, o Options, approx bool) (*Figure, error) {
 	}
 	model := rw.Model
 	alpha := 100.0 // representative cache size for the surface plots
-	l := core.LExp{Alpha: alpha}
+	l := core.TabulateL(core.LExp{Alpha: alpha}, 0)
 	vLo, vHi := 50, 400
 	fig := &Figure{
 		ID:     id,

@@ -168,8 +168,9 @@ func (s *Stationary) Forecast(_ *History, delta int) dist.PMF {
 // Generate implements Process.
 func (s *Stationary) Generate(rng *stats.RNG, n int) []int {
 	out := make([]int, n)
+	draw := dist.SamplerOf(s.P)
 	for i := range out {
-		out[i] = dist.Sample(s.P, rng.Float64())
+		out[i] = draw(rng.Float64())
 	}
 	return out
 }
@@ -199,8 +200,9 @@ func (l *LinearTrend) Forecast(h *History, delta int) dist.PMF {
 // Generate implements Process.
 func (l *LinearTrend) Generate(rng *stats.RNG, n int) []int {
 	out := make([]int, n)
+	noise := dist.SamplerOf(l.Noise)
 	for t := range out {
-		out[t] = l.TrendAt(t) + dist.Sample(l.Noise, rng.Float64())
+		out[t] = l.TrendAt(t) + noise(rng.Float64())
 	}
 	return out
 }
@@ -224,8 +226,9 @@ func (g *GeneralTrend) Forecast(h *History, delta int) dist.PMF {
 // Generate implements Process.
 func (g *GeneralTrend) Generate(rng *stats.RNG, n int) []int {
 	out := make([]int, n)
+	noise := dist.SamplerOf(g.Noise)
 	for t := range out {
-		out[t] = g.F(t) + dist.Sample(g.Noise, rng.Float64())
+		out[t] = g.F(t) + noise(rng.Float64())
 	}
 	return out
 }

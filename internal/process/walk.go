@@ -81,9 +81,10 @@ func (w *RandomWalk) Increment(delta int) dist.PMF {
 // Generate implements Process.
 func (w *RandomWalk) Generate(rng *stats.RNG, n int) []int {
 	out := make([]int, n)
+	step := dist.SamplerOf(w.Step)
 	x := w.Init
 	for t := range out {
-		x += dist.Sample(w.Step, rng.Float64())
+		x += step(rng.Float64())
 		out[t] = x
 	}
 	return out

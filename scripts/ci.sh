@@ -59,7 +59,10 @@
 #                    listing whose tuples carry numbers, as the daemon's
 #                    replies do, is EncodeResults of the same pairs, at any
 #                    chunk cut) and FuzzDecodeIngest (re-encodes byte for
-#                    byte); then the frame parser's FuzzFrameReader
+#                    byte); then the frame parser's FuzzFrameReader, and
+#                    FuzzTableSample (dist.Table.Sample's guide-table search
+#                    against the binary search it replaced, at the fuzzed
+#                    draw and at every running sum and bucket edge)
 #  11. bench smoke — a build that breaks a benchmark cannot land: every
 #                    go-test benchmark in the tree once (-benchmem, so
 #                    allocs/op land in the log; `./...` picks up
@@ -76,7 +79,11 @@
 #                    internal/streamd — the micro-benchmarks of the equi
 #                    index's key table and chains — and
 #                    BenchmarkServedBatch/fanout, the micro-benchmark of the
-#                    Results layout's tuple references), then the ledger
+#                    Results layout's tuple references, and
+#                    BenchmarkTableSample/{r,s} in internal/dist and
+#                    BenchmarkGenerate/{trend,walk} in internal/process, a
+#                    draw from the trend ledger's two noise tables and the
+#                    ledger's trend and walk inputs), then the ledger
 #                    (go run ./bench at its tiny scale: every phase and the
 #                    output oracle). Perf itself is judged on the ledger's
 #                    end-to-end metrics against BENCHMARK.json's bounds
@@ -151,6 +158,7 @@ go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/w
 go test -run '^$' -fuzz '^FuzzNumberedResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/streamd/wire
+go test -run '^$' -fuzz '^FuzzTableSample$' -fuzztime 10s ./internal/dist
 
 echo "==> bench smoke"
 go test -run '^$' -bench . -benchtime 1x -benchmem ./...
