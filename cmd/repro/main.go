@@ -283,7 +283,7 @@ func runCheckpointDemo(stdout io.Writer, ckptPath, restPath, bundleDir string, s
 // fed through batched ingress. -checkpoint/-restore go through the sharded
 // manifest, so a restore needs the same -shards/-cache/-seed the checkpoint
 // was written with; -bundle-dir attaches a flight recorder per shard
-// (bundles land under DIR/shard-<i>/ on downgrades or faults).
+// (bundles land under DIR/shard-<i>/ on faults).
 func runShardedDemo(stdout io.Writer, ckptPath, restPath, bundleDir string, seed uint64, length, cache, shards, batch int) error {
 	if batch <= 0 {
 		return fmt.Errorf("-batch must be positive, got %d", batch)

@@ -78,15 +78,6 @@ func FlowExpectStepWindow(cands []Candidate, procs [2]process.Process, hists [2]
 // forecasts with whatever else the decision computes and with the decisions
 // before it.
 func FlowExpectStepCached(cands []Candidate, fc *ForecastCache, cacheSize, l, window int) (FlowDecision, error) {
-	return FlowExpectStepBudget(cands, fc, cacheSize, l, window, mincostflow.Budget{})
-}
-
-// FlowExpectStepBudget is FlowExpectStepCached under a deterministic solver
-// budget: when the min-cost-flow solve exceeds the budget (or hits numerical
-// instability on a degenerate instance) the error is returned for the caller
-// to degrade on — errors.Is(err, mincostflow.ErrBudgetExceeded) and
-// mincostflow.ErrNumericalInstability distinguish the cases.
-func FlowExpectStepBudget(cands []Candidate, fc *ForecastCache, cacheSize, l, window int, budget mincostflow.Budget) (FlowDecision, error) {
 	if l < 1 {
 		return FlowDecision{}, errors.New("core: FlowExpect look-ahead must be >= 1")
 	}
@@ -182,7 +173,7 @@ func FlowExpectStepBudget(cands []Candidate, fc *ForecastCache, cacheSize, l, wi
 		}
 	}
 
-	res, err := g.MinCostFlowBudget(source, sink, cacheSize, budget)
+	res, err := g.MinCostFlow(source, sink, cacheSize)
 	if err != nil {
 		return FlowDecision{}, fmt.Errorf("core: FlowExpect flow failed: %w", err)
 	}

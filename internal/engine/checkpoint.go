@@ -95,12 +95,8 @@ func (j *Join) Checkpoint(w io.Writer) error {
 	}
 	sp := j.rec.Begin(flightrec.PhaseCheckpoint)
 	err := j.writeCheckpoint(w)
-	if err != nil {
-		j.rec.Fail(sp, len(j.cache), 0, "error")
-		return err
-	}
 	j.rec.End(sp, len(j.cache), 0)
-	return nil
+	return err
 }
 
 func (j *Join) writeCheckpoint(w io.Writer) error {

@@ -17,11 +17,9 @@ import (
 
 // ckptConfigs is the configuration grid the checkpoint differential tests
 // run: the default model-free policy (RAND, private RNG state), the two
-// policies whose state is the value counts no history keeps (PROB, and LIFE
-// deciding behind a ladder rung that always fails, so the counts reach it
-// through the ladder's arrival hook and leave through the ladder's snapshot),
-// HEEB on a band join (adaptive tracker + incremental score state), and the
-// full degradation ladder on a sliding window.
+// policies whose state is the value counts no history keeps (PROB and LIFE),
+// HEEB on a band join (adaptive tracker + incremental score state), and HEEB
+// on a sliding window.
 func ckptConfigs() []struct {
 	name string
 	mk   func() Config
@@ -36,16 +34,15 @@ func ckptConfigs() []struct {
 		{"equi-prob", func() Config {
 			return Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}}
 		}},
-		{"ladder-life", func() Config {
+		{"equi-life", func() Config {
 			life := &policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }}
-			return Config{CacheSize: 8, Seed: 11, Policy: &policy.Ladder{Rungs: []join.Policy{failingRung{}, life}}}
+			return Config{CacheSize: 8, Seed: 11, Policy: life}
 		}},
 		{"band-heeb", func() Config {
 			return Config{CacheSize: 8, Band: 2, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
 		}},
-		{"window-ladder", func() Config {
-			return Config{CacheSize: 6, Window: 10, Seed: 11, Procs: trendProcs(),
-				Policy: policy.NewDefaultLadder(4, 0, heebOpts())}
+		{"window-heeb", func() Config {
+			return Config{CacheSize: 6, Window: 10, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
 		}},
 	}
 }
@@ -417,22 +414,5 @@ func TestCheckpointIsSideEffectFree(t *testing.T) {
 		if !pairsEqual(pa, pb) {
 			t.Fatalf("step %d: checkpointing perturbed the run", i)
 		}
-	}
-}
-
-// The simulator-facing policies keep their StateSnapshotter contract: a
-// ladder snapshot restores only into an identically-shaped ladder.
-func TestLadderSnapshotShapeMismatch(t *testing.T) {
-	lad := policy.NewDefaultLadder(4, 0, heebOpts())
-	cfg := join.Config{CacheSize: 4, Procs: trendProcs()}
-	lad.Reset(cfg, stats.NewRNG(1))
-	snap, err := lad.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := &policy.Ladder{Rungs: []join.Policy{policy.NewHEEB(heebOpts())}}
-	other.Reset(cfg, stats.NewRNG(1))
-	if err := other.RestoreState(snap); err == nil {
-		t.Fatal("ladder restored a snapshot from a differently-shaped ladder")
 	}
 }

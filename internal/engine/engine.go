@@ -103,9 +103,9 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, attaches the flight recorder: Step is decomposed
 	// into recorded phase spans, a hash-sampled key subset gets lifecycle
-	// records, and faults (invariant failures, recovered panics, ladder
-	// downgrades) dump diagnostics bundles when the recorder has a bundle
-	// directory. nil keeps the hot path bare. See internal/flightrec.
+	// records, and faults (invariant failures, recovered panics) dump
+	// diagnostics bundles when the recorder has a bundle directory. nil
+	// keeps the hot path bare. See internal/flightrec.
 	Flight *flightrec.Recorder
 }
 
@@ -214,12 +214,9 @@ type Join struct {
 
 	// Flight-recorder state (see flight.go). rec is Config.Flight (nil keeps
 	// the hot path bare); now is the resolved clock — the recorder's when one
-	// is attached, the wall seam otherwise; pendingBundle carries a mid-step
-	// fault reason to closeStep, which dumps once the state is consistent.
+	// is attached, the wall seam otherwise.
 	rec *flightrec.Recorder
 	now func() int64
-	//lint:ignore snapcomplete mid-step fault note consumed by closeStep; checkpoints run between steps, where it is always empty
-	pendingBundle string
 }
 
 // valSlot is one ordered-index posting.
@@ -240,10 +237,6 @@ func NewJoin(cfg Config) (*Join, error) {
 		return nil, err
 	}
 	pol := defaultPolicy(cfg)
-	lad, _ := pol.(*policy.Ladder)
-	if lad != nil && cfg.Telemetry != nil {
-		wireDowngrades(lad, cfg.Telemetry)
-	}
 	if cfg.Telemetry != nil {
 		pol = telemetry.InstrumentPolicy(pol, cfg.Telemetry)
 	}
@@ -254,7 +247,7 @@ func NewJoin(cfg Config) (*Join, error) {
 		ends:   ends{head: -1, tail: -1},
 	}
 	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
-	j.initFlight(lad)
+	j.initFlight()
 	if cfg.Band == 0 {
 		j.equi = [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)}
 	}

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"errors"
-
-	"stochstream/internal/policy"
-)
+import "errors"
 
 // Error taxonomy of the fault-tolerance layer. Boundary failures come back
 // as values wrapping one of these sentinels (test with errors.Is); internal
@@ -25,20 +21,4 @@ var (
 	ErrConfigMismatch = errors.New("engine: checkpoint does not match operator configuration")
 	// ErrInvariant is wrapped by every CheckInvariants failure.
 	ErrInvariant = errors.New("engine: cache invariant violated")
-)
-
-// Re-exports of the policy-layer taxonomy, so operator embedders can match
-// degradation causes without importing internal/policy. (The engine imports
-// policy, not the other way around, so the sentinels must live there.)
-var (
-	// ErrModelDiverged: a model-driven policy produced non-finite scores.
-	ErrModelDiverged = policy.ErrModelDiverged
-	// ErrSolverBudget: the min-cost-flow solve exceeded its deterministic
-	// iteration budget.
-	ErrSolverBudget = policy.ErrSolverBudget
-	// ErrSolverFailed: the solver failed outright (numerical instability,
-	// disconnection, injected fault, or a panic caught from a rung).
-	ErrSolverFailed = policy.ErrSolverFailed
-	// ErrInvalidEviction: a rung returned a malformed eviction set.
-	ErrInvalidEviction = policy.ErrInvalidEviction
 )

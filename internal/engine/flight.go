@@ -1,15 +1,12 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"stochstream/internal/core"
 	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
-	"stochstream/internal/policy"
 	"stochstream/internal/process"
 )
 
@@ -26,11 +23,10 @@ func nowNanos() int64 {
 	return time.Now().UnixNano()
 }
 
-// initFlight wires Config.Flight into the operator: the clock seam, the
-// ladder's rung spans, bundle-on-downgrade, and — when telemetry is also
-// configured — the registry's clock. Called once from NewJoin; lad is nil for
-// non-ladder policies.
-func (j *Join) initFlight(lad *policy.Ladder) {
+// initFlight wires Config.Flight into the operator: the clock seam and —
+// when telemetry is also configured — the registry's clock. Called once from
+// NewJoin.
+func (j *Join) initFlight() {
 	rec := j.cfg.Flight
 	if rec == nil {
 		j.now = nowNanos
@@ -39,32 +35,15 @@ func (j *Join) initFlight(lad *policy.Ladder) {
 	j.rec = rec
 	rec.EnsureClock(nowNanos)
 	j.now = rec.Clock()
-	if lad != nil {
-		lad.Flight = rec
-		prev := lad.OnDowngrade
-		lad.OnDowngrade = func(d policy.Downgrade) {
-			if prev != nil {
-				prev(d)
-			}
-			// Mark, don't dump: the downgrade fires mid-decision, when the
-			// cache is mid-mutation. finishStep flushes the mark once the
-			// step's state is consistent, so the bundle's checkpoint is the
-			// exact post-step operator state.
-			if j.pendingBundle == "" {
-				j.pendingBundle = "downgrade"
-			}
-		}
-	}
 	if reg := j.cfg.Telemetry; reg != nil {
 		reg.SetClock(j.now)
 	}
 }
 
-// DumpBundle writes a diagnostics bundle — spans, lifecycle, telemetry,
-// downgrade trace and a checkpoint of the current state — and returns its
-// directory. Call it from the stepping goroutine (it checkpoints). The
-// engine also dumps automatically on recovered panics, invariant failures
-// and ladder downgrades.
+// DumpBundle writes a diagnostics bundle — spans, lifecycle, telemetry and
+// a checkpoint of the current state — and returns its directory. Call it
+// from the stepping goroutine (it checkpoints). The engine also dumps
+// automatically on recovered panics and invariant failures.
 func (j *Join) DumpBundle(reason string) (string, error) {
 	if j.rec == nil {
 		return "", fmt.Errorf("engine: no flight recorder configured")
@@ -87,34 +66,19 @@ func (j *Join) autoDumpBundle(reason string) {
 }
 
 // bundleSources assembles the caller-side bundle inputs: always a
-// checkpoint, plus telemetry and downgrade-trace snapshots when a registry
-// is configured.
+// checkpoint, plus a telemetry snapshot when a registry is configured.
 func (j *Join) bundleSources() flightrec.BundleSources {
 	src := flightrec.BundleSources{Checkpoint: j.Checkpoint}
 	if reg := j.cfg.Telemetry; reg != nil {
 		src.Telemetry = reg.WriteJSON
-		src.Downgrades = func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(reg.Downgrades().Records())
-		}
 	}
 	return src
 }
 
-// closeStep ends one step's root span and flushes any bundle dump a
-// downgrade requested mid-step. stepCore calls it on every exit path, so a
-// batch still dumps one bundle per downgraded step, with the checkpoint
-// taken at that step's (consistent) end state — not the batch's.
+// closeStep ends one step's root span; stepCore calls it on every exit path.
 func (j *Join) closeStep(sp flightrec.Active, pairs, evictions int) {
-	if j.rec == nil {
-		return
-	}
-	j.rec.EndStep(sp, pairs, int64(evictions))
-	if j.pendingBundle != "" {
-		reason := j.pendingBundle
-		j.pendingBundle = ""
-		j.autoDumpBundle(reason)
+	if j.rec != nil {
+		j.rec.EndStep(sp, pairs, int64(evictions))
 	}
 }
 

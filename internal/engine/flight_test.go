@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"stochstream/internal/flightrec"
-	"stochstream/internal/join"
 	"stochstream/internal/policy"
-	"stochstream/internal/stats"
 	"stochstream/internal/telemetry"
 )
 
@@ -42,9 +40,9 @@ func spansForStep(spans []flightrec.Span, step int) map[flightrec.Phase][]flight
 }
 
 func TestFlightStepSpans(t *testing.T) {
-	// Lfixed evicts oldest-first, so the cache contents at every step are
-	// known exactly: after step 1 it holds the step-1 arrivals (keys 2, 3).
-	j, rec := flightJoin(t, Config{CacheSize: 2, Window: 2, Policy: &policy.Lfixed{}},
+	// oldestFirst evicts oldest-first, so the cache contents at every step
+	// are known exactly: after step 1 it holds the step-1 arrivals (keys 2, 3).
+	j, rec := flightJoin(t, Config{CacheSize: 2, Window: 2, Policy: &oldestFirst{}},
 		flightrec.Options{})
 	// Three steps: the first fills the cache, the rest each force a
 	// replacement decision (score + evict phases).
@@ -158,61 +156,6 @@ func TestFlightLifecycleSampling(t *testing.T) {
 	}
 }
 
-// failingRung always reports a solver failure, driving the ladder down a rung
-// on every decision.
-type failingRung struct{}
-
-func (failingRung) Name() string                               { return "FAILRUNG" }
-func (failingRung) Reset(join.Config, *stats.RNG)              {}
-func (failingRung) Evict(*join.State, []join.Tuple, int) []int { panic("unreachable: TryEvict used") }
-func (failingRung) TryEvict(*join.State, []join.Tuple, int) ([]int, error) {
-	return nil, policy.ErrSolverFailed
-}
-
-func TestFlightRungSpansAndDowngradeBundle(t *testing.T) {
-	dir := t.TempDir()
-	lad := &policy.Ladder{Rungs: []join.Policy{failingRung{}, &policy.Lfixed{}}}
-	j, rec := flightJoin(t, Config{CacheSize: 2, Policy: lad, Seed: 9},
-		flightrec.Options{BundleDir: dir})
-
-	j.Step(Tuple{Key: 1}, Tuple{Key: 2})
-	j.Step(Tuple{Key: 3}, Tuple{Key: 4}) // overflow → decision → downgrade → bundle
-
-	// The failed rung and the rung that decided both have spans under step 1.
-	s1 := spansForStep(rec.Spans(), 1)
-	rungs := s1[flightrec.PhaseRung]
-	if len(rungs) != 2 {
-		t.Fatalf("step 1 recorded %d rung spans, want 2: %+v", len(rungs), rungs)
-	}
-	if rungs[0].Label != "FAILRUNG" || rungs[0].Err != "solver-failed" {
-		t.Fatalf("failed rung span = %+v", rungs[0])
-	}
-	if rungs[1].Label != "LFIXED" || rungs[1].Err != "" {
-		t.Fatalf("deciding rung span = %+v", rungs[1])
-	}
-
-	// The downgrade dumped exactly one bundle, after the step completed, so
-	// its checkpoint equals a checkpoint taken now.
-	entries, err := filepath.Glob(filepath.Join(dir, "bundle-*"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("bundles = %v (err %v), want exactly 1", entries, err)
-	}
-	b, err := flightrec.LoadBundle(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Manifest.Reason != "downgrade" || b.Manifest.Step != 1 {
-		t.Fatalf("manifest = %+v, want downgrade at step 1", b.Manifest)
-	}
-	var now bytes.Buffer
-	if err := j.Checkpoint(&now); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b.Checkpoint, now.Bytes()) {
-		t.Fatal("bundle checkpoint differs from the operator's post-step state")
-	}
-}
-
 func TestFlightPanicBundle(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := flightJoin(t, Config{CacheSize: 2, Policy: &panicPolicy{after: 0}},
@@ -259,80 +202,71 @@ func TestFlightInvariantBundle(t *testing.T) {
 	}
 }
 
+// TestFlightBundleRestoreRoundTrip: a signal bundle's checkpoint restores
+// into a fresh operator that re-checkpoints to the same bytes and continues
+// exactly as the dumped one does, under the default policy and under HEEB
+// with stream models.
 func TestFlightBundleRestoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	cfg := Config{CacheSize: 4, Window: 8, Seed: 17, Telemetry: reg}
-	j, _ := flightJoin(t, cfg, flightrec.Options{BundleDir: dir})
-	step := func(op *Join, t0, n int) []Pair {
-		var all []Pair
-		for i := t0; i < t0+n; i++ {
-			all = append(all, append([]Pair(nil), op.Step(Tuple{Key: i % 5}, Tuple{Key: (i + 1) % 5})...)...)
-		}
-		return all
-	}
-	step(j, 0, 20)
-	bdir, err := j.DumpBundle("signal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := flightrec.LoadBundle(bdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"telemetry.json", "downgrades.json", "checkpoint.sscp"} {
-		if _, err := os.Stat(filepath.Join(bdir, f)); err != nil {
-			t.Fatalf("bundle missing %s: %v", f, err)
-		}
-	}
-
-	// Restore the bundle's checkpoint into a fresh operator; both must
-	// produce identical pairs on the continuation.
-	fresh, _ := flightJoin(t, Config{CacheSize: 4, Window: 8, Seed: 17}, flightrec.Options{})
-	if err := fresh.Restore(bytes.NewReader(b.Checkpoint)); err != nil {
-		t.Fatal(err)
-	}
-	want := step(j, 20, 15)
-	got := step(fresh, 20, 15)
-	if len(want) != len(got) {
-		t.Fatalf("continuations diverge: %d vs %d pairs", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("pair %d: %+v vs %+v", i, want[i], got[i])
-		}
-	}
-}
-
-func TestFlightSolverSpans(t *testing.T) {
-	lad := policy.NewDefaultLadder(3, 200, policy.HEEBOptions{LifetimeEstimate: 4})
-	j, rec := flightJoin(t, Config{CacheSize: 4, Procs: trendProcs(), Policy: lad, Seed: 11},
-		flightrec.Options{})
-	un := flightrec.AttachSolver(rec)
-	defer un()
-	rng := stats.NewRNG(33)
-	rs, ss := rng.Split(), rng.Split()
-	for i := 0; i < 32; i++ {
-		j.Step(Tuple{Key: trendKey(rs, i, 0)}, Tuple{Key: trendKey(ss, i, 1)})
-	}
-	solves := 0
-	for _, s := range rec.Spans() {
-		if s.Phase == flightrec.PhaseSolve {
-			solves++
-			if s.Label != "ssp" && s.Label != "cost-scaling" {
-				t.Fatalf("solve span label = %q", s.Label)
+	for _, tc := range []struct {
+		name string
+		mk   func() Config
+	}{
+		{"rand", func() Config { return Config{CacheSize: 4, Window: 8, Seed: 17} }},
+		{"heeb", func() Config {
+			return Config{CacheSize: 4, Window: 8, Seed: 17, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := tc.mk()
+			cfg.Telemetry = telemetry.NewRegistry()
+			j, _ := flightJoin(t, cfg, flightrec.Options{BundleDir: dir})
+			step := func(op *Join, t0, n int) []Pair {
+				var all []Pair
+				for i := t0; i < t0+n; i++ {
+					all = append(all, append([]Pair(nil), op.Step(Tuple{Key: i % 5}, Tuple{Key: (i + 1) % 5})...)...)
+				}
+				return all
 			}
-			if s.Parent == 0 {
-				t.Fatalf("solve span has no parent: %+v", s)
+			step(j, 0, 20)
+			bdir, err := j.DumpBundle("signal")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if solves == 0 {
-		t.Fatal("FlowExpect decisions recorded no solver spans")
-	}
-}
+			b, err := flightrec.LoadBundle(bdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []string{"telemetry.json", "checkpoint.sscp"} {
+				if _, err := os.Stat(filepath.Join(bdir, f)); err != nil {
+					t.Fatalf("bundle missing %s: %v", f, err)
+				}
+			}
 
-// trendKey draws a deterministic key stream for the solver-span test.
-func trendKey(rng *stats.RNG, i, side int) int {
-	return 2 + side + i%7 + rng.IntN(5)
+			// Restore the bundle's checkpoint into a fresh operator: it
+			// re-checkpoints to the bundle's exact bytes, and both produce
+			// identical pairs on the continuation.
+			fresh, _ := flightJoin(t, tc.mk(), flightrec.Options{})
+			if err := fresh.Restore(bytes.NewReader(b.Checkpoint)); err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := fresh.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), b.Checkpoint) {
+				t.Fatal("re-checkpoint after restore differs from the bundle's checkpoint bytes")
+			}
+			want := step(j, 20, 15)
+			got := step(fresh, 20, 15)
+			if len(want) != len(got) {
+				t.Fatalf("continuations diverge: %d vs %d pairs", len(want), len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("pair %d: %+v vs %+v", i, want[i], got[i])
+				}
+			}
+		})
+	}
 }

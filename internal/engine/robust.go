@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"stochstream/internal/join"
-	"stochstream/internal/policy"
 	"stochstream/internal/process"
-	"stochstream/internal/telemetry"
 )
 
 // StepChecked is the fault-tolerant boundary around Step: arrivals are
@@ -18,9 +16,7 @@ import (
 // step did not happen, no state was touched, and the operator accepts
 // further steps. ErrStepFailed means the step aborted midway; the cache may
 // be inconsistent, so the caller should Restore from a checkpoint (or
-// rebuild the operator) before continuing. Policies wrapped in a
-// policy.Ladder never reach the ErrStepFailed path for decision failures —
-// the ladder degrades to a simpler rung instead.
+// rebuild the operator) before continuing.
 func (j *Join) StepChecked(r, s Tuple) (out []Pair, err error) {
 	if e := checkKey(r.Key); e != nil {
 		return nil, fmt.Errorf("%w: stream R: %v", ErrBadTuple, e)
@@ -34,8 +30,6 @@ func (j *Join) StepChecked(r, s Tuple) (out []Pair, err error) {
 			// The cache may be inconsistent, so the bundle's embedded
 			// checkpoint may fail to serialize — the span ring and lifecycle
 			// records still land, which is the evidence that matters here.
-			// Any bundle a mid-step downgrade requested is superseded.
-			j.pendingBundle = ""
 			j.autoDumpBundle("panic")
 		}
 	}()
@@ -200,23 +194,6 @@ func (j *Join) checkPosting(side, v, slot int, fail func(string, ...interface{})
 	return nil
 }
 
-// FallbackCounts reports the degradation ladder's per-rung fallback
-// counters, index-aligned with names, when the configured policy is a
-// policy.Ladder (directly or behind the telemetry wrapper). ok is false for
-// non-ladder policies.
-func (j *Join) FallbackCounts() (names []string, counts []uint64, ok bool) {
-	lad, isLadder := unwrapPolicy(j.policy).(*policy.Ladder)
-	if !isLadder {
-		return nil, nil, false
-	}
-	names = lad.RungNames()
-	counts = make([]uint64, len(names))
-	for i := range counts {
-		counts[i] = lad.FallbackCount(i)
-	}
-	return names, counts, true
-}
-
 // unwrapPolicy strips instrumentation wrappers (anything with an Unwrap
 // method) off a policy.
 func unwrapPolicy(p join.Policy) join.Policy {
@@ -226,25 +203,6 @@ func unwrapPolicy(p join.Policy) join.Policy {
 			return p
 		}
 		p = u.Unwrap()
-	}
-}
-
-// wireDowngrades connects a ladder's downgrade callback to a telemetry
-// registry: one ladder_fallback_total counter per (from, to) edge, plus a
-// record in the downgrade trace. An OnDowngrade the caller installed first
-// keeps firing.
-func wireDowngrades(lad *policy.Ladder, reg *telemetry.Registry) {
-	prev := lad.OnDowngrade
-	lad.OnDowngrade = func(d policy.Downgrade) {
-		if prev != nil {
-			prev(d)
-		}
-		reg.Counter(`ladder_fallback_total{from="` + d.From + `",to="` + d.To + `"}`).Inc()
-		reason := ""
-		if d.Err != nil {
-			reason = d.Err.Error()
-		}
-		reg.Downgrades().Record(telemetry.DowngradeRecord{Step: d.Step, From: d.From, To: d.To, Reason: reason})
 	}
 }
 

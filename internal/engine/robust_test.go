@@ -233,16 +233,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	})
 }
 
-func TestFallbackCounts(t *testing.T) {
-	j, err := NewJoin(Config{CacheSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := j.FallbackCounts(); ok {
-		t.Fatal("non-ladder policy reported fallback counts")
-	}
-}
-
 // TestStepRefusesKeysOutsideTheDomain: Step and StepBatch panic on a key
 // outside [MinKey, MaxKey] that is not NoValue, naming it, before touching
 // any state. Such a key used to be cached: 7 + 2^32 aliased 7 in the equi

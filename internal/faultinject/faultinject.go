@@ -1,15 +1,13 @@
-// Package faultinject perturbs operator inputs and internals under a seeded,
-// fully deterministic fault plan, so chaos tests can assert the engine's
-// fault-tolerance contract: no panics, invariants intact after every step,
-// and degradation only along the documented policy ladder.
+// Package faultinject perturbs operator inputs under a seeded, fully
+// deterministic fault plan, so chaos tests can assert the engine's
+// fault-tolerance contract: no panics, out-of-domain keys rejected cleanly,
+// and invariants intact after every step.
 //
 // Faults model what a streaming deployment actually sees: duplicated
 // arrivals (at-least-once transport replays a tuple), dropped arrivals (the
 // paper's "−" tuples), out-of-order delivery (a tuple held back one or more
-// steps), corrupted join keys (including values outside the supported
-// domain, which StepChecked must reject), and solver failures (forced
-// through the min-cost-flow failure hook, standing in for numerical
-// instability on adversarial inputs).
+// steps) and corrupted join keys (including values outside the supported
+// domain, which StepChecked must reject).
 //
 // Everything is driven by one stats.RNG seeded from the plan, so a chaos run
 // replays identically — a failing seed is a reproducible bug report.
@@ -18,15 +16,13 @@ package faultinject
 import (
 	"math"
 
-	"stochstream/internal/mincostflow"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
 
 // Plan is a seeded fault campaign: per-arrival fault probabilities, applied
-// independently to each stream at each step, plus a per-solve probability of
-// a forced solver failure. Probabilities are in [0, 1]; the zero Plan
-// injects nothing.
+// independently to each stream at each step. Probabilities are in [0, 1];
+// the zero Plan injects nothing.
 type Plan struct {
 	Seed uint64
 	// DupProb replaces an arrival's key with the previous key seen on the
@@ -42,21 +38,17 @@ type Plan struct {
 	// corruptions stay inside the supported key domain (extreme but legal),
 	// half fall outside it (StepChecked must reject those cleanly).
 	CorruptProb float64
-	// SolverFailProb is the per-solve probability that the min-cost-flow
-	// failure hook forces an injected failure.
-	SolverFailProb float64
 }
 
 // DefaultPlan is a moderately hostile campaign used by the CI chaos smoke:
 // every fault class is exercised, none dominates.
 func DefaultPlan(seed uint64) Plan {
 	return Plan{
-		Seed:           seed,
-		DupProb:        0.02,
-		DropProb:       0.02,
-		DelayProb:      0.02,
-		CorruptProb:    0.01,
-		SolverFailProb: 0.05,
+		Seed:        seed,
+		DupProb:     0.02,
+		DropProb:    0.02,
+		DelayProb:   0.02,
+		CorruptProb: 0.01,
 	}
 }
 
@@ -66,31 +58,25 @@ type Counts struct {
 	// CorruptInDomain are corruptions to extreme-but-legal keys;
 	// CorruptOutOfDomain are keys outside [engine.MinKey, engine.MaxKey].
 	CorruptInDomain, CorruptOutOfDomain int
-	SolverFailures                      int
 }
 
 // Injector applies a Plan to a stream of synchronized arrivals.
 // Not safe for concurrent use.
 type Injector struct {
-	plan Plan
-	rng  *stats.RNG
-	// solverRNG drives the solver hook from its own stream, so installing
-	// the hook does not perturb the arrival faults.
-	solverRNG *stats.RNG
-	prev      [2]int
-	held      [2]int
-	hasHeld   [2]bool
-	counts    Counts
+	plan    Plan
+	rng     *stats.RNG
+	prev    [2]int
+	held    [2]int
+	hasHeld [2]bool
+	counts  Counts
 }
 
 // New returns an injector for the plan.
 func New(plan Plan) *Injector {
-	rng := stats.NewRNG(plan.Seed)
 	return &Injector{
-		plan:      plan,
-		rng:       rng.Split(),
-		solverRNG: rng.Split(),
-		prev:      [2]int{process.NoValue, process.NoValue},
+		plan: plan,
+		rng:  stats.NewRNG(plan.Seed),
+		prev: [2]int{process.NoValue, process.NoValue},
 	}
 }
 
@@ -134,24 +120,6 @@ func (in *Injector) corrupt() int {
 	}
 	in.counts.CorruptOutOfDomain++
 	return illegal[in.rng.IntN(len(illegal))]
-}
-
-// InstallSolverHook installs a process-wide min-cost-flow failure hook that
-// fails each solve with probability SolverFailProb, driven by the injector's
-// own seeded stream. It returns an uninstall function; callers must invoke
-// it (typically via defer) before another test installs a hook.
-func (in *Injector) InstallSolverHook() (uninstall func()) {
-	if in.plan.SolverFailProb <= 0 {
-		return func() {}
-	}
-	mincostflow.SetFailureHook(func() bool {
-		if in.solverRNG.Float64() < in.plan.SolverFailProb {
-			in.counts.SolverFailures++
-			return true
-		}
-		return false
-	})
-	return func() { mincostflow.SetFailureHook(nil) }
 }
 
 // Counts returns the per-class injection counters so far.

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -11,21 +12,17 @@ import (
 	"stochstream/internal/engine"
 	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
-	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/shardrt"
 	"stochstream/internal/stats"
 )
 
 // Multi-shard chaos campaign: a seeded, skewed workload faulted at ingress
-// drives a sharded runtime in which one shard's ladder is forced to degrade
-// (its FlowExpect rung is starved of solver budget, so every decision falls
-// through — the deterministic stand-in for the solver hook, which is
-// process-global and unusable under concurrent shard workers). The campaign
-// asserts the sharded fault-tolerance contract: no panics, runtime invariants
-// after every batch, out-of-domain keys rejected atomically, a diagnostics
-// bundle per downgraded step on the degraded shard, and a byte-identical
-// differential replay.
+// drives a sharded runtime of HEEB shards. The campaign asserts the sharded
+// fault-tolerance contract: no panics, runtime invariants after every batch,
+// out-of-domain keys rejected atomically, no fault bundle from any shard,
+// per-shard bundle directories for the bundles a shard is asked for, and a
+// byte-identical differential replay.
 
 const (
 	shardChaosShards = 4
@@ -57,30 +54,25 @@ func shardChaosKeys(seed uint64, n int) [][2]int {
 }
 
 type shardChaosResult struct {
-	pairs     []shardrt.Pair
-	metrics   shardrt.Metrics
-	counts    Counts
-	rejected  int
-	fallbacks [][]uint64
+	pairs    []shardrt.Pair
+	metrics  shardrt.Metrics
+	counts   Counts
+	rejected int
+	// bundles are the signal bundles dumped from each shard after the
+	// campaign, indexed by shard.
+	bundles []string
 }
 
 func runShardChaos(t *testing.T, seed uint64, flightDir string) shardChaosResult {
 	t.Helper()
-	heeb := policy.HEEBOptions{LifetimeEstimate: 4}
 	rt, err := shardrt.New(shardrt.Config{
 		Shards:     shardChaosShards,
 		TotalCache: 32,
 		Procs:      chaosProcs(),
 		Seed:       seed,
-		NewPolicy: func(shard int) join.Policy {
-			budget := int64(50_000)
-			if shard == 0 {
-				budget = 1 // starve the solver: every decision downgrades
-			}
-			return policy.NewDefaultLadder(3, budget, heeb)
-		},
-		Telemetry: true,
-		FlightDir: flightDir,
+		NewPolicy:  func(int) join.Policy { return chaosPolicy() },
+		Telemetry:  true,
+		FlightDir:  flightDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,12 +136,20 @@ func runShardChaos(t *testing.T, seed uint64, flightDir string) shardChaosResult
 	}
 	res.metrics = rt.Metrics()
 	res.counts = inj.Counts()
+
+	// No shard met a fault worth a bundle: faulted keys are rejected at
+	// ingress, and the rest is input the operator must take in its stride.
+	if entries, err := os.ReadDir(flightDir); err == nil && len(entries) > 0 {
+		t.Fatalf("the campaign dumped bundles: %v", entries)
+	}
+	// The runtime is quiescent after Flush, so each shard's engine can dump
+	// a bundle of its own; it lands in that shard's FlightDir subdirectory.
 	for i := 0; i < shardChaosShards; i++ {
-		_, fb, ok := rt.Shard(i).FallbackCounts()
-		if !ok {
-			t.Fatalf("shard %d ladder did not report fallback counts", i)
+		bdir, err := rt.Shard(i).DumpBundle("signal")
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
-		res.fallbacks = append(res.fallbacks, fb)
+		res.bundles = append(res.bundles, bdir)
 	}
 	return res
 }
@@ -168,60 +168,28 @@ func TestShardedChaosCampaign(t *testing.T) {
 		t.Fatal("campaign produced no pairs at all")
 	}
 
-	// The starved shard degraded; sum of its per-rung fallbacks is the number
-	// of decisions that fell past rung 0.
-	var hotFallbacks uint64
-	for _, c := range res.fallbacks[0] {
-		hotFallbacks += c
-	}
-	if hotFallbacks == 0 {
-		t.Fatal("starved shard 0 never fell down its ladder")
-	}
-
-	// Bundle-per-downgrade: the degraded shard dumped diagnostics bundles
-	// into its own FlightDir subdirectory, one per downgraded step, each
-	// loadable and carrying a restorable checkpoint.
-	bundles, err := filepath.Glob(filepath.Join(dir, "shard-0", "bundle-*"))
-	if err != nil || len(bundles) == 0 {
-		t.Fatalf("degraded shard wrote no bundles (err %v)", err)
-	}
-	if uint64(len(bundles)) > hotFallbacks {
-		t.Fatalf("%d bundles but only %d downgrade decisions", len(bundles), hotFallbacks)
-	}
-	for _, dir := range bundles[:min(3, len(bundles))] {
-		b, err := flightrec.LoadBundle(dir)
+	// One signal bundle per shard, each under FlightDir/shard-<i>, named for
+	// its reason, loadable, and carrying a checkpoint of the shard's state.
+	for i, bdir := range res.bundles {
+		if want := filepath.Join(dir, fmt.Sprintf("shard-%d", i)); filepath.Dir(bdir) != want {
+			t.Fatalf("shard %d bundle %s is not under %s", i, bdir, want)
+		}
+		if !strings.HasSuffix(filepath.Base(bdir), "-signal") {
+			t.Fatalf("bundle dir %s not named for its reason", bdir)
+		}
+		b, err := flightrec.LoadBundle(bdir)
 		if err != nil {
-			t.Fatalf("LoadBundle(%s): %v", dir, err)
+			t.Fatalf("LoadBundle(%s): %v", bdir, err)
 		}
-		if b.Manifest.Reason != "downgrade" {
-			t.Fatalf("bundle %s reason %q, want downgrade", dir, b.Manifest.Reason)
-		}
-		if !strings.Contains(filepath.Base(dir), "downgrade") {
-			t.Fatalf("bundle dir %s not named for its reason", dir)
-		}
-		if len(b.Checkpoint) == 0 {
-			t.Fatalf("bundle %s has no checkpoint", dir)
-		}
-	}
-	// Healthy shards wrote no bundles: their generous solver budgets never
-	// downgraded on this campaign.
-	for i := 1; i < shardChaosShards; i++ {
-		sub := filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		if entries, err := os.ReadDir(sub); err == nil && len(entries) > 0 {
-			var fb uint64
-			for _, c := range res.fallbacks[i] {
-				fb += c
-			}
-			if fb == 0 {
-				t.Fatalf("shard %d wrote %d bundles without any downgrade", i, len(entries))
-			}
+		if b.Manifest.Reason != "signal" || len(b.Checkpoint) == 0 {
+			t.Fatalf("shard %d bundle manifest %+v, %d checkpoint bytes", i, b.Manifest, len(b.Checkpoint))
 		}
 	}
 }
 
-// TestShardedChaosReplay: the whole faulted, degraded campaign
-// is deterministic — two runs from the same seed are byte-identical in
-// pairs, metrics, fault counts and per-shard downgrade counts.
+// TestShardedChaosReplay: the whole faulted campaign is deterministic — two
+// runs from the same seed are byte-identical in pairs, metrics, fault counts
+// and the checkpoints of the bundles each shard dumps at the end.
 func TestShardedChaosReplay(t *testing.T) {
 	a := runShardChaos(t, 77, t.TempDir())
 	b := runShardChaos(t, 77, t.TempDir())
@@ -245,11 +213,17 @@ func TestShardedChaosReplay(t *testing.T) {
 			t.Fatalf("shard %d metrics diverged: %+v vs %+v", i, a.metrics.Shards[i], b.metrics.Shards[i])
 		}
 	}
-	for i := range a.fallbacks {
-		for r := range a.fallbacks[i] {
-			if a.fallbacks[i][r] != b.fallbacks[i][r] {
-				t.Fatalf("shard %d rung %d fallbacks diverged: %d vs %d", i, r, a.fallbacks[i][r], b.fallbacks[i][r])
-			}
+	for i := range a.bundles {
+		ba, err := flightrec.LoadBundle(a.bundles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := flightrec.LoadBundle(b.bundles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ba.Checkpoint, bb.Checkpoint) {
+			t.Fatalf("shard %d end-of-campaign checkpoints diverged", i)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"stochstream/internal/checkpoint"
 )
 
-// Diagnostics bundles: on a fault (ErrInvariant, ladder downgrade, recovered
-// panic) or an explicit signal, the engine dumps everything the flight
+// Diagnostics bundles: on a fault (ErrInvariant, recovered panic) or an
+// explicit signal, the engine dumps everything the flight
 // recorder knows — plus operator state and telemetry snapshots supplied by
 // the caller — into one versioned directory:
 //
@@ -23,8 +23,10 @@ import (
 //	trace.json       the same spans as Chrome trace_event JSON (Perfetto)
 //	lifecycle.json   per-key lifecycle records for the sampled subset
 //	telemetry.json   telemetry registry snapshot        (if source given)
-//	downgrades.json  ladder downgrade trace             (if source given)
 //	checkpoint.sscp  operator checkpoint, SSCP envelope (if source given)
+//
+// Older version-1 bundles may also carry downgrades.json; the loader reads
+// only the files above.
 //
 // Directory names are deterministic — bundle-<seq>-step<step>-<reason> —
 // so identical seeded runs produce identical bundle paths.
@@ -44,8 +46,8 @@ var (
 
 // BundleInfo describes why a bundle is being written.
 type BundleInfo struct {
-	// Reason is a short taxonomy word: "invariant", "downgrade", "panic",
-	// "signal". It becomes part of the directory name.
+	// Reason is a short taxonomy word: "invariant", "panic", "signal". It
+	// becomes part of the directory name.
 	Reason string
 	// Step is the operator step at which the fault surfaced.
 	Step int
@@ -61,8 +63,6 @@ type BundleSources struct {
 	Checkpoint func(io.Writer) error
 	// Telemetry writes the registry snapshot (telemetry.Registry.WriteJSON).
 	Telemetry func(io.Writer) error
-	// Downgrades writes the ladder downgrade trace as JSON.
-	Downgrades func(io.Writer) error
 }
 
 // Manifest is the bundle's self-description, written last.
@@ -143,11 +143,6 @@ func (r *Recorder) WriteBundle(info BundleInfo, src BundleSources) (string, erro
 	}
 	if src.Telemetry != nil {
 		if err := writeFile(dir, "telemetry.json", &man, src.Telemetry); err != nil {
-			return "", err
-		}
-	}
-	if src.Downgrades != nil {
-		if err := writeFile(dir, "downgrades.json", &man, src.Downgrades); err != nil {
 			return "", err
 		}
 	}

@@ -33,7 +33,6 @@ type traceArgs struct {
 	Keys   int    `json:"keys"`
 	Detail int64  `json:"detail"`
 	Label  string `json:"label,omitempty"`
-	Err    string `json:"err,omitempty"`
 }
 
 type traceFile struct {
@@ -70,7 +69,6 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 				Keys:   s.Keys,
 				Detail: s.Detail,
 				Label:  s.Label,
-				Err:    s.Err,
 			},
 		}
 	}

@@ -5,20 +5,17 @@
 //   - Step-phase spans. engine.Step is decomposed into recorded phases
 //     (expiry-prune, probe, emit, score, evict, checkpoint) with begin/end
 //     timestamps and key counts, written into a power-of-two ring buffer
-//     with zero steady-state allocation. join.Run, policy.Ladder rung walks
-//     and mincostflow solver attempts record child spans, so a ladder
-//     downgrade is attributable to the exact solver budget event inside the
-//     exact step.
+//     with zero steady-state allocation.
 //
 //   - Per-tuple lifecycle tracking. A deterministic hash-sampled subset of
 //     join keys gets full causal records — ingest, index admit, matches
 //     emitted, cache admit/evict/expire — queryable by key. Sampling is
 //     seeded from the operator Config, so it is replay-stable.
 //
-//   - Diagnostics bundles. On ErrInvariant, a ladder downgrade, a recovered
-//     panic or an explicit signal, the engine dumps a versioned bundle (span
-//     ring, lifecycle records, telemetry snapshot, downgrade trace and a
-//     checkpoint in the internal/checkpoint envelope) to a directory; see
+//   - Diagnostics bundles. On ErrInvariant, a recovered panic or an
+//     explicit signal, the engine dumps a versioned bundle (span ring,
+//     lifecycle records, telemetry snapshot and a checkpoint in the
+//     internal/checkpoint envelope) to a directory; see
 //     bundle.go and WriteChromeTrace for the Perfetto-loadable trace export.
 //
 // Determinism contract: the recorder never reads the wall clock itself. All
@@ -37,8 +34,7 @@ import (
 type Phase uint8
 
 // The recorded phases. PhaseStep is the per-step root span; the engine
-// phases (expire … checkpoint) and the policy/solver phases (rung, solve)
-// are its children.
+// phases (expire … checkpoint) are its children.
 const (
 	PhaseStep Phase = iota
 	PhaseExpire
@@ -47,14 +43,11 @@ const (
 	PhaseScore
 	PhaseEvict
 	PhaseCheckpoint
-	PhaseRung
-	PhaseSolve
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"step", "expire", "probe", "emit", "score", "evict",
-	"checkpoint", "rung", "solve",
+	"step", "expire", "probe", "emit", "score", "evict", "checkpoint",
 }
 
 // String returns the phase's stable wire name.
@@ -89,9 +82,8 @@ func (p *Phase) UnmarshalJSON(b []byte) error {
 }
 
 // Span is one recorded phase: its position in the step/parent hierarchy,
-// begin/end timestamps from the injected clock, a key/item count, a
-// phase-specific detail value and — for failed rung or solver attempts —
-// the taxonomy error class.
+// begin/end timestamps from the injected clock, a key/item count and a
+// phase-specific detail value.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent"`
@@ -102,12 +94,11 @@ type Span struct {
 	End    int64  `json:"end_ns"`
 	// Keys counts the items the phase touched: pruned entries for expire,
 	// probe hits for probe, emitted pairs for emit/step, candidates for
-	// score/rung, cached entries for checkpoint.
+	// score, cached entries for checkpoint.
 	Keys int `json:"keys"`
 	// Detail is a phase-specific scalar: evictions needed for score/evict,
-	// flow units for solve, evictions for the step root.
-	Detail int64  `json:"detail"`
-	Err    string `json:"err,omitempty"`
+	// evictions for the step root.
+	Detail int64 `json:"detail"`
 }
 
 // Active is an in-flight span handle returned by Begin*. It is a small
@@ -260,8 +251,8 @@ func (r *Recorder) BeginStep(step int) Active {
 // Begin opens a child span of the current step under the given phase.
 func (r *Recorder) Begin(phase Phase) Active { return r.BeginLabel(phase, "") }
 
-// BeginLabel is Begin with a label (a rung or solver name). Pass constant
-// strings; the label is stored by reference.
+// BeginLabel is Begin with a label. Pass constant strings; the label is
+// stored by reference.
 func (r *Recorder) BeginLabel(phase Phase, label string) Active {
 	r.mu.Lock()
 	r.nextID++
@@ -272,30 +263,20 @@ func (r *Recorder) BeginLabel(phase Phase, label string) Active {
 
 // End closes a span and writes it to the ring.
 func (r *Recorder) End(a Active, keys int, detail int64) {
-	r.finish(a, keys, detail, "")
-}
-
-// Fail closes a span that represents a failed attempt, recording the
-// taxonomy error class. Pass constant strings.
-func (r *Recorder) Fail(a Active, keys int, detail int64, errClass string) {
-	r.finish(a, keys, detail, errClass)
+	r.mu.Lock()
+	r.writeLocked(a, keys, detail)
+	r.mu.Unlock()
 }
 
 // EndStep closes a step root span and detaches the current-parent state.
 func (r *Recorder) EndStep(a Active, keys int, detail int64) {
 	r.mu.Lock()
-	r.writeLocked(a, keys, detail, "")
+	r.writeLocked(a, keys, detail)
 	r.curParent = 0
 	r.mu.Unlock()
 }
 
-func (r *Recorder) finish(a Active, keys int, detail int64, errClass string) {
-	r.mu.Lock()
-	r.writeLocked(a, keys, detail, errClass)
-	r.mu.Unlock()
-}
-
-func (r *Recorder) writeLocked(a Active, keys int, detail int64, errClass string) {
+func (r *Recorder) writeLocked(a Active, keys int, detail int64) {
 	r.ring[r.next] = Span{
 		ID:     a.id,
 		Parent: a.parent,
@@ -306,7 +287,6 @@ func (r *Recorder) writeLocked(a Active, keys int, detail int64, errClass string
 		End:    r.clock(),
 		Keys:   keys,
 		Detail: detail,
-		Err:    errClass,
 	}
 	r.next = (r.next + 1) & r.mask
 	r.total++

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,18 +101,6 @@ func TestLastSpans(t *testing.T) {
 	}
 	if got := r.LastSpans(100); len(got) != 5 {
 		t.Fatalf("LastSpans(100) len = %d, want all 5", len(got))
-	}
-}
-
-func TestFailRecordsErrClass(t *testing.T) {
-	r := flightrec.New(flightrec.Options{})
-	root := r.BeginStep(0)
-	a := r.BeginLabel(flightrec.PhaseRung, "FLOWEXPECT")
-	r.Fail(a, 3, 1, "solver-budget")
-	r.EndStep(root, 0, 0)
-	spans := r.Spans()
-	if spans[0].Err != "solver-budget" || spans[0].Label != "FLOWEXPECT" {
-		t.Fatalf("failed span = %+v, want err class and label", spans[0])
 	}
 }
 
@@ -223,7 +212,7 @@ func TestZeroSteadyStateAllocations(t *testing.T) {
 	step := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		root := r.BeginStep(step)
-		c := r.BeginLabel(flightrec.PhaseRung, "HEEB")
+		c := r.BeginLabel(flightrec.PhaseScore, "HEEB")
 		r.End(c, 3, 1)
 		r.Life(5, flightrec.LifeEvent{Step: step, Kind: flightrec.LifeMatch, Stream: "R"})
 		r.EndStep(root, 1, 0)
@@ -242,7 +231,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				a := r.Begin(flightrec.PhaseSolve)
+				a := r.Begin(flightrec.PhaseEvict)
 				r.Life(g, flightrec.LifeEvent{Step: i, Kind: flightrec.LifeMatch, Stream: "R"})
 				r.End(a, 1, 0)
 				_ = r.LastSpans(8)
@@ -256,7 +245,7 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 func TestPhaseAndLifeKindJSONRoundTrip(t *testing.T) {
-	for p := flightrec.PhaseStep; p <= flightrec.PhaseSolve; p++ {
+	for p := flightrec.PhaseStep; p <= flightrec.PhaseCheckpoint; p++ {
 		b, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
@@ -291,8 +280,8 @@ func TestPhaseAndLifeKindJSONRoundTrip(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	r := flightrec.New(flightrec.Options{Clock: flightrec.LogicalClock()})
 	root := r.BeginStep(3)
-	c := r.BeginLabel(flightrec.PhaseRung, "HEEB")
-	r.Fail(c, 4, 2, "model-diverged")
+	c := r.BeginLabel(flightrec.PhaseScore, "HEEB")
+	r.End(c, 4, 2)
 	r.EndStep(root, 1, 0)
 
 	var buf bytes.Buffer
@@ -327,12 +316,12 @@ func TestChromeTraceSchema(t *testing.T) {
 			t.Fatalf("event %d dur = %v, want non-negative number", i, ev["dur"])
 		}
 	}
-	if name := doc.TraceEvents[0]["name"]; name != "rung:HEEB" {
-		t.Fatalf("labeled span exported as %v, want rung:HEEB", name)
+	if name := doc.TraceEvents[0]["name"]; name != "score:HEEB" {
+		t.Fatalf("labeled span exported as %v, want score:HEEB", name)
 	}
 	args := doc.TraceEvents[0]["args"].(map[string]any)
-	if args["err"] != "model-diverged" {
-		t.Fatalf("failed span args = %v, want err class", args)
+	if args["label"] != "HEEB" || args["keys"].(float64) != 4 || args["detail"].(float64) != 2 {
+		t.Fatalf("span args = %v, want label HEEB, 4 keys, detail 2", args)
 	}
 	if args["step"].(float64) != 3 {
 		t.Fatalf("span step exported as %v, want 3", args["step"])
@@ -374,7 +363,6 @@ func TestBundleRoundTrip(t *testing.T) {
 	bdir, err := r.WriteBundle(flightrec.BundleInfo{Reason: "Invariant #3!", Step: 7}, flightrec.BundleSources{
 		Checkpoint: func(w io.Writer) error { return checkpoint.Write(w, payload) },
 		Telemetry:  func(w io.Writer) error { _, err := io.WriteString(w, `{"m":1}`); return err },
-		Downgrades: func(w io.Writer) error { _, err := io.WriteString(w, `[]`); return err },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +382,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if b.Manifest.Spans != 1 || b.Manifest.SpansTotal != 1 || b.Manifest.TrackedKeys != 1 {
 		t.Fatalf("manifest counts = %+v", b.Manifest)
 	}
-	wantFiles := []string{"spans.json", "trace.json", "lifecycle.json", "telemetry.json", "downgrades.json", "checkpoint.sscp"}
+	wantFiles := []string{"spans.json", "trace.json", "lifecycle.json", "telemetry.json", "checkpoint.sscp"}
 	if strings.Join(b.Manifest.Files, ",") != strings.Join(wantFiles, ",") {
 		t.Fatalf("manifest files = %v, want %v", b.Manifest.Files, wantFiles)
 	}
@@ -493,5 +481,39 @@ func TestLoadBundleRejectsNewerVersion(t *testing.T) {
 	}
 	if _, err := flightrec.LoadBundle(bdir); err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future-version bundle loaded: err = %v", err)
+	}
+}
+
+// TestLoadBundleWithDowngradeTrace: a version-1 bundle written while the
+// operator still had a degradation ladder loads. The fixture was dumped on a
+// ladder downgrade: it carries downgrades.json, which the loader ignores, and
+// rung spans with an "err" field, whose phase decodes as unknown.
+func TestLoadBundleWithDowngradeTrace(t *testing.T) {
+	dir := filepath.Join("testdata", "bundle-0000-step00000001-downgrade")
+	b, err := flightrec.LoadBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Manifest.Version != 1 || b.Manifest.Reason != "downgrade" || b.Manifest.Step != 1 {
+		t.Fatalf("manifest = %+v", b.Manifest)
+	}
+	if !slices.Contains(b.Manifest.Files, "downgrades.json") {
+		t.Fatalf("fixture manifest lists %v, want downgrades.json among them", b.Manifest.Files)
+	}
+	if len(b.Spans) != b.Manifest.Spans || len(b.Lifecycle) != b.Manifest.TrackedKeys || len(b.Checkpoint) == 0 {
+		t.Fatalf("loaded %d spans, %d keys, %d checkpoint bytes for manifest %+v",
+			len(b.Spans), len(b.Lifecycle), len(b.Checkpoint), b.Manifest)
+	}
+	var steps, unknown int
+	for _, s := range b.Spans {
+		switch s.Phase.String() {
+		case "step":
+			steps++
+		case "unknown":
+			unknown++
+		}
+	}
+	if steps != 2 || unknown != 2 {
+		t.Fatalf("fixture spans decode to %d step roots and %d unknown phases, want 2 and 2", steps, unknown)
 	}
 }

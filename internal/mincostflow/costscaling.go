@@ -63,17 +63,6 @@ type IntResult struct {
 // residual cycles by ε-scaling push-relabel until 1/n-optimality, which is
 // exact for integer costs.
 func (g *IntGraph) MinCostFlow(source, sink int, target int64) (IntResult, error) {
-	obs := solveObserver.Load()
-	if obs == nil {
-		return g.minCostFlow(source, sink, target)
-	}
-	obs.Begin(SolverCostScaling)
-	res, err := g.minCostFlow(source, sink, target)
-	obs.End(SolverCostScaling, res.Flow, err)
-	return res, err
-}
-
-func (g *IntGraph) minCostFlow(source, sink int, target int64) (IntResult, error) {
 	if source == sink {
 		return IntResult{}, errors.New("mincostflow: source equals sink")
 	}

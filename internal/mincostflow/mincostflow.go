@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Graph is a directed flow network. Nodes are dense integers [0, N).
@@ -82,44 +81,6 @@ var ErrDisconnected = errors.New("mincostflow: sink unreachable from source")
 // graph may hold a partial flow and must be discarded by the caller.
 var ErrNumericalInstability = errors.New("mincostflow: numerical instability")
 
-// ErrBudgetExceeded is returned when a Budget bound was hit before the
-// requested flow was routed. The budget is deterministic — it counts solver
-// work (augmentations, relaxations), never wall-clock time — so a budgeted
-// solve fails identically on every replay of the same instance.
-var ErrBudgetExceeded = errors.New("mincostflow: solver budget exceeded")
-
-// ErrInjectedFailure is returned when the test failure hook forces a solve to
-// fail (fault-injection harnesses; never set in production).
-var ErrInjectedFailure = errors.New("mincostflow: injected solver failure")
-
-// Budget bounds the work one MinCostFlowBudget call may do. Zero fields mean
-// unlimited (beyond the built-in negative-cycle guard). Counting solver
-// iterations instead of time keeps budgeted solves deterministic, as the
-// engine's replay and checkpoint guarantees require.
-type Budget struct {
-	// MaxAugmentations caps the number of augmenting paths pushed.
-	MaxAugmentations int64
-	// MaxRelaxations caps edge relaxations in the Bellman–Ford initial
-	// potential pass (the topological pass is linear and never bounded).
-	MaxRelaxations int64
-}
-
-// failureHook, when non-nil, is consulted at the top of every solve; a true
-// return fails the solve with ErrInjectedFailure. It exists for the
-// fault-injection harness and is deterministic as long as the installed hook
-// is (internal/faultinject installs seeded, call-counting hooks).
-var failureHook atomic.Pointer[func() bool]
-
-// SetFailureHook installs (or, with nil, removes) the process-wide solver
-// failure hook. Test harnesses only.
-func SetFailureHook(f func() bool) {
-	if f == nil {
-		failureHook.Store(nil)
-		return
-	}
-	failureHook.Store(&f)
-}
-
 // MinCostFlow routes up to target units of flow from source to sink at
 // minimum total cost, mutating the graph's residual capacities. It returns
 // the units routed and their cost. If fewer than target units fit, the
@@ -131,35 +92,13 @@ func SetFailureHook(f func() bool) {
 // when the positive-capacity subgraph is a DAG, Bellman–Ford otherwise),
 // then Dijkstra on reduced costs for each augmentation.
 func (g *Graph) MinCostFlow(source, sink, target int) (Result, error) {
-	return g.MinCostFlowBudget(source, sink, target, Budget{})
-}
-
-// MinCostFlowBudget is MinCostFlow under a deterministic work budget. When a
-// bound is hit the routed (partial) flow is reported alongside
-// ErrBudgetExceeded; the graph's residual state reflects the partial flow and
-// should be discarded.
-func (g *Graph) MinCostFlowBudget(source, sink, target int, budget Budget) (Result, error) {
-	obs := solveObserver.Load()
-	if obs == nil {
-		return g.minCostFlowBudget(source, sink, target, budget)
-	}
-	obs.Begin(SolverSSP)
-	res, err := g.minCostFlowBudget(source, sink, target, budget)
-	obs.End(SolverSSP, int64(res.Flow), err)
-	return res, err
-}
-
-func (g *Graph) minCostFlowBudget(source, sink, target int, budget Budget) (Result, error) {
 	if source == sink {
 		return Result{}, errors.New("mincostflow: source equals sink")
 	}
 	if target <= 0 {
 		return Result{}, nil
 	}
-	if hook := failureHook.Load(); hook != nil && (*hook)() {
-		return Result{}, ErrInjectedFailure
-	}
-	pot, err := g.initialPotentials(source, budget)
+	pot, err := g.initialPotentials(source)
 	if err != nil {
 		return Result{}, err
 	}
@@ -168,12 +107,6 @@ func (g *Graph) minCostFlowBudget(source, sink, target int, budget Budget) (Resu
 	distTo := make([]float64, g.n)
 	parentArc := make([]int32, g.n)
 	for res.Flow < target {
-		if budget.MaxAugmentations > 0 && augmentations >= budget.MaxAugmentations {
-			statSolves.Add(1)
-			statDijkstra.Add(dijkstraRuns)
-			statAugmentations.Add(augmentations)
-			return res, fmt.Errorf("%w: %d augmentations routed %d/%d units", ErrBudgetExceeded, augmentations, res.Flow, target)
-		}
 		dijkstraRuns++
 		reached, err := g.dijkstra(source, sink, pot, distTo, parentArc)
 		if err != nil {
@@ -221,11 +154,11 @@ func (g *Graph) minCostFlowBudget(source, sink, target int, budget Budget) (Resu
 // initialPotentials computes shortest-path distances from source over
 // positive-capacity arcs, tolerating negative costs. Nodes unreachable from
 // the source get potential 0 (they can never be on an augmenting path).
-func (g *Graph) initialPotentials(source int, budget Budget) ([]float64, error) {
+func (g *Graph) initialPotentials(source int) ([]float64, error) {
 	if order, ok := g.topoOrder(); ok {
 		return g.dagPotentials(source, order), nil
 	}
-	return g.bellmanFord(source, budget)
+	return g.bellmanFord(source)
 }
 
 // topoOrder returns a topological order of the positive-capacity subgraph,
@@ -284,7 +217,7 @@ func (g *Graph) dagPotentials(source int, order []int32) []float64 {
 	return d
 }
 
-func (g *Graph) bellmanFord(source int, budget Budget) ([]float64, error) {
+func (g *Graph) bellmanFord(source int) ([]float64, error) {
 	statBellmanFord.Add(1)
 	d := make([]float64, g.n)
 	for i := range d {
@@ -308,9 +241,6 @@ func (g *Graph) bellmanFord(source int, budget Budget) ([]float64, error) {
 			if nd := d[v] + g.arcs[a].cost; nd < d[to]-1e-15 {
 				d[to] = nd
 				relaxations++
-				if budget.MaxRelaxations > 0 && relaxations > budget.MaxRelaxations {
-					return nil, fmt.Errorf("%w: %d Bellman–Ford relaxations", ErrBudgetExceeded, relaxations)
-				}
 				if relaxations > maxRelax {
 					return nil, fmt.Errorf("%w: negative-cost cycle detected after %d relaxations", ErrNumericalInstability, relaxations)
 				}

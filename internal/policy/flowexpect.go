@@ -1,12 +1,10 @@
 package policy
 
 import (
-	"errors"
 	"fmt"
 
 	"stochstream/internal/core"
 	"stochstream/internal/join"
-	"stochstream/internal/mincostflow"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
@@ -20,12 +18,6 @@ import (
 type FlowExpect struct {
 	// Lookahead is the parameter l of Section 3.1 (default 10).
 	Lookahead int
-	// SolverBudget caps the min-cost-flow augmentations per decision (0 =
-	// unlimited). The bound is deterministic — it counts solver iterations,
-	// not wall-clock time — so a budgeted run replays identically. When the
-	// budget trips, TryEvict reports ErrSolverBudget for the caller (usually
-	// a Ladder) to degrade on.
-	SolverBudget int64
 
 	cfg join.Config
 	// fc is the forecast window shared between the flow-graph construction
@@ -61,32 +53,16 @@ func (p *FlowExpect) bindDecision(st *join.State) *core.ForecastCache {
 	return p.fc
 }
 
-// Evict implements join.Policy. A solver failure is a panic here — callers
-// that want graceful degradation use TryEvict (via a Ladder) instead.
+// Evict implements join.Policy. A failed solve panics; engine.Join's
+// StepChecked returns that as ErrStepFailed.
 func (p *FlowExpect) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	out, err := p.TryEvict(st, cands, n)
-	if err != nil {
-		panic(fmt.Sprintf("policy: FlowExpect step failed: %v", err))
-	}
-	return out
-}
-
-// TryEvict implements Fallible: the flow solve runs under SolverBudget, and
-// failures come back as taxonomy errors (ErrSolverBudget on budget
-// exhaustion, ErrSolverFailed on numerical instability, disconnection or an
-// injected fault) instead of panics.
-func (p *FlowExpect) TryEvict(st *join.State, cands []join.Tuple, n int) ([]int, error) {
 	cs := make([]core.Candidate, len(cands))
 	for i, c := range cands {
 		cs[i] = core.Candidate{Value: c.Value, Stream: c.Stream, Age: st.Time - c.Arrived}
 	}
-	budget := mincostflow.Budget{MaxAugmentations: p.SolverBudget}
-	dec, err := core.FlowExpectStepBudget(cs, p.bindDecision(st), len(cands)-n, p.Lookahead, p.cfg.Window, budget)
+	dec, err := core.FlowExpectStepCached(cs, p.bindDecision(st), len(cands)-n, p.Lookahead, p.cfg.Window)
 	if err != nil {
-		if errors.Is(err, mincostflow.ErrBudgetExceeded) {
-			return nil, fmt.Errorf("%w: %v", ErrSolverBudget, err)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrSolverFailed, err)
+		panic(fmt.Sprintf("policy: FlowExpect step failed: %v", err))
 	}
 	keep := make(map[int]bool, len(dec.Keep))
 	for _, i := range dec.Keep {
@@ -99,9 +75,9 @@ func (p *FlowExpect) TryEvict(st *join.State, cands []join.Tuple, n int) ([]int,
 		}
 	}
 	if len(out) != n {
-		return nil, fmt.Errorf("%w: flow kept %d of %d candidates, need %d evictions", ErrSolverFailed, len(dec.Keep), len(cands), n)
+		panic(fmt.Sprintf("policy: FlowExpect step failed: flow kept %d of %d candidates, need %d evictions", len(dec.Keep), len(cands), n))
 	}
-	return out, nil
+	return out
 }
 
 // ScoreCandidates returns each candidate's total expected arc benefit over

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math"
 
 	"stochstream/internal/core"
@@ -116,20 +115,6 @@ func (p *HEEB) bindDecision(st *join.State) {
 
 // Evict implements join.Policy.
 func (p *HEEB) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	evict, _ := p.evict(st, cands, n, false)
-	return evict
-}
-
-// TryEvict implements Fallible: identical decisions to Evict, except that
-// non-finite candidate scores (a NaN model parameter, an overflowed benefit
-// sum) are reported as ErrModelDiverged instead of silently producing a
-// garbage ordering. The finite check is only paid on the TryEvict path, so
-// the bare hot path is unchanged.
-func (p *HEEB) TryEvict(st *join.State, cands []join.Tuple, n int) ([]int, error) {
-	return p.evict(st, cands, n, true)
-}
-
-func (p *HEEB) evict(st *join.State, cands []join.Tuple, n int, checked bool) ([]int, error) {
 	if p.Opts.Adaptive && p.tracker.N() > 0 {
 		p.alpha = p.tracker.Alpha(p.Opts.LifetimeEstimate)
 	}
@@ -138,11 +123,6 @@ func (p *HEEB) evict(st *join.State, cands []join.Tuple, n int, checked bool) ([
 	// Every candidate is scored in place: the candidate indices are the
 	// positions evictLowest already works with.
 	p.scoreBuf = p.scoreAll(st, cands, p.scoreBuf[:0])
-	if checked {
-		if i := firstNonFinite(p.scoreBuf); i >= 0 {
-			return nil, fmt.Errorf("%w: candidate %d (value %d) scored %g", ErrModelDiverged, i, cands[i].Value, p.scoreBuf[i])
-		}
-	}
 	evict := evictLowest(p.scoreBuf, cands, n, p.victims)
 	p.victims = evict
 
@@ -150,7 +130,7 @@ func (p *HEEB) evict(st *join.State, cands []join.Tuple, n int, checked bool) ([
 	for _, i := range evict {
 		p.tracker.Observe(cands[i].Arrived, st.Time)
 	}
-	return evict, nil
+	return evict
 }
 
 // scoreAll scores every candidate into out (resized as needed). Without a

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -42,6 +43,36 @@ func TestEvictLowest(t *testing.T) {
 	got = evictLowest([]float64{0.5, 0.5, 0.5}, cands, 1, nil)
 	if got[0] != 0 {
 		t.Fatalf("tie-break = %v, want oldest (0)", got)
+	}
+
+	// A non-finite score orders nothing, but the answer is still n distinct
+	// in-range victims: the engine refuses any other answer with a panic.
+	nan, inf := math.NaN(), math.Inf(1)
+	six := []join.Tuple{tup(0, 1, 0, 0), tup(1, 2, 0, 0), tup(2, 3, 1, 0), tup(3, 4, 1, 1), tup(4, 5, 0, 1), tup(5, 6, 1, 1)}
+	for _, tc := range []struct {
+		name   string
+		scores []float64
+	}{
+		{"nan-first", []float64{nan, 0.2, 0.1, 0.4, 0.3, 0.5}},
+		{"nan-inside", []float64{0.2, 0.1, nan, 0.4, nan, 0.5}},
+		{"all-nan", []float64{nan, nan, nan, nan, nan, nan}},
+		{"+inf", []float64{0.2, inf, 0.1, inf, 0.3, 0.5}},
+		{"-inf", []float64{0.2, -inf, 0.1, -inf, 0.3, -inf}},
+		{"mixed", []float64{nan, inf, -inf, nan, -inf, inf}},
+	} {
+		for _, n := range []int{1, 2, 3, 5} {
+			got := evictLowest(tc.scores, six, n, nil)
+			seen := map[int]bool{}
+			for _, i := range got {
+				if i < 0 || i >= len(six) || seen[i] {
+					t.Fatalf("%s, n=%d: evictLowest = %v, want %d distinct indices in [0, %d)", tc.name, n, got, n, len(six))
+				}
+				seen[i] = true
+			}
+			if len(got) != n {
+				t.Fatalf("%s, n=%d: evictLowest = %v, want %d victims", tc.name, n, got, n)
+			}
+		}
 	}
 }
 
@@ -497,13 +528,13 @@ func TestReservoirTinyCache(t *testing.T) {
 
 // TestProbSnapshotDeterministic: a snapshot is a function of the state. The
 // counts live in Go maps, which gob would write in iteration order; 100
-// snapshots of one PROB (and one LIFE behind a ladder) must be the same
-// bytes, and restore into the same counts.
+// snapshots of one PROB (and one LIFE) must be the same bytes, and restore
+// into the same counts.
 func TestProbSnapshotDeterministic(t *testing.T) {
 	prob := &Prob{}
-	lad := &Ladder{Rungs: []join.Policy{&Life{Lifetime: func(int, join.Tuple) int { return 1 }}, &Lfixed{}}}
+	life := &Life{Lifetime: func(int, join.Tuple) int { return 1 }}
 	rng := stats.NewRNG(4)
-	for _, p := range []join.Policy{prob, lad} {
+	for _, p := range []join.Policy{prob, life} {
 		p.Reset(join.Config{CacheSize: 4}, stats.NewRNG(1))
 		for i := 0; i < 2000; i++ {
 			p.(join.ArrivalObserver).ObserveArrivals(rng.IntN(300)-150, rng.IntN(300))

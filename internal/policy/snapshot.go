@@ -10,10 +10,9 @@ import (
 
 // This file implements join.StateSnapshotter for the policies that carry
 // decision state a checkpoint must capture: HEEB (adaptive α and the lifetime
-// tracker), the RNG-driven RAND and RESERVOIR, PROB and LIFE (the value counts
-// no history keeps for them) and Ladder (which delegates to its rungs).
-// FlowExpect's forecast window is re-derived from the restored histories, so
-// it needs no snapshot code.
+// tracker), the RNG-driven RAND and RESERVOIR, and PROB and LIFE (the value
+// counts no history keeps for them). FlowExpect's forecast window is
+// re-derived from the restored histories, so it needs no snapshot code.
 //
 // Wire format: gob of an exported wire struct per policy, and no Go map in
 // any of them: gob writes a map in iteration order, which would make two
@@ -131,68 +130,6 @@ func (vc *valueCounts) RestoreState(data []byte) error {
 		}
 		vc.counts[s] = m
 	}
-	return nil
-}
-
-type ladderWire struct {
-	Rungs     []ladderRungWire
-	Fallbacks []uint64
-	LastRung  int
-}
-
-type ladderRungWire struct {
-	Name     string
-	HasState bool
-	State    []byte
-}
-
-// SnapshotState implements join.StateSnapshotter by capturing every rung
-// that itself carries state, plus the ladder's fallback counters.
-func (p *Ladder) SnapshotState() ([]byte, error) {
-	w := ladderWire{Fallbacks: append([]uint64(nil), p.fallbacks...), LastRung: p.lastRung}
-	for _, r := range p.Rungs {
-		rw := ladderRungWire{Name: r.Name()}
-		if s, ok := r.(interface{ SnapshotState() ([]byte, error) }); ok {
-			b, err := s.SnapshotState()
-			if err != nil {
-				return nil, fmt.Errorf("policy: snapshotting ladder rung %s: %w", r.Name(), err)
-			}
-			rw.HasState, rw.State = true, b
-		}
-		w.Rungs = append(w.Rungs, rw)
-	}
-	return gobEncode(w)
-}
-
-// RestoreState implements join.StateSnapshotter. The ladder must have been
-// Reset with the same rung list that produced the snapshot.
-func (p *Ladder) RestoreState(data []byte) error {
-	var w ladderWire
-	if err := gobDecode(data, &w); err != nil {
-		return fmt.Errorf("policy: restoring ladder state: %w", err)
-	}
-	if len(w.Rungs) != len(p.Rungs) {
-		return fmt.Errorf("policy: ladder snapshot has %d rungs, policy has %d", len(w.Rungs), len(p.Rungs))
-	}
-	for i, rw := range w.Rungs {
-		if rw.Name != p.Rungs[i].Name() {
-			return fmt.Errorf("policy: ladder rung %d is %s, snapshot has %s", i, p.Rungs[i].Name(), rw.Name)
-		}
-		if !rw.HasState {
-			continue
-		}
-		s, ok := p.Rungs[i].(interface{ RestoreState([]byte) error })
-		if !ok {
-			return fmt.Errorf("policy: ladder rung %s cannot restore state", rw.Name)
-		}
-		if err := s.RestoreState(rw.State); err != nil {
-			return err
-		}
-	}
-	if len(w.Fallbacks) == len(p.fallbacks) {
-		copy(p.fallbacks, w.Fallbacks)
-	}
-	p.lastRung = w.LastRung
 	return nil
 }
 

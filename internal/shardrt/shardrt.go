@@ -1,7 +1,7 @@
 // Package shardrt is the sharded operator runtime: it hash-partitions the
 // join-key domain across N independent engine.Join instances, each with its
-// own cache budget, telemetry registry, flight recorder and policy (so each
-// shard can carry its own degradation ladder), and steps them batch by batch.
+// own cache budget, telemetry registry, flight recorder and policy, and steps
+// them batch by batch.
 //
 // A shard runs on the stream's clock. Each global step's arrivals go straight
 // to their keys' shards at that step: both as one step when their keys share
@@ -135,9 +135,9 @@ type Config struct {
 	// Seed drives per-shard policy randomness; each shard derives its own
 	// seed from it.
 	Seed uint64
-	// Telemetry, when true, attaches a registry to every shard engine plus
-	// a runtime registry for the coordinator's own counters; Registry and
-	// Handler expose them, aggregated across shards.
+	// Telemetry, when true, attaches a registry to every shard engine;
+	// Registry returns one shard's and ShardSet all of them, for aggregated
+	// export.
 	//lint:ignore fingerprintcover observability toggle; counters and gauges never feed a decision, so replay is unaffected
 	Telemetry bool
 	// Flight, when true, attaches a flight recorder to every shard engine.

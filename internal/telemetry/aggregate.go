@@ -25,8 +25,8 @@ type ShardSet struct {
 
 // ShardLabel prepends shard="<id>" to a metric name's label set:
 // ShardLabel(`engine_pairs_total`, 2) → `engine_pairs_total{shard="2"}` and
-// ShardLabel(`ladder_fallback_total{from="x"}`, 2) →
-// `ladder_fallback_total{shard="2",from="x"}`.
+// ShardLabel(`policy_decisions_total{policy="x"}`, 2) →
+// `policy_decisions_total{shard="2",policy="x"}`.
 func ShardLabel(name string, shard int) string {
 	base, labels := splitName(name)
 	return base + joinLabels(fmt.Sprintf(`shard="%d"`, shard), labels)

@@ -7,8 +7,8 @@ import (
 
 func TestShardLabel(t *testing.T) {
 	cases := map[string]string{
-		"engine_pairs_total":                 `engine_pairs_total{shard="2"}`,
-		`ladder_fallback_total{from="heeb"}`: `ladder_fallback_total{shard="2",from="heeb"}`,
+		"engine_pairs_total":                    `engine_pairs_total{shard="2"}`,
+		`policy_decisions_total{policy="HEEB"}`: `policy_decisions_total{shard="2",policy="HEEB"}`,
 	}
 	for in, want := range cases {
 		if got := ShardLabel(in, 2); got != want {

@@ -5,15 +5,14 @@ import (
 	"stochstream/internal/mincostflow"
 )
 
-// EnableGlobal turns on process-wide telemetry: it flips the enabled flag,
-// installs a join.Run observer feeding the default registry (wrapping every
-// policy with InstrumentedPolicy), and surfaces the min-cost-flow solver
-// counters as gauges. cmd/repro -metrics and the examples call this; library
+// EnableGlobal turns on process-wide telemetry: it installs a join.Run
+// observer feeding the default registry (wrapping every policy with
+// InstrumentedPolicy), and surfaces the min-cost-flow solver counters as
+// gauges. cmd/repro -metrics and the examples call this; library
 // embedders who want per-instance registries should use engine.Config.
 // Telemetry instead.
 func EnableGlobal() *Registry {
 	reg := Default()
-	SetEnabled(true)
 	join.SetObserver(NewJoinObserver(reg))
 	RegisterMinCostFlowStats(reg)
 	return reg
@@ -22,7 +21,6 @@ func EnableGlobal() *Registry {
 // DisableGlobal removes the process-wide hooks installed by EnableGlobal.
 // Already-collected metrics stay readable.
 func DisableGlobal() {
-	SetEnabled(false)
 	join.SetObserver(nil)
 }
 

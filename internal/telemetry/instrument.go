@@ -71,7 +71,8 @@ func (p *InstrumentedPolicy) Name() string { return p.Inner.Name() }
 
 // Unwrap returns the instrumented policy, so callers that need the concrete
 // policy behind the telemetry wrapper (the engine's checkpoint looks for
-// join.StateSnapshotter, its downgrade wiring for the ladder) can reach it.
+// join.StateSnapshotter, its arrival feed for join.ArrivalObserver) can
+// reach it.
 func (p *InstrumentedPolicy) Unwrap() join.Policy { return p.Inner }
 
 // Reset implements join.Policy, resolving the policy-labeled metric handles.

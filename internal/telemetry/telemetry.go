@@ -12,9 +12,9 @@
 // hot-path latencies match what the theory predicts, and it is the baseline
 // every performance change must prove itself against.
 //
-// Hot-path cost: a disabled registry costs one atomic load; an enabled one
-// costs a handful of atomic adds per step (no allocations, no locks on the
-// counter/histogram write paths).
+// Hot-path cost: an operator without a registry pays a nil check; one with a
+// registry pays a handful of atomic adds per step (no allocations, no locks
+// on the counter/histogram write paths).
 package telemetry
 
 import (
@@ -22,16 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates the process-wide instrumentation installed by EnableGlobal;
-// per-instance registries (engine.Config.Telemetry) ignore it.
-var enabled atomic.Bool
-
-// SetEnabled turns the process-wide telemetry hooks on or off.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether process-wide telemetry is on.
-func Enabled() bool { return enabled.Load() }
 
 var defaultRegistry = NewRegistry()
 
@@ -80,7 +70,6 @@ type Registry struct {
 	hists      map[string]*Histogram
 	gaugeFuncs map[string]func() float64
 	trace      *Ring[DecisionRecord]
-	downgrades *Ring[DowngradeRecord]
 
 	// clock, when set, replaces the wall clock for the registry's internal
 	// latency timings (InstrumentedPolicy). The engine installs the flight
@@ -90,8 +79,8 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with a decision trace of the default
-// capacity (512 records) and a downgrade trace of the same capacity. Neither
-// trace allocates its records until something is recorded.
+// capacity (512 records). The trace allocates its records only once
+// something is recorded.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
@@ -99,7 +88,6 @@ func NewRegistry() *Registry {
 		hists:      map[string]*Histogram{},
 		gaugeFuncs: map[string]func() float64{},
 		trace:      NewRing[DecisionRecord](512),
-		downgrades: NewRing[DowngradeRecord](512),
 	}
 }
 
@@ -192,9 +180,6 @@ func (r *Registry) nowNs() int64 {
 
 // Trace returns the registry's decision trace.
 func (r *Registry) Trace() *Ring[DecisionRecord] { return r.trace }
-
-// Downgrades returns the registry's degradation-ladder downgrade trace.
-func (r *Registry) Downgrades() *Ring[DowngradeRecord] { return r.downgrades }
 
 // sortedKeys returns the keys of a map in stable order for deterministic
 // export output.

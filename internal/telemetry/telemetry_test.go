@@ -313,23 +313,23 @@ func TestHistogramSnapshotConsistencyUnderWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// A registry's traces hold no records' worth of memory until something is
-// recorded: with telemetry off nothing ever is, and every daemon and the
-// package default carry a registry.
+// A registry's decision trace holds no records' worth of memory until
+// something is recorded: with telemetry off nothing ever is, and every daemon
+// and the package default carry a registry.
 func TestRegistryAllocatesNoRingUntilRecorded(t *testing.T) {
 	reg := NewRegistry()
-	if cap(reg.trace.buf) != 0 || cap(reg.downgrades.buf) != 0 {
-		t.Fatalf("a new registry holds rings of %d and %d records", cap(reg.trace.buf), cap(reg.downgrades.buf))
+	if cap(reg.trace.buf) != 0 {
+		t.Fatalf("a new registry holds a ring of %d records", cap(reg.trace.buf))
 	}
-	if recs := reg.Trace().Last(5); len(recs) != 0 || reg.Downgrades().Total() != 0 {
-		t.Fatalf("an empty ring reads %v, total %d", recs, reg.Downgrades().Total())
+	if recs := reg.Trace().Last(5); len(recs) != 0 || reg.Trace().Total() != 0 {
+		t.Fatalf("an empty ring reads %v, total %d", recs, reg.Trace().Total())
 	}
 	if cap(reg.trace.buf) != 0 {
 		t.Fatal("reading an empty ring allocated it")
 	}
 	reg.Trace().Record(DecisionRecord{Step: 3})
-	if cap(reg.trace.buf) != 512 || cap(reg.downgrades.buf) != 0 {
-		t.Fatalf("after one decision the rings hold %d and %d records, want 512 and 0", cap(reg.trace.buf), cap(reg.downgrades.buf))
+	if cap(reg.trace.buf) != 512 {
+		t.Fatalf("after one decision the ring holds %d records, want 512", cap(reg.trace.buf))
 	}
 	if recs := reg.Trace().Records(); len(recs) != 1 || recs[0].Step != 3 {
 		t.Fatalf("records = %v", recs)

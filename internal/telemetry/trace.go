@@ -24,19 +24,8 @@ type DecisionRecord struct {
 	Candidates []TraceCandidate `json:"candidates"`
 }
 
-// DowngradeRecord is one degradation-ladder fallback: at Step, the rung From
-// failed with Reason and the decision moved to rung To. Together with the
-// ladder_fallback_total counters it makes every downgrade visible — the
-// counters say how often each rung fails, the ring says when and why.
-type DowngradeRecord struct {
-	Step   int    `json:"step"`
-	From   string `json:"from"`
-	To     string `json:"to"`
-	Reason string `json:"reason"`
-}
-
 // Ring is a fixed-capacity ring buffer of trace records: a registry keeps
-// one of DecisionRecords and one of DowngradeRecords. Record is O(1) and
+// one of DecisionRecords. Record is O(1) and
 // overwrites the oldest entry when full; Records returns a chronological
 // copy. The buffer is allocated by the first Record, so a ring nothing
 // writes to — every ring while telemetry is off — holds no records' worth
