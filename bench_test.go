@@ -9,7 +9,6 @@ import (
 	"stochstream/internal/engine"
 	"stochstream/internal/experiment"
 	"stochstream/internal/join"
-	"stochstream/internal/mincostflow"
 	"stochstream/internal/modelsel"
 	"stochstream/internal/multijoin"
 	"stochstream/internal/policy"
@@ -102,7 +101,7 @@ func BenchmarkFlowExpectStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FlowExpectStep(cands, w.Procs, hists, 10, 10); err != nil {
+		if _, err := core.FlowExpectStepCached(cands, core.NewForecastCache(w.Procs, hists), 10, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,39 +216,6 @@ func BenchmarkModelDetection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSolverComparison runs the same OPT-offline instance through the
-// SSP float solver and the Goldberg-style integer cost-scaling solver.
-func BenchmarkSolverComparison(b *testing.B) {
-	w := workload.Tower().Join()
-	r, s := w.Generate(stats.NewRNG(1), 1500)
-	b.Run("ssp", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.OptOfflineJoin(r, s, 10, 0)
-		}
-	})
-	// The cost-scaling path is exercised through the dedicated IntGraph on
-	// an assignment-shaped instance of comparable size.
-	b.Run("costscaling", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := mincostflow.NewInt(2*40 + 2)
-			src, snk := 0, 2*40+1
-			rng := stats.NewRNG(7)
-			for u := 0; u < 40; u++ {
-				g.AddArc(src, 1+u, 1, 0)
-				g.AddArc(1+40+u, snk, 1, 0)
-				for v := 0; v < 40; v++ {
-					g.AddArc(1+u, 1+40+v, 1, int64(rng.IntN(41)-20))
-				}
-			}
-			if _, err := g.MinCostFlow(src, snk, 40); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationControlPoints varies the h2 control grid density

@@ -84,27 +84,6 @@ func CacheECB(ref process.Process, h *process.History, v int, horizon int) ECB {
 	return b
 }
 
-// WindowECB clips an ECB to sliding-window join semantics (Section 7): a
-// tuple that arrived at time arrived with window w stops producing benefit
-// once it leaves the window at time arrived+w. With t0 the current time the
-// clipped ECB is identically zero if the tuple has already expired, and
-// min(B(Δt), B(arrived+w−t0)) otherwise.
-func WindowECB(b ECB, arrived, t0, w int) ECB {
-	if w <= 0 {
-		return b
-	}
-	remaining := arrived + w - t0
-	out := make(ECB, len(b))
-	if remaining <= 0 {
-		return out
-	}
-	ceiling := b.At(remaining)
-	for i := range b {
-		out[i] = min(b[i], ceiling)
-	}
-	return out
-}
-
 // Dominates reports whether a dominates b: a(Δt) ≥ b(Δt) for all Δt ≥ 1
 // over the common tabulated horizon (Section 4.2). ECBs of different lengths
 // are compared through At, which extends each by its plateau.
@@ -134,9 +113,6 @@ func StronglyDominates(a, b ECB) bool {
 	}
 	return true
 }
-
-// Comparable reports whether one of the two ECBs dominates the other.
-func Comparable(a, b ECB) bool { return Dominates(a, b) || Dominates(b, a) }
 
 // DominatedSubset finds a subset V of the candidates, |V| ≤ want, such that
 // every candidate outside V dominates every candidate inside V — the

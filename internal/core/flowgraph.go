@@ -6,7 +6,6 @@ import (
 
 	"stochstream/internal/dist"
 	"stochstream/internal/mincostflow"
-	"stochstream/internal/process"
 )
 
 // StreamID identifies one of the two joined streams.
@@ -51,26 +50,6 @@ type FlowDecision struct {
 	// the look-ahead window [t0+1, t0+l] under the best predetermined
 	// replacement sequence (the negated min-cost of the flow).
 	ExpectedBenefit float64
-}
-
-// FlowExpectStep builds the Section 3.1 network-flow graph for the current
-// time step and solves it: given the candidate tuples (cache content plus
-// new arrivals), the two stream models and their observed histories, a cache
-// of size cacheSize and a look-ahead of l steps, it returns which candidates
-// an expected-benefit-maximizing predetermined replacement sequence keeps
-// now.
-//
-// procs[StreamR] models stream R and procs[StreamS] stream S; hists are the
-// corresponding observed histories through the current time t0.
-func FlowExpectStep(cands []Candidate, procs [2]process.Process, hists [2]*process.History, cacheSize, l int) (FlowDecision, error) {
-	return FlowExpectStepWindow(cands, procs, hists, cacheSize, l, 0)
-}
-
-// FlowExpectStepWindow is FlowExpectStep under sliding-window join semantics
-// (Section 7): a tuple's benefit arcs are zeroed from the step its age
-// exceeds window. window = 0 means regular semantics.
-func FlowExpectStepWindow(cands []Candidate, procs [2]process.Process, hists [2]*process.History, cacheSize, l, window int) (FlowDecision, error) {
-	return FlowExpectStepCached(cands, NewForecastCache(procs, hists), cacheSize, l, window)
 }
 
 // FlowExpectStepCached is FlowExpectStepWindow reading every arc's forecast

@@ -30,17 +30,6 @@ func HorizonFor(l LFunc, fallback int) int {
 	return h
 }
 
-// HFromECB evaluates the defining HEEB sum of Section 4.3 from a tabulated
-// ECB: H_x = B_x(1)·L(1) + Σ_{Δt≥2} (B_x(Δt) − B_x(Δt−1))·L(Δt), truncated
-// at the ECB's tabulated horizon.
-func HFromECB(b ECB, l LFunc) float64 {
-	var h float64
-	for dt := 1; dt <= len(b); dt++ {
-		h += b.Increment(dt) * l.At(dt)
-	}
-	return h
-}
-
 // JoinH computes HEEB's score for a candidate tuple with value v in the
 // joining problem, via the equivalent form
 // H_x = Σ_{Δt≥1} Pr{X^partner_{t0+Δt} = v | x̄_{t0}}·L(Δt)
@@ -168,29 +157,4 @@ func normalMass(v int, mean, sd float64) float64 {
 	a := (float64(v) - 0.5 - mean) / (sd * math.Sqrt2)
 	b := (float64(v) + 0.5 - mean) / (sd * math.Sqrt2)
 	return 0.5 * (math.Erf(b) - math.Erf(a))
-}
-
-// JoinHStep is the time-incremental update of Corollary 3 for Lexp and
-// independent streams: given H at time t0−1 and pNow = Pr{X^partner_{t0} =
-// v}, the score at t0 is e^{1/α}·H_{t0−1} − pNow.
-func JoinHStep(prev float64, alpha float64, pNow float64) float64 {
-	return math.Exp(1/alpha)*prev - pNow
-}
-
-// CacheHStep is the time-incremental update of Corollary 4 for Lexp and an
-// independent reference stream: H_{t0} = (e^{1/α}·H_{t0−1} − pNow)/(1 −
-// pNow), where pNow = Pr{X^ref_{t0} = v}. pNow = 1 (the tuple is being
-// referenced right now with certainty) has no finite update; the result is
-// +Inf and callers should recompute directly.
-func CacheHStep(prev float64, alpha float64, pNow float64) float64 {
-	return (math.Exp(1/alpha)*prev - pNow) / (1 - pNow)
-}
-
-// TransferValue implements the value-incremental technique of Corollary 5
-// for a linear-trend stream X_t = a·t + b + Y_t: the ECB (and hence H) of a
-// tuple with value v at time t equals that of a tuple with value
-// v + a·(t'−t) at time t'. Given a new tuple's value at time tNew, it
-// returns the value whose score at time tRef is identical.
-func TransferValue(slope int, vNew, tNew, tRef int) int {
-	return vNew + slope*(tRef-tNew)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LFunc estimates the probability that a candidate tuple will still be
 // cached Δt steps from now (Section 4.3). A valid LFunc satisfies the five
@@ -69,14 +66,6 @@ func (LInv) Horizon(eps float64) int {
 // 1/(1−e^{−1/α}) matches the estimated or observed lifetime
 // (stats.AlphaForLifetime).
 type LExp struct{ Alpha float64 }
-
-// NewLExp validates α > 0 and returns the L function.
-func NewLExp(alpha float64) LExp {
-	if alpha <= 0 {
-		panic(fmt.Sprintf("core: LExp requires alpha > 0, got %g", alpha))
-	}
-	return LExp{Alpha: alpha}
-}
 
 // At implements LFunc.
 func (l LExp) At(dt int) float64 { return math.Exp(-float64(dt) / l.Alpha) }
@@ -147,26 +136,4 @@ func (l LWindow) Horizon(eps float64) int {
 		return h
 	}
 	return l.Remaining
-}
-
-// CheckLProperties verifies the testable Section 4.3 properties of an LFunc
-// over Δt = 1..horizon: range [0,1], monotone non-increasing, and L(1) > 0
-// when strictlyPositive is requested (Property 5). It returns a descriptive
-// error for the first violation, or nil.
-func CheckLProperties(l LFunc, horizon int, strictlyPositive bool) error {
-	prev := math.Inf(1)
-	for dt := 1; dt <= horizon; dt++ {
-		v := l.At(dt)
-		if v < 0 || v > 1 {
-			return fmt.Errorf("core: L(%d) = %g outside [0,1]", dt, v)
-		}
-		if v > prev {
-			return fmt.Errorf("core: L not non-increasing at Δt=%d (%g > %g)", dt, v, prev)
-		}
-		prev = v
-	}
-	if strictlyPositive && l.At(1) <= 0 {
-		return fmt.Errorf("core: L(1) = %g, want > 0", l.At(1))
-	}
-	return nil
 }

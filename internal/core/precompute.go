@@ -62,16 +62,6 @@ func (h *H1) At(last, v int) float64 {
 	return h.sp.At(float64(d))
 }
 
-// Curve samples the stored spline at each integer difference in [lo, hi];
-// the Figure 6 experiment plots it.
-func (h *H1) Curve() (ds []int, hs []float64) {
-	for d := h.lo; d <= h.hi; d++ {
-		ds = append(ds, d)
-		hs = append(hs, h.sp.At(float64(d)))
-	}
-	return ds, hs
-}
-
 // H2 is the precomputed surface h2 of Theorem 5(1) for an AR(1) stream:
 // HEEB's score is a time-independent function of (v_x, x_{t0}), stored as a
 // bicubic interpolation over a control-point grid — the paper uses 25

@@ -60,14 +60,13 @@ func TestH1DriftShiftsPreferenceRight(t *testing.T) {
 		t.Fatal(err)
 	}
 	argmax := func(h *H1) int {
-		ds, hs := h.Curve()
-		best := 0
-		for i := range ds {
-			if hs[i] > hs[best] {
-				best = i
+		best := h.lo
+		for d := h.lo; d <= h.hi; d++ {
+			if h.At(0, d) > h.At(0, best) {
+				best = d
 			}
 		}
-		return ds[best]
+		return best
 	}
 	m0, m2, m4 := argmax(h0), argmax(h2), argmax(h4)
 	if m0 != 0 {

@@ -1,6 +1,6 @@
 // Package dist provides discrete probability mass functions over the
 // integers, together with the operations the stream models in this module
-// need: shifting, convolution, mixing, moments, CDFs and sampling.
+// need: shifting, convolution and sampling.
 //
 // All join-attribute values in the paper are discrete, so every distribution
 // here is integer-valued with finite support. A PMF reports an inclusive
@@ -8,10 +8,7 @@
 // window Prob may still be zero for individual points.
 package dist
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PMF is a probability mass function over the integers with finite support.
 //
@@ -52,9 +49,6 @@ func Variance(p PMF) float64 {
 	return s
 }
 
-// StdDev returns the standard deviation of p.
-func StdDev(p PMF) float64 { return math.Sqrt(Variance(p)) }
-
 // TotalMass sums Prob over the support. A well-formed PMF returns a value
 // within rounding error of 1; the tests use this as an invariant.
 func TotalMass(p PMF) float64 {
@@ -64,35 +58,6 @@ func TotalMass(p PMF) float64 {
 		s += p.Prob(v)
 	}
 	return s
-}
-
-// CDF returns Pr{X <= v}.
-func CDF(p PMF, v int) float64 {
-	lo, hi := p.Support()
-	if v < lo {
-		return 0
-	}
-	if v >= hi {
-		return 1
-	}
-	var s float64
-	for x := lo; x <= v; x++ {
-		s += p.Prob(x)
-	}
-	return s
-}
-
-// Entropy returns the Shannon entropy of p in nats.
-func Entropy(p PMF) float64 {
-	lo, hi := p.Support()
-	var h float64
-	for v := lo; v <= hi; v++ {
-		q := p.Prob(v)
-		if q > 0 {
-			h -= q * math.Log(q)
-		}
-	}
-	return h
 }
 
 // SampleInverse draws a variate from p by inverse-CDF search using the

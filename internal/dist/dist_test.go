@@ -164,16 +164,6 @@ func TestNormalMatchesMoments(t *testing.T) {
 	}
 }
 
-func TestNormalProbAgreesWithTable(t *testing.T) {
-	n := Normal(-4.2, 1.7, 1e-12)
-	lo, hi := n.Support()
-	for v := lo; v <= hi; v++ {
-		if got, want := NormalProb(v, -4.2, 1.7), n.Prob(v); !almostEqual(got, want, 1e-9) {
-			t.Fatalf("NormalProb(%d) = %v, table has %v", v, got, want)
-		}
-	}
-}
-
 func TestEmpirical(t *testing.T) {
 	e := Empirical([]int{3, 3, 3, 5, 5, 9, 3})
 	if got := e.Prob(3); !almostEqual(got, 4.0/7, tol) {
@@ -255,32 +245,6 @@ func TestConvolveMeansAdd(t *testing.T) {
 	}
 }
 
-func TestConvolvePower(t *testing.T) {
-	step := NewTable(-1, []float64{1, 0, 1}) // ±1 with prob 1/2
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		p := ConvolvePower(step, n)
-		if got := TotalMass(p); !almostEqual(got, 1, 1e-9) {
-			t.Fatalf("n=%d: TotalMass = %v", n, got)
-		}
-		if got := Mean(p); !almostEqual(got, 0, 1e-9) {
-			t.Fatalf("n=%d: Mean = %v, want 0", n, got)
-		}
-		if got := Variance(p); !almostEqual(got, float64(n), 1e-9) {
-			t.Fatalf("n=%d: Variance = %v, want %d", n, got, n)
-		}
-		// Parity: after n ±1 steps only values with the same parity as n.
-		lo, hi := p.Support()
-		for v := lo; v <= hi; v++ {
-			if (v+n)%2 != 0 && p.Prob(v) > 0 {
-				t.Fatalf("n=%d: impossible parity value %d has mass %v", n, v, p.Prob(v))
-			}
-		}
-	}
-	if p := ConvolvePower(step, 0); p.Prob(0) != 1 {
-		t.Fatal("ConvolvePower(_, 0) should be a point mass at 0")
-	}
-}
-
 func TestMixture(t *testing.T) {
 	m := NewMixture([]PMF{NewPointMass(0), NewPointMass(10)}, []float64{1, 3})
 	if got := m.Prob(0); !almostEqual(got, 0.25, tol) {
@@ -328,32 +292,6 @@ func TestDotProduct(t *testing.T) {
 	c := NewUniform(100, 101)
 	if got := DotProduct(a, c); got != 0 {
 		t.Fatalf("DotProduct disjoint = %v, want 0", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	u := NewUniform(0, 3)
-	if got := CDF(u, -1); got != 0 {
-		t.Fatalf("CDF(-1) = %v", got)
-	}
-	if got := CDF(u, 1); !almostEqual(got, 0.5, tol) {
-		t.Fatalf("CDF(1) = %v, want 0.5", got)
-	}
-	if got := CDF(u, 3); got != 1 {
-		t.Fatalf("CDF(3) = %v, want 1", got)
-	}
-	if got := CDF(u, 99); got != 1 {
-		t.Fatalf("CDF(99) = %v, want 1", got)
-	}
-}
-
-func TestEntropyUniformIsLogN(t *testing.T) {
-	u := NewUniform(0, 7)
-	if got := Entropy(u); !almostEqual(got, math.Log(8), tol) {
-		t.Fatalf("Entropy = %v, want ln 8", got)
-	}
-	if got := Entropy(NewPointMass(3)); got != 0 {
-		t.Fatalf("Entropy of point mass = %v, want 0", got)
 	}
 }
 
@@ -418,9 +356,6 @@ func TestQuickPMFInvariants(t *testing.T) {
 		if m < float64(lo)-1e-9 || m > float64(hi)+1e-9 {
 			return false
 		}
-		if !almostEqual(CDF(p, hi), 1, 1e-8) {
-			return false
-		}
 		if Variance(p) < -1e-12 {
 			return false
 		}
@@ -447,4 +382,60 @@ func TestSampleFrequencies(t *testing.T) {
 			t.Fatalf("freq(%d) = %v, want ~%v", v, got, want)
 		}
 	}
+}
+
+func FuzzNewTable(f *testing.F) {
+	f.Add(uint64(1), 4)
+	f.Add(uint64(99), 12)
+	f.Fuzz(func(t *testing.T, seed uint64, n int) {
+		if n < 1 || n > 64 {
+			return
+		}
+		rng := rand.New(rand.NewPCG(seed, 2))
+		w := make([]float64, n)
+		any := false
+		for i := range w {
+			if rng.IntN(3) > 0 {
+				w[i] = rng.Float64()
+				if w[i] > 0 {
+					any = true
+				}
+			}
+		}
+		if !any {
+			return
+		}
+		tab := NewTable(rng.IntN(21)-10, w)
+		if m := TotalMass(tab); math.Abs(m-1) > 1e-9 {
+			t.Fatalf("mass = %v", m)
+		}
+		lo, hi := tab.Support()
+		if tab.Prob(lo) <= 0 || tab.Prob(hi) <= 0 {
+			t.Fatal("support not tight")
+		}
+	})
+}
+
+func FuzzConvolvePreservesMass(f *testing.F) {
+	f.Add(uint64(3), uint64(4))
+	f.Fuzz(func(t *testing.T, s1, s2 uint64) {
+		r1 := rand.New(rand.NewPCG(s1, 5))
+		r2 := rand.New(rand.NewPCG(s2, 6))
+		mk := func(r *rand.Rand) *Table {
+			w := make([]float64, 1+r.IntN(16))
+			for i := range w {
+				w[i] = r.Float64()
+			}
+			w[r.IntN(len(w))] += 0.5
+			return NewTable(r.IntN(11)-5, w)
+		}
+		a, b := mk(r1), mk(r2)
+		c := Convolve(a, b)
+		if m := TotalMass(c); math.Abs(m-1) > 1e-9 {
+			t.Fatalf("mass = %v", m)
+		}
+		if got, want := Mean(c), Mean(a)+Mean(b); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("mean %v != %v", got, want)
+		}
+	})
 }

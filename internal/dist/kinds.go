@@ -264,15 +264,6 @@ func invTail(eps float64) float64 {
 	return hi
 }
 
-// NormalProb returns the discretized-normal mass at integer v for the given
-// mean and standard deviation, without materializing a Table. HEEB's
-// closed-form AR(1)/random-walk sums use this in their inner loop.
-func NormalProb(v int, mean, sigma float64) float64 {
-	a := (float64(v) - 0.5 - mean) / (sigma * math.Sqrt2)
-	b := (float64(v) + 0.5 - mean) / (sigma * math.Sqrt2)
-	return 0.5 * (math.Erf(b) - math.Erf(a))
-}
-
 // Empirical builds a Table from observed integer values, i.e. the empirical
 // frequency histogram. The PROB and LIFE heuristics estimate partner-stream
 // join probabilities from it. Empirical panics on an empty sample.

@@ -58,33 +58,8 @@ func Convolve(a, b PMF) *Table {
 	return NewTable(alo+blo, w)
 }
 
-// ConvolvePower returns the distribution of the sum of n independent copies
-// of p, computed by repeated squaring so n-fold convolution costs O(log n)
-// convolutions.
-func ConvolvePower(p PMF, n int) PMF {
-	if n <= 0 {
-		return PointMass{V: 0}
-	}
-	var acc PMF
-	sq := p
-	for n > 0 {
-		if n&1 == 1 {
-			if acc == nil {
-				acc = sq
-			} else {
-				acc = Convolve(acc, sq)
-			}
-		}
-		n >>= 1
-		if n > 0 {
-			sq = Convolve(sq, sq)
-		}
-	}
-	return acc
-}
-
-// Mixture is a convex combination of component PMFs. FlowExpect's
-// undetermined nodes forecast with mixtures over their arrival distribution.
+// Mixture is a convex combination of component PMFs. Tests build mixed
+// arrival distributions with it; no model forecasts one.
 type Mixture struct {
 	Components []PMF
 	Weights    []float64

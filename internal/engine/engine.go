@@ -20,7 +20,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -791,35 +790,6 @@ func (j *Join) Time() int { return j.time }
 // observability and tests.
 func (j *Join) Snapshot() []join.Tuple {
 	return append(make([]join.Tuple, 0, len(j.cache)), j.cache...)
-}
-
-// Input is one synchronized step of arrivals for Run.
-type Input struct {
-	R, S Tuple
-}
-
-// Run drives the operator from a channel of step inputs until the channel
-// closes or the context is cancelled, sending every result pair to the out
-// channel. It owns the out channel and closes it on return.
-func (j *Join) Run(ctx context.Context, in <-chan Input, out chan<- Pair) error {
-	defer close(out)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case step, ok := <-in:
-			if !ok {
-				return nil
-			}
-			for _, p := range j.Step(step.R, step.S) {
-				select {
-				case out <- p:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-	}
 }
 
 // defaultPolicy resolves Config.Policy: HEEB when models are available,

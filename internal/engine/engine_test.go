@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"context"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"stochstream/internal/core"
 	"stochstream/internal/dist"
@@ -145,61 +143,6 @@ func TestSnapshotTracksCache(t *testing.T) {
 	j.Step(Tuple{Key: 3}, Tuple{Key: 4})
 	if got := len(j.Snapshot()); got != 3 {
 		t.Fatalf("cache len = %d, want 3 (capacity)", got)
-	}
-}
-
-func TestRunDrivesChannels(t *testing.T) {
-	procs := trendProcs()
-	j, err := NewJoin(Config{CacheSize: 6, Procs: procs, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(4)
-	n := 300
-	r := procs[0].Generate(rng.Split(), n)
-	s := procs[1].Generate(rng.Split(), n)
-
-	in := make(chan Input)
-	out := make(chan Pair, 16)
-	errCh := make(chan error, 1)
-	go func() { errCh <- j.Run(context.Background(), in, out) }()
-	go func() {
-		for i := 0; i < n; i++ {
-			in <- Input{R: Tuple{Key: r[i]}, S: Tuple{Key: s[i]}}
-		}
-		close(in)
-	}()
-	count := 0
-	for range out {
-		count++
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if count == 0 {
-		t.Fatal("channel run produced no pairs")
-	}
-	if count != j.Metrics().Pairs {
-		t.Fatalf("channel count %d != metrics %d", count, j.Metrics().Pairs)
-	}
-}
-
-func TestRunHonorsContextCancellation(t *testing.T) {
-	j, _ := NewJoin(Config{CacheSize: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Input)
-	out := make(chan Pair) // unbuffered and never read: Run must still exit
-	errCh := make(chan error, 1)
-	go func() { errCh <- j.Run(ctx, in, out) }()
-	in <- Input{R: Tuple{Key: 1}, S: Tuple{Key: 1}} // produces a pair, blocks on out
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != context.Canceled {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not exit after cancellation")
 	}
 }
 

@@ -61,20 +61,6 @@ func (a *joinAverager) opt() float64 {
 	return sum.Mean()
 }
 
-// standardPolicies returns the paper's comparison set for a workload (LIFE
-// only when a window exists).
-func standardPolicies(w workload.JoinWorkload) []func() join.Policy {
-	ps := []func() join.Policy{
-		func() join.Policy { return &policy.Rand{Lifetime: w.Lifetime} },
-		func() join.Policy { return &policy.Prob{Lifetime: w.Lifetime} },
-	}
-	if w.Lifetime != nil {
-		ps = append(ps, func() join.Policy { return &policy.Life{Lifetime: w.Lifetime} })
-	}
-	ps = append(ps, func() join.Policy { return w.HEEBPolicy() })
-	return ps
-}
-
 // Figure8 compares OPT-offline, FlowExpect (optional), RAND, PROB, LIFE and
 // HEEB across the four synthetic workloads at a fixed cache size.
 func Figure8(o Options) (*Figure, error) {

@@ -1,7 +1,7 @@
-// Package faultinject perturbs operator inputs under a seeded, fully
-// deterministic fault plan, so chaos tests can assert the engine's
-// fault-tolerance contract: no panics, out-of-domain keys rejected cleanly,
-// and invariants intact after every step.
+// Package faultinject is a test-only harness: it perturbs operator inputs
+// under a seeded, fully deterministic fault plan, so its chaos tests can
+// assert the engine's fault-tolerance contract: no panics, out-of-domain
+// keys rejected cleanly, and invariants intact after every step.
 //
 // Faults model what a streaming deployment actually sees: duplicated
 // arrivals (at-least-once transport replays a tuple), dropped arrivals (the

@@ -79,9 +79,3 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	}
 	return nil
 }
-
-// WriteChromeTrace exports the recorder's retained span ring; see the
-// package-level WriteChromeTrace.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, r.Spans())
-}

@@ -6,13 +6,11 @@ import "sort"
 type LifeKind uint8
 
 // The lifecycle event kinds, in the causal order a tuple moves through the
-// operator: ingest (arrival observed), reject (StepChecked refused the
-// arrival), match (a join pair emitted), admit (cached and indexed), evict
-// (a replacement decision discarded it) and expire (window expiry pruned
-// it).
+// operator: ingest (arrival observed), match (a join pair emitted), admit
+// (cached and indexed), evict (a replacement decision discarded it) and
+// expire (window expiry pruned it).
 const (
 	LifeIngest LifeKind = iota
-	LifeReject
 	LifeMatch
 	LifeAdmit
 	LifeEvict
@@ -21,7 +19,7 @@ const (
 )
 
 var lifeKindNames = [numLifeKinds]string{
-	"ingest", "reject", "match", "admit", "evict", "expire",
+	"ingest", "match", "admit", "evict", "expire",
 }
 
 // String returns the kind's stable wire name.
@@ -61,8 +59,8 @@ type LifeEvent struct {
 	// Stream is "R" or "S". Pass constant strings; the value is stored by
 	// reference.
 	Stream string `json:"stream"`
-	// TupleID is the operator-assigned tuple ID, or -1 when the event
-	// precedes ID assignment (a rejected arrival).
+	// TupleID is the operator-assigned tuple ID, or -1 when the event is
+	// on a bare arrival key (a band-join match seen from the arrival's side).
 	TupleID int `json:"tuple_id"`
 	// Partner is the other side's key on a match event, 0 otherwise.
 	Partner int `json:"partner"`
@@ -133,13 +131,6 @@ func (kl *keyLife) snapshot() []LifeEvent {
 	out = append(out, kl.events[kl.next:]...)
 	out = append(out, kl.events[:kl.next]...)
 	return out
-}
-
-// TrackedKeys returns the tracked keys in ascending order.
-func (r *Recorder) TrackedKeys() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trackedKeysLocked()
 }
 
 func (r *Recorder) trackedKeysLocked() []int {

@@ -197,15 +197,3 @@ func (g *Grid) MaxAbsError(f func(x, y float64) float64, nx, ny int) (maxErr, me
 	}
 	return maxErr, sum / float64(count)
 }
-
-// Linspace returns n evenly spaced values covering [a, b] inclusive.
-func Linspace(a, b float64, n int) []float64 {
-	if n < 2 {
-		panic("interp: Linspace requires n >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = a + (b-a)*float64(i)/float64(n-1)
-	}
-	return out
-}

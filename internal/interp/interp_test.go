@@ -315,3 +315,15 @@ func TestGridSerializationRoundTrip(t *testing.T) {
 		t.Fatal("empty payload should fail")
 	}
 }
+
+// Linspace returns n evenly spaced values covering [a, b] inclusive.
+func Linspace(a, b float64, n int) []float64 {
+	if n < 2 {
+		panic("interp: Linspace requires n >= 2")
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = a + (b-a)*float64(i)/float64(n-1)
+	}
+	return out
+}

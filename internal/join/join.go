@@ -320,35 +320,3 @@ func validateEviction(p Policy, evict []int, nCands, need int, eager bool) {
 		seen[i] = true
 	}
 }
-
-// CountJoinsOffline replays streams against a fixed replacement trace — used
-// by tests to cross-check Result accounting. Given per-step keep decisions
-// it returns the post-warmup join count; decisions[t] lists candidate
-// indices kept at step t (same candidate ordering as Run).
-func CountJoinsOffline(r, s []int, decisions [][]int, cfg Config) int {
-	replay := &scriptedPolicy{decisions: decisions}
-	return Run(r, s, replay, cfg, stats.NewRNG(0)).Joins
-}
-
-type scriptedPolicy struct {
-	decisions [][]int
-	t         int
-}
-
-func (sp *scriptedPolicy) Name() string             { return "scripted" }
-func (sp *scriptedPolicy) Reset(Config, *stats.RNG) { sp.t = 0 }
-func (sp *scriptedPolicy) Evict(st *State, cands []Tuple, n int) []int {
-	keep := map[int]bool{}
-	if st.Time < len(sp.decisions) {
-		for _, i := range sp.decisions[st.Time] {
-			keep[i] = true
-		}
-	}
-	var out []int
-	for i := range cands {
-		if !keep[i] && len(out) < n {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -194,22 +194,6 @@ func TestRunEagerEvictorCalledBelowCapacity(t *testing.T) {
 	}
 }
 
-func TestCountJoinsOfflineReplaysDecisions(t *testing.T) {
-	r := []int{1, 0, 0}
-	s := []int{8, 9, 1}
-	// Keep the R(1) tuple (candidate 0 after step 0 has cache [r0 s0]).
-	decisions := [][]int{
-		nil,    // t=0: cache below capacity anyway
-		{0, 2}, // t=1: keep r0 and the new r... candidate order: [r0, s0, r1, s1]
-		nil,
-	}
-	cfg := Config{CacheSize: 2, Warmup: 0}
-	got := CountJoinsOffline(r, s, decisions, cfg)
-	if got != 1 {
-		t.Fatalf("replayed joins = %d, want 1 (r0 joins s at t=2)", got)
-	}
-}
-
 func TestStateProcs(t *testing.T) {
 	cfg := Config{Procs: [2]process.Process{&process.Stationary{}, nil}}
 	st := &State{Config: cfg}

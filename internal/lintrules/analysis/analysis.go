@@ -100,16 +100,6 @@ func SortFindings(fs []Finding) {
 	})
 }
 
-// RunAnalyzer runs a over one type-checked package with a throwaway
-// suppression table built from the package's own files, and returns every
-// finding (suppressed ones flagged) sorted by position. Multi-analyzer
-// drivers that audit suppressions share one table via RunAnalyzerWith.
-func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	table := NewSuppressionTable()
-	table.AddFiles(fset, files)
-	return RunAnalyzerWith(a, table, nil, fset, files, pkg, info)
-}
-
 // RunAnalyzerWith runs a over one type-checked package, marking findings
 // covered by a directive in table as suppressed (and recording the directive
 // use for the audit). facts is the whole-program context handed to

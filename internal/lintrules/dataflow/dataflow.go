@@ -258,10 +258,6 @@ func (p *Program) buildSCCs() {
 	}
 }
 
-// SCCs returns the call graph's strongly connected components in bottom-up
-// order (every component before the components that call into it).
-func (p *Program) SCCs() [][]*Func { return p.sccs }
-
 // FactStore holds the per-function summaries of one analysis.
 type FactStore struct {
 	m map[*types.Func]interface{}

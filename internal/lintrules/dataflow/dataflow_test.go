@@ -116,3 +116,7 @@ func TestFactsFixedPoint(t *testing.T) {
 		t.Error("Facts not memoized by name")
 	}
 }
+
+// SCCs returns the call graph's strongly connected components in bottom-up
+// order (every component before the components that call into it).
+func (p *Program) SCCs() [][]*Func { return p.sccs }

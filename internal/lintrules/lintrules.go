@@ -54,7 +54,6 @@ var decisionPkgs = []string{
 	"stochstream/internal/engine",
 	"stochstream/internal/mincostflow",
 	"stochstream/internal/checkpoint",
-	"stochstream/internal/faultinject",
 	"stochstream/internal/flightrec",
 	"stochstream/internal/shardrt",
 	"stochstream/internal/streamd",

@@ -66,7 +66,6 @@ func TestScoping(t *testing.T) {
 		{"maprange", "stochstream/internal/policy", true},
 		{"maprange", "stochstream/internal/engine", true},
 		{"maprange", "stochstream/internal/checkpoint", true},
-		{"maprange", "stochstream/internal/faultinject", true},
 		{"maprange", "stochstream/internal/streamd/wire", true},
 		{"maprange", "stochstream/internal/shardrt", true},
 		{"stepretain", "stochstream/internal/shardrt", true},

@@ -1,0 +1,357 @@
+package lintrules_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"stochstream/internal/lintrules/load"
+)
+
+// stdlibCalls names the methods the standard library calls on the module's
+// values, through its own interfaces or by reflection (fmt, errors, sort,
+// container/heap, net/http, io and the encoding packages), so that no call
+// to them appears in the module's source.
+var stdlibCalls = []string{
+	"Error", "String", "GoString", "Format", "Unwrap", "Is", "As",
+	"Len", "Less", "Swap", "Push", "Pop",
+	"ServeHTTP", "Read", "Write", "Close",
+	"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
+	"MarshalBinary", "UnmarshalBinary", "GobEncode", "GobDecode",
+}
+
+// TestEveryFunctionIsServed keeps every non-test function served: reached
+// from a binary, or from a test oracle on the allowlist. Code that only its
+// own package's tests reach belongs in their _test.go files; code nothing
+// reaches is deleted.
+//
+// The roots are the main of every main package (the cmd/ binaries, bench
+// and the examples), every init, every package-level var and const
+// initialiser, and the exported functions and methods the root facade
+// declares, all in the packages those mains and the facade import. A
+// function reaches every function and method its body names. A call
+// through an interface, a type assertion to an interface, and a method the
+// standard library calls (stdlibCalls) reach every method of that name:
+// dispatch is by name, which over-approximates what is served, never under.
+//
+// testdata/served.allow lists the oracles, one "<entry> <reason>" a line.
+// An entry is an import path, naming the package's functions, or an import
+// path with ".Func", ".Type" or ".Type.Method" appended; a type names its
+// methods and the package's functions that return it. Allowlisted code is a
+// root, so what an oracle calls stays. An entry that names nothing, or names
+// only code a binary reaches already, fails the test.
+func TestEveryFunctionIsServed(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := load.NewLoader(root, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := loader.List([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &reachGraph{pkgs: map[string]*load.Package{}, decls: map[*types.Func]funcDecl{}, byName: map[string][]*types.Func{}}
+	for _, path := range paths {
+		p, err := loader.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.add(p)
+	}
+	roots := g.roots()
+	served := g.reach(roots, nil)
+
+	var oracles []*types.Func
+	for _, e := range readAllowlist(t, filepath.Join("testdata", "served.allow")) {
+		fns := g.entry(e.name)
+		if len(fns) == 0 {
+			t.Errorf("served.allow:%d: %s names no function of the module", e.line, e.name)
+			continue
+		}
+		redundant := true
+		for _, fn := range fns {
+			redundant = redundant && served[fn]
+		}
+		if redundant {
+			t.Errorf("served.allow:%d: a binary reaches all of %s; delete the entry", e.line, e.name)
+		}
+		oracles = append(oracles, fns...)
+	}
+
+	reached := g.reach(roots, oracles)
+	var unreached []string
+	for fn, d := range g.decls {
+		if !reached[fn] {
+			pos := d.pkg.Fset.Position(d.decl.Pos())
+			rel, err := filepath.Rel(root, pos.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unreached = append(unreached, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, fn.FullName()))
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is reached from no binary: move it into the _test.go files of the package whose tests call it, allowlist it as an oracle with its reason, or delete it", u)
+	}
+}
+
+type funcDecl struct {
+	pkg  *load.Package
+	decl *ast.FuncDecl
+}
+
+// reachNode is a root: a declaration whose body or initialiser is served.
+type reachNode struct {
+	pkg  *load.Package
+	node ast.Node
+}
+
+// reachGraph holds the module's non-test functions and the declarations
+// their reach is read from.
+type reachGraph struct {
+	pkgs   map[string]*load.Package
+	decls  map[*types.Func]funcDecl
+	byName map[string][]*types.Func // concrete methods, for dispatch by name
+	facade string                   // the module path
+}
+
+func (g *reachGraph) add(p *load.Package) {
+	g.pkgs[p.Path] = p
+	if g.facade == "" || len(p.Path) < len(g.facade) {
+		g.facade = p.Path
+	}
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			fn := p.Info.Defs[fd.Name].(*types.Func)
+			g.decls[fn] = funcDecl{pkg: p, decl: fd}
+			if fd.Recv != nil {
+				g.byName[fn.Name()] = append(g.byName[fn.Name()], fn)
+			}
+		}
+	}
+}
+
+// roots returns the mains, the inits, the facade's exported functions and
+// methods, and the package-level declarations of every package the mains
+// and the facade link.
+func (g *reachGraph) roots() []reachNode {
+	linked := map[string]bool{}
+	var link func(path string)
+	link = func(path string) {
+		p, ok := g.pkgs[path]
+		if !ok || linked[path] {
+			return
+		}
+		linked[path] = true
+		for _, imp := range p.Types.Imports() {
+			link(imp.Path())
+		}
+	}
+	for path, p := range g.pkgs {
+		if p.Types.Name() == "main" || path == g.facade {
+			link(path)
+		}
+	}
+	var roots []reachNode
+	for path := range linked {
+		p := g.pkgs[path]
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					roots = append(roots, reachNode{p, d})
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					isMain := p.Types.Name() == "main" && name == "main" && d.Recv == nil
+					isInit := name == "init" && d.Recv == nil
+					if isMain || isInit || path == g.facade && ast.IsExported(name) {
+						roots = append(roots, reachNode{p, d})
+					}
+				}
+			}
+		}
+	}
+	return roots
+}
+
+// entry resolves an allowlist entry to the functions it names.
+func (g *reachGraph) entry(name string) []*types.Func {
+	var p *load.Package
+	for path, q := range g.pkgs {
+		if (name == path || strings.HasPrefix(name, path+".")) && (p == nil || len(path) > len(p.Path)) {
+			p = q
+		}
+	}
+	if p == nil {
+		return nil
+	}
+	var target *types.TypeName
+	if sel := strings.TrimPrefix(strings.TrimPrefix(name, p.Path), "."); sel != "" {
+		typ, method, isMethod := strings.Cut(sel, ".")
+		switch obj := p.Types.Scope().Lookup(typ).(type) {
+		case *types.Func:
+			if !isMethod {
+				return []*types.Func{obj}
+			}
+		case *types.TypeName:
+			if !isMethod {
+				target = obj
+				break
+			}
+			if m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.Types, method); m != nil {
+				if fn, ok := m.(*types.Func); ok && g.decls[fn].decl != nil {
+					return []*types.Func{fn}
+				}
+			}
+		}
+		if target == nil {
+			return nil
+		}
+	}
+	var fns []*types.Func
+	for fn, d := range g.decls {
+		if d.pkg == p && (target == nil || namesType(fn.Type().(*types.Signature), target)) {
+			fns = append(fns, fn)
+		}
+	}
+	return fns
+}
+
+// namesType reports whether a function is a method of the type or returns
+// it.
+func namesType(sig *types.Signature, tn *types.TypeName) bool {
+	is := func(t types.Type) bool {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		named, ok := t.(*types.Named)
+		return ok && named.Origin().Obj() == tn
+	}
+	if sig.Recv() != nil {
+		return is(sig.Recv().Type())
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		if is(sig.Results().At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// reach returns every function reached from the roots and the given
+// functions.
+func (g *reachGraph) reach(roots []reachNode, fns []*types.Func) map[*types.Func]bool {
+	reached := map[*types.Func]bool{}
+	dispatched := map[string]bool{}
+	var queue []*types.Func
+	var mark func(fn *types.Func)
+	dispatch := func(name string) {
+		if !dispatched[name] {
+			dispatched[name] = true
+			for _, m := range g.byName[name] {
+				mark(m)
+			}
+		}
+	}
+	mark = func(fn *types.Func) {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			dispatch(fn.Name())
+			return
+		}
+		if _, ok := g.decls[fn]; ok && !reached[fn] {
+			reached[fn] = true
+			queue = append(queue, fn)
+		}
+	}
+	dispatchInterface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				dispatch(it.Method(i).Name())
+			}
+		}
+	}
+	walk := func(p *load.Package, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if fn, ok := p.Info.Uses[n].(*types.Func); ok {
+					mark(fn)
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					dispatchInterface(p.Info.TypeOf(n.Type))
+				}
+			case *ast.TypeSwitchStmt:
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						dispatchInterface(p.Info.TypeOf(e))
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	for _, name := range stdlibCalls {
+		dispatch(name)
+	}
+	for _, fn := range fns {
+		mark(fn)
+	}
+	for _, r := range roots {
+		if fd, ok := r.node.(*ast.FuncDecl); ok {
+			mark(r.pkg.Info.Defs[fd.Name].(*types.Func))
+		} else {
+			walk(r.pkg, r.node)
+		}
+	}
+	for len(queue) > 0 {
+		fn := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		d := g.decls[fn]
+		walk(d.pkg, d.decl)
+	}
+	return reached
+}
+
+type allowEntry struct {
+	line int
+	name string
+}
+
+// readAllowlist reads "<entry> <reason>" lines; blank lines and lines
+// starting with # are skipped. An entry without a reason is an error.
+func readAllowlist(t *testing.T, path string) []allowEntry {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []allowEntry
+	for i, line := range strings.Split(string(src), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(line, " ")
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("%s:%d: %s has no reason", filepath.Base(path), i+1, name)
+		}
+		entries = append(entries, allowEntry{i + 1, name})
+	}
+	return entries
+}

@@ -17,8 +17,8 @@ func literalHistogram() *telemetry.Histogram {
 	return &telemetry.Histogram{} // want "telemetry.Histogram constructed by literal"
 }
 
-func literalRing() *telemetry.Ring[int] {
-	return &telemetry.Ring[int]{} // want "telemetry.Ring constructed by literal"
+func literalRing() *telemetry.Ring {
+	return &telemetry.Ring{} // want "telemetry.Ring constructed by literal"
 }
 
 func zeroValueHandle() {

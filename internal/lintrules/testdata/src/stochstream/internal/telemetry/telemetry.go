@@ -24,13 +24,13 @@ type Histogram struct {
 }
 
 // Ring mirrors the real ring-buffer trace.
-type Ring[T any] struct {
+type Ring struct {
 	mu   sync.Mutex
 	size int
 }
 
 // NewRing mirrors the real constructor.
-func NewRing[T any](capacity int) *Ring[T] { return &Ring[T]{size: capacity} }
+func NewRing(capacity int) *Ring { return &Ring{size: capacity} }
 
 // Registry mirrors the real registry.
 type Registry struct {

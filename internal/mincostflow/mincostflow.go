@@ -3,7 +3,8 @@
 // cost-scaling solver; the graphs both algorithms build here are layered
 // DAGs of modest size, for which successive shortest paths with node
 // potentials is exact and fast, so that is what this package provides
-// (see DESIGN.md for the substitution note).
+// (see DESIGN.md for the substitution note). A cost-scaling solver lives in
+// the package's tests as the cross-check for this one.
 //
 // Costs are float64 (FlowExpect's arcs carry negated expected benefits);
 // capacities and flows are integers, so every optimal solution found is an
@@ -36,12 +37,6 @@ func New(n int) *Graph {
 	}
 	return &Graph{n: n, heads: make([][]int32, n)}
 }
-
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.n }
-
-// NumArcs returns the number of forward arcs added.
-func (g *Graph) NumArcs() int { return len(g.arcs) / 2 }
 
 // AddArc adds a directed arc with the given capacity and per-unit cost and
 // returns its id. Negative capacities are rejected; negative costs are
@@ -348,36 +343,4 @@ func (h *nodeHeap) pop() heapItem {
 	}
 	*h = q[:n]
 	return q[n]
-}
-
-// Paths decomposes the current integral flow into arc-disjoint source→sink
-// paths of one unit each and returns them as node sequences. FlowExpect's
-// tests use it to recover the cache-trace interpretation of Section 3.1.
-func (g *Graph) Paths(source, sink int) [][]int {
-	// Remaining flow on each forward arc.
-	rem := make([]int32, len(g.arcs)/2)
-	for id := range rem {
-		rem[id] = g.arcs[2*id+1].cap
-	}
-	var paths [][]int
-	for {
-		path := []int{source}
-		v := source
-		for v != sink {
-			advanced := false
-			for _, a := range g.heads[v] {
-				if a%2 == 0 && rem[a/2] > 0 {
-					rem[a/2]--
-					v = int(g.arcs[a].to)
-					path = append(path, v)
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				return paths // no more complete unit paths
-			}
-		}
-		paths = append(paths, path)
-	}
 }

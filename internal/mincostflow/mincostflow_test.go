@@ -157,29 +157,6 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestPathsDecomposition(t *testing.T) {
-	g := New(6)
-	g.AddArc(0, 1, 1, 0)
-	g.AddArc(0, 2, 1, 0)
-	g.AddArc(1, 3, 1, 1)
-	g.AddArc(2, 4, 1, 1)
-	g.AddArc(3, 5, 1, 0)
-	g.AddArc(4, 5, 1, 0)
-	res, err := g.MinCostFlow(0, 5, 2)
-	if err != nil || res.Flow != 2 {
-		t.Fatalf("res = %+v err = %v", res, err)
-	}
-	paths := g.Paths(0, 5)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	for _, p := range paths {
-		if p[0] != 0 || p[len(p)-1] != 5 || len(p) != 4 {
-			t.Fatalf("bad path %v", p)
-		}
-	}
-}
-
 // assignmentBrute solves the n×n assignment problem by permutation
 // enumeration; the flow solver must match it exactly.
 func assignmentBrute(cost [][]float64) float64 {

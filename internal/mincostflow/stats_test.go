@@ -2,13 +2,10 @@ package mincostflow
 
 import "testing"
 
-// The stats counters are process-wide, so this test serializes with the rest
-// of the package (Go runs same-package tests sequentially by default).
+// The stats counters are process-wide, so this test reads them before and
+// after its one solve (Go runs same-package tests sequentially by default).
 func TestStatsCountSolverWork(t *testing.T) {
-	ResetStats()
-	if s := ReadStats(); s != (Stats{}) {
-		t.Fatalf("reset left %+v", s)
-	}
+	before := ReadStats()
 
 	// One SSP solve: two unit paths from 0 to 2.
 	g := New(3)
@@ -18,7 +15,12 @@ func TestStatsCountSolverWork(t *testing.T) {
 	if _, err := g.MinCostFlow(0, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	s := ReadStats()
+	after := ReadStats()
+	s := Stats{
+		Solves:        after.Solves - before.Solves,
+		Augmentations: after.Augmentations - before.Augmentations,
+		DijkstraRuns:  after.DijkstraRuns - before.DijkstraRuns,
+	}
 	if s.Solves != 1 {
 		t.Fatalf("solves = %d, want 1", s.Solves)
 	}
@@ -27,31 +29,5 @@ func TestStatsCountSolverWork(t *testing.T) {
 	}
 	if s.DijkstraRuns < s.Augmentations {
 		t.Fatalf("dijkstra runs %d < augmentations %d", s.DijkstraRuns, s.Augmentations)
-	}
-	if s.CostScalingSolves != 0 {
-		t.Fatalf("cost-scaling counted %d without a solve", s.CostScalingSolves)
-	}
-
-	// One cost-scaling solve on the integer graph.
-	ig := NewInt(3)
-	ig.AddArc(0, 1, 2, 1)
-	ig.AddArc(1, 2, 2, 1)
-	if _, err := ig.MinCostFlow(0, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	s2 := ReadStats()
-	if s2.CostScalingSolves != 1 {
-		t.Fatalf("cost-scaling solves = %d, want 1", s2.CostScalingSolves)
-	}
-	if s2.Pushes == 0 {
-		t.Fatal("cost-scaling solve recorded no pushes")
-	}
-	if s2.Solves != 1 {
-		t.Fatalf("SSP solves changed to %d", s2.Solves)
-	}
-
-	ResetStats()
-	if s := ReadStats(); s != (Stats{}) {
-		t.Fatalf("second reset left %+v", s)
 	}
 }

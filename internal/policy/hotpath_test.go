@@ -190,7 +190,7 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 				}
 				for i := range cands {
 					if cands[i].Stream.Partner() == core.StreamID(s) {
-						cands[i].Value = core.TransferValue(lt.Slope, cands[i].Value, st.Time, st.Time+tc.transfer)
+						cands[i].Value += lt.Slope * tc.transfer // Corollary 5's value transfer
 					}
 				}
 			}

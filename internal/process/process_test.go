@@ -430,3 +430,11 @@ func TestForecastConcurrentOnSharedModel(t *testing.T) {
 		}
 	}
 }
+
+// len returns the number of entries built so far.
+func (m *deltaMemo[T]) len() int {
+	if p := m.tabs.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}

@@ -38,14 +38,6 @@ func (m *deltaMemo[T]) get(delta int, next func(built []T) T) T {
 	return t[delta-1]
 }
 
-// len returns the number of entries built so far.
-func (m *deltaMemo[T]) len() int {
-	if p := m.tabs.Load(); p != nil {
-		return len(*p)
-	}
-	return 0
-}
-
 // RandomWalk is the Section 5.5 model X_t = X_{t-1} + S_t with i.i.d. integer
 // steps S_t ~ Step. A constant drift φ0 is expressed as a nonzero step mean
 // (shift the step distribution). The Δ-step forecast is the Δ-fold

@@ -18,15 +18,6 @@ func AlphaForLifetime(m float64) float64 {
 	return -1 / math.Log1p(-1/m)
 }
 
-// LifetimeForAlpha is the forward direction: the mean lifetime Lexp with
-// parameter α predicts, 1/(1−e^{-1/α}).
-func LifetimeForAlpha(alpha float64) float64 {
-	if alpha <= 0 {
-		return 1
-	}
-	return 1 / (1 - math.Exp(-1/alpha))
-}
-
 // LifetimeTracker observes how long tuples actually survive in the cache and
 // maintains an exponentially-weighted mean lifetime. The paper lists
 // adapting α from the observed lifetime as future work; HEEB's AdaptiveAlpha

@@ -45,15 +45,6 @@ func FitLinear(series []float64) LinearFit {
 	return LinearFit{Intercept: intercept, Slope: slope, R2: r2}
 }
 
-// FitLinearInt fits an integer series.
-func FitLinearInt(series []int) LinearFit {
-	f := make([]float64, len(series))
-	for i, v := range series {
-		f[i] = float64(v)
-	}
-	return FitLinear(f)
-}
-
 // Residuals returns the OLS residuals of the fit over the series.
 func (lf LinearFit) Residuals(series []float64) []float64 {
 	out := make([]float64, len(series))

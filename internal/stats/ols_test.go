@@ -61,13 +61,6 @@ func TestFitLinearWhiteNoiseHasLowR2(t *testing.T) {
 	}
 }
 
-func TestFitLinearInt(t *testing.T) {
-	f := FitLinearInt([]int{0, 2, 4, 6, 8})
-	if math.Abs(f.Slope-2) > 1e-12 {
-		t.Fatalf("slope = %v", f.Slope)
-	}
-}
-
 func TestDiffs(t *testing.T) {
 	got := Diffs([]int{3, 5, 4, 10})
 	want := []float64{2, -1, 6}

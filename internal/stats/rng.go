@@ -99,18 +99,10 @@ type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the summary.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		s.min = math.Min(s.min, x)
-		s.max = math.Max(s.max, x)
-	}
 	s.n++
 	d := x - s.mean
 	s.mean += d / float64(s.n)
@@ -133,12 +125,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (0 with no observations).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 with no observations).
-func (s *Summary) Max() float64 { return s.max }
 
 // RelStdDev returns the coefficient of variation, which the experiment
 // harness reports to mirror the paper's "variances under 5%" observation.

@@ -121,10 +121,14 @@ func TestDrainRestartByteIdentical(t *testing.T) {
 	}
 	defer func() { _ = cl.Close() }()
 
-	// The client streams on its own goroutine, so the drain lands mid-load.
-	// A batch that exhausts its retries inside the outage window is simply
-	// retried again: the base is derived from acked state, so the resume
-	// point cannot drift.
+	// The client streams on its own goroutine. Once batch drainAt is
+	// acknowledged it waits until the drain has begun, so the drain lands
+	// there every time and the checkpoint carries real session and runtime
+	// state. A batch that exhausts its retries inside the outage window is
+	// simply retried again: the base is derived from acked state, so the
+	// resume point cannot drift.
+	const drainAt = 5
+	atDrain := make(chan struct{})
 	gotPairs := make([][]wire.Pair, batches)
 	var acked atomic.Int64
 	var wg sync.WaitGroup
@@ -141,14 +145,16 @@ func TestDrainRestartByteIdentical(t *testing.T) {
 				t.Logf("batch %d riding outage: %v", b, err)
 			}
 			acked.Store(int64(b + 1))
+			if b+1 == drainAt {
+				close(atDrain)
+				for !srv1.Draining() {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
 		}
 	}()
 
-	// Drain once a few batches are acknowledged, so the checkpoint carries
-	// real session and runtime state.
-	for acked.Load() < 5 {
-		time.Sleep(200 * time.Microsecond)
-	}
+	<-atDrain
 	if err := srv1.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -169,8 +175,8 @@ func TestDrainRestartByteIdentical(t *testing.T) {
 	if acked.Load() != batches {
 		t.Fatalf("client finished %d/%d batches", acked.Load(), batches)
 	}
-	if ackedAtDrain >= batches {
-		t.Fatalf("drain landed after the stream ended (acked %d); shrink the trigger threshold", ackedAtDrain)
+	if ackedAtDrain != drainAt {
+		t.Fatalf("drain landed after batch %d, want %d", ackedAtDrain, drainAt)
 	}
 	gotFlush, err := cl.Flush()
 	if err != nil {

@@ -292,9 +292,6 @@ func (s *Server) HTTPAddr() string {
 // shard registries aggregate separately under the HTTP surface).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Draining reports whether a drain has begun (readiness).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // --- admission ------------------------------------------------------------
 
 // submit is the admission controller: it rejects while draining, sheds on

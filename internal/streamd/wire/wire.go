@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -225,21 +224,6 @@ func Frame(typ uint8, payload []byte) []byte {
 	w.u32(uint32(len(payload)))
 	w.b = append(w.b, payload...)
 	return w.b
-}
-
-// WriteFrame emits one complete frame to wr.
-func WriteFrame(wr io.Writer, typ uint8, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: frame payload %d exceeds cap %d", ErrBadFrame, len(payload), MaxFramePayload)
-	}
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := wr.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := wr.Write(payload)
-	return err
 }
 
 func EncodeHello(f Hello) []byte {
@@ -588,18 +572,6 @@ func (w *wireBuf) tuple(ref uint32, seq uint64, key int64, payload []byte) {
 		w.i64(key)
 		w.blob(payload)
 	}
-}
-
-// EncodeResults encodes f as one bare Results payload (no frame header, no
-// size cap) — the reference form of the codec tests.
-func EncodeResults(f Results) []byte {
-	return new(TupleTable).encode(nil, f, false, math.MaxInt)
-}
-
-// EncodeResultsFrame builds the complete Results frame (header included).
-// Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
-func EncodeResultsFrame(f Results) []byte {
-	return new(TupleTable).encode(nil, f, true, math.MaxInt)
 }
 
 // EncodeResultsFrames encodes f as one or more complete Results frames

@@ -699,14 +699,6 @@ func TestFrameReadFrameRoundTrip(t *testing.T) {
 	if typ != TypeIngest || !bytes.Equal(got, payload) {
 		t.Fatalf("FrameReader.Next = (0x%02x, %q)", typ, got)
 	}
-	// WriteFrame produces identical bytes.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeIngest, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), frame) {
-		t.Fatal("WriteFrame and Frame disagree")
-	}
 }
 
 func TestReadFrameRejectsOversizePayload(t *testing.T) {
@@ -793,4 +785,16 @@ func TestCodeErrMapping(t *testing.T) {
 			t.Errorf("unknown code 999 decodes to sentinel %v", tc.sentinel)
 		}
 	}
+}
+
+// EncodeResults encodes f as one bare Results payload (no frame header, no
+// size cap) — the reference form of the codec tests.
+func EncodeResults(f Results) []byte {
+	return new(TupleTable).encode(nil, f, false, math.MaxInt)
+}
+
+// EncodeResultsFrame builds the complete Results frame (header included).
+// Callers that may exceed MaxFramePayload use EncodeResultsFrames instead.
+func EncodeResultsFrame(f Results) []byte {
+	return new(TupleTable).encode(nil, f, true, math.MaxInt)
 }

@@ -36,7 +36,7 @@ func exportRun(t *testing.T, seed uint64) (metricsJSON, chromeTrace []byte) {
 	if err := reg.WriteJSON(&mj); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteChromeTrace(&ct); err != nil {
+	if err := flightrec.WriteChromeTrace(&ct, rec.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	return mj.Bytes(), ct.Bytes()

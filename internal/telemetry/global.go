@@ -25,7 +25,7 @@ func DisableGlobal() {
 }
 
 // RegisterMinCostFlowStats surfaces the solver's package-level counters
-// (SSP augmenting paths, Dijkstra runs, cost-scaling relabels/pushes) as
+// (solves, augmenting paths, Dijkstra and Bellman–Ford runs) as
 // snapshot-time gauges on reg.
 func RegisterMinCostFlowStats(reg *Registry) {
 	stat := func(sel func(mincostflow.Stats) int64) func() float64 {
@@ -35,7 +35,4 @@ func RegisterMinCostFlowStats(reg *Registry) {
 	reg.GaugeFunc("mincostflow_augmenting_paths_total", stat(func(s mincostflow.Stats) int64 { return s.Augmentations }))
 	reg.GaugeFunc("mincostflow_dijkstra_runs_total", stat(func(s mincostflow.Stats) int64 { return s.DijkstraRuns }))
 	reg.GaugeFunc("mincostflow_bellman_ford_runs_total", stat(func(s mincostflow.Stats) int64 { return s.BellmanFordRuns }))
-	reg.GaugeFunc("mincostflow_costscaling_solves_total", stat(func(s mincostflow.Stats) int64 { return s.CostScalingSolves }))
-	reg.GaugeFunc("mincostflow_costscaling_relabels_total", stat(func(s mincostflow.Stats) int64 { return s.Relabels }))
-	reg.GaugeFunc("mincostflow_costscaling_pushes_total", stat(func(s mincostflow.Stats) int64 { return s.Pushes }))
 }

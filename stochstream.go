@@ -266,8 +266,6 @@ type (
 	OperatorTuple = engine.Tuple
 	// OperatorPair is one emitted join result.
 	OperatorPair = engine.Pair
-	// OperatorInput is one synchronized step for channel-driven operation.
-	OperatorInput = engine.Input
 	// OperatorMetrics snapshots the operator's counters.
 	OperatorMetrics = engine.Metrics
 )
