@@ -11,7 +11,7 @@ import (
 	"stochstream/internal/flightrec"
 )
 
-var slowFigures = flag.Bool("slow-figures", false, "TestFiguresMatchRecordedRun also regenerates figures 8 and 19 and ablation a1 (about 30 s each)")
+var slowFigures = flag.Bool("slow-figures", false, "TestFiguresMatchRecordedRun also regenerates figures 8–12 and 19 and ablation a1 (about 10 s to 3 min each)")
 
 // figureSection returns figure id's section of a repro listing: its lines from
 // the "fig<id>:" title (an ablation's is "a<n>:") up to, not including, the
@@ -41,18 +41,20 @@ func figureSection(listing, id string) string {
 // and requires each section to read exactly as in the reference runs
 // EXPERIMENTS.md quotes: experiments_run.txt for the figures,
 // ablation_run.txt for the ablations. Figures 6, 7 and 13–18 and ablation a2
-// take a few seconds together; figures 8 and 19 and ablation a1 take about
-// 30 s or more each and run with
+// take a few seconds together; figures 8–12 and 19 and ablation a1 take from
+// about 10 s each (the sweeps 9–11) to about 3 min (figure 12, WALK with
+// OPT-offline at every cache size) and run with
 //
 //	go test ./cmd/repro -run TestFiguresMatchRecordedRun -args -slow-figures
 //
-// (scripts/ci.sh does). Figures 9–12 take minutes each and are left out.
+// (scripts/ci.sh does).
 func TestFiguresMatchRecordedRun(t *testing.T) {
+	slowIDs := map[string]bool{"8": true, "9": true, "10": true, "11": true, "12": true, "19": true, "a1": true}
 	for _, rec := range []struct {
 		file string
 		ids  []string
 	}{
-		{"experiments_run.txt", []string{"6", "7", "8", "13", "14", "15", "16", "17", "18", "19"}},
+		{"experiments_run.txt", []string{"6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19"}},
 		{"ablation_run.txt", []string{"a1", "a2"}},
 	} {
 		recorded, err := os.ReadFile("../../" + rec.file)
@@ -65,8 +67,8 @@ func TestFiguresMatchRecordedRun(t *testing.T) {
 				name = id
 			}
 			t.Run(name, func(t *testing.T) {
-				if (id == "8" || id == "19" || id == "a1") && !*slowFigures {
-					t.Skip("about 30 s or more at paper scale; run with -args -slow-figures")
+				if slowIDs[id] && !*slowFigures {
+					t.Skip("about 10 s or more at paper scale; run with -args -slow-figures")
 				}
 				want := figureSection(string(recorded), id)
 				if want == "" {

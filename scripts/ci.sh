@@ -35,14 +35,14 @@
 #                    of some patch, and every stochlint killer names one, is
 #                    internal/lintrules' TestMutantCorpusCoversSuite, run in
 #                    phase 6
-#   8. figures     — figures 8 and 19 regenerated at paper scale (about 30 s
-#                    each) and compared with experiments_run.txt section by
-#                    section, and ablation a1 (about 75 s) with
-#                    ablation_run.txt, by cmd/repro's
+#   8. figures     — figures 8–12 and 19 regenerated at paper scale and
+#                    compared with experiments_run.txt section by section,
+#                    and ablation a1 with ablation_run.txt, by cmd/repro's
 #                    TestFiguresMatchRecordedRun under its -slow-figures flag;
 #                    phase 6 already compared 6, 7, 13–18 and ablation a2.
-#                    Figures 9–11 (~20 s each) and 12 (~7 min) are left out:
-#                    their recorded sections are checked by hand
+#                    Figures 9–11 take about 10 s each, 8, 19 and a1 about
+#                    30 s each, and 12 (WALK with OPT-offline at every cache
+#                    size) about 3 min
 #   9. chaos x200  — the concurrent network-fault campaign, whose failure
 #                    mode is a rare interleaving one run cannot show
 #                    (docs/service.md, "Sessions"), and the drain-restart
@@ -147,7 +147,7 @@ go test -race -cpu 1,4 "$@" ./internal/shardrt ./internal/streamd
 echo "==> mutants (kill matrix)"
 ./scripts/mutants.sh
 
-echo "==> figures 8 and 19 against experiments_run.txt, ablation a1 against ablation_run.txt"
+echo "==> figures 8–12 and 19 against experiments_run.txt, ablation a1 against ablation_run.txt"
 go test -run '^TestFiguresMatchRecordedRun$' -count=1 ./cmd/repro -args -slow-figures
 
 echo "==> chaos x200 (concurrent network faults), drain-restart x200"
