@@ -151,7 +151,7 @@ func BenchmarkHEEBRun(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					join.Run(r, s, policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: w.LifetimeEstimate, NoMemo: noMemo}), cfg, stats.NewRNG(1))
+					engine.Run(r, s, policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: w.LifetimeEstimate, NoMemo: noMemo}), cfg, stats.NewRNG(1))
 				}
 			})
 		}

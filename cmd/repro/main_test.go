@@ -174,9 +174,9 @@ func TestRunMetricsFlag(t *testing.T) {
 	// The acceptance surface: step-latency buckets, policy-labeled metrics
 	// and at least one decision-trace record with per-candidate scores.
 	for _, want := range []string{
-		"# TYPE join_step_latency_ns histogram",
-		"join_step_latency_ns_bucket",
-		"join_steps_total",
+		"# TYPE engine_step_latency_ns histogram",
+		"engine_step_latency_ns_bucket",
+		"engine_steps_total",
 		`policy_decisions_total{policy="HEEB"}`,
 		"# decision_trace ",
 		`"policy":"HEEB"`,

@@ -76,10 +76,10 @@ func main() {
 
 	// Telemetry snapshot: where the time went and what the policies decided.
 	snap := reg.Snapshot()
-	stepLat := snap.Histograms["join_step_latency_ns"]
+	stepLat := snap.Histograms["engine_step_latency_ns"]
 	fmt.Println("\ntelemetry snapshot at exit:")
-	fmt.Printf("  steps=%d results=%d evictions=%d\n",
-		snap.Counters["join_steps_total"], snap.Counters["join_results_total"], snap.Counters["join_evictions_total"])
+	fmt.Printf("  steps=%d pairs=%d evictions=%d\n",
+		snap.Counters["engine_steps_total"], snap.Counters["engine_pairs_total"], snap.Counters["engine_evictions_total"])
 	fmt.Printf("  step latency p50=%.0fns p90=%.0fns p99=%.0fns\n", stepLat.P50, stepLat.P90, stepLat.P99)
 	fmt.Printf("  decision-trace records retained: %d\n", len(snap.Trace))
 	if len(snap.Trace) > 0 {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"stochstream/internal/cachepolicy"
+	"stochstream/internal/engine"
 	"stochstream/internal/join"
 	"stochstream/internal/stats"
 )
@@ -97,7 +98,7 @@ func theorem1Holds(t *testing.T, refs []int, capacity int, mk func() Policy, see
 	cacheRes := Run(refs, mk(), Config{Capacity: capacity}, stats.NewRNG(seed))
 	rPrime, sPrime := Reduce(refs)
 	adapter := NewJoinAdapter(mk(), refs)
-	joinRes := join.Run(rPrime, sPrime, adapter, join.Config{CacheSize: capacity, Warmup: 0}, stats.NewRNG(seed))
+	joinRes := engine.Run(rPrime, sPrime, adapter, join.Config{CacheSize: capacity, Warmup: 0}, stats.NewRNG(seed))
 	if cacheRes.Hits != joinRes.TotalJoins {
 		t.Fatalf("Theorem 1 violated: hits %d != joins %d (refs=%v cap=%d policy=%s)",
 			cacheRes.Hits, joinRes.TotalJoins, refs, capacity, mk().Name())
@@ -148,7 +149,7 @@ func TestQuickTheorem1(t *testing.T) {
 		cacheRes := Run(refs, mk(), Config{Capacity: capacity}, stats.NewRNG(seed+1))
 		rPrime, sPrime := Reduce(refs)
 		adapter := NewJoinAdapter(mk(), refs)
-		joinRes := join.Run(rPrime, sPrime, adapter, join.Config{CacheSize: capacity, Warmup: 0}, stats.NewRNG(seed+1))
+		joinRes := engine.Run(rPrime, sPrime, adapter, join.Config{CacheSize: capacity, Warmup: 0}, stats.NewRNG(seed+1))
 		return cacheRes.Hits == joinRes.TotalJoins
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

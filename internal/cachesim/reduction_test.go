@@ -10,7 +10,7 @@ import (
 // streams, implementing a "reasonable replacement policy" in the sense of
 // Theorem 1: it never caches reference-stream tuples and always replaces the
 // supply tuple that has just produced its (single possible) join result.
-// Running it through join.Run yields exactly as many result tuples as the
+// Running it through engine.Run yields exactly as many result tuples as the
 // caching policy yields hits (Theorem 1), which cachesim_test verifies.
 type JoinAdapter struct {
 	Inner Policy

@@ -231,7 +231,7 @@ func TestPruningNeverLosesResults(t *testing.T) {
 		}
 		return total
 	}
-	// The simulator keeps seed semantics (expired tuples pad the cache);
+	// The seed's loop (simulate) keeps expired tuples padding the cache;
 	// compare against it on the same trace.
 	sim := joinRunSeedSemantics(t, r, s, 6, 8)
 	got := run(8)
@@ -243,7 +243,7 @@ func TestPruningNeverLosesResults(t *testing.T) {
 func joinRunSeedSemantics(t *testing.T, r, s []int, cacheSize, window int) int {
 	t.Helper()
 	procs := trendProcs()
-	res := join.Run(r, s, policy.NewHEEB(heebOpts()), join.Config{
+	res := simulate(r, s, policy.NewHEEB(heebOpts()), join.Config{
 		CacheSize: cacheSize, Window: window, Warmup: 0, Procs: procs,
 	}, stats.NewRNG(6))
 	return res.TotalJoins

@@ -2,8 +2,9 @@
 // system can embed: tuples are pushed in step by step and the operator emits
 // the actual joined pairs (not just counts), applies the configured
 // replacement policy under the cache budget, and exposes cache snapshots and
-// running metrics. The batch simulator in internal/join is the measurement
-// harness; this is the adoption surface.
+// running metrics. It is also the paper's simulator: Run steps a Join once
+// per arrival pair and returns internal/join's Result, so the figures and the
+// daemon share one operator loop.
 //
 // The hot path is indexed: equijoins probe a per-stream fixed open-addressed
 // table from join key to a chain of same-key slots, band joins probe a
@@ -142,6 +143,9 @@ type Metrics struct {
 type Join struct {
 	cfg    Config
 	policy join.Policy
+	// eager marks a join.EagerEvictor policy, asked at every step and allowed
+	// to discard more than the overflow.
+	eager bool
 	// arrivals is the policy, unwrapped, when it counts arrivals (PROB, LIFE).
 	//lint:ignore snapcomplete the policy field under another type: construction wiring, and what the observer accumulates leaves through the policy's own SnapshotState
 	arrivals join.ArrivalObserver
@@ -232,6 +236,12 @@ type slot struct {
 
 // NewJoin validates the configuration and builds the operator.
 func NewJoin(cfg Config) (*Join, error) {
+	return newJoin(cfg, stats.NewRNG(cfg.Seed), stats.NewRNG(cfg.Seed+1))
+}
+
+// newJoin is NewJoin with the random sources of the policy's state view and
+// of its Reset given; Run hands the caller's one source to both.
+func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,6 +256,7 @@ func NewJoin(cfg Config) (*Join, error) {
 		ends:   ends{head: -1, tail: -1},
 	}
 	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
+	_, j.eager = unwrapPolicy(pol).(join.EagerEvictor)
 	j.initFlight()
 	if cfg.Band == 0 {
 		j.equi = [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)}
@@ -257,15 +268,9 @@ func NewJoin(cfg Config) (*Join, error) {
 		j.evictCount = reg.Counter("engine_evictions_total")
 		j.expiredCount = reg.Counter("engine_expired_total")
 	}
-	simCfg := join.Config{
-		CacheSize: cfg.CacheSize,
-		Window:    cfg.Window,
-		Band:      cfg.Band,
-		Warmup:    0,
-		Procs:     cfg.Procs,
-	}
-	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stats.NewRNG(cfg.Seed)}
-	pol.Reset(simCfg, stats.NewRNG(cfg.Seed+1))
+	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
+	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stateRNG}
+	pol.Reset(simCfg, policyRNG)
 	return j, nil
 }
 
@@ -376,16 +381,19 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 	nCached := len(j.cache)
 	need := nCached + n - j.cfg.CacheSize
 	if need <= 0 {
-		for i := range arr[:n] {
-			j.admit(arr[i], sls[i])
-		}
-		if j.rec != nil {
-			for _, a := range arr[:n] {
-				j.lifeTuple(flightrec.LifeAdmit, t, a, 0)
+		if !j.eager {
+			for i := range arr[:n] {
+				j.admit(arr[i], sls[i])
 			}
+			if j.rec != nil {
+				for _, a := range arr[:n] {
+					j.lifeTuple(flightrec.LifeAdmit, t, a, 0)
+				}
+			}
+			j.closeStep(stepSpan, pairs, 0)
+			return pairs, 0
 		}
-		j.closeStep(stepSpan, pairs, 0)
-		return pairs, 0
+		need = 0
 	}
 	// The arrivals go into the cache's spare capacity; the cache's length
 	// moves only once the policy's answer has been validated, so a policy
@@ -408,7 +416,8 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 	victims := j.sortedVictims(evict, len(cands), need)
 	// need is 1 or 2 here (the cache never exceeds its budget), so these
 	// scans are a compare or two — and the cached victims, which sort ahead of
-	// the arrivals, never outnumber the arrivals that survive.
+	// the arrivals, never outnumber the arrivals that survive, unless the
+	// policy is eager.
 	freed := victims
 	for len(freed) > 0 && freed[len(freed)-1] >= nCached {
 		freed = freed[:len(freed)-1]
@@ -418,7 +427,17 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 			freed = j.place(t, arr[i], sls[i], freed)
 		}
 	}
-	j.m.Evictions += need
+	if j.eager {
+		// The slots no arrival took close from the highest down, so the last
+		// slot that closes each hole is never one still to be freed.
+		for k := len(freed) - 1; k >= 0; k-- {
+			if j.rec != nil {
+				j.lifeTuple(flightrec.LifeEvict, t, j.cache[freed[k]], 0)
+			}
+			j.release(freed[k])
+		}
+	}
+	j.m.Evictions += len(victims)
 	if j.rec != nil {
 		for i, a := range arr[:n] {
 			kind := flightrec.LifeAdmit
@@ -427,27 +446,29 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 			}
 			j.lifeTuple(kind, t, a, 0)
 		}
-		j.rec.End(sp, need, int64(len(j.cache)))
+		j.rec.End(sp, len(victims), int64(len(j.cache)))
 	}
-	j.closeStep(stepSpan, pairs, need)
-	return pairs, need
+	j.closeStep(stepSpan, pairs, len(victims))
+	return pairs, len(victims)
 }
 
 // sortedVictims validates a policy's answer against the decision it was
-// asked for — exactly need distinct positions inside [0, total) — and returns
-// the positions in ascending order. The result is step-scoped scratch: the
-// policy's own slice is left untouched and nothing is mutated before the
-// answer has passed. need is 1 or 2 (the cache never exceeds its budget), so
-// one compare orders the answer.
+// asked for — exactly need distinct positions inside [0, total), or more for
+// an eager policy — and returns the positions in ascending order. The result
+// is step-scoped scratch: the policy's own slice is left untouched and nothing
+// is mutated before the answer has passed. need is at most 2 (the cache never
+// exceeds its budget), so one compare orders an answer of need positions.
 func (j *Join) sortedVictims(evict []int, total, need int) []int {
-	if len(evict) != need {
-		panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
-	}
 	victims := append(j.victims[:0], evict...)
 	if cap(victims) > cap(j.victims) { // see emitMatches
 		j.victims = victims
 	}
-	if len(victims) == 2 && victims[1] < victims[0] {
+	if len(victims) != need {
+		if !j.eager || len(victims) < need {
+			panic(fmt.Sprintf("engine: policy %s returned %d evictions, need %d", j.policy.Name(), len(evict), need))
+		}
+		slices.Sort(victims)
+	} else if len(victims) == 2 && victims[1] < victims[0] {
 		victims[0], victims[1] = victims[1], victims[0]
 	}
 	for k, v := range victims {

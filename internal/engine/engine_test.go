@@ -103,7 +103,7 @@ func TestOperatorAgreesWithSimulator(t *testing.T) {
 	mk := func() join.Policy {
 		return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 	}
-	sim := join.Run(r, s, mk(), join.Config{CacheSize: 8, Warmup: 0, Procs: procs}, stats.NewRNG(1))
+	sim := simulate(r, s, mk(), join.Config{CacheSize: 8, Warmup: 0, Procs: procs}, stats.NewRNG(1))
 
 	j, err := NewJoin(Config{CacheSize: 8, Procs: procs, Policy: mk(), Seed: 1})
 	if err != nil {
@@ -210,7 +210,7 @@ func TestQuickOperatorSimulatorEquivalence(t *testing.T) {
 			return false
 		}
 		if window == 0 {
-			sim := join.Run(r, s, mk(), join.Config{
+			sim := simulate(r, s, mk(), join.Config{
 				CacheSize: k, Warmup: 0, Window: window, Band: band, Procs: procs,
 			}, stats.NewRNG(1))
 			m := op.Metrics()

@@ -54,13 +54,7 @@ func NewReferenceJoin(cfg Config) (*ReferenceJoin, error) {
 		policy: defaultPolicy(cfg),
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
 	}
-	simCfg := join.Config{
-		CacheSize: cfg.CacheSize,
-		Window:    cfg.Window,
-		Band:      cfg.Band,
-		Warmup:    0,
-		Procs:     cfg.Procs,
-	}
+	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
 	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stats.NewRNG(cfg.Seed)}
 	j.policy.Reset(simCfg, stats.NewRNG(cfg.Seed+1))
 	return j, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stochstream/internal/core"
+	"stochstream/internal/engine"
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
 	"stochstream/internal/stats"
@@ -44,7 +45,7 @@ func newJoinAverager(w workload.JoinWorkload, cacheSize, runs, length int, seed 
 func (a *joinAverager) mean(mk func() join.Policy) (mean, relSD float64) {
 	var sum stats.Summary
 	for i := 0; i < a.runs; i++ {
-		res := join.Run(a.rs[i], a.ss[i], mk(), a.cfg, stats.NewRNG(a.seed+1000+uint64(i)))
+		res := engine.Run(a.rs[i], a.ss[i], mk(), a.cfg, stats.NewRNG(a.seed+1000+uint64(i)))
 		sum.Add(float64(res.Joins))
 	}
 	return sum.Mean(), sum.RelStdDev()
@@ -201,7 +202,7 @@ func occupancyStudy(id, title string, variants []occupancyVariant, o Options) (*
 		acc := make([]float64, len(fig.X))
 		for run := 0; run < o.Runs; run++ {
 			r, s := w.Generate(stats.NewRNG(o.Seed+uint64(run)), o.Length)
-			res := join.Run(r, s, w.HEEBPolicy(), cfg, stats.NewRNG(o.Seed+500+uint64(run)))
+			res := engine.Run(r, s, w.HEEBPolicy(), cfg, stats.NewRNG(o.Seed+500+uint64(run)))
 			for i, t := range fig.X {
 				acc[i] += res.OccupancyR[int(t)]
 			}

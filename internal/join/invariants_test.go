@@ -1,6 +1,8 @@
-package join
+package join_test
 
 import (
+	"stochstream/internal/engine"
+	"stochstream/internal/join"
 	"testing"
 	"testing/quick"
 
@@ -17,18 +19,20 @@ type auditPolicy struct {
 	lastIDs map[int]bool
 	cache   int
 	primed  bool // identity checks start after the cache first fills
+	// lastTime is the step of the last decision.
+	lastTime int
 }
 
 func (a *auditPolicy) Name() string { return "audit" }
 
-func (a *auditPolicy) Reset(cfg Config, rng *stats.RNG) {
+func (a *auditPolicy) Reset(cfg join.Config, rng *stats.RNG) {
 	a.rng = rng
 	a.lastIDs = map[int]bool{}
 	a.cache = cfg.CacheSize
 	a.primed = false
 }
 
-func (a *auditPolicy) Evict(st *State, cands []Tuple, n int) []int {
+func (a *auditPolicy) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	t := a.t
 	if len(cands) > a.cache+2 {
 		t.Fatalf("candidates %d exceed cache+2", len(cands))
@@ -40,9 +44,10 @@ func (a *auditPolicy) Evict(st *State, cands []Tuple, n int) []int {
 		}
 	}
 	// Cached tuples must be ones we chose to keep before (stable identity);
-	// the fill phase before the first eviction admits tuples implicitly.
+	// the fill phase before the first eviction admits tuples implicitly, and so
+	// does a step whose window expiry left room for its arrivals.
 	for _, c := range cands[:len(cands)-2] {
-		if a.primed && !a.lastIDs[c.ID] {
+		if a.primed && !a.lastIDs[c.ID] && c.Arrived <= a.lastTime {
 			t.Fatalf("cache contains tuple %d we never kept", c.ID)
 		}
 		if c.Arrived >= st.Time {
@@ -50,6 +55,7 @@ func (a *auditPolicy) Evict(st *State, cands []Tuple, n int) []int {
 		}
 	}
 	a.primed = true
+	a.lastTime = st.Time
 	// Histories cover exactly [0, st.Time].
 	if st.Hists[0].T0() != st.Time || st.Hists[1].T0() != st.Time {
 		t.Fatalf("history T0 %d/%d at time %d", st.Hists[0].T0(), st.Hists[1].T0(), st.Time)
@@ -83,7 +89,7 @@ func TestSimulatorInvariantsUnderRandomPolicy(t *testing.T) {
 			s[i] = rng.IntN(vals)
 		}
 		ap := &auditPolicy{t: t}
-		res := Run(r, s, ap, Config{CacheSize: k, Warmup: 0, Window: rng.IntN(3) * 5}, stats.NewRNG(seed+1))
+		res := engine.Run(r, s, ap, join.Config{CacheSize: k, Warmup: 0, Window: rng.IntN(3) * 5}, stats.NewRNG(seed+1))
 		return res.TotalJoins >= res.Joins && res.Joins >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -110,7 +116,7 @@ func TestQuickNoPolicyBeatsOPT(t *testing.T) {
 			s[i] = rng.IntN(vals)
 		}
 		ap := &auditPolicy{t: t}
-		res := Run(r, s, ap, Config{CacheSize: k, Warmup: 0, Window: window}, stats.NewRNG(seed+1))
+		res := engine.Run(r, s, ap, join.Config{CacheSize: k, Warmup: 0, Window: window}, stats.NewRNG(seed+1))
 		opt := core.OptOfflineJoin(r, s, k, window)
 		return res.TotalJoins <= opt.Total
 	}

@@ -1,16 +1,13 @@
-// Package join simulates the paper's joining problem: a sliding equijoin of
-// two discrete-time streams through a fixed-size tuple cache, with a
-// pluggable replacement policy and MAX-subset accounting. At every time step
+// Package join holds the types of the paper's joining problem: a sliding
+// equijoin of two discrete-time streams through a fixed-size tuple cache, with
+// a pluggable replacement policy and MAX-subset accounting. At every time step
 // one tuple arrives from each stream, joins against the cached tuples of the
 // other stream, and then the policy chooses which tuples to discard so that
-// the cache stays within its budget.
+// the cache stays within its budget. The loop that steps it is the operator
+// in internal/engine: engine.Run simulates a run and returns a Result.
 package join
 
 import (
-	"fmt"
-	"sync/atomic"
-	"time"
-
 	"stochstream/internal/core"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
@@ -135,33 +132,6 @@ type EagerEvictor interface {
 	EagerEvict()
 }
 
-// Observer receives run-time signals from Run. It exists so the telemetry
-// layer can watch every simulation in the process (experiment harnesses build
-// their configs internally, so per-run plumbing is not an option) without
-// this package importing it.
-type Observer interface {
-	// WrapPolicy may replace the policy before a run starts (the telemetry
-	// implementation wraps it with latency and decision instrumentation).
-	WrapPolicy(p Policy) Policy
-	// ObserveStep is called once per simulated step with the step's latency
-	// and the result/eviction counts it produced.
-	ObserveStep(latencyNs int64, results, evictions int)
-}
-
-// observer is the process-wide Run observer; nil means no instrumentation
-// and costs a single atomic load per run (not per step).
-var observer atomic.Pointer[Observer]
-
-// SetObserver installs (or, with nil, removes) the process-wide Run
-// observer. telemetry.EnableGlobal is the usual caller.
-func SetObserver(o Observer) {
-	if o == nil {
-		observer.Store(nil)
-		return
-	}
-	observer.Store(&o)
-}
-
 // Result summarizes one run.
 type Result struct {
 	// Joins is the number of result tuples produced after the warm-up
@@ -174,149 +144,4 @@ type Result struct {
 	OccupancyR []float64
 	// Evictions counts policy-initiated evictions.
 	Evictions int
-}
-
-// Run simulates joining streams r and s (r[t], s[t] arrive at step t) under
-// the policy p. It panics if the policy returns an invalid eviction set,
-// since that is a programming error in the policy, not an input error.
-func Run(r, s []int, p Policy, cfg Config, rng *stats.RNG) Result {
-	if len(r) != len(s) {
-		panic("join: streams must have equal length")
-	}
-	if cfg.CacheSize < 1 {
-		panic("join: cache size must be >= 1")
-	}
-	arrivals, _ := p.(ArrivalObserver)
-	var obs Observer
-	if ptr := observer.Load(); ptr != nil {
-		obs = *ptr
-		p = obs.WrapPolicy(p)
-	}
-	p.Reset(cfg, rng)
-
-	warmup := cfg.EffectiveWarmup()
-	hists := [2]*process.History{process.NewHistory(), process.NewHistory()}
-	st := &State{Hists: hists, Config: cfg, RNG: rng}
-	cache := make([]Tuple, 0, cfg.CacheSize)
-	var res Result
-	if cfg.TrackOccupancy {
-		res.OccupancyR = make([]float64, 0, len(r))
-	}
-	nextID := 0
-	newTuple := func(v int, sID core.StreamID, t int) Tuple {
-		tp := Tuple{ID: nextID, Value: v, Stream: sID, Arrived: t}
-		nextID++
-		return tp
-	}
-
-	for t := 0; t < len(r); t++ {
-		var stepStart time.Time
-		if obs != nil {
-			stepStart = time.Now()
-		}
-		stepEvictions := 0
-		newR := newTuple(r[t], core.StreamR, t)
-		newS := newTuple(s[t], core.StreamS, t)
-		hists[core.StreamR].Append(newR.Value)
-		hists[core.StreamS].Append(newS.Value)
-		if arrivals != nil {
-			arrivals.ObserveArrivals(newR.Value, newS.Value)
-		}
-		st.Time = t
-
-		// Join the arrivals against the cached tuples of the other stream.
-		// Same-time arrivals join regardless of replacement decisions, so
-		// (like the paper) they are not counted.
-		joins := 0
-		matches := func(a, b int) bool {
-			if a == process.NoValue || b == process.NoValue {
-				return false
-			}
-			d := a - b
-			if d < 0 {
-				d = -d
-			}
-			return d <= cfg.Band
-		}
-		for _, c := range cache {
-			if cfg.Window > 0 && t-c.Arrived > cfg.Window {
-				continue
-			}
-			switch c.Stream {
-			case core.StreamR:
-				if matches(c.Value, newS.Value) {
-					joins++
-				}
-			case core.StreamS:
-				if matches(c.Value, newR.Value) {
-					joins++
-				}
-			}
-		}
-		res.TotalJoins += joins
-		if t >= warmup {
-			res.Joins += joins
-		}
-
-		// Replacement: candidates are the cache plus the two arrivals.
-		candidates := append(append(make([]Tuple, 0, len(cache)+2), cache...), newR, newS)
-		need := len(candidates) - cfg.CacheSize
-		_, eager := p.(EagerEvictor)
-		if need <= 0 && !eager {
-			cache = candidates
-		} else {
-			if need < 0 {
-				need = 0
-			}
-			evict := p.Evict(st, candidates, need)
-			validateEviction(p, evict, len(candidates), need, eager)
-			res.Evictions += len(evict)
-			stepEvictions = len(evict)
-			drop := make(map[int]bool, len(evict))
-			for _, i := range evict {
-				drop[i] = true
-			}
-			cache = cache[:0]
-			for i, c := range candidates {
-				if !drop[i] {
-					cache = append(cache, c)
-				}
-			}
-		}
-
-		if cfg.TrackOccupancy {
-			nr := 0
-			for _, c := range cache {
-				if c.Stream == core.StreamR {
-					nr++
-				}
-			}
-			frac := 0.0
-			if len(cache) > 0 {
-				frac = float64(nr) / float64(len(cache))
-			}
-			res.OccupancyR = append(res.OccupancyR, frac)
-		}
-
-		if obs != nil {
-			obs.ObserveStep(time.Since(stepStart).Nanoseconds(), joins, stepEvictions)
-		}
-	}
-	return res
-}
-
-func validateEviction(p Policy, evict []int, nCands, need int, eager bool) {
-	if len(evict) != need && !(eager && len(evict) > need) {
-		panic(fmt.Sprintf("join: policy %s returned %d evictions, need %d", p.Name(), len(evict), need))
-	}
-	seen := make(map[int]bool, need)
-	for _, i := range evict {
-		if i < 0 || i >= nCands {
-			panic(fmt.Sprintf("join: policy %s returned out-of-range index %d", p.Name(), i))
-		}
-		if seen[i] {
-			panic(fmt.Sprintf("join: policy %s returned duplicate index %d", p.Name(), i))
-		}
-		seen[i] = true
-	}
 }

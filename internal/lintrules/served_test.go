@@ -36,8 +36,11 @@ var stdlibCalls = []string{
 // declares, all in the packages those mains and the facade import. A
 // function reaches every function and method its body names. A call
 // through an interface, a type assertion to an interface, and a method the
-// standard library calls (stdlibCalls) reach every method of that name:
-// dispatch is by name, which over-approximates what is served, never under.
+// standard library calls (stdlibCalls) dispatch by name: they reach every
+// method of that name whose receiver type reached code constructs — by a
+// composite literal, new, or a conversion — which over-approximates what is
+// served, never under. A type nothing reached constructs has no value to
+// call a method on, so dispatch alone does not serve its methods.
 //
 // testdata/served.allow lists the oracles, one "<entry> <reason>" a line.
 // An entry is an import path, naming the package's functions, or an import
@@ -58,7 +61,7 @@ func TestEveryFunctionIsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &reachGraph{pkgs: map[string]*load.Package{}, decls: map[*types.Func]funcDecl{}, byName: map[string][]*types.Func{}}
+	g := &reachGraph{pkgs: map[string]*load.Package{}, decls: map[*types.Func]funcDecl{}, byName: map[string][]*types.Func{}, byType: map[*types.TypeName][]*types.Func{}}
 	for _, path := range paths {
 		p, err := loader.Load(path)
 		if err != nil {
@@ -121,7 +124,8 @@ type reachGraph struct {
 	pkgs   map[string]*load.Package
 	decls  map[*types.Func]funcDecl
 	byName map[string][]*types.Func // concrete methods, for dispatch by name
-	facade string                   // the module path
+	byType map[*types.TypeName][]*types.Func
+	facade string // the module path
 }
 
 func (g *reachGraph) add(p *load.Package) {
@@ -139,6 +143,8 @@ func (g *reachGraph) add(p *load.Package) {
 			g.decls[fn] = funcDecl{pkg: p, decl: fd}
 			if fd.Recv != nil {
 				g.byName[fn.Name()] = append(g.byName[fn.Name()], fn)
+				tn := recvType(fn)
+				g.byType[tn] = append(g.byType[tn], fn)
 			}
 		}
 	}
@@ -251,17 +257,42 @@ func namesType(sig *types.Signature, tn *types.TypeName) bool {
 	return false
 }
 
+// recvType is the named type a method is declared on.
+func recvType(fn *types.Func) *types.TypeName {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named).Origin().Obj()
+}
+
 // reach returns every function reached from the roots and the given
 // functions.
 func (g *reachGraph) reach(roots []reachNode, fns []*types.Func) map[*types.Func]bool {
 	reached := map[*types.Func]bool{}
 	dispatched := map[string]bool{}
+	constructed := map[*types.TypeName]bool{}
 	var queue []*types.Func
 	var mark func(fn *types.Func)
 	dispatch := func(name string) {
 		if !dispatched[name] {
 			dispatched[name] = true
 			for _, m := range g.byName[name] {
+				if constructed[recvType(m)] {
+					mark(m)
+				}
+			}
+		}
+	}
+	construct := func(t types.Type) {
+		named, ok := types.Unalias(t).(*types.Named)
+		if !ok || constructed[named.Origin().Obj()] {
+			return
+		}
+		tn := named.Origin().Obj()
+		constructed[tn] = true
+		for _, m := range g.byType[tn] {
+			if dispatched[m.Name()] {
 				mark(m)
 			}
 		}
@@ -288,8 +319,27 @@ func (g *reachGraph) reach(roots []reachNode, fns []*types.Func) map[*types.Func
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				if fn, ok := p.Info.Uses[n].(*types.Func); ok {
-					mark(fn)
+				switch obj := p.Info.Uses[n].(type) {
+				case *types.Func:
+					mark(obj)
+				case *types.Const:
+					construct(obj.Type()) // a typed constant is a value
+				}
+			case *ast.CompositeLit:
+				construct(p.Info.TypeOf(n))
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					construct(p.Info.TypeOf(n.Type)) // a variable holds a zero value
+				}
+			case *ast.TypeSpec:
+				if p.Path == g.facade && n.Name.IsExported() {
+					construct(p.Info.Defs[n.Name].Type()) // the facade's users construct it
+				}
+			case *ast.CallExpr:
+				if tv := p.Info.Types[n.Fun]; tv.IsType() {
+					construct(tv.Type) // a conversion
+				} else if b, ok := p.Info.Uses[calleeIdent(n.Fun)].(*types.Builtin); ok && b.Name() == "new" {
+					construct(p.Info.TypeOf(n.Args[0]))
 				}
 			case *ast.TypeAssertExpr:
 				if n.Type != nil {
@@ -326,6 +376,21 @@ func (g *reachGraph) reach(roots []reachNode, fns []*types.Func) map[*types.Func
 		walk(d.pkg, d.decl)
 	}
 	return reached
+}
+
+// calleeIdent is the identifier a call's function expression names, if it is
+// one, parenthesised or not.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	for {
+		switch f := fun.(type) {
+		case *ast.ParenExpr:
+			fun = f.X
+		case *ast.Ident:
+			return f
+		default:
+			return nil
+		}
+	}
 }
 
 type allowEntry struct {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stochstream/internal/core"
 	"stochstream/internal/dist"
+	"stochstream/internal/engine"
 	"stochstream/internal/join"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
@@ -43,11 +45,12 @@ type binFifo struct{}
 func (binFifo) Name() string                  { return "fifo" }
 func (binFifo) Reset(join.Config, *stats.RNG) {}
 func (binFifo) Evict(_ *join.State, cands []join.Tuple, n int) []int {
-	out := make([]int, n)
+	out := make([]int, len(cands))
 	for i := range out {
 		out[i] = i
 	}
-	return out
+	slices.SortFunc(out, func(a, b int) int { return cands[a].ID - cands[b].ID })
+	return out[:n]
 }
 
 // With two streams and one edge, the multi-join simulator must agree exactly
@@ -63,7 +66,7 @@ func TestTwoStreamReducesToBinaryJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	binCfg := join.Config{CacheSize: 8, Warmup: -1}
-	bin := join.Run(r, s, binFifo{}, binCfg, stats.NewRNG(1))
+	bin := engine.Run(r, s, binFifo{}, binCfg, stats.NewRNG(1))
 	if multi.TotalJoins != bin.TotalJoins || multi.Joins != bin.Joins {
 		t.Fatalf("multi (%d/%d) != binary (%d/%d)", multi.TotalJoins, multi.Joins, bin.TotalJoins, bin.Joins)
 	}

@@ -4,55 +4,10 @@ import (
 	"testing"
 
 	"stochstream/internal/core"
-	"stochstream/internal/dist"
 	"stochstream/internal/join"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
 )
-
-func TestBandJoinEndToEnd(t *testing.T) {
-	// Trending streams on disjoint parities (R even, S odd): an equijoin can
-	// never match, a band join with eps=4 matches constantly.
-	r := &process.LinearTrend{Slope: 2, Intercept: 0, Noise: dist.NewPointMass(0)}
-	s := &process.LinearTrend{Slope: 2, Intercept: 3, Noise: dist.NewTable(-2, []float64{1, 0, 1, 0, 1})}
-	rng := stats.NewRNG(1)
-	rv := r.Generate(rng.Split(), 600)
-	sv := s.Generate(rng.Split(), 600)
-	procs := [2]process.Process{r, s}
-
-	equi := join.Config{CacheSize: 4, Warmup: 0, Procs: procs}
-	band := equi
-	band.Band = 4
-	heq := join.Run(rv, sv, NewHEEB(HEEBOptions{LifetimeEstimate: 4}), equi, stats.NewRNG(2))
-	hband := join.Run(rv, sv, NewHEEB(HEEBOptions{LifetimeEstimate: 4}), band, stats.NewRNG(2))
-	if heq.Joins > 0 {
-		t.Fatalf("equijoin produced %d joins on offset streams", heq.Joins)
-	}
-	if hband.Joins == 0 {
-		t.Fatal("band join produced no results")
-	}
-	// OPT for the band instance bounds HEEB.
-	opt := core.OptOfflineBandJoin(rv, sv, band.CacheSize, band.Band, 0)
-	if hband.Joins > opt.Total {
-		t.Fatalf("HEEB %d above band OPT %d", hband.Joins, opt.Total)
-	}
-}
-
-func TestBandHEEBBeatsRandOnNoisyBand(t *testing.T) {
-	w := [2]process.Process{
-		&process.LinearTrend{Slope: 1, Intercept: -1, Noise: dist.BoundedNormal(2, 12)},
-		&process.LinearTrend{Slope: 1, Intercept: 0, Noise: dist.BoundedNormal(3, 12)},
-	}
-	rng := stats.NewRNG(9)
-	rv := w[0].Generate(rng.Split(), 1500)
-	sv := w[1].Generate(rng.Split(), 1500)
-	cfg := join.Config{CacheSize: 6, Warmup: -1, Procs: w, Band: 2}
-	heeb := join.Run(rv, sv, NewHEEB(HEEBOptions{LifetimeEstimate: 5}), cfg, stats.NewRNG(3))
-	rnd := join.Run(rv, sv, &Rand{}, cfg, stats.NewRNG(3))
-	if heeb.Joins <= rnd.Joins {
-		t.Fatalf("band HEEB %d <= RAND %d", heeb.Joins, rnd.Joins)
-	}
-}
 
 func TestBandPROBSumsOverBand(t *testing.T) {
 	p := &Prob{}

@@ -53,24 +53,27 @@ func (p *FlowExpect) bindDecision(st *join.State) *core.ForecastCache {
 	return p.fc
 }
 
-// Evict implements join.Policy. A failed solve panics; engine.Join's
-// StepChecked returns that as ErrStepFailed.
+// Evict implements join.Policy. The flow graph lists the candidates in ID
+// order. A failed solve panics; engine.Join's StepChecked returns that as
+// ErrStepFailed.
 func (p *FlowExpect) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	order := byID(cands)
 	cs := make([]core.Candidate, len(cands))
-	for i, c := range cands {
-		cs[i] = core.Candidate{Value: c.Value, Stream: c.Stream, Age: st.Time - c.Arrived}
+	for k, i := range order {
+		c := cands[i]
+		cs[k] = core.Candidate{Value: c.Value, Stream: c.Stream, Age: st.Time - c.Arrived}
 	}
 	dec, err := core.FlowExpectStepCached(cs, p.bindDecision(st), len(cands)-n, p.Lookahead, p.cfg.Window)
 	if err != nil {
 		panic(fmt.Sprintf("policy: FlowExpect step failed: %v", err))
 	}
-	keep := make(map[int]bool, len(dec.Keep))
-	for _, i := range dec.Keep {
-		keep[i] = true
+	keep := make([]bool, len(cands))
+	for _, k := range dec.Keep {
+		keep[k] = true
 	}
 	out := make([]int, 0, n)
-	for i := range cands {
-		if !keep[i] {
+	for k, i := range order {
+		if !keep[k] {
 			out = append(out, i)
 		}
 	}

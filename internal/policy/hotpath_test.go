@@ -211,55 +211,6 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 	}
 }
 
-// lockstep drives a window-path HEEB and its NoMemo oracle through the same
-// run and fails on the first score or victim that differs.
-type lockstep struct {
-	t        *testing.T
-	win, ref *HEEB
-
-	decisions    int
-	alphaChanges int // decisions that began under another α than the one before
-	hitsCompared int // memo hits among compared scores, after the first α change (all of them when α is fixed)
-}
-
-func newLockstep(t *testing.T, opts HEEBOptions) *lockstep {
-	ref := opts
-	ref.NoMemo = true
-	return &lockstep{t: t, win: NewHEEB(opts), ref: NewHEEB(ref)}
-}
-
-func (l *lockstep) Name() string { return "HEEB" }
-
-func (l *lockstep) Reset(cfg join.Config, rng *stats.RNG) {
-	l.win.Reset(cfg, rng)
-	l.ref.Reset(cfg, rng)
-}
-
-func (l *lockstep) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	l.decisions++
-	before := memoHits(l.win)
-	ws, rs := l.win.ScoreCandidates(st, cands), l.ref.ScoreCandidates(st, cands)
-	for i := range rs {
-		if ws[i] != rs[i] {
-			l.t.Fatalf("decision %d candidate %d: window score %v != nomemo %v", l.decisions, i, ws[i], rs[i])
-		}
-	}
-	if l.alphaChanges > 0 || !l.win.Opts.Adaptive {
-		l.hitsCompared += memoHits(l.win) - before
-	}
-	alpha := l.win.alpha
-	we, re := l.win.Evict(st, cands, n), l.ref.Evict(st, cands, n)
-	for i := range re {
-		if we[i] != re[i] {
-			l.t.Fatalf("decision %d: window evicts %v, nomemo %v", l.decisions, we, re)
-		}
-	}
-	if l.win.alpha != alpha {
-		l.alphaChanges++
-	}
-	return we
-}
-
 // advancing returns a function that moves a decision state one step forward
 // the way an operator does between decisions: one observation per stream,
 // the clock, and the two oldest candidates replaced by the arrivals.

@@ -81,6 +81,18 @@ func evictLowest(scores []float64, cands []join.Tuple, n int, dst []int) []int {
 	return sel
 }
 
+// byID returns the candidates' positions in ascending ID order. A policy that
+// hands out random draws, or builds a structure, in this order answers the
+// same for every listing of one candidate set (join.Policy.Evict).
+func byID(cands []join.Tuple) []int {
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cands[a].ID - cands[b].ID })
+	return order
+}
+
 // heapSiftDown restores the max-heap property (parent worse than children,
 // per the comparator) below position i.
 func heapSiftDown(h []int, i int, worse func(a, b int) bool) {
@@ -114,15 +126,16 @@ func (p *Rand) Name() string { return "RAND" }
 // Reset implements join.Policy.
 func (p *Rand) Reset(_ join.Config, rng *stats.RNG) { p.rng = rng }
 
-// Evict implements join.Policy.
+// Evict implements join.Policy. The permutation's k-th draw goes to the k-th
+// candidate in ID order.
 func (p *Rand) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	scores := make([]float64, len(cands))
 	perm := p.rng.Perm(len(cands))
-	for i := range cands {
+	for k, i := range byID(cands) {
 		// Random base score; expired tuples forced to the bottom.
-		scores[i] = 1 + float64(perm[i])
+		scores[i] = 1 + float64(perm[k])
 		if p.Lifetime != nil && p.Lifetime(st.Time, cands[i]) <= 0 {
-			scores[i] = -1 - float64(perm[i])
+			scores[i] = -1 - float64(perm[k])
 		}
 	}
 	return evictLowest(scores, cands, n, nil)
@@ -208,22 +221,24 @@ func (p *Reservoir) Reset(_ join.Config, rng *stats.RNG) {
 	p.seen = 0
 }
 
-// Evict implements join.Policy: each arrival is admitted with probability
-// k/seen (the reservoir rule), displacing a uniformly random cached tuple;
-// rejected arrivals are discarded. Exactly n indices are returned: rejected
-// arrivals first, then random cached victims for the admitted ones (an
-// admitted arrival is bumped back out only when the cache is too small to
-// hold both admissions).
+// Evict implements join.Policy: each arrival (a candidate that arrived at
+// st.Time) is admitted with probability k/seen (the reservoir rule),
+// displacing a uniformly random cached tuple; rejected arrivals are
+// discarded. Exactly n indices are returned: rejected arrivals first, then
+// random cached victims for the admitted ones (an admitted arrival is bumped
+// back out only when the cache is too small to hold both admissions). The
+// candidates are visited in ID order, which puts the arrivals last.
 func (p *Reservoir) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	k := st.Config.CacheSize
-	cached := len(cands) - 2
+	order := byID(cands)
+	cached := 0
+	for cached < len(order) && cands[order[cached]].Arrived < st.Time {
+		cached++
+	}
 	var evict []int
-	admitted := 0
-	for ai := cached; ai < len(cands); ai++ {
+	for _, ai := range order[cached:] {
 		p.seen++
-		if p.seen <= k || p.rng.IntN(p.seen) < k {
-			admitted++
-		} else {
+		if p.seen > k && p.rng.IntN(p.seen) >= k {
 			evict = append(evict, ai)
 		}
 	}
@@ -232,9 +247,9 @@ func (p *Reservoir) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	perm := p.rng.Perm(cached)
 	for i := 0; len(evict) < n; i++ {
 		if i < cached {
-			evict = append(evict, perm[i])
+			evict = append(evict, order[perm[i]])
 		} else {
-			evict = append(evict, len(cands)-1-(i-cached))
+			evict = append(evict, order[len(order)-1-(i-cached)])
 		}
 	}
 	return evict[:n]

@@ -1,28 +1,37 @@
 package telemetry
 
 import (
-	"stochstream/internal/join"
+	"sync/atomic"
+
 	"stochstream/internal/mincostflow"
 )
 
-// EnableGlobal turns on process-wide telemetry: it installs a join.Run
-// observer feeding the default registry (wrapping every policy with
-// InstrumentedPolicy), and surfaces the min-cost-flow solver counters as
-// gauges. cmd/repro -metrics and the examples call this; library
-// embedders who want per-instance registries should use engine.Config.
-// Telemetry instead.
+// global is the registry EnableGlobal installed; nil means none.
+var global atomic.Pointer[Registry]
+
+// EnableGlobal turns on process-wide telemetry: every operator the
+// simulator's driver (engine.Run) builds reports into the default registry
+// from then on — the engine_* families, and the policy_* families and the
+// decision trace of its wrapped policy — and the min-cost-flow solver
+// counters appear as gauges. cmd/repro -metrics and the examples call this;
+// library embedders who want per-instance registries should use
+// engine.Config.Telemetry instead.
 func EnableGlobal() *Registry {
 	reg := Default()
-	join.SetObserver(NewJoinObserver(reg))
+	global.Store(reg)
 	RegisterMinCostFlowStats(reg)
 	return reg
 }
 
-// DisableGlobal removes the process-wide hooks installed by EnableGlobal.
-// Already-collected metrics stay readable.
+// DisableGlobal removes the registry EnableGlobal installed. Already-collected
+// metrics stay readable.
 func DisableGlobal() {
-	join.SetObserver(nil)
+	global.Store(nil)
 }
+
+// Global returns the registry EnableGlobal installed, or nil when process-wide
+// telemetry is off.
+func Global() *Registry { return global.Load() }
 
 // RegisterMinCostFlowStats surfaces the solver's package-level counters
 // (solves, augmenting paths, Dijkstra and Bellman–Ford runs) as

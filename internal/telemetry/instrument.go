@@ -44,35 +44,23 @@ type InstrumentedPolicy struct {
 }
 
 // InstrumentPolicy wraps p with telemetry recorded into reg. Wrapping is
-// idempotent, and policies that eager-evict keep that behavior.
+// idempotent. Callers that look for a policy's extensions (join.EagerEvictor,
+// join.ArrivalObserver, join.StateSnapshotter) look behind the wrapper
+// (Unwrap).
 func InstrumentPolicy(p join.Policy, reg *Registry) join.Policy {
-	switch w := p.(type) {
-	case *InstrumentedPolicy:
-		return w
-	case *eagerInstrumentedPolicy:
-		return w
+	if ip, ok := p.(*InstrumentedPolicy); ok {
+		return ip
 	}
-	ip := &InstrumentedPolicy{Inner: p, Reg: reg}
-	if _, eager := p.(join.EagerEvictor); eager {
-		return &eagerInstrumentedPolicy{ip}
-	}
-	return ip
+	return &InstrumentedPolicy{Inner: p, Reg: reg}
 }
-
-// eagerInstrumentedPolicy preserves the EagerEvictor marker of the wrapped
-// policy, which changes the simulator's calling protocol.
-type eagerInstrumentedPolicy struct{ *InstrumentedPolicy }
-
-// EagerEvict implements join.EagerEvictor.
-func (p *eagerInstrumentedPolicy) EagerEvict() {}
 
 // Name implements join.Policy.
 func (p *InstrumentedPolicy) Name() string { return p.Inner.Name() }
 
 // Unwrap returns the instrumented policy, so callers that need the concrete
 // policy behind the telemetry wrapper (the engine's checkpoint looks for
-// join.StateSnapshotter, its arrival feed for join.ArrivalObserver) can
-// reach it.
+// join.StateSnapshotter, its arrival feed for join.ArrivalObserver, its
+// decision protocol for join.EagerEvictor) can reach it.
 func (p *InstrumentedPolicy) Unwrap() join.Policy { return p.Inner }
 
 // Reset implements join.Policy, resolving the policy-labeled metric handles.
@@ -139,39 +127,4 @@ func (p *InstrumentedPolicy) recordTrace(st *join.State, cands []join.Tuple, nee
 		}
 	}
 	p.Reg.Trace().Record(rec)
-}
-
-// joinObserver feeds join.Run's per-step signals into a registry and wraps
-// every policy it sees with InstrumentedPolicy.
-type joinObserver struct {
-	reg         *Registry
-	steps       *Counter
-	results     *Counter
-	evictions   *Counter
-	stepLatency *Histogram
-}
-
-// NewJoinObserver returns a join.Observer recording into reg; install it with
-// join.SetObserver.
-func NewJoinObserver(reg *Registry) join.Observer {
-	return &joinObserver{
-		reg:         reg,
-		steps:       reg.Counter("join_steps_total"),
-		results:     reg.Counter("join_results_total"),
-		evictions:   reg.Counter("join_evictions_total"),
-		stepLatency: reg.Histogram("join_step_latency_ns"),
-	}
-}
-
-// WrapPolicy implements join.Observer.
-func (o *joinObserver) WrapPolicy(p join.Policy) join.Policy {
-	return InstrumentPolicy(p, o.reg)
-}
-
-// ObserveStep implements join.Observer.
-func (o *joinObserver) ObserveStep(latencyNs int64, results, evictions int) {
-	o.steps.Inc()
-	o.results.Add(int64(results))
-	o.evictions.Add(int64(evictions))
-	o.stepLatency.ObserveDuration(latencyNs)
 }

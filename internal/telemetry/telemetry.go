@@ -12,6 +12,12 @@
 // hot-path latencies match what the theory predicts, and it is the baseline
 // every performance change must prove itself against.
 //
+// Wiring: an operator reports into the registry it is given
+// (engine.Config.Telemetry). EnableGlobal installs the default registry as the
+// process-wide one (Global), which the simulator's driver, engine.Run, gives
+// to every operator it builds — that is how the figure harnesses, which build
+// their runs internally, are measured.
+//
 // Hot-path cost: an operator without a registry pays a nil check; one with a
 // registry pays a handful of atomic adds per step (no allocations, no locks
 // on the counter/histogram write paths).
@@ -25,8 +31,8 @@ import (
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry used by the global hooks
-// (join.SetObserver installation, cmd/repro -metrics, the examples).
+// Default returns the process-wide registry EnableGlobal installs (cmd/repro
+// -metrics, the examples).
 func Default() *Registry { return defaultRegistry }
 
 // Counter is a monotonically increasing atomic counter.

@@ -8,6 +8,7 @@ import (
 
 	"stochstream/internal/cachepolicy"
 	"stochstream/internal/cachesim"
+	"stochstream/internal/engine"
 
 	"stochstream/internal/core"
 	"stochstream/internal/join"
@@ -169,10 +170,10 @@ func TestTowerPolicyOrdering(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		rng := stats.NewRNG(100 + uint64(i))
 		r, s := w.Generate(rng, 2000)
-		heebSum += join.Run(r, s, w.HEEBPolicy(), cfg, stats.NewRNG(1)).Joins
-		probSum += join.Run(r, s, &policy.Prob{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
-		lifeSum += join.Run(r, s, &policy.Life{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
-		randSum += join.Run(r, s, &policy.Rand{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
+		heebSum += engine.Run(r, s, w.HEEBPolicy(), cfg, stats.NewRNG(1)).Joins
+		probSum += engine.Run(r, s, &policy.Prob{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
+		lifeSum += engine.Run(r, s, &policy.Life{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
+		randSum += engine.Run(r, s, &policy.Rand{Lifetime: w.Lifetime}, cfg, stats.NewRNG(1)).Joins
 		opt := core.OptOfflineJoin(r, s, cfg.CacheSize, 0)
 		optSum += opt.CountAfter(cfg.EffectiveWarmup() - 1)
 	}

@@ -197,9 +197,10 @@ type (
 // NewHEEB builds the paper's HEEB replacement policy.
 var NewHEEB = policy.NewHEEB
 
-// RunJoin simulates joining streams r and s under a policy.
+// RunJoin simulates joining streams r and s under a policy, stepping the
+// online operator (NewOperator) once per arrival pair.
 func RunJoin(r, s []int, p JoinPolicy, cfg JoinConfig, seed uint64) JoinResult {
-	return join.Run(r, s, p, cfg, stats.NewRNG(seed))
+	return engine.Run(r, s, p, cfg, stats.NewRNG(seed))
 }
 
 // Caching simulation (see internal/cachesim and internal/cachepolicy).
