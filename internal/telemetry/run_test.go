@@ -106,9 +106,50 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
+// A registry handed to one operator instruments only that operator: the
+// engine_* families (one step-latency observation a step, every pair, every
+// eviction the policy chose) and the policy_* families of the policy it wraps.
+func TestJoinObserverInstrumentsRuns(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j, err := engine.NewJoin(engine.Config{CacheSize: 5, Procs: runProcs(), Policy: runHEEB(), Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 120
+	r, s := runStreams(n, 7)
+	for i := range r {
+		j.Step(engine.Tuple{Key: r[i]}, engine.Tuple{Key: s[i]})
+	}
+	m := j.Metrics()
+	if m.Evictions == 0 {
+		t.Fatal("run produced no evictions; test is vacuous")
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["engine_steps_total"]; got != int64(n) {
+		t.Fatalf("steps = %d, want %d", got, n)
+	}
+	if got := snap.Counters["engine_pairs_total"]; got != int64(m.Pairs) {
+		t.Fatalf("pairs = %d, want %d", got, m.Pairs)
+	}
+	if got := snap.Counters["engine_evictions_total"]; got != int64(m.Evictions) {
+		t.Fatalf("evictions = %d, want %d", got, m.Evictions)
+	}
+	if got := snap.Histograms["engine_step_latency_ns"].Count; got != int64(n) {
+		t.Fatalf("step latency observations = %d, want %d", got, n)
+	}
+	if snap.Counters[`policy_decisions_total{policy="HEEB"}`] == 0 {
+		t.Fatal("the operator did not wrap the policy")
+	}
+	if telemetry.Global() != nil {
+		t.Fatal("a private registry must not install the global one")
+	}
+}
+
 // EnableGlobal makes every simulation report into the default registry: the
-// operator's engine_* families, one step-latency observation a step, and the
-// policy_* families of the policy it wraps. DisableGlobal stops that.
+// operator's engine_* families, whose pair count is the run's joins and its
+// same-time pairs, and the policy_* families of the policy it wraps.
+// DisableGlobal stops that.
 func TestEnableDisableGlobal(t *testing.T) {
 	reg := telemetry.EnableGlobal()
 	defer telemetry.DisableGlobal()
@@ -117,7 +158,6 @@ func TestEnableDisableGlobal(t *testing.T) {
 	}
 	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
 	steps, pairs, evictions := counter("engine_steps_total"), counter("engine_pairs_total"), counter("engine_evictions_total")
-	latency := reg.Snapshot().Histograms["engine_step_latency_ns"].Count
 	decisions := counter(`policy_decisions_total{policy="HEEB"}`)
 
 	n := 120
@@ -137,9 +177,6 @@ func TestEnableDisableGlobal(t *testing.T) {
 	}
 	if got := counter("engine_evictions_total") - evictions; got != int64(res.Evictions) {
 		t.Fatalf("evictions = %d, want %d", got, res.Evictions)
-	}
-	if got := reg.Snapshot().Histograms["engine_step_latency_ns"].Count - latency; got != int64(n) {
-		t.Fatalf("step latency observations = %d, want %d", got, n)
 	}
 	if counter(`policy_decisions_total{policy="HEEB"}`) == decisions {
 		t.Fatal("the operator did not wrap the policy")
