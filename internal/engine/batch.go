@@ -79,13 +79,13 @@ func (j *Join) StepRun(batch []TuplePair) Batch {
 		j.epoch = 1
 	}
 	j.run = Batch{Tuples: j.run.Tuples[:0], Pairs: j.run.Pairs[:0], Time: j.time + max(batch[0].Skip, 0)}
-	pairs, evictions := 0, 0
+	pairs, evictions, decisions := 0, 0, j.decisions
 	for i := range batch {
 		p, e := j.stepCore(&batch[i])
 		pairs += p
 		evictions += e
 	}
 	j.run.Tuples = releaseTail(j.run.Tuples, held)
-	j.observeStep(startNs, pairs, evictions, len(batch))
+	j.observeStep(startNs, pairs, evictions, int(j.decisions-decisions), len(batch))
 	return j.run
 }

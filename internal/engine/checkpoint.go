@@ -78,7 +78,7 @@ func init() {
 // and policy all match, so a checkpoint must not cross that boundary.
 func (j *Join) fingerprint() (int, int, int, uint64, string, string) {
 	procSig := fmt.Sprintf("%T/%T", j.cfg.Procs[0], j.cfg.Procs[1])
-	return j.cfg.CacheSize, j.cfg.Window, j.cfg.Band, j.cfg.Seed, unwrapPolicy(j.policy).Name(), procSig
+	return j.cfg.CacheSize, j.cfg.Window, j.cfg.Band, j.cfg.Seed, j.policy.Name(), procSig
 }
 
 // Checkpoint serializes the operator's full state to w. The operator is
@@ -124,7 +124,7 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 		return fmt.Errorf("engine: serializing state RNG: %w", err)
 	}
 	wire.StateRNG = rngBytes
-	if s, ok := unwrapPolicy(j.policy).(join.StateSnapshotter); ok {
+	if s, ok := j.policy.(join.StateSnapshotter); ok {
 		ps, err := s.SnapshotState()
 		if err != nil {
 			return fmt.Errorf("engine: snapshotting policy %s: %w", polName, err)
@@ -197,7 +197,7 @@ func (j *Join) Restore(r io.Reader) error {
 		}
 	}
 	if wire.HasPolicyState {
-		s, ok := unwrapPolicy(j.policy).(join.StateSnapshotter)
+		s, ok := j.policy.(join.StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("%w: checkpoint carries state for policy %q, which cannot restore it",
 				ErrConfigMismatch, wire.PolicyName)

@@ -96,10 +96,12 @@ type Config struct {
 	Policy join.Policy
 	// Seed drives the policy's randomness.
 	Seed uint64
-	// Telemetry, when non-nil, instruments the operator: per-step latency
-	// histogram and pair/eviction counters on Step, and the policy wrapped
-	// with telemetry.InstrumentedPolicy (scoring latency, decision counters,
-	// sampled decision-trace records). nil keeps the hot path bare.
+	// Telemetry, when non-nil, instruments the operator: a latency histogram
+	// observed once per Step or batch, the engine_* counters, the policy's
+	// decision and eviction counters, and every telemetry.TraceInterval-th
+	// decision re-scored into the decision trace when the policy is a
+	// telemetry.CandidateScorer. Counters flush once per batch, so no clock
+	// is read per decision. nil keeps the hot path bare.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, attaches the flight recorder: Step is decomposed
 	// into recorded phase spans, a hash-sampled key subset gets lifecycle
@@ -146,7 +148,7 @@ type Join struct {
 	// eager marks a join.EagerEvictor policy, asked at every step and allowed
 	// to discard more than the overflow.
 	eager bool
-	// arrivals is the policy, unwrapped, when it counts arrivals (PROB, LIFE).
+	// arrivals is the policy when it counts arrivals (PROB, LIFE).
 	//lint:ignore snapcomplete the policy field under another type: construction wiring, and what the observer accumulates leaves through the policy's own SnapshotState
 	arrivals join.ArrivalObserver
 	hists    [2]*process.History
@@ -208,12 +210,18 @@ type Join struct {
 	probeS   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
 
 	// Telemetry handles, resolved once in NewJoin so Step pays only clock
-	// reads and atomic writes; all nil when Config.Telemetry is nil.
-	stepLatency  *telemetry.Histogram
-	stepCount    *telemetry.Counter
-	pairCount    *telemetry.Counter
-	evictCount   *telemetry.Counter
-	expiredCount *telemetry.Counter
+	// reads and atomic writes; all nil when Config.Telemetry is nil. scorer
+	// is the policy when it can explain its decisions into the trace.
+	stepLatency   *telemetry.Histogram
+	stepCount     *telemetry.Counter
+	pairCount     *telemetry.Counter
+	evictCount    *telemetry.Counter
+	expiredCount  *telemetry.Counter
+	decisionCount *telemetry.Counter
+	policyEvicts  *telemetry.Counter
+	scorer        telemetry.CandidateScorer
+	// decisions counts the policy's Evict calls, for trace sampling.
+	decisions uint64 //lint:ignore snapcomplete telemetry's sampling phase, not operator state: checkpoints match with telemetry on and off
 
 	// Flight-recorder state (see flight.go). rec is Config.Flight (nil keeps
 	// the hot path bare); now is the resolved clock — the recorder's when one
@@ -246,17 +254,14 @@ func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
 		return nil, err
 	}
 	pol := defaultPolicy(cfg)
-	if cfg.Telemetry != nil {
-		pol = telemetry.InstrumentPolicy(pol, cfg.Telemetry)
-	}
 	j := &Join{
 		cfg:    cfg,
 		policy: pol,
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
 		ends:   ends{head: -1, tail: -1},
 	}
-	j.arrivals, _ = unwrapPolicy(pol).(join.ArrivalObserver)
-	_, j.eager = unwrapPolicy(pol).(join.EagerEvictor)
+	j.arrivals, _ = pol.(join.ArrivalObserver)
+	_, j.eager = pol.(join.EagerEvictor)
 	j.initFlight()
 	if cfg.Band == 0 {
 		j.equi = [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)}
@@ -267,6 +272,10 @@ func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
 		j.pairCount = reg.Counter("engine_pairs_total")
 		j.evictCount = reg.Counter("engine_evictions_total")
 		j.expiredCount = reg.Counter("engine_expired_total")
+		label := `{policy="` + pol.Name() + `"}`
+		j.decisionCount = reg.Counter("policy_decisions_total" + label)
+		j.policyEvicts = reg.Counter("policy_evictions_total" + label)
+		j.scorer, _ = pol.(telemetry.CandidateScorer)
 	}
 	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
 	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stateRNG}
@@ -408,7 +417,12 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 	if j.rec != nil {
 		sp = j.rec.Begin(flightrec.PhaseScore)
 	}
-	evict := j.policy.Evict(j.state, cands[:len(cands):len(cands)], need)
+	cands = cands[:len(cands):len(cands)]
+	evict := j.policy.Evict(j.state, cands, need)
+	if j.scorer != nil && j.decisions%telemetry.TraceInterval == 0 {
+		j.cfg.Telemetry.TraceDecision(j.state, j.scorer, j.policy.Name(), cands, need, evict)
+	}
+	j.decisions++
 	if j.rec != nil {
 		j.rec.End(sp, len(cands), int64(need))
 		sp = j.rec.Begin(flightrec.PhaseEvict)

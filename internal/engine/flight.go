@@ -15,28 +15,21 @@ import (
 // j.rec != nil branches; the clock seam, the bundle plumbing and the
 // lifecycle helpers are below.
 
-// nowNanos is the engine's single wall-clock seam. The flight recorder and
-// the step-latency telemetry both read time through it (via EnsureClock /
-// j.now), so a test that pins flightrec.LogicalClock makes the whole
-// operator — spans, latencies, exports — byte-deterministic.
+// nowNanos is the engine's wall clock when no flight recorder is attached.
+// With one, the operator reads the recorder's clock (Recorder.Clock), so a
+// test that pins flightrec.LogicalClock makes the whole operator — spans,
+// latencies, exports — byte-deterministic.
 func nowNanos() int64 {
 	return time.Now().UnixNano()
 }
 
-// initFlight wires Config.Flight into the operator: the clock seam and —
-// when telemetry is also configured — the registry's clock. Called once from
-// NewJoin.
+// initFlight wires Config.Flight into the operator and resolves its clock.
+// Called once from NewJoin.
 func (j *Join) initFlight() {
-	rec := j.cfg.Flight
-	if rec == nil {
-		j.now = nowNanos
-		return
-	}
-	j.rec = rec
-	rec.EnsureClock(nowNanos)
-	j.now = rec.Clock()
-	if reg := j.cfg.Telemetry; reg != nil {
-		reg.SetClock(j.now)
+	j.now = nowNanos
+	if rec := j.cfg.Flight; rec != nil {
+		j.rec = rec
+		j.now = rec.Clock()
 	}
 }
 
@@ -83,10 +76,11 @@ func (j *Join) closeStep(sp flightrec.Active, pairs, evictions int) {
 }
 
 // observeStep records the latency-histogram observation and the inline
-// counters for n steps' worth of work. Step passes n = 1; StepBatch passes
-// the batch length, amortizing one clock-read pair and one histogram
-// observation across the whole batch (see docs/observability.md).
-func (j *Join) observeStep(startNs int64, pairs, evictions, n int) {
+// counters for n steps' worth of work, decisions of them policy decisions.
+// Step passes n = 1; StepBatch passes the batch length, amortizing one
+// clock-read pair and one histogram observation across the whole batch (see
+// docs/observability.md).
+func (j *Join) observeStep(startNs int64, pairs, evictions, decisions, n int) {
 	if j.stepLatency == nil {
 		return
 	}
@@ -94,6 +88,8 @@ func (j *Join) observeStep(startNs int64, pairs, evictions, n int) {
 	j.stepCount.Add(int64(n))
 	j.pairCount.Add(int64(pairs))
 	j.evictCount.Add(int64(evictions))
+	j.decisionCount.Add(int64(decisions))
+	j.policyEvicts.Add(int64(evictions))
 }
 
 // lifeTuple records one lifecycle event for a tuple's key when the flight

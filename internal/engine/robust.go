@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"stochstream/internal/join"
 	"stochstream/internal/process"
 )
 
@@ -192,18 +191,6 @@ func (j *Join) checkPosting(side, v, slot int, fail func(string, ...interface{})
 			side, v, slot, e.Stream, e.Value, e.ID)
 	}
 	return nil
-}
-
-// unwrapPolicy strips instrumentation wrappers (anything with an Unwrap
-// method) off a policy.
-func unwrapPolicy(p join.Policy) join.Policy {
-	for {
-		u, ok := p.(interface{ Unwrap() join.Policy })
-		if !ok {
-			return p
-		}
-		p = u.Unwrap()
-	}
 }
 
 // checkStep rejects what a TuplePair may not carry besides its keys: a

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
+	"stochstream/internal/join"
+	"stochstream/internal/policy"
 	"stochstream/internal/stats"
 	"stochstream/internal/telemetry"
 )
@@ -57,7 +61,7 @@ func TestEngineTelemetry(t *testing.T) {
 	if got := snap.Histograms["engine_step_latency_ns"].Count; got != int64(n) {
 		t.Fatalf("latency observations = %d, want %d", got, n)
 	}
-	// The policy was wrapped: labeled HEEB metrics and trace records exist.
+	// The operator instruments its policy: labeled HEEB metrics and trace records exist.
 	if snap.Counters[`policy_decisions_total{policy="HEEB"}`] == 0 {
 		t.Fatal("policy not instrumented")
 	}
@@ -67,6 +71,80 @@ func TestEngineTelemetry(t *testing.T) {
 	rec := snap.Trace[len(snap.Trace)-1]
 	if rec.Policy != "HEEB" || len(rec.Candidates) == 0 {
 		t.Fatalf("trace record = %+v", rec)
+	}
+}
+
+// decisionTap is HEEB noting the step of every decision it is asked for.
+type decisionTap struct {
+	*policy.HEEB
+	steps []int
+}
+
+func (p *decisionTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	p.steps = append(p.steps, st.Time)
+	return p.HEEB.Evict(st, cands, n)
+}
+
+// With a registry the operator traces exactly its decisions 1, 65, 129, …,
+// its counters equal Metrics(), and it emits the same pairs and writes the
+// same checkpoint as without one.
+func TestTelemetryTracesEveryIntervalthDecision(t *testing.T) {
+	procs := trendProcs()
+	rng := stats.NewRNG(8)
+	const n = 3000
+	r := procs[0].Generate(rng.Split(), n)
+	s := procs[1].Generate(rng.Split(), n)
+	mk := func(reg *telemetry.Registry) (*Join, *decisionTap) {
+		tap := &decisionTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})}
+		j, err := NewJoin(Config{CacheSize: 4, Procs: procs, Seed: 1, Policy: tap, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, tap
+	}
+	reg := telemetry.NewRegistry()
+	on, tap := mk(reg)
+	off, _ := mk(nil)
+	for i := 0; i < n; i++ {
+		a := on.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+		if b := off.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]}); !slices.Equal(a, b) {
+			t.Fatalf("step %d: telemetry on emitted %v, off %v", i, a, b)
+		}
+	}
+	var ckOn, ckOff bytes.Buffer
+	if err := on.Checkpoint(&ckOn); err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Checkpoint(&ckOff); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckOn.Bytes(), ckOff.Bytes()) {
+		t.Fatal("checkpoints differ with telemetry on and off")
+	}
+
+	var want, got []int
+	for k := 0; k < len(tap.steps); k += telemetry.TraceInterval {
+		want = append(want, tap.steps[k])
+	}
+	for _, rec := range reg.Trace().Records() {
+		got = append(got, rec.Step)
+	}
+	if len(want) < 3 || !slices.Equal(got, want) {
+		t.Fatalf("traced decisions at steps %v, want %v (every %dth of %d decisions)", got, want, telemetry.TraceInterval, len(tap.steps))
+	}
+
+	m, c := on.Metrics(), reg.Snapshot().Counters
+	for name, want := range map[string]int{
+		"engine_steps_total":                    m.Steps,
+		"engine_pairs_total":                    m.Pairs,
+		"engine_evictions_total":                m.Evictions,
+		"engine_expired_total":                  m.Expired,
+		`policy_evictions_total{policy="HEEB"}`: m.Evictions,
+		`policy_decisions_total{policy="HEEB"}`: len(tap.steps),
+	} {
+		if c[name] != int64(want) {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
 	}
 }
 

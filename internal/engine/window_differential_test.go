@@ -23,8 +23,6 @@ type scoreTap struct {
 	memoHits  int // how many of the recorded scores, over the run, came out of the window's memo
 }
 
-func (p *scoreTap) Unwrap() join.Policy { return p.HEEB }
-
 func (p *scoreTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	p.decisions++
 	before := p.hits()

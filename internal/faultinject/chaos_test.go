@@ -7,6 +7,7 @@ import (
 
 	"stochstream/internal/dist"
 	"stochstream/internal/engine"
+	"stochstream/internal/join"
 	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
@@ -25,6 +26,18 @@ func chaosProcs() [2]process.Process {
 // serve.
 func chaosPolicy() *policy.HEEB {
 	return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})
+}
+
+// countingPolicy is HEEB counting the victims it answers with.
+type countingPolicy struct {
+	*policy.HEEB
+	evictions int64
+}
+
+func (p *countingPolicy) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	ev := p.HEEB.Evict(st, cands, n)
+	p.evictions += int64(len(ev))
+	return ev
 }
 
 type chaosResult struct {
@@ -50,8 +63,8 @@ func runChaos(t *testing.T, plan Plan, steps int) chaosResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	cfg.Policy, cfg.Telemetry = chaosPolicy(), reg
+	pol := &countingPolicy{HEEB: chaosPolicy()}
+	cfg.Policy, cfg.Telemetry = pol, telemetry.NewRegistry()
 	j, err := engine.NewJoin(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +91,13 @@ func runChaos(t *testing.T, plan Plan, steps int) chaosResult {
 		}
 	}
 
-	// Every eviction the operator made is one the instrumented policy
-	// answered: a rejected step reached no decision.
+	// Every eviction the operator made is one the policy answered: a
+	// rejected step reached no decision.
 	m := j.Metrics()
-	evictions := reg.Counter(`policy_evictions_total{policy="HEEB"}`).Value()
-	if evictions != int64(m.Evictions) {
-		t.Fatalf("policy counted %d evictions, operator %d", evictions, m.Evictions)
+	if pol.evictions != int64(m.Evictions) {
+		t.Fatalf("policy answered %d evictions, operator made %d", pol.evictions, m.Evictions)
 	}
-	return chaosResult{metrics: m, counts: inj.Counts(), rejected: rejected, evictions: evictions}
+	return chaosResult{metrics: m, counts: inj.Counts(), rejected: rejected, evictions: pol.evictions}
 }
 
 // The chaos differential test: 5k faulted steps against HEEB. No panics,

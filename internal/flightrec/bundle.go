@@ -38,8 +38,8 @@ const BundleVersion = 1
 var (
 	// ErrNoBundleDir means the recorder was built without Options.BundleDir.
 	ErrNoBundleDir = errors.New("flightrec: no bundle directory configured")
-	// ErrBundleLimit means Options.MaxBundles bundles have already been
-	// written; the fault is likely flapping and further dumps would only
+	// ErrBundleLimit means the recorder has already written its 16
+	// bundles; the fault is likely flapping and further dumps would only
 	// fill the disk.
 	ErrBundleLimit = errors.New("flightrec: bundle limit reached")
 )
@@ -104,7 +104,7 @@ func (r *Recorder) WriteBundle(info BundleInfo, src BundleSources) (string, erro
 		r.mu.Unlock()
 		return "", ErrNoBundleDir
 	}
-	if r.maxBundles > 0 && r.bundlesWritten >= r.maxBundles {
+	if r.bundlesWritten >= maxBundles {
 		r.mu.Unlock()
 		return "", fmt.Errorf("%w (%d written)", ErrBundleLimit, r.bundlesWritten)
 	}

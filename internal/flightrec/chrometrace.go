@@ -32,7 +32,6 @@ type traceArgs struct {
 	Step   int    `json:"step"`
 	Keys   int    `json:"keys"`
 	Detail int64  `json:"detail"`
-	Label  string `json:"label,omitempty"`
 }
 
 type traceFile struct {
@@ -46,16 +45,12 @@ type traceFile struct {
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	events := make([]traceEvent, len(spans))
 	for i, s := range spans {
-		name := s.Phase.String()
-		if s.Label != "" {
-			name = name + ":" + s.Label
-		}
 		dur := s.End - s.Begin
 		if dur < 0 {
 			dur = 0
 		}
 		events[i] = traceEvent{
-			Name: name,
+			Name: s.Phase.String(),
 			Cat:  "flightrec",
 			Ph:   "X",
 			Ts:   float64(s.Begin) / 1e3,
@@ -68,7 +63,6 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 				Step:   s.Step,
 				Keys:   s.Keys,
 				Detail: s.Detail,
-				Label:  s.Label,
 			},
 		}
 	}

@@ -18,16 +18,28 @@
 //     internal/checkpoint envelope) to a directory; see
 //     bundle.go and WriteChromeTrace for the Perfetto-loadable trace export.
 //
-// Determinism contract: the recorder never reads the wall clock itself. All
-// timestamps come from the injected Clock; the engine installs its single
-// wall-clock seam via EnsureClock, and deterministic runs (replay tests,
-// export-determinism tests) inject LogicalClock instead, and compare two runs
-// byte for byte.
+// Determinism contract: every timestamp comes from the recorder's one clock,
+// Options.Clock, or the wall clock when that is nil. The engine times its
+// phases and batches with the same clock (Recorder.Clock), so deterministic
+// runs (replay tests, export-determinism tests) inject LogicalClock and
+// compare two runs byte for byte.
 package flightrec
 
 import (
 	"sync"
 	"sync/atomic"
+	"time"
+)
+
+// The recorder's fixed memory budget: the span ring holds the newest
+// ringSize spans, the lifecycle store at most maxTrackedKeys keys of
+// eventsPerKey events each, and one recorder writes at most maxBundles
+// bundles, so a flapping fault cannot fill the disk.
+const (
+	ringSize       = 1024
+	maxTrackedKeys = 128
+	eventsPerKey   = 32
+	maxBundles     = 16
 )
 
 // Phase identifies what the operator was doing during a span.
@@ -51,39 +63,45 @@ var phaseNames = [numPhases]string{
 }
 
 // String returns the phase's stable wire name.
-func (p Phase) String() string {
-	if int(p) < len(phaseNames) {
-		return phaseNames[p]
+func (p Phase) String() string { return wireName(p, phaseNames[:]) }
+
+// MarshalJSON encodes the phase as its stable wire name.
+func (p Phase) MarshalJSON() ([]byte, error) { return []byte(`"` + p.String() + `"`), nil }
+
+// UnmarshalJSON decodes a wire name back to a phase (see parseWireName).
+func (p *Phase) UnmarshalJSON(b []byte) error { return parseWireName(b, phaseNames[:], p) }
+
+// wireName is the JSON codec Phase and LifeKind share: an enum value
+// travels as its name in names, and a value past the table is "unknown".
+func wireName[T ~uint8](v T, names []string) string {
+	if int(v) < len(names) {
+		return names[v]
 	}
 	return "unknown"
 }
 
-// MarshalJSON encodes the phase as its stable wire name.
-func (p Phase) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + p.String() + `"`), nil
-}
-
-// UnmarshalJSON decodes a wire name back to a phase; unknown names decode to
-// numPhases ("unknown") rather than failing, so bundles from newer versions
-// still load.
-func (p *Phase) UnmarshalJSON(b []byte) error {
+// parseWireName decodes a quoted wire name to its index in names. An
+// unknown name decodes to len(names), "unknown", rather than failing, so
+// bundles from newer versions still load.
+func parseWireName[T ~uint8](b []byte, names []string, v *T) error {
 	s := string(b)
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		s = s[1 : len(s)-1]
 	}
-	for i, n := range phaseNames {
+	for i, n := range names {
 		if n == s {
-			*p = Phase(i)
+			*v = T(i)
 			return nil
 		}
 	}
-	*p = numPhases
+	*v = T(len(names))
 	return nil
 }
 
 // Span is one recorded phase: its position in the step/parent hierarchy,
-// begin/end timestamps from the injected clock, a key/item count and a
-// phase-specific detail value.
+// begin/end timestamps from the recorder's clock, a key/item count and a
+// phase-specific detail value. Label is always empty; it stays only while
+// the benchmark's trace stitching (bench/trace.go) reads it.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent"`
@@ -101,29 +119,23 @@ type Span struct {
 	Detail int64 `json:"detail"`
 }
 
-// Active is an in-flight span handle returned by Begin*. It is a small
-// value that lives on the caller's stack, so beginning and ending a span
-// allocates nothing.
+// Active is an in-flight span handle returned by Begin and BeginStep. It is
+// a small value that lives on the caller's stack, so beginning and ending a
+// span allocates nothing.
 type Active struct {
 	id     uint64
 	parent uint64
 	step   int
 	phase  Phase
-	label  string
 	begin  int64
 }
 
-// Options configures a Recorder. The zero value is usable: a 1024-span
-// ring, 1-in-64 key sampling with seed 0, 128 tracked keys with 32 events
-// each, the built-in logical clock, and no bundle directory.
+// Options configures a Recorder. The zero value is usable: the wall clock,
+// 1-in-64 key sampling with seed 0, and no bundle directory. The memory
+// budget is fixed: a 1024-span ring, 128 tracked keys with 32 events each,
+// and 16 bundles.
 type Options struct {
-	// RingSize is the span ring capacity, rounded up to a power of two.
-	// Default 1024.
-	RingSize int
-	// Clock supplies span timestamps (nanoseconds by convention). When nil
-	// the recorder uses its own logical clock and a later EnsureClock call
-	// (the engine's wall-clock seam) may replace it; a non-nil Clock is
-	// pinned and EnsureClock leaves it alone.
+	// Clock supplies span timestamps in nanoseconds; nil is the wall clock.
 	Clock func() int64
 	// SampleSeed seeds the lifecycle key sampler; the engine passes the
 	// operator seed so sampling is replay-stable.
@@ -131,16 +143,8 @@ type Options struct {
 	// SampleEvery tracks roughly one in SampleEvery keys, rounded up to a
 	// power of two. 1 tracks every key; default 64.
 	SampleEvery int
-	// MaxTrackedKeys bounds the lifecycle map. Default 128.
-	MaxTrackedKeys int
-	// EventsPerKey bounds each tracked key's event ring. Default 32.
-	EventsPerKey int
 	// BundleDir, when non-empty, enables WriteBundle.
 	BundleDir string
-	// MaxBundles bounds how many bundles this recorder will write; 0 means
-	// unlimited. Production deployments should set a bound so a flapping
-	// fault cannot fill the disk.
-	MaxBundles int
 }
 
 // Recorder is the flight recorder: a fixed-memory span ring plus the
@@ -150,11 +154,9 @@ type Options struct {
 type Recorder struct {
 	mu sync.Mutex
 
-	clock       func() int64
-	clockPinned bool
+	clock func() int64
 
-	ring   []Span
-	mask   int
+	ring   [ringSize]Span
 	next   int
 	total  uint64
 	nextID uint64
@@ -164,45 +166,29 @@ type Recorder struct {
 
 	sampleSeed uint64
 	sampleMask uint64
-	maxKeys    int
-	eventsPer  int
 	keys       map[int]*keyLife
 
 	bundleDir      string
-	maxBundles     int
 	bundlesWritten int
 }
 
 // New returns a recorder for the options; see Options for defaults.
 func New(opts Options) *Recorder {
-	ring := nextPow2(opts.RingSize, 1024)
-	every := nextPow2(opts.SampleEvery, 64)
-	maxKeys := opts.MaxTrackedKeys
-	if maxKeys <= 0 {
-		maxKeys = 128
-	}
-	eventsPer := opts.EventsPerKey
-	if eventsPer <= 0 {
-		eventsPer = 32
-	}
 	r := &Recorder{
-		clock:       opts.Clock,
-		clockPinned: opts.Clock != nil,
-		ring:        make([]Span, ring),
-		mask:        ring - 1,
-		sampleSeed:  opts.SampleSeed,
-		sampleMask:  uint64(every - 1),
-		maxKeys:     maxKeys,
-		eventsPer:   eventsPer,
-		keys:        make(map[int]*keyLife, maxKeys),
-		bundleDir:   opts.BundleDir,
-		maxBundles:  opts.MaxBundles,
+		clock:      opts.Clock,
+		sampleSeed: opts.SampleSeed,
+		sampleMask: uint64(nextPow2(opts.SampleEvery, 64) - 1),
+		keys:       make(map[int]*keyLife, maxTrackedKeys),
+		bundleDir:  opts.BundleDir,
 	}
 	if r.clock == nil {
-		r.clock = LogicalClock()
+		r.clock = wallNanos
 	}
 	return r
 }
+
+// wallNanos is the recorder's clock when Options.Clock is nil.
+func wallNanos() int64 { return time.Now().UnixNano() }
 
 // LogicalClock returns a deterministic clock: successive calls return 1, 2,
 // 3, … Use it for replay and export-determinism tests, where span
@@ -212,29 +198,9 @@ func LogicalClock() func() int64 {
 	return func() int64 { return c.Add(1) }
 }
 
-// EnsureClock installs fn as the recorder's clock unless the caller pinned
-// one via Options.Clock. It is the engine's hook: engine.NewJoin passes its
-// single wall-clock seam here, so production runs get real timestamps while
-// a test that injected LogicalClock keeps it.
-func (r *Recorder) EnsureClock(fn func() int64) {
-	if fn == nil {
-		return
-	}
-	r.mu.Lock()
-	if !r.clockPinned {
-		r.clock = fn
-		r.clockPinned = true
-	}
-	r.mu.Unlock()
-}
-
-// Clock returns the recorder's resolved clock, for callers (the engine's
-// latency telemetry) that must share the recorder's time base.
-func (r *Recorder) Clock() func() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clock
-}
+// Clock returns the recorder's clock, for callers (the engine's latency
+// telemetry) that must share the recorder's time base.
+func (r *Recorder) Clock() func() int64 { return r.clock }
 
 // BeginStep opens the root span for one operator step. Subsequent Begin
 // calls (until EndStep) record children of this span.
@@ -249,14 +215,10 @@ func (r *Recorder) BeginStep(step int) Active {
 }
 
 // Begin opens a child span of the current step under the given phase.
-func (r *Recorder) Begin(phase Phase) Active { return r.BeginLabel(phase, "") }
-
-// BeginLabel is Begin with a label. Pass constant strings; the label is
-// stored by reference.
-func (r *Recorder) BeginLabel(phase Phase, label string) Active {
+func (r *Recorder) Begin(phase Phase) Active {
 	r.mu.Lock()
 	r.nextID++
-	a := Active{id: r.nextID, parent: r.curParent, step: r.curStep, phase: phase, label: label, begin: r.clock()}
+	a := Active{id: r.nextID, parent: r.curParent, step: r.curStep, phase: phase, begin: r.clock()}
 	r.mu.Unlock()
 	return a
 }
@@ -282,13 +244,12 @@ func (r *Recorder) writeLocked(a Active, keys int, detail int64) {
 		Parent: a.parent,
 		Step:   a.step,
 		Phase:  a.phase,
-		Label:  a.label,
 		Begin:  a.begin,
 		End:    r.clock(),
 		Keys:   keys,
 		Detail: detail,
 	}
-	r.next = (r.next + 1) & r.mask
+	r.next = (r.next + 1) % ringSize
 	r.total++
 }
 

@@ -17,8 +17,11 @@ import (
 	"stochstream/internal/flightrec"
 )
 
+// ringSize is the recorder's fixed span capacity.
+const ringSize = 1024
+
 func TestSpanRingBasics(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 8})
+	r := flightrec.New(flightrec.Options{Clock: flightrec.LogicalClock()})
 	for step := 0; step < 3; step++ {
 		root := r.BeginStep(step)
 		child := r.Begin(flightrec.PhaseProbe)
@@ -53,38 +56,27 @@ func TestSpanRingBasics(t *testing.T) {
 }
 
 func TestSpanRingWrap(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 4})
-	for i := 0; i < 10; i++ {
+	r := flightrec.New(flightrec.Options{Clock: flightrec.LogicalClock()})
+	for i := 0; i < ringSize+6; i++ {
 		a := r.BeginStep(i)
 		r.EndStep(a, 0, 0)
 	}
-	if got := r.TotalSpans(); got != 10 {
-		t.Fatalf("TotalSpans = %d, want 10", got)
+	if got := r.TotalSpans(); got != ringSize+6 {
+		t.Fatalf("TotalSpans = %d, want %d", got, ringSize+6)
 	}
 	spans := r.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring retained %d spans, want 4", len(spans))
+	if len(spans) != ringSize {
+		t.Fatalf("ring retained %d spans, want %d", len(spans), ringSize)
 	}
 	for i, s := range spans {
 		if want := 6 + i; s.Step != want {
-			t.Fatalf("retained span %d has step %d, want %d (newest 4, oldest first)", i, s.Step, want)
+			t.Fatalf("retained span %d has step %d, want %d (newest %d, oldest first)", i, s.Step, want, ringSize)
 		}
 	}
 }
 
-func TestRingSizeRounding(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 5})
-	for i := 0; i < 100; i++ {
-		a := r.BeginStep(i)
-		r.EndStep(a, 0, 0)
-	}
-	if got := len(r.Spans()); got != 8 {
-		t.Fatalf("RingSize 5 retained %d spans, want 8 (next power of two)", got)
-	}
-}
-
 func TestLastSpans(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 8})
+	r := flightrec.New(flightrec.Options{Clock: flightrec.LogicalClock()})
 	for i := 0; i < 5; i++ {
 		a := r.BeginStep(i)
 		r.EndStep(a, 0, 0)
@@ -123,24 +115,6 @@ func TestLogicalClockDeterminism(t *testing.T) {
 	}
 }
 
-func TestEnsureClockRespectsPinned(t *testing.T) {
-	pinned := flightrec.New(flightrec.Options{Clock: func() int64 { return 42 }})
-	pinned.EnsureClock(func() int64 { return 7 })
-	if got := pinned.Clock()(); got != 42 {
-		t.Fatalf("EnsureClock replaced a pinned clock: got %d", got)
-	}
-	unpinned := flightrec.New(flightrec.Options{})
-	unpinned.EnsureClock(func() int64 { return 7 })
-	if got := unpinned.Clock()(); got != 7 {
-		t.Fatalf("EnsureClock did not install on default clock: got %d", got)
-	}
-	// The first EnsureClock wins; later ones are ignored.
-	unpinned.EnsureClock(func() int64 { return 9 })
-	if got := unpinned.Clock()(); got != 7 {
-		t.Fatalf("second EnsureClock replaced the first: got %d", got)
-	}
-}
-
 func TestSamplingDeterministicAndSeedSensitive(t *testing.T) {
 	a := flightrec.New(flightrec.Options{SampleSeed: 1, SampleEvery: 8})
 	b := flightrec.New(flightrec.Options{SampleSeed: 1, SampleEvery: 8})
@@ -175,25 +149,33 @@ func TestSampleEveryOneTracksAll(t *testing.T) {
 	}
 }
 
+// The lifecycle store tracks at most 128 keys with the newest 32 events each.
 func TestLifecycle(t *testing.T) {
-	r := flightrec.New(flightrec.Options{SampleEvery: 1, MaxTrackedKeys: 2, EventsPerKey: 4})
-	for i := 0; i < 6; i++ {
+	const maxKeys, perKey = 128, 32
+	r := flightrec.New(flightrec.Options{SampleEvery: 1})
+	for i := 0; i < perKey+6; i++ {
 		r.Life(7, flightrec.LifeEvent{Step: i, Kind: flightrec.LifeIngest, Stream: "R", TupleID: i})
 	}
 	r.Life(9, flightrec.LifeEvent{Step: 0, Kind: flightrec.LifeAdmit, Stream: "S", TupleID: 1})
-	r.Life(11, flightrec.LifeEvent{Step: 0, Kind: flightrec.LifeAdmit, Stream: "S", TupleID: 2}) // over MaxTrackedKeys: dropped
+	for k := 100; k < 100+maxKeys-2; k++ {
+		r.Life(k, flightrec.LifeEvent{Step: 0, Kind: flightrec.LifeAdmit, Stream: "S", TupleID: k})
+	}
+	r.Life(11, flightrec.LifeEvent{Step: 0, Kind: flightrec.LifeAdmit, Stream: "S", TupleID: 2}) // the 129th key: dropped
 
 	evs := r.Lifecycle(7)
-	if len(evs) != 4 {
-		t.Fatalf("key 7 retained %d events, want 4 (EventsPerKey)", len(evs))
+	if len(evs) != perKey {
+		t.Fatalf("key 7 retained %d events, want %d", len(evs), perKey)
 	}
 	for i, ev := range evs {
-		if want := 2 + i; ev.Step != want {
-			t.Fatalf("key 7 event %d has step %d, want %d (newest 4, oldest first)", i, ev.Step, want)
+		if want := 6 + i; ev.Step != want {
+			t.Fatalf("key 7 event %d has step %d, want %d (newest %d, oldest first)", i, ev.Step, want, perKey)
 		}
 	}
+	if got := r.Lifecycle(100 + maxKeys - 3); len(got) != 1 {
+		t.Fatalf("the 128th key retained %v, want its one event", got)
+	}
 	if got := r.Lifecycle(11); got != nil {
-		t.Fatalf("key over MaxTrackedKeys was tracked: %v", got)
+		t.Fatalf("key over the 128-key bound was tracked: %v", got)
 	}
 	if got := r.Lifecycle(8); got != nil {
 		t.Fatalf("unseen key returned events: %v", got)
@@ -204,15 +186,15 @@ func TestLifecycle(t *testing.T) {
 }
 
 func TestZeroSteadyStateAllocations(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 64, SampleEvery: 1, EventsPerKey: 8})
+	r := flightrec.New(flightrec.Options{SampleEvery: 1})
 	// Warm the lifecycle ring past its append phase.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 40; i++ {
 		r.Life(5, flightrec.LifeEvent{Step: i, Kind: flightrec.LifeMatch, Stream: "R"})
 	}
 	step := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		root := r.BeginStep(step)
-		c := r.BeginLabel(flightrec.PhaseScore, "HEEB")
+		c := r.Begin(flightrec.PhaseScore)
 		r.End(c, 3, 1)
 		r.Life(5, flightrec.LifeEvent{Step: step, Kind: flightrec.LifeMatch, Stream: "R"})
 		r.EndStep(root, 1, 0)
@@ -224,7 +206,7 @@ func TestZeroSteadyStateAllocations(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := flightrec.New(flightrec.Options{RingSize: 128, SampleEvery: 1})
+	r := flightrec.New(flightrec.Options{SampleEvery: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -280,7 +262,7 @@ func TestPhaseAndLifeKindJSONRoundTrip(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	r := flightrec.New(flightrec.Options{Clock: flightrec.LogicalClock()})
 	root := r.BeginStep(3)
-	c := r.BeginLabel(flightrec.PhaseScore, "HEEB")
+	c := r.Begin(flightrec.PhaseScore)
 	r.End(c, 4, 2)
 	r.EndStep(root, 1, 0)
 
@@ -316,12 +298,12 @@ func TestChromeTraceSchema(t *testing.T) {
 			t.Fatalf("event %d dur = %v, want non-negative number", i, ev["dur"])
 		}
 	}
-	if name := doc.TraceEvents[0]["name"]; name != "score:HEEB" {
-		t.Fatalf("labeled span exported as %v, want score:HEEB", name)
+	if name := doc.TraceEvents[0]["name"]; name != "score" {
+		t.Fatalf("score span exported as %v, want score", name)
 	}
 	args := doc.TraceEvents[0]["args"].(map[string]any)
-	if args["label"] != "HEEB" || args["keys"].(float64) != 4 || args["detail"].(float64) != 2 {
-		t.Fatalf("span args = %v, want label HEEB, 4 keys, detail 2", args)
+	if _, ok := args["label"]; ok || args["keys"].(float64) != 4 || args["detail"].(float64) != 2 {
+		t.Fatalf("span args = %v, want 4 keys, detail 2 and no label", args)
 	}
 	if args["step"].(float64) != 3 {
 		t.Fatalf("span step exported as %v, want 3", args["step"])
@@ -426,14 +408,17 @@ func TestBundleLimitsAndErrors(t *testing.T) {
 	if _, err := r.WriteBundle(flightrec.BundleInfo{}, flightrec.BundleSources{}); !errors.Is(err, flightrec.ErrNoBundleDir) {
 		t.Fatalf("no BundleDir: err = %v, want ErrNoBundleDir", err)
 	}
-	r = flightrec.New(flightrec.Options{BundleDir: t.TempDir(), MaxBundles: 2})
-	for i := 0; i < 2; i++ {
+	// A recorder writes at most 16 bundles, so a flapping fault cannot fill
+	// the disk.
+	const maxBundles = 16
+	r = flightrec.New(flightrec.Options{BundleDir: t.TempDir()})
+	for i := 0; i < maxBundles; i++ {
 		if _, err := r.WriteBundle(flightrec.BundleInfo{Reason: "signal", Step: i}, flightrec.BundleSources{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.WriteBundle(flightrec.BundleInfo{Reason: "signal", Step: 2}, flightrec.BundleSources{}); !errors.Is(err, flightrec.ErrBundleLimit) {
-		t.Fatalf("over MaxBundles: err = %v, want ErrBundleLimit", err)
+	if _, err := r.WriteBundle(flightrec.BundleInfo{Reason: "signal", Step: maxBundles}, flightrec.BundleSources{}); !errors.Is(err, flightrec.ErrBundleLimit) {
+		t.Fatalf("bundle %d: err = %v, want ErrBundleLimit", maxBundles+1, err)
 	}
 }
 

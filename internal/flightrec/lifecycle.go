@@ -23,34 +23,13 @@ var lifeKindNames = [numLifeKinds]string{
 }
 
 // String returns the kind's stable wire name.
-func (k LifeKind) String() string {
-	if int(k) < len(lifeKindNames) {
-		return lifeKindNames[k]
-	}
-	return "unknown"
-}
+func (k LifeKind) String() string { return wireName(k, lifeKindNames[:]) }
 
 // MarshalJSON encodes the kind as its stable wire name.
-func (k LifeKind) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + k.String() + `"`), nil
-}
+func (k LifeKind) MarshalJSON() ([]byte, error) { return []byte(`"` + k.String() + `"`), nil }
 
-// UnmarshalJSON decodes a wire name back to a kind; unknown names decode to
-// numLifeKinds ("unknown") so newer bundles still load.
-func (k *LifeKind) UnmarshalJSON(b []byte) error {
-	s := string(b)
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		s = s[1 : len(s)-1]
-	}
-	for i, n := range lifeKindNames {
-		if n == s {
-			*k = LifeKind(i)
-			return nil
-		}
-	}
-	*k = numLifeKinds
-	return nil
-}
+// UnmarshalJSON decodes a wire name back to a kind (see parseWireName).
+func (k *LifeKind) UnmarshalJSON(b []byte) error { return parseWireName(b, lifeKindNames[:], k) }
 
 // LifeEvent is one causal record in a tracked key's lifecycle.
 type LifeEvent struct {
@@ -67,7 +46,7 @@ type LifeEvent struct {
 }
 
 // KeyLifecycle is one tracked key's record: the retained events plus the
-// total ever recorded (the ring keeps the newest EventsPerKey).
+// total ever recorded (the ring keeps the newest 32).
 type KeyLifecycle struct {
 	Key    int         `json:"key"`
 	Total  int         `json:"total"`
@@ -88,20 +67,20 @@ func (r *Recorder) Sampled(key int) bool {
 	return splitmix64(uint64(key)^r.sampleSeed)&r.sampleMask == 0
 }
 
-// Life records one lifecycle event for a sampled key. Keys beyond
-// MaxTrackedKeys are dropped (the map is full-memory-bounded); events
-// beyond EventsPerKey overwrite the oldest for that key. Callers should
-// gate on Sampled first — Life itself does not re-check, so tests can force
-// events for specific keys.
+// Life records one lifecycle event for a sampled key. Keys beyond the first
+// 128 are dropped (the map is full-memory-bounded); events beyond 32 a key
+// overwrite the oldest for that key. Callers should gate on Sampled first —
+// Life itself does not re-check, so tests can force events for specific
+// keys.
 func (r *Recorder) Life(key int, ev LifeEvent) {
 	r.mu.Lock()
 	kl := r.keys[key]
 	if kl == nil {
-		if len(r.keys) >= r.maxKeys {
+		if len(r.keys) >= maxTrackedKeys {
 			r.mu.Unlock()
 			return
 		}
-		kl = &keyLife{events: make([]LifeEvent, 0, r.eventsPer)}
+		kl = &keyLife{events: make([]LifeEvent, 0, eventsPerKey)}
 		r.keys[key] = kl
 	}
 	if len(kl.events) < cap(kl.events) {

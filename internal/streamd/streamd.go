@@ -247,7 +247,6 @@ func Start(cfg Config) (*Server, error) {
 }
 
 func (s *Server) initMetrics() {
-	s.reg.SetClock(s.nowNanos)
 	s.stepsTotal = s.reg.Counter("streamd_steps_total")
 	s.pairsTotal = s.reg.Counter("streamd_pairs_total")
 	s.batchesTotal = s.reg.Counter("streamd_batches_total")

@@ -23,7 +23,7 @@ func buildShardSet() ShardSet {
 	s0.Gauge("budget").Set(4)
 	s1 := NewRegistry()
 	s1.Counter("steps_total").Add(20)
-	s1.HistogramWith("lat_ns", []float64{1, 10}).Observe(5)
+	s1.Histogram("lat_ns").Observe(5)
 	return ShardSet{Shards: []*Registry{s0, s1, nil}}
 }
 

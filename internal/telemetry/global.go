@@ -12,7 +12,7 @@ var global atomic.Pointer[Registry]
 // EnableGlobal turns on process-wide telemetry: every operator the
 // simulator's driver (engine.Run) builds reports into the default registry
 // from then on — the engine_* families, and the policy_* families and the
-// decision trace of its wrapped policy — and the min-cost-flow solver
+// decision trace of its policy — and the min-cost-flow solver
 // counters appear as gauges. cmd/repro -metrics and the examples call this;
 // library embedders who want per-instance registries should use
 // engine.Config.Telemetry instead.

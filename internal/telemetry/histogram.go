@@ -8,11 +8,11 @@ import (
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
-// defaultLatencyBounds are the default histogram buckets: log-spaced with ten
-// buckets per decade from 100 ns to 10 s. They cover everything from a single
+// latencyBounds are the histogram buckets: log-spaced with ten buckets per
+// decade from 100 ns to 10 s. They cover everything from a single
 // atomic increment to a full FlowExpect solve while keeping quantile
 // interpolation error at the bucket ratio (≈ 26%).
-var defaultLatencyBounds = func() []float64 {
+var latencyBounds = func() []float64 {
 	var b []float64
 	for e := 2; e < 10; e++ { // 1e2 .. 1e9 ns
 		for i := 0; i < 10; i++ {
@@ -33,13 +33,10 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// NewHistogram builds a histogram with the given ascending upper bounds; nil
-// selects the default log-spaced latency buckets (nanoseconds).
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = defaultLatencyBounds
-	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+// NewHistogram builds a histogram over the log-spaced latency buckets
+// (nanoseconds).
+func NewHistogram() *Histogram {
+	return &Histogram{bounds: latencyBounds, counts: make([]atomic.Int64, len(latencyBounds)+1)}
 }
 
 // Observe records one value.

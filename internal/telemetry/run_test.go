@@ -31,12 +31,27 @@ func runHEEB() join.Policy {
 	return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
 }
 
-func TestInstrumentedPolicyRecordsMetricsAndTrace(t *testing.T) {
+// stepTrend steps a fresh operator over n steps of the trend streams with
+// reg as its registry and returns it.
+func stepTrend(t *testing.T, reg *telemetry.Registry, pol join.Policy, cache, n int, seed uint64) *engine.Join {
+	t.Helper()
+	j, err := engine.NewJoin(engine.Config{CacheSize: cache, Procs: runProcs(), Policy: pol, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := runStreams(n, seed)
+	for i := range r {
+		j.Step(engine.Tuple{Key: r[i]}, engine.Tuple{Key: s[i]})
+	}
+	return j
+}
+
+// The operator counts its policy's decisions and victims and traces sampled
+// decisions with HEEB's per-candidate scores.
+func TestOperatorRecordsPolicyMetricsAndTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ip := &telemetry.InstrumentedPolicy{Inner: runHEEB(), Reg: reg, TraceEvery: 1}
-	r, s := runStreams(200, 3)
-	res := engine.Run(r, s, ip, join.Config{CacheSize: 5, Warmup: 0, Procs: runProcs()}, stats.NewRNG(1))
-	if res.Evictions == 0 {
+	m := stepTrend(t, reg, runHEEB(), 5, 600, 3).Metrics()
+	if m.Evictions == 0 {
 		t.Fatal("run produced no evictions; test is vacuous")
 	}
 
@@ -46,20 +61,12 @@ func TestInstrumentedPolicyRecordsMetricsAndTrace(t *testing.T) {
 	if decisions == 0 {
 		t.Fatal("no decisions counted")
 	}
-	if int(evictions) != res.Evictions {
-		t.Fatalf("evictions counter %d != simulator's %d", evictions, res.Evictions)
-	}
-	lat := snap.Histograms[`policy_evict_latency_ns{policy="HEEB"}`]
-	if lat.Count != decisions {
-		t.Fatalf("latency observations %d != decisions %d", lat.Count, decisions)
-	}
-	// TraceEvery=1: every decision recorded (up to ring capacity).
-	if got := reg.Trace().Total(); got != uint64(decisions) {
-		t.Fatalf("trace total %d != decisions %d", got, decisions)
+	if int(evictions) != m.Evictions {
+		t.Fatalf("evictions counter %d != operator's %d", evictions, m.Evictions)
 	}
 	recs := reg.Trace().Records()
-	if len(recs) == 0 {
-		t.Fatal("no trace records")
+	if len(recs) < 2 {
+		t.Fatalf("%d trace records of %d decisions", len(recs), decisions)
 	}
 	rec := recs[len(recs)-1]
 	if rec.Policy != "HEEB" || rec.Need < 1 || len(rec.Candidates) == 0 {
@@ -80,35 +87,45 @@ func TestInstrumentedPolicyRecordsMetricsAndTrace(t *testing.T) {
 	if scored == 0 {
 		t.Fatal("no candidate carries a HEEB score")
 	}
-	// Scoring latency was measured too.
-	if snap.Histograms[`policy_score_latency_ns{policy="HEEB"}`].Count == 0 {
-		t.Fatal("score latency not recorded")
+	for _, name := range []string{"policy_evict_latency_ns", "policy_score_latency_ns"} {
+		if _, ok := snap.Histograms[name+`{policy="HEEB"}`]; ok {
+			t.Fatalf("%s is exported; the score span is the one per-decision timer", name)
+		}
 	}
 }
 
+// One decision in telemetry.TraceInterval is traced, and a policy that cannot
+// score its candidates is counted but never traced.
 func TestTraceSampling(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ip := &telemetry.InstrumentedPolicy{Inner: runHEEB(), Reg: reg, TraceEvery: 10}
-	r, s := runStreams(150, 5)
-	engine.Run(r, s, ip, join.Config{CacheSize: 4, Warmup: 0, Procs: runProcs()}, stats.NewRNG(1))
+	stepTrend(t, reg, runHEEB(), 4, 600, 5)
 	decisions := reg.Snapshot().Counters[`policy_decisions_total{policy="HEEB"}`]
-	want := (decisions + 9) / 10 // decisions 0, 10, 20, ... are recorded
-	if got := reg.Trace().Total(); got != uint64(want) {
+	want := (decisions + telemetry.TraceInterval - 1) / telemetry.TraceInterval // decisions 1, 65, 129, ...
+	if got := reg.Trace().Total(); got != uint64(want) || want < 2 {
 		t.Fatalf("trace total %d, want %d of %d decisions", got, want, decisions)
 	}
 
-	// Negative TraceEvery disables tracing entirely.
+	// Without models the operator serves RAND, which has no scorer.
 	reg2 := telemetry.NewRegistry()
-	ip2 := &telemetry.InstrumentedPolicy{Inner: runHEEB(), Reg: reg2, TraceEvery: -1}
-	engine.Run(r, s, ip2, join.Config{CacheSize: 4, Warmup: 0, Procs: runProcs()}, stats.NewRNG(1))
+	j, err := engine.NewJoin(engine.Config{CacheSize: 4, Telemetry: reg2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := runStreams(600, 5)
+	for i := range r {
+		j.Step(engine.Tuple{Key: r[i]}, engine.Tuple{Key: s[i]})
+	}
+	if reg2.Snapshot().Counters[`policy_decisions_total{policy="RAND"}`] == 0 {
+		t.Fatal("RAND's decisions were not counted")
+	}
 	if got := reg2.Trace().Total(); got != 0 {
-		t.Fatalf("disabled trace recorded %d", got)
+		t.Fatalf("a policy without a scorer was traced %d times", got)
 	}
 }
 
 // A registry handed to one operator instruments only that operator: the
 // engine_* families (one step-latency observation a step, every pair, every
-// eviction the policy chose) and the policy_* families of the policy it wraps.
+// eviction the policy chose) and the policy_* families of its policy.
 func TestJoinObserverInstrumentsRuns(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	j, err := engine.NewJoin(engine.Config{CacheSize: 5, Procs: runProcs(), Policy: runHEEB(), Telemetry: reg})
@@ -139,7 +156,7 @@ func TestJoinObserverInstrumentsRuns(t *testing.T) {
 		t.Fatalf("step latency observations = %d, want %d", got, n)
 	}
 	if snap.Counters[`policy_decisions_total{policy="HEEB"}`] == 0 {
-		t.Fatal("the operator did not wrap the policy")
+		t.Fatal("the operator did not count its policy's decisions")
 	}
 	if telemetry.Global() != nil {
 		t.Fatal("a private registry must not install the global one")
@@ -148,7 +165,7 @@ func TestJoinObserverInstrumentsRuns(t *testing.T) {
 
 // EnableGlobal makes every simulation report into the default registry: the
 // operator's engine_* families, whose pair count is the run's joins and its
-// same-time pairs, and the policy_* families of the policy it wraps.
+// same-time pairs, and the policy_* families of its policy.
 // DisableGlobal stops that.
 func TestEnableDisableGlobal(t *testing.T) {
 	reg := telemetry.EnableGlobal()
@@ -179,7 +196,7 @@ func TestEnableDisableGlobal(t *testing.T) {
 		t.Fatalf("evictions = %d, want %d", got, res.Evictions)
 	}
 	if counter(`policy_decisions_total{policy="HEEB"}`) == decisions {
-		t.Fatal("the operator did not wrap the policy")
+		t.Fatal("the operator did not count its policy's decisions")
 	}
 	// Solver gauges are registered (zero or more, but present).
 	if _, ok := reg.Snapshot().Gauges["mincostflow_solves_total"]; !ok {

@@ -22,18 +22,6 @@ func testStreams(n int, seed uint64) ([]int, []int) {
 	return procs[0].Generate(stats.NewRNG(seed), n), procs[1].Generate(stats.NewRNG(seed+1), n)
 }
 
-func newHEEB() join.Policy {
-	return policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 3})
-}
-
-func TestInstrumentPolicyIdempotent(t *testing.T) {
-	reg := NewRegistry()
-	p := InstrumentPolicy(newHEEB(), reg)
-	if InstrumentPolicy(p, reg) != p {
-		t.Fatal("double wrapping must be a no-op")
-	}
-}
-
 func TestFlowExpectScoreCandidates(t *testing.T) {
 	var _ CandidateScorer = &policy.FlowExpect{}
 	var _ CandidateScorer = &policy.HEEB{}

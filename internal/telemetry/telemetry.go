@@ -66,12 +66,6 @@ type Registry struct {
 	hists      map[string]*Histogram
 	gaugeFuncs map[string]func() float64
 	trace      *Ring
-
-	// clock, when set, replaces the wall clock for the registry's internal
-	// latency timings (InstrumentedPolicy). The engine installs the flight
-	// recorder's clock here so a run under a logical clock is byte-
-	// deterministic end to end.
-	clock atomic.Pointer[func() int64]
 }
 
 // NewRegistry returns an empty registry with a decision trace of the default
@@ -131,16 +125,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns the named histogram with the default latency buckets
-// (nanoseconds, log-spaced), creating it on first use.
+// Histogram returns the named latency histogram (nanoseconds, log-spaced
+// buckets), creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWith(name, nil)
-}
-
-// HistogramWith returns the named histogram, creating it with the given
-// bucket bounds on first use (nil means the default latency buckets). Bounds
-// of an existing histogram are not changed.
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -150,28 +137,10 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = NewHistogram(bounds)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h
-}
-
-// SetClock installs (or, with nil, removes) a nanosecond clock for the
-// registry's internal latency timings. Without one the wall clock is used.
-func (r *Registry) SetClock(fn func() int64) {
-	if fn == nil {
-		r.clock.Store(nil)
-		return
-	}
-	r.clock.Store(&fn)
-}
-
-// nowNs reads the registry's clock: the installed one, or the wall clock.
-func (r *Registry) nowNs() int64 {
-	if fn := r.clock.Load(); fn != nil {
-		return (*fn)()
-	}
-	return wallNowNs()
 }
 
 // Trace returns the registry's decision trace.

@@ -7,8 +7,15 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// histogramWith is a histogram over the given ascending bucket bounds, so a
+// test can place observations in known buckets.
+func histogramWith(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+}
 
 func TestCounterAndGauge(t *testing.T) {
 	reg := NewRegistry()
@@ -46,7 +53,7 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30})
+	h := histogramWith([]float64{10, 20, 30})
 	// 10 observations uniformly into the first bucket, 10 into the second.
 	for i := 0; i < 10; i++ {
 		h.Observe(5)
@@ -73,7 +80,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmptyAndOverflow(t *testing.T) {
-	h := NewHistogram([]float64{10})
+	h := histogramWith([]float64{10})
 	if got := h.Snapshot().Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %g, want 0", got)
 	}
@@ -89,7 +96,7 @@ func TestHistogramEmptyAndOverflow(t *testing.T) {
 }
 
 func TestHistogramDefaultBoundsCoverLatencies(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	for _, ns := range []float64{50, 1e3, 1e6, 1e9, 1e11} {
 		h.Observe(ns)
 	}
@@ -137,7 +144,8 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`evictions_total{policy="HEEB"}`).Add(3)
 	reg.Gauge("cache_len").Set(8)
-	h := reg.HistogramWith("lat_ns", []float64{10, 20})
+	h := histogramWith([]float64{10, 20})
+	reg.hists["lat_ns"] = h
 	h.Observe(5)
 	h.Observe(15)
 	h.Observe(99)
@@ -276,7 +284,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // run; every snapshot's bucket sum must equal its reported count and counts
 // must be monotone across snapshots.
 func TestHistogramSnapshotConsistencyUnderWrites(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

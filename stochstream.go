@@ -430,8 +430,9 @@ var (
 	// Telemetry returns the process-wide registry.
 	Telemetry = telemetry.Default
 	// EnableTelemetry turns on process-wide instrumentation: every RunJoin
-	// step is timed, every policy is wrapped with decision instrumentation,
-	// and the flow-solver counters are surfaced. Returns the registry.
+	// operator counts its steps, pairs, evictions and policy decisions,
+	// traces sampled decisions with their candidate scores, and the
+	// flow-solver counters are surfaced. Returns the registry.
 	EnableTelemetry = telemetry.EnableGlobal
 	// DisableTelemetry removes the process-wide hooks (collected metrics
 	// stay readable).
@@ -439,8 +440,6 @@ var (
 	// NewTelemetryRegistry builds a private registry for per-operator use
 	// (OperatorConfig.Telemetry).
 	NewTelemetryRegistry = telemetry.NewRegistry
-	// InstrumentPolicy wraps a policy with latency/decision telemetry.
-	InstrumentPolicy = telemetry.InstrumentPolicy
 )
 
 // Interpolation and flow-solver access for advanced use.
