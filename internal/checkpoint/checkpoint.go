@@ -96,8 +96,13 @@ func Read(r io.Reader) ([]byte, error) {
 	if n > MaxPayload {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds limit %d", ErrChecksum, n, MaxPayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The payload grows as it is read, so a header that declares more than
+	// the stream holds costs what the stream holds, not what it declares.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(payload)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrTruncated, n, err)
 	}
 	var sum [4]byte

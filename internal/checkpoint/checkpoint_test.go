@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -81,5 +82,23 @@ func TestOversizedDeclaredLength(t *testing.T) {
 	_, err := Read(bytes.NewReader(env))
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("oversized length: got %v, want typed error", err)
+	}
+}
+
+// A header may declare up to MaxPayload bytes; a stream that holds five of
+// them costs what it holds, not a gigabyte, before it is refused as
+// truncated.
+func TestDeclaredLengthCostsWhatTheStreamHolds(t *testing.T) {
+	env := envelope(t, []byte("hello"))
+	binary.LittleEndian.PutUint64(env[8:16], MaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(env))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("reading a 25-byte stream that declares %d bytes allocated %d bytes", MaxPayload, n)
 	}
 }

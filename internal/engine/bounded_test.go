@@ -2,9 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -101,82 +98,4 @@ func TestEngineHeapFlatOverUptime(t *testing.T) {
 		t.Errorf("live heap %d bytes at 10^5 steps, %d at 10^6: grew by %d, want within 64 KiB", early, late, late-early)
 	}
 	runtime.KeepAlive(j)
-}
-
-// The engine checkpoint fixtures are in the format before this commit's,
-// which carries both streams' full observation logs (Hists) where this one
-// carries a count and the last value. Both were written by e7de806, the
-// commit before History was bounded, and their bytes are pinned, so that a
-// fixture regenerated at a later commit fails the tests that read it instead
-// of testing the current format twice.
-const (
-	probFixtureSHA256 = "008010d2f9702a874804f963036fea4c507c68a8a93d587338762d1a5c8eb4a5"
-	heebFixtureSHA256 = "10c2c23e19309a0a639a30c0e183099078039382f7b89155021461624a88e9e9"
-)
-
-// readHistsFixture reads the fixture at path, requires its pinned SHA-256 and
-// the previous format — full logs as long as the clock, no counts — and
-// returns the file.
-func readHistsFixture(t *testing.T, path, sum string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != sum {
-		t.Fatalf("%s hashes to %s, pinned at %s", path, got, sum)
-	}
-	wire := decodeWire(t, raw)
-	if wire.Hists == nil || len(wire.Hists[0]) != wire.Time || len(wire.Hists[1]) != wire.Time || wire.HistLen != [2]int{} {
-		t.Fatalf("%s is not a checkpoint with full logs: logs %v, counts %v, time %d", path, wire.Hists != nil, wire.HistLen, wire.Time)
-	}
-	return raw
-}
-
-// testdata/upgrade/prob_pr22.ckpt is an engine checkpoint written by the
-// commit before History was bounded: PROB, cache 8, seed 11, after step 200
-// of ckptTrace's streams — both full observation logs, no history counts and
-// no policy state, PROB having read its counts off the logs then. It restores
-// here by folding the logs into the policy's counts once, and the run
-// continues as one that was never interrupted: same pairs, step for step, and
-// the same final checkpoint, which holds the counts and no log, once both
-// caches are read in ID order — the file predates the slot table (PR 27) and
-// restores as the ID-ordered layout it lists, the uninterrupted run has the
-// layout its own evictions left, and a scored policy does not read positions.
-func TestRestoreParentCommitPROBCheckpoint(t *testing.T) {
-	old := readHistsFixture(t, "testdata/upgrade/prob_pr22.ckpt", probFixtureSHA256)
-	const n, at = 600, 200
-	r, s := ckptTrace(n)
-	mk := func() *Join {
-		j, err := NewJoin(Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	whole, resumed := mk(), mk()
-	for i := 0; i < at; i++ {
-		whole.Step(r[i], s[i])
-	}
-	// Restore replaces state: steps the operator took before it leave no
-	// trace in the counts.
-	for i := 0; i < 50; i++ {
-		resumed.Step(s[i], r[i])
-	}
-	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
-		t.Fatalf("restoring the parent commit's checkpoint: %v", err)
-	}
-	for i := at; i < n; i++ {
-		pw := whole.Step(r[i], s[i])
-		pr := resumed.Step(r[i], s[i])
-		if !pairsEqual(pw, pr) {
-			t.Fatalf("step %d pairs diverge:\n  uninterrupted %v\n  restored      %v", i, pw, pr)
-		}
-	}
-	if err := resumed.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(checkpointByID(t, whole), checkpointByID(t, resumed)) {
-		t.Fatal("final checkpoints, caches in ID order, differ between the uninterrupted and the restored run")
-	}
 }

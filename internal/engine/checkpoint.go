@@ -10,7 +10,6 @@ import (
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
-	"stochstream/internal/stats"
 )
 
 // The checkpoint payload is a gob-encoded checkpointWire inside the
@@ -20,13 +19,16 @@ import (
 // operator is rejected), the clock and ID counter, the metrics, the cache in
 // slot order (the layout is state: a positional policy's next draw depends on
 // it) with payloads and caller tags, both histories (a count and the last value
-// each), the state RNG, and the policy's private decision state when the
-// policy implements join.StateSnapshotter: nothing that grows with the steps
-// taken, and the same bytes for the same state.
+// each), and the policy's private decision state when the policy implements
+// join.StateSnapshotter: nothing that grows with the steps taken, and the same
+// bytes for the same state.
 // The indexes and the arrival list are not serialized — they are a pure
-// function of the cache and are rebuilt on restore. A file written while the
-// cache was kept in ID order carries one legal layout among others and
-// restores as it is.
+// function of the cache and are rebuilt on restore.
+//
+// The previous format also carries StateRNG, a generator no policy read: gob
+// skips the field, so such a file restores as it is. An older file, which
+// carries every observation (Hists) in place of the history counts, has no
+// counts, and validateWire refuses it.
 //
 // Payloads are stored as interface values, so gob requires their concrete
 // types to be registered; the common scalar types are registered here and
@@ -41,13 +43,9 @@ type checkpointWire struct {
 	NextID  int
 	Metrics Metrics
 	Cache   []cacheEntryWire
-	// HistLen and HistLast are each stream's process.History. Files written
-	// before History was bounded carry Hists, every observation, in their
-	// place; it is never written (gob omits a nil pointer).
+	// HistLen and HistLast are each stream's process.History.
 	HistLen, HistLast [2]int
-	Hists             *[2][]int
 
-	StateRNG       []byte
 	HasPolicyState bool
 	PolicyState    []byte
 }
@@ -119,11 +117,6 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 	for i, tp := range j.cache {
 		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.slots[i].payload, Seq: j.slots[i].seq}
 	}
-	rngBytes, err := j.state.RNG.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("engine: serializing state RNG: %w", err)
-	}
-	wire.StateRNG = rngBytes
 	if s, ok := j.policy.(join.StateSnapshotter); ok {
 		ps, err := s.SnapshotState()
 		if err != nil {
@@ -170,32 +163,12 @@ func (j *Join) Restore(r io.Reader) error {
 	if wire.ProcSig != procSig {
 		return fmt.Errorf("%w: checkpoint processes %q, operator processes %q", ErrConfigMismatch, wire.ProcSig, procSig)
 	}
-	if wire.Hists != nil {
-		for s, log := range wire.Hists {
-			if n := len(log); n > 0 {
-				wire.HistLen[s], wire.HistLast[s] = n, log[n-1]
-			}
-		}
-	}
 	byID, err := validateWire(&wire)
 	if err != nil {
 		return err
 	}
-	rng := stats.NewRNG(0)
-	if err := rng.UnmarshalBinary(wire.StateRNG); err != nil {
-		return fmt.Errorf("engine: restoring state RNG: %w", err)
-	}
 	// Everything fallible that can run without mutating is done; restore the
 	// policy first (the one mutation that can still fail), then commit.
-	if wire.Hists != nil && j.arrivals != nil {
-		// An old file has no counts for a policy that keeps its own (it read
-		// them off the log then): the policy starts over, as NewJoin left it,
-		// and is shown the log once.
-		j.policy.Reset(j.state.Config, stats.NewRNG(j.cfg.Seed+1))
-		for i, r := range wire.Hists[0] {
-			j.arrivals.ObserveArrivals(r, wire.Hists[1][i])
-		}
-	}
 	if wire.HasPolicyState {
 		s, ok := j.policy.(join.StateSnapshotter)
 		if !ok {
@@ -213,18 +186,13 @@ func (j *Join) Restore(r io.Reader) error {
 		h.Restore(wire.HistLen[s], wire.HistLast[s])
 	}
 	j.state.Time = wire.Time - 1
-	j.state.RNG = rng
 	j.cache = j.cache[:0]
 	clear(j.slots)
 	j.slots = j.slots[:0]
 	j.next, j.prev, j.ends = j.next[:0], j.prev[:0], ends{head: -1, tail: -1}
 	j.nextSame, j.prevSame = j.nextSame[:0], j.prevSame[:0]
-	if j.cfg.Band == 0 {
-		j.equi[0].clear()
-		j.equi[1].clear()
-	} else {
-		j.ord = [2][]valSlot{}
-	}
+	j.equi[0].clear()
+	j.equi[1].clear()
 	// Every entry goes back to its slot, unstamped; the entries then enter the
 	// arrival list and the index oldest first, as they did when they arrived.
 	for _, e := range wire.Cache {
@@ -267,6 +235,10 @@ func validateWire(wire *checkpointWire) ([]int, error) {
 		}
 		if e.Tuple.Arrived < 0 || e.Tuple.Arrived >= wire.Time {
 			return bad("entry %d arrived at %d, checkpoint time is %d", i, e.Tuple.Arrived, wire.Time)
+		}
+		// The last step expired every entry older than the window.
+		if w := wire.Window; w > 0 && wire.Time-1-e.Tuple.Arrived > w {
+			return bad("entry %d arrived at %d, expired at time %d under window %d", i, e.Tuple.Arrived, wire.Time-1, w)
 		}
 		if int(e.Tuple.Stream) != 0 && int(e.Tuple.Stream) != 1 {
 			return bad("entry %d has stream %d", i, e.Tuple.Stream)

@@ -354,9 +354,7 @@ func TestRestoreRejectsKeysOutsideDomain(t *testing.T) {
 	})
 }
 
-// Each stream's history count must be the checkpoint's clock — in the
-// (count, last) form this commit writes and in the full logs a file from
-// before it carries (the prob_pr22 fixture with one observation cut off).
+// Each stream's history count must be the checkpoint's clock.
 func TestRestoreRejectsHistoryCountMismatch(t *testing.T) {
 	j, err := NewJoin(Config{CacheSize: 4, Seed: 2})
 	if err != nil {
@@ -374,16 +372,6 @@ func TestRestoreRejectsHistoryCountMismatch(t *testing.T) {
 	}
 	if err := fresh.Restore(&forged); err == nil {
 		t.Fatal("restore accepted a history of 2 observations at time 1")
-	}
-
-	wire := decodeWire(t, readHistsFixture(t, "testdata/upgrade/prob_pr22.ckpt", probFixtureSHA256))
-	wire.Hists[0] = wire.Hists[0][:wire.Time-1]
-	prob, err := NewJoin(Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prob.Restore(bytes.NewReader(encodeWire(t, wire))); err == nil {
-		t.Fatal("restore accepted a legacy checkpoint whose logs disagree in length")
 	}
 }
 

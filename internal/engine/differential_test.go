@@ -38,12 +38,17 @@ func snapshotsEqual(a, b []join.Tuple) bool {
 // the same trace with independently-constructed but identically-seeded
 // policies, requiring byte-identical pair streams, identical cache contents
 // (hence identical eviction choices), and identical counters at every step.
-func runDifferential(t *testing.T, name string, cfgOp, cfgRef Config, n int, traceSeed uint64) {
+// The trace is trendProcs' streams, each key passed through keys when it is
+// not nil.
+func runDifferential(t *testing.T, name string, cfgOp, cfgRef Config, n int, traceSeed uint64, keys func(int) int) {
 	t.Helper()
 	procs := trendProcs()
 	rng := stats.NewRNG(traceSeed)
 	r := procs[0].Generate(rng.Split(), n)
 	s := procs[1].Generate(rng.Split(), n)
+	for i := 0; keys != nil && i < n; i++ {
+		r[i], s[i] = keys(r[i]), keys(s[i])
+	}
 
 	op, err := NewJoin(cfgOp)
 	if err != nil {
@@ -102,7 +107,7 @@ func TestDifferentialHEEB10k(t *testing.T) {
 			cfgOp.Policy = policy.NewHEEB(heebOpts())
 			cfgRef.Policy = policy.NewHEEB(heebOpts())
 			cfgOp.Seed, cfgRef.Seed = 7, 7
-			runDifferential(t, tc.name, cfgOp, cfgRef, n, 101)
+			runDifferential(t, tc.name, cfgOp, cfgRef, n, 101, nil)
 		})
 	}
 }
@@ -130,13 +135,27 @@ func TestDifferentialMemoVsSeedScoring(t *testing.T) {
 			cfgOp.Policy = policy.NewHEEB(heebOpts())
 			cfgRef.Policy = policy.NewHEEB(refOpts)
 			cfgOp.Seed, cfgRef.Seed = 3, 3
-			runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 77)
+			runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 77, nil)
 		})
 	}
 }
 
+// edgeKeys folds a key onto the four keys at each end of the domain, so a
+// band probe's interval crosses MinKey or MaxKey.
+func edgeKeys(k int) int {
+	u := (k%8 + 8) % 8
+	if u < 4 {
+		return MinKey + u
+	}
+	return MaxKey - (u - 4)
+}
+
 // Model-free policies across the same configuration grid; cheap, so every
-// config runs the full 10k steps.
+// config runs the full 10k steps. Two rows probe the ends of the key domain:
+// a band as wide as the domain, which the band probe answers by scanning the
+// table's cells (PROB, which sums its counts over every key of a band, skips
+// it), and keys at MinKey and MaxKey, whose band the probe clips to the
+// domain.
 func TestDifferentialModelFreePolicies10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-step differential traces are not short")
@@ -149,16 +168,22 @@ func TestDifferentialModelFreePolicies10k(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			cfg  Config
+			keys func(int) int
 		}{
-			{"equi", Config{CacheSize: 24}},
-			{"band", Config{CacheSize: 24, Band: 3}},
-			{"window", Config{CacheSize: 24, Window: 20}},
+			{"equi", Config{CacheSize: 24}, nil},
+			{"band", Config{CacheSize: 24, Band: 3}, nil},
+			{"window", Config{CacheSize: 24, Window: 20}, nil},
+			{"band-domain", Config{CacheSize: 24, Band: MaxKey - MinKey}, nil},
+			{"band-edges", Config{CacheSize: 24, Band: 3}, edgeKeys},
 		} {
+			if polName == "prob" && tc.name == "band-domain" {
+				continue
+			}
 			t.Run(polName+"/"+tc.name, func(t *testing.T) {
 				cfgOp, cfgRef := tc.cfg, tc.cfg
 				cfgOp.Policy, cfgRef.Policy = mkPol(), mkPol()
 				cfgOp.Seed, cfgRef.Seed = 13, 13
-				runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 55)
+				runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 55, tc.keys)
 			})
 		}
 	}

@@ -6,10 +6,11 @@
 // per arrival pair and returns internal/join's Result, so the figures and the
 // daemon share one operator loop.
 //
-// The hot path is indexed: equijoins probe a per-stream fixed open-addressed
-// table from join key to a chain of same-key slots, band joins probe a
-// per-stream ordered (value, ID) index, and window expiry pops the head of an
-// arrival-order list threaded through the cache. All per-step scratch (sorted
+// The hot path is indexed: every join probes a per-stream fixed open-addressed
+// table from join key to a chain of same-key slots — an equijoin one key, a
+// band join each key of its band or, when the band is wider than the table,
+// each occupied cell — and window expiry pops the head of an arrival-order
+// list threaded through the cache. All per-step scratch (sorted
 // victim positions, match buffers, the output slice) is reused across steps,
 // and a replacement decision moves nothing: the cache is a table of slots,
 // the candidate slice a policy sees is that table itself (see Join.cache), a
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"stochstream/internal/core"
 	"stochstream/internal/flightrec"
@@ -152,7 +152,8 @@ type Join struct {
 	//lint:ignore snapcomplete the policy field under another type: construction wiring, and what the observer accumulates leaves through the policy's own SnapshotState
 	arrivals join.ArrivalObserver
 	hists    [2]*process.History
-	state    *join.State
+	//lint:ignore snapcomplete the policy's view of the operator: its histories are hists, and Restore sets its Time from the checkpoint's clock
+	state *join.State
 	// cache is a dense table of slots, in no order: an entry stays in the slot
 	// it was admitted to until it leaves. A surviving arrival takes the slot
 	// of a victim of its own decision (lowest slot first, R before S) and is
@@ -182,20 +183,17 @@ type Join struct {
 	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
 	ends
 
-	// equi indexes the cache for Band == 0: per stream, a table of 2 × budget
-	// cells (rounded up to a power of two) from join key to the first and last
-	// slot of the key's chain; nextSame and prevSame link each slot to the
-	// neighbouring entries of its (stream, key), in ascending ID order (entries
-	// are appended as they arrive). A key's cell is emptied with its last
-	// entry, so a drifting key domain (the trend models) reuses the same cells.
+	// equi indexes the cache, equijoin or band join: per stream, a table of
+	// 2 × budget cells (rounded up to a power of two) from join key to the
+	// first and last slot of the key's chain; nextSame and prevSame link each
+	// slot to the neighbouring entries of its (stream, key), in ascending ID
+	// order (entries are appended as they arrive). A key's cell is emptied
+	// with its last entry, so a drifting key domain (the trend models) reuses
+	// the same cells.
 	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
 	equi [2]keyIndex
 	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
 	nextSame, prevSame []int32
-	// ord indexes the cache for Band > 0: per stream, slots in ascending
-	// (value, ID) order, probed by binary search over the band interval.
-	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
-	ord [2][]valSlot
 
 	// Step-scoped scratch, reused across steps. run is the epoch-th batch's
 	// output; out writes it out for Step, batchOut for StepBatch, distinct so
@@ -230,9 +228,6 @@ type Join struct {
 	now func() int64
 }
 
-// valSlot is one ordered-index posting.
-type valSlot struct{ v, slot int }
-
 // slot is a cache entry besides its join.Tuple, in one record: the caller's
 // payload and tag, and the stamp epoch<<32 | n that makes it tuple n of that
 // epoch's batch (see number) — scratch, not state, which Restore drops.
@@ -244,12 +239,12 @@ type slot struct {
 
 // NewJoin validates the configuration and builds the operator.
 func NewJoin(cfg Config) (*Join, error) {
-	return newJoin(cfg, stats.NewRNG(cfg.Seed), stats.NewRNG(cfg.Seed+1))
+	return newJoin(cfg, stats.NewRNG(cfg.Seed+1))
 }
 
-// newJoin is NewJoin with the random sources of the policy's state view and
-// of its Reset given; Run hands the caller's one source to both.
-func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
+// newJoin is NewJoin with the policy's random source given; Run hands it the
+// caller's.
+func newJoin(cfg Config, policyRNG *stats.RNG) (*Join, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -259,13 +254,11 @@ func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
 		policy: pol,
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
 		ends:   ends{head: -1, tail: -1},
+		equi:   [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)},
 	}
 	j.arrivals, _ = pol.(join.ArrivalObserver)
 	_, j.eager = pol.(join.EagerEvictor)
 	j.initFlight()
-	if cfg.Band == 0 {
-		j.equi = [2]keyIndex{newKeyIndex(cfg.CacheSize), newKeyIndex(cfg.CacheSize)}
-	}
 	if reg := cfg.Telemetry; reg != nil {
 		j.stepLatency = reg.Histogram("engine_step_latency_ns")
 		j.stepCount = reg.Counter("engine_steps_total")
@@ -278,7 +271,7 @@ func newJoin(cfg Config, stateRNG, policyRNG *stats.RNG) (*Join, error) {
 		j.scorer, _ = pol.(telemetry.CandidateScorer)
 	}
 	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
-	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stateRNG}
+	j.state = &join.State{Hists: j.hists, Config: simCfg}
 	pol.Reset(simCfg, policyRNG)
 	return j, nil
 }
@@ -690,28 +683,44 @@ func (j *Join) lifeMatch(t int, cached join.Tuple, arrivalKey int, arrivalStream
 
 // probeMatches appends the slots of cached entries on the given stream whose
 // value joins an arrival with key k, in ascending ID order.
+//
+// A band join collects the chains of the keys in [k−Band, k+Band], clipped to
+// the key domain — outside it int32(v) would alias a key, or the empty
+// cell's NoValue — by looking each key up, or, when the band holds more keys
+// than the table has cells, by scanning the occupied cells: at most
+// min(2·Band+1, cells) steps either way. Chains are ID-ordered one by one,
+// so the collected slots are sorted by ID.
 func (j *Join) probeMatches(side core.StreamID, k int, slots []int) []int {
 	if k == process.NoValue {
 		return slots
 	}
+	x := &j.equi[side]
 	if j.cfg.Band == 0 {
-		x := &j.equi[side]
-		if i := x.find(int32(k)); i >= 0 {
-			for s := x.cells[i].head; s >= 0; s = j.nextSame[s] {
-				slots = append(slots, int(s))
+		return j.appendChain(slots, x.first(int32(k)))
+	}
+	lo, hi := max(k-j.cfg.Band, MinKey), min(k+j.cfg.Band, MaxKey)
+	n0 := len(slots)
+	if hi-lo < len(x.cells) {
+		for v := lo; v <= hi; v++ {
+			slots = j.appendChain(slots, x.first(int32(v)))
+		}
+	} else {
+		for _, c := range x.cells {
+			if c.key != process.NoValue && int(c.key) >= lo && int(c.key) <= hi {
+				slots = j.appendChain(slots, c.head)
 			}
 		}
-		return slots
 	}
-	ord := j.ord[side]
-	lo, hi := k-j.cfg.Band, k+j.cfg.Band
-	n0 := len(slots)
-	i := sort.Search(len(ord), func(x int) bool { return ord[x].v >= lo })
-	for ; i < len(ord) && ord[i].v <= hi; i++ {
-		slots = append(slots, ord[i].slot)
-	}
-	// The interval is value-ordered; restore ID order for emission.
 	slices.SortFunc(slots[n0:], func(a, b int) int { return j.cache[a].ID - j.cache[b].ID })
+	return slots
+}
+
+// appendChain appends the slots of the key chain that starts at slot s; -1
+// starts none.
+func (j *Join) appendChain(slots []int, s int32) []int {
+	for ; s >= 0; s = j.nextSame[s] {
+		slots = append(slots, int(s))
+	}
 	return slots
 }
 
@@ -736,26 +745,8 @@ func (j *Join) indexAdd(s int) {
 	if tp.Value == process.NoValue {
 		return // can never join; not worth a posting
 	}
-	if j.cfg.Band == 0 {
-		c := j.equi[tp.Stream].insert(int32(tp.Value))
-		pushBack(j.nextSame, j.prevSame, &c.ends, int32(s))
-		return
-	}
-	ord := j.ord[tp.Stream]
-	i := sort.Search(len(ord), func(k int) bool { return ord[k].v > tp.Value })
-	ord = append(ord, valSlot{})
-	copy(ord[i+1:], ord[i:])
-	ord[i] = valSlot{v: tp.Value, slot: s}
-	j.ord[tp.Stream] = ord
-}
-
-// ordFind locates the ordered-index posting of the entry in slot s, which
-// still holds it.
-func (j *Join) ordFind(s int) int {
-	tp, ord := j.cache[s], j.ord[j.cache[s].Stream]
-	return sort.Search(len(ord), func(k int) bool {
-		return ord[k].v > tp.Value || (ord[k].v == tp.Value && j.cache[ord[k].slot].ID >= tp.ID)
-	})
+	c := j.equi[tp.Stream].insert(int32(tp.Value))
+	pushBack(j.nextSame, j.prevSame, &c.ends, int32(s))
 }
 
 // indexRemove drops the posting of the entry in slot s, which still holds it.
@@ -764,17 +755,12 @@ func (j *Join) indexRemove(s int) {
 	if tp.Value == process.NoValue {
 		return
 	}
-	if j.cfg.Band == 0 {
-		x := &j.equi[tp.Stream]
-		i := x.find(int32(tp.Value))
-		unlink(j.nextSame, j.prevSame, &x.cells[i].ends, int32(s))
-		if x.cells[i].head < 0 {
-			x.remove(i)
-		}
-		return
+	x := &j.equi[tp.Stream]
+	i := x.find(int32(tp.Value))
+	unlink(j.nextSame, j.prevSame, &x.cells[i].ends, int32(s))
+	if x.cells[i].head < 0 {
+		x.remove(i)
 	}
-	i := j.ordFind(s)
-	j.ord[tp.Stream] = slices.Delete(j.ord[tp.Stream], i, i+1)
 }
 
 // indexRepoint rewrites the posting of the entry in slot from, about to move
@@ -783,10 +769,6 @@ func (j *Join) indexRemove(s int) {
 func (j *Join) indexRepoint(from, to int) {
 	tp := j.cache[from]
 	if tp.Value == process.NoValue {
-		return
-	}
-	if j.cfg.Band > 0 {
-		j.ord[tp.Stream][j.ordFind(from)].slot = to
 		return
 	}
 	x := &j.equi[tp.Stream]

@@ -3,12 +3,15 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
+	"stochstream/internal/checkpoint"
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
+	"stochstream/internal/workload"
 )
 
 // FuzzStepEquivalence fuzzes the indexed operator against the reference
@@ -159,6 +162,89 @@ func FuzzStepEquivalence(f *testing.F) {
 		}
 		if op.Metrics() != ref.Metrics() {
 			t.Fatalf("metrics diverge:\n  op  %+v\n  ref %+v", op.Metrics(), ref.Metrics())
+		}
+	})
+}
+
+// restoreTargets builds the operators FuzzRestore offers an input to: one per
+// configuration of ckptConfigs and the TOWER HEEB operator of the upgrade
+// fixture, each stepped past its first decisions, so that an operator left
+// untouched is not an empty one.
+func restoreTargets(t testing.TB) []*Join {
+	t.Helper()
+	w := workload.Tower().Join()
+	cfgs := []Config{{CacheSize: 8, Procs: w.Procs, Policy: w.HEEBPolicy(), Seed: 9}}
+	for _, tc := range ckptConfigs() {
+		cfgs = append(cfgs, tc.mk())
+	}
+	r, s := ckptTrace(40)
+	out := make([]*Join, len(cfgs))
+	for k, cfg := range cfgs {
+		j, err := NewJoin(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range r {
+			j.Step(r[i], s[i])
+		}
+		out[k] = j
+	}
+	return out
+}
+
+// FuzzRestore offers hostile bytes to Restore: the input as a file, and its
+// payload (what lies between the 16-byte header and the 4-byte checksum) in
+// an envelope with the checksum recomputed, as a hand-edited file would be,
+// so that mutations reach the decoder and validateWire. Restore either
+// refuses it and leaves the operator as it was — its next checkpoint is the
+// one it would have written — or restores a state that passes
+// CheckInvariants. It never panics.
+//
+// The seeds are the upgrade fixtures (the previous format and a refused
+// older one) and a fresh checkpoint of every ckptConfigs operator, a band and
+// a window operator among them; testdata/fuzz/FuzzRestore holds inputs that
+// once broke the property.
+func FuzzRestore(f *testing.F) {
+	for _, name := range []string{"prob_pr49.ckpt", "heeb_pr49.ckpt", "heeb_pr22.ckpt"} {
+		raw, err := os.ReadFile("testdata/upgrade/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	r, s := ckptTrace(100)
+	for _, tc := range ckptConfigs() {
+		j, err := NewJoin(tc.mk())
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := range r {
+			j.Step(r[i], s[i])
+		}
+		f.Add(checkpointOf(f, j))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		files := [][]byte{data}
+		if len(data) >= 20 {
+			var file bytes.Buffer
+			if err := checkpoint.Write(&file, data[16:len(data)-4]); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, file.Bytes())
+		}
+		for _, file := range files {
+			for k, j := range restoreTargets(t) {
+				before := checkpointOf(t, j)
+				if err := j.Restore(bytes.NewReader(file)); err != nil {
+					if !bytes.Equal(checkpointOf(t, j), before) {
+						t.Fatalf("operator %d: a refused restore (%v) changed its next checkpoint", k, err)
+					}
+					continue
+				}
+				if err := j.CheckInvariants(); err != nil {
+					t.Fatalf("operator %d: a restored state fails its invariants: %v", k, err)
+				}
+			}
 		}
 	})
 }

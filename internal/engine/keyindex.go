@@ -63,6 +63,14 @@ func (x *keyIndex) find(key int32) int {
 	}
 }
 
+// first returns the first slot of key's chain, or -1 when the key has none.
+func (x *keyIndex) first(key int32) int32 {
+	if i := x.find(key); i >= 0 {
+		return x.cells[i].head
+	}
+	return -1
+}
+
 // insert returns key's cell, claiming the first empty cell of its run, with
 // an empty chain, when the key has none.
 func (x *keyIndex) insert(key int32) *keyCell {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"testing"
 
 	"stochstream/internal/core"
@@ -68,49 +67,5 @@ func TestMemoBoundedBySupport(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// testdata/upgrade/heeb_pr22.ckpt is an engine checkpoint written by
-// e7de806, the commit before History was bounded: TOWER, cache 8, seed 9,
-// taken after step 300 of stats.NewRNG(77)'s streams, with both full
-// observation logs and HEEB's α and lifetime tracker. It restores here, the
-// logs folded into counts, and the run continues as one that was never
-// interrupted: same pairs, step for step, and the same final checkpoint once
-// both caches are read in ID order — the file predates the slot table (PR 27)
-// and restores as the ID-ordered layout it lists, the uninterrupted run has
-// the layout its own evictions left, and a scored policy does not read
-// positions.
-func TestRestoreParentCommitHEEBCheckpoint(t *testing.T) {
-	old := readHistsFixture(t, "testdata/upgrade/heeb_pr22.ckpt", heebFixtureSHA256)
-	const n, at = 900, 300
-	w := workload.Tower().Join()
-	mk := func() *Join {
-		j, err := NewJoin(Config{CacheSize: 8, Procs: w.Procs, Policy: w.HEEBPolicy(), Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	r, s := w.Generate(stats.NewRNG(77), n)
-	whole, resumed := mk(), mk()
-	for i := 0; i < at; i++ {
-		whole.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-	}
-	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
-		t.Fatalf("restoring the parent commit's checkpoint: %v", err)
-	}
-	for i := at; i < n; i++ {
-		pw := whole.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		pr := resumed.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		if !pairsEqual(pw, pr) {
-			t.Fatalf("step %d pairs diverge:\n  uninterrupted %v\n  restored      %v", i, pw, pr)
-		}
-	}
-	if err := resumed.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(checkpointByID(t, whole), checkpointByID(t, resumed)) {
-		t.Fatal("final checkpoints, caches in ID order, differ between the uninterrupted and the restored run")
 	}
 }

@@ -55,7 +55,7 @@ func NewReferenceJoin(cfg Config) (*ReferenceJoin, error) {
 		hists:  [2]*process.History{process.NewHistory(), process.NewHistory()},
 	}
 	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
-	j.state = &join.State{Hists: j.hists, Config: simCfg, RNG: stats.NewRNG(cfg.Seed)}
+	j.state = &join.State{Hists: j.hists, Config: simCfg}
 	j.policy.Reset(simCfg, stats.NewRNG(cfg.Seed+1))
 	return j, nil
 }

@@ -287,9 +287,10 @@ func TestRANDCheckpointReplayIdentical(t *testing.T) {
 // 1.44×; docs/performance.md, "Slot replacement (PR 27)"). Three more shapes
 // the ledger has no workload for: /window is window-bound (1024 slots, window
 // 300: two expiries and two appends a step, no decision), /hot probes long
-// chains (64 keys on 1024 slots, ~16 matches a step), /band runs the ordered
-// index (band 2 on 1024 slots). The equi shapes are the key table's and
-// chains' micro-benchmark (docs/performance.md, "Key chains").
+// chains (64 keys on 1024 slots, ~16 matches a step), /band looks up the
+// five keys of a band-2 probe in the same key table (1024 slots). The equi
+// shapes are the key table's and chains' micro-benchmark (docs/performance.md,
+// "Key chains").
 func BenchmarkStepRAND(b *testing.B) {
 	shapes := []struct {
 		name string

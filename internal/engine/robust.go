@@ -52,10 +52,9 @@ func checkKey(k int) error {
 // CheckInvariants verifies the operator's structural invariants: the cache
 // is within budget and holds no window-expired entry, the arrival list
 // visits every slot once, in strictly ascending ID order with nondecreasing
-// arrival times, and the probe index (hash or ordered, whichever the
-// configuration uses) agrees exactly with the cache contents, every posting
-// naming the slot that holds its entry. It returns nil or an error wrapping
-// ErrInvariant.
+// arrival times, and the probe index agrees exactly with the cache contents,
+// every posting naming the slot that holds its entry. It returns nil or an
+// error wrapping ErrInvariant.
 //
 // The walk is linear in the cache and index size, so it is meant for tests
 // and chaos harnesses, not the hot path.
@@ -125,54 +124,37 @@ func (j *Join) checkInvariants() error {
 
 // checkIndex verifies index↔cache agreement: every indexable cache entry has
 // exactly one posting under its (stream, value), postings are in ID order,
-// and every posting names a slot that holds its (stream, value). In the equi
-// index every key is where its probe finds it, and its chain is linked both
-// ways from the cell's head to its tail.
+// and every posting names a slot that holds its (stream, value). Every key is
+// where its probe finds it, and its chain is linked both ways from the cell's
+// head to its tail.
 func (j *Join) checkIndex(indexable int, fail func(string, ...interface{}) error) error {
 	posted := 0
-	if j.cfg.Band == 0 {
-		for side := range j.equi {
-			x := &j.equi[side]
-			for i, c := range x.cells {
-				if c.key == process.NoValue {
-					continue
-				}
-				if x.find(c.key) != i {
-					return fail("equi index side %d: key %d in cell %d, out of reach of its probe from cell %d", side, c.key, i, x.home(c.key))
-				}
-				// IDs strictly ascending along the walk bound it by the cache.
-				n, back := 0, int32(-1)
-				for s := c.head; s >= 0; n, back, s = n+1, s, j.nextSame[s] {
-					if err := j.checkPosting(side, int(c.key), int(s), fail); err != nil {
-						return err
-					}
-					if j.prevSame[s] != back {
-						return fail("equi index (side %d, key %d) chain broken at slot %d: back link %d, want %d", side, c.key, s, j.prevSame[s], back)
-					}
-					if back >= 0 && j.cache[back].ID >= j.cache[s].ID {
-						return fail("equi index (side %d, key %d) chain not ID-ascending at slot %d", side, c.key, s)
-					}
-				}
-				if n == 0 || back != c.tail {
-					return fail("equi index (side %d, key %d) chain of %d slots ends at slot %d, tail is %d", side, c.key, n, back, c.tail)
-				}
-				posted += n
+	for side := range j.equi {
+		x := &j.equi[side]
+		for i, c := range x.cells {
+			if c.key == process.NoValue {
+				continue
 			}
-		}
-	} else {
-		for side, ord := range j.ord {
-			for k, p := range ord {
-				if err := j.checkPosting(side, p.v, p.slot, fail); err != nil {
+			if x.find(c.key) != i {
+				return fail("equi index side %d: key %d in cell %d, out of reach of its probe from cell %d", side, c.key, i, x.home(c.key))
+			}
+			// IDs strictly ascending along the walk bound it by the cache.
+			n, back := 0, int32(-1)
+			for s := c.head; s >= 0; n, back, s = n+1, s, j.nextSame[s] {
+				if err := j.checkPosting(side, int(c.key), int(s), fail); err != nil {
 					return err
 				}
-				if k > 0 {
-					prev := ord[k-1]
-					if prev.v > p.v || (prev.v == p.v && j.cache[prev.slot].ID >= j.cache[p.slot].ID) {
-						return fail("ordered index side %d not (value, ID)-ascending at %d", side, k)
-					}
+				if j.prevSame[s] != back {
+					return fail("equi index (side %d, key %d) chain broken at slot %d: back link %d, want %d", side, c.key, s, j.prevSame[s], back)
+				}
+				if back >= 0 && j.cache[back].ID >= j.cache[s].ID {
+					return fail("equi index (side %d, key %d) chain not ID-ascending at slot %d", side, c.key, s)
 				}
 			}
-			posted += len(ord)
+			if n == 0 || back != c.tail {
+				return fail("equi index (side %d, key %d) chain of %d slots ends at slot %d, tail is %d", side, c.key, n, back, c.tail)
+			}
+			posted += n
 		}
 	}
 	if posted != indexable {

@@ -135,7 +135,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		})
 	}
 	// A posting that names another slot: one that holds a different (stream,
-	// value), and one past the table.
+	// value), and one past the table. A band join probes the same table.
 	for _, band := range []int{0, 2} {
 		t.Run(fmt.Sprintf("posting-slot/band=%d", band), func(t *testing.T) {
 			for _, wrong := range []func(j *Join, s int) int{
@@ -148,14 +148,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			} {
 				j := mk(Config{CacheSize: 6, Band: band}, 40)
 				tp := j.cache[0]
-				if band == 0 {
-					x := &j.equi[tp.Stream]
-					c := &x.cells[x.find(int32(tp.Value))]
-					c.head = int32(wrong(j, int(c.head)))
-				} else {
-					p := &j.ord[tp.Stream][0]
-					p.slot = wrong(j, p.slot)
-				}
+				x := &j.equi[tp.Stream]
+				c := &x.cells[x.find(int32(tp.Value))]
+				c.head = int32(wrong(j, int(c.head)))
 				if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "index posting") {
 					t.Fatalf("got %v, want ErrInvariant naming the posting", err)
 				}
@@ -209,10 +204,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrInvariant", err)
 		}
 	})
-	t.Run("ord-index-drift", func(t *testing.T) {
+	t.Run("band-index-drift", func(t *testing.T) {
 		j := mk(Config{CacheSize: 6, Band: 2}, 40)
-		side := j.cache[0].Stream
-		j.ord[side] = j.ord[side][:len(j.ord[side])-1]
+		// Tamper: drop a key's postings from the table a band probe reads.
+		tp := j.cache[0]
+		x := &j.equi[tp.Stream]
+		x.remove(x.find(int32(tp.Value)))
 		if err := j.CheckInvariants(); !errors.Is(err, ErrInvariant) {
 			t.Fatalf("got %v, want ErrInvariant", err)
 		}

@@ -8,11 +8,10 @@ import (
 )
 
 // Run simulates the paper's joining problem: it steps a Join once per arrival
-// pair (r[t] and s[t] arrive at step t) under the policy p, with rng as both
-// the policy's Reset source and the state's, and keeps beside it only what
-// the paper's accounting adds. Same-time pairs are delivered but not counted,
-// so TotalJoins is Pairs − SameTimePairs and Joins its part after cfg's
-// warm-up. Under a sliding window expired tuples are pruned before a decision
+// pair (r[t] and s[t] arrive at step t) under the policy p, with rng as the
+// policy's Reset source, and keeps beside it only what the paper's accounting
+// adds. Same-time pairs are delivered but not counted, so TotalJoins is
+// Pairs − SameTimePairs and Joins its part after cfg's warm-up. Under a sliding window expired tuples are pruned before a decision
 // (Metrics.Expired), so the policy never sees them and Evictions counts only
 // its own choices. When telemetry.EnableGlobal has installed the process-wide
 // registry, the operator reports into it.
@@ -24,7 +23,7 @@ func Run(r, s []int, p join.Policy, cfg join.Config, rng *stats.RNG) join.Result
 		panic("engine: streams must have equal length")
 	}
 	j, err := newJoin(Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs,
-		Policy: p, Telemetry: telemetry.Global()}, rng, rng)
+		Policy: p, Telemetry: telemetry.Global()}, rng)
 	if err != nil {
 		panic(err)
 	}

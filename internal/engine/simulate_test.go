@@ -14,7 +14,7 @@ import (
 // in ID order and copies at every decision. Its window semantics are the
 // seed's: an expired tuple joins nothing but keeps its slot until the policy
 // discards it, so it is offered to the policy and counts as an eviction when
-// chosen. The caller's rng is both the policy's Reset source and State.RNG.
+// chosen. The caller's rng is the policy's Reset source.
 func simulate(r, s []int, p join.Policy, cfg join.Config, rng *stats.RNG) join.Result {
 	if len(r) != len(s) {
 		panic("simulate: streams must have equal length")
@@ -24,7 +24,7 @@ func simulate(r, s []int, p join.Policy, cfg join.Config, rng *stats.RNG) join.R
 	p.Reset(cfg, rng)
 	warmup := cfg.EffectiveWarmup()
 	hists := [2]*process.History{process.NewHistory(), process.NewHistory()}
-	st := &join.State{Hists: hists, Config: cfg, RNG: rng}
+	st := &join.State{Hists: hists, Config: cfg}
 	var cache []join.Tuple
 	var res join.Result
 	for t := range r {

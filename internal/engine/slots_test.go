@@ -46,21 +46,6 @@ func encodeWire(t *testing.T, wire checkpointWire) []byte {
 	return file.Bytes()
 }
 
-// checkpointByID takes a checkpoint of j with the cache section sorted by ID:
-// what two operators agree on when they hold the same entries in different
-// slots, as one restored from a file written before the cache had a layout
-// and one that ran from the start do.
-func checkpointByID(t *testing.T, j *Join) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := j.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wire := decodeWire(t, buf.Bytes())
-	slices.SortFunc(wire.Cache, func(a, b cacheEntryWire) int { return a.Tuple.ID - b.Tuple.ID })
-	return encodeWire(t, wire)
-}
-
 // slotIDs is the cache as slot → ID.
 func slotIDs(j *Join) []int {
 	ids := make([]int, len(j.cache))

@@ -10,9 +10,9 @@ import (
 
 // Key domain accepted by StepChecked. The simulator's value domains all fit
 // in int32 (process.NoValue = MinInt32 marks a never-joining tuple); a key
-// outside it would alias another in the equi index's int32 table, or corrupt
-// the band probe, which computes key±Band without overflow checks. MinKey
-// starts one above NoValue so the sentinel stays unambiguous.
+// outside it would alias another in the index's int32 table. The band probe
+// clips its interval [k−Band, k+Band] to the domain for the same reason.
+// MinKey starts one above NoValue so the sentinel stays unambiguous.
 const (
 	MinKey = math.MinInt32 + 1
 	MaxKey = math.MaxInt32
@@ -30,8 +30,10 @@ func (cfg Config) Validate() error {
 	if cfg.Window < 0 {
 		return fmt.Errorf("engine: window must be >= 0, got %d", cfg.Window)
 	}
-	if cfg.Band < 0 {
-		return fmt.Errorf("engine: band must be >= 0, got %d", cfg.Band)
+	// A band wider than the key domain joins no more keys than the domain's
+	// width, and k+Band must not overflow.
+	if cfg.Band < 0 || uint64(cfg.Band) > MaxKey-MinKey {
+		return fmt.Errorf("engine: band must be in [0, %d], got %d", uint64(MaxKey-MinKey), cfg.Band)
 	}
 	for i, p := range cfg.Procs {
 		if p == nil {

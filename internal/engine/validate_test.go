@@ -22,6 +22,10 @@ func TestConfigValidateRejectsInvalid(t *testing.T) {
 		{"cache-size-negative", Config{CacheSize: -3}},
 		{"window-negative", Config{CacheSize: 4, Window: -1}},
 		{"band-negative", Config{CacheSize: 4, Band: -2}},
+		// k+Band overflowed in the band probe, which then lost pairs.
+		{"band-max-int", Config{CacheSize: 4, Band: math.MaxInt}},
+		{"band-near-max-int", Config{CacheSize: 8, Band: math.MaxInt - 10, Seed: 1}},
+		{"band-wider-than-the-domain", Config{CacheSize: 4, Band: MaxKey - MinKey + 1}},
 		{"gaussian-walk-zero-sigma", Config{CacheSize: 4,
 			Procs: [2]process.Process{&process.GaussianWalk{Sigma: 0}, &process.GaussianWalk{Sigma: 1}}}},
 		{"gaussian-walk-nan-sigma", Config{CacheSize: 4,
@@ -63,6 +67,7 @@ func TestConfigValidateAcceptsValid(t *testing.T) {
 	}{
 		{"bare", Config{CacheSize: 1}},
 		{"window-band", Config{CacheSize: 8, Window: 10, Band: 3}},
+		{"band-the-domain", Config{CacheSize: 8, Band: MaxKey - MinKey}},
 		{"trend-models", Config{CacheSize: 8, Procs: trendProcs()}},
 		{"ar1-unit-root", Config{CacheSize: 8,
 			Procs: [2]process.Process{&process.AR1{Phi1: 1, Phi0: 0.5, Sigma: 2}, &process.AR1{Phi1: 0.9, Sigma: 2}}}},

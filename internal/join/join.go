@@ -63,8 +63,6 @@ type State struct {
 	Hists [2]*process.History
 	// Config echoes the run configuration.
 	Config Config
-	// RNG is the policy's private randomness source for this run.
-	RNG *stats.RNG
 }
 
 // Procs returns the stream models from the configuration.

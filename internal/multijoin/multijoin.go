@@ -7,8 +7,6 @@
 package multijoin
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"stochstream/internal/core"
@@ -80,7 +78,6 @@ type State struct {
 	Hists    []*process.History
 	Config   Config
 	Partners [][]int
-	RNG      *stats.RNG
 }
 
 // Policy decides evictions for the shared cache.
@@ -148,7 +145,7 @@ func Run(streams [][]int, p Policy, cfg Config, rng *stats.RNG) (Result, error) 
 	for s := range hists {
 		hists[s] = process.NewHistory()
 	}
-	st := &State{Hists: hists, Config: cfg, Partners: partners, RNG: rng}
+	st := &State{Hists: hists, Config: cfg, Partners: partners}
 	var cache []Tuple
 	res := Result{PerEdge: make([]int, len(cfg.Edges)), Occupancy: make([]float64, n)}
 	occupancySamples := 0
@@ -299,7 +296,7 @@ func (p *Rand) Evict(st *State, cands []Tuple, n int) []int {
 
 // Prob evicts the tuple whose value is least frequent across its partners'
 // histories — the PROB heuristic summed over the join graph. The counts are
-// its state: pushed in at arrival, snapshotted in value order.
+// its state, pushed in at arrival.
 type Prob struct {
 	counts []map[int]int
 }
@@ -341,44 +338,6 @@ func (p *Prob) Evict(st *State, cands []Tuple, n int) []int {
 		scores[i] = f
 	}
 	return lowestN(scores, cands, n)
-}
-
-// probWire is Prob's counts with each stream's map laid out by ascending
-// value: gob writes a map in iteration order, and two snapshots of one state
-// must be the same bytes.
-type probWire struct {
-	Values, Counts [][]int
-}
-
-// SnapshotState serializes the counts (the join.StateSnapshotter contract).
-func (p *Prob) SnapshotState() ([]byte, error) {
-	w := probWire{Values: make([][]int, len(p.counts)), Counts: make([][]int, len(p.counts))}
-	for s, m := range p.counts {
-		w.Values[s], w.Counts[s] = stats.SortedCounts(m)
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
-}
-
-// RestoreState replaces the counts with a snapshot's; the policy must have
-// been Reset with the configuration that produced it.
-func (p *Prob) RestoreState(data []byte) error {
-	var w probWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("multijoin: restoring PROB counts: %w", err)
-	}
-	if len(w.Values) != len(p.counts) || len(w.Counts) != len(p.counts) {
-		return fmt.Errorf("multijoin: PROB snapshot of %d streams, policy has %d", len(w.Values), len(p.counts))
-	}
-	for s := range p.counts {
-		m, err := stats.CountsFrom(w.Values[s], w.Counts[s])
-		if err != nil {
-			return fmt.Errorf("multijoin: restoring PROB counts of stream %d: %w", s, err)
-		}
-		p.counts[s] = m
-	}
-	return nil
 }
 
 func lowestN(scores []float64, cands []Tuple, n int) []int {

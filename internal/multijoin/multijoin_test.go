@@ -1,9 +1,7 @@
 package multijoin
 
 import (
-	"bytes"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -248,43 +246,3 @@ type badPolicy struct{}
 func (badPolicy) Name() string                     { return "bad" }
 func (badPolicy) Reset(Config, *stats.RNG)         {}
 func (badPolicy) Evict(*State, []Tuple, int) []int { return nil }
-
-// TestProbSnapshotDeterministic: PROB's counts are Go maps and its snapshot
-// is still a function of the state — 100 of them are the same bytes — that
-// restores into the same counts, so into the same decisions.
-func TestProbSnapshotDeterministic(t *testing.T) {
-	cfg := starConfig(5)
-	p := &Prob{}
-	p.Reset(cfg, nil)
-	rng := stats.NewRNG(4)
-	for i := 0; i < 2000; i++ {
-		p.ObserveArrivals([]Tuple{{Value: rng.IntN(300) - 150}, {Value: rng.IntN(300), Stream: 1}, {Value: rng.IntN(40), Stream: 2}})
-	}
-	first, err := p.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 100; i++ {
-		again, err := p.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, first) {
-			t.Fatalf("snapshot %d of one state differs from the first", i)
-		}
-	}
-	restored := &Prob{}
-	restored.Reset(cfg, nil)
-	restored.ObserveArrivals([]Tuple{{Value: 7}, {Value: 7, Stream: 1}}) // replaced, not added to
-	if err := restored.RestoreState(first); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored.counts, p.counts) {
-		t.Fatal("the restored counts differ from the snapshotted ones")
-	}
-	two := &Prob{}
-	two.Reset(Config{Procs: cfg.Procs[:2]}, nil)
-	if err := two.RestoreState(first); err == nil {
-		t.Fatal("a snapshot of three streams restored into a policy of two")
-	}
-}

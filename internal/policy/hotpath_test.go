@@ -113,7 +113,6 @@ func heebDecision(t *testing.T, seed uint64, window, band, n int) (*join.State, 
 		Time:   59,
 		Hists:  hists,
 		Config: join.Config{CacheSize: n - 2, Window: window, Band: band, Procs: procs},
-		RNG:    stats.NewRNG(seed + 1),
 	}
 	cands := make([]join.Tuple, n)
 	for i := range cands {

@@ -123,13 +123,17 @@ func (vc *valueCounts) RestoreState(data []byte) error {
 	if err := gobDecode(data, &w); err != nil {
 		return fmt.Errorf("policy: restoring value counts: %w", err)
 	}
-	for s := range vc.counts {
+	// Both streams are decoded before either is replaced, so a snapshot that
+	// fails leaves the counts as they were.
+	var counts [2]map[int]int
+	for s := range counts {
 		m, err := stats.CountsFrom(w.Values[s], w.Counts[s])
 		if err != nil {
 			return fmt.Errorf("policy: restoring value counts of stream %d: %w", s, err)
 		}
-		vc.counts[s] = m
+		counts[s] = m
 	}
+	vc.counts = counts
 	return nil
 }
 

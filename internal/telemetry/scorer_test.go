@@ -35,7 +35,7 @@ func TestFlowExpectScoreCandidates(t *testing.T) {
 		hists[0].Append(r[i])
 		hists[1].Append(s[i])
 	}
-	st := &join.State{Time: 19, Hists: hists, Config: cfg, RNG: stats.NewRNG(2)}
+	st := &join.State{Time: 19, Hists: hists, Config: cfg}
 	cands := []join.Tuple{
 		{ID: 0, Value: r[19], Stream: 0, Arrived: 19},
 		{ID: 1, Value: s[19], Stream: 1, Arrived: 19},

@@ -50,10 +50,16 @@
 #                    a fixed batch and must never depend on scheduling
 #  10. fuzz smoke  — 10s each of FuzzStepEquivalence, FuzzKeyIndex (the
 #                    equi index's table against a map model: backward-shift
-#                    deletion) and the three wire fuzzers over their
-#                    committed corpora. The two decoders a peer's bytes reach
-#                    every batch read a record in one pass at an offset into
-#                    the frame, one length check per fixed part:
+#                    deletion), FuzzRestore (the engine's Restore on hostile
+#                    bytes, as sent and with the checksum recomputed: an
+#                    error with the operator untouched, or a state that
+#                    passes CheckInvariants, never a panic; each input is
+#                    restored into six operators, so minimizing a new
+#                    input is bounded to one run, or it takes the 10s) and
+#                    the three wire fuzzers over their committed corpora.
+#                    The two decoders a peer's bytes reach every batch read
+#                    a record in one pass at an offset into the frame, one
+#                    length check per fixed part:
 #                    FuzzDecodeResults (an accepted frame decodes to pairs P
 #                    with decode(encode(P)) = P and encode(P) a fixed point —
 #                    a tuple inline twice decodes but re-encodes as a
@@ -76,8 +82,9 @@
 #                    before and after the lanes have drifted, and
 #                    BenchmarkStepRAND/{cache=256,cache=1024,cache=4096,
 #                    window,hot,band} in internal/engine, the slot table's
-#                    replacement, expiry, long-chain and ordered-index
-#                    steps, and BenchmarkServedBatch/uptime in
+#                    replacement, expiry, long-chain and band-probe steps
+#                    (a band join looks its band's keys up in the key
+#                    table), and BenchmarkServedBatch/uptime in
 #                    internal/streamd — the micro-benchmarks of the equi
 #                    index's key table and chains — and
 #                    BenchmarkServedBatch/fanout, the micro-benchmark of the
@@ -157,6 +164,7 @@ go test -run '^TestDrainRestartByteIdentical$' -count=200 -cpu 1,2,4 ./internal/
 echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzKeyIndex$' -fuzztime 10s ./internal/engine
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzNumberedResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
