@@ -34,15 +34,6 @@ func (b ECB) At(dt int) float64 {
 	return b[dt-1]
 }
 
-// Increment returns the single-step expected benefit at Δt,
-// B_x(Δt) − B_x(Δt−1) (with B_x(0) = 0).
-func (b ECB) Increment(dt int) float64 {
-	if dt == 1 {
-		return b.At(1)
-	}
-	return b.At(dt) - b.At(dt-1)
-}
-
 // JoinECB computes, per Lemma 1, the ECB of a candidate tuple with join
 // attribute value v to be joined with the partner stream: B_x(Δt) =
 // Σ_{t=t0+1}^{t0+Δt} Pr{X^partner_t = v | x̄_{t0}}, tabulated out to horizon

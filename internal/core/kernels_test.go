@@ -10,6 +10,15 @@ import (
 // The kernels below are the paper's math that the tests check served code
 // against, or check against served code; nothing outside tests calls them.
 
+// Increment returns the single-step expected benefit at Δt,
+// B_x(Δt) − B_x(Δt−1) (with B_x(0) = 0).
+func (b ECB) Increment(dt int) float64 {
+	if dt == 1 {
+		return b.At(1)
+	}
+	return b.At(dt) - b.At(dt-1)
+}
+
 // HFromECB evaluates the defining HEEB sum of Section 4.3 from a tabulated
 // ECB: H_x = B_x(1)·L(1) + Σ_{Δt≥2} (B_x(Δt) − B_x(Δt−1))·L(Δt), truncated
 // at the ECB's tabulated horizon.

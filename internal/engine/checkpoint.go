@@ -167,14 +167,17 @@ func (j *Join) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	// A policy with decision state takes it from the checkpoint, never keeps
+	// its own: a file without that state is refused like one that carries
+	// state for a policy without any.
+	s, ok := j.policy.(join.StateSnapshotter)
+	if ok != wire.HasPolicyState {
+		return fmt.Errorf("%w: checkpoint carries policy state: %t, policy %q keeps state: %t",
+			ErrConfigMismatch, wire.HasPolicyState, wire.PolicyName, ok)
+	}
 	// Everything fallible that can run without mutating is done; restore the
 	// policy first (the one mutation that can still fail), then commit.
-	if wire.HasPolicyState {
-		s, ok := j.policy.(join.StateSnapshotter)
-		if !ok {
-			return fmt.Errorf("%w: checkpoint carries state for policy %q, which cannot restore it",
-				ErrConfigMismatch, wire.PolicyName)
-		}
+	if ok {
 		if err := s.RestoreState(wire.PolicyState); err != nil {
 			return fmt.Errorf("engine: restoring policy %s: %w", wire.PolicyName, err)
 		}

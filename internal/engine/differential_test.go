@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
@@ -153,9 +154,8 @@ func edgeKeys(k int) int {
 // Model-free policies across the same configuration grid; cheap, so every
 // config runs the full 10k steps. Two rows probe the ends of the key domain:
 // a band as wide as the domain, which the band probe answers by scanning the
-// table's cells (PROB, which sums its counts over every key of a band, skips
-// it), and keys at MinKey and MaxKey, whose band the probe clips to the
-// domain.
+// table's cells and PROB and LIFE by summing their count tables' entries,
+// and keys at MinKey and MaxKey, whose band the probe clips to the domain.
 func TestDifferentialModelFreePolicies10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-step differential traces are not short")
@@ -163,6 +163,9 @@ func TestDifferentialModelFreePolicies10k(t *testing.T) {
 	mk := map[string]func() join.Policy{
 		"rand": func() join.Policy { return &policy.Rand{} },
 		"prob": func() join.Policy { return &policy.Prob{} },
+		"life": func() join.Policy {
+			return &policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }}
+		},
 	}
 	for polName, mkPol := range mk {
 		for _, tc := range []struct {
@@ -176,15 +179,51 @@ func TestDifferentialModelFreePolicies10k(t *testing.T) {
 			{"band-domain", Config{CacheSize: 24, Band: MaxKey - MinKey}, nil},
 			{"band-edges", Config{CacheSize: 24, Band: 3}, edgeKeys},
 		} {
-			if polName == "prob" && tc.name == "band-domain" {
-				continue
+			n := 10000
+			if polName != "rand" && tc.name == "band-domain" {
+				// A band as wide as the domain holds every value of the
+				// count tables, so each PROB or LIFE decision reads every
+				// entry: the row's cost grows with the square of its length.
+				n = 1000
 			}
 			t.Run(polName+"/"+tc.name, func(t *testing.T) {
 				cfgOp, cfgRef := tc.cfg, tc.cfg
 				cfgOp.Policy, cfgRef.Policy = mkPol(), mkPol()
 				cfgOp.Seed, cfgRef.Seed = 13, 13
-				runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 55, tc.keys)
+				runDifferential(t, tc.name, cfgOp, cfgRef, n, 55, tc.keys)
 			})
+		}
+	}
+}
+
+// TestCountTableBandCostIsBounded: a PROB or LIFE decision reads at most the
+// values its count tables hold, whatever the band. Under the widest band
+// Validate accepts, summing the band key by key is about 2^33 map reads a
+// candidate; 64 arrivals at both ends of the domain must finish inside a
+// second, a margin of 10^5 over their microseconds, so only a hang fails.
+func TestCountTableBandCostIsBounded(t *testing.T) {
+	for _, pol := range []join.Policy{
+		&policy.Prob{},
+		&policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }},
+	} {
+		j, err := NewJoin(Config{CacheSize: 4, Band: MaxKey - MinKey, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 32; i++ {
+				j.Step(Tuple{Key: MinKey + i%5}, Tuple{Key: MaxKey - i%7})
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s: 64 arrivals under a band of the whole key domain took over a second", pol.Name())
+		}
+		if m := j.Metrics(); m.Evictions == 0 || m.Pairs == 0 {
+			t.Fatalf("%s: %+v: the policy never decided, or the band joined nothing", pol.Name(), m)
 		}
 	}
 }

@@ -170,14 +170,14 @@ func FuzzStepEquivalence(f *testing.F) {
 // configuration of ckptConfigs and the TOWER HEEB operator of the upgrade
 // fixture, each stepped past its first decisions, so that an operator left
 // untouched is not an empty one.
-func restoreTargets(t testing.TB) []*Join {
+func restoreTargets(t testing.TB, steps int) []*Join {
 	t.Helper()
 	w := workload.Tower().Join()
 	cfgs := []Config{{CacheSize: 8, Procs: w.Procs, Policy: w.HEEBPolicy(), Seed: 9}}
 	for _, tc := range ckptConfigs() {
 		cfgs = append(cfgs, tc.mk())
 	}
-	r, s := ckptTrace(40)
+	r, s := ckptTrace(steps)
 	out := make([]*Join, len(cfgs))
 	for k, cfg := range cfgs {
 		j, err := NewJoin(cfg)
@@ -199,6 +199,11 @@ func restoreTargets(t testing.TB) []*Join {
 // refuses it and leaves the operator as it was — its next checkpoint is the
 // one it would have written — or restores a state that passes
 // CheckInvariants. It never panics.
+//
+// A restore is a function of the bytes alone: each input goes to two
+// operators of every configuration, one fresh and one that has stepped 200
+// arrivals. Either both refuse it, or both accept it and then write
+// byte-identical checkpoints.
 //
 // The seeds are the upgrade fixtures (the previous format and a refused
 // older one) and a fresh checkpoint of every ckptConfigs operator, a band and
@@ -233,16 +238,27 @@ func FuzzRestore(f *testing.F) {
 			files = append(files, file.Bytes())
 		}
 		for _, file := range files {
-			for k, j := range restoreTargets(t) {
-				before := checkpointOf(t, j)
-				if err := j.Restore(bytes.NewReader(file)); err != nil {
-					if !bytes.Equal(checkpointOf(t, j), before) {
-						t.Fatalf("operator %d: a refused restore (%v) changed its next checkpoint", k, err)
+			fresh, stepped := restoreTargets(t, 0), restoreTargets(t, 100)
+			for k := range fresh {
+				var errs [2]error
+				var next [2][]byte
+				for i, j := range []*Join{fresh[k], stepped[k]} {
+					before := checkpointOf(t, j)
+					errs[i] = j.Restore(bytes.NewReader(file))
+					next[i] = checkpointOf(t, j)
+					if errs[i] != nil {
+						if !bytes.Equal(next[i], before) {
+							t.Fatalf("operator %d/%d: a refused restore (%v) changed its next checkpoint", k, i, errs[i])
+						}
+					} else if err := j.CheckInvariants(); err != nil {
+						t.Fatalf("operator %d/%d: a restored state fails its invariants: %v", k, i, err)
 					}
-					continue
 				}
-				if err := j.CheckInvariants(); err != nil {
-					t.Fatalf("operator %d: a restored state fails its invariants: %v", k, err)
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("operator %d: the fresh operator's restore returned %v, the stepped one's %v", k, errs[0], errs[1])
+				}
+				if errs[0] == nil && !bytes.Equal(next[0], next[1]) {
+					t.Fatalf("operator %d: restored from the same bytes, the fresh and the stepped operator write different checkpoints", k)
 				}
 			}
 		}

@@ -3,6 +3,8 @@ package lintrules_test
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -31,10 +33,13 @@ var stdlibCalls = []string{
 // reaches is deleted.
 //
 // The roots are the main of every main package (the cmd/ binaries, bench
-// and the examples), every init, every package-level var and const
-// initialiser, and the exported functions and methods the root facade
-// declares, all in the packages those mains and the facade import. A
-// function reaches every function and method its body names. A call
+// and the examples), every init, and every package-level var and const
+// initialiser of the packages those mains and the facade import, and the
+// facade exports that a main or the facade's example_test.go names. The
+// facade's own declarations are served only by their users: a facade
+// function, var, const or type is walked when a root or reached code names
+// it, so an export that only a test names is not served. A function reaches
+// every function and method its body names. A call
 // through an interface, a type assertion to an interface, and a method the
 // standard library calls (stdlibCalls) dispatch by name: they reach every
 // method of that name whose receiver type reached code constructs — by a
@@ -69,7 +74,7 @@ func TestEveryFunctionIsServed(t *testing.T) {
 		}
 		g.add(p)
 	}
-	roots := g.roots()
+	roots := g.roots(t, filepath.Join(root, "example_test.go"))
 	served := g.reach(roots, nil)
 
 	var oracles []*types.Func
@@ -125,7 +130,8 @@ type reachGraph struct {
 	decls  map[*types.Func]funcDecl
 	byName map[string][]*types.Func // concrete methods, for dispatch by name
 	byType map[*types.TypeName][]*types.Func
-	facade string // the module path
+	facade string                     // the module path
+	specs  map[types.Object]reachNode // the facade's package-level declarations
 }
 
 func (g *reachGraph) add(p *load.Package) {
@@ -150,10 +156,11 @@ func (g *reachGraph) add(p *load.Package) {
 	}
 }
 
-// roots returns the mains, the inits, the facade's exported functions and
-// methods, and the package-level declarations of every package the mains
-// and the facade link.
-func (g *reachGraph) roots() []reachNode {
+// roots returns the mains, the inits, the facade exports the mains and the
+// facade's examples name, and the package-level declarations of every
+// package the mains and the facade link, the facade's own excepted: those
+// are walked from the references that reach them.
+func (g *reachGraph) roots(t *testing.T, examples string) []reachNode {
 	linked := map[string]bool{}
 	var link func(path string)
 	link = func(path string) {
@@ -171,6 +178,24 @@ func (g *reachGraph) roots() []reachNode {
 			link(path)
 		}
 	}
+	facade := g.pkgs[g.facade]
+	g.specs = map[types.Object]reachNode{}
+	for _, f := range facade.Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							g.specs[facade.Info.Defs[name]] = reachNode{facade, spec}
+						}
+					case *ast.TypeSpec:
+						g.specs[facade.Info.Defs[spec.Name]] = reachNode{facade, spec}
+					}
+				}
+			}
+		}
+	}
 	var roots []reachNode
 	for path := range linked {
 		p := g.pkgs[path]
@@ -178,19 +203,60 @@ func (g *reachGraph) roots() []reachNode {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.GenDecl:
-					roots = append(roots, reachNode{p, d})
+					if path != g.facade {
+						roots = append(roots, reachNode{p, d})
+					}
 				case *ast.FuncDecl:
 					name := d.Name.Name
 					isMain := p.Types.Name() == "main" && name == "main" && d.Recv == nil
 					isInit := name == "init" && d.Recv == nil
-					if isMain || isInit || path == g.facade && ast.IsExported(name) {
+					if isMain || isInit {
 						roots = append(roots, reachNode{p, d})
 					}
 				}
 			}
 		}
 	}
+	for _, name := range facadeNames(t, examples, g.facade) {
+		switch obj := facade.Types.Scope().Lookup(name).(type) {
+		case *types.Func:
+			roots = append(roots, reachNode{facade, g.decls[obj].decl})
+		case nil:
+			t.Fatalf("%s names %s, which the facade does not declare", filepath.Base(examples), name)
+		default:
+			roots = append(roots, g.specs[obj])
+		}
+	}
 	return roots
+}
+
+// facadeNames returns the names a test file selects from the facade
+// package (the X of every facade.X), read syntactically.
+func facadeNames(t *testing.T, path, facade string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := ""
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) == facade {
+			local = facade[strings.LastIndex(facade, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+		}
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+				names = append(names, sel.Sel.Name)
+			}
+		}
+		return true
+	})
+	return names
 }
 
 // entry resolves an allowlist entry to the functions it names.
@@ -315,10 +381,16 @@ func (g *reachGraph) reach(roots []reachNode, fns []*types.Func) map[*types.Func
 			}
 		}
 	}
-	walk := func(p *load.Package, n ast.Node) {
+	walkedSpec := map[ast.Node]bool{}
+	var walk func(p *load.Package, n ast.Node)
+	walk = func(p *load.Package, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
+				if spec, ok := g.specs[p.Info.Uses[n]]; ok && !walkedSpec[spec.node] {
+					walkedSpec[spec.node] = true
+					walk(spec.pkg, spec.node) // a facade declaration, served by this use
+				}
 				switch obj := p.Info.Uses[n].(type) {
 				case *types.Func:
 					mark(obj)

@@ -329,11 +329,7 @@ func (p *Prob) Evict(st *State, cands []Tuple, n int) []int {
 			if total == 0 {
 				continue
 			}
-			count := 0
-			for v := c.Value - st.Config.Band; v <= c.Value+st.Config.Band; v++ {
-				count += p.counts[partner][v]
-			}
-			f += float64(count) / float64(total)
+			f += float64(stats.BandCount(p.counts[partner], c.Value, st.Config.Band)) / float64(total)
 		}
 		scores[i] = f
 	}

@@ -166,11 +166,7 @@ func (vc *valueCounts) partnerFreq(st *join.State, tp join.Tuple) float64 {
 	if total == 0 {
 		return 0
 	}
-	count := 0
-	for v := tp.Value - st.Config.Band; v <= tp.Value+st.Config.Band; v++ {
-		count += vc.counts[partner][v]
-	}
-	return float64(count) / float64(total)
+	return float64(stats.BandCount(vc.counts[partner], tp.Value, st.Config.Band)) / float64(total)
 }
 
 // Prob is the PROB heuristic of Das et al.: discard the tuple whose join

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"stochstream/internal/stats"
 )
@@ -38,19 +39,23 @@ func (p *HEEB) SnapshotState() ([]byte, error) {
 
 // RestoreState implements join.StateSnapshotter. The policy must have been
 // Reset with the same configuration that produced the snapshot; the L table
-// and the forecast window are rebuilt deterministically on demand.
+// and the forecast window are rebuilt deterministically on demand. The
+// restored state is the snapshot's alone: the tracker is always replaced,
+// so a zero tracker (decay 0, which no Reset policy writes) is refused. A
+// snapshot that does not validate leaves the policy as it was.
 func (p *HEEB) RestoreState(data []byte) error {
 	var w heebWire
 	if err := gobDecode(data, &w); err != nil {
 		return fmt.Errorf("policy: restoring HEEB state: %w", err)
 	}
+	if !(w.Alpha > 0) || math.IsInf(w.Alpha, 0) {
+		return fmt.Errorf("policy: restoring HEEB state: alpha %v is not finite and positive", w.Alpha)
+	}
+	if err := p.tracker.Restore(w.TrackerDecay, w.TrackerMean, w.TrackerN); err != nil {
+		return fmt.Errorf("policy: restoring HEEB lifetime tracker: %w", err)
+	}
 	if p.fc != nil {
 		p.fc.Invalidate()
-	}
-	if w.TrackerN > 0 || w.TrackerDecay != 0 {
-		if err := p.tracker.Restore(w.TrackerDecay, w.TrackerMean, w.TrackerN); err != nil {
-			return fmt.Errorf("policy: restoring HEEB lifetime tracker: %w", err)
-		}
 	}
 	p.alpha = w.Alpha
 	return nil

@@ -460,15 +460,10 @@ func (sh *shard) at(g int) *engine.TuplePair {
 // except after a Restore from a version-3 manifest, whose carried tails the
 // next dispatch steps. Nothing is padded.
 func (rt *Runtime) Flush() ([]Pair, error) {
-	return rt.pairs(rt.FlushReply())
-}
-
-// FlushReply is Flush with the reply as a Reply.
-func (rt *Runtime) FlushReply() (*Reply, error) {
 	if err := rt.refused(); err != nil {
 		return nil, err
 	}
-	return rt.dispatch()
+	return rt.pairs(rt.dispatch())
 }
 
 // pairs writes a reply out as Pairs, over the buffer the previous one was

@@ -33,3 +33,24 @@ func CountsFrom(vals, counts []int) (map[int]int, error) {
 	}
 	return m, nil
 }
+
+// BandCount sums the counts of the values within band of v. It reads the
+// values v−band..v+band one by one while there are no more of them than the
+// table has entries, and the table's entries otherwise, so its cost is
+// bounded by the values present whatever the band. The integer sum is the
+// same in either order.
+func BandCount(counts map[int]int, v, band int) int {
+	sum := 0
+	if 2*band+1 <= len(counts) {
+		for k := v - band; k <= v+band; k++ {
+			sum += counts[k]
+		}
+		return sum
+	}
+	for k, c := range counts {
+		if k >= v-band && k <= v+band {
+			sum += c
+		}
+	}
+	return sum
+}

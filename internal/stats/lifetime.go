@@ -79,13 +79,17 @@ func (lt *LifetimeTracker) State() (decay, mean float64, n int) {
 }
 
 // Restore overwrites the tracker with a previously captured State. The decay
-// must satisfy the constructor's contract.
+// must satisfy the constructor's contract, and the mean is a finite
+// lifetime; on error the tracker is unchanged.
 func (lt *LifetimeTracker) Restore(decay, mean float64, n int) error {
-	if decay <= 0 || decay > 1 {
+	if !(decay > 0 && decay <= 1) {
 		return errors.New("stats: LifetimeTracker decay must be in (0, 1]")
 	}
 	if n < 0 {
 		return errors.New("stats: LifetimeTracker count must be >= 0")
+	}
+	if !(mean >= 0) || math.IsInf(mean, 0) {
+		return errors.New("stats: LifetimeTracker mean must be finite and >= 0")
 	}
 	lt.decay, lt.mean, lt.n = decay, mean, n
 	return nil

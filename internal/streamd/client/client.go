@@ -302,7 +302,7 @@ func (c *Client) ingestBatch(out []wire.Pair, steps []wire.Step) ([]wire.Pair, e
 			c.dropConn()
 			return &transientError{err: fmt.Errorf("client: ingest write: %w", err)}
 		}
-		p, err := c.await(out, base, false)
+		p, err := c.await(out, base)
 		if err != nil {
 			return err
 		}
@@ -312,35 +312,29 @@ func (c *Client) ingestBatch(out []wire.Pair, steps []wire.Step) ([]wire.Pair, e
 	return pairs, err
 }
 
-// await reads frames until the reply it is waiting for is complete — the
-// acknowledgment of batch base, or with flush set the response to a Flush —
+// await reads frames until the acknowledgment of batch base is complete,
 // decoding chunked replies (More flag) onto the end of acc, and returns the
-// extended listing. Anything else on the stream is a leftover of an earlier
-// attempt and is skipped: a stale flush response, or results replayed for an
-// already-acknowledged batch, recognized by their sequence — the dedup half
-// of retry safety.
-func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, error) {
-	what := "ingest"
-	if flush {
-		what = "flush"
-	}
+// extended listing. Results replayed for an already-acknowledged batch are a
+// leftover of an earlier attempt, recognized by their sequence and skipped —
+// the dedup half of retry safety.
+func (c *Client) await(acc []wire.Pair, base uint64) ([]wire.Pair, error) {
 	for {
 		typ, payload, err := c.rd.Next()
 		if err != nil {
 			c.dropConn()
-			return nil, &transientError{err: fmt.Errorf("client: %s read: %w", what, err)}
+			return nil, &transientError{err: fmt.Errorf("client: ingest read: %w", err)}
 		}
 		switch typ {
 		case wire.TypeResults:
 			f, err := wire.AppendResults(acc, payload)
 			if err != nil {
 				c.dropConn()
-				return nil, fmt.Errorf("client: %s results: %w", what, err)
+				return nil, fmt.Errorf("client: ingest results: %w", err)
 			}
-			if f.Flush != flush || (!flush && f.AckSeq < base) {
+			if f.AckSeq < base {
 				continue // chunks included; acc keeps its length
 			}
-			if !flush && f.AckSeq > base {
+			if f.AckSeq > base {
 				c.dropConn()
 				return nil, fmt.Errorf("%w: server acked %d, expected %d", wire.ErrSeqGap, f.AckSeq, base)
 			}
@@ -348,9 +342,7 @@ func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, e
 			if f.More {
 				continue // the reply completes when More clears
 			}
-			if !flush {
-				c.acked = base
-			}
+			c.acked = base
 			c.credits = int(f.Credits)
 			return acc, nil
 		case wire.TypeError:
@@ -365,45 +357,12 @@ func (c *Client) await(acc []wire.Pair, base uint64, flush bool) ([]wire.Pair, e
 				return nil, &transientError{err: cause, hint: f.RetryAfter()}
 			}
 			// BadStep and protocol violations are the caller's bug.
-			return nil, fmt.Errorf("client: %s rejected: %w", what, cause)
+			return nil, fmt.Errorf("client: ingest rejected: %w", cause)
 		default:
 			c.dropConn()
 			return nil, fmt.Errorf("%w: unexpected frame type 0x%02x", wire.ErrBadFrame, typ)
 		}
 	}
-}
-
-// Flush asks the daemon to step what it routed and has not stepped, and
-// returns the resulting pairs. Every batch is stepped before its reply, so
-// that is nothing, except right after the daemon restored a version-3
-// manifest that carried lane tails. A flush response lost to a disconnect
-// is not replayed: the retry re-flushes, and what is stepped yields nothing
-// again — callers treat Flush as at-least-once with possible loss of the
-// pair listing, or flush only at stream end over a live connection.
-func (c *Client) Flush() ([]wire.Pair, error) {
-	if c.closed {
-		return nil, wire.ErrClosed
-	}
-	frame := wire.Frame(wire.TypeFlush, nil)
-	var pairs []wire.Pair
-	err := c.withRetries("flush", func() error {
-		if c.nc == nil {
-			if err := c.connect(); err != nil {
-				return err
-			}
-		}
-		if _, err := c.nc.Write(frame); err != nil {
-			c.dropConn()
-			return &transientError{err: fmt.Errorf("client: flush write: %w", err)}
-		}
-		p, err := c.await(nil, 0, true)
-		if err != nil {
-			return err
-		}
-		pairs = p
-		return nil
-	})
-	return pairs, err
 }
 
 // Close detaches cleanly (best-effort goodbye) and releases the

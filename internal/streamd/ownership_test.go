@@ -199,16 +199,6 @@ func TestShardFaultRefusesTheRetry(t *testing.T) {
 	if got := s.internalErrs.Value() - errs0; got != 2 {
 		t.Fatalf("streamd_internal_errors_total counted %d of a faulted batch and its retry, want 2", got)
 	}
-	if err := s.submit(&ingestReq{kind: kindFlush, sess: sess}); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload := nextFrame(t, c)
-	if f, err := wire.DecodeError(payload); typ != wire.TypeError || err != nil || f.Code != wire.CodeInternal {
-		t.Fatalf("the flush after the fault answered with frame 0x%02x %+v (%v), want an internal error", typ, f, err)
-	}
-	if got := s.internalErrs.Value() - errs0; got != 3 {
-		t.Fatalf("streamd_internal_errors_total counted %d after the flush, want 3", got)
-	}
 	if err := s.Drain(context.Background()); err == nil {
 		t.Fatal("drain of a faulted runtime reported success")
 	}

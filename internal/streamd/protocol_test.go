@@ -2,6 +2,7 @@ package streamd_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -116,13 +117,18 @@ func TestProtocolFirstFrameNotHello(t *testing.T) {
 	rc.expectClosed(t)
 }
 
+// TestProtocolUnknownFrameType: a frame type the protocol does not assign —
+// 0x05, the retired Flush, among them — is a frame violation that closes the
+// connection.
 func TestProtocolUnknownFrameType(t *testing.T) {
 	srv := protoServer(t, nil)
-	rc := rawDial(t, srv.Addr())
-	rc.handshake(t, "unknown-type", 0)
-	rc.send(t, 0x7F, nil)
-	rc.expectError(t, wire.CodeBadFrame)
-	rc.expectClosed(t)
+	for _, typ := range []uint8{0x05, 0x7F} {
+		rc := rawDial(t, srv.Addr())
+		rc.handshake(t, fmt.Sprintf("unknown-type-%02x", typ), 0)
+		rc.send(t, typ, nil)
+		rc.expectError(t, wire.CodeBadFrame)
+		rc.expectClosed(t)
+	}
 }
 
 func TestProtocolSeqGap(t *testing.T) {

@@ -32,8 +32,7 @@ func wirePairs(ps []shardrt.Pair) []wire.Pair {
 // runtime of the same configuration driven directly and never restarted.
 // Four shards under skewed streams step two- and one-sided steps; one batch of
 // large payloads on one key takes a reply past MaxFramePayload, so it is cut
-// into chunks; a Flush, with nothing left to step, is an empty reply with the
-// flush flag; and halfway the daemon drains to a checkpoint and a new one
+// into chunks; and halfway the daemon drains to a checkpoint and a new one
 // continues from it.
 func TestReplyBytesAreThePairEncoders(t *testing.T) {
 	const window = 1 << 16
@@ -76,9 +75,9 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 	s := start()
 	sess, c := attachFake(t, s, "before")
 	var base uint64
-	compare := func(label string, got *frame, want []shardrt.Pair, flush bool) (frames int) {
+	compare := func(label string, got *frame, want []shardrt.Pair) (frames int) {
 		t.Helper()
-		res := wire.Results{AckSeq: base, Credits: window, Flush: flush, Pairs: wirePairs(want)}
+		res := wire.Results{AckSeq: base, Credits: window, Pairs: wirePairs(want)}
 		if !bytes.Equal(got.b, wire.EncodeResultsFrames(res)) {
 			t.Fatalf("%s: the daemon's reply of %d bytes is not the pair encoder's over the runtime's %d pairs", label, len(got.b), len(want))
 		}
@@ -97,28 +96,12 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return compare(label, got, want, false)
-	}
-	flush := func(label string) int {
-		t.Helper()
-		if err := s.submit(&ingestReq{kind: kindFlush, sess: sess}); err != nil {
-			t.Fatal(err)
-		}
-		got := written(c)
-		want, err := ref.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != 0 {
-			t.Fatalf("%s: the flush joined %d pairs; every arrival was stepped by its own batch", label, len(want))
-		}
-		return compare(label, got, want, true)
+		return compare(label, got, want)
 	}
 
 	for b := 0; b < 12; b++ {
 		ingest("before", skewed(1+rng.IntN(40)))
 	}
-	flush("flush before")
 	// Every step of the large batch joins itself, and the steps before it.
 	if frames := ingest("large", large); frames < 2 {
 		t.Fatalf("the large reply travelled in %d frame: not cut into chunks", frames)
@@ -137,5 +120,4 @@ func TestReplyBytesAreThePairEncoders(t *testing.T) {
 	for b := 0; b < 12; b++ {
 		ingest("after the restart", skewed(1+rng.IntN(40)))
 	}
-	flush("flush after")
 }

@@ -65,7 +65,7 @@ func TestBatchCompletionIsOneTransition(t *testing.T) {
 			t.Fatalf("batch %d not admitted: outcome %d, %v", base, out, err)
 		}
 		for {
-			out, err := sess.offer(&ingestReq{kind: kindIngest, sess: sess, base: base}, newConn(nil, 1), 0, resubmitted)
+			out, err := sess.offer(&ingestReq{sess: sess, base: base}, newConn(nil, 1), 0, resubmitted)
 			if err != nil {
 				t.Fatalf("batch %d resent while it completes: %v", base, err)
 			}

@@ -108,20 +108,13 @@ const (
 	reapEvery = 15 * time.Second
 )
 
-// request kinds for the engine loop.
-const (
-	kindIngest = iota + 1
-	kindFlush
-)
-
 // ingestReq is one unit of engine-loop work. The engine loop is the only
 // goroutine that touches the runtime; everything else funnels through the
 // bounded ingest queue, which is also the admission controller's gauge. A
-// kindIngest request is its session's buffer (session.req).
+// request is its session's buffer (session.req).
 type ingestReq struct {
-	kind  int
 	sess  *session // delivery target
-	base  uint64   // kindIngest batch base
+	base  uint64   // batch base
 	steps []shardrt.Step
 }
 
@@ -181,7 +174,6 @@ type Server struct {
 	stepsTotal   *telemetry.Counter
 	pairsTotal   *telemetry.Counter
 	batchesTotal *telemetry.Counter
-	flushesTotal *telemetry.Counter
 	dupBatches   *telemetry.Counter
 	shedQueue    *telemetry.Counter
 	shedMem      *telemetry.Counter
@@ -250,7 +242,6 @@ func (s *Server) initMetrics() {
 	s.stepsTotal = s.reg.Counter("streamd_steps_total")
 	s.pairsTotal = s.reg.Counter("streamd_pairs_total")
 	s.batchesTotal = s.reg.Counter("streamd_batches_total")
-	s.flushesTotal = s.reg.Counter("streamd_flushes_total")
 	s.dupBatches = s.reg.Counter("streamd_dup_batches_total")
 	s.shedQueue = s.reg.Counter("streamd_shed_queue_total")
 	s.shedMem = s.reg.Counter("streamd_shed_mem_total")
@@ -325,12 +316,7 @@ func (s *Server) submit(req *ingestReq) error {
 func (s *Server) engineLoop() {
 	defer close(s.engineDone)
 	for req := range s.ingest {
-		switch req.kind {
-		case kindIngest:
-			s.engineIngest(req)
-		case kindFlush:
-			s.engineFlush(req)
-		}
+		s.engineIngest(req)
 	}
 }
 
@@ -358,29 +344,6 @@ func (s *Server) engineIngest(req *ingestReq) {
 	frame := req.sess.complete(req, s.cfg.Credits, s.nowNanos(), listing{rep}, &s.carriers)
 	s.deliver(req.sess, frame, true)
 	s.batchLatency.Observe(float64(s.nowNanos() - t0))
-}
-
-func (s *Server) engineFlush(req *ingestReq) {
-	rep, err := s.rt.FlushReply()
-	if err != nil {
-		s.internalErrs.Inc()
-		s.deliver(req.sess, &frame{b: wire.Frame(wire.TypeError, wire.EncodeError(wire.ErrorFrame{
-			Code: wire.CodeInternal, Msg: err.Error(),
-		}))}, false)
-		return
-	}
-	s.flushesTotal.Inc()
-	s.pairsTotal.Add(int64(rep.Len()))
-	ack, credits := req.sess.state()
-	// Flush results are not buffered for replay: a flush steps only what a
-	// restored old manifest carried (nothing otherwise), so re-running one
-	// after reconnect yields nothing — the client treats a lost flush
-	// response as an empty flush.
-	s.deliver(req.sess, &frame{b: wire.AppendResultsFramesFrom(nil, wire.Results{
-		AckSeq:  ack,
-		Credits: uint32(credits),
-		Flush:   true,
-	}, listing{rep}, &s.carriers)}, true)
 }
 
 // deliver sends a frame to the session's current attachment (which may be
@@ -415,7 +378,7 @@ func (ss *session) takeReq() *ingestReq {
 	req := ss.req
 	ss.req = nil
 	if req == nil {
-		req = &ingestReq{kind: kindIngest, sess: ss}
+		req = &ingestReq{sess: ss}
 	}
 	return req
 }
@@ -468,12 +431,6 @@ func (ss *session) failSubmitted(req *ingestReq, window int) {
 		ss.credits = min(ss.credits+len(req.steps), window)
 	}
 	ss.putReq(req)
-}
-
-func (ss *session) state() (acked uint64, credits int) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.acked, ss.credits
 }
 
 // ingestOutcome is the reader-side result of offering a batch.
@@ -622,10 +579,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		case wire.TypeIngest:
 			if fatal := s.handleIngestFrame(sess, c, payload); fatal {
 				return
-			}
-		case wire.TypeFlush:
-			if err := s.submit(&ingestReq{kind: kindFlush, sess: sess}); err != nil {
-				s.sendErr(c, err) // shed or draining: recoverable, keep the connection
 			}
 		case wire.TypeGoodbye:
 			return

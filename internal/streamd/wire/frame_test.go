@@ -121,7 +121,7 @@ func TestFrameViewDiesAtTheNextRead(t *testing.T) {
 		}
 	}
 
-	small := bytes.Repeat(Frame(TypeFlush, make([]byte, 100)), 64)
+	small := bytes.Repeat(Frame(TypeGoodbye, make([]byte, 100)), 64)
 	rd := bytes.NewReader(small)
 	br := bufio.NewReaderSize(rd, 256)
 	fr = NewFrameReader(br)
@@ -147,7 +147,7 @@ func TestFrameViewDiesAtTheNextRead(t *testing.T) {
 func TestFrameReaderOwnsOneLargeBuffer(t *testing.T) {
 	big := Frame(TypeResults, bytes.Repeat([]byte{0xB1}, 3000))
 	mid := Frame(TypeIngest, bytes.Repeat([]byte{0x3D}, 1000))
-	small := Frame(TypeFlush, []byte("view"))
+	small := Frame(TypeGoodbye, []byte("view"))
 	stream := slices.Concat(big, small, mid, big)
 	rd := bytes.NewReader(stream)
 	br := bufio.NewReaderSize(rd, 256)
@@ -162,7 +162,7 @@ func TestFrameReaderOwnsOneLargeBuffer(t *testing.T) {
 	}
 	first := next(TypeResults, 3000)
 	kept := bytes.Clone(first)
-	next(TypeFlush, 4)
+	next(TypeGoodbye, 4)
 	if !bytes.Equal(first, kept) {
 		t.Fatal("a frame that fits the reader's buffer was read over the large buffer")
 	}
@@ -203,7 +203,7 @@ func TestFrameReaderOwnsOneLargeBuffer(t *testing.T) {
 // cap allocates nothing). The committed corpus has a large-small-large
 // sequence: the frames share that buffer and the reference must not notice.
 func FuzzFrameReader(f *testing.F) {
-	f.Add(Frame(TypeFlush, nil), []byte{0})
+	f.Add(Frame(TypeGoodbye, nil), []byte{0})
 	f.Fuzz(func(t *testing.T, data, sizes []byte) {
 		if len(sizes) == 0 {
 			sizes = []byte{0}

@@ -145,7 +145,7 @@ func FuzzNumberedResults(f *testing.F) {
 			}
 		}
 		src = listingNumbered(ps, perm)
-		res := Results{AckSeq: 7, Credits: 9, Flush: order&2 != 0, Pairs: ps}
+		res := Results{AckSeq: 7, Credits: 9, Pairs: ps}
 		hdr := res
 		hdr.Pairs = nil
 		var c Carriers

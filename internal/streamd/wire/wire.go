@@ -25,7 +25,7 @@ import (
 // allocation happens.
 //
 // The conversation is strictly client-initiated: the client sends Hello and
-// receives Welcome, then alternates Ingest/Flush with Results/Error frames.
+// receives Welcome, then alternates Ingest with Results/Error frames.
 // Result frames carry the credit regrant — there is no standalone credit
 // frame — and tag every pair with its global ingress sequence numbers so a
 // client that reconnects can discard replayed results it has already seen.
@@ -36,8 +36,7 @@ const (
 	TypeWelcome = 0x02 // server → client: attach accepted, credit grant
 	TypeIngest  = 0x03 // client → server: batch of steps
 	TypeResults = 0x04 // server → client: pairs + ack + credit regrant
-	TypeFlush   = 0x05 // client → server: step what is routed and not stepped
-	TypeGoodbye = 0x06 // client → server: clean detach
+	TypeGoodbye = 0x06 // client → server: clean detach (0x05 is unassigned)
 	TypeError   = 0x07 // server → client: typed rejection
 )
 
@@ -165,13 +164,12 @@ type Ingest struct {
 
 // Results acknowledges batch Base and regrants credits. A reply whose pair
 // listing would overflow MaxFramePayload travels as several Results frames:
-// every chunk repeats AckSeq/Credits/Flush, all but the last set More, and
+// every chunk repeats AckSeq/Credits, all but the last set More, and
 // the receiver accumulates pairs until More clears (EncodeResultsFrames
 // does the splitting).
 type Results struct {
 	AckSeq  uint64
 	Credits uint32
-	Flush   bool // true when these pairs came from a Flush, not an Ingest
 	More    bool // true when further chunks of the same reply follow
 	Pairs   []Pair
 }
@@ -292,11 +290,8 @@ func EncodeIngest(f Ingest) []byte { return appendIngest(nil, f, false) }
 // one batch at a time passes its previous frame's buffer, truncated.
 func AppendIngestFrame(dst []byte, f Ingest) []byte { return appendIngest(dst, f, true) }
 
-// Results flags byte: bit 0 = Flush, bit 1 = More.
-const (
-	resultsFlagFlush = 1 << 0
-	resultsFlagMore  = 1 << 1
-)
+// Results flags byte: bit 1 = More; any other bit is refused.
+const resultsFlagMore = 1 << 1
 
 // A Results payload is its header — AckSeq u64, Credits u32, flags u8, pair
 // count u32 — and the pairs. A pair is a tuple reference for R, one for S,
@@ -374,7 +369,7 @@ func (c *Carriers) refer(i, start int, k uint32) uint32 {
 // otherwise as one bare payload. The source's type is a parameter so that it
 // is not boxed into an interface value per reply. A chunk closes when the next
 // pair would overflow it and always takes at least one pair; every chunk
-// repeats AckSeq, Credits and Flush, and all but the last set More. A chunk's
+// repeats AckSeq and Credits, and all but the last set More. A chunk's
 // length, flags and pair count are written when it closes; c finds the
 // repeats, a chunk at a time, and a tuple is read only to be written inline.
 func encodeResults[L Listing](dst []byte, f Results, src L, c *Carriers, framed bool, limit int) []byte {
@@ -403,7 +398,7 @@ func encodeResults[L Listing](dst []byte, f Results, src L, c *Carriers, framed 
 			size += inlineSize + len(sp)
 		}
 		if i > start && len(w.b)-at-hdr+size > limit {
-			w.closeResults(at, f, framed, true, i-start)
+			w.closeResults(at, framed, true, i-start)
 			at, start = w.openResults(f, framed), i
 			c.newFrame(tuples)
 			if rref != 0 {
@@ -423,7 +418,7 @@ func encodeResults[L Listing](dst []byte, f Results, src L, c *Carriers, framed 
 			w.u8(0)
 		}
 	}
-	w.closeResults(at, f, framed, f.More, n-start)
+	w.closeResults(at, framed, f.More, n-start)
 	return w.b
 }
 
@@ -547,16 +542,13 @@ func (w *wireBuf) openResults(f Results, framed bool) int {
 
 // closeResults completes the chunk that starts at at: it holds the pairs
 // since, count of them, and more says whether another chunk follows.
-func (w *wireBuf) closeResults(at int, f Results, framed, more bool, count int) {
+func (w *wireBuf) closeResults(at int, framed, more bool, count int) {
 	b := w.b[at:]
 	if framed {
 		binary.BigEndian.PutUint32(b[1:], uint32(len(b)-5))
 		b = b[5:]
 	}
 	var flags uint8
-	if f.Flush {
-		flags |= resultsFlagFlush
-	}
 	if more {
 		flags |= resultsFlagMore
 	}
@@ -921,10 +913,9 @@ func DecodeResults(b []byte) (Results, error) { return AppendResults(nil, b) }
 func (c *wireCursor) resultsHeader() Results {
 	f := Results{AckSeq: c.u64(), Credits: c.u32()}
 	flags := c.u8()
-	if c.err == nil && flags&^(resultsFlagFlush|resultsFlagMore) != 0 {
+	if c.err == nil && flags&^resultsFlagMore != 0 {
 		c.err = fmt.Errorf("%w: unknown results flags 0x%02x", ErrBadFrame, flags)
 	}
-	f.Flush = flags&resultsFlagFlush != 0
 	f.More = flags&resultsFlagMore != 0
 	return f
 }

@@ -60,7 +60,7 @@ func TestIngestRoundTrip(t *testing.T) {
 }
 
 func TestResultsRoundTrip(t *testing.T) {
-	in := Results{AckSeq: 3, Credits: 100, Flush: true, Pairs: []Pair{
+	in := Results{AckSeq: 3, Credits: 100, Pairs: []Pair{
 		{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("r"), SPayload: nil},
 		{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1},
 	}}
@@ -111,11 +111,14 @@ func TestResultsMoreFlagRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip %+v -> %+v", in, out)
 	}
-	// Unknown flag bits are a frame violation, not silently ignored.
-	payload := EncodeResults(Results{AckSeq: 1})
-	payload[12] |= 0x80 // flags byte follows AckSeq (8) + Credits (4)
-	if _, err := DecodeResults(payload); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("unknown flags: err = %v, want ErrBadFrame", err)
+	// Unknown flag bits are a frame violation, not silently ignored; bit 0,
+	// which marked a reply to the deleted Flush frame, among them.
+	for _, flags := range []byte{0x80, 0x01, 0x03} {
+		payload := EncodeResults(Results{AckSeq: 1})
+		payload[12] = flags // flags byte follows AckSeq (8) + Credits (4)
+		if _, err := DecodeResults(payload); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("flags 0x%02x: err = %v, want ErrBadFrame", flags, err)
+		}
 	}
 }
 
@@ -153,7 +156,7 @@ func TestEncodeResultsFramesChunksOversizedReply(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeResults chunk %d: %v", len(mores), err)
 		}
-		if chunk.AckSeq != f.AckSeq || chunk.Credits != f.Credits || chunk.Flush {
+		if chunk.AckSeq != f.AckSeq || chunk.Credits != f.Credits {
 			t.Fatalf("chunk %d header = %+v, want AckSeq %d Credits %d", len(mores), chunk, f.AckSeq, f.Credits)
 		}
 		if len(chunk.Pairs) == 0 {
@@ -473,7 +476,7 @@ func TestDecodeIngestRejectsOversizeBatch(t *testing.T) {
 func TestEncodeResultsFrameEquivalence(t *testing.T) {
 	cases := []Results{
 		{},
-		{AckSeq: 9, Credits: 512, Flush: true},
+		{AckSeq: 9, Credits: 512},
 		{AckSeq: 3, Credits: 100, Pairs: []Pair{
 			{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("rp"), SPayload: nil},
 			{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1, RPayload: []byte{}, SPayload: []byte{1, 2, 3}},
@@ -494,7 +497,7 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 			}
 		}
 	}
-	const recorded = "04" + "00000087" + "0000000000000003" + "00000064" + "01" + "00000003" +
+	const recorded = "04" + "00000087" + "0000000000000003" + "00000064" + "00" + "00000003" +
 		// pair 0: R inline (seq 8, key 4, "rp"), S inline (seq 9, key 4, absent), shard 2, same step
 		"00000000" + "0000000000000008" + "0000000000000004" + "00000002" + "7270" +
 		"00000000" + "0000000000000009" + "0000000000000004" + "ffffffff" + "0002" + "01" +
@@ -503,9 +506,7 @@ func TestEncodeResultsFrameEquivalence(t *testing.T) {
 		"00000000" + "000000000000000b" + "ffffffffffffffff" + "00000003" + "010203" + "0000" + "00" +
 		// pair 2: R is pair 0's, S is pair 1's, shard 1
 		"00000001" + "00000002" + "0001" + "00"
-	two := cases[2]
-	two.Flush = true
-	if got := hex.EncodeToString(EncodeResultsFrames(two)); got != recorded {
+	if got := hex.EncodeToString(EncodeResultsFrames(cases[2])); got != recorded {
 		t.Errorf("frame bytes changed:\n got %s\nwant %s", got, recorded)
 	}
 }
@@ -643,13 +644,13 @@ func TestDecodeResultsRejectsBadRefs(t *testing.T) {
 // frames and their flags; a reply that is not Version 1 Results frames is
 // ErrBadFrame.
 func TestUpgradeResultsV1(t *testing.T) {
-	v1, err := hex.DecodeString("040000006c0000000000000003000000640100000002" +
+	v1, err := hex.DecodeString("040000006c0000000000000003000000640000000002" +
 		"0000000000000008000000000000000900000000000000040000000000000004000201000000027270ffffffff" +
 		"0000000000000002000000000000000bffffffffffffffffffffffffffffffff0000000000000000000003010203")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Results{AckSeq: 3, Credits: 100, Flush: true, Pairs: []Pair{
+	want := Results{AckSeq: 3, Credits: 100, Pairs: []Pair{
 		{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("rp"), SPayload: nil},
 		{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1, RPayload: []byte{}, SPayload: []byte{1, 2, 3}},
 	}}

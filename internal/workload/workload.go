@@ -14,7 +14,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"stochstream/internal/core"
 	"stochstream/internal/dist"
@@ -137,27 +136,11 @@ type RealSpec struct {
 	// Scale converts degrees to integer buckets (paper granularity 0.1 °C →
 	// scale 10).
 	Scale int
-	// SeasonalAmp adds an annual sinusoid of this amplitude (°C) on top of
-	// the AR(1) component, making the series Melbourne-like in shape rather
-	// than only in autocorrelation; 0 disables it.
-	SeasonalAmp float64
-	// SeasonalPeriod is the cycle length in days (0 = 365).
-	SeasonalPeriod int
 }
 
 // Real returns the paper's REAL configuration.
 func Real() RealSpec {
 	return RealSpec{Days: 3650, Phi0: 5.59, Phi1: 0.72, Sigma: 4.22, Scale: 10}
-}
-
-// RealSeasonal returns the REAL configuration with a ±4 °C annual cycle.
-// The fitting pipeline still uses a plain AR(1) model — exactly what the
-// paper's offline MLE would produce on such data — so this variant stresses
-// HEEB's robustness to model misspecification.
-func RealSeasonal() RealSpec {
-	s := Real()
-	s.SeasonalAmp = 4
-	return s
 }
 
 // RealWorkload is a materialized caching experiment: the reference sequence
@@ -185,16 +168,6 @@ func (rs RealSpec) Build(rng *stats.RNG) (RealWorkload, error) {
 		Init:  int(rs.Phi0 / (1 - rs.Phi1) * float64(rs.Scale)),
 	}
 	refs := gen.Generate(rng, rs.Days)
-	if rs.SeasonalAmp != 0 {
-		period := rs.SeasonalPeriod
-		if period == 0 {
-			period = 365
-		}
-		amp := rs.SeasonalAmp * float64(rs.Scale)
-		for t := range refs {
-			refs[t] += int(math.Round(amp * math.Sin(2*math.Pi*float64(t)/float64(period))))
-		}
-	}
 	fit, err := stats.FitAR1Int(refs)
 	if err != nil {
 		return RealWorkload{}, fmt.Errorf("workload: AR(1) fit failed: %w", err)

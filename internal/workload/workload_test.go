@@ -185,8 +185,28 @@ func TestTowerPolicyOrdering(t *testing.T) {
 	}
 }
 
+// realSeasonal builds REAL with a ±4 °C annual cycle on top of its AR(1)
+// series. The fit is still a plain AR(1) — exactly what the paper's offline
+// MLE would produce on such data — so the variant stresses HEEB's
+// robustness to model misspecification.
+func realSeasonal(rng *stats.RNG) (RealWorkload, error) {
+	rw, err := Real().Build(rng)
+	if err != nil {
+		return RealWorkload{}, err
+	}
+	amp := 4 * float64(Real().Scale)
+	for t := range rw.Refs {
+		rw.Refs[t] += int(math.Round(amp * math.Sin(2*math.Pi*float64(t)/365)))
+	}
+	fit, err := stats.FitAR1Int(rw.Refs)
+	if err != nil {
+		return RealWorkload{}, err
+	}
+	return RealWorkload{Name: "REAL", Refs: rw.Refs, Model: process.FromFit(fit), Fit: fit}, nil
+}
+
 func TestRealSeasonalVariant(t *testing.T) {
-	rw, err := RealSeasonal().Build(stats.NewRNG(15))
+	rw, err := realSeasonal(stats.NewRNG(15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@
 #                    P the dispatching goroutine steps every shard itself, at
 #                    four it shares them with helper goroutines, and both
 #                    paths run under the race detector
-#   7. mutants     — scripts/mutants.sh: each scripts/mutants/*.patch breaks
-#                    one contract of the real tree (one that only a
+#   7. mutants     — scripts/mutants.sh: each of the 44 scripts/mutants/*.patch
+#                    breaks one contract of the real tree (one that only a
 #                    stochlint analyzer kills, a contract whose analyzer was
 #                    deleted in favour of a test, vet or the build, a fixed
 #                    bug), and the checks its header names must each kill
@@ -53,9 +53,12 @@
 #                    deletion), FuzzRestore (the engine's Restore on hostile
 #                    bytes, as sent and with the checksum recomputed: an
 #                    error with the operator untouched, or a state that
-#                    passes CheckInvariants, never a panic; each input is
-#                    restored into six operators, so minimizing a new
-#                    input is bounded to one run, or it takes the 10s) and
+#                    passes CheckInvariants, never a panic; and a fresh and
+#                    a stepped operator of one configuration either both
+#                    refuse it or write byte-identical next checkpoints;
+#                    each input is restored into twelve operators, so
+#                    minimizing a new input is bounded to one run, or it
+#                    takes the 10s) and
 #                    the three wire fuzzers over their committed corpora.
 #                    The two decoders a peer's bytes reach every batch read
 #                    a record in one pass at an offset into the frame, one

@@ -30,8 +30,6 @@
 package stochstream
 
 import (
-	"io"
-
 	"stochstream/internal/cachepolicy"
 	"stochstream/internal/cachesim"
 	"stochstream/internal/core"
@@ -60,8 +58,6 @@ type (
 
 // Distribution constructors.
 var (
-	// NewPointMass returns the distribution concentrated at one value.
-	NewPointMass = dist.NewPointMass
 	// NewUniform returns the discrete uniform distribution on [lo, hi].
 	NewUniform = dist.NewUniform
 	// BoundedNormal returns a zero-mean discretized normal truncated to
@@ -358,8 +354,6 @@ var (
 	Walk = workload.Walk
 	// Real is the REAL caching workload specification.
 	Real = workload.Real
-	// RealSeasonal is REAL with a ±4 °C annual cycle (robustness variant).
-	RealSeasonal = workload.RealSeasonal
 )
 
 // Experiments (see internal/experiment).
@@ -389,17 +383,6 @@ func GenerateFigure(id string, o ExperimentOptions) (*FigureResult, error) {
 		return nil, &UnknownFigureError{ID: id}
 	}
 	return gen(o)
-}
-
-// Figure regenerates the paper figure with the given id ("6".."19") and
-// renders it to w as a text table.
-func Figure(id string, o ExperimentOptions, w io.Writer) error {
-	fig, err := GenerateFigure(id, o)
-	if err != nil {
-		return err
-	}
-	fig.Render(w)
-	return nil
 }
 
 // UnknownFigureError reports a figure id outside the registry.

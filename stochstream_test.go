@@ -135,13 +135,15 @@ func TestPublicFigureRegistry(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	o := DefaultExperimentOptions()
-	if err := Figure("7", o, &buf); err != nil {
+	fig, err := GenerateFigure("7", o)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fig.Render(&buf)
 	if !strings.Contains(buf.String(), "TOWER") {
 		t.Fatalf("figure 7 output missing TOWER:\n%s", buf.String())
 	}
-	err := Figure("99", o, &buf)
+	_, err = GenerateFigure("99", o)
 	if err == nil {
 		t.Fatal("unknown figure should error")
 	}
