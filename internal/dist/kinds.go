@@ -79,8 +79,8 @@ type Table struct {
 // i with sums[i] > u — the last index when there is none — in one load for
 // most u and a short scan for the rest.
 //
-// The guide has one bucket per quarter of a table entry over [0, 1), bucket
-// j holding the u with ⌊u·m⌋ = j, and one more for u ≥ 1 and NaN. A
+// The guide has guidePerEntry buckets per table entry over [0, 1), bucket j
+// holding the u with ⌊u·m⌋ = j, and one more for u ≥ 1 and NaN. A
 // bucket's entry is the first index whose running sum lies in the bucket or
 // above it, which no draw in the bucket goes below. When that sum lies above
 // the bucket, or the index is the last, every draw in the bucket answers it
@@ -91,6 +91,14 @@ type cdf struct {
 	guide []int32
 	m     float64 // buckets over [0, 1): len(guide)-1
 }
+
+// guidePerEntry is the guide's buckets per table entry. At most n of its
+// guidePerEntry·n buckets over [0, 1) hold a running sum, so at most one
+// draw in guidePerEntry scans: 3.1% on the trend ledger's two noise tables.
+// A bucket is 4 B, paid only by a table that is sampled: 10.4 KB and
+// 15.5 KB for those two. 32 drew fastest in an alternating sweep of 4, 8,
+// …, 128, level with 128 at a quarter of its bytes (docs/performance.md).
+const guidePerEntry = 32
 
 // bucket returns the guide bucket of u: ⌊u·m⌋ for u in [0, 1), 0 below it
 // and m for u ≥ 1 or NaN. It is monotone in u, which both the guide's build
@@ -167,7 +175,7 @@ func (t *Table) Sample(u float64) int {
 // them. First samplers that race each build the same index; one is kept.
 func (t *Table) buildCDF() *cdf {
 	n := len(t.Probs)
-	c := &cdf{sums: make([]float64, n), guide: make([]int32, 4*n+1), m: float64(4 * n)}
+	c := &cdf{sums: make([]float64, n), guide: make([]int32, guidePerEntry*n+1), m: float64(guidePerEntry * n)}
 	var s float64
 	for i, p := range t.Probs {
 		s += p

@@ -154,7 +154,7 @@ func edgeKeys(k int) int {
 // Model-free policies across the same configuration grid; cheap, so every
 // config runs the full 10k steps. Two rows probe the ends of the key domain:
 // a band as wide as the domain, which the band probe answers by scanning the
-// table's cells and PROB and LIFE by summing their count tables' entries,
+// table's cells and PROB and LIFE by reading their count tables' totals,
 // and keys at MinKey and MaxKey, whose band the probe clips to the domain.
 func TestDifferentialModelFreePolicies10k(t *testing.T) {
 	if testing.Short() {
@@ -179,51 +179,63 @@ func TestDifferentialModelFreePolicies10k(t *testing.T) {
 			{"band-domain", Config{CacheSize: 24, Band: MaxKey - MinKey}, nil},
 			{"band-edges", Config{CacheSize: 24, Band: 3}, edgeKeys},
 		} {
-			n := 10000
-			if polName != "rand" && tc.name == "band-domain" {
-				// A band as wide as the domain holds every value of the
-				// count tables, so each PROB or LIFE decision reads every
-				// entry: the row's cost grows with the square of its length.
-				n = 1000
-			}
 			t.Run(polName+"/"+tc.name, func(t *testing.T) {
 				cfgOp, cfgRef := tc.cfg, tc.cfg
 				cfgOp.Policy, cfgRef.Policy = mkPol(), mkPol()
 				cfgOp.Seed, cfgRef.Seed = 13, 13
-				runDifferential(t, tc.name, cfgOp, cfgRef, n, 55, tc.keys)
+				runDifferential(t, tc.name, cfgOp, cfgRef, 10000, 55, tc.keys)
 			})
 		}
 	}
 }
 
-// TestCountTableBandCostIsBounded: a PROB or LIFE decision reads at most the
-// values its count tables hold, whatever the band. Under the widest band
-// Validate accepts, summing the band key by key is about 2^33 map reads a
-// candidate; 64 arrivals at both ends of the domain must finish inside a
-// second, a margin of 10^5 over their microseconds, so only a hang fails.
+// TestCountTableBandCostIsBounded: a PROB or LIFE decision costs no more than
+// the values its count tables hold, whatever the band, and one read when the
+// band covers them all. Two shapes, each inside a second, over 100 times what
+// either takes, so only a cost of the wrong order fails:
+//   - half the key domain over keys at both ends, a band that never covers
+//     both ends: summing it key by key is about 2^32 map reads a candidate,
+//     so the table's few entries are read instead;
+//   - the whole key domain over 7 000 steps of fresh keys, a band that
+//     covers every value: reading the table is up to 7 000 entries a
+//     candidate, about 2 s in all, so the counts' total is read instead.
 func TestCountTableBandCostIsBounded(t *testing.T) {
-	for _, pol := range []join.Policy{
-		&policy.Prob{},
-		&policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }},
+	for _, pol := range []func() join.Policy{
+		func() join.Policy { return &policy.Prob{} },
+		func() join.Policy {
+			return &policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }}
+		},
 	} {
-		j, err := NewJoin(Config{CacheSize: 4, Band: MaxKey - MinKey, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 32; i++ {
-				j.Step(Tuple{Key: MinKey + i%5}, Tuple{Key: MaxKey - i%7})
+		for _, c := range []struct {
+			name  string
+			band  int
+			steps int
+			keys  func(i int) (r, s int)
+		}{
+			{"half-domain-ends", (MaxKey - MinKey) / 2, 32, func(i int) (int, int) { return edgeKeys(i), edgeKeys(i + 3) }},
+			{"whole-domain-fresh-keys", MaxKey - MinKey, 7000, func(i int) (int, int) { return MinKey + i, MaxKey - i }},
+		} {
+			p := pol()
+			j, err := NewJoin(Config{CacheSize: 4, Band: c.band, Policy: p})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(time.Second):
-			t.Fatalf("%s: 64 arrivals under a band of the whole key domain took over a second", pol.Name())
-		}
-		if m := j.Metrics(); m.Evictions == 0 || m.Pairs == 0 {
-			t.Fatalf("%s: %+v: the policy never decided, or the band joined nothing", pol.Name(), m)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < c.steps; i++ {
+					r, s := c.keys(i)
+					j.Step(Tuple{Key: r}, Tuple{Key: s})
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatalf("%s %s: %d arrivals took over a second", p.Name(), c.name, 2*c.steps)
+			}
+			if m := j.Metrics(); m.Evictions == 0 || m.Pairs == 0 {
+				t.Fatalf("%s %s: %+v: the policy never decided, or the band joined nothing", p.Name(), c.name, m)
+			}
 		}
 	}
 }

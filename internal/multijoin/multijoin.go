@@ -298,7 +298,7 @@ func (p *Rand) Evict(st *State, cands []Tuple, n int) []int {
 // histories — the PROB heuristic summed over the join graph. The counts are
 // its state, pushed in at arrival.
 type Prob struct {
-	counts []map[int]int
+	counts []*stats.Counts
 }
 
 // Name implements Policy.
@@ -306,16 +306,16 @@ func (p *Prob) Name() string { return "PROB" }
 
 // Reset implements Policy.
 func (p *Prob) Reset(cfg Config, _ *stats.RNG) {
-	p.counts = make([]map[int]int, len(cfg.Procs))
+	p.counts = make([]*stats.Counts, len(cfg.Procs))
 	for i := range p.counts {
-		p.counts[i] = map[int]int{}
+		p.counts[i] = stats.NewCounts()
 	}
 }
 
 // ObserveArrivals implements ArrivalObserver.
 func (p *Prob) ObserveArrivals(arrivals []Tuple) {
 	for _, a := range arrivals {
-		p.counts[a.Stream][a.Value]++
+		p.counts[a.Stream].Add(a.Value)
 	}
 }
 
@@ -329,7 +329,7 @@ func (p *Prob) Evict(st *State, cands []Tuple, n int) []int {
 			if total == 0 {
 				continue
 			}
-			f += float64(stats.BandCount(p.counts[partner], c.Value, st.Config.Band)) / float64(total)
+			f += float64(p.counts[partner].BandCount(c.Value, st.Config.Band)) / float64(total)
 		}
 		scores[i] = f
 	}

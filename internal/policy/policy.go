@@ -145,17 +145,17 @@ func (p *Rand) Evict(st *join.State, cands []join.Tuple, n int) []int {
 // PROB and LIFE use to estimate join probabilities from the past: pushed in
 // at arrival (join.ArrivalObserver), snapshotted in snapshot.go.
 type valueCounts struct {
-	counts [2]map[int]int
+	counts [2]*stats.Counts
 }
 
 func newValueCounts() *valueCounts {
-	return &valueCounts{counts: [2]map[int]int{{}, {}}}
+	return &valueCounts{counts: [2]*stats.Counts{stats.NewCounts(), stats.NewCounts()}}
 }
 
 // ObserveArrivals implements join.ArrivalObserver.
 func (vc *valueCounts) ObserveArrivals(r, s int) {
-	vc.counts[0][r]++
-	vc.counts[1][s]++
+	vc.counts[0].Add(r)
+	vc.counts[1].Add(s)
 }
 
 // partnerFreq estimates the probability that a partner arrival matches tp,
@@ -166,7 +166,7 @@ func (vc *valueCounts) partnerFreq(st *join.State, tp join.Tuple) float64 {
 	if total == 0 {
 		return 0
 	}
-	return float64(stats.BandCount(vc.counts[partner], tp.Value, st.Config.Band)) / float64(total)
+	return float64(vc.counts[partner].BandCount(tp.Value, st.Config.Band)) / float64(total)
 }
 
 // Prob is the PROB heuristic of Das et al.: discard the tuple whose join

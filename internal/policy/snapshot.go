@@ -116,8 +116,8 @@ type countsWire struct {
 // SnapshotState implements join.StateSnapshotter for PROB and LIFE.
 func (vc *valueCounts) SnapshotState() ([]byte, error) {
 	var w countsWire
-	for s, m := range vc.counts {
-		w.Values[s], w.Counts[s] = stats.SortedCounts(m)
+	for s, c := range vc.counts {
+		w.Values[s], w.Counts[s] = c.Sorted()
 	}
 	return gobEncode(w)
 }
@@ -130,13 +130,13 @@ func (vc *valueCounts) RestoreState(data []byte) error {
 	}
 	// Both streams are decoded before either is replaced, so a snapshot that
 	// fails leaves the counts as they were.
-	var counts [2]map[int]int
+	var counts [2]*stats.Counts
 	for s := range counts {
-		m, err := stats.CountsFrom(w.Values[s], w.Counts[s])
+		c, err := stats.CountsFrom(w.Values[s], w.Counts[s])
 		if err != nil {
 			return fmt.Errorf("policy: restoring value counts of stream %d: %w", s, err)
 		}
-		counts[s] = m
+		counts[s] = c
 	}
 	vc.counts = counts
 	return nil

@@ -29,8 +29,10 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{r: rand.New(pcg), pcg: pcg}
 }
 
-// Float64 returns a uniform variate in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform variate in [0, 1): the expression of rand/v2's
+// (*Rand).Float64, read from the PCG without the call through the source
+// interface, so every value is the one rand.Rand would return.
+func (g *RNG) Float64() float64 { return float64(g.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform integer in [0, n).
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }

@@ -3,6 +3,7 @@ package stats
 import (
 	"maps"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,40 @@ func TestRNGSplitIndependence(t *testing.T) {
 	c1b := g2.Split()
 	if c1b.Float64() != v1 {
 		t.Fatal("split is not deterministic")
+	}
+}
+
+// TestRNGFloat64IsRandFloat64: Float64 reads its PCG directly, and every
+// value is the one rand/v2's Rand over the same PCG returns — for a fresh
+// generator, a split child and a generator restored mid-stream — over 10^6
+// draws each.
+func TestRNGFloat64IsRandFloat64(t *testing.T) {
+	const draws = 1000000
+	same := func(name string, g *RNG, ref *rand.Rand) {
+		t.Helper()
+		for i := 0; i < draws; i++ {
+			if got, want := g.Float64(), ref.Float64(); got != want {
+				t.Fatalf("%s: draw %d is %v, rand.Rand's %v", name, i, got, want)
+			}
+		}
+	}
+	for _, seed := range []uint64{1, 42, math.MaxUint64} {
+		ref := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+		g := NewRNG(seed)
+		same("fresh", g, ref)
+
+		child := g.Split()
+		same("split", child, rand.New(rand.NewPCG(ref.Uint64(), ref.Uint64())))
+
+		data, err := g.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restored RNG
+		if err := restored.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		same("restored", &restored, ref)
 	}
 }
 
@@ -262,16 +297,58 @@ func TestLifetimeTrackerPanics(t *testing.T) {
 
 func TestSortedCountsRoundTrip(t *testing.T) {
 	m := map[int]int{7: 2, -3: 1, 40: 9, 0: 4}
-	vals, counts := SortedCounts(m)
+	c := NewCounts()
+	for v, n := range m {
+		for range n {
+			c.Add(v)
+		}
+	}
+	vals, counts := c.Sorted()
 	if !slices.Equal(vals, []int{-3, 0, 7, 40}) || !slices.Equal(counts, []int{1, 4, 2, 9}) {
-		t.Fatalf("SortedCounts = %v, %v", vals, counts)
+		t.Fatalf("Sorted = %v, %v", vals, counts)
 	}
 	back, err := CountsFrom(vals, counts)
-	if err != nil || !maps.Equal(back, m) {
-		t.Fatalf("CountsFrom = %v, %v; want %v", back, err, m)
+	if err != nil || !maps.Equal(back.m, m) || back.lo != c.lo || back.hi != c.hi || back.total != c.total {
+		t.Fatalf("CountsFrom = %+v, %v; want %+v", back, err, c)
 	}
 	if _, err := CountsFrom(vals, counts[:3]); err == nil {
 		t.Fatal("CountsFrom accepted 4 values with 3 counts")
+	}
+}
+
+// TestBandCountMatchesScan: BandCount, total or table read, is the sum of
+// the counts in [v−band, v+band] for tables built by Add and by CountsFrom —
+// duplicate values in the latter keeping the last count — over bands
+// narrower than, as wide as and wider than the values counted.
+func TestBandCountMatchesScan(t *testing.T) {
+	g := NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		added := NewCounts()
+		var vals, counts []int
+		for i := g.IntN(40); i > 0; i-- {
+			v := g.IntN(60) - 30
+			added.Add(v)
+			vals, counts = append(vals, v), append(counts, g.IntN(5))
+		}
+		restored, err := CountsFrom(vals, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Counts{added, restored} {
+			for v := -40; v <= 40; v++ {
+				for _, band := range []int{0, 1, 5, 30, 60, 1 << 40} {
+					want := 0
+					for k, n := range c.m {
+						if k >= v-band && k <= v+band {
+							want += n
+						}
+					}
+					if got := c.BandCount(v, band); got != want {
+						t.Fatalf("trial %d: BandCount(%d, %d) = %d, scan %d (%+v)", trial, v, band, got, want, c)
+					}
+				}
+			}
+		}
 	}
 }
 
