@@ -141,7 +141,7 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 	for _, p := range srcPkgs {
 		table.AddFiles(loader.Fset, p.Files)
 	}
-	prog := dataflow.NewProgram(loader.Fset, srcPkgs, table)
+	prog := dataflow.NewProgram(loader.Fset, srcPkgs)
 
 	var findings []analysis.Finding
 	for _, pkg := range pkgs {

@@ -50,6 +50,15 @@ type FlowDecision struct {
 	// the look-ahead window [t0+1, t0+l] under the best predetermined
 	// replacement sequence (the negated min-cost of the flow).
 	ExpectedBenefit float64
+	// Benefit is each candidate's total expected arc benefit, indexed like
+	// the candidates: the sum over offsets 1..l of the probability that the
+	// partner's arrival matches it (zero once it ages past the window), the
+	// benefit of the path that keeps it through the whole horizon. These are
+	// the benefits on its horizontal arcs, summed as the graph is built. The
+	// flow weighs candidates jointly against undetermined future arrivals, so
+	// its choice can differ from ranking by Benefit. Nil when every candidate
+	// fits and no graph is built.
+	Benefit []float64
 }
 
 // FlowExpectStepCached is FlowExpectStepWindow reading every arc's forecast
@@ -130,14 +139,19 @@ func FlowExpectStepCached(cands []Candidate, fc *ForecastCache, cacheSize, l, wi
 	for i := range cands {
 		srcArcs[i] = g.AddArc(source, nodeID(0, i), 1, 0)
 	}
+	dec := FlowDecision{Benefit: make([]float64, len(cands))}
 	for off := 0; off < l; off++ {
 		for e := 0; e < nE; e++ {
 			if birth(e) > off {
 				continue
 			}
+			b := benefit(e, off+1)
+			if e < len(cands) {
+				dec.Benefit[e] += b
+			}
 			if off < l-1 {
 				// Horizontal arc: keep e through the arrival at off+1.
-				g.AddArc(nodeID(off, e), nodeID(off+1, e), 1, -benefit(e, off+1))
+				g.AddArc(nodeID(off, e), nodeID(off+1, e), 1, -b)
 				// Non-horizontal arcs: at slice off+1, an entity copied from
 				// this slice may be replaced by an arrival born at off+1.
 				for a := 0; a < nE; a++ {
@@ -147,7 +161,7 @@ func FlowExpectStepCached(cands []Candidate, fc *ForecastCache, cacheSize, l, wi
 				}
 			} else {
 				// Sink arc, costed as a horizontal arc out of the last slice.
-				g.AddArc(nodeID(off, e), sink, 1, -benefit(e, off+1))
+				g.AddArc(nodeID(off, e), sink, 1, -b)
 			}
 		}
 	}
@@ -159,7 +173,7 @@ func FlowExpectStepCached(cands []Candidate, fc *ForecastCache, cacheSize, l, wi
 	if res.Flow != cacheSize {
 		return FlowDecision{}, fmt.Errorf("core: FlowExpect routed %d units, want %d", res.Flow, cacheSize)
 	}
-	dec := FlowDecision{ExpectedBenefit: -res.Cost}
+	dec.ExpectedBenefit = -res.Cost
 	for i, a := range srcArcs {
 		if g.Flow(a) == 1 {
 			dec.Keep = append(dec.Keep, i)

@@ -291,17 +291,6 @@ func (w *window) push(d dist.Dense) {
 			w.brk[hiNonIncreasing] = at
 		}
 	}
-	if len(w.f) == cap(w.f) {
-		// A sliding window uses up its slack once per slack's length of steps
-		// and is then moved back to the front of its array; the array grows
-		// only when the window does. The slack is memory held for good rather
-		// than room to grow into: an eighth, where append would take a quarter
-		// and round a horizon of a thousand up to 64 KB.
-		if cap(w.f) == cap(w.buf) {
-			w.buf = make([]dist.Dense, len(w.f)+len(w.f)/8+8)
-		}
-		w.f = w.buf[:copy(w.buf, w.f)]
-	}
 	w.f = append(w.f, d)
 }
 
@@ -312,6 +301,18 @@ func (w *window) ordered(b int) bool { return w.brk[b] <= w.head }
 // whatever part of that range it does not hold yet.
 func (c *ForecastCache) upTo(s StreamID, n int) *window {
 	w := &c.win[s]
+	if cap(w.f) < n {
+		// The window is sized for the horizon asked for in one allocation. A
+		// sliding window uses up its slack once per slack's length of steps
+		// and is then moved back to the front of its array; the array grows
+		// only when the horizon does. The slack is memory held for good rather
+		// than room to grow into: an eighth, where append would take a quarter
+		// and round a horizon of a thousand up to 64 KB.
+		if cap(w.buf) < n {
+			w.buf = make([]dist.Dense, n+n/8+8)
+		}
+		w.f = w.buf[:copy(w.buf, w.f)]
+	}
 	for len(w.f) < n {
 		dt := len(w.f) + 1
 		switch {

@@ -99,9 +99,9 @@ type Config struct {
 	// Telemetry, when non-nil, instruments the operator: a latency histogram
 	// observed once per Step or batch, the engine_* counters, the policy's
 	// decision and eviction counters, and every telemetry.TraceInterval-th
-	// decision re-scored into the decision trace when the policy is a
-	// telemetry.CandidateScorer. Counters flush once per batch, so no clock
-	// is read per decision. nil keeps the hot path bare.
+	// decision recorded into the decision trace with the scores it compared
+	// when the policy is a join.Scorer. Counters flush once per batch, so no
+	// clock is read per decision. nil keeps the hot path bare.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, attaches the flight recorder: Step is decomposed
 	// into recorded phase spans, a hash-sampled key subset gets lifecycle
@@ -208,8 +208,7 @@ type Join struct {
 	probeS   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
 
 	// Telemetry handles, resolved once in NewJoin so Step pays only clock
-	// reads and atomic writes; all nil when Config.Telemetry is nil. scorer
-	// is the policy when it can explain its decisions into the trace.
+	// reads and atomic writes; all nil when Config.Telemetry is nil.
 	stepLatency   *telemetry.Histogram
 	stepCount     *telemetry.Counter
 	pairCount     *telemetry.Counter
@@ -217,7 +216,6 @@ type Join struct {
 	expiredCount  *telemetry.Counter
 	decisionCount *telemetry.Counter
 	policyEvicts  *telemetry.Counter
-	scorer        telemetry.CandidateScorer
 	// decisions counts the policy's Evict calls, for trace sampling.
 	decisions uint64 //lint:ignore snapcomplete telemetry's sampling phase, not operator state: checkpoints match with telemetry on and off
 
@@ -268,7 +266,6 @@ func newJoin(cfg Config, policyRNG *stats.RNG) (*Join, error) {
 		label := `{policy="` + pol.Name() + `"}`
 		j.decisionCount = reg.Counter("policy_decisions_total" + label)
 		j.policyEvicts = reg.Counter("policy_evictions_total" + label)
-		j.scorer, _ = pol.(telemetry.CandidateScorer)
 	}
 	simCfg := join.Config{CacheSize: cfg.CacheSize, Window: cfg.Window, Band: cfg.Band, Procs: cfg.Procs}
 	j.state = &join.State{Hists: j.hists, Config: simCfg}
@@ -412,8 +409,10 @@ func (j *Join) stepCore(tp *TuplePair) (int, int) {
 	}
 	cands = cands[:len(cands):len(cands)]
 	evict := j.policy.Evict(j.state, cands, need)
-	if j.scorer != nil && j.decisions%telemetry.TraceInterval == 0 {
-		j.cfg.Telemetry.TraceDecision(j.state, j.scorer, j.policy.Name(), cands, need, evict)
+	if j.cfg.Telemetry != nil && j.decisions%telemetry.TraceInterval == 0 {
+		if sc, ok := j.policy.(join.Scorer); ok {
+			j.cfg.Telemetry.TraceDecision(j.state.Time, j.policy.Name(), cands, sc.Scores(), need, evict)
+		}
 	}
 	j.decisions++
 	if j.rec != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -74,77 +75,144 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 }
 
-// decisionTap is HEEB noting the step of every decision it is asked for.
-type decisionTap struct {
-	*policy.HEEB
-	steps []int
+// tapLog notes the step of every decision a policy is asked for, and a copy
+// of the scores it compared at every TraceInterval-th.
+type tapLog struct {
+	steps  []int
+	scores [][]float64
 }
 
-func (p *decisionTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
-	p.steps = append(p.steps, st.Time)
-	return p.HEEB.Evict(st, cands, n)
+func (l *tapLog) note(t int, p join.Scorer) {
+	if len(l.steps)%telemetry.TraceInterval == 0 {
+		l.scores = append(l.scores, slices.Clone(p.Scores()))
+	}
+	l.steps = append(l.steps, t)
+}
+
+// heebTap and flowTap are the two scoring policies with their decisions
+// noted; each keeps its policy's other methods (HEEB's snapshot among them).
+type heebTap struct {
+	*policy.HEEB
+	tapLog
+}
+
+func (p *heebTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	ev := p.HEEB.Evict(st, cands, n)
+	p.note(st.Time, p.HEEB)
+	return ev
+}
+
+type flowTap struct {
+	*policy.FlowExpect
+	tapLog
+}
+
+func (p *flowTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
+	ev := p.FlowExpect.Evict(st, cands, n)
+	p.note(st.Time, p.FlowExpect)
+	return ev
 }
 
 // With a registry the operator traces exactly its decisions 1, 65, 129, …,
-// its counters equal Metrics(), and it emits the same pairs and writes the
-// same checkpoint as without one.
+// each record holding the very scores the traced decision compared; its
+// counters equal Metrics(), and it emits the same pairs and writes the same
+// checkpoint as without one.
 func TestTelemetryTracesEveryIntervalthDecision(t *testing.T) {
 	procs := trendProcs()
 	rng := stats.NewRNG(8)
 	const n = 3000
 	r := procs[0].Generate(rng.Split(), n)
 	s := procs[1].Generate(rng.Split(), n)
-	mk := func(reg *telemetry.Registry) (*Join, *decisionTap) {
-		tap := &decisionTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})}
-		j, err := NewJoin(Config{CacheSize: 4, Procs: procs, Seed: 1, Policy: tap, Telemetry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j, tap
-	}
-	reg := telemetry.NewRegistry()
-	on, tap := mk(reg)
-	off, _ := mk(nil)
-	for i := 0; i < n; i++ {
-		a := on.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
-		if b := off.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]}); !slices.Equal(a, b) {
-			t.Fatalf("step %d: telemetry on emitted %v, off %v", i, a, b)
-		}
-	}
-	var ckOn, ckOff bytes.Buffer
-	if err := on.Checkpoint(&ckOn); err != nil {
-		t.Fatal(err)
-	}
-	if err := off.Checkpoint(&ckOff); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckOn.Bytes(), ckOff.Bytes()) {
-		t.Fatal("checkpoints differ with telemetry on and off")
-	}
-
-	var want, got []int
-	for k := 0; k < len(tap.steps); k += telemetry.TraceInterval {
-		want = append(want, tap.steps[k])
-	}
-	for _, rec := range reg.Trace().Records() {
-		got = append(got, rec.Step)
-	}
-	if len(want) < 3 || !slices.Equal(got, want) {
-		t.Fatalf("traced decisions at steps %v, want %v (every %dth of %d decisions)", got, want, telemetry.TraceInterval, len(tap.steps))
-	}
-
-	m, c := on.Metrics(), reg.Snapshot().Counters
-	for name, want := range map[string]int{
-		"engine_steps_total":                    m.Steps,
-		"engine_pairs_total":                    m.Pairs,
-		"engine_evictions_total":                m.Evictions,
-		"engine_expired_total":                  m.Expired,
-		`policy_evictions_total{policy="HEEB"}`: m.Evictions,
-		`policy_decisions_total{policy="HEEB"}`: len(tap.steps),
+	for _, tc := range []struct {
+		name string
+		mk   func() (join.Policy, *tapLog)
+	}{
+		{"heeb", func() (join.Policy, *tapLog) {
+			p := &heebTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})}
+			return p, &p.tapLog
+		}},
+		{"heeb-adaptive", func() (join.Policy, *tapLog) {
+			p := &heebTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4, Adaptive: true})}
+			return p, &p.tapLog
+		}},
+		{"flowexpect", func() (join.Policy, *tapLog) {
+			p := &flowTap{FlowExpect: &policy.FlowExpect{Lookahead: 3}}
+			return p, &p.tapLog
+		}},
 	} {
-		if c[name] != int64(want) {
-			t.Errorf("%s = %d, want %d", name, c[name], want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(reg *telemetry.Registry) (*Join, *tapLog) {
+				pol, tap := tc.mk()
+				j, err := NewJoin(Config{CacheSize: 4, Procs: procs, Seed: 1, Policy: pol, Telemetry: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j, tap
+			}
+			reg := telemetry.NewRegistry()
+			on, tap := mk(reg)
+			off, _ := mk(nil)
+			for i := 0; i < n; i++ {
+				a := on.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]})
+				if b := off.Step(Tuple{Key: r[i]}, Tuple{Key: s[i]}); !slices.Equal(a, b) {
+					t.Fatalf("step %d: telemetry on emitted %v, off %v", i, a, b)
+				}
+			}
+			var ckOn, ckOff bytes.Buffer
+			if err := on.Checkpoint(&ckOn); err != nil {
+				t.Fatal(err)
+			}
+			if err := off.Checkpoint(&ckOff); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ckOn.Bytes(), ckOff.Bytes()) {
+				t.Fatal("checkpoints differ with telemetry on and off")
+			}
+
+			var want, got []int
+			for k := 0; k < len(tap.steps); k += telemetry.TraceInterval {
+				want = append(want, tap.steps[k])
+			}
+			recs := reg.Trace().Records()
+			for _, rec := range recs {
+				got = append(got, rec.Step)
+			}
+			if len(want) < 3 || !slices.Equal(got, want) {
+				t.Fatalf("traced decisions at steps %v, want %v (every %dth of %d decisions)", got, want, telemetry.TraceInterval, len(tap.steps))
+			}
+			nonZero := 0
+			for k, rec := range recs {
+				if len(rec.Candidates) != len(tap.scores[k]) {
+					t.Fatalf("record %d: %d candidates, the decision scored %d", k, len(rec.Candidates), len(tap.scores[k]))
+				}
+				for i, c := range rec.Candidates {
+					if math.Float64bits(c.Score) != math.Float64bits(tap.scores[k][i]) {
+						t.Fatalf("record %d candidate %d: traced score %v, the decision compared %v", k, i, c.Score, tap.scores[k][i])
+					}
+					if c.Score != 0 {
+						nonZero++
+					}
+				}
+			}
+			if nonZero == 0 {
+				t.Fatal("every traced score is 0: the records show nothing compared")
+			}
+
+			name := on.policy.Name()
+			m, c := on.Metrics(), reg.Snapshot().Counters
+			for metric, want := range map[string]int{
+				"engine_steps_total":                            m.Steps,
+				"engine_pairs_total":                            m.Pairs,
+				"engine_evictions_total":                        m.Evictions,
+				"engine_expired_total":                          m.Expired,
+				`policy_evictions_total{policy="` + name + `"}`: m.Evictions,
+				`policy_decisions_total{policy="` + name + `"}`: len(tap.steps),
+			} {
+				if c[metric] != int64(want) {
+					t.Errorf("%s = %d, want %d", metric, c[metric], want)
+				}
+			}
+		})
 	}
 }
 

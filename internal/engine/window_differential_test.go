@@ -26,9 +26,9 @@ type scoreTap struct {
 func (p *scoreTap) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	p.decisions++
 	before := p.hits()
-	p.scores = append(p.scores[:0], p.HEEB.ScoreCandidates(st, cands)...)
-	p.memoHits += p.hits() - before
 	ev := p.HEEB.Evict(st, cands, n)
+	p.memoHits += p.hits() - before
+	p.scores = append(p.scores[:0], p.HEEB.Scores()...)
 	p.evict = append(p.evict[:0], ev...)
 	return ev
 }

@@ -94,6 +94,16 @@ type Policy interface {
 	Evict(st *State, candidates []Tuple, n int) []int
 }
 
+// Scorer is implemented by policies that decide by comparing one score per
+// candidate (HEEB's H_x values, FlowExpect's expected arc benefits). Scores
+// returns the scores the last Evict compared, indexed like its candidates.
+// The slice is the policy's and valid until its next Evict; reading it
+// changes nothing, so a decision trace records what was decided and never
+// computes it a second time.
+type Scorer interface {
+	Scores() []float64
+}
+
 // ArrivalObserver is implemented by policies that keep more of the streams'
 // past than State.Hists does (a count and the last value each): PROB and
 // LIFE's value frequencies. The operator calls ObserveArrivals once a step,

@@ -15,9 +15,8 @@
 // comment) and on the immediately following line (standalone comment). The
 // reason is mandatory; a bare directive suppresses nothing. Directives are
 // audited: SuppressionTable tracks which directives actually suppressed a
-// diagnostic (or killed taint/impurity propagation at summary time in the
-// dataflow analyzers), and Audit turns stale or malformed directives into
-// findings of the pseudo-analyzer "staleignore".
+// diagnostic, and Audit turns stale or malformed directives into findings of
+// the pseudo-analyzer "staleignore".
 package analysis
 
 import (

@@ -67,7 +67,7 @@ func RunSuite(t *testing.T, testdata string, as []*analysis.Analyzer, pkgPath st
 	for _, p := range srcPkgs {
 		table.AddFiles(loader.Fset, p.Files)
 	}
-	prog := dataflow.NewProgram(loader.Fset, srcPkgs, table)
+	prog := dataflow.NewProgram(loader.Fset, srcPkgs)
 
 	var findings []analysis.Finding
 	for _, a := range as {

@@ -8,8 +8,8 @@
 // The design mirrors the shape (not the machinery) of
 // golang.org/x/tools/go/ssa + go/callgraph: this repository builds offline
 // with the standard library only, and the analyzers need far less than full
-// SSA — taint, purity and codec summaries are all small monotone lattices
-// over the static call graph.
+// SSA — their summaries are small monotone lattices over the static call
+// graph.
 //
 // Soundness model: the call graph contains only statically resolved calls
 // (package functions and methods on concrete receiver types). Calls through
@@ -26,20 +26,14 @@ import (
 	"go/types"
 	"sync"
 
-	"stochstream/internal/lintrules/analysis"
 	"stochstream/internal/lintrules/load"
 )
 
 // Program is the whole-program context: every source-loaded package, the
-// function index, the call graph in bottom-up SCC order, and the run's
-// shared suppression table (so summary-phase suppression — killing a taint
-// at its root — records directive uses for the stale audit).
+// function index and the call graph in bottom-up SCC order.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*load.Package
-	// Sup is the run's suppression table; never nil (NewProgram substitutes
-	// an empty table), so analyzers can consult it unconditionally.
-	Sup *analysis.SuppressionTable
 
 	funcs map[*types.Func]*Func
 	byPkg map[string][]*Func
@@ -103,15 +97,11 @@ type Call struct {
 }
 
 // NewProgram indexes pkgs (typically loader.SourcePackages()) into a
-// Program: function index, call graph, SCC order. sup may be nil.
-func NewProgram(fset *token.FileSet, pkgs []*load.Package, sup *analysis.SuppressionTable) *Program {
-	if sup == nil {
-		sup = analysis.NewSuppressionTable()
-	}
+// Program: function index, call graph, SCC order.
+func NewProgram(fset *token.FileSet, pkgs []*load.Package) *Program {
 	p := &Program{
 		Fset:  fset,
 		Pkgs:  pkgs,
-		Sup:   sup,
 		funcs: map[*types.Func]*Func{},
 		byPkg: map[string][]*Func{},
 		facts: map[string]*FactStore{},
@@ -189,15 +179,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// FuncOf returns the Func for a resolved *types.Func, or nil when the
-// object is external or body-less.
-func (p *Program) FuncOf(obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	return p.funcs[obj]
 }
 
 // FuncsOf returns the functions of one package in source order.

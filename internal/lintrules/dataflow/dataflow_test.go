@@ -17,7 +17,7 @@ func loadProgram(t *testing.T) *Program {
 	if _, err := l.Load("dfa"); err != nil {
 		t.Fatalf("Load dfa: %v", err)
 	}
-	return NewProgram(l.Fset, l.SourcePackages(), nil)
+	return NewProgram(l.Fset, l.SourcePackages())
 }
 
 func funcByName(t *testing.T, p *Program, name string) *Func {

@@ -12,7 +12,7 @@ import (
 // transitively calls — reads, writes, or mutates. Field identity is the
 // *types.Var of the field declaration, so accesses through any receiver or
 // alias of the same struct type aggregate onto one object, and summaries
-// compose across package boundaries exactly like the taint and purity facts.
+// compose across package boundaries exactly like the solver's facts.
 //
 // The three access kinds:
 //

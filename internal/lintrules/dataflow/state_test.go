@@ -18,7 +18,7 @@ func loadFieldProgram(t *testing.T) (*Program, *FactStore) {
 	if _, err := l.Load("fieldsum"); err != nil {
 		t.Fatalf("Load fieldsum: %v", err)
 	}
-	p := NewProgram(l.Fset, l.SourcePackages(), nil)
+	p := NewProgram(l.Fset, l.SourcePackages())
 	return p, FieldFacts(p)
 }
 

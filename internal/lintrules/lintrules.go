@@ -1,18 +1,17 @@
-// Package lintrules is stochlint's analyzer suite: eight custom static checks
+// Package lintrules is stochlint's analyzer suite: seven custom static checks
 // that mechanically enforce the determinism and correctness contracts the
 // paper's guarantees rest on (Theorem 3 dominance optimality and the
 // Corollary 3–5 incremental updates require every replacement decision to be
 // a pure, deterministic function of stream state).
 //
-// Four of the analyzers are interprocedural, running on per-function
-// summaries computed over the whole module by internal/lintrules/dataflow
-// (call graph, fixed-point solver, field-access summaries), so a contract
-// violation hidden behind any chain of helper calls still surfaces. One —
-// scorepure — tracks purity of the scoring path; three — snapcomplete,
-// fingerprintcover, wirexhaustive — are the state-contract suite
-// (serialization completeness, config-fingerprint coverage, and wire
-// protocol exhaustiveness). The other four — maprange, floateq, stepretain,
-// locksafe — are syntactic or type-based per-package checks.
+// Three of the analyzers — snapcomplete, fingerprintcover, wirexhaustive —
+// are the state-contract suite (serialization completeness,
+// config-fingerprint coverage, and wire protocol exhaustiveness). They are
+// interprocedural, running on per-function summaries computed over the whole
+// module by internal/lintrules/dataflow (call graph, fixed-point solver,
+// field-access summaries), so a contract violation hidden behind any chain of
+// helper calls still surfaces. The other four — maprange, floateq,
+// stepretain, locksafe — are syntactic or type-based per-package checks.
 //
 // Each analyzer is kept by a mutant of the real tree that it alone kills;
 // contracts that a test, go vet or the compiler already enforces are left to
@@ -110,17 +109,16 @@ func Rules() []Rule {
 		{Floateq, everywhere},
 		{Stepretain, everywhere},
 		{Locksafe, everywhere},
-		{Scorepure, func(p string) bool { return inAny(p, scorepurePkgs) }},
 		{Snapcomplete, func(p string) bool { return inAny(p, statePkgs) }},
 		{Fingerprintcover, func(p string) bool { return inAny(p, fingerprintPkgs) }},
 		{Wirexhaustive, func(p string) bool { return inAny(p, wirePkgs) }},
 	}
 }
 
-// Analyzers returns the eight analyzers without scoping, for tests and docs.
+// Analyzers returns the seven analyzers without scoping, for tests and docs.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Maprange, Floateq, Stepretain, Locksafe, Scorepure,
+		Maprange, Floateq, Stepretain, Locksafe,
 		Snapcomplete, Fingerprintcover, Wirexhaustive,
 	}
 }

@@ -35,10 +35,6 @@ func TestLocksafe(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Locksafe, "locksafe")
 }
 
-func TestScorepure(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Scorepure, "scorepure")
-}
-
 // TestStaleignore runs the whole suite plus the suppression audit over the
 // staleignore corpus: live directives stay silent, stale and misnamed ones
 // report under the "staleignore" pseudo-analyzer.
@@ -47,16 +43,16 @@ func TestStaleignore(t *testing.T) {
 }
 
 // TestScoping pins the suite's package scoping: maprange covers the decision
-// and emission/export packages, scorepure only the policy package, the state
-// contracts (snapcomplete, fingerprintcover, wirexhaustive) their own
-// serialization/protocol packages, and the remaining analyzers everything.
+// and emission/export packages, the state contracts (snapcomplete,
+// fingerprintcover, wirexhaustive) their own serialization/protocol packages,
+// and the remaining analyzers everything.
 func TestScoping(t *testing.T) {
 	byName := map[string]lintrules.Rule{}
 	for _, r := range lintrules.Rules() {
 		byName[r.Analyzer.Name] = r
 	}
-	if len(byName) != 8 {
-		t.Fatalf("expected 8 rules, got %d", len(byName))
+	if len(byName) != 7 {
+		t.Fatalf("expected 7 rules, got %d", len(byName))
 	}
 	cases := []struct {
 		analyzer string
@@ -70,11 +66,8 @@ func TestScoping(t *testing.T) {
 		{"maprange", "stochstream/internal/shardrt", true},
 		{"stepretain", "stochstream/internal/shardrt", true},
 		{"locksafe", "stochstream/internal/shardrt", true},
-		{"scorepure", "stochstream/internal/shardrt", false},
 		{"maprange", "stochstream/internal/flightrec", true},
 		{"maprange", "stochstream/internal/stats", false},
-		{"scorepure", "stochstream/internal/policy", true},
-		{"scorepure", "stochstream/internal/engine", false},
 		{"maprange", "stochstream/internal/telemetry", true},
 		{"maprange", "stochstream/internal/join", true},
 		{"maprange", "stochstream/internal/workload", false},

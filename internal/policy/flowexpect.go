@@ -20,9 +20,12 @@ type FlowExpect struct {
 	Lookahead int
 
 	cfg join.Config
-	// fc is the forecast window shared between the flow-graph construction
-	// and ScoreCandidates, advanced at the head of each decision.
+	// fc is the forecast window the flow graph reads, advanced at the head of
+	// each decision and kept between decisions.
 	fc *core.ForecastCache
+	// scores is the last decision's core.FlowDecision.Benefit, mapped back
+	// from ID order to the candidates' (see Scores).
+	scores []float64
 }
 
 // Name implements join.Policy.
@@ -43,16 +46,6 @@ func (p *FlowExpect) Reset(cfg join.Config, _ *stats.RNG) {
 	p.fc = core.NewForecastCache(cfg.Procs, [2]*process.History{})
 }
 
-// bindDecision advances the forecast window to the current decision.
-func (p *FlowExpect) bindDecision(st *join.State) *core.ForecastCache {
-	if p.fc == nil {
-		//lint:ignore scorepure lazy construction of the blessed forecast memo: built from stream state alone, so the first decision replays identically
-		p.fc = core.NewForecastCache(st.Procs(), st.Hists)
-	}
-	p.fc.Rebind(st.Procs(), st.Hists)
-	return p.fc
-}
-
 // Evict implements join.Policy. The flow graph lists the candidates in ID
 // order. A failed solve panics; engine.Join's StepChecked returns that as
 // ErrStepFailed.
@@ -63,9 +56,14 @@ func (p *FlowExpect) Evict(st *join.State, cands []join.Tuple, n int) []int {
 		c := cands[i]
 		cs[k] = core.Candidate{Value: c.Value, Stream: c.Stream, Age: st.Time - c.Arrived}
 	}
-	dec, err := core.FlowExpectStepCached(cs, p.bindDecision(st), len(cands)-n, p.Lookahead, p.cfg.Window)
+	p.fc.Rebind(st.Procs(), st.Hists)
+	dec, err := core.FlowExpectStepCached(cs, p.fc, len(cands)-n, p.Lookahead, p.cfg.Window)
 	if err != nil {
 		panic(fmt.Sprintf("policy: FlowExpect step failed: %v", err))
+	}
+	p.scores = make([]float64, len(cands))
+	for k, b := range dec.Benefit {
+		p.scores[order[k]] = b
 	}
 	keep := make([]bool, len(cands))
 	for _, k := range dec.Keep {
@@ -83,27 +81,10 @@ func (p *FlowExpect) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	return out
 }
 
-// ScoreCandidates returns each candidate's total expected arc benefit over
-// the look-ahead window: the sum over offsets 1..l of the probability that
-// the partner's arrival matches it (zeroed once the tuple ages past the
-// window), i.e. the benefit the Section 3.1 graph assigns to the path that
-// keeps the tuple for the whole horizon. These are the numbers on the
-// candidate's horizontal arcs; the telemetry decision trace records them
-// (telemetry.CandidateScorer). The flow's actual choice can differ — it
-// weighs candidates jointly against undetermined future arrivals — which is
-// exactly the discrepancy worth seeing in a trace.
-func (p *FlowExpect) ScoreCandidates(st *join.State, cands []join.Tuple) []float64 {
-	fc := p.bindDecision(st)
-	scores := make([]float64, len(cands))
-	for i, c := range cands {
-		partner := c.Stream.Partner()
-		age := st.Time - c.Arrived
-		for off := 1; off <= p.Lookahead; off++ {
-			if p.cfg.Window > 0 && age+off > p.cfg.Window {
-				break
-			}
-			scores[i] += fc.At(partner, off).Prob(c.Value)
-		}
-	}
-	return scores
-}
+// Scores implements join.Scorer: each candidate's total expected arc benefit
+// over the look-ahead window at the last Evict (core.FlowDecision.Benefit),
+// the benefit of the path that keeps it for the whole horizon. The flow's
+// actual choice can differ — it weighs candidates jointly against
+// undetermined future arrivals — which is exactly the discrepancy worth
+// seeing in a trace. All zero after an Evict that evicted nothing.
+func (p *FlowExpect) Scores() []float64 { return p.scores }

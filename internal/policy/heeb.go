@@ -52,8 +52,7 @@ type HEEB struct {
 	alpha   float64
 	tracker *stats.LifetimeTracker
 	// fc is the forecast window every candidate of a decision is scored
-	// against, advanced at the head of each Evict/ScoreCandidates call; nil
-	// when Opts.NoMemo.
+	// against, advanced at the head of each Evict; nil when Opts.NoMemo.
 	fc *core.ForecastCache //lint:ignore snapcomplete derived window, refilled after restore
 	// ltab caches Lexp's e^{−Δt/α} values for the current α; ltabAlpha
 	// tracks which α the table was built for (adaptive runs re-derive α).
@@ -61,7 +60,7 @@ type HEEB struct {
 	ltabAlpha float64     //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
 	// scoreBuf and victims are the reused per-decision score and answer
 	// slices (join.Policy.Evict: the caller is done with an answer before it
-	// asks again).
+	// asks again); Scores hands out scoreBuf.
 	scoreBuf []float64 //lint:ignore snapcomplete per-decision score scratch, overwritten by every evict
 	victims  []int
 }
@@ -101,16 +100,8 @@ func (p *HEEB) ensureLTab() {
 	if p.Opts.NoMemo || p.ltabAlpha == p.alpha {
 		return
 	}
-	p.ltab = core.TabulateL(core.LExp{Alpha: p.alpha}, fallbackHorizon) //lint:ignore scorepure deterministic α-keyed tabulation memo: the same α always yields the same table, so replay is unaffected
-	p.ltabAlpha = p.alpha                                               //lint:ignore scorepure memo key for the α-keyed tabulation above
-}
-
-// bindDecision advances the memo layers to the current state.
-func (p *HEEB) bindDecision(st *join.State) {
-	p.ensureLTab()
-	if p.fc != nil {
-		p.fc.Rebind(st.Procs(), st.Hists)
-	}
+	p.ltab = core.TabulateL(core.LExp{Alpha: p.alpha}, fallbackHorizon)
+	p.ltabAlpha = p.alpha
 }
 
 // Evict implements join.Policy.
@@ -118,11 +109,14 @@ func (p *HEEB) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	if p.Opts.Adaptive && p.tracker.N() > 0 {
 		p.alpha = p.tracker.Alpha(p.Opts.LifetimeEstimate)
 	}
-	p.bindDecision(st)
+	p.ensureLTab()
+	if p.fc != nil {
+		p.fc.Rebind(st.Procs(), st.Hists)
+	}
 
 	// Every candidate is scored in place: the candidate indices are the
 	// positions evictLowest already works with.
-	p.scoreBuf = p.scoreAll(st, cands, p.scoreBuf[:0])
+	p.scoreAll(st, cands)
 	evict := evictLowest(p.scoreBuf, cands, n, p.victims)
 	p.victims = evict
 
@@ -133,21 +127,25 @@ func (p *HEEB) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	return evict
 }
 
-// scoreAll scores every candidate into out (resized as needed). Without a
-// sliding window every sum runs over the whole L table, so each partner
+// Scores implements join.Scorer: the H_x value of every candidate of the
+// last Evict, the numbers it compared.
+func (p *HEEB) Scores() []float64 { return p.scoreBuf }
+
+// scoreAll scores every candidate into scoreBuf (resized as needed). Without
+// a sliding window every sum runs over the whole L table, so each partner
 // stream's window is bound once, at the first candidate scored against it,
 // and a score is then a read of the bound table.
-func (p *HEEB) scoreAll(st *join.State, cands []join.Tuple, out []float64) []float64 {
-	if cap(out) < len(cands) {
-		out = make([]float64, len(cands))
-	} else {
-		out = out[:len(cands)]
+func (p *HEEB) scoreAll(st *join.State, cands []join.Tuple) {
+	if cap(p.scoreBuf) < len(cands) {
+		p.scoreBuf = make([]float64, len(cands))
 	}
+	p.scoreBuf = p.scoreBuf[:len(cands)]
+	out := p.scoreBuf
 	if p.fc == nil || p.cfg.Window > 0 {
 		for i, c := range cands {
 			out[i] = p.score(st, c)
 		}
-		return out
+		return
 	}
 	var bound [2]core.Bound
 	var isBound [2]bool
@@ -158,15 +156,6 @@ func (p *HEEB) scoreAll(st *join.State, cands []join.Tuple, out []float64) []flo
 		}
 		out[i] = p.fc.Score(&bound[s], c.Value)
 	}
-	return out
-}
-
-// ScoreCandidates returns the H_x value of every candidate — the numbers
-// Evict compares. The telemetry layer's decision trace uses it to record why
-// each victim was chosen (telemetry.CandidateScorer).
-func (p *HEEB) ScoreCandidates(st *join.State, cands []join.Tuple) []float64 {
-	p.bindDecision(st)
-	return p.scoreAll(st, cands, nil)
 }
 
 // score is H_x of one candidate against its partner stream under the

@@ -159,8 +159,12 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 			}
 			opt, ref := mk(false), mk(true)
 			decide := func() (nonZero int) {
-				optScores := opt.ScoreCandidates(st, cands)
-				refScores := ref.ScoreCandidates(st, cands)
+				optEvict := opt.Evict(st, cands, 4)
+				refEvict := ref.Evict(st, cands, 4)
+				optScores, refScores := opt.Scores(), ref.Scores()
+				if len(optScores) != len(cands) || len(refScores) != len(cands) {
+					t.Fatalf("%d and %d scores for %d candidates", len(optScores), len(refScores), len(cands))
+				}
 				for i := range cands {
 					if optScores[i] != refScores[i] {
 						t.Fatalf("cand %d: memo score %v != reference %v", i, optScores[i], refScores[i])
@@ -169,8 +173,6 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 						nonZero++
 					}
 				}
-				optEvict := opt.Evict(st, cands, 4)
-				refEvict := ref.Evict(st, cands, 4)
 				if len(optEvict) != len(refEvict) {
 					t.Fatalf("evict lengths differ: %v vs %v", optEvict, refEvict)
 				}
@@ -197,9 +199,9 @@ func TestHEEBMemoMatchesNoMemo(t *testing.T) {
 			before := memoHits(opt)
 			nonZero := decide()
 			// A clipped sum is never read from the memo; an unclipped one that
-			// is not zero was stored by the first decision, so both scorings of
-			// the second are answered from it.
-			want := 2 * nonZero
+			// is not zero was stored by the first decision, so the second
+			// decision's scoring is answered from it.
+			want := nonZero
 			if tc.window > 0 {
 				want = 0
 			}
@@ -287,7 +289,9 @@ func newDecisionLoop(procs [2]process.Process, slots, band, episode, n int, seed
 	return d
 }
 
-func (d *decisionLoop) decide(p join.Policy) {
+// arrive moves the loop to its next step: both arrivals join the histories
+// and the candidates, and need is how many of those the policy must pick.
+func (d *decisionLoop) arrive() (cands []join.Tuple, need int) {
 	d.st.Time++
 	t := d.st.Time
 	for s := range d.in {
@@ -295,11 +299,15 @@ func (d *decisionLoop) decide(p join.Policy) {
 		d.st.Hists[s].Append(v)
 		d.cands = append(d.cands, join.Tuple{ID: 2*t + s, Value: v, Stream: core.StreamID(s), Arrived: t})
 	}
-	need := len(d.cands) - d.st.Config.CacheSize
+	return d.cands[:len(d.cands):len(d.cands)], len(d.cands) - d.st.Config.CacheSize
+}
+
+func (d *decisionLoop) decide(p join.Policy) {
+	cands, need := d.arrive()
 	if need <= 0 {
 		return
 	}
-	evict := p.Evict(d.st, d.cands[:len(d.cands):len(d.cands)], need)
+	evict := p.Evict(d.st, cands, need)
 	kept := d.cands[:0]
 	for i, c := range d.cands {
 		if !slices.Contains(evict, i) {
@@ -355,21 +363,40 @@ func TestHEEBDecisionAllocs(t *testing.T) {
 }
 
 // BenchmarkHEEBDecision is one steady-state Evict (and the bookkeeping of the
-// loop around it) per iteration.
+// loop around it) per iteration; its -cold rows are a fresh policy's first
+// Evict at the state the steady rows are warmed to, which sizes and fills
+// both forecast windows from empty.
 func BenchmarkHEEBDecision(b *testing.B) {
+	const warm = 4096
 	for _, tc := range heebDecisionConfigs {
-		b.Run(tc.name, func(b *testing.B) {
-			const warm = 4096
-			d := newDecisionLoop(tc.procs(), tc.slots, tc.band, tc.episode, warm+b.N, 21)
+		warmed := func(n int) (*decisionLoop, *HEEB) {
+			d := newDecisionLoop(tc.procs(), tc.slots, tc.band, tc.episode, warm+n, 21)
 			p := NewHEEB(HEEBOptions{})
 			p.Reset(d.st.Config, stats.NewRNG(3))
 			for i := 0; i < warm; i++ {
 				d.decide(p)
 			}
+			return d, p
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			d, p := warmed(b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.decide(p)
+			}
+		})
+		b.Run(tc.name+"-cold", func(b *testing.B) {
+			d, _ := warmed(1)
+			cands, need := d.arrive()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := NewHEEB(HEEBOptions{})
+				p.Reset(d.st.Config, stats.NewRNG(3))
+				b.StartTimer()
+				p.Evict(d.st, cands, need)
 			}
 		})
 	}

@@ -246,6 +246,64 @@ func TestFlowExpectRequiresModels(t *testing.T) {
 	(&FlowExpect{}).Reset(join.Config{CacheSize: 1}, stats.NewRNG(1))
 }
 
+// FlowExpect's scores are core.FlowDecision.Benefit mapped back from the
+// flow's ID order to the candidates': each is Σ_{off=1..l} of the partner's
+// off-step forecast at the candidate's value, bit for bit, with the offsets
+// past a sliding window adding nothing. An impossible value scores 0, and no
+// score leaves [0, l].
+func TestFlowExpectScoresAreArcBenefits(t *testing.T) {
+	procs := [2]process.Process{
+		&process.LinearTrend{Slope: 1, Intercept: -1, Noise: dist.BoundedNormal(1, 10)},
+		&process.LinearTrend{Slope: 1, Intercept: 0, Noise: dist.BoundedNormal(2, 15)},
+	}
+	const l, now = 4, 19
+	rng := stats.NewRNG(13)
+	hists := [2]*process.History{
+		process.NewHistory(procs[0].Generate(rng.Split(), now+1)...),
+		process.NewHistory(procs[1].Generate(rng.Split(), now+1)...),
+	}
+	// Listed out of ID order, as an operator lists its cache by slot.
+	cands := []join.Tuple{
+		tup(4, now+1, core.StreamS, now),
+		tup(0, now+2, core.StreamR, now-3),
+		tup(3, -999, core.StreamR, now-9), // impossible value
+		tup(1, now+3, core.StreamS, now-2),
+		tup(2, now, core.StreamR, now-1),
+	}
+	for _, window := range []int{0, 5} {
+		cfg := join.Config{CacheSize: 3, Window: window, Procs: procs}
+		fe := &FlowExpect{Lookahead: l}
+		fe.Reset(cfg, stats.NewRNG(1))
+		fe.Evict(&join.State{Time: now, Hists: hists, Config: cfg}, cands, 2)
+		fc := core.NewForecastCache(procs, hists)
+		scores, nonZero := fe.Scores(), 0
+		if len(scores) != len(cands) {
+			t.Fatalf("window %d: %d scores for %d candidates", window, len(scores), len(cands))
+		}
+		for i, c := range cands {
+			var want float64
+			for off := 1; off <= l; off++ {
+				if window > 0 && now-c.Arrived+off > window {
+					break
+				}
+				want += fc.At(c.Stream.Partner(), off).Prob(c.Value)
+			}
+			if math.Float64bits(scores[i]) != math.Float64bits(want) {
+				t.Errorf("window %d: candidate %d scored %v, want the arc benefits' sum %v", window, i, scores[i], want)
+			}
+			if scores[i] < 0 || scores[i] > l {
+				t.Errorf("window %d: candidate %d scored %v, outside [0, %d]", window, i, scores[i], l)
+			}
+			if scores[i] != 0 {
+				nonZero++
+			}
+		}
+		if scores[2] != 0 || nonZero < 3 {
+			t.Errorf("window %d: scores %v: want 0 for the impossible value and at least 3 others non-zero", window, scores)
+		}
+	}
+}
+
 func TestPolicyNames(t *testing.T) {
 	if (&Rand{}).Name() != "RAND" || (&Prob{}).Name() != "PROB" ||
 		(&Life{}).Name() != "LIFE" || (&FlowExpect{}).Name() != "FLOWEXPECT" ||

@@ -50,25 +50,27 @@ func (l *lockstep) Reset(cfg join.Config, rng *stats.RNG) {
 
 func (l *lockstep) Evict(st *join.State, cands []join.Tuple, n int) []int {
 	l.decisions++
-	before := forecastHits(l.win)
-	ws, rs := l.win.ScoreCandidates(st, cands), l.ref.ScoreCandidates(st, cands)
+	before, alpha := forecastHits(l.win), l.win.Alpha()
+	we, re := l.win.Evict(st, cands, n), l.ref.Evict(st, cands, n)
+	ws, rs := l.win.Scores(), l.ref.Scores()
+	if len(ws) != len(cands) || len(rs) != len(cands) {
+		l.t.Fatalf("decision %d: %d and %d scores for %d candidates", l.decisions, len(ws), len(rs), len(cands))
+	}
 	for i := range rs {
 		if ws[i] != rs[i] {
 			l.t.Fatalf("decision %d candidate %d: window score %v != nomemo %v", l.decisions, i, ws[i], rs[i])
 		}
 	}
+	if l.win.Alpha() != alpha {
+		l.alphaChanges++
+	}
 	if l.alphaChanges > 0 || !l.win.Opts.Adaptive {
 		l.hitsCompared += forecastHits(l.win) - before
 	}
-	alpha := l.win.Alpha()
-	we, re := l.win.Evict(st, cands, n), l.ref.Evict(st, cands, n)
 	for i := range re {
 		if we[i] != re[i] {
 			l.t.Fatalf("decision %d: window evicts %v, nomemo %v", l.decisions, we, re)
 		}
-	}
-	if l.win.Alpha() != alpha {
-		l.alphaChanges++
 	}
 	return we
 }

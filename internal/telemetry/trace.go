@@ -6,21 +6,11 @@ import (
 	"stochstream/internal/join"
 )
 
-// CandidateScorer is implemented by policies that can explain an eviction
-// decision by scoring every candidate (HEEB's H_x values, FlowExpect's
-// expected arc benefits). An operator with a registry re-scores sampled
-// decisions through it into the decision trace; a policy without it still
-// has its decisions and evictions counted.
-type CandidateScorer interface {
-	ScoreCandidates(st *join.State, cands []join.Tuple) []float64
-}
-
 // TraceInterval is the decision-trace sampling interval: an operator records
-// its 1st, 65th, 129th, … eviction decision. Tracing re-runs the policy's
-// scorer over the candidate set — roughly the cost of one extra Evict — so
-// the interval is what bounds the re-scoring share of an instrumented run
-// (the ledger's obs.overhead_share prices the whole layer) while the
-// 512-record ring still fills within a few thousand decisions.
+// its 1st, 65th, 129th, … eviction decision. A record copies the whole
+// candidate set, so the interval is what bounds the trace's share of an
+// instrumented run (the ledger's obs.overhead_share prices the whole layer)
+// while the 512-record ring still fills within a few thousand decisions.
 const TraceInterval = 64
 
 // TraceCandidate is one candidate tuple as the policy saw it at a decision:
@@ -45,13 +35,13 @@ type DecisionRecord struct {
 	Candidates []TraceCandidate `json:"candidates"`
 }
 
-// TraceDecision re-scores one eviction decision through scorer and records
-// it: the candidates the policy saw, each with its score, and which of them
-// its answer evict chose. The operator validates evict only after this, so a
-// position outside the candidates marks nothing.
-func (r *Registry) TraceDecision(st *join.State, scorer CandidateScorer, policy string, cands []join.Tuple, need int, evict []int) {
-	scores := scorer.ScoreCandidates(st, cands)
-	rec := DecisionRecord{Step: st.Time, Policy: policy, Need: need, Candidates: make([]TraceCandidate, len(cands))}
+// TraceDecision records one eviction decision made at step: the candidates
+// the policy saw, each with the score it compared (scores, from the policy's
+// join.Scorer), and which of them its answer evict chose. The operator
+// validates evict only after this, so a position outside the candidates
+// marks nothing.
+func (r *Registry) TraceDecision(step int, policy string, cands []join.Tuple, scores []float64, need int, evict []int) {
+	rec := DecisionRecord{Step: step, Policy: policy, Need: need, Candidates: make([]TraceCandidate, len(cands))}
 	for i, c := range cands {
 		rec.Candidates[i] = TraceCandidate{Key: c.Value, Stream: c.Stream.String(), Arrived: c.Arrived}
 		if i < len(scores) {

@@ -25,7 +25,7 @@
 #                    P the dispatching goroutine steps every shard itself, at
 #                    four it shares them with helper goroutines, and both
 #                    paths run under the race detector
-#   7. mutants     — scripts/mutants.sh: each of the 47 scripts/mutants/*.patch
+#   7. mutants     — scripts/mutants.sh: each of the 48 scripts/mutants/*.patch
 #                    breaks one contract of the real tree (one that only a
 #                    stochlint analyzer kills, a contract whose analyzer was
 #                    deleted in favour of a test, vet or the build, a fixed
