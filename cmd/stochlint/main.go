@@ -7,7 +7,7 @@
 //	go run ./cmd/stochlint -json ./...      # machine-readable findings
 //	go run ./cmd/stochlint -C subdir ./...  # run as if started in subdir
 //	go run ./cmd/stochlint -rules list      # print the suite's analyzer names
-//	go run ./cmd/stochlint -rules snapcomplete,wirexhaustive ./...
+//	go run ./cmd/stochlint -rules fingerprintcover,wirexhaustive ./...
 //
 // Findings print as file:line:col: [analyzer] message, relative to the
 // working directory when possible; any unsuppressed finding makes the exit

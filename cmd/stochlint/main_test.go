@@ -72,13 +72,12 @@ func TestStatecheckCorpusClean(t *testing.T) {
 }
 
 // TestStatecheckMutants is the mutation self-test: in a throwaway copy of
-// the statecheck corpus, dropping the marked snapshot field-capture, resp.
-// the marked wire frame case, must fail the driver with a finding that names
-// exactly what was dropped. An analyzer that stays silent here has gone
-// blind to the one regression it exists to catch.
+// the statecheck corpus, dropping the marked wire frame case must fail the
+// driver with a finding that names exactly what was dropped. An analyzer
+// that stays silent here has gone blind to the one regression it exists to
+// catch.
 func TestStatecheckMutants(t *testing.T) {
 	for _, m := range []struct{ marker, file, rule, want string }{
-		{"ci:mutate-snapshot", "internal/engine/engine.go", "snapcomplete", "persistent field Total"},
 		{"ci:mutate-wire", "internal/streamd/streamd.go", "wirexhaustive", "TypeData"},
 	} {
 		t.Run(m.rule, func(t *testing.T) {
@@ -130,7 +129,7 @@ func TestRulesList(t *testing.T) {
 			t.Errorf("line %d = %q, want %q (suite order)", i, lines[i], r.Analyzer.Name)
 		}
 	}
-	for _, name := range []string{"snapcomplete", "fingerprintcover", "wirexhaustive"} {
+	for _, name := range []string{"fingerprintcover", "wirexhaustive"} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("-rules list missing %s", name)
 		}
@@ -184,11 +183,11 @@ func TestRulesSubset(t *testing.T) {
 // infrastructure error (exit 2 in main), naming both the unknown analyzer
 // and the valid suite.
 func TestRulesUnknown(t *testing.T) {
-	_, err := run(options{Rules: "snapcompete", Dir: "testdata/mod"}, []string{"./..."}, io.Discard, io.Discard)
+	_, err := run(options{Rules: "fingerprintcovr", Dir: "testdata/mod"}, []string{"./..."}, io.Discard, io.Discard)
 	if err == nil {
 		t.Fatal("unknown -rules name must error")
 	}
-	if !strings.Contains(err.Error(), "snapcompete") || !strings.Contains(err.Error(), "snapcomplete") {
+	if !strings.Contains(err.Error(), "fingerprintcovr") || !strings.Contains(err.Error(), "fingerprintcover") {
 		t.Errorf("error must name the unknown analyzer and the suite, got: %v", err)
 	}
 }

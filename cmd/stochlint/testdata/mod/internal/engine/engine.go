@@ -44,14 +44,11 @@ type Config struct {
 	Window    int
 }
 
-// Op seeds the golden corpus's state-contract findings: Window is read on
-// the decision path but missing from the fingerprint, and hi is written a
-// call below the exported method but dropped by the codec — the latter only
-// visible to the interprocedural field summaries.
+// Op seeds the golden corpus's fingerprint finding: Window is read on the
+// decision path but missing from the fingerprint.
 type Op struct {
 	cfg Config
 	lo  int
-	hi  int
 }
 
 // fingerprint forgets cfg.Window.
@@ -60,18 +57,9 @@ func (o *Op) fingerprint() int { return o.cfg.CacheSize }
 // inWindow reads cfg.Window on the runtime path.
 func (o *Op) inWindow(age int) bool { return age <= o.cfg.Window }
 
-// Bump writes both counters during operation; advance hides the hi write.
+// Bump counts the arrivals inside the window.
 func (o *Op) Bump(age int) {
 	if o.inWindow(age) {
 		o.lo++
 	}
-	advance(o)
 }
-
-func advance(o *Op) { o.hi++ }
-
-// SnapshotState captures lo but drops hi.
-func (o *Op) SnapshotState() ([]byte, error) { return []byte{byte(o.lo)}, nil }
-
-// RestoreState restores lo.
-func (o *Op) RestoreState(b []byte) error { o.lo = int(b[0]); return nil }

@@ -266,7 +266,9 @@ func TestH1RoundTripsThroughBinary(t *testing.T) {
 func TestH2RoundTripsThroughBinary(t *testing.T) {
 	ar := &process.AR1{Phi0: 5, Phi1: 0.6, Sigma: 3, Init: 12}
 	l := NewLExp(20)
-	orig, err := PrecomputeH2(ar, l, 0, 40, 0, 40, 5, 5, 0)
+	// The surface starts off zero on both axes, so a codec that drops
+	// either lower bound reloads a shifted surface.
+	orig, err := PrecomputeH2(ar, l, 4, 44, 2, 42, 5, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

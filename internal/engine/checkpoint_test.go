@@ -18,8 +18,9 @@ import (
 // ckptConfigs is the configuration grid the checkpoint differential tests
 // run: the default model-free policy (RAND, private RNG state), the two
 // policies whose state is the value counts no history keeps (PROB and LIFE),
-// HEEB on a band join (adaptive tracker + incremental score state), and HEEB
-// on a sliding window.
+// RESERVOIR (its RNG and its count of tuples seen), HEEB on a band join
+// (incremental score state), the same with an adaptive α (which the lifetime
+// tracker steers), and HEEB on a sliding window.
 func ckptConfigs() []struct {
 	name string
 	mk   func() Config
@@ -38,8 +39,16 @@ func ckptConfigs() []struct {
 			life := &policy.Life{Lifetime: func(now int, tp join.Tuple) int { return 40 - (now - tp.Arrived) }}
 			return Config{CacheSize: 8, Seed: 11, Policy: life}
 		}},
+		{"equi-reservoir", func() Config {
+			return Config{CacheSize: 8, Seed: 11, Policy: &policy.Reservoir{}}
+		}},
 		{"band-heeb", func() Config {
 			return Config{CacheSize: 8, Band: 2, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
+		}},
+		{"band-heeb-adaptive", func() Config {
+			opts := heebOpts()
+			opts.Adaptive = true
+			return Config{CacheSize: 8, Band: 2, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(opts)}
 		}},
 		{"window-heeb", func() Config {
 			return Config{CacheSize: 6, Window: 10, Seed: 11, Procs: trendProcs(), Policy: policy.NewHEEB(heebOpts())}
@@ -68,7 +77,9 @@ func copyPairs(ps []Pair) []Pair { return append([]Pair(nil), ps...) }
 // The tentpole differential test: an operator checkpointed at an arbitrary
 // step and restored into a freshly built operator must replay the remaining
 // trace byte-identically to the uninterrupted run — same pairs (payloads
-// included), same cache snapshots, same metrics. Per configuration class
+// included), same cache snapshots, same metrics, and the same checkpoint at
+// the end, so state no step has read yet (a lifetime tracker's count) must
+// come back too. Per configuration class
 // the cut point varies so the checkpoint lands on both calm and mid-churn
 // states.
 func TestCheckpointRestoreReplayIdentical(t *testing.T) {
@@ -130,6 +141,9 @@ func TestCheckpointRestoreReplayIdentical(t *testing.T) {
 				}
 				if !snapshotsEqual(restored.Snapshot(), base.Snapshot()) {
 					t.Fatalf("cut %d: final caches diverge", cut)
+				}
+				if !bytes.Equal(checkpointOf(t, restored), checkpointOf(t, base)) {
+					t.Fatalf("cut %d: final checkpoints diverge: the restore lost state no step showed", cut)
 				}
 			})
 		}

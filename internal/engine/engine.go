@@ -148,11 +148,12 @@ type Join struct {
 	// eager marks a join.EagerEvictor policy, asked at every step and allowed
 	// to discard more than the overflow.
 	eager bool
-	// arrivals is the policy when it counts arrivals (PROB, LIFE).
-	//lint:ignore snapcomplete the policy field under another type: construction wiring, and what the observer accumulates leaves through the policy's own SnapshotState
+	// arrivals is the policy when it counts arrivals (PROB, LIFE): what it
+	// counts is checkpointed through the policy's own SnapshotState.
 	arrivals join.ArrivalObserver
 	hists    [2]*process.History
-	//lint:ignore snapcomplete the policy's view of the operator: its histories are hists, and Restore sets its Time from the checkpoint's clock
+	// state is the policy's view of the operator: its histories are hists,
+	// and Restore sets its Time from the checkpoint's clock.
 	state *join.State
 	// cache is a dense table of slots, in no order: an entry stays in the slot
 	// it was admitted to until it leaves. A surviving arrival takes the slot
@@ -177,10 +178,9 @@ type Join struct {
 
 	// next and prev thread the slots into one list in arrival order, which is
 	// ID order: head is the oldest entry (the one window expiry pops), tail
-	// the newest, -1 stands for none.
-	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
+	// the newest, -1 stands for none. Both are a function of the cache,
+	// which Restore rebuilds them from.
 	next, prev []int32
-	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
 	ends
 
 	// equi indexes the cache, equijoin or band join: per stream, a table of
@@ -189,23 +189,24 @@ type Join struct {
 	// slot to the neighbouring entries of its (stream, key), in ascending ID
 	// order (entries are appended as they arrive). A key's cell is emptied
 	// with its last entry, so a drifting key domain (the trend models) reuses
-	// the same cells.
-	//lint:ignore snapcomplete pure function of the cache; Restore re-enters every entry (enter), which rebuilds the index
-	equi [2]keyIndex
-	//lint:ignore snapcomplete pure function of the cache; Restore rebuilds it
+	// the same cells. Table and chains are a function of the cache: Restore
+	// re-enters every entry (enter), which rebuilds them.
+	equi               [2]keyIndex
 	nextSame, prevSame []int32
 
-	// Step-scoped scratch, reused across steps. run is the epoch-th batch's
-	// output; out writes it out for Step, batchOut for StepBatch, distinct so
-	// an interleaved Step/StepBatch sequence cannot alias a still-visible
-	// result slice sooner than the "valid until the next call" contract.
-	run      Batch  //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	epoch    uint32 //lint:ignore snapcomplete step-scoped scratch: stamps of an earlier batch name no tuple, and Restore drops them
-	out      []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	batchOut []Pair //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	victims  []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	probeR   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
-	probeS   []int  //lint:ignore snapcomplete step-scoped scratch, dead between calls
+	// Step-scoped scratch, reused across steps and dead between calls. run is
+	// the epoch-th batch's output; out writes it out for Step, batchOut for
+	// StepBatch, distinct so an interleaved Step/StepBatch sequence cannot
+	// alias a still-visible result slice sooner than the "valid until the
+	// next call" contract. Stamps of an earlier epoch name no tuple, and
+	// Restore drops them.
+	run      Batch
+	epoch    uint32
+	out      []Pair
+	batchOut []Pair
+	victims  []int
+	probeR   []int
+	probeS   []int
 
 	// Telemetry handles, resolved once in NewJoin so Step pays only clock
 	// reads and atomic writes; all nil when Config.Telemetry is nil.
@@ -216,8 +217,10 @@ type Join struct {
 	expiredCount  *telemetry.Counter
 	decisionCount *telemetry.Counter
 	policyEvicts  *telemetry.Counter
-	// decisions counts the policy's Evict calls, for trace sampling.
-	decisions uint64 //lint:ignore snapcomplete telemetry's sampling phase, not operator state: checkpoints match with telemetry on and off
+	// decisions counts the policy's Evict calls, for trace sampling. It is
+	// telemetry's sampling phase, not operator state, and no checkpoint
+	// carries it: checkpoints match with telemetry on and off.
+	decisions uint64
 
 	// Flight-recorder state (see flight.go). rec is Config.Flight (nil keeps
 	// the hot path bare); now is the resolved clock — the recorder's when one
@@ -833,7 +836,6 @@ type randPolicy struct {
 	// picks backs the returned victims. The engine consumes them before its
 	// next Evict call (sortedVictims copies them first thing), so reusing the
 	// buffer across decisions is safe; it is rewritten whole every call.
-	//lint:ignore snapcomplete step-scoped scratch, dead between calls
 	picks []int
 }
 

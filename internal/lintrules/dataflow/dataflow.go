@@ -1,7 +1,7 @@
 // Package dataflow is the interprocedural layer under stochlint: a
 // lightweight layer over go/ast + go/types giving the analyzers a bottom-up
 // call graph over the module's packages, a generic fixed-point solver with a
-// per-analysis fact store, and per-function field-access summaries
+// per-analysis fact store, and per-function field-read summaries
 // (state.go), so analyzers can export per-function summaries and import
 // their callees' summaries across package boundaries.
 //

@@ -8,7 +8,7 @@ import (
 	"stochstream/internal/lintrules/dataflow"
 )
 
-// Fingerprintcover closes the second state-integrity gap: a checkpoint is
+// Fingerprintcover closes a state-integrity gap: a checkpoint is
 // only safe to restore under the configuration it was taken with, and the
 // guard is the config fingerprint compared on restore (ErrConfigMismatch).
 // The failure mode is a new Config knob that changes runtime decisions —
@@ -83,19 +83,15 @@ func runFingerprintcover(pass *analysis.Pass) (interface{}, error) {
 
 	// Functions reachable only through the fingerprint are part of the
 	// fingerprint computation, not the runtime; their reads must not make a
-	// field relevant. Reuse the codec-helper closure with the fingerprint
-	// playing both roles.
-	helpers := codecHelpersOf(prog, fps[0], fps[len(fps)-1])
-	for _, fp := range fps {
-		helpers[fp] = true
-	}
+	// field relevant.
+	helpers := onlyReachedFrom(prog, fps)
 
 	witness := map[*types.Var]*dataflow.Func{}
 	for _, f := range prog.Funcs() {
 		if helpers[f] {
 			continue
 		}
-		d := f.DirectFieldAccesses()
+		d := f.DirectFieldReads()
 		for _, fld := range fields {
 			if witness[fld] == nil && d.Reads[fld] {
 				witness[fld] = f
@@ -104,7 +100,7 @@ func runFingerprintcover(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	for _, fld := range fields {
-		if covered[fld] || snapObsExempt(fld) {
+		if covered[fld] || observabilityHandle(fld) {
 			continue
 		}
 		if w := witness[fld]; w != nil {
@@ -114,4 +110,71 @@ func runFingerprintcover(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	return nil, nil
+}
+
+// observabilityHandle reports whether fld is an observability handle
+// (telemetry / flightrec types): out-of-band instrumentation that never
+// steers a decision.
+func observabilityHandle(fld *types.Var) bool {
+	t := types.Unalias(fld.Type())
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	name := n.Obj().Pkg().Name()
+	return name == "telemetry" || name == "flightrec"
+}
+
+// structFieldsOf returns the declared fields of named's underlying struct.
+func structFieldsOf(named *types.Named) []*types.Var {
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	fields := make([]*types.Var, 0, st.NumFields())
+	for i := 0; i < st.NumFields(); i++ {
+		fields = append(fields, st.Field(i))
+	}
+	return fields
+}
+
+// onlyReachedFrom returns roots plus every function whose every caller chain
+// passes through them: such a helper is part of the roots' computation.
+// Shared helpers (called from elsewhere too) are left out.
+func onlyReachedFrom(prog *dataflow.Program, roots []*dataflow.Func) map[*dataflow.Func]bool {
+	callers := map[*dataflow.Func][]*dataflow.Func{}
+	for _, f := range prog.Funcs() {
+		for _, c := range f.Calls {
+			if c.Callee != nil && c.Callee != f {
+				callers[c.Callee] = append(callers[c.Callee], f)
+			}
+		}
+	}
+	helper := map[*dataflow.Func]bool{}
+	for _, r := range roots {
+		helper[r] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, f := range prog.Funcs() {
+			if helper[f] || len(callers[f]) == 0 {
+				continue
+			}
+			all := true
+			for _, caller := range callers[f] {
+				if !helper[caller] {
+					all = false
+					break
+				}
+			}
+			if all {
+				helper[f] = true
+				changed = true
+			}
+		}
+	}
+	return helper
 }

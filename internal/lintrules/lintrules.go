@@ -1,17 +1,19 @@
-// Package lintrules is stochlint's analyzer suite: seven custom static checks
+// Package lintrules is stochlint's analyzer suite: six custom static checks
 // that mechanically enforce the determinism and correctness contracts the
 // paper's guarantees rest on (Theorem 3 dominance optimality and the
 // Corollary 3–5 incremental updates require every replacement decision to be
 // a pure, deterministic function of stream state).
 //
-// Three of the analyzers — snapcomplete, fingerprintcover, wirexhaustive —
-// are the state-contract suite (serialization completeness,
-// config-fingerprint coverage, and wire protocol exhaustiveness). They are
-// interprocedural, running on per-function summaries computed over the whole
-// module by internal/lintrules/dataflow (call graph, fixed-point solver,
-// field-access summaries), so a contract violation hidden behind any chain of
-// helper calls still surfaces. The other four — maprange, floateq,
-// stepretain, locksafe — are syntactic or type-based per-package checks.
+// Two of the analyzers — fingerprintcover and wirexhaustive — are the
+// state-contract suite (config-fingerprint coverage and wire protocol
+// exhaustiveness). They are interprocedural, running on per-function
+// summaries computed over the whole module by internal/lintrules/dataflow
+// (call graph, fixed-point solver, field-read summaries), so a contract
+// violation hidden behind any chain of helper calls still surfaces. The other
+// four — maprange, floateq, stepretain, locksafe — are syntactic or
+// type-based per-package checks. That a checkpoint captures every field a
+// restore needs is left to the replay tests, which restore every codec and
+// compare the run with an uninterrupted one.
 //
 // Each analyzer is kept by a mutant of the real tree that it alone kills;
 // contracts that a test, go vet or the compiler already enforces are left to
@@ -76,19 +78,6 @@ func inAny(pkgPath string, roots []string) bool {
 
 func everywhere(string) bool { return true }
 
-// statePkgs scope serialization completeness to the packages that own
-// snapshot/restore pairs: the engine and sharded runtime checkpoints, the
-// policies' SnapshotState/RestoreState, the stats trackers and RNG, and the
-// core sketches' binary codecs.
-var statePkgs = []string{
-	"stochstream/internal/core",
-	"stochstream/internal/policy",
-	"stochstream/internal/cachepolicy",
-	"stochstream/internal/engine",
-	"stochstream/internal/shardrt",
-	"stochstream/internal/stats",
-}
-
 // fingerprintPkgs scope config-fingerprint coverage to the packages whose
 // checkpoints carry a config fingerprint compared on restore.
 var fingerprintPkgs = []string{
@@ -109,16 +98,15 @@ func Rules() []Rule {
 		{Floateq, everywhere},
 		{Stepretain, everywhere},
 		{Locksafe, everywhere},
-		{Snapcomplete, func(p string) bool { return inAny(p, statePkgs) }},
 		{Fingerprintcover, func(p string) bool { return inAny(p, fingerprintPkgs) }},
 		{Wirexhaustive, func(p string) bool { return inAny(p, wirePkgs) }},
 	}
 }
 
-// Analyzers returns the seven analyzers without scoping, for tests and docs.
+// Analyzers returns the six analyzers without scoping, for tests and docs.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Maprange, Floateq, Stepretain, Locksafe,
-		Snapcomplete, Fingerprintcover, Wirexhaustive,
+		Fingerprintcover, Wirexhaustive,
 	}
 }

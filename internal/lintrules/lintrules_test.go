@@ -43,16 +43,16 @@ func TestStaleignore(t *testing.T) {
 }
 
 // TestScoping pins the suite's package scoping: maprange covers the decision
-// and emission/export packages, the state contracts (snapcomplete,
-// fingerprintcover, wirexhaustive) their own serialization/protocol packages,
-// and the remaining analyzers everything.
+// and emission/export packages, the state contracts (fingerprintcover,
+// wirexhaustive) their own checkpoint/protocol packages, and the remaining
+// analyzers everything.
 func TestScoping(t *testing.T) {
 	byName := map[string]lintrules.Rule{}
 	for _, r := range lintrules.Rules() {
 		byName[r.Analyzer.Name] = r
 	}
-	if len(byName) != 7 {
-		t.Fatalf("expected 7 rules, got %d", len(byName))
+	if len(byName) != 6 {
+		t.Fatalf("expected 6 rules, got %d", len(byName))
 	}
 	cases := []struct {
 		analyzer string
@@ -74,10 +74,6 @@ func TestScoping(t *testing.T) {
 		{"floateq", "stochstream/internal/workload", true},
 		{"stepretain", "stochstream", true},
 		{"locksafe", "stochstream/cmd/repro", true},
-		{"snapcomplete", "stochstream/internal/engine", true},
-		{"snapcomplete", "stochstream/internal/shardrt", true},
-		{"snapcomplete", "stochstream/internal/stats", true},
-		{"snapcomplete", "stochstream/internal/telemetry", false},
 		{"fingerprintcover", "stochstream/internal/engine", true},
 		{"fingerprintcover", "stochstream/internal/shardrt", true},
 		{"fingerprintcover", "stochstream/internal/policy", false},

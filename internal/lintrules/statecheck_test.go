@@ -7,10 +7,6 @@ import (
 	"stochstream/internal/lintrules/analysistest"
 )
 
-func TestSnapcomplete(t *testing.T) {
-	analysistest.Run(t, testdata(t), lintrules.Snapcomplete, "snapcomplete")
-}
-
 func TestFingerprintcover(t *testing.T) {
 	analysistest.Run(t, testdata(t), lintrules.Fingerprintcover, "fingerprintcover")
 }

@@ -52,16 +52,18 @@ type HEEB struct {
 	alpha   float64
 	tracker *stats.LifetimeTracker
 	// fc is the forecast window every candidate of a decision is scored
-	// against, advanced at the head of each Evict; nil when Opts.NoMemo.
-	fc *core.ForecastCache //lint:ignore snapcomplete derived window, refilled after restore
+	// against, advanced at the head of each Evict; nil when Opts.NoMemo. It
+	// is derived, so no snapshot carries it: a restore refills it.
+	fc *core.ForecastCache
 	// ltab caches Lexp's e^{−Δt/α} values for the current α; ltabAlpha
 	// tracks which α the table was built for (adaptive runs re-derive α).
-	ltab      core.LTable //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
-	ltabAlpha float64     //lint:ignore snapcomplete lookup table re-derived from α on demand by ensureLTab
+	// No snapshot carries them: ensureLTab re-derives the table on demand.
+	ltab      core.LTable
+	ltabAlpha float64
 	// scoreBuf and victims are the reused per-decision score and answer
 	// slices (join.Policy.Evict: the caller is done with an answer before it
-	// asks again); Scores hands out scoreBuf.
-	scoreBuf []float64 //lint:ignore snapcomplete per-decision score scratch, overwritten by every evict
+	// asks again); Scores hands out scoreBuf. Every Evict overwrites both.
+	scoreBuf []float64
 	victims  []int
 }
 

@@ -369,3 +369,35 @@ func TestProbSnapshotDeterministic(t *testing.T) {
 		t.Fatal("the restored counts differ from the snapshotted ones")
 	}
 }
+
+// TestReservoirRestoreRefusesNegativeSeen: no run counts a negative number
+// of tuples seen, and a reservoir restored with one would admit every
+// arrival until the count passed k. A snapshot that says so is refused, and
+// the refusal leaves the policy's RNG and count as they were.
+func TestReservoirRestoreRefusesNegativeSeen(t *testing.T) {
+	p := &Reservoir{}
+	p.Reset(join.Config{CacheSize: 4}, stats.NewRNG(1))
+	p.seen = 9
+	rngBefore, err := p.rng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := stats.NewRNG(2).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := gobEncode(reservoirWire{RNG: other, Seen: -5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestoreState(forged); err == nil {
+		t.Fatal("a snapshot with a negative count of tuples seen restored")
+	}
+	rngAfter, err := p.rng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rngAfter, rngBefore) || p.seen != 9 {
+		t.Fatalf("the refused restore changed the policy: seen %d, RNG replaced %t", p.seen, !bytes.Equal(rngAfter, rngBefore))
+	}
+}

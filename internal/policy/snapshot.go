@@ -95,11 +95,16 @@ func (p *Reservoir) SnapshotState() ([]byte, error) {
 	return gobEncode(reservoirWire{RNG: b, Seen: p.seen})
 }
 
-// RestoreState implements join.StateSnapshotter.
+// RestoreState implements join.StateSnapshotter. No run counts a negative
+// number of tuples seen, so such a snapshot is refused before the RNG is
+// replaced: a snapshot that does not validate leaves the policy as it was.
 func (p *Reservoir) RestoreState(data []byte) error {
 	var w reservoirWire
 	if err := gobDecode(data, &w); err != nil {
 		return fmt.Errorf("policy: restoring RESERVOIR state: %w", err)
+	}
+	if w.Seen < 0 {
+		return fmt.Errorf("policy: restoring RESERVOIR state: %d tuples seen", w.Seen)
 	}
 	if err := p.rng.UnmarshalBinary(w.RNG); err != nil {
 		return err

@@ -222,11 +222,10 @@ type Runtime struct {
 	batches  int
 	merged   int
 	// reply is the last dispatch's answer; out is the same written out as
-	// Pairs, by IngestBatch and Flush only.
-	//lint:ignore snapcomplete merge buffers handed to the caller each batch; Checkpoint runs between IngestBatch calls, when they are dead
+	// Pairs, by IngestBatch and Flush only. Both are handed to the caller each
+	// batch; Checkpoint runs between IngestBatch calls, when they are dead.
 	reply Reply
-	//lint:ignore snapcomplete merge buffer handed to the caller each batch; Checkpoint runs between IngestBatch calls, when it is dead
-	out []Pair
+	out   []Pair
 	// runs is room for one run per shard (length 0, capacity Shards): a
 	// dispatch gathers the shards' outputs into it and mergeRuns clears them,
 	// so no shard's batch output outlives its dispatch and a Checkpoint (taken
@@ -237,10 +236,11 @@ type Runtime struct {
 	// every helper it woke take the next one with a batch until none is
 	// left. wake, whose capacity is the number of helpers, carries one token
 	// per helper a dispatch wants; helping counts the woken helpers that are
-	// not done.
-	next    atomic.Int64 //lint:ignore snapcomplete dispatch scratch, dead between calls
+	// not done. next and helping are dispatch scratch: between calls every
+	// woken helper is done and neither is read.
+	next    atomic.Int64
 	wake    chan struct{}
-	helping sync.WaitGroup //lint:ignore snapcomplete dispatch scratch: zero between calls, every woken helper done
+	helping sync.WaitGroup
 
 	closed bool
 	// fault is the first shard step fault. The other shards stepped that

@@ -18,7 +18,8 @@ import (
 // bit-for-bit: rand/v2's Rand carries no buffered state of its own, so the
 // PCG words are the whole story.
 type RNG struct {
-	//lint:ignore snapcomplete rand.Rand buffers nothing; the PCG words are the whole state and UnmarshalBinary rebuilds r around the restored source
+	// r wraps pcg: rand.Rand buffers nothing, so UnmarshalBinary rebuilds r
+	// around the restored source.
 	r   *rand.Rand
 	pcg *rand.PCG
 }

@@ -14,7 +14,7 @@
 #                    the tree, 0 findings (internal/lintrules,
 #                    docs/static-analysis.md). That the suite still fires —
 #                    exit 1 and byte-exact findings on the seeded corpus, the
-#                    clean statecheck corpus, the two mutation self-tests — is
+#                    clean statecheck corpus, the wire mutation self-test — is
 #                    cmd/stochlint's own Go tests, which phase 6 runs
 #   4. govulncheck — known-vuln scan, soft-skipped offline
 #   5. build
@@ -26,11 +26,13 @@
 #                    four it shares them with helper goroutines, and both
 #                    paths run under the race detector
 #   7. mutants     — scripts/mutants.sh: each of the 48 scripts/mutants/*.patch
-#                    breaks one contract of the real tree (one that only a
-#                    stochlint analyzer kills, a contract whose analyzer was
-#                    deleted in favour of a test, vet or the build, a fixed
-#                    bug), and the checks its header names must each kill
-#                    it; prints the kill matrix (docs/static-analysis.md,
+#                    breaks one contract of the real tree, and the checks its
+#                    header names must each kill it. The contract is one only
+#                    a stochlint analyzer guards, one whose analyzer was
+#                    deleted in favour of a test, vet or the build (the
+#                    ckpt-* patches drop checkpointed state, which the
+#                    replay tests catch), or a fixed bug. The phase
+#                    prints the kill matrix (docs/static-analysis.md,
 #                    "Kill matrix"). That every analyzer is the only killer
 #                    of some patch, and every stochlint killer names one, is
 #                    internal/lintrules' TestMutantCorpusCoversSuite, run in
@@ -56,7 +58,7 @@
 #                    passes CheckInvariants, never a panic; and a fresh and
 #                    a stepped operator of one configuration either both
 #                    refuse it or write byte-identical next checkpoints;
-#                    each input is restored into twelve operators, so
+#                    each input is restored into sixteen operators, so
 #                    minimizing a new input is bounded to one run, or it
 #                    takes the 10s) and
 #                    the three wire fuzzers over their committed corpora.
