@@ -1,13 +1,13 @@
 // Command stochlint is the multichecker driver for the internal/lintrules
 // analyzer suite: it type-checks the module's packages (offline, stdlib
-// importer only), builds whole-program context (call graph + per-function
-// summaries) once, and runs each analyzer over its scoped package set.
+// importer only), collects every //lint:ignore directive once, and runs each
+// analyzer over its scoped package set.
 //
 //	go run ./cmd/stochlint ./...            # the CI invocation
 //	go run ./cmd/stochlint -json ./...      # machine-readable findings
 //	go run ./cmd/stochlint -C subdir ./...  # run as if started in subdir
 //	go run ./cmd/stochlint -rules list      # print the suite's analyzer names
-//	go run ./cmd/stochlint -rules fingerprintcover,wirexhaustive ./...
+//	go run ./cmd/stochlint -rules maprange,floateq ./...
 //
 // Findings print as file:line:col: [analyzer] message, relative to the
 // working directory when possible; any unsuppressed finding makes the exit
@@ -33,7 +33,6 @@ import (
 
 	"stochstream/internal/lintrules"
 	"stochstream/internal/lintrules/analysis"
-	"stochstream/internal/lintrules/dataflow"
 	"stochstream/internal/lintrules/load"
 )
 
@@ -133,15 +132,12 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 		pkgs = append(pkgs, pkg)
 	}
 
-	// Whole-program context: one suppression table and one call graph over
-	// every source package the load phase touched (targets plus transitive
-	// module imports).
+	// One suppression table over every source package the load phase
+	// touched (targets plus transitive module imports).
 	table := analysis.NewSuppressionTable()
-	srcPkgs := loader.SourcePackages()
-	for _, p := range srcPkgs {
+	for _, p := range loader.SourcePackages() {
 		table.AddFiles(loader.Fset, p.Files)
 	}
-	prog := dataflow.NewProgram(loader.Fset, srcPkgs)
 
 	var findings []analysis.Finding
 	for _, pkg := range pkgs {
@@ -149,7 +145,7 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) (int, error)
 			if !r.Applies(pkg.Path) {
 				continue
 			}
-			fs, err := analysis.RunAnalyzerWith(r.Analyzer, table, prog, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+			fs, err := analysis.RunAnalyzerWith(r.Analyzer, table, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 			if err != nil {
 				return 0, err
 			}

@@ -72,13 +72,12 @@ func TestStatecheckCorpusClean(t *testing.T) {
 }
 
 // TestStatecheckMutants is the mutation self-test: in a throwaway copy of
-// the statecheck corpus, dropping the marked wire frame case must fail the
-// driver with a finding that names exactly what was dropped. An analyzer
-// that stays silent here has gone blind to the one regression it exists to
-// catch.
+// the statecheck corpus, dropping the marked line must fail the driver with a
+// finding that names exactly what the drop exposed. An analyzer that stays
+// silent here has gone blind to the one regression it exists to catch.
 func TestStatecheckMutants(t *testing.T) {
 	for _, m := range []struct{ marker, file, rule, want string }{
-		{"ci:mutate-wire", "internal/streamd/streamd.go", "wirexhaustive", "TypeData"},
+		{"ci:mutate-sort", "internal/streamd/streamd.go", "maprange", `appends to "names" which is never sorted`},
 	} {
 		t.Run(m.rule, func(t *testing.T) {
 			dir := t.TempDir()
@@ -129,7 +128,7 @@ func TestRulesList(t *testing.T) {
 			t.Errorf("line %d = %q, want %q (suite order)", i, lines[i], r.Analyzer.Name)
 		}
 	}
-	for _, name := range []string{"fingerprintcover", "wirexhaustive"} {
+	for _, name := range []string{"maprange", "floateq", "stepretain", "locksafe"} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("-rules list missing %s", name)
 		}
@@ -143,19 +142,19 @@ func TestRulesList(t *testing.T) {
 // col, analyzer, message, suppressed.
 func TestRulesSubset(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(options{JSON: true, Rules: "wirexhaustive", Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
+	code, err := run(options{JSON: true, Rules: "stepretain", Dir: "testdata/mod"}, []string{"./..."}, &buf, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 1 {
-		t.Errorf("exit code = %d, want 1 (the corpus seeds wirexhaustive findings)", code)
+		t.Errorf("exit code = %d, want 1 (the corpus seeds a stepretain finding)", code)
 	}
 	var raw []map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatalf("subset -json output is not a bare finding array: %v", err)
 	}
 	if len(raw) == 0 {
-		t.Fatal("subset run found nothing (the corpus seeds wirexhaustive findings)")
+		t.Fatal("subset run found nothing (the corpus seeds a stepretain finding)")
 	}
 	wantKeys := []string{"analyzer", "col", "file", "line", "message", "suppressed"}
 	for _, rec := range raw {
@@ -173,7 +172,7 @@ func TestRulesSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
-		if f.Analyzer != "wirexhaustive" {
+		if f.Analyzer != "stepretain" {
 			t.Errorf("subset run leaked %s finding at %s:%d (staleignore must be skipped too)", f.Analyzer, f.File, f.Line)
 		}
 	}
@@ -183,11 +182,11 @@ func TestRulesSubset(t *testing.T) {
 // infrastructure error (exit 2 in main), naming both the unknown analyzer
 // and the valid suite.
 func TestRulesUnknown(t *testing.T) {
-	_, err := run(options{Rules: "fingerprintcovr", Dir: "testdata/mod"}, []string{"./..."}, io.Discard, io.Discard)
+	_, err := run(options{Rules: "stepretian", Dir: "testdata/mod"}, []string{"./..."}, io.Discard, io.Discard)
 	if err == nil {
 		t.Fatal("unknown -rules name must error")
 	}
-	if !strings.Contains(err.Error(), "fingerprintcovr") || !strings.Contains(err.Error(), "fingerprintcover") {
+	if !strings.Contains(err.Error(), "stepretian") || !strings.Contains(err.Error(), "stepretain") {
 		t.Errorf("error must name the unknown analyzer and the suite, got: %v", err)
 	}
 }
@@ -206,7 +205,7 @@ func TestTextHidesSuppressed(t *testing.T) {
 	if bytes.Contains(buf.Bytes(), []byte("policy.go:10")) {
 		t.Errorf("text output leaks the suppressed finding:\n%s", buf.Bytes())
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("[wirexhaustive]")) || !bytes.Contains(buf.Bytes(), []byte("[staleignore]")) {
+	if !bytes.Contains(buf.Bytes(), []byte("[stepretain]")) || !bytes.Contains(buf.Bytes(), []byte("[staleignore]")) {
 		t.Errorf("text output missing expected findings:\n%s", buf.Bytes())
 	}
 }

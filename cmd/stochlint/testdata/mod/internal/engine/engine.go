@@ -36,30 +36,3 @@ func (j *Join) StepBatch(batch []TuplePair) []Pair {
 	}
 	return j.out
 }
-
-// Config mirrors the real engine's construction-time identity; the corpus
-// fingerprint below forgets Window.
-type Config struct {
-	CacheSize int
-	Window    int
-}
-
-// Op seeds the golden corpus's fingerprint finding: Window is read on the
-// decision path but missing from the fingerprint.
-type Op struct {
-	cfg Config
-	lo  int
-}
-
-// fingerprint forgets cfg.Window.
-func (o *Op) fingerprint() int { return o.cfg.CacheSize }
-
-// inWindow reads cfg.Window on the runtime path.
-func (o *Op) inWindow(age int) bool { return age <= o.cfg.Window }
-
-// Bump counts the arrivals inside the window.
-func (o *Op) Bump(age int) {
-	if o.inWindow(age) {
-		o.lo++
-	}
-}

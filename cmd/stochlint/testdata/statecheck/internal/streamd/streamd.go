@@ -1,20 +1,20 @@
-// Package streamd is the statecheck mutation corpus's protocol endpoint:
-// its dispatch handles every frame type the wire package defines.
-// TestStatecheckMutants deletes the case marked ci:mutate-wire and then
-// expects wirexhaustive to fail the driver naming the unreachable constant.
+// Package streamd is the statecheck mutation corpus: Names lists a map's keys
+// in sorted order, the idiom maprange accepts. TestStatecheckMutants deletes
+// the line marked ci:mutate-sort and then expects maprange to fail the
+// driver, naming the slice whose order is now Go's map order.
 package streamd
 
-import "stochstream/internal/streamd/wire"
+import "sort"
 
-// Dispatch routes one inbound frame.
-func Dispatch(typ uint8) string {
-	switch typ {
-	case wire.TypeHello:
-		return "hello"
-	case wire.TypeData: // ci:mutate-wire
-		return "data"
-	case wire.TypeBye:
-		return "bye"
+// Names returns the counter names in a replay-stable order.
+func Names(counters map[string]int) []string {
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
 	}
-	return "unknown"
+	sort.Strings(names) // ci:mutate-sort
+	return names
 }
+
+// Sorted reports whether names is in the order Names returns them.
+func Sorted(names []string) bool { return sort.StringsAreSorted(names) }

@@ -2,14 +2,20 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"slices"
+	"strings"
 
 	"stochstream/internal/checkpoint"
+	"stochstream/internal/dist"
 	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
+	"stochstream/internal/process"
 )
 
 // The checkpoint payload is a gob-encoded checkpointWire inside the
@@ -75,8 +81,46 @@ func init() {
 // processes share no replayable state even when the cache geometry, seed
 // and policy all match, so a checkpoint must not cross that boundary.
 func (j *Join) fingerprint() (int, int, int, uint64, string, string) {
-	procSig := fmt.Sprintf("%T/%T", j.cfg.Procs[0], j.cfg.Procs[1])
-	return j.cfg.CacheSize, j.cfg.Window, j.cfg.Band, j.cfg.Seed, j.policy.Name(), procSig
+	return j.cfg.CacheSize, j.cfg.Window, j.cfg.Band, j.cfg.Seed, j.policy.Name(), procSig(j.cfg.Procs)
+}
+
+// sigHorizon is how many forecast steps procSig digests per model.
+const sigHorizon = 4
+
+// procSig names the stream models by their Go types, then "#" and a digest of
+// what each forecasts for Δ = 1…sigHorizon from an empty history: every
+// offset and probability bit of the forecasts, which HEEB's scores sum over
+// (§4.3). Every model conditions an empty history on its initial value, so
+// the digest covers each parameter that moves a forecast — a trend's slope,
+// a walk's drift, a GeneralTrend's F.
+func procSig(procs [2]process.Process) string {
+	h := fnv.New64a()
+	var b []byte
+	for _, p := range procs {
+		if p == nil {
+			continue
+		}
+		for delta := 1; delta <= sigHorizon; delta++ {
+			d := dist.DenseOf(p.Forecast(&process.History{}, delta))
+			b = binary.LittleEndian.AppendUint64(b[:0], uint64(d.Off))
+			b = binary.LittleEndian.AppendUint64(b, uint64(len(d.P)))
+			for _, x := range d.P {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+			h.Write(b)
+		}
+	}
+	return fmt.Sprintf("%T/%T#%016x", procs[0], procs[1], h.Sum64())
+}
+
+// sameProcs reports whether a checkpoint's process signature matches the
+// operator's. A signature without "#" was written before the forecast digest
+// and is compared by type alone; the branch can go at the next format move.
+func sameProcs(ckpt, op string) bool {
+	if !strings.Contains(ckpt, "#") {
+		op, _, _ = strings.Cut(op, "#")
+	}
+	return ckpt == op
 }
 
 // Checkpoint serializes the operator's full state to w. The operator is
@@ -160,7 +204,7 @@ func (j *Join) Restore(r io.Reader) error {
 	if wire.PolicyName != polName {
 		return fmt.Errorf("%w: checkpoint policy %q, operator policy %q", ErrConfigMismatch, wire.PolicyName, polName)
 	}
-	if wire.ProcSig != procSig {
+	if !sameProcs(wire.ProcSig, procSig) {
 		return fmt.Errorf("%w: checkpoint processes %q, operator processes %q", ErrConfigMismatch, wire.ProcSig, procSig)
 	}
 	byID, err := validateWire(&wire)

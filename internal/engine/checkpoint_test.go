@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"stochstream/internal/checkpoint"
+	"stochstream/internal/flightrec"
 	"stochstream/internal/join"
 	"stochstream/internal/policy"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
+	"stochstream/internal/telemetry"
 )
 
 // ckptConfigs is the configuration grid the checkpoint differential tests
@@ -273,26 +276,106 @@ func TestRestoreRejectsSkewAndCorruption(t *testing.T) {
 	}
 }
 
-// A checkpoint only restores into an identically configured operator.
+// A checkpoint only restores into an operator of the same configuration,
+// field by field: every Config field has a row, and a field added without one
+// fails the test. A row either changes a field the replay depends on and
+// requires ErrConfigMismatch, or (observe) changes a wiring or observability
+// field, restores under the other value and requires the run to continue as
+// the uninterrupted one: the same pairs and the same final checkpoint.
 func TestRestoreRejectsConfigMismatch(t *testing.T) {
-	_, ckpt := steppedOperator(t, 100)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
+	const n, cut = 300, 100
+	r, s := ckptTrace(n)
+	// base is HEEB on two linear trends of slope 1.
+	base := func() Config { return Config{CacheSize: 8, Seed: 11, Procs: trendProcs()} }
+	rows := []struct {
+		name, field string
+		edit        func(*Config)
+		observe     bool
 	}{
-		{"cache-size", Config{CacheSize: 16, Seed: 11}},
-		{"window", Config{CacheSize: 8, Window: 4, Seed: 11}},
-		{"band", Config{CacheSize: 8, Band: 1, Seed: 11}},
-		{"seed", Config{CacheSize: 8, Seed: 12}},
-		{"policy", Config{CacheSize: 8, Seed: 11, Policy: &policy.Prob{}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			j, err := NewJoin(tc.cfg)
+		{"cache-size", "CacheSize", func(c *Config) { c.CacheSize = 16 }, false},
+		{"window", "Window", func(c *Config) { c.Window = 4 }, false},
+		{"band", "Band", func(c *Config) { c.Band = 1 }, false},
+		{"seed", "Seed", func(c *Config) { c.Seed = 12 }, false},
+		{"policy", "Policy", func(c *Config) { c.Policy = &policy.Prob{} }, false},
+		// The same forecasts from a model of another type.
+		{"procs-type", "Procs", func(c *Config) {
+			lt := c.Procs[0].(*process.LinearTrend)
+			c.Procs[0] = &process.GeneralTrend{F: lt.TrendAt, Noise: lt.Noise}
+		}, false},
+		// The same model type, forecasting another trend.
+		{"procs-slope", "Procs", func(c *Config) {
+			for i, p := range c.Procs {
+				lt := *p.(*process.LinearTrend)
+				lt.Slope = 5
+				c.Procs[i] = &lt
+			}
+		}, false},
+		{"telemetry", "Telemetry", func(c *Config) { c.Telemetry = telemetry.NewRegistry() }, true},
+		{"flight", "Flight", func(c *Config) { c.Flight = flightrec.New(flightrec.Options{}) }, true},
+	}
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.field] = true
+	}
+	fields := reflect.TypeOf(Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		if name := fields.Field(i).Name; !covered[name] {
+			t.Errorf("Config.%s has no row: say whether a checkpoint may cross a change of it", name)
+		}
+		delete(covered, fields.Field(i).Name)
+	}
+	for name := range covered {
+		t.Errorf("a row names Config.%s, which does not exist", name)
+	}
+
+	whole, err := NewJoin(base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]Pair, n)
+	for i := range want {
+		want[i] = copyPairs(whole.Step(r[i], s[i]))
+	}
+	orig, err := NewJoin(base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cut; i++ {
+		orig.Step(r[i], s[i])
+	}
+	ckpt := checkpointOf(t, orig)
+
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := base()
+			row.edit(&cfg)
+			j, err := NewJoin(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.Restore(bytes.NewReader(ckpt)); !errors.Is(err, ErrConfigMismatch) {
-				t.Fatalf("got %v, want ErrConfigMismatch", err)
+			err = j.Restore(bytes.NewReader(ckpt))
+			if !row.observe {
+				if !errors.Is(err, ErrConfigMismatch) {
+					t.Fatalf("got %v, want ErrConfigMismatch", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore under another %s: %v", row.field, err)
+			}
+			pairs := 0
+			for i := cut; i < n; i++ {
+				got := j.Step(r[i], s[i])
+				if !pairsEqual(got, want[i]) {
+					t.Fatalf("step %d pairs diverge:\n  restored      %v\n  uninterrupted %v", i, got, want[i])
+				}
+				pairs += len(got)
+			}
+			if pairs == 0 {
+				t.Fatal("no pairs after the cut: the comparison shows nothing")
+			}
+			if !bytes.Equal(checkpointOf(t, j), checkpointOf(t, whole)) {
+				t.Fatal("final checkpoints differ between the restored and the uninterrupted run")
 			}
 		})
 	}

@@ -92,7 +92,6 @@ type Config struct {
 	Procs [2]process.Process
 	// Policy decides replacements; nil defaults to HEEB with the models (or
 	// RAND when no models are given).
-	//lint:ignore fingerprintcover the checkpoint fingerprints the policy by name (PolicyName); the value is construction wiring, and a name mismatch already fails restore
 	Policy join.Policy
 	// Seed drives the policy's randomness.
 	Seed uint64

@@ -45,12 +45,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the whole-program context shared across packages — a
-	// *dataflow.Program when the driver built one — used by the
-	// interprocedural analyzers to read per-function summaries. Nil for
-	// purely syntactic analyzers or single-package runs.
-	Facts interface{}
-
 	diags []Diagnostic
 }
 
@@ -101,16 +95,14 @@ func SortFindings(fs []Finding) {
 
 // RunAnalyzerWith runs a over one type-checked package, marking findings
 // covered by a directive in table as suppressed (and recording the directive
-// use for the audit). facts is the whole-program context handed to
-// interprocedural analyzers via Pass.Facts; nil for syntactic ones.
-func RunAnalyzerWith(a *Analyzer, table *SuppressionTable, facts interface{}, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+// use for the audit).
+func RunAnalyzerWith(a *Analyzer, table *SuppressionTable, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      fset,
 		Files:     files,
 		Pkg:       pkg,
 		TypesInfo: info,
-		Facts:     facts,
 	}
 	if _, err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)

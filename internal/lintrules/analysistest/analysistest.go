@@ -9,11 +9,10 @@
 // the same tree — the loader resolves overlay packages before anything
 // else, and the standard library resolves normally.
 //
-// Every run builds whole-program context (a dataflow.Program over the
-// corpus package and everything it transitively loaded) and a shared
-// suppression table, so interprocedural analyzers see exactly what the
-// cmd/stochlint driver would show them. Findings suppressed by a reasoned
-// //lint:ignore are filtered before matching, like the driver's exit code.
+// Every run builds one suppression table over the corpus package and
+// everything it transitively loaded, as the cmd/stochlint driver does.
+// Findings suppressed by a reasoned //lint:ignore are filtered before
+// matching, like the driver's exit code.
 //
 // Expectations are comments of the form
 //
@@ -29,22 +28,21 @@ import (
 	"testing"
 
 	"stochstream/internal/lintrules/analysis"
-	"stochstream/internal/lintrules/dataflow"
 	"stochstream/internal/lintrules/load"
 )
 
 var wantRE = regexp.MustCompile(`//\s*want((?:\s+"(?:[^"\\]|\\.)*")+)`)
 var quotedRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
-// Run loads <testdata>/src/<pkgPath>, runs a over it with whole-program
-// context, and reports expectation mismatches on t.
+// Run loads <testdata>/src/<pkgPath>, runs a over it, and reports
+// expectation mismatches on t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
 	RunSuite(t, testdata, []*analysis.Analyzer{a}, pkgPath, false)
 }
 
 // RunSuite runs several analyzers over one corpus package with a shared
-// suppression table and whole-program context, optionally followed by the
+// suppression table, optionally followed by the
 // stale-suppression audit (findings under the "staleignore" name, scoped to
 // the target package's files). Unsuppressed findings are matched against
 // the corpus's `// want` expectations.
@@ -63,15 +61,13 @@ func RunSuite(t *testing.T, testdata string, as []*analysis.Analyzer, pkgPath st
 	}
 
 	table := analysis.NewSuppressionTable()
-	srcPkgs := loader.SourcePackages()
-	for _, p := range srcPkgs {
+	for _, p := range loader.SourcePackages() {
 		table.AddFiles(loader.Fset, p.Files)
 	}
-	prog := dataflow.NewProgram(loader.Fset, srcPkgs)
 
 	var findings []analysis.Finding
 	for _, a := range as {
-		fs, err := analysis.RunAnalyzerWith(a, table, prog, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+		fs, err := analysis.RunAnalyzerWith(a, table, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			t.Fatalf("run %s: %v", a.Name, err)
 		}

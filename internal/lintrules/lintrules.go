@@ -1,19 +1,17 @@
-// Package lintrules is stochlint's analyzer suite: six custom static checks
+// Package lintrules is stochlint's analyzer suite: four custom static checks
 // that mechanically enforce the determinism and correctness contracts the
 // paper's guarantees rest on (Theorem 3 dominance optimality and the
 // Corollary 3–5 incremental updates require every replacement decision to be
 // a pure, deterministic function of stream state).
 //
-// Two of the analyzers — fingerprintcover and wirexhaustive — are the
-// state-contract suite (config-fingerprint coverage and wire protocol
-// exhaustiveness). They are interprocedural, running on per-function
-// summaries computed over the whole module by internal/lintrules/dataflow
-// (call graph, fixed-point solver, field-read summaries), so a contract
-// violation hidden behind any chain of helper calls still surfaces. The other
-// four — maprange, floateq, stepretain, locksafe — are syntactic or
-// type-based per-package checks. That a checkpoint captures every field a
-// restore needs is left to the replay tests, which restore every codec and
-// compare the run with an uninterrupted one.
+// The analyzers — maprange, floateq, stepretain, locksafe — are syntactic or
+// type-based per-package checks. The state contracts are left to tests: that
+// a checkpoint captures every field a restore needs to the replay tests,
+// which restore every codec and compare the run with an uninterrupted one;
+// that the config fingerprint covers every Config field to the
+// field-by-field mismatch tests of internal/engine and internal/shardrt; and
+// that every wire constant is handled to internal/streamd/wire's
+// constant-by-constant tables.
 //
 // Each analyzer is kept by a mutant of the real tree that it alone kills;
 // contracts that a test, go vet or the compiler already enforces are left to
@@ -78,19 +76,6 @@ func inAny(pkgPath string, roots []string) bool {
 
 func everywhere(string) bool { return true }
 
-// fingerprintPkgs scope config-fingerprint coverage to the packages whose
-// checkpoints carry a config fingerprint compared on restore.
-var fingerprintPkgs = []string{
-	"stochstream/internal/engine",
-	"stochstream/internal/shardrt",
-}
-
-// wirePkgs scope protocol exhaustiveness to the daemon tree (the wire
-// package itself, the daemon, and the client, via the prefix match).
-var wirePkgs = []string{
-	"stochstream/internal/streamd",
-}
-
 // Rules returns the stochlint suite with its package scoping.
 func Rules() []Rule {
 	return []Rule{
@@ -98,15 +83,10 @@ func Rules() []Rule {
 		{Floateq, everywhere},
 		{Stepretain, everywhere},
 		{Locksafe, everywhere},
-		{Fingerprintcover, func(p string) bool { return inAny(p, fingerprintPkgs) }},
-		{Wirexhaustive, func(p string) bool { return inAny(p, wirePkgs) }},
 	}
 }
 
-// Analyzers returns the six analyzers without scoping, for tests and docs.
+// Analyzers returns the four analyzers without scoping, for tests and docs.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Maprange, Floateq, Stepretain, Locksafe,
-		Fingerprintcover, Wirexhaustive,
-	}
+	return []*analysis.Analyzer{Maprange, Floateq, Stepretain, Locksafe}
 }

@@ -263,9 +263,9 @@ func (l *Loader) loadSource(path, dir string) (*Package, error) {
 
 // SourcePackages returns every package loaded from source so far (overlay
 // and module packages — the ones with Files and full type info), sorted by
-// import path. This is the package set a whole-program analysis (the
-// dataflow call graph) is built over: transitive imports are present
-// because Load resolves them recursively.
+// import path. This is the package set the drivers collect //lint:ignore
+// directives from: transitive imports are present because Load resolves
+// them recursively.
 func (l *Loader) SourcePackages() []*Package {
 	var out []*Package
 	for _, r := range l.pkgs {

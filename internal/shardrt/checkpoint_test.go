@@ -7,11 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/engine"
+	"stochstream/internal/join"
+	"stochstream/internal/policy"
 	"stochstream/internal/process"
 )
 
@@ -121,38 +125,127 @@ func copyShardPairs(pairs []Pair) []Pair {
 }
 
 // TestShardedCheckpointFingerprint: a manifest only restores into a runtime
-// built with the same partitioning configuration.
+// of the same configuration, field by field. Every Config field has a row,
+// and a field added without one fails the test. A row either changes a field
+// the replay depends on and requires ErrConfigMismatch — from validateManifest
+// itself, before any shard is touched, for the fields the manifest records,
+// and from the shard envelopes for the models and the policy — or (observe)
+// changes a wiring or observability field, restores under the other value
+// and requires the run to continue as the uninterrupted one: the same pairs
+// and the same final checkpoint.
 func TestShardedCheckpointFingerprint(t *testing.T) {
-	cfg := Config{Shards: 2, TotalCache: 16, Procs: trendProcs(), Seed: 4}
-	rt, err := New(cfg)
+	base := func() Config { return Config{Shards: 2, TotalCache: 16, Procs: trendProcs(), Seed: 4} }
+	type where int
+	const (
+		manifest where = iota
+		envelopes
+		observe
+	)
+	rows := []struct {
+		name, field string
+		edit        func(*Config)
+		where       where
+	}{
+		{"shards", "Shards", func(c *Config) { c.Shards = 4 }, manifest},
+		{"cache", "TotalCache", func(c *Config) { c.TotalCache = 20 }, manifest},
+		{"window", "Window", func(c *Config) { c.Window = 8 }, manifest},
+		{"seed", "Seed", func(c *Config) { c.Seed = 5 }, manifest},
+		{"procs", "Procs", func(c *Config) {
+			for i, p := range c.Procs {
+				lt := *p.(*process.LinearTrend)
+				lt.Slope = 5
+				c.Procs[i] = &lt
+			}
+		}, envelopes},
+		{"policy", "NewPolicy", func(c *Config) { c.NewPolicy = func(int) join.Policy { return &policy.Prob{} } }, envelopes},
+		{"telemetry", "Telemetry", func(c *Config) { c.Telemetry = true }, observe},
+		{"flight", "Flight", func(c *Config) { c.Flight = true }, observe},
+		{"flight-dir", "FlightDir", func(c *Config) { c.FlightDir = t.TempDir() }, observe},
+		{"flight-sample-every", "FlightSampleEvery", func(c *Config) { c.Flight, c.FlightSampleEvery = true, 3 }, observe},
+	}
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.field] = true
+	}
+	fields := reflect.TypeOf(Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		if name := fields.Field(i).Name; !covered[name] {
+			t.Errorf("Config.%s has no row: say whether a manifest may cross a change of it", name)
+		}
+		delete(covered, fields.Field(i).Name)
+	}
+	for name := range covered {
+		t.Errorf("a row names Config.%s, which does not exist", name)
+	}
+
+	steps := genSteps(9, 400)
+	const cut, batch = 200, 32
+	rt, err := New(base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestAll(t, rt, genSteps(9, 200), 32)
+	ingestAll(t, rt, steps[:cut], batch)
 	var ckpt bytes.Buffer
 	if err := rt.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
+	want := ingestAll(t, rt, steps[cut:], batch)
+	var wantFinal bytes.Buffer
+	if err := rt.Checkpoint(&wantFinal); err != nil {
+		t.Fatal(err)
+	}
 	rt.Close()
+	if len(want) == 0 {
+		t.Fatal("no pairs after the cut: the observe rows compare nothing")
+	}
+	payload, err := checkpoint.Read(bytes.NewReader(ckpt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire manifestWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
 
-	for name, bad := range map[string]Config{
-		"shards": {Shards: 4, TotalCache: 16, Procs: trendProcs(), Seed: 4},
-		"cache":  {Shards: 2, TotalCache: 20, Procs: trendProcs(), Seed: 4},
-		"window": {Shards: 2, TotalCache: 16, Window: 8, Procs: trendProcs(), Seed: 4},
-		"seed":   {Shards: 2, TotalCache: 16, Procs: trendProcs(), Seed: 5},
-	} {
-		other, err := New(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := other.Restore(bytes.NewReader(ckpt.Bytes())); !errors.Is(err, engine.ErrConfigMismatch) {
-			t.Fatalf("%s mismatch restored with err %v, want ErrConfigMismatch", name, err)
-		}
-		other.Close()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := base()
+			row.edit(&cfg)
+			other, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			if row.where == manifest {
+				if err := other.validateManifest(&wire); !errors.Is(err, engine.ErrConfigMismatch) {
+					t.Fatalf("validateManifest: got %v, want ErrConfigMismatch", err)
+				}
+			}
+			err = other.Restore(bytes.NewReader(ckpt.Bytes()))
+			if row.where != observe {
+				if !errors.Is(err, engine.ErrConfigMismatch) {
+					t.Fatalf("got %v, want ErrConfigMismatch", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore under another %s: %v", row.field, err)
+			}
+			if got := ingestAll(t, other, steps[cut:], batch); !slices.Equal(got, want) {
+				t.Fatalf("the restored run emitted %d pairs, the uninterrupted %d, or they differ", len(got), len(want))
+			}
+			var final bytes.Buffer
+			if err := other.Checkpoint(&final); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(final.Bytes(), wantFinal.Bytes()) {
+				t.Fatal("final checkpoints differ between the restored and the uninterrupted run")
+			}
+		})
 	}
 
 	// Matching config accepts the same bytes.
-	same, err := New(cfg)
+	same, err := New(base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +256,7 @@ func TestShardedCheckpointFingerprint(t *testing.T) {
 
 	// Garbage is rejected before any state is touched, and a closed runtime
 	// refuses both directions.
-	fresh, err := New(cfg)
+	fresh, err := New(base())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,13 +124,11 @@ type Config struct {
 	// is the stream's, so the window counts global steps.
 	Window int
 	// Procs carries the stream models for model-driven policies.
-	//lint:ignore fingerprintcover each shard engine's nested checkpoint fingerprints the process pair (ProcSig); the manifest does not repeat it
 	Procs [2]process.Process
 	// NewPolicy builds shard i's replacement policy; nil uses the engine
 	// default (HEEB with the models, RAND otherwise). Each shard needs its
 	// own instance — policies are stateful — which is why this is a factory
 	// and not a value.
-	//lint:ignore fingerprintcover policy identity is fingerprinted by name (PolicyName) inside each shard's engine envelope; the factory is construction wiring
 	NewPolicy func(shard int) join.Policy
 	// Seed drives per-shard policy randomness; each shard derives its own
 	// seed from it.
@@ -138,19 +136,15 @@ type Config struct {
 	// Telemetry, when true, attaches a registry to every shard engine;
 	// Registry returns one shard's and ShardSet all of them, for aggregated
 	// export.
-	//lint:ignore fingerprintcover observability toggle; counters and gauges never feed a decision, so replay is unaffected
 	Telemetry bool
 	// Flight, when true, attaches a flight recorder to every shard engine.
-	//lint:ignore fingerprintcover observability toggle; the recorder observes decisions, it never makes them
 	Flight bool
 	// FlightDir, when non-empty, implies Flight and gives every shard a
 	// bundle directory FlightDir/shard-<i> so faults dump per-shard
 	// diagnostics bundles.
-	//lint:ignore fingerprintcover diagnostics output path; where bundles land cannot affect replay
 	FlightDir string
 	// FlightSampleEvery is the per-shard lifecycle sampling rate (0 keeps
 	// the recorder default).
-	//lint:ignore fingerprintcover observability sampling rate; which steps get lifecycle records cannot affect replay
 	FlightSampleEvery int
 }
 

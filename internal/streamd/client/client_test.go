@@ -278,3 +278,57 @@ func TestChunkedAndSplitRepliesAreOneListing(t *testing.T) {
 		t.Fatalf("split Ingest sent %d batches, want 5", acked)
 	}
 }
+
+// closeLog records, in order, the first byte of every write the client makes
+// on its connection (a frame's type) and the connection's close.
+type closeLog struct {
+	mu     sync.Mutex
+	events []int // a frame type, or -1 for the close
+}
+
+type closeConn struct {
+	net.Conn
+	log *closeLog
+}
+
+func (c *closeConn) Write(b []byte) (int, error) {
+	if len(b) > 0 {
+		c.log.mu.Lock()
+		c.log.events = append(c.log.events, int(b[0]))
+		c.log.mu.Unlock()
+	}
+	return c.Conn.Write(b)
+}
+
+func (c *closeConn) Close() error {
+	c.log.mu.Lock()
+	c.log.events = append(c.log.events, -1)
+	c.log.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// TestCloseSendsGoodbye: Close writes a Goodbye frame and only then closes
+// the socket, so the daemon sees a clean detach, not a dropped connection.
+func TestCloseSendsGoodbye(t *testing.T) {
+	srv := startDaemon(t)
+	log := &closeLog{}
+	cl := dial(t, client.Options{Addr: srv.Addr(), Session: "goodbye", Dialer: func(addr string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &closeConn{Conn: nc, log: log}, nil
+	}})
+	if _, err := cl.Ingest(genSteps(stats.NewRNG(3), 0, 10, 4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	n := len(log.events)
+	if n < 2 || log.events[n-2] != wire.TypeGoodbye || log.events[n-1] != -1 {
+		t.Fatalf("the connection's last events are %v; want a Goodbye frame (0x%02x) and then the close (-1)", log.events, wire.TypeGoodbye)
+	}
+}

@@ -6,11 +6,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -723,12 +728,102 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
+// protocolConsts reads wire.go and returns the value of every constant named
+// prefix followed by an upper-case letter: the protocol's frame types (Type)
+// or error codes (Code). The constant table is the protocol, so a test that
+// must cover it reads it rather than a copy.
+func protocolConsts(t *testing.T, prefix string) map[string]uint64 {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]uint64{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				rest, ok := strings.CutPrefix(id.Name, prefix)
+				if !ok || rest == "" || rest[0] < 'A' || rest[0] > 'Z' {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.INT {
+					t.Fatalf("%s is not an integer literal", id.Name)
+				}
+				v, err := strconv.ParseUint(lit.Value, 0, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[id.Name] = v
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("wire.go declares no %s constants", prefix)
+	}
+	return out
+}
+
+// TestFrameTypesHandled: every frame type wire.go declares has a row naming
+// the endpoint test in which the receiving side handles it, and that test
+// exists. A frame type added without a row, or a row whose test is gone,
+// fails here.
+func TestFrameTypesHandled(t *testing.T) {
+	table := []struct {
+		typ       uint8
+		dir, test string // dir is relative to this package
+	}{
+		{TypeHello, "..", "TestProtocolVersionMismatch"},
+		{TypeWelcome, "..", "TestClientRespectsCreditWindow"},
+		{TypeIngest, "..", "TestProtocolCreditViolation"},
+		{TypeResults, "../client", "TestChunkedAndSplitRepliesAreOneListing"},
+		{TypeGoodbye, "..", "TestProtocolGoodbyeDetachesCleanly"},
+		{TypeError, "..", "TestBadStepRejected"},
+	}
+	covered := map[uint64]bool{}
+	for _, row := range table {
+		covered[uint64(row.typ)] = true
+		if !declaresTest(t, row.dir, row.test) {
+			t.Errorf("frame type 0x%02x names %s in %s, which declares no such test", row.typ, row.test, row.dir)
+		}
+	}
+	for name, v := range protocolConsts(t, "Type") {
+		if !covered[v] {
+			t.Errorf("frame type %s (0x%02x) has no row naming the endpoint test that handles it", name, v)
+		}
+	}
+}
+
+// declaresTest reports whether a _test.go file in dir declares func name.
+func declaresTest(t *testing.T, dir, name string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestCodeErrMapping pins the full code↔sentinel table in both directions:
-// every defined code decodes to exactly one sentinel, every sentinel encodes
-// back to its code, and no two codes share a sentinel. The wirexhaustive
-// analyzer proves the same contract statically; this test is the runtime
-// witness that the table in the analyzer's view and the table the protocol
-// actually executes are one and the same.
+// every code wire.go declares has a row, every code decodes to exactly one
+// sentinel, every sentinel encodes back to its code, and no two codes share a
+// sentinel.
 func TestCodeErrMapping(t *testing.T) {
 	table := []struct {
 		code     uint16
@@ -742,6 +837,15 @@ func TestCodeErrMapping(t *testing.T) {
 		{CodeSeqGap, ErrSeqGap},
 		{CodeFlowControl, ErrFlowControl},
 		{CodeInternal, ErrInternal},
+	}
+	covered := map[uint64]bool{}
+	for _, tc := range table {
+		covered[uint64(tc.code)] = true
+	}
+	for name, v := range protocolConsts(t, "Code") {
+		if !covered[v] {
+			t.Errorf("error code %s (%d) has no row", name, v)
+		}
 	}
 	seen := map[error]uint16{}
 	for _, tc := range table {

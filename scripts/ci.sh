@@ -14,8 +14,9 @@
 #                    the tree, 0 findings (internal/lintrules,
 #                    docs/static-analysis.md). That the suite still fires —
 #                    exit 1 and byte-exact findings on the seeded corpus, the
-#                    clean statecheck corpus, the wire mutation self-test — is
-#                    cmd/stochlint's own Go tests, which phase 6 runs
+#                    clean statecheck corpus, the maprange mutation
+#                    self-test — is cmd/stochlint's own Go tests, which
+#                    phase 6 runs
 #   4. govulncheck — known-vuln scan, soft-skipped offline
 #   5. build
 #   6. go test -race ./... — the full suite under the race detector: every
@@ -25,7 +26,7 @@
 #                    P the dispatching goroutine steps every shard itself, at
 #                    four it shares them with helper goroutines, and both
 #                    paths run under the race detector
-#   7. mutants     — scripts/mutants.sh: each of the 48 scripts/mutants/*.patch
+#   7. mutants     — scripts/mutants.sh: each of the 49 scripts/mutants/*.patch
 #                    breaks one contract of the real tree, and the checks its
 #                    header names must each kill it. The contract is one only
 #                    a stochlint analyzer guards, one whose analyzer was
