@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strings"
 
 	"stochstream/internal/checkpoint"
 	"stochstream/internal/dist"
@@ -24,17 +23,18 @@ import (
 // the configuration fingerprint (so a restore into a differently configured
 // operator is rejected), the clock and ID counter, the metrics, the cache in
 // slot order (the layout is state: a positional policy's next draw depends on
-// it) with payloads and caller tags, both histories (a count and the last value
-// each), and the policy's private decision state when the policy implements
-// join.StateSnapshotter: nothing that grows with the steps taken, and the same
-// bytes for the same state.
+// it) with payloads and caller tags, and the policy's private decision state
+// when the policy implements join.StateSnapshotter: nothing that grows with the
+// steps taken, and the same bytes for the same state.
 // The indexes and the arrival list are not serialized — they are a pure
-// function of the cache and are rebuilt on restore.
+// function of the cache and are rebuilt on restore. Neither are the two
+// histories: every model conditions on (t0, x_t0) alone, and the next step
+// writes both before any decision reads them.
 //
-// The previous format also carries StateRNG, a generator no policy read: gob
-// skips the field, so such a file restores as it is. An older file, which
-// carries every observation (Hists) in place of the history counts, has no
-// counts, and validateWire refuses it.
+// The previous format also carries each history's count and last value
+// (HistLen, HistLast): gob skips the fields, so such a file restores as it is.
+// Every older file signs its processes by type alone, with no "#" and forecast
+// digest, and the fingerprint check refuses it.
 //
 // Payloads are stored as interface values, so gob requires their concrete
 // types to be registered; the common scalar types are registered here and
@@ -49,8 +49,6 @@ type checkpointWire struct {
 	NextID  int
 	Metrics Metrics
 	Cache   []cacheEntryWire
-	// HistLen and HistLast are each stream's process.History.
-	HistLen, HistLast [2]int
 
 	HasPolicyState bool
 	PolicyState    []byte
@@ -113,16 +111,6 @@ func procSig(procs [2]process.Process) string {
 	return fmt.Sprintf("%T/%T#%016x", procs[0], procs[1], h.Sum64())
 }
 
-// sameProcs reports whether a checkpoint's process signature matches the
-// operator's. A signature without "#" was written before the forecast digest
-// and is compared by type alone; the branch can go at the next format move.
-func sameProcs(ckpt, op string) bool {
-	if !strings.Contains(ckpt, "#") {
-		op, _, _ = strings.Cut(op, "#")
-	}
-	return ckpt == op
-}
-
 // Checkpoint serializes the operator's full state to w. The operator is
 // unchanged and can keep stepping; a later Restore into an operator built
 // with the same Config resumes as if the run had never stopped.
@@ -154,9 +142,6 @@ func (j *Join) writeCheckpoint(w io.Writer) error {
 		NextID:     j.nextID,
 		Metrics:    j.m,
 		Cache:      make([]cacheEntryWire, len(j.cache)),
-	}
-	for s, h := range j.hists {
-		wire.HistLen[s], wire.HistLast[s] = h.Len(), h.LastOr(0)
 	}
 	for i, tp := range j.cache {
 		wire.Cache[i] = cacheEntryWire{Tuple: tp, Payload: j.slots[i].payload, Seq: j.slots[i].seq}
@@ -204,7 +189,7 @@ func (j *Join) Restore(r io.Reader) error {
 	if wire.PolicyName != polName {
 		return fmt.Errorf("%w: checkpoint policy %q, operator policy %q", ErrConfigMismatch, wire.PolicyName, polName)
 	}
-	if !sameProcs(wire.ProcSig, procSig) {
+	if wire.ProcSig != procSig {
 		return fmt.Errorf("%w: checkpoint processes %q, operator processes %q", ErrConfigMismatch, wire.ProcSig, procSig)
 	}
 	byID, err := validateWire(&wire)
@@ -229,9 +214,6 @@ func (j *Join) Restore(r io.Reader) error {
 	j.time = wire.Time
 	j.nextID = wire.NextID
 	j.m = wire.Metrics
-	for s, h := range j.hists {
-		h.Restore(wire.HistLen[s], wire.HistLast[s])
-	}
 	j.state.Time = wire.Time - 1
 	j.cache = j.cache[:0]
 	clear(j.slots)
@@ -262,14 +244,6 @@ func validateWire(wire *checkpointWire) ([]int, error) {
 	}
 	if wire.Time < 0 || wire.NextID < 0 {
 		return bad("time %d, next ID %d", wire.Time, wire.NextID)
-	}
-	// Time is the streams' clock, which a step with a Skip (a shard's) moves
-	// by more than one, and each history holds the stream's value at every
-	// step of that clock: both lengths are the time, however many steps the
-	// operator took (Metrics.Steps).
-	if wire.HistLen[0] != wire.Time || wire.HistLen[1] != wire.Time {
-		return bad("histories of %d and %d observations for %d steps",
-			wire.HistLen[0], wire.HistLen[1], wire.Time)
 	}
 	if len(wire.Cache) > wire.CacheSize {
 		return bad("%d cached entries for budget %d", len(wire.Cache), wire.CacheSize)

@@ -210,7 +210,7 @@ func restoreTargets(t testing.TB, steps int) []*Join {
 // a window operator among them; testdata/fuzz/FuzzRestore holds inputs that
 // once broke the property.
 func FuzzRestore(f *testing.F) {
-	for _, name := range []string{"prob_pr49.ckpt", "heeb_pr49.ckpt", "heeb_pr22.ckpt"} {
+	for _, name := range []string{"prob_pr57.ckpt", "heeb_pr57.ckpt", "heeb_pr49.ckpt"} {
 		raw, err := os.ReadFile("testdata/upgrade/" + name)
 		if err != nil {
 			f.Fatal(err)

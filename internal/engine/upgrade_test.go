@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -17,32 +18,31 @@ import (
 
 // The engine restores its own checkpoint format and the previous one, and
 // refuses anything older (docs/fault-tolerance.md, "Formats"). The previous
-// format carries StateRNG, a generator no policy read. prob_pr49.ckpt and
-// heeb_pr49.ckpt were written by 35fa35d, the last commit that wrote it;
-// heeb_pr22.ckpt was written by e7de806, before History was bounded, and
-// carries every observation (Hists) in place of the history counts. Their
+// format carries each history's count and last value (HistLen, HistLast),
+// which no restore reads. prob_pr57.ckpt and heeb_pr57.ckpt were written by
+// 22e9c79, the last commit that wrote them; heeb_pr49.ckpt was written by
+// 35fa35d, when the process signature named the models' types alone. Their
 // bytes are pinned, so that a fixture regenerated at a later commit fails the
 // tests that read it instead of testing the current format twice.
 const (
-	probFixtureSHA256     = "308b396cc9c6eaf1fbe9bf0768f1247431a8a75c7b69fb5478bfe384dd9e6b5f"
-	heebFixtureSHA256     = "1c41d7499cfe13ccbcba859350d7db3da68daa3e841eadbd9c926e6f1cb9fddb"
-	histsEraFixtureSHA256 = "10c2c23e19309a0a639a30c0e183099078039382f7b89155021461624a88e9e9"
+	probFixtureSHA256    = "7d2019d1f7f39cb979ef573ca9494b31b678e9d2aa6937521cd3042946906587"
+	heebFixtureSHA256    = "b8e861b8ee393c396da0808d35ec8a978603f4f888adc1cfd838852aa4130fa2"
+	typeSigFixtureSHA256 = "1c41d7499cfe13ccbcba859350d7db3da68daa3e841eadbd9c926e6f1cb9fddb"
 )
 
 // olderWire is what this package's earlier formats wrote beside the current
 // fields; gob matches fields by name, so a fixture decodes into it whole.
 type olderWire struct {
-	Time     int
-	HistLen  [2]int
-	Hists    *[2][]int
-	StateRNG []byte
+	ProcSig string
+	Time    int
+	HistLen [2]int
 }
 
 // readFixture reads the fixture at path, requires its pinned SHA-256 and the
-// format it stands for — previous: a state RNG and history counts as long as
-// the clock; Hists era: full logs as long as the clock, no counts — and
-// returns the file.
-func readFixture(t *testing.T, path, sum string, histsEra bool) []byte {
+// format it stands for — previous: a forecast digest in the signature and
+// history counts as long as the clock; older: a signature of types alone —
+// and returns the file.
+func readFixture(t *testing.T, path, sum string, previous bool) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -59,13 +59,14 @@ func readFixture(t *testing.T, path, sum string, histsEra bool) []byte {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
 		t.Fatal(err)
 	}
-	ok := w.StateRNG != nil && w.Hists == nil && w.HistLen == [2]int{w.Time, w.Time}
-	if histsEra {
-		ok = w.Hists != nil && len(w.Hists[0]) == w.Time && len(w.Hists[1]) == w.Time && w.HistLen == [2]int{}
+	digest := strings.Contains(w.ProcSig, "#")
+	ok := !digest
+	if previous {
+		ok = digest && w.HistLen == [2]int{w.Time, w.Time}
 	}
 	if w.Time == 0 || !ok {
-		t.Fatalf("%s is not a checkpoint of the format it stands for: time %d, state RNG %v, logs %v, counts %v",
-			path, w.Time, w.StateRNG != nil, w.Hists != nil, w.HistLen)
+		t.Fatalf("%s is not a checkpoint of the format it stands for: time %d, signature %q, counts %v",
+			path, w.Time, w.ProcSig, w.HistLen)
 	}
 	return raw
 }
@@ -109,11 +110,11 @@ func continuesUninterrupted(t *testing.T, old []byte, whole, resumed *Join, step
 	}
 }
 
-// testdata/upgrade/prob_pr49.ckpt: PROB, cache 8, seed 11, after step 200 of
+// testdata/upgrade/prob_pr57.ckpt: PROB, cache 8, seed 11, after step 200 of
 // ckptTrace's streams, with PROB's value counts as its policy state. The run
 // continues as one that was never interrupted.
 func TestRestoreParentCommitPROBCheckpoint(t *testing.T) {
-	old := readFixture(t, "testdata/upgrade/prob_pr49.ckpt", probFixtureSHA256, false)
+	old := readFixture(t, "testdata/upgrade/prob_pr57.ckpt", probFixtureSHA256, true)
 	const n, at = 600, 200
 	r, s := ckptTrace(n)
 	mk := func() *Join {
@@ -135,11 +136,11 @@ func TestRestoreParentCommitPROBCheckpoint(t *testing.T) {
 	continuesUninterrupted(t, old, whole, resumed, func(j *Join, i int) []Pair { return j.Step(r[i], s[i]) }, at, n)
 }
 
-// testdata/upgrade/heeb_pr49.ckpt: TOWER, cache 8, seed 9, after step 300 of
+// testdata/upgrade/heeb_pr57.ckpt: TOWER, cache 8, seed 9, after step 300 of
 // stats.NewRNG(77)'s streams, with HEEB's α and lifetime tracker. The run
 // continues as one that was never interrupted.
 func TestRestoreParentCommitHEEBCheckpoint(t *testing.T) {
-	old := readFixture(t, "testdata/upgrade/heeb_pr49.ckpt", heebFixtureSHA256, false)
+	old := readFixture(t, "testdata/upgrade/heeb_pr57.ckpt", heebFixtureSHA256, true)
 	const n, at = 900, 300
 	w := workload.Tower().Join()
 	mk := func() *Join {
@@ -158,13 +159,14 @@ func TestRestoreParentCommitHEEBCheckpoint(t *testing.T) {
 	continuesUninterrupted(t, old, whole, resumed, step, at, n)
 }
 
-// testdata/upgrade/heeb_pr22.ckpt is of the format before the previous one:
+// testdata/upgrade/heeb_pr49.ckpt is of the format before the previous one:
 // the fixture the HEEB test above read until the engine's shape moved again.
-// It carries no history counts, so validateWire refuses it, and the operator
-// it was offered to is untouched: its next checkpoint is the one it would
-// have written without the attempt.
-func TestRestoreRefusesHistsEraCheckpoint(t *testing.T) {
-	old := readFixture(t, "testdata/upgrade/heeb_pr22.ckpt", histsEraFixtureSHA256, true)
+// Its signature names the models' types without a forecast digest, so the
+// fingerprint check refuses it, and the operator it was offered to is
+// untouched: its next checkpoint is the one it would have written without the
+// attempt.
+func TestRestoreRefusesTypeSignedCheckpoint(t *testing.T) {
+	old := readFixture(t, "testdata/upgrade/heeb_pr49.ckpt", typeSigFixtureSHA256, false)
 	w := workload.Tower().Join()
 	j, err := NewJoin(Config{CacheSize: 8, Procs: w.Procs, Policy: w.HEEBPolicy(), Seed: 9})
 	if err != nil {
@@ -176,8 +178,8 @@ func TestRestoreRefusesHistsEraCheckpoint(t *testing.T) {
 	}
 	before := checkpointOf(t, j)
 	err = j.Restore(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "histories of 0 and 0 observations for 300 steps") {
-		t.Fatalf("got %v, want the refusal of a file with no history counts", err)
+	if !errors.Is(err, ErrConfigMismatch) || !strings.Contains(err.Error(), "checkpoint processes") {
+		t.Fatalf("got %v, want the refusal of a signature without a forecast digest", err)
 	}
 	if !bytes.Equal(checkpointOf(t, j), before) {
 		t.Fatal("the refused restore changed the operator's next checkpoint")

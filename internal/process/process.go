@@ -91,9 +91,6 @@ func (h *History) Append(v int) { h.n, h.last = h.n+1, v }
 // in between are not needed: no model conditions on more than t0 and x_t0.
 func (h *History) AppendAt(t, v int) { h.n, h.last = t+1, v }
 
-// Restore makes h what a checkpoint recorded: n observations ending in last.
-func (h *History) Restore(n, last int) { h.n, h.last = n, last }
-
 // Len returns the number of observations.
 func (h *History) Len() int { return h.n }
 

@@ -54,22 +54,18 @@ func TestHistory(t *testing.T) {
 		t.Fatalf("history state wrong: %+v", h)
 	}
 	// The count and the last value are the whole state: a history built from
-	// the values, one appended to, and one restored from the pair are equal.
-	built, restored := NewHistory(5, 7), NewHistory(1, 2, 3)
-	restored.Restore(2, 7)
-	if *built != *h || *restored != *h {
-		t.Fatalf("histories of (5, 7) differ: appended %+v, built %+v, restored %+v", h, built, restored)
-	}
-	restored.Restore(0, 99)
-	if restored.T0() != -1 || restored.Len() != 0 {
-		t.Fatalf("history restored to no observations: %+v", restored)
+	// the values, one appended to, and one moved there by AppendAt are equal.
+	built, jumped := NewHistory(5, 7), NewHistory()
+	jumped.AppendAt(1, 7)
+	if *built != *h || *jumped != *h {
+		t.Fatalf("histories of (5, 7) differ: appended %+v, built %+v, appended at 1 %+v", h, built, jumped)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Last of an empty history did not panic")
 		}
 	}()
-	restored.Last()
+	NewHistory().Last()
 }
 
 func TestStationaryForecastIsTimeInvariant(t *testing.T) {

@@ -2,11 +2,9 @@ package shardrt
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -272,50 +270,8 @@ func TestShardedCheckpointFingerprint(t *testing.T) {
 	}
 }
 
-// manifestFileV3 is the whole version-3 manifest schema, so tests can
-// re-encode the committed version-3 fixture with one field edited.
-type manifestFileV3 struct {
-	Version                    int
-	Shards, TotalCache, Window int
-	Seed                       uint64
-	Seq                        uint64
-	Ingested, Batches, Merged  int
-	Lanes                      [][2][]engine.Tuple
-	Envelopes                  [][]byte
-}
-
-// readFixtureV3 reads shardedFixture, requires its pinned bytes and the
-// version-3 format — a manifest whose lanes carry tails — and returns the file
-// and its decoded manifest.
-func readFixtureV3(t *testing.T) ([]byte, manifestFileV3) {
-	t.Helper()
-	raw, err := os.ReadFile(shardedFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != shardedFixtureSHA256 {
-		t.Fatalf("%s hashes to %s, pinned at %s", shardedFixture, got, shardedFixtureSHA256)
-	}
-	payload, err := checkpoint.Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifestFileV3
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	carried := 0
-	for _, lanes := range m.Lanes {
-		carried += len(lanes[0]) + len(lanes[1])
-	}
-	if m.Version != 3 || len(m.Lanes) != m.Shards || carried == 0 {
-		t.Fatalf("%s is manifest version %d with %d lanes carrying %d tuples, want version 3 with carried tails", shardedFixture, m.Version, len(m.Lanes), carried)
-	}
-	return raw, m
-}
-
 // encodeManifest wraps a manifest in the checkpoint envelope.
-func encodeManifest(t *testing.T, m manifestFileV3) []byte {
+func encodeManifest(t *testing.T, m manifestWire) []byte {
 	t.Helper()
 	var payload, file bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&m); err != nil {
@@ -328,7 +284,7 @@ func encodeManifest(t *testing.T, m manifestFileV3) []byte {
 }
 
 // busyRuntime is the fixture's runtime a thousand steps in: caches full.
-func busyRuntime(t *testing.T) *Runtime {
+func busyRuntime(t testing.TB) *Runtime {
 	t.Helper()
 	rt, err := New(upgradeConfig())
 	if err != nil {
@@ -361,24 +317,22 @@ func refusedUnchanged(t *testing.T, rt *Runtime, file []byte) error {
 }
 
 // TestRestoreManifestVersions: a binary restores its own manifest version and
-// the previous one. Version 3 (the committed fixture) and version 4 (this
-// commit's own checkpoint) restore; what the fixture continues with stays
-// pinned by TestRestoreParentCommitShardedCheckpoint here and
-// TestRestoreParentCommitDrainFile in internal/streamd. Versions 1 and 2 —
-// two formats back and more — and 5, and a version-4 manifest that carries
-// lanes (version 4 has none), are each refused with an error that names the
-// version, before the runtime is touched. The version-2 file is the fixture
-// re-encoded with its version edited: a version-2 file differs from a
-// version-3 one only in fields this binary's decode skips, so nothing but the
-// version can refuse it.
+// the previous one. Version 4 (the committed fixture) and version 5 (this
+// commit's own checkpoint) restore; what the fixture continues with is pinned
+// by TestRestoreParentCommitShardedCheckpoint here and
+// TestRestoreParentCommitDrainFile in internal/streamd. Version 3, two formats
+// back, and 6 are each refused with an error that names the version, before
+// the runtime is touched. Each is the fixture re-encoded with its version
+// edited: a version-3 file differs from a version-4 one only in fields this
+// binary's decode skips, so nothing but the version can refuse it.
 func TestRestoreManifestVersions(t *testing.T) {
-	raw, _ := readFixtureV3(t)
+	raw, _ := readFixture(t)
 	rt := busyRuntime(t)
 	var own bytes.Buffer
 	if err := rt.Checkpoint(&own); err != nil {
 		t.Fatal(err)
 	}
-	for name, file := range map[string][]byte{"version-3": raw, "version-4": own.Bytes()} {
+	for name, file := range map[string][]byte{"version-4": raw, "version-5": own.Bytes()} {
 		fresh, err := New(upgradeConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -389,56 +343,12 @@ func TestRestoreManifestVersions(t *testing.T) {
 		fresh.Shutdown()
 	}
 
-	for _, version := range []int{1, 2, 4, 5} {
-		_, m := readFixtureV3(t)
+	for _, version := range []int{3, 6} {
+		_, m := readFixture(t)
 		m.Version = version
 		err := refusedUnchanged(t, rt, encodeManifest(t, m))
 		if want := fmt.Sprintf("manifest version %d", version); !strings.Contains(err.Error(), want) {
-			t.Errorf("version %d with lanes: refused with %v, want an error naming %q", version, err, want)
-		}
-	}
-}
-
-// TestRestoreRejectsHostileLanes: a carried lane tuple is an arrival routed to
-// its shard and not yet stepped, so in shard i's side-s lane each must have a
-// key in the domain that routes to shard i, a sequence number of side s's
-// parity, below the next arrival's, and ascending along the lane. One edit
-// per rule on the committed fixture's lanes, each refused with the runtime
-// unchanged. Before the lanes were checked every one of them restored: a
-// misrouted tuple never meets its partners, an odd R sequence breaks
-// Pair.RSeq = 2·step, and a sequence at the next arrival's collides with it.
-func TestRestoreRejectsHostileLanes(t *testing.T) {
-	// The first R lane carrying two tuples or more; R runs ahead in this run.
-	shard := -1
-	_, fx := readFixtureV3(t)
-	for i, lanes := range fx.Lanes {
-		if len(lanes[0]) >= 2 {
-			shard = i
-			break
-		}
-	}
-	if shard < 0 {
-		t.Fatal("no R lane of the fixture carries two tuples")
-	}
-	elsewhere := 0
-	for ShardOf(elsewhere, upgradeConfig().Shards) == shard {
-		elsewhere++
-	}
-	rt := busyRuntime(t)
-	for _, tc := range []struct {
-		name, want string
-		edit       func(m *manifestFileV3, lane []engine.Tuple)
-	}{
-		{"key-outside-domain", "outside", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Key = process.NoValue }},
-		{"wrong-shard", "routes to shard", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Key = elsewhere }},
-		{"odd-r-sequence", "not the other side's", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0].Seq++ }},
-		{"sequence-of-next-arrival", "not below the next arrival's", func(m *manifestFileV3, lane []engine.Tuple) { lane[len(lane)-1].Seq = m.Seq }},
-		{"sequence-descends", "does not follow", func(_ *manifestFileV3, lane []engine.Tuple) { lane[0], lane[1] = lane[1], lane[0] }},
-	} {
-		_, m := readFixtureV3(t)
-		tc.edit(&m, m.Lanes[shard][0])
-		if err := refusedUnchanged(t, rt, encodeManifest(t, m)); !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: refused with %v, want the rule %q", tc.name, err, tc.want)
+			t.Errorf("version %d: refused with %v, want an error naming %q", version, err, want)
 		}
 	}
 }

@@ -450,9 +450,7 @@ func (sh *shard) at(g int) *engine.TuplePair {
 }
 
 // Flush steps what is routed and not stepped, and returns its pairs. Every
-// dispatch steps all it routes, so that is nothing — the reply is empty —
-// except after a Restore from a version-3 manifest, whose carried tails the
-// next dispatch steps. Nothing is padded.
+// dispatch steps all it routes, so that is nothing: the reply is empty.
 func (rt *Runtime) Flush() ([]Pair, error) {
 	if err := rt.refused(); err != nil {
 		return nil, err
@@ -544,9 +542,9 @@ func (rt *Runtime) dispatch() (*Reply, error) {
 }
 
 // Close steps what Flush would, stops the helpers and marks the runtime
-// closed. The returned pairs are Flush's; a faulted runtime stops without
-// stepping and returns the fault. Close is idempotent; later calls return
-// ErrClosed.
+// closed. Every dispatch steps all it routes, so the returned pairs, Flush's,
+// are none; a faulted runtime stops without stepping and returns the fault.
+// Close is idempotent; later calls return ErrClosed.
 func (rt *Runtime) Close() ([]Pair, error) {
 	if rt.closed {
 		return nil, ErrClosed

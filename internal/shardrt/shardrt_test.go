@@ -381,11 +381,9 @@ func TestBadStepRejected(t *testing.T) {
 }
 
 // TestClosedRuntime: every operation after Close answers ErrClosed, and
-// Close steps what a Flush would, so no routed arrival is lost: after an
-// ingest, nothing (its pairs came with the ingest); after restoring a
-// version-2 manifest, the carried tails, whose pairs Close returns. The
-// runtime runs with helpers (GOMAXPROCS ≥ 2), which Close stops only after
-// that dispatch.
+// Close steps what a Flush would: after an ingest, nothing (its pairs came
+// with the ingest). The runtime runs with helpers (GOMAXPROCS ≥ 2), which
+// Close stops only after that dispatch.
 func TestClosedRuntime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rt, err := New(Config{Shards: 2, TotalCache: 8, Seed: 1})
@@ -417,28 +415,6 @@ func TestClosedRuntime(t *testing.T) {
 	}
 	if _, err := rt.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
-	}
-
-	old, _ := readFixtureV3(t)
-	if rt, err = New(upgradeConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Restore(bytes.NewReader(old)); err != nil {
-		t.Fatal(err)
-	}
-	carrying := 0
-	for _, sh := range rt.shards {
-		if len(sh.batch) > 0 {
-			carrying++
-		}
-	}
-	if out, err = rt.Close(); err != nil || len(out) == 0 || carrying < 2 {
-		t.Fatalf("Close after restoring carried tails on %d shards: %d pairs, %v; want their pairs", carrying, len(out), err)
-	}
-	for _, p := range out {
-		if trig, _ := mergeKey(p); trig >= upgradeCut*2 {
-			t.Fatalf("Close returned %+v, whose trigger was not carried", p)
-		}
 	}
 }
 

@@ -3,10 +3,14 @@ package shardrt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"stochstream/internal/checkpoint"
 	"stochstream/internal/engine"
 	"stochstream/internal/process"
 	"stochstream/internal/stats"
@@ -14,9 +18,7 @@ import (
 
 // The upgrade fixture's run: 4 shards under RAND (no models), 64 slots,
 // 4 000 steps in batches of 50, []byte payloads naming their arrival. R draws
-// from half of S's key range and a fifth of S's arrivals are NoValue, so while
-// the manifest had lanes the R lanes ran ahead and the fixture carries lane
-// tails.
+// from half of S's key range and a fifth of S's arrivals are NoValue.
 const (
 	upgradeSteps = 4000
 	upgradeBatch = 50
@@ -41,25 +43,59 @@ const (
 // changes and byte-comparable across neither.
 const upgradePairsSHA256 = "a9876f29f76a44ecfad4b03c00a577cea72a63cdbd947066df4844785496c77d"
 
-// upgradeResumedSHA256 is the same hash over what the run emits after step
-// 2000 when it is resumed from the fixture: the version-3 file's shards
-// stepped a lane's R and S arrivals paired by position, so their caches and
-// clocks are not the ones the uninterrupted run of this commit has at step
-// 2000, and it carries lane tails, which the first dispatch after the restore
-// steps one-sidedly at their own global steps; so the continuation is neither
-// the old binary's nor the uninterrupted run's, and has its own pin. It was
-// re-based when the fixture was re-cut at a6d1bd8; e82747f4… was the hash of
-// the continuation from the previous fixture, a version-2 manifest.
-const upgradeResumedSHA256 = "e53a3167f8ddd5b0e9d4457dbff3de0f6ee7ef1e3fbc4082491f2f506b507263"
-
-// shardedFixture is a version-3 manifest — the format before this commit's —
-// written by commit a6d1bd8 after step upgradeCut of the run above, its
-// bytes pinned so that a fixture regenerated at a later commit fails the
-// tests that read it instead of testing the current format twice.
+// shardedFixture is a version-4 manifest — the format before this commit's —
+// written by commit 22e9c79 after step upgradeCut of the run above; its shard
+// envelopes are the engine's previous format. Its bytes are pinned, so that a
+// fixture regenerated at a later commit fails the tests that read it instead
+// of testing the current format twice.
 const (
-	shardedFixture       = "testdata/upgrade/sharded_pr36.ckpt"
-	shardedFixtureSHA256 = "6d3bbd9a0c8097d8a7d263fdc57a5f4abb60c237a6b824980bc9e83ccb899bfd"
+	shardedFixture       = "testdata/upgrade/sharded_pr57.ckpt"
+	shardedFixtureSHA256 = "1ff1f37ab02a3b770aa1bbe35c53267a0a2f1e5fd823ae6d683e70294ee67815"
 )
+
+// readFixture reads shardedFixture, requires its pinned bytes and the
+// version-4 format — a manifest with an envelope per shard, each signed with a
+// forecast digest and carrying history counts as long as its clock — and
+// returns the file and its decoded manifest.
+func readFixture(t *testing.T) ([]byte, manifestWire) {
+	t.Helper()
+	raw, err := os.ReadFile(shardedFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != shardedFixtureSHA256 {
+		t.Fatalf("%s hashes to %s, pinned at %s", shardedFixture, got, shardedFixtureSHA256)
+	}
+	var m manifestWire
+	decode(t, raw, &m)
+	if m.Version != 4 || len(m.Envelopes) != m.Shards {
+		t.Fatalf("%s is manifest version %d with %d envelopes for %d shards, want version 4 with one a shard", shardedFixture, m.Version, len(m.Envelopes), m.Shards)
+	}
+	for i, env := range m.Envelopes {
+		var w struct {
+			ProcSig string
+			Time    int
+			HistLen [2]int
+		}
+		decode(t, env, &w)
+		if w.Time == 0 || !strings.Contains(w.ProcSig, "#") || w.HistLen != [2]int{w.Time, w.Time} {
+			t.Fatalf("%s shard %d: time %d, signature %q, counts %v: not the engine's previous format", shardedFixture, i, w.Time, w.ProcSig, w.HistLen)
+		}
+	}
+	return raw, m
+}
+
+// decode reads a checkpoint envelope's gob payload into v.
+func decode(t *testing.T, file []byte, v any) {
+	t.Helper()
+	payload, err := checkpoint.Read(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func upgradeConfig() Config { return Config{Shards: 4, TotalCache: 64, Seed: 1917} }
 
@@ -90,7 +126,7 @@ func renderPairs(pairs []Pair) []byte {
 
 // upgradeIngest ingests steps in the fixture's batches and returns the
 // rendered pairs.
-func upgradeIngest(t *testing.T, rt *Runtime, steps []Step) (pairs []byte) {
+func upgradeIngest(t testing.TB, rt *Runtime, steps []Step) (pairs []byte) {
 	t.Helper()
 	for lo := 0; lo < len(steps); lo += upgradeBatch {
 		out, err := rt.IngestBatch(steps[lo : lo+upgradeBatch])
@@ -119,16 +155,11 @@ func upgradeRun(t *testing.T, rt *Runtime, steps []Step, from int) (pairs []byte
 	return pairs, rt.Metrics(), buf.Bytes()
 }
 
-// shardedFixture holds four carried R-lane tails. It restores here — each
-// tail a run of one-sided steps at their own global steps — and the run
-// continues from it: a valid run (every pair joins equal keys, none is
-// emitted twice, as many steps are counted) whose listing is pinned. That it
-// is the run that was never interrupted — same pairs, same final metrics,
-// same final checkpoint — holds of a checkpoint this commit writes at the
-// same cut, and not of the fixture: its shards stepped on another clock (see
-// upgradePairsSHA256).
+// shardedFixture restores here, and the run continues as one that was never
+// interrupted: the same checkpoint at the cut, the same pairs, the same final
+// metrics and the same final checkpoint.
 func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
-	old, _ := readFixtureV3(t)
+	old, _ := readFixture(t)
 	steps := upgradeInput()
 	start := func() *Runtime {
 		rt, err := New(upgradeConfig())
@@ -150,80 +181,28 @@ func TestRestoreParentCommitShardedCheckpoint(t *testing.T) {
 		t.Fatalf("pair listing of the uninterrupted run hashes to %s, pinned at %s", got, upgradePairsSHA256)
 	}
 
-	// From this commit's own checkpoint at the cut: the run never interrupted.
-	own := start()
-	if err := own.Restore(&mid); err != nil {
-		t.Fatalf("restoring this commit's checkpoint: %v", err)
+	resumed := start()
+	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
+		t.Fatalf("restoring the version-4 fixture: %v", err)
 	}
-	gotPairs, gotMetrics, gotCkpt := upgradeRun(t, own, steps, upgradeCut)
+	if err := resumed.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var cut bytes.Buffer
+	if err := resumed.Checkpoint(&cut); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cut.Bytes(), mid.Bytes()) {
+		t.Fatal("the restored runtime's checkpoint differs from the uninterrupted run's at the cut")
+	}
+	gotPairs, gotMetrics, gotCkpt := upgradeRun(t, resumed, steps, upgradeCut)
 	if !bytes.Equal(gotPairs, wantPairs) {
-		t.Fatalf("pairs diverge after restoring this commit's checkpoint:\n  uninterrupted %d bytes\n  restored      %d bytes", len(wantPairs), len(gotPairs))
+		t.Fatalf("pairs diverge after restoring the fixture:\n  uninterrupted %d bytes\n  restored      %d bytes", len(wantPairs), len(gotPairs))
 	}
 	if !reflect.DeepEqual(gotMetrics, wantMetrics) {
 		t.Fatalf("metrics diverge:\n  uninterrupted %+v\n  restored      %+v", wantMetrics, gotMetrics)
 	}
 	if !bytes.Equal(gotCkpt, wantCkpt) {
 		t.Fatal("final checkpoints differ between the uninterrupted and the restored run")
-	}
-
-	// From the version-3 fixture.
-	resumed := start()
-	if err := resumed.Restore(bytes.NewReader(old)); err != nil {
-		t.Fatalf("restoring the version-3 fixture: %v", err)
-	}
-	if err := resumed.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	tails := 0
-	for _, sh := range resumed.shards {
-		if len(sh.batch) > 0 {
-			tails++
-		}
-		for _, tp := range sh.batch {
-			// Arrival n of stream R/S has sequence 2n / 2n+1 and payload rn / sn.
-			side, tu := 0, tp.R
-			if tp.Arrivals == engine.OnlyS {
-				side, tu = 1, tp.S
-			}
-			want := fmt.Sprintf("%c%04d", "rs"[side], tu.Seq/2)
-			if b, _ := tu.Payload.([]byte); string(b) != want || int(tu.Seq%2) != side || tp.Arrivals == engine.Both {
-				t.Fatalf("shard %d carries %+v after restore, want a one-sided step of payload %q under its own tag", sh.id, tp, want)
-			}
-		}
-	}
-	if tails < 2 {
-		t.Fatalf("fixture carries %d lane tails, want >= 2", tails)
-	}
-	var early bytes.Buffer
-	if err := resumed.Checkpoint(&early); err == nil {
-		t.Fatal("a checkpoint with the carried tails not yet stepped was written")
-	}
-	oldPairs, oldMetrics, _ := upgradeRun(t, resumed, steps, upgradeCut)
-	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
-		t.Errorf("pair listing resumed from the version-3 fixture hashes to %s, pinned at %s", got, upgradeResumedSHA256)
-	}
-	seen := map[[2]uint64]bool{}
-	for _, line := range bytes.Split(bytes.TrimSuffix(oldPairs, []byte("\n")), []byte("\n")) {
-		var seq [2]uint64
-		var rKey, sKey int
-		if _, err := fmt.Sscan(string(line), &seq[0], &seq[1], &rKey, &sKey); err != nil {
-			t.Fatalf("pair line %q: %v", line, err)
-		}
-		if rKey != sKey || seq[0]%2 != 0 || seq[1]%2 != 1 || seen[seq] {
-			t.Fatalf("pair %q: keys differ, a tag sits on the wrong side, or the pair was emitted before", line)
-		}
-		seen[seq] = true
-	}
-	if len(seen) == 0 || oldMetrics.Ingested != wantMetrics.Ingested {
-		t.Fatalf("resumed run emitted %d pairs over %d steps, the uninterrupted run counts %d steps", len(seen), oldMetrics.Ingested, wantMetrics.Ingested)
-	}
-	for i, sh := range oldMetrics.Shards {
-		if want := wantMetrics.Shards[i].Engine; sh.Engine.CacheLen != want.CacheLen || resumed.Shard(i).Time() != whole.Shard(i).Time() {
-			t.Fatalf("shard %d: %+v at step %d resumed, %+v at step %d uninterrupted: clocks or occupancy differ",
-				i, sh.Engine, resumed.Shard(i).Time(), want, whole.Shard(i).Time())
-		}
-	}
-	if err := resumed.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -935,8 +935,9 @@ type sessionWire struct {
 	LastFrame []byte
 }
 
-// checkpointVersion 2 holds its replies in wire Version 2; restore reads the
-// previous version too and transcodes its replies.
+// checkpointVersion 2 holds its replies in wire Version 2. Restore reads no
+// other version: a version-1 file nests a manifest two formats back, which the
+// runtime refuses anyway.
 const checkpointVersion = 2
 
 // writeCheckpoint persists atomically (temp file + rename). The engine
@@ -1012,8 +1013,8 @@ func (s *Server) restore() error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return fmt.Errorf("streamd: restore: decode: %w", err)
 	}
-	if ck.Version != checkpointVersion && ck.Version != 1 {
-		return fmt.Errorf("streamd: restore: checkpoint version %d, want %d (or 1)", ck.Version, checkpointVersion)
+	if ck.Version != checkpointVersion {
+		return fmt.Errorf("streamd: restore: checkpoint version %d, want %d", ck.Version, checkpointVersion)
 	}
 	if err := s.rt.Restore(bytes.NewReader(ck.Runtime)); err != nil {
 		return fmt.Errorf("streamd: restore: runtime: %w", err)
@@ -1021,14 +1022,7 @@ func (s *Server) restore() error {
 	for _, sw := range ck.Sessions {
 		ss := &session{name: sw.Name, submitted: sw.Acked, acked: sw.Acked, lastBase: sw.LastBase}
 		if sw.LastFrame != nil {
-			b := sw.LastFrame
-			if ck.Version == 1 {
-				// A version 1 file holds its replies in wire Version 1.
-				if b, err = wire.UpgradeResultsV1(b); err != nil {
-					return fmt.Errorf("streamd: restore: session %q: last reply: %w", sw.Name, err)
-				}
-			}
-			ss.lastFrame = &frame{b: b}
+			ss.lastFrame = &frame{b: sw.LastFrame}
 		}
 		s.sessions[sw.Name] = ss
 	}

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"stochstream/internal/checkpoint"
@@ -45,31 +44,44 @@ const (
 // run, and no two are byte-comparable.
 const upgradeAfterSHA256 = "f0f9d20bc33670ab74d9d92a43bd2f585a86a815ceba1830511cdc1e57f9e4bd"
 
-// upgradeResumedSHA256 is the same hash on a daemon started from the fixture:
-// the version-3 manifest inside it comes from shards that stepped a lane's R
-// and S arrivals paired by position, so their caches and clocks are not the
-// ones a daemon of this commit has after session "before", and it carries
-// lane tails, which the first batch of session "after" steps one-sidedly at
-// their own global steps, ahead of its own; so what session "after" gets is
-// neither the old binary's listing nor the uninterrupted daemon's, and has its
-// own pin. It was re-based when the fixture was re-cut at f728388; e82747f4…
-// was the hash from the previous fixture, whose manifest was version 2.
-const upgradeResumedSHA256 = "e53a3167f8ddd5b0e9d4457dbff3de0f6ee7ef1e3fbc4082491f2f506b507263"
-
-// drainFixture is a version-1 drain file — the format before this commit's —
-// around a version-3 manifest, the format before the runtime's: written by
-// commit f728388 after session "before" had streamed its 40 batches. Its
-// bytes are pinned, so that a fixture regenerated at a later commit fails the
-// tests that read it instead of testing the current format twice.
+// drainFixture is a version-2 drain file around a version-4 manifest, each the
+// format before this commit's for its layer: written by commit 22e9c79 after
+// session "before" had streamed its 40 batches. Its bytes are pinned, so that
+// a fixture regenerated at a later commit fails the tests that read it instead
+// of testing the current format twice.
 const (
-	drainFixture       = "testdata/upgrade/daemon_pr32.ckpt"
-	drainFixtureSHA256 = "a25e3555cb1e8ebdb438a5fe60a5c1fc8c8c599f3d3927bebacc2c3b76719bf8"
+	drainFixture       = "testdata/upgrade/daemon_pr57.ckpt"
+	drainFixtureSHA256 = "97146bf6d7a26b01fcb4fc98c721441cf1d6da078778b1ee004793da98df136f"
 )
 
-// readDrainFixture reads drainFixture, requires its pinned bytes, a version-1
-// drain file and, inside it, a version-3 manifest whose lanes carry tails,
-// and returns the file.
-func readDrainFixture(t *testing.T) []byte {
+// drainFile is the drain file's whole schema, so a test can re-encode the
+// fixture with one field edited.
+type drainFile struct {
+	Version  int
+	Sessions []struct {
+		Name            string
+		Acked, LastBase uint64
+		LastFrame       []byte
+	}
+	Runtime []byte
+}
+
+// decodeEnvelope reads a checkpoint envelope's gob payload into v.
+func decodeEnvelope(t *testing.T, b []byte, v any) {
+	t.Helper()
+	payload, err := checkpoint.Read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readDrainFixture reads drainFixture, requires its pinned bytes, a version-2
+// drain file holding session "before"'s last reply and, inside it, a
+// version-4 manifest, and returns the file and its decoded contents.
+func readDrainFixture(t *testing.T) ([]byte, drainFile) {
 	t.Helper()
 	raw, err := os.ReadFile(drainFixture)
 	if err != nil {
@@ -78,35 +90,16 @@ func readDrainFixture(t *testing.T) []byte {
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != drainFixtureSHA256 {
 		t.Fatalf("%s hashes to %s, pinned at %s", drainFixture, got, drainFixtureSHA256)
 	}
-	var file struct {
-		Version int
-		Runtime []byte
+	var file drainFile
+	var manifest struct{ Version int }
+	decodeEnvelope(t, raw, &file)
+	decodeEnvelope(t, file.Runtime, &manifest)
+	if file.Version != 2 || manifest.Version != 4 || len(file.Sessions) != 1 ||
+		file.Sessions[0].Name != "before" || file.Sessions[0].LastFrame == nil {
+		t.Fatalf("%s is drain file version %d around manifest version %d with %d sessions, want version 2 around version 4 with session \"before\" and its last reply",
+			drainFixture, file.Version, manifest.Version, len(file.Sessions))
 	}
-	var manifest struct {
-		Version int
-		Lanes   [][2][]struct{ Key int }
-	}
-	decode := func(b []byte, v any) {
-		t.Helper()
-		payload, err := checkpoint.Read(bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	decode(raw, &file)
-	decode(file.Runtime, &manifest)
-	carried := 0
-	for _, lanes := range manifest.Lanes {
-		carried += len(lanes[0]) + len(lanes[1])
-	}
-	if file.Version != 1 || manifest.Version != 3 || carried == 0 {
-		t.Fatalf("%s is drain file version %d around manifest version %d carrying %d tuples, want version 1 around version 3 with carried tails",
-			drainFixture, file.Version, manifest.Version, carried)
-	}
-	return raw
+	return raw, file
 }
 
 func upgradeWork() [][]wire.Step {
@@ -142,28 +135,36 @@ func upgradeDaemon(t *testing.T, ckpt string) *streamd.Server {
 	return srv
 }
 
+// render appends pairs to listing, one line a pair with every field a client
+// sees.
+func render(listing []byte, pairs []wire.Pair) []byte {
+	for _, p := range pairs {
+		listing = fmt.Appendf(listing, "%d %d %d %d %q %q %v %d\n", p.RSeq, p.SSeq, p.RKey, p.SKey, p.RPayload, p.SPayload, p.SameStep, p.Shard)
+	}
+	return listing
+}
+
 // upgradeSession streams work through one named session and returns its pair
-// listing, one line a pair.
-func upgradeSession(t *testing.T, srv *streamd.Server, name string, work [][]wire.Step) []byte {
+// listing and the part of it its last batch produced.
+func upgradeSession(t *testing.T, srv *streamd.Server, name string, work [][]wire.Step) (listing, last []byte) {
 	t.Helper()
 	cl, err := client.Dial(client.Options{Addr: srv.Addr(), Session: name, Seed: 3})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	var listing []byte
 	for b, steps := range work {
 		pairs, err := cl.Ingest(steps)
 		if err != nil {
 			t.Fatalf("session %s batch %d: %v", name, b, err)
 		}
-		for _, p := range pairs {
-			listing = fmt.Appendf(listing, "%d %d %d %d %q %q %v %d\n", p.RSeq, p.SSeq, p.RKey, p.SKey, p.RPayload, p.SPayload, p.SameStep, p.Shard)
-		}
+		n := len(listing)
+		listing = render(listing, pairs)
+		last = listing[n:]
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	return listing
+	return listing, last
 }
 
 // upgradeDrain drains srv and returns the file it wrote.
@@ -179,150 +180,48 @@ func upgradeDrain(t *testing.T, srv *streamd.Server, ckpt string) []byte {
 	return b
 }
 
-// drainFixture holds the sharded manifest with its lane tails, plus session
-// "before"'s resume state. A daemon of this commit starts from it and serves
-// session "after" a valid run — every pair joins equal keys, none is
-// delivered twice — whose listing is pinned, and drains again. That it is
-// indistinguishable from a daemon that served both sessions itself — the same
-// pairs, the same next drain file — holds of a drain file this commit writes
-// at the same cut, and not of the fixture: its shards stepped on another
-// clock (see upgradeAfterSHA256).
+// drainFixture holds the sharded manifest plus session "before"'s resume
+// state. A daemon of this commit starts from it and is indistinguishable from
+// one that served both sessions itself: session "after" gets the same pairs,
+// and the next drain file is the same. A client of session "before" one batch
+// behind resumes on it and is replayed the reply the session's last batch got.
 func TestRestoreParentCommitDrainFile(t *testing.T) {
-	old := readDrainFixture(t)
+	old, file := readDrainFixture(t)
 	work := upgradeWork()
 	dir := t.TempDir()
 
 	wholePath := filepath.Join(dir, "whole.ckpt")
 	whole := upgradeDaemon(t, wholePath)
-	upgradeSession(t, whole, "before", work[:upgradeCut])
-	wantPairs := upgradeSession(t, whole, "after", work[upgradeCut:])
+	_, wantLast := upgradeSession(t, whole, "before", work[:upgradeCut])
+	wantPairs, _ := upgradeSession(t, whole, "after", work[upgradeCut:])
 	wantFile := upgradeDrain(t, whole, wholePath)
 	if got := fmt.Sprintf("%x", sha256.Sum256(wantPairs)); got != upgradeAfterSHA256 {
 		t.Fatalf("pair listing of the uninterrupted daemon hashes to %s, pinned at %s", got, upgradeAfterSHA256)
 	}
 
-	// Through this commit's own drain file at the cut: one daemon serves
-	// "before" and drains, the next starts from its file.
-	ownPath := filepath.Join(dir, "own.ckpt")
-	first := upgradeDaemon(t, ownPath)
-	upgradeSession(t, first, "before", work[:upgradeCut])
-	upgradeDrain(t, first, ownPath)
-	second := upgradeDaemon(t, ownPath)
-	gotPairs := upgradeSession(t, second, "after", work[upgradeCut:])
-	gotFile := upgradeDrain(t, second, ownPath)
-	if !bytes.Equal(gotPairs, wantPairs) {
-		t.Fatal("pairs diverge after starting from this commit's drain file")
-	}
-	if !bytes.Equal(gotFile, wantFile) {
-		t.Fatalf("next drain files differ: %d bytes from the restarted daemon, %d from the uninterrupted one", len(gotFile), len(wantFile))
-	}
-
-	// From the version-1 fixture.
 	resumedPath := filepath.Join(dir, "resumed.ckpt")
 	if err := os.WriteFile(resumedPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	resumed := upgradeDaemon(t, resumedPath)
-	oldPairs := upgradeSession(t, resumed, "after", work[upgradeCut:])
-	if got := fmt.Sprintf("%x", sha256.Sum256(oldPairs)); got != upgradeResumedSHA256 {
-		t.Errorf("pair listing served from the version-1 fixture hashes to %s, pinned at %s", got, upgradeResumedSHA256)
+	gotPairs, _ := upgradeSession(t, resumed, "after", work[upgradeCut:])
+	gotFile := upgradeDrain(t, resumed, resumedPath)
+	if !bytes.Equal(gotPairs, wantPairs) {
+		t.Fatal("pairs diverge after starting from the fixture")
 	}
-	seen := map[[2]uint64]bool{}
-	for _, line := range bytes.Split(bytes.TrimSuffix(oldPairs, []byte("\n")), []byte("\n")) {
-		var seq [2]uint64
-		var rKey, sKey int64
-		if _, err := fmt.Sscan(string(line), &seq[0], &seq[1], &rKey, &sKey); err != nil {
-			t.Fatalf("pair line %q: %v", line, err)
-		}
-		if rKey != sKey || seen[seq] {
-			t.Fatalf("pair %q: keys differ, or the pair was delivered before", line)
-		}
-		seen[seq] = true
-	}
-	if len(seen) == 0 {
-		t.Fatal("the daemon started from the version-1 fixture delivered no pair")
-	}
-	if next := upgradeDrain(t, resumed, resumedPath); len(next) == 0 || bytes.Equal(next, old) {
-		t.Fatalf("the next drain file is %d bytes, the fixture %d: it was not rewritten", len(next), len(old))
-	}
-}
-
-// v1Reply lists a reply held in wire Version 1, read by hand: frames of type,
-// length and payload; a payload of AckSeq, Credits, flags, a pair count and
-// the pairs; a pair of RSeq, SSeq, RKey, SKey, shard, the same-step byte and
-// both payloads, length-prefixed (0xFFFFFFFF: absent).
-func v1Reply(t *testing.T, b []byte) (ack uint64, pairs []wire.Pair) {
-	t.Helper()
-	be := binary.BigEndian
-	for len(b) > 0 {
-		if b[0] != wire.TypeResults {
-			t.Fatalf("the fixture's reply holds a frame of type 0x%02x", b[0])
-		}
-		p := b[5 : 5+be.Uint32(b[1:])]
-		b = b[5+len(p):]
-		ack = be.Uint64(p)
-		n := int(be.Uint32(p[13:]))
-		p = p[17:]
-		blob := func() []byte {
-			size := be.Uint32(p)
-			p = p[4:]
-			if size == 0xFFFFFFFF {
-				return nil
-			}
-			v := p[:size:size]
-			p = p[size:]
-			return v
-		}
-		for i := 0; i < n; i++ {
-			pr := wire.Pair{RSeq: be.Uint64(p), SSeq: be.Uint64(p[8:]), RKey: int64(be.Uint64(p[16:])), SKey: int64(be.Uint64(p[24:])),
-				Shard: be.Uint16(p[32:]), SameStep: p[34] == 1}
-			p = p[35:]
-			pr.RPayload = blob()
-			pr.SPayload = blob()
-			pairs = append(pairs, pr)
-		}
-	}
-	return ack, pairs
-}
-
-// TestRestoredV1ReplyReplaysInV2: the fixture is a version 1 drain file, and
-// session "before"'s last reply in it is in wire Version 1. A client one batch
-// behind resumes on a daemon started from it: the reply replayed to it must
-// decode, in this version's layout, to exactly the pairs the fixture lists.
-func TestRestoredV1ReplyReplaysInV2(t *testing.T) {
-	old := readDrainFixture(t)
-	payload, err := checkpoint.Read(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		Version  int
-		Sessions []struct {
-			Name      string
-			Acked     uint64
-			LastFrame []byte
-		}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&file); err != nil {
-		t.Fatal(err)
-	}
-	if file.Version != 1 || len(file.Sessions) != 1 || file.Sessions[0].Name != "before" {
-		t.Fatalf("the fixture is drain file version %d with sessions %+v, want version 1 with session \"before\"", file.Version, file.Sessions)
-	}
-	sess := file.Sessions[0]
-	ack, want := v1Reply(t, sess.LastFrame)
-	if ack != sess.Acked || len(want) == 0 {
-		t.Fatalf("the fixture's reply acknowledges %d with %d pairs; the session acked %d", ack, len(want), sess.Acked)
+	if !bytes.Equal(gotFile, wantFile) {
+		t.Fatalf("next drain files differ: %d bytes from the restarted daemon, %d from the uninterrupted one", len(gotFile), len(wantFile))
 	}
 
-	path := filepath.Join(t.TempDir(), "resumed.ckpt")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	replayPath := filepath.Join(dir, "replay.ckpt")
+	if err := os.WriteFile(replayPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := upgradeDaemon(t, path)
+	srv := upgradeDaemon(t, replayPath)
 	defer srv.Close()
+	acked := file.Sessions[0].Acked
 	rc := rawDial(t, srv.Addr())
-	rc.handshake(t, "before", sess.Acked-1)
+	rc.handshake(t, "before", acked-1)
 	var got []wire.Pair
 	for more := true; more; {
 		typ, payload := rc.read(t)
@@ -330,12 +229,48 @@ func TestRestoredV1ReplyReplaysInV2(t *testing.T) {
 			t.Fatalf("replay frame of type 0x%02x", typ)
 		}
 		f, err := wire.AppendResults(got, payload)
-		if err != nil || f.AckSeq != sess.Acked {
-			t.Fatalf("replayed frame acknowledges %d (%v), want %d", f.AckSeq, err, sess.Acked)
+		if err != nil || f.AckSeq != acked {
+			t.Fatalf("replayed frame acknowledges %d (%v), want %d", f.AckSeq, err, acked)
 		}
 		got, more = f.Pairs, f.More
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("the replayed reply decodes to %d pairs that differ from the fixture's %d", len(got), len(want))
+	if len(got) == 0 || !bytes.Equal(render(nil, got), wantLast) {
+		t.Fatalf("the replayed reply lists %d pairs that differ from the last batch's:\n%s", len(got), render(nil, got))
+	}
+}
+
+// TestRestoreRefusesDrainFileV1: a version-1 drain file nests a manifest of
+// version 3 or lower, two formats back for the runtime, so none can restore,
+// and the daemon refuses the version before it reads the manifest. The file is
+// the fixture with its version edited, so nothing but the version can refuse
+// it. The daemon does not start, and the file is left as it was.
+func TestRestoreRefusesDrainFileV1(t *testing.T) {
+	_, file := readDrainFixture(t)
+	file.Version = 1
+	var payload, v1 bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Write(&v1, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := streamd.Start(streamd.Config{
+		Runtime:        shardrt.Config{Shards: 4, TotalCache: 64, Seed: 1917},
+		Listen:         "127.0.0.1:0",
+		CheckpointPath: path,
+	})
+	if err == nil {
+		_ = srv.Close()
+		t.Fatal("a daemon started from a version-1 drain file")
+	}
+	if !strings.Contains(err.Error(), "checkpoint version 1") {
+		t.Fatalf("refused with %v, want an error naming checkpoint version 1", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, v1.Bytes()) {
+		t.Fatal("the refused start rewrote the drain file")
 	}
 }

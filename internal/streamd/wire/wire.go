@@ -660,8 +660,6 @@ func (c *wireCursor) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (c *wireCursor) i64() int64 { return int64(c.u64()) }
-
 func (c *wireCursor) str() string {
 	n := int(c.u16())
 	return string(c.take(n))
@@ -728,15 +726,6 @@ func copyPayloads(rv []byte, rok bool, sv []byte, sok bool) (r, s []byte) {
 // exact inverse of encoding.
 func badFlag(b byte) error {
 	return fmt.Errorf("%w: boolean byte 0x%02x (want 0 or 1)", ErrBadFrame, b)
-}
-
-// flag reads a boolean byte.
-func (c *wireCursor) flag() bool {
-	b := c.u8()
-	if b > 1 && c.err == nil {
-		c.err = badFlag(b)
-	}
-	return b == 1
 }
 
 // count reads an element count and rejects one the rest of the payload
@@ -964,50 +953,6 @@ func AppendResults(dst []Pair, b []byte) (Results, error) {
 		return Results{}, err
 	}
 	return f, nil
-}
-
-// UpgradeResultsV1 rewrites a reply of Version 1 Results frames — the layout
-// before tuple references, in which every pair carries both tuples inline —
-// in this version's layout: the same headers and pairs, frame by frame (a
-// frame the new layout would take past the cap is split as the encoder splits
-// any reply). It is the one reader of the old layout, for the replies a drain
-// file of the previous format holds.
-func UpgradeResultsV1(frames []byte) ([]byte, error) {
-	var out []byte
-	var t TupleTable
-	for len(frames) > 0 {
-		if len(frames) < 5 {
-			return nil, fmt.Errorf("%w: %d bytes after the last Version 1 results frame", ErrBadFrame, len(frames))
-		}
-		typ, n := frames[0], binary.BigEndian.Uint32(frames[1:5])
-		if typ != TypeResults || uint64(n) > uint64(len(frames)-5) {
-			return nil, fmt.Errorf("%w: frame of type 0x%02x and %d bytes where a Version 1 results frame of %d was due", ErrBadFrame, typ, n, len(frames)-5)
-		}
-		f, err := decodeResultsV1(frames[5 : 5+n])
-		if err != nil {
-			return nil, err
-		}
-		out = t.encode(out, f, true, MaxFramePayload)
-		frames = frames[5+n:]
-	}
-	return out, nil
-}
-
-// decodeResultsV1 reads one Version 1 Results payload: the header, then per
-// pair RSeq, SSeq, RKey, SKey, shard, the same-step byte and the two payload
-// blobs. The payloads are views of b.
-func decodeResultsV1(b []byte) (Results, error) {
-	c := wireCursor{b: b}
-	f := c.resultsHeader()
-	n := c.count(8+8+8+8+2+1+4+4, "pairs")
-	f.Pairs = make([]Pair, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		p := Pair{RSeq: c.u64(), SSeq: c.u64(), RKey: c.i64(), SKey: c.i64(), Shard: c.u16(), SameStep: c.flag()}
-		p.RPayload, _ = c.view()
-		p.SPayload, _ = c.view()
-		f.Pairs = append(f.Pairs, p)
-	}
-	return f, c.done()
 }
 
 func DecodeError(b []byte) (ErrorFrame, error) {

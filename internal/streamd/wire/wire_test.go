@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -639,55 +638,6 @@ func TestDecodeResultsRejectsBadRefs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dst[0], kept) {
 			t.Errorf("%s: the destination's pair became %+v", tc.name, dst[0])
-		}
-	}
-}
-
-// TestUpgradeResultsV1: a Version 1 frame, recorded while that layout was
-// current (every pair carries both tuples inline), becomes the frame this
-// version's encoder writes for the same pairs; a reply of several keeps its
-// frames and their flags; a reply that is not Version 1 Results frames is
-// ErrBadFrame.
-func TestUpgradeResultsV1(t *testing.T) {
-	v1, err := hex.DecodeString("040000006c0000000000000003000000640000000002" +
-		"0000000000000008000000000000000900000000000000040000000000000004000201000000027270ffffffff" +
-		"0000000000000002000000000000000bffffffffffffffffffffffffffffffff0000000000000000000003010203")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Results{AckSeq: 3, Credits: 100, Pairs: []Pair{
-		{RSeq: 8, SSeq: 9, RKey: 4, SKey: 4, Shard: 2, SameStep: true, RPayload: []byte("rp"), SPayload: nil},
-		{RSeq: 2, SSeq: 11, RKey: -1, SKey: -1, RPayload: []byte{}, SPayload: []byte{1, 2, 3}},
-	}}
-	got, err := UpgradeResultsV1(v1)
-	if err != nil || !bytes.Equal(got, EncodeResultsFrame(want)) {
-		t.Fatalf("upgraded frame %x (%v), want %x", got, err, EncodeResultsFrame(want))
-	}
-	res, err := DecodeResults(got[5:])
-	if err != nil || !reflect.DeepEqual(res, want) {
-		t.Fatalf("upgraded frame decodes to %+v (%v), want %+v", res, err, want)
-	}
-
-	chunked := slices.Concat(v1, v1)
-	chunked[5+12] |= resultsFlagMore // the first of two chunks
-	more := want
-	more.More = true
-	got, err = UpgradeResultsV1(chunked)
-	if err != nil || !bytes.Equal(got, slices.Concat(EncodeResultsFrame(more), EncodeResultsFrame(want))) {
-		t.Fatalf("two upgraded chunks %x (%v)", got, err)
-	}
-
-	notResults := bytes.Clone(v1)
-	notResults[0] = TypeIngest
-	for name, b := range map[string][]byte{
-		"truncated frame":   v1[:len(v1)-1],
-		"short header":      slices.Concat(v1, v1[:3]),
-		"not a results":     notResults,
-		"bad same-step":     slices.Concat(v1[:5+17+8+8+8+8+2], []byte{7}, v1[5+17+8+8+8+8+3:]),
-		"payload too short": slices.Concat([]byte{TypeResults, 0, 0, 0, 16}, v1[5:5+16]),
-	} {
-		if _, err := UpgradeResultsV1(b); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
 }

@@ -61,7 +61,12 @@
 #                    refuse it or write byte-identical next checkpoints;
 #                    each input is restored into sixteen operators, so
 #                    minimizing a new input is bounded to one run, or it
-#                    takes the 10s) and
+#                    takes the 10s), FuzzManifestRestore (the sharded
+#                    runtime's Restore on hostile manifests, as sent and
+#                    with the checksum recomputed: never a panic, and a
+#                    manifest that restores passes CheckInvariants and
+#                    round-trips checkpoint to restore byte for byte;
+#                    minimizing bounded the same way) and
 #                    the three wire fuzzers over their committed corpora.
 #                    The two decoders a peer's bytes reach every batch read
 #                    a record in one pass at an offset into the frame, one
@@ -171,6 +176,7 @@ echo "==> fuzz smoke (committed corpus + 10s)"
 go test -run '^$' -fuzz '^FuzzStepEquivalence$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzKeyIndex$' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine
+go test -run '^$' -fuzz '^FuzzManifestRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/shardrt
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzNumberedResults$' -fuzztime 10s ./internal/streamd/wire
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime 10s ./internal/streamd/wire
