@@ -36,7 +36,7 @@ func PrecomputeH1(nf process.NormalForecaster, l LFunc, lo, hi, step int, fallba
 		// at last = 0, v = d.
 		ys = append(ys, MarginalH(nf, 0, d, l, fallbackHorizon))
 	}
-	//lint:ignore floateq both sides are exact integer-valued conversions; equality dedupes the endpoint knot
+	// Exact float comparison: both sides are exact integer-valued conversions, so equality dedupes the endpoint knot
 	if xs[len(xs)-1] != float64(hi) {
 		xs = append(xs, float64(hi))
 		ys = append(ys, MarginalH(nf, 0, hi, l, fallbackHorizon))

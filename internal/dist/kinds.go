@@ -237,7 +237,7 @@ func Normal(mean, sigma, tailEps float64) *Table {
 		tailEps = forecastTailEps
 	}
 	z := forecastTailZ
-	//lint:ignore floateq memo-key check: every model passes the constant verbatim
+	// Exact float comparison, a memo-key check: every model passes the constant verbatim
 	if tailEps != forecastTailEps {
 		z = invTail(tailEps)
 	}

@@ -123,27 +123,32 @@ func TestTelemetryTracesEveryIntervalthDecision(t *testing.T) {
 	const n = 3000
 	r := procs[0].Generate(rng.Split(), n)
 	s := procs[1].Generate(rng.Split(), n)
+	heeb := func() (join.Policy, *tapLog) {
+		p := &heebTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})}
+		return p, &p.tapLog
+	}
 	for _, tc := range []struct {
-		name string
-		mk   func() (join.Policy, *tapLog)
+		name          string
+		cache, window int
+		mk            func() (join.Policy, *tapLog)
 	}{
-		{"heeb", func() (join.Policy, *tapLog) {
-			p := &heebTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4})}
-			return p, &p.tapLog
-		}},
-		{"heeb-adaptive", func() (join.Policy, *tapLog) {
+		{"heeb", 4, 0, heeb},
+		{"heeb-adaptive", 4, 0, func() (join.Policy, *tapLog) {
 			p := &heebTap{HEEB: policy.NewHEEB(policy.HEEBOptions{LifetimeEstimate: 4, Adaptive: true})}
 			return p, &p.tapLog
 		}},
-		{"flowexpect", func() (join.Policy, *tapLog) {
+		{"flowexpect", 4, 0, func() (join.Policy, *tapLog) {
 			p := &flowTap{FlowExpect: &policy.FlowExpect{Lookahead: 3}}
 			return p, &p.tapLog
 		}},
+		// A window that both expires entries and leaves decisions to make:
+		// the one row whose engine_expired_total is not 0.
+		{"heeb-window", 5, 2, heeb},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func(reg *telemetry.Registry) (*Join, *tapLog) {
 				pol, tap := tc.mk()
-				j, err := NewJoin(Config{CacheSize: 4, Procs: procs, Seed: 1, Policy: pol, Telemetry: reg})
+				j, err := NewJoin(Config{CacheSize: tc.cache, Window: tc.window, Procs: procs, Seed: 1, Policy: pol, Telemetry: reg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,6 +205,9 @@ func TestTelemetryTracesEveryIntervalthDecision(t *testing.T) {
 
 			name := on.policy.Name()
 			m, c := on.Metrics(), reg.Snapshot().Counters
+			if tc.window > 0 && m.Expired == 0 {
+				t.Fatal("the window expired nothing: engine_expired_total is compared at 0")
+			}
 			for metric, want := range map[string]int{
 				"engine_steps_total":                            m.Steps,
 				"engine_pairs_total":                            m.Pairs,

@@ -29,12 +29,12 @@ func (f *Figure) Chart(w io.Writer, width, height int) {
 			yMax = math.Max(yMax, v)
 		}
 	}
-	//lint:ignore floateq degenerate-range guard: a flat series yields bitwise-identical min/max
+	// Exact float comparison, a degenerate-range guard: a flat series yields bitwise-identical min/max
 	if yMax == yMin {
 		yMax = yMin + 1
 	}
 	xMin, xMax := f.X[0], f.X[len(f.X)-1]
-	//lint:ignore floateq degenerate-range guard: a single x yields bitwise-identical endpoints
+	// Exact float comparison, a degenerate-range guard: a single x yields bitwise-identical endpoints
 	if xMax == xMin {
 		xMax = xMin + 1
 	}

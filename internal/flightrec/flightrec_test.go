@@ -338,7 +338,12 @@ func TestBundleRoundTrip(t *testing.T) {
 		BundleDir:   dir,
 	})
 	root := r.BeginStep(7)
-	r.Life(42, flightrec.LifeEvent{Step: 7, Kind: flightrec.LifeAdmit, Stream: "R", TupleID: 14})
+	// Keys 42…61, tracked in descending order: the bundle lists them in
+	// ascending order, whatever order the recorder's map ranges in.
+	const tracked = 20
+	for k := 42 + tracked - 1; k >= 42; k-- {
+		r.Life(k, flightrec.LifeEvent{Step: 7, Kind: flightrec.LifeAdmit, Stream: "R", TupleID: k - 28})
+	}
 	r.EndStep(root, 2, 1)
 
 	payload := []byte("operator-state")
@@ -361,7 +366,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if b.Manifest.Version != flightrec.BundleVersion || b.Manifest.Reason != "Invariant #3!" || b.Manifest.Step != 7 {
 		t.Fatalf("manifest = %+v", b.Manifest)
 	}
-	if b.Manifest.Spans != 1 || b.Manifest.SpansTotal != 1 || b.Manifest.TrackedKeys != 1 {
+	if b.Manifest.Spans != 1 || b.Manifest.SpansTotal != 1 || b.Manifest.TrackedKeys != tracked {
 		t.Fatalf("manifest counts = %+v", b.Manifest)
 	}
 	wantFiles := []string{"spans.json", "trace.json", "lifecycle.json", "telemetry.json", "checkpoint.sscp"}
@@ -371,8 +376,13 @@ func TestBundleRoundTrip(t *testing.T) {
 	if len(b.Spans) != 1 || b.Spans[0].Phase != flightrec.PhaseStep || b.Spans[0].Step != 7 {
 		t.Fatalf("loaded spans = %+v", b.Spans)
 	}
-	if len(b.Lifecycle) != 1 || b.Lifecycle[0].Key != 42 || b.Lifecycle[0].Total != 1 {
-		t.Fatalf("loaded lifecycle = %+v", b.Lifecycle)
+	if len(b.Lifecycle) != tracked {
+		t.Fatalf("loaded %d tracked keys, want %d", len(b.Lifecycle), tracked)
+	}
+	for i, kl := range b.Lifecycle {
+		if kl.Key != 42+i || kl.Total != 1 || kl.Events[0].TupleID != kl.Key-28 {
+			t.Fatalf("loaded lifecycle %d = %+v, want key %d's one event", i, kl, 42+i)
+		}
 	}
 	got, err := checkpoint.Read(bytes.NewReader(b.Checkpoint))
 	if err != nil || !bytes.Equal(got, payload) {

@@ -1,19 +1,14 @@
 // Package load type-checks this module's packages using only the standard
-// library, so the stochlint analyzers can run in a fully offline build
-// environment (no golang.org/x/tools, no module proxy).
+// library, so internal/lintrules' served gate (TestEveryFunctionIsServed)
+// runs in a fully offline build environment (no golang.org/x/tools, no
+// module proxy).
 //
-// Resolution order for an import path:
+// An import path under the go.mod module path is parsed and type-checked
+// from source, recursively; every other path resolves to the standard
+// library through importer.Default()'s compiled export data.
 //
-//  1. the overlay root (an analysistest-style testdata/src tree, checked
-//     first so corpora can fake module packages such as
-//     stochstream/internal/engine),
-//  2. the module tree (paths under the go.mod module path, parsed and
-//     type-checked from source, recursively),
-//  3. the standard library via importer.Default()'s compiled export data.
-//
-// Only non-test files are loaded: every contract stochlint enforces is
-// scoped to non-test code, and the allowlisted bitwise-equivalence tests
-// live in _test.go files by construction.
+// Only non-test files are loaded: the gate asks what non-test code a binary
+// reaches.
 package load
 
 import (
@@ -42,14 +37,12 @@ type Package struct {
 }
 
 // Loader loads and memoizes packages. It implements types.Importer so the
-// type checker resolves transitive imports through the same three-step
-// resolution.
+// type checker resolves transitive imports the same way.
 type Loader struct {
-	Fset *token.FileSet
+	fset *token.FileSet
 
-	repoRoot    string // module root directory; "" disables module resolution
-	modulePath  string // module path from go.mod; "" when repoRoot is ""
-	overlayRoot string // testdata/src-style root checked first; "" disables
+	repoRoot   string // module root directory
+	modulePath string // module path from go.mod
 
 	std  types.Importer
 	pkgs map[string]*result
@@ -60,26 +53,19 @@ type result struct {
 	err error
 }
 
-// NewLoader builds a loader. repoRoot is the directory containing go.mod
-// (pass "" for analysistest runs, which must resolve only overlay + stdlib);
-// overlayRoot is a testdata/src tree checked before the module (pass "" for
-// driver runs over the real tree).
-func NewLoader(repoRoot, overlayRoot string) (*Loader, error) {
-	l := &Loader{
-		Fset:        token.NewFileSet(),
-		repoRoot:    repoRoot,
-		overlayRoot: overlayRoot,
-		pkgs:        map[string]*result{},
+// NewLoader builds a loader for the module whose go.mod is in repoRoot.
+func NewLoader(repoRoot string) (*Loader, error) {
+	mod, err := modulePath(filepath.Join(repoRoot, "go.mod"))
+	if err != nil {
+		return nil, err
 	}
-	l.std = importer.Default()
-	if repoRoot != "" {
-		mod, err := modulePath(filepath.Join(repoRoot, "go.mod"))
-		if err != nil {
-			return nil, err
-		}
-		l.modulePath = mod
-	}
-	return l, nil
+	return &Loader{
+		fset:       token.NewFileSet(),
+		repoRoot:   repoRoot,
+		modulePath: mod,
+		std:        importer.Default(),
+		pkgs:       map[string]*result{},
+	}, nil
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -107,7 +93,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // Load returns the package for an import path, type-checking it from source
-// when the path resolves inside the overlay or the module.
+// when the path is inside the module.
 func (l *Loader) Load(path string) (*Package, error) {
 	if r, ok := l.pkgs[path]; ok {
 		return r.pkg, r.err
@@ -127,25 +113,16 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
-	return &Package{Path: path, Fset: l.Fset, Types: tp}, nil
+	return &Package{Path: path, Fset: l.fset, Types: tp}, nil
 }
 
-// sourceDir resolves an import path to a source directory via the overlay
-// and then the module tree.
+// sourceDir resolves an import path inside the module to its directory.
 func (l *Loader) sourceDir(path string) (string, bool) {
-	if l.overlayRoot != "" {
-		dir := filepath.Join(l.overlayRoot, filepath.FromSlash(path))
-		if hasGoFiles(dir) {
-			return dir, true
-		}
+	if path == l.modulePath {
+		return l.repoRoot, true
 	}
-	if l.modulePath != "" {
-		if path == l.modulePath {
-			return l.repoRoot, true
-		}
-		if rest, ok := strings.CutPrefix(path, l.modulePath+"/"); ok {
-			return filepath.Join(l.repoRoot, filepath.FromSlash(rest)), true
-		}
+	if rest, ok := strings.CutPrefix(path, l.modulePath+"/"); ok {
+		return filepath.Join(l.repoRoot, filepath.FromSlash(rest)), true
 	}
 	return "", false
 }
@@ -206,8 +183,8 @@ func buildTagExcludes(path string) bool {
 
 // buildTagOK evaluates one constraint tag the way a plain `go build` on this
 // platform would: GOOS/GOARCH, the gc toolchain, unix for unix-family
-// systems, and any released go1.N version tag are true; custom tags (none
-// are ever passed to stochlint) are false.
+// systems, and any released go1.N version tag are true; custom tags are
+// false.
 func buildTagOK(tag string) bool {
 	switch tag {
 	case runtime.GOOS, runtime.GOARCH, "gc":
@@ -236,7 +213,7 @@ func (l *Loader) loadSource(path, dir string) (*Package, error) {
 		if buildTagExcludes(fname) {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", path, err)
 		}
@@ -254,72 +231,29 @@ func (l *Loader) loadSource(path, dir string) (*Package, error) {
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	cfg := types.Config{Importer: l}
-	tp, err := cfg.Check(path, l.Fset, files, info)
+	tp, err := cfg.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
-	return &Package{Path: path, Fset: l.Fset, Files: files, Types: tp, Info: info}, nil
+	return &Package{Path: path, Fset: l.fset, Files: files, Types: tp, Info: info}, nil
 }
 
-// SourcePackages returns every package loaded from source so far (overlay
-// and module packages — the ones with Files and full type info), sorted by
-// import path. This is the package set the drivers collect //lint:ignore
-// directives from: transitive imports are present because Load resolves
-// them recursively.
-func (l *Loader) SourcePackages() []*Package {
-	var out []*Package
-	for _, r := range l.pkgs {
-		if r.err == nil && r.pkg != nil && len(r.pkg.Files) > 0 {
-			out = append(out, r.pkg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// List expands go-style package patterns ("./...", "./internal/...",
-// "./cmd/stochlint") against the module tree and returns matching import
-// paths in sorted order. testdata, vendor and hidden directories are
-// skipped, matching the go tool's ./... semantics.
-func (l *Loader) List(patterns []string) ([]string, error) {
-	if l.repoRoot == "" {
-		return nil, fmt.Errorf("load: List requires a module root")
-	}
-	all, err := l.moduleDirs()
+// List returns the import path of every package in the module, sorted:
+// the go tool's ./..., which skips testdata, vendor and hidden directories.
+func (l *Loader) List() ([]string, error) {
+	dirs, err := l.moduleDirs()
 	if err != nil {
 		return nil, err
 	}
-	matched := map[string]bool{}
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(strings.TrimSuffix(pat, "/"), "./")
-		switch {
-		case pat == "..." || pat == "":
-			for _, p := range all {
-				matched[p] = true
-			}
-		case strings.HasSuffix(pat, "/..."):
-			prefix := strings.TrimSuffix(pat, "/...")
-			for _, rel := range all {
-				if rel == prefix || strings.HasPrefix(rel, prefix+"/") {
-					matched[rel] = true
-				}
-			}
-		default:
-			matched[pat] = true
-		}
-	}
-	paths := make([]string, 0, len(matched))
-	for rel := range matched {
-		paths = append(paths, rel)
-	}
-	sort.Strings(paths)
-	for i, rel := range paths {
+	paths := make([]string, len(dirs))
+	for i, rel := range dirs {
 		if rel == "." {
 			paths[i] = l.modulePath
 		} else {
 			paths[i] = l.modulePath + "/" + rel
 		}
 	}
+	sort.Strings(paths)
 	return paths, nil
 }
 

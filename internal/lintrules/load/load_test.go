@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-func overlayLoader(t *testing.T) *Loader {
+// testLoader loads testdata/mod, a module of three packages named loadtest.
+func testLoader(t *testing.T) *Loader {
 	t.Helper()
-	src, err := filepath.Abs("testdata/src")
+	root, err := filepath.Abs(filepath.Join("testdata", "mod"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader("", src)
+	l, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +25,8 @@ func overlayLoader(t *testing.T) *Loader {
 // files redeclare V under a custom //go:build tag and a legacy // +build
 // line, so the package type-checks only if both are excluded.
 func TestBuildTagExcluded(t *testing.T) {
-	l := overlayLoader(t)
-	pkg, err := l.Load("tagged")
+	l := testLoader(t)
+	pkg, err := l.Load("loadtest/tagged")
 	if err != nil {
 		t.Fatalf("load tagged: %v", err)
 	}
@@ -37,8 +38,8 @@ func TestBuildTagExcluded(t *testing.T) {
 // TestTypeCheckFailureIsAnError pins the failure mode: a package that does
 // not type-check returns an error naming the package, never a panic.
 func TestTypeCheckFailureIsAnError(t *testing.T) {
-	l := overlayLoader(t)
-	if _, err := l.Load("broken"); err == nil {
+	l := testLoader(t)
+	if _, err := l.Load("loadtest/broken"); err == nil {
 		t.Fatal("load broken: expected a type-check error, got nil")
 	} else if !strings.Contains(err.Error(), "broken") {
 		t.Errorf("error does not name the package: %v", err)
@@ -49,8 +50,8 @@ func TestTypeCheckFailureIsAnError(t *testing.T) {
 // skips test files by design, so the directory resolves to nothing and the
 // load fails with an error instead of producing an empty package.
 func TestTestOnlyPackageFailsCleanly(t *testing.T) {
-	l := overlayLoader(t)
-	if _, err := l.Load("testonly"); err == nil {
+	l := testLoader(t)
+	if _, err := l.Load("loadtest/testonly"); err == nil {
 		t.Fatal("load testonly: expected an error for a _test.go-only package, got nil")
 	}
 }
@@ -58,17 +59,14 @@ func TestTestOnlyPackageFailsCleanly(t *testing.T) {
 // TestLoadErrorIsMemoized pins that a failed load is cached like a success:
 // the second call returns the same error without re-type-checking.
 func TestLoadErrorIsMemoized(t *testing.T) {
-	l := overlayLoader(t)
-	_, err1 := l.Load("broken")
-	_, err2 := l.Load("broken")
+	l := testLoader(t)
+	_, err1 := l.Load("loadtest/broken")
+	_, err2 := l.Load("loadtest/broken")
 	if err1 == nil || err2 == nil {
 		t.Fatal("expected errors from both loads")
 	}
 	if err1.Error() != err2.Error() {
 		t.Errorf("memoized error drifted: %q vs %q", err1, err2)
-	}
-	if pkgs := l.SourcePackages(); len(pkgs) != 0 {
-		t.Errorf("failed loads must not surface in SourcePackages, got %d", len(pkgs))
 	}
 }
 

@@ -58,11 +58,11 @@ func TestEveryFunctionIsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := load.NewLoader(root, "")
+	loader, err := load.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := loader.List([]string{"./..."})
+	paths, err := loader.List()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,7 @@ func lowestN(scores []float64, cands []Tuple, n int) []int {
 	for i := 1; i < len(idx); i++ {
 		for j := i; j > 0; j-- {
 			a, b := idx[j], idx[j-1]
-			//lint:ignore floateq deterministic (score, ID) tie-break; scores are bitwise-reproducible kernel outputs
+			// Exact float comparison, a deterministic (score, ID) tie-break: scores are bitwise-reproducible kernel outputs
 			if scores[a] < scores[b] || (scores[a] == scores[b] && cands[a].ID < cands[b].ID) {
 				idx[j], idx[j-1] = idx[j-1], idx[j]
 			} else {

@@ -98,7 +98,7 @@ func (p *HEEB) Forecasts() *core.ForecastCache { return p.fc }
 // re-derivation at the head of Evict). The window's score memo is keyed on
 // the table it summed under, so a new table also empties the memo.
 func (p *HEEB) ensureLTab() {
-	//lint:ignore floateq memo-key check: alpha is stored verbatim, so bitwise equality is the invalidation contract
+	// Exact float comparison, a memo-key check: alpha is stored verbatim, so bitwise equality is the invalidation contract
 	if p.Opts.NoMemo || p.ltabAlpha == p.alpha {
 		return
 	}

@@ -36,7 +36,7 @@ func evictLowest(scores []float64, cands []join.Tuple, n int, dst []int) []int {
 	// worse reports whether candidate a makes a strictly worse victim than b,
 	// i.e. sorts after it in the ascending (score, ID) order.
 	worse := func(a, b int) bool {
-		//lint:ignore floateq deterministic (score, ID) tie-break; scores are bitwise-reproducible kernel outputs
+		// Exact float comparison, a deterministic (score, ID) tie-break: scores are bitwise-reproducible kernel outputs
 		if scores[a] != scores[b] {
 			return scores[a] > scores[b]
 		}

@@ -166,7 +166,7 @@ type AR1 struct {
 // model's stationary mean.
 func FromFit(f stats.AR1Fit) *AR1 {
 	init := 0
-	//lint:ignore floateq unit-root test: Phi1 is exactly 1 only when set from the literal by the random-walk constructors
+	// Exact float comparison, a unit-root test: Phi1 is exactly 1 only when set from the literal by the random-walk constructors
 	if f.Phi1 != 1 {
 		init = int(math.Round(f.StationaryMean()))
 	}
@@ -182,7 +182,7 @@ func (a *AR1) Forecast(h *History, delta int) dist.PMF {
 
 // ForecastNormal implements NormalForecaster.
 func (a *AR1) ForecastNormal(last int, delta int) (mean, sd float64) {
-	//lint:ignore floateq unit-root test: Phi1 is exactly 1 only when set from the literal by the random-walk constructors
+	// Exact float comparison, a unit-root test: Phi1 is exactly 1 only when set from the literal by the random-walk constructors
 	if a.Phi1 == 1 {
 		return float64(last) + float64(delta)*a.Phi0, a.Sigma * math.Sqrt(float64(delta))
 	}

@@ -105,6 +105,9 @@ func (rt *Runtime) Restore(r io.Reader) error {
 		if sh.clock > wire.Ingested {
 			return fmt.Errorf("shardrt: restore shard %d: its clock %d is past the %d steps ingested", i, sh.clock, wire.Ingested)
 		}
+		if err := rt.checkRouting(sh); err != nil {
+			return fmt.Errorf("shardrt: restore %w", err)
+		}
 	}
 	rt.ingested = wire.Ingested
 	rt.batches = wire.Batches

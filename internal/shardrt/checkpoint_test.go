@@ -271,7 +271,7 @@ func TestShardedCheckpointFingerprint(t *testing.T) {
 }
 
 // encodeManifest wraps a manifest in the checkpoint envelope.
-func encodeManifest(t *testing.T, m manifestWire) []byte {
+func encodeManifest(t testing.TB, m manifestWire) []byte {
 	t.Helper()
 	var payload, file bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&m); err != nil {
@@ -350,5 +350,90 @@ func TestRestoreManifestVersions(t *testing.T) {
 		if want := fmt.Sprintf("manifest version %d", version); !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: refused with %v, want an error naming %q", version, err, want)
 		}
+	}
+}
+
+// engineWire mirrors the engine's checkpoint payload field by field, so that
+// a test can edit a shard envelope and encode it again whole: gob matches
+// fields by name.
+type engineWire struct {
+	CacheSize, Window, Band int
+	Seed                    uint64
+	PolicyName              string
+	ProcSig                 string
+
+	Time    int
+	NextID  int
+	Metrics engine.Metrics
+	Cache   []struct {
+		Tuple   join.Tuple
+		Payload interface{}
+		Seq     uint64
+	}
+
+	HasPolicyState bool
+	PolicyState    []byte
+}
+
+// misroutedManifest is busyRuntime's checkpoint hand-edited as a forger
+// would: shard 0's cached value 2, which routes to shard 0, becomes 3, which
+// routes to shard 3, and the shard envelope's and the manifest's checksums
+// are recomputed. It returns the file and the edited shard envelope.
+func misroutedManifest(t testing.TB) (file, envelope []byte) {
+	t.Helper()
+	var own bytes.Buffer
+	if err := busyRuntime(t).Checkpoint(&own); err != nil {
+		t.Fatal(err)
+	}
+	var m manifestWire
+	decode(t, own.Bytes(), &m)
+	var w engineWire
+	decode(t, m.Envelopes[0], &w)
+	i := 0
+	for i < len(w.Cache) && w.Cache[i].Tuple.Value != 2 {
+		i++
+	}
+	if i == len(w.Cache) || ShardOf(2, m.Shards) != 0 || ShardOf(3, m.Shards) != 3 {
+		t.Fatal("shard 0 caches no value 2 to move to shard 3")
+	}
+	w.Cache[i].Tuple.Value = 3
+	var payload, env bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Write(&env, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	m.Envelopes[0] = env.Bytes()
+	return encodeManifest(t, m), env.Bytes()
+}
+
+// TestRestoreRefusesMisroutedEntry: a manifest whose shard caches a key that
+// routes to another shard is refused, though the shard's own envelope is
+// valid; such an entry would never meet its partners, which arrive at the
+// other shard. CheckInvariants, run over a shard engine restored from that
+// envelope alone, fails the same way.
+func TestRestoreRefusesMisroutedEntry(t *testing.T) {
+	file, envelope := misroutedManifest(t)
+	const want = "shard 0 caches key 3, which routes to shard 3"
+	rt, err := New(upgradeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	if err := rt.Restore(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("the misrouted manifest restored with %v, want an error naming %q", err, want)
+	}
+
+	rt, err = New(upgradeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	if err := rt.Shard(0).Restore(bytes.NewReader(envelope)); err != nil {
+		t.Fatalf("the edited shard envelope is refused by the engine itself: %v", err)
+	}
+	if err := rt.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInvariants = %v, want an error naming %q", err, want)
 	}
 }

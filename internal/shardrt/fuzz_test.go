@@ -18,8 +18,9 @@ import (
 // CheckInvariants, and its checkpoint restores into a fresh runtime that
 // writes the same bytes back.
 //
-// The seeds are the version-4 upgrade fixture and a fresh checkpoint of the
-// fixture's run a thousand steps in.
+// The seeds are the version-4 upgrade fixture, a fresh checkpoint of the
+// fixture's run a thousand steps in, and that checkpoint with one of shard
+// 0's entries re-keyed to another shard's key (misroutedManifest).
 func FuzzManifestRestore(f *testing.F) {
 	raw, err := os.ReadFile(shardedFixture)
 	if err != nil {
@@ -31,6 +32,8 @@ func FuzzManifestRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(own.Bytes())
+	misrouted, _ := misroutedManifest(f)
+	f.Add(misrouted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		files := [][]byte{data}
 		if len(data) >= 20 {

@@ -335,7 +335,7 @@ func (sh *shard) step() {
 		}
 	}()
 	b := sh.eng.StepRun(sh.batch)
-	//lint:ignore stepretain the run goes to the coordinator, whose merge is done with it inside the dispatch that stepped this batch: the shard cannot step again before that
+	// The run holds the engine's batch past this call: the coordinator's merge is done with it inside the dispatch that stepped this batch, and the shard cannot step again before that
 	sh.out = run{keys: sortKeys(sh.keys[:0], b), batch: b, shard: sh.id}
 }
 
@@ -599,12 +599,27 @@ func (rt *Runtime) Metrics() Metrics {
 	return m
 }
 
-// CheckInvariants runs engine.CheckInvariants on every shard. Safe between
-// IngestBatch calls.
+// CheckInvariants runs engine.CheckInvariants on every shard and requires
+// each shard to cache only keys that route to it. Safe between IngestBatch
+// calls.
 func (rt *Runtime) CheckInvariants() error {
 	for _, sh := range rt.shards {
 		if err := sh.eng.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", sh.id, err)
+		}
+		if err := rt.checkRouting(sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRouting requires every entry the shard caches to route to it: an entry
+// of another shard's key never meets its partners, which arrive there.
+func (rt *Runtime) checkRouting(sh *shard) error {
+	for _, tp := range sh.eng.Snapshot() {
+		if to := ShardOf(tp.Value, len(rt.shards)); to != sh.id {
+			return fmt.Errorf("shard %d caches key %d, which routes to shard %d", sh.id, tp.Value, to)
 		}
 	}
 	return nil

@@ -86,7 +86,7 @@ func readFixture(t *testing.T) ([]byte, manifestWire) {
 }
 
 // decode reads a checkpoint envelope's gob payload into v.
-func decode(t *testing.T, file []byte, v any) {
+func decode(t testing.TB, file []byte, v any) {
 	t.Helper()
 	payload, err := checkpoint.Read(bytes.NewReader(file))
 	if err != nil {

@@ -869,7 +869,7 @@ func (s *Server) drainLocked(ctx context.Context, writeCkpt bool) error {
 func (s *Server) killConns(notice []byte) {
 	s.mu.Lock()
 	list := make([]*conn, 0, len(s.conns))
-	//lint:ignore maprange connection teardown is order-insensitive: every connection gets the same notice and kill
+	// Map order is fine here: connection teardown is order-insensitive, since every connection gets the same notice and kill
 	for c := range s.conns {
 		list = append(list, c)
 	}

@@ -23,12 +23,12 @@ func populateMetrics(reg *Registry, order []int) {
 	reg.Counter(`evictions_total{policy="RAND"}`).Add(3)
 }
 
-// TestExportByteIdentical is the regression test for stochlint's maprange
-// contract on the export path: repeated Prometheus and JSON exports of the
-// same registry must be byte-identical, and registries populated in
-// different insertion orders must export identical bytes. A map-order
-// dependent export loop would fail this within a few repetitions (Go
-// randomizes map iteration per range statement).
+// TestExportByteIdentical holds the export path to map-order independence:
+// repeated Prometheus and JSON exports of the same registry must be
+// byte-identical, and registries populated in different insertion orders
+// must export identical bytes. A map-order dependent export loop would fail
+// this within a few repetitions (Go randomizes map iteration per range
+// statement).
 func TestExportByteIdentical(t *testing.T) {
 	forward := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	reverse := []int{7, 6, 5, 4, 3, 2, 1, 0}

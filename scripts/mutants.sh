@@ -13,8 +13,6 @@
 #
 #   build                   go build ./... fails
 #   vet                     go vet fails on a package the patch touches
-#   stochlint:<analyzer>    stochlint -rules <analyzer> exits 1 with a finding
-#                           of that analyzer
 #   test:<pkg>:<Test>       go test -run '^<Test>$' ./<pkg> fails
 #   test-race:<pkg>:<Test>  the same under -race
 #
@@ -28,7 +26,7 @@
 # Run from anywhere:
 #
 #   ./scripts/mutants.sh              # every patch
-#   ./scripts/mutants.sh goleak-worker floateq-inf-sentinel
+#   ./scripts/mutants.sh goleak-worker locksafe-lock-copy
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -40,7 +38,6 @@ if [ -d .git ]; then
 else
     tar --exclude=.git -cf - . | tar -x -C "$work"
 fi
-go build -o "$work/.stochlint" ./cmd/stochlint
 
 patches=()
 if [ $# -gt 0 ]; then
@@ -61,16 +58,6 @@ run_killer() {
     vet)
         # shellcheck disable=SC2086
         if go vet $pkgs >"$log" 2>&1; then echo silent; else echo killed; fi ;;
-    stochlint:*)
-        local rule=${killer#stochlint:} code=0
-        "$work/.stochlint" -rules "$rule" ./... >"$log" 2>&1 || code=$?
-        if [ $code -eq 0 ]; then
-            echo silent
-        elif [ $code -eq 1 ] && grep -q "\[$rule\]" "$log"; then
-            echo killed
-        else
-            echo "error: stochlint exit $code without a $rule finding"
-        fi ;;
     test:* | test-race:*)
         local spec=${killer#*:} race=
         [ "${killer%%:*}" = test-race ] && race=-race
